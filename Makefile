@@ -14,12 +14,13 @@ BENCH_SCALE ?= 0.05
 BENCH_MAX_OVERHEAD ?= 5
 OVERHEAD_ITERS ?= 5
 
-.PHONY: check vet lint lint-json build test race crash-recovery repl-fault bench bench-algos bench-algos-smoke bench-micro bench-smoke fuzz-smoke
+.PHONY: check vet lint lint-json build test race crash-recovery repl-fault algo-diff bench bench-algos bench-algos-smoke bench-micro bench-smoke benchmark-smoke fuzz-smoke
 
 ## check: the full gate — vet, build, the pgrdfvet analyzers, the
-## race-enabled test suite, the crash-recovery differential, and the
-## replication fault-injection differential.
-check: vet build lint race crash-recovery repl-fault
+## race-enabled test suite, the crash-recovery differential, the
+## replication fault-injection differential, and the incremental-CSR
+## differential.
+check: vet build lint race crash-recovery repl-fault algo-diff
 
 vet:
 	$(GO) vet ./...
@@ -60,6 +61,19 @@ crash-recovery:
 repl-fault:
 	$(GO) test -race -count=1 ./internal/repl
 
+## algo-diff: the analytics gate — a CSR patched forward from the store
+## change log must equal one projected from scratch after every update
+## (seeded update sequences over RF/NG/SP × conversion options × label /
+## weight filters, the named edge cases, ring overflow and Load
+## barriers), the change log must be exact at the ring boundaries, and
+## /algo under a concurrent writer must end with patched ≡ from-scratch
+## and no change applied twice or lost — all under the race detector.
+## Part of `make check`; see DESIGN.md §17.
+algo-diff:
+	$(GO) test -race -count=1 -run 'TestChangesSince|TestViewIsOneState' ./internal/store
+	$(GO) test -race -count=1 -run 'TestPatch|TestProjectionIgnoresCompaction' ./internal/graph
+	$(GO) test -race -count=1 -run 'TestAlgo' ./internal/httpapi
+
 ## bench: Go micro-benchmarks plus the serial-vs-parallel comparison of
 ## the paper's scan-heavy queries and bulk load, written to
 ## BENCH_parallel.json. Tune with BENCH_WORKERS / BENCH_ITERS /
@@ -77,7 +91,9 @@ bench-overhead:
 
 ## bench-algos: the graph-analytics comparison — CSR projection plus
 ## PageRank / WCC / triangle counting, serial vs parallel, on all three
-## schemes — written to BENCH_algos.json. -require-cores refuses to
+## schemes, and the update-then-algo leg (patch_ms next to
+## csr_build_ms for a one-edge and a 100-edge update) — written to
+## BENCH_algos.json. -require-cores refuses to
 ## publish speedup numbers measured with fewer cores than workers; the
 ## embedded fingerprints prove serial/parallel and cross-scheme results
 ## were identical.
@@ -102,6 +118,17 @@ bench-micro:
 ## best-of-1 at smoke scale is all scheduler jitter.
 bench-smoke:
 	$(MAKE) bench BENCH_ITERS=1 BENCH_SCALE=0.02
+
+## benchmark-smoke: the serving benchmark's own gate (BENCHMARK.json,
+## benchmark/ — a separate module the root's ./... does not reach): its
+## 10 s end-to-end smoke test, then -selfcheck, which runs a workload
+## twice and fails when the run-to-run spread is too wide to resolve the
+## declared bounds, or when a timed pass has become shorter than 3 s — it
+## then prints the Requests value to set in benchmark/spec.go, which is a
+## benchmark-only change (~5 min).
+benchmark-smoke:
+	(cd benchmark && $(GO) test ./...)
+	$(GO) run -C benchmark repro/benchmark -selfcheck
 
 ## fuzz-smoke: run each parser fuzz target for FUZZTIME (default 30s).
 ## Regression seeds always run as part of plain `make test` too.

@@ -15,8 +15,9 @@ import (
 //
 // Rule, scoped to repro/internal/sparql: any call to a raw store row
 // source — (*store.Store).Scan / ScanBatch / ScanIndex / Cursor,
-// (*store.Index).Scan / ScanRange / ScanRangeBatch, or
-// (*store.Cursor).NextBatch — must sit in a top-level function that
+// (*store.View).ScanBatch, (*store.Index).Scan / ScanRange /
+// ScanRangeBatch, or (*store.Cursor).NextBatch — must sit in a
+// top-level function that
 // also ticks the guard (a call to guard.tick, guard.tickN, guard.poll,
 // or guard.checkRows somewhere in the same function, typically inside
 // the scan callback or the worker loop draining a cursor). Routing
@@ -28,7 +29,7 @@ import (
 //
 // The same rule patrols repro/internal/graph, which has its own nilable
 // guard type with the same method names. There the row sources are the
-// store cursors the projection drains plus the CSR adjacency accessors
+// view scans the projection and the patcher drain plus the CSR adjacency accessors
 // (Neighbors / InNeighbors and their weight twins) — the algorithm hot
 // loops. An algorithm phase that walks adjacency without ticking would
 // run a full iteration blind to cancellation, deadlines and MaxWork;
@@ -43,6 +44,7 @@ var Guardtick = &Analyzer{
 // rawScanMethods are the store row sources that bypass (*execCtx).scan.
 var rawScanMethods = map[string]map[string]bool{
 	"Store":  {"Scan": true, "ScanBatch": true, "ScanIndex": true, "Cursor": true},
+	"View":   {"ScanBatch": true},
 	"Index":  {"Scan": true, "ScanRange": true, "ScanBatch": true, "ScanRangeBatch": true},
 	"Cursor": {"NextBatch": true},
 }

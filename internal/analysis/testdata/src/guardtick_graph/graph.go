@@ -52,7 +52,7 @@ func badWeighted(cs *CSR, v uint32) float64 {
 	return sum
 }
 
-// badDrain replays the projection's cursor loop without the tick.
+// badDrain drains a snapshot cursor without the tick.
 func badDrain(st *store.Store, p store.Pattern) int {
 	cur := st.Cursor(p) // want "store scan without a budget-guard tick"
 	defer cur.Close()
@@ -64,6 +64,28 @@ func badDrain(st *store.Store, p store.Pattern) int {
 		}
 		n += len(batch)
 	}
+}
+
+// badViewDrain scans a consistent view — the projection's and the
+// patcher's row source — blind.
+func badViewDrain(v *store.View, p store.Pattern) int {
+	n := 0
+	v.ScanBatch(p, 1024, func(b []store.IDQuad) bool { // want "store scan without a budget-guard tick"
+		n += len(b)
+		return true
+	})
+	return n
+}
+
+// goodViewDrain is the projection's shape: one tickN per batch, inside
+// the scan callback.
+func goodViewDrain(g *guard, v *store.View, p store.Pattern) int {
+	n := 0
+	v.ScanBatch(p, 1024, func(b []store.IDQuad) bool {
+		n += len(b)
+		return g.tickN(len(b))
+	})
+	return n
 }
 
 // goodGather settles the morsel's edge work with one tickN, the
@@ -81,8 +103,8 @@ func goodGather(g *guard, cs *CSR, rank []float64, lo, hi int) (float64, bool) {
 	return sum, g.tickN(edges)
 }
 
-// goodDrain is the projection's shape: cursor batches ticked as they
-// are drained, in the same function that opened the cursor.
+// goodDrain ticks cursor batches as they are drained, in the same
+// function that opened the cursor.
 func goodDrain(g *guard, st *store.Store, p store.Pattern) int {
 	cur := st.Cursor(p)
 	defer cur.Close()

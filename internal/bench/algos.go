@@ -11,6 +11,9 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/pg"
+	"repro/internal/pgrdf"
+	"repro/internal/rdf"
 )
 
 // algoBenchNames orders the graph algorithms in BENCH_algos.json.
@@ -38,14 +41,31 @@ type AlgoResult struct {
 	Fingerprint string  `json:"fingerprint"`
 }
 
+// AlgoPatchResult is one update-then-algo measurement: what carrying a
+// cached projection across an update of EdgesUpdated edges costs
+// (PatchMS, graph.Projection.Patch) next to what rebuilding it costs
+// (CSRBuildMS). AlgoBench fails unless the three algorithms fingerprint
+// the patched CSR exactly as they do a cold projection of the updated
+// store; Fingerprint is PageRank's.
+type AlgoPatchResult struct {
+	Scheme       string  `json:"scheme"`
+	EdgesUpdated int     `json:"edges_updated"`
+	Changes      int     `json:"changes"` // change-log entries the patch consumed
+	NewVertices  int     `json:"new_vertices"`
+	CSRBuildMS   float64 `json:"csr_build_ms"`
+	PatchMS      float64 `json:"patch_ms"`
+	Fingerprint  string  `json:"fingerprint"`
+}
+
 // AlgoReport is the payload of BENCH_algos.json. As with
 // ParallelReport, speedups measured with GOMAXPROCS < workers are
 // scheduler noise, so GOMAXPROCS is recorded alongside the numbers.
 type AlgoReport struct {
-	Workers    int          `json:"workers"`
-	GOMAXPROCS int          `json:"gomaxprocs"`
-	Iters      int          `json:"iters"`
-	Results    []AlgoResult `json:"results"`
+	Workers    int               `json:"workers"`
+	GOMAXPROCS int               `json:"gomaxprocs"`
+	Iters      int               `json:"iters"`
+	Results    []AlgoResult      `json:"results"`
+	Patches    []AlgoPatchResult `json:"patches"`
 }
 
 // AlgoBench projects the Twitter dataset into a CSR under every scheme
@@ -70,18 +90,24 @@ func AlgoBench(ctx context.Context, env *Env, workers, iters int) (*AlgoReport, 
 	// it or how many workers ran it.
 	crossFP := map[string]string{}
 	for _, se := range append(env.SchemeEnvs(), rf) {
-		var cs *graph.CSR
+		opts := graph.ProjectOptions{Model: se.Names.All, Scheme: se.Scheme, Reverse: true}
+		var proj *graph.Projection
 		build, err := medianOf(iters, func() error {
-			c, perr := graph.Project(ctx, se.Store, graph.ProjectOptions{
-				Model:   se.Names.All,
-				Scheme:  se.Scheme,
-				Reverse: true,
-			}, graph.Budget{})
-			cs = c
+			p, perr := graph.NewProjection(ctx, se.Store, opts, graph.Budget{})
+			proj = p
 			return perr
 		})
 		if err != nil {
 			return nil, fmt.Errorf("algobench %s (project): %w", se.Scheme, err)
+		}
+		cs := proj.CSR
+		for _, edges := range []int{1, 100} {
+			pr, err := patchLeg(ctx, env, se, opts, proj, edges, iters)
+			if err != nil {
+				return nil, fmt.Errorf("algobench %s (patch, %d edges): %w", se.Scheme, edges, err)
+			}
+			pr.CSRBuildMS = ms(build)
+			rep.Patches = append(rep.Patches, pr)
 		}
 		for _, algo := range algoBenchNames {
 			serial := graph.Runner{Parallelism: 1}
@@ -135,6 +161,125 @@ func AlgoBench(ctx context.Context, env *Env, workers, iters int) (*AlgoReport, 
 		}
 	}
 	return rep, nil
+}
+
+// patchLeg times carrying proj across an update that inserts the given
+// number of edges: one edge joins two existing vertices (the serving
+// benchmark's toggle), and of a hundred every fourth ends at a vertex
+// the graph has never seen, so the vertex-remapping path is timed too.
+// Each timed patch is followed by the inverse update and patch, which
+// leaves the store as it was found.
+func patchLeg(ctx context.Context, env *Env, se *SchemeEnv, opts graph.ProjectOptions, proj *graph.Projection, edges, iters int) (AlgoPatchResult, error) {
+	out := AlgoPatchResult{Scheme: se.Scheme.String(), EdgesUpdated: edges}
+	var known []pg.ID
+	env.Graph.Vertices(func(v *pg.Vertex) bool {
+		known = append(known, v.ID)
+		return len(known) < 2*edges
+	})
+	if len(known) < 2 {
+		return out, fmt.Errorf("dataset has %d vertices", len(known))
+	}
+	const fresh = pg.ID(1) << 40 // IDs the generator never reaches
+	g := pg.NewGraph()
+	for i := 0; i < edges; i++ {
+		src, dst := known[(2*i)%len(known)], known[(2*i+1)%len(known)]
+		if edges > 1 && i%4 == 3 {
+			dst = fresh + pg.ID(i)
+			out.NewVertices++
+		}
+		for _, v := range []pg.ID{src, dst} {
+			if g.Vertex(v) == nil {
+				if _, err := g.AddVertexWithID(v); err != nil {
+					return out, err
+				}
+			}
+		}
+		if _, err := g.AddEdgeWithID(fresh+pg.ID(1000+i), src, dst, "follows"); err != nil {
+			return out, err
+		}
+	}
+	conv := &pgrdf.Converter{Scheme: se.Scheme, Vocab: Vocab(), Opts: pgrdf.DefaultOptions()}
+	ds := conv.Convert(g)
+	apply := func(insert bool) error {
+		for model, quads := range map[string][]rdf.Quad{se.Names.Topology: ds.Topology, se.Names.EdgeKV: ds.EdgeKV} {
+			for _, q := range quads {
+				var err error
+				if insert {
+					_, err = se.Store.Insert(model, q)
+				} else {
+					_, err = se.Store.Delete(model, q)
+				}
+				if err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	patch := func(from *graph.Projection) (*graph.Projection, graph.PatchInfo, error) {
+		next, info, err := from.Patch(ctx, graph.Budget{})
+		if err == nil && next == nil {
+			err = fmt.Errorf("patch fell back to a rebuild (%s)", info.Rebuild)
+		}
+		return next, info, err
+	}
+
+	durs := make([]time.Duration, 0, iters)
+	for i := 0; i < iters; i++ {
+		if err := apply(true); err != nil {
+			return out, err
+		}
+		runtime.GC()
+		start := time.Now()
+		patched, info, err := patch(proj)
+		if err != nil {
+			return out, err
+		}
+		durs = append(durs, time.Since(start))
+		out.Changes = info.Changes
+		if i == 0 {
+			if out.Fingerprint, err = samePatchedAsCold(ctx, se, opts, patched.CSR); err != nil {
+				return out, err
+			}
+		}
+		if err := apply(false); err != nil {
+			return out, err
+		}
+		if proj, _, err = patch(patched); err != nil {
+			return out, err
+		}
+	}
+	out.PatchMS = ms(median(durs))
+	return out, nil
+}
+
+// samePatchedAsCold fails unless the three algorithms fingerprint the
+// patched CSR exactly as they do a cold projection of the store as it is
+// now; it returns PageRank's fingerprint.
+func samePatchedAsCold(ctx context.Context, se *SchemeEnv, opts graph.ProjectOptions, patched *graph.CSR) (string, error) {
+	cold, err := graph.Project(ctx, se.Store, opts, graph.Budget{})
+	if err != nil {
+		return "", err
+	}
+	serial := graph.Runner{Parallelism: 1}
+	pagerank := ""
+	for _, algo := range algoBenchNames {
+		got, err := runAlgoOnce(ctx, serial, patched, algo)
+		if err != nil {
+			return "", err
+		}
+		want, err := runAlgoOnce(ctx, serial, cold, algo)
+		if err != nil {
+			return "", err
+		}
+		if got.fp != want.fp {
+			return "", fmt.Errorf("%s on the patched CSR fingerprints %s, on a cold projection %s", algo, got.fp, want.fp)
+		}
+		if algo == "pagerank" {
+			pagerank = got.fp
+		}
+	}
+	return pagerank, nil
 }
 
 // algoRun is one algorithm execution's identity: the result fingerprint
@@ -199,6 +344,10 @@ func medianOf(iters int, f func() error) (time.Duration, error) {
 		}
 		durs = append(durs, time.Since(start))
 	}
+	return median(durs), nil
+}
+
+func median(durs []time.Duration) time.Duration {
 	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-	return durs[len(durs)/2], nil
+	return durs[len(durs)/2]
 }

@@ -104,8 +104,10 @@ type rawEdge struct {
 // (each defaulting to 1 when it carried no weight value); pairs seen
 // only as plain triples weigh 1. Summation happens in sorted
 // (src, dst, weight) order, so the result is independent of decode
-// order and therefore of scheme and parallelism.
-func buildCSR(terms []rdf.Term, edges []rawEdge, weighted, reverse bool) *CSR {
+// order and therefore of scheme and parallelism. occ, parallel to the
+// forward adjacency, counts the occurrences each edge collapsed — what
+// Patch needs to know whether a deleted occurrence was the last one.
+func buildCSR(terms []rdf.Term, edges []rawEdge, weighted, reverse bool) (c *CSR, occ []uint32) {
 	sort.Slice(edges, func(i, j int) bool {
 		a, b := edges[i], edges[j]
 		if a.src != b.src {
@@ -121,11 +123,12 @@ func buildCSR(terms []rdf.Term, edges []rawEdge, weighted, reverse bool) *CSR {
 	})
 
 	n := len(terms)
-	c := &CSR{terms: terms, off: make([]uint32, n+1)}
+	c = &CSR{terms: terms, off: make([]uint32, n+1)}
 	if weighted {
 		c.w = make([]float64, 0, len(edges))
 	}
 	c.dst = make([]uint32, 0, len(edges))
+	occ = make([]uint32, 0, len(edges))
 	for i := 0; i < len(edges); {
 		j := i
 		idSum, idSeen := 0.0, false
@@ -136,6 +139,7 @@ func buildCSR(terms []rdf.Term, edges []rawEdge, weighted, reverse bool) *CSR {
 			}
 		}
 		c.dst = append(c.dst, edges[i].dst)
+		occ = append(occ, uint32(j-i))
 		c.off[edges[i].src+1]++
 		if weighted {
 			ew := 1.0
@@ -153,7 +157,7 @@ func buildCSR(terms []rdf.Term, edges []rawEdge, weighted, reverse bool) *CSR {
 	if reverse {
 		c.buildReverse()
 	}
-	return c
+	return c, occ
 }
 
 // buildReverse constructs the in-adjacency by counting sort over the
@@ -186,11 +190,4 @@ func (c *CSR) buildReverse() {
 			next[d]++
 		}
 	}
-}
-
-// sortTermsCanonical sorts vertex terms into the canonical projection
-// order (rdf.Compare) and returns the permuted slice.
-func sortTermsCanonical(terms []rdf.Term) []rdf.Term {
-	sort.Slice(terms, func(i, j int) bool { return rdf.Compare(terms[i], terms[j]) < 0 })
-	return terms
 }

@@ -39,23 +39,194 @@ func vocabOrDefault(v pgrdf.Vocabulary) pgrdf.Vocabulary {
 	return v
 }
 
-// projector carries the per-run state of one projection: resolved
-// dictionary IDs, the scheme decoders' intermediate maps, and the
-// accumulating vertex/edge sets (all in store-ID space until the final
-// canonical renumbering).
-type projector struct {
-	st    *store.Store
-	dict  *store.Dict
-	guard *guard
-	opts  ProjectOptions
+// Projection is a CSR together with what Patch needs to carry it to a
+// later version of the store it was projected from. It is immutable.
+type Projection struct {
+	CSR *CSR
+	// Version is the store version the CSR reflects — exactly: it was
+	// read under the same lock as every quad the CSR was decoded from.
+	Version uint64
+	// QuadsScanned and EdgesEmitted account for the scan that built the
+	// CSR: quads drained from the store, and edge occurrences decoded
+	// before parallel edges collapsed. Patch carries them over unchanged.
+	QuadsScanned, EdgesEmitted int64
 
-	relNS   string
-	labelID store.ID // NoID when opts.Label == "" or label unknown
-	typeID, resourceID,
+	st     *store.Store
+	opts   ProjectOptions // Vocab filled in
+	models dataset        // what opts.Model resolved to
+	occ    []uint32       // occurrences per edge, parallel to CSR.dst
+}
+
+// decoder is what Project and Patch both test quads against: the
+// dictionary IDs of the scheme vocabulary and the label filter. An ID is
+// NoID while the dictionary has never seen the term, in which case no
+// stored quad can carry it.
+type decoder struct {
+	dict   *store.Dict
+	scheme pgrdf.Scheme
+	relNS  string
+	// byLabel: the projection is restricted to labelID's edges.
+	byLabel bool
+	labelID, typeID, resourceID,
 	subjID, predID, objID,
 	spoID, weightID store.ID
 
 	isRel map[store.ID]bool // predicate ID -> is a rel: IRI
+}
+
+func newDecoder(dict *store.Dict, opts ProjectOptions) *decoder {
+	lookup := func(iri string) store.ID { return dict.Lookup(rdf.NewIRI(iri)) }
+	d := &decoder{
+		dict:       dict,
+		scheme:     opts.Scheme,
+		relNS:      opts.Vocab.RelNS,
+		byLabel:    opts.Label != "",
+		typeID:     lookup(rdf.RDFType),
+		resourceID: lookup(rdf.RDFSResource),
+		subjID:     lookup(rdf.RDFSubject),
+		predID:     lookup(rdf.RDFPredicate),
+		objID:      lookup(rdf.RDFObject),
+		spoID:      lookup(rdf.RDFSSubPropertyOf),
+		isRel:      make(map[store.ID]bool),
+	}
+	if d.byLabel {
+		d.labelID = dict.Lookup(opts.Vocab.LabelIRI(opts.Label))
+	}
+	if opts.WeightKey != "" {
+		d.weightID = dict.Lookup(opts.Vocab.KeyIRI(opts.WeightKey))
+	}
+	return d
+}
+
+// relPred reports whether predicate ID pid is a relationship IRI,
+// caching the dictionary round-trip per distinct predicate.
+func (d *decoder) relPred(pid store.ID) bool {
+	if is, ok := d.isRel[pid]; ok {
+		return is
+	}
+	t := d.dict.Term(pid)
+	is := t.IsIRI() && strings.HasPrefix(t.Value, d.relNS)
+	d.isRel[pid] = is
+	return is
+}
+
+// matchLabel applies the label filter to a label predicate ID.
+func (d *decoder) matchLabel(lbl store.ID) bool {
+	if d.byLabel {
+		return lbl == d.labelID
+	}
+	return d.relPred(lbl)
+}
+
+// plainEdge reports whether q is a plain s-p-o relationship triple in
+// the default graph: the ExplicitSPO triples of RF/SP and the
+// SingleTripleWhenNoKVs optimization of every scheme. Deduplication
+// collapses them with their identified counterparts, so accepting them
+// under every scheme keeps the projection correct across every Options
+// combination.
+func (d *decoder) plainEdge(q store.IDQuad) bool {
+	return q.G == store.NoID && q.P != d.spoID && d.matchLabel(q.P)
+}
+
+// namedEdge reports whether q is an NG edge quad: a relationship triple
+// in a named graph, whose graph term is the edge resource (§2.3 NG).
+func (d *decoder) namedEdge(q store.IDQuad) bool {
+	return q.G != store.NoID && d.matchLabel(q.P)
+}
+
+// marker reports whether q is a -v-rdf:type-rdfs:Resource quad, which
+// every scheme emits for a vertex with no KVs and no incident edges.
+func (d *decoder) marker(q store.IDQuad) bool {
+	return q.P == d.typeID && q.C == d.resourceID && d.typeID != store.NoID && d.resourceID != store.NoID
+}
+
+// least picks the rdf.Compare-least of two term IDs. Wherever the
+// encodings allow several values but the decoders need one (an edge
+// resource with two rdf:subject quads, two subPropertyOf anchors, two
+// weight literals) the least one wins, so a projection is a function of
+// the store's contents and not of its scan order.
+func (d *decoder) least(a, b store.ID) store.ID {
+	if a == b || rdf.Compare(d.dict.Term(a), d.dict.Term(b)) <= 0 {
+		return a
+	}
+	return b
+}
+
+// keepLeast records v under k unless a smaller value is already there.
+func (d *decoder) keepLeast(into map[store.ID]store.ID, k, v store.ID) {
+	if old, ok := into[k]; ok {
+		v = d.least(old, v)
+	}
+	into[k] = v
+}
+
+// rfEdge decodes one reified statement from its three components
+// (NoID = missing).
+func (d *decoder) rfEdge(subj, pred, obj store.ID) bool {
+	return subj != store.NoID && pred != store.NoID && obj != store.NoID && d.matchLabel(pred)
+}
+
+// dataset is the set of models a projection reads; nil is every model.
+// Scans leave the model column open and filter on membership, so a
+// dataset of several partitions is still one pass over each index range.
+type dataset []store.ModelID
+
+func resolveDataset(v *store.View, model string) (dataset, error) {
+	if model == "" {
+		return nil, nil
+	}
+	return v.ResolveDataset(model)
+}
+
+func (d dataset) has(m store.ModelID) bool {
+	for _, dm := range d {
+		if dm == m {
+			return true
+		}
+	}
+	return d == nil
+}
+
+// reader is the row source of projector and patcher: one consistent
+// view of the store, narrowed to the dataset.
+type reader struct {
+	view    *store.View
+	models  dataset
+	guard   *guard
+	scanned int64 // quads drained
+}
+
+// drain feeds fn every quad of the dataset matching pat (whose model
+// column is left open), batch-at-a-time straight from the index runs,
+// ticking the guard one work unit per drained quad — the only way
+// internal/graph reads the store, so every scan is a cancellation point
+// by construction (the guardtick analyzer enforces this). It reports
+// false when the guard tripped.
+func (r *reader) drain(pat store.Pattern, fn func(store.IDQuad)) bool {
+	pat.M = store.Any
+	ok := true
+	r.view.ScanBatch(pat, store.DefaultBatchRows, func(batch []store.IDQuad) bool {
+		if ok = r.guard.tickN(len(batch)); !ok {
+			return false
+		}
+		r.scanned += int64(len(batch))
+		for _, q := range batch {
+			if r.models.has(q.M) {
+				fn(q)
+			}
+		}
+		return true
+	})
+	return ok
+}
+
+// projector carries the per-run state of one projection: the scheme
+// decoders' intermediate maps and the accumulating vertex/edge sets (all
+// in store-ID space until the final canonical renumbering).
+type projector struct {
+	*decoder
+	reader
+	opts ProjectOptions
 
 	vertices map[store.ID]struct{}
 	edges    []idEdge
@@ -64,8 +235,8 @@ type projector struct {
 	rfSubj, rfObj, rfPred map[store.ID]store.ID
 	// SP state: edge predicate -> label predicate.
 	spLabel map[store.ID]store.ID
-	// Weight state: edge resource/predicate ID -> parsed weight.
-	weights map[store.ID]float64
+	// Weight state: edge resource/predicate ID -> its weight literal.
+	weights map[store.ID]weightVal
 }
 
 // idEdge is an edge occurrence in store-ID space. edge is the edge
@@ -75,255 +246,177 @@ type idEdge struct {
 	src, dst, edge store.ID
 }
 
-// Project extracts the edge relation selected by opts from a consistent
-// snapshot of the store and assembles it into a CSR. It honors ctx
-// cancellation and the budget; every drained quad costs one work unit.
-func Project(ctx context.Context, st *store.Store, opts ProjectOptions, b Budget) (cs *CSR, err error) {
+// weightVal is a numeric weight literal and its parsed value.
+type weightVal struct {
+	lit store.ID
+	w   float64
+}
+
+// Project extracts the edge relation selected by opts from one
+// consistent state of the store and assembles it into a CSR. It honors
+// ctx cancellation and the budget; every drained quad costs one work
+// unit.
+func Project(ctx context.Context, st *store.Store, opts ProjectOptions, b Budget) (*CSR, error) {
+	pr, err := NewProjection(ctx, st, opts, b)
+	if err != nil {
+		return nil, err
+	}
+	return pr.CSR, nil
+}
+
+// NewProjection is Project keeping what Patch needs to follow the store
+// afterwards. The scan runs under one store.View, so the projection's
+// Version labels exactly the contents it was built from.
+func NewProjection(ctx context.Context, st *store.Store, opts ProjectOptions, b Budget) (pr *Projection, err error) {
 	defer recoverAlgoPanic(&err)
 	cancel, g, err := startRun(ctx, b)
 	if err != nil {
 		return nil, err
 	}
 	defer cancel()
-
-	models, err := st.ResolveDataset(opts.Model)
-	if err != nil {
-		return nil, &AlgoError{Kind: ErrInternal, Msg: err.Error()}
-	}
 	opts.Vocab = vocabOrDefault(opts.Vocab)
 
 	p := &projector{
-		st:       st,
-		dict:     st.Dict(),
-		guard:    g,
+		decoder:  newDecoder(st.Dict(), opts),
+		reader:   reader{guard: g},
 		opts:     opts,
-		relNS:    opts.Vocab.RelNS,
-		isRel:    make(map[store.ID]bool),
 		vertices: make(map[store.ID]struct{}),
 		rfSubj:   make(map[store.ID]store.ID),
 		rfObj:    make(map[store.ID]store.ID),
 		rfPred:   make(map[store.ID]store.ID),
 		spLabel:  make(map[store.ID]store.ID),
-		weights:  make(map[store.ID]float64),
+		weights:  make(map[store.ID]weightVal),
 	}
-	lookup := func(iri string) store.ID { return p.dict.Lookup(rdf.NewIRI(iri)) }
-	p.typeID = lookup(rdf.RDFType)
-	p.resourceID = lookup(rdf.RDFSResource)
-	p.subjID = lookup(rdf.RDFSubject)
-	p.predID = lookup(rdf.RDFPredicate)
-	p.objID = lookup(rdf.RDFObject)
-	p.spoID = lookup(rdf.RDFSSubPropertyOf)
-	if opts.Label != "" {
-		p.labelID = p.dict.Lookup(opts.Vocab.LabelIRI(opts.Label))
-	}
-	if opts.WeightKey != "" {
-		p.weightID = p.dict.Lookup(opts.Vocab.KeyIRI(opts.WeightKey))
-	}
-
-	for _, m := range models {
-		if !p.decodeModel(m) {
-			break
+	pr = &Projection{st: st, opts: opts}
+	st.View(func(v *store.View) {
+		p.view = v
+		pr.Version = v.Version
+		if pr.models, err = resolveDataset(v, opts.Model); err == nil {
+			p.models = pr.models
+			p.scan()
 		}
+	})
+	if err != nil {
+		return nil, fmt.Errorf("graph: project: %w", err)
 	}
 	if err := finish(g, nil); err != nil {
 		return nil, err
 	}
-
-	return p.assemble(), nil
+	pr.QuadsScanned, pr.EdgesEmitted = p.scanned, int64(len(p.edges))
+	pr.CSR, pr.occ = p.assemble()
+	return pr, nil
 }
 
-// decodeModel runs the plain-triple decoder, the scheme-specific
-// decoder, the isolated-vertex scan and the weight scan over one model.
-// It reports false when the guard tripped.
-func (p *projector) decodeModel(m store.ModelID) bool {
-	// Plain s-p-o edges in the default graph: the ExplicitSPO triples of
-	// RF/SP and the SingleTripleWhenNoKVs optimization of every scheme.
-	// Deduplication in buildCSR collapses them with their identified
-	// counterparts, so accepting them unconditionally keeps the
-	// projection correct across every Options combination.
-	anyP := store.Pattern{S: store.Any, P: store.Any, C: store.Any, G: store.NoID, M: store.ID(m)}
-	if p.opts.Label != "" {
-		if p.labelID == store.NoID {
-			// Unknown label IRI: no edge in any scheme can match, but
-			// isolated vertices are still part of the projection.
-			return p.scanIsolated(m)
-		}
-		anyP.P = p.labelID
+// scan decodes the dataset's edges, isolated vertices and weights. It
+// reports false when the guard tripped.
+func (p *projector) scan() bool {
+	// A label the dictionary has never seen matches no edge in any
+	// scheme, but isolated vertices are still part of the projection.
+	if p.byLabel && p.labelID == store.NoID {
+		return p.scanIsolated()
 	}
-	ok := p.drain(anyP, func(q store.IDQuad) bool {
-		if q.P == p.spoID || !p.relPred(q.P) {
-			return true
-		}
-		p.addEdge(q.S, q.C, store.NoID)
-		return true
-	})
-	if !ok {
-		return false
-	}
-
-	switch p.opts.Scheme {
-	case pgrdf.RF:
-		ok = p.decodeRF(m)
-	case pgrdf.NG:
-		ok = p.decodeNG(m)
-	case pgrdf.SP:
-		ok = p.decodeSP(m)
-	}
-	if !ok {
-		return false
-	}
-	if !p.scanIsolated(m) {
-		return false
-	}
-	return p.scanWeights(m)
+	return p.collectJoinKeys() && p.decodeEdges() && p.scanWeights() && p.scanIsolated() &&
+		(p.scheme != pgrdf.RF || p.joinRF())
 }
 
-// decodeNG accepts named-graph quads s-p-o with a relationship
-// predicate; the graph term is the edge resource (§2.3 NG).
-func (p *projector) decodeNG(m store.ModelID) bool {
-	pat := store.Pattern{S: store.Any, P: store.Any, C: store.Any, G: store.Any, M: store.ID(m)}
-	if p.labelID != store.NoID {
-		pat.P = p.labelID
-	}
-	return p.drain(pat, func(q store.IDQuad) bool {
-		if q.G == store.NoID || !p.relPred(q.P) {
-			return true
-		}
-		p.addEdge(q.S, q.C, q.G)
-		return true
-	})
-}
-
-// decodeRF joins the e-rdf:subject-s / e-rdf:predicate-p /
-// e-rdf:object-o triples of the reification scheme (§2.3 RF) by their
-// statement resource.
-func (p *projector) decodeRF(m store.ModelID) bool {
+// collectJoinKeys gathers, per edge resource, the e-rdf:subject-s /
+// e-rdf:predicate-p / e-rdf:object-o components of the reification
+// scheme (§2.3 RF) or the e-rdfs:subPropertyOf-p anchors (§2.3 SP): the
+// build sides of the joins, over the whole dataset before any probe.
+func (p *projector) collectJoinKeys() bool {
 	collect := func(pred store.ID, into map[store.ID]store.ID) bool {
 		if pred == store.NoID {
 			return true
 		}
-		pat := store.Pattern{S: store.Any, P: pred, C: store.Any, G: store.Any, M: store.ID(m)}
-		return p.drain(pat, func(q store.IDQuad) bool {
-			into[q.S] = q.C
-			return true
-		})
+		pat := store.Pattern{S: store.Any, P: pred, C: store.Any, G: store.Any}
+		return p.drain(pat, func(q store.IDQuad) { p.keepLeast(into, q.S, q.C) })
 	}
-	if !collect(p.subjID, p.rfSubj) || !collect(p.predID, p.rfPred) || !collect(p.objID, p.rfObj) {
-		return false
-	}
-	for e, s := range p.rfSubj {
-		o, okO := p.rfObj[e]
-		lbl, okP := p.rfPred[e]
-		if !okO || !okP || !p.matchLabel(lbl) {
-			continue
-		}
-		p.addEdge(s, o, e)
-		if !p.guard.tickN(1) {
-			return false
-		}
+	switch p.scheme {
+	case pgrdf.RF:
+		return collect(p.subjID, p.rfSubj) && collect(p.predID, p.rfPred) && collect(p.objID, p.rfObj)
+	case pgrdf.SP:
+		return collect(p.spoID, p.spLabel)
 	}
 	return true
 }
 
-// decodeSP first maps edge predicates to labels via their
-// e-rdfs:subPropertyOf-p anchors, then accepts s-e-o triples whose
-// predicate is a known edge predicate (§2.3 SP).
-func (p *projector) decodeSP(m store.ModelID) bool {
-	if p.spoID == store.NoID {
-		return true
+// decodeEdges runs the plain-triple decoder and the scan side of the
+// scheme-specific decoder.
+func (p *projector) decodeEdges() bool {
+	defaultGraph := store.Pattern{S: store.Any, P: store.Any, C: store.Any, G: store.NoID}
+	plain := defaultGraph
+	if p.byLabel {
+		plain.P = p.labelID
 	}
-	pat := store.Pattern{S: store.Any, P: p.spoID, C: store.Any, G: store.Any, M: store.ID(m)}
-	ok := p.drain(pat, func(q store.IDQuad) bool {
-		p.spLabel[q.S] = q.C
-		return true
+	ok := p.drain(plain, func(q store.IDQuad) {
+		if p.plainEdge(q) {
+			p.addEdge(q.S, q.C, store.NoID)
+		}
 	})
-	if !ok || len(p.spLabel) == 0 {
-		return ok
+	if !ok {
+		return false
 	}
-	all := store.Pattern{S: store.Any, P: store.Any, C: store.Any, G: store.NoID, M: store.ID(m)}
-	return p.drain(all, func(q store.IDQuad) bool {
-		lbl, isEdge := p.spLabel[q.P]
-		if !isEdge || !p.matchLabel(lbl) {
+	switch p.scheme {
+	case pgrdf.NG:
+		pat := store.Pattern{S: store.Any, P: store.Any, C: store.Any, G: store.Any}
+		if p.byLabel {
+			pat.P = p.labelID
+		}
+		return p.drain(pat, func(q store.IDQuad) {
+			if p.namedEdge(q) {
+				p.addEdge(q.S, q.C, q.G)
+			}
+		})
+	case pgrdf.SP:
+		// s-e-o triples whose predicate is an anchored edge predicate.
+		if len(p.spLabel) == 0 {
 			return true
 		}
-		p.addEdge(q.S, q.C, q.P)
-		return true
-	})
+		return p.drain(defaultGraph, func(q store.IDQuad) {
+			if lbl, isEdge := p.spLabel[q.P]; isEdge && p.matchLabel(lbl) {
+				p.addEdge(q.S, q.C, q.P)
+			}
+		})
+	}
+	return true
 }
 
-// scanIsolated adds the -v-rdf:type-rdf:Resource vertices, which every
-// scheme emits for vertices with no KVs and no incident edges.
-func (p *projector) scanIsolated(m store.ModelID) bool {
+// joinRF emits one edge per statement resource whose three components
+// are all present.
+func (p *projector) joinRF() bool {
+	for e, s := range p.rfSubj {
+		if p.rfEdge(s, p.rfPred[e], p.rfObj[e]) {
+			p.addEdge(s, p.rfObj[e], e)
+		}
+	}
+	return p.guard.tickN(len(p.rfSubj))
+}
+
+// scanIsolated adds the marker vertices.
+func (p *projector) scanIsolated() bool {
 	if p.typeID == store.NoID || p.resourceID == store.NoID {
 		return true
 	}
-	pat := store.Pattern{S: store.Any, P: p.typeID, C: p.resourceID, G: store.Any, M: store.ID(m)}
-	return p.drain(pat, func(q store.IDQuad) bool {
-		p.vertices[q.S] = struct{}{}
-		return true
-	})
+	pat := store.Pattern{S: store.Any, P: p.typeID, C: p.resourceID, G: store.Any}
+	return p.drain(pat, func(q store.IDQuad) { p.vertices[q.S] = struct{}{} })
 }
 
 // scanWeights collects -e-key-V literals for the weight key. The edge
 // resource is the subject in every scheme (in SP the same resource is
 // the edge predicate of the anchor triple).
-func (p *projector) scanWeights(m store.ModelID) bool {
+func (p *projector) scanWeights() bool {
 	if p.weightID == store.NoID {
 		return true
 	}
-	pat := store.Pattern{S: store.Any, P: p.weightID, C: store.Any, G: store.Any, M: store.ID(m)}
-	return p.drain(pat, func(q store.IDQuad) bool {
-		val, ok := rdf.LiteralValue(p.dict.Term(q.C))
-		if !ok || !val.IsNumeric() {
-			return true
+	pat := store.Pattern{S: store.Any, P: p.weightID, C: store.Any, G: store.Any}
+	return p.drain(pat, func(q store.IDQuad) {
+		if old, seen := p.weights[q.S]; seen && p.least(old.lit, q.C) == old.lit {
+			return
 		}
-		p.weights[q.S] = val.Float()
-		return true
+		if val, ok := rdf.LiteralValue(p.dict.Term(q.C)); ok && val.IsNumeric() {
+			p.weights[q.S] = weightVal{lit: q.C, w: val.Float()}
+		}
 	})
-}
-
-// drain opens a snapshot cursor for pat and consumes it
-// batch-at-a-time, ticking the guard one work unit per drained quad —
-// the projector's only row source, so every scan is a cancellation
-// point by construction (the guardtick analyzer enforces this). It
-// reports false when the guard tripped or fn aborted.
-func (p *projector) drain(pat store.Pattern, fn func(store.IDQuad) bool) bool {
-	cur := p.st.Cursor(pat)
-	defer cur.Close()
-	for {
-		batch := cur.NextBatch(store.DefaultBatchRows)
-		if len(batch) == 0 {
-			return true
-		}
-		if !p.guard.tickN(len(batch)) {
-			return false
-		}
-		for _, q := range batch {
-			if !fn(q) {
-				return false
-			}
-		}
-	}
-}
-
-// relPred reports whether predicate ID pid is a relationship IRI,
-// caching the dictionary round-trip per distinct predicate.
-func (p *projector) relPred(pid store.ID) bool {
-	if is, ok := p.isRel[pid]; ok {
-		return is
-	}
-	t := p.dict.Term(pid)
-	is := t.IsIRI() && strings.HasPrefix(t.Value, p.relNS)
-	p.isRel[pid] = is
-	return is
-}
-
-// matchLabel applies the label filter to a label predicate ID.
-func (p *projector) matchLabel(lbl store.ID) bool {
-	if p.labelID != store.NoID {
-		return lbl == p.labelID
-	}
-	return p.relPred(lbl)
 }
 
 func (p *projector) addEdge(src, dst, edge store.ID) {
@@ -333,8 +426,8 @@ func (p *projector) addEdge(src, dst, edge store.ID) {
 }
 
 // assemble renumbers the vertex set into canonical term order and
-// builds the CSR.
-func (p *projector) assemble() *CSR {
+// builds the CSR and its per-edge occurrence counts.
+func (p *projector) assemble() (*CSR, []uint32) {
 	terms := make([]rdf.Term, 0, len(p.vertices))
 	ids := make([]store.ID, 0, len(p.vertices))
 	for id := range p.vertices {
@@ -363,7 +456,7 @@ func (p *projector) assemble() *CSR {
 			re.identified = true
 			if weighted {
 				if w, ok := p.weights[e.edge]; ok {
-					re.w = w
+					re.w = w.w
 				} else {
 					re.w = 1
 				}

@@ -97,6 +97,10 @@ func TestAlgoEndpoint(t *testing.T) {
 			if !pr.Converged || pr.CSRCached {
 				t.Fatalf("converged=%v cached=%v", pr.Converged, pr.CSRCached)
 			}
+			if pr.QuadsScanned == 0 || pr.EdgesEmitted < int64(pr.Edges) {
+				t.Fatalf("cold projection reported quadsScanned=%d edgesEmitted=%d for %d edges",
+					pr.QuadsScanned, pr.EdgesEmitted, pr.Edges)
+			}
 
 			// Second request over the same projection hits the CSR cache.
 			resp = postAlgo(t, srv.URL, map[string]any{
@@ -126,7 +130,9 @@ func TestAlgoEndpoint(t *testing.T) {
 				t.Fatalf("triangles = %v, want 1", tr.Triangles)
 			}
 
-			// A write invalidates the cached projection.
+			// A write no longer invalidates the cached projection: the
+			// next request patches it forward, here by an edge between two
+			// vertices the graph had never seen.
 			if _, err := st.Insert(names.Topology, figureQuad()); err != nil {
 				t.Fatal(err)
 			}
@@ -138,11 +144,12 @@ func TestAlgoEndpoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			resp.Body.Close()
-			if wcc2.CSRCached {
-				t.Fatal("cache must be invalidated by a store mutation")
+			if !wcc2.CSRCached || !wcc2.CSRPatched || wcc2.CSRChanges != 1 {
+				t.Fatalf("after one insert: cached=%v patched=%v changes=%d, want a patch of one change",
+					wcc2.CSRCached, wcc2.CSRPatched, wcc2.CSRChanges)
 			}
-			if wcc2.Components != 2 {
-				t.Fatalf("components = %d, want 2 after adding a detached edge", wcc2.Components)
+			if wcc2.Vertices != 12 || wcc2.Components != 2 {
+				t.Fatalf("vertices = %d components = %d, want 12 and 2 after adding a detached edge", wcc2.Vertices, wcc2.Components)
 			}
 
 			// Stats and metrics reflect the runs.
@@ -155,7 +162,11 @@ func TestAlgoEndpoint(t *testing.T) {
 				`pgrdf_algo_runs_total{algo="pagerank"} 1`,
 				`pgrdf_algo_runs_total{algo="wcc"} 2`,
 				`pgrdf_algo_runs_total{algo="triangles"} 1`,
-				`pgrdf_algo_csr_cache_hits_total 2`,
+				`pgrdf_algo_csr_cache_hits_total 3`,
+				`pgrdf_algo_csr_cache_misses_total 1`,
+				`pgrdf_algo_csr_patches_total 1`,
+				`pgrdf_algo_csr_rebuilds_total{reason="cold"} 1`,
+				`pgrdf_algo_csr_patch_duration_seconds_count 1`,
 			} {
 				if !strings.Contains(metrics, want) {
 					t.Fatalf("metrics missing %q", want)

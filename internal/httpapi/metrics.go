@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"sort"
 	"strings"
+	"time"
 )
 
 // metricsWriter accumulates one exposition; HELP/TYPE headers are
@@ -113,6 +114,23 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	m.counter("pgrdf_algo_csr_cache_hits_total", "Algo requests served from the cached CSR projection.", s.algo.cacheHits.Load())
 	m.counter("pgrdf_algo_csr_cache_misses_total", "Algo requests that rebuilt the CSR projection.", s.algo.cacheMisses.Load())
+	m.counter("pgrdf_algo_csr_patches_total", "Cached CSR projections patched forward from the store change log.", s.algo.patches.Load())
+	m.family("pgrdf_algo_csr_rebuilds_total", "CSR projections built from scratch, by why the cache could not serve.", "counter")
+	for i, reason := range rebuildReasons {
+		m.sample("pgrdf_algo_csr_rebuilds_total", fmt.Sprintf("%d", s.algo.rebuilds[i].Load()), "reason", reason)
+	}
+	m.family("pgrdf_algo_csr_patch_duration_seconds", "Wall time of CSR patches.", "histogram")
+	cum := int64(0)
+	for i := range s.algo.patchBuckets {
+		cum += s.algo.patchBuckets[i].Load()
+		le := -1.0
+		if i < len(patchBucketsSeconds) {
+			le = patchBucketsSeconds[i]
+		}
+		m.sample("pgrdf_algo_csr_patch_duration_seconds_bucket", fmt.Sprintf("%d", cum), "le", formatLE(le))
+	}
+	m.sample("pgrdf_algo_csr_patch_duration_seconds_sum", fmt.Sprintf("%g", time.Duration(s.algo.patchNanos.Load()).Seconds()))
+	m.sample("pgrdf_algo_csr_patch_duration_seconds_count", fmt.Sprintf("%d", cum))
 
 	// Admission control.
 	m.counter("pgrdf_requests_shed_total", "Requests shed with 503 by admission control.", s.shedCount.Load())

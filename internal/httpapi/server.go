@@ -251,8 +251,8 @@ type Server struct {
 	// follower, when attached, adds replication lag to /stats and
 	// /metrics and optionally fails stale reads with 503.
 	follower *repl.Follower
-	// algo counts POST /algo runs and errors; algoCSR memoizes the most
-	// recent graph projection per store version.
+	// algo counts POST /algo runs and errors; algoCSR keeps the most
+	// recent graph projection and patches it forward as the store changes.
 	algo    algoStats
 	algoCSR csrCache
 }
@@ -548,7 +548,7 @@ func queryError(w http.ResponseWriter, err error) {
 		writeJSONError(w, http.StatusRequestTimeout, "canceled", err.Error())
 	case errors.Is(err, sparql.ErrInternal):
 		writeJSONError(w, http.StatusInternalServerError, "internal", "internal query error")
-	case strings.Contains(err.Error(), "unknown model"):
+	case errors.Is(err, store.ErrUnknownModel):
 		writeJSONError(w, http.StatusNotFound, "unknown-model", err.Error())
 	default:
 		writeJSONError(w, http.StatusBadRequest, "query", err.Error())
@@ -640,8 +640,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		algoRuns += s.algo.runs[i].Load()
 		algoErrors += s.algo.errors[i].Load()
 	}
-	fmt.Fprintf(w, `,"algoRuns":%d,"algoErrors":%d,"algoCSRCacheHits":%d,"algoCSRCacheMisses":%d`,
-		algoRuns, algoErrors, s.algo.cacheHits.Load(), s.algo.cacheMisses.Load())
+	fmt.Fprintf(w, `,"algoRuns":%d,"algoErrors":%d,"algoCSRCacheHits":%d,"algoCSRCacheMisses":%d,"algoCSRPatches":%d,"algoCSRRebuilds":{`,
+		algoRuns, algoErrors, s.algo.cacheHits.Load(), s.algo.cacheMisses.Load(), s.algo.patches.Load())
+	for i, reason := range rebuildReasons {
+		if i > 0 {
+			fmt.Fprint(w, ",")
+		}
+		fmt.Fprintf(w, `%q:%d`, reason, s.algo.rebuilds[i].Load())
+	}
+	fmt.Fprint(w, "}")
 	if s.wal != nil {
 		ws := s.wal.Stats()
 		fmt.Fprintf(w, `,"walBytes":%d,"walRecords":%d,"walSeq":%d,"checkpoints":%d,"checkpointErrors":%d,`+

@@ -815,7 +815,7 @@ func (e *Engine) UpdateContext(ctx context.Context, model, request string) (res 
 			}
 		case DeleteData:
 			if e.st.LookupModel(model) == store.NoID {
-				return res, fmt.Errorf("store: unknown model %q", model)
+				return res, fmt.Errorf("%w %q", store.ErrUnknownModel, model)
 			}
 			muts := make([]Mutation, 0, len(x.Quads))
 			for i, q := range x.Quads {

@@ -93,11 +93,16 @@ func (ix *Index) ScanBatch(p Pattern, dead map[IDQuad]struct{}, max int, fn func
 // internally (the injector observes individual rows), preserving
 // per-row fault semantics at batch-call granularity.
 func (s *Store) ScanBatch(p Pattern, max int, fn func([]IDQuad) bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	s.scanBatchLocked(p, max, fn)
+}
+
+//pgrdf:locks mu
+func (s *Store) scanBatchLocked(p Pattern, max int, fn func([]IDQuad) bool) {
 	if max <= 0 {
 		max = DefaultBatchRows
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	if s.fault.Load() != nil {
 		s.scanBatchFaultLocked(p, max, fn)
 		return
@@ -114,10 +119,13 @@ func (s *Store) ScanBatch(p Pattern, max int, fn func([]IDQuad) bool) {
 	// batch. Rows deleted while still in the delta are removed from the
 	// delta itself (never tombstoned), so no dead-check here — exactly
 	// like scanLocked.
-	buf := make([]IDQuad, 0, max)
+	var buf []IDQuad // allocated by the first match: most scans have none
 	for _, q := range s.delta {
 		if !p.Matches(q) {
 			continue
+		}
+		if buf == nil {
+			buf = make([]IDQuad, 0, max)
 		}
 		buf = append(buf, q)
 		if len(buf) == max {

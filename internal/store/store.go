@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -16,6 +17,12 @@ type ModelID = ID
 // compactThreshold is the delta-buffer size that triggers automatic
 // compaction into the sorted indexes.
 const compactThreshold = 8192
+
+// ErrUnknownModel is wrapped by every error that reports a model or
+// virtual-model name the store does not know; match it with errors.Is.
+var ErrUnknownModel = errors.New("store: unknown model")
+
+func unknownModel(name string) error { return fmt.Errorf("%w %q", ErrUnknownModel, name) }
 
 // Store is the quad store. A Store holds any number of semantic models
 // (partitions); every quad belongs to exactly one model. Virtual models
@@ -71,6 +78,17 @@ type Store struct {
 	// version counts successful content mutations (Insert, Delete,
 	// Load); derived caches key their validity to it. See Version.
 	version atomic.Uint64
+
+	// changeLog is a ring over the last ChangeLogSize single-quad
+	// mutations: the Change that produced version v sits at
+	// changeLog[v%ChangeLogSize]. Allocated by the first Insert/Delete,
+	// so bulk-loaded read-only stores never pay for it.
+	//pgrdf:guardedby mu
+	changeLog []Change
+	// logBarrier is the newest version produced by a mutation the log
+	// does not itemize (Load); no ChangesSince range may span it.
+	//pgrdf:guardedby mu
+	logBarrier uint64
 }
 
 // DefaultIndexes are the two indexes Oracle creates on every semantic
@@ -310,7 +328,7 @@ func (s *Store) CreateVirtualModel(name string, members ...string) error {
 		} else if id, ok := s.modelIDs[m]; ok {
 			memberIDs = []ModelID{id}
 		} else {
-			return fmt.Errorf("store: unknown model %q in virtual model %q", m, name)
+			return fmt.Errorf("%w %q in virtual model %q", ErrUnknownModel, m, name)
 		}
 		for _, id := range memberIDs {
 			if _, dup := seen[id]; !dup {
@@ -331,6 +349,11 @@ func (s *Store) CreateVirtualModel(name string, members ...string) error {
 func (s *Store) ResolveDataset(name string) ([]ModelID, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	return s.resolveDatasetLocked(name)
+}
+
+//pgrdf:locks mu
+func (s *Store) resolveDatasetLocked(name string) ([]ModelID, error) {
 	if name == "" {
 		ids := make([]ModelID, len(s.modelNames))
 		for i := range s.modelNames {
@@ -344,7 +367,7 @@ func (s *Store) ResolveDataset(name string) ([]ModelID, error) {
 	if id, ok := s.modelIDs[name]; ok {
 		return []ModelID{id}, nil
 	}
-	return nil, fmt.Errorf("store: unknown model %q", name)
+	return nil, unknownModel(name)
 }
 
 // internQuad interns a quad's terms and returns its ID row.
@@ -396,7 +419,7 @@ func (s *Store) Load(model string, quads []rdf.Quad) (int, error) {
 	s.insertAllLocked(fresh)
 	s.count += len(fresh)
 	if len(fresh) > 0 {
-		s.version.Add(1)
+		s.logBarrier = s.version.Add(1)
 	}
 	return len(fresh), nil
 }
@@ -405,7 +428,8 @@ func (s *Store) Load(model string, quads []rdf.Quad) (int, error) {
 // mutation (Insert, Delete, Load that changed at least one quad).
 // Consumers caching data derived from store contents — e.g. the
 // optimizer's cardinality estimates — compare versions to decide
-// whether their cache is still valid.
+// whether their cache is still valid; ChangesSince tells a consumer
+// that wants to follow the store what happened in between.
 func (s *Store) Version() uint64 { return s.version.Load() }
 
 // Insert adds a single quad to the model (incremental DML). Duplicate
@@ -421,7 +445,7 @@ func (s *Store) Insert(model string, q rdf.Quad) (bool, error) {
 	if _, dying := s.dead[row]; dying {
 		delete(s.dead, row)
 		s.count++
-		s.version.Add(1)
+		s.logChangeLocked(row, false)
 		return true, nil
 	}
 	if _, inDelta := s.deltaSet[row]; inDelta {
@@ -433,7 +457,7 @@ func (s *Store) Insert(model string, q rdf.Quad) (bool, error) {
 	s.delta = append(s.delta, row)
 	s.deltaSet[row] = struct{}{}
 	s.count++
-	s.version.Add(1)
+	s.logChangeLocked(row, false)
 	if len(s.delta) >= compactThreshold {
 		s.compactLocked()
 	}
@@ -447,7 +471,7 @@ func (s *Store) Delete(model string, q rdf.Quad) (bool, error) {
 	defer s.mu.Unlock()
 	m, ok := s.modelIDs[model]
 	if !ok {
-		return false, fmt.Errorf("store: unknown model %q", model)
+		return false, unknownModel(model)
 	}
 	if err := q.Validate(); err != nil {
 		return false, err
@@ -471,7 +495,7 @@ func (s *Store) Delete(model string, q rdf.Quad) (bool, error) {
 			}
 		}
 		s.count--
-		s.version.Add(1)
+		s.logChangeLocked(row, true)
 		return true, nil
 	}
 	if !s.indexes[0].Contains(row) {
@@ -482,7 +506,7 @@ func (s *Store) Delete(model string, q rdf.Quad) (bool, error) {
 	}
 	s.dead[row] = struct{}{}
 	s.count--
-	s.version.Add(1)
+	s.logChangeLocked(row, true)
 	if len(s.dead) >= compactThreshold {
 		s.compactLocked()
 	}
@@ -727,7 +751,7 @@ func (s *Store) Export(model string) ([]rdf.Quad, error) {
 	m, ok := s.modelIDs[model]
 	s.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("store: unknown model %q", model)
+		return nil, unknownModel(model)
 	}
 	p := AnyPattern()
 	p.M = m
