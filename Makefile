@@ -14,13 +14,13 @@ BENCH_SCALE ?= 0.05
 BENCH_MAX_OVERHEAD ?= 5
 OVERHEAD_ITERS ?= 5
 
-.PHONY: check vet lint lint-json build test race crash-recovery repl-fault algo-diff bench bench-algos bench-algos-smoke bench-micro bench-smoke benchmark-smoke fuzz-smoke
+.PHONY: check vet lint lint-json build test race crash-recovery repl-fault algo-diff store-race bench bench-algos bench-algos-smoke bench-micro bench-smoke benchmark-smoke bench-pair fuzz-smoke
 
 ## check: the full gate — vet, build, the pgrdfvet analyzers, the
 ## race-enabled test suite, the crash-recovery differential, the
-## replication fault-injection differential, and the incremental-CSR
-## differential.
-check: vet build lint race crash-recovery repl-fault algo-diff
+## replication fault-injection differential, the incremental-CSR
+## differential, and the readers-beside-a-writer gate.
+check: vet build lint race crash-recovery repl-fault algo-diff store-race
 
 vet:
 	$(GO) vet ./...
@@ -74,6 +74,23 @@ algo-diff:
 	$(GO) test -race -count=1 -run 'TestPatch|TestProjectionIgnoresCompaction' ./internal/graph
 	$(GO) test -race -count=1 -run 'TestAlgo' ./internal/httpapi
 
+## store-race: the concurrency gate of the versioned store (DESIGN.md
+## §18), under the race detector — the deadlock reproducer (two readers
+## whose batch DFS re-enters the store, a looping writer, a poller; a
+## 10 s watchdog) and the atomic-update test (a count is 0 or 3, a join
+## 0 or 9, never in between); the isolation walk (views pinned during a
+## randomized mutation sequence keep showing what they showed; Apply
+## sets and the pinned change log against a reference); answers of
+## EQ1–EQ12 on RF/NG/SP unchanged by Compact(); and the 30 s soak of 8
+## readers + writer + /algo + background checkpointer ending with
+## /stats answering, no open cursor and store ≡ restored-from-disk.
+## Part of `make check`.
+store-race:
+	$(GO) test -race -count=1 -run 'TestReadersNeverWaitForWriter|TestUpdateIsAtomicToReaders' ./internal/sparql
+	$(GO) test -race -count=1 -run 'TestScanBatchMatchesScan|TestApply|TestPinnedViewChangesSince|TestViewIsOneState|TestScanBatchUnderFaultInjector' ./internal/store
+	$(GO) test -race -count=1 -run 'TestAnswersIgnoreCompaction' ./internal/bench
+	$(GO) test -race -count=1 -run 'TestSoakServingBesideWrites' ./internal/httpapi
+
 ## bench: Go micro-benchmarks plus the serial-vs-parallel comparison of
 ## the paper's scan-heavy queries and bulk load, written to
 ## BENCH_parallel.json. Tune with BENCH_WORKERS / BENCH_ITERS /
@@ -107,11 +124,15 @@ bench-algos-smoke:
 	$(GO) run ./cmd/benchpaper -algobench -workers $(BENCH_WORKERS) -iters 1 -scale 0.02 -out BENCH_algos.json
 
 ## bench-micro: row-vs-batch executor kernel microbenchmarks (scan,
-## hash probe, nested loop, filter) plus the store-level batched scan
-## benchmarks. Compare the row/ and batch/ sub-benchmark pairs.
+## hash probe, nested loop, filter) plus the store-level benchmarks:
+## batched scans, a range scan and an estimate through 0–8 000 unmerged
+## inserts and 0–4 000 tombstones (BenchmarkScanThroughDelta: the cost
+## must not grow with the delta), and one write operation of 1, 3 and
+## 300 quads on an empty and a full delta (BenchmarkApply). Compare the
+## row/ and batch/ sub-benchmark pairs.
 bench-micro:
 	$(GO) test -bench 'Kernel' -run '^$$' -benchtime 20x ./internal/sparql/
-	$(GO) test -bench 'BenchmarkScan' -run '^$$' ./internal/store/
+	$(GO) test -bench 'BenchmarkScan|BenchmarkApply' -run '^$$' ./internal/store/
 
 ## bench-smoke: one-iteration bench at reduced scale (the CI gate).
 ## The overhead differential keeps best-of-$(OVERHEAD_ITERS) even here:
@@ -129,6 +150,22 @@ bench-smoke:
 benchmark-smoke:
 	(cd benchmark && $(GO) test ./...)
 	$(GO) run -C benchmark repro/benchmark -selfcheck
+
+## bench-pair: the paired comparison that a performance claim needs
+## (benchmark/README.md, "Naming a claim"): check REF out into a git
+## worktree, give it this tree's benchmark/ so both sides run the same
+## benchmark code, run WORKLOAD alternately on both trees PAIRS times,
+## and print per-metric medians, quartiles, wins and a verdict.
+##   make bench-pair REF=HEAD~1 WORKLOAD=mixed-rw-ng [PAIRS=10] [SEED=1]
+PAIRS ?= 10
+SEED ?= 1
+bench-pair:
+	@test -n "$(REF)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pair REF=<commit> WORKLOAD=<name> [PAIRS=10] [SEED=1]"; exit 2; }
+	rm -rf .bench_pair && git worktree prune
+	git worktree add --detach .bench_pair/ref $(REF)
+	rm -rf .bench_pair/ref/benchmark && cp -r benchmark .bench_pair/ref/benchmark && rm -rf .bench_pair/ref/benchmark/out
+	$(GO) run ./cmd/benchpair -ref .bench_pair/ref -new . -workload $(WORKLOAD) -pairs $(PAIRS) -seed $(SEED); \
+		status=$$?; git worktree remove --force .bench_pair/ref; exit $$status
 
 ## fuzz-smoke: run each parser fuzz target for FUZZTIME (default 30s).
 ## Regression seeds always run as part of plain `make test` too.

@@ -14,10 +14,9 @@ import (
 // no cancellation point and MaxBindings stops counting them.
 //
 // Rule, scoped to repro/internal/sparql: any call to a raw store row
-// source — (*store.Store).Scan / ScanBatch / ScanIndex / Cursor,
-// (*store.View).ScanBatch, (*store.Index).Scan / ScanRange /
-// ScanRangeBatch, or (*store.Cursor).NextBatch — must sit in a
-// top-level function that
+// source — Scan / ScanBatch / ScanIndex / Cursor on a pinned
+// *store.View or on the *store.Store shorthand for the current one, or
+// (*store.Cursor).NextBatch — must sit in a top-level function that
 // also ticks the guard (a call to guard.tick, guard.tickN, guard.poll,
 // or guard.checkRows somewhere in the same function, typically inside
 // the scan callback or the worker loop draining a cursor). Routing
@@ -44,8 +43,7 @@ var Guardtick = &Analyzer{
 // rawScanMethods are the store row sources that bypass (*execCtx).scan.
 var rawScanMethods = map[string]map[string]bool{
 	"Store":  {"Scan": true, "ScanBatch": true, "ScanIndex": true, "Cursor": true},
-	"View":   {"ScanBatch": true},
-	"Index":  {"Scan": true, "ScanRange": true, "ScanBatch": true, "ScanRangeBatch": true},
+	"View":   {"Scan": true, "ScanBatch": true, "ScanIndex": true, "Cursor": true},
 	"Cursor": {"NextBatch": true},
 }
 

@@ -181,3 +181,116 @@ type badAnno struct {
 type unannotated struct{ y int }
 
 func useFields(b *badAnno, u *unannotated) int { return b.x + u.y }
+
+// --- callbacks under a lock ------------------------------------------
+
+// rows is ROADMAP item 1 reduced: a store whose batch scan holds its
+// read lock across the callback, and an executor whose callback scans
+// the same store again. A writer queued between the two RLocks parks
+// both for ever.
+type rows struct {
+	mu sync.RWMutex
+	//pgrdf:guardedby mu
+	data []int
+}
+
+func (s *rows) badScan(fn func(int) bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, v := range s.data {
+		if !fn(v) { // want "fn runs with s.mu held"
+			return
+		}
+	}
+}
+
+// badScanVia hides the call one level down; the annotated helper makes
+// the pass-through visible.
+func (s *rows) badScanVia(fn func(int) bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	s.scanLocked(fn) // want "fn runs with s.mu held"
+}
+
+//pgrdf:locks mu
+//pgrdf:callback-under mu
+func (s *rows) scanLocked(fn func(int) bool) {
+	for _, v := range s.data {
+		if !fn(v) {
+			return
+		}
+	}
+}
+
+// ScanBatch owns up to it, so its call sites are checked.
+//
+//pgrdf:callback-under mu
+func (s *rows) ScanBatch(fn func(int) bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	s.scanLocked(fn)
+}
+
+func (s *rows) Len() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.data)
+}
+
+type exec struct{ st *rows }
+
+// step is vecExec.step: each level's callback runs the next level,
+// which scans again.
+func (e *exec) step(depth int) {
+	if depth == 0 {
+		return
+	}
+	e.st.ScanBatch(func(int) bool {
+		e.step(depth - 1) // want "callback passed to ScanBatch runs with rows.mu held and this call acquires it again"
+		return true
+	})
+}
+
+func badDirectReentry(s *rows) int {
+	n := 0
+	s.ScanBatch(func(int) bool {
+		n += s.Len() // want "callback passed to ScanBatch runs with rows.mu held"
+		return true
+	})
+	return n
+}
+
+// --- fixed counterparts ----------------------------------------------
+
+// goodScan copies under the lock and runs the callback after it.
+func (s *rows) goodScan(fn func(int) bool) {
+	s.mu.RLock()
+	snapshot := append([]int(nil), s.data...)
+	s.mu.RUnlock()
+	for _, v := range snapshot {
+		if !fn(v) {
+			return
+		}
+	}
+}
+
+func goodCallback(s *rows) int {
+	n := 0
+	s.ScanBatch(func(v int) bool {
+		n += v
+		return true
+	})
+	return n + s.Len()
+}
+
+// --- suppressed ------------------------------------------------------
+
+func suppressedReentry(a, b *rows) int {
+	n := 0
+	a.ScanBatch(func(int) bool {
+		//pgrdfvet:ignore guardedby -- b is a different store: its lock is not the one the callback runs under
+		n += b.Len()
+		return true
+	})
+	return n
+}

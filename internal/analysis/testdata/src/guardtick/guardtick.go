@@ -45,9 +45,9 @@ func badCursor(st *store.Store, p store.Pattern) int {
 	return n
 }
 
-func badIndexScan(ix *store.Index, p store.Pattern) int {
+func badViewScan(v *store.View, p store.Pattern) int {
 	n := 0
-	ix.Scan(p, func(q store.IDQuad) bool { // want "store scan without a budget-guard tick"
+	v.Scan(p, func(q store.IDQuad) bool { // want "store scan without a budget-guard tick"
 		n++
 		return true
 	})
@@ -90,13 +90,10 @@ func goodCheckRows(g *guard, st *store.Store, p store.Pattern) []store.IDQuad {
 	return rows
 }
 
-func badRangeScan(ix *store.Index, r store.RowRange, p store.Pattern) int {
-	n := 0
-	ix.ScanRange(r, p, func(q store.IDQuad) bool { // want "store scan without a budget-guard tick"
-		n++
-		return true
-	})
-	return n
+func badViewCursor(v *store.View, p store.Pattern) int {
+	c := v.Cursor(p) // want "store scan without a budget-guard tick"
+	defer c.Close()
+	return c.Len()
 }
 
 // goodWorkerPool is the morsel-driven shape: worker goroutines drain
@@ -140,10 +137,10 @@ func goodWorkerPool(g *guard, st *store.Store, p store.Pattern) int {
 	return total
 }
 
-// goodRangeScan pairs the per-morsel range scan with a per-row tick.
-func goodRangeScan(g *guard, ix *store.Index, r store.RowRange, p store.Pattern) int {
+// goodViewScan pairs a scan of a pinned view with a per-row tick.
+func goodViewScan(g *guard, v *store.View, p store.Pattern) int {
 	n := 0
-	ix.ScanRange(r, p, func(q store.IDQuad) bool {
+	v.Scan(p, func(q store.IDQuad) bool {
 		if !g.tick() {
 			return false
 		}
@@ -162,9 +159,9 @@ func badBatchScan(st *store.Store, p store.Pattern) int {
 	return n
 }
 
-func badRangeBatch(ix *store.Index, r store.RowRange, p store.Pattern) int {
+func badViewBatch(v *store.View, p store.Pattern) int {
 	n := 0
-	ix.ScanRangeBatch(r, p, nil, 1024, func(run []store.IDQuad) bool { // want "store scan without a budget-guard tick"
+	v.ScanBatch(p, 1024, func(run []store.IDQuad) bool { // want "store scan without a budget-guard tick"
 		n += len(run)
 		return true
 	})

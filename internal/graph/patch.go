@@ -61,12 +61,9 @@ func (pr *Projection) Patch(ctx context.Context, b Budget) (next *Projection, in
 		marked:  make(map[store.ID]bool),
 	}
 	// The log, the probes that interpret it and the version label all
-	// come from one state of the store; the copy pass needs none of it.
-	var version uint64
-	pr.st.View(func(v *store.View) {
-		pt.view, version = v, v.Version
-		info = pt.classify()
-	})
+	// come from one pinned version of the store.
+	pt.view = pr.st.View()
+	info = pt.classify()
 	if err := finish(g, nil); err != nil {
 		return nil, info, err
 	}
@@ -74,7 +71,7 @@ func (pr *Projection) Patch(ctx context.Context, b Budget) (next *Projection, in
 		return nil, info, nil
 	}
 	cp := *pr
-	cp.Version = version
+	cp.Version = pt.view.Version
 	cs, occ, ok := pt.apply()
 	switch {
 	case !ok:
@@ -168,8 +165,7 @@ func (pt *patcher) add(src, dst store.ID, n int) {
 
 // classify reads the change log since the old projection's version and
 // translates it, per scheme, into occurrence deltas and marker changes.
-// It runs under the view; everything it learns from the store it learns
-// here.
+// Everything it learns from the store it learns from the pinned view.
 func (pt *patcher) classify() (info PatchInfo) {
 	since := pt.old.Version
 	changes, ok := pt.view.ChangesSince(since)

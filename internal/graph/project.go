@@ -265,7 +265,7 @@ func Project(ctx context.Context, st *store.Store, opts ProjectOptions, b Budget
 }
 
 // NewProjection is Project keeping what Patch needs to follow the store
-// afterwards. The scan runs under one store.View, so the projection's
+// afterwards. The scan reads one pinned store.View, so the projection's
 // Version labels exactly the contents it was built from.
 func NewProjection(ctx context.Context, st *store.Store, opts ProjectOptions, b Budget) (pr *Projection, err error) {
 	defer recoverAlgoPanic(&err)
@@ -287,18 +287,13 @@ func NewProjection(ctx context.Context, st *store.Store, opts ProjectOptions, b 
 		spLabel:  make(map[store.ID]store.ID),
 		weights:  make(map[store.ID]weightVal),
 	}
-	pr = &Projection{st: st, opts: opts}
-	st.View(func(v *store.View) {
-		p.view = v
-		pr.Version = v.Version
-		if pr.models, err = resolveDataset(v, opts.Model); err == nil {
-			p.models = pr.models
-			p.scan()
-		}
-	})
-	if err != nil {
+	p.view = st.View()
+	pr = &Projection{st: st, opts: opts, Version: p.view.Version}
+	if pr.models, err = resolveDataset(p.view, opts.Model); err != nil {
 		return nil, fmt.Errorf("graph: project: %w", err)
 	}
+	p.models = pr.models
+	p.scan()
 	if err := finish(g, nil); err != nil {
 		return nil, err
 	}
@@ -474,7 +469,8 @@ func (p *projector) assemble() (*CSR, []uint32) {
 // s-p-o relationship triples (the SingleTripleWhenNoKVs degenerate
 // case) decode identically under every scheme; NG is reported.
 func DetectScheme(st *store.Store, model string, vocab pgrdf.Vocabulary) (pgrdf.Scheme, error) {
-	models, err := st.ResolveDataset(model)
+	view := st.View()
+	models, err := view.ResolveDataset(model)
 	if err != nil {
 		return pgrdf.NG, fmt.Errorf("graph: detect scheme: %w", err)
 	}
@@ -485,7 +481,7 @@ func DetectScheme(st *store.Store, model string, vocab pgrdf.Vocabulary) (pgrdf.
 		for _, m := range models {
 			pat.M = store.ID(m)
 			//pgrdfvet:ignore guardtick -- first-match probe over one predicate's postings; stops at the first accepted quad and has no request budget to tick
-			st.Scan(pat, func(q store.IDQuad) bool {
+			view.Scan(pat, func(q store.IDQuad) bool {
 				if accept == nil || accept(q) {
 					found = true
 					return false

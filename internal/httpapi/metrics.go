@@ -141,6 +141,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.gauge("pgrdf_dict_terms", "Terms in the shared dictionary.", int64(st.Dict().Len()))
 	m.gauge("pgrdf_dict_lexical_bytes", "Lexical bytes held by the dictionary.", st.Dict().LexicalBytes())
 	m.gauge("pgrdf_open_cursors", "Snapshot cursors not yet closed (leak gauge).", int64(st.OpenCursors()))
+	// What a read merges on top of the base arrays, and what writers have
+	// done about it.
+	wst := st.WriteStats()
+	m.gauge("pgrdf_store_delta_rows", "Inserted quads not yet compacted into the sorted base arrays.", int64(wst.DeltaRows))
+	m.gauge("pgrdf_store_tombstones", "Deleted base rows not yet compacted away.", int64(wst.Tombstones))
+	m.counter("pgrdf_store_compactions_total", "Compactions of the delta into new base arrays.", wst.Compactions)
+	m.family("pgrdf_store_compaction_duration_seconds", "Wall time spent compacting.", "summary")
+	m.sample("pgrdf_store_compaction_duration_seconds_sum", fmt.Sprintf("%g", time.Duration(wst.CompactionNanos).Seconds()))
+	m.sample("pgrdf_store_compaction_duration_seconds_count", fmt.Sprintf("%d", wst.Compactions))
+	m.counter("pgrdf_store_versions_published_total", "Store versions published by writers.", wst.VersionsPublished)
 
 	// Durability (present only when the server runs with a data dir).
 	if s.wal != nil {

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/rdf"
 	"repro/internal/store"
 )
 
@@ -185,5 +186,50 @@ func TestPprofGatedByConfig(t *testing.T) {
 	defer on.Close()
 	if code := get(on.URL); code != http.StatusOK {
 		t.Errorf("pprof with EnablePprof: status = %d, want 200", code)
+	}
+}
+
+// TestStoreWriteMetrics: the gauges that explain a slow read from the
+// outside follow the store — delta rows and tombstones from the current
+// version, compactions and published versions from the writers — and
+// /stats names the version it describes.
+func TestStoreWriteMetrics(t *testing.T) {
+	st := store.New()
+	srv := httptest.NewServer(NewServer(st))
+	defer srv.Close()
+	q := func(i int) rdf.Quad {
+		return rdf.Quad{S: rdf.NewIRI(fmt.Sprintf("http://pg/v%d", i)), P: rdf.NewIRI("http://pg/k/name"), O: rdf.NewLiteral("x")}
+	}
+	if _, err := st.Load("m", []rdf.Quad{q(0), q(1), q(2)}); err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []store.Op{{Model: "m", Quad: q(3)}, {Model: "m", Quad: q(4)}, {Delete: true, Model: "m", Quad: q(0)}} {
+		if _, _, err := st.Apply([]store.Op{op}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	samples := validateExposition(t, scrapeMetrics(t, srv.URL))
+	for name, want := range map[string]float64{
+		"pgrdf_store_delta_rows":                        2,
+		"pgrdf_store_tombstones":                        1,
+		"pgrdf_store_compactions_total":                 0,
+		"pgrdf_store_compaction_duration_seconds_count": 0,
+	} {
+		if got, ok := samples[name]; !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", name, got, ok, want)
+		}
+	}
+	published := samples["pgrdf_store_versions_published_total"]
+	if published < 4 {
+		t.Errorf("pgrdf_store_versions_published_total = %v, want at least the load and three writes", published)
+	}
+	st.Compact()
+	samples = validateExposition(t, scrapeMetrics(t, srv.URL))
+	if samples["pgrdf_store_delta_rows"] != 0 || samples["pgrdf_store_tombstones"] != 0 ||
+		samples["pgrdf_store_compactions_total"] != 1 || samples["pgrdf_store_versions_published_total"] != published+1 {
+		t.Errorf("after Compact: %v", samples)
+	}
+	if body := fetch(t, srv.URL+"/stats"); !strings.Contains(body, fmt.Sprintf(`"storeVersion":%d,`, st.Version())) || st.Version() != 4 {
+		t.Errorf("store version %d, /stats: %s", st.Version(), body)
 	}
 }

@@ -619,21 +619,22 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		models = append(models, model)
 	}
 	eng := s.engine()
-	st, err := eng.Store().Stats(models...)
+	view := eng.Store().View() // counts, storage and version of one state
+	st, err := view.Stats(models...)
 	if err != nil {
 		writeJSONError(w, http.StatusNotFound, "unknown-model", err.Error())
 		return
 	}
-	rep := eng.Store().Storage()
+	rep := view.Storage()
 	ps := eng.ParallelStats()
 	par := eng.Parallelism
 	if par == 0 {
 		par = runtime.GOMAXPROCS(0) // the engine default, reported as its effective value
 	}
 	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, `{"quads":%d,"subjects":%d,"predicates":%d,"objects":%d,"namedGraphs":%d,"storageBytes":%d,"openCursors":%d,`+
+	fmt.Fprintf(w, `{"quads":%d,"subjects":%d,"predicates":%d,"objects":%d,"namedGraphs":%d,"storageBytes":%d,"openCursors":%d,"storeVersion":%d,`+
 		`"parallelism":%d,"parallelQueries":%d,"parallelWorkers":%d,"parallelMorsels":%d,"parallelHashBuilds":%d,"activeWorkers":%d`,
-		st.Quads, st.Subjects, st.Predicates, st.Objects, st.NamedGraphs, rep.Total, eng.Store().OpenCursors(),
+		st.Quads, st.Subjects, st.Predicates, st.Objects, st.NamedGraphs, rep.Total, eng.Store().OpenCursors(), view.Version,
 		par, ps.Queries, ps.Workers, ps.Morsels, ps.HashBuilds, ps.ActiveWorkers)
 	var algoRuns, algoErrors int64
 	for i := range algoNames {
@@ -672,9 +673,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // handleExport streams every quad of one model as N-Quads. It is the
 // production consumer of store.Cursor: the snapshot cursor lets the
-// handler write row by row without holding the store lock for the whole
-// response, and the deferred Close keeps the OpenCursors gauge honest
-// even when the client disconnects mid-stream.
+// handler write row by row from one store version however long the
+// client takes, and the deferred Close keeps the OpenCursors gauge
+// honest even when the client disconnects mid-stream.
 func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeJSONError(w, http.StatusMethodNotAllowed, "method", "method not allowed")
@@ -686,18 +687,21 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 		// The directive-carrying snapshot format (models, virtual models,
 		// index config): unlike a plain N-Quads export, this round-trips
 		// through store.Restore and pgrdf serve -restore. With a WAL
-		// attached this is also the replication bootstrap: the snapshot
-		// streams under the commit lock so the position in the headers
-		// corresponds exactly to the bytes on the wire.
+		// attached this is also the replication bootstrap: the store
+		// version is pinned under the commit lock, so the position in the
+		// headers corresponds exactly to the bytes on the wire, and the
+		// lock is released before the first byte streams.
 		st := s.engine().Store()
+		view := st.View()
 		if s.wal != nil {
 			pos, release := s.wal.BeginSnapshot()
-			defer release()
+			view = st.View()
+			release()
 			setPositionHeaders(w.Header(), pos)
-			w.Header().Set(repl.HeaderSnapshotQuads, strconv.Itoa(st.Len()))
+			w.Header().Set(repl.HeaderSnapshotQuads, strconv.Itoa(view.Len()))
 		}
 		w.Header().Set("Content-Type", "application/n-quads")
-		if err := st.Snapshot(w); err != nil {
+		if err := view.Snapshot(w); err != nil {
 			return // headers already sent; the stream just ends short
 		}
 		return
@@ -711,15 +715,15 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusBadRequest, "request", "missing model parameter")
 		return
 	}
-	st := s.engine().Store()
-	m := st.LookupModel(model)
+	view := s.engine().Store().View()
+	m := view.LookupModel(model)
 	if m == store.NoID {
 		writeJSONError(w, http.StatusNotFound, "unknown-model", fmt.Sprintf("unknown model %q", model))
 		return
 	}
 	p := store.AnyPattern()
 	p.M = m
-	cur := st.Cursor(p)
+	cur := view.Cursor(p)
 	defer cur.Close()
 	w.Header().Set("Content-Type", "application/n-quads")
 	nw := ntriples.NewWriter(w)

@@ -1,6 +1,9 @@
 package sparql
 
-import "repro/internal/rdf"
+import (
+	"repro/internal/rdf"
+	"repro/internal/store"
+)
 
 // Mutation is one quad-level change of an Update operation, in the
 // order it will be applied. Model is the concrete semantic model the
@@ -37,30 +40,18 @@ func (e *Engine) commit(muts []Mutation, apply func() error) error {
 }
 
 // applyMutations commits one operation's quad delta (log first when a
-// hook is installed) and applies it to the store, tallying the quads
-// that actually changed into res. The apply phase deliberately has no
-// context checks: once the delta is journaled, the operation is atomic.
+// hook is installed) and applies it to the store as one store.Apply —
+// readers see the operation entirely or not at all — tallying the quads
+// that actually changed into res.
 func (e *Engine) applyMutations(muts []Mutation, res *UpdateResult) error {
 	return e.commit(muts, func() error {
-		for _, mu := range muts {
-			if mu.Insert {
-				ok, err := e.st.Insert(mu.Model, mu.Quad)
-				if err != nil {
-					return err
-				}
-				if ok {
-					res.Inserted++
-				}
-			} else {
-				ok, err := e.st.Delete(mu.Model, mu.Quad)
-				if err != nil {
-					return err
-				}
-				if ok {
-					res.Deleted++
-				}
-			}
+		ops := make([]store.Op, len(muts))
+		for i, mu := range muts {
+			ops[i] = store.Op{Delete: !mu.Insert, Model: mu.Model, Quad: mu.Quad}
 		}
-		return nil
+		ins, del, err := e.st.Apply(ops)
+		res.Inserted += ins
+		res.Deleted += del
+		return err
 	})
 }

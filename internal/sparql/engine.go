@@ -719,12 +719,14 @@ func (e *Engine) execCtxIn(ctx context.Context, model string, vt *varTable) (*ex
 }
 
 func (e *Engine) execCtx(model string, vt *varTable) (*execCtx, error) {
-	ids, err := e.st.ResolveDataset(model)
+	view := e.st.View()
+	ids, err := view.ResolveDataset(model)
 	if err != nil {
 		return nil, err
 	}
 	ec := &execCtx{
 		st:              e.st,
+		view:            view,
 		estc:            &e.estc,
 		vt:              vt,
 		noHashJoin:      e.DisableHashJoin,
@@ -743,7 +745,7 @@ func (e *Engine) execCtx(model string, vt *varTable) (*execCtx, error) {
 		ec.slots = make(chan struct{}, ec.parallelism)
 	}
 	// nil model set (scan everything) when the dataset is all models.
-	if model != "" && len(ids) != len(e.st.Models()) {
+	if model != "" && len(ids) != len(view.Models()) {
 		ec.models = make(map[store.ModelID]struct{}, len(ids))
 		for _, id := range ids {
 			ec.models[id] = struct{}{}
@@ -886,7 +888,7 @@ func (e *Engine) deleteWhere(ctx context.Context, model string, g *GroupGraphPat
 	})); err != nil {
 		return 0, err
 	}
-	models, err := e.st.ResolveDataset(model)
+	models, err := ec.view.ResolveDataset(model)
 	if err != nil {
 		return 0, err
 	}
@@ -898,7 +900,7 @@ func (e *Engine) deleteWhere(ctx context.Context, model string, g *GroupGraphPat
 			return 0, err
 		}
 		for _, m := range models {
-			muts = append(muts, Mutation{Model: e.st.ModelName(m), Quad: q})
+			muts = append(muts, Mutation{Model: ec.view.ModelName(m), Quad: q})
 		}
 	}
 	var res UpdateResult
@@ -938,7 +940,7 @@ func (e *Engine) modify(ctx context.Context, model string, m Modify) (deleted, i
 	})); err != nil {
 		return 0, 0, err
 	}
-	models, err := e.st.ResolveDataset(model)
+	models, err := ec.view.ResolveDataset(model)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -948,7 +950,7 @@ func (e *Engine) modify(ctx context.Context, model string, m Modify) (deleted, i
 	muts := make([]Mutation, 0, len(toDelete)*len(models)+len(toInsert))
 	for _, q := range toDelete {
 		for _, mid := range models {
-			muts = append(muts, Mutation{Model: e.st.ModelName(mid), Quad: q})
+			muts = append(muts, Mutation{Model: ec.view.ModelName(mid), Quad: q})
 		}
 	}
 	for _, q := range toInsert {

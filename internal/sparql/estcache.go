@@ -13,10 +13,11 @@ const estCacheLimit = 4096
 
 // estCache memoizes the store's cardinality estimates for fully-bound
 // patterns, which the greedy join-order optimizer probes on every BGP
-// resolve. Entries are keyed to the store's mutation counter: any
-// successful Update bumps Store.Version, so the first estimate after
-// a write discards the stale generation and plans re-order to the new
-// selectivities (the bulk-insert regression in update_test.go).
+// resolve. Entries are keyed to the version of the view they were
+// computed on: any successful Update advances it, so the first estimate
+// of a query pinned after a write discards the stale generation and
+// plans re-order to the new selectivities (the bulk-insert regression
+// in update_test.go).
 type estCache struct {
 	mu sync.Mutex
 	//pgrdf:guardedby mu
@@ -25,27 +26,26 @@ type estCache struct {
 	m map[store.Pattern]int
 }
 
-// estimate returns st.EstimateCount(p), cached within one store
-// version.
-func (c *estCache) estimate(st *store.Store, p store.Pattern) int {
-	v := st.Version()
+// estimate returns view.EstimateCount(p), cached within one store
+// version. The cache follows the newest version asking: a query still
+// running on an older view computes its own estimates.
+func (c *estCache) estimate(view *store.View, p store.Pattern) int {
+	v := view.Version
 	c.mu.Lock()
-	if c.m == nil || c.version != v {
+	if c.m == nil || c.version < v {
 		c.m = make(map[store.Pattern]int)
 		c.version = v
 	}
-	if n, ok := c.m[p]; ok {
+	if n, ok := c.m[p]; ok && c.version == v {
 		c.mu.Unlock()
 		return n
 	}
 	c.mu.Unlock()
 
-	n := st.EstimateCount(p)
+	n := view.EstimateCount(p)
 
 	c.mu.Lock()
-	// Recheck the generation: a concurrent Update may have advanced the
-	// store while we computed, making n stale for the current version.
-	if c.m != nil && c.version == v {
+	if c.version == v {
 		if len(c.m) >= estCacheLimit {
 			c.m = make(map[store.Pattern]int)
 		}

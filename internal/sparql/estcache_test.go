@@ -41,10 +41,10 @@ func TestEstCacheInvalidatesOnStoreVersion(t *testing.T) {
 	st := estFixture(t)
 	var c estCache
 	p := predPattern(st, "http://pg/k/rare")
-	if got := c.estimate(st, p); got != st.EstimateCount(p) {
+	if got := c.estimate(st.View(), p); got != st.EstimateCount(p) {
 		t.Fatalf("first estimate = %d, want %d", got, st.EstimateCount(p))
 	}
-	before := c.estimate(st, p)
+	before := c.estimate(st.View(), p)
 
 	// A successful mutation bumps Store.Version; the cached generation
 	// must be discarded, not served stale.
@@ -52,7 +52,7 @@ func TestEstCacheInvalidatesOnStoreVersion(t *testing.T) {
 		S: rdf.NewIRI("http://pg/v9"), P: rdf.NewIRI("http://pg/k/rare"), O: rdf.NewLiteral("r9")}); err != nil {
 		t.Fatal(err)
 	}
-	after := c.estimate(st, p)
+	after := c.estimate(st.View(), p)
 	if after == before {
 		t.Fatalf("estimate stayed %d across an insert; cache not invalidated", before)
 	}
@@ -78,7 +78,7 @@ func TestEstCacheWholesaleDropAtLimit(t *testing.T) {
 	for i := 0; i < estCacheLimit; i++ {
 		p := store.AnyPattern()
 		p.S = store.ID(i + 1000)
-		c.estimate(st, p)
+		c.estimate(st.View(), p)
 	}
 	c.mu.Lock()
 	n := len(c.m)
@@ -88,7 +88,7 @@ func TestEstCacheWholesaleDropAtLimit(t *testing.T) {
 	}
 	// One more estimate crosses the limit: the map is dropped wholesale
 	// and restarted with just the new entry.
-	c.estimate(st, store.AnyPattern())
+	c.estimate(st.View(), store.AnyPattern())
 	c.mu.Lock()
 	n = len(c.m)
 	c.mu.Unlock()

@@ -11,10 +11,16 @@ import (
 	"repro/internal/store"
 )
 
-// execCtx carries the store, dataset restriction and variable table
-// through execution.
+// execCtx carries the store version, dataset restriction and variable
+// table through execution.
 type execCtx struct {
-	st          *store.Store
+	st *store.Store
+	// view is the store version pinned when the query started. Every
+	// scan, estimate and dataset lookup of the query — serial, batch,
+	// morsel workers, path search — reads it, so the query sees one
+	// state of the store whatever writers do meanwhile, and a scan
+	// callback may scan again: no read takes a lock.
+	view        *store.View
 	estc        *estCache                  // nil = uncached estimates
 	models      map[store.ModelID]struct{} // nil = all models
 	singleModel store.ModelID              // set when the dataset is one model
@@ -72,9 +78,9 @@ func (ec *execCtx) child(vt *varTable) *execCtx {
 // engine's versioned cache when one is attached.
 func (ec *execCtx) estimate(p store.Pattern) int {
 	if ec.estc != nil {
-		return ec.estc.estimate(ec.st, p)
+		return ec.estc.estimate(ec.view, p)
 	}
-	return ec.st.EstimateCount(p)
+	return ec.view.EstimateCount(p)
 }
 
 // term resolves an ID from the shared dictionary or, when the query
@@ -110,12 +116,12 @@ func (ec *execCtx) scan(p store.Pattern, fn func(store.IDQuad) bool) {
 		}
 	}
 	if ec.models == nil {
-		ec.st.Scan(p, fn)
+		ec.view.Scan(p, fn)
 		return
 	}
 	if ec.singleModel != store.NoID {
 		m := ec.singleModel
-		ec.st.Scan(p, func(q store.IDQuad) bool {
+		ec.view.Scan(p, func(q store.IDQuad) bool {
 			if q.M != m {
 				return true
 			}
@@ -123,7 +129,7 @@ func (ec *execCtx) scan(p store.Pattern, fn func(store.IDQuad) bool) {
 		})
 		return
 	}
-	ec.st.Scan(p, func(q store.IDQuad) bool {
+	ec.view.Scan(p, func(q store.IDQuad) bool {
 		if _, ok := ec.models[q.M]; !ok {
 			return true
 		}
@@ -754,7 +760,7 @@ func (o *bgpOp) explain(e *explainer) {
 				boundCols = append(boundCols, store.ColG)
 			}
 		}
-		spec := e.ec.st.ChooseIndexByBound(boundCols)
+		spec := e.ec.view.ChooseIndexByBound(boundCols)
 		cols := make([]string, len(boundCols))
 		for j, c := range boundCols {
 			cols[j] = c.String()

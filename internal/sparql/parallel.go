@@ -120,7 +120,7 @@ func (ec *execCtx) snapshot(p store.Pattern) *store.Cursor {
 	if ec.models != nil && ec.singleModel != store.NoID {
 		p.M = ec.singleModel
 	}
-	return ec.st.Cursor(p)
+	return ec.view.Cursor(p)
 }
 
 // rowVisible applies the dataset restriction a snapshot could not push
@@ -155,7 +155,7 @@ func (sh *bgpShared) tryParallel(b binding, yield func(binding) bool) (handled, 
 	pat := rp.boundPattern(b)
 	// Uncached estimate: bound patterns can carry per-query overlay IDs
 	// (VALUES/BIND terms), which must not leak into the shared cache.
-	if ec.st.EstimateCount(pat) < parallelScanMinRows {
+	if ec.view.EstimateCount(pat) < parallelScanMinRows {
 		return false, true
 	}
 	workers := ec.acquireWorkers(ec.parallelism)

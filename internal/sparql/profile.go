@@ -337,7 +337,7 @@ func bgpStepDescs(ec *execCtx, o *bgpOp) []stepDesc {
 				boundCols = append(boundCols, store.ColG)
 			}
 		}
-		spec := ec.st.ChooseIndexByBound(boundCols)
+		spec := ec.view.ChooseIndexByBound(boundCols)
 		cols := make([]string, len(boundCols))
 		for j, c := range boundCols {
 			cols[j] = c.String()

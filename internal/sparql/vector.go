@@ -62,9 +62,9 @@ const vecRampStart = 64
 // (shrink n, move rows down) but must not grow it.
 type colBatch struct {
 	base  binding
-	slots []int         // slots with a column, in binding order
-	cols  [][]store.ID  // indexed by slot; nil = slot not columnar
-	n     int           // rows
+	slots []int        // slots with a column, in binding order
+	cols  [][]store.ID // indexed by slot; nil = slot not columnar
+	n     int          // rows
 }
 
 func newColBatch(width int, slots []int) *colBatch {
@@ -354,7 +354,7 @@ func (vx *vecExec) step(depth int, in *colBatch) bool {
 	for i := 0; i < in.n; i++ {
 		in.writeCols(i, scratch)
 		stop := false
-		ec.st.ScanBatch(rp.boundPattern(scratch), batchRows, func(run []store.IDQuad) bool {
+		ec.view.ScanBatch(rp.boundPattern(scratch), batchRows, func(run []store.IDQuad) bool {
 			for _, q := range run {
 				if !ec.quadVisible(q) {
 					continue
@@ -541,7 +541,7 @@ func (sh *bgpShared) tryParallelBatch(b binding, yield func(*colBatch) bool) (ha
 	pat := rp.boundPattern(b)
 	// Uncached estimate: bound patterns can carry per-query overlay IDs
 	// (VALUES/BIND terms), which must not leak into the shared cache.
-	if ec.st.EstimateCount(pat) < parallelScanMinRows {
+	if ec.view.EstimateCount(pat) < parallelScanMinRows {
 		return false, true
 	}
 	workers := ec.acquireWorkers(ec.parallelism)

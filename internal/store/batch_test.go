@@ -41,14 +41,56 @@ func quadsEqual(t *testing.T, label string, got, want []IDQuad) {
 	}
 }
 
+// pinnedState is a View pinned during the mutation walk together with
+// what it showed at that moment.
+type pinnedState struct {
+	step int
+	view *View
+	pat  Pattern
+	rows []IDQuad // view.Scan(pat)
+	est  int      // view.EstimateCount(pat)
+	len  int
+}
+
+func (ps *pinnedState) check(t *testing.T) {
+	t.Helper()
+	label := fmt.Sprintf("view pinned at step %d", ps.step)
+	var got []IDQuad
+	ps.view.Scan(ps.pat, func(q IDQuad) bool { got = append(got, q); return true })
+	quadsEqual(t, label+": Scan", got, ps.rows)
+	got = nil
+	ps.view.ScanBatch(ps.pat, 7, func(run []IDQuad) bool { got = append(got, run...); return true })
+	quadsEqual(t, label+": ScanBatch", got, ps.rows)
+	got = nil
+	for _, part := range ps.view.Cursor(ps.pat).Partitions(3) {
+		for run := part.NextBatch(5); run != nil; run = part.NextBatch(5) {
+			got = append(got, run...)
+		}
+		part.Close()
+	}
+	quadsEqual(t, label+": Cursor+Partitions", got, ps.rows)
+	if n := ps.view.EstimateCount(ps.pat); n != ps.est {
+		t.Fatalf("%s: EstimateCount = %d, was %d", label, n, ps.est)
+	}
+	if n := ps.view.Len(); n != ps.len {
+		t.Fatalf("%s: Len = %d, was %d", label, n, ps.len)
+	}
+}
+
 // TestScanBatchMatchesScan drives a randomized mutation workload
-// (inserts, deletes, bulk loads, compactions — so the store passes
-// through delta-only, tombstoned and compacted states) and checks after
-// every burst that ScanBatch visits exactly the rows Scan visits, in
-// the same order, for random patterns and batch sizes.
+// (inserts, deletes, bulk loads, compactions, new indexes — so the
+// store passes through delta-only, tombstoned and compacted states)
+// against a reference set of quads. After every burst the store must
+// hold exactly the reference, in index key order whatever the physical
+// layout; ScanBatch must visit exactly the rows Scan visits, in the
+// same order, for random patterns and batch sizes; a prefix estimate
+// must be the exact count; and every View pinned at an earlier burst
+// must still show, through Scan, ScanBatch, Cursor + Partitions and
+// EstimateCount, exactly what it showed when it was pinned.
 func TestScanBatchMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	s := New()
+	ref := make(map[rdf.Quad]bool)
 	randQuad := func() rdf.Quad {
 		g := ""
 		if rng.Intn(2) == 0 {
@@ -60,30 +102,60 @@ func TestScanBatchMatchesScan(t *testing.T) {
 			fmt.Sprintf("o%d", rng.Intn(10)),
 			g)
 	}
-	for step := 0; step < 300; step++ {
-		switch rng.Intn(10) {
-		case 0:
+	var pins []*pinnedState
+	for step := 0; step < 600; step++ {
+		switch op := rng.Intn(10); {
+		case step == 200:
+			if err := s.CreateIndex("SPCGM"); err != nil {
+				t.Fatal(err)
+			}
+		case step == 400:
+			if err := s.CreateIndex("GSPCM"); err != nil {
+				t.Fatal(err)
+			}
+		case op == 0:
 			batch := make([]rdf.Quad, rng.Intn(30))
+			fresh := 0
 			for i := range batch {
 				batch[i] = randQuad()
+				if !ref[batch[i]] {
+					fresh++
+				}
+				ref[batch[i]] = true
 			}
-			if _, err := s.Load("m", batch); err != nil {
-				t.Fatal(err)
+			if n, err := s.Load("m", batch); err != nil || n != fresh {
+				t.Fatalf("step %d: Load = %d, %v; want %d", step, n, err, fresh)
 			}
-		case 1, 2:
-			if _, err := s.Delete("m", randQuad()); err != nil {
-				t.Fatal(err)
+		case op <= 3:
+			q := randQuad()
+			if ok, err := s.Delete("m", q); err != nil || ok != ref[q] {
+				t.Fatalf("step %d: Delete = %v, %v; want %v", step, ok, err, ref[q])
 			}
-		case 3:
+			delete(ref, q)
+		case op == 4:
 			s.Compact()
 		default:
-			if _, err := s.Insert("m", randQuad()); err != nil {
-				t.Fatal(err)
+			q := randQuad()
+			if ok, err := s.Insert("m", q); err != nil || ok == ref[q] {
+				t.Fatalf("step %d: Insert = %v, %v; want %v", step, ok, err, !ref[q])
 			}
+			ref[q] = true
 		}
 		if step%15 != 14 {
 			continue
 		}
+
+		// The store holds exactly the reference.
+		all := collectScan(s, AnyPattern())
+		if len(all) != len(ref) || s.Len() != len(ref) {
+			t.Fatalf("step %d: scan saw %d quads, Len %d, reference has %d", step, len(all), s.Len(), len(ref))
+		}
+		for _, row := range all {
+			if !ref[s.quadTerms(row)] {
+				t.Fatalf("step %d: scan returned %v, not in the reference", step, s.quadTerms(row))
+			}
+		}
+
 		pat := AnyPattern()
 		if rng.Intn(2) == 0 {
 			pat.P = s.Dict().Lookup(iri(fmt.Sprintf("p%d", rng.Intn(4))))
@@ -92,12 +164,45 @@ func TestScanBatchMatchesScan(t *testing.T) {
 			pat.S = s.Dict().Lookup(iri(fmt.Sprintf("s%d", rng.Intn(10))))
 		}
 		want := collectScan(s, pat)
+		ix := s.ChooseIndex(pat)
+		matches := 0
+		for _, row := range all {
+			if pat.Matches(row) {
+				matches++
+			}
+		}
+		if len(want) != matches {
+			t.Fatalf("step %d: pattern scan saw %d rows, %d of the full scan match", step, len(want), matches)
+		}
+		for i := 1; i < len(want); i++ {
+			if !ix.less(want[i-1], want[i]) {
+				t.Fatalf("step %d: rows %d and %d out of %s order", step, i-1, i, ix.Perm())
+			}
+		}
 		for _, max := range []int{1, 3, 64, DefaultBatchRows} {
 			got := collectScanBatch(s, pat, max)
 			quadsEqual(t, fmt.Sprintf("step %d max %d", step, max), got, want)
 		}
 		// max <= 0 falls back to the default batch size.
 		quadsEqual(t, fmt.Sprintf("step %d default", step), collectScanBatch(s, pat, 0), want)
+
+		// The estimate is the live size of the prefix range: an upper
+		// bound always, exact when the bound columns are the prefix.
+		est := s.EstimateCount(pat)
+		if est < matches || (ix.prefixLen(pat) == pat.bound() && est != matches) {
+			t.Fatalf("step %d: EstimateCount = %d for %d matches (prefix %d of %d bound)", step, est, matches, ix.prefixLen(pat), pat.bound())
+		}
+
+		for _, ps := range pins {
+			ps.check(t)
+		}
+		if len(pins) == 4 {
+			pins = pins[1:]
+		}
+		pins = append(pins, &pinnedState{step: step, view: s.View(), pat: pat, rows: want, est: est, len: len(ref)})
+	}
+	if n := s.OpenCursors(); n != 0 {
+		t.Fatalf("open cursors = %d, want 0", n)
 	}
 }
 
@@ -120,52 +225,6 @@ func TestScanBatchEarlyStop(t *testing.T) {
 	}
 	if rows != 128 {
 		t.Fatalf("saw %d rows before stop, want 128", rows)
-	}
-}
-
-// TestScanRangeBatchCoversPartitions checks that walking the morsels of
-// Index.Partitions with ScanRangeBatch reproduces the index's row scan
-// exactly, tombstones skipped, for every batch size.
-func TestScanRangeBatchCoversPartitions(t *testing.T) {
-	s := partitionTestStore(t, 2000)
-	// Tombstone some base rows by deleting post-compaction.
-	s.Compact()
-	for i := 0; i < 40; i++ {
-		if _, err := s.Delete("m", rdf.Quad{
-			S: iri(fmt.Sprintf("n%d", i%257)),
-			P: iri(fmt.Sprintf("p%d", i%7)),
-			O: iri(fmt.Sprintf("n%d", (i*31)%257)),
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p := AnyPattern()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ix := s.chooseIndexLocked(p)
-	var want []IDQuad
-	ix.Scan(p, func(q IDQuad) bool {
-		if _, gone := s.dead[q]; !gone {
-			want = append(want, q)
-		}
-		return true
-	})
-	for _, nparts := range []int{1, 3, 8} {
-		for _, max := range []int{1, 7, 256} {
-			var got []IDQuad
-			for _, r := range ix.Partitions(p, nparts) {
-				if !ix.ScanRangeBatch(r, p, s.dead, max, func(run []IDQuad) bool {
-					if len(run) == 0 || len(run) > max {
-						t.Fatalf("run of %d rows with max %d", len(run), max)
-					}
-					got = append(got, run...)
-					return true
-				}) {
-					t.Fatal("unexpected early stop")
-				}
-			}
-			quadsEqual(t, fmt.Sprintf("parts %d max %d", nparts, max), got, want)
-		}
 	}
 }
 
@@ -215,7 +274,19 @@ func TestCursorNextBatch(t *testing.T) {
 // injector observes every row, and the visited rows stay identical.
 func TestScanBatchUnderFaultInjector(t *testing.T) {
 	s := faultTestStore(t, 300)
+	// Leave rows in the delta and tombstones on base rows.
+	for i := 0; i < 20; i++ {
+		if _, err := s.Insert("m", quad(fmt.Sprintf("new%d", i), "p", "o", "")); err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := s.Delete("m", rdf.Quad{S: rdf.NewIRI(fmt.Sprintf("http://s%d", i*7)), P: rdf.NewIRI("http://p"), O: rdf.NewIRI(fmt.Sprintf("http://o%d", i*7%7))}); err != nil || !ok {
+			t.Fatalf("delete %d: %v %v", i, ok, err)
+		}
+	}
 	want := collectScan(s, AnyPattern())
+	if len(want) != 300 {
+		t.Fatalf("fixture has %d rows, want 300", len(want))
+	}
 	fi := NewFaultInjector()
 	s.SetFaultInjector(fi)
 	defer s.SetFaultInjector(nil)

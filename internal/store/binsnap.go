@@ -107,24 +107,19 @@ func (cw *crcWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// SnapshotBinary writes the whole store in the binary snapshot format.
-// Like Snapshot it holds one read-lock acquisition for the duration,
-// so the dump is a consistent point-in-time view.
-func (s *Store) SnapshotBinary(w io.Writer) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.snapshotBinaryLocked(w)
-}
+// SnapshotBinary is View.SnapshotBinary on the current version.
+func (s *Store) SnapshotBinary(w io.Writer) error { return s.View().SnapshotBinary(w) }
 
-//pgrdf:locks mu
-func (s *Store) snapshotBinaryLocked(w io.Writer) error {
+// SnapshotBinary writes the whole version in the binary snapshot
+// format. Like Snapshot it is a point in time and blocks no writer.
+func (v *View) SnapshotBinary(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	cw := &crcWriter{w: bw}
 	if _, err := io.WriteString(cw, binMagic); err != nil {
 		return err
 	}
 
-	terms := s.dict.snapshotTerms()
+	terms := v.st.dict.snapshotTerms()
 	sections := 0
 	var buf []byte
 	writeSection := func(typ byte, payload []byte) error {
@@ -150,11 +145,11 @@ func (s *Store) snapshotBinaryLocked(w io.Writer) error {
 
 	// Header.
 	buf = binary.AppendUvarint(buf[:0], binVersion)
-	buf = binary.AppendUvarint(buf, uint64(s.count))
+	buf = binary.AppendUvarint(buf, uint64(v.Len()))
 	buf = binary.AppendUvarint(buf, uint64(len(terms)))
-	buf = binary.AppendUvarint(buf, uint64(len(s.modelNames)))
-	buf = binary.AppendUvarint(buf, uint64(len(s.virtual)))
-	buf = binary.AppendUvarint(buf, uint64(len(s.indexes)))
+	buf = binary.AppendUvarint(buf, uint64(len(v.modelNames)))
+	buf = binary.AppendUvarint(buf, uint64(len(v.virtual)))
+	buf = binary.AppendUvarint(buf, uint64(len(v.runs)))
 	if err := writeSection(secHeader, buf); err != nil {
 		return err
 	}
@@ -172,7 +167,7 @@ func (s *Store) snapshotBinaryLocked(w io.Writer) error {
 
 	// Model-name table, ID order.
 	buf = buf[:0]
-	for _, name := range s.modelNames {
+	for _, name := range v.modelNames {
 		buf = binary.AppendUvarint(buf, uint64(len(name)))
 		buf = append(buf, name...)
 	}
@@ -181,8 +176,8 @@ func (s *Store) snapshotBinaryLocked(w io.Writer) error {
 	}
 
 	// Virtual-model table, sorted by name for determinism.
-	names := make([]string, 0, len(s.virtual))
-	for name := range s.virtual {
+	names := make([]string, 0, len(v.virtual))
+	for name := range v.virtual {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -190,7 +185,7 @@ func (s *Store) snapshotBinaryLocked(w io.Writer) error {
 	for _, name := range names {
 		buf = binary.AppendUvarint(buf, uint64(len(name)))
 		buf = append(buf, name...)
-		ids := s.virtual[name]
+		ids := v.virtual[name]
 		buf = binary.AppendUvarint(buf, uint64(len(ids)))
 		for _, id := range ids {
 			buf = binary.AppendUvarint(buf, uint64(id))
@@ -200,35 +195,20 @@ func (s *Store) snapshotBinaryLocked(w io.Writer) error {
 		return err
 	}
 
-	// One section per index: the base rows with tombstones elided and
-	// the delta buffer merged in, in the index's own key order — the
+	// One section per index: its live rows in its own key order — the
 	// final row array, ready for bulk decode.
-	for _, ix := range s.indexes {
-		buf = buf[:0]
-		spec := ix.perm.String()
-		buf = append(buf, spec...)
-		buf = binary.AppendUvarint(buf, uint64(s.count))
-		delta := append([]IDQuad(nil), s.delta...)
-		sort.Slice(delta, func(i, j int) bool { return ix.less(delta[i], delta[j]) })
-		di := 0
-		emit := func(q IDQuad) {
-			for _, c := range ix.perm {
-				buf = binary.AppendUvarint(buf, uint64(q.Get(c)))
+	for i := range v.runs {
+		r := &v.runs[i]
+		buf = append(buf[:0], r.ix.perm.String()...)
+		buf = binary.AppendUvarint(buf, uint64(v.Len()))
+		r.merge(r.base, dpos{}, dpos{c: len(r.delta)}, AnyPattern(), DefaultBatchRows, func(rows []IDQuad) bool {
+			for _, q := range rows {
+				for _, c := range r.ix.perm {
+					buf = binary.AppendUvarint(buf, uint64(q.Get(c)))
+				}
 			}
-		}
-		for _, q := range ix.rows {
-			if _, gone := s.dead[q]; gone {
-				continue
-			}
-			for di < len(delta) && ix.less(delta[di], q) {
-				emit(delta[di])
-				di++
-			}
-			emit(q)
-		}
-		for ; di < len(delta); di++ {
-			emit(delta[di])
-		}
+			return true
+		})
 		if err := writeSection(secIndex, buf); err != nil {
 			return err
 		}
@@ -353,11 +333,11 @@ func RestoreBinary(data []byte) (*Store, error) {
 	}
 
 	var (
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		decErr  error
-		dict    *Dict
-		indexes = make([]*Index, len(indexSecs))
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		decErr error
+		dict   *Dict
+		runs   = make([]run, len(indexSecs))
 	)
 	fail := func(err error) {
 		mu.Lock()
@@ -388,51 +368,50 @@ func RestoreBinary(data []byte) (*Store, error) {
 	for i := range indexSecs {
 		i := i
 		run(func() {
-			ix, err := decodeIndex(indexSecs[i], hdr)
+			r, err := decodeIndex(indexSecs[i], hdr)
 			if err != nil {
 				fail(err)
 				return
 			}
-			indexes[i] = ix
+			runs[i] = r
 		})
 	}
 	wg.Wait()
 	if decErr != nil {
 		return nil, decErr
 	}
-	for i, ix := range indexes {
+	for i := range runs {
 		for j := 0; j < i; j++ {
-			if indexes[j].perm == ix.perm {
-				return nil, corruptf("duplicate index section %s", ix.perm.String())
+			if runs[j].ix.perm == runs[i].ix.perm {
+				return nil, corruptf("duplicate index section %s", runs[i].ix.perm.String())
 			}
 		}
 	}
 
-	st := &Store{
-		dict:       dict,
+	st := &Store{dict: dict}
+	v := &View{
+		st:         st,
+		runs:       runs,
 		modelIDs:   make(map[string]ModelID, len(modelNames)),
 		modelNames: modelNames,
 		virtual:    make(map[string][]ModelID, len(virtuals)),
-		indexes:    indexes,
-		deltaSet:   make(map[IDQuad]struct{}),
-		dead:       make(map[IDQuad]struct{}),
-		count:      int(hdr.quads),
 	}
 	for i, name := range modelNames {
-		if _, dup := st.modelIDs[name]; dup {
+		if _, dup := v.modelIDs[name]; dup {
 			return nil, corruptf("duplicate model name %q", name)
 		}
-		st.modelIDs[name] = ModelID(i + 1)
+		v.modelIDs[name] = ModelID(i + 1)
 	}
-	for _, v := range virtuals {
-		if _, clash := st.modelIDs[v.name]; clash {
-			return nil, corruptf("virtual model %q collides with a model name", v.name)
+	for _, vm := range virtuals {
+		if _, clash := v.modelIDs[vm.name]; clash {
+			return nil, corruptf("virtual model %q collides with a model name", vm.name)
 		}
-		if _, dup := st.virtual[v.name]; dup {
-			return nil, corruptf("duplicate virtual model %q", v.name)
+		if _, dup := v.virtual[vm.name]; dup {
+			return nil, corruptf("duplicate virtual model %q", vm.name)
 		}
-		st.virtual[v.name] = v.ids
+		v.virtual[vm.name] = vm.ids
 	}
+	st.cur.Store(v)
 	return st, nil
 }
 
@@ -645,49 +624,49 @@ func decodeVirtuals(p []byte, count, models uint64) ([]binVirtual, error) {
 // sorted row array. Every column value is range-checked against the
 // dict and model tables and the sort order is verified, so a decoded
 // index can never panic a later Term lookup or break binary search.
-func decodeIndex(p []byte, hdr binHeader) (*Index, error) {
+func decodeIndex(p []byte, hdr binHeader) (run, error) {
 	if len(p) < int(numCols) {
-		return nil, corruptf("index section shorter than its permutation spec")
+		return run{}, corruptf("index section shorter than its permutation spec")
 	}
 	perm, err := ParsePermutation(string(p[:numCols]))
 	if err != nil {
-		return nil, corruptf("index section: %v", err)
+		return run{}, corruptf("index section: %v", err)
 	}
 	off := int(numCols)
 	count, n := binary.Uvarint(p[off:])
 	if n <= 0 {
-		return nil, corruptf("index %s: truncated row count", perm.String())
+		return run{}, corruptf("index %s: truncated row count", perm.String())
 	}
 	off += n
 	if count != hdr.quads {
-		return nil, corruptf("index %s declares %d rows, header declares %d quads", perm.String(), count, hdr.quads)
+		return run{}, corruptf("index %s declares %d rows, header declares %d quads", perm.String(), count, hdr.quads)
 	}
 	if count > uint64(len(p)-off)+1 {
-		return nil, corruptf("index %s declares %d rows in %d bytes", perm.String(), count, len(p)-off)
+		return run{}, corruptf("index %s declares %d rows in %d bytes", perm.String(), count, len(p)-off)
 	}
-	ix := NewIndex(perm)
+	ix := &Index{perm: perm}
 	rows := make([]IDQuad, count)
 	for i := range rows {
 		var q IDQuad
 		for _, c := range perm {
 			v, n := binary.Uvarint(p[off:])
 			if n <= 0 {
-				return nil, corruptf("index %s: truncated row %d", perm.String(), i)
+				return run{}, corruptf("index %s: truncated row %d", perm.String(), i)
 			}
 			off += n
 			id := ID(v)
 			switch c {
 			case ColS, ColP, ColC:
 				if id == NoID || uint64(id) > hdr.terms {
-					return nil, corruptf("index %s row %d: term ID %d out of range", perm.String(), i, id)
+					return run{}, corruptf("index %s row %d: term ID %d out of range", perm.String(), i, id)
 				}
 			case ColG:
 				if uint64(id) > hdr.terms {
-					return nil, corruptf("index %s row %d: graph ID %d out of range", perm.String(), i, id)
+					return run{}, corruptf("index %s row %d: graph ID %d out of range", perm.String(), i, id)
 				}
 			case ColM:
 				if id == NoID || uint64(id) > hdr.models {
-					return nil, corruptf("index %s row %d: model ID %d out of range", perm.String(), i, id)
+					return run{}, corruptf("index %s row %d: model ID %d out of range", perm.String(), i, id)
 				}
 			}
 			switch c {
@@ -704,20 +683,12 @@ func decodeIndex(p []byte, hdr binHeader) (*Index, error) {
 			}
 		}
 		if i > 0 && !ix.less(rows[i-1], q) {
-			return nil, corruptf("index %s rows %d..%d out of order", perm.String(), i-1, i)
+			return run{}, corruptf("index %s rows %d..%d out of order", perm.String(), i-1, i)
 		}
 		rows[i] = q
 	}
 	if off != len(p) {
-		return nil, corruptf("index %s has %d trailing bytes", perm.String(), len(p)-off)
+		return run{}, corruptf("index %s has %d trailing bytes", perm.String(), len(p)-off)
 	}
-	ix.rows = rows
-	return ix, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return run{ix: ix, base: rows}, nil
 }

@@ -8,10 +8,10 @@ import "repro/internal/rdf"
 // several scans, ...).
 //
 // A Cursor is a consistent snapshot: the matching rows are materialized
-// under the store's read lock at creation time, so later inserts,
-// deletes and compactions do not affect it. The price is O(matches)
-// memory, which is the same bound the callback API's consumers pay in
-// practice when they buffer rows.
+// from one store version at creation time, so later inserts, deletes
+// and compactions do not affect it. The price is O(matches) memory,
+// which is the same bound the callback API's consumers pay in practice
+// when they buffer rows.
 //
 // Every Cursor MUST be closed (or fully drained; Next reports
 // exhaustion and then Close becomes a no-op bookkeeping call that is
@@ -27,18 +27,16 @@ type Cursor struct {
 }
 
 // Cursor returns a snapshot iterator over the quads matching p, in the
-// key order of the index chosen for the pattern (delta rows follow the
-// indexed rows). The caller must Close it.
-func (s *Store) Cursor(p Pattern) *Cursor {
+// key order of the index chosen for the pattern. The caller must Close
+// it.
+func (v *View) Cursor(p Pattern) *Cursor {
 	var rows []IDQuad
-	s.mu.RLock()
-	s.scanLocked(p, func(q IDQuad) bool {
-		rows = append(rows, q)
+	v.ScanBatch(p, 0, func(run []IDQuad) bool {
+		rows = append(rows, run...)
 		return true
 	})
-	s.mu.RUnlock()
-	s.openCursors.Add(1)
-	return &Cursor{st: s, rows: rows}
+	v.st.openCursors.Add(1)
+	return &Cursor{st: v.st, rows: rows}
 }
 
 // Next returns the next matching quad. ok is false once the cursor is

@@ -43,8 +43,8 @@ func NewFaultInjector() *FaultInjector {
 }
 
 // StallScans injects d of latency every Nth scanned row (every <= 0
-// disables). The stall happens while the scan holds the store's read
-// lock, modeling a slow storage layer that also delays writers.
+// disables), modeling a slow storage layer. Scans hold no lock, so a
+// stalled reader delays no writer.
 func (f *FaultInjector) StallScans(every int, d time.Duration) {
 	f.delayNs.Store(int64(d))
 	f.delayEvery.Store(int64(every))
@@ -89,15 +89,17 @@ func (f *FaultInjector) observeRow() {
 // injector. Safe to call concurrently with readers.
 func (s *Store) SetFaultInjector(f *FaultInjector) { s.fault.Store(f) }
 
-// faultWrap wraps a scan callback with the injector's per-row hook when
-// one is installed.
-func (s *Store) faultWrap(fn func(IDQuad) bool) func(IDQuad) bool {
+// faultWrap wraps a batch callback so that an installed injector
+// observes every row of a run before the callback sees the run.
+func (s *Store) faultWrap(fn func([]IDQuad) bool) func([]IDQuad) bool {
 	f := s.fault.Load()
 	if f == nil {
 		return fn
 	}
-	return func(q IDQuad) bool {
-		f.observeRow()
-		return fn(q)
+	return func(run []IDQuad) bool {
+		for range run {
+			f.observeRow()
+		}
+		return fn(run)
 	}
 }

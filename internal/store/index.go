@@ -80,6 +80,17 @@ func (p Pattern) Matches(q IDQuad) bool {
 		(p.M == Any || p.M == q.M)
 }
 
+// bound returns the number of bound (non-wildcard) columns.
+func (p Pattern) bound() int {
+	n := 0
+	for c := ColS; c < numCols; c++ {
+		if p.Get(c) != Any {
+			n++
+		}
+	}
+	return n
+}
+
 // BoundCols returns the set of bound (non-wildcard) columns.
 func (p Pattern) BoundCols() []Col {
 	var cols []Col
@@ -122,29 +133,21 @@ func (p Permutation) String() string {
 	return string(b)
 }
 
-// Index is a semantic-network index: the full quads table sorted by a key
-// permutation, scanned with binary search on the bound key prefix.
+// Index is the identity of a semantic-network index: its key permutation
+// and its usage counters. The rows live in store versions (see run), so
+// an Index survives every update and compaction of the store it belongs
+// to.
 type Index struct {
 	perm Permutation
-	rows []IDQuad
 
 	// Usage statistics, exposed for plan verification (Table 5).
-	// Updated atomically: scans run under the store's read lock, so
-	// many readers may bump them concurrently.
+	// Atomic: any number of readers scan concurrently.
 	rangeScans atomic.Int64
 	fullScans  atomic.Int64
 }
 
-// NewIndex creates an empty index with the given key permutation.
-func NewIndex(perm Permutation) *Index {
-	return &Index{perm: perm}
-}
-
 // Perm returns the index key permutation.
 func (ix *Index) Perm() Permutation { return ix.perm }
-
-// Len returns the number of rows in the index.
-func (ix *Index) Len() int { return len(ix.rows) }
 
 func (ix *Index) less(a, b IDQuad) bool {
 	for _, c := range ix.perm {
@@ -154,18 +157,6 @@ func (ix *Index) less(a, b IDQuad) bool {
 		}
 	}
 	return false
-}
-
-// Build replaces the index contents with rows, sorting by the key. The
-// slice is not retained by the caller afterwards.
-func (ix *Index) Build(rows []IDQuad) {
-	ix.build(rows, 1)
-}
-
-// build is Build with a worker budget for the sort (see sortQuads).
-func (ix *Index) build(rows []IDQuad, workers int) {
-	ix.rows = rows
-	sortQuads(ix.rows, ix.less, workers)
 }
 
 // prefixLen returns how many leading key columns of the pattern are bound.
@@ -178,18 +169,6 @@ func (ix *Index) prefixLen(p Pattern) int {
 		n++
 	}
 	return n
-}
-
-// rangeOf returns the half-open row range whose first n key columns equal
-// the pattern's values.
-func (ix *Index) rangeOf(p Pattern, n int) (lo, hi int) {
-	lo = sort.Search(len(ix.rows), func(i int) bool {
-		return !ix.lessPrefix(ix.rows[i], p, n)
-	})
-	hi = sort.Search(len(ix.rows), func(i int) bool {
-		return ix.greaterPrefix(ix.rows[i], p, n)
-	})
-	return lo, hi
 }
 
 func (ix *Index) lessPrefix(q IDQuad, p Pattern, n int) bool {
@@ -214,88 +193,91 @@ func (ix *Index) greaterPrefix(q IDQuad, p Pattern, n int) bool {
 	return false
 }
 
-// Scan calls fn for every quad matching the pattern, in key order. It
-// uses an index range scan when a key prefix is bound and a full index
-// scan otherwise (the two access paths of §3.2). Iteration stops early if
-// fn returns false.
-func (ix *Index) Scan(p Pattern, fn func(IDQuad) bool) {
-	n := ix.prefixLen(p)
-	lo, hi := 0, len(ix.rows)
-	if n > 0 {
-		lo, hi = ix.rangeOf(p, n)
-		ix.rangeScans.Add(1)
-	} else {
-		ix.fullScans.Add(1)
-	}
-	for i := lo; i < hi; i++ {
-		if p.Matches(ix.rows[i]) && !fn(ix.rows[i]) {
-			return
-		}
-	}
+// run is one index's rows in one store version: the base array sorted
+// by the index key, shared between versions and replaced only by
+// compaction and bulk load, plus the delta accumulated since. The live
+// rows are the base rows without a tombstone plus the delta's inserts.
+type run struct {
+	ix    *Index
+	base  []IDQuad
+	delta deltaRun
 }
 
-// EstimateCount returns the number of rows in the range addressed by the
-// bound key prefix of p — an upper bound on the matching rows, computed
-// in O(log n). Used by the query optimizer for selectivity estimates.
-func (ix *Index) EstimateCount(p Pattern) int {
-	n := ix.prefixLen(p)
-	if n == 0 {
-		return len(ix.rows)
-	}
-	lo, hi := ix.rangeOf(p, n)
-	return hi - lo
+// baseRange returns the half-open range of base rows whose first n key
+// columns equal the pattern's values.
+func (r *run) baseRange(p Pattern, n int) (lo, hi int) {
+	lo = sort.Search(len(r.base), func(i int) bool {
+		return !r.ix.lessPrefix(r.base[i], p, n)
+	})
+	hi = lo + sort.Search(len(r.base)-lo, func(i int) bool {
+		return r.ix.greaterPrefix(r.base[lo+i], p, n)
+	})
+	return lo, hi
 }
 
-// Contains reports whether the exact quad is present. It does not count
-// as a scan in the usage statistics (it is the store's internal
-// uniqueness check, not a query access path).
-func (ix *Index) Contains(q IDQuad) bool {
-	p := Pattern{S: q.S, P: q.P, C: q.C, G: q.G, M: q.M}
-	lo, hi := ix.rangeOf(p, int(numCols))
-	return hi > lo
-}
-
-// insertSorted inserts qs preserving order (used by compaction).
-func (ix *Index) insertSorted(qs []IDQuad) {
-	ix.insertSortedN(qs, 1)
-}
-
-// insertSortedN is insertSorted with a worker budget for sorting the
-// incoming batch — the bulk-load path hands each index a slice of the
-// store's parallelism so index merges and batch sorts overlap.
-func (ix *Index) insertSortedN(qs []IDQuad, workers int) {
-	if len(qs) == 0 {
+// deltaRange is baseRange over the delta entries.
+func (r *run) deltaRange(p Pattern, n int) (from, to dpos) {
+	if len(r.delta) == 0 {
 		return
 	}
-	sortQuads(qs, ix.less, workers)
-	merged := make([]IDQuad, 0, len(ix.rows)+len(qs))
-	i, j := 0, 0
-	for i < len(ix.rows) && j < len(qs) {
-		if ix.less(qs[j], ix.rows[i]) {
-			merged = append(merged, qs[j])
-			j++
-		} else {
-			merged = append(merged, ix.rows[i])
-			i++
-		}
-	}
-	merged = append(merged, ix.rows[i:]...)
-	merged = append(merged, qs[j:]...)
-	ix.rows = merged
+	from = r.delta.seek(func(q IDQuad) bool { return !r.ix.lessPrefix(q, p, n) })
+	to = r.delta.seek(func(q IDQuad) bool { return r.ix.greaterPrefix(q, p, n) })
+	return from, to
 }
 
-// remove deletes all quads in the set from the index.
-func (ix *Index) remove(del map[IDQuad]struct{}) {
-	if len(del) == 0 {
-		return
-	}
-	out := ix.rows[:0]
-	for _, q := range ix.rows {
-		if _, gone := del[q]; !gone {
-			out = append(out, q)
+// estimate returns the number of live rows in the range addressed by
+// the bound key prefix of p — an upper bound on the matching rows that
+// does not depend on how the rows are split between base and delta.
+func (r *run) estimate(p Pattern) int {
+	n := r.ix.prefixLen(p)
+	lo, hi := r.baseRange(p, n)
+	from, to := r.deltaRange(p, n)
+	return hi - lo + r.delta.net(from, to)
+}
+
+// lookup reports whether the exact quad is live, and whether the base
+// array holds it (live or tombstoned). It does not count as a scan in
+// the usage statistics: it is the store's uniqueness check, not a query
+// access path.
+func (r *run) lookup(q IDQuad) (live, inBase bool) {
+	if len(r.delta) > 0 {
+		at := r.delta.seek(func(x IDQuad) bool { return !r.ix.less(x, q) })
+		if at.c < len(r.delta) {
+			if e := r.delta[at.c].e[at.i]; e.q == q {
+				return !e.tomb, e.tomb
+			}
 		}
 	}
-	ix.rows = out
+	i := sort.Search(len(r.base), func(i int) bool { return !r.ix.less(r.base[i], q) })
+	inBase = i < len(r.base) && r.base[i] == q
+	return inBase, inBase
+}
+
+// compacted returns the run with the delta folded into a new base
+// array; the old array is left to the versions that still read it.
+func (r *run) compacted() run {
+	if len(r.delta) == 0 {
+		return *r
+	}
+	end := dpos{c: len(r.delta)}
+	merged := make([]IDQuad, 0, len(r.base)+r.delta.net(dpos{}, end))
+	r.merge(r.base, dpos{}, end, AnyPattern(), len(r.base)+1, func(rows []IDQuad) bool {
+		merged = append(merged, rows...)
+		return true
+	})
+	return run{ix: r.ix, base: merged}
+}
+
+// loaded returns the run with rows, none of which it holds, merged into
+// a new base array. The delta must be empty. rows is reordered.
+func (r *run) loaded(rows []IDQuad, workers int) run {
+	if len(rows) == 0 {
+		return *r
+	}
+	sortQuads(rows, r.ix.less, workers)
+	merged := make([]IDQuad, len(r.base)+len(rows))
+	mergeRuns(merged, r.base, rows, r.ix.less)
+	return run{ix: r.ix, base: merged}
 }
 
 // keyCompressedCells estimates the number of stored key cells under
@@ -303,17 +285,17 @@ func (ix *Index) remove(del map[IDQuad]struct{}) {
 // key prefix, modeling Oracle's index key compression. Used for Table 9
 // storage accounting (it is why, e.g., GPSCM on NG data compresses worse
 // than PCSGM: G is nearly unique per row).
-func (ix *Index) keyCompressedCells() int64 {
+func (r *run) keyCompressedCells() int64 {
 	var cells int64
 	var prev IDQuad
-	for i, q := range ix.rows {
+	for i, q := range r.base {
 		if i == 0 {
 			cells += int64(numCols)
 			prev = q
 			continue
 		}
 		shared := 0
-		for _, c := range ix.perm {
+		for _, c := range r.ix.perm {
 			if q.Get(c) == prev.Get(c) {
 				shared++
 			} else {

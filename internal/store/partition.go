@@ -1,14 +1,14 @@
 package store
 
 // Morsel partitioning: the scan-side half of the engine's morsel-driven
-// parallelism (DESIGN.md §10). An index or cursor snapshot is a sorted
-// quad slice, so a "morsel" is simply a contiguous row range; splitting
-// the range yields disjoint morsels that together cover the scan and
+// parallelism (DESIGN.md §10). A cursor snapshot is a sorted quad
+// slice, so a "morsel" is simply a contiguous row range; splitting the
+// range yields disjoint morsels that together cover the scan and
 // preserve global row order when processed (or merged back) in range
 // order.
 
-// RowRange is a half-open [Lo, Hi) row interval inside an index or a
-// cursor snapshot — one morsel of a partitioned scan.
+// RowRange is a half-open [Lo, Hi) row interval inside a cursor
+// snapshot or a slice being sorted — one morsel of a partitioned scan.
 type RowRange struct {
 	Lo, Hi int
 }
@@ -38,35 +38,6 @@ func splitRange(lo, hi, n int) []RowRange {
 		at = next
 	}
 	return out
-}
-
-// Partitions splits the rows addressed by the pattern's bound key prefix
-// into at most n disjoint contiguous morsels, in key order. Together the
-// morsels cover exactly the rows a Scan with the same pattern would
-// visit from the index (rows inside a morsel still need Matches
-// filtering, exactly as Scan filters within its prefix range).
-func (ix *Index) Partitions(p Pattern, n int) []RowRange {
-	lo, hi := 0, len(ix.rows)
-	if pl := ix.prefixLen(p); pl > 0 {
-		lo, hi = ix.rangeOf(p, pl)
-	}
-	return splitRange(lo, hi, n)
-}
-
-// ScanRange calls fn for every quad in the morsel r that matches p, in
-// key order, stopping early if fn returns false. It is the per-morsel
-// counterpart of Scan: iterating the ranges of Partitions(p, n) in order
-// visits exactly the rows Scan(p, fn) would.
-func (ix *Index) ScanRange(r RowRange, p Pattern, fn func(IDQuad) bool) {
-	hi := r.Hi
-	if hi > len(ix.rows) {
-		hi = len(ix.rows)
-	}
-	for i := r.Lo; i < hi; i++ {
-		if p.Matches(ix.rows[i]) && !fn(ix.rows[i]) {
-			return
-		}
-	}
 }
 
 // Partitions splits the cursor's remaining rows into at most n

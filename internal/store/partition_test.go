@@ -60,40 +60,6 @@ func TestSplitRangeProperties(t *testing.T) {
 	}
 }
 
-// TestIndexPartitionsCoverScan verifies that scanning every partition
-// range in order reproduces exactly the rows of one full Index.Scan.
-func TestIndexPartitionsCoverScan(t *testing.T) {
-	s := partitionTestStore(t, 3000)
-	s.mu.RLock()
-	ix := s.indexes[0]
-	s.mu.RUnlock()
-
-	p := AnyPattern()
-	p.P = s.Dict().Lookup(iri("p3"))
-	if p.P == NoID {
-		t.Fatal("predicate p3 not interned")
-	}
-	var whole []IDQuad
-	ix.Scan(p, func(q IDQuad) bool { whole = append(whole, q); return true })
-	if len(whole) == 0 {
-		t.Fatal("empty scan; fixture broken")
-	}
-	for _, n := range []int{1, 3, 8, len(whole) + 5} {
-		var pieced []IDQuad
-		for _, r := range ix.Partitions(p, n) {
-			ix.ScanRange(r, p, func(q IDQuad) bool { pieced = append(pieced, q); return true })
-		}
-		if len(pieced) != len(whole) {
-			t.Fatalf("n=%d: partitioned scan rows = %d, want %d", n, len(pieced), len(whole))
-		}
-		for i := range whole {
-			if pieced[i] != whole[i] {
-				t.Fatalf("n=%d: row %d = %+v, want %+v", n, i, pieced[i], whole[i])
-			}
-		}
-	}
-}
-
 // TestCursorPartitions verifies the cursor splitter: children are
 // disjoint, ordered, cover the parent snapshot, and hand the open-
 // cursor gauge over from parent to children.

@@ -42,53 +42,39 @@ import (
 
 const snapshotHeader = "# pgrdf-snapshot v1"
 
-// Snapshot writes the whole store (all models, virtual model
-// definitions and index configuration) to w.
-//
-// The entire dump is taken under one read-lock acquisition, so the
-// result is a point-in-time view: a snapshot can never contain half of
-// a concurrent update, a virtual-model directive out of step with the
-// model sections, or quads from different models at different times.
-// Writers block until the dump completes (the streaming /export cursor
-// is the surface for lock-free exports).
-func (s *Store) Snapshot(w io.Writer) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.snapshotLocked(w)
-}
-
-//pgrdf:locks mu
-func (s *Store) snapshotLocked(w io.Writer) error {
+// Snapshot writes the whole version (all models, virtual model
+// definitions and index configuration) to w. A View is a point in time:
+// the dump can never contain half of a concurrent update, a
+// virtual-model directive out of step with the model sections, or
+// quads from different models at different times — and no writer waits
+// for it.
+func (v *View) Snapshot(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintln(bw, snapshotHeader); err != nil {
 		return err
 	}
-	specs := make([]string, len(s.indexes))
-	for i, ix := range s.indexes {
-		specs[i] = ix.perm.String()
-	}
-	if _, err := fmt.Fprintf(bw, "# indexes %s\n", strings.Join(specs, ",")); err != nil {
+	if _, err := fmt.Fprintf(bw, "# indexes %s\n", strings.Join(v.Indexes(), ",")); err != nil {
 		return err
 	}
 
-	// s.virtual is a map; sort so equal stores snapshot to equal bytes
+	// v.virtual is a map; sort so equal stores snapshot to equal bytes
 	// (crash recovery is verified by byte-comparing snapshots).
-	for _, v := range s.virtualDefsLocked() {
-		escaped := make([]string, len(v.members))
-		for i, m := range v.members {
+	for _, vd := range v.virtualDefs() {
+		escaped := make([]string, len(vd.members))
+		for i, m := range vd.members {
 			escaped[i] = escapeName(m)
 		}
-		if _, err := fmt.Fprintf(bw, "# virtual %s = %s\n", escapeName(v.name), strings.Join(escaped, ",")); err != nil {
+		if _, err := fmt.Fprintf(bw, "# virtual %s = %s\n", escapeName(vd.name), strings.Join(escaped, ",")); err != nil {
 			return err
 		}
 	}
 
-	for i, model := range s.modelNames {
+	for i, model := range v.modelNames {
 		if _, err := fmt.Fprintf(bw, "# model %s\n", escapeName(model)); err != nil {
 			return err
 		}
 		nw := ntriples.NewWriter(bw)
-		for _, q := range s.exportLocked(ModelID(i + 1)) {
+		for _, q := range v.exportModel(ModelID(i + 1)) {
 			if err := nw.Write(q); err != nil {
 				return err
 			}
@@ -100,43 +86,28 @@ func (s *Store) snapshotLocked(w io.Writer) error {
 	return bw.Flush()
 }
 
+// Snapshot is View.Snapshot on the current version.
+func (s *Store) Snapshot(w io.Writer) error { return s.View().Snapshot(w) }
+
 // vdef is one virtual-model definition with member names resolved.
 type vdef struct {
 	name    string
 	members []string
 }
 
-// virtualDefsLocked resolves the virtual-model table to names, sorted
-// by virtual-model name for deterministic serialization.
-//
-//pgrdf:locks mu
-func (s *Store) virtualDefsLocked() []vdef {
-	vdefs := make([]vdef, 0, len(s.virtual))
-	for name, ids := range s.virtual {
+// virtualDefs resolves the virtual-model table to names, sorted by
+// virtual-model name for deterministic serialization.
+func (v *View) virtualDefs() []vdef {
+	vdefs := make([]vdef, 0, len(v.virtual))
+	for name, ids := range v.virtual {
 		members := make([]string, len(ids))
 		for i, id := range ids {
-			members[i] = s.modelNames[id-1]
+			members[i] = v.modelNames[id-1]
 		}
 		vdefs = append(vdefs, vdef{name: name, members: members})
 	}
 	sort.Slice(vdefs, func(i, j int) bool { return vdefs[i].name < vdefs[j].name })
 	return vdefs
-}
-
-// exportLocked materializes one model's quads in the deterministic
-// lexical order Export promises.
-//
-//pgrdf:locks mu
-func (s *Store) exportLocked(m ModelID) []rdf.Quad {
-	p := AnyPattern()
-	p.M = m
-	var quads []rdf.Quad
-	s.scanLocked(p, func(q IDQuad) bool {
-		quads = append(quads, s.quadTerms(q))
-		return true
-	})
-	sort.Slice(quads, func(i, j int) bool { return rdf.CompareQuads(quads[i], quads[j]) < 0 })
-	return quads
 }
 
 // escapeName percent-escapes a model or virtual-model name for use in

@@ -15,17 +15,17 @@ type DatasetStats struct {
 
 // Stats computes DatasetStats over the union of the given models (all
 // models when none are given).
-func (s *Store) Stats(models ...string) (DatasetStats, error) {
+func (v *View) Stats(models ...string) (DatasetStats, error) {
 	var ids []ModelID
 	if len(models) == 0 {
 		var err error
-		ids, err = s.ResolveDataset("")
+		ids, err = v.ResolveDataset("")
 		if err != nil {
 			return DatasetStats{}, err
 		}
 	} else {
 		for _, m := range models {
-			sub, err := s.ResolveDataset(m)
+			sub, err := v.ResolveDataset(m)
 			if err != nil {
 				return DatasetStats{}, err
 			}
@@ -40,7 +40,7 @@ func (s *Store) Stats(models ...string) (DatasetStats, error) {
 	for _, m := range ids {
 		p := AnyPattern()
 		p.M = m
-		s.Scan(p, func(q IDQuad) bool {
+		v.Scan(p, func(q IDQuad) bool {
 			st.Quads++
 			subs[q.S] = struct{}{}
 			preds[q.P] = struct{}{}
@@ -66,17 +66,20 @@ type IndexStats struct {
 	FullScans  int64
 }
 
+// Stats is View.Stats on the current version.
+func (s *Store) Stats(models ...string) (DatasetStats, error) { return s.View().Stats(models...) }
+
 // IndexStatsSnapshot returns the current per-index counters.
 func (s *Store) IndexStatsSnapshot() []IndexStats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]IndexStats, 0, len(s.indexes))
-	for _, ix := range s.indexes {
+	v := s.View()
+	out := make([]IndexStats, 0, len(v.runs))
+	for i := range v.runs {
+		r := &v.runs[i]
 		out = append(out, IndexStats{
-			Spec:       ix.perm.String(),
-			Rows:       ix.Len(),
-			RangeScans: ix.rangeScans.Load(),
-			FullScans:  ix.fullScans.Load(),
+			Spec:       r.ix.perm.String(),
+			Rows:       len(r.base),
+			RangeScans: r.ix.rangeScans.Load(),
+			FullScans:  r.ix.fullScans.Load(),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Spec < out[j].Spec })
@@ -85,10 +88,35 @@ func (s *Store) IndexStatsSnapshot() []IndexStats {
 
 // ResetIndexStats zeroes the per-index scan counters.
 func (s *Store) ResetIndexStats() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, ix := range s.indexes {
-		ix.rangeScans.Store(0)
-		ix.fullScans.Store(0)
+	v := s.View()
+	for i := range v.runs {
+		v.runs[i].ix.rangeScans.Store(0)
+		v.runs[i].ix.fullScans.Store(0)
+	}
+}
+
+// WriteStats describes the write path from the outside: how much
+// unmerged delta the current version carries — what a scan merges on
+// top of the base arrays — and how often and for how long writers have
+// compacted and published.
+type WriteStats struct {
+	Version           uint64
+	DeltaRows         int // inserts not yet compacted into the base arrays
+	Tombstones        int // base rows deleted but not yet compacted away
+	Compactions       int64
+	CompactionNanos   int64
+	VersionsPublished int64
+}
+
+// WriteStats returns the current write-path gauges and counters.
+func (s *Store) WriteStats() WriteStats {
+	v := s.View()
+	return WriteStats{
+		Version:           v.Version,
+		DeltaRows:         v.inserts,
+		Tombstones:        v.tombs,
+		Compactions:       s.compactions.Load(),
+		CompactionNanos:   s.compactionNanos.Load(),
+		VersionsPublished: s.published.Load(),
 	}
 }

@@ -49,27 +49,28 @@ func (r StorageReport) MB(name string) float64 {
 func (r StorageReport) TotalMB() float64 { return float64(r.Total) / (1 << 20) }
 
 // Storage computes the estimated physical storage of the store: the
-// quads (triples) table, the values table, and every index.
-func (s *Store) Storage() StorageReport {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+// quads (triples) table, the values table, and every index. An index is
+// costed on its base array, so the report moves with compaction, not
+// with each write.
+func (v *View) Storage() StorageReport {
 	var rep StorageReport
-	rows := int64(0)
-	if len(s.indexes) > 0 {
-		rows = int64(s.indexes[0].Len()) + int64(len(s.delta)) - int64(len(s.dead))
-	}
-	table := ObjectSize{Name: "Triples Table", Bytes: rows * bytesPerTableRow}
+	dict := v.st.dict
+	table := ObjectSize{Name: "Triples Table", Bytes: int64(v.Len()) * bytesPerTableRow}
 	values := ObjectSize{
 		Name:  "Values Table",
-		Bytes: s.dict.LexicalBytes() + int64(s.dict.Len())*bytesPerValueOverhead,
+		Bytes: dict.LexicalBytes() + int64(dict.Len())*bytesPerValueOverhead,
 	}
 	rep.Objects = append(rep.Objects, table, values)
 	rep.Total = table.Bytes + values.Bytes
-	for _, ix := range s.indexes {
-		b := ix.keyCompressedCells()*bytesPerKeyCell + int64(ix.Len())*bytesPerIndexEntry
-		o := ObjectSize{Name: ix.perm.String() + " Index", Bytes: b}
+	for i := range v.runs {
+		r := &v.runs[i]
+		b := r.keyCompressedCells()*bytesPerKeyCell + int64(len(r.base))*bytesPerIndexEntry
+		o := ObjectSize{Name: r.ix.perm.String() + " Index", Bytes: b}
 		rep.Objects = append(rep.Objects, o)
 		rep.Total += b
 	}
 	return rep
 }
+
+// Storage is View.Storage on the current version.
+func (s *Store) Storage() StorageReport { return s.View().Storage() }

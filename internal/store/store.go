@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/rdf"
 )
@@ -14,8 +15,8 @@ import (
 // ModelID identifies a semantic model (a partition of the quads table).
 type ModelID = ID
 
-// compactThreshold is the delta-buffer size that triggers automatic
-// compaction into the sorted indexes.
+// compactThreshold is the number of delta inserts, or of tombstones,
+// that triggers automatic compaction into new base arrays.
 const compactThreshold = 8192
 
 // ErrUnknownModel is wrapped by every error that reports a model or
@@ -28,39 +29,24 @@ func unknownModel(name string) error { return fmt.Errorf("%w %q", ErrUnknownMode
 // (partitions); every quad belongs to exactly one model. Virtual models
 // name unions of models and are resolved at query time.
 //
+// The contents are an immutable View behind an atomic pointer. Readers
+// pin the current View with one atomic load and never take a lock;
+// writers serialise on mu, build the successor View copy-on-write and
+// publish it with one pointer store, so a reader sees each write
+// operation entirely or not at all (DESIGN.md §18). The read methods on
+// Store are shorthand for the same method on View(): each call pins its
+// own version, so a caller that needs several reads of one state pins a
+// View itself.
+//
 // All methods are safe for concurrent use.
 type Store struct {
-	mu sync.RWMutex
+	// mu serialises writers. No read path takes it except ChangesSince,
+	// briefly, for the ring.
+	mu  sync.Mutex
+	cur atomic.Pointer[View]
 
-	// dict is set once at construction and internally synchronized; it
-	// is deliberately NOT guarded by mu (read paths resolve terms
-	// without the store lock).
+	// dict is set once at construction and internally synchronized.
 	dict *Dict
-
-	//pgrdf:guardedby mu
-	modelIDs map[string]ModelID
-	//pgrdf:guardedby mu
-	modelNames []string
-
-	//pgrdf:guardedby mu
-	virtual map[string][]ModelID
-
-	// all indexes hold the same row set
-	//pgrdf:guardedby mu
-	indexes []*Index
-
-	// inserted but not yet merged
-	//pgrdf:guardedby mu
-	delta []IDQuad
-	// membership for delta
-	//pgrdf:guardedby mu
-	deltaSet map[IDQuad]struct{}
-	// tombstones for base rows
-	//pgrdf:guardedby mu
-	dead map[IDQuad]struct{}
-	// live quads = base + delta - dead
-	//pgrdf:guardedby mu
-	count int
 
 	// par is the worker budget for bulk operations (Load, Compact,
 	// CreateIndex): all configured indexes are built concurrently and
@@ -75,20 +61,16 @@ type Store struct {
 	// openCursors counts Cursors created but not yet closed (leak gauge).
 	openCursors atomic.Int64
 
-	// version counts successful content mutations (Insert, Delete,
-	// Load); derived caches key their validity to it. See Version.
-	version atomic.Uint64
-
 	// changeLog is a ring over the last ChangeLogSize single-quad
-	// mutations: the Change that produced version v sits at
-	// changeLog[v%ChangeLogSize]. Allocated by the first Insert/Delete,
-	// so bulk-loaded read-only stores never pay for it.
+	// changes: the Change that produced version v sits at
+	// changeLog[v%ChangeLogSize]. Allocated by the first Apply, so
+	// bulk-loaded read-only stores never pay for it.
 	//pgrdf:guardedby mu
 	changeLog []Change
-	// logBarrier is the newest version produced by a mutation the log
-	// does not itemize (Load); no ChangesSince range may span it.
-	//pgrdf:guardedby mu
-	logBarrier uint64
+
+	published       atomic.Int64 // Views stored into cur
+	compactions     atomic.Int64
+	compactionNanos atomic.Int64
 }
 
 // DefaultIndexes are the two indexes Oracle creates on every semantic
@@ -110,15 +92,10 @@ func NewWithIndexes(specs []string) (*Store, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("store: at least one index is required")
 	}
-	s := &Store{
-		dict:     NewDict(),
-		modelIDs: make(map[string]ModelID),
-		virtual:  make(map[string][]ModelID),
-		deltaSet: make(map[IDQuad]struct{}),
-		dead:     make(map[IDQuad]struct{}),
-	}
+	s := &Store{dict: NewDict()}
+	s.cur.Store(&View{st: s})
 	for _, spec := range specs {
-		if err := s.createIndexLocked(spec); err != nil {
+		if err := s.CreateIndex(spec); err != nil {
 			return nil, err
 		}
 	}
@@ -127,6 +104,18 @@ func NewWithIndexes(specs []string) (*Store, error) {
 
 // Dict exposes the values table.
 func (s *Store) Dict() *Dict { return s.dict }
+
+// View pins the current version of the store.
+func (s *Store) View() *View { return s.cur.Load() }
+
+// Version returns the current View's Version: a counter advanced by
+// one for every quad an Apply (Insert, Delete) actually changed and by
+// one for a Load that added any. Consumers caching data derived from
+// store contents — e.g. the optimizer's cardinality estimates — compare
+// versions to decide whether their cache is still valid;
+// View.ChangesSince tells a consumer that wants to follow the store what
+// happened in between.
+func (s *Store) Version() uint64 { return s.View().Version }
 
 // SetParallelism sets the worker budget for bulk operations (Load,
 // Compact, CreateIndex). n <= 0 restores the default of
@@ -147,92 +136,92 @@ func (s *Store) Parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// insertAllLocked merges a deduplicated batch into every index. With a
-// worker budget above 1 the per-index merges run concurrently, and each
-// index's batch sort gets an equal share of the remaining budget —
-// bulk load builds all semantic-network indexes at once instead of one
-// after another. Must be called with mu held.
+// edit returns a private copy of the current View for a writer to
+// build the next version in. The copy shares every table and array
+// with the original; the writer replaces what it changes.
 //
 //pgrdf:locks mu
-func (s *Store) insertAllLocked(batch []IDQuad) {
-	if len(batch) == 0 {
-		return
-	}
-	w := s.Parallelism()
-	if w <= 1 {
-		for _, ix := range s.indexes {
-			ix.insertSorted(append([]IDQuad(nil), batch...))
+func (s *Store) edit() *View {
+	w := *s.cur.Load()
+	w.runs = append([]run(nil), w.runs...)
+	return &w
+}
+
+// publish makes w the current version.
+//
+//pgrdf:locks mu
+func (s *Store) publish(w *View) {
+	s.cur.Store(w)
+	s.published.Add(1)
+}
+
+// eachRun replaces every run of w by build's result, concurrently when
+// the worker budget allows; build receives that budget's per-index
+// share for its own sorting.
+func (s *Store) eachRun(w *View, build func(r *run, workers int) run) {
+	par := s.Parallelism()
+	if par <= 1 || len(w.runs) == 1 {
+		for i := range w.runs {
+			w.runs[i] = build(&w.runs[i], 1)
 		}
 		return
 	}
-	sortW := w / len(s.indexes)
-	if sortW < 1 {
-		sortW = 1
+	share := par / len(w.runs)
+	if share < 1 {
+		share = 1
 	}
 	var wg sync.WaitGroup
-	for _, ix := range s.indexes {
+	for i := range w.runs {
 		wg.Add(1)
-		go func(ix *Index) {
+		go func(r *run) {
 			defer wg.Done()
-			ix.insertSortedN(append([]IDQuad(nil), batch...), sortW)
-		}(ix)
+			*r = build(r, share)
+		}(&w.runs[i])
 	}
 	wg.Wait()
 }
 
-// removeAllLocked applies tombstones to every index, concurrently when
-// the worker budget allows. Must be called with mu held.
-//
-//pgrdf:locks mu
-func (s *Store) removeAllLocked(del map[IDQuad]struct{}) {
-	if len(del) == 0 {
+// compact folds w's deltas into new base arrays.
+func (s *Store) compact(w *View) {
+	if w.inserts == 0 && w.tombs == 0 {
 		return
 	}
-	if s.Parallelism() <= 1 || len(s.indexes) == 1 {
-		for _, ix := range s.indexes {
-			ix.remove(del)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for _, ix := range s.indexes {
-		wg.Add(1)
-		go func(ix *Index) {
-			defer wg.Done()
-			ix.remove(del)
-		}(ix)
-	}
-	wg.Wait()
+	start := time.Now()
+	s.eachRun(w, func(r *run, _ int) run { return r.compacted() })
+	w.inserts, w.tombs = 0, 0
+	s.compactions.Add(1)
+	s.compactionNanos.Add(time.Since(start).Nanoseconds())
 }
 
 // CreateIndex adds a semantic-network index with the given key spec
 // (e.g. "GSPCM"), populating it from the current contents.
 func (s *Store) CreateIndex(spec string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.createIndexLocked(spec)
-}
-
-//pgrdf:locks mu
-func (s *Store) createIndexLocked(spec string) error {
 	perm, err := ParsePermutation(spec)
 	if err != nil {
 		return err
 	}
-	for _, ix := range s.indexes {
-		if ix.perm == perm {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	w := s.edit()
+	for i := range w.runs {
+		if w.runs[i].ix.perm == perm {
 			return fmt.Errorf("store: index %s already exists", spec)
 		}
 	}
-	ix := NewIndex(perm)
-	if len(s.indexes) > 0 {
-		rows := make([]IDQuad, 0, s.indexes[0].Len())
-		for _, q := range s.indexes[0].rows {
-			rows = append(rows, q)
+	r := run{ix: &Index{perm: perm}}
+	if len(w.runs) > 0 {
+		from := &w.runs[0]
+		r.base = append([]IDQuad(nil), from.base...)
+		sortQuads(r.base, r.ix.less, s.Parallelism())
+		var entries []dentry
+		for _, c := range from.delta {
+			entries = append(entries, c.e...)
 		}
-		ix.build(rows, s.Parallelism())
+		sort.Slice(entries, func(i, j int) bool { return r.ix.less(entries[i].q, entries[j].q) })
+		r.delta = appendChunks(nil, entries)
 	}
-	s.indexes = append(s.indexes, ix)
+	w.runs = append(w.runs, r)
+	s.publish(w)
 	return nil
 }
 
@@ -245,69 +234,48 @@ func (s *Store) DropIndex(spec string) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i, ix := range s.indexes {
-		if ix.perm == perm {
-			if len(s.indexes) == 1 {
+	w := s.edit()
+	for i := range w.runs {
+		if w.runs[i].ix.perm == perm {
+			if len(w.runs) == 1 {
 				return fmt.Errorf("store: cannot drop the last index")
 			}
-			s.indexes = append(s.indexes[:i], s.indexes[i+1:]...)
+			w.runs = append(w.runs[:i], w.runs[i+1:]...)
+			s.publish(w)
 			return nil
 		}
 	}
 	return fmt.Errorf("store: no index %s", spec)
 }
 
-// Indexes returns the key specs of all indexes.
-func (s *Store) Indexes() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	specs := make([]string, len(s.indexes))
-	for i, ix := range s.indexes {
-		specs[i] = ix.perm.String()
-	}
-	return specs
-}
-
 // Model returns the ID for a semantic model, creating it if necessary.
 func (s *Store) Model(name string) ModelID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.modelLocked(name)
-}
-
-//pgrdf:locks mu
-func (s *Store) modelLocked(name string) ModelID {
-	if id, ok := s.modelIDs[name]; ok {
+	if id := s.View().LookupModel(name); id != NoID {
 		return id
 	}
-	s.modelNames = append(s.modelNames, name)
-	id := ModelID(len(s.modelNames))
-	s.modelIDs[name] = id
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	w := s.edit()
+	id := w.model(name)
+	s.publish(w)
 	return id
 }
 
-// LookupModel returns the ID for an existing model, or NoID.
-func (s *Store) LookupModel(name string) ModelID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.modelIDs[name]
-}
-
-// ModelName returns the name of a model ID.
-func (s *Store) ModelName(id ModelID) string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if id == NoID || int(id) > len(s.modelNames) {
-		return ""
+// model returns the ID of the named model in a writer's working View,
+// creating it (on copies of the model tables) when it is new.
+func (w *View) model(name string) ModelID {
+	if id, ok := w.modelIDs[name]; ok {
+		return id
 	}
-	return s.modelNames[id-1]
-}
-
-// Models returns the names of all semantic models, in creation order.
-func (s *Store) Models() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]string(nil), s.modelNames...)
+	ids := make(map[string]ModelID, len(w.modelIDs)+1)
+	for k, v := range w.modelIDs {
+		ids[k] = v
+	}
+	id := ModelID(len(w.modelNames) + 1)
+	ids[name] = id
+	w.modelIDs = ids
+	w.modelNames = append(w.modelNames[:len(w.modelNames):len(w.modelNames)], name)
+	return id
 }
 
 // CreateVirtualModel defines name as the union of the given models,
@@ -316,16 +284,17 @@ func (s *Store) Models() []string {
 func (s *Store) CreateVirtualModel(name string, members ...string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, exists := s.modelIDs[name]; exists {
+	w := s.edit()
+	if _, exists := w.modelIDs[name]; exists {
 		return fmt.Errorf("store: %q already names a semantic model", name)
 	}
 	var ids []ModelID
 	seen := make(map[ModelID]struct{})
 	for _, m := range members {
 		var memberIDs []ModelID
-		if vm, ok := s.virtual[m]; ok {
+		if vm, ok := w.virtual[m]; ok {
 			memberIDs = vm
-		} else if id, ok := s.modelIDs[m]; ok {
+		} else if id, ok := w.modelIDs[m]; ok {
 			memberIDs = []ModelID{id}
 		} else {
 			return fmt.Errorf("%w %q in virtual model %q", ErrUnknownModel, m, name)
@@ -340,41 +309,18 @@ func (s *Store) CreateVirtualModel(name string, members ...string) error {
 	if len(ids) == 0 {
 		return fmt.Errorf("store: virtual model %q has no members", name)
 	}
-	s.virtual[name] = ids
+	virtual := make(map[string][]ModelID, len(w.virtual)+1)
+	for k, v := range w.virtual {
+		virtual[k] = v
+	}
+	virtual[name] = ids
+	w.virtual = virtual
+	s.publish(w)
 	return nil
 }
 
-// ResolveDataset maps a model or virtual-model name to the set of model
-// IDs it denotes. An empty name denotes all models.
-func (s *Store) ResolveDataset(name string) ([]ModelID, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.resolveDatasetLocked(name)
-}
-
-//pgrdf:locks mu
-func (s *Store) resolveDatasetLocked(name string) ([]ModelID, error) {
-	if name == "" {
-		ids := make([]ModelID, len(s.modelNames))
-		for i := range s.modelNames {
-			ids[i] = ModelID(i + 1)
-		}
-		return ids, nil
-	}
-	if ids, ok := s.virtual[name]; ok {
-		return append([]ModelID(nil), ids...), nil
-	}
-	if id, ok := s.modelIDs[name]; ok {
-		return []ModelID{id}, nil
-	}
-	return nil, unknownModel(name)
-}
-
 // internQuad interns a quad's terms and returns its ID row.
-func (s *Store) internQuad(m ModelID, q rdf.Quad) (IDQuad, error) {
-	if err := q.Validate(); err != nil {
-		return IDQuad{}, err
-	}
+func (s *Store) internQuad(m ModelID, q rdf.Quad) IDQuad {
 	row := IDQuad{
 		S: s.dict.Intern(q.S),
 		P: s.dict.Intern(q.P),
@@ -384,25 +330,28 @@ func (s *Store) internQuad(m ModelID, q rdf.Quad) (IDQuad, error) {
 	if !q.G.IsZero() {
 		row.G = s.dict.Intern(q.G)
 	}
-	return row, nil
+	return row
 }
 
 // Load bulk-loads quads into the named model, rebuilding all indexes
-// once. This is the fast path corresponding to Oracle's N-Quads bulk
-// load; prefer it over repeated Insert calls for large datasets.
+// once and publishing once. This is the fast path corresponding to
+// Oracle's N-Quads bulk load; prefer it over repeated Insert calls for
+// large datasets.
 func (s *Store) Load(model string, quads []rdf.Quad) (int, error) {
-	rows := make([]IDQuad, 0, len(quads))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m := s.modelLocked(model)
-	for _, q := range quads {
-		row, err := s.internQuad(m, q)
-		if err != nil {
+	for i := range quads {
+		if err := quads[i].Validate(); err != nil {
 			return 0, err
 		}
-		rows = append(rows, row)
 	}
-	s.compactLocked()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	w := s.edit()
+	m := w.model(model)
+	s.compact(w)
+	rows := make([]IDQuad, len(quads))
+	for i := range quads {
+		rows[i] = s.internQuad(m, quads[i])
+	}
 	// Deduplicate against existing contents and within the batch.
 	fresh := rows[:0]
 	batch := make(map[IDQuad]struct{}, len(rows))
@@ -410,330 +359,170 @@ func (s *Store) Load(model string, quads []rdf.Quad) (int, error) {
 		if _, dup := batch[row]; dup {
 			continue
 		}
-		if s.indexes[0].Contains(row) {
+		if live, _ := w.runs[0].lookup(row); live {
 			continue
 		}
 		batch[row] = struct{}{}
 		fresh = append(fresh, row)
 	}
-	s.insertAllLocked(fresh)
-	s.count += len(fresh)
+	s.eachRun(w, func(r *run, workers int) run {
+		return r.loaded(append([]IDQuad(nil), fresh...), workers)
+	})
 	if len(fresh) > 0 {
-		s.logBarrier = s.version.Add(1)
+		w.Version++
+		w.barrier = w.Version
 	}
+	s.publish(w)
 	return len(fresh), nil
 }
 
-// Version returns a counter bumped by every successful content
-// mutation (Insert, Delete, Load that changed at least one quad).
-// Consumers caching data derived from store contents — e.g. the
-// optimizer's cardinality estimates — compare versions to decide
-// whether their cache is still valid; ChangesSince tells a consumer
-// that wants to follow the store what happened in between.
-func (s *Store) Version() uint64 { return s.version.Load() }
+// Op is one quad-level mutation of an Apply set: assert the quad in the
+// model, or retract it.
+type Op struct {
+	Delete bool
+	Model  string
+	Quad   rdf.Quad
+}
+
+// Apply performs ops in order as one publication: readers see all of
+// them or none. An insert of a present quad and a delete of an absent
+// one (or against a model the store does not have) are no-ops; an
+// insert creates its model when new. Every effective change advances
+// the version by one and is recorded in the change log, so the version
+// ends inserted+deleted higher. An invalid quad fails the whole set
+// before anything is applied.
+func (s *Store) Apply(ops []Op) (inserted, deleted int, err error) {
+	for i := range ops {
+		if err := ops[i].Quad.Validate(); err != nil {
+			return 0, 0, err
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	w := s.edit()
+	st := staging{w: w, rows: make(map[IDQuad]stagedRow, len(ops))}
+	for i := range ops {
+		op := &ops[i]
+		var row IDQuad
+		if op.Delete {
+			var ok bool
+			if row, ok = w.lookupRow(w.modelIDs[op.Model], op.Quad); !ok || row.M == NoID {
+				continue
+			}
+		} else {
+			row = s.internQuad(w.model(op.Model), op.Quad)
+		}
+		if !st.set(row, !op.Delete) {
+			continue
+		}
+		if s.changeLog == nil {
+			s.changeLog = make([]Change, ChangeLogSize)
+		}
+		w.Version++
+		s.changeLog[w.Version%ChangeLogSize] = Change{Quad: row, Deleted: op.Delete}
+		if op.Delete {
+			deleted++
+		} else {
+			inserted++
+		}
+		// Same trigger, at the same op, as when each quad was its own
+		// write: the base arrays (and so Storage) do not depend on how
+		// operations group quads.
+		if w.inserts >= compactThreshold || w.tombs >= compactThreshold {
+			st.flush()
+			s.compact(w)
+		}
+	}
+	st.flush()
+	s.publish(w)
+	return inserted, deleted, nil
+}
+
+// stagedRow is the state of one quad an Apply set has touched.
+type stagedRow struct {
+	was, now bool // live in w.runs, live after the ops so far
+	inBase   bool // held by the base arrays of w.runs
+}
+
+// staging accumulates an Apply set's effect on the working View w
+// without touching w.runs, so the delta chunks are copied once per
+// flush instead of once per quad.
+type staging struct {
+	w    *View
+	rows map[IDQuad]stagedRow
+}
+
+// set makes row live or not. It reports whether that changed anything,
+// and keeps w's delta sizes in step.
+func (st *staging) set(row IDQuad, live bool) bool {
+	sr, seen := st.rows[row]
+	if !seen {
+		sr.was, sr.inBase = st.w.runs[0].lookup(row)
+		sr.now = sr.was
+	}
+	if sr.now == live {
+		return false
+	}
+	sr.now = live
+	st.rows[row] = sr
+	w, d := st.w, -1
+	if live {
+		d = 1
+	}
+	if sr.inBase {
+		w.tombs -= d // the base row's tombstone goes or comes
+	} else {
+		w.inserts += d
+	}
+	return true
+}
+
+// flush folds the staged net changes into every run's delta.
+func (st *staging) flush() {
+	var changes []dentry
+	for row, sr := range st.rows {
+		if sr.now != sr.was {
+			changes = append(changes, dentry{q: row, tomb: !sr.now})
+		}
+		delete(st.rows, row)
+	}
+	if len(changes) == 0 {
+		return
+	}
+	for i := range st.w.runs {
+		r := &st.w.runs[i]
+		if len(changes) > 1 {
+			sort.Slice(changes, func(a, b int) bool { return r.ix.less(changes[a].q, changes[b].q) })
+		}
+		r.delta = r.delta.with(changes, r.ix.less)
+	}
+}
 
 // Insert adds a single quad to the model (incremental DML). Duplicate
 // inserts are no-ops returning false.
 func (s *Store) Insert(model string, q rdf.Quad) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m := s.modelLocked(model)
-	row, err := s.internQuad(m, q)
-	if err != nil {
-		return false, err
-	}
-	if _, dying := s.dead[row]; dying {
-		delete(s.dead, row)
-		s.count++
-		s.logChangeLocked(row, false)
-		return true, nil
-	}
-	if _, inDelta := s.deltaSet[row]; inDelta {
-		return false, nil
-	}
-	if s.indexes[0].Contains(row) {
-		return false, nil
-	}
-	s.delta = append(s.delta, row)
-	s.deltaSet[row] = struct{}{}
-	s.count++
-	s.logChangeLocked(row, false)
-	if len(s.delta) >= compactThreshold {
-		s.compactLocked()
-	}
-	return true, nil
+	n, _, err := s.Apply([]Op{{Model: model, Quad: q}})
+	return n == 1, err
 }
 
 // Delete removes a single quad from the model. It returns false when the
 // quad was not present.
 func (s *Store) Delete(model string, q rdf.Quad) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m, ok := s.modelIDs[model]
-	if !ok {
+	if s.View().LookupModel(model) == NoID {
 		return false, unknownModel(model)
 	}
-	if err := q.Validate(); err != nil {
-		return false, err
-	}
-	row := IDQuad{S: s.dict.Lookup(q.S), P: s.dict.Lookup(q.P), C: s.dict.Lookup(q.O), M: m}
-	if !q.G.IsZero() {
-		row.G = s.dict.Lookup(q.G)
-		if row.G == NoID {
-			return false, nil
-		}
-	}
-	if row.S == NoID || row.P == NoID || row.C == NoID {
-		return false, nil
-	}
-	if _, inDelta := s.deltaSet[row]; inDelta {
-		delete(s.deltaSet, row)
-		for i, d := range s.delta {
-			if d == row {
-				s.delta = append(s.delta[:i], s.delta[i+1:]...)
-				break
-			}
-		}
-		s.count--
-		s.logChangeLocked(row, true)
-		return true, nil
-	}
-	if !s.indexes[0].Contains(row) {
-		return false, nil
-	}
-	if _, dying := s.dead[row]; dying {
-		return false, nil
-	}
-	s.dead[row] = struct{}{}
-	s.count--
-	s.logChangeLocked(row, true)
-	if len(s.dead) >= compactThreshold {
-		s.compactLocked()
-	}
-	return true, nil
+	_, n, err := s.Apply([]Op{{Delete: true, Model: model, Quad: q}})
+	return n == 1, err
 }
 
-// Compact merges the delta buffer into the sorted indexes and applies
-// tombstones.
+// Compact folds the delta into the sorted base arrays. Contents, scan
+// order and Version are unchanged.
 func (s *Store) Compact() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.compactLocked()
-}
-
-//pgrdf:locks mu
-func (s *Store) compactLocked() {
-	if len(s.dead) > 0 {
-		s.removeAllLocked(s.dead)
-		s.dead = make(map[IDQuad]struct{})
-	}
-	if len(s.delta) > 0 {
-		s.insertAllLocked(s.delta)
-		s.delta = s.delta[:0]
-		s.deltaSet = make(map[IDQuad]struct{})
-	}
-}
-
-// Len returns the number of live quads across all models.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.count
-}
-
-// ModelLen returns the number of live quads in one model.
-func (s *Store) ModelLen(model string) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	m, ok := s.modelIDs[model]
-	if !ok {
-		return 0
-	}
-	n := 0
-	p := AnyPattern()
-	p.M = m
-	s.scanLocked(p, func(IDQuad) bool { n++; return true })
-	return n
-}
-
-// ChooseIndex returns the index that best serves the pattern: the one
-// with the longest bound key prefix, ties broken by the smaller estimated
-// range. This is the store's "optimizer hint" used by the SPARQL engine
-// and reported in query plans.
-func (s *Store) ChooseIndex(p Pattern) *Index {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.chooseIndexLocked(p)
-}
-
-//pgrdf:locks mu
-func (s *Store) chooseIndexLocked(p Pattern) *Index {
-	best := s.indexes[0]
-	bestPrefix := best.prefixLen(p)
-	for _, ix := range s.indexes[1:] {
-		n := ix.prefixLen(p)
-		if n > bestPrefix {
-			best, bestPrefix = ix, n
-			continue
-		}
-		// Tie-break by estimated range size only for single-column
-		// prefixes: two indexes with the same prefix LENGTH >= 2 cover
-		// the same bound-column set in practice (the range size depends
-		// only on the set, not the order), so the extra binary searches
-		// would be pure overhead on the per-probe NLJ path.
-		if n == bestPrefix && n == 1 && ix.EstimateCount(p) < best.EstimateCount(p) {
-			best = ix
-		}
-	}
-	return best
-}
-
-// ChooseIndexByBound returns the spec of the index that would serve a
-// pattern whose bound columns are exactly cols: the index with the
-// longest key prefix covered by the bound set, ties broken by creation
-// order. Used for EXPLAIN-style plan reporting when concrete IDs are not
-// yet known.
-func (s *Store) ChooseIndexByBound(cols []Col) string {
-	var bound [numCols]bool
-	for _, c := range cols {
-		bound[c] = true
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	best, bestPrefix := s.indexes[0], -1
-	for _, ix := range s.indexes {
-		n := 0
-		for _, c := range ix.perm {
-			if !bound[c] {
-				break
-			}
-			n++
-		}
-		if n > bestPrefix {
-			best, bestPrefix = ix, n
-		}
-	}
-	return best.perm.String()
-}
-
-// Scan calls fn for each quad matching the pattern, choosing the best
-// index automatically. fn returning false stops iteration. The delta
-// buffer is merged in, and tombstoned rows are skipped.
-func (s *Store) Scan(p Pattern, fn func(IDQuad) bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	s.scanLocked(p, fn)
-}
-
-//pgrdf:locks mu
-func (s *Store) scanLocked(p Pattern, fn func(IDQuad) bool) {
-	fn = s.faultWrap(fn)
-	ix := s.chooseIndexLocked(p)
-	stopped := false
-	ix.Scan(p, func(q IDQuad) bool {
-		if _, gone := s.dead[q]; gone {
-			return true
-		}
-		if !fn(q) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	if stopped {
-		return
-	}
-	for _, q := range s.delta {
-		if p.Matches(q) && !fn(q) {
-			return
-		}
-	}
-}
-
-// ScanIndex is like Scan but forces a particular index (for plan tests
-// and ablations). The spec must name an existing index.
-func (s *Store) ScanIndex(spec string, p Pattern, fn func(IDQuad) bool) error {
-	perm, err := ParsePermutation(spec)
-	if err != nil {
-		return err
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	fn = s.faultWrap(fn)
-	for _, ix := range s.indexes {
-		if ix.perm == perm {
-			ix.Scan(p, func(q IDQuad) bool {
-				if _, gone := s.dead[q]; gone {
-					return true
-				}
-				return fn(q)
-			})
-			for _, q := range s.delta {
-				if p.Matches(q) && !fn(q) {
-					break
-				}
-			}
-			return nil
-		}
-	}
-	return fmt.Errorf("store: no index %s", spec)
-}
-
-// EstimateCount estimates the number of quads matching the pattern using
-// the best index's bound-prefix range. It is an upper bound and costs
-// O(log n).
-func (s *Store) EstimateCount(p Pattern) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := s.chooseIndexLocked(p).EstimateCount(p)
-	if len(s.delta) > 0 {
-		for _, q := range s.delta {
-			if p.Matches(q) {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// Contains reports whether the quad exists in the model.
-func (s *Store) Contains(model string, q rdf.Quad) bool {
-	s.mu.RLock()
-	m, ok := s.modelIDs[model]
-	s.mu.RUnlock()
-	if !ok {
-		return false
-	}
-	row := IDQuad{S: s.dict.Lookup(q.S), P: s.dict.Lookup(q.P), C: s.dict.Lookup(q.O), M: m}
-	if !q.G.IsZero() {
-		row.G = s.dict.Lookup(q.G)
-		if row.G == NoID {
-			return false
-		}
-	}
-	if row.S == NoID || row.P == NoID || row.C == NoID {
-		return false
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if _, gone := s.dead[row]; gone {
-		return false
-	}
-	if _, inDelta := s.deltaSet[row]; inDelta {
-		return true
-	}
-	return s.indexes[0].Contains(row)
-}
-
-// Quads materializes the quads matching the pattern as rdf.Quads, in
-// index order. Intended for tests, export and small results.
-func (s *Store) Quads(p Pattern) []rdf.Quad {
-	var out []rdf.Quad
-	s.Scan(p, func(q IDQuad) bool {
-		out = append(out, s.quadTerms(q))
-		return true
-	})
-	return out
+	w := s.edit()
+	s.compact(w)
+	s.publish(w)
 }
 
 func (s *Store) quadTerms(q IDQuad) rdf.Quad {
@@ -744,18 +533,34 @@ func (s *Store) quadTerms(q IDQuad) rdf.Quad {
 	return r
 }
 
-// Export returns all quads of a model in deterministic order, suitable
-// for N-Quads serialization.
-func (s *Store) Export(model string) ([]rdf.Quad, error) {
-	s.mu.RLock()
-	m, ok := s.modelIDs[model]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, unknownModel(model)
-	}
-	p := AnyPattern()
-	p.M = m
-	quads := s.Quads(p)
-	sort.Slice(quads, func(i, j int) bool { return rdf.CompareQuads(quads[i], quads[j]) < 0 })
-	return quads, nil
+// The read methods below are View methods on the version current at the
+// call.
+
+func (s *Store) Indexes() []string                    { return s.View().Indexes() }
+func (s *Store) LookupModel(name string) ModelID      { return s.View().LookupModel(name) }
+func (s *Store) ModelName(id ModelID) string          { return s.View().ModelName(id) }
+func (s *Store) Models() []string                     { return s.View().Models() }
+func (s *Store) Len() int                             { return s.View().Len() }
+func (s *Store) ModelLen(model string) int            { return s.View().ModelLen(model) }
+func (s *Store) ChooseIndex(p Pattern) *Index         { return s.View().ChooseIndex(p) }
+func (s *Store) ChooseIndexByBound(c []Col) string    { return s.View().ChooseIndexByBound(c) }
+func (s *Store) EstimateCount(p Pattern) int          { return s.View().EstimateCount(p) }
+func (s *Store) Quads(p Pattern) []rdf.Quad           { return s.View().Quads(p) }
+func (s *Store) Cursor(p Pattern) *Cursor             { return s.View().Cursor(p) }
+func (s *Store) Scan(p Pattern, fn func(IDQuad) bool) { s.View().Scan(p, fn) }
+
+func (s *Store) ResolveDataset(name string) ([]ModelID, error) {
+	return s.View().ResolveDataset(name)
 }
+
+func (s *Store) ScanBatch(p Pattern, max int, fn func([]IDQuad) bool) {
+	s.View().ScanBatch(p, max, fn)
+}
+
+func (s *Store) ScanIndex(spec string, p Pattern, fn func(IDQuad) bool) error {
+	return s.View().ScanIndex(spec, p, fn)
+}
+
+func (s *Store) Contains(model string, q rdf.Quad) bool { return s.View().Contains(model, q) }
+
+func (s *Store) Export(model string) ([]rdf.Quad, error) { return s.View().Export(model) }

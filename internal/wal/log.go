@@ -103,9 +103,8 @@ func Open(dir string, opts Options) (*store.Store, *Log, error) {
 	}
 	// Replay the incremental delta chain (if any) over the base before
 	// the log tail: base → delta 1..N → wal.log is commit order.
-	chainLen, chainBytes, err := loadDeltas(dir, baseCRC, haveBase, func(b Batch) error {
-		return replayBatch(st, b)
-	})
+	rp := replayer{st: st}
+	chainLen, chainBytes, err := loadDeltas(dir, baseCRC, haveBase, rp.add)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -130,8 +129,11 @@ func Open(dir string, opts Options) (*store.Store, *Log, error) {
 			firstSeq = seq
 		}
 		records++
-		return replayBatch(st, b)
+		return rp.add(b)
 	})
+	if err == nil {
+		err = rp.flush()
+	}
 	if err != nil {
 		f.Close()
 		return nil, nil, fmt.Errorf("wal: replay record %d: %w", records, err)
@@ -232,17 +234,42 @@ func openCheckpoint(dir string, opts Options) (st *store.Store, baseCRC uint32, 
 	return st, 0, false, 0, nil
 }
 
-// replayBatch applies one journaled batch to the store during
-// recovery — the same path follower replication uses (see ApplyBatch).
-func replayBatch(st *store.Store, b Batch) error {
-	return ApplyBatch(st, b)
+// replayGroupOps is how many journaled operations recovery hands the
+// store at a time.
+const replayGroupOps = 4096
+
+// replayer applies journaled batches during recovery, many to one
+// store.Apply: nobody reads the store yet, so there is no intermediate
+// state to publish, and a group pays the copy-on-write of the store's
+// delta once instead of once per record. Apply works through its ops in
+// order, so the result is what ApplyBatch per record would build.
+type replayer struct {
+	st  *store.Store
+	ops []store.Op
+}
+
+func (r *replayer) add(b Batch) error {
+	r.ops = appendOps(r.ops, b)
+	if len(r.ops) < replayGroupOps {
+		return nil
+	}
+	return r.flush()
+}
+
+func (r *replayer) flush() error {
+	_, _, err := r.st.Apply(r.ops)
+	r.ops = r.ops[:0]
+	return err
 }
 
 // Commit journals the batch and, once it is durably framed, runs apply
 // (the store mutation) under the same critical section — so a
 // checkpoint can never observe a store missing commits it is about to
 // truncate out of the log. An append failure aborts the commit: apply
-// does not run, and the caller reports the update failed.
+// does not run, and the caller reports the update failed. apply must not
+// call back into the Log.
+//
+//pgrdf:callback-under mu
 func (l *Log) Commit(b Batch, apply func() error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -219,29 +219,25 @@ func (l *Log) wakeLocked() {
 	}
 }
 
-// ApplyBatch applies one journaled batch to the store — the shared
-// apply path of crash recovery and follower replication. Application
-// is idempotent (duplicate inserts and absent deletes are no-ops) and
-// tolerant of deletes against models the store never materialized. An
-// error means the store may hold a prefix of the batch; the caller
-// must treat its copy as suspect and re-bootstrap rather than continue.
+// ApplyBatch applies one journaled batch to the store as one
+// store.Apply — the shared apply path of crash recovery and follower
+// replication, so a follower's readers see each leader operation
+// entirely or not at all. Application is idempotent (duplicate inserts
+// and absent deletes are no-ops) and tolerant of deletes against models
+// the store never materialized. An error means nothing of the batch was
+// applied; the caller must still treat its copy as suspect and
+// re-bootstrap rather than continue.
 func ApplyBatch(st *store.Store, b Batch) error {
+	_, _, err := st.Apply(appendOps(make([]store.Op, 0, len(b.Ops)), b))
+	return err
+}
+
+// appendOps appends the batch's operations in the store's terms.
+func appendOps(ops []store.Op, b Batch) []store.Op {
 	for _, op := range b.Ops {
-		switch op.Kind {
-		case OpInsert:
-			if _, err := st.Insert(op.Model, op.Quad); err != nil {
-				return err
-			}
-		case OpDelete:
-			if st.LookupModel(op.Model) == store.NoID {
-				continue
-			}
-			if _, err := st.Delete(op.Model, op.Quad); err != nil {
-				return err
-			}
-		}
+		ops = append(ops, store.Op{Delete: op.Kind == OpDelete, Model: op.Model, Quad: op.Quad})
 	}
-	return nil
+	return ops
 }
 
 // DecodeFrames decodes every complete, CRC-verified record frame at
@@ -254,4 +250,3 @@ func ApplyBatch(st *store.Store, b Batch) error {
 func DecodeFrames(data []byte, yield func(seq uint64, b Batch) error) (consumed int64, lastSeq uint64, err error) {
 	return readRecords(bytes.NewReader(data), yield)
 }
-

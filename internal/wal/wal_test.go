@@ -40,7 +40,7 @@ func insertOp(model, s, p, o string) Op {
 func commit(t *testing.T, l *Log, st *store.Store, ops ...Op) {
 	t.Helper()
 	err := l.Commit(Batch{Ops: ops}, func() error {
-		return replayBatch(st, Batch{Ops: ops})
+		return ApplyBatch(st, Batch{Ops: ops})
 	})
 	if err != nil {
 		t.Fatal(err)
