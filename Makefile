@@ -167,9 +167,12 @@ bench-pair:
 	$(GO) run ./cmd/benchpair -ref .bench_pair/ref -new . -workload $(WORKLOAD) -pairs $(PAIRS) -seed $(SEED); \
 		status=$$?; git worktree remove --force .bench_pair/ref; exit $$status
 
-## fuzz-smoke: run each parser fuzz target for FUZZTIME (default 30s).
-## Regression seeds always run as part of plain `make test` too.
+## fuzz-smoke: run each parser fuzz target, and the results-encoder
+## differential (byte-identical to encoding/json), for FUZZTIME
+## (default 30s). Regression seeds always run as part of plain
+## `make test` too.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReader -fuzztime=$(FUZZTIME) ./internal/ntriples
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/turtle
 	$(GO) test -run='^$$' -fuzz=FuzzParseAndExec -fuzztime=$(FUZZTIME) ./internal/sparql
+	$(GO) test -run='^$$' -fuzz=FuzzWriteResultsJSON -fuzztime=$(FUZZTIME) ./internal/httpapi

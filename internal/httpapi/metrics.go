@@ -89,6 +89,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	m.counter("pgrdf_slow_queries_total",
 		"Queries at or over the slow-query threshold.", snap.SlowQueries)
+	m.counter("pgrdf_query_parses_total",
+		"Query texts parsed; a SELECT whose plan is cached parses none.", snap.Parses)
 
 	// Plan cache.
 	m.counter("pgrdf_plan_cache_hits_total", "Plan cache hits.", snap.PlanCache.Hits)

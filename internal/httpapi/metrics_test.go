@@ -90,9 +90,9 @@ func validateExposition(t *testing.T, body string) map[string]float64 {
 func TestMetricsEndpoint(t *testing.T) {
 	srv := testServer(t)
 
-	// Generate some traffic first. (A malformed query would be rejected
-	// by the HTTP layer's parse step and never reach the engine, so it
-	// would not show up in engine metrics — send two good ones.)
+	// Generate some traffic first. (A malformed query fails at parse and
+	// is not counted as a query, so it would not show up in the per-form
+	// metrics — send two good ones.)
 	q := url.QueryEscape(`PREFIX key: <http://pg/k/> SELECT ?x WHERE { ?x key:name ?n }`)
 	for i := 0; i < 2; i++ {
 		resp, err := http.Get(srv.URL + "/sparql?query=" + q)

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/ntriples"
-	"repro/internal/rdf"
 	"repro/internal/repl"
 	"repro/internal/sparql"
 	"repro/internal/store"
@@ -437,8 +436,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var query, model string
 	switch r.Method {
 	case http.MethodGet:
-		query = r.URL.Query().Get("query")
-		model = r.URL.Query().Get("model")
+		params := r.URL.Query()
+		query = params.Get("query")
+		model = params.Get("model")
 	case http.MethodPost:
 		ct := r.Header.Get("Content-Type")
 		if strings.HasPrefix(ct, "application/sparql-query") {
@@ -466,12 +466,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	form, err := queryForm(query)
-	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, "parse", err.Error())
-		return
-	}
-
 	if s.rejectStale(w) {
 		return
 	}
@@ -482,50 +476,25 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	ctx, cancel := requestCtx(r, s.cfg.QueryTimeout)
 	defer cancel()
-	eng := s.engine()
 
-	switch form {
-	case sparql.FormAsk:
-		v, err := eng.AskContext(ctx, model, query)
-		if err != nil {
-			queryError(w, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/sparql-results+json")
-		WriteBooleanJSON(w, v)
-	case sparql.FormConstruct, sparql.FormDescribe:
-		var quads []rdf.Quad
-		var err error
-		if form == sparql.FormConstruct {
-			quads, err = eng.ConstructContext(ctx, model, query)
-		} else {
-			quads, err = eng.DescribeContext(ctx, model, query)
-		}
-		if err != nil {
-			queryError(w, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/n-quads")
-		nw := ntriples.NewWriter(w)
-		nw.WriteAll(quads)
-	default:
-		res, err := eng.QueryContext(ctx, model, query)
-		if err != nil {
-			queryError(w, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/sparql-results+json")
-		WriteResultsJSON(w, res)
-	}
-}
-
-// queryForm parses just enough to dispatch on the query form.
-func queryForm(query string) (sparql.QueryForm, error) {
-	q, err := sparql.Parse(query)
+	// The engine parses the text at most once (not at all on a plan-cache
+	// hit) and answers in the form the text turned out to be.
+	ans, err := s.engine().ExecContext(ctx, model, query)
 	if err != nil {
-		return 0, err
+		queryError(w, err)
+		return
 	}
-	return q.Form, nil
+	switch ans.Form {
+	case sparql.FormAsk:
+		w.Header().Set("Content-Type", "application/sparql-results+json")
+		WriteBooleanJSON(w, ans.Boolean)
+	case sparql.FormConstruct, sparql.FormDescribe:
+		w.Header().Set("Content-Type", "application/n-quads")
+		ntriples.NewWriter(w).WriteAll(ans.Quads)
+	default:
+		w.Header().Set("Content-Type", "application/sparql-results+json")
+		WriteResultsJSON(w, ans.Results)
+	}
 }
 
 func bodyError(w http.ResponseWriter, err error) {
@@ -538,7 +507,10 @@ func bodyError(w http.ResponseWriter, err error) {
 
 // queryError maps an engine error onto an HTTP status + JSON body.
 func queryError(w http.ResponseWriter, err error) {
+	var perr *sparql.ParseError
 	switch {
+	case errors.As(err, &perr):
+		writeJSONError(w, http.StatusBadRequest, "parse", err.Error())
 	case errors.Is(err, sparql.ErrTimeout):
 		writeJSONError(w, http.StatusGatewayTimeout, "timeout", err.Error())
 	case errors.Is(err, sparql.ErrBudgetExceeded):

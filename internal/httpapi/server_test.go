@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -13,6 +14,15 @@ import (
 )
 
 func testServer(t *testing.T) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewServer(NewServer(testStore(t)))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// testStore holds model "social": v1 follows v2 (edge e3), their names
+// (Mira's tagged @en) and v1's age.
+func testStore(t *testing.T) *store.Store {
 	t.Helper()
 	st := store.New()
 	st.CreateIndex("GSPCM")
@@ -28,9 +38,7 @@ func testServer(t *testing.T) *httptest.Server {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewServer(st))
-	t.Cleanup(srv.Close)
-	return srv
+	return st
 }
 
 func TestSelectViaGET(t *testing.T) {
@@ -262,5 +270,123 @@ func TestJSONUnboundVariables(t *testing.T) {
 	}
 	if !back.Rows[0][1].IsZero() {
 		t.Error("unbound survived round trip as bound")
+	}
+}
+
+// sendQuery runs one /sparql request through Server.ServeHTTP, carrying
+// the query as a GET parameter ("GET"), a form POST ("form") or a raw
+// application/sparql-query POST body ("raw").
+func sendQuery(h http.Handler, via, query, model string) *httptest.ResponseRecorder {
+	v := url.Values{"query": {query}}
+	if model != "" {
+		v.Set("model", model)
+	}
+	var req *http.Request
+	switch via {
+	case "GET":
+		req = httptest.NewRequest(http.MethodGet, "/sparql?"+v.Encode(), nil)
+	case "form":
+		req = httptest.NewRequest(http.MethodPost, "/sparql", strings.NewReader(v.Encode()))
+		req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	default:
+		v.Del("query")
+		req = httptest.NewRequest(http.MethodPost, "/sparql?"+v.Encode(), strings.NewReader(query))
+		req.Header.Set("Content-Type", "application/sparql-query")
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec
+}
+
+// TestQueryDispatch drives every query form over every transport through
+// the one engine entry point, plus the request, parse and model errors.
+func TestQueryDispatch(t *testing.T) {
+	h := NewServer(testStore(t))
+	const prologue = `PREFIX rel: <http://pg/r/> PREFIX key: <http://pg/k/> `
+	cases := []struct {
+		name, query, model string
+		status             int
+		want               string // Content-Type on 200, else the error kind
+		check              func(body string) bool
+	}{
+		{"select", prologue + `SELECT ?x ?n WHERE { ?x key:name ?n }`, "social", 200,
+			"application/sparql-results+json", func(body string) bool {
+				res, _, err := ParseResultsJSON(strings.NewReader(body))
+				return err == nil && res.Len() == 2 && len(res.Vars) == 2
+			}},
+		{"ask", prologue + `ASK { ?x rel:follows ?y }`, "", 200,
+			"application/sparql-results+json", func(body string) bool {
+				_, found, err := ParseResultsJSON(strings.NewReader(body))
+				return err == nil && found
+			}},
+		{"construct", prologue + `CONSTRUCT { ?y <http://x/followedBy> ?x } WHERE { ?x rel:follows ?y }`, "social", 200,
+			"application/n-quads", func(body string) bool {
+				return strings.Contains(body, "<http://pg/v2> <http://x/followedBy> <http://pg/v1>")
+			}},
+		{"describe", `DESCRIBE <http://pg/v2>`, "", 200,
+			"application/n-quads", func(body string) bool { return strings.Contains(body, `"Mira"@en`) }},
+		{"malformed", `SELEKT ?x WHERE { ?x ?p ?o }`, "", 400, "parse", nil},
+		{"conflicting projection", `SELECT ?o (?s AS ?o) WHERE { ?s ?p ?o }`, "", 400, "parse", nil},
+		{"empty", " \n ", "", 400, "request", nil},
+		{"unknown model", `SELECT ?s WHERE { ?s ?p ?o }`, "missing", 404, "unknown-model", nil},
+	}
+	for _, c := range cases {
+		for _, via := range []string{"GET", "form", "raw"} {
+			rec := sendQuery(h, via, c.query, c.model)
+			body := rec.Body.String()
+			if rec.Code != c.status {
+				t.Errorf("%s via %s: status %d, want %d: %s", c.name, via, rec.Code, c.status, body)
+				continue
+			}
+			if c.status != 200 {
+				var je jsonError
+				if err := json.Unmarshal(rec.Body.Bytes(), &je); err != nil || je.Kind != c.want {
+					t.Errorf("%s via %s: error body %s, want kind %q", c.name, via, body, c.want)
+				}
+				continue
+			}
+			if ct := rec.Header().Get("Content-Type"); ct != c.want {
+				t.Errorf("%s via %s: Content-Type %q, want %q", c.name, via, ct, c.want)
+			}
+			if !c.check(body) {
+				t.Errorf("%s via %s: unexpected body %s", c.name, via, body)
+			}
+		}
+	}
+}
+
+// TestQueryParsedAtMostOnce: a SELECT is parsed on its first request
+// only (later ones hit the plan cache and parse nothing), and a form the
+// plan cache does not hold is parsed once per request, not twice.
+func TestQueryParsedAtMostOnce(t *testing.T) {
+	h := NewServer(testStore(t))
+	parses := func() float64 {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		samples := validateExposition(t, rec.Body.String())
+		v, ok := samples["pgrdf_query_parses_total"]
+		if !ok {
+			t.Fatal("/metrics has no pgrdf_query_parses_total")
+		}
+		return v
+	}
+	for _, c := range []struct {
+		query string
+		n     int
+		want  float64
+		what  string
+	}{
+		{`SELECT ?s WHERE { ?s ?p ?o }`, 20, 1, "20 identical SELECTs"},
+		{`ASK { ?s ?p ?o }`, 3, 3, "3 ASKs"},
+	} {
+		before := parses()
+		for i := 0; i < c.n; i++ {
+			if rec := sendQuery(h, "GET", c.query, ""); rec.Code != 200 {
+				t.Fatalf("%s: status %d: %s", c.query, rec.Code, rec.Body)
+			}
+		}
+		if got := parses() - before; got != c.want {
+			t.Errorf("%s parsed %v times, want %v", c.what, got, c.want)
+		}
 	}
 }

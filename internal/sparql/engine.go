@@ -122,10 +122,21 @@ func NewEngine(st *store.Store) *Engine {
 	}
 }
 
+// planCached reports whether a compiled plan for the query text is
+// cached, without counting a hit: ExecContext asks it to decide whether
+// the text needs parsing at all.
+func (e *Engine) planCached(query string) bool {
+	e.planMu.RLock()
+	_, ok := e.planCache[query]
+	e.planMu.RUnlock()
+	return ok
+}
+
 // compileCached returns the compiled plan for a SELECT query text,
-// parsing and compiling only on a cache miss. Concurrent misses for
-// the same text share a single compilation.
-func (e *Engine) compileCached(query string) (*compiled, error) {
+// parsing and compiling only on a cache miss; q, when not nil, is the
+// text already parsed by the caller and is compiled as-is. Concurrent
+// misses for the same text share a single compilation.
+func (e *Engine) compileCached(query string, q *Query) (*compiled, error) {
 	e.planMu.RLock()
 	cp, ok := e.planCache[query]
 	e.planMu.RUnlock()
@@ -155,7 +166,7 @@ func (e *Engine) compileCached(query string) (*compiled, error) {
 	e.planMu.Unlock()
 
 	e.planMisses.Add(1)
-	call.cp, call.err = e.compileSelectText(query)
+	call.cp, call.err = e.compileSelectText(query, q)
 
 	e.planMu.Lock()
 	delete(e.planInflight, query)
@@ -174,10 +185,10 @@ func (e *Engine) compileCached(query string) (*compiled, error) {
 	return call.cp, call.err
 }
 
-// compileSelectText parses and compiles a SELECT query text and
-// numbers its stages for profiling.
-func (e *Engine) compileSelectText(query string) (*compiled, error) {
-	q, err := Parse(query)
+// compileSelectText compiles a SELECT query text — parsing it unless q
+// already holds its parse — and numbers its stages for profiling.
+func (e *Engine) compileSelectText(query string, q *Query) (*compiled, error) {
+	q, err := e.parseOnce(query, q)
 	if err != nil {
 		return nil, err
 	}
@@ -190,6 +201,16 @@ func (e *Engine) compileSelectText(query string) (*compiled, error) {
 	}
 	numberStages(cp)
 	return cp, nil
+}
+
+// parseOnce returns q when the caller already parsed the text, and
+// otherwise parses it, counting the parse (pgrdf_query_parses_total).
+func (e *Engine) parseOnce(query string, q *Query) (*Query, error) {
+	if q != nil {
+		return q, nil
+	}
+	e.metrics.parses.Add(1)
+	return Parse(query)
 }
 
 // PlanCacheStats returns the compiled-plan cache counters.
@@ -307,7 +328,7 @@ func (e *Engine) Query(model, query string) (*Results, error) {
 // fires or Limits are exhausted. Internal panics are recovered into a
 // *QueryError with kind ErrInternal.
 func (e *Engine) QueryContext(ctx context.Context, model, query string) (*Results, error) {
-	res, _, err := e.queryInternal(ctx, model, query, false)
+	res, _, err := e.queryInternal(ctx, model, query, nil, false)
 	return res, err
 }
 
@@ -321,13 +342,15 @@ func (e *Engine) QueryProfiled(model, query string) (*Results, *Profile, error) 
 // QueryProfiledContext is QueryProfiled with cooperative cancellation
 // and the engine's resource budget (see QueryContext).
 func (e *Engine) QueryProfiledContext(ctx context.Context, model, query string) (*Results, *Profile, error) {
-	return e.queryInternal(ctx, model, query, true)
+	return e.queryInternal(ctx, model, query, nil, true)
 }
 
-// queryInternal backs QueryContext and QueryProfiledContext. Profiling
-// is enabled when the caller wants a profile or a slow-query log is
-// installed (so over-threshold queries log with actuals attached).
-func (e *Engine) queryInternal(ctx context.Context, model, query string, wantProfile bool) (res *Results, prof *Profile, err error) {
+// queryInternal backs QueryContext, QueryProfiledContext and the SELECT
+// arm of ExecContext; q is the text's parse when the caller has one (see
+// compileCached). Profiling is enabled when the caller wants a profile
+// or a slow-query log is installed (so over-threshold queries log with
+// actuals attached).
+func (e *Engine) queryInternal(ctx context.Context, model, query string, q *Query, wantProfile bool) (res *Results, prof *Profile, err error) {
 	start := time.Now()
 	rows := 0
 	var logProf *Profile // also attached to the slow-query log line
@@ -335,7 +358,7 @@ func (e *Engine) queryInternal(ctx context.Context, model, query string, wantPro
 	defer recoverQueryPanic(&err)
 	ctx, cancel := e.budgetCtx(ctx)
 	defer cancel()
-	cp, err := e.compileCached(query)
+	cp, err := e.compileCached(query, q)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -374,7 +397,7 @@ func (e *Engine) ExplainAnalyze(model, query string) (string, error) {
 // ExplainAnalyzeContext is ExplainAnalyze with cooperative
 // cancellation and the engine's resource budget.
 func (e *Engine) ExplainAnalyzeContext(ctx context.Context, model, query string) (string, error) {
-	_, prof, err := e.queryInternal(ctx, model, query, true)
+	_, prof, err := e.queryInternal(ctx, model, query, nil, true)
 	if err != nil {
 		return "", err
 	}
@@ -389,12 +412,18 @@ func (e *Engine) Ask(model, query string) (bool, error) {
 
 // AskContext is Ask with cooperative cancellation and the engine's
 // resource budget (see QueryContext).
-func (e *Engine) AskContext(ctx context.Context, model, query string) (found bool, err error) {
+func (e *Engine) AskContext(ctx context.Context, model, query string) (bool, error) {
+	return e.ask(ctx, model, query, nil)
+}
+
+// ask backs AskContext and the ASK arm of ExecContext; q is the text's
+// parse when the caller has one.
+func (e *Engine) ask(ctx context.Context, model, query string, q *Query) (found bool, err error) {
 	defer e.recordQuery(int(FormAsk), model, query, time.Now(), &err, nil, nil)
 	defer recoverQueryPanic(&err)
 	ctx, cancel := e.budgetCtx(ctx)
 	defer cancel()
-	q, err := Parse(query)
+	q, err = e.parseOnce(query, q)
 	if err != nil {
 		return false, err
 	}
@@ -446,14 +475,20 @@ func (e *Engine) Construct(model, query string) ([]rdf.Quad, error) {
 // ConstructContext is Construct with cooperative cancellation and the
 // engine's resource budget (see QueryContext). MaxRows caps the number
 // of constructed quads.
-func (e *Engine) ConstructContext(ctx context.Context, model, query string) (out []rdf.Quad, err error) {
+func (e *Engine) ConstructContext(ctx context.Context, model, query string) ([]rdf.Quad, error) {
+	return e.construct(ctx, model, query, nil)
+}
+
+// construct backs ConstructContext and the CONSTRUCT arm of
+// ExecContext; q is the text's parse when the caller has one.
+func (e *Engine) construct(ctx context.Context, model, query string, q *Query) (out []rdf.Quad, err error) {
 	rows := 0
 	defer e.recordQuery(int(FormConstruct), model, query, time.Now(), &err, &rows, nil)
 	defer func() { rows = len(out) }()
 	defer recoverQueryPanic(&err)
 	ctx, cancel := e.budgetCtx(ctx)
 	defer cancel()
-	q, err := Parse(query)
+	q, err = e.parseOnce(query, q)
 	if err != nil {
 		return nil, err
 	}
@@ -560,14 +595,20 @@ func (e *Engine) Describe(model, query string) ([]rdf.Quad, error) {
 // DescribeContext is Describe with cooperative cancellation and the
 // engine's resource budget (see QueryContext). MaxRows caps the number
 // of description quads.
-func (e *Engine) DescribeContext(ctx context.Context, model, query string) (out []rdf.Quad, err error) {
+func (e *Engine) DescribeContext(ctx context.Context, model, query string) ([]rdf.Quad, error) {
+	return e.describe(ctx, model, query, nil)
+}
+
+// describe backs DescribeContext and the DESCRIBE arm of ExecContext; q
+// is the text's parse when the caller has one.
+func (e *Engine) describe(ctx context.Context, model, query string, q *Query) (out []rdf.Quad, err error) {
 	rows := 0
 	defer e.recordQuery(int(FormDescribe), model, query, time.Now(), &err, &rows, nil)
 	defer func() { rows = len(out) }()
 	defer recoverQueryPanic(&err)
 	ctx, cancel := e.budgetCtx(ctx)
 	defer cancel()
-	q, err := Parse(query)
+	q, err = e.parseOnce(query, q)
 	if err != nil {
 		return nil, err
 	}
@@ -642,6 +683,49 @@ func (e *Engine) DescribeContext(ctx context.Context, model, query string) (out 
 	return out, nil
 }
 
+// Answer is ExecContext's reply, tagged with the query's form: Results
+// is set for SELECT, Boolean for ASK, Quads for CONSTRUCT and DESCRIBE.
+type Answer struct {
+	Form    QueryForm
+	Results *Results
+	Boolean bool
+	Quads   []rdf.Quad
+}
+
+// ParseError is the error ExecContext returns for a query text that does
+// not parse; its message is the parser's.
+type ParseError struct{ Err error }
+
+func (e *ParseError) Error() string { return e.Err.Error() }
+func (e *ParseError) Unwrap() error { return e.Err }
+
+// ExecContext runs a query of any form and parses its text at most
+// once: a SELECT whose plan is cached parses nothing, and any other text
+// is parsed once and dispatched on its form to the SELECT, ASK,
+// CONSTRUCT or DESCRIBE execution behind the *Context methods. A text
+// that does not parse returns a *ParseError and is not counted as a
+// query.
+func (e *Engine) ExecContext(ctx context.Context, model, query string) (ans Answer, err error) {
+	var q *Query // nil on a plan-cache hit, which is always a SELECT
+	if !e.planCached(query) {
+		if q, err = e.parseOnce(query, nil); err != nil {
+			return Answer{}, &ParseError{Err: err}
+		}
+		ans.Form = q.Form
+	}
+	switch ans.Form {
+	case FormAsk:
+		ans.Boolean, err = e.ask(ctx, model, query, q)
+	case FormConstruct:
+		ans.Quads, err = e.construct(ctx, model, query, q)
+	case FormDescribe:
+		ans.Quads, err = e.describe(ctx, model, query, q)
+	default:
+		ans.Results, _, err = e.queryInternal(ctx, model, query, q, false)
+	}
+	return ans, err
+}
+
 // Count executes the query and returns only the number of solutions.
 func (e *Engine) Count(model, query string) (int, error) {
 	res, err := e.Query(model, query)
@@ -655,7 +739,7 @@ func (e *Engine) Count(model, query string) (int, error) {
 // per-pattern semantic-network index and access method — the information
 // Table 5 of the paper reports.
 func (e *Engine) Explain(model, query string) (string, error) {
-	q, err := Parse(query)
+	q, err := e.parseOnce(query, nil)
 	if err != nil {
 		return "", err
 	}

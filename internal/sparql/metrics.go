@@ -32,8 +32,9 @@ type formMetrics struct {
 }
 
 type queryMetrics struct {
-	forms [formUpdate + 1]formMetrics
-	slow  atomic.Int64 // queries over the slow-query threshold
+	forms  [formUpdate + 1]formMetrics
+	slow   atomic.Int64 // queries over the slow-query threshold
+	parses atomic.Int64 // query texts parsed (plan-cache hits parse none)
 }
 
 func (m *queryMetrics) observe(form int, d time.Duration, err error) {
@@ -85,14 +86,18 @@ type PlanCacheStats struct {
 type MetricsSnapshot struct {
 	Forms       []FormMetricsSnapshot
 	SlowQueries int64
-	PlanCache   PlanCacheStats
-	Parallel    ParallelStatsSnapshot
+	// Parses counts query texts parsed; a SELECT served from the plan
+	// cache through ExecContext parses nothing.
+	Parses    int64
+	PlanCache PlanCacheStats
+	Parallel  ParallelStatsSnapshot
 }
 
 // MetricsSnapshot returns the engine's cumulative query metrics.
 func (e *Engine) MetricsSnapshot() MetricsSnapshot {
 	snap := MetricsSnapshot{
 		SlowQueries: e.metrics.slow.Load(),
+		Parses:      e.metrics.parses.Load(),
 		PlanCache:   e.PlanCacheStats(),
 		Parallel:    e.ParallelStats(),
 	}

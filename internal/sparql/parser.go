@@ -268,6 +268,10 @@ func (p *parser) selectQuery() (*SelectQuery, error) {
 	} else {
 		p.keyword("REDUCED") // treated as plain SELECT
 	}
+	// projected holds every variable projected so far; asLines the line
+	// of each (expr AS ?v), for the scope check once WHERE is parsed.
+	projected := map[string]bool{}
+	asLines := map[string]int{}
 	if p.punct("*") {
 		sel.Star = true
 	} else {
@@ -275,7 +279,10 @@ func (p *parser) selectQuery() (*SelectQuery, error) {
 			t := p.peek()
 			if t.kind == tokVar {
 				p.advance()
-				sel.Projection = append(sel.Projection, SelectItem{Var: t.text})
+				if !projected[t.text] { // a repeated variable is projected once
+					projected[t.text] = true
+					sel.Projection = append(sel.Projection, SelectItem{Var: t.text})
+				}
 				continue
 			}
 			if t.kind == tokPunct && t.text == "(" {
@@ -291,10 +298,15 @@ func (p *parser) selectQuery() (*SelectQuery, error) {
 				if v.kind != tokVar {
 					return nil, p.errf("expected variable after AS")
 				}
+				if projected[v.text] {
+					return nil, p.errf("?%s is already projected; (expr AS ?%s) must introduce a new variable", v.text, v.text)
+				}
 				p.advance()
 				if err := p.expectPunct(")"); err != nil {
 					return nil, err
 				}
+				projected[v.text] = true
+				asLines[v.text] = v.line
 				sel.Projection = append(sel.Projection, SelectItem{Var: v.text, Expr: e})
 				continue
 			}
@@ -310,10 +322,69 @@ func (p *parser) selectQuery() (*SelectQuery, error) {
 		return nil, err
 	}
 	sel.Where = group
+	if len(asLines) > 0 {
+		// SPARQL 1.1 §18.2.1: the variable of (expr AS ?v) must not be
+		// in scope in the WHERE pattern.
+		scope := map[string]bool{}
+		inScope(group, scope)
+		for _, it := range sel.Projection {
+			if it.Expr != nil && scope[it.Var] {
+				return nil, fmt.Errorf("sparql: line %d: ?%s is already in scope in WHERE; (expr AS ?%s) must introduce a new variable",
+					asLines[it.Var], it.Var, it.Var)
+			}
+		}
+	}
 	if err := p.solutionModifiers(sel); err != nil {
 		return nil, err
 	}
 	return sel, nil
+}
+
+// inScope adds to vars the variables in scope after group g (SPARQL 1.1
+// §18.2.1): those of its triple patterns, GRAPH ?g, BIND, VALUES,
+// OPTIONAL and UNION branches, and a sub-SELECT's projection — not those
+// used only in a FILTER or MINUS.
+func inScope(g *GroupGraphPattern, vars map[string]bool) {
+	add := func(tv TermOrVar) {
+		if tv.IsVar {
+			vars[tv.Var] = true
+		}
+	}
+	for _, el := range g.Elems {
+		switch el := el.(type) {
+		case *TriplePattern:
+			add(el.S)
+			add(el.O)
+			if pv, ok := el.P.(PathVar); ok {
+				vars[pv.Name] = true
+			}
+			if el.Graph.Kind == GraphVar {
+				vars[el.Graph.Var] = true
+			}
+		case *GraphPattern:
+			add(el.Graph)
+			inScope(el.Group, vars)
+		case *UnionPattern:
+			for _, b := range el.Branches {
+				inScope(b, vars)
+			}
+		case *OptionalPattern:
+			inScope(el.Group, vars)
+		case *BindElem:
+			vars[el.Var] = true
+		case *ValuesElem:
+			for _, v := range el.Vars {
+				vars[v] = true
+			}
+		case *SubSelect:
+			if el.Select.Star {
+				inScope(el.Select.Where, vars)
+			}
+			for _, it := range el.Select.Projection {
+				vars[it.Var] = true
+			}
+		}
+	}
 }
 
 func (p *parser) solutionModifiers(sel *SelectQuery) error {

@@ -293,3 +293,58 @@ func TestParseTrailingDotAfterPName(t *testing.T) {
 		t.Errorf("local name mangled: %v", tp.O.Term)
 	}
 }
+
+// TestParseConflictingProjections is the reproducer for a SELECT that
+// named one variable twice: the reply's head listed it twice and its
+// binding silently carried whichever column was written last. SPARQL 1.1
+// §18.2.1 forbids (expr AS ?v) when ?v is already in scope; a repeated
+// plain variable is projected once.
+func TestParseConflictingProjections(t *testing.T) {
+	rejected := []string{
+		`SELECT ?o (?s AS ?o) WHERE { ?s ?p ?o }`,                      // projected and in WHERE
+		`SELECT (?s AS ?o) WHERE { ?s ?p ?o }`,                         // in scope in WHERE
+		`SELECT (?s AS ?x) (?p AS ?x) WHERE { ?s ?p ?o }`,              // projected twice
+		`SELECT ?x (?s AS ?x) WHERE { ?s ?p ?o }`,                      // projected, not in WHERE
+		`SELECT (1 AS ?g) WHERE { GRAPH ?g { ?s ?p ?o } }`,             // GRAPH variable
+		`SELECT (1 AS ?p) WHERE { ?s ?p ?o }`,                          // predicate variable
+		`SELECT (1 AS ?y) WHERE { ?s ?p ?o OPTIONAL { ?o ?q ?y } }`,    // OPTIONAL
+		`SELECT (1 AS ?y) WHERE { { ?s ?p ?y } UNION { ?s ?p ?o } }`,   // UNION branch
+		`SELECT (1 AS ?b) WHERE { ?s ?p ?o BIND(2 AS ?b) }`,            // BIND
+		`SELECT (1 AS ?v) WHERE { VALUES ?v { 1 2 } }`,                 // VALUES
+		`SELECT (1 AS ?o) WHERE { { SELECT ?o WHERE { ?s ?p ?o } } }`,  // sub-SELECT projection
+		`SELECT (1 AS ?o) WHERE { { SELECT * WHERE { ?s ?p ?o } } }`,   // sub-SELECT *
+		`SELECT ?s WHERE { { SELECT (?s AS ?o) WHERE { ?s ?p ?o } } }`, // inside a sub-SELECT
+	}
+	for _, s := range rejected {
+		if _, err := Parse(s); err == nil {
+			t.Errorf("accepted conflicting projection: %s", s)
+		}
+	}
+	accepted := []string{
+		`SELECT ?s (COUNT(*) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?s`,
+		`SELECT (?s AS ?z) WHERE { ?s ?p ?o FILTER(?s != ?z) }`,        // FILTER does not bind
+		`SELECT (?s AS ?z) WHERE { ?s ?p ?o MINUS { ?s ?q ?z } }`,      // nor does MINUS
+		`SELECT (?s AS ?z) WHERE { { SELECT ?s WHERE { ?s ?p ?z } } }`, // ?z not projected out
+	}
+	for _, s := range accepted {
+		if _, err := Parse(s); err != nil {
+			t.Errorf("rejected valid query %s: %v", s, err)
+		}
+	}
+
+	q := mustParseQuery(t, `SELECT ?s ?s ?o ?s WHERE { ?s ?p ?o }`)
+	var got []string
+	for _, it := range q.Select.Projection {
+		got = append(got, it.Var)
+	}
+	if strings.Join(got, " ") != "s o" {
+		t.Errorf("repeated variable projection = %v, want [s o]", got)
+	}
+	res, err := NewEngine(fig1Store(t)).Query("", testPrologue+`SELECT ?x ?x ?n WHERE { ?x key:name ?n }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(res.Vars, " ") != "x n" {
+		t.Errorf("result head = %v, want [x n]", res.Vars)
+	}
+}

@@ -355,7 +355,7 @@ func TestProfilingOffHasNoProfile(t *testing.T) {
 	st := fig1Store(t)
 	e := NewEngine(st)
 	res, prof, err := e.queryInternal(context.Background(), "",
-		testPrologue+`SELECT ?x WHERE { ?x key:name ?n }`, false)
+		testPrologue+`SELECT ?x WHERE { ?x key:name ?n }`, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}

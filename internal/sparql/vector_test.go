@@ -235,7 +235,7 @@ func TestOrderInsensitive(t *testing.T) {
 		{`SELECT ?a WHERE { ?a ?p ?b } ORDER BY ?a`, false},
 	}
 	for _, c := range cases {
-		cp, err := e.compileSelectText(testPrologue + c.q)
+		cp, err := e.compileSelectText(testPrologue+c.q, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", c.q, err)
 		}
