@@ -123,13 +123,14 @@ bench-algos:
 bench-algos-smoke:
 	$(GO) run ./cmd/benchpaper -algobench -workers $(BENCH_WORKERS) -iters 1 -scale 0.02 -out BENCH_algos.json
 
-## bench-micro: row-vs-batch executor kernel microbenchmarks (scan,
-## hash probe, nested loop, filter) plus the store-level benchmarks:
-## batched scans, a range scan and an estimate through 0–8 000 unmerged
-## inserts and 0–4 000 tombstones (BenchmarkScanThroughDelta: the cost
-## must not grow with the delta), and one write operation of 1, 3 and
-## 300 quads on an empty and a full delta (BenchmarkApply). Compare the
-## row/ and batch/ sub-benchmark pairs.
+## bench-micro: executor kernel microbenchmarks — the BGP driver's hot
+## loops (scan, hash probe, nested loop, filter) and the nested shapes
+## that rerun an inner BGP per outer row (OPTIONAL, MINUS) — plus the
+## store-level benchmarks: batched scans, a range scan and an estimate
+## through 0–8 000 unmerged inserts and 0–4 000 tombstones
+## (BenchmarkScanThroughDelta: the cost must not grow with the delta),
+## and one write operation of 1, 3 and 300 quads on an empty and a full
+## delta (BenchmarkApply). Compare against the parent commit's run.
 bench-micro:
 	$(GO) test -bench 'Kernel' -run '^$$' -benchtime 20x ./internal/sparql/
 	$(GO) test -bench 'BenchmarkScan|BenchmarkApply' -run '^$$' ./internal/store/

@@ -33,7 +33,7 @@ func main() {
 	table := flag.String("table", "", "run a single table (1,2,5,6,7,8,9)")
 	fig := flag.String("fig", "", "run a single figure (4,5,6,7,8,9)")
 	seed := flag.Int64("seed", 0, "override generator seed")
-	parallelBench := flag.Bool("parallelbench", false, "run the serial-vs-parallel comparison (morsel-driven executor + bulk load) instead of the paper tables")
+	parallelBench := flag.Bool("parallelbench", false, "run the serial-vs-parallel comparison (morsel-driven executor + bulk load) instead of the paper tables; serial_ms is the serial batch executor (Parallelism 1)")
 	algoBench := flag.Bool("algobench", false, "run the graph-algorithm comparison (CSR projection + PageRank/WCC/triangles, serial vs parallel, all three schemes) instead of the paper tables")
 	workers := flag.Int("workers", 8, "worker budget for -parallelbench and -algobench")
 	requireCores := flag.Bool("require-cores", false, "fail -parallelbench/-algobench when GOMAXPROCS < workers instead of just warning (guards published speedup numbers)")

@@ -16,19 +16,18 @@ import (
 // 5–9 whose driving scans are large enough to fan out.
 var parallelBenchQueries = []string{"EQ3", "EQ7a", "EQ11d", "EQ12"}
 
-// ParallelQueryResult is one query's three-way comparison: the
-// row-at-a-time serial baseline (serial_ms), the vectorized serial
-// executor (batch_ms), and the vectorized parallel executor
-// (parallel_ms). batch_speedup isolates the vectorization win at
-// workers=1; speedup is the combined vectorization+parallelism win
-// over the row baseline.
+// ParallelQueryResult is one query's serial-vs-parallel comparison:
+// the serial executor (serial_ms, Parallelism 1) against the
+// morsel-driven parallel one (parallel_ms). Both run the batch BGP
+// driver; reports recorded before it became the only BGP driver
+// measured the deleted row-at-a-time executor as serial_ms.
 //
-// Rows is the baseline's count and ParallelRows the parallel
-// executor's; ParallelBench fails if any executor disagrees, so a
-// published report is itself evidence the executors agreed. A zero
-// count is not a measurement bug: EQ3 and EQ7a are 4-hop chain SELECTs
-// whose same-tag join finds no matches at small synthetic scales,
-// while the scans and joins being timed still do their full work.
+// Rows is the serial executor's count and ParallelRows the parallel
+// executor's; ParallelBench fails if they disagree, so a published
+// report is itself evidence the executors agreed. A zero count is not
+// a measurement bug: EQ3 and EQ7a are 4-hop chain SELECTs whose
+// same-tag join finds no matches at small synthetic scales, while the
+// scans and joins being timed still do their full work.
 type ParallelQueryResult struct {
 	Name         string  `json:"name"`
 	Scheme       string  `json:"scheme"`
@@ -36,10 +35,8 @@ type ParallelQueryResult struct {
 	Rows         int     `json:"rows"`
 	ParallelRows int     `json:"parallel_rows"`
 	SerialMS     float64 `json:"serial_ms"`
-	BatchMS      float64 `json:"batch_ms"`
 	ParallelMS   float64 `json:"parallel_ms"`
 	Speedup      float64 `json:"speedup"`
-	BatchSpeedup float64 `json:"batch_speedup"`
 }
 
 // ParallelLoadResult compares serial vs parallel bulk-load time for the
@@ -60,16 +57,13 @@ type ParallelReport struct {
 	BulkLoad   ParallelLoadResult    `json:"bulk_load"`
 }
 
-// ParallelBench measures the paper's scan-heavy queries under three
-// executors — the row-at-a-time serial baseline (vectorization
-// disabled), the vectorized serial executor, and the vectorized
-// morsel-driven executor with the given worker budget — plus bulk-load
-// throughput with serial vs parallel index builds. Each query is
-// warmed once, then timed iters times; the median is reported. Note
-// that parallel speedups are bounded by the machine: on a single-core
-// host the parallel executor can only match the serial one (GOMAXPROCS
-// is recorded in the report for that reason); batch_speedup is
-// machine-independent since both legs run on one worker.
+// ParallelBench measures the paper's scan-heavy queries under the
+// serial executor and the morsel-driven executor with the given worker
+// budget, plus bulk-load throughput with serial vs parallel index
+// builds. Each query is warmed once, then timed iters times; the median
+// is reported. Parallel speedups are bounded by the machine: on a
+// single-core host the parallel executor can only match the serial one
+// (GOMAXPROCS is recorded in the report for that reason).
 func ParallelBench(ctx context.Context, env *Env, workers, iters int) (*ParallelReport, error) {
 	if workers < 2 {
 		workers = 2
@@ -81,9 +75,6 @@ func ParallelBench(ctx context.Context, env *Env, workers, iters int) (*Parallel
 	se := env.NG
 	serial := sparql.NewEngine(se.Store)
 	serial.Parallelism = 1
-	serial.DisableVectorized = true
-	batch := sparql.NewEngine(se.Store)
-	batch.Parallelism = 1
 	par := sparql.NewEngine(se.Store)
 	par.Parallelism = workers
 	queries := env.Queries()
@@ -97,27 +88,19 @@ func ParallelBench(ctx context.Context, env *Env, workers, iters int) (*Parallel
 		if err != nil {
 			return nil, fmt.Errorf("parallelbench %s (serial): %w", name, err)
 		}
-		bres, err := batch.QueryContext(ctx, model, q) // warm-up + row count
-		if err != nil {
-			return nil, fmt.Errorf("parallelbench %s (batch): %w", name, err)
-		}
 		pres, err := par.QueryContext(ctx, model, q) // warm-up + row count
 		if err != nil {
 			return nil, fmt.Errorf("parallelbench %s (parallel): %w", name, err)
 		}
-		if resultCount(bres) != resultCount(res) || resultCount(pres) != resultCount(res) {
+		if resultCount(pres) != resultCount(res) {
 			// A timing report over divergent results would be
 			// meaningless — and would hide a correctness bug.
-			return nil, fmt.Errorf("parallelbench %s: row/batch/parallel executors returned %d/%d/%d rows",
-				name, resultCount(res), resultCount(bres), resultCount(pres))
+			return nil, fmt.Errorf("parallelbench %s: serial/parallel executors returned %d/%d rows",
+				name, resultCount(res), resultCount(pres))
 		}
 		sMed, err := medianRun(ctx, serial, model, q, iters)
 		if err != nil {
 			return nil, fmt.Errorf("parallelbench %s (serial): %w", name, err)
-		}
-		bMed, err := medianRun(ctx, batch, model, q, iters)
-		if err != nil {
-			return nil, fmt.Errorf("parallelbench %s (batch): %w", name, err)
 		}
 		pMed, err := medianRun(ctx, par, model, q, iters)
 		if err != nil {
@@ -130,10 +113,8 @@ func ParallelBench(ctx context.Context, env *Env, workers, iters int) (*Parallel
 			Rows:         resultCount(res),
 			ParallelRows: resultCount(pres),
 			SerialMS:     ms(sMed),
-			BatchMS:      ms(bMed),
 			ParallelMS:   ms(pMed),
 			Speedup:      speedup(sMed, pMed),
-			BatchSpeedup: speedup(sMed, bMed),
 		})
 	}
 	load, err := parallelLoadBench(env, workers, iters)
@@ -184,12 +165,12 @@ func parallelLoadBench(env *Env, workers, iters int) (*ParallelLoadResult, error
 	}, nil
 }
 
-// ParallelDifferential runs every paper query under the row-at-a-time
-// serial baseline, the vectorized serial executor, and the vectorized
-// parallel executor on all three schemes (NG, SP, and the lazily
-// loaded RF ablation) and fails on the first result mismatch — the
-// acceptance check that batch-at-a-time and morsel-driven execution
-// are byte-identical to the row-at-a-time serial plans.
+// ParallelDifferential runs every paper query under the serial and the
+// morsel-driven parallel executor on all three schemes (NG, SP, and the
+// lazily loaded RF ablation) and fails on the first result mismatch —
+// the acceptance check that parallel execution, profiled or not, is
+// byte-identical to the serial plans. TestEngineMatchesReference checks
+// the serial answers themselves against a naive evaluator.
 func ParallelDifferential(ctx context.Context, env *Env, workers int) error {
 	if workers < 2 {
 		workers = 8
@@ -202,29 +183,17 @@ func ParallelDifferential(ctx context.Context, env *Env, workers int) error {
 	for _, se := range append(env.SchemeEnvs(), rf) {
 		serial := sparql.NewEngine(se.Store)
 		serial.Parallelism = 1
-		serial.DisableVectorized = true
-		batch := sparql.NewEngine(se.Store)
-		batch.Parallelism = 1
 		par := sparql.NewEngine(se.Store)
 		par.Parallelism = workers
 		// Lower the hash-join threshold so the lazy switch (and thus the
 		// partitioned build) engages even at test scale.
 		serial.HashJoinThreshold = 16
-		batch.HashJoinThreshold = 16
 		par.HashJoinThreshold = 16
 		for _, name := range sortedKeys(queries) {
 			model := TargetModelFor(se, name)
 			want, err := serial.QueryContext(ctx, model, queries[name])
 			if err != nil {
 				return fmt.Errorf("differential %s/%s (serial): %w", se.Scheme, name, err)
-			}
-			bgot, err := batch.QueryContext(ctx, model, queries[name])
-			if err != nil {
-				return fmt.Errorf("differential %s/%s (batch): %w", se.Scheme, name, err)
-			}
-			if bgot.String() != want.String() {
-				return fmt.Errorf("differential %s/%s: vectorized result differs from row-at-a-time\n--- row ---\n%s\n--- vectorized ---\n%s",
-					se.Scheme, name, want, bgot)
 			}
 			got, err := par.QueryContext(ctx, model, queries[name])
 			if err != nil {
@@ -234,10 +203,10 @@ func ParallelDifferential(ctx context.Context, env *Env, workers int) error {
 				return fmt.Errorf("differential %s/%s: parallel result differs from serial\n--- serial ---\n%s\n--- parallel ---\n%s",
 					se.Scheme, name, want, got)
 			}
-			// Third leg: parallel execution with per-operator profiling
-			// on must stay byte-identical too (the instrumentation layer
-			// may not perturb morsel merge order), and the profile must
-			// actually carry the plan.
+			// Parallel execution with per-operator profiling on must
+			// stay byte-identical too (the instrumentation layer may not
+			// perturb morsel merge order), and the profile must actually
+			// carry the plan.
 			pres, prof, err := par.QueryProfiledContext(ctx, model, queries[name])
 			if err != nil {
 				return fmt.Errorf("differential %s/%s (profiled): %w", se.Scheme, name, err)

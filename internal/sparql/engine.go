@@ -24,13 +24,6 @@ type Engine struct {
 	// for normal use.
 	DisableHashJoin bool
 
-	// DisableVectorized forces the row-at-a-time pull pipeline for every
-	// operator, disabling batch-at-a-time BGP execution (DESIGN.md §15).
-	// It exists as the vectorization ablation baseline for benchmarks
-	// and the row/batch differential tests; leave it false for normal
-	// use. Set it once before serving queries; it is read concurrently.
-	DisableVectorized bool
-
 	// Limits is the per-query resource budget applied by the *Context
 	// execution methods. The zero value imposes no limits. Set it once
 	// before serving queries; it is read concurrently.
@@ -814,7 +807,6 @@ func (e *Engine) execCtx(model string, vt *varTable) (*execCtx, error) {
 		estc:            &e.estc,
 		vt:              vt,
 		noHashJoin:      e.DisableHashJoin,
-		vectorized:      !e.DisableVectorized,
 		parallelism:     e.parallelism(),
 		hashMin:         e.hashJoinMin(),
 		pstats:          &e.pstats,

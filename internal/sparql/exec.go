@@ -40,12 +40,6 @@ type execCtx struct {
 	pstats          *parallelStats
 	parallelFlagged *atomic.Bool // set once when the query goes parallel
 
-	// vectorized enables batch-at-a-time BGP execution (DESIGN.md §15).
-	// Off, every operator runs the row-at-a-time pull pipeline — the
-	// pre-vectorization executor, kept as the ablation baseline and the
-	// fallback for operators that are not batch-aware.
-	vectorized bool
-
 	// unordered is set by evalSelect when the plan's results are
 	// consumed order-insensitively (a single implicit group whose
 	// aggregates do not depend on row order, or ASK's any-row check).
@@ -418,10 +412,10 @@ const defaultHashJoinMinInput = 1024
 // against the same snapshot order — the two access paths emit rows in
 // the same order for the store's index geometry, so the switch point is
 // invisible in the output (DESIGN.md §10).
-// hashState's guarded fields are written only under mu inside
-// buildHash; after built flips to true they are immutable and probe
-// paths read them lock-free behind the built.Load() publication
-// barrier (those reads carry justified suppressions).
+// hashState's guarded fields are written only under mu, by buildHash
+// and by bgpShared.reset between runs; while built is true they are
+// immutable and probe paths read them lock-free behind the built.Load()
+// publication barrier (those reads carry justified suppressions).
 type hashState struct {
 	mu    sync.Mutex
 	built atomic.Bool
@@ -450,7 +444,9 @@ func (hs *hashState) keyOf(q store.IDQuad) [4]store.ID {
 // bgpShared is the state of one BGP evaluation shared across the serial
 // driver and all its parallel workers: resolved patterns, join order,
 // filter placement, the lazily built hash tables, and the per-step
-// input counters that drive the adaptive NLJ/hash switch.
+// input counters that drive the adaptive NLJ/hash switch. A BGP nested
+// under OPTIONAL, MINUS or UNION runs once per outer row and keeps its
+// bgpShared across runs; reset clears the per-run part.
 type bgpShared struct {
 	ec           *execCtx
 	rps          []resolvedPattern
@@ -460,7 +456,7 @@ type bgpShared struct {
 	hashes       []hashState
 	inputSeen    []atomic.Int64
 
-	// Profiling slots, resolved once per apply invocation: bgpStage is
+	// Profiling slots, resolved once per apply: bgpStage is
 	// the operator's own slot, stepStats[depth] the slot of the join
 	// step executed at that depth (stage ids follow execution order).
 	// Both are nil when profiling is off.
@@ -474,122 +470,6 @@ func (sh *bgpShared) stepStat(depth int) *profStage {
 		return nil
 	}
 	return sh.stepStats[depth]
-}
-
-// bgpWalker is the per-goroutine execution state walking the join tree:
-// its own undo stack and row sink over a binding it owns exclusively.
-type bgpWalker struct {
-	sh    *bgpShared
-	undos []undoList
-	emit  func(binding) bool
-}
-
-func (w *bgpWalker) emitRow(b binding) bool {
-	ec := w.sh.ec
-	for _, f := range w.sh.finalFilters {
-		v, err := evalBool(ec, f.cond, b)
-		if err != nil || !v {
-			return true
-		}
-	}
-	return w.emit(b)
-}
-
-// step advances the join recursion by one pattern. It is the serial
-// executor verbatim; parallel workers run the same code over disjoint
-// morsels of the first step's scan.
-func (w *bgpWalker) step(depth int, b binding) bool {
-	sh := w.sh
-	ec := sh.ec
-	// Cooperative cancellation: the guard latches its error and the
-	// recursion unwinds; the source reports it on return.
-	if !ec.guard.poll() {
-		return false
-	}
-	for _, f := range sh.filterAt[depth] {
-		v, err := evalBool(ec, f.cond, b)
-		if err != nil || !v {
-			return true // filtered out; keep going
-		}
-	}
-	if depth == len(sh.order) {
-		return w.emitRow(b)
-	}
-	rp := &sh.rps[sh.order[depth]]
-	hs := &sh.hashes[depth]
-	pst := sh.stepStat(depth)
-	seen := sh.inputSeen[depth].Add(1)
-
-	// Decide whether to (lazily) switch this step to a hash join.
-	if !hs.built.Load() && !ec.noHashJoin && seen > int64(ec.hashMin) &&
-		rp.estConst < 64*int(seen) {
-		sh.buildHash(depth, rp, b)
-	}
-
-	if hs.built.Load() {
-		var key [4]store.ID
-		usable := true
-		//pgrdfvet:ignore guardedby -- keySlots is frozen before built.Store(true); built.Load() above is the publication barrier
-		for i, slot := range hs.keySlots {
-			if b[slot] == store.NoID {
-				usable = false // heterogeneous boundness: NLJ fallback
-				break
-			}
-			key[i] = b[slot]
-		}
-		if usable {
-			var probes int64 // flushed in one atomic per probe loop
-			//pgrdfvet:ignore guardedby -- table is immutable after built.Store(true); built.Load() above is the publication barrier
-			for _, q := range hs.table[key] {
-				if !rp.bindQuad(b, q, &w.undos[depth]) {
-					continue
-				}
-				probes++
-				// Probed rows bypass ec.scan, so they tick the guard
-				// here to stay inside the bindings budget.
-				if !ec.guard.tick() {
-					w.undos[depth].revert(b)
-					pst.addProbes(probes)
-					return false
-				}
-				// Re-check non-key bound positions (vars bound after
-				// the table was built are validated by bindQuad).
-				cont := w.step(depth+1, b)
-				w.undos[depth].revert(b)
-				if !cont {
-					pst.addProbes(probes)
-					return false
-				}
-			}
-			pst.addProbes(probes)
-			return true
-		}
-	}
-
-	// Index nested-loop join. Profiling counts into locals and flushes
-	// once after the scan: one guard tick was charged per scanned row.
-	stopped := false
-	var scanned, emitted int64
-	ec.scan(rp.boundPattern(b), func(q store.IDQuad) bool {
-		scanned++
-		if !rp.matchesGraphCtx(q) {
-			return true
-		}
-		if !rp.bindQuad(b, q, &w.undos[depth]) {
-			return true
-		}
-		emitted++
-		cont := w.step(depth+1, b)
-		w.undos[depth].revert(b)
-		if !cont {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	pst.addTicks(scanned)
-	pst.addRows(emitted)
-	return !stopped
 }
 
 // buildHash populates the hash table for one join step. The first
@@ -638,15 +518,15 @@ func (sh *bgpShared) buildHash(depth int, rp *resolvedPattern, b binding) {
 	hs.built.Store(true)
 }
 
-// newShared builds the per-evaluation shared state of a BGP: resolved
-// patterns, join order, filter placement and profiling slots. It
-// reports ok=false when a constant term does not occur in the
-// dictionary (the BGP can have no solutions).
-func (o *bgpOp) newShared(ec *execCtx) (*bgpShared, bool) {
+// newShared builds the shared state of a BGP: resolved patterns, join
+// order, filter placement and profiling slots. It returns nil when a
+// constant term does not occur in the dictionary (the BGP can have no
+// solutions).
+func (o *bgpOp) newShared(ec *execCtx) *bgpShared {
 	rps := o.resolve(ec)
 	for _, rp := range rps {
 		if rp.missing {
-			return nil, false // a constant term does not occur: no solutions
+			return nil
 		}
 	}
 	order := orderPatterns(rps, 0)
@@ -690,11 +570,25 @@ func (o *bgpOp) newShared(ec *execCtx) (*bgpShared, bool) {
 			sh.stepStats[i] = ec.prof.stage(o.sid + 1 + i)
 		}
 	}
-	return sh, true
+	return sh
+}
+
+// reset readies the state for a run: the NLJ→hash switch is decided
+// afresh per run, from zeroed input counters and no hash tables.
+func (sh *bgpShared) reset() {
+	for i := range sh.hashes {
+		sh.inputSeen[i].Store(0)
+		if hs := &sh.hashes[i]; hs.built.Load() {
+			hs.mu.Lock()
+			hs.keySlots, hs.keyPos, hs.table = hs.keySlots[:0], hs.keyPos[:0], nil
+			hs.built.Store(false)
+			hs.mu.Unlock()
+		}
+	}
 }
 
 // foldStepStats folds the per-step input counters and the NLJ→hash
-// switch flags into the profile once per evaluation.
+// switch flags into the profile once per run.
 func (sh *bgpShared) foldStepStats() {
 	if sh.stepStats == nil {
 		return
@@ -709,29 +603,25 @@ func (sh *bgpShared) foldStepStats() {
 	}
 }
 
+// apply is the BGP as a row operator: it runs the batch driver
+// (applyBatch) and hands each batch row downstream in one reused
+// binding, borrowed like every binding a source yields.
 func (o *bgpOp) apply(ec *execCtx, in source) source {
+	bs := o.applyBatch(ec, in)
+	var row binding
 	return func(yield func(binding) bool) error {
-		sh, ok := o.newShared(ec)
-		if !ok {
-			return nil
-		}
-		w := &bgpWalker{sh: sh, undos: make([]undoList, len(sh.order)), emit: yield}
-		err := in(func(b binding) bool {
-			if sh.bgpStage != nil {
-				sh.bgpStage.rowsIn.Add(1)
+		return bs(func(cb *colBatch) bool {
+			if row == nil {
+				row = make(binding, len(cb.base))
 			}
-			if ec.parallelism > 1 {
-				if handled, cont := sh.tryParallel(b, yield); handled {
-					return cont
+			for i := 0; i < cb.n; i++ {
+				cb.materialize(i, row)
+				if !yield(row) {
+					return false
 				}
 			}
-			return w.step(0, b)
+			return true
 		})
-		sh.foldStepStats()
-		if err == nil && ec.guard != nil {
-			err = ec.guard.Err()
-		}
-		return err
 	}
 }
 
@@ -920,11 +810,16 @@ func (o *unionOp) bound(before varset) varset {
 }
 
 func (o *unionOp) apply(ec *execCtx, in source) source {
+	var row feed
+	branches := make([]source, len(o.branches))
+	for i, br := range o.branches {
+		branches[i] = runPipeline(ec, br, row.source)
+	}
 	return func(yield func(binding) bool) error {
 		var innerErr error
 		err := in(func(b binding) bool {
-			for _, br := range o.branches {
-				src := runPipeline(ec, br, singleton(b))
+			row.b = b
+			for _, src := range branches {
 				stopped := false
 				if innerErr = src(func(out binding) bool {
 					if !yield(out) {
@@ -959,12 +854,15 @@ func (o *unionOp) explain(e *explainer) {
 	e.indent--
 }
 
-// singleton yields one borrowed binding.
-func singleton(b binding) source {
-	return func(yield func(binding) bool) error {
-		yield(b)
-		return nil
-	}
+// feed is a one-binding source whose binding is set before each run.
+// UNION, OPTIONAL and MINUS build their inner pipeline once per apply
+// over a feed and rerun it per outer row, so the BGPs in it keep their
+// resolved plan and batch buffers across rows.
+type feed struct{ b binding }
+
+func (f *feed) source(yield func(binding) bool) error {
+	yield(f.b)
+	return nil
 }
 
 type optionalOp struct {
@@ -976,13 +874,15 @@ type optionalOp struct {
 func (o *optionalOp) bound(before varset) varset { return before }
 
 func (o *optionalOp) apply(ec *execCtx, in source) source {
+	var row feed
+	inner := runPipeline(ec, o.inner, row.source)
 	return func(yield func(binding) bool) error {
 		var innerErr error
 		err := in(func(b binding) bool {
+			row.b = b
 			matched := false
-			src := runPipeline(ec, o.inner, singleton(b))
 			stopped := false
-			if innerErr = src(func(out binding) bool {
+			if innerErr = inner(func(out binding) bool {
 				matched = true
 				if !yield(out) {
 					stopped = true
@@ -1025,6 +925,8 @@ type minusOp struct {
 func (o *minusOp) bound(before varset) varset { return before }
 
 func (o *minusOp) apply(ec *execCtx, in source) source {
+	var row feed
+	inner := runPipeline(ec, o.inner, row.source)
 	return func(yield func(binding) bool) error {
 		var innerErr error
 		err := in(func(b binding) bool {
@@ -1039,9 +941,9 @@ func (o *minusOp) apply(ec *execCtx, in source) source {
 			if !shared {
 				return yield(b)
 			}
+			row.b = b
 			found := false
-			src := runPipeline(ec, o.inner, singleton(b))
-			if innerErr = src(func(binding) bool {
+			if innerErr = inner(func(binding) bool {
 				found = true
 				return false
 			}); innerErr != nil {

@@ -1,0 +1,143 @@
+package sparql
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/store"
+)
+
+// nestedShapeQueries are the plan shapes whose BGPs run nested inside
+// row operators (the inner pipelines of OPTIONAL, MINUS and UNION, a
+// BGP fed by VALUES or BIND, a BGP after OPTIONAL) or that evaluate a
+// sub-pipeline per row (FILTER EXISTS, sub-select, path closure).
+var nestedShapeQueries = []string{
+	`SELECT ?a ?b ?c WHERE { ?a rel:follows ?b OPTIONAL { ?b rel:follows ?c . ?c rel:follows ?a } }`,
+	`SELECT ?a ?b WHERE { ?a rel:follows ?b MINUS { ?b rel:follows ?a } }`,
+	`SELECT ?a ?e WHERE { ?a rel:follows <http://pg/v9> { ?a rel:follows ?b . ?b rel:follows ?c . ?c rel:follows ?d . ?d rel:follows ?e } UNION { ?e rel:follows ?a } }`,
+	`SELECT ?a ?b ?c WHERE { VALUES ?a { <http://pg/v1> <http://pg/v2> <http://pg/v7> <http://pg/v11> } ?a rel:follows ?b . ?b rel:follows ?c }`,
+	`SELECT ?a ?b ?c WHERE { ?a rel:follows <http://pg/v9> BIND(?a AS ?b) ?b rel:follows ?c }`,
+	`SELECT ?a ?c ?d WHERE { ?a rel:follows <http://pg/v9> OPTIONAL { ?a rel:follows ?c . ?c rel:follows <http://pg/v3> } ?c rel:follows ?d }`,
+	`SELECT ?a ?b WHERE { ?a rel:follows ?b FILTER EXISTS { ?b rel:follows ?a } }`,
+	`SELECT ?a ?n WHERE { ?a rel:follows <http://pg/v9> { SELECT ?a (COUNT(?b) AS ?n) WHERE { ?a rel:follows ?b } GROUP BY ?a } }`,
+	`SELECT ?a ?y WHERE { ?a rel:follows <http://pg/v9> . ?a rel:follows+ ?y }`,
+}
+
+const executorGoldenPath = "testdata/executor_golden.txt"
+
+// goldenHeadRows is how many leading rows of each result the golden
+// file spells out; the digest pins the rest, order included.
+const goldenHeadRows = 3
+
+// executorGolden renders the pinned results: for every query, the row
+// count, a digest of the full result table (row order included) and
+// its first rows; for the nested shapes also the serial profile's
+// per-operator counters (see profileCounters).
+func executorGolden(t *testing.T, parallelism int) string {
+	t.Helper()
+	st := egoNetStore(t, 900, 5)
+	e := NewEngine(st)
+	e.Parallelism = parallelism
+	e.HashJoinThreshold = 16
+	var sb strings.Builder
+	sb.WriteString("# Executor golden: results on egoNetStore(900, 5), HashJoinThreshold 16,\n")
+	sb.WriteString("# identical at parallelism 1 and 4. Regenerate only with\n")
+	sb.WriteString("# UPDATE_EXECUTOR_GOLDEN=1 go test -run TestExecutorGolden ./internal/sparql\n")
+	for _, q := range append(append([]string(nil), vectorDiffQueries...), nestedShapeQueries...) {
+		res, err := e.Query("", testPrologue+q)
+		if err != nil {
+			t.Fatalf("parallelism %d: %v\n%s", parallelism, err, q)
+		}
+		table := res.String()
+		lines := strings.SplitAfter(table, "\n")
+		fmt.Fprintf(&sb, "\n== %s\nrows=%d sha256=%x\n", q, res.Len(), sha256.Sum256([]byte(table)))
+		for i := 1; i < len(lines) && i <= goldenHeadRows; i++ {
+			sb.WriteString(lines[i])
+		}
+	}
+	for _, q := range nestedShapeQueries {
+		fmt.Fprintf(&sb, "\n== profile %s\n%s", q, profileCounters(t, st, q))
+	}
+	if w := e.ParallelStats().ActiveWorkers; w != 0 {
+		t.Errorf("parallelism %d: leaked workers: %d", parallelism, w)
+	}
+	if g := st.OpenCursors(); g != 0 {
+		t.Errorf("parallelism %d: leaked cursors: %d", parallelism, g)
+	}
+	return sb.String()
+}
+
+// profileCounters runs q serially with profiling and renders each plan
+// node's invocations, rows in/out and NLJ→hash switch flag — the
+// counters that must not change with the executor's internals. Guard
+// ticks and wall time are left out: ticks depend on where the hash
+// switch happens, not on whether it happens.
+func profileCounters(t *testing.T, st *store.Store, q string) string {
+	t.Helper()
+	e := NewEngine(st)
+	e.Parallelism = 1
+	e.HashJoinThreshold = 16
+	_, prof, err := e.QueryProfiled("", testPrologue+q)
+	if err != nil {
+		t.Fatalf("profile: %v\n%s", err, q)
+	}
+	var sb strings.Builder
+	var walk func(ns []*ProfileNode, depth int)
+	walk = func(ns []*ProfileNode, depth int) {
+		for _, n := range ns {
+			fmt.Fprintf(&sb, "%s%s  loops=%d in=%d out=%d hash=%v\n",
+				strings.Repeat("  ", depth), n.Label, n.Invocations, n.RowsIn, n.RowsOut, n.HashJoin)
+			walk(n.Children, depth+1)
+		}
+	}
+	walk(prof.Plan, 0)
+	return sb.String()
+}
+
+// TestExecutorGolden pins the executor's output byte for byte — row
+// order included — and the nested shapes' profile counters, at
+// parallelism 1 and 4. The file was written by the parent of the change
+// that made the batch driver the only BGP join implementation, so it
+// shows that change kept depth-first emission order and per-invocation
+// plan decisions.
+func TestExecutorGolden(t *testing.T) {
+	if os.Getenv("UPDATE_EXECUTOR_GOLDEN") != "" {
+		if err := os.MkdirAll(filepath.Dir(executorGoldenPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(executorGoldenPath, []byte(executorGolden(t, 1)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(executorGoldenPath)
+	if err != nil {
+		t.Fatalf("%v; regenerate with UPDATE_EXECUTOR_GOLDEN=1", err)
+	}
+	for _, parallelism := range []int{1, 4} {
+		if got := executorGolden(t, parallelism); got != string(want) {
+			t.Errorf("parallelism %d: output differs from %s:\n%s", parallelism, executorGoldenPath, firstDiff(string(want), got))
+		}
+	}
+}
+
+// firstDiff reports the first differing line of two texts.
+func firstDiff(want, got string) string {
+	wl, gl := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := 0; i < len(wl) || i < len(gl); i++ {
+		var w, g string
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if w != g {
+			return fmt.Sprintf("line %d:\n  want %q\n  got  %q", i+1, w, g)
+		}
+	}
+	return "(identical)"
+}

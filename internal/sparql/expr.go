@@ -98,7 +98,9 @@ func (e *exprExistsC) visitSlots(f func(int)) {
 
 func (e *exprExistsC) eval(ec *execCtx, b binding) (rdf.Term, error) {
 	found := false
-	src := runPipeline(ec, e.pipeline, singleton(b))
+	// Built per call: EXISTS filters also run inside morsel workers,
+	// where a pipeline reused across calls would be shared state.
+	src := runPipeline(ec, e.pipeline, (&feed{b: b}).source)
 	if err := src(func(binding) bool {
 		found = true
 		return false

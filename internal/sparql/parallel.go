@@ -6,11 +6,13 @@ package sparql
 // out as expensive (multi-hop traversals and triangle counting, Tables
 // 5–9): the driving scan of a BGP is snapshotted and split into
 // contiguous morsels, a small worker pool claims morsels from a shared
-// counter (work stealing), and every worker runs the ordinary serial
-// join pipeline over its morsel — probing the shared, lazily built hash
-// tables. Completed rows travel back to the coordinating goroutine in
-// per-morsel channels and are merged strictly in morsel order, so the
-// emitted row order is byte-identical to the serial executor's.
+// counter (work stealing), and every worker runs the serial batch join
+// driver (vecExec) over its morsel — probing the shared, lazily built
+// hash tables. Completed batches travel back to the coordinating
+// goroutine in per-morsel channels and are merged strictly in morsel
+// order, so the emitted row order is byte-identical to the serial
+// driver's; a plan that consumes rows order-insensitively fans them in
+// by completion order instead.
 //
 // Workers honor the guard exactly like the serial path: every scanned
 // row ticks the shared (atomic) guard, every recursion step polls it,
@@ -34,9 +36,6 @@ const (
 	// morselsPerWorker cuts morsels finer than the worker count so
 	// stragglers rebalance through the shared claim counter.
 	morselsPerWorker = 4
-	// emitChunkRows is how many completed rows a worker batches per
-	// channel send to the order-preserving merger.
-	emitChunkRows = 64
 	// tickBatchRows is how many scanned rows a hash-build worker
 	// accumulates before ticking the shared guard in one tickN batch.
 	tickBatchRows = 1024
@@ -133,11 +132,11 @@ func (ec *execCtx) rowVisible(q store.IDQuad) bool {
 	return ok
 }
 
-// tryParallel attempts to evaluate one input binding of a BGP by
-// fanning the first join step's scan out to workers. It reports
-// handled=false when the scan is too small or no worker slots are free,
-// in which case the caller falls back to the serial walker.
-func (sh *bgpShared) tryParallel(b binding, yield func(binding) bool) (handled, cont bool) {
+// tryParallelBatch fans the first join step's scan for one input
+// binding out to morsel workers when it is big enough and worker slots
+// are free, emitting batches through the merge. It reports
+// handled=false when the caller should run the binding serially.
+func (sh *bgpShared) tryParallelBatch(b binding, yield func(*colBatch) bool) (handled, cont bool) {
 	ec := sh.ec
 	if len(sh.order) == 0 {
 		return false, true
@@ -164,16 +163,21 @@ func (sh *bgpShared) tryParallel(b binding, yield func(binding) bool) (handled, 
 		return false, true
 	}
 	defer ec.releaseWorkers(workers)
-	// The driver replaces the serial step(0, b) for this binding; keep
-	// the step-0 input accounting consistent for later serial bindings.
+	// The driver replaces the serial run(b) for this binding; keep the
+	// step-0 input accounting consistent for later serial bindings.
 	sh.inputSeen[0].Add(1)
-	return true, sh.runParallel(b, rp, pat, workers, yield)
+	return true, sh.runParallelBatch(b, rp, pat, workers, yield)
 }
 
-// runParallel executes one input binding's join tree with a partitioned
-// first-step scan and order-preserving merge. It returns false when the
-// consumer stopped or the guard tripped.
-func (sh *bgpShared) runParallel(b binding, rp *resolvedPattern, pat store.Pattern, workers int, yield func(binding) bool) bool {
+// runParallelBatch executes one input binding's join tree with a
+// partitioned first-step scan, morsels handing whole batches through
+// the merge. In ordered mode the merge drains per-morsel channels
+// strictly in morsel order (byte-identical to serial); when the query
+// consumes results order-insensitively (ec.unordered, see
+// orderInsensitive) batches fan in by completion order instead and the
+// merge cost disappears. It returns false when the consumer stopped or
+// the guard tripped.
+func (sh *bgpShared) runParallelBatch(b binding, rp *resolvedPattern, pat store.Pattern, workers int, yield func(*colBatch) bool) bool {
 	ec := sh.ec
 	cur := ec.snapshot(pat)
 	if cur == nil {
@@ -185,10 +189,6 @@ func (sh *bgpShared) runParallel(b binding, rp *resolvedPattern, pat store.Patte
 		sh.bgpStage.morsels.Add(int64(len(morsels)))
 	}
 
-	outs := make([]chan []binding, len(morsels))
-	for i := range outs {
-		outs[i] = make(chan []binding, 2)
-	}
 	var (
 		next     atomic.Int64
 		stop     atomic.Bool
@@ -200,42 +200,80 @@ func (sh *bgpShared) runParallel(b binding, rp *resolvedPattern, pat store.Patte
 		stop.Store(true)
 		stopOnce.Do(func() { close(stopped) })
 	}
+
+	// Fan-in plumbing: ordered mode gives each morsel its own bounded
+	// channel; unordered mode shares one channel among all workers.
+	unordered := ec.unordered
+	var outs []chan *colBatch
+	var shared chan *colBatch
+	if unordered {
+		shared = make(chan *colBatch, workers*2)
+	} else {
+		outs = make([]chan *colBatch, len(morsels))
+		for i := range outs {
+			outs[i] = make(chan *colBatch, 2)
+		}
+	}
+
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			ec.workerEnter()
 			defer ec.workerExit()
-			wk := &bgpWalker{sh: sh, undos: make([]undoList, len(sh.order))}
 			base := b.clone()
+			vx := newVecExec(sh, len(base))
 			for !stop.Load() {
 				k := int(next.Add(1) - 1)
 				if k >= len(morsels) {
 					return
 				}
-				sh.processMorsel(wk, base, rp, morsels[k], outs[k], stopped, &stop)
+				out := shared
+				if !unordered {
+					out = outs[k]
+				}
+				sh.processMorselBatch(vx, base, rp, morsels[k], out, !unordered, stopped, &stop)
 			}
 		}()
 	}
 
-	// Merge: drain the per-morsel channels strictly in morsel order, so
-	// emission order equals the order of one serial scan over the same
-	// snapshot. Bounded channels give backpressure; a consumer stop
-	// closes `stopped`, which unblocks any worker mid-send.
 	ok := true
-merge:
-	for _, ch := range outs {
-		for chunk := range ch {
-			for _, row := range chunk {
-				if !yield(row) {
+	if unordered {
+		// Completion-order fan-in: a closer goroutine seals the shared
+		// channel once every worker has joined; the drain loop below is
+		// the channel handshake that joins the closer itself.
+		go func() {
+			wg.Wait()
+			close(shared)
+		}()
+		for cb := range shared {
+			if !yield(cb) {
+				ok = false
+				halt()
+				break
+			}
+		}
+		halt()
+		for range shared {
+			// Drain until the closer seals the channel, so no worker
+			// stays blocked on a send and the closer always exits.
+		}
+	} else {
+		// Order-preserving merge: drain the per-morsel channels strictly
+		// in morsel order, so emission order equals one serial scan over
+		// the same snapshot.
+	merge:
+		for _, ch := range outs {
+			for cb := range ch {
+				if !yield(cb) {
 					ok = false
 					halt()
 					break merge
 				}
 			}
 		}
+		halt()
 	}
-	halt()
 	wg.Wait()
 	// Workers close the morsels they claimed; release the rest.
 	claimed := int(next.Load())
@@ -251,71 +289,90 @@ merge:
 	return ok
 }
 
-// processMorsel runs the serial join pipeline over one morsel of the
-// first step's scan, batching completed rows to the merger. It always
-// closes the morsel cursor and its output channel.
-func (sh *bgpShared) processMorsel(wk *bgpWalker, base binding, rp *resolvedPattern, cur *store.Cursor, out chan<- []binding, stopped <-chan struct{}, stop *atomic.Bool) {
-	defer close(out)
+// processMorselBatch runs the vectorized join pipeline over one morsel
+// of the first step's scan, sending finished batches (privately copied)
+// to the merge. It always closes the morsel cursor, and in ordered mode
+// its output channel.
+func (sh *bgpShared) processMorselBatch(vx *vecExec, base binding, rp *resolvedPattern, cur *store.Cursor, out chan<- *colBatch, closeOut bool, stopped <-chan struct{}, stop *atomic.Bool) {
+	if closeOut {
+		defer close(out)
+	}
 	defer cur.Close()
 	ec := sh.ec
 	pst := sh.stepStat(0)
-	chunk := make([]binding, 0, emitChunkRows)
-	flush := func() bool {
-		if len(chunk) == 0 {
-			return true
-		}
+	vx.prepare(base)
+	vx.cap = vecRampStart
+	vx.emit = func(cb *colBatch) bool {
 		select {
-		case out <- chunk:
-			chunk = make([]binding, 0, emitChunkRows)
+		case out <- cb.copyOwned():
 			return true
 		case <-stopped:
 			return false
 		}
 	}
-	wk.emit = func(row binding) bool {
-		chunk = append(chunk, row.clone())
-		if len(chunk) < emitChunkRows {
-			return true
-		}
-		return flush()
-	}
-	var undo undoList
-	// Profiling counts into locals, flushed in one atomic per morsel.
+	scratch := vx.scratch[0]
+	ob := vx.out[0]
+	// Profiling counts into locals, flushed in one atomic per morsel;
+	// guard charges batch up in pending, flushed once per run.
 	var scanned, emitted int64
+	pending := 0
+	ok := true
 	defer func() {
 		pst.addTicks(scanned)
 		pst.addRows(emitted)
 	}()
-	for {
+	for ok {
 		if stop.Load() {
 			return
 		}
-		q, more := cur.Next()
-		if !more {
+		run := cur.NextBatch(batchRows)
+		if run == nil {
 			break
 		}
-		if !ec.rowVisible(q) {
-			continue
+		for _, q := range run {
+			// The snapshot pushed a single-model restriction into its
+			// pattern; rowVisible filters the multi-model case.
+			if !ec.rowVisible(q) {
+				continue
+			}
+			scanned++
+			pending++
+			if !rp.matchesGraphCtx(q) {
+				continue
+			}
+			if !rp.bindQuad(scratch, q, &vx.undo[0]) {
+				continue
+			}
+			emitted++
+			ob.appendFrom(scratch)
+			vx.undo[0].revert(scratch)
+			if ob.n >= vx.cap {
+				if !ec.guard.tickN(pending) {
+					pending, ok = 0, false
+					break
+				}
+				pending = 0
+				if !vx.step(1, ob) {
+					ok = false
+					break
+				}
+				ob.reset()
+				vx.grow()
+			}
 		}
-		// Tick per row exactly like (*execCtx).scan does serially.
-		if !ec.guard.tick() {
-			return
+		if !ok {
+			break
 		}
-		scanned++
-		if !rp.matchesGraphCtx(q) {
-			continue
+		if !ec.guard.tickN(pending) {
+			pending, ok = 0, false
+			break
 		}
-		if !rp.bindQuad(base, q, &undo) {
-			continue
-		}
-		emitted++
-		cont := wk.step(1, base)
-		undo.revert(base)
-		if !cont {
-			return
-		}
+		pending = 0
 	}
-	flush()
+	if ok && ob.n > 0 {
+		vx.step(1, ob)
+		ob.reset()
+	}
 }
 
 // parallelHashBuild populates hs.table from a partitioned snapshot of

@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -364,5 +365,50 @@ func TestProfilingOffHasNoProfile(t *testing.T) {
 	}
 	if prof != nil {
 		t.Fatal("plain query returned a profile")
+	}
+}
+
+// TestProfileNestedBGPInvocations: an OPTIONAL's inner BGP is built once
+// per query and rerun per outer row. EXPLAIN ANALYZE must still count
+// one invocation per outer row, and the per-run counters (rows in and
+// out per join step, the NLJ→hash switch) must equal the golden parent
+// run's, which built the BGP afresh for every row — reuse may neither
+// double-count nor carry a switch decision over to the next row.
+func TestProfileNestedBGPInvocations(t *testing.T) {
+	st := egoNetStore(t, 900, 5)
+	q := nestedShapeQueries[0] // ?a rel:follows ?b OPTIONAL { 2-pattern BGP }
+	golden, err := os.ReadFile(executorGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := "\n== profile " + q + "\n"
+	i := strings.Index(string(golden), head)
+	if i < 0 {
+		t.Fatalf("no profile of %s in %s", q, executorGoldenPath)
+	}
+	want, _, _ := strings.Cut(string(golden)[i+len(head):], "\n\n")
+	if got := profileCounters(t, st, q); strings.TrimSuffix(got, "\n") != strings.TrimSuffix(want, "\n") {
+		t.Errorf("profile counters differ from the golden parent run:\n--- golden ---\n%s\n--- got ---\n%s", want, got)
+	}
+	for _, parallelism := range []int{1, 4} {
+		e := NewEngine(st)
+		e.Parallelism = parallelism
+		e.HashJoinThreshold = 16
+		_, prof, err := e.QueryProfiled("", testPrologue+q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := prof.Plan[1]
+		if opt.Label != "Optional" || len(opt.Children) != 1 {
+			t.Fatalf("unexpected plan:\n%s", prof.Render())
+		}
+		inner := opt.Children[0]
+		if outer := opt.RowsIn; outer < 1000 || inner.Invocations != outer || inner.RowsIn != outer || inner.Children[0].RowsIn != outer {
+			t.Errorf("parallelism %d: %d outer rows, inner BGP invocations=%d rows_in=%d first step rows_in=%d; want all equal",
+				parallelism, outer, inner.Invocations, inner.RowsIn, inner.Children[0].RowsIn)
+		}
+		if txt := prof.Render(); !strings.Contains(txt, fmt.Sprintf("loops=%d", opt.RowsIn)) {
+			t.Errorf("parallelism %d: EXPLAIN ANALYZE does not show loops=%d:\n%s", parallelism, opt.RowsIn, txt)
+		}
 	}
 }

@@ -1,13 +1,13 @@
 package sparql
 
-// Vectorized batch-at-a-time execution (DESIGN.md §15).
+// Batch-at-a-time BGP execution (DESIGN.md §15).
 //
-// The row-at-a-time pipeline pays an interface dispatch, a guard tick
-// and (when profiling) counter flushes per binding; at the paper's
+// A tuple-at-a-time join pays an interface dispatch, a guard tick and
+// (when profiling) counter flushes per binding; at the paper's
 // path-counting scale (EQ11d folds ~10^6 intermediate rows into one
-// COUNT) that per-row overhead dominates the join work itself. The
-// vectorized executor pushes fixed-size columnar batches of store.ID
-// vectors through the BGP instead:
+// COUNT) that per-row overhead dominates the join work itself. The BGP
+// driver pushes fixed-size columnar batches of store.ID vectors through
+// the join instead:
 //
 //   - Scans pull contiguous runs from the store's batched scan API
 //     (store.ScanBatch / Cursor.NextBatch) and bind whole runs in tight
@@ -16,26 +16,22 @@ package sparql
 //   - Joins advance depth-by-depth over batches: all rows of a batch
 //     are probed (or scanned) at one join step before the output batch
 //     recurses, and an output batch recurses as soon as it fills. This
-//     preserves the serial walker's exact depth-first emission order:
-//     outputs are appended in input-row order at every depth and each
-//     full batch is drained to emission before the next is built, so
-//     the leaf emission sequence is the DFS sequence.
+//     keeps the depth-first emission order of a tuple-at-a-time nested
+//     loop: outputs are appended in input-row order at every depth and
+//     each full batch is drained to emission before the next is built,
+//     so the leaf emission sequence is the DFS sequence.
 //   - Filters apply as selection vectors: a batch is compacted in
 //     place, surviving rows copied down, instead of materializing
 //     per-row bindings.
 //
-// The BGP is the vectorized operator; everything else adapts at the
-// boundary. A colBatch carries its input binding (base) plus one ID
+// The BGP is the only batch operator; the rest of the plan adapts at
+// the boundary. A colBatch carries its input binding (base) plus one ID
 // column per variable slot the BGP touches, so any consumer can
-// materialize rows on demand — evalSelect consumes batches directly
-// (including a columnar COUNT fast path), while non-batch-aware
-// operator shapes simply keep the row pipeline (ec.vectorized gates
-// the whole path, and Engine.DisableVectorized restores the old
-// executor for ablations).
+// materialize rows on demand — evalSelect and grouping consume batches
+// directly (including a columnar COUNT fast path), and bgpOp.apply
+// hands them row by row to the row operators (OPTIONAL, UNION, BIND...).
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/store"
@@ -121,12 +117,6 @@ func (cb *colBatch) copyOwned() *colBatch {
 // the call.
 type batchSource func(yield func(*colBatch) bool) error
 
-// batchOp is implemented by operators that can emit batches directly.
-type batchOp interface {
-	op
-	applyBatch(ec *execCtx, in source) batchSource
-}
-
 // instrumentBatch is the batch counterpart of queryProfile.instrument:
 // rows-out counts rows (not batches), wall time is inclusive.
 func (p *queryProfile) instrumentBatch(sid int, src batchSource) batchSource {
@@ -164,10 +154,9 @@ func passFilters(ec *execCtx, filters []*filterOp, b binding) bool {
 // ---------------------------------------------------------------------
 
 // vecExec drives one BGP input binding through the join tree
-// batch-at-a-time. It is the batch counterpart of bgpWalker: the plan
-// (which slots are columnar at each depth) is derived from the input
-// binding's boundness mask and rebuilt only when the mask changes, so
-// repeated input bindings reuse every buffer.
+// batch-at-a-time. The plan (which slots are columnar at each depth) is
+// derived from the input binding's boundness mask and rebuilt only when
+// the mask changes, so repeated input bindings reuse every buffer.
 type vecExec struct {
 	sh    *bgpShared
 	width int
@@ -193,8 +182,8 @@ type vecExec struct {
 	emit func(*colBatch) bool
 }
 
-func newVecExec(sh *bgpShared, width int, emit func(*colBatch) bool) *vecExec {
-	return &vecExec{sh: sh, width: width, emit: emit, unit: &colBatch{}}
+func newVecExec(sh *bgpShared, width int) *vecExec {
+	return &vecExec{sh: sh, width: width, unit: &colBatch{}}
 }
 
 // prepare points the executor at a new input binding, rebuilding the
@@ -269,7 +258,7 @@ func (vx *vecExec) grow() {
 }
 
 // selectRows compacts in to the rows passing the depth's entry filters
-// (the selection-vector form of the row walker's filterAt check).
+// (filterAt) as a selection vector.
 func (vx *vecExec) selectRows(depth int, in *colBatch, filters []*filterOp) {
 	ec := vx.sh.ec
 	scratch := vx.scratch[depth]
@@ -291,9 +280,8 @@ func (vx *vecExec) selectRows(depth int, in *colBatch, filters []*filterOp) {
 
 // step processes one input batch at a join depth, appending results to
 // the depth's output batch and draining it to the next depth whenever
-// it fills — the batch counterpart of bgpWalker.step. It returns false
-// when the consumer stopped or the guard tripped; filtered-out or
-// non-matching rows are simply skipped.
+// it fills. It returns false when the consumer stopped or the guard
+// tripped; filtered-out or non-matching rows are simply skipped.
 func (vx *vecExec) step(depth int, in *colBatch) bool {
 	sh := vx.sh
 	ec := sh.ec
@@ -318,10 +306,9 @@ func (vx *vecExec) step(depth int, in *colBatch) bool {
 	out := vx.out[depth]
 	seen := sh.inputSeen[depth].Add(int64(in.n))
 
-	// The adaptive NLJ→hash switch, decided once per input batch. The
-	// switch point can differ from the row walker's by up to one batch;
-	// both access paths emit rows in identical order, so the output is
-	// unaffected (DESIGN.md §10).
+	// The adaptive NLJ→hash switch, decided once per input batch. Both
+	// access paths emit rows in identical order, so where the switch
+	// falls does not change the output (DESIGN.md §10).
 	if !hs.built.Load() && !ec.noHashJoin && seen > int64(ec.hashMin) &&
 		rp.estConst < 64*int(seen) {
 		in.writeCols(0, scratch)
@@ -426,8 +413,7 @@ func (vx *vecExec) probeBatch(depth int, in *colBatch, rp *resolvedPattern, hs *
 		}
 		//pgrdfvet:ignore guardedby -- table is immutable after built.Store(true); the caller's built.Load() is the publication barrier
 		for _, q := range hs.table[key] {
-			// Non-key bound positions are validated by bindQuad, like
-			// the row walker's probe loop.
+			// Non-key bound positions are validated by bindQuad.
 			if !rp.bindQuad(scratch, q, &vx.undo[depth]) {
 				continue
 			}
@@ -485,15 +471,20 @@ func (vx *vecExec) emitBatch(in *colBatch) bool {
 	return vx.emit(in)
 }
 
-// applyBatch is the vectorized form of bgpOp.apply: same shared state,
-// same parallel fan-out decision per input binding, batch emission.
+// applyBatch is the BGP join: per input binding it fans the first
+// step's scan out to morsel workers when that pays (tryParallelBatch),
+// and otherwise drives the join serially, emitting batches. The shared
+// state and the serial driver's buffers are built once and reused by
+// every run — a BGP nested under OPTIONAL, MINUS or UNION runs once per
+// outer row.
 func (o *bgpOp) applyBatch(ec *execCtx, in source) batchSource {
+	sh := o.newShared(ec)
+	var vx *vecExec
 	return func(yield func(*colBatch) bool) error {
-		sh, ok := o.newShared(ec)
-		if !ok {
-			return nil
+		if sh == nil {
+			return nil // a constant term does not occur: no solutions
 		}
-		var vx *vecExec
+		sh.reset()
 		err := in(func(b binding) bool {
 			if sh.bgpStage != nil {
 				sh.bgpStage.rowsIn.Add(1)
@@ -504,8 +495,9 @@ func (o *bgpOp) applyBatch(ec *execCtx, in source) batchSource {
 				}
 			}
 			if vx == nil {
-				vx = newVecExec(sh, len(b), yield)
+				vx = newVecExec(sh, len(b))
 			}
+			vx.emit = yield
 			return vx.run(b)
 		})
 		sh.foldStepStats()
@@ -513,252 +505,6 @@ func (o *bgpOp) applyBatch(ec *execCtx, in source) batchSource {
 			err = ec.guard.Err()
 		}
 		return err
-	}
-}
-
-// ---------------------------------------------------------------------
-// Parallel morsels in batch form.
-// ---------------------------------------------------------------------
-
-// tryParallelBatch mirrors tryParallel for the vectorized driver: fan
-// the first join step's scan out to workers when it is big enough and
-// worker slots are free, emitting batches through the merge.
-func (sh *bgpShared) tryParallelBatch(b binding, yield func(*colBatch) bool) (handled, cont bool) {
-	ec := sh.ec
-	if len(sh.order) == 0 {
-		return false, true
-	}
-	if !ec.guard.poll() {
-		return true, false
-	}
-	for _, f := range sh.filterAt[0] {
-		v, err := evalBool(ec, f.cond, b)
-		if err != nil || !v {
-			return true, true // filtered out, like the serial step(0, b)
-		}
-	}
-	rp := &sh.rps[sh.order[0]]
-	pat := rp.boundPattern(b)
-	// Uncached estimate: bound patterns can carry per-query overlay IDs
-	// (VALUES/BIND terms), which must not leak into the shared cache.
-	if ec.view.EstimateCount(pat) < parallelScanMinRows {
-		return false, true
-	}
-	workers := ec.acquireWorkers(ec.parallelism)
-	if workers < 2 {
-		ec.releaseWorkers(workers)
-		return false, true
-	}
-	defer ec.releaseWorkers(workers)
-	// The driver replaces the serial run(b) for this binding; keep the
-	// step-0 input accounting consistent for later serial bindings.
-	sh.inputSeen[0].Add(1)
-	return true, sh.runParallelBatch(b, rp, pat, workers, yield)
-}
-
-// runParallelBatch executes one input binding's join tree with a
-// partitioned first-step scan, morsels handing whole batches through
-// the merge. In ordered mode the merge drains per-morsel channels
-// strictly in morsel order (byte-identical to serial); when the query
-// consumes results order-insensitively (ec.unordered, see
-// orderInsensitive) batches fan in by completion order instead and the
-// merge cost disappears. It returns false when the consumer stopped or
-// the guard tripped.
-func (sh *bgpShared) runParallelBatch(b binding, rp *resolvedPattern, pat store.Pattern, workers int, yield func(*colBatch) bool) bool {
-	ec := sh.ec
-	cur := ec.snapshot(pat)
-	if cur == nil {
-		return false // guard tripped before the snapshot
-	}
-	morsels := cur.Partitions(workers * morselsPerWorker)
-	ec.markParallel(workers, len(morsels))
-	if sh.bgpStage != nil {
-		sh.bgpStage.morsels.Add(int64(len(morsels)))
-	}
-
-	var (
-		next     atomic.Int64
-		stop     atomic.Bool
-		stopOnce sync.Once
-		stopped  = make(chan struct{})
-		wg       sync.WaitGroup
-	)
-	halt := func() {
-		stop.Store(true)
-		stopOnce.Do(func() { close(stopped) })
-	}
-
-	// Fan-in plumbing: ordered mode gives each morsel its own bounded
-	// channel; unordered mode shares one channel among all workers.
-	unordered := ec.unordered
-	var outs []chan *colBatch
-	var shared chan *colBatch
-	if unordered {
-		shared = make(chan *colBatch, workers*2)
-	} else {
-		outs = make([]chan *colBatch, len(morsels))
-		for i := range outs {
-			outs[i] = make(chan *colBatch, 2)
-		}
-	}
-
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ec.workerEnter()
-			defer ec.workerExit()
-			base := b.clone()
-			vx := newVecExec(sh, len(base), nil)
-			for !stop.Load() {
-				k := int(next.Add(1) - 1)
-				if k >= len(morsels) {
-					return
-				}
-				out := shared
-				if !unordered {
-					out = outs[k]
-				}
-				sh.processMorselBatch(vx, base, rp, morsels[k], out, !unordered, stopped, &stop)
-			}
-		}()
-	}
-
-	ok := true
-	if unordered {
-		// Completion-order fan-in: a closer goroutine seals the shared
-		// channel once every worker has joined; the drain loop below is
-		// the channel handshake that joins the closer itself.
-		go func() {
-			wg.Wait()
-			close(shared)
-		}()
-		for cb := range shared {
-			if !yield(cb) {
-				ok = false
-				halt()
-				break
-			}
-		}
-		halt()
-		for range shared {
-			// Drain until the closer seals the channel, so no worker
-			// stays blocked on a send and the closer always exits.
-		}
-	} else {
-		// Order-preserving merge: drain the per-morsel channels strictly
-		// in morsel order, so emission order equals one serial scan over
-		// the same snapshot.
-	merge:
-		for _, ch := range outs {
-			for cb := range ch {
-				if !yield(cb) {
-					ok = false
-					halt()
-					break merge
-				}
-			}
-		}
-		halt()
-	}
-	wg.Wait()
-	// Workers close the morsels they claimed; release the rest.
-	claimed := int(next.Load())
-	if claimed > len(morsels) {
-		claimed = len(morsels)
-	}
-	for _, m := range morsels[claimed:] {
-		m.Close()
-	}
-	if ec.guard.Err() != nil {
-		return false
-	}
-	return ok
-}
-
-// processMorselBatch runs the vectorized join pipeline over one morsel
-// of the first step's scan, sending finished batches (privately copied)
-// to the merge. It always closes the morsel cursor, and in ordered mode
-// its output channel.
-func (sh *bgpShared) processMorselBatch(vx *vecExec, base binding, rp *resolvedPattern, cur *store.Cursor, out chan<- *colBatch, closeOut bool, stopped <-chan struct{}, stop *atomic.Bool) {
-	if closeOut {
-		defer close(out)
-	}
-	defer cur.Close()
-	ec := sh.ec
-	pst := sh.stepStat(0)
-	vx.prepare(base)
-	vx.cap = vecRampStart
-	vx.emit = func(cb *colBatch) bool {
-		select {
-		case out <- cb.copyOwned():
-			return true
-		case <-stopped:
-			return false
-		}
-	}
-	scratch := vx.scratch[0]
-	ob := vx.out[0]
-	// Profiling counts into locals, flushed in one atomic per morsel;
-	// guard charges batch up in pending, flushed once per run.
-	var scanned, emitted int64
-	pending := 0
-	ok := true
-	defer func() {
-		pst.addTicks(scanned)
-		pst.addRows(emitted)
-	}()
-	for ok {
-		if stop.Load() {
-			return
-		}
-		run := cur.NextBatch(batchRows)
-		if run == nil {
-			break
-		}
-		for _, q := range run {
-			// The snapshot pushed a single-model restriction into its
-			// pattern; rowVisible filters the multi-model case.
-			if !ec.rowVisible(q) {
-				continue
-			}
-			scanned++
-			pending++
-			if !rp.matchesGraphCtx(q) {
-				continue
-			}
-			if !rp.bindQuad(scratch, q, &vx.undo[0]) {
-				continue
-			}
-			emitted++
-			ob.appendFrom(scratch)
-			vx.undo[0].revert(scratch)
-			if ob.n >= vx.cap {
-				if !ec.guard.tickN(pending) {
-					pending, ok = 0, false
-					break
-				}
-				pending = 0
-				if !vx.step(1, ob) {
-					ok = false
-					break
-				}
-				ob.reset()
-				vx.grow()
-			}
-		}
-		if !ok {
-			break
-		}
-		if !ec.guard.tickN(pending) {
-			pending, ok = 0, false
-			break
-		}
-		pending = 0
-	}
-	if ok && ob.n > 0 {
-		vx.step(1, ob)
-		ob.reset()
 	}
 }
 
@@ -799,17 +545,12 @@ func (o *filterOp) filterBatch(ec *execCtx, in batchSource) batchSource {
 	}
 }
 
-// vectorTail returns the pipeline as a batch source when its tail can
-// run vectorized — the last operator shape the batch executor handles
-// is a BGP followed only by FILTERs; everything before the BGP runs as
-// the ordinary row pipeline feeding it. It returns nil when the plan
-// has no BGP, a non-filter operator follows the last one, or the
-// engine's vectorized executor is disabled — the caller then uses the
-// row pipeline unchanged.
+// vectorTail returns the pipeline as a batch source when its tail is a
+// BGP followed only by FILTERs; everything before the BGP runs as the
+// row pipeline feeding it. It returns nil when the plan has no BGP or a
+// non-filter operator follows the last one — the caller then consumes
+// the row pipeline, whose BGPs hand their batches out row by row.
 func vectorTail(ec *execCtx, ops []op, width int) batchSource {
-	if !ec.vectorized {
-		return nil
-	}
 	idx := -1
 	for i, o := range ops {
 		if _, ok := o.(*bgpOp); ok {
