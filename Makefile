@@ -79,15 +79,17 @@ algo-diff:
 ## whose batch DFS re-enters the store, a looping writer, a poller; a
 ## 10 s watchdog) and the atomic-update test (a count is 0 or 3, a join
 ## 0 or 9, never in between); the isolation walk (views pinned during a
-## randomized mutation sequence keep showing what they showed; Apply
-## sets and the pinned change log against a reference); answers of
+## randomized mutation sequence keep showing what they showed, seeks
+## included; Seek ≡ a forced-index scan of the same prefix through the
+## zero-copy and the delta-merge paths; Apply sets and the pinned change
+## log against a reference); answers of
 ## EQ1–EQ12 on RF/NG/SP unchanged by Compact(); and the 30 s soak of 8
 ## readers + writer + /algo + background checkpointer ending with
 ## /stats answering, no open cursor and store ≡ restored-from-disk.
 ## Part of `make check`.
 store-race:
 	$(GO) test -race -count=1 -run 'TestReadersNeverWaitForWriter|TestUpdateIsAtomicToReaders' ./internal/sparql
-	$(GO) test -race -count=1 -run 'TestScanBatchMatchesScan|TestApply|TestPinnedViewChangesSince|TestViewIsOneState|TestScanBatchUnderFaultInjector' ./internal/store
+	$(GO) test -race -count=1 -run 'TestScanBatchMatchesScan|TestSeekerReuse|TestApply|TestPinnedViewChangesSince|TestViewIsOneState|TestScanBatchUnderFaultInjector' ./internal/store
 	$(GO) test -race -count=1 -run 'TestAnswersIgnoreCompaction' ./internal/bench
 	$(GO) test -race -count=1 -run 'TestSoakServingBesideWrites' ./internal/httpapi
 
@@ -124,16 +126,18 @@ bench-algos-smoke:
 	$(GO) run ./cmd/benchpaper -algobench -workers $(BENCH_WORKERS) -iters 1 -scale 0.02 -out BENCH_algos.json
 
 ## bench-micro: executor kernel microbenchmarks — the BGP driver's hot
-## loops (scan, hash probe, nested loop, filter) and the nested shapes
-## that rerun an inner BGP per outer row (OPTIONAL, MINUS) — plus the
-## store-level benchmarks: batched scans, a range scan and an estimate
-## through 0–8 000 unmerged inserts and 0–4 000 tombstones
-## (BenchmarkScanThroughDelta: the cost must not grow with the delta),
-## and one write operation of 1, 3 and 300 quads on an empty and a full
-## delta (BenchmarkApply). Compare against the parent commit's run.
+## loops (scan, hash probe, nested loop, sorted intersection, filter) and
+## the nested shapes that rerun an inner BGP per outer row (OPTIONAL,
+## MINUS) — plus the store-level benchmarks: batched scans, a range scan
+## and an estimate through 0–8 000 unmerged inserts and 0–4 000
+## tombstones (BenchmarkScanThroughDelta: the cost must not grow with the
+## delta), one seek of an intersection join with no delta and with 4 500
+## unmerged inserts (BenchmarkSeek), and one write operation of 1, 3 and
+## 300 quads on an empty and a full delta (BenchmarkApply). Compare
+## against the parent commit's run.
 bench-micro:
 	$(GO) test -bench 'Kernel' -run '^$$' -benchtime 20x ./internal/sparql/
-	$(GO) test -bench 'BenchmarkScan|BenchmarkApply' -run '^$$' ./internal/store/
+	$(GO) test -bench 'BenchmarkScan|BenchmarkApply|BenchmarkSeek' -run '^$$' ./internal/store/
 
 ## bench-smoke: one-iteration bench at reduced scale (the CI gate).
 ## The overhead differential keeps best-of-$(OVERHEAD_ITERS) even here:

@@ -15,11 +15,12 @@ import (
 //
 // Rule, scoped to repro/internal/sparql: any call to a raw store row
 // source — Scan / ScanBatch / ScanIndex / Cursor on a pinned
-// *store.View or on the *store.Store shorthand for the current one, or
-// (*store.Cursor).NextBatch — must sit in a top-level function that
-// also ticks the guard (a call to guard.tick, guard.tickN, guard.poll,
-// or guard.checkRows somewhere in the same function, typically inside
-// the scan callback or the worker loop draining a cursor). Routing
+// *store.View or on the *store.Store shorthand for the current one,
+// (*store.Cursor).NextBatch, or (*store.Seeker).Seek — must sit in a
+// top-level function that also ticks the guard (a call to guard.tick,
+// guard.tickN, guard.poll, or guard.checkRows somewhere in the same
+// function, typically inside the scan callback or the worker loop
+// draining a cursor). Routing
 // through (*execCtx).scan satisfies this by construction and is the
 // preferred fix. The batched sources pair naturally with tickN: the
 // vectorized executor accumulates a pending count over a batch's rows
@@ -41,10 +42,14 @@ var Guardtick = &Analyzer{
 }
 
 // rawScanMethods are the store row sources that bypass (*execCtx).scan.
+// Seek is the sorted intersection join's source: the loop that
+// leapfrogs over seeked rows settles them with tickN like a ScanBatch
+// loop.
 var rawScanMethods = map[string]map[string]bool{
 	"Store":  {"Scan": true, "ScanBatch": true, "ScanIndex": true, "Cursor": true},
 	"View":   {"Scan": true, "ScanBatch": true, "ScanIndex": true, "Cursor": true},
 	"Cursor": {"NextBatch": true},
+	"Seeker": {"Seek": true},
 }
 
 // csrRowMethods are internal/graph's hot-loop row sources: every CSR

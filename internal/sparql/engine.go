@@ -18,10 +18,11 @@ import (
 // Engine executes SPARQL queries and updates against a store.
 type Engine struct {
 	st *store.Store
-	// DisableHashJoin forces index nested-loop joins for every pattern,
-	// disabling the adaptive switch to hash joins over full scans. It
-	// exists for the join-strategy ablation benchmarks; leave it false
-	// for normal use.
+	// DisableHashJoin forces index nested-loop joins for every pattern:
+	// no adaptive switch to hash joins over full scans and no fusing of
+	// join steps into sorted intersections (DESIGN.md §20). It exists for
+	// the join-strategy ablation benchmarks and as the differential tests'
+	// order oracle; leave it false for normal use.
 	DisableHashJoin bool
 
 	// Limits is the per-query resource budget applied by the *Context

@@ -527,6 +527,6 @@ func TestBGPMatchesNaive(t *testing.T) {
 			pats = append(pats, s+" "+p+" "+pos()+" .")
 		}
 		q := "SELECT ?a ?b ?c ?d WHERE { " + strings.Join(pats, " ") + " }"
-		checkAgainstReference(t, NewEngine(st), quads, fmt.Sprintf("trial %d", trial), q)
+		checkAgainstReference(t, NewEngine(st), "", quads, fmt.Sprintf("trial %d", trial), q)
 	}
 }

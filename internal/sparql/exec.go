@@ -411,7 +411,8 @@ const defaultHashJoinMinInput = 1024
 // table, while readers that still see false keep using the index NLJ
 // against the same snapshot order — the two access paths emit rows in
 // the same order for the store's index geometry, so the switch point is
-// invisible in the output (DESIGN.md §10).
+// invisible in the output (DESIGN.md §10). Steps fused into a sorted
+// intersection (the third access path, intersect.go) never build one.
 // hashState's guarded fields are written only under mu, by buildHash
 // and by bgpShared.reset between runs; while built is true they are
 // immutable and probe paths read them lock-free behind the built.Load()
@@ -455,6 +456,12 @@ type bgpShared struct {
 	finalFilters []*filterOp
 	hashes       []hashState
 	inputSeen    []atomic.Int64
+
+	// intersect[d] is the fused group whose binder runs at depth d
+	// (planIntersections); nil when nothing fuses. The plan assumes an
+	// input binding that binds none of vars, the BGP's variables.
+	intersect []*intersectPlan
+	vars      varset
 
 	// Profiling slots, resolved once per apply: bgpStage is
 	// the operator's own slot, stepStats[depth] the slot of the join
@@ -519,7 +526,9 @@ func (sh *bgpShared) buildHash(depth int, rp *resolvedPattern, b binding) {
 }
 
 // newShared builds the shared state of a BGP: resolved patterns, join
-// order, filter placement and profiling slots. It returns nil when a
+// order, filter placement, the steps that fuse into sorted
+// intersections (unless DisableHashJoin asks for index nested loops
+// only) and profiling slots. It returns nil when a
 // constant term does not occur in the dictionary (the BGP can have no
 // solutions).
 func (o *bgpOp) newShared(ec *execCtx) *bgpShared {
@@ -560,6 +569,10 @@ func (o *bgpOp) newShared(ec *execCtx) *bgpShared {
 		finalFilters: finalFilters,
 		hashes:       make([]hashState, len(order)),
 		inputSeen:    make([]atomic.Int64, len(order)),
+		vars:         o.bound(0),
+	}
+	if !ec.noHashJoin {
+		sh.intersect = planIntersections(ec.view, rps, order)
 	}
 	if ec.prof != nil && o.sid > 0 {
 		// Join step i runs under stage id sid+1+i (execution order,
@@ -626,42 +639,15 @@ func (o *bgpOp) apply(ec *execCtx, in source) source {
 }
 
 func (o *bgpOp) explain(e *explainer) {
-	rps := o.resolve(e.ec)
-	order := orderPatterns(rps, 0)
 	e.printf("BGP (%d patterns):", len(o.patterns))
 	e.indent++
-	bound := varset(0)
-	for i, oi := range order {
-		rp := rps[oi]
-		var boundCols []store.Col
-		describe := func(col store.Col, r posRef) {
-			if !r.isVar || bound.has(r.slot) {
-				boundCols = append(boundCols, col)
-			}
+	for i, d := range bgpStepDescs(e.ec, o) {
+		join := ""
+		if d.intersect {
+			join = "  join=intersect"
 		}
-		describe(store.ColS, rp.qp.s)
-		describe(store.ColP, rp.qp.p)
-		describe(store.ColC, rp.qp.o)
-		switch rp.qp.g.kind {
-		case GraphTerm:
-			boundCols = append(boundCols, store.ColG)
-		case GraphVar:
-			if bound.has(rp.qp.g.slot) {
-				boundCols = append(boundCols, store.ColG)
-			}
-		}
-		spec := e.ec.view.ChooseIndexByBound(boundCols)
-		cols := make([]string, len(boundCols))
-		for j, c := range boundCols {
-			cols[j] = c.String()
-		}
-		access := "full index scan"
-		if len(boundCols) > 0 {
-			access = "index range scan"
-		}
-		e.printf("%d: %s  [%s bound] index=%s (%s) est=%d",
-			i+1, rp.qp.text, strings.Join(cols, ","), spec, access, rp.estConst)
-		bound |= rp.qp.vars()
+		e.printf("%d: %s  [%s bound] index=%s (%s) est=%d%s",
+			i+1, d.text, d.boundCols, d.index, d.access, d.est, join)
 	}
 	for range o.filters {
 		e.printf("filter (pushed to earliest bound position)")

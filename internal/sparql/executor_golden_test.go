@@ -27,6 +27,11 @@ var nestedShapeQueries = []string{
 	`SELECT ?a ?y WHERE { ?a rel:follows <http://pg/v9> . ?a rel:follows+ ?y }`,
 }
 
+// goldenQueries are the queries whose results the golden file pins.
+func goldenQueries() []string {
+	return append(append(append([]string(nil), vectorDiffQueries...), nestedShapeQueries...), intersectShapeQueries...)
+}
+
 const executorGoldenPath = "testdata/executor_golden.txt"
 
 // goldenHeadRows is how many leading rows of each result the golden
@@ -35,8 +40,8 @@ const goldenHeadRows = 3
 
 // executorGolden renders the pinned results: for every query, the row
 // count, a digest of the full result table (row order included) and
-// its first rows; for the nested shapes also the serial profile's
-// per-operator counters (see profileCounters).
+// its first rows; for the nested and the intersection shapes also the
+// serial profile's per-operator counters (see profileCounters).
 func executorGolden(t *testing.T, parallelism int) string {
 	t.Helper()
 	st := egoNetStore(t, 900, 5)
@@ -47,7 +52,7 @@ func executorGolden(t *testing.T, parallelism int) string {
 	sb.WriteString("# Executor golden: results on egoNetStore(900, 5), HashJoinThreshold 16,\n")
 	sb.WriteString("# identical at parallelism 1 and 4. Regenerate only with\n")
 	sb.WriteString("# UPDATE_EXECUTOR_GOLDEN=1 go test -run TestExecutorGolden ./internal/sparql\n")
-	for _, q := range append(append([]string(nil), vectorDiffQueries...), nestedShapeQueries...) {
+	for _, q := range goldenQueries() {
 		res, err := e.Query("", testPrologue+q)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v\n%s", parallelism, err, q)
@@ -59,7 +64,7 @@ func executorGolden(t *testing.T, parallelism int) string {
 			sb.WriteString(lines[i])
 		}
 	}
-	for _, q := range nestedShapeQueries {
+	for _, q := range append(append([]string(nil), nestedShapeQueries...), intersectShapeQueries...) {
 		fmt.Fprintf(&sb, "\n== profile %s\n%s", q, profileCounters(t, st, q))
 	}
 	if w := e.ParallelStats().ActiveWorkers; w != 0 {

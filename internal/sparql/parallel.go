@@ -138,7 +138,9 @@ func (ec *execCtx) rowVisible(q store.IDQuad) bool {
 // handled=false when the caller should run the binding serially.
 func (sh *bgpShared) tryParallelBatch(b binding, yield func(*colBatch) bool) (handled, cont bool) {
 	ec := sh.ec
-	if len(sh.order) == 0 {
+	// A fused first step intersects whole ranges per input binding:
+	// there is no driving scan to partition.
+	if len(sh.order) == 0 || sh.intersect != nil && sh.intersect[0] != nil {
 		return false, true
 	}
 	if !ec.guard.poll() {

@@ -24,8 +24,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/store"
 )
 
 // profStage is one operator's (or join step's) slot of live counters.
@@ -38,6 +36,7 @@ type profStage struct {
 	wall        atomic.Int64 // inclusive nanoseconds across invocations
 	morsels     atomic.Int64 // scan partitions / parallel work items
 	hashJoin    atomic.Bool  // the step switched from NLJ to hash join
+	intersect   atomic.Bool  // the step ran fused into a sorted intersection
 }
 
 // queryProfile is the per-query counter array, indexed by stage id
@@ -164,6 +163,7 @@ type ProfileNode struct {
 	Morsels     int64          `json:"morsels,omitempty"`
 	WallNanos   int64          `json:"wall_ns"`
 	HashJoin    bool           `json:"hash_join,omitempty"`
+	Intersect   bool           `json:"intersect,omitempty"`
 	Children    []*ProfileNode `json:"children,omitempty"`
 }
 
@@ -179,6 +179,7 @@ func (n *ProfileNode) load(st *profStage) *ProfileNode {
 	n.Morsels = st.morsels.Load()
 	n.WallNanos = st.wall.Load()
 	n.HashJoin = st.hashJoin.Load()
+	n.Intersect = st.intersect.Load()
 	return n
 }
 
@@ -309,35 +310,32 @@ type stepDesc struct {
 	index     string
 	access    string
 	est       int
+	intersect bool // fused into a sorted intersection (intersect.go)
 }
 
-// bgpStepDescs recomputes the deterministic join order and per-step
-// index choice for a BGP, exactly as execution does.
+// bgpStepDescs recomputes the deterministic join order, per-step index
+// choice and fused intersection groups for a BGP, exactly as execution
+// does for an input binding that binds none of its variables.
 func bgpStepDescs(ec *execCtx, o *bgpOp) []stepDesc {
 	rps := o.resolve(ec)
 	order := orderPatterns(rps, 0)
+	var plans []*intersectPlan
+	if !ec.noHashJoin {
+		plans = planIntersections(ec.view, rps, order)
+	}
 	out := make([]stepDesc, 0, len(order))
 	bound := varset(0)
-	for _, oi := range order {
-		rp := rps[oi]
-		var boundCols []store.Col
-		describe := func(col store.Col, r posRef) {
-			if !r.isVar || bound.has(r.slot) {
-				boundCols = append(boundCols, col)
-			}
+	var group []seekSide // the rest of the current fused group
+	for d, oi := range order {
+		rp := &rps[oi]
+		if plans != nil && plans[d] != nil {
+			group = plans[d].sides
 		}
-		describe(store.ColS, rp.qp.s)
-		describe(store.ColP, rp.qp.p)
-		describe(store.ColC, rp.qp.o)
-		switch rp.qp.g.kind {
-		case GraphTerm:
-			boundCols = append(boundCols, store.ColG)
-		case GraphVar:
-			if bound.has(rp.qp.g.slot) {
-				boundCols = append(boundCols, store.ColG)
-			}
+		boundCols := rp.boundCols(nil, bound)
+		ix := ec.view.ChooseIndexByBound(boundCols)
+		if len(group) > 0 {
+			ix = group[0].ix // a checker seeks by its bound columns, then the group's variable
 		}
-		spec := ec.view.ChooseIndexByBound(boundCols)
 		cols := make([]string, len(boundCols))
 		for j, c := range boundCols {
 			cols[j] = c.String()
@@ -349,10 +347,14 @@ func bgpStepDescs(ec *execCtx, o *bgpOp) []stepDesc {
 		out = append(out, stepDesc{
 			text:      rp.qp.text,
 			boundCols: strings.Join(cols, ","),
-			index:     spec,
+			index:     ix.Perm().String(),
 			access:    access,
 			est:       rp.estConst,
+			intersect: len(group) > 0,
 		})
+		if len(group) > 0 {
+			group = group[1:]
+		}
 		bound |= rp.qp.vars()
 	}
 	return out
@@ -392,6 +394,9 @@ func renderNodes(sb *strings.Builder, nodes []*ProfileNode, indent int) {
 		}
 		if n.HashJoin {
 			sb.WriteString(" join=hash")
+		}
+		if n.Intersect {
+			sb.WriteString(" join=intersect")
 		}
 		if n.Invocations > 1 {
 			fmt.Fprintf(sb, " loops=%d", n.Invocations)

@@ -670,17 +670,19 @@ func sliceRows[T any](rows []T, offset, limit int) []T {
 	return rows
 }
 
-// checkAgainstReference runs q on the engine and on the reference over
-// quads and compares the answers as sorted multisets of rows. A query
-// with LIMIT or OFFSET but no ORDER BY may return any slice of the
-// answer, so its rows are checked as a sub-multiset of the right size.
-func checkAgainstReference(t *testing.T, e *Engine, quads []rdf.Quad, label, q string) {
+// checkAgainstReference runs q on the engine over dataset model (""
+// for all models) and on the reference over quads, the dataset's
+// contents, and compares the answers as sorted multisets of rows. A
+// query with LIMIT or OFFSET but no ORDER BY may return any slice of
+// the answer, so its rows are checked as a sub-multiset of the right
+// size.
+func checkAgainstReference(t *testing.T, e *Engine, model string, quads []rdf.Quad, label, q string) {
 	t.Helper()
 	parsed, err := Parse(q)
 	if err != nil {
 		t.Fatalf("%s: parse: %v\n%s", label, err, q)
 	}
-	res, err := e.Query("", q)
+	res, err := e.Query(model, q)
 	if err != nil {
 		t.Fatalf("%s: engine: %v\n%s", label, err, q)
 	}
@@ -763,7 +765,7 @@ func referenceGraph() *pg.Graph {
 // scheme-specific a (NG) and b (SP) variants run on their own scheme.
 func referenceQueries(scheme pgrdf.Scheme) map[string]string {
 	m := map[string]string{}
-	for i, q := range append(append([]string(nil), vectorDiffQueries...), nestedShapeQueries...) {
+	for i, q := range goldenQueries() {
 		m[fmt.Sprintf("shape%02d", i)] = testPrologue + q
 	}
 	for name, q := range PaperQueries() {
@@ -854,7 +856,7 @@ func TestEngineMatchesReference(t *testing.T) {
 				e.HashJoinThreshold = 16
 				for _, name := range names {
 					label := fmt.Sprintf("%s/%s/p%d/%s", scheme, state.name, parallelism, name)
-					checkAgainstReference(t, e, state.quads, label, queries[name])
+					checkAgainstReference(t, e, "", state.quads, label, queries[name])
 				}
 			}
 		}

@@ -174,6 +174,12 @@ type vecExec struct {
 	undo     []undoList
 	unit     *colBatch // the 1-row, column-less batch entering depth 0
 
+	// fuse says the BGP's fused groups (bgpShared.intersect) apply to
+	// the current input binding: it binds none of the BGP's variables.
+	// seeks[d] is the seek state of the group at depth d.
+	fuse  bool
+	seeks []*seekState
+
 	// cap is the adaptive output-batch flush threshold (vecRampStart up
 	// to batchRows), shared across depths and reset per input binding.
 	cap int
@@ -183,7 +189,11 @@ type vecExec struct {
 }
 
 func newVecExec(sh *bgpShared, width int) *vecExec {
-	return &vecExec{sh: sh, width: width, unit: &colBatch{}}
+	vx := &vecExec{sh: sh, width: width, unit: &colBatch{}}
+	if sh.intersect != nil {
+		vx.seeks = make([]*seekState, len(sh.order))
+	}
+	return vx
 }
 
 // prepare points the executor at a new input binding, rebuilding the
@@ -199,6 +209,7 @@ func (vx *vecExec) prepare(b binding) {
 	nd := len(vx.sh.order)
 	if !vx.ready || mask != vx.mask {
 		vx.ready, vx.mask = true, mask
+		vx.fuse = vx.sh.intersect != nil && mask&vx.sh.vars == 0
 		bound := mask
 		vx.colSlots = make([][]int, nd+1)
 		for d, oi := range vx.sh.order {
@@ -298,6 +309,12 @@ func (vx *vecExec) step(depth int, in *colBatch) bool {
 	}
 	if depth == len(sh.order) {
 		return vx.emitBatch(in)
+	}
+	// A fused group emits what nested loops over its steps would, in
+	// the same order (intersect.go), and continues past them.
+	if vx.fuse && sh.intersect[depth] != nil {
+		sh.inputSeen[depth].Add(int64(in.n))
+		return vx.intersect(depth, in, sh.intersect[depth])
 	}
 	rp := &sh.rps[sh.order[depth]]
 	hs := &sh.hashes[depth]

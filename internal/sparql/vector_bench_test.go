@@ -81,6 +81,13 @@ func BenchmarkNestedLoopKernel(b *testing.B) {
 		func(e *Engine) { e.DisableHashJoin = true })
 }
 
+// BenchmarkIntersectKernel: the triangle count, whose last two steps
+// fuse into a sorted intersection — seeks, leapfrog and run counting
+// instead of two-paths into a hash probe.
+func BenchmarkIntersectKernel(b *testing.B) {
+	runKernel(b, kernelStore(b), `SELECT (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b . ?b rel:follows ?c . ?c rel:follows ?a }`, nil)
+}
+
 // BenchmarkFilterKernel: scan plus a cheap predicate — measures the
 // selection-vector compaction.
 func BenchmarkFilterKernel(b *testing.B) {

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/rdf"
 	"repro/internal/store"
 )
 
@@ -145,6 +147,101 @@ func TestVectorizedBudgetExhaustionMidBatch(t *testing.T) {
 	res, err := e.Query("", testPrologue+`SELECT ?a ?b WHERE { ?a rel:follows ?b } LIMIT 3`)
 	if err != nil || res.Len() != 3 {
 		t.Fatalf("LIMIT 3 under budget: rows=%v err=%v", res.Len(), err)
+	}
+}
+
+// denseStore is a complete follows digraph over nodes vertices with
+// every edge in copies named graphs: its triangles repeat copies³ times,
+// so a triangle query spends nearly all its time emitting from the
+// sorted intersection of its last two steps.
+func denseStore(t *testing.T, nodes, copies int) *store.Store {
+	t.Helper()
+	follows := rdf.NewIRI("http://pg/r/follows")
+	var quads []rdf.Quad
+	for a := 0; a < nodes; a++ {
+		for b := 0; b < nodes; b++ {
+			for g := 0; g < copies && a != b; g++ {
+				quads = append(quads, rdf.NewQuad(rdf.NewIRI(fmt.Sprintf("http://pg/v%d", a)), follows,
+					rdf.NewIRI(fmt.Sprintf("http://pg/v%d", b)), rdf.NewIRI(fmt.Sprintf("http://pg/g%d", g))))
+			}
+		}
+	}
+	st := store.New()
+	if _, err := st.Load("net", quads); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+const denseTriangles = `SELECT (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b . ?b rel:follows ?c . ?c rel:follows ?a }`
+
+// TestIntersectBudgetExhaustion exhausts MaxBindings inside a sorted
+// intersection — the driving scan alone stays far under the budget —
+// serial and parallel: the query must surface ErrBudgetExceeded.
+func TestIntersectBudgetExhaustion(t *testing.T) {
+	st := denseStore(t, 30, 6) // 5 220 quads, 24 360 × 216 triangle rows
+	for _, parallelism := range []int{1, 4} {
+		e := NewEngine(st)
+		e.Parallelism = parallelism
+		e.Limits = Budget{MaxBindings: 200_000}
+		if got := fusedSteps(t, e, "", testPrologue+denseTriangles); got != "2 3" {
+			t.Fatalf("fused steps %q, want \"2 3\"", got)
+		}
+		if _, err := e.Query("", testPrologue+denseTriangles); !errors.Is(err, ErrBudgetExceeded) {
+			t.Fatalf("parallelism %d: err = %v, want ErrBudgetExceeded", parallelism, err)
+		}
+		if w := e.ParallelStats().ActiveWorkers; w != 0 {
+			t.Errorf("parallelism %d: leaked workers: %d", parallelism, w)
+		}
+	}
+	if g := st.OpenCursors(); g != 0 {
+		t.Errorf("leaked cursors: %d", g)
+	}
+}
+
+// TestIntersectCancellation cancels a triangle count while it is
+// intersecting — the rows seeks return are slowed by an injected stall
+// per 64, so the count would take many seconds — and checks it stops
+// promptly with ErrCanceled, serial and parallel.
+func TestIntersectCancellation(t *testing.T) {
+	st := denseStore(t, 30, 6)
+	fi := store.NewFaultInjector()
+	fi.StallScans(64, 50*time.Microsecond)
+	st.SetFaultInjector(fi)
+	defer st.SetFaultInjector(nil)
+	for _, parallelism := range []int{1, 4} {
+		e := NewEngine(st)
+		e.Parallelism = parallelism
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		start, before := time.Now(), fi.Scanned()
+		go func() {
+			_, err := e.QueryContext(ctx, "", testPrologue+denseTriangles)
+			done <- err
+		}()
+		// The driving scan shows the injector each of the 5 220 quads at
+		// most once, so past twice that many rows the seeks are running.
+		for fi.Scanned()-before <= 2*5220 {
+			if time.Since(start) > 5*time.Second {
+				t.Fatalf("parallelism %d: the intersection did not start", parallelism)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+		select {
+		case err := <-done:
+			if !errors.Is(err, ErrCanceled) {
+				t.Fatalf("parallelism %d: err = %v, want ErrCanceled", parallelism, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("parallelism %d: query did not stop within 2s of cancellation", parallelism)
+		}
+		if w := e.ParallelStats().ActiveWorkers; w != 0 {
+			t.Errorf("parallelism %d: leaked workers: %d", parallelism, w)
+		}
+	}
+	if g := st.OpenCursors(); g != 0 {
+		t.Errorf("leaked cursors: %d", g)
 	}
 }
 

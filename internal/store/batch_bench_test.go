@@ -133,6 +133,33 @@ func BenchmarkScanThroughDelta(b *testing.B) {
 	}
 }
 
+// BenchmarkSeek times what a sorted intersection join does per input
+// row and side: one Seek narrowing the follows range of PSCGM to a
+// node's out-edges and one seekCol into it, with no delta and with
+// 4 500 unmerged inserts spread over the nodes (so most ranges take the
+// merge path).
+func BenchmarkSeek(b *testing.B) {
+	for _, inserts := range []int{0, 4500} {
+		s := ngStore(b, inserts, 0)
+		v := s.View()
+		konst := AnyPattern()
+		konst.P = s.Dict().Lookup(iri("follows"))
+		nodes := make([]ID, ngNodes)
+		for i := range nodes {
+			nodes[i] = s.Dict().Lookup(iri(fmt.Sprintf("v%d", (i*31)%ngNodes)))
+		}
+		b.Run(fmt.Sprintf("delta=%d", inserts), func(b *testing.B) {
+			sk := v.Seeker(v.SeekIndex([]Col{ColP, ColS}, ColC), konst)
+			p := konst
+			for i := 0; i < b.N; i++ {
+				p.S = nodes[i%ngNodes]
+				rows := sk.Seek(p)
+				benchSink += seekCol(rows, 0, ColC, nodes[(i*7)%ngNodes])
+			}
+		})
+	}
+}
+
 // BenchmarkApply times one write operation — a set of 1, 3 (one NG
 // edge) or 300 quads inserted and, in a second operation, deleted
 // again — on a store carrying no delta and one carrying 4 000 inserts

@@ -50,6 +50,102 @@ type pinnedState struct {
 	rows []IDQuad // view.Scan(pat)
 	est  int      // view.EstimateCount(pat)
 	len  int
+
+	seek     seekCase
+	seekRows []IDQuad // the seek's rows, copied
+}
+
+// seekCase is one Seek: the index, the constant pattern the seeker is
+// opened with, and the pattern it seeks.
+type seekCase struct {
+	ix            *Index
+	konst, narrow Pattern
+}
+
+// run opens a seeker on v and seeks once. merged reports whether the
+// rows came from the delta merge rather than the base array.
+func (c seekCase) run(v *View) (rows []IDQuad, merged bool) {
+	s := v.Seeker(c.ix, c.konst)
+	rows = s.Seek(c.narrow)
+	return rows, len(rows) > 0 && len(s.buf) > 0 && &rows[0] == &s.buf[0]
+}
+
+// randomSeek picks an index of v, a key prefix of 1–3 columns taking
+// their values from row (so the range is usually non-empty), and a
+// constant prefix of 0..n of those columns.
+func randomSeek(rng *rand.Rand, v *View, row IDQuad) seekCase {
+	r := &v.runs[rng.Intn(len(v.runs))]
+	n := 1 + rng.Intn(3)
+	c := seekCase{ix: r.ix, konst: AnyPattern(), narrow: AnyPattern()}
+	n0 := rng.Intn(n + 1)
+	for i, col := range r.ix.perm[:n] {
+		val := row.Get(col)
+		if rng.Intn(8) == 0 {
+			val = ID(rng.Intn(40) + 1) // an arbitrary, often absent, value
+		}
+		setCol(&c.narrow, col, val)
+		if i < n0 {
+			setCol(&c.konst, col, val)
+		}
+	}
+	return c
+}
+
+func setCol(p *Pattern, c Col, v ID) {
+	switch c {
+	case ColS:
+		p.S = v
+	case ColP:
+		p.P = v
+	case ColC:
+		p.C = v
+	case ColG:
+		p.G = v
+	default:
+		p.M = v
+	}
+}
+
+// checkSeek checks one Seek against ScanIndex on the same index (key
+// order, same prefix), seekCol against the rows' next key column, and
+// the rows of one value of that column against ScanIndex with it bound
+// too. It reports whether the rows came from the delta merge.
+func checkSeek(t *testing.T, label string, v *View, c seekCase, rng *rand.Rand) bool {
+	t.Helper()
+	got, merged := c.run(v)
+	var want []IDQuad
+	spec := c.ix.Perm().String()
+	if err := v.ScanIndex(spec, c.narrow, func(q IDQuad) bool { want = append(want, q); return true }); err != nil {
+		t.Fatal(err)
+	}
+	quadsEqual(t, label+": Seek", got, want)
+	col := c.ix.Perm()[len(c.narrow.BoundCols())]
+	id := ID(rng.Intn(40) + 1)
+	if len(got) > 0 && rng.Intn(2) == 0 {
+		id = got[rng.Intn(len(got))].Get(col)
+	}
+	from := 0
+	if len(got) > 0 {
+		from = rng.Intn(len(got))
+		if got[from].Get(col) >= id {
+			from = 0
+		}
+	}
+	lo := seekCol(got, from, col, id)
+	hi := seekCol(got, lo, col, id+1)
+	for i, q := range got {
+		if (i >= from && i < lo) && q.Get(col) >= id || i >= lo && q.Get(col) < id {
+			t.Fatalf("%s: seekCol(from %d, %s >= %d) = %d, row %d has %d", label, from, col, id, lo, i, q.Get(col))
+		}
+	}
+	one := c.narrow
+	setCol(&one, col, id)
+	want = want[:0]
+	if err := v.ScanIndex(spec, one, func(q IDQuad) bool { want = append(want, q); return true }); err != nil {
+		t.Fatal(err)
+	}
+	quadsEqual(t, fmt.Sprintf("%s: rows with %s = %d", label, col, id), got[lo:hi], want)
+	return merged
 }
 
 func (ps *pinnedState) check(t *testing.T) {
@@ -75,6 +171,8 @@ func (ps *pinnedState) check(t *testing.T) {
 	if n := ps.view.Len(); n != ps.len {
 		t.Fatalf("%s: Len = %d, was %d", label, n, ps.len)
 	}
+	got, _ = ps.seek.run(ps.view)
+	quadsEqual(t, label+": Seek", got, ps.seekRows)
 }
 
 // TestScanBatchMatchesScan drives a randomized mutation workload
@@ -84,9 +182,14 @@ func (ps *pinnedState) check(t *testing.T) {
 // hold exactly the reference, in index key order whatever the physical
 // layout; ScanBatch must visit exactly the rows Scan visits, in the
 // same order, for random patterns and batch sizes; a prefix estimate
-// must be the exact count; and every View pinned at an earlier burst
-// must still show, through Scan, ScanBatch, Cursor + Partitions and
-// EstimateCount, exactly what it showed when it was pinned.
+// must be the exact count; a Seek on every index must return what a
+// forced-index scan of the same prefix does, and the rows seekCol
+// delimits for one value of the next key column what a scan with that
+// value bound too does — through the zero-copy path and through the
+// delta merge, both of which must occur; and every View pinned at an
+// earlier burst must still show, through Scan, ScanBatch, Cursor +
+// Partitions, EstimateCount and Seek, exactly what it showed when it
+// was pinned.
 func TestScanBatchMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	s := New()
@@ -103,6 +206,7 @@ func TestScanBatchMatchesScan(t *testing.T) {
 			g)
 	}
 	var pins []*pinnedState
+	merged, zeroCopy := 0, 0
 	for step := 0; step < 600; step++ {
 		switch op := rng.Intn(10); {
 		case step == 200:
@@ -193,16 +297,62 @@ func TestScanBatchMatchesScan(t *testing.T) {
 			t.Fatalf("step %d: EstimateCount = %d for %d matches (prefix %d of %d bound)", step, est, matches, ix.prefixLen(pat), pat.bound())
 		}
 
+		view := s.View()
+		var sc seekCase
+		for i := 0; i < 8; i++ {
+			var row IDQuad
+			if len(all) > 0 {
+				row = all[rng.Intn(len(all))]
+			}
+			sc = randomSeek(rng, view, row)
+			label := fmt.Sprintf("step %d seek %s %+v in %+v", step, sc.ix.Perm(), sc.narrow, sc.konst)
+			if checkSeek(t, label, view, sc, rng) {
+				merged++
+			} else {
+				zeroCopy++
+			}
+		}
+
 		for _, ps := range pins {
 			ps.check(t)
 		}
 		if len(pins) == 4 {
 			pins = pins[1:]
 		}
-		pins = append(pins, &pinnedState{step: step, view: s.View(), pat: pat, rows: want, est: est, len: len(ref)})
+		seekRows, _ := sc.run(view)
+		pins = append(pins, &pinnedState{step: step, view: view, pat: pat, rows: want, est: est, len: len(ref),
+			seek: sc, seekRows: append([]IDQuad(nil), seekRows...)})
 	}
 	if n := s.OpenCursors(); n != 0 {
 		t.Fatalf("open cursors = %d, want 0", n)
+	}
+	if merged == 0 || zeroCopy == 0 {
+		t.Fatalf("seeks: %d merged with the delta, %d zero-copy; want both paths", merged, zeroCopy)
+	}
+}
+
+// TestSeekerReuse seeks one seeker repeatedly — the same pattern twice
+// in a row, then others — on a store with rows in the delta: each Seek
+// must return its own pattern's rows whatever the seeker served before.
+func TestSeekerReuse(t *testing.T) {
+	s := partitionTestStore(t, 300)
+	for i := 0; i < 40; i++ {
+		if _, err := s.Insert("m", quad(fmt.Sprintf("s%d", i%7), "p", fmt.Sprintf("new%d", i), "")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v := s.View()
+	konst := AnyPattern()
+	konst.P = s.Dict().Lookup(iri("p"))
+	sk := v.Seeker(v.SeekIndex([]Col{ColP, ColS}, ColC), konst)
+	for i, subj := range []string{"s1", "s1", "s3", "s1", "nosuch", "s3", "s3"} {
+		p := konst
+		p.S = s.Dict().Lookup(iri(subj))
+		var want []IDQuad
+		if err := v.ScanIndex("PSCGM", p, func(q IDQuad) bool { want = append(want, q); return true }); err != nil {
+			t.Fatal(err)
+		}
+		quadsEqual(t, fmt.Sprintf("seek %d (%s)", i, subj), sk.Seek(p), want)
 	}
 }
 

@@ -1,0 +1,223 @@
+package store
+
+import "sort"
+
+// Seeks: the access path of the engine's sorted intersection joins
+// (DESIGN.md §20). A join step that binds one variable and the steps
+// that only check it can all read their candidates for that variable
+// from an index whose key is the step's bound columns followed by the
+// variable's column; for one binding those rows are a key range sorted
+// by the variable, so the steps intersect instead of scanning and
+// probing a hash table. A Seeker serves such a step for a whole query:
+// it resolves the pattern's constant key prefix once, and each Seek
+// narrows that range by the columns the current binding fixes.
+
+// Seeker reads one index of a View under a fixed constant key prefix.
+// It holds no lock and needs no release; like the View it came from it
+// sees one store version. A Seeker is not safe for concurrent use: each
+// executor opens its own.
+type Seeker struct {
+	st       *Store
+	r        *run
+	n0       int      // length of the constant key prefix
+	base     []IDQuad // base rows under the constant prefix
+	from, to dpos     // delta entries under the constant prefix
+	buf      []IDQuad // merged rows of the last Seek that met the delta
+
+	// The last Seek's pattern and rows: a join's input rows often repeat
+	// the values a side is narrowed by (EQ12's second step sees each
+	// ?y once per in-edge, consecutively).
+	last     Pattern
+	lastRows []IDQuad
+	seeked   bool
+}
+
+// SeekIndex returns the first index whose key starts with the columns
+// of bound, in any order, followed by next: the index a Seeker over
+// those columns must read so that the rows of one Seek come back sorted
+// by next. It returns nil when no index has that key.
+func (v *View) SeekIndex(bound []Col, next Col) *Index {
+	var want [numCols]bool
+	for _, c := range bound {
+		want[c] = true
+	}
+	for i := range v.runs {
+		perm := v.runs[i].ix.perm
+		n := 0
+		for n < len(perm) && want[perm[n]] {
+			n++
+		}
+		if n == len(bound) && n < len(perm) && perm[n] == next {
+			return v.runs[i].ix
+		}
+	}
+	return nil
+}
+
+// Seeker opens a seeker on index ix (a SeekIndex result) for patterns
+// whose constant columns are p's bound ones; the leading key columns p
+// binds form the range every Seek starts from. It returns nil when ix
+// is not an index of the view.
+func (v *View) Seeker(ix *Index, p Pattern) *Seeker {
+	for i := range v.runs {
+		r := &v.runs[i]
+		if r.ix != ix {
+			continue
+		}
+		n0 := r.ix.prefixLen(p)
+		lo, hi := r.baseRange(p, n0)
+		from, to := r.deltaRange(p, n0)
+		return &Seeker{st: v.st, r: r, n0: n0, base: r.base[lo:hi], from: from, to: to}
+	}
+	return nil
+}
+
+// Seek returns the live rows whose key columns equal p's bound ones, in
+// key order, so sorted by the first key column p leaves unbound. p must
+// bind the seeker's constant columns with the same values, and its bound
+// columns must be a key prefix (the seeker's constant prefix and the
+// columns after it). The rows are a zero-copy subslice of the version's
+// base array when no delta entry falls inside the range; otherwise the
+// range is merged with its delta entries through the scan kernel into a
+// buffer the next Seek reuses — tombstoned rows are absent, inserted
+// ones present. Either way the slice is valid until the next Seek and
+// must not be mutated. Each Seek counts as one range scan of the index,
+// and an installed FaultInjector observes every row it returns.
+func (s *Seeker) Seek(p Pattern) []IDQuad {
+	s.r.ix.rangeScans.Add(1)
+	if !s.seeked || p != s.last {
+		s.last, s.lastRows, s.seeked = p, s.narrow(p), true
+	}
+	if f := s.st.fault.Load(); f != nil {
+		for range s.lastRows {
+			f.observeRow()
+		}
+	}
+	return s.lastRows
+}
+
+// narrow resolves p's range inside the constant-prefix base range —
+// binary searches, except that when one column narrows it (the usual
+// case) the end is galloped to, ranges a join seeks being short — and
+// merges it with the delta entries inside it, if any.
+func (s *Seeker) narrow(p Pattern) []IDQuad {
+	r := s.r
+	n := r.ix.prefixLen(p)
+	rows := s.base
+	switch cols := r.ix.perm[s.n0:n]; len(cols) {
+	case 0:
+	case 1:
+		// One column, which sorts the constant-prefix range: binary
+		// search for the start, gallop to the (usually near) end.
+		c, id := cols[0], p.Get(cols[0])
+		lo, hi := 0, len(rows)
+		for lo < hi {
+			if m := int(uint(lo+hi) >> 1); rows[m].Get(c) < id {
+				lo = m + 1
+			} else {
+				hi = m
+			}
+		}
+		rows = rows[lo:]
+		rows = rows[:seekCol(rows, 0, c, id+1)]
+	default:
+		rows = rows[sort.Search(len(rows), func(i int) bool { return compareKey(rows[i], p, cols) >= 0 }):]
+		rows = rows[:sort.Search(len(rows), func(i int) bool { return compareKey(rows[i], p, cols) > 0 })]
+	}
+	if s.from != s.to {
+		if from, to := r.deltaRange(p, n); from != to {
+			s.buf = s.buf[:0]
+			r.merge(rows, from, to, AnyPattern(), DefaultBatchRows, func(run []IDQuad) bool {
+				s.buf = append(s.buf, run...)
+				return true
+			})
+			rows = s.buf
+		}
+	}
+	return rows
+}
+
+// compareKey compares q's values in the key columns cols with p's: -1,
+// 0 or +1 as q sorts before, inside or after the range they address.
+func compareKey(q IDQuad, p Pattern, cols []Col) int {
+	for _, c := range cols {
+		if qv, pv := q.Get(c), p.Get(c); qv != pv {
+			if qv < pv {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
+}
+
+// Leapfrog advances sorted row ranges to the next value they all hold
+// (Veldhuizen's leapfrog join): rows[i] must be sorted by column
+// cols[i] from pos[i] on, and every side in turn gallops to the largest
+// value any side is at until all agree. It returns that value with each
+// pos[i] at the side's first row holding it, and the number of gallops
+// it took; ok is false once a side runs out.
+func Leapfrog(rows [][]IDQuad, cols []Col, pos []int) (x ID, seeks int, ok bool) {
+	for i, r := range rows {
+		if pos[i] == len(r) {
+			return 0, seeks, false
+		}
+		x = max(x, r[pos[i]].Get(cols[i]))
+	}
+	for {
+		agree := true
+		for i, r := range rows {
+			p, c := pos[i], cols[i]
+			if r[p].Get(c) < x {
+				if p = seekCol(r, p, c, x); p == len(r) {
+					return 0, seeks, false
+				}
+				pos[i] = p
+				seeks++
+			}
+			if y := r[p].Get(c); y != x {
+				x, agree = y, false
+			}
+		}
+		if agree {
+			return x, seeks, true
+		}
+	}
+}
+
+// seekLinear is how many rows seekCol steps through one by one before it
+// gallops.
+const seekLinear = 8
+
+// seekCol returns the index of the first of rows[from:] whose column c
+// is at least id, or len(rows). Those rows must be sorted by c, as a
+// Seek's rows are by the first column its pattern leaves unbound. The
+// answer is usually near from — an intersection advances through a
+// range — so it probes at doubling distances, then binary-searches the
+// last gap.
+func seekCol(rows []IDQuad, from int, c Col, id ID) int {
+	// Most moves are short: step through the next few rows (adjacent in
+	// memory) before galloping.
+	for end := min(from+seekLinear, len(rows)); from < end; from++ {
+		if rows[from].Get(c) >= id {
+			return from
+		}
+	}
+	if from == len(rows) {
+		return from
+	}
+	before, step := from-1, 1 // rows[before] sorts before id
+	for before+step < len(rows) && rows[before+step].Get(c) < id {
+		before += step
+		step *= 2
+	}
+	lo, hi := before+1, min(before+step, len(rows))
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); rows[m].Get(c) < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}

@@ -543,7 +543,7 @@ func (s *Store) Models() []string                     { return s.View().Models()
 func (s *Store) Len() int                             { return s.View().Len() }
 func (s *Store) ModelLen(model string) int            { return s.View().ModelLen(model) }
 func (s *Store) ChooseIndex(p Pattern) *Index         { return s.View().ChooseIndex(p) }
-func (s *Store) ChooseIndexByBound(c []Col) string    { return s.View().ChooseIndexByBound(c) }
+func (s *Store) ChooseIndexByBound(c []Col) *Index    { return s.View().ChooseIndexByBound(c) }
 func (s *Store) EstimateCount(p Pattern) int          { return s.View().EstimateCount(p) }
 func (s *Store) Quads(p Pattern) []rdf.Quad           { return s.View().Quads(p) }
 func (s *Store) Cursor(p Pattern) *Cursor             { return s.View().Cursor(p) }

@@ -121,12 +121,12 @@ func (v *View) chooseRun(p Pattern) *run {
 	return best
 }
 
-// ChooseIndexByBound returns the spec of the index that would serve a
-// pattern whose bound columns are exactly cols: the index with the
-// longest key prefix covered by the bound set, ties broken by creation
-// order. Used for EXPLAIN-style plan reporting when concrete IDs are not
+// ChooseIndexByBound returns the index that would serve a pattern whose
+// bound columns are exactly cols: the index with the longest key prefix
+// covered by the bound set, ties broken by creation order. Used for
+// EXPLAIN-style plan reporting and planning when concrete IDs are not
 // yet known.
-func (v *View) ChooseIndexByBound(cols []Col) string {
+func (v *View) ChooseIndexByBound(cols []Col) *Index {
 	var bound [numCols]bool
 	for _, c := range cols {
 		bound[c] = true
@@ -145,7 +145,7 @@ func (v *View) ChooseIndexByBound(cols []Col) string {
 			best, bestPrefix = ix, n
 		}
 	}
-	return best.perm.String()
+	return best
 }
 
 // Scan calls fn for each quad matching the pattern, in the key order of
