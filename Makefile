@@ -81,7 +81,8 @@ algo-diff:
 ## 0 or 9, never in between); the isolation walk (views pinned during a
 ## randomized mutation sequence keep showing what they showed, seeks
 ## included; Seek ≡ a forced-index scan of the same prefix through the
-## zero-copy and the delta-merge paths; Apply sets and the pinned change
+## zero-copy and the delta-merge paths; morsels concatenate to the scan
+## for 1…9 splits, delta and tombstones at split keys; Apply sets and the pinned change
 ## log against a reference); answers of
 ## EQ1–EQ12 on RF/NG/SP unchanged by Compact(); and the 30 s soak of 8
 ## readers + writer + /algo + background checkpointer ending with
@@ -89,7 +90,7 @@ algo-diff:
 ## Part of `make check`.
 store-race:
 	$(GO) test -race -count=1 -run 'TestReadersNeverWaitForWriter|TestUpdateIsAtomicToReaders' ./internal/sparql
-	$(GO) test -race -count=1 -run 'TestScanBatchMatchesScan|TestSeekerReuse|TestApply|TestPinnedViewChangesSince|TestViewIsOneState|TestScanBatchUnderFaultInjector' ./internal/store
+	$(GO) test -race -count=1 -run 'TestScanBatchMatchesScan|TestMorselsAtSplitKeys|TestSeekerReuse|TestApply|TestPinnedViewChangesSince|TestViewIsOneState|TestScanBatchUnderFaultInjector' ./internal/store
 	$(GO) test -race -count=1 -run 'TestAnswersIgnoreCompaction' ./internal/bench
 	$(GO) test -race -count=1 -run 'TestSoakServingBesideWrites' ./internal/httpapi
 
@@ -126,9 +127,13 @@ bench-algos-smoke:
 	$(GO) run ./cmd/benchpaper -algobench -workers $(BENCH_WORKERS) -iters 1 -scale 0.02 -out BENCH_algos.json
 
 ## bench-micro: executor kernel microbenchmarks — the BGP driver's hot
-## loops (scan, hash probe, nested loop, sorted intersection, filter) and
+## loops (scan, hash probe, nested loop, sorted intersection, filter),
 ## the nested shapes that rerun an inner BGP per outer row (OPTIONAL,
-## MINUS) — plus the store-level benchmarks: batched scans, a range scan
+## MINUS) and the aggregate tail (grouping by one and two key columns, a
+## UNION of two scans) — plus the store-level benchmarks: batched scans,
+## a parallel BGP's driving scan split into morsels, copied out of a
+## snapshot cursor or as key ranges of the view (BenchmarkParallelScan,
+## no delta and 4 500 inserts), a range scan
 ## and an estimate through 0–8 000 unmerged inserts and 0–4 000
 ## tombstones (BenchmarkScanThroughDelta: the cost must not grow with the
 ## delta), one seek of an intersection join with no delta and with 4 500
@@ -137,7 +142,7 @@ bench-algos-smoke:
 ## against the parent commit's run.
 bench-micro:
 	$(GO) test -bench 'Kernel' -run '^$$' -benchtime 20x ./internal/sparql/
-	$(GO) test -bench 'BenchmarkScan|BenchmarkApply|BenchmarkSeek' -run '^$$' ./internal/store/
+	$(GO) test -bench 'BenchmarkScan|BenchmarkApply|BenchmarkSeek|BenchmarkParallelScan' -run '^$$' ./internal/store/
 
 ## bench-smoke: one-iteration bench at reduced scale (the CI gate).
 ## The overhead differential keeps best-of-$(OVERHEAD_ITERS) even here:

@@ -16,11 +16,12 @@ import (
 // Rule, scoped to repro/internal/sparql: any call to a raw store row
 // source — Scan / ScanBatch / ScanIndex / Cursor on a pinned
 // *store.View or on the *store.Store shorthand for the current one,
-// (*store.Cursor).NextBatch, or (*store.Seeker).Seek — must sit in a
+// (*store.View).Morsels and (*store.Morsel).ScanBatch, or
+// (*store.Seeker).Seek — must sit in a
 // top-level function that also ticks the guard (a call to guard.tick,
 // guard.tickN, guard.poll, or guard.checkRows somewhere in the same
 // function, typically inside the scan callback or the worker loop
-// draining a cursor). Routing
+// draining a morsel). Routing
 // through (*execCtx).scan satisfies this by construction and is the
 // preferred fix. The batched sources pair naturally with tickN: the
 // vectorized executor accumulates a pending count over a batch's rows
@@ -44,11 +45,12 @@ var Guardtick = &Analyzer{
 // rawScanMethods are the store row sources that bypass (*execCtx).scan.
 // Seek is the sorted intersection join's source: the loop that
 // leapfrogs over seeked rows settles them with tickN like a ScanBatch
-// loop.
+// loop. Morsels splits a scan for parallel workers, each of which
+// drains its morsel through Morsel.ScanBatch.
 var rawScanMethods = map[string]map[string]bool{
 	"Store":  {"Scan": true, "ScanBatch": true, "ScanIndex": true, "Cursor": true},
-	"View":   {"Scan": true, "ScanBatch": true, "ScanIndex": true, "Cursor": true},
-	"Cursor": {"NextBatch": true},
+	"View":   {"Scan": true, "ScanBatch": true, "ScanIndex": true, "Cursor": true, "Morsels": true},
+	"Morsel": {"ScanBatch": true},
 	"Seeker": {"Seek": true},
 }
 

@@ -80,13 +80,6 @@ func resourceResults(info *types.Info, call *ast.CallExpr) []types.Type {
 	}
 }
 
-// consumingMethods are resource methods that take over their receiver:
-// calling one disposes of the original (it is closed or its ownership
-// moves into the returned values), so the caller's obligation ends.
-// (*store.Cursor).Partitions closes the parent cursor and hands the
-// snapshot to the child cursors it returns.
-var consumingMethods = map[string]bool{"Partitions": true}
-
 type acquisition struct {
 	obj  types.Object // the variable holding the resource
 	pos  token.Pos    // where it was acquired
@@ -238,23 +231,17 @@ func classifyUse(pass *Pass, parents []ast.Node, id *ast.Ident, deferred *bool, 
 		// v.Close() — deferred if any ancestor is a defer statement,
 		// which also covers defer func() { v.Close() }().
 		if len(parents) >= 2 {
-			if call, ok := parents[len(parents)-2].(*ast.CallExpr); ok && call.Fun == p {
-				switch {
-				case p.Sel.Name == "Close":
-					for i := len(parents) - 2; i >= 0; i-- {
-						if _, isDefer := parents[i].(*ast.DeferStmt); isDefer {
-							*deferred = true
-							return
-						}
+			if call, ok := parents[len(parents)-2].(*ast.CallExpr); ok && call.Fun == p && p.Sel.Name == "Close" {
+				for i := len(parents) - 2; i >= 0; i-- {
+					if _, isDefer := parents[i].(*ast.DeferStmt); isDefer {
+						*deferred = true
+						return
 					}
-					if *closePos == token.NoPos || call.Pos() < *closePos {
-						*closePos = call.Pos()
-					}
-					return
-				case consumingMethods[p.Sel.Name]:
-					*escapes = true // receiver consumed; callee disposed of it
-					return
 				}
+				if *closePos == token.NoPos || call.Pos() < *closePos {
+					*closePos = call.Pos()
+				}
+				return
 			}
 		}
 		// v.Next(), v.Len(), field reads: plain use, not an escape.

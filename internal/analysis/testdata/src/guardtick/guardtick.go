@@ -97,41 +97,29 @@ func badViewCursor(v *store.View, p store.Pattern) int {
 }
 
 // goodWorkerPool is the morsel-driven shape: worker goroutines drain
-// partitioned cursors and batch their budget accounting through tickN.
-// One tickN call anywhere in the function counts as a tick.
-func goodWorkerPool(g *guard, st *store.Store, p store.Pattern) int {
-	cur := st.Cursor(p)
-	parts := cur.Partitions(4)
+// the morsels of a pinned view and batch their budget accounting
+// through tickN. One tickN call anywhere in the function counts as a
+// tick.
+func goodWorkerPool(g *guard, v *store.View, p store.Pattern) int {
+	morsels := v.Morsels(p, 4)
 	var (
 		mu    sync.Mutex
 		total int
 		wg    sync.WaitGroup
 	)
-	for _, pc := range parts {
+	for i := range morsels {
 		wg.Add(1)
-		go func(pc *store.Cursor) {
+		go func(m *store.Morsel) {
 			defer wg.Done()
-			defer pc.Close()
 			pending := 0
-			for {
-				if _, ok := pc.Next(); !ok {
-					break
-				}
-				pending++
-				if pending >= 64 {
-					if !g.tickN(pending) {
-						return
-					}
-					pending = 0
-				}
-			}
-			if !g.tickN(pending) {
-				return
-			}
+			m.ScanBatch(1024, func(run []store.IDQuad) bool {
+				pending += len(run)
+				return g.tickN(len(run))
+			})
 			mu.Lock()
 			total += pending
 			mu.Unlock()
-		}(pc)
+		}(&morsels[i])
 	}
 	wg.Wait()
 	return total
@@ -168,14 +156,13 @@ func badViewBatch(v *store.View, p store.Pattern) int {
 	return n
 }
 
-func badNextBatch(c *store.Cursor) int {
+func badMorsels(v *store.View, p store.Pattern) int {
 	n := 0
-	for {
-		run := c.NextBatch(1024) // want "store scan without a budget-guard tick"
-		if run == nil {
-			break
-		}
-		n += len(run)
+	for _, m := range v.Morsels(p, 4) { // want "store scan without a budget-guard tick"
+		m.ScanBatch(1024, func(run []store.IDQuad) bool { // want "store scan without a budget-guard tick"
+			n += len(run)
+			return true
+		})
 	}
 	return n
 }
@@ -194,26 +181,28 @@ func goodBatchScan(g *guard, st *store.Store, p store.Pattern) int {
 	return n
 }
 
-// goodBatchCursor drains morsel batches, accumulating a pending count
-// settled by tickN at each flush.
-func goodBatchCursor(g *guard, c *store.Cursor) int {
+// goodMorsel drains one morsel, accumulating a pending count settled
+// by tickN at each flush.
+func goodMorsel(g *guard, m *store.Morsel) int {
 	n, pending := 0, 0
-	for {
-		run := c.NextBatch(1024)
-		if run == nil {
-			break
-		}
+	m.ScanBatch(1024, func(run []store.IDQuad) bool {
 		pending += len(run)
+		n += len(run)
 		if pending >= 1024 {
 			if !g.tickN(pending) {
-				return n
+				return false
 			}
 			pending = 0
 		}
-		n += len(run)
-	}
+		return true
+	})
 	g.tickN(pending)
 	return n
+}
+
+func suppressedMorsels(v *store.View, p store.Pattern) int {
+	//pgrdfvet:ignore guardtick -- sizing the split for a plan estimate, not an execution read
+	return len(v.Morsels(p, 8))
 }
 
 // badSeek reads seeked rows without charging them: the sorted

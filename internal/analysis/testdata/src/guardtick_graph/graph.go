@@ -58,11 +58,10 @@ func badDrain(st *store.Store, p store.Pattern) int {
 	defer cur.Close()
 	n := 0
 	for {
-		batch := cur.NextBatch(1024) // want "store scan without a budget-guard tick"
-		if len(batch) == 0 {
+		if _, ok := cur.Next(); !ok {
 			return n
 		}
-		n += len(batch)
+		n++
 	}
 }
 
@@ -103,21 +102,20 @@ func goodGather(g *guard, cs *CSR, rank []float64, lo, hi int) (float64, bool) {
 	return sum, g.tickN(edges)
 }
 
-// goodDrain ticks cursor batches as they are drained, in the same
+// goodDrain ticks cursor rows as they are drained, in the same
 // function that opened the cursor.
 func goodDrain(g *guard, st *store.Store, p store.Pattern) int {
 	cur := st.Cursor(p)
 	defer cur.Close()
 	n := 0
 	for {
-		batch := cur.NextBatch(1024)
-		if len(batch) == 0 {
+		if _, ok := cur.Next(); !ok {
 			return n
 		}
-		if !g.tickN(len(batch)) {
+		if !g.tickN(1) {
 			return n
 		}
-		n += len(batch)
+		n++
 	}
 }
 

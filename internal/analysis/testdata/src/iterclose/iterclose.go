@@ -99,16 +99,6 @@ func goodStored(st *store.Store, p store.Pattern) []*store.Cursor {
 	return open
 }
 
-func goodPartitioned(st *store.Store, p store.Pattern) int {
-	c := st.Cursor(p) // Partitions consumes c: it closes the parent itself
-	parts := c.Partitions(4)
-	n := 0
-	for _, pc := range parts {
-		n += drain(pc) // each child is handed off and closed by drain
-	}
-	return n
-}
-
 func suppressed(st *store.Store, p store.Pattern) {
 	//pgrdfvet:ignore iterclose -- intentionally leaked to exercise the OpenCursors gauge in a demo
 	c := st.Cursor(p)

@@ -238,6 +238,7 @@ func compileSelect(sel *SelectQuery, seq *int) (*compiled, error) {
 	if err != nil {
 		return nil, err
 	}
+	markBatchTail(pipeline)
 	cp := &compiled{
 		vt:       c.vt,
 		pipeline: pipeline,
@@ -467,7 +468,6 @@ func (c *compiler) group(g *GroupGraphPattern) ([]op, error) {
 				ss := &subselectOp{plan: sub}
 				for _, pr := range sub.projection {
 					ss.outer = append(ss.outer, c.vt.slot(pr.name))
-					ss.inner = append(ss.inner, pr.slot)
 				}
 				pipeline = append(pipeline, ss)
 			default:

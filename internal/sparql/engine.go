@@ -429,6 +429,7 @@ func (e *Engine) ask(ctx context.Context, model, query string, q *Query) (found 
 	if err != nil {
 		return false, err
 	}
+	markBatchTail(pipeline)
 	if len(c.vt.names) > maxVars {
 		return false, fmt.Errorf("sparql: query uses more than %d variables", maxVars)
 	}
@@ -439,7 +440,7 @@ func (e *Engine) ask(ctx context.Context, model, query string, q *Query) (found 
 	// ASK only needs any one row, so result order is irrelevant: let
 	// the parallel batch executor skip the order-preserving merge.
 	ec.unordered = true
-	if bs := vectorTail(ec, pipeline, len(c.vt.names)); bs != nil {
+	if bs := vectorTail(ec, pipeline, unitSource(len(c.vt.names))); bs != nil {
 		if err := finishGuard(ec, bs(func(cb *colBatch) bool {
 			found = true
 			return false
@@ -757,8 +758,16 @@ func (e *Engine) Explain(model, query string) (string, error) {
 	for _, op := range cp.pipeline {
 		op.explain(ex)
 	}
+	explainTail(ex, cp)
+	ex.indent--
+	return ex.b.String(), nil
+}
+
+// explainTail prints a select's tail phases after its pipeline.
+func explainTail(ex *explainer, cp *compiled) {
 	if cp.grouping {
-		ex.printf("GroupAggregate (%d keys, %d aggregates)", len(cp.groupBy), len(cp.aggregates))
+		kind, _ := groupKeyOf(cp)
+		ex.printf("GroupAggregate (%d keys, %d aggregates) key=%s", len(cp.groupBy), len(cp.aggregates), kind)
 	}
 	if len(cp.orderBy) > 0 {
 		ex.printf("OrderBy (%d keys)", len(cp.orderBy))
@@ -766,8 +775,6 @@ func (e *Engine) Explain(model, query string) (string, error) {
 	if cp.distinct {
 		ex.printf("Distinct")
 	}
-	ex.indent--
-	return ex.b.String(), nil
 }
 
 func datasetName(model string) string {

@@ -3,6 +3,7 @@ package sparql
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -779,6 +780,9 @@ func (o *valuesOp) explain(e *explainer) { e.printf("Values (%d rows)", len(o.ro
 type unionOp struct {
 	opStage
 	branches [][]op
+	// batch is set by markBatchTail when the union is a pipeline's
+	// batch tail: it then runs as applyBatch, not apply.
+	batch bool
 }
 
 func (o *unionOp) bound(before varset) varset {
@@ -797,26 +801,31 @@ func (o *unionOp) bound(before varset) varset {
 
 func (o *unionOp) apply(ec *execCtx, in source) source {
 	var row feed
-	branches := make([]source, len(o.branches))
+	branches := make([]func(func(binding) bool) error, len(o.branches))
 	for i, br := range o.branches {
 		branches[i] = runPipeline(ec, br, row.source)
 	}
-	return func(yield func(binding) bool) error {
+	return unionOf(in, &row, branches)
+}
+
+// unionOf runs, per input binding, each branch to exhaustion in branch
+// order — the emission order of both the row union (T = binding) and
+// the batch union (T = *colBatch). The branches read their input
+// binding from row.
+func unionOf[T any](in source, row *feed, branches []func(func(T) bool) error) func(func(T) bool) error {
+	return func(yield func(T) bool) error {
 		var innerErr error
 		err := in(func(b binding) bool {
 			row.b = b
-			for _, src := range branches {
+			for _, br := range branches {
 				stopped := false
-				if innerErr = src(func(out binding) bool {
+				if innerErr = br(func(out T) bool {
 					if !yield(out) {
 						stopped = true
 						return false
 					}
 					return true
-				}); innerErr != nil {
-					return false
-				}
-				if stopped {
+				}); innerErr != nil || stopped {
 					return false
 				}
 			}
@@ -830,7 +839,7 @@ func (o *unionOp) apply(ec *execCtx, in source) source {
 }
 
 func (o *unionOp) explain(e *explainer) {
-	e.printf("Union (%d branches):", len(o.branches))
+	e.printf("Union (%d branches%s):", len(o.branches), batchNote(o.batch))
 	e.indent++
 	for _, br := range o.branches {
 		for _, sub := range br {
@@ -964,7 +973,6 @@ type subselectOp struct {
 	opStage
 	plan  *compiled
 	outer []int // outer slots for the projected vars
-	inner []int // inner projection slots
 }
 
 func (o *subselectOp) bound(before varset) varset {
@@ -978,27 +986,15 @@ func (o *subselectOp) bound(before varset) varset {
 func (o *subselectOp) apply(ec *execCtx, in source) source {
 	return func(yield func(binding) bool) error {
 		// Evaluate the sub-select once, independently (SPARQL bottom-up
-		// semantics), then join with the input stream.
-		subCtx := ec.child(o.plan.vt)
-		rows, err := evalSelect(subCtx, o.plan)
+		// semantics), then join with the input stream. Its rows hold
+		// the IDs it projects: a scope shares the query's dictionary
+		// and scratch overlay, so an ID means the same term outside.
+		rows, err := selectIDs(ec.child(o.plan.vt), o.plan)
 		if err != nil {
 			return err
 		}
-		// Materialized rows hold term IDs per projected column.
-		mat := make([][]store.ID, len(rows))
-		for i, r := range rows {
-			ids := make([]store.ID, len(o.inner))
-			for j := range o.inner {
-				if r[j].IsZero() {
-					ids[j] = store.NoID
-				} else {
-					ids[j] = ec.intern(r[j])
-				}
-			}
-			mat[i] = ids
-		}
 		return in(func(b binding) bool {
-			for _, row := range mat {
+			for _, row := range rows {
 				var undo []int
 				ok := true
 				for j, slot := range o.outer {
@@ -1037,6 +1033,7 @@ func (o *subselectOp) explain(e *explainer) {
 	for _, sop := range o.plan.pipeline {
 		sop.explain(sub)
 	}
+	explainTail(sub, o.plan)
 	e.b.WriteString(sub.b.String())
 	e.indent--
 }
@@ -1046,23 +1043,46 @@ func (o *subselectOp) explain(e *explainer) {
 // ---------------------------------------------------------------------
 
 // evalSelect runs a compiled select and materializes the projected rows
-// as terms (zero Term = unbound).
-//
-// Aggregating queries are evaluated streaming: solutions are folded into
-// group accumulators as they are produced, never materialized — this is
-// what makes the paper's EQ11d/e path-counting queries (hundreds of
-// millions of solution rows at full scale) feasible.
+// as terms (zero Term = unbound). It is the only place a SELECT's IDs
+// become terms: sub-selects hand their rows up as IDs (selectIDs).
 func evalSelect(ec *execCtx, cp *compiled) ([][]rdf.Term, error) {
+	return selectRows(ec, cp, ec.term)
+}
+
+// selectIDs is evalSelect with the projected IDs as cells (NoID =
+// unbound): a sub-select's rows, which share the query's dictionary.
+func selectIDs(ec *execCtx, cp *compiled) ([][]store.ID, error) {
+	return selectRows(ec, cp, func(id store.ID) store.ID { return id })
+}
+
+// selectRows runs a compiled select and projects its solutions, turning
+// each bound cell into a T with cell.
+func selectRows[T any](ec *execCtx, cp *compiled, cell func(store.ID) T) ([][]T, error) {
 	// LIMIT 0 can never produce a row: short-circuit before touching
 	// the pipeline so no scan, guard tick or clone happens at all.
 	if cp.limit == 0 {
 		return nil, nil
 	}
+	solutions, err := selectSolutions(ec, cp)
+	if err != nil {
+		return nil, err
+	}
+	return projectRows(ec, cp, solutions, cell), nil
+}
+
+// selectSolutions runs a compiled select's pipeline, grouping, extended
+// projection and ORDER BY, returning its solutions in result order.
+//
+// Aggregating queries are evaluated streaming: solutions are folded into
+// group accumulators as they are produced, never materialized — this is
+// what makes the paper's EQ11d/e path-counting queries (hundreds of
+// millions of solution rows at full scale) feasible.
+func selectSolutions(ec *execCtx, cp *compiled) ([]binding, error) {
 	width := len(cp.vt.names)
 	// The batch path may fan morsel results in unordered when nothing
 	// downstream observes row order (DESIGN.md §15).
 	ec.unordered = orderInsensitive(cp)
-	bs := vectorTail(ec, cp.pipeline, width)
+	bs := vectorTail(ec, cp.pipeline, unitSource(width))
 	var src source
 	if bs == nil {
 		src = runPipeline(ec, cp.pipeline, unitSource(width))
@@ -1072,14 +1092,19 @@ func evalSelect(ec *execCtx, cp *compiled) ([][]rdf.Term, error) {
 	if cp.grouping {
 		gst := ec.profStage(cp.groupSid)
 		start := profNow(gst)
+		acc := newGroupAcc(ec, cp)
 		var err error
 		if bs != nil {
-			solutions, err = groupSolutionsBatch(ec, cp, bs)
+			err = acc.addBatches(bs)
 		} else {
-			solutions, err = groupSolutions(ec, cp, src)
+			err = finishGuard(ec, src(acc.add))
 		}
 		if err != nil {
 			return nil, err
+		}
+		solutions = acc.finish()
+		if gst != nil {
+			gst.groups.Add(int64(len(acc.groups)))
 		}
 		profDone(gst, start, len(solutions))
 	} else {
@@ -1180,28 +1205,47 @@ func evalSelect(ec *execCtx, cp *compiled) ([][]rdf.Term, error) {
 		solutions = sorted
 		profDone(sst, sortStart, len(solutions))
 	}
+	return solutions, nil
+}
 
-	// Project.
+// projectRows projects solutions onto cp's projection, converting each
+// bound cell with cell (zero T = unbound), then applies DISTINCT and
+// OFFSET/LIMIT. DISTINCT compares the rows' terms, as the results show
+// them.
+func projectRows[T any](ec *execCtx, cp *compiled, solutions []binding, cell func(store.ID) T) [][]T {
 	pst := ec.profStage(cp.projSid)
 	projStart := profNow(pst)
-	rows := make([][]rdf.Term, 0, len(solutions))
+	pw := len(cp.projection)
+	slab := make([]T, len(solutions)*pw)
+	rows := make([][]T, 0, len(solutions))
 	var seen map[string]struct{}
+	var key []byte
 	if cp.distinct {
 		seen = make(map[string]struct{})
 	}
 	for _, b := range solutions {
-		row := make([]rdf.Term, len(cp.projection))
+		n := len(rows)
+		row := slab[n*pw : (n+1)*pw : (n+1)*pw]
+		var zero T
 		for j, pr := range cp.projection {
+			row[j] = zero
 			if pr.slot < len(b) && b[pr.slot] != store.NoID {
-				row[j] = ec.term(b[pr.slot])
+				row[j] = cell(b[pr.slot])
 			}
 		}
 		if cp.distinct {
-			key := rowKey(row)
-			if _, dup := seen[key]; dup {
+			key = key[:0]
+			for _, pr := range cp.projection {
+				var t rdf.Term
+				if pr.slot < len(b) && b[pr.slot] != store.NoID {
+					t = ec.term(b[pr.slot])
+				}
+				key = append(append(key, t.String()...), 0)
+			}
+			if _, dup := seen[string(key)]; dup {
 				continue
 			}
-			seen[key] = struct{}{}
+			seen[string(key)] = struct{}{}
 		}
 		rows = append(rows, row)
 	}
@@ -1218,7 +1262,7 @@ func evalSelect(ec *execCtx, cp *compiled) ([][]rdf.Term, error) {
 		rows = rows[:cp.limit]
 	}
 	profDone(pst, projStart, len(rows))
-	return rows, nil
+	return rows
 }
 
 func hasProjExprs(cp *compiled) bool {
@@ -1228,15 +1272,6 @@ func hasProjExprs(cp *compiled) bool {
 		}
 	}
 	return false
-}
-
-func rowKey(row []rdf.Term) string {
-	var sb strings.Builder
-	for _, t := range row {
-		sb.WriteString(t.String())
-		sb.WriteByte('\x00')
-	}
-	return sb.String()
 }
 
 // aggState accumulates one aggregate within one group.
@@ -1255,47 +1290,80 @@ type aggState struct {
 // groupData is one group's representative binding and aggregate states.
 type groupData struct {
 	rep    binding
-	states []*aggState
+	states []aggState
+}
+
+// groupKey is how groupAcc keys its groups; EXPLAIN prints it.
+type groupKey uint8
+
+const (
+	keyNone groupKey = iota // no GROUP BY: the one implicit group
+	keyID                   // one plain variable: its ID
+	keyTerm                 // several keys or an expression: strings
+)
+
+func (k groupKey) String() string { return [...]string{"none", "id", "term"}[k] }
+
+// groupKeyOf classifies a plan's GROUP BY keys, with the key slot of an
+// id key.
+func groupKeyOf(cp *compiled) (groupKey, int) {
+	switch len(cp.groupBy) {
+	case 0:
+		return keyNone, 0
+	case 1:
+		if vs, isVar := cp.groupBy[0].(*exprSlot); isVar {
+			return keyID, vs.slot
+		}
+	}
+	return keyTerm, 0
 }
 
 // groupAcc folds solutions into per-group aggregate states — the
-// accumulator shared by the row (groupSolutions) and batch
-// (groupSolutionsBatch) grouping paths, so both produce identical
-// groups in identical order.
+// accumulator of both the row (add) and the batch (addBatches) grouping
+// paths, so both produce identical groups in identical, first-seen
+// order. Groups live in a slice in creation order; a key finds its
+// group's index through a map keyed by the group variable's ID (keyID)
+// or by strings (keyTerm). Only keyTerm evaluates expressions or reads
+// a term.
 type groupAcc struct {
 	ec     *execCtx
 	cp     *compiled
-	groups map[string]*groupData
-	order  []string
-	// single is the implicit group when there is no GROUP BY: the key
-	// map is skipped entirely — path counting queries like EQ11e fold
-	// hundreds of millions of rows into one group.
-	single *groupData
-	keyBuf strings.Builder
+	kind   groupKey
+	slot   int // key slot of an id key
+	groups []*groupData
+	byID   map[store.ID]int32
+	byKey  map[string]int32
+	keyBuf []byte
+
+	// The group the last row fell into, by key ID: rows of one key
+	// often arrive together (a scan sorted by the group variable).
+	last   int32
+	lastID store.ID
+
+	// counts memoizes finish's COUNT results: thousands of groups share
+	// a few distinct counts, each interned once.
+	counts map[int64]store.ID
+
+	// counted is foldCounts' per-batch record of which COUNTs count,
+	// reused across batches.
+	counted []bool
 }
 
 func newGroupAcc(ec *execCtx, cp *compiled) *groupAcc {
-	acc := &groupAcc{ec: ec, cp: cp, groups: make(map[string]*groupData)}
-	if len(cp.groupBy) == 0 {
-		acc.single = acc.newGroup(nil)
-		acc.groups[""] = acc.single
-		acc.order = append(acc.order, "")
+	acc := &groupAcc{ec: ec, cp: cp, last: -1}
+	acc.kind, acc.slot = groupKeyOf(cp)
+	switch acc.kind {
+	case keyNone:
+		// The implicit group exists even over no solutions; path
+		// counting queries like EQ11e fold hundreds of millions of
+		// rows into it without a key lookup.
+		acc.groups = []*groupData{acc.newGroup(nil)}
+	case keyID:
+		acc.byID = make(map[store.ID]int32)
+	default:
+		acc.byKey = make(map[string]int32)
 	}
 	return acc
-}
-
-func (acc *groupAcc) keyOf(b binding) string {
-	acc.keyBuf.Reset()
-	for _, ge := range acc.cp.groupBy {
-		// Group keys of plain variables hash by ID, not lexical form.
-		if vs, isVar := ge.(*exprSlot); isVar {
-			fmt.Fprintf(&acc.keyBuf, "#%d", b[vs.slot])
-		} else if t, err := ge.eval(acc.ec, b); err == nil {
-			acc.keyBuf.WriteString(t.String())
-		}
-		acc.keyBuf.WriteByte('\x00')
-	}
-	return acc.keyBuf.String()
 }
 
 func (acc *groupAcc) newGroup(b binding) *groupData {
@@ -1306,34 +1374,92 @@ func (acc *groupAcc) newGroup(b binding) *groupData {
 			rep[vs.slot] = b[vs.slot]
 		}
 	}
-	gd := &groupData{rep: rep, states: make([]*aggState, len(acc.cp.aggregates))}
-	for i := range gd.states {
-		gd.states[i] = &aggState{}
+	return &groupData{rep: rep, states: make([]aggState, len(acc.cp.aggregates))}
+}
+
+// create appends a new group for the solution b, or reports false when
+// the guard's row cap latches (new-group creation counts against
+// MaxRows).
+func (acc *groupAcc) create(b binding) (int32, bool) {
+	if !acc.ec.guard.checkRows(len(acc.groups) + 1) {
+		return 0, false
 	}
-	return gd
+	acc.groups = append(acc.groups, acc.newGroup(b))
+	return int32(len(acc.groups) - 1), true
+}
+
+// lookupID returns the group of key ID id, nil when there is none yet.
+func (acc *groupAcc) lookupID(id store.ID) *groupData {
+	if acc.last >= 0 && id == acc.lastID {
+		return acc.groups[acc.last]
+	}
+	i, ok := acc.byID[id]
+	if !ok {
+		return nil
+	}
+	acc.last, acc.lastID = i, id
+	return acc.groups[i]
+}
+
+// idGroup returns the group of key ID id, creating it from b.
+func (acc *groupAcc) idGroup(id store.ID, b binding) *groupData {
+	if gd := acc.lookupID(id); gd != nil {
+		return gd
+	}
+	i, ok := acc.create(b)
+	if !ok {
+		return nil
+	}
+	acc.byID[id] = i
+	acc.last, acc.lastID = i, id
+	return acc.groups[i]
+}
+
+// bufGroup returns the group of the key in keyBuf, creating it from b.
+func (acc *groupAcc) bufGroup(b binding) *groupData {
+	i, ok := acc.byKey[string(acc.keyBuf)]
+	if !ok {
+		if i, ok = acc.create(b); !ok {
+			return nil
+		}
+		acc.byKey[string(acc.keyBuf)] = i
+	}
+	return acc.groups[i]
+}
+
+// group returns the group of solution b, nil when creating it tripped
+// the row cap.
+func (acc *groupAcc) group(b binding) *groupData {
+	switch acc.kind {
+	case keyNone:
+		return acc.groups[0]
+	case keyID:
+		return acc.idGroup(b[acc.slot], b)
+	}
+	acc.keyBuf = acc.keyBuf[:0]
+	for _, ge := range acc.cp.groupBy {
+		// Group keys of plain variables hash by ID, not lexical form.
+		if vs, isVar := ge.(*exprSlot); isVar {
+			acc.keyBuf = strconv.AppendUint(append(acc.keyBuf, '#'), uint64(b[vs.slot]), 10)
+		} else if t, err := ge.eval(acc.ec, b); err == nil {
+			acc.keyBuf = append(acc.keyBuf, t.String()...)
+		}
+		acc.keyBuf = append(acc.keyBuf, 0)
+	}
+	return acc.bufGroup(b)
 }
 
 // add folds one solution into its group, returning false when the
-// guard's row cap latches (new-group creation counts against MaxRows).
-// The binding is only read during the call, so callers may reuse it.
+// guard's row cap latches. The binding is only read during the call, so
+// callers may reuse it.
 func (acc *groupAcc) add(b binding) bool {
-	ec, cp := acc.ec, acc.cp
-	gd := acc.single
+	gd := acc.group(b)
 	if gd == nil {
-		key := acc.keyOf(b)
-		var ok bool
-		gd, ok = acc.groups[key]
-		if !ok {
-			if !ec.guard.checkRows(len(acc.groups) + 1) {
-				return false
-			}
-			gd = acc.newGroup(b)
-			acc.groups[key] = gd
-			acc.order = append(acc.order, key)
-		}
+		return false
 	}
-	for i, agg := range cp.aggregates {
-		st := gd.states[i]
+	ec := acc.ec
+	for i, agg := range acc.cp.aggregates {
+		st := &gd.states[i]
 		// Fast path: COUNT(?v) only needs boundness, no term.
 		if agg.fn == "COUNT" && !agg.distinct {
 			if agg.arg == nil {
@@ -1375,11 +1501,13 @@ func (acc *groupAcc) add(b binding) bool {
 func (acc *groupAcc) finish() []binding {
 	ec, cp := acc.ec, acc.cp
 	out := make([]binding, 0, len(acc.groups))
-	for _, key := range acc.order {
-		gd := acc.groups[key]
+	for _, gd := range acc.groups {
 		for i, agg := range cp.aggregates {
-			t, ok := finishAgg(gd.states[i], agg)
-			if ok {
+			if agg.fn == "COUNT" {
+				gd.rep[agg.slot] = acc.countID(gd.states[i].count)
+				continue
+			}
+			if t, ok := finishAgg(&gd.states[i], agg); ok {
 				gd.rep[agg.slot] = ec.intern(t)
 			}
 		}
@@ -1398,15 +1526,18 @@ func (acc *groupAcc) finish() []binding {
 	return out
 }
 
-// groupSolutions consumes the source and folds each solution into its
-// group's aggregate states, returning one representative binding per
-// group with the aggregate result slots filled.
-func groupSolutions(ec *execCtx, cp *compiled, src source) ([]binding, error) {
-	acc := newGroupAcc(ec, cp)
-	if err := finishGuard(ec, src(acc.add)); err != nil {
-		return nil, err
+// countID returns the interned integer n, interning each distinct count
+// once per accumulator.
+func (acc *groupAcc) countID(n int64) store.ID {
+	id, ok := acc.counts[n]
+	if !ok {
+		if acc.counts == nil {
+			acc.counts = make(map[int64]store.ID)
+		}
+		id = acc.ec.intern(rdf.NewInteger(n))
+		acc.counts[n] = id
 	}
-	return acc.finish(), nil
+	return id
 }
 
 func accumulate(st *aggState, agg compiledAgg, val rdf.Term) {

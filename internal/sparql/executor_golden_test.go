@@ -27,9 +27,42 @@ var nestedShapeQueries = []string{
 	`SELECT ?a ?y WHERE { ?a rel:follows <http://pg/v9> . ?a rel:follows+ ?y }`,
 }
 
+// aggregateShapeQueries are the shapes an aggregate query keeps in ID
+// space, and their row-path neighbours: GROUP BY one variable, two, an
+// expression, or keys unbound in some rows; HAVING; COUNT(DISTINCT)
+// beside COUNT(*); alternation paths (batch UNIONs); explicit UNIONs
+// whose branches bind different variables or end in OPTIONAL (a row
+// UNION); and sub-selects, nested (EQ9/EQ10) or joined to an outer BGP.
+var aggregateShapeQueries = []string{
+	`SELECT ?b (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b } GROUP BY ?b`,
+	`SELECT ?a ?c (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b . ?b rel:follows ?c } GROUP BY ?a ?c`,
+	`SELECT (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b } GROUP BY (STR(?b))`,
+	`SELECT ?c (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b OPTIONAL { ?b rel:follows ?c . ?c rel:follows ?a } } GROUP BY ?c`,
+	`SELECT ?z (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b } GROUP BY ?z`,
+	`SELECT ?a ?z (COUNT(?z) AS ?nz) (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b } GROUP BY ?a ?z`,
+	`SELECT ?b (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b } GROUP BY ?b HAVING (COUNT(*) > 4)`,
+	`SELECT ?a (COUNT(DISTINCT ?c) AS ?d) (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b . ?b rel:follows ?c } GROUP BY ?a`,
+	`SELECT ?a ?b WHERE { ?a (rel:follows|rel:knows) ?b }`,
+	`SELECT ?a ?b WHERE { ?a (rel:follows|^rel:follows) ?b }`,
+	`SELECT ?a ?c WHERE { ?a (rel:follows|rel:knows)/rel:follows ?c }`,
+	`SELECT ?a ?b ?c WHERE { { ?a rel:follows ?b } UNION { ?c rel:follows ?a } }`,
+	`SELECT ?a (COUNT(?b) AS ?nb) (COUNT(?c) AS ?nc) WHERE { { ?a rel:follows ?b } UNION { ?c rel:follows ?a } } GROUP BY ?a`,
+	`SELECT ?a ?b ?c WHERE { { ?a rel:follows ?b OPTIONAL { ?b rel:follows ?c . ?c rel:follows ?a } } UNION { ?c rel:follows ?a } }`,
+	`SELECT ?deg (COUNT(*) AS ?cnt) WHERE { SELECT ?b (COUNT(*) AS ?deg) WHERE { ?a (rel:follows|rel:knows) ?b } GROUP BY ?b } GROUP BY ?deg ORDER BY DESC(?deg)`,
+	`SELECT ?deg (COUNT(*) AS ?cnt) WHERE { SELECT ?a (COUNT(*) AS ?deg) WHERE { ?a (rel:follows|^rel:follows) ?b } GROUP BY ?a } GROUP BY ?deg ORDER BY DESC(?deg)`,
+	`SELECT ?b ?n ?c WHERE { { SELECT ?b (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b } GROUP BY ?b HAVING (COUNT(*) > 4) } ?b rel:follows ?c }`,
+	`SELECT ?b (COUNT(*) AS ?n) WHERE { { SELECT DISTINCT ?b WHERE { ?a rel:follows ?b } } ?b rel:follows ?c } GROUP BY ?b`,
+}
+
 // goldenQueries are the queries whose results the golden file pins.
 func goldenQueries() []string {
-	return append(append(append([]string(nil), vectorDiffQueries...), nestedShapeQueries...), intersectShapeQueries...)
+	return append(append(append(append([]string(nil), vectorDiffQueries...), nestedShapeQueries...), intersectShapeQueries...), aggregateShapeQueries...)
+}
+
+// profiledQueries are the golden queries whose serial profile counters
+// the golden file pins too.
+func profiledQueries() []string {
+	return append(append(append([]string(nil), nestedShapeQueries...), intersectShapeQueries...), aggregateShapeQueries...)
 }
 
 const executorGoldenPath = "testdata/executor_golden.txt"
@@ -40,8 +73,8 @@ const goldenHeadRows = 3
 
 // executorGolden renders the pinned results: for every query, the row
 // count, a digest of the full result table (row order included) and
-// its first rows; for the nested and the intersection shapes also the
-// serial profile's per-operator counters (see profileCounters).
+// its first rows; for the nested, intersection and aggregate shapes also
+// the serial profile's per-operator counters (see profileCounters).
 func executorGolden(t *testing.T, parallelism int) string {
 	t.Helper()
 	st := egoNetStore(t, 900, 5)
@@ -64,7 +97,7 @@ func executorGolden(t *testing.T, parallelism int) string {
 			sb.WriteString(lines[i])
 		}
 	}
-	for _, q := range append(append([]string(nil), nestedShapeQueries...), intersectShapeQueries...) {
+	for _, q := range profiledQueries() {
 		fmt.Fprintf(&sb, "\n== profile %s\n%s", q, profileCounters(t, st, q))
 	}
 	if w := e.ParallelStats().ActiveWorkers; w != 0 {

@@ -4,8 +4,9 @@ package sparql
 //
 // The engine parallelizes the scan-heavy plan shapes the paper singles
 // out as expensive (multi-hop traversals and triangle counting, Tables
-// 5–9): the driving scan of a BGP is snapshotted and split into
-// contiguous morsels, a small worker pool claims morsels from a shared
+// 5–9): the driving scan of a BGP is split into contiguous key ranges
+// of the pinned View (store.View.Morsels — morsels, no rows copied), a
+// small worker pool claims morsels from a shared
 // counter (work stealing), and every worker runs the serial batch join
 // driver (vecExec) over its morsel — probing the shared, lazily built
 // hash tables. Completed batches travel back to the coordinating
@@ -19,7 +20,7 @@ package sparql
 // and the first violation from any worker latches and unwinds all of
 // them. Worker goroutines always exit before the driving operator
 // returns — there is no detached work — which the leak-gauge tests
-// assert via Engine.ParallelStats().ActiveWorkers and OpenCursors.
+// assert via Engine.ParallelStats().ActiveWorkers.
 
 import (
 	"sync"
@@ -31,7 +32,7 @@ import (
 const (
 	// parallelScanMinRows is the minimum estimated size of a BGP's
 	// driving scan before the executor fans it out to workers; below
-	// it, snapshot + goroutine overhead dominates the work.
+	// it, goroutine and merge overhead dominates the work.
 	parallelScanMinRows = 2048
 	// morselsPerWorker cuts morsels finer than the worker count so
 	// stragglers rebalance through the shared claim counter.
@@ -107,23 +108,23 @@ func (ec *execCtx) releaseWorkers(n int) {
 	}
 }
 
-// snapshot materializes the rows matching p (restricted to the
-// dataset's models where the restriction can be pushed into the
-// pattern) as a cursor, polling the guard first so a tripped query
-// never pays for the materialization. A multi-model subset cannot be
-// pushed down; workers filter those rows via rowVisible.
-func (ec *execCtx) snapshot(p store.Pattern) *store.Cursor {
+// morsels splits the rows matching p (restricted to the dataset's
+// models where the restriction can be pushed into the pattern) into at
+// most n morsels, polling the guard first so a tripped query never
+// fans out. A multi-model subset cannot be pushed down; workers filter
+// those rows via rowVisible.
+func (ec *execCtx) morsels(p store.Pattern, n int) []store.Morsel {
 	if !ec.guard.poll() {
 		return nil
 	}
 	if ec.models != nil && ec.singleModel != store.NoID {
 		p.M = ec.singleModel
 	}
-	return ec.view.Cursor(p)
+	return ec.view.Morsels(p, n)
 }
 
-// rowVisible applies the dataset restriction a snapshot could not push
-// down into its pattern.
+// rowVisible applies the dataset restriction morsels could not push
+// down into their pattern.
 func (ec *execCtx) rowVisible(q store.IDQuad) bool {
 	if ec.models == nil || ec.singleModel != store.NoID {
 		return true
@@ -181,11 +182,10 @@ func (sh *bgpShared) tryParallelBatch(b binding, yield func(*colBatch) bool) (ha
 // the guard tripped.
 func (sh *bgpShared) runParallelBatch(b binding, rp *resolvedPattern, pat store.Pattern, workers int, yield func(*colBatch) bool) bool {
 	ec := sh.ec
-	cur := ec.snapshot(pat)
-	if cur == nil {
-		return false // guard tripped before the snapshot
+	morsels := ec.morsels(pat, workers*morselsPerWorker)
+	if morsels == nil {
+		return false // guard tripped before the split
 	}
-	morsels := cur.Partitions(workers * morselsPerWorker)
 	ec.markParallel(workers, len(morsels))
 	if sh.bgpStage != nil {
 		sh.bgpStage.morsels.Add(int64(len(morsels)))
@@ -234,7 +234,7 @@ func (sh *bgpShared) runParallelBatch(b binding, rp *resolvedPattern, pat store.
 				if !unordered {
 					out = outs[k]
 				}
-				sh.processMorselBatch(vx, base, rp, morsels[k], out, !unordered, stopped, &stop)
+				sh.processMorselBatch(vx, base, rp, &morsels[k], out, !unordered, stopped, &stop)
 			}
 		}()
 	}
@@ -277,14 +277,6 @@ func (sh *bgpShared) runParallelBatch(b binding, rp *resolvedPattern, pat store.
 		halt()
 	}
 	wg.Wait()
-	// Workers close the morsels they claimed; release the rest.
-	claimed := int(next.Load())
-	if claimed > len(morsels) {
-		claimed = len(morsels)
-	}
-	for _, m := range morsels[claimed:] {
-		m.Close()
-	}
 	if ec.guard.Err() != nil {
 		return false
 	}
@@ -293,13 +285,11 @@ func (sh *bgpShared) runParallelBatch(b binding, rp *resolvedPattern, pat store.
 
 // processMorselBatch runs the vectorized join pipeline over one morsel
 // of the first step's scan, sending finished batches (privately copied)
-// to the merge. It always closes the morsel cursor, and in ordered mode
-// its output channel.
-func (sh *bgpShared) processMorselBatch(vx *vecExec, base binding, rp *resolvedPattern, cur *store.Cursor, out chan<- *colBatch, closeOut bool, stopped <-chan struct{}, stop *atomic.Bool) {
+// to the merge. In ordered mode it always closes its output channel.
+func (sh *bgpShared) processMorselBatch(vx *vecExec, base binding, rp *resolvedPattern, m *store.Morsel, out chan<- *colBatch, closeOut bool, stopped <-chan struct{}, stop *atomic.Bool) {
 	if closeOut {
 		defer close(out)
 	}
-	defer cur.Close()
 	ec := sh.ec
 	pst := sh.stepStat(0)
 	vx.prepare(base)
@@ -323,16 +313,13 @@ func (sh *bgpShared) processMorselBatch(vx *vecExec, base binding, rp *resolvedP
 		pst.addTicks(scanned)
 		pst.addRows(emitted)
 	}()
-	for ok {
+	m.ScanBatch(batchRows, func(run []store.IDQuad) bool {
 		if stop.Load() {
-			return
-		}
-		run := cur.NextBatch(batchRows)
-		if run == nil {
-			break
+			ok = false
+			return false
 		}
 		for _, q := range run {
-			// The snapshot pushed a single-model restriction into its
+			// The split pushed a single-model restriction into its
 			// pattern; rowVisible filters the multi-model case.
 			if !ec.rowVisible(q) {
 				continue
@@ -351,34 +338,32 @@ func (sh *bgpShared) processMorselBatch(vx *vecExec, base binding, rp *resolvedP
 			if ob.n >= vx.cap {
 				if !ec.guard.tickN(pending) {
 					pending, ok = 0, false
-					break
+					return false
 				}
 				pending = 0
 				if !vx.step(1, ob) {
 					ok = false
-					break
+					return false
 				}
 				ob.reset()
 				vx.grow()
 			}
 		}
-		if !ok {
-			break
-		}
 		if !ec.guard.tickN(pending) {
 			pending, ok = 0, false
-			break
+			return false
 		}
 		pending = 0
-	}
+		return true
+	})
 	if ok && ob.n > 0 {
 		vx.step(1, ob)
 		ob.reset()
 	}
 }
 
-// parallelHashBuild populates hs.table from a partitioned snapshot of
-// the pattern's constant-bound scan. Each worker builds a partial table
+// parallelHashBuild populates hs.table from the morsels of the
+// pattern's constant-bound scan. Each worker builds a partial table
 // over its partition; partials are merged in partition order, so every
 // bucket's row order equals the serially built bucket's. Budget ticks
 // are batched through guard.tickN. Reports false when no worker slots
@@ -392,11 +377,10 @@ func (ec *execCtx) parallelHashBuild(rp *resolvedPattern, hs *hashState, pst *pr
 		return false
 	}
 	defer ec.releaseWorkers(workers)
-	cur := ec.snapshot(rp.constPattern())
-	if cur == nil {
+	parts := ec.morsels(rp.constPattern(), workers)
+	if parts == nil {
 		return true // guard tripped; the empty table unwinds with it
 	}
-	parts := cur.Partitions(workers)
 	ec.markParallel(workers, len(parts))
 	if ec.pstats != nil {
 		ec.pstats.hashBuilds.Add(1)
@@ -406,48 +390,43 @@ func (ec *execCtx) parallelHashBuild(rp *resolvedPattern, hs *hashState, pst *pr
 	}
 	partials := make([]map[[4]store.ID][]store.IDQuad, len(parts))
 	var wg sync.WaitGroup
-	for i, pc := range parts {
+	for i := range parts {
 		wg.Add(1)
-		go func(i int, pc *store.Cursor) {
+		go func(i int, part *store.Morsel) {
 			defer wg.Done()
 			ec.workerEnter()
 			defer ec.workerExit()
-			defer pc.Close()
 			m := make(map[[4]store.ID][]store.IDQuad)
 			pending := 0
-			for {
-				q, more := pc.Next()
-				if !more {
-					break
+			ok := true
+			part.ScanBatch(batchRows, func(run []store.IDQuad) bool {
+				for _, q := range run {
+					if !ec.rowVisible(q) {
+						continue
+					}
+					pending++
+					if !rp.matchesGraphCtx(q) {
+						continue
+					}
+					//pgrdfvet:ignore guardedby -- keyPos is frozen by buildHash (which holds hs.mu) before workers start
+					key := hs.keyOf(q)
+					m[key] = append(m[key], q)
 				}
-				if !ec.rowVisible(q) {
-					continue
-				}
-				pending++
 				if pending >= tickBatchRows {
-					if !ec.guard.tickN(pending) {
-						return
+					if ok = ec.guard.tickN(pending); !ok {
+						return false
 					}
-					if pst != nil {
-						pst.ticks.Add(int64(pending))
-					}
+					pst.addTicks(int64(pending))
 					pending = 0
 				}
-				if !rp.matchesGraphCtx(q) {
-					continue
-				}
-				//pgrdfvet:ignore guardedby -- keyPos is frozen by buildHash (which holds hs.mu) before workers start
-				key := hs.keyOf(q)
-				m[key] = append(m[key], q)
-			}
-			if !ec.guard.tickN(pending) {
+				return true
+			})
+			if !ok || !ec.guard.tickN(pending) {
 				return
 			}
-			if pst != nil {
-				pst.ticks.Add(int64(pending))
-			}
+			pst.addTicks(int64(pending))
 			partials[i] = m
-		}(i, pc)
+		}(i, &parts[i])
 	}
 	wg.Wait()
 	for _, m := range partials {

@@ -35,6 +35,7 @@ type profStage struct {
 	ticks       atomic.Int64 // guard ticks (scanned + hash-probed rows)
 	wall        atomic.Int64 // inclusive nanoseconds across invocations
 	morsels     atomic.Int64 // scan partitions / parallel work items
+	groups      atomic.Int64 // groups a GroupAggregate created
 	hashJoin    atomic.Bool  // the step switched from NLJ to hash join
 	intersect   atomic.Bool  // the step ran fused into a sorted intersection
 }
@@ -164,6 +165,9 @@ type ProfileNode struct {
 	WallNanos   int64          `json:"wall_ns"`
 	HashJoin    bool           `json:"hash_join,omitempty"`
 	Intersect   bool           `json:"intersect,omitempty"`
+	Batch       bool           `json:"batch,omitempty"`     // a UNION that ran columnar
+	GroupKey    string         `json:"group_key,omitempty"` // a GroupAggregate's key kind
+	Groups      int64          `json:"groups,omitempty"`
 	Children    []*ProfileNode `json:"children,omitempty"`
 }
 
@@ -180,6 +184,7 @@ func (n *ProfileNode) load(st *profStage) *ProfileNode {
 	n.WallNanos = st.wall.Load()
 	n.HashJoin = st.hashJoin.Load()
 	n.Intersect = st.intersect.Load()
+	n.Groups = st.groups.Load()
 	return n
 }
 
@@ -205,8 +210,10 @@ func profilePlan(ec *execCtx, cp *compiled) []*ProfileNode {
 		lastOut = nodes[len(nodes)-1].RowsOut
 	}
 	if cp.grouping {
+		kind, _ := groupKeyOf(cp)
 		n := (&ProfileNode{
-			Label: fmt.Sprintf("GroupAggregate (%d keys, %d aggregates)", len(cp.groupBy), len(cp.aggregates)),
+			Label:    fmt.Sprintf("GroupAggregate (%d keys, %d aggregates)", len(cp.groupBy), len(cp.aggregates)),
+			GroupKey: kind.String(),
 		}).load(ec.profStage(cp.groupSid))
 		n.RowsIn = lastOut
 		lastOut = n.RowsOut
@@ -250,7 +257,7 @@ func profileOps(ec *execCtx, ops []op) []*ProfileNode {
 		case *valuesOp:
 			n = (&ProfileNode{Label: fmt.Sprintf("Values (%d rows)", len(x.rows))}).load(ec.profStage(x.sid))
 		case *unionOp:
-			n = (&ProfileNode{Label: fmt.Sprintf("Union (%d branches)", len(x.branches))}).load(ec.profStage(x.sid))
+			n = (&ProfileNode{Label: fmt.Sprintf("Union (%d branches)", len(x.branches)), Batch: x.batch}).load(ec.profStage(x.sid))
 			for _, br := range x.branches {
 				n.Children = append(n.Children, profileOps(ec, br)...)
 			}
@@ -385,12 +392,21 @@ func renderNodes(sb *strings.Builder, nodes []*ProfileNode, indent int) {
 		if n.Index != "" {
 			fmt.Fprintf(sb, " index=%s (%s) est=%d", n.Index, n.Access, n.Est)
 		}
+		if n.Batch {
+			sb.WriteString(" batch")
+		}
+		if n.GroupKey != "" {
+			fmt.Fprintf(sb, " key=%s", n.GroupKey)
+		}
 		fmt.Fprintf(sb, "  (actual: in=%d out=%d", n.RowsIn, n.RowsOut)
 		if n.GuardTicks > 0 {
 			fmt.Fprintf(sb, " ticks=%d", n.GuardTicks)
 		}
 		if n.Morsels > 0 {
 			fmt.Fprintf(sb, " morsels=%d", n.Morsels)
+		}
+		if n.GroupKey != "" {
+			fmt.Fprintf(sb, " groups=%d", n.Groups)
 		}
 		if n.HashJoin {
 			sb.WriteString(" join=hash")

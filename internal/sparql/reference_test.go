@@ -21,9 +21,10 @@ import (
 // side are evaluated on their own and joined by compatibility, and a
 // sub-select is evaluated bottom-up. It covers what the engine's tests
 // need: BGPs, GRAPH, FILTER (= != < > <= >= && || ! bound isIRI
-// isLiteral isBlank EXISTS), OPTIONAL, UNION, MINUS, VALUES, BIND,
+// isLiteral isBlank STR EXISTS), OPTIONAL, UNION, MINUS, VALUES, BIND,
 // sub-select, the | / ^ + * ? paths, DISTINCT, ORDER BY, and COUNT, SUM,
-// MIN and MAX with or without GROUP BY. Anything else fails the test.
+// MIN and MAX with or without GROUP BY (variables or expressions) and
+// HAVING. Anything else fails the test.
 
 // refSol is one solution: variable name → term.
 type refSol map[string]rdf.Term
@@ -412,6 +413,11 @@ func (r *refEval) expr(e Expr, s refSol, gctx *GraphCtx) (rdf.Term, bool) {
 			return rdf.NewBoolean(a.IsLiteral()), true
 		case "ISBLANK":
 			return rdf.NewBoolean(a.IsBlank()), true
+		case "STR":
+			if a.IsIRI() || a.IsLiteral() {
+				return rdf.NewLiteral(a.Value), true
+			}
+			return rdf.Term{}, false
 		}
 	case ExprExists:
 		found := len(r.group(x.Group, gctx, []refSol{s})) > 0
@@ -542,26 +548,27 @@ func (r *refEval) selectQuery(sq *SelectQuery, slice bool) ([]string, []refSol) 
 	return vars, sols
 }
 
-// aggregate groups solutions by the GROUP BY variables and computes the
-// projection's aggregates per group; without GROUP BY there is exactly
-// one group, even over no solutions.
+// aggregate groups solutions by the GROUP BY keys and computes the
+// projection's aggregates per group, keeping the groups HAVING accepts;
+// without GROUP BY there is exactly one group, even over no solutions.
+// A group binds its variable keys; an expression key only separates
+// groups.
 func (r *refEval) aggregate(sq *SelectQuery, sols []refSol) []refSol {
-	var keys []string
-	for _, g := range sq.GroupBy {
-		v, ok := g.(ExprVar)
-		if !ok {
-			r.t.Fatalf("reference: GROUP BY supports variables only")
-		}
-		keys = append(keys, v.Name)
-	}
 	groups := map[string][]refSol{}
 	var order []string
-	if len(keys) == 0 {
+	if len(sq.GroupBy) == 0 {
 		order = []string{""}
 	}
 	for _, s := range sols {
-		k := refRowKey(s, keys)
-		if _, ok := groups[k]; !ok && len(keys) > 0 {
+		cells := make([]string, len(sq.GroupBy))
+		for i, g := range sq.GroupBy {
+			cells[i] = "UNBOUND"
+			if v, ok := r.expr(g, s, nil); ok {
+				cells[i] = v.String()
+			}
+		}
+		k := strings.Join(cells, "\t")
+		if _, ok := groups[k]; !ok && len(sq.GroupBy) > 0 {
 			order = append(order, k)
 		}
 		groups[k] = append(groups[k], s)
@@ -571,9 +578,11 @@ func (r *refEval) aggregate(sq *SelectQuery, sols []refSol) []refSol {
 		members := groups[k]
 		g := refSol{}
 		if len(members) > 0 {
-			for _, key := range keys {
-				if v, ok := members[0][key]; ok {
-					g[key] = v
+			for _, key := range sq.GroupBy {
+				if v, isVar := key.(ExprVar); isVar {
+					if t, ok := members[0][v.Name]; ok {
+						g[v.Name] = t
+					}
 				}
 			}
 		}
@@ -586,9 +595,34 @@ func (r *refEval) aggregate(sq *SelectQuery, sols []refSol) []refSol {
 				g[it.Var] = v
 			}
 		}
-		out = append(out, g)
+		keep := true
+		for _, h := range sq.Having {
+			e, ok := r.foldAggregates(h, members)
+			keep = keep && ok && r.truth(e, g, nil)
+		}
+		if keep {
+			out = append(out, g)
+		}
 	}
 	return out
+}
+
+// foldAggregates replaces each aggregate in e by its value over the
+// group's members, reporting false when one has none.
+func (r *refEval) foldAggregates(e Expr, members []refSol) (Expr, bool) {
+	switch x := e.(type) {
+	case ExprAggregate:
+		v, ok := r.fold(x, members)
+		return ExprTerm{Term: v}, ok
+	case ExprBinary:
+		l, lok := r.foldAggregates(x.Left, members)
+		rt, rok := r.foldAggregates(x.Right, members)
+		return ExprBinary{Op: x.Op, Left: l, Right: rt}, lok && rok
+	case ExprUnary:
+		in, ok := r.foldAggregates(x.Inner, members)
+		return ExprUnary{Op: x.Op, Inner: in}, ok
+	}
+	return e, true
 }
 
 // fold computes one aggregate over a group's solutions.

@@ -10,7 +10,7 @@ package sparql
 // the join instead:
 //
 //   - Scans pull contiguous runs from the store's batched scan API
-//     (store.ScanBatch / Cursor.NextBatch) and bind whole runs in tight
+//     (View.ScanBatch / Morsel.ScanBatch) and bind whole runs in tight
 //     loops; the guard is charged once per run via tickN, and profile
 //     counters accumulate in locals flushed once per scan.
 //   - Joins advance depth-by-depth over batches: all rows of a batch
@@ -24,12 +24,14 @@ package sparql
 //     place, surviving rows copied down, instead of materializing
 //     per-row bindings.
 //
-// The BGP is the only batch operator; the rest of the plan adapts at
-// the boundary. A colBatch carries its input binding (base) plus one ID
-// column per variable slot the BGP touches, so any consumer can
-// materialize rows on demand — evalSelect and grouping consume batches
-// directly (including a columnar COUNT fast path), and bgpOp.apply
-// hands them row by row to the row operators (OPTIONAL, UNION, BIND...).
+// The batch operators are the BGP, the FILTERs after it and a UNION
+// whose branches end that way (a lowered alternation path); the rest
+// of the plan adapts at the boundary. A colBatch carries its input
+// binding (base) plus one ID column per variable slot the BGP touches,
+// so any consumer can materialize rows on demand — selectIDs and
+// grouping consume batches directly (grouping folds COUNTs straight
+// from the key and argument columns), and bgpOp.apply hands them row
+// by row to the row operators (OPTIONAL, MINUS, BIND, row UNIONs...).
 
 import (
 	"time"
@@ -52,7 +54,8 @@ const vecRampStart = 64
 // colBatch is a columnar batch of bindings derived from one input
 // binding: base holds the input row's values, and each slot in slots
 // has a column of per-row values for the variables bound by the BGP so
-// far. Rows i of all columns together with base form one binding.
+// far — never NoID, since a BGP binds every variable it has a column
+// for. Rows i of all columns together with base form one binding.
 // Batches handed to consumers are only valid during the callback
 // (producers reuse them); consumers may compact a batch in place
 // (shrink n, move rows down) but must not grow it.
@@ -562,29 +565,31 @@ func (o *filterOp) filterBatch(ec *execCtx, in batchSource) batchSource {
 	}
 }
 
-// vectorTail returns the pipeline as a batch source when its tail is a
-// BGP followed only by FILTERs; everything before the BGP runs as the
-// row pipeline feeding it. It returns nil when the plan has no BGP or a
-// non-filter operator follows the last one — the caller then consumes
-// the row pipeline, whose BGPs hand their batches out row by row.
-func vectorTail(ec *execCtx, ops []op, width int) batchSource {
-	idx := -1
-	for i, o := range ops {
-		if _, ok := o.(*bgpOp); ok {
-			idx = i
+// vectorTail returns the pipeline as a batch source over the input in
+// when its tail is batch-native: a BGP followed only by FILTERs, or a
+// UNION that markBatchTail marked (every branch a batch-native tail).
+// Everything before the tail runs as the row pipeline feeding it. It
+// returns nil otherwise — the caller then consumes the row pipeline,
+// whose BGPs hand their batches out row by row.
+func vectorTail(ec *execCtx, ops []op, in source) batchSource {
+	if n := len(ops); n > 0 {
+		if u, ok := ops[n-1].(*unionOp); ok {
+			if !u.batch {
+				return nil
+			}
+			bs := u.applyBatch(ec, runPipeline(ec, ops[:n-1], in))
+			if ec.prof != nil {
+				bs = ec.prof.instrumentBatch(u.stageID(), bs)
+			}
+			return bs
 		}
 	}
+	idx := bgpTail(ops)
 	if idx < 0 {
 		return nil
 	}
-	for _, o := range ops[idx+1:] {
-		if _, ok := o.(*filterOp); !ok {
-			return nil
-		}
-	}
 	bgp := ops[idx].(*bgpOp)
-	in := runPipeline(ec, ops[:idx], unitSource(width))
-	bs := bgp.applyBatch(ec, in)
+	bs := bgp.applyBatch(ec, runPipeline(ec, ops[:idx], in))
 	if ec.prof != nil {
 		bs = ec.prof.instrumentBatch(bgp.stageID(), bs)
 	}
@@ -596,6 +601,80 @@ func vectorTail(ec *execCtx, ops []op, width int) batchSource {
 		}
 	}
 	return bs
+}
+
+// bgpTail returns the index of the pipeline's last BGP when only
+// FILTERs follow it, else -1.
+func bgpTail(ops []op) int {
+	for i := len(ops) - 1; i >= 0; i-- {
+		switch ops[i].(type) {
+		case *bgpOp:
+			return i
+		case *filterOp:
+		default:
+			return -1
+		}
+	}
+	return -1
+}
+
+// batchTail reports whether ops ends batch-native: a BGP followed only
+// by FILTERs, or a UNION whose branches all end batch-native.
+func batchTail(ops []op) bool {
+	n := len(ops)
+	if n == 0 {
+		return false
+	}
+	u, ok := ops[n-1].(*unionOp)
+	if !ok {
+		return bgpTail(ops) >= 0
+	}
+	for _, br := range u.branches {
+		if !batchTail(br) {
+			return false
+		}
+	}
+	return true
+}
+
+// markBatchTail marks, once at compile time, the UNIONs vectorTail runs
+// batch-native: the UNION ending a batch-native pipeline and, through
+// its branches, the UNIONs ending those. A UNION nested in a row UNION
+// runs row by row and stays unmarked. The mark is a property of the
+// plan's shape, so EXPLAIN prints it without running anything.
+func markBatchTail(ops []op) {
+	if !batchTail(ops) {
+		return
+	}
+	if u, ok := ops[len(ops)-1].(*unionOp); ok {
+		u.batch = true
+		for _, br := range u.branches {
+			markBatchTail(br)
+		}
+	}
+}
+
+// applyBatch is UNION over batches: per input binding it runs branch
+// 1's batch source to exhaustion, then branch 2's, and so on — the row
+// union's emission order (unionOf), so results are identical. Branch
+// batches carry different column sets; consumers read each batch's own
+// slots. The branch sources are built once over a feed and rerun per
+// input binding, like the row union's.
+func (o *unionOp) applyBatch(ec *execCtx, in source) batchSource {
+	var row feed
+	branches := make([]func(func(*colBatch) bool) error, len(o.branches))
+	for i, br := range o.branches {
+		branches[i] = vectorTail(ec, br, row.source)
+	}
+	return unionOf(in, &row, branches)
+}
+
+// batchNote is EXPLAIN's annotation of an operator that runs columnar.
+func batchNote(batch bool) string {
+	if batch {
+		return ", batch"
+	}
+	return ""
 }
 
 // orderInsensitive reports whether a plan's results cannot depend on
@@ -621,60 +700,21 @@ func orderInsensitive(cp *compiled) bool {
 	return true
 }
 
-// groupSolutionsBatch is groupSolutions over a batch source: identical
-// groups and fold results, but with a columnar fast path for the
-// single-group COUNT shape (the paper's EQ11/EQ12 path- and
-// triangle-counting queries), which never materializes a row at all.
-func groupSolutionsBatch(ec *execCtx, cp *compiled, bs batchSource) ([]binding, error) {
-	acc := newGroupAcc(ec, cp)
-
-	// COUNT-only single group: every aggregate needs at most a
-	// boundness test per row, answered columnar.
-	countOnly := acc.single != nil
-	if countOnly {
-		for _, agg := range cp.aggregates {
-			if agg.fn != "COUNT" || agg.distinct {
-				countOnly = false
-				break
-			}
-			if agg.arg != nil {
-				if _, isSlot := agg.arg.(*exprSlot); !isSlot {
-					countOnly = false
-					break
-				}
-			}
-		}
-	}
-
+// addBatches folds a batch source into the groups. When every
+// aggregate is a plain COUNT(*) or COUNT(?v) and the key is not an
+// expression (countFold), batches fold straight from their key and
+// argument columns; otherwise each row is materialized and added. Both
+// create groups in first-seen order, through the same row cap.
+func (acc *groupAcc) addBatches(bs batchSource) error {
+	ec := acc.ec
 	var scratch binding
-	if err := finishGuard(ec, bs(func(cb *colBatch) bool {
-		if countOnly {
-			for i, agg := range cp.aggregates {
-				st := acc.single.states[i]
-				if agg.arg == nil {
-					st.count += int64(cb.n)
-					continue
-				}
-				vs := agg.arg.(*exprSlot)
-				if vs.slot >= len(cb.cols) {
-					continue
-				}
-				if col := cb.cols[vs.slot]; col != nil {
-					for _, v := range col[:cb.n] {
-						if v != store.NoID {
-							st.count++
-						}
-					}
-				} else if cb.base[vs.slot] != store.NoID {
-					// The slot is constant across the batch (bound by
-					// the input binding, not the BGP).
-					st.count += int64(cb.n)
-				}
-			}
-			return true
-		}
+	columnar := acc.countFold()
+	return finishGuard(ec, bs(func(cb *colBatch) bool {
 		if scratch == nil {
 			scratch = make(binding, len(cb.base))
+		}
+		if columnar {
+			return acc.foldCounts(cb, scratch)
 		}
 		for i := 0; i < cb.n; i++ {
 			cb.materialize(i, scratch)
@@ -683,8 +723,81 @@ func groupSolutionsBatch(ec *execCtx, cp *compiled, bs batchSource) ([]binding, 
 			}
 		}
 		return true
-	})); err != nil {
-		return nil, err
+	}))
+}
+
+// countFold reports whether batches can fold without materializing
+// rows: an id key or none, and only non-DISTINCT COUNTs of * or a
+// variable.
+func (acc *groupAcc) countFold() bool {
+	if acc.kind == keyTerm {
+		return false
 	}
-	return acc.finish(), nil
+	for _, agg := range acc.cp.aggregates {
+		if agg.fn != "COUNT" || agg.distinct {
+			return false
+		}
+		if _, isSlot := agg.arg.(*exprSlot); agg.arg != nil && !isSlot {
+			return false
+		}
+	}
+	return true
+}
+
+// column returns slot's values in cb: its column, or nil and the value
+// the input binding holds for the whole batch.
+func (cb *colBatch) column(slot int) ([]store.ID, store.ID) {
+	if slot < len(cb.cols) && cb.cols[slot] != nil {
+		return cb.cols[slot][:cb.n], store.NoID
+	}
+	return nil, cb.base[slot]
+}
+
+// foldCounts folds one batch under countFold. Whether a COUNT's
+// argument is bound holds for the whole batch — a column holds only
+// values the BGP bound, any other slot the input binding's value — so
+// each COUNT adds one for every row, or for none, to the row's group.
+// scratch receives a row only when it creates a group.
+func (acc *groupAcc) foldCounts(cb *colBatch, scratch binding) bool {
+	aggs := acc.cp.aggregates
+	if cap(acc.counted) < len(aggs) {
+		acc.counted = make([]bool, len(aggs))
+	}
+	counted := acc.counted[:len(aggs)]
+	for j, agg := range aggs {
+		counted[j] = true
+		if agg.arg != nil {
+			col, v := cb.column(agg.arg.(*exprSlot).slot)
+			counted[j] = col != nil || v != store.NoID
+		}
+	}
+	if acc.kind == keyNone {
+		for j := range aggs {
+			if counted[j] {
+				acc.groups[0].states[j].count += int64(cb.n)
+			}
+		}
+		return true
+	}
+	keyCol, keyVal := cb.column(acc.slot)
+	for i := 0; i < cb.n; i++ {
+		id := keyVal
+		if keyCol != nil {
+			id = keyCol[i]
+		}
+		gd := acc.lookupID(id)
+		if gd == nil {
+			cb.materialize(i, scratch)
+			gd = acc.idGroup(id, scratch)
+		}
+		if gd == nil {
+			return false
+		}
+		for j := range aggs {
+			if counted[j] {
+				gd.states[j].count++
+			}
+		}
+	}
+	return true
 }

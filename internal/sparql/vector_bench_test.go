@@ -10,8 +10,9 @@ import (
 
 // Microbenchmark kernels of the BGP driver's hot loops — raw pattern
 // scan, hash-table probe, index nested-loop rescan, filter evaluation —
-// and of the nested shapes that run an inner pipeline per outer row
-// (OPTIONAL, MINUS). Run via `make bench-micro`.
+// of the nested shapes that run an inner pipeline per outer row
+// (OPTIONAL, MINUS), and of the aggregate tail: grouping by one and two
+// key columns, a UNION of two scans. Run via `make bench-micro`.
 //
 // The scan/probe/filter kernels are COUNT queries, so the measured work
 // is operator execution, not result materialization.
@@ -106,4 +107,28 @@ func BenchmarkOptionalKernel(b *testing.B) {
 func BenchmarkMinusKernel(b *testing.B) {
 	runKernel(b, nestedKernelStore(b),
 		`SELECT ?a ?b WHERE { ?a r:knows ?b MINUS { ?b k:hasTag ?t . ?a k:hasTag ?t } }`, nil)
+}
+
+// groupStore has ~40 000 follows rows over 1 400 nodes: grouping them
+// by object makes about 1 400 groups.
+var groupStore *store.Store
+
+// BenchmarkGroupKernel: COUNT per group over 40 000 scanned rows, keyed
+// by one column (an ID key) and by two (a term key).
+func BenchmarkGroupKernel(b *testing.B) {
+	if groupStore == nil {
+		groupStore = egoNetStore(b, 1400, 29)
+	}
+	b.Run("keys=1", func(b *testing.B) {
+		runKernel(b, groupStore, `SELECT ?b (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b } GROUP BY ?b`, nil)
+	})
+	b.Run("keys=2", func(b *testing.B) {
+		runKernel(b, groupStore, `SELECT ?b ?p (COUNT(*) AS ?n) WHERE { ?a ?p ?b } GROUP BY ?b ?p`, nil)
+	})
+}
+
+// BenchmarkUnionKernel: an alternation path, a UNION of two
+// single-pattern scans (16 000 rows each), counted.
+func BenchmarkUnionKernel(b *testing.B) {
+	runKernel(b, kernelStore(b), `SELECT (COUNT(*) AS ?n) WHERE { ?a (rel:follows|^rel:follows) ?b }`, nil)
 }

@@ -343,3 +343,107 @@ func TestVectorizedAsk(t *testing.T) {
 		t.Fatalf("Ask = %v, %v, want false", ok, err)
 	}
 }
+
+// Aggregates over an alternation path: a batch UNION feeding the
+// columnar COUNT fold by an id key, the row fold by a two-variable
+// term key, and (under OPTIONAL) the row path's id key.
+var groupCapQueries = []string{
+	`SELECT ?b (COUNT(*) AS ?n) WHERE { ?a (rel:follows|^rel:follows) ?b } GROUP BY ?b`,
+	`SELECT ?a ?b (COUNT(?b) AS ?n) WHERE { ?a (rel:follows|^rel:follows) ?b } GROUP BY ?a ?b`,
+	`SELECT ?c (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b OPTIONAL { ?b rel:follows ?c } } GROUP BY ?c`,
+}
+
+// TestColumnarGroupMaxRows: group creation counts against MaxRows in the
+// columnar fold as in the row path — a cap of exactly the group count
+// passes with the unlimited answer, one less fails with
+// ErrBudgetExceeded, serial and parallel.
+func TestColumnarGroupMaxRows(t *testing.T) {
+	st := egoNetStore(t, 400, 5)
+	for _, q := range groupCapQueries {
+		want := resultRows(t, vecEngine(st), q)
+		for _, parallelism := range []int{1, 4} {
+			e := NewEngine(st)
+			e.Parallelism = parallelism
+			e.Limits = Budget{MaxRows: len(want)}
+			if got := resultRows(t, e, q); strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Fatalf("parallelism %d, MaxRows %d: %d rows differ from the unlimited %d\n%s", parallelism, len(want), len(got), len(want), q)
+			}
+			e.Limits = Budget{MaxRows: len(want) - 1}
+			if _, err := e.Query("", testPrologue+q); !errors.Is(err, ErrBudgetExceeded) {
+				t.Fatalf("parallelism %d, MaxRows %d: err = %v, want ErrBudgetExceeded\n%s", parallelism, len(want)-1, err, q)
+			}
+			if w := e.ParallelStats().ActiveWorkers; w != 0 {
+				t.Errorf("parallelism %d: leaked workers: %d", parallelism, w)
+			}
+		}
+	}
+}
+
+// TestBatchUnionBudget exhausts MaxBindings in a batch UNION's second
+// branch — the first branch's scan alone fits the budget — under the
+// columnar fold and under plain projection, serial and parallel.
+func TestBatchUnionBudget(t *testing.T) {
+	st := egoNetStore(t, 800, 5) // ~4 000 rows per branch
+	for _, q := range []string{
+		groupCapQueries[0],
+		`SELECT ?a ?b WHERE { ?a (rel:follows|^rel:follows) ?b }`,
+	} {
+		for _, parallelism := range []int{1, 4} {
+			e := NewEngine(st)
+			e.Parallelism = parallelism
+			e.Limits = Budget{MaxBindings: 6000}
+			if _, err := e.Query("", testPrologue+q); !errors.Is(err, ErrBudgetExceeded) {
+				t.Fatalf("parallelism %d: err = %v, want ErrBudgetExceeded\n%s", parallelism, err, q)
+			}
+			if w := e.ParallelStats().ActiveWorkers; w != 0 {
+				t.Errorf("parallelism %d: leaked workers: %d", parallelism, w)
+			}
+		}
+	}
+}
+
+// TestBatchUnionCancellation cancels an EQ9-shaped query while its batch
+// UNION scans the second branch — scans stall 1ms per 16 rows, so the
+// query would run for about half a second — and checks that it stops
+// promptly with ErrCanceled, serial and parallel, leaking no workers
+// or cursors.
+func TestBatchUnionCancellation(t *testing.T) {
+	st := egoNetStore(t, 800, 5)
+	fi := store.NewFaultInjector()
+	fi.StallScans(16, time.Millisecond)
+	st.SetFaultInjector(fi)
+	defer st.SetFaultInjector(nil)
+	const q = `SELECT ?deg (COUNT(*) AS ?cnt) WHERE { SELECT ?b (COUNT(*) AS ?deg) WHERE { ?a (rel:follows|^rel:follows) ?b } GROUP BY ?b } GROUP BY ?deg`
+	for _, parallelism := range []int{1, 4} {
+		e := NewEngine(st)
+		e.Parallelism = parallelism
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		start, before := time.Now(), fi.Scanned()
+		go func() {
+			_, err := e.QueryContext(ctx, "", testPrologue+q)
+			done <- err
+		}()
+		for fi.Scanned()-before <= 4500 {
+			if time.Since(start) > 10*time.Second {
+				t.Fatalf("parallelism %d: the second branch did not start", parallelism)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+		select {
+		case err := <-done:
+			if !errors.Is(err, ErrCanceled) {
+				t.Fatalf("parallelism %d: err = %v, want ErrCanceled", parallelism, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("parallelism %d: query did not stop within 2s of cancellation", parallelism)
+		}
+		if w := e.ParallelStats().ActiveWorkers; w != 0 {
+			t.Errorf("parallelism %d: leaked workers: %d", parallelism, w)
+		}
+	}
+	if g := st.OpenCursors(); g != 0 {
+		t.Errorf("leaked cursors: %d", g)
+	}
+}

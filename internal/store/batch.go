@@ -3,8 +3,8 @@ package store
 import "sort"
 
 // The scan kernel: every read of a store version — row callbacks,
-// batches, cursors, snapshots, compaction — is one merge of an index's
-// sorted base range with its sorted delta range (DESIGN.md §15, §18).
+// batches, morsels, cursors, snapshots, compaction — is one merge of an
+// index's sorted base range with its sorted delta range (DESIGN.md §15, §18).
 // Rows are handed out as contiguous runs: zero-copy subslices of the
 // base array wherever no delta entry intervenes, so the tight per-row
 // loops live next to the index layout and the caller amortizes its own
@@ -29,12 +29,19 @@ func (v *View) ScanBatch(p Pattern, max int, fn func([]IDQuad) bool) {
 	v.chooseRun(p).scan(p, max, v.st.faultWrap(fn))
 }
 
-// scan resolves the bound key prefix of p to a base and a delta range,
-// counts the access path, and merges the two.
+// scan merges the base and delta ranges of p.
 func (r *run) scan(p Pattern, max int, fn func([]IDQuad) bool) {
 	if max <= 0 {
 		max = DefaultBatchRows
 	}
+	base, from, to, rest := r.span(p)
+	r.merge(base, from, to, rest, max, fn)
+}
+
+// span resolves the bound key prefix of p to a base and a delta range,
+// counting the access path, and returns them with what is left of p to
+// filter per row.
+func (r *run) span(p Pattern) (base []IDQuad, from, to dpos, rest Pattern) {
 	n := r.ix.prefixLen(p)
 	if n > 0 {
 		r.ix.rangeScans.Add(1)
@@ -42,11 +49,11 @@ func (r *run) scan(p Pattern, max int, fn func([]IDQuad) bool) {
 		r.ix.fullScans.Add(1)
 	}
 	lo, hi := r.baseRange(p, n)
-	from, to := r.deltaRange(p, n)
+	from, to = r.deltaRange(p, n)
 	if n == p.bound() {
 		p = AnyPattern() // the prefix range is the answer: nothing left to filter
 	}
-	r.merge(r.base[lo:hi], from, to, p, max, fn)
+	return r.base[lo:hi], from, to, p
 }
 
 // merge emits, in key order and in runs of at most max, the rows
@@ -125,27 +132,4 @@ func emitRuns(rows []IDQuad, p Pattern, max int, fn func([]IDQuad) bool) bool {
 		i = j
 	}
 	return true
-}
-
-// NextBatch returns up to max of the cursor's remaining rows (max <= 0
-// means DefaultBatchRows) as a zero-copy subslice of the snapshot,
-// advancing the cursor past them. It returns nil once the cursor is
-// exhausted or closed. The snapshot is immutable and privately owned,
-// so the returned slice stays valid after further NextBatch/Close
-// calls; callers must still not mutate it (sub-cursors from Partitions
-// share the underlying array).
-func (c *Cursor) NextBatch(max int) []IDQuad {
-	if c.closed || c.pos >= len(c.rows) {
-		return nil
-	}
-	if max <= 0 {
-		max = DefaultBatchRows
-	}
-	end := c.pos + max
-	if end > len(c.rows) {
-		end = len(c.rows)
-	}
-	out := c.rows[c.pos:end]
-	c.pos = end
-	return out
 }

@@ -60,75 +60,6 @@ func TestSplitRangeProperties(t *testing.T) {
 	}
 }
 
-// TestCursorPartitions verifies the cursor splitter: children are
-// disjoint, ordered, cover the parent snapshot, and hand the open-
-// cursor gauge over from parent to children.
-func TestCursorPartitions(t *testing.T) {
-	s := partitionTestStore(t, 3000)
-	p := AnyPattern()
-
-	var whole []IDQuad
-	ref := s.Cursor(p)
-	for {
-		q, ok := ref.Next()
-		if !ok {
-			break
-		}
-		whole = append(whole, q)
-	}
-	ref.Close()
-	if g := s.OpenCursors(); g != 0 {
-		t.Fatalf("open cursors after reference drain = %d", g)
-	}
-
-	cur := s.Cursor(p)
-	parts := cur.Partitions(7)
-	if g := s.OpenCursors(); g != int64(len(parts)) {
-		t.Fatalf("open cursors after split = %d, want %d (one per child; parent closed)", g, len(parts))
-	}
-	var pieced []IDQuad
-	for _, pc := range parts {
-		for {
-			q, ok := pc.Next()
-			if !ok {
-				break
-			}
-			pieced = append(pieced, q)
-		}
-		pc.Close()
-	}
-	if g := s.OpenCursors(); g != 0 {
-		t.Fatalf("open cursors after closing children = %d", g)
-	}
-	if len(pieced) != len(whole) {
-		t.Fatalf("partitioned rows = %d, want %d", len(pieced), len(whole))
-	}
-	for i := range whole {
-		if pieced[i] != whole[i] {
-			t.Fatalf("row %d = %+v, want %+v", i, pieced[i], whole[i])
-		}
-	}
-}
-
-// TestCursorPartitionsEmpty: an empty snapshot still yields one valid
-// (empty) child so callers need no special case.
-func TestCursorPartitionsEmpty(t *testing.T) {
-	s := partitionTestStore(t, 10)
-	p := AnyPattern()
-	p.P = s.Dict().Intern(iri("no-such-predicate"))
-	parts := s.Cursor(p).Partitions(4)
-	if len(parts) != 1 {
-		t.Fatalf("parts = %d, want 1", len(parts))
-	}
-	if _, ok := parts[0].Next(); ok {
-		t.Fatal("empty partition yielded a row")
-	}
-	parts[0].Close()
-	if g := s.OpenCursors(); g != 0 {
-		t.Fatalf("open cursors = %d", g)
-	}
-}
-
 // TestParallelLoadEquivalence: the same quads loaded with parallel
 // index builds produce byte-identical scan output to a serial load.
 func TestParallelLoadEquivalence(t *testing.T) {
