@@ -45,11 +45,11 @@ race:
 	$(GO) test -race ./...
 
 ## crash-recovery: the durability gate — the fault-injected WAL suite
-## (crash at every log byte in both checkpoint formats, torn-write
-## corpus, incremental-chain races) plus the binary-snapshot codec
-## differential (binary vs text across index configs, corruption at
-## every byte), all under the race detector. Part of `make check`; see
-## DESIGN.md §12 and §16.
+## (crash at every log byte over the binary checkpoint and its delta
+## chain, torn-write corpus, legacy text-checkpoint restore) plus the
+## binary-snapshot codec differential (binary vs text across index
+## configs, corruption at every byte), all under the race detector.
+## Part of `make check`; see DESIGN.md §12 and §16.
 crash-recovery:
 	$(GO) test -race -count=1 ./internal/wal
 	$(GO) test -race -count=1 -run 'TestBinarySnapshot|TestSnapshotAtomic|TestRestoreHuge|TestSnapshotAdversarial' ./internal/store

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/guard"
 	"repro/internal/httpapi"
 	"repro/internal/sparql"
 	"repro/internal/twitter"
@@ -92,10 +93,10 @@ SELECT ?n (COUNT(?t) AS ?tags) WHERE { ?n k:hasTag ?t } GROUP BY ?n ORDER BY DES
 	// engine's budget/deadline instead of taking the endpoint down.
 	handler.Config() // effective limits, if you want to inspect them
 	eng := sparql.NewEngine(env.NG.Store)
-	eng.Limits = sparql.Budget{Timeout: 100 * time.Millisecond}
+	eng.Limits = guard.Budget{Timeout: 100 * time.Millisecond}
 	_, err = eng.Query("", `SELECT * WHERE { ?a ?p ?b . ?c ?q ?d . ?e ?r ?f }`)
 	fmt.Printf("unbounded cross join with 100ms budget: %v (timeout=%v)\n",
-		err, errors.Is(err, sparql.ErrTimeout))
+		err, errors.Is(err, guard.ErrTimeout))
 
 	// 4. Graceful drain: shed new arrivals, let in-flight finish.
 	dctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)

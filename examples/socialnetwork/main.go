@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/graph"
-	"repro/internal/pg"
 	"repro/internal/pgrdf"
 	"repro/internal/twitter"
 )
@@ -72,26 +71,13 @@ func main() {
 	}
 	fmt.Println(plan)
 
-	// In-memory property-graph analytics on the same graph (the workload
-	// the paper's §1 attributes to native graph databases), side by side
-	// with the SPARQL answers above.
-	fmt.Println("== in-memory analytics (pg package) ==")
-	_, comps := env.Graph.ConnectedComponents()
-	fmt.Printf("weakly connected components: %d\n", comps)
+	// Graph analytics (the workload the paper's §1 attributes to native
+	// graph databases) straight off the RDF store: project the NG dataset
+	// into a CSR and run the morsel-parallel algorithms that `pgrdf algo`
+	// and POST /algo expose. Results are identical under any scheme and
+	// any parallelism (see DESIGN.md §17).
+	fmt.Println("== CSR analytics over the RDF store (pgrdf algo path) ==")
 	start := time.Now()
-	triangles := env.Graph.CountTriangles("follows")
-	fmt.Printf("follows triangles (index-free adjacency): %d in %s (SPARQL EQ12 above counts the same cycles)\n",
-		triangles, time.Since(start).Round(time.Microsecond))
-	for i, r := range env.Graph.TopPageRank(3, pg.PageRankOptions{}) {
-		fmt.Printf("PageRank #%d: vertex %d (%.5f)\n", i+1, r.ID, r.Score)
-	}
-
-	// The same analytics straight off the RDF store: project the NG
-	// dataset into a CSR and run the morsel-parallel algorithms that
-	// `pgrdf algo` and POST /algo expose. Results are identical under
-	// any scheme and any parallelism (see DESIGN.md §17).
-	fmt.Println("\n== CSR analytics over the RDF store (pgrdf algo path) ==")
-	start = time.Now()
 	cs, err := graph.Project(context.Background(), env.NG.Store, graph.ProjectOptions{
 		Model:   env.NG.Names.All,
 		Scheme:  pgrdf.NG,
@@ -114,7 +100,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("weakly connected components: %d (matches the pg count above)\n", wcc.Components)
+	fmt.Printf("weakly connected components: %d\n", wcc.Components)
 }
 
 func runBoth(env *bench.Env, queries map[string]string, name, what string) {

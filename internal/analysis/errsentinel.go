@@ -6,11 +6,12 @@ import (
 	"go/types"
 )
 
-// Errsentinel bans identity comparison of error values. The engine's
-// QueryError wraps its sentinel kind (ErrTimeout, ErrBudgetExceeded,
-// ErrCanceled, ErrInternal) behind Unwrap, so `err == ErrTimeout` is
-// false exactly when it matters; the same applies to io.EOF once a
-// reader is wrapped. errors.Is is the only comparison that survives
+// Errsentinel bans identity comparison of error values. A *guard.Error,
+// the error the SPARQL engine and the graph runtime both return, wraps
+// its sentinel kind (guard.ErrTimeout, ErrBudgetExceeded, ErrCanceled,
+// ErrInternal) behind Unwrap, so `err == guard.ErrTimeout` is false
+// exactly when it matters; the same applies to io.EOF once a reader is
+// wrapped. errors.Is is the only comparison that survives
 // wrapping, and the difference between the two is invisible in tests
 // until a caller adds one fmt.Errorf("%w") frame.
 var Errsentinel = &Analyzer{

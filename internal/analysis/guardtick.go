@@ -11,31 +11,30 @@ import (
 // runaway query notices cancellation, deadline expiry, and budget
 // exhaustion. A new operator that scans the store directly — without
 // ticking — reopens the exact hole the guard closed: rows flow with
-// no cancellation point and MaxBindings stops counting them.
+// no cancellation point and MaxWork stops counting them.
 //
 // Rule, scoped to repro/internal/sparql: any call to a raw store row
 // source — Scan / ScanBatch / ScanIndex / Cursor on a pinned
 // *store.View or on the *store.Store shorthand for the current one,
 // (*store.View).Morsels and (*store.Morsel).ScanBatch, or
-// (*store.Seeker).Seek — must sit in a
-// top-level function that also ticks the guard (a call to guard.tick,
-// guard.tickN, guard.poll, or guard.checkRows somewhere in the same
-// function, typically inside the scan callback or the worker loop
-// draining a morsel). Routing
-// through (*execCtx).scan satisfies this by construction and is the
-// preferred fix. The batched sources pair naturally with tickN: the
-// vectorized executor accumulates a pending count over a batch's rows
-// and settles it with one tickN per emitted batch (DESIGN.md §15),
-// which is budget-equivalent to per-row ticking.
+// (*store.Seeker).Seek — must sit in a top-level function that also
+// consults the shared *guard.Guard (a call to its TickN, Poll or
+// CheckRows somewhere in the same function, typically inside the scan
+// callback or the worker loop draining a morsel). Routing through
+// (*execCtx).scan satisfies this by construction and is the preferred
+// fix. The batched sources pair naturally with TickN: the vectorized
+// executor accumulates a pending count over a batch's rows and settles
+// it with one TickN per emitted batch (DESIGN.md §15), which is
+// budget-equivalent to per-row ticking.
 //
-// The same rule patrols repro/internal/graph, which has its own nilable
-// guard type with the same method names. There the row sources are the
-// view scans the projection and the patcher drain plus the CSR adjacency accessors
-// (Neighbors / InNeighbors and their weight twins) — the algorithm hot
-// loops. An algorithm phase that walks adjacency without ticking would
-// run a full iteration blind to cancellation, deadlines and MaxWork;
-// the morsel runner only polls between morsels, so the per-morsel edge
-// work must settle through tickN inside the same top-level function.
+// The same rule patrols repro/internal/graph, which ticks the same
+// guard. There the row sources are the view scans the projection and
+// the patcher drain plus the CSR adjacency accessors (Neighbors /
+// InNeighbors and their weight twins) — the algorithm hot loops. An
+// algorithm phase that walks adjacency without ticking would run a full
+// iteration blind to cancellation, deadlines and MaxWork; the morsel
+// runner only polls between morsels, so the per-morsel edge work must
+// settle through TickN inside the same top-level function.
 var Guardtick = &Analyzer{
 	Name: "guardtick",
 	Doc:  "store scans and CSR hot loops must tick the budget guard",
@@ -61,13 +60,15 @@ var csrRowMethods = map[string]bool{
 	"InNeighbors": true, "InNeighborWeights": true,
 }
 
-const graphPkg = "repro/internal/graph"
+const (
+	graphPkg = "repro/internal/graph"
+	guardPkg = "repro/internal/guard"
+)
 
-// guardMethods are the calls that count as "the guard is consulted".
-// tickN is the batch form used by parallel workers: one tickN(n) call
-// accounts for n rows, so a worker loop that batches its ticks is as
-// guarded as one that ticks per row.
-var guardMethods = map[string]bool{"tick": true, "tickN": true, "poll": true, "checkRows": true}
+// guardMethods are the *guard.Guard calls that count as "the guard is
+// consulted". TickN(n) accounts for n rows at once, so a worker loop
+// that batches its ticks is as guarded as one that ticks per row.
+var guardMethods = map[string]bool{"TickN": true, "Poll": true, "CheckRows": true}
 
 func runGuardtick(pass *Pass) error {
 	if pass.Path != sparqlPkg && pass.Path != graphPkg {
@@ -106,8 +107,8 @@ func isRawScan(path string, recv types.Type, name string) bool {
 }
 
 // ticksGuard reports whether fd contains a call to one of the guard
-// methods on the package's own guard type, anywhere in its body
-// (including nested function literals such as scan callbacks).
+// methods on *guard.Guard, anywhere in its body (including nested
+// function literals such as scan callbacks).
 func ticksGuard(pass *Pass, fd *ast.FuncDecl) bool {
 	found := false
 	ast.Inspect(fd, func(n ast.Node) bool {
@@ -119,21 +120,8 @@ func ticksGuard(pass *Pass, fd *ast.FuncDecl) bool {
 			return true
 		}
 		recv, name, ok := methodCall(pass.Info, call)
-		if !ok || !guardMethods[name] {
-			return true
-		}
-		t := recv
-		if ptr, isPtr := t.(*types.Pointer); isPtr {
-			t = ptr.Elem()
-		}
-		if named, isNamed := t.(*types.Named); isNamed {
-			obj := named.Obj()
-			if obj != nil && obj.Pkg() == pass.Pkg && obj.Name() == "guard" {
-				found = true
-				return false
-			}
-		}
-		return true
+		found = ok && guardMethods[name] && isNamedType(recv, guardPkg, "Guard")
+		return !found
 	})
 	return found
 }

@@ -1,21 +1,20 @@
 // Package guardticktest exercises the guardtick analyzer. It is
-// analyzed under the import path repro/internal/sparql — the only
-// package the analyzer patrols — with a stand-in guard type shaped
-// like the engine's.
+// analyzed under the import path repro/internal/sparql, one of the two
+// packages the analyzer patrols, and ticks the shared *guard.Guard.
 package guardticktest
 
 import (
 	"sync"
 
+	"repro/internal/guard"
 	"repro/internal/store"
 )
 
-type guard struct{ n int }
+// localGuard has the guard's method names but is not *guard.Guard:
+// ticking it does not count.
+type localGuard struct{ n int }
 
-func (g *guard) tick() bool           { g.n++; return true }
-func (g *guard) tickN(n int) bool     { g.n += n; return true }
-func (g *guard) poll() bool           { return true }
-func (g *guard) checkRows(n int) bool { return n >= 0 }
+func (g *localGuard) TickN(n int) bool { g.n += n; return true }
 
 func badDirectScan(st *store.Store, p store.Pattern) int {
 	n := 0
@@ -54,10 +53,10 @@ func badViewScan(v *store.View, p store.Pattern) int {
 	return n
 }
 
-func goodTickedScan(g *guard, st *store.Store, p store.Pattern) int {
+func goodTickedScan(g *guard.Guard, st *store.Store, p store.Pattern) int {
 	n := 0
 	st.Scan(p, func(q store.IDQuad) bool {
-		if !g.tick() {
+		if !g.TickN(1) {
 			return false
 		}
 		n++
@@ -66,13 +65,13 @@ func goodTickedScan(g *guard, st *store.Store, p store.Pattern) int {
 	return n
 }
 
-func goodTickedCursor(g *guard, st *store.Store, p store.Pattern) int {
+func goodTickedCursor(g *guard.Guard, st *store.Store, p store.Pattern) int {
 	c := st.Cursor(p)
 	defer c.Close()
 	n := 0
 	for {
 		q, ok := c.Next()
-		if !ok || !g.tick() {
+		if !ok || !g.TickN(1) {
 			break
 		}
 		_ = q
@@ -81,11 +80,11 @@ func goodTickedCursor(g *guard, st *store.Store, p store.Pattern) int {
 	return n
 }
 
-func goodCheckRows(g *guard, st *store.Store, p store.Pattern) []store.IDQuad {
+func goodCheckRows(g *guard.Guard, st *store.Store, p store.Pattern) []store.IDQuad {
 	var rows []store.IDQuad
 	st.Scan(p, func(q store.IDQuad) bool {
 		rows = append(rows, q)
-		return g.checkRows(len(rows))
+		return g.CheckRows(len(rows))
 	})
 	return rows
 }
@@ -100,7 +99,7 @@ func badViewCursor(v *store.View, p store.Pattern) int {
 // the morsels of a pinned view and batch their budget accounting
 // through tickN. One tickN call anywhere in the function counts as a
 // tick.
-func goodWorkerPool(g *guard, v *store.View, p store.Pattern) int {
+func goodWorkerPool(g *guard.Guard, v *store.View, p store.Pattern) int {
 	morsels := v.Morsels(p, 4)
 	var (
 		mu    sync.Mutex
@@ -114,7 +113,7 @@ func goodWorkerPool(g *guard, v *store.View, p store.Pattern) int {
 			pending := 0
 			m.ScanBatch(1024, func(run []store.IDQuad) bool {
 				pending += len(run)
-				return g.tickN(len(run))
+				return g.TickN(len(run))
 			})
 			mu.Lock()
 			total += pending
@@ -126,10 +125,10 @@ func goodWorkerPool(g *guard, v *store.View, p store.Pattern) int {
 }
 
 // goodViewScan pairs a scan of a pinned view with a per-row tick.
-func goodViewScan(g *guard, v *store.View, p store.Pattern) int {
+func goodViewScan(g *guard.Guard, v *store.View, p store.Pattern) int {
 	n := 0
 	v.Scan(p, func(q store.IDQuad) bool {
-		if !g.tick() {
+		if !g.TickN(1) {
 			return false
 		}
 		n++
@@ -169,10 +168,10 @@ func badMorsels(v *store.View, p store.Pattern) int {
 
 // goodBatchScan settles the budget with one tickN per batch — the
 // vectorized executor's per-batch amortization of per-row ticks.
-func goodBatchScan(g *guard, st *store.Store, p store.Pattern) int {
+func goodBatchScan(g *guard.Guard, st *store.Store, p store.Pattern) int {
 	n := 0
 	st.ScanBatch(p, 1024, func(run []store.IDQuad) bool {
-		if !g.tickN(len(run)) {
+		if !g.TickN(len(run)) {
 			return false
 		}
 		n += len(run)
@@ -183,20 +182,20 @@ func goodBatchScan(g *guard, st *store.Store, p store.Pattern) int {
 
 // goodMorsel drains one morsel, accumulating a pending count settled
 // by tickN at each flush.
-func goodMorsel(g *guard, m *store.Morsel) int {
+func goodMorsel(g *guard.Guard, m *store.Morsel) int {
 	n, pending := 0, 0
 	m.ScanBatch(1024, func(run []store.IDQuad) bool {
 		pending += len(run)
 		n += len(run)
 		if pending >= 1024 {
-			if !g.tickN(pending) {
+			if !g.TickN(pending) {
 				return false
 			}
 			pending = 0
 		}
 		return true
 	})
-	g.tickN(pending)
+	g.TickN(pending)
 	return n
 }
 
@@ -220,14 +219,14 @@ func badSeek(v *store.View, konst store.Pattern, keys []store.ID) int {
 }
 
 // goodSeek settles the seeked rows with tickN per input key.
-func goodSeek(g *guard, v *store.View, konst store.Pattern, keys []store.ID) int {
+func goodSeek(g *guard.Guard, v *store.View, konst store.Pattern, keys []store.ID) int {
 	sk := v.Seeker(v.SeekIndex([]store.Col{store.ColP, store.ColS}, store.ColC), konst)
 	n := 0
 	for _, k := range keys {
 		p := konst
 		p.S = k
 		rows := sk.Seek(p)
-		if !g.tickN(len(rows)) {
+		if !g.TickN(len(rows)) {
 			break
 		}
 		n += len(rows)
@@ -246,5 +245,30 @@ func suppressed(st *store.Store, p store.Pattern) int {
 	n := 0
 	//pgrdfvet:ignore guardtick -- planner-side row count, not an execution scan
 	st.Scan(p, func(q store.IDQuad) bool { n++; return true })
+	return n
+}
+
+// badLocalTick ticks a look-alike guard: the rows are still uncounted.
+func badLocalTick(g *localGuard, v *store.View, p store.Pattern) int {
+	n := 0
+	v.Scan(p, func(q store.IDQuad) bool { // want "store scan without a budget-guard tick"
+		n++
+		return g.TickN(1)
+	})
+	return n
+}
+
+// goodPolledSeek polls between seeks, the path search's shape.
+func goodPolledSeek(g *guard.Guard, v *store.View, konst store.Pattern, keys []store.ID) int {
+	sk := v.Seeker(v.SeekIndex([]store.Col{store.ColP, store.ColS}, store.ColC), konst)
+	n := 0
+	for _, k := range keys {
+		if !g.Poll() {
+			break
+		}
+		p := konst
+		p.S = k
+		n += len(sk.Seek(p))
+	}
 	return n
 }

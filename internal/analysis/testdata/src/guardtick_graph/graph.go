@@ -1,17 +1,21 @@
 // Package guardtickgraph exercises the guardtick analyzer's
 // internal/graph scope. It is analyzed under the import path
-// repro/internal/graph with stand-in guard and CSR types shaped like
-// the analytics package's: CSR adjacency reads are the algorithm hot
-// loops, and must settle their work through the guard in the same
-// top-level function, exactly like store scans.
+// repro/internal/graph with a stand-in CSR type shaped like the
+// analytics package's: CSR adjacency reads are the algorithm hot loops,
+// and must settle their work through the shared *guard.Guard in the
+// same top-level function, exactly like store scans.
 package guardtickgraph
 
-import "repro/internal/store"
+import (
+	"repro/internal/guard"
+	"repro/internal/store"
+)
 
-type guard struct{ n int }
+// runtimeGuard is a stand-in for a package-private guard with the same
+// method names; only *guard.Guard counts.
+type runtimeGuard struct{ n int }
 
-func (g *guard) tickN(n int) bool { g.n += n; return true }
-func (g *guard) poll() bool       { return true }
+func (g *runtimeGuard) TickN(n int) bool { g.n += n; return true }
 
 type CSR struct {
 	off, dst   []uint32
@@ -78,18 +82,18 @@ func badViewDrain(v *store.View, p store.Pattern) int {
 
 // goodViewDrain is the projection's shape: one tickN per batch, inside
 // the scan callback.
-func goodViewDrain(g *guard, v *store.View, p store.Pattern) int {
+func goodViewDrain(g *guard.Guard, v *store.View, p store.Pattern) int {
 	n := 0
 	v.ScanBatch(p, 1024, func(b []store.IDQuad) bool {
 		n += len(b)
-		return g.tickN(len(b))
+		return g.TickN(len(b))
 	})
 	return n
 }
 
 // goodGather settles the morsel's edge work with one tickN, the
 // batched form the real algorithm phases use.
-func goodGather(g *guard, cs *CSR, rank []float64, lo, hi int) (float64, bool) {
+func goodGather(g *guard.Guard, cs *CSR, rank []float64, lo, hi int) (float64, bool) {
 	var sum float64
 	edges := 0
 	for v := lo; v < hi; v++ {
@@ -99,12 +103,12 @@ func goodGather(g *guard, cs *CSR, rank []float64, lo, hi int) (float64, bool) {
 			sum += rank[u]
 		}
 	}
-	return sum, g.tickN(edges)
+	return sum, g.TickN(edges)
 }
 
 // goodDrain ticks cursor rows as they are drained, in the same
 // function that opened the cursor.
-func goodDrain(g *guard, st *store.Store, p store.Pattern) int {
+func goodDrain(g *guard.Guard, st *store.Store, p store.Pattern) int {
 	cur := st.Cursor(p)
 	defer cur.Close()
 	n := 0
@@ -112,7 +116,7 @@ func goodDrain(g *guard, st *store.Store, p store.Pattern) int {
 		if _, ok := cur.Next(); !ok {
 			return n
 		}
-		if !g.tickN(1) {
+		if !g.TickN(1) {
 			return n
 		}
 		n++
@@ -121,15 +125,43 @@ func goodDrain(g *guard, st *store.Store, p store.Pattern) int {
 
 // goodNestedClosure ticks from inside a worker closure; the analyzer
 // accepts any guard consultation within the same top-level function.
-func goodNestedClosure(g *guard, cs *CSR) int {
+func goodNestedClosure(g *guard.Guard, cs *CSR) int {
 	total := 0
 	walk := func(v uint32) {
 		row := cs.Neighbors(v)
 		total += len(row)
-		g.tickN(len(row))
+		g.TickN(len(row))
 	}
 	for v := 0; v < cs.NumVertices(); v++ {
 		walk(uint32(v))
 	}
 	return total
+}
+
+// badPrivateGuard settles the edge work through a look-alike guard the
+// analyzer does not accept.
+func badPrivateGuard(g *runtimeGuard, cs *CSR, lo, hi int) bool {
+	edges := 0
+	for v := lo; v < hi; v++ {
+		edges += len(cs.Neighbors(uint32(v))) // want "store scan without a budget-guard tick"
+	}
+	return g.TickN(edges)
+}
+
+// goodPolledMorsel polls between vertices and settles at the end.
+func goodPolledMorsel(g *guard.Guard, cs *CSR, lo, hi int) bool {
+	edges := 0
+	for v := lo; v < hi; v++ {
+		if !g.Poll() {
+			return false
+		}
+		edges += len(cs.InNeighbors(uint32(v)))
+	}
+	return g.TickN(edges)
+}
+
+// suppressedDegree reads one row's length for a report, not a run.
+func suppressedDegree(cs *CSR, v uint32) int {
+	//pgrdfvet:ignore guardtick -- reporting a single row's size outside any algorithm run
+	return len(cs.Neighbors(v))
 }

@@ -6,9 +6,11 @@ package bench
 // BENCH_recovery.json by `benchpaper -recoverybench`.
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"time"
 
@@ -20,9 +22,10 @@ import (
 )
 
 // RecoveryReport is the payload of BENCH_recovery.json. The unprefixed
-// checkpoint columns measure the default binary format; the text_
-// columns measure the legacy N-Quads format over the same store, and
-// RestoreSpeedup is the ratio between their restore times.
+// checkpoint columns measure the binary checkpoint through wal.Open;
+// the text_ columns time store.Snapshot and store.Restore of the same
+// store in the sectioned N-Quads format, and RestoreSpeedup is the
+// ratio between the two restore times.
 type RecoveryReport struct {
 	// Dataset shape.
 	Quads       int   `json:"quads"`
@@ -96,15 +99,11 @@ func RecoveryBench(ctx context.Context, quadTarget int, tailRecords int) (*Recov
 
 	rep := &RecoveryReport{TailRecords: int64(tailRecords)}
 
-	// Load and checkpoint in both formats. SyncOff: the bench measures
-	// recovery, not fsync latency, and keeps CI runtime flat across
-	// disk types. The text leg checkpoints the same loaded store into a
-	// sibling directory so both formats snapshot identical data.
-	textDir, err := os.MkdirTemp("", "pgrdf-recoverybench-text-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(textDir)
+	// Load and checkpoint. SyncOff: the bench measures recovery, not
+	// fsync latency, and keeps CI runtime flat across disk types. The
+	// text leg snapshots the same loaded store into a sibling file, so
+	// both formats encode identical data.
+	textPath := filepath.Join(dir, "text-snapshot.nq")
 	err = withLog(dir, func(st *store.Store, l *wal.Log) error {
 		if _, err := pgrdf.LoadPartitioned(st, ds, "pg"); err != nil {
 			return err
@@ -117,15 +116,14 @@ func RecoveryBench(ctx context.Context, quadTarget int, tailRecords int) (*Recov
 		rep.CheckpointWriteMS = msSince(start)
 		rep.CheckpointBytes = l.Stats().LastCheckpointBytes
 
-		return withTextLog(textDir, func(_ *store.Store, tl *wal.Log) error {
-			start := time.Now()
-			if err := tl.Checkpoint(st); err != nil {
-				return fmt.Errorf("recoverybench: text checkpoint: %w", err)
-			}
-			rep.TextCheckpointWriteMS = msSince(start)
-			rep.TextCheckpointBytes = tl.Stats().LastCheckpointBytes
-			return nil
-		})
+		start = time.Now()
+		n, err := writeTextSnapshot(textPath, st)
+		if err != nil {
+			return fmt.Errorf("recoverybench: text snapshot: %w", err)
+		}
+		rep.TextCheckpointWriteMS = msSince(start)
+		rep.TextCheckpointBytes = n
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -224,15 +222,13 @@ func RecoveryBench(ctx context.Context, quadTarget int, tailRecords int) (*Recov
 	// every binary phase, so it gets the tail of the run.
 	runtime.GC()
 	start = time.Now()
-	err = withTextLog(textDir, func(st *store.Store, _ *wal.Log) error {
-		rep.TextRestoreMS = msSince(start)
-		if st.Len() != rep.Quads {
-			return fmt.Errorf("recoverybench: text restore got %d quads, want %d", st.Len(), rep.Quads)
-		}
-		return nil
-	})
+	textSt, err := readTextSnapshot(textPath)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("recoverybench: text restore: %w", err)
+	}
+	rep.TextRestoreMS = msSince(start)
+	if textSt.Len() != rep.Quads {
+		return nil, fmt.Errorf("recoverybench: text restore got %d quads, want %d", textSt.Len(), rep.Quads)
 	}
 
 	rep.ReplayMS = rep.TotalRecoveryMS - rep.CheckpointRestoreMS
@@ -266,19 +262,39 @@ func withLog(dir string, fn func(*store.Store, *wal.Log) error) (err error) {
 	return fn(st, l)
 }
 
-// withTextLog is withLog with the legacy text checkpoint format — the
-// comparison leg of the bench.
-func withTextLog(dir string, fn func(*store.Store, *wal.Log) error) (err error) {
-	st, l, err := wal.Open(dir, wal.Options{Sync: wal.SyncOff, Indexes: recoveryIndexes, TextCheckpoints: true})
+// writeTextSnapshot writes st to path in the text snapshot format — the
+// comparison leg of the bench — and returns the file's size.
+func writeTextSnapshot(path string, st *store.Store) (int64, error) {
+	f, err := os.Create(path)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	defer func() {
-		if cerr := l.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	return fn(st, l)
+	defer f.Close()
+	bw := bufio.NewWriterSize(f, 1<<20)
+	if err := st.Snapshot(bw); err != nil {
+		return 0, err
+	}
+	if err := bw.Flush(); err != nil {
+		return 0, err
+	}
+	if err := f.Close(); err != nil {
+		return 0, err
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		return 0, err
+	}
+	return fi.Size(), nil
+}
+
+// readTextSnapshot restores a store from a text snapshot file.
+func readTextSnapshot(path string) (*store.Store, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return store.Restore(bufio.NewReaderSize(f, 1<<20))
 }
 
 func msSince(t time.Time) float64 { return float64(time.Since(t)) / float64(time.Millisecond) }

@@ -3,6 +3,8 @@ package graph
 import (
 	"context"
 	"math"
+
+	"repro/internal/guard"
 )
 
 // PageRankOptions tune the PageRank iteration. Zero values select the
@@ -50,15 +52,15 @@ type PageRankResult struct {
 // delta are folded from per-morsel partials in morsel order, keeping
 // the floating-point result byte-identical at every Parallelism.
 func (r Runner) PageRank(ctx context.Context, cs *CSR, opts PageRankOptions) (res *PageRankResult, err error) {
-	defer recoverAlgoPanic(&err)
+	defer guard.Recover(&err)
 	if !cs.HasReverse() {
-		return nil, &AlgoError{Kind: ErrInternal, Msg: "PageRank requires a CSR with a reverse adjacency (ProjectOptions.Reverse)"}
+		return nil, &guard.Error{Kind: guard.ErrInternal, Msg: "PageRank requires a CSR with a reverse adjacency (ProjectOptions.Reverse)"}
 	}
 	if opts.Weighted && !cs.Weighted() {
-		return nil, &AlgoError{Kind: ErrInternal, Msg: "weighted PageRank requires a CSR projected with a WeightKey"}
+		return nil, &guard.Error{Kind: guard.ErrInternal, Msg: "weighted PageRank requires a CSR projected with a WeightKey"}
 	}
 	opts = opts.withDefaults()
-	cancel, g, err := startRun(ctx, r.Budget)
+	g, cancel, err := guard.Start(ctx, r.Budget)
 	if err != nil {
 		return nil, err
 	}
@@ -86,7 +88,7 @@ func (r Runner) PageRank(ctx context.Context, cs *CSR, opts PageRankOptions) (re
 				outW[v] = float64(cs.OutDegree(uint32(v)))
 			}
 		}
-		return g.tickN(hi - lo)
+		return g.TickN(hi - lo)
 	})
 	if !ok {
 		return nil, runError(g)
@@ -116,7 +118,7 @@ func (r Runner) PageRank(ctx context.Context, cs *CSR, opts PageRankOptions) (re
 				}
 			}
 			danglingPart[m] = d
-			return g.tickN(hi - lo)
+			return g.TickN(hi - lo)
 		})
 		if !ok {
 			return nil, runError(g)
@@ -146,7 +148,7 @@ func (r Runner) PageRank(ctx context.Context, cs *CSR, opts PageRankOptions) (re
 				dl += math.Abs(nv - cur[v])
 			}
 			deltaPart[m] = dl
-			return g.tickN(edges + (hi - lo))
+			return g.TickN(edges + (hi - lo))
 		})
 		if !ok {
 			return nil, runError(g)
@@ -165,9 +167,9 @@ func (r Runner) PageRank(ctx context.Context, cs *CSR, opts PageRankOptions) (re
 // runError resolves the abort cause of a morsel phase: the latched
 // guard violation, or an internal error if a worker aborted without
 // one (which would indicate a runtime bug).
-func runError(g *guard) error {
+func runError(g *guard.Guard) error {
 	if err := g.Err(); err != nil {
 		return err
 	}
-	return &AlgoError{Kind: ErrInternal, Msg: "morsel phase aborted without a guard violation"}
+	return &guard.Error{Kind: guard.ErrInternal, Msg: "morsel phase aborted without a guard violation"}
 }

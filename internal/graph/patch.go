@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sort"
 
+	"repro/internal/guard"
 	"repro/internal/pgrdf"
 	"repro/internal/rdf"
 	"repro/internal/store"
@@ -46,8 +47,8 @@ type PatchInfo struct {
 // modified. When the log cannot be replayed, next is nil and
 // info.Rebuild says why.
 func (pr *Projection) Patch(ctx context.Context, b Budget) (next *Projection, info PatchInfo, err error) {
-	defer recoverAlgoPanic(&err)
-	cancel, g, err := startRun(ctx, b)
+	defer guard.Recover(&err)
+	g, cancel, err := guard.Start(ctx, b)
 	if err != nil {
 		return nil, info, err
 	}
@@ -64,7 +65,7 @@ func (pr *Projection) Patch(ctx context.Context, b Budget) (next *Projection, in
 	// come from one pinned version of the store.
 	pt.view = pr.st.View()
 	info = pt.classify()
-	if err := finish(g, nil); err != nil {
+	if err := g.Err(); err != nil {
 		return nil, info, err
 	}
 	if info.Rebuild != "" {

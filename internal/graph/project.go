@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/guard"
 	"repro/internal/pgrdf"
 	"repro/internal/rdf"
 	"repro/internal/store"
@@ -192,7 +193,7 @@ func (d dataset) has(m store.ModelID) bool {
 type reader struct {
 	view    *store.View
 	models  dataset
-	guard   *guard
+	guard   *guard.Guard
 	scanned int64 // quads drained
 }
 
@@ -206,7 +207,7 @@ func (r *reader) drain(pat store.Pattern, fn func(store.IDQuad)) bool {
 	pat.M = store.Any
 	ok := true
 	r.view.ScanBatch(pat, store.DefaultBatchRows, func(batch []store.IDQuad) bool {
-		if ok = r.guard.tickN(len(batch)); !ok {
+		if ok = r.guard.TickN(len(batch)); !ok {
 			return false
 		}
 		r.scanned += int64(len(batch))
@@ -268,8 +269,8 @@ func Project(ctx context.Context, st *store.Store, opts ProjectOptions, b Budget
 // afterwards. The scan reads one pinned store.View, so the projection's
 // Version labels exactly the contents it was built from.
 func NewProjection(ctx context.Context, st *store.Store, opts ProjectOptions, b Budget) (pr *Projection, err error) {
-	defer recoverAlgoPanic(&err)
-	cancel, g, err := startRun(ctx, b)
+	defer guard.Recover(&err)
+	g, cancel, err := guard.Start(ctx, b)
 	if err != nil {
 		return nil, err
 	}
@@ -294,7 +295,7 @@ func NewProjection(ctx context.Context, st *store.Store, opts ProjectOptions, b 
 	}
 	p.models = pr.models
 	p.scan()
-	if err := finish(g, nil); err != nil {
+	if err := g.Err(); err != nil {
 		return nil, err
 	}
 	pr.QuadsScanned, pr.EdgesEmitted = p.scanned, int64(len(p.edges))
@@ -384,7 +385,7 @@ func (p *projector) joinRF() bool {
 			p.addEdge(s, p.rfObj[e], e)
 		}
 	}
-	return p.guard.tickN(len(p.rfSubj))
+	return p.guard.TickN(len(p.rfSubj))
 }
 
 // scanIsolated adds the marker vertices.

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/guard"
 	"repro/internal/pgrdf"
 )
 
@@ -15,8 +16,8 @@ func TestProjectCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := Project(ctx, st, ProjectOptions{Model: names.All, Scheme: pgrdf.NG}, Budget{})
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
+	if !errors.Is(err, guard.ErrCanceled) {
+		t.Fatalf("err = %v, want guard.ErrCanceled", err)
 	}
 	if n := st.OpenCursors(); n != 0 {
 		t.Fatalf("leaked %d cursors", n)
@@ -29,8 +30,8 @@ func TestProjectExpiredDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	_, err := Project(ctx, st, ProjectOptions{Model: names.All, Scheme: pgrdf.NG}, Budget{})
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout", err)
+	if !errors.Is(err, guard.ErrTimeout) {
+		t.Fatalf("err = %v, want guard.ErrTimeout", err)
 	}
 }
 
@@ -38,8 +39,8 @@ func TestProjectBudgetExceeded(t *testing.T) {
 	g := randomGraph(t, 52, 400, 2000)
 	st, names := loadScheme(t, g, pgrdf.NG)
 	_, err := Project(context.Background(), st, ProjectOptions{Model: names.All, Scheme: pgrdf.NG}, Budget{MaxWork: 100})
-	if !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
+	if !errors.Is(err, guard.ErrBudgetExceeded) {
+		t.Fatalf("err = %v, want guard.ErrBudgetExceeded", err)
 	}
 	if n := st.OpenCursors(); n != 0 {
 		t.Fatalf("leaked %d cursors on abort", n)
@@ -48,7 +49,7 @@ func TestProjectBudgetExceeded(t *testing.T) {
 
 // TestAlgorithmsBudgetMidIteration sizes MaxWork so the budget trips
 // after the run is already iterating — every algorithm must surface
-// ErrBudgetExceeded from inside a morsel phase, at any parallelism,
+// guard.ErrBudgetExceeded from inside a morsel phase, at any parallelism,
 // deterministically.
 func TestAlgorithmsBudgetMidIteration(t *testing.T) {
 	g := randomGraph(t, 53, 3000, 12000)
@@ -59,14 +60,14 @@ func TestAlgorithmsBudgetMidIteration(t *testing.T) {
 	budget := Budget{MaxWork: int64(cs.NumVertices()) * 3 / 2}
 	for _, par := range []int{1, 4} {
 		r := Runner{Parallelism: par, Budget: budget}
-		if _, err := r.PageRank(context.Background(), cs, PageRankOptions{}); !errors.Is(err, ErrBudgetExceeded) {
-			t.Fatalf("par %d: PageRank err = %v, want ErrBudgetExceeded", par, err)
+		if _, err := r.PageRank(context.Background(), cs, PageRankOptions{}); !errors.Is(err, guard.ErrBudgetExceeded) {
+			t.Fatalf("par %d: PageRank err = %v, want guard.ErrBudgetExceeded", par, err)
 		}
-		if _, err := r.WCC(context.Background(), cs); !errors.Is(err, ErrBudgetExceeded) {
-			t.Fatalf("par %d: WCC err = %v, want ErrBudgetExceeded", par, err)
+		if _, err := r.WCC(context.Background(), cs); !errors.Is(err, guard.ErrBudgetExceeded) {
+			t.Fatalf("par %d: WCC err = %v, want guard.ErrBudgetExceeded", par, err)
 		}
-		if _, err := r.Triangles(context.Background(), cs); !errors.Is(err, ErrBudgetExceeded) {
-			t.Fatalf("par %d: Triangles err = %v, want ErrBudgetExceeded", par, err)
+		if _, err := r.Triangles(context.Background(), cs); !errors.Is(err, guard.ErrBudgetExceeded) {
+			t.Fatalf("par %d: Triangles err = %v, want guard.ErrBudgetExceeded", par, err)
 		}
 	}
 }
@@ -78,14 +79,14 @@ func TestAlgorithmsCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	r := Runner{Parallelism: 4}
-	if _, err := r.PageRank(ctx, cs, PageRankOptions{}); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("PageRank err = %v, want ErrCanceled", err)
+	if _, err := r.PageRank(ctx, cs, PageRankOptions{}); !errors.Is(err, guard.ErrCanceled) {
+		t.Fatalf("PageRank err = %v, want guard.ErrCanceled", err)
 	}
-	if _, err := r.WCC(ctx, cs); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("WCC err = %v, want ErrCanceled", err)
+	if _, err := r.WCC(ctx, cs); !errors.Is(err, guard.ErrCanceled) {
+		t.Fatalf("WCC err = %v, want guard.ErrCanceled", err)
 	}
-	if _, err := r.Triangles(ctx, cs); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("Triangles err = %v, want ErrCanceled", err)
+	if _, err := r.Triangles(ctx, cs); !errors.Is(err, guard.ErrCanceled) {
+		t.Fatalf("Triangles err = %v, want guard.ErrCanceled", err)
 	}
 }
 
@@ -102,8 +103,8 @@ func TestAlgorithmsCancellationMidIteration(t *testing.T) {
 	// With MaxIterations far beyond convergence and no tolerance exit,
 	// only cancellation can end the run early.
 	_, err := r.PageRank(ctx, cs, PageRankOptions{MaxIterations: 1_000_000, Tolerance: -1})
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
+	if !errors.Is(err, guard.ErrCanceled) {
+		t.Fatalf("err = %v, want guard.ErrCanceled", err)
 	}
 }
 
@@ -113,7 +114,7 @@ func TestRunnerTimeoutBudget(t *testing.T) {
 	cs := mustProject(t, st, ProjectOptions{Model: names.All, Scheme: pgrdf.NG, Reverse: true})
 	r := Runner{Parallelism: 2, Budget: Budget{Timeout: time.Microsecond}}
 	_, err := r.PageRank(context.Background(), cs, PageRankOptions{MaxIterations: 1_000_000, Tolerance: -1})
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout", err)
+	if !errors.Is(err, guard.ErrTimeout) {
+		t.Fatalf("err = %v, want guard.ErrTimeout", err)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/guard"
 )
 
 // morselVertices is the fixed vertex-range size of one morsel. It is a
@@ -20,6 +22,11 @@ const morselVertices = 1024
 func numMorsels(n int) int {
 	return (n + morselVertices - 1) / morselVertices
 }
+
+// Budget bounds one projection or algorithm run: MaxWork counts quads
+// drained during projection plus vertices and edges touched per
+// iteration. It is the shared guard budget under this package's name.
+type Budget = guard.Budget
 
 // Runner executes graph algorithms over a CSR.
 type Runner struct {
@@ -49,7 +56,7 @@ func (r Runner) workers() int {
 // are skipped. runMorsels reports whether every morsel completed. At
 // w == 1 the claim counter degenerates to a serial loop over the same
 // decomposition.
-func runMorsels(w, n int, g *guard, fn func(m, lo, hi int) bool) bool {
+func runMorsels(w, n int, g *guard.Guard, fn func(m, lo, hi int) bool) bool {
 	nm := numMorsels(n)
 	if nm == 0 {
 		return true
@@ -58,7 +65,7 @@ func runMorsels(w, n int, g *guard, fn func(m, lo, hi int) bool) bool {
 		w = nm
 	}
 	runOne := func(m int) bool {
-		if !g.poll() {
+		if !g.Poll() {
 			return false
 		}
 		lo := m * morselVertices

@@ -1,6 +1,10 @@
 package graph
 
-import "context"
+import (
+	"context"
+
+	"repro/internal/guard"
+)
 
 // TrianglesResult holds the undirected triangle count.
 type TrianglesResult struct {
@@ -19,11 +23,11 @@ type TrianglesResult struct {
 // orientation bounds each oriented row by O(sqrt(E)), which is what
 // makes the intersection pass feasible on skewed degree distributions.
 func (r Runner) Triangles(ctx context.Context, cs *CSR) (res *TrianglesResult, err error) {
-	defer recoverAlgoPanic(&err)
+	defer guard.Recover(&err)
 	if !cs.HasReverse() {
-		return nil, &AlgoError{Kind: ErrInternal, Msg: "Triangles requires a CSR with a reverse adjacency (ProjectOptions.Reverse)"}
+		return nil, &guard.Error{Kind: guard.ErrInternal, Msg: "Triangles requires a CSR with a reverse adjacency (ProjectOptions.Reverse)"}
 	}
-	cancel, g, err := startRun(ctx, r.Budget)
+	g, cancel, err := guard.Start(ctx, r.Budget)
 	if err != nil {
 		return nil, err
 	}
@@ -47,7 +51,7 @@ func (r Runner) Triangles(ctx context.Context, cs *CSR) (res *TrianglesResult, e
 			udeg[v] = uint32(mergedCount(uint32(v), out, in, nil))
 			edges += len(out) + len(in)
 		}
-		return g.tickN(edges + (hi - lo))
+		return g.TickN(edges + (hi - lo))
 	})
 	if !ok {
 		return nil, runError(g)
@@ -77,7 +81,7 @@ func (r Runner) Triangles(ctx context.Context, cs *CSR) (res *TrianglesResult, e
 			ocnt[v] = uint32(c)
 			edges += len(out) + len(in)
 		}
-		return g.tickN(edges + (hi - lo))
+		return g.TickN(edges + (hi - lo))
 	})
 	if !ok {
 		return nil, runError(g)
@@ -103,7 +107,7 @@ func (r Runner) Triangles(ctx context.Context, cs *CSR) (res *TrianglesResult, e
 			})
 			edges += len(out) + len(in)
 		}
-		return g.tickN(edges + (hi - lo))
+		return g.TickN(edges + (hi - lo))
 	})
 	if !ok {
 		return nil, runError(g)
@@ -125,7 +129,7 @@ func (r Runner) Triangles(ctx context.Context, cs *CSR) (res *TrianglesResult, e
 			}
 		}
 		countPart[m] = c
-		return g.tickN(work + (hi - lo))
+		return g.TickN(work + (hi - lo))
 	})
 	if !ok {
 		return nil, runError(g)

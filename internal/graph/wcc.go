@@ -1,6 +1,10 @@
 package graph
 
-import "context"
+import (
+	"context"
+
+	"repro/internal/guard"
+)
 
 // WCCResult labels every vertex with the smallest vertex index of its
 // weakly-connected component.
@@ -24,11 +28,11 @@ type WCCResult struct {
 // another label in the same component, the shared label is the
 // component's minimum index.
 func (r Runner) WCC(ctx context.Context, cs *CSR) (res *WCCResult, err error) {
-	defer recoverAlgoPanic(&err)
+	defer guard.Recover(&err)
 	if !cs.HasReverse() {
-		return nil, &AlgoError{Kind: ErrInternal, Msg: "WCC requires a CSR with a reverse adjacency (ProjectOptions.Reverse)"}
+		return nil, &guard.Error{Kind: guard.ErrInternal, Msg: "WCC requires a CSR with a reverse adjacency (ProjectOptions.Reverse)"}
 	}
-	cancel, g, err := startRun(ctx, r.Budget)
+	g, cancel, err := guard.Start(ctx, r.Budget)
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +81,7 @@ func (r Runner) WCC(ctx context.Context, cs *CSR) (res *WCCResult, err error) {
 				}
 			}
 			changedPart[m] = changed
-			return g.tickN(edges + (hi - lo))
+			return g.TickN(edges + (hi - lo))
 		})
 		if !ok {
 			return nil, runError(g)

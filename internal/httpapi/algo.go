@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/guard"
 	"repro/internal/pgrdf"
 	"repro/internal/store"
 )
@@ -177,7 +178,10 @@ func (c *csrCache) get(ctx context.Context, key string, st *store.Store, opts gr
 			case <-wait:
 				continue
 			case <-ctx.Done():
-				return nil, csrOutcome{}, ctx.Err()
+				// Start fails a dead context with the same guard error a
+				// projection of our own would have returned.
+				_, _, err := guard.Start(ctx, guard.Budget{})
+				return nil, csrOutcome{}, err
 			}
 		}
 		pr, out, err := refreshCSR(ctx, base, reason, st, opts, b, stats)
@@ -284,17 +288,16 @@ func (s *Server) handleAlgo(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := requestCtx(r, s.cfg.QueryTimeout)
 	defer cancel()
 
-	st := s.engine().Store()
+	// The projection and the run share the engine's budget: MaxWork caps
+	// total work units (quads drained + vertex/edge touches).
+	eng := s.engine()
+	st, budget := eng.Store(), eng.Limits
 	scheme, err := resolveScheme(st, req.Model, req.Scheme)
 	if err != nil {
 		s.algo.errors[ai].Add(1)
 		algoError(w, err)
 		return
 	}
-
-	// The projection and the run share the query budget: MaxBindings
-	// caps total work units (quads drained + vertex/edge touches).
-	budget := graph.Budget{MaxWork: int64(max(s.cfg.MaxBindings, 0))}
 
 	resp := algoResponse{Algo: req.Algo, Scheme: scheme.String(), Model: req.Model}
 	key := req.Model + "\x00" + scheme.String() + "\x00" + req.Label + "\x00" + req.WeightKey
@@ -389,18 +392,13 @@ func resolveScheme(st *store.Store, model, name string) (pgrdf.Scheme, error) {
 
 var errUnknownScheme = errors.New("unknown scheme (want RF, NG, SP or auto)")
 
-// algoError maps a graph-layer error onto an HTTP status + JSON body,
-// mirroring queryError's mapping for the query path.
+// algoError maps a graph-layer error onto an HTTP status + JSON body;
+// the guard kinds map exactly as on the query path.
 func algoError(w http.ResponseWriter, err error) {
+	if guardError(w, err) {
+		return
+	}
 	switch {
-	// The context errors are a request that gave up while waiting for
-	// another request's projection, before any graph code ran for it.
-	case errors.Is(err, graph.ErrTimeout), errors.Is(err, context.DeadlineExceeded):
-		writeJSONError(w, http.StatusGatewayTimeout, "timeout", err.Error())
-	case errors.Is(err, graph.ErrBudgetExceeded):
-		writeJSONError(w, http.StatusBadRequest, "budget-exceeded", err.Error())
-	case errors.Is(err, graph.ErrCanceled), errors.Is(err, context.Canceled):
-		writeJSONError(w, http.StatusRequestTimeout, "canceled", err.Error())
 	case errors.Is(err, store.ErrUnknownModel):
 		writeJSONError(w, http.StatusNotFound, "unknown-model", err.Error())
 	case errors.Is(err, errUnknownScheme):

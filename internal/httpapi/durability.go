@@ -72,7 +72,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	st := s.wal.Stats()
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintf(w, `{"checkpointBytes":%d,"durationSeconds":%g,"walBytes":%d,"walRecords":%d,`+
-		`"checkpointFormat":%q,"fullCheckpoints":%d,"incrementalCheckpoints":%d,"deltaChainLen":%d,"deltaChainBytes":%d}`+"\n",
+		`"fullCheckpoints":%d,"incrementalCheckpoints":%d,"deltaChainLen":%d,"deltaChainBytes":%d}`+"\n",
 		st.LastCheckpointBytes, st.LastCheckpointDuration.Seconds(), st.WalBytes, st.WalRecords,
-		st.CheckpointFormat, st.FullCheckpoints, st.IncrementalCheckpoints, st.DeltaChainLen, st.DeltaChainBytes)
+		st.FullCheckpoints, st.IncrementalCheckpoints, st.DeltaChainLen, st.DeltaChainBytes)
 }

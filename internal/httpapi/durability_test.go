@@ -144,17 +144,16 @@ func TestCheckpointIncrementalEndpoint(t *testing.T) {
 		t.Fatalf("incremental checkpoint status %d", resp.StatusCode)
 	}
 	var out struct {
-		WalRecords             int64  `json:"walRecords"`
-		CheckpointFormat       string `json:"checkpointFormat"`
-		FullCheckpoints        int64  `json:"fullCheckpoints"`
-		IncrementalCheckpoints int64  `json:"incrementalCheckpoints"`
-		DeltaChainLen          int64  `json:"deltaChainLen"`
-		DeltaChainBytes        int64  `json:"deltaChainBytes"`
+		WalRecords             int64 `json:"walRecords"`
+		FullCheckpoints        int64 `json:"fullCheckpoints"`
+		IncrementalCheckpoints int64 `json:"incrementalCheckpoints"`
+		DeltaChainLen          int64 `json:"deltaChainLen"`
+		DeltaChainBytes        int64 `json:"deltaChainBytes"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
-	if out.WalRecords != 0 || out.CheckpointFormat != "binary" ||
+	if out.WalRecords != 0 ||
 		out.FullCheckpoints != 1 || out.IncrementalCheckpoints != 1 ||
 		out.DeltaChainLen != 1 || out.DeltaChainBytes == 0 {
 		t.Fatalf("incremental checkpoint response: %+v", out)
@@ -252,7 +251,7 @@ func TestStatsAndMetricsExposeWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range []string{"walBytes", "walRecords", "walSeq", "checkpoints", "replayedRecords", "tornBytesDropped",
-		"checkpointFormat", "fullCheckpoints", "incrementalCheckpoints", "deltaChainLen", "deltaChainBytes"} {
+		"fullCheckpoints", "incrementalCheckpoints", "deltaChainLen", "deltaChainBytes"} {
 		if _, ok := stats[k]; !ok {
 			t.Errorf("/stats lacks %q: %v", k, stats)
 		}

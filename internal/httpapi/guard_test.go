@@ -271,3 +271,83 @@ func TestDrainShedsNewRequests(t *testing.T) {
 		t.Errorf("kind = %q", je.Kind)
 	}
 }
+
+// TestGuardErrorKinds drives every guard error kind, and an unknown
+// model, through /sparql, /update and /algo: every endpoint answers each
+// with the same status and kind, and none sends the text of a recovered
+// panic to the client.
+func TestGuardErrorKinds(t *testing.T) {
+	cases := []struct {
+		name   string
+		config func(*Config)
+		fault  func(*store.FaultInjector)
+		cancel bool
+		model  string
+		status int
+		kind   string
+	}{
+		{name: "timeout", status: http.StatusGatewayTimeout, kind: "timeout",
+			config: func(c *Config) { c.QueryTimeout, c.UpdateTimeout = 20*time.Millisecond, 20*time.Millisecond },
+			fault:  func(fi *store.FaultInjector) { fi.StallScans(8, 200*time.Microsecond) }},
+		{name: "budget", status: http.StatusBadRequest, kind: "budget-exceeded",
+			config: func(c *Config) { c.MaxBindings = 5 }},
+		{name: "canceled", status: http.StatusRequestTimeout, kind: "canceled", cancel: true},
+		{name: "internal", status: http.StatusInternalServerError, kind: "internal",
+			fault: func(fi *store.FaultInjector) { fi.FailScansAfter(0) }},
+		{name: "unknown model", status: http.StatusNotFound, kind: "unknown-model", model: "nope"},
+	}
+	requests := map[string]func(model string) *http.Request{
+		"/sparql": func(model string) *http.Request {
+			q := url.Values{"query": {`SELECT * WHERE { ?a ?p ?b . ?c ?q ?d }`}, "model": {model}}
+			return httptest.NewRequest(http.MethodGet, "/sparql?"+q.Encode(), nil)
+		},
+		"/update": func(model string) *http.Request {
+			u := url.Values{"update": {`DELETE { ?a <http://x> ?d } WHERE { ?a ?p ?b . ?c ?q ?d }`}, "model": {model}}
+			req := httptest.NewRequest(http.MethodPost, "/update", strings.NewReader(u.Encode()))
+			req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+			return req
+		},
+		"/algo": func(model string) *http.Request {
+			body := fmt.Sprintf(`{"algo":"pagerank","scheme":"NG","model":%q}`, model)
+			return httptest.NewRequest(http.MethodPost, "/algo", strings.NewReader(body))
+		},
+	}
+	for _, c := range cases {
+		for path, newReq := range requests {
+			t.Run(c.name+path, func(t *testing.T) {
+				st := guardTestStore(t, 2000)
+				cfg := DefaultConfig()
+				if c.config != nil {
+					c.config(&cfg)
+				}
+				h := NewServerWithConfig(st, cfg)
+				if c.fault != nil {
+					fi := store.NewFaultInjector()
+					c.fault(fi)
+					st.SetFaultInjector(fi)
+				}
+				model := c.model
+				if model == "" {
+					model = "net"
+				}
+				req := newReq(model)
+				if c.cancel {
+					ctx, cancel := context.WithCancel(req.Context())
+					cancel()
+					req = req.WithContext(ctx)
+				}
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				resp := rec.Result()
+				defer resp.Body.Close()
+				je := decodeError(t, resp)
+				if resp.StatusCode != c.status || je.Kind != c.kind {
+					t.Fatalf("status %d kind %q (%s), want %d %q", resp.StatusCode, je.Kind, je.Error, c.status, c.kind)
+				}
+				if je.Error == "" || strings.Contains(je.Error, "injected") {
+					t.Fatalf("error message %q: want a message without the panic's text", je.Error)
+				}
+			})
+		}
+	}
+}

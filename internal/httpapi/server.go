@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/guard"
 	"repro/internal/ntriples"
 	"repro/internal/repl"
 	"repro/internal/sparql"
@@ -46,8 +47,9 @@ type Config struct {
 	// MaxBodyBytes caps POST bodies; oversized requests get 413. <0
 	// disables.
 	MaxBodyBytes int64
-	// MaxRows and MaxBindings are the per-query resource budget (see
-	// sparql.Budget). <0 disables.
+	// MaxRows and MaxBindings are the per-request resource budget of
+	// /sparql, /update and /algo (guard.Budget's MaxRows and MaxWork).
+	// <0 disables.
 	MaxRows     int
 	MaxBindings int
 	// Parallelism is the per-query worker budget for the engine's
@@ -303,11 +305,12 @@ func (s *Server) newEngine(st *store.Store) *sparql.Engine {
 	} else {
 		eng.Parallelism = s.cfg.Parallelism
 	}
-	eng.Limits = sparql.Budget{
-		// Timeouts are applied per request from the HTTP layer so
-		// admission-queue wait never eats into execution time.
-		MaxRows:     max(s.cfg.MaxRows, 0),
-		MaxBindings: max(s.cfg.MaxBindings, 0),
+	// The one budget of /sparql, /update and /algo. Timeouts are applied
+	// per request from the HTTP layer so admission-queue wait never eats
+	// into execution time.
+	eng.Limits = guard.Budget{
+		MaxRows: max(s.cfg.MaxRows, 0),
+		MaxWork: int64(max(s.cfg.MaxBindings, 0)),
 	}
 	if s.cfg.SlowQueryLog != nil {
 		eng.SlowQueryLog = s.cfg.SlowQueryLog
@@ -505,21 +508,36 @@ func bodyError(w http.ResponseWriter, err error) {
 	writeJSONError(w, http.StatusBadRequest, "request", err.Error())
 }
 
+// guardError writes the response for an error of one of the guard
+// kinds and reports whether err was one. An internal error's text (a
+// recovered panic) is for the server's logs, so the client gets a fixed
+// message.
+func guardError(w http.ResponseWriter, err error) bool {
+	switch {
+	case errors.Is(err, guard.ErrTimeout):
+		writeJSONError(w, http.StatusGatewayTimeout, "timeout", err.Error())
+	case errors.Is(err, guard.ErrBudgetExceeded):
+		writeJSONError(w, http.StatusBadRequest, "budget-exceeded", err.Error())
+	case errors.Is(err, guard.ErrCanceled):
+		// The client is usually gone; the status is best-effort.
+		writeJSONError(w, http.StatusRequestTimeout, "canceled", err.Error())
+	case errors.Is(err, guard.ErrInternal):
+		writeJSONError(w, http.StatusInternalServerError, "internal", guard.ErrInternal.Error())
+	default:
+		return false
+	}
+	return true
+}
+
 // queryError maps an engine error onto an HTTP status + JSON body.
 func queryError(w http.ResponseWriter, err error) {
+	if guardError(w, err) {
+		return
+	}
 	var perr *sparql.ParseError
 	switch {
 	case errors.As(err, &perr):
 		writeJSONError(w, http.StatusBadRequest, "parse", err.Error())
-	case errors.Is(err, sparql.ErrTimeout):
-		writeJSONError(w, http.StatusGatewayTimeout, "timeout", err.Error())
-	case errors.Is(err, sparql.ErrBudgetExceeded):
-		writeJSONError(w, http.StatusBadRequest, "budget-exceeded", err.Error())
-	case errors.Is(err, sparql.ErrCanceled):
-		// The client is usually gone; the status is best-effort.
-		writeJSONError(w, http.StatusRequestTimeout, "canceled", err.Error())
-	case errors.Is(err, sparql.ErrInternal):
-		writeJSONError(w, http.StatusInternalServerError, "internal", "internal query error")
 	case errors.Is(err, store.ErrUnknownModel):
 		writeJSONError(w, http.StatusNotFound, "unknown-model", err.Error())
 	default:
@@ -626,10 +644,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		ws := s.wal.Stats()
 		fmt.Fprintf(w, `,"walBytes":%d,"walRecords":%d,"walSeq":%d,"checkpoints":%d,"checkpointErrors":%d,`+
 			`"lastCheckpointBytes":%d,"lastCheckpointSeconds":%g,"replayedRecords":%d,"tornBytesDropped":%d,`+
-			`"checkpointFormat":%q,"fullCheckpoints":%d,"incrementalCheckpoints":%d,"deltaChainLen":%d,"deltaChainBytes":%d`,
+			`"fullCheckpoints":%d,"incrementalCheckpoints":%d,"deltaChainLen":%d,"deltaChainBytes":%d`,
 			ws.WalBytes, ws.WalRecords, ws.Seq, ws.Checkpoints, ws.CheckpointErrors,
 			ws.LastCheckpointBytes, ws.LastCheckpointDuration.Seconds(), ws.ReplayedRecords, ws.TornBytesDropped,
-			ws.CheckpointFormat, ws.FullCheckpoints, ws.IncrementalCheckpoints, ws.DeltaChainLen, ws.DeltaChainBytes)
+			ws.FullCheckpoints, ws.IncrementalCheckpoints, ws.DeltaChainLen, ws.DeltaChainBytes)
 	}
 	if s.follower != nil {
 		fs := s.follower.Status()

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/guard"
 	"repro/internal/rdf"
 	"repro/internal/store"
 )
@@ -28,7 +29,7 @@ type Engine struct {
 	// Limits is the per-query resource budget applied by the *Context
 	// execution methods. The zero value imposes no limits. Set it once
 	// before serving queries; it is read concurrently.
-	Limits Budget
+	Limits guard.Budget
 
 	// Parallelism is the per-query worker budget for morsel-driven
 	// intra-query parallelism: partitioned BGP scans, partitioned
@@ -317,10 +318,10 @@ func (e *Engine) Query(model, query string) (*Results, error) {
 }
 
 // QueryContext is Query with cooperative cancellation and the engine's
-// resource budget: execution stops promptly — returning a *QueryError
-// with kind ErrTimeout, ErrCanceled or ErrBudgetExceeded — when ctx
-// fires or Limits are exhausted. Internal panics are recovered into a
-// *QueryError with kind ErrInternal.
+// resource budget: execution stops promptly — returning a *guard.Error
+// with kind guard.ErrTimeout, ErrCanceled or ErrBudgetExceeded — when
+// ctx fires or Limits are exhausted. Internal panics are recovered into
+// a *guard.Error with kind guard.ErrInternal.
 func (e *Engine) QueryContext(ctx context.Context, model, query string) (*Results, error) {
 	res, _, err := e.queryInternal(ctx, model, query, nil, false)
 	return res, err
@@ -349,14 +350,17 @@ func (e *Engine) queryInternal(ctx context.Context, model, query string, q *Quer
 	rows := 0
 	var logProf *Profile // also attached to the slow-query log line
 	defer e.recordQuery(int(FormSelect), model, query, start, &err, &rows, &logProf)
-	defer recoverQueryPanic(&err)
-	ctx, cancel := e.budgetCtx(ctx)
+	defer guard.Recover(&err)
+	g, cancel, err := guard.Start(ctx, e.Limits)
+	if err != nil {
+		return nil, nil, err
+	}
 	defer cancel()
 	cp, err := e.compileCached(query, q)
 	if err != nil {
 		return nil, nil, err
 	}
-	ec, err := e.execCtxIn(ctx, model, cp.vt)
+	ec, err := e.execCtxIn(g, model, cp.vt)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -414,8 +418,11 @@ func (e *Engine) AskContext(ctx context.Context, model, query string) (bool, err
 // parse when the caller has one.
 func (e *Engine) ask(ctx context.Context, model, query string, q *Query) (found bool, err error) {
 	defer e.recordQuery(int(FormAsk), model, query, time.Now(), &err, nil, nil)
-	defer recoverQueryPanic(&err)
-	ctx, cancel := e.budgetCtx(ctx)
+	defer guard.Recover(&err)
+	g, cancel, err := guard.Start(ctx, e.Limits)
+	if err != nil {
+		return false, err
+	}
 	defer cancel()
 	q, err = e.parseOnce(query, q)
 	if err != nil {
@@ -433,7 +440,7 @@ func (e *Engine) ask(ctx context.Context, model, query string, q *Query) (found 
 	if len(c.vt.names) > maxVars {
 		return false, fmt.Errorf("sparql: query uses more than %d variables", maxVars)
 	}
-	ec, err := e.execCtxIn(ctx, model, c.vt)
+	ec, err := e.execCtxIn(g, model, c.vt)
 	if err != nil {
 		return false, err
 	}
@@ -480,8 +487,11 @@ func (e *Engine) construct(ctx context.Context, model, query string, q *Query) (
 	rows := 0
 	defer e.recordQuery(int(FormConstruct), model, query, time.Now(), &err, &rows, nil)
 	defer func() { rows = len(out) }()
-	defer recoverQueryPanic(&err)
-	ctx, cancel := e.budgetCtx(ctx)
+	defer guard.Recover(&err)
+	g, cancel, err := guard.Start(ctx, e.Limits)
+	if err != nil {
+		return nil, err
+	}
 	defer cancel()
 	q, err = e.parseOnce(query, q)
 	if err != nil {
@@ -499,7 +509,7 @@ func (e *Engine) construct(ctx context.Context, model, query string, q *Query) (
 	if len(c.vt.names) > maxVars {
 		return nil, fmt.Errorf("sparql: query uses more than %d variables", maxVars)
 	}
-	ec, err := e.execCtxIn(ctx, model, c.vt)
+	ec, err := e.execCtxIn(g, model, c.vt)
 	if err != nil {
 		return nil, err
 	}
@@ -507,7 +517,7 @@ func (e *Engine) construct(ctx context.Context, model, query string, q *Query) (
 	src := runPipeline(ec, pipeline, unitSource(len(c.vt.names)))
 	if err := finishGuard(ec, src(func(b binding) bool {
 		instantiateTemplates(ec, tmpl, b, seen, &out)
-		return ec.guard.checkRows(len(out))
+		return ec.guard.CheckRows(len(out))
 	})); err != nil {
 		return nil, err
 	}
@@ -600,8 +610,11 @@ func (e *Engine) describe(ctx context.Context, model, query string, q *Query) (o
 	rows := 0
 	defer e.recordQuery(int(FormDescribe), model, query, time.Now(), &err, &rows, nil)
 	defer func() { rows = len(out) }()
-	defer recoverQueryPanic(&err)
-	ctx, cancel := e.budgetCtx(ctx)
+	defer guard.Recover(&err)
+	g, cancel, err := guard.Start(ctx, e.Limits)
+	if err != nil {
+		return nil, err
+	}
 	defer cancel()
 	q, err = e.parseOnce(query, q)
 	if err != nil {
@@ -618,7 +631,7 @@ func (e *Engine) describe(ctx context.Context, model, query string, q *Query) (o
 	if len(c.vt.names) > maxVars {
 		return nil, fmt.Errorf("sparql: query uses more than %d variables", maxVars)
 	}
-	ec, err := e.execCtxIn(ctx, model, c.vt)
+	ec, err := e.execCtxIn(g, model, c.vt)
 	if err != nil {
 		return nil, err
 	}
@@ -661,7 +674,7 @@ func (e *Engine) describe(ctx context.Context, model, query string, q *Query) (o
 			seen[quad] = struct{}{}
 			out = append(out, quad)
 		}
-		return ec.guard.checkRows(len(out))
+		return ec.guard.CheckRows(len(out))
 	}
 	for id := range resources {
 		p := store.AnyPattern()
@@ -784,23 +797,23 @@ func datasetName(model string) string {
 	return model
 }
 
-// budgetCtx derives the execution context honouring Limits.Timeout.
-func (e *Engine) budgetCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if e.Limits.Timeout > 0 {
-		return context.WithTimeout(ctx, e.Limits.Timeout)
-	}
-	return ctx, func() {}
-}
-
-// execCtxIn builds the execution context with a guard enforcing ctx and
-// the engine's Limits.
-func (e *Engine) execCtxIn(ctx context.Context, model string, vt *varTable) (*execCtx, error) {
+// execCtxIn builds the execution context of a request guarded by g.
+func (e *Engine) execCtxIn(g *guard.Guard, model string, vt *varTable) (*execCtx, error) {
 	ec, err := e.execCtx(model, vt)
 	if err != nil {
 		return nil, err
 	}
-	ec.guard = newGuard(ctx, e.Limits)
+	ec.guard = g
 	return ec, nil
+}
+
+// finishGuard resolves the final error of an execution: an explicit
+// pipeline error wins, then a latched guard violation.
+func finishGuard(ec *execCtx, err error) error {
+	if err != nil {
+		return err
+	}
+	return ec.guard.Err()
 }
 
 func (e *Engine) execCtx(model string, vt *varTable) (*execCtx, error) {
@@ -855,41 +868,32 @@ func (e *Engine) Update(model, request string) (UpdateResult, error) {
 }
 
 // UpdateContext is Update with cooperative cancellation and the
-// engine's resource budget: the WHERE evaluation of DELETE WHERE and
-// DELETE/INSERT templates is guarded like a query, and bulk data blocks
-// poll the context between quads. An update aborted mid-request leaves
-// the already-applied operations in place (no rollback), mirroring the
-// per-operation semantics of SPARQL Update.
+// engine's resource budget: one guard covers the request, so the WHERE
+// evaluations of DELETE WHERE and DELETE/INSERT templates share its
+// budget, and bulk data blocks poll it between quads. An update aborted
+// mid-request leaves the already-applied operations in place (no
+// rollback), mirroring the per-operation semantics of SPARQL Update.
 func (e *Engine) UpdateContext(ctx context.Context, model, request string) (res UpdateResult, err error) {
 	rows := 0
 	defer e.recordQuery(formUpdate, model, request, time.Now(), &err, &rows, nil)
 	defer func() { rows = res.Inserted + res.Deleted }()
-	defer recoverQueryPanic(&err)
-	ctx, cancel := e.budgetCtx(ctx)
+	defer guard.Recover(&err)
+	g, cancel, err := guard.Start(ctx, e.Limits)
+	if err != nil {
+		return res, err
+	}
 	defer cancel()
 	u, err := ParseUpdate(request)
 	if err != nil {
 		return UpdateResult{}, err
 	}
-	done := ctx.Done()
-	checkCtx := func(i int) error {
-		if done == nil || i%1024 != 0 {
-			return nil
-		}
-		select {
-		case <-done:
-			return ctxQueryError(ctx.Err())
-		default:
-			return nil
-		}
-	}
 	for _, op := range u.Ops {
 		switch x := op.(type) {
 		case InsertData:
 			muts := make([]Mutation, 0, len(x.Quads))
-			for i, q := range x.Quads {
-				if err := checkCtx(i); err != nil {
-					return res, err
+			for _, q := range x.Quads {
+				if !g.Poll() {
+					return res, g.Err()
 				}
 				if err := q.Validate(); err != nil {
 					return res, err
@@ -904,9 +908,9 @@ func (e *Engine) UpdateContext(ctx context.Context, model, request string) (res 
 				return res, fmt.Errorf("%w %q", store.ErrUnknownModel, model)
 			}
 			muts := make([]Mutation, 0, len(x.Quads))
-			for i, q := range x.Quads {
-				if err := checkCtx(i); err != nil {
-					return res, err
+			for _, q := range x.Quads {
+				if !g.Poll() {
+					return res, g.Err()
 				}
 				if err := q.Validate(); err != nil {
 					return res, err
@@ -917,13 +921,13 @@ func (e *Engine) UpdateContext(ctx context.Context, model, request string) (res 
 				return res, err
 			}
 		case DeleteWhere:
-			n, err := e.deleteWhere(ctx, model, x.Where)
+			n, err := e.deleteWhere(g, model, x.Where)
 			if err != nil {
 				return res, err
 			}
 			res.Deleted += n
 		case Modify:
-			del, ins, err := e.modify(ctx, model, x)
+			del, ins, err := e.modify(g, model, x)
 			if err != nil {
 				return res, err
 			}
@@ -940,9 +944,9 @@ func (e *Engine) UpdateContext(ctx context.Context, model, request string) (res 
 // pattern quads for each, and deletes them from every model of the
 // dataset. The pattern must consist of plain triple patterns (optionally
 // under GRAPH).
-func (e *Engine) deleteWhere(ctx context.Context, model string, g *GroupGraphPattern) (int, error) {
+func (e *Engine) deleteWhere(g *guard.Guard, model string, where *GroupGraphPattern) (int, error) {
 	c := &compiler{vt: newVarTable(), seq: freshCounter()}
-	pipeline, err := c.group(g)
+	pipeline, err := c.group(where)
 	if err != nil {
 		return 0, err
 	}
@@ -955,7 +959,7 @@ func (e *Engine) deleteWhere(ctx context.Context, model string, g *GroupGraphPat
 		}
 		templates = append(templates, bgp.patterns...)
 	}
-	ec, err := e.execCtxIn(ctx, model, c.vt)
+	ec, err := e.execCtxIn(g, model, c.vt)
 	if err != nil {
 		return 0, err
 	}
@@ -968,7 +972,7 @@ func (e *Engine) deleteWhere(ctx context.Context, model string, g *GroupGraphPat
 				toDelete = append(toDelete, q)
 			}
 		}
-		return ec.guard.checkRows(len(toDelete))
+		return ec.guard.CheckRows(len(toDelete))
 	})); err != nil {
 		return 0, err
 	}
@@ -998,7 +1002,7 @@ func (e *Engine) deleteWhere(ctx context.Context, model string, g *GroupGraphPat
 // pattern is evaluated against the pre-update state, then all deletes
 // are applied (to every model in the dataset), then all inserts (into
 // the named model).
-func (e *Engine) modify(ctx context.Context, model string, m Modify) (deleted, inserted int, err error) {
+func (e *Engine) modify(g *guard.Guard, model string, m Modify) (deleted, inserted int, err error) {
 	c := &compiler{vt: newVarTable(), seq: freshCounter()}
 	pipeline, err := c.group(m.Where)
 	if err != nil {
@@ -1009,7 +1013,7 @@ func (e *Engine) modify(ctx context.Context, model string, m Modify) (deleted, i
 	if len(c.vt.names) > maxVars {
 		return 0, 0, fmt.Errorf("sparql: update uses more than %d variables", maxVars)
 	}
-	ec, err := e.execCtxIn(ctx, model, c.vt)
+	ec, err := e.execCtxIn(g, model, c.vt)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -1020,7 +1024,7 @@ func (e *Engine) modify(ctx context.Context, model string, m Modify) (deleted, i
 	if err := finishGuard(ec, src(func(b binding) bool {
 		instantiateTemplates(ec, delTmpl, b, delSeen, &toDelete)
 		instantiateTemplates(ec, insTmpl, b, insSeen, &toInsert)
-		return ec.guard.checkRows(len(toDelete) + len(toInsert))
+		return ec.guard.CheckRows(len(toDelete) + len(toInsert))
 	})); err != nil {
 		return 0, 0, err
 	}

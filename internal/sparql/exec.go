@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/guard"
 	"repro/internal/rdf"
 	"repro/internal/store"
 )
@@ -26,8 +27,8 @@ type execCtx struct {
 	models      map[store.ModelID]struct{} // nil = all models
 	singleModel store.ModelID              // set when the dataset is one model
 	vt          *varTable
-	noHashJoin  bool   // force NLJ everywhere (join-strategy ablation)
-	guard       *guard // nil = no cancellation or budget enforcement
+	noHashJoin  bool         // force NLJ everywhere (join-strategy ablation)
+	guard       *guard.Guard // nil = no cancellation or budget enforcement
 
 	// Intra-query parallelism (DESIGN.md §10). parallelism is the
 	// worker budget (1 = serial plans, exactly the pre-parallel
@@ -104,7 +105,7 @@ func (ec *execCtx) scan(p store.Pattern, fn func(store.IDQuad) bool) {
 	if g := ec.guard; g != nil {
 		inner := fn
 		fn = func(q store.IDQuad) bool {
-			if !g.tick() {
+			if !g.TickN(1) {
 				return false
 			}
 			return inner(q)
@@ -1125,7 +1126,7 @@ func selectSolutions(ec *execCtx, cp *compiled) ([]binding, error) {
 					b := make(binding, width)
 					cb.materialize(i, b)
 					solutions = append(solutions, b)
-					if !ec.guard.checkRows(len(solutions)) {
+					if !ec.guard.CheckRows(len(solutions)) {
 						return false
 					}
 					if budget >= 0 && len(solutions) >= budget {
@@ -1139,7 +1140,7 @@ func selectSolutions(ec *execCtx, cp *compiled) ([]binding, error) {
 			}
 		} else if err := finishGuard(ec, src(func(b binding) bool {
 			solutions = append(solutions, b.clone())
-			if !ec.guard.checkRows(len(solutions)) {
+			if !ec.guard.CheckRows(len(solutions)) {
 				return false
 			}
 			return budget < 0 || len(solutions) < budget
@@ -1381,7 +1382,7 @@ func (acc *groupAcc) newGroup(b binding) *groupData {
 // the guard's row cap latches (new-group creation counts against
 // MaxRows).
 func (acc *groupAcc) create(b binding) (int32, bool) {
-	if !acc.ec.guard.checkRows(len(acc.groups) + 1) {
+	if !acc.ec.guard.CheckRows(len(acc.groups) + 1) {
 		return 0, false
 	}
 	acc.groups = append(acc.groups, acc.newGroup(b))

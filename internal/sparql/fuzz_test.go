@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/guard"
 	"repro/internal/rdf"
 	"repro/internal/store"
 )
@@ -36,7 +37,7 @@ func fuzzStore() *store.Store {
 //
 //  1. Parse and ParseUpdate never panic;
 //  2. executing an accepted query under a strict budget never returns
-//     ErrInternal — the kind reserved for recovered executor panics,
+//     guard.ErrInternal — the kind reserved for recovered executor panics,
 //     so any occurrence is a real crash the recover() masked.
 //
 // Seeds are the paper's EQ1–EQ12 plus grammar corner cases.
@@ -71,15 +72,15 @@ func FuzzParseAndExec(f *testing.F) {
 	}
 	st := fuzzStore()
 	eng := NewEngine(st)
-	eng.Limits = Budget{Timeout: 200 * time.Millisecond, MaxRows: 256, MaxBindings: 4096}
+	eng.Limits = guard.Budget{Timeout: 200 * time.Millisecond, MaxRows: 256, MaxWork: 4096}
 	f.Fuzz(func(t *testing.T, src string) {
 		q, err := Parse(src)
 		if err == nil && q != nil {
 			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 			_, execErr := eng.QueryContext(ctx, "m", src)
 			cancel()
-			if errors.Is(execErr, ErrInternal) {
-				t.Fatalf("executor panicked (recovered as ErrInternal): %v\nquery: %q", execErr, src)
+			if errors.Is(execErr, guard.ErrInternal) {
+				t.Fatalf("executor panicked (recovered as guard.ErrInternal): %v\nquery: %q", execErr, src)
 			}
 		}
 		// The update grammar is a separate entry point with its own

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/guard"
 	"repro/internal/rdf"
 	"repro/internal/store"
 )
@@ -37,20 +38,20 @@ func egoNetStore(t testing.TB, nodes, degree int) *store.Store {
 const crossJoin = `SELECT * WHERE { ?a ?p ?b . ?c ?q ?d . ?e ?r ?f }`
 
 // TestDeadlineStopsCrossJoin is the acceptance scenario: an unbounded
-// cross join with a 100ms deadline must return ErrTimeout well under 1s.
+// cross join with a 100ms deadline must return guard.ErrTimeout well under 1s.
 func TestDeadlineStopsCrossJoin(t *testing.T) {
 	st := egoNetStore(t, 500, 8) // 4000 quads -> 4000^3 product rows
 	e := NewEngine(st)
-	e.Limits = Budget{Timeout: 100 * time.Millisecond}
+	e.Limits = guard.Budget{Timeout: 100 * time.Millisecond}
 	start := time.Now()
 	_, err := e.QueryContext(context.Background(), "", crossJoin)
 	elapsed := time.Since(start)
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout", err)
+	if !errors.Is(err, guard.ErrTimeout) {
+		t.Fatalf("err = %v, want guard.ErrTimeout", err)
 	}
-	var qe *QueryError
+	var qe *guard.Error
 	if !errors.As(err, &qe) {
-		t.Fatalf("err %T is not *QueryError", err)
+		t.Fatalf("err %T is not *guard.Error", err)
 	}
 	if elapsed > time.Second {
 		t.Fatalf("query took %v, want well under 1s", elapsed)
@@ -59,7 +60,7 @@ func TestDeadlineStopsCrossJoin(t *testing.T) {
 
 // TestCancellationMidHashJoin cancels a running query after the join has
 // switched to hash-join mode (input cardinality beyond hashJoinMinInput)
-// and checks it stops promptly with ErrCanceled.
+// and checks it stops promptly with guard.ErrCanceled.
 func TestCancellationMidHashJoin(t *testing.T) {
 	st := egoNetStore(t, 2000, 4) // 8000 quads per scan, >> hashJoinMinInput
 	e := NewEngine(st)
@@ -81,8 +82,8 @@ func TestCancellationMidHashJoin(t *testing.T) {
 	cancel()
 	select {
 	case err := <-done:
-		if !errors.Is(err, ErrCanceled) {
-			t.Fatalf("err = %v, want ErrCanceled", err)
+		if !errors.Is(err, guard.ErrCanceled) {
+			t.Fatalf("err = %v, want guard.ErrCanceled", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("query did not stop after cancellation")
@@ -104,13 +105,13 @@ func TestDeadlineInsidePropertyPath(t *testing.T) {
 	defer st.SetFaultInjector(nil)
 
 	e := NewEngine(st)
-	e.Limits = Budget{Timeout: 30 * time.Millisecond}
+	e.Limits = guard.Budget{Timeout: 30 * time.Millisecond}
 	q := `SELECT (COUNT(?x) AS ?n) WHERE {
 		<http://pg/v0> <http://pg/r/follows>/<http://pg/r/follows>/<http://pg/r/follows>/<http://pg/r/follows>/<http://pg/r/follows>* ?x }`
 	start := time.Now()
 	_, err := e.QueryContext(context.Background(), "", q)
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout", err)
+	if !errors.Is(err, guard.ErrTimeout) {
+		t.Fatalf("err = %v, want guard.ErrTimeout", err)
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("path query took %v after a 30ms deadline", elapsed)
@@ -122,10 +123,10 @@ func TestDeadlineInsidePropertyPath(t *testing.T) {
 func TestMaxBindingsBudget(t *testing.T) {
 	st := egoNetStore(t, 200, 5)
 	e := NewEngine(st)
-	e.Limits = Budget{MaxBindings: 10_000}
+	e.Limits = guard.Budget{MaxWork: 10_000}
 	_, err := e.Query("", crossJoin)
-	if !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
+	if !errors.Is(err, guard.ErrBudgetExceeded) {
+		t.Fatalf("err = %v, want guard.ErrBudgetExceeded", err)
 	}
 }
 
@@ -133,13 +134,13 @@ func TestMaxBindingsBudget(t *testing.T) {
 func TestMaxRowsBudget(t *testing.T) {
 	st := egoNetStore(t, 100, 4)
 	e := NewEngine(st)
-	e.Limits = Budget{MaxRows: 50}
+	e.Limits = guard.Budget{MaxRows: 50}
 	_, err := e.Query("", `SELECT ?a ?b WHERE { ?a ?p ?b }`)
-	if !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
+	if !errors.Is(err, guard.ErrBudgetExceeded) {
+		t.Fatalf("err = %v, want guard.ErrBudgetExceeded", err)
 	}
 	// Under the cap, the query succeeds unchanged.
-	e.Limits = Budget{MaxRows: 50}
+	e.Limits = guard.Budget{MaxRows: 50}
 	res, err := e.Query("", `SELECT ?a ?b WHERE { ?a ?p ?b } LIMIT 10`)
 	if err != nil || res.Len() != 10 {
 		t.Fatalf("LIMIT 10 under budget: res=%v err=%v", res, err)
@@ -150,10 +151,10 @@ func TestMaxRowsBudget(t *testing.T) {
 func TestMaxRowsBudgetGroups(t *testing.T) {
 	st := egoNetStore(t, 300, 3)
 	e := NewEngine(st)
-	e.Limits = Budget{MaxRows: 20}
+	e.Limits = guard.Budget{MaxRows: 20}
 	_, err := e.Query("", `SELECT ?a (COUNT(?b) AS ?n) WHERE { ?a ?p ?b } GROUP BY ?a`)
-	if !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("grouped err = %v, want ErrBudgetExceeded", err)
+	if !errors.Is(err, guard.ErrBudgetExceeded) {
+		t.Fatalf("grouped err = %v, want guard.ErrBudgetExceeded", err)
 	}
 }
 
@@ -162,16 +163,16 @@ func TestMaxRowsBudgetGroups(t *testing.T) {
 func TestBudgetAppliesToAskConstructDescribeUpdate(t *testing.T) {
 	st := egoNetStore(t, 300, 5)
 	e := NewEngine(st)
-	e.Limits = Budget{MaxBindings: 500}
+	e.Limits = guard.Budget{MaxWork: 500}
 
-	if _, err := e.Construct("", `CONSTRUCT { ?a <http://x> ?d } WHERE { ?a ?p ?b . ?c ?q ?d }`); !errors.Is(err, ErrBudgetExceeded) {
-		t.Errorf("Construct err = %v, want ErrBudgetExceeded", err)
+	if _, err := e.Construct("", `CONSTRUCT { ?a <http://x> ?d } WHERE { ?a ?p ?b . ?c ?q ?d }`); !errors.Is(err, guard.ErrBudgetExceeded) {
+		t.Errorf("Construct err = %v, want guard.ErrBudgetExceeded", err)
 	}
-	if _, err := e.Describe("", `DESCRIBE ?a WHERE { ?a ?p ?b . ?c ?q ?d }`); !errors.Is(err, ErrBudgetExceeded) {
-		t.Errorf("Describe err = %v, want ErrBudgetExceeded", err)
+	if _, err := e.Describe("", `DESCRIBE ?a WHERE { ?a ?p ?b . ?c ?q ?d }`); !errors.Is(err, guard.ErrBudgetExceeded) {
+		t.Errorf("Describe err = %v, want guard.ErrBudgetExceeded", err)
 	}
-	if _, err := e.Update("net", `DELETE { ?a <http://x> ?d } INSERT { ?a <http://y> ?d } WHERE { ?a ?p ?b . ?c ?q ?d }`); !errors.Is(err, ErrBudgetExceeded) {
-		t.Errorf("Update err = %v, want ErrBudgetExceeded", err)
+	if _, err := e.Update("net", `DELETE { ?a <http://x> ?d } INSERT { ?a <http://y> ?d } WHERE { ?a ?p ?b . ?c ?q ?d }`); !errors.Is(err, guard.ErrBudgetExceeded) {
+		t.Errorf("Update err = %v, want guard.ErrBudgetExceeded", err)
 	}
 	// ASK finds its first row long before the budget and succeeds.
 	if ok, err := e.Ask("", `ASK { ?a ?p ?b }`); err != nil || !ok {
@@ -187,13 +188,13 @@ func TestCanceledContextFailsFast(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := e.QueryContext(ctx, "", crossJoin)
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
+	if !errors.Is(err, guard.ErrCanceled) {
+		t.Fatalf("err = %v, want guard.ErrCanceled", err)
 	}
 }
 
 // TestPanicRecovery: an injected scan fault panics inside the executor;
-// the engine must surface a structured QueryError with kind ErrInternal
+// the engine must surface a structured *guard.Error with kind guard.ErrInternal
 // instead of crashing, and must stay usable afterwards.
 func TestPanicRecovery(t *testing.T) {
 	st := egoNetStore(t, 100, 4)
@@ -202,12 +203,12 @@ func TestPanicRecovery(t *testing.T) {
 	fi.FailScansAfter(50)
 	st.SetFaultInjector(fi)
 	_, err := e.Query("", `SELECT ?a WHERE { ?a ?p ?b }`)
-	if !errors.Is(err, ErrInternal) {
-		t.Fatalf("err = %v, want ErrInternal", err)
+	if !errors.Is(err, guard.ErrInternal) {
+		t.Fatalf("err = %v, want guard.ErrInternal", err)
 	}
-	var qe *QueryError
+	var qe *guard.Error
 	if !errors.As(err, &qe) || qe.Stack == "" {
-		t.Fatalf("expected *QueryError with a stack, got %#v", err)
+		t.Fatalf("expected *guard.Error with a stack, got %#v", err)
 	}
 	// Clearing the fault restores normal service.
 	st.SetFaultInjector(nil)
@@ -229,8 +230,8 @@ func TestUpdateContextCancel(t *testing.T) {
 	}
 	sb = append(sb, '}')
 	_, err := e.UpdateContext(ctx, "m", string(sb))
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
+	if !errors.Is(err, guard.ErrCanceled) {
+		t.Fatalf("err = %v, want guard.ErrCanceled", err)
 	}
 	if n := st.Len(); n >= 3000 {
 		t.Fatalf("insert was not interrupted: %d quads landed", n)
@@ -254,12 +255,12 @@ func TestMaxPatternsRejected(t *testing.T) {
 // TestGuardZeroOverheadPath: with no limits and a Background context the
 // engine must not allocate a guard (nil fast path).
 func TestGuardZeroOverheadPath(t *testing.T) {
-	if g := newGuard(context.Background(), Budget{}); g != nil {
+	if g, _, _ := guard.Start(context.Background(), guard.Budget{}); g != nil {
 		t.Fatal("expected nil guard for Background ctx and zero budget")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if g := newGuard(ctx, Budget{}); g == nil {
+	if g, _, _ := guard.Start(ctx, guard.Budget{}); g == nil {
 		t.Fatal("expected live guard for cancelable ctx")
 	}
 }
@@ -279,7 +280,7 @@ func BenchmarkGuardOverhead(b *testing.B) {
 	})
 	b.Run("guarded", func(b *testing.B) {
 		e := NewEngine(st)
-		e.Limits = Budget{Timeout: time.Hour, MaxBindings: 1 << 40}
+		e.Limits = guard.Budget{Timeout: time.Hour, MaxWork: 1 << 40}
 		for i := 0; i < b.N; i++ {
 			if _, err := e.Query("", q); err != nil {
 				b.Fatal(err)

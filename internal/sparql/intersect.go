@@ -216,7 +216,7 @@ func (vx *vecExec) seekState(depth int, ip *intersectPlan) *seekState {
 // binding once for every combination of the sides' rows holding it
 // that are visible in the dataset, then continues at the depth after
 // the group. Rows seeked, counted and emitted are
-// charged to the guard with tickN, like the scan rows of a nested loop.
+// charged to the guard with TickN, like the scan rows of a nested loop.
 func (vx *vecExec) intersect(depth int, in *colBatch, ip *intersectPlan) bool {
 	sh := vx.sh
 	ec := sh.ec
@@ -231,7 +231,7 @@ func (vx *vecExec) intersect(depth int, in *colBatch, ip *intersectPlan) bool {
 	pending := 0
 	settle := func() bool {
 		ticks += int64(pending)
-		ok := ec.guard.tickN(pending)
+		ok := ec.guard.TickN(pending)
 		pending = 0
 		return ok
 	}

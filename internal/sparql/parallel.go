@@ -38,7 +38,7 @@ const (
 	// stragglers rebalance through the shared claim counter.
 	morselsPerWorker = 4
 	// tickBatchRows is how many scanned rows a hash-build worker
-	// accumulates before ticking the shared guard in one tickN batch.
+	// accumulates before ticking the shared guard in one TickN batch.
 	tickBatchRows = 1024
 	// parallelBFSMinFrontier is the path-search frontier width below
 	// which expansion stays serial.
@@ -114,7 +114,7 @@ func (ec *execCtx) releaseWorkers(n int) {
 // fans out. A multi-model subset cannot be pushed down; workers filter
 // those rows via rowVisible.
 func (ec *execCtx) morsels(p store.Pattern, n int) []store.Morsel {
-	if !ec.guard.poll() {
+	if !ec.guard.Poll() {
 		return nil
 	}
 	if ec.models != nil && ec.singleModel != store.NoID {
@@ -144,7 +144,7 @@ func (sh *bgpShared) tryParallelBatch(b binding, yield func(*colBatch) bool) (ha
 	if len(sh.order) == 0 || sh.intersect != nil && sh.intersect[0] != nil {
 		return false, true
 	}
-	if !ec.guard.poll() {
+	if !ec.guard.Poll() {
 		return true, false
 	}
 	for _, f := range sh.filterAt[0] {
@@ -336,7 +336,7 @@ func (sh *bgpShared) processMorselBatch(vx *vecExec, base binding, rp *resolvedP
 			ob.appendFrom(scratch)
 			vx.undo[0].revert(scratch)
 			if ob.n >= vx.cap {
-				if !ec.guard.tickN(pending) {
+				if !ec.guard.TickN(pending) {
 					pending, ok = 0, false
 					return false
 				}
@@ -349,7 +349,7 @@ func (sh *bgpShared) processMorselBatch(vx *vecExec, base binding, rp *resolvedP
 				vx.grow()
 			}
 		}
-		if !ec.guard.tickN(pending) {
+		if !ec.guard.TickN(pending) {
 			pending, ok = 0, false
 			return false
 		}
@@ -366,7 +366,7 @@ func (sh *bgpShared) processMorselBatch(vx *vecExec, base binding, rp *resolvedP
 // pattern's constant-bound scan. Each worker builds a partial table
 // over its partition; partials are merged in partition order, so every
 // bucket's row order equals the serially built bucket's. Budget ticks
-// are batched through guard.tickN. Reports false when no worker slots
+// are batched through guard.TickN. Reports false when no worker slots
 // were free (the caller then builds serially). Called with hs.mu held.
 //
 //pgrdf:locks hs.mu
@@ -413,7 +413,7 @@ func (ec *execCtx) parallelHashBuild(rp *resolvedPattern, hs *hashState, pst *pr
 					m[key] = append(m[key], q)
 				}
 				if pending >= tickBatchRows {
-					if ok = ec.guard.tickN(pending); !ok {
+					if ok = ec.guard.TickN(pending); !ok {
 						return false
 					}
 					pst.addTicks(int64(pending))
@@ -421,7 +421,7 @@ func (ec *execCtx) parallelHashBuild(rp *resolvedPattern, hs *hashState, pst *pr
 				}
 				return true
 			})
-			if !ok || !ec.guard.tickN(pending) {
+			if !ok || !ec.guard.TickN(pending) {
 				return
 			}
 			pst.addTicks(int64(pending))

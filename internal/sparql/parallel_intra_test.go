@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/guard"
 	"repro/internal/rdf"
 	"repro/internal/store"
 )
@@ -91,11 +92,11 @@ func TestParallelBudgetExhaustion(t *testing.T) {
 	e := NewEngine(st)
 	e.Parallelism = 8
 	e.HashJoinThreshold = 16
-	e.Limits = Budget{MaxBindings: 3000}
+	e.Limits = guard.Budget{MaxWork: 3000}
 	q := testPrologue + `SELECT ?a ?c WHERE { ?a rel:follows ?b . ?b rel:follows ?c }`
 	_, err := e.QueryContext(context.Background(), "", q)
-	if !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
+	if !errors.Is(err, guard.ErrBudgetExceeded) {
+		t.Fatalf("err = %v, want guard.ErrBudgetExceeded", err)
 	}
 	if w := e.ParallelStats().ActiveWorkers; w != 0 {
 		t.Errorf("leaked workers after budget trip: %d", w)
@@ -117,8 +118,8 @@ func TestParallelCancellation(t *testing.T) {
 	cancel()
 	q := testPrologue + `SELECT ?a ?c WHERE { ?a rel:follows ?b . ?b rel:follows ?c . ?c rel:follows ?a }`
 	_, err := e.QueryContext(ctx, "", q)
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
+	if !errors.Is(err, guard.ErrCanceled) {
+		t.Fatalf("err = %v, want guard.ErrCanceled", err)
 	}
 	if w := e.ParallelStats().ActiveWorkers; w != 0 {
 		t.Errorf("leaked workers after cancellation: %d", w)

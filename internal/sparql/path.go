@@ -185,7 +185,7 @@ func (o *pathOp) expandFrontier(ec *execCtx, b binding, frontier []store.ID, rev
 			// Cooperative cancellation between node expansions: a
 			// multi-hop traversal over a dense graph can spend its
 			// whole life inside this loop.
-			if !ec.guard.poll() {
+			if !ec.guard.Poll() {
 				return nil, ec.guard.Err()
 			}
 			succ, err := o.step(ec, b, o.inner, node, reverse)
@@ -217,7 +217,7 @@ func (o *pathOp) expandFrontier(ec *execCtx, b binding, frontier []store.ID, rev
 				if i >= len(frontier) {
 					return
 				}
-				if !ec.guard.poll() {
+				if !ec.guard.Poll() {
 					errs[i] = ec.guard.Err()
 					return
 				}

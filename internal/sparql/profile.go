@@ -10,7 +10,7 @@ package sparql
 // serial-identical parallel guarantees and the bench numbers are
 // unaffected. When enabled, the counters record actual rows in/out,
 // guard ticks (rows produced by scans and hash probes — exactly the
-// events the query guard charges against Budget.MaxBindings), morsel
+// events the query guard charges against Budget.MaxWork), morsel
 // counts and inclusive wall time; parallel workers update the same
 // slots through atomics.
 //

@@ -16,6 +16,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/guard"
 )
 
 func TestQueryProfiledActuals(t *testing.T) {
@@ -151,7 +153,7 @@ func TestComputedValuesStillJoinable(t *testing.T) {
 func TestLimitZero(t *testing.T) {
 	st := fig1Store(t)
 	e := NewEngine(st)
-	e.Limits = Budget{MaxBindings: 1}
+	e.Limits = guard.Budget{MaxWork: 1}
 	res, err := e.QueryContext(context.Background(), "",
 		testPrologue+`SELECT ?x ?y WHERE { ?x rel:follows ?y . ?x key:name ?n } LIMIT 0`)
 	if err != nil {

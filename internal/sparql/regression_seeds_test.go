@@ -1,7 +1,7 @@
 package sparql
 
 // regressionInputs pins queries that previously made FuzzParseAndExec
-// fail — a parser panic or an executor panic recovered as ErrInternal.
+// fail — a parser panic or an executor panic recovered as guard.ErrInternal.
 // Each entry is fed back as a fuzz seed so the bug cannot silently
 // return.
 var regressionInputs = []string{

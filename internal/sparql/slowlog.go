@@ -26,7 +26,7 @@ type SlowQueryRecord struct {
 
 // recordQuery feeds the per-form metrics and, when the query is slow
 // enough, the slow-query log. It is registered with defer BEFORE
-// recoverQueryPanic in every entry point, so it runs after recovery
+// guard.Recover in every entry point, so it runs after recovery
 // and observes the final error.
 func (e *Engine) recordQuery(form int, model, query string, start time.Time, errp *error, rowsp *int, profp **Profile) {
 	d := time.Since(start)

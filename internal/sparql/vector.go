@@ -11,7 +11,7 @@ package sparql
 //
 //   - Scans pull contiguous runs from the store's batched scan API
 //     (View.ScanBatch / Morsel.ScanBatch) and bind whole runs in tight
-//     loops; the guard is charged once per run via tickN, and profile
+//     loops; the guard is charged once per run via TickN, and profile
 //     counters accumulate in locals flushed once per scan.
 //   - Joins advance depth-by-depth over batches: all rows of a batch
 //     are probed (or scanned) at one join step before the output batch
@@ -46,7 +46,7 @@ const batchRows = store.DefaultBatchRows
 // vecRampStart is the initial adaptive batch cap. The executor flushes
 // its first output batch after this many rows and grows the cap ×4 per
 // flush up to batchRows, so an early-stopping consumer (ASK, LIMIT, a
-// tight MaxBindings budget) sees its first rows — and the guard its
+// tight MaxWork budget) sees its first rows — and the guard its
 // first ticks — after ~64 rows of scan-ahead instead of a full batch,
 // while steady-state scans reach full batch size within two flushes.
 const vecRampStart = 64
@@ -300,8 +300,8 @@ func (vx *vecExec) step(depth int, in *colBatch) bool {
 	sh := vx.sh
 	ec := sh.ec
 	// Cooperative cancellation, amortized to once per batch; the scan
-	// and probe loops below poll again per run via tickN.
-	if !ec.guard.poll() {
+	// and probe loops below poll again per run via TickN.
+	if !ec.guard.Poll() {
 		return false
 	}
 	if filters := sh.filterAt[depth]; len(filters) > 0 {
@@ -352,7 +352,7 @@ func (vx *vecExec) step(depth int, in *colBatch) bool {
 
 	// Index nested-loop join over the batched scan: one range scan per
 	// input row, bound in tight loops over the returned runs. Guard
-	// charges batch up in pending and flush once per run (tickN is
+	// charges batch up in pending and flush once per run (TickN is
 	// budget-equivalent to per-row ticks); profile counters flush once
 	// per input batch.
 	stopped := false
@@ -378,7 +378,7 @@ func (vx *vecExec) step(depth int, in *colBatch) bool {
 				out.appendFrom(scratch)
 				vx.undo[depth].revert(scratch)
 				if out.n >= vx.cap {
-					if !ec.guard.tickN(pending) {
+					if !ec.guard.TickN(pending) {
 						pending, stop = 0, true
 						return false
 					}
@@ -391,7 +391,7 @@ func (vx *vecExec) step(depth int, in *colBatch) bool {
 					vx.grow()
 				}
 			}
-			if !ec.guard.tickN(pending) {
+			if !ec.guard.TickN(pending) {
 				pending, stop = 0, true
 				return false
 			}
@@ -444,7 +444,7 @@ func (vx *vecExec) probeBatch(depth int, in *colBatch, rp *resolvedPattern, hs *
 			if out.n >= vx.cap {
 				// Probed rows bypass the scan guard, so charge them
 				// here — batched, like the scan path.
-				if !ec.guard.tickN(pending) {
+				if !ec.guard.TickN(pending) {
 					pending, stopped = 0, true
 					break
 				}
@@ -461,7 +461,7 @@ func (vx *vecExec) probeBatch(depth int, in *colBatch, rp *resolvedPattern, hs *
 			break
 		}
 	}
-	if !stopped && !ec.guard.tickN(pending) {
+	if !stopped && !ec.guard.TickN(pending) {
 		stopped = true
 	}
 	pst.addProbes(probes)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/guard"
 	"repro/internal/rdf"
 	"repro/internal/store"
 )
@@ -124,7 +125,7 @@ func TestVectorizedDistinctAcrossBatches(t *testing.T) {
 }
 
 // TestVectorizedBudgetExhaustionMidBatch exhausts MaxBindings midway
-// through a multi-batch join: the query must surface ErrBudgetExceeded
+// through a multi-batch join: the query must surface guard.ErrBudgetExceeded
 // (the adaptive batch ramp keeps scan-ahead well under the overshoot a
 // whole batch would cause).
 func TestVectorizedBudgetExhaustionMidBatch(t *testing.T) {
@@ -135,15 +136,15 @@ func TestVectorizedBudgetExhaustionMidBatch(t *testing.T) {
 		`SELECT ?a ?c WHERE { ?a rel:follows ?b OPTIONAL { ?b rel:follows ?c } }`,
 	} {
 		e := vecEngine(st)
-		e.Limits = Budget{MaxBindings: 3000}
-		if _, err := e.Query("", testPrologue+q); !errors.Is(err, ErrBudgetExceeded) {
-			t.Fatalf("err = %v, want ErrBudgetExceeded\n%s", err, q)
+		e.Limits = guard.Budget{MaxWork: 3000}
+		if _, err := e.Query("", testPrologue+q); !errors.Is(err, guard.ErrBudgetExceeded) {
+			t.Fatalf("err = %v, want guard.ErrBudgetExceeded\n%s", err, q)
 		}
 	}
 	// A tight budget must still let a first-rows query through: the
 	// ramp bounds scan-ahead below the budget.
 	e := vecEngine(st)
-	e.Limits = Budget{MaxBindings: 500}
+	e.Limits = guard.Budget{MaxWork: 500}
 	res, err := e.Query("", testPrologue+`SELECT ?a ?b WHERE { ?a rel:follows ?b } LIMIT 3`)
 	if err != nil || res.Len() != 3 {
 		t.Fatalf("LIMIT 3 under budget: rows=%v err=%v", res.Len(), err)
@@ -177,18 +178,18 @@ const denseTriangles = `SELECT (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b . ?b r
 
 // TestIntersectBudgetExhaustion exhausts MaxBindings inside a sorted
 // intersection — the driving scan alone stays far under the budget —
-// serial and parallel: the query must surface ErrBudgetExceeded.
+// serial and parallel: the query must surface guard.ErrBudgetExceeded.
 func TestIntersectBudgetExhaustion(t *testing.T) {
 	st := denseStore(t, 30, 6) // 5 220 quads, 24 360 × 216 triangle rows
 	for _, parallelism := range []int{1, 4} {
 		e := NewEngine(st)
 		e.Parallelism = parallelism
-		e.Limits = Budget{MaxBindings: 200_000}
+		e.Limits = guard.Budget{MaxWork: 200_000}
 		if got := fusedSteps(t, e, "", testPrologue+denseTriangles); got != "2 3" {
 			t.Fatalf("fused steps %q, want \"2 3\"", got)
 		}
-		if _, err := e.Query("", testPrologue+denseTriangles); !errors.Is(err, ErrBudgetExceeded) {
-			t.Fatalf("parallelism %d: err = %v, want ErrBudgetExceeded", parallelism, err)
+		if _, err := e.Query("", testPrologue+denseTriangles); !errors.Is(err, guard.ErrBudgetExceeded) {
+			t.Fatalf("parallelism %d: err = %v, want guard.ErrBudgetExceeded", parallelism, err)
 		}
 		if w := e.ParallelStats().ActiveWorkers; w != 0 {
 			t.Errorf("parallelism %d: leaked workers: %d", parallelism, w)
@@ -202,7 +203,7 @@ func TestIntersectBudgetExhaustion(t *testing.T) {
 // TestIntersectCancellation cancels a triangle count while it is
 // intersecting — the rows seeks return are slowed by an injected stall
 // per 64, so the count would take many seconds — and checks it stops
-// promptly with ErrCanceled, serial and parallel.
+// promptly with guard.ErrCanceled, serial and parallel.
 func TestIntersectCancellation(t *testing.T) {
 	st := denseStore(t, 30, 6)
 	fi := store.NewFaultInjector()
@@ -230,8 +231,8 @@ func TestIntersectCancellation(t *testing.T) {
 		cancel()
 		select {
 		case err := <-done:
-			if !errors.Is(err, ErrCanceled) {
-				t.Fatalf("parallelism %d: err = %v, want ErrCanceled", parallelism, err)
+			if !errors.Is(err, guard.ErrCanceled) {
+				t.Fatalf("parallelism %d: err = %v, want guard.ErrCanceled", parallelism, err)
 			}
 		case <-time.After(2 * time.Second):
 			t.Fatalf("parallelism %d: query did not stop within 2s of cancellation", parallelism)
@@ -247,7 +248,7 @@ func TestIntersectCancellation(t *testing.T) {
 
 // TestVectorizedCancellationBetweenBatches cancels the context before
 // execution: the batch executor's per-batch poll must notice and
-// surface ErrCanceled without leaking workers or cursors.
+// surface guard.ErrCanceled without leaking workers or cursors.
 func TestVectorizedCancellationBetweenBatches(t *testing.T) {
 	st := egoNetStore(t, 800, 5)
 	for _, parallelism := range []int{1, 8} {
@@ -256,8 +257,8 @@ func TestVectorizedCancellationBetweenBatches(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		_, err := e.QueryContext(ctx, "", testPrologue+`SELECT ?a ?c WHERE { ?a rel:follows ?b . ?b rel:follows ?c }`)
-		if !errors.Is(err, ErrCanceled) {
-			t.Fatalf("parallelism=%d: err = %v, want ErrCanceled", parallelism, err)
+		if !errors.Is(err, guard.ErrCanceled) {
+			t.Fatalf("parallelism=%d: err = %v, want guard.ErrCanceled", parallelism, err)
 		}
 		if w := e.ParallelStats().ActiveWorkers; w != 0 {
 			t.Errorf("parallelism=%d: leaked workers: %d", parallelism, w)
@@ -335,7 +336,7 @@ func TestVectorizedUnorderedParallelCount(t *testing.T) {
 func TestVectorizedAsk(t *testing.T) {
 	st := egoNetStore(t, 300, 5)
 	e := NewEngine(st)
-	e.Limits = Budget{MaxBindings: 500}
+	e.Limits = guard.Budget{MaxWork: 500}
 	if ok, err := e.Ask("", testPrologue+`ASK { ?a rel:follows ?b }`); err != nil || !ok {
 		t.Fatalf("Ask = %v, %v, want true", ok, err)
 	}
@@ -356,7 +357,7 @@ var groupCapQueries = []string{
 // TestColumnarGroupMaxRows: group creation counts against MaxRows in the
 // columnar fold as in the row path — a cap of exactly the group count
 // passes with the unlimited answer, one less fails with
-// ErrBudgetExceeded, serial and parallel.
+// guard.ErrBudgetExceeded, serial and parallel.
 func TestColumnarGroupMaxRows(t *testing.T) {
 	st := egoNetStore(t, 400, 5)
 	for _, q := range groupCapQueries {
@@ -364,13 +365,13 @@ func TestColumnarGroupMaxRows(t *testing.T) {
 		for _, parallelism := range []int{1, 4} {
 			e := NewEngine(st)
 			e.Parallelism = parallelism
-			e.Limits = Budget{MaxRows: len(want)}
+			e.Limits = guard.Budget{MaxRows: len(want)}
 			if got := resultRows(t, e, q); strings.Join(got, "\n") != strings.Join(want, "\n") {
 				t.Fatalf("parallelism %d, MaxRows %d: %d rows differ from the unlimited %d\n%s", parallelism, len(want), len(got), len(want), q)
 			}
-			e.Limits = Budget{MaxRows: len(want) - 1}
-			if _, err := e.Query("", testPrologue+q); !errors.Is(err, ErrBudgetExceeded) {
-				t.Fatalf("parallelism %d, MaxRows %d: err = %v, want ErrBudgetExceeded\n%s", parallelism, len(want)-1, err, q)
+			e.Limits = guard.Budget{MaxRows: len(want) - 1}
+			if _, err := e.Query("", testPrologue+q); !errors.Is(err, guard.ErrBudgetExceeded) {
+				t.Fatalf("parallelism %d, MaxRows %d: err = %v, want guard.ErrBudgetExceeded\n%s", parallelism, len(want)-1, err, q)
 			}
 			if w := e.ParallelStats().ActiveWorkers; w != 0 {
 				t.Errorf("parallelism %d: leaked workers: %d", parallelism, w)
@@ -391,9 +392,9 @@ func TestBatchUnionBudget(t *testing.T) {
 		for _, parallelism := range []int{1, 4} {
 			e := NewEngine(st)
 			e.Parallelism = parallelism
-			e.Limits = Budget{MaxBindings: 6000}
-			if _, err := e.Query("", testPrologue+q); !errors.Is(err, ErrBudgetExceeded) {
-				t.Fatalf("parallelism %d: err = %v, want ErrBudgetExceeded\n%s", parallelism, err, q)
+			e.Limits = guard.Budget{MaxWork: 6000}
+			if _, err := e.Query("", testPrologue+q); !errors.Is(err, guard.ErrBudgetExceeded) {
+				t.Fatalf("parallelism %d: err = %v, want guard.ErrBudgetExceeded\n%s", parallelism, err, q)
 			}
 			if w := e.ParallelStats().ActiveWorkers; w != 0 {
 				t.Errorf("parallelism %d: leaked workers: %d", parallelism, w)
@@ -405,7 +406,7 @@ func TestBatchUnionBudget(t *testing.T) {
 // TestBatchUnionCancellation cancels an EQ9-shaped query while its batch
 // UNION scans the second branch — scans stall 1ms per 16 rows, so the
 // query would run for about half a second — and checks that it stops
-// promptly with ErrCanceled, serial and parallel, leaking no workers
+// promptly with guard.ErrCanceled, serial and parallel, leaking no workers
 // or cursors.
 func TestBatchUnionCancellation(t *testing.T) {
 	st := egoNetStore(t, 800, 5)
@@ -433,8 +434,8 @@ func TestBatchUnionCancellation(t *testing.T) {
 		cancel()
 		select {
 		case err := <-done:
-			if !errors.Is(err, ErrCanceled) {
-				t.Fatalf("parallelism %d: err = %v, want ErrCanceled", parallelism, err)
+			if !errors.Is(err, guard.ErrCanceled) {
+				t.Fatalf("parallelism %d: err = %v, want guard.ErrCanceled", parallelism, err)
 			}
 		case <-time.After(2 * time.Second):
 			t.Fatalf("parallelism %d: query did not stop within 2s of cancellation", parallelism)

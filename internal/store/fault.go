@@ -52,8 +52,8 @@ func (f *FaultInjector) StallScans(every int, d time.Duration) {
 
 // FailScansAfter makes the injector panic with an InjectedFault once
 // more than n further rows have been scanned (n < 0 disables). The
-// SPARQL engine's panic recovery converts the fault into a QueryError
-// with kind ErrInternal.
+// guarded entry points recover the panic into a *guard.Error of kind
+// guard.ErrInternal.
 func (f *FaultInjector) FailScansAfter(n int) {
 	if n >= 0 {
 		n += int(f.scanned.Load())

@@ -58,12 +58,8 @@ type crashRef struct {
 	snapshot []byte
 }
 
-// crashFormats parametrizes the crash matrix over both checkpoint
-// formats: the binary default and the legacy text snapshot.
-var crashFormats = map[string]bool{"binary": false, "text": true}
-
 // readCheckpointFiles captures every published checkpoint artifact in
-// dir — full checkpoint (either format) and incremental deltas — so a
+// dir — full checkpoint and incremental deltas — so a
 // crash point can be materialized byte-for-byte in a fresh directory.
 func readCheckpointFiles(t *testing.T, dir string) map[string][]byte {
 	t.Helper()
@@ -215,56 +211,47 @@ func TestCrashRecoveryEveryByteFig1(t *testing.T) {
 
 // TestCrashRecoveryCheckpointPlusTailFig1 takes a mid-workload
 // checkpoint and crashes through the tail, so recovery exercises
-// checkpoint restore + partial replay together — for both checkpoint
-// formats.
+// checkpoint restore + partial replay together.
 func TestCrashRecoveryCheckpointPlusTailFig1(t *testing.T) {
-	for format, text := range crashFormats {
-		t.Run(format, func(t *testing.T) {
-			updates := fig1Updates()
-			half := len(updates) / 2
+	updates := fig1Updates()
+	half := len(updates) / 2
 
-			dir := t.TempDir()
-			st, l, err := wal.Open(dir, wal.Options{Sync: wal.SyncAlways, TextCheckpoints: text})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer l.Close()
-			eng := sparql.NewEngine(st)
-			attach(eng, l)
-			for i := 0; i < half; i++ {
-				if _, err := eng.Update(updates[i].model, updates[i].req); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := l.Checkpoint(st); err != nil {
-				t.Fatal(err)
-			}
-			refs := []crashRef{{boundary: 0, snapshot: snap(t, st)}}
-			for i := half; i < len(updates); i++ {
-				if _, err := eng.Update(updates[i].model, updates[i].req); err != nil {
-					t.Fatal(err)
-				}
-				refs = append(refs, crashRef{boundary: l.Stats().WalBytes, snapshot: snap(t, st)})
-			}
-			if err := l.Sync(); err != nil {
-				t.Fatal(err)
-			}
-			ckptFiles := readCheckpointFiles(t, dir)
-			wantName := "checkpoint.bin"
-			if text {
-				wantName = "checkpoint.nq"
-			}
-			if _, ok := ckptFiles[wantName]; !ok || len(ckptFiles) != 1 {
-				t.Fatalf("checkpoint files = %v, want exactly %s", ckptFiles, wantName)
-			}
-			log, err := os.ReadFile(filepath.Join(dir, "wal.log"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for c := int64(0); c <= int64(len(log)); c++ {
-				crashAt(t, c, ckptFiles, log, refs)
-			}
-		})
+	dir := t.TempDir()
+	st, l, err := wal.Open(dir, wal.Options{Sync: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	eng := sparql.NewEngine(st)
+	attach(eng, l)
+	for i := 0; i < half; i++ {
+		if _, err := eng.Update(updates[i].model, updates[i].req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Checkpoint(st); err != nil {
+		t.Fatal(err)
+	}
+	refs := []crashRef{{boundary: 0, snapshot: snap(t, st)}}
+	for i := half; i < len(updates); i++ {
+		if _, err := eng.Update(updates[i].model, updates[i].req); err != nil {
+			t.Fatal(err)
+		}
+		refs = append(refs, crashRef{boundary: l.Stats().WalBytes, snapshot: snap(t, st)})
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	ckptFiles := readCheckpointFiles(t, dir)
+	if _, ok := ckptFiles["checkpoint.bin"]; !ok || len(ckptFiles) != 1 {
+		t.Fatalf("checkpoint files = %v, want exactly checkpoint.bin", ckptFiles)
+	}
+	log, err := os.ReadFile(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := int64(0); c <= int64(len(log)); c++ {
+		crashAt(t, c, ckptFiles, log, refs)
 	}
 }
 
@@ -388,31 +375,26 @@ func TestCrashRecoveryTwitterSample(t *testing.T) {
 		{"pg", fmt.Sprintf(`DELETE WHERE { <http://pg/v1> %s ?v }`, name)},
 		{"pg_nodekv", fmt.Sprintf(`DELETE DATA { <http://pg/v2> %s "dummy" }`, name)},
 	}
-	for format, text := range crashFormats {
-		t.Run(format, func(t *testing.T) {
-			ckptFiles, log, refs := runWorkload(t, wal.Options{
-				Sync:            wal.SyncAlways,
-				Indexes:         []string{"PCSGM", "PSCGM", "GSPCM"},
-				TextCheckpoints: text,
-			}, seed, updates)
-			if len(ckptFiles) == 0 {
-				t.Fatal("no checkpoint written for the seeded store")
+	ckptFiles, log, refs := runWorkload(t, wal.Options{
+		Sync:    wal.SyncAlways,
+		Indexes: []string{"PCSGM", "PSCGM", "GSPCM"},
+	}, seed, updates)
+	if len(ckptFiles) == 0 {
+		t.Fatal("no checkpoint written for the seeded store")
+	}
+	// Crash points: around every record boundary, plus each midpoint.
+	points := map[int64]struct{}{0: {}, int64(len(log)): {}}
+	for i := 1; i < len(refs); i++ {
+		b := refs[i].boundary
+		prev := refs[i-1].boundary
+		for _, c := range []int64{b - 1, b, b + 1, prev + (b-prev)/2} {
+			if c >= 0 && c <= int64(len(log)) {
+				points[c] = struct{}{}
 			}
-			// Crash points: around every record boundary, plus each midpoint.
-			points := map[int64]struct{}{0: {}, int64(len(log)): {}}
-			for i := 1; i < len(refs); i++ {
-				b := refs[i].boundary
-				prev := refs[i-1].boundary
-				for _, c := range []int64{b - 1, b, b + 1, prev + (b-prev)/2} {
-					if c >= 0 && c <= int64(len(log)) {
-						points[c] = struct{}{}
-					}
-				}
-			}
-			for c := range points {
-				crashAt(t, c, ckptFiles, log, refs)
-			}
-		})
+		}
+	}
+	for c := range points {
+		crashAt(t, c, ckptFiles, log, refs)
 	}
 }
 

@@ -270,15 +270,12 @@ func loadDeltas(dir string, baseCRC uint32, haveBase bool, apply func(Batch) err
 }
 
 // removeSuperseded deletes the checkpoint artifacts a just-published
-// full checkpoint replaces: the other format's file and every delta
+// full checkpoint replaces: a legacy text checkpoint and every delta
 // (their contents are folded into the new full file). Called before
 // the log truncation — if any removal fails the checkpoint attempt is
 // aborted and the untruncated log keeps recovery correct.
-func removeSuperseded(dir string, publishedBinary bool) error {
+func removeSuperseded(dir string) error {
 	victims := []string{checkpointFile}
-	if !publishedBinary {
-		victims[0] = checkpointBinFile
-	}
 	deltas, err := listDeltas(dir)
 	if err != nil {
 		return err

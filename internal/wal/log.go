@@ -54,9 +54,9 @@ type Log struct {
 	wake chan struct{}
 
 	// Delta-chain root (DESIGN.md §16): the CRC of the binary full
-	// checkpoint new deltas extend. haveBase is false when the base is
-	// missing or text-format — incremental requests then promote to a
-	// full checkpoint.
+	// checkpoint new deltas extend. haveBase is false when there is no
+	// binary base yet (a fresh directory, or a legacy checkpoint.nq) —
+	// incremental requests then promote to a full checkpoint.
 
 	//pgrdf:guardedby mu
 	baseCRC uint32
@@ -186,9 +186,9 @@ func Open(dir string, opts Options) (*store.Store, *Log, error) {
 }
 
 // openCheckpoint restores the checkpoint, or builds a fresh store when
-// none exists yet. The binary checkpoint is preferred when both formats
-// are on disk (a full checkpoint removes the other format's file, so
-// both only coexist inside a crash window where the binary one is the
+// none exists yet. A legacy text checkpoint.nq is restored only when no
+// checkpoint.bin exists (the first full checkpoint removes it, so both
+// only coexist inside a crash window where the binary one is the
 // newer). It also reports the binary file's CRC — the root the delta
 // chain is validated against — and its size (the incremental path's
 // full-vs-chain cost comparison).
@@ -294,11 +294,11 @@ func (l *Log) Sync() error { return l.w.Sync() }
 // SetFaultInjector installs a fault injector on the underlying writer.
 func (l *Log) SetFaultInjector(fi *FaultInjector) { l.w.SetFaultInjector(fi) }
 
-// Checkpoint atomically snapshots st into the checkpoint file (binary
-// by default, text under Options.TextCheckpoints) and truncates the
-// log. Commits block for the duration; the background checkpointer
-// trades that pause for bounded recovery time. On any failure the
-// previous checkpoint chain and the full log remain authoritative.
+// Checkpoint atomically snapshots st into the binary checkpoint file
+// and truncates the log. Commits block for the duration; the background
+// checkpointer trades that pause for bounded recovery time. On any
+// failure the previous checkpoint chain and the full log remain
+// authoritative.
 func (l *Log) Checkpoint(st *store.Store) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -309,10 +309,10 @@ func (l *Log) Checkpoint(st *store.Store) error {
 // current checkpoint chain instead of rewriting the full store, and
 // truncates the log — the background checkpointer's default. It
 // promotes itself to a full Checkpoint when a delta cannot extend the
-// chain (text format configured, no binary base yet, chain at its
-// length cap, or chain bytes past half the base — recovery replay cost
-// has caught up with a rewrite). An empty log is a no-op: the chain
-// already covers every commit.
+// chain (no binary base yet, chain at its length cap, or chain bytes
+// past half the base — recovery replay cost has caught up with a
+// rewrite). An empty log is a no-op: the chain already covers every
+// commit.
 func (l *Log) CheckpointIncremental(st *store.Store) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -321,8 +321,7 @@ func (l *Log) CheckpointIncremental(st *store.Store) error {
 	}
 	chainOK := l.chainBytes.Load()*2 <= l.lastFullBytes.Load() ||
 		l.chainBytes.Load() < minDeltaChainBytes
-	incremental := !l.opts.TextCheckpoints && l.haveBase &&
-		l.chainLen.Load() < maxDeltaChain && chainOK
+	incremental := l.haveBase && l.chainLen.Load() < maxDeltaChain && chainOK
 	return l.runCheckpointLocked(st, incremental)
 }
 
@@ -358,30 +357,11 @@ func (l *Log) checkpointLocked(st *store.Store) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("wal: create checkpoint tmp: %w", err)
 	}
-	binary := !l.opts.TextCheckpoints
-	target := checkpointBinFile
-	var crc uint32
-	if binary {
-		tee := &crcTee{w: f}
-		if err := st.SnapshotBinary(tee); err != nil {
-			f.Close()
-			os.Remove(tmpPath)
-			return 0, fmt.Errorf("wal: snapshot: %w", err)
-		}
-		crc = tee.crc
-	} else {
-		target = checkpointFile
-		bw := bufio.NewWriterSize(f, 1<<20)
-		if err := st.Snapshot(bw); err != nil {
-			f.Close()
-			os.Remove(tmpPath)
-			return 0, fmt.Errorf("wal: snapshot: %w", err)
-		}
-		if err := bw.Flush(); err != nil {
-			f.Close()
-			os.Remove(tmpPath)
-			return 0, fmt.Errorf("wal: flush checkpoint: %w", err)
-		}
+	tee := &crcTee{w: f}
+	if err := st.SnapshotBinary(tee); err != nil {
+		f.Close()
+		os.Remove(tmpPath)
+		return 0, fmt.Errorf("wal: snapshot: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
@@ -396,24 +376,24 @@ func (l *Log) checkpointLocked(st *store.Store) (int64, error) {
 		os.Remove(tmpPath)
 		return 0, fmt.Errorf("wal: close checkpoint tmp: %w", err)
 	}
-	if err := os.Rename(tmpPath, filepath.Join(l.dir, target)); err != nil {
+	if err := os.Rename(tmpPath, filepath.Join(l.dir, checkpointBinFile)); err != nil {
 		os.Remove(tmpPath)
 		return 0, fmt.Errorf("wal: publish checkpoint: %w", err)
 	}
 	syncDir(l.dir) // make the rename itself durable (best effort)
-	// The full file supersedes the other format and every delta. This
-	// must precede the truncation: if a removal fails, aborting here
+	// The full file supersedes a legacy text checkpoint and every delta.
+	// This must precede the truncation: if a removal fails, aborting here
 	// leaves the untruncated log, and recovery over the new full file
 	// plus the whole log is idempotent (stale deltas are detected by
 	// their base CRC and removed on open).
-	if err := removeSuperseded(l.dir, binary); err != nil {
+	if err := removeSuperseded(l.dir); err != nil {
 		return 0, err
 	}
 	if err := l.advanceEpochAndTruncateLocked(); err != nil {
 		return 0, err
 	}
-	l.haveBase = binary
-	l.baseCRC = crc
+	l.haveBase = true
+	l.baseCRC = tee.crc
 	l.lastFullBytes.Store(size)
 	l.chainLen.Store(0)
 	l.chainBytes.Store(0)
@@ -567,10 +547,6 @@ func (l *Log) syncLoop(every time.Duration) {
 
 // Stats returns a point-in-time view of the log.
 func (l *Log) Stats() Stats {
-	format := "binary"
-	if l.opts.TextCheckpoints {
-		format = "text"
-	}
 	return Stats{
 		WalBytes:               l.w.Bytes(),
 		WalRecords:             l.w.Records(),
@@ -581,7 +557,6 @@ func (l *Log) Stats() Stats {
 		LastCheckpointDuration: time.Duration(l.lastCkptNanos.Load()),
 		ReplayedRecords:        l.replayed,
 		TornBytesDropped:       l.tornDropped,
-		CheckpointFormat:       format,
 		FullCheckpoints:        l.fullCkpts.Load(),
 		IncrementalCheckpoints: l.incrCkpts.Load(),
 		DeltaChainLen:          l.chainLen.Load(),

@@ -215,7 +215,8 @@ func TestOpenCorruptCheckpoint(t *testing.T) {
 		corrupt func(data []byte) []byte
 	}
 	corruptions := map[string]corruption{
-		// Text format: a quad line damaged mid-file (parse failure).
+		// Legacy text checkpoint: a quad line damaged mid-file (parse
+		// failure).
 		"text garbled line": {text: true, file: checkpointFile, corrupt: func(data []byte) []byte {
 			i := bytes.Index(data, []byte("\n<"))
 			if i < 0 {
@@ -225,8 +226,8 @@ func TestOpenCorruptCheckpoint(t *testing.T) {
 			copy(out[i+1:], "<<not an n-quad>>")
 			return out
 		}},
-		// Text format: truncation mid-line (final partial line fails to
-		// parse).
+		// Legacy text checkpoint: truncation mid-line (the final
+		// partial line fails to parse).
 		"text truncated mid-line": {text: true, file: checkpointFile, corrupt: func(data []byte) []byte {
 			return data[:len(data)-len("/p> \"x\" .\n")]
 		}},
@@ -256,7 +257,7 @@ func TestOpenCorruptCheckpoint(t *testing.T) {
 	for name, c := range corruptions {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			st, l := mustOpen(t, dir, Options{Sync: SyncAlways, TextCheckpoints: c.text})
+			st, l := mustOpen(t, dir, Options{Sync: SyncAlways})
 			commit(t, l, st,
 				insertOp("m", "http://a", "http://p", "x"),
 				insertOp("m", "http://b", "http://p", "x"))
@@ -270,6 +271,9 @@ func TestOpenCorruptCheckpoint(t *testing.T) {
 				}
 			}
 			l.Close()
+			if c.text {
+				writeLegacyCheckpoint(t, dir, st)
+			}
 
 			path := filepath.Join(dir, c.file)
 			data, err := os.ReadFile(path)

@@ -10,8 +10,8 @@
 //	wal.log             — framed mutation records appended since the
 //	                      last checkpoint (full or incremental)
 //	checkpoint.nq       — the legacy text snapshot (store.Snapshot),
-//	                      written under Options.TextCheckpoints and
-//	                      auto-detected on open for old directories
+//	                      no longer written; restored on open when an
+//	                      old directory has no checkpoint.bin
 //
 // Commits are journaled log-first: the SPARQL engine publishes the quad
 // delta of each Update operation through its CommitHook, the log
@@ -81,12 +81,6 @@ type Options struct {
 	// a checkpoint exists — the snapshot carries the index config.
 	// Empty means store.DefaultIndexes.
 	Indexes []string
-	// TextCheckpoints writes checkpoints in the legacy sectioned-N-Quads
-	// text format instead of the binary format. Restores are an order of
-	// magnitude slower and incremental checkpoints are disabled (every
-	// CheckpointIncremental promotes to a full rewrite); the knob exists
-	// for interchange-format deployments and for differential testing.
-	TextCheckpoints bool
 }
 
 // OpKind tags one journaled mutation.
@@ -139,9 +133,6 @@ type Stats struct {
 	// bytes discarded as a torn or corrupt final record.
 	ReplayedRecords  int64
 	TornBytesDropped int64
-	// CheckpointFormat is the configured full-checkpoint format:
-	// "binary" (default) or "text" (Options.TextCheckpoints).
-	CheckpointFormat string
 	// FullCheckpoints and IncrementalCheckpoints split Checkpoints by
 	// flavor: full store rewrites vs delta folds of the log.
 	FullCheckpoints        int64

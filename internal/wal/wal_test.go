@@ -102,6 +102,55 @@ func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 	}
 }
 
+// writeLegacyCheckpoint leaves dir as an old directory would be: st as
+// a text checkpoint.nq and no checkpoint.bin.
+func writeLegacyCheckpoint(t *testing.T, dir string, st *store.Store) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(dir, checkpointFile), snapshotBytes(t, st), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, checkpointBinFile)); err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+}
+
+// TestOpenRestoresLegacyTextCheckpoint: a directory whose only
+// checkpoint is a legacy checkpoint.nq opens with its data, and the
+// first checkpoint after that is a full binary one that replaces it.
+func TestOpenRestoresLegacyTextCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	st, l := mustOpen(t, dir, Options{Sync: SyncAlways})
+	commit(t, l, st, insertOp("m", "http://a", "http://p", "1"), insertOp("m", "http://b", "http://p", "2"))
+	if err := l.Checkpoint(st); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	writeLegacyCheckpoint(t, dir, st)
+
+	st2, l2 := mustOpen(t, dir, Options{Sync: SyncAlways})
+	if !bytes.Equal(snapshotBytes(t, st2), snapshotBytes(t, st)) {
+		t.Fatal("legacy text checkpoint did not restore")
+	}
+	commit(t, l2, st2, insertOp("m", "http://c", "http://p", "3"))
+	want := snapshotBytes(t, st2)
+	// No binary base yet, so an incremental request promotes to full.
+	if err := l2.CheckpointIncremental(st2); err != nil {
+		t.Fatal(err)
+	}
+	if ws := l2.Stats(); ws.FullCheckpoints != 1 || ws.IncrementalCheckpoints != 0 {
+		t.Fatalf("checkpoint over a legacy base: %+v", ws)
+	}
+	if _, err := os.Stat(filepath.Join(dir, checkpointFile)); !os.IsNotExist(err) {
+		t.Fatalf("legacy checkpoint.nq survived the binary checkpoint: %v", err)
+	}
+	l2.Close()
+
+	st3, _ := mustOpen(t, dir, Options{Sync: SyncAlways})
+	if !bytes.Equal(snapshotBytes(t, st3), want) {
+		t.Fatal("recovery after replacing the legacy checkpoint diverges")
+	}
+}
+
 func TestOpenRemovesStaleCheckpointTmp(t *testing.T) {
 	dir := t.TempDir()
 	st, l := mustOpen(t, dir, Options{Sync: SyncAlways})
