@@ -129,8 +129,10 @@ bench-algos-smoke:
 ## bench-micro: executor kernel microbenchmarks — the BGP driver's hot
 ## loops (scan, hash probe, nested loop, sorted intersection, filter),
 ## the nested shapes that rerun an inner BGP per outer row (OPTIONAL,
-## MINUS) and the aggregate tail (grouping by one and two key columns, a
-## UNION of two scans) — plus the store-level benchmarks: batched scans,
+## MINUS), the aggregate tail (grouping by one and two key columns, a
+## UNION of two scans) and a 4-hop path count, counted vs enumerated
+## through a sub-select (BenchmarkCountChainKernel) — plus the
+## store-level benchmarks: batched scans,
 ## a parallel BGP's driving scan split into morsels, copied out of a
 ## snapshot cursor or as key ranges of the view (BenchmarkParallelScan,
 ## no delta and 4 500 inserts), a range scan

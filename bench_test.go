@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -240,6 +241,26 @@ func BenchmarkFigure8(b *testing.B) {
 // BenchmarkFigure8EQ11e benchmarks the 5-hop path count.
 func BenchmarkFigure8EQ11e(b *testing.B) {
 	queryBenchPair(b, "EQ11e")
+}
+
+// BenchmarkFigure8Enumerating benchmarks EQ11a–d answered by
+// enumerating: the path pattern wrapped in a SELECT * sub-select, which
+// materializes every path the COUNT then counts — the plan whose time
+// grows with the path count, as the paper's does. The engine's own plan
+// counts without enumerating (DESIGN.md §22).
+func BenchmarkFigure8Enumerating(b *testing.B) {
+	env := benchEnv(b)
+	for _, name := range []string{"EQ11a", "EQ11b", "EQ11c", "EQ11d"} {
+		q := env.Queries()[name]
+		i := strings.Index(q, "WHERE {") + len("WHERE {")
+		q = q[:i] + " { SELECT * WHERE {" + q[i:len(q)-1] + "} } }"
+		for _, se := range env.SchemeEnvs() {
+			se := se
+			b.Run(fmt.Sprintf("%s/%s", name, se.Scheme), func(b *testing.B) {
+				runQueryBench(b, se, name, q)
+			})
+		}
+	}
 }
 
 // BenchmarkFigure9 benchmarks triangle counting (EQ12).

@@ -19,7 +19,9 @@ var lookupClasses = []string{"EQ1", "EQ2", "EQ4", "EQ5a", "EQ6a", "EQ8a", "EQ11b
 
 // lookupPlansPath holds the EXPLAIN text of the lookup classes on NG and
 // SP data, written by the parent of the change that made aggregates stay
-// in ID space. Regenerate only with
+// in ID space; since counting without enumerating (DESIGN.md §22) EQ11b's
+// BGP line reads "count=weighted", and nothing else changed. Regenerate
+// only with
 // UPDATE_LOOKUP_PLANS=1 go test -run TestBatchTailFiresWhereExpected ./internal/sparql
 const lookupPlansPath = "testdata/lookup_plans.txt"
 
@@ -47,8 +49,8 @@ func paperStore(t *testing.T, scheme pgrdf.Scheme) *store.Store {
 // alternation's UNION columnar and group by ID — in EXPLAIN and, by the
 // profile, at run time. The lookup classes keep the parent's plans
 // exactly — join order, indexes, access paths — but for the key
-// annotation on EQ11b's single group, so the lookup workloads run what
-// they ran before.
+// annotation on EQ11b's single group and its weighted BGP, which
+// collapses nothing, so the lookup workloads run what they ran before.
 func TestBatchTailFiresWhereExpected(t *testing.T) {
 	queries := PaperQueries()
 	var plans strings.Builder

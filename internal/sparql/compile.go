@@ -299,6 +299,7 @@ func compileSelect(sel *SelectQuery, seq *int) (*compiled, error) {
 	if len(c.vt.names) > maxVars {
 		return nil, fmt.Errorf("sparql: query uses more than %d variables", maxVars)
 	}
+	markCountTail(cp)
 	return cp, nil
 }
 

@@ -193,6 +193,10 @@ type bgpOp struct {
 	opStage
 	patterns []quadPattern
 	filters  []*filterOp
+	// count is set by markCountTail when a COUNT fold is the BGP's only
+	// consumer; countLive are the variables that consumer reads.
+	count     bool
+	countLive varset
 }
 
 func (o *bgpOp) bound(before varset) varset {
@@ -465,6 +469,11 @@ type bgpShared struct {
 	intersect []*intersectPlan
 	vars      varset
 
+	// live[k] are the variables read at or after depth k — by its and
+	// later steps and filters, or by the COUNT fold — in count mode;
+	// nil otherwise (DESIGN.md §22).
+	live []varset
+
 	// Profiling slots, resolved once per apply: bgpStage is
 	// the operator's own slot, stepStats[depth] the slot of the join
 	// step executed at that depth (stage ids follow execution order).
@@ -541,28 +550,7 @@ func (o *bgpOp) newShared(ec *execCtx) *bgpShared {
 		}
 	}
 	order := orderPatterns(rps, 0)
-
-	// Place filters at the earliest position where their variables
-	// are all bound; filters never bound become final filters.
-	bound := varset(0)
-	filterAt := make([][]*filterOp, len(order)+1)
-	placed := make([]bool, len(o.filters))
-	for step, oi := range order {
-		bound |= rps[oi].qp.vars()
-		for fi, f := range o.filters {
-			if !placed[fi] && f.need&^bound == 0 {
-				filterAt[step+1] = append(filterAt[step+1], f)
-				placed[fi] = true
-			}
-		}
-	}
-	var finalFilters []*filterOp
-	for fi, f := range o.filters {
-		if !placed[fi] {
-			finalFilters = append(finalFilters, f)
-		}
-	}
-
+	filterAt, finalFilters := o.placeFilters(rps, order)
 	sh := &bgpShared{
 		ec:           ec,
 		rps:          rps,
@@ -572,6 +560,7 @@ func (o *bgpOp) newShared(ec *execCtx) *bgpShared {
 		hashes:       make([]hashState, len(order)),
 		inputSeen:    make([]atomic.Int64, len(order)),
 		vars:         o.bound(0),
+		live:         o.liveSets(rps, order, filterAt, finalFilters),
 	}
 	if !ec.noHashJoin {
 		sh.intersect = planIntersections(ec.view, rps, order)
@@ -586,6 +575,53 @@ func (o *bgpOp) newShared(ec *execCtx) *bgpShared {
 		}
 	}
 	return sh
+}
+
+// placeFilters places each filter at the earliest depth of order where
+// its variables are all bound; filters never bound become final
+// filters.
+func (o *bgpOp) placeFilters(rps []resolvedPattern, order []int) (filterAt [][]*filterOp, final []*filterOp) {
+	bound := varset(0)
+	filterAt = make([][]*filterOp, len(order)+1)
+	placed := make([]bool, len(o.filters))
+	for step, oi := range order {
+		bound |= rps[oi].qp.vars()
+		for fi, f := range o.filters {
+			if !placed[fi] && f.need&^bound == 0 {
+				filterAt[step+1] = append(filterAt[step+1], f)
+				placed[fi] = true
+			}
+		}
+	}
+	for fi, f := range o.filters {
+		if !placed[fi] {
+			final = append(final, f)
+		}
+	}
+	return filterAt, final
+}
+
+// liveSets returns, for a BGP in count mode, the variables read at or
+// after each depth of order (bgpShared.live); nil otherwise.
+func (o *bgpOp) liveSets(rps []resolvedPattern, order []int, filterAt [][]*filterOp, final []*filterOp) []varset {
+	if !o.count {
+		return nil
+	}
+	live := make([]varset, len(order)+1)
+	l := o.countLive
+	for _, f := range final {
+		l |= f.need
+	}
+	for k := len(order); k >= 0; k-- {
+		for _, f := range filterAt[k] {
+			l |= f.need
+		}
+		live[k] = l
+		if k > 0 {
+			l |= rps[order[k-1]].qp.vars()
+		}
+	}
+	return live
 }
 
 // reset readies the state for a run: the NLJ→hash switch is decided
@@ -641,15 +677,18 @@ func (o *bgpOp) apply(ec *execCtx, in source) source {
 }
 
 func (o *bgpOp) explain(e *explainer) {
-	e.printf("BGP (%d patterns):", len(o.patterns))
+	e.printf("BGP (%d patterns%s):", len(o.patterns), planNote(o.count, "count=weighted"))
 	e.indent++
 	for i, d := range bgpStepDescs(e.ec, o) {
-		join := ""
+		notes := ""
+		if d.collapse != "" {
+			notes = "  collapse=" + d.collapse
+		}
 		if d.intersect {
-			join = "  join=intersect"
+			notes += "  join=intersect"
 		}
 		e.printf("%d: %s  [%s bound] index=%s (%s) est=%d%s",
-			i+1, d.text, d.boundCols, d.index, d.access, d.est, join)
+			i+1, d.text, d.boundCols, d.index, d.access, d.est, notes)
 	}
 	for range o.filters {
 		e.printf("filter (pushed to earliest bound position)")
@@ -840,7 +879,7 @@ func unionOf[T any](in source, row *feed, branches []func(func(T) bool) error) f
 }
 
 func (o *unionOp) explain(e *explainer) {
-	e.printf("Union (%d branches%s):", len(o.branches), batchNote(o.batch))
+	e.printf("Union (%d branches%s):", len(o.branches), planNote(o.batch, "batch"))
 	e.indent++
 	for _, br := range o.branches {
 		for _, sub := range br {
@@ -1075,9 +1114,10 @@ func selectRows[T any](ec *execCtx, cp *compiled, cell func(store.ID) T) ([][]T,
 // projection and ORDER BY, returning its solutions in result order.
 //
 // Aggregating queries are evaluated streaming: solutions are folded into
-// group accumulators as they are produced, never materialized — this is
-// what makes the paper's EQ11d/e path-counting queries (hundreds of
-// millions of solution rows at full scale) feasible.
+// group accumulators as they are produced, never materialized. Under a
+// COUNT the BGP does not even produce them one by one: the paper's
+// EQ11d/e path counts (hundreds of millions of paths at full scale)
+// fold a weighted frontier per hop (DESIGN.md §22).
 func selectSolutions(ec *execCtx, cp *compiled) ([]binding, error) {
 	width := len(cp.vt.names)
 	// The batch path may fan morsel results in unordered when nothing
@@ -1356,8 +1396,8 @@ func newGroupAcc(ec *execCtx, cp *compiled) *groupAcc {
 	switch acc.kind {
 	case keyNone:
 		// The implicit group exists even over no solutions; path
-		// counting queries like EQ11e fold hundreds of millions of
-		// rows into it without a key lookup.
+		// counts like EQ11e fold their weighted rows into it without a
+		// key lookup.
 		acc.groups = []*groupData{acc.newGroup(nil)}
 	case keyID:
 		acc.byID = make(map[store.ID]int32)

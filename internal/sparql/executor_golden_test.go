@@ -54,15 +54,38 @@ var aggregateShapeQueries = []string{
 	`SELECT ?b (COUNT(*) AS ?n) WHERE { { SELECT DISTINCT ?b WHERE { ?a rel:follows ?b } } ?b rel:follows ?c } GROUP BY ?b`,
 }
 
+// countShapeQueries are the shapes a COUNT answers by counting rather
+// than enumerating (DESIGN.md §22) and their neighbours that must keep
+// enumerating: EQ11a–e from <http://pg/v3> and EQ12; unanchored 2- and
+// 3-hop counts; COUNT of a variable bound by VALUES (or, for the UNDEF
+// row, by the BGP); a GROUP BY key that stays live; a FILTER that keeps
+// a variable live mid-chain; a cycle whose closing intersection takes
+// collapsed rows; COUNT(DISTINCT) and an OPTIONAL above the BGP, which
+// run unweighted.
+func countShapeQueries() []string {
+	eq11 := EQ11Queries("http://pg/v3")
+	return append(eq11[:],
+		`SELECT (COUNT(*) AS ?cnt) WHERE { ?x r:follows ?y . ?y r:follows ?z . ?z r:follows ?x }`,
+		`SELECT (COUNT(?c) AS ?n) WHERE { ?a rel:follows ?b . ?b rel:follows ?c }`,
+		`SELECT (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b . ?b rel:follows ?c . ?c rel:follows ?d }`,
+		`SELECT (COUNT(?v) AS ?n) WHERE { VALUES ?v { <http://pg/v1> UNDEF <http://pg/v7> } ?v rel:follows ?b . ?b rel:follows ?c . ?c rel:follows ?d }`,
+		`SELECT ?a (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b . ?b rel:follows ?c . ?c rel:follows ?d } GROUP BY ?a`,
+		`SELECT (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b . ?b rel:follows ?c . ?c rel:follows ?d FILTER (?d != ?b) }`,
+		`SELECT (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b . ?b rel:follows ?c . ?c rel:follows ?d . ?d rel:follows ?b }`,
+		`SELECT (COUNT(DISTINCT ?d) AS ?n) WHERE { ?a rel:follows ?b . ?b rel:follows ?c . ?c rel:follows ?d }`,
+		`SELECT (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b . ?b rel:follows ?c OPTIONAL { ?c rel:follows ?a } }`,
+	)
+}
+
 // goldenQueries are the queries whose results the golden file pins.
 func goldenQueries() []string {
-	return append(append(append(append([]string(nil), vectorDiffQueries...), nestedShapeQueries...), intersectShapeQueries...), aggregateShapeQueries...)
+	return append(append(append(append(append([]string(nil), vectorDiffQueries...), nestedShapeQueries...), intersectShapeQueries...), aggregateShapeQueries...), countShapeQueries()...)
 }
 
 // profiledQueries are the golden queries whose serial profile counters
 // the golden file pins too.
 func profiledQueries() []string {
-	return append(append(append([]string(nil), nestedShapeQueries...), intersectShapeQueries...), aggregateShapeQueries...)
+	return append(append(append(append([]string(nil), nestedShapeQueries...), intersectShapeQueries...), aggregateShapeQueries...), countShapeQueries()...)
 }
 
 const executorGoldenPath = "testdata/executor_golden.txt"

@@ -214,20 +214,21 @@ func (vx *vecExec) seekState(depth int, ip *intersectPlan) *seekState {
 // their common values of the group's variable — each side galloping to
 // the largest value any side is at — and, per common value, emits the
 // binding once for every combination of the sides' rows holding it
-// that are visible in the dataset, then continues at the depth after
-// the group. Rows seeked, counted and emitted are
-// charged to the guard with TickN, like the scan rows of a nested loop.
+// that are visible in the dataset (in count mode once, weighted by their
+// number, DESIGN.md §22), then continues at the depth after the group.
+// Rows seeked, counted and emitted are charged to the guard with TickN,
+// like the scan rows of a nested loop.
 func (vx *vecExec) intersect(depth int, in *colBatch, ip *intersectPlan) bool {
 	sh := vx.sh
 	ec := sh.ec
 	ss := vx.seekState(depth, ip)
 	scratch := vx.scratch[depth]
-	out := vx.out[depth]
+	out, c := vx.out[depth], vx.collapse[depth]
 	next := depth + len(ip.sides)
 	// Filters placed after the binder or a checker need only the
 	// group's variable beyond the input row: one evaluation per value.
 	filters := sh.filterAt[depth+1 : next]
-	var ticks, emitted int64
+	var ticks, emitted, collapsed int64
 	pending := 0
 	settle := func() bool {
 		ticks += int64(pending)
@@ -243,6 +244,7 @@ rows:
 			break
 		}
 		in.writeCols(i, scratch)
+		wt := in.weight(i)
 		for s, side := range ip.sides {
 			ss.rows[s], ss.pos[s] = ss.seekers[s].Seek(side.rp.boundPattern(scratch)), 0
 			pending++
@@ -274,16 +276,23 @@ rows:
 					mult = 0
 				}
 			}
-			for ; mult > 0; mult-- {
-				out.appendFrom(scratch)
-				emitted++
+			reps, each := mult, wt
+			if sh.live != nil {
+				reps, each = min(mult, 1), wt*int64(mult)
+			}
+			for ; reps > 0; reps-- {
+				if c == nil || !c.merge(out, scratch, each) {
+					out.appendFrom(scratch, each)
+					emitted++
+				} else {
+					collapsed++
+				}
 				pending++
-				if out.n >= vx.cap {
-					if !settle() || !vx.step(next, out) {
+				if out.n >= vx.limit(c) {
+					if !settle() || !vx.descend(depth, next) {
 						stopped = true
 						break rows
 					}
-					out.reset()
 					vx.grow()
 				}
 			}
@@ -302,6 +311,7 @@ rows:
 			if j == depth {
 				st.addTicks(ticks)
 				st.addRows(emitted)
+				st.addCollapsed(collapsed)
 			} else {
 				st.rowsIn.Add(emitted)
 				st.rowsOut.Add(emitted)
@@ -312,9 +322,7 @@ rows:
 		return false
 	}
 	if out.n > 0 {
-		cont := vx.step(next, out)
-		out.reset()
-		return cont
+		return vx.descend(depth, next)
 	}
 	return true
 }

@@ -303,15 +303,16 @@ func (sh *bgpShared) processMorselBatch(vx *vecExec, base binding, rp *resolvedP
 		}
 	}
 	scratch := vx.scratch[0]
-	ob := vx.out[0]
+	ob, c := vx.out[0], vx.collapse[0]
 	// Profiling counts into locals, flushed in one atomic per morsel;
 	// guard charges batch up in pending, flushed once per run.
-	var scanned, emitted int64
+	var scanned, emitted, collapsed int64
 	pending := 0
 	ok := true
 	defer func() {
 		pst.addTicks(scanned)
 		pst.addRows(emitted)
+		pst.addCollapsed(collapsed)
 	}()
 	m.ScanBatch(batchRows, func(run []store.IDQuad) bool {
 		if stop.Load() {
@@ -332,20 +333,23 @@ func (sh *bgpShared) processMorselBatch(vx *vecExec, base binding, rp *resolvedP
 			if !rp.bindQuad(scratch, q, &vx.undo[0]) {
 				continue
 			}
-			emitted++
-			ob.appendFrom(scratch)
+			if c == nil || !c.merge(ob, scratch, 1) {
+				ob.appendFrom(scratch, 1)
+				emitted++
+			} else {
+				collapsed++
+			}
 			vx.undo[0].revert(scratch)
-			if ob.n >= vx.cap {
+			if ob.n >= vx.limit(c) {
 				if !ec.guard.TickN(pending) {
 					pending, ok = 0, false
 					return false
 				}
 				pending = 0
-				if !vx.step(1, ob) {
+				if !vx.descend(0, 1) {
 					ok = false
 					return false
 				}
-				ob.reset()
 				vx.grow()
 			}
 		}
@@ -357,8 +361,7 @@ func (sh *bgpShared) processMorselBatch(vx *vecExec, base binding, rp *resolvedP
 		return true
 	})
 	if ok && ob.n > 0 {
-		vx.step(1, ob)
-		ob.reset()
+		vx.descend(0, 1)
 	}
 }
 

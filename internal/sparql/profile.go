@@ -36,6 +36,7 @@ type profStage struct {
 	wall        atomic.Int64 // inclusive nanoseconds across invocations
 	morsels     atomic.Int64 // scan partitions / parallel work items
 	groups      atomic.Int64 // groups a GroupAggregate created
+	collapsed   atomic.Int64 // rows a step folded into an earlier row (§22)
 	hashJoin    atomic.Bool  // the step switched from NLJ to hash join
 	intersect   atomic.Bool  // the step ran fused into a sorted intersection
 }
@@ -83,7 +84,7 @@ func (p *queryProfile) instrument(sid int, src source) source {
 	}
 }
 
-// addTicks / addRows / addProbes fold a batch of locally-counted
+// addTicks / addRows / addCollapsed fold a batch of locally-counted
 // events into the slot. The executor's hot loops count into plain
 // locals and flush once per scan, so profiling costs one atomic per
 // scan rather than several per row. All are nil-safe no-ops.
@@ -99,12 +100,9 @@ func (st *profStage) addRows(n int64) {
 	}
 }
 
-// addProbes records hash-probe hits, which count as both guard ticks
-// and emitted rows.
-func (st *profStage) addProbes(n int64) {
+func (st *profStage) addCollapsed(n int64) {
 	if st != nil && n != 0 {
-		st.ticks.Add(n)
-		st.rowsOut.Add(n)
+		st.collapsed.Add(n)
 	}
 }
 
@@ -168,6 +166,9 @@ type ProfileNode struct {
 	Batch       bool           `json:"batch,omitempty"`     // a UNION that ran columnar
 	GroupKey    string         `json:"group_key,omitempty"` // a GroupAggregate's key kind
 	Groups      int64          `json:"groups,omitempty"`
+	Weighted    bool           `json:"weighted,omitempty"`  // a BGP that counts rather than enumerates
+	Collapse    string         `json:"collapse,omitempty"`  // the variables a step's output drops
+	Collapsed   int64          `json:"collapsed,omitempty"` // rows the step folded into earlier rows
 	Children    []*ProfileNode `json:"children,omitempty"`
 }
 
@@ -185,6 +186,7 @@ func (n *ProfileNode) load(st *profStage) *ProfileNode {
 	n.HashJoin = st.hashJoin.Load()
 	n.Intersect = st.intersect.Load()
 	n.Groups = st.groups.Load()
+	n.Collapsed = st.collapsed.Load()
 	return n
 }
 
@@ -294,12 +296,14 @@ func profileOps(ec *execCtx, ops []op) []*ProfileNode {
 // deterministic execution order (the same order explain prints).
 func profileBGP(ec *execCtx, o *bgpOp) *ProfileNode {
 	n := (&ProfileNode{Label: fmt.Sprintf("BGP (%d patterns)", len(o.patterns))}).load(ec.profStage(o.sid))
+	n.Weighted = o.count
 	for i, d := range bgpStepDescs(ec, o) {
 		c := (&ProfileNode{
-			Label:  fmt.Sprintf("%d: %s  [%s bound]", i+1, d.text, d.boundCols),
-			Index:  d.index,
-			Access: d.access,
-			Est:    int64(d.est),
+			Label:    fmt.Sprintf("%d: %s  [%s bound]", i+1, d.text, d.boundCols),
+			Index:    d.index,
+			Access:   d.access,
+			Est:      int64(d.est),
+			Collapse: d.collapse,
 		}).load(ec.profStage(o.sid + 1 + i))
 		n.Children = append(n.Children, c)
 	}
@@ -317,12 +321,14 @@ type stepDesc struct {
 	index     string
 	access    string
 	est       int
-	intersect bool // fused into a sorted intersection (intersect.go)
+	intersect bool   // fused into a sorted intersection (intersect.go)
+	collapse  string // the variables the step's output drops (§22), as "[?a ?b]"
 }
 
 // bgpStepDescs recomputes the deterministic join order, per-step index
-// choice and fused intersection groups for a BGP, exactly as execution
-// does for an input binding that binds none of its variables.
+// choice, fused intersection groups and collapsing steps for a BGP,
+// exactly as execution does for an input binding that binds none of its
+// variables.
 func bgpStepDescs(ec *execCtx, o *bgpOp) []stepDesc {
 	rps := o.resolve(ec)
 	order := orderPatterns(rps, 0)
@@ -330,13 +336,28 @@ func bgpStepDescs(ec *execCtx, o *bgpOp) []stepDesc {
 	if !ec.noHashJoin {
 		plans = planIntersections(ec.view, rps, order)
 	}
+	filterAt, final := o.placeFilters(rps, order)
+	live := o.liveSets(rps, order, filterAt, final)
 	out := make([]stepDesc, 0, len(order))
 	bound := varset(0)
 	var group []seekSide // the rest of the current fused group
 	for d, oi := range order {
 		rp := &rps[oi]
-		if plans != nil && plans[d] != nil {
+		binder := plans != nil && plans[d] != nil
+		if binder {
 			group = plans[d].sides
+		}
+		// A fused group's rows leave from its binder, past its checkers.
+		var dropped []string
+		if binder || len(group) == 0 {
+			_, vars := collapseKeys(live, sortedSlots(bound|rp.qp.vars()), d, d+max(len(group), 1))
+			for _, s := range sortedSlots(vars) {
+				dropped = append(dropped, "?"+ec.vt.names[s])
+			}
+		}
+		collapse := ""
+		if dropped != nil {
+			collapse = "[" + strings.Join(dropped, " ") + "]"
 		}
 		boundCols := rp.boundCols(nil, bound)
 		ix := ec.view.ChooseIndexByBound(boundCols)
@@ -358,6 +379,7 @@ func bgpStepDescs(ec *execCtx, o *bgpOp) []stepDesc {
 			access:    access,
 			est:       rp.estConst,
 			intersect: len(group) > 0,
+			collapse:  collapse,
 		})
 		if len(group) > 0 {
 			group = group[1:]
@@ -392,13 +414,23 @@ func renderNodes(sb *strings.Builder, nodes []*ProfileNode, indent int) {
 		if n.Index != "" {
 			fmt.Fprintf(sb, " index=%s (%s) est=%d", n.Index, n.Access, n.Est)
 		}
+		if n.Collapse != "" {
+			fmt.Fprintf(sb, " collapse=%s", n.Collapse)
+		}
+		if n.Weighted {
+			sb.WriteString(" count=weighted")
+		}
 		if n.Batch {
 			sb.WriteString(" batch")
 		}
 		if n.GroupKey != "" {
 			fmt.Fprintf(sb, " key=%s", n.GroupKey)
 		}
-		fmt.Fprintf(sb, "  (actual: in=%d out=%d", n.RowsIn, n.RowsOut)
+		fmt.Fprintf(sb, "  (actual: in=%d", n.RowsIn)
+		if n.Collapsed > 0 {
+			fmt.Fprintf(sb, " collapsed=%d", n.Collapsed)
+		}
+		fmt.Fprintf(sb, " out=%d", n.RowsOut)
 		if n.GuardTicks > 0 {
 			fmt.Fprintf(sb, " ticks=%d", n.GuardTicks)
 		}

@@ -3,9 +3,9 @@ package sparql
 // Batch-at-a-time BGP execution (DESIGN.md §15).
 //
 // A tuple-at-a-time join pays an interface dispatch, a guard tick and
-// (when profiling) counter flushes per binding; at the paper's
-// path-counting scale (EQ11d folds ~10^6 intermediate rows into one
-// COUNT) that per-row overhead dominates the join work itself. The BGP
+// (when profiling) counter flushes per binding; over the 10^5–10^6
+// intermediate rows of a multi-way join (EQ12's two-paths, EQ3's tag
+// chains) that per-row overhead dominates the join work itself. The BGP
 // driver pushes fixed-size columnar batches of store.ID vectors through
 // the join instead:
 //
@@ -30,8 +30,10 @@ package sparql
 // binding (base) plus one ID column per variable slot the BGP touches,
 // so any consumer can materialize rows on demand — selectIDs and
 // grouping consume batches directly (grouping folds COUNTs straight
-// from the key and argument columns), and bgpOp.apply hands them row
-// by row to the row operators (OPTIONAL, MINUS, BIND, row UNIONs...).
+// from the key and argument columns, and a BGP whose only consumer is
+// such a fold carries row weights and collapses rows instead of
+// enumerating them, DESIGN.md §22), and bgpOp.apply hands them row by
+// row to the row operators (OPTIONAL, MINUS, BIND, row UNIONs...).
 
 import (
 	"time"
@@ -63,7 +65,11 @@ type colBatch struct {
 	base  binding
 	slots []int        // slots with a column, in binding order
 	cols  [][]store.ID // indexed by slot; nil = slot not columnar
-	n     int          // rows
+	// w is each row's weight — the number of solutions the row stands
+	// for — in a BGP a COUNT fold consumes (DESIGN.md §22); nil while
+	// every row counts once, and kept once a row weighs more.
+	w []int64
+	n int // rows
 }
 
 func newColBatch(width int, slots []int) *colBatch {
@@ -78,15 +84,52 @@ func (cb *colBatch) reset() {
 	for _, s := range cb.slots {
 		cb.cols[s] = cb.cols[s][:0]
 	}
+	if cb.w != nil {
+		cb.w = cb.w[:0]
+	}
 	cb.n = 0
 }
 
-// appendFrom appends one row, reading the column slots' values from b.
-func (cb *colBatch) appendFrom(b binding) {
+// appendFrom appends one row of weight wt, reading the column slots'
+// values from b.
+func (cb *colBatch) appendFrom(b binding, wt int64) {
 	for _, s := range cb.slots {
 		cb.cols[s] = append(cb.cols[s], b[s])
 	}
+	if wt != 1 || cb.w != nil {
+		cb.weigh()
+		cb.w = append(cb.w, wt)
+	}
 	cb.n++
+}
+
+// weigh gives the batch its weight column: one for each row so far.
+func (cb *colBatch) weigh() {
+	if cb.w == nil {
+		cb.w = make([]int64, cb.n, max(cb.n, batchRows))
+		for i := range cb.w {
+			cb.w[i] = 1
+		}
+	}
+}
+
+// weight returns row i's weight.
+func (cb *colBatch) weight(i int) int64 {
+	if cb.w == nil {
+		return 1
+	}
+	return cb.w[i]
+}
+
+// move copies row src over row dst, weight included: the compaction
+// step of a selection.
+func (cb *colBatch) move(dst, src int) {
+	for _, s := range cb.slots {
+		cb.cols[s][dst] = cb.cols[s][src]
+	}
+	if cb.w != nil {
+		cb.w[dst] = cb.w[src]
+	}
 }
 
 // writeCols overwrites dst's column slots with row i's values. dst must
@@ -111,6 +154,9 @@ func (cb *colBatch) copyOwned() *colBatch {
 	c := &colBatch{base: cb.base, slots: cb.slots, cols: make([][]store.ID, len(cb.cols)), n: cb.n}
 	for _, s := range cb.slots {
 		c.cols[s] = append([]store.ID(nil), cb.cols[s][:cb.n]...)
+	}
+	if cb.w != nil {
+		c.w = append([]int64(nil), cb.w[:cb.n]...)
 	}
 	return c
 }
@@ -177,6 +223,13 @@ type vecExec struct {
 	undo     []undoList
 	unit     *colBatch // the 1-row, column-less batch entering depth 0
 
+	// collapse[d] folds out[d] on its live columns in count mode
+	// (DESIGN.md §22); nil where depth d's output drops no column.
+	// distinct[d] says a collapse feeds depth d rows that differ in the
+	// variables its step joins on, so a hash table would save no scan.
+	collapse []*collapser
+	distinct []bool
+
 	// fuse says the BGP's fused groups (bgpShared.intersect) apply to
 	// the current input binding: it binds none of the BGP's variables.
 	// seeks[d] is the seek state of the group at depth d.
@@ -233,8 +286,21 @@ func (vx *vecExec) prepare(b binding) {
 			vx.colSlots[d+1] = next
 		}
 		vx.out = make([]*colBatch, nd)
+		vx.collapse = make([]*collapser, nd)
+		vx.distinct = make([]bool, nd)
 		for d := range vx.out {
 			vx.out[d] = newColBatch(vx.width, vx.colSlots[d+1])
+			next := d + 1
+			if vx.fuse && vx.sh.intersect[d] != nil {
+				next = d + len(vx.sh.intersect[d].sides)
+			}
+			if keys, dropped := collapseKeys(vx.sh.live, vx.colSlots[d+1], d, next); dropped != 0 {
+				vx.collapse[d] = newCollapser(keys)
+				vx.distinct[next] = true
+				for _, s := range keys {
+					vx.distinct[next] = vx.distinct[next] && vx.sh.rps[vx.sh.order[next]].qp.vars().has(s)
+				}
+			}
 		}
 		vx.scratch = make([]binding, nd+1)
 		for i := range vx.scratch {
@@ -248,6 +314,9 @@ func (vx *vecExec) prepare(b binding) {
 	for d := range vx.out {
 		vx.out[d].reset()
 		vx.out[d].base = b
+		if c := vx.collapse[d]; c != nil {
+			c.reset()
+		}
 	}
 	vx.unit.base = b
 	vx.unit.n = 1
@@ -271,6 +340,109 @@ func (vx *vecExec) grow() {
 	}
 }
 
+// maxCollapseKeys bounds the live columns a depth may fold on; a depth
+// with more keeps its rows. collapseRows is how many folded rows a
+// depth holds before it descends anyway, which bounds its memory.
+const (
+	maxCollapseKeys = 4
+	collapseRows    = 64 * batchRows
+)
+
+// collapser is one depth's fold of its output rows onto their live
+// columns keys (DESIGN.md §22). It maps the live values of each row of
+// the output batch to the row: one does when there is a single live
+// column — a path's frontier, the common case — and rows otherwise.
+type collapser struct {
+	keys []int
+	one  map[store.ID]int32
+	rows map[[maxCollapseKeys]store.ID]int32
+}
+
+func newCollapser(keys []int) *collapser {
+	if len(keys) == 1 {
+		return &collapser{keys: keys, one: make(map[store.ID]int32)}
+	}
+	return &collapser{keys: keys, rows: make(map[[maxCollapseKeys]store.ID]int32)}
+}
+
+func (c *collapser) reset() {
+	clear(c.one)
+	clear(c.rows)
+}
+
+// collapseKeys decides whether, in count mode (live non-nil), the
+// output of depth d — columns cols — folds before it descends into
+// depth next: when next is a join step, not the emission, and some
+// column live entering d is dead at next. Rows that agree on the
+// columns still live at next have identical subtrees, so one of them,
+// weighted by their summed weights, stands for all. It returns the
+// columns to fold on and the columns dropped (0: no fold).
+func collapseKeys(live []varset, cols []int, d, next int) (keys []int, dropped varset) {
+	if live == nil || next >= len(live)-1 {
+		return nil, 0
+	}
+	for _, s := range cols {
+		switch {
+		case live[next].has(s):
+			keys = append(keys, s)
+		case live[d].has(s):
+			dropped = dropped.with(s)
+		}
+	}
+	if len(keys) > maxCollapseKeys {
+		return nil, 0
+	}
+	return keys, dropped
+}
+
+// merge adds wt to the row of out that holds b's live values, if there
+// is one, and reports whether there was; otherwise it records that the
+// row about to be appended at out.n holds them.
+func (c *collapser) merge(out *colBatch, b binding, wt int64) bool {
+	var i int32
+	var ok bool
+	if c.one != nil {
+		id := b[c.keys[0]]
+		if i, ok = c.one[id]; !ok {
+			c.one[id] = int32(out.n)
+		}
+	} else {
+		var k [maxCollapseKeys]store.ID
+		for j, s := range c.keys {
+			k[j] = b[s]
+		}
+		if i, ok = c.rows[k]; !ok {
+			c.rows[k] = int32(out.n)
+		}
+	}
+	if ok {
+		out.weigh()
+		out.w[i] += wt
+	}
+	return ok
+}
+
+// limit is how many rows an output batch holds before it descends: the
+// adaptive cap, or collapseRows for a collapsing depth (c non-nil),
+// which otherwise descends once its input is done.
+func (vx *vecExec) limit(c *collapser) int {
+	if c != nil {
+		return collapseRows
+	}
+	return vx.cap
+}
+
+// descend hands depth's output batch to depth next and empties it.
+func (vx *vecExec) descend(depth, next int) bool {
+	out := vx.out[depth]
+	cont := vx.step(next, out)
+	out.reset()
+	if c := vx.collapse[depth]; c != nil {
+		c.reset()
+	}
+	return cont
+}
+
 // selectRows compacts in to the rows passing the depth's entry filters
 // (filterAt) as a selection vector.
 func (vx *vecExec) selectRows(depth int, in *colBatch, filters []*filterOp) {
@@ -283,9 +455,7 @@ func (vx *vecExec) selectRows(depth int, in *colBatch, filters []*filterOp) {
 			continue
 		}
 		if w != i {
-			for _, s := range in.slots {
-				in.cols[s][w] = in.cols[s][i]
-			}
+			in.move(w, i)
 		}
 		w++
 	}
@@ -323,13 +493,14 @@ func (vx *vecExec) step(depth int, in *colBatch) bool {
 	hs := &sh.hashes[depth]
 	pst := sh.stepStat(depth)
 	scratch := vx.scratch[depth]
-	out := vx.out[depth]
+	out, c := vx.out[depth], vx.collapse[depth]
 	seen := sh.inputSeen[depth].Add(int64(in.n))
 
 	// The adaptive NLJ→hash switch, decided once per input batch. Both
 	// access paths emit rows in identical order, so where the switch
-	// falls does not change the output (DESIGN.md §10).
-	if !hs.built.Load() && !ec.noHashJoin && seen > int64(ec.hashMin) &&
+	// falls does not change the output (DESIGN.md §10). Rows that differ
+	// in the step's join variables scan each range once: no switch.
+	if !hs.built.Load() && !ec.noHashJoin && !vx.distinct[depth] && seen > int64(ec.hashMin) &&
 		rp.estConst < 64*int(seen) {
 		in.writeCols(0, scratch)
 		sh.buildHash(depth, rp, scratch)
@@ -356,10 +527,11 @@ func (vx *vecExec) step(depth int, in *colBatch) bool {
 	// budget-equivalent to per-row ticks); profile counters flush once
 	// per input batch.
 	stopped := false
-	var scanned, emitted int64
+	var scanned, emitted, collapsed int64
 	pending := 0
 	for i := 0; i < in.n; i++ {
 		in.writeCols(i, scratch)
+		wt := in.weight(i)
 		stop := false
 		ec.view.ScanBatch(rp.boundPattern(scratch), batchRows, func(run []store.IDQuad) bool {
 			for _, q := range run {
@@ -374,20 +546,23 @@ func (vx *vecExec) step(depth int, in *colBatch) bool {
 				if !rp.bindQuad(scratch, q, &vx.undo[depth]) {
 					continue
 				}
-				emitted++
-				out.appendFrom(scratch)
+				if c == nil || !c.merge(out, scratch, wt) {
+					out.appendFrom(scratch, wt)
+					emitted++
+				} else {
+					collapsed++
+				}
 				vx.undo[depth].revert(scratch)
-				if out.n >= vx.cap {
+				if out.n >= vx.limit(c) {
 					if !ec.guard.TickN(pending) {
 						pending, stop = 0, true
 						return false
 					}
 					pending = 0
-					if !vx.step(depth+1, out) {
+					if !vx.descend(depth, depth+1) {
 						stop = true
 						return false
 					}
-					out.reset()
 					vx.grow()
 				}
 			}
@@ -405,13 +580,12 @@ func (vx *vecExec) step(depth int, in *colBatch) bool {
 	}
 	pst.addTicks(scanned)
 	pst.addRows(emitted)
+	pst.addCollapsed(collapsed)
 	if stopped {
 		return false
 	}
 	if out.n > 0 {
-		cont := vx.step(depth+1, out)
-		out.reset()
-		return cont
+		return vx.descend(depth, depth+1)
 	}
 	return true
 }
@@ -420,12 +594,13 @@ func (vx *vecExec) step(depth int, in *colBatch) bool {
 func (vx *vecExec) probeBatch(depth int, in *colBatch, rp *resolvedPattern, hs *hashState, pst *profStage) bool {
 	ec := vx.sh.ec
 	scratch := vx.scratch[depth]
-	out := vx.out[depth]
-	var probes int64 // flushed in one atomic per input batch
+	out, c := vx.out[depth], vx.collapse[depth]
+	var emitted, collapsed int64 // flushed in one atomic per input batch
 	pending := 0
 	stopped := false
 	for i := 0; i < in.n; i++ {
 		in.writeCols(i, scratch)
+		wt := in.weight(i)
 		var key [4]store.ID
 		//pgrdfvet:ignore guardedby -- keySlots is frozen before built.Store(true); the caller's built.Load() is the publication barrier
 		for k, slot := range hs.keySlots {
@@ -437,11 +612,15 @@ func (vx *vecExec) probeBatch(depth int, in *colBatch, rp *resolvedPattern, hs *
 			if !rp.bindQuad(scratch, q, &vx.undo[depth]) {
 				continue
 			}
-			probes++
 			pending++
-			out.appendFrom(scratch)
+			if c == nil || !c.merge(out, scratch, wt) {
+				out.appendFrom(scratch, wt)
+				emitted++
+			} else {
+				collapsed++
+			}
 			vx.undo[depth].revert(scratch)
-			if out.n >= vx.cap {
+			if out.n >= vx.limit(c) {
 				// Probed rows bypass the scan guard, so charge them
 				// here — batched, like the scan path.
 				if !ec.guard.TickN(pending) {
@@ -449,11 +628,10 @@ func (vx *vecExec) probeBatch(depth int, in *colBatch, rp *resolvedPattern, hs *
 					break
 				}
 				pending = 0
-				if !vx.step(depth+1, out) {
+				if !vx.descend(depth, depth+1) {
 					stopped = true
 					break
 				}
-				out.reset()
 				vx.grow()
 			}
 		}
@@ -464,14 +642,15 @@ func (vx *vecExec) probeBatch(depth int, in *colBatch, rp *resolvedPattern, hs *
 	if !stopped && !ec.guard.TickN(pending) {
 		stopped = true
 	}
-	pst.addProbes(probes)
+	// Probe hits are guard ticks and, but for the collapsed, rows out.
+	pst.addTicks(emitted + collapsed)
+	pst.addRows(emitted)
+	pst.addCollapsed(collapsed)
 	if stopped {
 		return false
 	}
 	if out.n > 0 {
-		cont := vx.step(depth+1, out)
-		out.reset()
-		return cont
+		return vx.descend(depth, depth+1)
 	}
 	return true
 }
@@ -550,9 +729,7 @@ func (o *filterOp) filterBatch(ec *execCtx, in batchSource) batchSource {
 					continue
 				}
 				if w != i {
-					for _, s := range cb.slots {
-						cb.cols[s][w] = cb.cols[s][i]
-					}
+					cb.move(w, i)
 				}
 				w++
 			}
@@ -654,6 +831,26 @@ func markBatchTail(ops []op) {
 	}
 }
 
+// markCountTail marks, once at compile time, a BGP whose only consumer
+// is a COUNT fold (DESIGN.md §22): the pipeline ends in a BGP plus
+// FILTERs and every aggregate folds from columns (countFold). countLive
+// is what the consumers read: the group key and the trailing FILTERs'
+// variables. A COUNT argument the BGP binds is bound in every row.
+func markCountTail(cp *compiled) {
+	idx := bgpTail(cp.pipeline)
+	if !cp.grouping || idx < 0 || !countFold(cp) {
+		return
+	}
+	bgp := cp.pipeline[idx].(*bgpOp)
+	bgp.count = true
+	if kind, slot := groupKeyOf(cp); kind == keyID {
+		bgp.countLive = bgp.countLive.with(slot)
+	}
+	for _, o := range cp.pipeline[idx+1:] {
+		bgp.countLive |= o.(*filterOp).need
+	}
+}
+
 // applyBatch is UNION over batches: per input binding it runs branch
 // 1's batch source to exhaustion, then branch 2's, and so on — the row
 // union's emission order (unionOf), so results are identical. Branch
@@ -669,10 +866,12 @@ func (o *unionOp) applyBatch(ec *execCtx, in source) batchSource {
 	return unionOf(in, &row, branches)
 }
 
-// batchNote is EXPLAIN's annotation of an operator that runs columnar.
-func batchNote(batch bool) string {
-	if batch {
-		return ", batch"
+// planNote is EXPLAIN's annotation text, when on, of an operator's
+// label: ", batch" for a UNION that runs columnar, ", count=weighted"
+// for a BGP that counts (DESIGN.md §21, §22).
+func planNote(on bool, text string) string {
+	if on {
+		return ", " + text
 	}
 	return ""
 }
@@ -708,7 +907,7 @@ func orderInsensitive(cp *compiled) bool {
 func (acc *groupAcc) addBatches(bs batchSource) error {
 	ec := acc.ec
 	var scratch binding
-	columnar := acc.countFold()
+	columnar := countFold(acc.cp)
 	return finishGuard(ec, bs(func(cb *colBatch) bool {
 		if scratch == nil {
 			scratch = make(binding, len(cb.base))
@@ -726,14 +925,14 @@ func (acc *groupAcc) addBatches(bs batchSource) error {
 	}))
 }
 
-// countFold reports whether batches can fold without materializing
-// rows: an id key or none, and only non-DISTINCT COUNTs of * or a
-// variable.
-func (acc *groupAcc) countFold() bool {
-	if acc.kind == keyTerm {
+// countFold reports whether a grouping plan's batches can fold without
+// materializing rows: an id key or none, and only non-DISTINCT COUNTs
+// of * or a variable.
+func countFold(cp *compiled) bool {
+	if kind, _ := groupKeyOf(cp); kind == keyTerm {
 		return false
 	}
-	for _, agg := range acc.cp.aggregates {
+	for _, agg := range cp.aggregates {
 		if agg.fn != "COUNT" || agg.distinct {
 			return false
 		}
@@ -756,7 +955,7 @@ func (cb *colBatch) column(slot int) ([]store.ID, store.ID) {
 // foldCounts folds one batch under countFold. Whether a COUNT's
 // argument is bound holds for the whole batch — a column holds only
 // values the BGP bound, any other slot the input binding's value — so
-// each COUNT adds one for every row, or for none, to the row's group.
+// each COUNT adds every row's weight, or none, to the row's group.
 // scratch receives a row only when it creates a group.
 func (acc *groupAcc) foldCounts(cb *colBatch, scratch binding) bool {
 	aggs := acc.cp.aggregates
@@ -772,9 +971,16 @@ func (acc *groupAcc) foldCounts(cb *colBatch, scratch binding) bool {
 		}
 	}
 	if acc.kind == keyNone {
+		rows := int64(cb.n)
+		if cb.w != nil {
+			rows = 0
+			for _, wt := range cb.w[:cb.n] {
+				rows += wt
+			}
+		}
 		for j := range aggs {
 			if counted[j] {
-				acc.groups[0].states[j].count += int64(cb.n)
+				acc.groups[0].states[j].count += rows
 			}
 		}
 		return true
@@ -795,7 +1001,7 @@ func (acc *groupAcc) foldCounts(cb *colBatch, scratch binding) bool {
 		}
 		for j := range aggs {
 			if counted[j] {
-				gd.states[j].count++
+				gd.states[j].count += cb.weight(i)
 			}
 		}
 	}
