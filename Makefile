@@ -140,11 +140,14 @@ bench-algos-smoke:
 ## tombstones (BenchmarkScanThroughDelta: the cost must not grow with the
 ## delta), one seek of an intersection join with no delta and with 4 500
 ## unmerged inserts (BenchmarkSeek), and one write operation of 1, 3 and
-## 300 quads on an empty and a full delta (BenchmarkApply). Compare
-## against the parent commit's run.
+## 300 quads on an empty and a full delta (BenchmarkApply) — plus the
+## analytics tier's triangle count on the algo-rf CSR at one and two
+## workers (BenchmarkTrianglesKernel). Compare against the parent
+## commit's run.
 bench-micro:
 	$(GO) test -bench 'Kernel' -run '^$$' -benchtime 20x ./internal/sparql/
 	$(GO) test -bench 'BenchmarkScan|BenchmarkApply|BenchmarkSeek|BenchmarkParallelScan' -run '^$$' ./internal/store/
+	$(GO) test -bench 'TrianglesKernel' -run '^$$' -benchtime 20x ./internal/graph/
 
 ## bench-smoke: one-iteration bench at reduced scale (the CI gate).
 ## The overhead differential keeps best-of-$(OVERHEAD_ITERS) even here:

@@ -4,9 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/pgrdf"
+	"repro/internal/rdf"
+	"repro/internal/twitter"
 )
 
 // naivePageRank is the straightforward serial reference: same math as
@@ -107,9 +110,9 @@ func naiveComponents(cs *CSR) []uint32 {
 	return labels
 }
 
-// naiveTriangles brute-forces the undirected triangle count with
-// neighbor sets.
-func naiveTriangles(cs *CSR) int64 {
+// undirectedSets returns every vertex's neighbor set in the underlying
+// undirected simple graph: direction ignored, self-loops dropped.
+func undirectedSets(cs *CSR) []map[uint32]bool {
 	n := cs.NumVertices()
 	und := make([]map[uint32]bool, n)
 	for v := 0; v < n; v++ {
@@ -123,6 +126,14 @@ func naiveTriangles(cs *CSR) int64 {
 			}
 		}
 	}
+	return und
+}
+
+// naiveTriangles brute-forces the undirected triangle count with
+// neighbor sets.
+func naiveTriangles(cs *CSR) int64 {
+	n := cs.NumVertices()
+	und := undirectedSets(cs)
 	count := int64(0)
 	for u := 0; u < n; u++ {
 		for v := range und[u] {
@@ -205,6 +216,82 @@ func TestWCCDifferential(t *testing.T) {
 	}
 }
 
+// edgeCSR builds an unweighted CSR with a reverse adjacency over n
+// vertices straight from directed (src, dst) pairs; duplicates collapse.
+func edgeCSR(n int, edges [][2]uint32) *CSR {
+	terms := make([]rdf.Term, n)
+	for i := range terms {
+		terms[i] = rdf.NewIRI(fmt.Sprintf("http://pg/v%06d", i))
+	}
+	raw := make([]rawEdge, len(edges))
+	for i, e := range edges {
+		raw[i] = rawEdge{src: e[0], dst: e[1]}
+	}
+	cs, _ := buildCSR(terms, raw, false, true)
+	return cs
+}
+
+// randomEdges returns m seeded random directed pairs over [lo, hi).
+func randomEdges(rng *rand.Rand, lo, hi, m int) [][2]uint32 {
+	out := make([][2]uint32, m)
+	for i := range out {
+		out[i] = [2]uint32{uint32(lo + rng.Intn(hi-lo)), uint32(lo + rng.Intn(hi-lo))}
+	}
+	return out
+}
+
+// triangleShapes are the graphs a per-worker mark array reused across
+// vertices and morsels could get wrong, each with its own quirk.
+func triangleShapes() map[string]*CSR {
+	rng := rand.New(rand.NewSource(35))
+	shapes := map[string]*CSR{}
+
+	// Self-loops everywhere, including on triangle corners.
+	edges := randomEdges(rng, 0, 200, 1200)
+	for v := uint32(0); v < 200; v += 3 {
+		edges = append(edges, [2]uint32{v, v})
+	}
+	shapes["self-loops"] = edgeCSR(200, edges)
+
+	// Every edge also present reversed: each undirected edge is two
+	// directed ones and must still count once.
+	edges = randomEdges(rng, 0, 200, 900)
+	for _, e := range edges[:600] {
+		edges = append(edges, [2]uint32{e[1], e[0]})
+	}
+	shapes["reciprocal"] = edgeCSR(200, edges)
+
+	// Vertex 0 adjacent to every vertex, in alternating directions: it is
+	// in every other vertex's oriented row, so its mark is set and
+	// cleared once per vertex.
+	edges = randomEdges(rng, 1, 300, 1500)
+	for v := uint32(1); v < 300; v++ {
+		if v%2 == 0 {
+			edges = append(edges, [2]uint32{0, v})
+		} else {
+			edges = append(edges, [2]uint32{v, 0})
+		}
+	}
+	shapes["hub"] = edgeCSR(300, edges)
+
+	// Edges only among the first 100 and the last 50 of 500 vertices.
+	edges = append(randomEdges(rng, 0, 100, 800), randomEdges(rng, 450, 500, 400)...)
+	shapes["isolated"] = edgeCSR(500, edges)
+
+	// Six morsels, the last one partial, with a hub at the highest index,
+	// self-loops and reciprocal pairs: marks are reused across morsels.
+	const n = 5*morselVertices + 123
+	edges = randomEdges(rng, 0, n, 40000)
+	for _, e := range edges[:5000] {
+		edges = append(edges, [2]uint32{e[1], e[0]}, [2]uint32{e[0], e[0]})
+	}
+	for v := uint32(0); v < n-1; v++ {
+		edges = append(edges, [2]uint32{v, n - 1})
+	}
+	shapes["morsels"] = edgeCSR(n, edges)
+	return shapes
+}
+
 func TestTrianglesDifferential(t *testing.T) {
 	for seed := int64(30); seed < 34; seed++ {
 		cs := testCSR(t, seed, 120, 700, "")
@@ -214,6 +301,45 @@ func TestTrianglesDifferential(t *testing.T) {
 		}
 		if want := naiveTriangles(cs); res.Count != want {
 			t.Fatalf("seed %d: triangles = %d, want %d", seed, res.Count, want)
+		}
+	}
+	for name, cs := range triangleShapes() {
+		want := naiveTriangles(cs)
+		if want == 0 {
+			t.Fatalf("%s: shape has no triangles", name)
+		}
+		for _, par := range []int{1, 2, 4, 8} {
+			res, err := Runner{Parallelism: par}.Triangles(context.Background(), cs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Count != want {
+				t.Fatalf("%s par %d: triangles = %d, want %d", name, par, res.Count, want)
+			}
+		}
+	}
+}
+
+// TestTrianglesTwitterSchemes counts the generator's test graph under
+// RF, NG and SP at 1, 2, 4 and 8 workers: every count is the same, and
+// it is the brute-force one.
+func TestTrianglesTwitterSchemes(t *testing.T) {
+	want := int64(-1)
+	for _, s := range pgrdf.Schemes {
+		cs := twitterCSR(t, s, twitter.TestConfig())
+		if want < 0 {
+			if want = naiveTriangles(cs); want == 0 {
+				t.Fatal("test graph has no triangles")
+			}
+		}
+		for _, par := range []int{1, 2, 4, 8} {
+			res, err := Runner{Parallelism: par}.Triangles(context.Background(), cs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Count != want {
+				t.Fatalf("%s par %d: triangles = %d, want %d", s, par, res.Count, want)
+			}
 		}
 	}
 }

@@ -76,7 +76,7 @@ func (r Runner) PageRank(ctx context.Context, cs *CSR, opts PageRankOptions) (re
 	// outW[u] is the total weight leaving u: the out-degree when
 	// unweighted, the row's weight sum (in row order) when weighted.
 	outW := make([]float64, n)
-	ok := runMorsels(w, n, g, func(m, lo, hi int) bool {
+	ok := runMorsels(w, n, g, func(_, m, lo, hi int) bool {
 		for v := lo; v < hi; v++ {
 			if opts.Weighted {
 				s := 0.0
@@ -107,7 +107,7 @@ func (r Runner) PageRank(ctx context.Context, cs *CSR, opts PageRankOptions) (re
 	res = &PageRankResult{}
 	for it := 0; it < opts.MaxIterations; it++ {
 		// Phase A: scatter contributions, collect dangling mass.
-		ok := runMorsels(w, n, g, func(m, lo, hi int) bool {
+		ok := runMorsels(w, n, g, func(_, m, lo, hi int) bool {
 			d := 0.0
 			for v := lo; v < hi; v++ {
 				if outW[v] > 0 {
@@ -126,7 +126,7 @@ func (r Runner) PageRank(ctx context.Context, cs *CSR, opts PageRankOptions) (re
 		base := (1-opts.Damping)*inv + opts.Damping*foldFloat(danglingPart)*inv
 
 		// Phase B: gather in-edges; one writer per next[v].
-		ok = runMorsels(w, n, g, func(m, lo, hi int) bool {
+		ok = runMorsels(w, n, g, func(_, m, lo, hi int) bool {
 			dl := 0.0
 			edges := 0
 			for v := lo; v < hi; v++ {

@@ -3,6 +3,8 @@ package graph
 import (
 	"context"
 	"errors"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -68,6 +70,144 @@ func TestAlgorithmsBudgetMidIteration(t *testing.T) {
 		}
 		if _, err := r.Triangles(context.Background(), cs); !errors.Is(err, guard.ErrBudgetExceeded) {
 			t.Fatalf("par %d: Triangles err = %v, want guard.ErrBudgetExceeded", par, err)
+		}
+	}
+}
+
+// triangleCharges is what Triangles charges MaxWork, derived from
+// brute-force neighbor sets: the orientation reads every out- and
+// in-entry, then every undirected entry, plus one unit per vertex in
+// each of its two phases; the count phase sets and clears one mark per
+// oriented entry, looks up every entry of each oriented neighbor's row,
+// and charges one unit per vertex.
+func triangleCharges(cs *CSR) (orient, count int64) {
+	n := cs.NumVertices()
+	und := undirectedSets(cs)
+	outranks := func(u, v uint32) bool {
+		du, dv := len(und[u]), len(und[v])
+		return du > dv || du == dv && u > v
+	}
+	orow := make([]int64, n)
+	for v := 0; v < n; v++ {
+		for u := range und[v] {
+			if outranks(u, uint32(v)) {
+				orow[v]++
+			}
+		}
+		orient += int64(len(und[v]))
+	}
+	orient += 2*int64(cs.NumEdges()) + 2*int64(n)
+	for u := 0; u < n; u++ {
+		count += 2*orow[u] + 1
+		for v := range und[u] {
+			if outranks(v, uint32(u)) {
+				count += orow[v]
+			}
+		}
+	}
+	return orient, count
+}
+
+// TestTrianglesBudgetInCountPhase pins Triangles' MaxWork charges to
+// triangleCharges — the full charge passes and one unit less trips —
+// and then sizes MaxWork between the orientation's total and the full
+// run's, which the orientation cannot reach: the budget trips inside the
+// count phase, at one worker and at four.
+func TestTrianglesBudgetInCountPhase(t *testing.T) {
+	g := randomGraph(t, 57, 3000, 12000)
+	st, names := loadScheme(t, g, pgrdf.NG)
+	cs := mustProject(t, st, ProjectOptions{Model: names.All, Scheme: pgrdf.NG, Reverse: true})
+	selfLoops := 0
+	for v := 0; v < cs.NumVertices(); v++ {
+		for _, u := range cs.Neighbors(uint32(v)) {
+			if u == uint32(v) {
+				selfLoops++
+			}
+		}
+	}
+	if selfLoops == 0 {
+		t.Fatal("test graph has no self-loop; its charges would not pin the self-loop exclusion")
+	}
+	orient, count := triangleCharges(cs)
+	for _, par := range []int{1, 4} {
+		run := func(maxWork int64) error {
+			_, err := Runner{Parallelism: par, Budget: Budget{MaxWork: maxWork}}.Triangles(context.Background(), cs)
+			return err
+		}
+		if err := run(orient + count); err != nil {
+			t.Fatalf("par %d: MaxWork = the full charge %d: %v", par, orient+count, err)
+		}
+		for _, mw := range []int64{orient + count - 1, orient + count/2, orient} {
+			if err := run(mw); !errors.Is(err, guard.ErrBudgetExceeded) {
+				t.Fatalf("par %d: MaxWork %d (orientation %d, count %d): err = %v, want guard.ErrBudgetExceeded",
+					par, mw, orient, count, err)
+			}
+		}
+	}
+}
+
+// doneAfterCtx is a never-canceled context whose Done channel closes on
+// its limit-th call (0 = never). The guard calls Done once when it
+// starts and once per poll boundary its event counter crosses, so calls
+// counts how far a run got and limit picks where it is canceled.
+type doneAfterCtx struct {
+	context.Context
+	limit int64
+	calls atomic.Int64
+	done  chan struct{}
+}
+
+func newDoneAfterCtx(limit int64) *doneAfterCtx {
+	return &doneAfterCtx{Context: context.Background(), limit: limit, done: make(chan struct{})}
+}
+
+func (c *doneAfterCtx) Done() <-chan struct{} {
+	if c.calls.Add(1) == c.limit {
+		close(c.done)
+	}
+	return c.done
+}
+
+func (c *doneAfterCtx) Err() error {
+	select {
+	case <-c.done:
+		return context.Canceled
+	default:
+		return nil
+	}
+}
+
+// TestTrianglesCancellationMidCount cancels a run at the first poll
+// after the orientation. A run whose budget is exactly the orientation's
+// charge stops at the count phase's first tick, which polls nothing, so
+// its Done calls are the orientation's; one call later the context is
+// canceled. At one worker that call is inside the count phase by
+// construction; at four the same limit is used. Either way the run
+// reports guard.ErrCanceled and leaves no worker goroutine behind.
+func TestTrianglesCancellationMidCount(t *testing.T) {
+	g := randomGraph(t, 58, 3000, 12000)
+	st, names := loadScheme(t, g, pgrdf.NG)
+	cs := mustProject(t, st, ProjectOptions{Model: names.All, Scheme: pgrdf.NG, Reverse: true})
+	orient, _ := triangleCharges(cs)
+	before := runtime.NumGoroutine()
+	for _, par := range []int{1, 4} {
+		probe := newDoneAfterCtx(0)
+		_, err := Runner{Parallelism: par, Budget: Budget{MaxWork: orient}}.Triangles(probe, cs)
+		if !errors.Is(err, guard.ErrBudgetExceeded) {
+			t.Fatalf("par %d: orientation-only budget: err = %v", par, err)
+		}
+		ctx := newDoneAfterCtx(probe.calls.Load() + 1)
+		if _, err := (Runner{Parallelism: par}).Triangles(ctx, cs); !errors.Is(err, guard.ErrCanceled) {
+			t.Fatalf("par %d: err = %v, want guard.ErrCanceled", par, err)
+		}
+		// A worker has signalled the WaitGroup a moment before it exits, so
+		// give the count a bounded while to come back down.
+		after := runtime.NumGoroutine()
+		for deadline := time.Now().Add(5 * time.Second); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
+			time.Sleep(time.Millisecond)
+		}
+		if after > before {
+			t.Fatalf("par %d: %d goroutines before the runs, %d after", par, before, after)
 		}
 	}
 }

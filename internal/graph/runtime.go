@@ -50,13 +50,15 @@ func (r Runner) workers() int {
 // (the same work-stealing shape as the SPARQL morsel executor), so the
 // assignment of morsels to workers is racy — which is why fn must
 // write only per-vertex state inside its own range plus per-morsel
-// partial slots, never accumulate across morsels.
+// partial slots, never accumulate across morsels. fn also gets the
+// index of the worker running it, in [0, w): scratch indexed by it is
+// reused across that worker's morsels and touched by no other worker.
 //
 // fn reports false to abort (guard violation); the remaining morsels
 // are skipped. runMorsels reports whether every morsel completed. At
 // w == 1 the claim counter degenerates to a serial loop over the same
 // decomposition.
-func runMorsels(w, n int, g *guard.Guard, fn func(m, lo, hi int) bool) bool {
+func runMorsels(w, n int, g *guard.Guard, fn func(wk, m, lo, hi int) bool) bool {
 	nm := numMorsels(n)
 	if nm == 0 {
 		return true
@@ -64,7 +66,7 @@ func runMorsels(w, n int, g *guard.Guard, fn func(m, lo, hi int) bool) bool {
 	if w > nm {
 		w = nm
 	}
-	runOne := func(m int) bool {
+	runOne := func(wk, m int) bool {
 		if !g.Poll() {
 			return false
 		}
@@ -73,11 +75,11 @@ func runMorsels(w, n int, g *guard.Guard, fn func(m, lo, hi int) bool) bool {
 		if hi > n {
 			hi = n
 		}
-		return fn(m, lo, hi)
+		return fn(wk, m, lo, hi)
 	}
 	if w <= 1 {
 		for m := 0; m < nm; m++ {
-			if !runOne(m) {
+			if !runOne(0, m) {
 				return false
 			}
 		}
@@ -88,20 +90,20 @@ func runMorsels(w, n int, g *guard.Guard, fn func(m, lo, hi int) bool) bool {
 	var stopped atomic.Bool
 	var wg sync.WaitGroup
 	wg.Add(w)
-	for i := 0; i < w; i++ {
-		go func() {
+	for wk := 0; wk < w; wk++ {
+		go func(wk int) {
 			defer wg.Done()
 			for !stopped.Load() {
 				m := int(next.Add(1)) - 1
 				if m >= nm {
 					return
 				}
-				if !runOne(m) {
+				if !runOne(wk, m) {
 					stopped.Store(true)
 					return
 				}
 			}
-		}()
+		}(wk)
 	}
 	wg.Wait()
 	return !stopped.Load()

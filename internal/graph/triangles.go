@@ -2,6 +2,7 @@ package graph
 
 import (
 	"context"
+	"math/bits"
 
 	"repro/internal/guard"
 )
@@ -12,16 +13,20 @@ type TrianglesResult struct {
 }
 
 // Triangles counts the distinct triangles of the underlying undirected
-// simple graph (edge direction and self-loops ignored), the standard
-// degree-ordered intersection algorithm: every undirected edge is
-// oriented from its lower-ranked endpoint to its higher-ranked one —
-// rank being (undirected degree, vertex index) — which turns each
-// triangle into exactly one wedge u -> v, u -> w with an oriented edge
-// v -> w, found by intersecting the sorted oriented rows of u and v.
+// simple graph (edge direction and self-loops ignored) with the
+// degree-ordered forward algorithm (Schank & Wagner, WEA 2005): every
+// undirected edge is oriented from its lower-ranked endpoint to its
+// higher-ranked one — rank being (undirected degree, vertex index) —
+// which turns each triangle into exactly one wedge u -> v, u -> w with
+// an oriented edge v -> w. The orientation bounds each oriented row by
+// O(sqrt(E)); the count phase marks u's row in a dense per-worker
+// array and counts each v's row by branch-free lookups into it.
 // Counting is integer arithmetic folded from per-morsel partials, so
-// the result is trivially parallelism-independent; the degree-ordered
-// orientation bounds each oriented row by O(sqrt(E)), which is what
-// makes the intersection pass feasible on skewed degree distributions.
+// the result is trivially parallelism-independent.
+//
+// MaxWork is charged for work done, one TickN per morsel and phase:
+// every adjacency entry the orientation reads, every mark set and
+// cleared, every lookup, and one unit per vertex per phase.
 func (r Runner) Triangles(ctx context.Context, cs *CSR) (res *TrianglesResult, err error) {
 	defer guard.Recover(&err)
 	if !cs.HasReverse() {
@@ -39,94 +44,104 @@ func (r Runner) Triangles(ctx context.Context, cs *CSR) (res *TrianglesResult, e
 		return res, nil
 	}
 	w := r.workers()
-	nm := numMorsels(n)
 
-	// Phase 1: undirected degree of every vertex — the size of the
-	// merged, deduplicated union of its out- and in-rows, minus self.
+	// Phases 1 and 3 mark vertices in a dense array of n bytes per
+	// worker — not per morsel, which would be quadratic in n — allocated
+	// on the worker's first morsel and left clean by every vertex.
+	marks := make([][]uint8, w)
+	markOf := func(wk int) []uint8 {
+		if marks[wk] == nil {
+			marks[wk] = make([]uint8, n)
+		}
+		return marks[wk]
+	}
+
+	// Phase 1: each vertex's undirected row — its out- and in-neighbors,
+	// deduplicated, without the vertex itself — written to a slot of
+	// len(out)+len(in) entries at slot(cs, v), so no prefix sum is
+	// needed. A neighbor is appended unconditionally and kept by
+	// advancing past it only when it was not marked yet; v is premarked.
+	// udeg[v] is the row's length.
+	adj := make([]uint32, len(cs.dst)+len(cs.rsrc))
 	udeg := make([]uint32, n)
-	ok := runMorsels(w, n, g, func(m, lo, hi int) bool {
+	ok := runMorsels(w, n, g, func(wk, _, lo, hi int) bool {
+		mark := markOf(wk)
 		edges := 0
 		for v := lo; v < hi; v++ {
 			out, in := cs.Neighbors(uint32(v)), cs.InNeighbors(uint32(v))
-			udeg[v] = uint32(mergedCount(uint32(v), out, in, nil))
-			edges += len(out) + len(in)
-		}
-		return g.TickN(edges + (hi - lo))
-	})
-	if !ok {
-		return nil, runError(g)
-	}
-
-	// rankLess orders vertices by (undirected degree, index); edges are
-	// oriented from lower to higher rank.
-	rankLess := func(a, b uint32) bool {
-		if udeg[a] != udeg[b] {
-			return udeg[a] < udeg[b]
-		}
-		return a < b
-	}
-
-	// Phase 2: size of each oriented row.
-	ocnt := make([]uint32, n)
-	ok = runMorsels(w, n, g, func(m, lo, hi int) bool {
-		edges := 0
-		for v := lo; v < hi; v++ {
-			out, in := cs.Neighbors(uint32(v)), cs.InNeighbors(uint32(v))
-			c := 0
-			mergedCount(uint32(v), out, in, func(u uint32) {
-				if rankLess(uint32(v), u) {
-					c++
+			row := adj[slot(cs, uint32(v)):]
+			mark[v] = 1
+			k := 0
+			for _, nb := range [2][]uint32{out, in} {
+				for _, u := range nb {
+					row[k] = u
+					k += int(1 - mark[u])
+					mark[u] = 1
 				}
-			})
-			ocnt[v] = uint32(c)
-			edges += len(out) + len(in)
-		}
-		return g.TickN(edges + (hi - lo))
-	})
-	if !ok {
-		return nil, runError(g)
-	}
-
-	// Serial prefix sum over the oriented row sizes, then a parallel
-	// fill: each vertex writes only its own row.
-	ooff := make([]uint32, n+1)
-	for v := 0; v < n; v++ {
-		ooff[v+1] = ooff[v] + ocnt[v]
-	}
-	onbr := make([]uint32, ooff[n])
-	ok = runMorsels(w, n, g, func(m, lo, hi int) bool {
-		edges := 0
-		for v := lo; v < hi; v++ {
-			out, in := cs.Neighbors(uint32(v)), cs.InNeighbors(uint32(v))
-			p := ooff[v]
-			mergedCount(uint32(v), out, in, func(u uint32) {
-				if rankLess(uint32(v), u) {
-					onbr[p] = u
-					p++
-				}
-			})
-			edges += len(out) + len(in)
-		}
-		return g.TickN(edges + (hi - lo))
-	})
-	if !ok {
-		return nil, runError(g)
-	}
-
-	// Phase 3: for every oriented edge u -> v, intersect the sorted
-	// oriented rows of u and v; each match closes one triangle, and the
-	// orientation guarantees each triangle is counted exactly once (at
-	// its lowest-ranked corner).
-	countPart := make([]int64, nm)
-	ok = runMorsels(w, n, g, func(m, lo, hi int) bool {
-		c := int64(0)
-		work := 0
-		for u := lo; u < hi; u++ {
-			row := onbr[ooff[u]:ooff[u+1]]
-			for _, v := range row {
-				c += intersectCount(row, onbr[ooff[v]:ooff[v+1]])
-				work += len(row)
 			}
+			for _, u := range row[:k] {
+				mark[u] = 0
+			}
+			mark[v] = 0
+			udeg[v] = uint32(k)
+			edges += len(out) + len(in)
+		}
+		return g.TickN(edges + (hi - lo))
+	})
+	if !ok {
+		return nil, runError(g)
+	}
+
+	// Phase 2: orient in place — keep the neighbors that outrank v, in
+	// row order. A rank is the 64-bit key udeg<<32 | index, and u is kept
+	// by advancing past it exactly when subtracting its key from v's
+	// borrows. olen[v] is the oriented row's length.
+	olen := make([]uint32, n)
+	ok = runMorsels(w, n, g, func(_, _, lo, hi int) bool {
+		edges := 0
+		for v := lo; v < hi; v++ {
+			dv := udeg[v]
+			row := adj[slot(cs, uint32(v)):][:dv]
+			k, rv := 0, uint64(dv)<<32|uint64(v)
+			for _, u := range row {
+				row[k] = u
+				_, outranks := bits.Sub64(rv, uint64(udeg[u])<<32|uint64(u), 0)
+				k += int(outranks)
+			}
+			olen[v] = uint32(k)
+			edges += int(dv)
+		}
+		return g.TickN(edges + (hi - lo))
+	})
+	if !ok {
+		return nil, runError(g)
+	}
+
+	// Phase 3: for every vertex u, mark its oriented row, then for every
+	// v in it add up the marks under v's oriented row — each hit closes
+	// one triangle, counted exactly once at its lowest-ranked corner —
+	// and clear the marks again.
+	countPart := make([]int64, numMorsels(n))
+	ok = runMorsels(w, n, g, func(wk, m, lo, hi int) bool {
+		mark := markOf(wk)
+		c, work := int64(0), 0
+		for u := lo; u < hi; u++ {
+			s := slot(cs, uint32(u))
+			row := adj[s : s+int(olen[u])]
+			for _, v := range row {
+				mark[v] = 1
+			}
+			for _, v := range row {
+				s := slot(cs, v)
+				for _, x := range adj[s : s+int(olen[v])] {
+					c += int64(mark[x])
+				}
+				work += int(olen[v])
+			}
+			for _, v := range row {
+				mark[v] = 0
+			}
+			work += 2 * len(row)
 		}
 		countPart[m] = c
 		return g.TickN(work + (hi - lo))
@@ -138,60 +153,7 @@ func (r Runner) Triangles(ctx context.Context, cs *CSR) (res *TrianglesResult, e
 	return res, nil
 }
 
-// mergedCount walks the union of two sorted ascending rows, skipping
-// duplicates and the vertex itself, calling visit (when non-nil) for
-// every distinct neighbor and returning the distinct count.
-func mergedCount(self uint32, a, b []uint32, visit func(uint32)) int {
-	n := 0
-	emit := func(u uint32) {
-		if u == self {
-			return
-		}
-		n++
-		if visit != nil {
-			visit(u)
-		}
-	}
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			emit(a[i])
-			i++
-		case a[i] > b[j]:
-			emit(b[j])
-			j++
-		default:
-			emit(a[i])
-			i++
-			j++
-		}
-	}
-	for ; i < len(a); i++ {
-		emit(a[i])
-	}
-	for ; j < len(b); j++ {
-		emit(b[j])
-	}
-	return n
-}
-
-// intersectCount returns the size of the intersection of two sorted
-// ascending rows.
-func intersectCount(a, b []uint32) int64 {
-	c := int64(0)
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			c++
-			i++
-			j++
-		}
-	}
-	return c
-}
+// slot is where v's row starts in Triangles' scratch adjacency: after
+// the rows of every lower vertex, each given room for all its out- and
+// in-neighbors.
+func slot(cs *CSR, v uint32) int { return int(cs.off[v]) + int(cs.roff[v]) }

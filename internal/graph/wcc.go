@@ -54,7 +54,7 @@ func (r Runner) WCC(ctx context.Context, cs *CSR) (res *WCCResult, err error) {
 	changedPart := make([]bool, nm)
 
 	for {
-		ok := runMorsels(w, n, g, func(m, lo, hi int) bool {
+		ok := runMorsels(w, n, g, func(_, m, lo, hi int) bool {
 			changed := false
 			edges := 0
 			for v := lo; v < hi; v++ {

@@ -89,9 +89,25 @@ func algoIndex(name string) int {
 // had to project from scratch instead of using or patching the cache.
 var rebuildReasons = []string{"cold", graph.RebuildOverflow, graph.RebuildBarrier, graph.RebuildUnclassified, "swap"}
 
-// patchBucketsSeconds are the patch-latency histogram's upper bounds; an
+// durationBucketsSeconds are the upper bounds of every durationHist; an
 // implicit +Inf bucket follows.
-var patchBucketsSeconds = [...]float64{0.0001, 0.0005, 0.001, 0.005, 0.025, 0.1}
+var durationBucketsSeconds = [...]float64{0.0001, 0.0005, 0.001, 0.005, 0.025, 0.1, 0.5, 2.5}
+
+// durationHist is a latency histogram over durationBucketsSeconds,
+// written to /metrics by metricsWriter.histogram.
+type durationHist struct {
+	buckets [len(durationBucketsSeconds) + 1]atomic.Int64
+	nanos   atomic.Int64
+}
+
+func (h *durationHist) observe(d time.Duration) {
+	h.nanos.Add(int64(d))
+	i := 0
+	for i < len(durationBucketsSeconds) && d.Seconds() > durationBucketsSeconds[i] {
+		i++
+	}
+	h.buckets[i].Add(1)
+}
 
 // algoStats are the /algo counters exported on /stats and /metrics. A
 // patch counts as a cache hit: no projection ran.
@@ -102,10 +118,12 @@ type algoStats struct {
 	cacheMisses atomic.Int64
 	// patches counts patches that emitted a new CSR (a version relabel
 	// over KV-only changes is neither a patch nor a rebuild).
-	patches      atomic.Int64
-	rebuilds     [5]atomic.Int64 // by rebuildReasons
-	patchBuckets [len(patchBucketsSeconds) + 1]atomic.Int64
-	patchNanos   atomic.Int64
+	patches   atomic.Int64
+	rebuilds  [5]atomic.Int64 // by rebuildReasons
+	patchTime durationHist
+	// runTime is each completed run's algorithm time, by algoNames — the
+	// time the reply's runMS reports.
+	runTime [3]durationHist
 }
 
 func (a *algoStats) rebuilt(reason string) {
@@ -119,12 +137,7 @@ func (a *algoStats) rebuilt(reason string) {
 
 func (a *algoStats) patched(d time.Duration) {
 	a.patches.Add(1)
-	a.patchNanos.Add(int64(d))
-	i := 0
-	for i < len(patchBucketsSeconds) && d.Seconds() > patchBucketsSeconds[i] {
-		i++
-	}
-	a.patchBuckets[i].Add(1)
+	a.patchTime.observe(d)
 }
 
 // csrCache keeps the most recent projection per server and makes it
@@ -366,8 +379,10 @@ func (s *Server) handleAlgo(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Triangles = &res.Count
 	}
-	resp.RunMS = float64(time.Since(start).Microseconds()) / 1000
+	took := time.Since(start)
+	resp.RunMS = float64(took.Microseconds()) / 1000
 	s.algo.runs[ai].Add(1)
+	s.algo.runTime[ai].observe(took)
 
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)

@@ -53,6 +53,22 @@ func (m *metricsWriter) gauge(name, help string, v int64, labels ...string) {
 	m.sample(name, fmt.Sprintf("%d", v), labels...)
 }
 
+// histogram writes h's cumulative buckets, sum and count as samples of
+// the histogram family name, each carrying labels (the buckets add le).
+func (m *metricsWriter) histogram(name string, h *durationHist, labels ...string) {
+	cum := int64(0)
+	for i := range h.buckets {
+		cum += h.buckets[i].Load()
+		le := -1.0
+		if i < len(durationBucketsSeconds) {
+			le = durationBucketsSeconds[i]
+		}
+		m.sample(name+"_bucket", fmt.Sprintf("%d", cum), append(labels[:len(labels):len(labels)], "le", formatLE(le))...)
+	}
+	m.sample(name+"_sum", fmt.Sprintf("%g", time.Duration(h.nanos.Load()).Seconds()), labels...)
+	m.sample(name+"_count", fmt.Sprintf("%d", cum), labels...)
+}
+
 func formatLE(le float64) string {
 	if le < 0 {
 		return "+Inf"
@@ -122,17 +138,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		m.sample("pgrdf_algo_csr_rebuilds_total", fmt.Sprintf("%d", s.algo.rebuilds[i].Load()), "reason", reason)
 	}
 	m.family("pgrdf_algo_csr_patch_duration_seconds", "Wall time of CSR patches.", "histogram")
-	cum := int64(0)
-	for i := range s.algo.patchBuckets {
-		cum += s.algo.patchBuckets[i].Load()
-		le := -1.0
-		if i < len(patchBucketsSeconds) {
-			le = patchBucketsSeconds[i]
-		}
-		m.sample("pgrdf_algo_csr_patch_duration_seconds_bucket", fmt.Sprintf("%d", cum), "le", formatLE(le))
+	m.histogram("pgrdf_algo_csr_patch_duration_seconds", &s.algo.patchTime)
+	m.family("pgrdf_algo_run_seconds", "Wall time of completed graph-algorithm runs, CSR excluded, by algorithm.", "histogram")
+	for i, name := range algoNames {
+		m.histogram("pgrdf_algo_run_seconds", &s.algo.runTime[i], "algo", name)
 	}
-	m.sample("pgrdf_algo_csr_patch_duration_seconds_sum", fmt.Sprintf("%g", time.Duration(s.algo.patchNanos.Load()).Seconds()))
-	m.sample("pgrdf_algo_csr_patch_duration_seconds_count", fmt.Sprintf("%d", cum))
 
 	// Admission control.
 	m.counter("pgrdf_requests_shed_total", "Requests shed with 503 by admission control.", s.shedCount.Load())

@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/pgrdf"
 	"repro/internal/rdf"
 	"repro/internal/store"
 )
@@ -141,6 +143,52 @@ func TestMetricsEndpoint(t *testing.T) {
 	again := validateExposition(t, scrapeMetrics(t, srv.URL))
 	if again[`pgrdf_queries_total{form="select"}`] < 2 {
 		t.Errorf("counter went backwards on second scrape")
+	}
+}
+
+// TestMetricsAlgoRunHistogram: pgrdf_algo_run_seconds has one histogram
+// per algorithm, counting completed runs, with cumulative buckets that
+// end at the count, and a sum that is the replies' runMS to within their
+// microsecond rounding.
+func TestMetricsAlgoRunHistogram(t *testing.T) {
+	st, names := algoTestStore(t, pgrdf.NG)
+	srv := httptest.NewServer(NewServer(st))
+	defer srv.Close()
+	runMS := map[string]float64{}
+	for _, algo := range []string{"triangles", "pagerank", "triangles"} {
+		resp := postAlgo(t, srv.URL, map[string]any{"algo": algo, "model": names.All})
+		var r algoResponse
+		if err := json.NewDecoder(resp.Body).Decode(&r); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		runMS[algo] += r.RunMS
+	}
+	samples := validateExposition(t, scrapeMetrics(t, srv.URL))
+	for algo, want := range map[string]float64{"pagerank": 1, "wcc": 0, "triangles": 2} {
+		label := fmt.Sprintf(`{algo=%q}`, algo)
+		count, ok := samples["pgrdf_algo_run_seconds_count"+label]
+		if !ok || count != want {
+			t.Errorf("%s: count = %v (present %v), want %v", algo, count, ok, want)
+		}
+		prev := 0.0
+		for _, le := range durationBucketsSeconds {
+			b, ok := samples[fmt.Sprintf(`pgrdf_algo_run_seconds_bucket{algo=%q,le=%q}`, algo, formatLE(le))]
+			if !ok {
+				t.Errorf("%s: no bucket le=%g", algo, le)
+			}
+			if b < prev {
+				t.Errorf("%s: bucket le=%g holds %v, below the previous %v", algo, le, b, prev)
+			}
+			prev = b
+		}
+		if inf := samples[fmt.Sprintf(`pgrdf_algo_run_seconds_bucket{algo=%q,le="+Inf"}`, algo)]; inf != count {
+			t.Errorf("%s: +Inf bucket = %v, want the count %v", algo, inf, count)
+		}
+		sum, reported := samples["pgrdf_algo_run_seconds_sum"+label], runMS[algo]/1000
+		if sum < reported-1e-9 || sum-reported > count*1e-6 {
+			t.Errorf("%s: sum = %gs, replies' runMS add up to %gs", algo, sum, reported)
+		}
 	}
 }
 
