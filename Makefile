@@ -1,9 +1,9 @@
 GO ?= go
 FUZZTIME ?= 30s
-# Parallel-bench worker budget: default to the machine's cores so the
-# published BENCH_parallel.json is measured on real parallelism. The
-# bench target passes -require-cores, so asking for more workers than
-# GOMAXPROCS fails instead of publishing scheduler noise.
+# Algo-bench worker budget: default to the machine's cores so the
+# published BENCH_algos.json is measured on real parallelism. The
+# bench-algos target passes -require-cores, so asking for more workers
+# than GOMAXPROCS fails instead of publishing scheduler noise.
 BENCH_WORKERS ?= $(shell nproc 2>/dev/null || echo 8)
 BENCH_ITERS ?= 3
 BENCH_SCALE ?= 0.05
@@ -81,8 +81,7 @@ algo-diff:
 ## 0 or 9, never in between); the isolation walk (views pinned during a
 ## randomized mutation sequence keep showing what they showed, seeks
 ## included; Seek ≡ a forced-index scan of the same prefix through the
-## zero-copy and the delta-merge paths; morsels concatenate to the scan
-## for 1…9 splits, delta and tombstones at split keys; Apply sets and the pinned change
+## zero-copy and the delta-merge paths; Apply sets and the pinned change
 ## log against a reference); answers of
 ## EQ1–EQ12 on RF/NG/SP unchanged by Compact(); and the 30 s soak of 8
 ## readers + writer + /algo + background checkpointer ending with
@@ -90,17 +89,14 @@ algo-diff:
 ## Part of `make check`.
 store-race:
 	$(GO) test -race -count=1 -run 'TestReadersNeverWaitForWriter|TestUpdateIsAtomicToReaders' ./internal/sparql
-	$(GO) test -race -count=1 -run 'TestScanBatchMatchesScan|TestMorselsAtSplitKeys|TestSeekerReuse|TestApply|TestPinnedViewChangesSince|TestViewIsOneState|TestScanBatchUnderFaultInjector' ./internal/store
+	$(GO) test -race -count=1 -run 'TestScanBatchMatchesScan|TestSeekerReuse|TestApply|TestPinnedViewChangesSince|TestViewIsOneState|TestScanBatchUnderFaultInjector' ./internal/store
 	$(GO) test -race -count=1 -run 'TestAnswersIgnoreCompaction' ./internal/bench
 	$(GO) test -race -count=1 -run 'TestSoakServingBesideWrites' ./internal/httpapi
 
-## bench: Go micro-benchmarks plus the serial-vs-parallel comparison of
-## the paper's scan-heavy queries and bulk load, written to
-## BENCH_parallel.json. Tune with BENCH_WORKERS / BENCH_ITERS /
-## BENCH_SCALE.
+## bench: Go micro-benchmarks plus the profiling-overhead gate. Tune
+## with BENCH_ITERS / BENCH_SCALE.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
-	$(GO) run ./cmd/benchpaper -parallelbench -require-cores -workers $(BENCH_WORKERS) -iters $(BENCH_ITERS) -scale $(BENCH_SCALE) -out BENCH_parallel.json
 	$(MAKE) bench-overhead
 
 ## bench-overhead: run EQ1-EQ12 on both schemes with profiling off and
@@ -132,10 +128,7 @@ bench-algos-smoke:
 ## MINUS), the aggregate tail (grouping by one and two key columns, a
 ## UNION of two scans) and a 4-hop path count, counted vs enumerated
 ## through a sub-select (BenchmarkCountChainKernel) — plus the
-## store-level benchmarks: batched scans,
-## a parallel BGP's driving scan split into morsels, copied out of a
-## snapshot cursor or as key ranges of the view (BenchmarkParallelScan,
-## no delta and 4 500 inserts), a range scan
+## store-level benchmarks: batched scans, a range scan
 ## and an estimate through 0–8 000 unmerged inserts and 0–4 000
 ## tombstones (BenchmarkScanThroughDelta: the cost must not grow with the
 ## delta), one seek of an intersection join with no delta and with 4 500
@@ -146,7 +139,7 @@ bench-algos-smoke:
 ## commit's run.
 bench-micro:
 	$(GO) test -bench 'Kernel' -run '^$$' -benchtime 20x ./internal/sparql/
-	$(GO) test -bench 'BenchmarkScan|BenchmarkApply|BenchmarkSeek|BenchmarkParallelScan' -run '^$$' ./internal/store/
+	$(GO) test -bench 'BenchmarkScan|BenchmarkApply|BenchmarkSeek' -run '^$$' ./internal/store/
 	$(GO) test -bench 'TrianglesKernel' -run '^$$' -benchtime 20x ./internal/graph/
 
 ## bench-smoke: one-iteration bench at reduced scale (the CI gate).

@@ -33,12 +33,11 @@ func main() {
 	table := flag.String("table", "", "run a single table (1,2,5,6,7,8,9)")
 	fig := flag.String("fig", "", "run a single figure (4,5,6,7,8,9)")
 	seed := flag.Int64("seed", 0, "override generator seed")
-	parallelBench := flag.Bool("parallelbench", false, "run the serial-vs-parallel comparison (morsel-driven executor + bulk load) instead of the paper tables; serial_ms is the serial batch executor (Parallelism 1)")
 	algoBench := flag.Bool("algobench", false, "run the graph-algorithm comparison (CSR projection + PageRank/WCC/triangles, serial vs parallel, all three schemes) instead of the paper tables")
-	workers := flag.Int("workers", 8, "worker budget for -parallelbench and -algobench")
-	requireCores := flag.Bool("require-cores", false, "fail -parallelbench/-algobench when GOMAXPROCS < workers instead of just warning (guards published speedup numbers)")
-	iters := flag.Int("iters", 3, "timed iterations per query for -parallelbench and -profileoverhead (1 = smoke)")
-	out := flag.String("out", "", "write the -parallelbench/-profileoverhead JSON report to this file (default stdout)")
+	workers := flag.Int("workers", 8, "worker budget for -algobench")
+	requireCores := flag.Bool("require-cores", false, "fail -algobench when GOMAXPROCS < workers instead of just warning (guards published speedup numbers)")
+	iters := flag.Int("iters", 3, "timed iterations per query for -algobench and -profileoverhead (1 = smoke)")
+	out := flag.String("out", "", "write the -algobench/-profileoverhead/-recoverybench JSON report to this file (default stdout)")
 	profileOverhead := flag.Bool("profileoverhead", false, "measure EQ1-EQ12 with vs without per-operator profiling and report the aggregate overhead")
 	maxOverhead := flag.Float64("maxoverhead", 0, "fail when -profileoverhead exceeds this percentage (0 = report only)")
 	explainAnalyze := flag.Bool("explainanalyze", false, "print EXPLAIN ANALYZE for every paper query on both schemes")
@@ -138,41 +137,6 @@ func main() {
 			}
 		}
 		rep, err := bench.AlgoBench(ctx, env, *workers, *iters)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchpaper:", err)
-			os.Exit(1)
-		}
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchpaper:", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if *out == "" {
-			os.Stdout.Write(data)
-			return
-		}
-		if err := os.WriteFile(*out, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "benchpaper:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s (workers=%d, gomaxprocs=%d)\n", *out, rep.Workers, rep.GOMAXPROCS)
-	case *parallelBench:
-		// Speedup numbers measured with fewer cores than workers are
-		// scheduler noise, not parallel speedups. Warn always; under
-		// -require-cores (the Makefile bench target) refuse to publish.
-		if *workers < 2 {
-			*workers = 2 // ParallelBench's own minimum
-		}
-		if procs := runtime.GOMAXPROCS(0); procs < *workers {
-			fmt.Fprintf(os.Stderr, "benchpaper: WARNING: GOMAXPROCS=%d < workers=%d; parallel timings on this host are not speedup evidence\n",
-				procs, *workers)
-			if *requireCores {
-				fmt.Fprintln(os.Stderr, "benchpaper: -require-cores set; refusing to write a report (rerun with -workers", procs, "or on a larger host)")
-				os.Exit(1)
-			}
-		}
-		rep, err := bench.ParallelBench(ctx, env, *workers, *iters)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchpaper:", err)
 			os.Exit(1)

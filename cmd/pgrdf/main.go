@@ -558,7 +558,7 @@ func runServe(args []string) error {
 	maxQueue := fs.Int("max-queue", 32, "max requests waiting for a free slot before shedding with 503")
 	maxRows := fs.Int("max-rows", 0, "per-query result-row budget (0 = default, negative = unlimited)")
 	maxBindings := fs.Int("max-bindings", 0, "per-query intermediate-binding budget (0 = default, negative = unlimited)")
-	parallelism := fs.Int("parallelism", 0, "per-query worker budget for intra-query parallelism (0 = GOMAXPROCS, 1 or negative = serial)")
+	parallelism := fs.Int("parallelism", 0, "default worker count of a POST /algo run (0 = GOMAXPROCS, negative = serial)")
 	drainWait := fs.Duration("drain", 15*time.Second, "max time to wait for in-flight queries on shutdown")
 	slowLog := fs.String("slowlog", "", "slow-query log file (\"-\" = stderr, empty = disabled)")
 	slowThreshold := fs.Duration("slow-threshold", time.Second, "wall time at or over which a query is slow-logged (0 = log every query)")
@@ -643,11 +643,6 @@ func runServe(args []string) error {
 		} else {
 			cfg.SlowQueryThreshold = *slowThreshold
 		}
-	}
-	if *parallelism < 0 {
-		st.SetParallelism(1) // serial bulk loads too
-	} else {
-		st.SetParallelism(*parallelism)
 	}
 	h := httpapi.NewServerWithConfig(st, cfg)
 	h.ReadOnly = *readOnly

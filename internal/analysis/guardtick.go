@@ -15,12 +15,11 @@ import (
 //
 // Rule, scoped to repro/internal/sparql: any call to a raw store row
 // source — Scan / ScanBatch / ScanIndex / Cursor on a pinned
-// *store.View or on the *store.Store shorthand for the current one,
-// (*store.View).Morsels and (*store.Morsel).ScanBatch, or
+// *store.View or on the *store.Store shorthand for the current one, or
 // (*store.Seeker).Seek — must sit in a top-level function that also
 // consults the shared *guard.Guard (a call to its TickN, Poll or
 // CheckRows somewhere in the same function, typically inside the scan
-// callback or the worker loop draining a morsel). Routing through
+// callback). Routing through
 // (*execCtx).scan satisfies this by construction and is the preferred
 // fix. The batched sources pair naturally with TickN: the vectorized
 // executor accumulates a pending count over a batch's rows and settles
@@ -44,12 +43,10 @@ var Guardtick = &Analyzer{
 // rawScanMethods are the store row sources that bypass (*execCtx).scan.
 // Seek is the sorted intersection join's source: the loop that
 // leapfrogs over seeked rows settles them with tickN like a ScanBatch
-// loop. Morsels splits a scan for parallel workers, each of which
-// drains its morsel through Morsel.ScanBatch.
+// loop.
 var rawScanMethods = map[string]map[string]bool{
 	"Store":  {"Scan": true, "ScanBatch": true, "ScanIndex": true, "Cursor": true},
-	"View":   {"Scan": true, "ScanBatch": true, "ScanIndex": true, "Cursor": true, "Morsels": true},
-	"Morsel": {"ScanBatch": true},
+	"View":   {"Scan": true, "ScanBatch": true, "ScanIndex": true, "Cursor": true},
 	"Seeker": {"Seek": true},
 }
 

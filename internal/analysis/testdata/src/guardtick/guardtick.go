@@ -4,8 +4,6 @@
 package guardticktest
 
 import (
-	"sync"
-
 	"repro/internal/guard"
 	"repro/internal/store"
 )
@@ -95,35 +93,6 @@ func badViewCursor(v *store.View, p store.Pattern) int {
 	return c.Len()
 }
 
-// goodWorkerPool is the morsel-driven shape: worker goroutines drain
-// the morsels of a pinned view and batch their budget accounting
-// through tickN. One tickN call anywhere in the function counts as a
-// tick.
-func goodWorkerPool(g *guard.Guard, v *store.View, p store.Pattern) int {
-	morsels := v.Morsels(p, 4)
-	var (
-		mu    sync.Mutex
-		total int
-		wg    sync.WaitGroup
-	)
-	for i := range morsels {
-		wg.Add(1)
-		go func(m *store.Morsel) {
-			defer wg.Done()
-			pending := 0
-			m.ScanBatch(1024, func(run []store.IDQuad) bool {
-				pending += len(run)
-				return g.TickN(len(run))
-			})
-			mu.Lock()
-			total += pending
-			mu.Unlock()
-		}(&morsels[i])
-	}
-	wg.Wait()
-	return total
-}
-
 // goodViewScan pairs a scan of a pinned view with a per-row tick.
 func goodViewScan(g *guard.Guard, v *store.View, p store.Pattern) int {
 	n := 0
@@ -155,17 +124,6 @@ func badViewBatch(v *store.View, p store.Pattern) int {
 	return n
 }
 
-func badMorsels(v *store.View, p store.Pattern) int {
-	n := 0
-	for _, m := range v.Morsels(p, 4) { // want "store scan without a budget-guard tick"
-		m.ScanBatch(1024, func(run []store.IDQuad) bool { // want "store scan without a budget-guard tick"
-			n += len(run)
-			return true
-		})
-	}
-	return n
-}
-
 // goodBatchScan settles the budget with one tickN per batch — the
 // vectorized executor's per-batch amortization of per-row ticks.
 func goodBatchScan(g *guard.Guard, st *store.Store, p store.Pattern) int {
@@ -180,28 +138,14 @@ func goodBatchScan(g *guard.Guard, st *store.Store, p store.Pattern) int {
 	return n
 }
 
-// goodMorsel drains one morsel, accumulating a pending count settled
-// by tickN at each flush.
-func goodMorsel(g *guard.Guard, m *store.Morsel) int {
-	n, pending := 0, 0
-	m.ScanBatch(1024, func(run []store.IDQuad) bool {
-		pending += len(run)
-		n += len(run)
-		if pending >= 1024 {
-			if !g.TickN(pending) {
-				return false
-			}
-			pending = 0
-		}
-		return true
+func suppressedSample(v *store.View, p store.Pattern) int {
+	n := 0
+	//pgrdfvet:ignore guardtick -- sizing a plan from the first run of rows, not an execution read
+	v.ScanBatch(p, 64, func(run []store.IDQuad) bool {
+		n = len(run)
+		return false
 	})
-	g.TickN(pending)
 	return n
-}
-
-func suppressedMorsels(v *store.View, p store.Pattern) int {
-	//pgrdfvet:ignore guardtick -- sizing the split for a plan estimate, not an execution read
-	return len(v.Morsels(p, 8))
 }
 
 // badSeek reads seeked rows without charging them: the sorted

@@ -57,9 +57,9 @@ type AlgoPatchResult struct {
 	Fingerprint  string  `json:"fingerprint"`
 }
 
-// AlgoReport is the payload of BENCH_algos.json. As with
-// ParallelReport, speedups measured with GOMAXPROCS < workers are
-// scheduler noise, so GOMAXPROCS is recorded alongside the numbers.
+// AlgoReport is the payload of BENCH_algos.json. Speedups measured with
+// GOMAXPROCS < workers are scheduler noise, so GOMAXPROCS is recorded
+// alongside the numbers.
 type AlgoReport struct {
 	Workers    int               `json:"workers"`
 	GOMAXPROCS int               `json:"gomaxprocs"`
@@ -332,8 +332,10 @@ func runAlgoOnce(ctx context.Context, r graph.Runner, cs *graph.CSR, algo string
 	return out, nil
 }
 
-// medianOf times iters runs of f from a collected heap and reports the
-// median (see medianRun for why the GC call is part of the protocol).
+// medianOf times iters runs of f and reports the median. Each run
+// starts from a collected heap (like testing.B between runs): otherwise
+// one run's garbage accumulates and the background collector's marking
+// competes with the later runs, which are charged for it.
 func medianOf(iters int, f func() error) (time.Duration, error) {
 	durs := make([]time.Duration, 0, iters)
 	for i := 0; i < iters; i++ {
@@ -350,4 +352,13 @@ func medianOf(iters int, f func() error) (time.Duration, error) {
 func median(durs []time.Duration) time.Duration {
 	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
 	return durs[len(durs)/2]
+}
+
+func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+
+func speedup(serial, parallel time.Duration) float64 {
+	if parallel <= 0 {
+		return 0
+	}
+	return float64(serial) / float64(parallel)
 }

@@ -35,9 +35,7 @@ type OverheadReport struct {
 }
 
 // ProfileOverhead times every paper query with and without profiling
-// and reports the aggregate overhead. Engines run serial
-// (Parallelism=1) so the measurement captures the instrumentation
-// cost, not atomic contention noise. Samples for the two legs are
+// and reports the aggregate overhead. Samples for the two legs are
 // interleaved in alternating order and each leg takes its best of
 // iters runs: the long traversal queries are allocation-heavy enough
 // that GC pacing drifts across a run, and interleaving keeps that
@@ -50,7 +48,6 @@ func ProfileOverhead(ctx context.Context, env *Env, iters int) (*OverheadReport,
 	queries := env.Queries()
 	for _, se := range env.SchemeEnvs() {
 		eng := sparql.NewEngine(se.Store)
-		eng.Parallelism = 1
 		for _, name := range sortedKeys(queries) {
 			model := TargetModelFor(se, name)
 			q := queries[name]

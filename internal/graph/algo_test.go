@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/pgrdf"
@@ -316,6 +317,52 @@ func TestTrianglesDifferential(t *testing.T) {
 			if res.Count != want {
 				t.Fatalf("%s par %d: triangles = %d, want %d", name, par, res.Count, want)
 			}
+		}
+	}
+}
+
+// TestHugeParallelismIsCapped: a worker count far above the graph's
+// morsel count runs as one worker per morsel — every per-worker
+// allocation is sized by the cap, not the request — and answers what a
+// single worker does.
+func TestHugeParallelismIsCapped(t *testing.T) {
+	cs := edgeCSR(4, [][2]uint32{{0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 0}})
+	want, err := Runner{Parallelism: 1}.Triangles(context.Background(), cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Count != 2 {
+		t.Fatalf("p1 triangles = %d, want 2", want.Count)
+	}
+	huge := Runner{Parallelism: 1 << 40}
+	if w := huge.workers(cs.NumVertices()); w != 1 {
+		t.Fatalf("workers(4) = %d, want 1", w)
+	}
+	got, err := huge.Triangles(context.Background(), cs)
+	if err != nil || got.Count != want.Count {
+		t.Fatalf("triangles at Parallelism 1<<40 = %v, %v; want %d", got, err, want.Count)
+	}
+}
+
+// TestRunnerWorkers: the worker count is the configured Parallelism
+// (GOMAXPROCS when it is not positive), capped at one worker per
+// morsel, and never below one, even on an empty graph.
+func TestRunnerWorkers(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	cases := []struct{ par, n, want int }{
+		{1, 5000, 1},
+		{4, 5000, 4},
+		{8, 5000, 5},
+		{4, morselVertices, 1},
+		{4, morselVertices + 1, 2},
+		{1 << 40, 3 * morselVertices, 3},
+		{4, 0, 1},
+		{0, 64 * morselVertices, min(procs, 64)},
+		{-1, 64 * morselVertices, min(procs, 64)},
+	}
+	for _, c := range cases {
+		if got := (Runner{Parallelism: c.par}).workers(c.n); got != c.want {
+			t.Errorf("Runner{Parallelism: %d}.workers(%d) = %d, want %d", c.par, c.n, got, c.want)
 		}
 	}
 }

@@ -70,7 +70,7 @@ func (r Runner) PageRank(ctx context.Context, cs *CSR, opts PageRankOptions) (re
 	if n == 0 {
 		return &PageRankResult{Scores: []float64{}, Converged: true}, nil
 	}
-	w := r.workers()
+	w := r.workers(n)
 	nm := numMorsels(n)
 
 	// outW[u] is the total weight leaving u: the out-degree when

@@ -37,17 +37,21 @@ type Runner struct {
 	Budget Budget
 }
 
-func (r Runner) workers() int {
+// workers returns the worker count for a run over n vertices: the
+// configured Parallelism, capped at one worker per morsel. Every
+// per-worker allocation is sized by it, so a huge Parallelism costs
+// nothing on a small graph.
+func (r Runner) workers(n int) int {
 	w := r.Parallelism
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	return w
+	return max(min(w, numMorsels(n)), 1)
 }
 
 // runMorsels executes fn over every fixed-size vertex morsel of [0, n)
-// using w workers. Workers claim morsels from a shared atomic counter
-// (the same work-stealing shape as the SPARQL morsel executor), so the
+// using w workers, w as returned by Runner.workers(n). Workers claim
+// morsels from a shared atomic counter (work stealing), so the
 // assignment of morsels to workers is racy — which is why fn must
 // write only per-vertex state inside its own range plus per-morsel
 // partial slots, never accumulate across morsels. fn also gets the
@@ -62,9 +66,6 @@ func runMorsels(w, n int, g *guard.Guard, fn func(wk, m, lo, hi int) bool) bool 
 	nm := numMorsels(n)
 	if nm == 0 {
 		return true
-	}
-	if w > nm {
-		w = nm
 	}
 	runOne := func(wk, m int) bool {
 		if !g.Poll() {

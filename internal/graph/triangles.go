@@ -43,7 +43,7 @@ func (r Runner) Triangles(ctx context.Context, cs *CSR) (res *TrianglesResult, e
 	if n == 0 {
 		return res, nil
 	}
-	w := r.workers()
+	w := r.workers(n)
 
 	// Phases 1 and 3 mark vertices in a dense array of n bytes per
 	// worker — not per morsel, which would be quadratic in n — allocated

@@ -43,7 +43,7 @@ func (r Runner) WCC(ctx context.Context, cs *CSR) (res *WCCResult, err error) {
 	if n == 0 {
 		return res, nil
 	}
-	w := r.workers()
+	w := r.workers(n)
 	nm := numMorsels(n)
 
 	cur := res.Labels

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -39,9 +40,23 @@ type algoRequest struct {
 	Tolerance     float64 `json:"tolerance"`
 	Weighted      bool    `json:"weighted"`
 
-	// Parallelism overrides the server's worker budget for this run;
-	// 0 uses the configured default. Results are identical either way.
+	// Parallelism overrides the server's worker count for this run; 0
+	// uses the configured default, <0 runs serially, and a count above
+	// the graph's morsel count is capped to it. Results are identical
+	// either way.
 	Parallelism int `json:"parallelism"`
+}
+
+// algoWorkers is the configured /algo worker count (Config.Parallelism
+// resolved: 0 is GOMAXPROCS, <0 is serial), reported by /stats.
+func (s *Server) algoWorkers() int {
+	switch {
+	case s.cfg.Parallelism < 0:
+		return 1
+	case s.cfg.Parallelism == 0:
+		return runtime.GOMAXPROCS(0)
+	}
+	return s.cfg.Parallelism
 }
 
 // algoResponse is the POST /algo JSON reply. Exactly one of the
@@ -337,12 +352,9 @@ func (s *Server) handleAlgo(w http.ResponseWriter, r *http.Request) {
 
 	par := req.Parallelism
 	if par == 0 {
-		par = s.cfg.Parallelism
+		par = s.algoWorkers()
 	}
-	if par < 0 {
-		par = 1
-	}
-	runner := graph.Runner{Parallelism: par, Budget: budget}
+	runner := graph.Runner{Parallelism: max(par, 1), Budget: budget}
 	start := time.Now()
 	switch req.Algo {
 	case "pagerank":

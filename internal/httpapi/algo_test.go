@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -182,6 +184,61 @@ func figureQuad() rdf.Quad {
 		S: rdf.NewIRI("http://pg/v98"),
 		P: rdf.NewIRI("http://pg/r/follows"),
 		O: rdf.NewIRI("http://pg/v99"),
+	}
+}
+
+// TestAlgoHugeParallelism: a client-chosen worker count far above the
+// graph's size is capped, not allocated — the run answers 200 with the
+// count a single worker finds — and /stats reports the configured
+// worker count, GOMAXPROCS by default.
+func TestAlgoHugeParallelism(t *testing.T) {
+	st, names := algoTestStore(t, pgrdf.NG)
+	srv := httptest.NewServer(NewServer(st))
+	defer srv.Close()
+	triangles := func(par int64) int64 {
+		t.Helper()
+		resp := postAlgo(t, srv.URL, map[string]any{"algo": "triangles", "model": names.All, "parallelism": par})
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("parallelism %d: status = %d", par, resp.StatusCode)
+		}
+		var r algoResponse
+		if err := json.NewDecoder(resp.Body).Decode(&r); err != nil {
+			t.Fatal(err)
+		}
+		if r.Triangles == nil {
+			t.Fatalf("parallelism %d: no triangle count", par)
+		}
+		return *r.Triangles
+	}
+	if p1, huge := triangles(1), triangles(1<<40); p1 != 1 || huge != p1 {
+		t.Fatalf("triangles at parallelism 1<<40 = %d, at 1 = %d; want both 1", huge, p1)
+	}
+	if stats := fetch(t, srv.URL+"/stats"); !strings.Contains(stats, fmt.Sprintf(`"parallelism":%d,`, runtime.GOMAXPROCS(0))) {
+		t.Fatalf("stats do not report GOMAXPROCS=%d as the /algo worker count: %s", runtime.GOMAXPROCS(0), stats)
+	}
+}
+
+// TestStatsReportsAlgoWorkers: /stats "parallelism" is the default
+// /algo worker count — Config.Parallelism, GOMAXPROCS at 0, one when
+// negative — and a run that names no worker count of its own answers
+// the same triangles under each.
+func TestStatsReportsAlgoWorkers(t *testing.T) {
+	st, names := algoTestStore(t, pgrdf.NG)
+	for _, c := range []struct{ cfg, want int }{{0, runtime.GOMAXPROCS(0)}, {-1, 1}, {3, 3}} {
+		srv := httptest.NewServer(NewServerWithConfig(st, Config{Parallelism: c.cfg}))
+		stats := fetch(t, srv.URL+"/stats")
+		if !strings.Contains(stats, fmt.Sprintf(`"parallelism":%d,`, c.want)) {
+			t.Errorf("Config.Parallelism %d: stats do not report %d /algo workers: %s", c.cfg, c.want, stats)
+		}
+		resp := postAlgo(t, srv.URL, map[string]any{"algo": "triangles", "model": names.All})
+		var r algoResponse
+		err := json.NewDecoder(resp.Body).Decode(&r)
+		resp.Body.Close()
+		srv.Close()
+		if resp.StatusCode != http.StatusOK || err != nil || r.Triangles == nil || *r.Triangles != 1 {
+			t.Errorf("Config.Parallelism %d: triangles status %d, %v, %v; want 200 and 1", c.cfg, resp.StatusCode, err, r.Triangles)
+		}
 	}
 }
 

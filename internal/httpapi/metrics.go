@@ -7,6 +7,8 @@ package httpapi
 import (
 	"fmt"
 	"net/http"
+	"runtime"
+	"runtime/metrics"
 	"sort"
 	"strings"
 	"time"
@@ -114,12 +116,19 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.counter("pgrdf_plan_cache_evictions_total", "Plan cache evictions.", snap.PlanCache.Evictions)
 	m.gauge("pgrdf_plan_cache_entries", "Compiled plans currently cached.", int64(snap.PlanCache.Entries))
 
-	// Intra-query parallelism.
-	m.counter("pgrdf_parallel_queries_total", "Queries that ran at least one parallel stage.", snap.Parallel.Queries)
-	m.counter("pgrdf_parallel_workers_total", "Parallel worker goroutines launched.", snap.Parallel.Workers)
-	m.counter("pgrdf_parallel_morsels_total", "Scan morsels executed.", snap.Parallel.Morsels)
-	m.counter("pgrdf_parallel_hash_builds_total", "Partitioned hash-table builds.", snap.Parallel.HashBuilds)
-	m.gauge("pgrdf_active_workers", "Live parallel worker goroutines (leak gauge).", snap.Parallel.ActiveWorkers)
+	// Go runtime.
+	rt := []metrics.Sample{
+		{Name: "/sched/goroutines:goroutines"},
+		{Name: "/memory/classes/heap/objects:bytes"},
+		{Name: "/cpu/classes/gc/pause:cpu-seconds"},
+	}
+	metrics.Read(rt)
+	m.gauge("pgrdf_go_goroutines", "Live goroutines in the process (leak gauge).", int64(rt[0].Value.Uint64()))
+	m.gauge("pgrdf_go_heap_bytes", "Heap bytes held by live and not yet swept objects.", int64(rt[1].Value.Uint64()))
+	// The runtime counts a pause as GOMAXPROCS CPU-seconds per second of
+	// wall time, so dividing gives the pauses' wall time.
+	m.family("pgrdf_go_gc_pause_seconds_total", "Wall time the process spent paused by the garbage collector.", "counter")
+	m.sample("pgrdf_go_gc_pause_seconds_total", fmt.Sprintf("%g", rt[2].Value.Float64()/float64(runtime.GOMAXPROCS(0))))
 
 	// Graph analytics (POST /algo).
 	m.family("pgrdf_algo_runs_total", "Graph-algorithm runs completed, by algorithm.", "counter")

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -143,6 +144,31 @@ func TestMetricsEndpoint(t *testing.T) {
 	again := validateExposition(t, scrapeMetrics(t, srv.URL))
 	if again[`pgrdf_queries_total{form="select"}`] < 2 {
 		t.Errorf("counter went backwards on second scrape")
+	}
+}
+
+// TestMetricsGoRuntime: the Go runtime gauges are read at scrape time.
+// The goroutine count includes the goroutine serving the scrape, the
+// heap holds at least the loaded store, and the GC pause total never
+// falls between scrapes, a collection in between included.
+func TestMetricsGoRuntime(t *testing.T) {
+	srv := testServer(t)
+	first := validateExposition(t, scrapeMetrics(t, srv.URL))
+	runtime.GC()
+	second := validateExposition(t, scrapeMetrics(t, srv.URL))
+	for _, name := range []string{"pgrdf_go_goroutines", "pgrdf_go_heap_bytes", "pgrdf_go_gc_pause_seconds_total"} {
+		if _, ok := second[name]; !ok {
+			t.Fatalf("scrape is missing %s", name)
+		}
+	}
+	if g := second["pgrdf_go_goroutines"]; g < 1 {
+		t.Errorf("pgrdf_go_goroutines = %v, want >= 1", g)
+	}
+	if h := second["pgrdf_go_heap_bytes"]; h <= 0 {
+		t.Errorf("pgrdf_go_heap_bytes = %v, want > 0", h)
+	}
+	if p0, p1 := first["pgrdf_go_gc_pause_seconds_total"], second["pgrdf_go_gc_pause_seconds_total"]; p0 < 0 || p1 < p0 {
+		t.Errorf("pgrdf_go_gc_pause_seconds_total went %v -> %v across a GC", p0, p1)
 	}
 }
 

@@ -52,9 +52,10 @@ type Config struct {
 	// <0 disables.
 	MaxRows     int
 	MaxBindings int
-	// Parallelism is the per-query worker budget for the engine's
-	// morsel-driven intra-query parallelism (see sparql.Engine). 0 uses
-	// the engine default (GOMAXPROCS); <0 forces serial execution.
+	// Parallelism is the default worker count of a POST /algo run (see
+	// graph.Runner); a request's own "parallelism" overrides it. 0 uses
+	// GOMAXPROCS; <0 runs serially. SPARQL queries always run on the
+	// goroutine that serves them.
 	Parallelism int
 	// SlowQueryThreshold is the wall time at or over which a query is
 	// written to SlowQueryLog with its profile attached. 0 uses the
@@ -300,11 +301,6 @@ func NewServerWithConfig(st *store.Store, cfg Config) *Server {
 // NewServerWithConfig and SwapStore.
 func (s *Server) newEngine(st *store.Store) *sparql.Engine {
 	eng := sparql.NewEngine(st)
-	if s.cfg.Parallelism < 0 {
-		eng.Parallelism = 1
-	} else {
-		eng.Parallelism = s.cfg.Parallelism
-	}
 	// The one budget of /sparql, /update and /algo. Timeouts are applied
 	// per request from the HTTP layer so admission-queue wait never eats
 	// into execution time.
@@ -616,16 +612,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rep := view.Storage()
-	ps := eng.ParallelStats()
-	par := eng.Parallelism
-	if par == 0 {
-		par = runtime.GOMAXPROCS(0) // the engine default, reported as its effective value
-	}
 	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, `{"quads":%d,"subjects":%d,"predicates":%d,"objects":%d,"namedGraphs":%d,"storageBytes":%d,"openCursors":%d,"storeVersion":%d,`+
-		`"parallelism":%d,"parallelQueries":%d,"parallelWorkers":%d,"parallelMorsels":%d,"parallelHashBuilds":%d,"activeWorkers":%d`,
+	fmt.Fprintf(w, `{"quads":%d,"subjects":%d,"predicates":%d,"objects":%d,"namedGraphs":%d,"storageBytes":%d,"openCursors":%d,"storeVersion":%d,"parallelism":%d`,
 		st.Quads, st.Subjects, st.Predicates, st.Objects, st.NamedGraphs, rep.Total, eng.Store().OpenCursors(), view.Version,
-		par, ps.Queries, ps.Workers, ps.Morsels, ps.HashBuilds, ps.ActiveWorkers)
+		s.algoWorkers())
 	var algoRuns, algoErrors int64
 	for i := range algoNames {
 		algoRuns += s.algo.runs[i].Load()

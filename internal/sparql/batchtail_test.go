@@ -56,7 +56,6 @@ func TestBatchTailFiresWhereExpected(t *testing.T) {
 	var plans strings.Builder
 	for _, scheme := range []pgrdf.Scheme{pgrdf.NG, pgrdf.SP} {
 		e := NewEngine(paperStore(t, scheme))
-		e.Parallelism = 4
 		for _, name := range []string{"EQ9", "EQ10"} {
 			plan, err := e.Explain("", queries[name])
 			if err != nil {
@@ -123,7 +122,7 @@ func walkProfile(nodes []*ProfileNode, fn func(*ProfileNode)) {
 // OPTIONAL) runs row by row, so neither EXPLAIN nor the profile marks
 // it; nested in a batch UNION it is marked with its parent.
 func TestNestedUnionBatchMarks(t *testing.T) {
-	e := vecEngine(egoNetStore(t, 50, 3))
+	e := NewEngine(egoNetStore(t, 50, 3))
 	for _, tc := range []struct {
 		q       string
 		batches int

@@ -63,7 +63,6 @@ func watchdog(t *testing.T, done <-chan struct{}) {
 func TestReadersNeverWaitForWriter(t *testing.T) {
 	st := ngLookupStore(t, 300, 6)
 	e := NewEngine(st)
-	e.Parallelism = 1
 	const lookup = `PREFIX r: <http://pg/r/> PREFIX k: <http://pg/k/>
 		SELECT ?n3 WHERE { GRAPH ?g1 { ?n r:follows ?n2 . ?g1 k:hasTag "#t%d" } ?n2 r:follows ?n3 }`
 
@@ -137,7 +136,6 @@ func TestReadersNeverWaitForWriter(t *testing.T) {
 func TestUpdateIsAtomicToReaders(t *testing.T) {
 	st := ngLookupStore(t, 50, 2)
 	e := NewEngine(st)
-	e.Parallelism = 1
 	const three = `<http://pg/a1> <http://pg/k/mark> "x" . <http://pg/a2> <http://pg/k/mark> "y" . <http://pg/a3> <http://pg/k/mark> "z" .`
 	queries := map[string][]int{
 		`SELECT (COUNT(*) AS ?n) WHERE { ?s <http://pg/k/mark> ?o }`:                              {0, 3},
@@ -194,4 +192,53 @@ func TestUpdateIsAtomicToReaders(t *testing.T) {
 		close(done)
 	}()
 	watchdog(t, done)
+}
+
+// TestConcurrentQueriesShareOneEngine: four goroutines run socialShapes
+// on one engine, so they share its cached compiled plans, and each
+// answers what a lone run does. Per-query executor state (hash tables,
+// BFS frontiers, sort buffers) carries no lock; under the race detector
+// this fails if any of it lives in a shared plan.
+func TestConcurrentQueriesShareOneEngine(t *testing.T) {
+	st := socialStore(t)
+	e := NewEngine(st)
+	e.HashJoinThreshold = 16
+	want := make([]string, len(socialShapes))
+	for i, q := range socialShapes {
+		res, err := e.Query("", testPrologue+q)
+		if err != nil {
+			t.Fatalf("shape %d: %v", i, err)
+		}
+		want[i] = res.String()
+	}
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for round := 0; round < 2; round++ {
+				for k := range socialShapes {
+					i := (k + r) % len(socialShapes)
+					res, err := e.Query("", testPrologue+socialShapes[i])
+					if err != nil {
+						t.Errorf("reader %d shape %d: %v", r, i, err)
+						return
+					}
+					if got := res.String(); got != want[i] {
+						t.Errorf("reader %d shape %d: %d bytes of results, want %d", r, i, len(got), len(want[i]))
+						return
+					}
+				}
+			}
+		}(r)
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	watchdog(t, done)
+	if g := st.OpenCursors(); g != 0 {
+		t.Errorf("leaked cursors: %d", g)
+	}
 }

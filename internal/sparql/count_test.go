@@ -41,8 +41,6 @@ var countCollapses = []int{0, 0, 1, 2, 3, 0, 1, 2, 2, 1, 1, 1, -1, -1}
 // the default graph, so a path's rows repeat per combination of
 // parallel edges; a 6-clique of follows edges in two graphs each (its
 // triangles repeat eight times); and model m2 with 600 more edges.
-// Each model holds more follows rows than parallelScanMinRows, so the
-// unanchored shapes fan out to morsels at parallelism 4.
 func countStore(t *testing.T) (m1, m2 []rdf.Quad) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(29))
@@ -76,9 +74,9 @@ func countStore(t *testing.T) (m1, m2 []rdf.Quad) {
 // TestCountingMatchesEnumerating is the counting differential: every
 // countShapeQueries shape must answer exactly what its enumerating form
 // answers, on countStore freshly loaded, with delta rows and tombstones
-// in the follows ranges, and compacted; over all models and over m1; at
-// parallelism 1 and 4. The weighted shapes must plan weighted with the
-// collapses countCollapses names, the others unweighted.
+// in the follows ranges, and compacted; over all models and over m1.
+// The weighted shapes must plan weighted with the collapses
+// countCollapses names, the others unweighted.
 func TestCountingMatchesEnumerating(t *testing.T) {
 	m1, m2 := countStore(t)
 	// Every 6th m1 quad is held out of the load and inserted later;
@@ -130,36 +128,29 @@ func TestCountingMatchesEnumerating(t *testing.T) {
 	for _, state := range states {
 		state.mutate()
 		for _, model := range []string{"", "m1"} {
-			for _, parallelism := range []int{1, 4} {
-				e := NewEngine(st)
-				e.Parallelism = parallelism
-				e.HashJoinThreshold = 16
-				for i, q := range shapes {
-					q = testPrologue + q
-					label := fmt.Sprintf("%s/%q/p%d/shape %d", state.name, model, parallelism, i)
-					plan, err := e.Explain(model, q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					weighted := strings.Contains(plan, "count=weighted")
-					if collapses := strings.Count(plan, "collapse="); weighted != (countCollapses[i] >= 0) || weighted && collapses != countCollapses[i] {
-						t.Errorf("%s: weighted=%v with %d collapsing steps, want %d\n%s", label, weighted, collapses, countCollapses[i], plan)
-					}
-					got, err := e.Query(model, q)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					want, err := e.Query(model, enumerating(q))
-					if err != nil {
-						t.Fatalf("%s: enumerating: %v", label, err)
-					}
-					if got.String() != want.String() {
-						t.Fatalf("%s: counting differs from enumerating\n%s\n%s", label, q, firstDiff(want.String(), got.String()))
-					}
+			e := NewEngine(st)
+			e.HashJoinThreshold = 16
+			for i, q := range shapes {
+				q = testPrologue + q
+				label := fmt.Sprintf("%s/%q/shape %d", state.name, model, i)
+				plan, err := e.Explain(model, q)
+				if err != nil {
+					t.Fatal(err)
 				}
-				snap := e.ParallelStats()
-				if snap.ActiveWorkers != 0 || parallelism > 1 && snap.Morsels == 0 {
-					t.Errorf("%s/%q/p%d: %d leaked workers, %d morsels", state.name, model, parallelism, snap.ActiveWorkers, snap.Morsels)
+				weighted := strings.Contains(plan, "count=weighted")
+				if collapses := strings.Count(plan, "collapse="); weighted != (countCollapses[i] >= 0) || weighted && collapses != countCollapses[i] {
+					t.Errorf("%s: weighted=%v with %d collapsing steps, want %d\n%s", label, weighted, collapses, countCollapses[i], plan)
+				}
+				got, err := e.Query(model, q)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				want, err := e.Query(model, enumerating(q))
+				if err != nil {
+					t.Fatalf("%s: enumerating: %v", label, err)
+				}
+				if got.String() != want.String() {
+					t.Fatalf("%s: counting differs from enumerating\n%s\n%s", label, q, firstDiff(want.String(), got.String()))
 				}
 			}
 		}
@@ -173,7 +164,7 @@ func TestCountingMatchesEnumerating(t *testing.T) {
 // and third steps collapsing; EXPLAIN ANALYZE shows how many rows a step
 // folded, and every step's input is the rows the step before it kept.
 func TestCountExplain(t *testing.T) {
-	e := vecEngine(egoNetStore(t, 900, 5))
+	e := NewEngine(egoNetStore(t, 900, 5))
 	q := testPrologue + countShapeQueries()[3]
 	plan, err := e.Explain("", q)
 	if err != nil {
@@ -211,34 +202,29 @@ func TestCountExplain(t *testing.T) {
 // TestCountBudgetChargesWork: a budget charges the rows a query
 // touches, and a weighted row is one of them however many solutions it
 // stands for. The unanchored 3-hop count needs a MaxWork of 13 404
-// counting serially, 28 399 at parallelism 4 (each morsel folds only its
-// own rows) and 147 392 enumerating, so 50 000 lets the count through
+// counting and 147 392 enumerating, so 50 000 lets the count through
 // and stops its enumerating form.
 func TestCountBudgetChargesWork(t *testing.T) {
 	st := egoNetStore(t, 900, 5)
 	q := testPrologue + countShapeQueries()[7]
-	want, err := vecEngine(st).Query("", q)
+	want, err := NewEngine(st).Query("", q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, parallelism := range []int{1, 4} {
-		e := NewEngine(st)
-		e.Parallelism = parallelism
-		e.Limits = guard.Budget{MaxWork: 50_000}
-		if got, err := e.Query("", q); err != nil || got.String() != want.String() {
-			t.Fatalf("parallelism %d: counting under MaxWork 50 000: %v, err %v; want %v", parallelism, got, err, want)
-		}
-		if _, err := e.Query("", enumerating(q)); !errors.Is(err, guard.ErrBudgetExceeded) {
-			t.Fatalf("parallelism %d: enumerating under MaxWork 50 000: err = %v, want guard.ErrBudgetExceeded", parallelism, err)
-		}
+	e := NewEngine(st)
+	e.Limits = guard.Budget{MaxWork: 50_000}
+	if got, err := e.Query("", q); err != nil || got.String() != want.String() {
+		t.Fatalf("counting under MaxWork 50 000: %v, err %v; want %v", got, err, want)
+	}
+	if _, err := e.Query("", enumerating(q)); !errors.Is(err, guard.ErrBudgetExceeded) {
+		t.Fatalf("enumerating under MaxWork 50 000: err = %v, want guard.ErrBudgetExceeded", err)
 	}
 }
 
 // TestCountCancellationMidCollapse cancels the unanchored 3-hop count
 // while its second step collapses — scans stall 1 ms per 16 rows, and
 // the first step's 4 500 rows have passed — and checks it stops
-// promptly with guard.ErrCanceled, serial and parallel, leaking no
-// workers or cursors.
+// promptly with guard.ErrCanceled, leaking no cursors.
 func TestCountCancellationMidCollapse(t *testing.T) {
 	st := egoNetStore(t, 900, 5)
 	fi := store.NewFaultInjector()
@@ -246,34 +232,28 @@ func TestCountCancellationMidCollapse(t *testing.T) {
 	st.SetFaultInjector(fi)
 	defer st.SetFaultInjector(nil)
 	q := testPrologue + countShapeQueries()[7]
-	for _, parallelism := range []int{1, 4} {
-		e := NewEngine(st)
-		e.Parallelism = parallelism
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan error, 1)
-		start, before := time.Now(), fi.Scanned()
-		go func() {
-			_, err := e.QueryContext(ctx, "", q)
-			done <- err
-		}()
-		for fi.Scanned()-before <= 5000 {
-			if time.Since(start) > 10*time.Second {
-				t.Fatalf("parallelism %d: the second step did not start", parallelism)
-			}
-			time.Sleep(time.Millisecond)
+	e := NewEngine(st)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	start, before := time.Now(), fi.Scanned()
+	go func() {
+		_, err := e.QueryContext(ctx, "", q)
+		done <- err
+	}()
+	for fi.Scanned()-before <= 5000 {
+		if time.Since(start) > 10*time.Second {
+			t.Fatal("the second step did not start")
 		}
-		cancel()
-		select {
-		case err := <-done:
-			if !errors.Is(err, guard.ErrCanceled) {
-				t.Fatalf("parallelism %d: err = %v, want guard.ErrCanceled", parallelism, err)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatalf("parallelism %d: query did not stop within 2s of cancellation", parallelism)
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, guard.ErrCanceled) {
+			t.Fatalf("err = %v, want guard.ErrCanceled", err)
 		}
-		if w := e.ParallelStats().ActiveWorkers; w != 0 {
-			t.Errorf("parallelism %d: leaked workers: %d", parallelism, w)
-		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("query did not stop within 2s of cancellation")
 	}
 	if g := st.OpenCursors(); g != 0 {
 		t.Errorf("leaked cursors: %d", g)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -30,15 +29,6 @@ type Engine struct {
 	// execution methods. The zero value imposes no limits. Set it once
 	// before serving queries; it is read concurrently.
 	Limits guard.Budget
-
-	// Parallelism is the per-query worker budget for morsel-driven
-	// intra-query parallelism: partitioned BGP scans, partitioned
-	// hash-join builds and parallel path-search frontier expansion
-	// (DESIGN.md §10). 0 means runtime.GOMAXPROCS(0). 1 disables
-	// intra-query parallelism and reproduces the serial plans exactly
-	// (the paper-faithful ablation setting). Set it once before
-	// serving queries; it is read concurrently.
-	Parallelism int
 
 	// HashJoinThreshold is the number of input bindings that must
 	// stream through a BGP join step before the executor considers
@@ -73,10 +63,6 @@ type Engine struct {
 
 	// metrics accumulates per-form query counters; see MetricsSnapshot.
 	metrics queryMetrics
-
-	// pstats accumulates intra-query parallelism counters; see
-	// ParallelStats.
-	pstats parallelStats
 
 	// planCache caches compiled SELECT plans by query text. Compiled
 	// plans are immutable after compilation (all per-run state lives in
@@ -224,49 +210,12 @@ func (e *Engine) PlanCacheStats() PlanCacheStats {
 // Store returns the underlying store.
 func (e *Engine) Store() *store.Store { return e.st }
 
-// parallelism returns the effective per-query worker budget.
-func (e *Engine) parallelism() int {
-	if e.Parallelism > 0 {
-		return e.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // hashJoinMin returns the effective NLJ -> hash-join input threshold.
 func (e *Engine) hashJoinMin() int {
 	if e.HashJoinThreshold > 0 {
 		return e.HashJoinThreshold
 	}
 	return defaultHashJoinMinInput
-}
-
-// ParallelStatsSnapshot is a point-in-time view of the engine's
-// intra-query parallelism counters.
-type ParallelStatsSnapshot struct {
-	// Queries counts queries that ran at least one parallel stage.
-	Queries int64
-	// Workers counts worker goroutines launched across all queries.
-	Workers int64
-	// Morsels counts scan partitions (morsels) executed.
-	Morsels int64
-	// HashBuilds counts partitioned hash-table builds.
-	HashBuilds int64
-	// ActiveWorkers is the number of currently live worker goroutines;
-	// it returns to 0 between queries (leak gauge).
-	ActiveWorkers int64
-}
-
-// ParallelStats returns the engine's cumulative intra-query parallelism
-// counters, exposed through the HTTP /stats endpoint and used by the
-// no-leaked-goroutines tests.
-func (e *Engine) ParallelStats() ParallelStatsSnapshot {
-	return ParallelStatsSnapshot{
-		Queries:       e.pstats.queries.Load(),
-		Workers:       e.pstats.workers.Load(),
-		Morsels:       e.pstats.morsels.Load(),
-		HashBuilds:    e.pstats.hashBuilds.Load(),
-		ActiveWorkers: e.pstats.activeWorkers.Load(),
-	}
 }
 
 // Results is a materialized solution sequence. A zero Term in a row
@@ -387,7 +336,7 @@ func (e *Engine) queryInternal(ctx context.Context, model, query string, q *Quer
 
 // ExplainAnalyze executes the query and renders the plan annotated
 // with per-operator actuals: rows in/out, guard ticks, index and
-// access method, NLJ→hash switches, morsel counts and wall time.
+// access method, NLJ→hash switches and wall time.
 func (e *Engine) ExplainAnalyze(model, query string) (string, error) {
 	return e.ExplainAnalyzeContext(context.Background(), model, query)
 }
@@ -444,9 +393,6 @@ func (e *Engine) ask(ctx context.Context, model, query string, q *Query) (found 
 	if err != nil {
 		return false, err
 	}
-	// ASK only needs any one row, so result order is irrelevant: let
-	// the parallel batch executor skip the order-preserving merge.
-	ec.unordered = true
 	if bs := vectorTail(ec, pipeline, unitSource(len(c.vt.names))); bs != nil {
 		if err := finishGuard(ec, bs(func(cb *colBatch) bool {
 			found = true
@@ -762,12 +708,6 @@ func (e *Engine) Explain(model, query string) (string, error) {
 	ex := &explainer{ec: ec}
 	ex.printf("Select (dataset=%s)", datasetName(model))
 	ex.indent++
-	if ec.parallelism > 1 {
-		ex.printf("Parallel (morsel-driven: workers<=%d, morsels/scan<=%d, hash-join threshold %d)",
-			ec.parallelism, ec.parallelism*morselsPerWorker, ec.hashMin)
-	} else {
-		ex.printf("Serial (parallelism 1, hash-join threshold %d)", ec.hashMin)
-	}
 	for _, op := range cp.pipeline {
 		op.explain(ex)
 	}
@@ -823,23 +763,17 @@ func (e *Engine) execCtx(model string, vt *varTable) (*execCtx, error) {
 		return nil, err
 	}
 	ec := &execCtx{
-		st:              e.st,
-		view:            view,
-		estc:            &e.estc,
-		vt:              vt,
-		noHashJoin:      e.DisableHashJoin,
-		parallelism:     e.parallelism(),
-		hashMin:         e.hashJoinMin(),
-		pstats:          &e.pstats,
-		parallelFlagged: new(atomic.Bool),
+		st:         e.st,
+		view:       view,
+		estc:       &e.estc,
+		vt:         vt,
+		noHashJoin: e.DisableHashJoin,
+		hashMin:    e.hashJoinMin(),
 		// Computed terms (BIND, VALUES, extended projection, aggregate
 		// results) intern into a per-query overlay so read paths never
 		// grow the shared dictionary; updates resolve overlay IDs back
 		// to terms before touching the store, so they share it safely.
 		scratch: store.NewTermOverlay(e.st.Dict()),
-	}
-	if ec.parallelism > 1 {
-		ec.slots = make(chan struct{}, ec.parallelism)
 	}
 	// nil model set (scan everything) when the dataset is all models.
 	if model != "" && len(ids) != len(view.Models()) {

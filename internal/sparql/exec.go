@@ -5,8 +5,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/guard"
 	"repro/internal/rdf"
@@ -18,36 +16,18 @@ import (
 type execCtx struct {
 	st *store.Store
 	// view is the store version pinned when the query started. Every
-	// scan, estimate and dataset lookup of the query — serial, batch,
-	// morsel workers, path search — reads it, so the query sees one
-	// state of the store whatever writers do meanwhile, and a scan
-	// callback may scan again: no read takes a lock.
+	// scan, estimate and dataset lookup of the query — batch driver,
+	// hash builds, path search — reads it, so the query sees one state
+	// of the store whatever writers do meanwhile, and a scan callback
+	// may scan again: no read takes a lock.
 	view        *store.View
 	estc        *estCache                  // nil = uncached estimates
 	models      map[store.ModelID]struct{} // nil = all models
 	singleModel store.ModelID              // set when the dataset is one model
 	vt          *varTable
 	noHashJoin  bool         // force NLJ everywhere (join-strategy ablation)
+	hashMin     int          // NLJ -> hash-join input threshold
 	guard       *guard.Guard // nil = no cancellation or budget enforcement
-
-	// Intra-query parallelism (DESIGN.md §10). parallelism is the
-	// worker budget (1 = serial plans, exactly the pre-parallel
-	// executor); slots is the per-query semaphore workers are drawn
-	// from, so nested parallel stages degrade to serial instead of
-	// oversubscribing; pstats points at the engine's cumulative
-	// counters (nil in bare contexts such as Explain's).
-	parallelism     int
-	hashMin         int // NLJ -> hash-join input threshold
-	slots           chan struct{}
-	pstats          *parallelStats
-	parallelFlagged *atomic.Bool // set once when the query goes parallel
-
-	// unordered is set by evalSelect when the plan's results are
-	// consumed order-insensitively (a single implicit group whose
-	// aggregates do not depend on row order, or ASK's any-row check).
-	// The parallel batch executor then fans morsel results in by
-	// completion order instead of paying the order-preserving merge.
-	unordered bool
 
 	// scratch holds terms computed while answering this query (BIND,
 	// VALUES, extended projection, aggregate results) so evaluation
@@ -62,8 +42,8 @@ type execCtx struct {
 }
 
 // child derives an execCtx for a nested scope (sub-select), sharing the
-// guard, dataset restriction and parallel budget but using the inner
-// scope's variable table.
+// guard and dataset restriction but using the inner scope's variable
+// table.
 func (ec *execCtx) child(vt *varTable) *execCtx {
 	c := *ec
 	c.vt = vt
@@ -410,35 +390,20 @@ func orderPatterns(rps []resolvedPattern, initial varset) []int {
 // Engine.HashJoinThreshold for the Tables 5–9 crossover ablation.
 const defaultHashJoinMinInput = 1024
 
-// hashState is the lazily built hash table of one BGP join step. It is
-// shared by the serial driver and all parallel workers: built flips to
-// true only after table is fully populated (the atomic store publishes
-// the map), so a reader that observes built==true probes a complete
-// table, while readers that still see false keep using the index NLJ
-// against the same snapshot order — the two access paths emit rows in
-// the same order for the store's index geometry, so the switch point is
-// invisible in the output (DESIGN.md §10). Steps fused into a sorted
-// intersection (the third access path, intersect.go) never build one.
-// hashState's guarded fields are written only under mu, by buildHash
-// and by bgpShared.reset between runs; while built is true they are
-// immutable and probe paths read them lock-free behind the built.Load()
-// publication barrier (those reads carry justified suppressions).
+// hashState is the lazily built hash table of one BGP join step. Input
+// batches before the switch use the index NLJ, those after it probe the
+// table; the two access paths emit rows in the same order for the
+// store's index geometry, so the switch point is invisible in the
+// output (DESIGN.md §10). Steps fused into a sorted intersection (the
+// third access path, intersect.go) never build one.
 type hashState struct {
-	mu    sync.Mutex
-	built atomic.Bool
-	// var slots in the outer binding forming the join key
-	//pgrdf:guardedby mu
-	keySlots []int
-	// 0=S,1=P,2=O,3=G
-	//pgrdf:guardedby mu
-	keyPos []int
-	//pgrdf:guardedby mu
-	table map[[4]store.ID][]store.IDQuad
+	built    bool
+	keySlots []int // var slots in the outer binding forming the join key
+	keyPos   []int // 0=S,1=P,2=O,3=G
+	table    map[[4]store.ID][]store.IDQuad
 }
 
 // keyOf projects a quad onto the join key chosen at build time.
-//
-//pgrdf:locks mu
 func (hs *hashState) keyOf(q store.IDQuad) [4]store.ID {
 	var key [4]store.ID
 	vals := [4]store.ID{q.S, q.P, q.C, q.G}
@@ -448,12 +413,11 @@ func (hs *hashState) keyOf(q store.IDQuad) [4]store.ID {
 	return key
 }
 
-// bgpShared is the state of one BGP evaluation shared across the serial
-// driver and all its parallel workers: resolved patterns, join order,
-// filter placement, the lazily built hash tables, and the per-step
-// input counters that drive the adaptive NLJ/hash switch. A BGP nested
-// under OPTIONAL, MINUS or UNION runs once per outer row and keeps its
-// bgpShared across runs; reset clears the per-run part.
+// bgpShared is the state of one BGP evaluation: resolved patterns, join
+// order, filter placement, the lazily built hash tables, and the
+// per-step input counters that drive the adaptive NLJ/hash switch. A
+// BGP nested under OPTIONAL, MINUS or UNION runs once per outer row and
+// keeps its bgpShared across runs; reset clears the per-run part.
 type bgpShared struct {
 	ec           *execCtx
 	rps          []resolvedPattern
@@ -461,7 +425,7 @@ type bgpShared struct {
 	filterAt     [][]*filterOp
 	finalFilters []*filterOp
 	hashes       []hashState
-	inputSeen    []atomic.Int64
+	inputSeen    []int64
 
 	// intersect[d] is the fused group whose binder runs at depth d
 	// (planIntersections); nil when nothing fuses. The plan assumes an
@@ -490,18 +454,10 @@ func (sh *bgpShared) stepStat(depth int) *profStage {
 	return sh.stepStats[depth]
 }
 
-// buildHash populates the hash table for one join step. The first
-// binding to cross the threshold builds (partitioned across workers
-// when the parallel budget allows); concurrent workers crossing the
-// threshold block on the mutex and then probe the finished table, while
-// workers still under the threshold keep using NLJ.
+// buildHash populates the hash table for one join step, keyed by the
+// pattern's variables that b binds.
 func (sh *bgpShared) buildHash(depth int, rp *resolvedPattern, b binding) {
 	hs := &sh.hashes[depth]
-	hs.mu.Lock()
-	defer hs.mu.Unlock()
-	if hs.built.Load() {
-		return
-	}
 	ec := sh.ec
 	// Join key: pattern var positions currently bound in b.
 	addKey := func(pos int, r posRef) {
@@ -517,11 +473,6 @@ func (sh *bgpShared) buildHash(depth int, rp *resolvedPattern, b binding) {
 		addKey(3, posRef{isVar: true, slot: rp.qp.g.slot})
 	}
 	hs.table = make(map[[4]store.ID][]store.IDQuad)
-	pst := sh.stepStat(depth)
-	if ec.parallelism > 1 && ec.parallelHashBuild(rp, hs, pst) {
-		hs.built.Store(true)
-		return
-	}
 	var scanned int64 // build-side scan rows are guard-charged too
 	ec.scan(rp.constPattern(), func(q store.IDQuad) bool {
 		scanned++
@@ -532,8 +483,8 @@ func (sh *bgpShared) buildHash(depth int, rp *resolvedPattern, b binding) {
 		hs.table[key] = append(hs.table[key], q)
 		return true
 	})
-	pst.addTicks(scanned)
-	hs.built.Store(true)
+	sh.stepStat(depth).addTicks(scanned)
+	hs.built = true
 }
 
 // newShared builds the shared state of a BGP: resolved patterns, join
@@ -558,7 +509,7 @@ func (o *bgpOp) newShared(ec *execCtx) *bgpShared {
 		filterAt:     filterAt,
 		finalFilters: finalFilters,
 		hashes:       make([]hashState, len(order)),
-		inputSeen:    make([]atomic.Int64, len(order)),
+		inputSeen:    make([]int64, len(order)),
 		vars:         o.bound(0),
 		live:         o.liveSets(rps, order, filterAt, finalFilters),
 	}
@@ -628,12 +579,10 @@ func (o *bgpOp) liveSets(rps []resolvedPattern, order []int, filterAt [][]*filte
 // afresh per run, from zeroed input counters and no hash tables.
 func (sh *bgpShared) reset() {
 	for i := range sh.hashes {
-		sh.inputSeen[i].Store(0)
-		if hs := &sh.hashes[i]; hs.built.Load() {
-			hs.mu.Lock()
+		sh.inputSeen[i] = 0
+		if hs := &sh.hashes[i]; hs.built {
 			hs.keySlots, hs.keyPos, hs.table = hs.keySlots[:0], hs.keyPos[:0], nil
-			hs.built.Store(false)
-			hs.mu.Unlock()
+			hs.built = false
 		}
 	}
 }
@@ -646,9 +595,9 @@ func (sh *bgpShared) foldStepStats() {
 	}
 	for i := range sh.order {
 		if st := sh.stepStats[i]; st != nil {
-			st.rowsIn.Add(sh.inputSeen[i].Load())
-			if sh.hashes[i].built.Load() {
-				st.hashJoin.Store(true)
+			st.rowsIn += sh.inputSeen[i]
+			if sh.hashes[i].built {
+				st.hashJoin = true
 			}
 		}
 	}
@@ -1120,9 +1069,6 @@ func selectRows[T any](ec *execCtx, cp *compiled, cell func(store.ID) T) ([][]T,
 // fold a weighted frontier per hop (DESIGN.md §22).
 func selectSolutions(ec *execCtx, cp *compiled) ([]binding, error) {
 	width := len(cp.vt.names)
-	// The batch path may fan morsel results in unordered when nothing
-	// downstream observes row order (DESIGN.md §15).
-	ec.unordered = orderInsensitive(cp)
 	bs := vectorTail(ec, cp.pipeline, unitSource(width))
 	var src source
 	if bs == nil {
@@ -1145,7 +1091,7 @@ func selectSolutions(ec *execCtx, cp *compiled) ([]binding, error) {
 		}
 		solutions = acc.finish()
 		if gst != nil {
-			gst.groups.Add(int64(len(acc.groups)))
+			gst.groups += int64(len(acc.groups))
 		}
 		profDone(gst, start, len(solutions))
 	} else {

@@ -97,21 +97,20 @@ const goldenHeadRows = 3
 // executorGolden renders the pinned results: for every query, the row
 // count, a digest of the full result table (row order included) and
 // its first rows; for the nested, intersection and aggregate shapes also
-// the serial profile's per-operator counters (see profileCounters).
-func executorGolden(t *testing.T, parallelism int) string {
+// the profile's per-operator counters (see profileCounters).
+func executorGolden(t *testing.T) string {
 	t.Helper()
 	st := egoNetStore(t, 900, 5)
 	e := NewEngine(st)
-	e.Parallelism = parallelism
 	e.HashJoinThreshold = 16
 	var sb strings.Builder
-	sb.WriteString("# Executor golden: results on egoNetStore(900, 5), HashJoinThreshold 16,\n")
-	sb.WriteString("# identical at parallelism 1 and 4. Regenerate only with\n")
+	sb.WriteString("# Executor golden: results on egoNetStore(900, 5), HashJoinThreshold 16.\n")
+	sb.WriteString("# Regenerate only with\n")
 	sb.WriteString("# UPDATE_EXECUTOR_GOLDEN=1 go test -run TestExecutorGolden ./internal/sparql\n")
 	for _, q := range goldenQueries() {
 		res, err := e.Query("", testPrologue+q)
 		if err != nil {
-			t.Fatalf("parallelism %d: %v\n%s", parallelism, err, q)
+			t.Fatalf("%v\n%s", err, q)
 		}
 		table := res.String()
 		lines := strings.SplitAfter(table, "\n")
@@ -123,16 +122,13 @@ func executorGolden(t *testing.T, parallelism int) string {
 	for _, q := range profiledQueries() {
 		fmt.Fprintf(&sb, "\n== profile %s\n%s", q, profileCounters(t, st, q))
 	}
-	if w := e.ParallelStats().ActiveWorkers; w != 0 {
-		t.Errorf("parallelism %d: leaked workers: %d", parallelism, w)
-	}
 	if g := st.OpenCursors(); g != 0 {
-		t.Errorf("parallelism %d: leaked cursors: %d", parallelism, g)
+		t.Errorf("leaked cursors: %d", g)
 	}
 	return sb.String()
 }
 
-// profileCounters runs q serially with profiling and renders each plan
+// profileCounters runs q with profiling and renders each plan
 // node's invocations, rows in/out and NLJ→hash switch flag — the
 // counters that must not change with the executor's internals. Guard
 // ticks and wall time are left out: ticks depend on where the hash
@@ -140,7 +136,6 @@ func executorGolden(t *testing.T, parallelism int) string {
 func profileCounters(t *testing.T, st *store.Store, q string) string {
 	t.Helper()
 	e := NewEngine(st)
-	e.Parallelism = 1
 	e.HashJoinThreshold = 16
 	_, prof, err := e.QueryProfiled("", testPrologue+q)
 	if err != nil {
@@ -160,8 +155,8 @@ func profileCounters(t *testing.T, st *store.Store, q string) string {
 }
 
 // TestExecutorGolden pins the executor's output byte for byte — row
-// order included — and the nested shapes' profile counters, at
-// parallelism 1 and 4. The file was written by the parent of the change
+// order included — and the nested shapes' profile counters. The file
+// was written by the parent of the change
 // that made the batch driver the only BGP join implementation, so it
 // shows that change kept depth-first emission order and per-invocation
 // plan decisions.
@@ -170,7 +165,7 @@ func TestExecutorGolden(t *testing.T) {
 		if err := os.MkdirAll(filepath.Dir(executorGoldenPath), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(executorGoldenPath, []byte(executorGolden(t, 1)), 0o644); err != nil {
+		if err := os.WriteFile(executorGoldenPath, []byte(executorGolden(t)), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -178,10 +173,8 @@ func TestExecutorGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v; regenerate with UPDATE_EXECUTOR_GOLDEN=1", err)
 	}
-	for _, parallelism := range []int{1, 4} {
-		if got := executorGolden(t, parallelism); got != string(want) {
-			t.Errorf("parallelism %d: output differs from %s:\n%s", parallelism, executorGoldenPath, firstDiff(string(want), got))
-		}
+	if got := executorGolden(t); got != string(want) {
+		t.Errorf("output differs from %s:\n%s", executorGoldenPath, firstDiff(string(want), got))
 	}
 }
 

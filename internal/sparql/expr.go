@@ -98,8 +98,8 @@ func (e *exprExistsC) visitSlots(f func(int)) {
 
 func (e *exprExistsC) eval(ec *execCtx, b binding) (rdf.Term, error) {
 	found := false
-	// Built per call: EXISTS filters also run inside morsel workers,
-	// where a pipeline reused across calls would be shared state.
+	// Built per call: concurrent queries share the compiled plan (the
+	// plan cache), so a pipeline kept on it would be shared state.
 	src := runPipeline(ec, e.pipeline, (&feed{b: b}).source)
 	if err := src(func(binding) bool {
 		found = true

@@ -5,6 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -190,6 +193,108 @@ func TestCanceledContextFailsFast(t *testing.T) {
 	_, err := e.QueryContext(ctx, "", crossJoin)
 	if !errors.Is(err, guard.ErrCanceled) {
 		t.Fatalf("err = %v, want guard.ErrCanceled", err)
+	}
+}
+
+// TestBudgetTripMidHashJoin trips MaxWork in the middle of a join that
+// has switched to a hash join: the error latches and the query unwinds
+// with no cursor left open.
+func TestBudgetTripMidHashJoin(t *testing.T) {
+	st := socialStore(t)
+	e := NewEngine(st)
+	e.HashJoinThreshold = 16
+	e.Limits = guard.Budget{MaxWork: 3000}
+	q := testPrologue + `SELECT ?a ?c WHERE { ?a rel:follows ?b . ?b rel:follows ?c }`
+	if _, err := e.QueryContext(context.Background(), "", q); !errors.Is(err, guard.ErrBudgetExceeded) {
+		t.Fatalf("err = %v, want guard.ErrBudgetExceeded", err)
+	}
+	if g := st.OpenCursors(); g != 0 {
+		t.Errorf("leaked cursors after budget trip: %d", g)
+	}
+}
+
+// TestCanceledTriangleCount cancels the context before a triangle count
+// runs: the guard stops it, and no cursor is left open.
+func TestCanceledTriangleCount(t *testing.T) {
+	st := socialStore(t)
+	e := NewEngine(st)
+	e.HashJoinThreshold = 16
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	q := testPrologue + `SELECT ?a ?c WHERE { ?a rel:follows ?b . ?b rel:follows ?c . ?c rel:follows ?a }`
+	if _, err := e.QueryContext(ctx, "", q); !errors.Is(err, guard.ErrCanceled) {
+		t.Fatalf("err = %v, want guard.ErrCanceled", err)
+	}
+	if g := st.OpenCursors(); g != 0 {
+		t.Errorf("leaked cursors after cancellation: %d", g)
+	}
+}
+
+// TestEarlyStopLeavesNoCursor stops consuming mid-scan (LIMIT): the
+// abandoned scan must leave no cursor open.
+func TestEarlyStopLeavesNoCursor(t *testing.T) {
+	st := socialStore(t)
+	res, err := NewEngine(st).Query("", testPrologue+`SELECT ?a ?b WHERE { ?a rel:follows ?b } LIMIT 3`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() != 3 {
+		t.Fatalf("rows = %d, want 3", res.Len())
+	}
+	if g := st.OpenCursors(); g != 0 {
+		t.Errorf("leaked cursors after early stop: %d", g)
+	}
+}
+
+// goroutineID returns the id runtime.Stack prints for the calling
+// goroutine ("goroutine N [running]:").
+func goroutineID() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	id, _, _ := strings.Cut(strings.TrimPrefix(string(buf), "goroutine "), " ")
+	return id
+}
+
+// callerCtx is a never-canceled context that counts, per goroutine, the
+// calls to its Done method. The guard calls Done once when a query
+// starts and once per poll boundary its event counter crosses.
+type callerCtx struct {
+	context.Context
+	done  chan struct{}
+	mu    sync.Mutex
+	calls map[string]int
+}
+
+func (c *callerCtx) Done() <-chan struct{} {
+	id := goroutineID()
+	c.mu.Lock()
+	c.calls[id]++
+	c.mu.Unlock()
+	return c.done
+}
+
+// TestQueriesRunOnCallingGoroutine: a query runs on the goroutine that
+// called it. Every guard poll of socialShapes — a hash join, a triangle
+// count, a path BFS, ORDER BY and GROUP BY — comes from the test's own
+// goroutine, and each shape polls at least once after it starts.
+func TestQueriesRunOnCallingGoroutine(t *testing.T) {
+	st := socialStore(t)
+	e := NewEngine(st)
+	e.HashJoinThreshold = 16
+	me := goroutineID()
+	for i, q := range socialShapes {
+		ctx := &callerCtx{Context: context.Background(), done: make(chan struct{}), calls: map[string]int{}}
+		if _, err := e.QueryContext(ctx, "", testPrologue+q); err != nil {
+			t.Fatalf("shape %d: %v", i, err)
+		}
+		if n := ctx.calls[me]; n < 2 {
+			t.Errorf("shape %d: %d Done calls on the calling goroutine, want the start's and at least one poll", i, n)
+		}
+		for id, n := range ctx.calls {
+			if id != me {
+				t.Errorf("shape %d: %d Done calls on goroutine %s, not on the caller's %s", i, n, id, me)
+			}
+		}
 	}
 }
 

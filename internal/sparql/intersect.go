@@ -307,14 +307,14 @@ rows:
 	// checker passes the group's output through.
 	for j := depth; j < next; j++ {
 		if st := sh.stepStat(j); st != nil {
-			st.intersect.Store(true)
+			st.intersect = true
 			if j == depth {
 				st.addTicks(ticks)
 				st.addRows(emitted)
 				st.addCollapsed(collapsed)
 			} else {
-				st.rowsIn.Add(emitted)
-				st.rowsOut.Add(emitted)
+				st.rowsIn += emitted
+				st.rowsOut += emitted
 			}
 		}
 	}

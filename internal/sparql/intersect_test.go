@@ -154,8 +154,8 @@ func intersectStore(t *testing.T) (m1, m2 []rdf.Quad) {
 // TestIntersectMatchesNestedLoop is the fused-join differential. On
 // intersectStore — freshly loaded; with unmerged inserts and tombstones
 // inside the follows and hasTag ranges the seekers read; compacted —
-// every intersection shape, over all models and over m1 alone, at
-// parallelism 1 and 4, must return byte for byte (row order included)
+// every intersection shape, over all models and over m1 alone, must
+// return byte for byte (row order included)
 // what the index-nested-loop-only engine returns, and the reference
 // evaluator's multiset of rows; the fusable shapes must fuse and the
 // others must not.
@@ -218,8 +218,9 @@ func TestIntersectMatchesNestedLoop(t *testing.T) {
 	for _, state := range states {
 		state.mutate()
 		nlj := NewEngine(st)
-		nlj.Parallelism = 1
 		nlj.DisableHashJoin = true
+		e := NewEngine(st)
+		e.HashJoinThreshold = 16
 		for _, dataset := range []struct {
 			model string
 			quads []rdf.Quad
@@ -230,24 +231,19 @@ func TestIntersectMatchesNestedLoop(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, parallelism := range []int{1, 4} {
-					e := NewEngine(st)
-					e.Parallelism = parallelism
-					e.HashJoinThreshold = 16
-					label := fmt.Sprintf("%s/%q/p%d/shape %d", state.name, dataset.model, parallelism, i)
-					fused := fusedSteps(t, e, dataset.model, q) != ""
-					if fused != (i < len(intersectShapeQueries)-unfusedShapes) {
-						t.Errorf("%s: fused = %v\n%s", label, fused, q)
-					}
-					got, err := e.Query(dataset.model, q)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					if got.String() != want.String() {
-						t.Fatalf("%s: intersection join differs from nested loops\n%s\n%s", label, q, firstDiff(want.String(), got.String()))
-					}
-					checkAgainstReference(t, e, dataset.model, dataset.quads, label, q)
+				label := fmt.Sprintf("%s/%q/shape %d", state.name, dataset.model, i)
+				fused := fusedSteps(t, e, dataset.model, q) != ""
+				if fused != (i < len(intersectShapeQueries)-unfusedShapes) {
+					t.Errorf("%s: fused = %v\n%s", label, fused, q)
 				}
+				got, err := e.Query(dataset.model, q)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if got.String() != want.String() {
+					t.Fatalf("%s: intersection join differs from nested loops\n%s\n%s", label, q, firstDiff(want.String(), got.String()))
+				}
+				checkAgainstReference(t, e, dataset.model, dataset.quads, label, q)
 			}
 		}
 		if ws := st.WriteStats(); state.name == "delta" && (ws.DeltaRows == 0 || ws.Tombstones == 0) {

@@ -90,7 +90,6 @@ type MetricsSnapshot struct {
 	// cache through ExecContext parses nothing.
 	Parses    int64
 	PlanCache PlanCacheStats
-	Parallel  ParallelStatsSnapshot
 }
 
 // MetricsSnapshot returns the engine's cumulative query metrics.
@@ -99,7 +98,6 @@ func (e *Engine) MetricsSnapshot() MetricsSnapshot {
 		SlowQueries: e.metrics.slow.Load(),
 		Parses:      e.metrics.parses.Load(),
 		PlanCache:   e.PlanCacheStats(),
-		Parallel:    e.ParallelStats(),
 	}
 	for f := range e.metrics.forms {
 		fm := &e.metrics.forms[f]

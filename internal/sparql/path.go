@@ -2,8 +2,6 @@ package sparql
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/store"
 )
@@ -41,7 +39,7 @@ func (o *pathOp) apply(ec *execCtx, in source) source {
 		var evalErr error
 		err := in(func(b binding) bool {
 			if pst != nil {
-				pst.rowsIn.Add(1)
+				pst.rowsIn++
 			}
 			startID, startBound := o.endpoint(ec, o.s, b)
 			endID, endBound := o.endpoint(ec, o.o, b)
@@ -118,9 +116,7 @@ func (o *pathOp) endpoint(ec *execCtx, r posRef, b binding) (store.ID, bool) {
 // closure computes the nodes reachable from start via the inner path
 // repeated [min..max] times (max 0 = unlimited), using BFS with
 // distinct-node semantics. The result is in BFS discovery order —
-// deterministic given the store's deterministic scan order — so the
-// emission order of path solutions does not depend on whether the
-// frontier was expanded serially or in parallel.
+// deterministic given the store's deterministic scan order.
 func (o *pathOp) closure(ec *execCtx, b binding, start store.ID, reverse bool) ([]store.ID, error) {
 	var reached []store.ID
 	inReached := make(map[store.ID]struct{})
@@ -141,12 +137,18 @@ func (o *pathOp) closure(ec *execCtx, b binding, start store.ID, reverse bool) (
 		if o.max > 0 && depth > o.max {
 			break
 		}
-		succs, err := o.expandFrontier(ec, b, frontier, reverse)
-		if err != nil {
-			return nil, err
-		}
 		var next []store.ID
-		for _, succ := range succs {
+		for _, node := range frontier {
+			// Cooperative cancellation between node expansions: a
+			// multi-hop traversal over a dense graph can spend its
+			// whole life inside this loop.
+			if !ec.guard.Poll() {
+				return nil, ec.guard.Err()
+			}
+			succ, err := o.step(ec, b, o.inner, node, reverse)
+			if err != nil {
+				return nil, err
+			}
 			for _, s := range succ {
 				if depth >= o.min {
 					add(s)
@@ -160,84 +162,6 @@ func (o *pathOp) closure(ec *execCtx, b binding, start store.ID, reverse bool) (
 		frontier = next
 	}
 	return reached, nil
-}
-
-// expandFrontier computes the one-step successor list of every frontier
-// node, fanning out to the query's worker pool when the frontier is
-// wide enough. Results are merged in frontier order, so the BFS
-// discovery order (and thus the solution order) is identical to the
-// serial loop's.
-func (o *pathOp) expandFrontier(ec *execCtx, b binding, frontier []store.ID, reverse bool) ([][]store.ID, error) {
-	succs := make([][]store.ID, len(frontier))
-	workers := 0
-	if ec.parallelism > 1 && len(frontier) >= parallelBFSMinFrontier {
-		want := ec.parallelism
-		if want > len(frontier) {
-			want = len(frontier)
-		}
-		if workers = ec.acquireWorkers(want); workers < 2 {
-			ec.releaseWorkers(workers)
-			workers = 0
-		}
-	}
-	if workers == 0 {
-		for i, node := range frontier {
-			// Cooperative cancellation between node expansions: a
-			// multi-hop traversal over a dense graph can spend its
-			// whole life inside this loop.
-			if !ec.guard.Poll() {
-				return nil, ec.guard.Err()
-			}
-			succ, err := o.step(ec, b, o.inner, node, reverse)
-			if err != nil {
-				return nil, err
-			}
-			succs[i] = succ
-		}
-		return succs, nil
-	}
-	defer ec.releaseWorkers(workers)
-	ec.markParallel(workers, len(frontier))
-	if pst := ec.profStage(o.sid); pst != nil {
-		pst.morsels.Add(int64(len(frontier)))
-	}
-	errs := make([]error, len(frontier))
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ec.workerEnter()
-			defer ec.workerExit()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= len(frontier) {
-					return
-				}
-				if !ec.guard.Poll() {
-					errs[i] = ec.guard.Err()
-					return
-				}
-				succ, err := o.step(ec, b, o.inner, frontier[i], reverse)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				succs[i] = succ
-			}
-		}()
-	}
-	wg.Wait()
-	// Report the first error in frontier order, matching the serial loop.
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return succs, nil
 }
 
 // step enumerates one-step successors of node via path p (predecessors

@@ -4,15 +4,14 @@ package sparql
 //
 // A compiled plan is numbered once (numberStages): every operator —
 // and, inside a BGP, every join step — owns one slot in a flat,
-// preallocated array of atomic counters (queryProfile). Profiling is
-// opt-in per query: when execCtx.prof is nil the executor pays a
-// single predictable branch per site and allocates nothing, so the
-// serial-identical parallel guarantees and the bench numbers are
-// unaffected. When enabled, the counters record actual rows in/out,
-// guard ticks (rows produced by scans and hash probes — exactly the
-// events the query guard charges against Budget.MaxWork), morsel
-// counts and inclusive wall time; parallel workers update the same
-// slots through atomics.
+// preallocated array of counters (queryProfile). Profiling is opt-in
+// per query: when execCtx.prof is nil the executor pays a single
+// predictable branch per site and allocates nothing, so the bench
+// numbers are unaffected. When enabled, the counters record actual
+// rows in/out, guard ticks (rows produced by scans and hash probes —
+// exactly the events the query guard charges against Budget.MaxWork)
+// and inclusive wall time. A query runs on one goroutine, so the
+// counters are plain fields.
 //
 // After execution, buildProfile walks the static plan and pairs each
 // operator with its counters, producing the ProfileNode tree that
@@ -22,23 +21,20 @@ package sparql
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"time"
 )
 
 // profStage is one operator's (or join step's) slot of live counters.
-// All fields are atomics: parallel workers update them concurrently.
 type profStage struct {
-	invocations atomic.Int64 // times the operator's source was driven
-	rowsIn      atomic.Int64 // bindings entering the operator / step
-	rowsOut     atomic.Int64 // bindings emitted downstream
-	ticks       atomic.Int64 // guard ticks (scanned + hash-probed rows)
-	wall        atomic.Int64 // inclusive nanoseconds across invocations
-	morsels     atomic.Int64 // scan partitions / parallel work items
-	groups      atomic.Int64 // groups a GroupAggregate created
-	collapsed   atomic.Int64 // rows a step folded into an earlier row (§22)
-	hashJoin    atomic.Bool  // the step switched from NLJ to hash join
-	intersect   atomic.Bool  // the step ran fused into a sorted intersection
+	invocations int64 // times the operator's source was driven
+	rowsIn      int64 // bindings entering the operator / step
+	rowsOut     int64 // bindings emitted downstream
+	ticks       int64 // guard ticks (scanned + hash-probed rows)
+	wall        int64 // inclusive nanoseconds across invocations
+	groups      int64 // groups a GroupAggregate created
+	collapsed   int64 // rows a step folded into an earlier row (§22)
+	hashJoin    bool  // the step switched from NLJ to hash join
+	intersect   bool  // the step ran fused into a sorted intersection
 }
 
 // queryProfile is the per-query counter array, indexed by stage id
@@ -71,38 +67,37 @@ func (p *queryProfile) instrument(sid int, src source) source {
 		return src
 	}
 	return func(yield func(binding) bool) error {
-		st.invocations.Add(1)
+		st.invocations++
 		start := time.Now()
 		var rows int64
 		err := src(func(b binding) bool {
 			rows++
 			return yield(b)
 		})
-		st.rowsOut.Add(rows)
-		st.wall.Add(int64(time.Since(start)))
+		st.rowsOut += rows
+		st.wall += int64(time.Since(start))
 		return err
 	}
 }
 
 // addTicks / addRows / addCollapsed fold a batch of locally-counted
 // events into the slot. The executor's hot loops count into plain
-// locals and flush once per scan, so profiling costs one atomic per
-// scan rather than several per row. All are nil-safe no-ops.
+// locals and flush once per scan. All are nil-safe.
 func (st *profStage) addTicks(n int64) {
-	if st != nil && n != 0 {
-		st.ticks.Add(n)
+	if st != nil {
+		st.ticks += n
 	}
 }
 
 func (st *profStage) addRows(n int64) {
-	if st != nil && n != 0 {
-		st.rowsOut.Add(n)
+	if st != nil {
+		st.rowsOut += n
 	}
 }
 
 func (st *profStage) addCollapsed(n int64) {
-	if st != nil && n != 0 {
-		st.collapsed.Add(n)
+	if st != nil {
+		st.collapsed += n
 	}
 }
 
@@ -127,9 +122,9 @@ func profDone(st *profStage, start time.Time, rows int) {
 	if st == nil {
 		return
 	}
-	st.invocations.Add(1)
-	st.rowsOut.Add(int64(rows))
-	st.wall.Add(int64(time.Since(start)))
+	st.invocations++
+	st.rowsOut += int64(rows)
+	st.wall += int64(time.Since(start))
 }
 
 // ---------------------------------------------------------------------
@@ -142,7 +137,6 @@ func profDone(st *profStage, start time.Time, rows int) {
 // attached as JSON to slow-query log records.
 type Profile struct {
 	Dataset   string         `json:"dataset"`
-	Parallel  bool           `json:"parallel"`
 	WallNanos int64          `json:"wall_ns"`
 	Rows      int            `json:"rows"`
 	Plan      []*ProfileNode `json:"plan"`
@@ -159,7 +153,6 @@ type ProfileNode struct {
 	RowsIn      int64          `json:"rows_in"`
 	RowsOut     int64          `json:"rows_out"`
 	GuardTicks  int64          `json:"guard_ticks,omitempty"`
-	Morsels     int64          `json:"morsels,omitempty"`
 	WallNanos   int64          `json:"wall_ns"`
 	HashJoin    bool           `json:"hash_join,omitempty"`
 	Intersect   bool           `json:"intersect,omitempty"`
@@ -177,16 +170,15 @@ func (n *ProfileNode) load(st *profStage) *ProfileNode {
 	if st == nil {
 		return n
 	}
-	n.Invocations = st.invocations.Load()
-	n.RowsIn = st.rowsIn.Load()
-	n.RowsOut = st.rowsOut.Load()
-	n.GuardTicks = st.ticks.Load()
-	n.Morsels = st.morsels.Load()
-	n.WallNanos = st.wall.Load()
-	n.HashJoin = st.hashJoin.Load()
-	n.Intersect = st.intersect.Load()
-	n.Groups = st.groups.Load()
-	n.Collapsed = st.collapsed.Load()
+	n.Invocations = st.invocations
+	n.RowsIn = st.rowsIn
+	n.RowsOut = st.rowsOut
+	n.GuardTicks = st.ticks
+	n.WallNanos = st.wall
+	n.HashJoin = st.hashJoin
+	n.Intersect = st.intersect
+	n.Groups = st.groups
+	n.Collapsed = st.collapsed
 	return n
 }
 
@@ -194,7 +186,6 @@ func (n *ProfileNode) load(st *profStage) *ProfileNode {
 func buildProfile(ec *execCtx, cp *compiled, model string, wall time.Duration, rows int) *Profile {
 	p := &Profile{
 		Dataset:   datasetName(model),
-		Parallel:  ec.parallelFlagged != nil && ec.parallelFlagged.Load(),
 		WallNanos: int64(wall),
 		Rows:      rows,
 	}
@@ -397,12 +388,8 @@ func bgpStepDescs(ec *execCtx, o *bgpOp) []stepDesc {
 // shape with an "(actual: ...)" annotation per operator.
 func (p *Profile) Render() string {
 	var sb strings.Builder
-	mode := "serial"
-	if p.Parallel {
-		mode = "parallel"
-	}
-	fmt.Fprintf(&sb, "Select (dataset=%s)  (actual: rows=%d wall=%s mode=%s)\n",
-		p.Dataset, p.Rows, time.Duration(p.WallNanos).Round(time.Microsecond), mode)
+	fmt.Fprintf(&sb, "Select (dataset=%s)  (actual: rows=%d wall=%s)\n",
+		p.Dataset, p.Rows, time.Duration(p.WallNanos).Round(time.Microsecond))
 	renderNodes(&sb, p.Plan, 1)
 	return sb.String()
 }
@@ -433,9 +420,6 @@ func renderNodes(sb *strings.Builder, nodes []*ProfileNode, indent int) {
 		fmt.Fprintf(sb, " out=%d", n.RowsOut)
 		if n.GuardTicks > 0 {
 			fmt.Fprintf(sb, " ticks=%d", n.GuardTicks)
-		}
-		if n.Morsels > 0 {
-			fmt.Fprintf(sb, " morsels=%d", n.Morsels)
 		}
 		if n.GroupKey != "" {
 			fmt.Fprintf(sb, " groups=%d", n.Groups)

@@ -78,7 +78,7 @@ func TestExplainAnalyzeRendersActuals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"(actual:", "rows=1", "OrderBy", "Project", "mode="} {
+	for _, want := range []string{"(actual:", "rows=1", "OrderBy", "Project", "wall="} {
 		if !strings.Contains(txt, want) {
 			t.Errorf("EXPLAIN ANALYZE output missing %q:\n%s", want, txt)
 		}
@@ -392,25 +392,22 @@ func TestProfileNestedBGPInvocations(t *testing.T) {
 	if got := profileCounters(t, st, q); strings.TrimSuffix(got, "\n") != strings.TrimSuffix(want, "\n") {
 		t.Errorf("profile counters differ from the golden parent run:\n--- golden ---\n%s\n--- got ---\n%s", want, got)
 	}
-	for _, parallelism := range []int{1, 4} {
-		e := NewEngine(st)
-		e.Parallelism = parallelism
-		e.HashJoinThreshold = 16
-		_, prof, err := e.QueryProfiled("", testPrologue+q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt := prof.Plan[1]
-		if opt.Label != "Optional" || len(opt.Children) != 1 {
-			t.Fatalf("unexpected plan:\n%s", prof.Render())
-		}
-		inner := opt.Children[0]
-		if outer := opt.RowsIn; outer < 1000 || inner.Invocations != outer || inner.RowsIn != outer || inner.Children[0].RowsIn != outer {
-			t.Errorf("parallelism %d: %d outer rows, inner BGP invocations=%d rows_in=%d first step rows_in=%d; want all equal",
-				parallelism, outer, inner.Invocations, inner.RowsIn, inner.Children[0].RowsIn)
-		}
-		if txt := prof.Render(); !strings.Contains(txt, fmt.Sprintf("loops=%d", opt.RowsIn)) {
-			t.Errorf("parallelism %d: EXPLAIN ANALYZE does not show loops=%d:\n%s", parallelism, opt.RowsIn, txt)
-		}
+	e := NewEngine(st)
+	e.HashJoinThreshold = 16
+	_, prof, err := e.QueryProfiled("", testPrologue+q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := prof.Plan[1]
+	if opt.Label != "Optional" || len(opt.Children) != 1 {
+		t.Fatalf("unexpected plan:\n%s", prof.Render())
+	}
+	inner := opt.Children[0]
+	if outer := opt.RowsIn; outer < 1000 || inner.Invocations != outer || inner.RowsIn != outer || inner.Children[0].RowsIn != outer {
+		t.Errorf("%d outer rows, inner BGP invocations=%d rows_in=%d first step rows_in=%d; want all equal",
+			outer, inner.Invocations, inner.RowsIn, inner.Children[0].RowsIn)
+	}
+	if txt := prof.Render(); !strings.Contains(txt, fmt.Sprintf("loops=%d", opt.RowsIn)) {
+		t.Errorf("EXPLAIN ANALYZE does not show loops=%d:\n%s", opt.RowsIn, txt)
 	}
 }

@@ -10,7 +10,7 @@ package sparql
 // the join instead:
 //
 //   - Scans pull contiguous runs from the store's batched scan API
-//     (View.ScanBatch / Morsel.ScanBatch) and bind whole runs in tight
+//     (View.ScanBatch) and bind whole runs in tight
 //     loops; the guard is charged once per run via TickN, and profile
 //     counters accumulate in locals flushed once per scan.
 //   - Joins advance depth-by-depth over batches: all rows of a batch
@@ -147,20 +147,6 @@ func (cb *colBatch) materialize(i int, dst binding) {
 	cb.writeCols(i, dst)
 }
 
-// copyOwned returns a private copy of the batch (columns cloned, base
-// shared), safe to retain past the producer's callback — the form
-// parallel workers send through the merge channels.
-func (cb *colBatch) copyOwned() *colBatch {
-	c := &colBatch{base: cb.base, slots: cb.slots, cols: make([][]store.ID, len(cb.cols)), n: cb.n}
-	for _, s := range cb.slots {
-		c.cols[s] = append([]store.ID(nil), cb.cols[s][:cb.n]...)
-	}
-	if cb.w != nil {
-		c.w = append([]int64(nil), cb.w[:cb.n]...)
-	}
-	return c
-}
-
 // batchSource produces columnar batches, calling yield for each; yield
 // returns false to stop early. Batches are borrowed: valid only during
 // the call.
@@ -174,15 +160,15 @@ func (p *queryProfile) instrumentBatch(sid int, src batchSource) batchSource {
 		return src
 	}
 	return func(yield func(*colBatch) bool) error {
-		st.invocations.Add(1)
+		st.invocations++
 		start := time.Now()
 		var rows int64
 		err := src(func(cb *colBatch) bool {
 			rows += int64(cb.n)
 			return yield(cb)
 		})
-		st.rowsOut.Add(rows)
-		st.wall.Add(int64(time.Since(start)))
+		st.rowsOut += rows
+		st.wall += int64(time.Since(start))
 		return err
 	}
 }
@@ -486,7 +472,7 @@ func (vx *vecExec) step(depth int, in *colBatch) bool {
 	// A fused group emits what nested loops over its steps would, in
 	// the same order (intersect.go), and continues past them.
 	if vx.fuse && sh.intersect[depth] != nil {
-		sh.inputSeen[depth].Add(int64(in.n))
+		sh.inputSeen[depth] += int64(in.n)
 		return vx.intersect(depth, in, sh.intersect[depth])
 	}
 	rp := &sh.rps[sh.order[depth]]
@@ -494,22 +480,22 @@ func (vx *vecExec) step(depth int, in *colBatch) bool {
 	pst := sh.stepStat(depth)
 	scratch := vx.scratch[depth]
 	out, c := vx.out[depth], vx.collapse[depth]
-	seen := sh.inputSeen[depth].Add(int64(in.n))
+	sh.inputSeen[depth] += int64(in.n)
+	seen := sh.inputSeen[depth]
 
 	// The adaptive NLJ→hash switch, decided once per input batch. Both
 	// access paths emit rows in identical order, so where the switch
 	// falls does not change the output (DESIGN.md §10). Rows that differ
 	// in the step's join variables scan each range once: no switch.
-	if !hs.built.Load() && !ec.noHashJoin && !vx.distinct[depth] && seen > int64(ec.hashMin) &&
+	if !hs.built && !ec.noHashJoin && !vx.distinct[depth] && seen > int64(ec.hashMin) &&
 		rp.estConst < 64*int(seen) {
 		in.writeCols(0, scratch)
 		sh.buildHash(depth, rp, scratch)
 	}
 
-	if hs.built.Load() {
+	if hs.built {
 		in.writeCols(0, scratch)
 		usable := true
-		//pgrdfvet:ignore guardedby -- keySlots is frozen before built.Store(true); built.Load() above is the publication barrier
 		for _, slot := range hs.keySlots {
 			if scratch[slot] == store.NoID {
 				usable = false // heterogeneous boundness: NLJ fallback
@@ -595,18 +581,16 @@ func (vx *vecExec) probeBatch(depth int, in *colBatch, rp *resolvedPattern, hs *
 	ec := vx.sh.ec
 	scratch := vx.scratch[depth]
 	out, c := vx.out[depth], vx.collapse[depth]
-	var emitted, collapsed int64 // flushed in one atomic per input batch
+	var emitted, collapsed int64 // flushed once per input batch
 	pending := 0
 	stopped := false
 	for i := 0; i < in.n; i++ {
 		in.writeCols(i, scratch)
 		wt := in.weight(i)
 		var key [4]store.ID
-		//pgrdfvet:ignore guardedby -- keySlots is frozen before built.Store(true); the caller's built.Load() is the publication barrier
 		for k, slot := range hs.keySlots {
 			key[k] = scratch[slot]
 		}
-		//pgrdfvet:ignore guardedby -- table is immutable after built.Store(true); the caller's built.Load() is the publication barrier
 		for _, q := range hs.table[key] {
 			// Non-key bound positions are validated by bindQuad.
 			if !rp.bindQuad(scratch, q, &vx.undo[depth]) {
@@ -670,12 +654,10 @@ func (vx *vecExec) emitBatch(in *colBatch) bool {
 	return vx.emit(in)
 }
 
-// applyBatch is the BGP join: per input binding it fans the first
-// step's scan out to morsel workers when that pays (tryParallelBatch),
-// and otherwise drives the join serially, emitting batches. The shared
-// state and the serial driver's buffers are built once and reused by
-// every run — a BGP nested under OPTIONAL, MINUS or UNION runs once per
-// outer row.
+// applyBatch is the BGP join: per input binding it drives the join
+// depth by depth, emitting batches. The shared state and the driver's
+// buffers are built once and reused by every run — a BGP nested under
+// OPTIONAL, MINUS or UNION runs once per outer row.
 func (o *bgpOp) applyBatch(ec *execCtx, in source) batchSource {
 	sh := o.newShared(ec)
 	var vx *vecExec
@@ -686,12 +668,7 @@ func (o *bgpOp) applyBatch(ec *execCtx, in source) batchSource {
 		sh.reset()
 		err := in(func(b binding) bool {
 			if sh.bgpStage != nil {
-				sh.bgpStage.rowsIn.Add(1)
-			}
-			if ec.parallelism > 1 {
-				if handled, cont := sh.tryParallelBatch(b, yield); handled {
-					return cont
-				}
+				sh.bgpStage.rowsIn++
 			}
 			if vx == nil {
 				vx = newVecExec(sh, len(b))
@@ -874,29 +851,6 @@ func planNote(on bool, text string) string {
 		return ", " + text
 	}
 	return ""
-}
-
-// orderInsensitive reports whether a plan's results cannot depend on
-// the order its solutions are produced in: a single implicit group
-// whose aggregates are order-insensitive folds. COUNT, MIN and MAX
-// qualify (their DISTINCT variants too); SUM and AVG do not (float
-// accumulation order changes the result), nor do SAMPLE and
-// GROUP_CONCAT (they pick by arrival order). When it holds, the
-// parallel batch executor fans morsel results in by completion order
-// instead of paying the order-preserving merge — the EQ11d fix
-// (DESIGN.md §15).
-func orderInsensitive(cp *compiled) bool {
-	if !cp.grouping || len(cp.groupBy) != 0 || len(cp.orderBy) != 0 {
-		return false
-	}
-	for _, agg := range cp.aggregates {
-		switch agg.fn {
-		case "COUNT", "MIN", "MAX":
-		default:
-			return false
-		}
-	}
-	return true
 }
 
 // addBatches folds a batch source into the groups. When every

@@ -49,7 +49,6 @@ func nestedKernelStore(b *testing.B) *store.Store {
 
 func runKernel(b *testing.B, st *store.Store, q string, tune func(*Engine)) {
 	e := NewEngine(st)
-	e.Parallelism = 1
 	if tune != nil {
 		tune(e)
 	}

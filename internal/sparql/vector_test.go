@@ -13,13 +13,6 @@ import (
 	"repro/internal/store"
 )
 
-// vecEngine returns a serial engine.
-func vecEngine(st *store.Store) *Engine {
-	e := NewEngine(st)
-	e.Parallelism = 1
-	return e
-}
-
 // vectorDiffQueries covers the operator shapes the batch tail handles
 // (BGP + trailing filters, grouping, LIMIT/OFFSET, DISTINCT, ORDER BY)
 // and shapes whose BGPs feed row operators (UNION, OPTIONAL, property
@@ -60,7 +53,7 @@ func resultRows(t *testing.T, e *Engine, q string) []string {
 // dropped, order kept.
 func TestVectorizedEmptyBatches(t *testing.T) {
 	st := egoNetStore(t, 600, 5)
-	e := vecEngine(st)
+	e := NewEngine(st)
 	if rows := resultRows(t, e, `SELECT ?a ?b WHERE { ?a rel:follows ?b . FILTER(false) }`); len(rows) != 0 {
 		t.Errorf("FILTER(false) returned %d rows", len(rows))
 	}
@@ -83,22 +76,18 @@ func TestVectorizedEmptyBatches(t *testing.T) {
 // TestVectorizedLimitOffsetBatchBoundary sweeps LIMIT and OFFSET across
 // the batch capacity (one row under, exactly at, one over, multiple
 // batches) so off-by-one errors at batch boundaries cannot hide: the
-// answer must be rows[o:o+k] of the unlimited query, serial and
-// parallel.
+// answer must be rows[o:o+k] of the unlimited query.
 func TestVectorizedLimitOffsetBatchBoundary(t *testing.T) {
 	st := egoNetStore(t, 1200, 4) // 4800 result rows for the single pattern
-	for _, parallelism := range []int{1, 4} {
-		e := NewEngine(st)
-		e.Parallelism = parallelism
-		const q = `SELECT ?a ?b WHERE { ?a rel:follows ?b }`
-		all := resultRows(t, e, q)
-		for _, limit := range []int{1, vecRampStart, vecRampStart + 1, batchRows - 1, batchRows, batchRows + 1, 2*batchRows + 5} {
-			for _, offset := range []int{0, 1, batchRows - 1, batchRows, batchRows + 1} {
-				got := resultRows(t, e, fmt.Sprintf(`%s OFFSET %d LIMIT %d`, q, offset, limit))
-				if want := sliceRows(all, offset, limit); strings.Join(got, "\n") != strings.Join(want, "\n") {
-					t.Fatalf("parallelism %d, limit=%d offset=%d: got %d rows, not rows[%d:%d] of the unlimited query",
-						parallelism, limit, offset, len(got), offset, offset+limit)
-				}
+	e := NewEngine(st)
+	const q = `SELECT ?a ?b WHERE { ?a rel:follows ?b }`
+	all := resultRows(t, e, q)
+	for _, limit := range []int{1, vecRampStart, vecRampStart + 1, batchRows - 1, batchRows, batchRows + 1, 2*batchRows + 5} {
+		for _, offset := range []int{0, 1, batchRows - 1, batchRows, batchRows + 1} {
+			got := resultRows(t, e, fmt.Sprintf(`%s OFFSET %d LIMIT %d`, q, offset, limit))
+			if want := sliceRows(all, offset, limit); strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Fatalf("limit=%d offset=%d: got %d rows, not rows[%d:%d] of the unlimited query",
+					limit, offset, len(got), offset, offset+limit)
 			}
 		}
 	}
@@ -109,7 +98,7 @@ func TestVectorizedLimitOffsetBatchBoundary(t *testing.T) {
 // still equal the full result deduplicated, first occurrences kept.
 func TestVectorizedDistinctAcrossBatches(t *testing.T) {
 	st := egoNetStore(t, 1500, 4)
-	e := vecEngine(st)
+	e := NewEngine(st)
 	const where = `WHERE { ?a rel:follows ?b . ?b rel:follows ?c }`
 	seen := map[string]bool{}
 	var want []string
@@ -135,7 +124,7 @@ func TestVectorizedBudgetExhaustionMidBatch(t *testing.T) {
 		// The same join nested under OPTIONAL, once per outer row.
 		`SELECT ?a ?c WHERE { ?a rel:follows ?b OPTIONAL { ?b rel:follows ?c } }`,
 	} {
-		e := vecEngine(st)
+		e := NewEngine(st)
 		e.Limits = guard.Budget{MaxWork: 3000}
 		if _, err := e.Query("", testPrologue+q); !errors.Is(err, guard.ErrBudgetExceeded) {
 			t.Fatalf("err = %v, want guard.ErrBudgetExceeded\n%s", err, q)
@@ -143,7 +132,7 @@ func TestVectorizedBudgetExhaustionMidBatch(t *testing.T) {
 	}
 	// A tight budget must still let a first-rows query through: the
 	// ramp bounds scan-ahead below the budget.
-	e := vecEngine(st)
+	e := NewEngine(st)
 	e.Limits = guard.Budget{MaxWork: 500}
 	res, err := e.Query("", testPrologue+`SELECT ?a ?b WHERE { ?a rel:follows ?b } LIMIT 3`)
 	if err != nil || res.Len() != 3 {
@@ -178,24 +167,18 @@ const denseTriangles = `SELECT (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b . ?b r
 
 // TestIntersectBudgetExhaustion exhausts MaxBindings inside a sorted
 // intersection — the driving scan alone stays far under the budget —
-// serial and parallel: the query must surface guard.ErrBudgetExceeded.
-// Counting, the intersection adds each triangle once, weighted 216, so
-// the query touches 1.9 M rows rather than 7.0 M: still ~10× the budget.
+// and the query must surface guard.ErrBudgetExceeded. Counting, the
+// intersection adds each triangle once, weighted 216, so the query
+// touches 1.9 M rows rather than 7.0 M: still ~10× the budget.
 func TestIntersectBudgetExhaustion(t *testing.T) {
 	st := denseStore(t, 30, 6) // 5 220 quads, 24 360 × 216 triangle rows
-	for _, parallelism := range []int{1, 4} {
-		e := NewEngine(st)
-		e.Parallelism = parallelism
-		e.Limits = guard.Budget{MaxWork: 200_000}
-		if got := fusedSteps(t, e, "", testPrologue+denseTriangles); got != "2 3" {
-			t.Fatalf("fused steps %q, want \"2 3\"", got)
-		}
-		if _, err := e.Query("", testPrologue+denseTriangles); !errors.Is(err, guard.ErrBudgetExceeded) {
-			t.Fatalf("parallelism %d: err = %v, want guard.ErrBudgetExceeded", parallelism, err)
-		}
-		if w := e.ParallelStats().ActiveWorkers; w != 0 {
-			t.Errorf("parallelism %d: leaked workers: %d", parallelism, w)
-		}
+	e := NewEngine(st)
+	e.Limits = guard.Budget{MaxWork: 200_000}
+	if got := fusedSteps(t, e, "", testPrologue+denseTriangles); got != "2 3" {
+		t.Fatalf("fused steps %q, want \"2 3\"", got)
+	}
+	if _, err := e.Query("", testPrologue+denseTriangles); !errors.Is(err, guard.ErrBudgetExceeded) {
+		t.Fatalf("err = %v, want guard.ErrBudgetExceeded", err)
 	}
 	if g := st.OpenCursors(); g != 0 {
 		t.Errorf("leaked cursors: %d", g)
@@ -205,43 +188,37 @@ func TestIntersectBudgetExhaustion(t *testing.T) {
 // TestIntersectCancellation cancels a triangle count while it is
 // intersecting — the rows seeks return are slowed by an injected stall
 // per 64, so the count would take many seconds — and checks it stops
-// promptly with guard.ErrCanceled, serial and parallel.
+// promptly with guard.ErrCanceled.
 func TestIntersectCancellation(t *testing.T) {
 	st := denseStore(t, 30, 6)
 	fi := store.NewFaultInjector()
 	fi.StallScans(64, 50*time.Microsecond)
 	st.SetFaultInjector(fi)
 	defer st.SetFaultInjector(nil)
-	for _, parallelism := range []int{1, 4} {
-		e := NewEngine(st)
-		e.Parallelism = parallelism
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan error, 1)
-		start, before := time.Now(), fi.Scanned()
-		go func() {
-			_, err := e.QueryContext(ctx, "", testPrologue+denseTriangles)
-			done <- err
-		}()
-		// The driving scan shows the injector each of the 5 220 quads at
-		// most once, so past twice that many rows the seeks are running.
-		for fi.Scanned()-before <= 2*5220 {
-			if time.Since(start) > 5*time.Second {
-				t.Fatalf("parallelism %d: the intersection did not start", parallelism)
-			}
-			time.Sleep(time.Millisecond)
+	e := NewEngine(st)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	start, before := time.Now(), fi.Scanned()
+	go func() {
+		_, err := e.QueryContext(ctx, "", testPrologue+denseTriangles)
+		done <- err
+	}()
+	// The driving scan shows the injector each of the 5 220 quads at
+	// most once, so past twice that many rows the seeks are running.
+	for fi.Scanned()-before <= 2*5220 {
+		if time.Since(start) > 5*time.Second {
+			t.Fatal("the intersection did not start")
 		}
-		cancel()
-		select {
-		case err := <-done:
-			if !errors.Is(err, guard.ErrCanceled) {
-				t.Fatalf("parallelism %d: err = %v, want guard.ErrCanceled", parallelism, err)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatalf("parallelism %d: query did not stop within 2s of cancellation", parallelism)
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, guard.ErrCanceled) {
+			t.Fatalf("err = %v, want guard.ErrCanceled", err)
 		}
-		if w := e.ParallelStats().ActiveWorkers; w != 0 {
-			t.Errorf("parallelism %d: leaked workers: %d", parallelism, w)
-		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("query did not stop within 2s of cancellation")
 	}
 	if g := st.OpenCursors(); g != 0 {
 		t.Errorf("leaked cursors: %d", g)
@@ -250,86 +227,17 @@ func TestIntersectCancellation(t *testing.T) {
 
 // TestVectorizedCancellationBetweenBatches cancels the context before
 // execution: the batch executor's per-batch poll must notice and
-// surface guard.ErrCanceled without leaking workers or cursors.
+// surface guard.ErrCanceled without leaking cursors.
 func TestVectorizedCancellationBetweenBatches(t *testing.T) {
 	st := egoNetStore(t, 800, 5)
-	for _, parallelism := range []int{1, 8} {
-		e := NewEngine(st)
-		e.Parallelism = parallelism
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		_, err := e.QueryContext(ctx, "", testPrologue+`SELECT ?a ?c WHERE { ?a rel:follows ?b . ?b rel:follows ?c }`)
-		if !errors.Is(err, guard.ErrCanceled) {
-			t.Fatalf("parallelism=%d: err = %v, want guard.ErrCanceled", parallelism, err)
-		}
-		if w := e.ParallelStats().ActiveWorkers; w != 0 {
-			t.Errorf("parallelism=%d: leaked workers: %d", parallelism, w)
-		}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := NewEngine(st).QueryContext(ctx, "", testPrologue+`SELECT ?a ?c WHERE { ?a rel:follows ?b . ?b rel:follows ?c }`)
+	if !errors.Is(err, guard.ErrCanceled) {
+		t.Fatalf("err = %v, want guard.ErrCanceled", err)
 	}
 	if g := st.OpenCursors(); g != 0 {
 		t.Errorf("leaked cursors: %d", g)
-	}
-}
-
-// TestOrderInsensitive pins the merge-skip rule (DESIGN.md §15): only a
-// single implicit group of order-insensitive folds may skip the
-// order-preserving merge.
-func TestOrderInsensitive(t *testing.T) {
-	e := NewEngine(store.New())
-	cases := []struct {
-		q    string
-		want bool
-	}{
-		{`SELECT (COUNT(*) AS ?n) WHERE { ?a ?p ?b }`, true},
-		{`SELECT (COUNT(DISTINCT ?a) AS ?n) WHERE { ?a ?p ?b }`, true},
-		{`SELECT (MIN(?a) AS ?lo) (MAX(?a) AS ?hi) WHERE { ?a ?p ?b }`, true},
-		{`SELECT (SUM(?a) AS ?s) WHERE { ?a ?p ?b }`, false},
-		{`SELECT (AVG(?a) AS ?s) WHERE { ?a ?p ?b }`, false},
-		{`SELECT (SAMPLE(?a) AS ?s) WHERE { ?a ?p ?b }`, false},
-		{`SELECT (GROUP_CONCAT(?a) AS ?s) WHERE { ?a ?p ?b }`, false},
-		{`SELECT ?a (COUNT(?b) AS ?n) WHERE { ?a ?p ?b } GROUP BY ?a`, false},
-		{`SELECT ?a WHERE { ?a ?p ?b }`, false},
-		{`SELECT ?a WHERE { ?a ?p ?b } ORDER BY ?a`, false},
-	}
-	for _, c := range cases {
-		cp, err := e.compileSelectText(testPrologue+c.q, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", c.q, err)
-		}
-		if got := orderInsensitive(cp); got != c.want {
-			t.Errorf("orderInsensitive(%s) = %v, want %v", c.q, got, c.want)
-		}
-	}
-}
-
-// TestVectorizedUnorderedParallelCount: the unordered fan-in (merge
-// skipped) must still produce the exact aggregate of the ordered and
-// serial paths — same count, same min/max.
-func TestVectorizedUnorderedParallelCount(t *testing.T) {
-	st := egoNetStore(t, 900, 5)
-	serial := vecEngine(st)
-	par := NewEngine(st)
-	par.Parallelism = 8
-	par.HashJoinThreshold = 16
-	for _, q := range []string{
-		`SELECT (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b . ?b rel:follows ?c }`,
-		`SELECT (MIN(?c) AS ?lo) (MAX(?c) AS ?hi) (COUNT(?c) AS ?n) WHERE { ?a rel:follows ?b . ?b rel:follows ?c }`,
-	} {
-		want, err := serial.Query("", testPrologue+q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := par.Query("", testPrologue+q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.String() != want.String() {
-			t.Errorf("unordered parallel aggregate differs for:\n%s\nserial:\n%s\nparallel:\n%s",
-				q, want.String(), got.String())
-		}
-	}
-	if w := par.ParallelStats().ActiveWorkers; w != 0 {
-		t.Errorf("leaked workers: %d", w)
 	}
 }
 
@@ -359,48 +267,36 @@ var groupCapQueries = []string{
 // TestColumnarGroupMaxRows: group creation counts against MaxRows in the
 // columnar fold as in the row path — a cap of exactly the group count
 // passes with the unlimited answer, one less fails with
-// guard.ErrBudgetExceeded, serial and parallel.
+// guard.ErrBudgetExceeded.
 func TestColumnarGroupMaxRows(t *testing.T) {
 	st := egoNetStore(t, 400, 5)
 	for _, q := range groupCapQueries {
-		want := resultRows(t, vecEngine(st), q)
-		for _, parallelism := range []int{1, 4} {
-			e := NewEngine(st)
-			e.Parallelism = parallelism
-			e.Limits = guard.Budget{MaxRows: len(want)}
-			if got := resultRows(t, e, q); strings.Join(got, "\n") != strings.Join(want, "\n") {
-				t.Fatalf("parallelism %d, MaxRows %d: %d rows differ from the unlimited %d\n%s", parallelism, len(want), len(got), len(want), q)
-			}
-			e.Limits = guard.Budget{MaxRows: len(want) - 1}
-			if _, err := e.Query("", testPrologue+q); !errors.Is(err, guard.ErrBudgetExceeded) {
-				t.Fatalf("parallelism %d, MaxRows %d: err = %v, want guard.ErrBudgetExceeded\n%s", parallelism, len(want)-1, err, q)
-			}
-			if w := e.ParallelStats().ActiveWorkers; w != 0 {
-				t.Errorf("parallelism %d: leaked workers: %d", parallelism, w)
-			}
+		want := resultRows(t, NewEngine(st), q)
+		e := NewEngine(st)
+		e.Limits = guard.Budget{MaxRows: len(want)}
+		if got := resultRows(t, e, q); strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("MaxRows %d: %d rows differ from the unlimited %d\n%s", len(want), len(got), len(want), q)
+		}
+		e.Limits = guard.Budget{MaxRows: len(want) - 1}
+		if _, err := e.Query("", testPrologue+q); !errors.Is(err, guard.ErrBudgetExceeded) {
+			t.Fatalf("MaxRows %d: err = %v, want guard.ErrBudgetExceeded\n%s", len(want)-1, err, q)
 		}
 	}
 }
 
 // TestBatchUnionBudget exhausts MaxBindings in a batch UNION's second
 // branch — the first branch's scan alone fits the budget — under the
-// columnar fold and under plain projection, serial and parallel.
+// columnar fold and under plain projection.
 func TestBatchUnionBudget(t *testing.T) {
 	st := egoNetStore(t, 800, 5) // ~4 000 rows per branch
 	for _, q := range []string{
 		groupCapQueries[0],
 		`SELECT ?a ?b WHERE { ?a (rel:follows|^rel:follows) ?b }`,
 	} {
-		for _, parallelism := range []int{1, 4} {
-			e := NewEngine(st)
-			e.Parallelism = parallelism
-			e.Limits = guard.Budget{MaxWork: 6000}
-			if _, err := e.Query("", testPrologue+q); !errors.Is(err, guard.ErrBudgetExceeded) {
-				t.Fatalf("parallelism %d: err = %v, want guard.ErrBudgetExceeded\n%s", parallelism, err, q)
-			}
-			if w := e.ParallelStats().ActiveWorkers; w != 0 {
-				t.Errorf("parallelism %d: leaked workers: %d", parallelism, w)
-			}
+		e := NewEngine(st)
+		e.Limits = guard.Budget{MaxWork: 6000}
+		if _, err := e.Query("", testPrologue+q); !errors.Is(err, guard.ErrBudgetExceeded) {
+			t.Fatalf("err = %v, want guard.ErrBudgetExceeded\n%s", err, q)
 		}
 	}
 }
@@ -408,8 +304,7 @@ func TestBatchUnionBudget(t *testing.T) {
 // TestBatchUnionCancellation cancels an EQ9-shaped query while its batch
 // UNION scans the second branch — scans stall 1ms per 16 rows, so the
 // query would run for about half a second — and checks that it stops
-// promptly with guard.ErrCanceled, serial and parallel, leaking no workers
-// or cursors.
+// promptly with guard.ErrCanceled, leaking no cursors.
 func TestBatchUnionCancellation(t *testing.T) {
 	st := egoNetStore(t, 800, 5)
 	fi := store.NewFaultInjector()
@@ -417,34 +312,28 @@ func TestBatchUnionCancellation(t *testing.T) {
 	st.SetFaultInjector(fi)
 	defer st.SetFaultInjector(nil)
 	const q = `SELECT ?deg (COUNT(*) AS ?cnt) WHERE { SELECT ?b (COUNT(*) AS ?deg) WHERE { ?a (rel:follows|^rel:follows) ?b } GROUP BY ?b } GROUP BY ?deg`
-	for _, parallelism := range []int{1, 4} {
-		e := NewEngine(st)
-		e.Parallelism = parallelism
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan error, 1)
-		start, before := time.Now(), fi.Scanned()
-		go func() {
-			_, err := e.QueryContext(ctx, "", testPrologue+q)
-			done <- err
-		}()
-		for fi.Scanned()-before <= 4500 {
-			if time.Since(start) > 10*time.Second {
-				t.Fatalf("parallelism %d: the second branch did not start", parallelism)
-			}
-			time.Sleep(time.Millisecond)
+	e := NewEngine(st)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	start, before := time.Now(), fi.Scanned()
+	go func() {
+		_, err := e.QueryContext(ctx, "", testPrologue+q)
+		done <- err
+	}()
+	for fi.Scanned()-before <= 4500 {
+		if time.Since(start) > 10*time.Second {
+			t.Fatal("the second branch did not start")
 		}
-		cancel()
-		select {
-		case err := <-done:
-			if !errors.Is(err, guard.ErrCanceled) {
-				t.Fatalf("parallelism %d: err = %v, want guard.ErrCanceled", parallelism, err)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatalf("parallelism %d: query did not stop within 2s of cancellation", parallelism)
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, guard.ErrCanceled) {
+			t.Fatalf("err = %v, want guard.ErrCanceled", err)
 		}
-		if w := e.ParallelStats().ActiveWorkers; w != 0 {
-			t.Errorf("parallelism %d: leaked workers: %d", parallelism, w)
-		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("query did not stop within 2s of cancellation")
 	}
 	if g := st.OpenCursors(); g != 0 {
 		t.Errorf("leaked cursors: %d", g)

@@ -3,8 +3,8 @@ package store
 import "sort"
 
 // The scan kernel: every read of a store version — row callbacks,
-// batches, morsels, cursors, snapshots, compaction — is one merge of an
-// index's sorted base range with its sorted delta range (DESIGN.md §15, §18).
+// batches, cursors, snapshots, compaction — is one merge of an index's
+// sorted base range with its sorted delta range (DESIGN.md §15, §18).
 // Rows are handed out as contiguous runs: zero-copy subslices of the
 // base array wherever no delta entry intervenes, so the tight per-row
 // loops live next to the index layout and the caller amortizes its own

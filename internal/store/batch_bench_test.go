@@ -12,7 +12,7 @@ import (
 // query machinery on top. Run via `make bench-micro`.
 
 func benchScanStore(b *testing.B) *Store {
-	s := partitionTestStore(b, 20000)
+	s := synthTestStore(b, 20000)
 	s.Compact()
 	return s
 }
@@ -188,42 +188,5 @@ func BenchmarkApply(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkParallelScan times the driving scan a parallel BGP splits
-// among its workers — the 79 712-row follows range into 8 morsels,
-// each drained in turn — with no delta and with 4 500 unmerged inserts:
-// by a snapshot Cursor whose rows are copied out and then split
-// ("copy"), and by the View's key-range morsels ("morsels").
-func BenchmarkParallelScan(b *testing.B) {
-	const n = 8
-	for _, inserts := range []int{0, 4500} {
-		s := ngStore(b, inserts, 0)
-		v := s.View()
-		p := AnyPattern()
-		p.P = s.Dict().Lookup(iri("follows"))
-		b.Run(fmt.Sprintf("delta=%d/copy", inserts), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				c := v.Cursor(p)
-				for _, r := range splitRange(0, c.Len(), n) {
-					benchSink += len(c.rows[r.Lo:r.Hi])
-				}
-				c.Close()
-			}
-		})
-		b.Run(fmt.Sprintf("delta=%d/morsels", inserts), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ms := v.Morsels(p, n)
-				for j := range ms {
-					ms[j].ScanBatch(DefaultBatchRows, func(run []IDQuad) bool {
-						benchSink += len(run)
-						return true
-					})
-				}
-			}
-		})
 	}
 }

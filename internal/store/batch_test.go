@@ -148,58 +148,6 @@ func checkSeek(t *testing.T, label string, v *View, c seekCase, rng *rand.Rand) 
 	return merged
 }
 
-// morselCoverage counts the morsel shapes the walk produced, so the
-// test can insist the interesting ones occurred.
-type morselCoverage struct {
-	deltaBothSides int // a split with delta entries in the morsels on either side
-	tombAtSplit    int // a morsel whose first base row, the split key, is tombstoned
-	fewerThanN     int // a non-empty range with fewer base rows than morsels asked for
-	empty          int // a pattern with no rows at all
-}
-
-// checkMorsels checks that the morsels of pat, for n = 1…9, are at most
-// n, cover the pattern's scan and, concatenated in order, give exactly
-// want — the rows ScanBatch visits.
-func checkMorsels(t *testing.T, label string, v *View, pat Pattern, want []IDQuad) morselCoverage {
-	t.Helper()
-	var cov morselCoverage
-	if len(want) == 0 {
-		cov.empty++
-	}
-	for n := 1; n <= 9; n++ {
-		ms := v.Morsels(pat, n)
-		if len(ms) < 1 || len(ms) > n {
-			t.Fatalf("%s: Morsels(n=%d) gave %d morsels", label, n, len(ms))
-		}
-		var got []IDQuad
-		bases := 0
-		for i := range ms {
-			ms[i].ScanBatch(1+n%4, func(run []IDQuad) bool {
-				if len(run) > 1+n%4 {
-					t.Fatalf("%s: run of %d rows with max %d", label, len(run), 1+n%4)
-				}
-				got = append(got, run...)
-				return true
-			})
-			m := &ms[i]
-			bases += len(m.base)
-			if i > 0 && m.from != m.to && ms[i-1].from != ms[i-1].to {
-				cov.deltaBothSides++
-			}
-			if i > 0 && m.from != m.to && len(m.base) > 0 {
-				if e := m.r.delta[m.from.c].e[m.from.i]; e.tomb && e.q == m.base[0] {
-					cov.tombAtSplit++
-				}
-			}
-		}
-		if bases > 0 && bases < n {
-			cov.fewerThanN++
-		}
-		quadsEqual(t, fmt.Sprintf("%s: Morsels(n=%d)", label, n), got, want)
-	}
-	return cov
-}
-
 func (ps *pinnedState) check(t *testing.T) {
 	t.Helper()
 	label := fmt.Sprintf("view pinned at step %d", ps.step)
@@ -209,7 +157,6 @@ func (ps *pinnedState) check(t *testing.T) {
 	got = nil
 	ps.view.ScanBatch(ps.pat, 7, func(run []IDQuad) bool { got = append(got, run...); return true })
 	quadsEqual(t, label+": ScanBatch", got, ps.rows)
-	checkMorsels(t, label, ps.view, ps.pat, ps.rows)
 	if n := ps.view.EstimateCount(ps.pat); n != ps.est {
 		t.Fatalf("%s: EstimateCount = %d, was %d", label, n, ps.est)
 	}
@@ -232,12 +179,8 @@ func (ps *pinnedState) check(t *testing.T) {
 // delimits for one value of the next key column what a scan with that
 // value bound too does — through the zero-copy path and through the
 // delta merge, both of which must occur; and every View pinned at an
-// earlier burst must still show, through Scan, ScanBatch, Morsels,
+// earlier burst must still show, through Scan, ScanBatch,
 // EstimateCount and Seek, exactly what it showed when it was pinned.
-// The morsels of a pattern, and of one that matches nothing, must
-// concatenate to its ScanBatch rows for every split count 1…9, with
-// delta entries on both sides of some split key and ranges smaller
-// than the split count among them.
 func TestScanBatchMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	s := New()
@@ -255,13 +198,6 @@ func TestScanBatchMatchesScan(t *testing.T) {
 	}
 	var pins []*pinnedState
 	merged, zeroCopy := 0, 0
-	var cov morselCoverage
-	addCov := func(c morselCoverage) {
-		cov.deltaBothSides += c.deltaBothSides
-		cov.tombAtSplit += c.tombAtSplit
-		cov.fewerThanN += c.fewerThanN
-		cov.empty += c.empty
-	}
 	for step := 0; step < 600; step++ {
 		switch op := rng.Intn(10); {
 		case step == 200:
@@ -353,10 +289,6 @@ func TestScanBatchMatchesScan(t *testing.T) {
 		}
 
 		view := s.View()
-		addCov(checkMorsels(t, fmt.Sprintf("step %d", step), view, pat, want))
-		none := pat
-		none.C = ID(1 << 40) // in no row
-		addCov(checkMorsels(t, fmt.Sprintf("step %d, no rows", step), view, none, nil))
 		var sc seekCase
 		for i := 0; i < 8; i++ {
 			var row IDQuad
@@ -388,60 +320,13 @@ func TestScanBatchMatchesScan(t *testing.T) {
 	if merged == 0 || zeroCopy == 0 {
 		t.Fatalf("seeks: %d merged with the delta, %d zero-copy; want both paths", merged, zeroCopy)
 	}
-	if cov.deltaBothSides == 0 || cov.fewerThanN == 0 || cov.empty == 0 {
-		t.Fatalf("morsel shapes not covered: %+v", cov)
-	}
-}
-
-// TestMorselsAtSplitKeys tombstones the base rows at and just before
-// each split key of a 4-way split and inserts rows around them: every
-// split then has delta entries on both sides and a morsel starting with
-// a tombstoned row. The morsels of the new view and of the view pinned
-// before the changes must each concatenate to that view's scan.
-func TestMorselsAtSplitKeys(t *testing.T) {
-	s := partitionTestStore(t, 3000)
-	old := s.View()
-	oldRows := collectScan(s, AnyPattern())
-	var ops []Op
-	for _, m := range old.Morsels(AnyPattern(), 4)[1:] {
-		at := sortSearchRow(oldRows, m.base[0])
-		for _, q := range []IDQuad{oldRows[at-1], oldRows[at]} {
-			ops = append(ops, Op{Delete: true, Model: "m", Quad: s.quadTerms(q)})
-			tq := s.quadTerms(q)
-			tq.O = iri(fmt.Sprintf("fresh-%s", tq.O.Value))
-			ops = append(ops, Op{Model: "m", Quad: tq})
-		}
-	}
-	if _, _, err := s.Apply(ops); err != nil {
-		t.Fatal(err)
-	}
-	if ws := s.WriteStats(); ws.DeltaRows == 0 || ws.Tombstones == 0 {
-		t.Fatalf("fixture has %d delta rows and %d tombstones", ws.DeltaRows, ws.Tombstones)
-	}
-	if cov := checkMorsels(t, "old view", old, AnyPattern(), oldRows); cov.deltaBothSides != 0 {
-		t.Fatalf("the pinned view sees delta entries: %+v", cov)
-	}
-	cov := checkMorsels(t, "new view", s.View(), AnyPattern(), collectScan(s, AnyPattern()))
-	if cov.deltaBothSides == 0 || cov.tombAtSplit == 0 {
-		t.Fatalf("split keys not covered: %+v", cov)
-	}
-}
-
-// sortSearchRow returns the position of q in rows, which holds it.
-func sortSearchRow(rows []IDQuad, q IDQuad) int {
-	for i, r := range rows {
-		if r == q {
-			return i
-		}
-	}
-	panic("row not found")
 }
 
 // TestSeekerReuse seeks one seeker repeatedly — the same pattern twice
 // in a row, then others — on a store with rows in the delta: each Seek
 // must return its own pattern's rows whatever the seeker served before.
 func TestSeekerReuse(t *testing.T) {
-	s := partitionTestStore(t, 300)
+	s := synthTestStore(t, 300)
 	for i := 0; i < 40; i++ {
 		if _, err := s.Insert("m", quad(fmt.Sprintf("s%d", i%7), "p", fmt.Sprintf("new%d", i), "")); err != nil {
 			t.Fatal(err)
@@ -465,7 +350,7 @@ func TestSeekerReuse(t *testing.T) {
 // TestScanBatchEarlyStop checks that returning false from the batch
 // callback stops the scan without visiting the delta tail.
 func TestScanBatchEarlyStop(t *testing.T) {
-	s := partitionTestStore(t, 500)
+	s := synthTestStore(t, 500)
 	// Leave rows in the delta buffer.
 	if _, err := s.Insert("m", quad("zzz", "zzp", "zzo", "")); err != nil {
 		t.Fatal(err)

@@ -264,8 +264,8 @@ type binSection struct {
 
 // RestoreBinary rebuilds a store from a binary snapshot. The dict and
 // index sections decode concurrently (bounded by GOMAXPROCS — the same
-// worker budget a fresh store's SetParallelism defaults to), so restore
-// scales with cores instead of re-interning terms one by one.
+// worker budget bulk loads use), so restore scales with cores instead
+// of re-interning terms one by one.
 //
 // It returns ErrNotBinarySnapshot when data lacks the magic, and
 // ErrBinarySnapshotCorrupt (wrapped with detail) for any framing, CRC

@@ -27,8 +27,7 @@ const scratchBase ID = 1 << 62
 // scratch-identified term matches nothing in the store, which is the
 // correct semantics for a term the store does not contain.
 //
-// The overlay is safe for concurrent use: one query's parallel workers
-// may resolve scratch IDs while the driver interns new ones.
+// The overlay is safe for concurrent use.
 type TermOverlay struct {
 	dict *Dict
 	mu   sync.RWMutex

@@ -62,6 +62,39 @@ func sortQuads(rows []IDQuad, less func(a, b IDQuad) bool, workers int) {
 	}
 }
 
+// RowRange is a half-open [Lo, Hi) row interval of a slice being
+// sorted in pieces.
+type RowRange struct {
+	Lo, Hi int
+}
+
+// Len returns the number of rows in the range.
+func (r RowRange) Len() int { return r.Hi - r.Lo }
+
+// splitRange cuts [lo, hi) into at most n near-equal contiguous ranges.
+// It returns nil for an empty interval and never returns empty ranges.
+func splitRange(lo, hi, n int) []RowRange {
+	size := hi - lo
+	if size <= 0 || n <= 0 {
+		return nil
+	}
+	if n > size {
+		n = size
+	}
+	out := make([]RowRange, 0, n)
+	chunk, rem := size/n, size%n
+	at := lo
+	for i := 0; i < n; i++ {
+		next := at + chunk
+		if i < rem {
+			next++
+		}
+		out = append(out, RowRange{Lo: at, Hi: next})
+		at = next
+	}
+	return out
+}
+
 // mergeRuns merges the sorted runs a and b into out (len(out) must be
 // len(a)+len(b)), taking from a on ties.
 func mergeRuns(out, a, b []IDQuad, less func(x, y IDQuad) bool) {

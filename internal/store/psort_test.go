@@ -3,15 +3,16 @@ package store
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
 	"repro/internal/rdf"
 )
 
-// partitionTestStore loads one model with a deterministic synthetic
-// edge set large enough to split meaningfully.
-func partitionTestStore(t testing.TB, n int) *Store {
+// synthTestStore loads one model with a deterministic synthetic edge
+// set of n quads.
+func synthTestStore(t testing.TB, n int) *Store {
 	t.Helper()
 	s := New()
 	quads := make([]rdf.Quad, 0, n)
@@ -62,13 +63,14 @@ func TestSplitRangeProperties(t *testing.T) {
 
 // TestParallelLoadEquivalence: the same quads loaded with parallel
 // index builds produce byte-identical scan output to a serial load.
+// Bulk loads use GOMAXPROCS workers, so the two loads run at 1 and 8.
 func TestParallelLoadEquivalence(t *testing.T) {
-	mk := func(par int) *Store {
+	mk := func(procs int) *Store {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		s := New()
 		if err := s.CreateIndex("GSPCM"); err != nil {
 			t.Fatal(err)
 		}
-		s.SetParallelism(par)
 		quads := make([]rdf.Quad, 0, 40000)
 		for i := 0; i < 40000; i++ {
 			quads = append(quads, rdf.Quad{
@@ -106,11 +108,28 @@ func TestParallelLoadEquivalence(t *testing.T) {
 	}
 }
 
-// TestSortQuadsEquivalence checks the parallel merge sort against the
-// stdlib sort on inputs above the parallel threshold.
-func TestSortQuadsEquivalence(t *testing.T) {
+// pscgmLess orders quads by P, S, C, G, M.
+func pscgmLess(a, b IDQuad) bool {
+	if a.P != b.P {
+		return a.P < b.P
+	}
+	if a.S != b.S {
+		return a.S < b.S
+	}
+	if a.C != b.C {
+		return a.C < b.C
+	}
+	if a.G != b.G {
+		return a.G < b.G
+	}
+	return a.M < b.M
+}
+
+// checkSortQuads sorts n random rows with sortQuads at each worker count
+// and compares them with the stdlib sort.
+func checkSortQuads(t *testing.T, n int, workers ...int) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(42))
-	n := parallelSortMinRows + 5000
 	rows := make([]IDQuad, n)
 	for i := range rows {
 		rows[i] = IDQuad{
@@ -118,30 +137,28 @@ func TestSortQuadsEquivalence(t *testing.T) {
 			C: ID(rng.Intn(500)), G: ID(rng.Intn(5)), M: ModelID(rng.Intn(3)),
 		}
 	}
-	less := func(a, b IDQuad) bool {
-		if a.P != b.P {
-			return a.P < b.P
-		}
-		if a.S != b.S {
-			return a.S < b.S
-		}
-		if a.C != b.C {
-			return a.C < b.C
-		}
-		if a.G != b.G {
-			return a.G < b.G
-		}
-		return a.M < b.M
-	}
 	want := append([]IDQuad(nil), rows...)
-	sort.Slice(want, func(i, j int) bool { return less(want[i], want[j]) })
-	for _, workers := range []int{1, 2, 8} {
+	sort.Slice(want, func(i, j int) bool { return pscgmLess(want[i], want[j]) })
+	for _, w := range workers {
 		got := append([]IDQuad(nil), rows...)
-		sortQuads(got, less, workers)
+		sortQuads(got, pscgmLess, w)
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("workers=%d: row %d = %+v, want %+v", workers, i, got[i], want[i])
+				t.Fatalf("workers=%d: row %d = %+v, want %+v", w, i, got[i], want[i])
 			}
 		}
 	}
+}
+
+// TestSortQuadsEquivalence checks the parallel merge sort against the
+// stdlib sort on inputs above the parallel threshold.
+func TestSortQuadsEquivalence(t *testing.T) {
+	checkSortQuads(t, parallelSortMinRows+5000, 1, 2, 8)
+}
+
+// TestSortQuadsOddRunCount: with an odd number of sorted runs at some
+// merge level, the unpaired run is carried to the next level unmerged;
+// 3, 5, 6 and 7 workers each leave one behind at a different level.
+func TestSortQuadsOddRunCount(t *testing.T) {
+	checkSortQuads(t, parallelSortMinRows+7, 3, 5, 6, 7)
 }

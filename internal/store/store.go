@@ -48,12 +48,6 @@ type Store struct {
 	// dict is set once at construction and internally synchronized.
 	dict *Dict
 
-	// par is the worker budget for bulk operations (Load, Compact,
-	// CreateIndex): all configured indexes are built concurrently and
-	// large batch sorts are chunked across goroutines. 0 = GOMAXPROCS,
-	// 1 = fully serial. See SetParallelism.
-	par atomic.Int32
-
 	// fault optionally perturbs scans for degradation testing; nil in
 	// production. See FaultInjector.
 	fault atomic.Pointer[FaultInjector]
@@ -117,25 +111,6 @@ func (s *Store) View() *View { return s.cur.Load() }
 // happened in between.
 func (s *Store) Version() uint64 { return s.View().Version }
 
-// SetParallelism sets the worker budget for bulk operations (Load,
-// Compact, CreateIndex). n <= 0 restores the default of
-// runtime.GOMAXPROCS(0); 1 makes bulk loads fully serial. Safe to call
-// concurrently with readers and writers.
-func (s *Store) SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.par.Store(int32(n))
-}
-
-// Parallelism returns the effective bulk-operation worker budget.
-func (s *Store) Parallelism() int {
-	if n := s.par.Load(); n > 0 {
-		return int(n)
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // edit returns a private copy of the current View for a writer to
 // build the next version in. The copy shares every table and array
 // with the original; the writer replaces what it changes.
@@ -155,11 +130,12 @@ func (s *Store) publish(w *View) {
 	s.published.Add(1)
 }
 
-// eachRun replaces every run of w by build's result, concurrently when
-// the worker budget allows; build receives that budget's per-index
-// share for its own sorting.
+// eachRun replaces every run of w by build's result. Bulk operations
+// (Load, Compact, CreateIndex) use runtime.GOMAXPROCS(0) workers: the
+// runs are built concurrently, and build receives the per-index share of
+// the workers for its own sorting.
 func (s *Store) eachRun(w *View, build func(r *run, workers int) run) {
-	par := s.Parallelism()
+	par := runtime.GOMAXPROCS(0)
 	if par <= 1 || len(w.runs) == 1 {
 		for i := range w.runs {
 			w.runs[i] = build(&w.runs[i], 1)
@@ -212,7 +188,7 @@ func (s *Store) CreateIndex(spec string) error {
 	if len(w.runs) > 0 {
 		from := &w.runs[0]
 		r.base = append([]IDQuad(nil), from.base...)
-		sortQuads(r.base, r.ix.less, s.Parallelism())
+		sortQuads(r.base, r.ix.less, runtime.GOMAXPROCS(0))
 		var entries []dentry
 		for _, c := range from.delta {
 			entries = append(entries, c.e...)
