@@ -20,8 +20,10 @@ var lookupClasses = []string{"EQ1", "EQ2", "EQ4", "EQ5a", "EQ6a", "EQ8a", "EQ11b
 // lookupPlansPath holds the EXPLAIN text of the lookup classes on NG and
 // SP data, written by the parent of the change that made aggregates stay
 // in ID space; since counting without enumerating (DESIGN.md §22) EQ11b's
-// BGP line reads "count=weighted", and nothing else changed. Regenerate
-// only with
+// BGP line reads "count=weighted", and since EXPLAIN renders the profile
+// tree (DESIGN.md §11) BGP lines lost their trailing colon and each plan
+// ends in its Project line; join orders, indexes and access paths never
+// changed. Regenerate only with
 // UPDATE_LOOKUP_PLANS=1 go test -run TestBatchTailFiresWhereExpected ./internal/sparql
 const lookupPlansPath = "testdata/lookup_plans.txt"
 
@@ -45,8 +47,8 @@ func paperStore(t *testing.T, scheme pgrdf.Scheme) *store.Store {
 }
 
 // TestBatchTailFiresWhereExpected pins where aggregates stay in ID
-// space, on NG and SP data under serve's indexes. EQ9 and EQ10 run their
-// alternation's UNION columnar and group by ID — in EXPLAIN and, by the
+// space, on NG and SP data under serve's indexes. EQ9 and EQ10 union
+// their alternation's branches and group by ID — in EXPLAIN and, by the
 // profile, at run time. The lookup classes keep the parent's plans
 // exactly — join order, indexes, access paths — but for the key
 // annotation on EQ11b's single group and its weighted BGP, which
@@ -61,24 +63,24 @@ func TestBatchTailFiresWhereExpected(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !strings.Contains(plan, "Union (2 branches, batch):") || strings.Count(plan, "key=id") != 2 {
-				t.Errorf("%s %s: want a batch Union and two id-keyed GroupAggregates:\n%s", scheme, name, plan)
+			if !strings.Contains(plan, "Union (2 branches)") || strings.Count(plan, "key=id") != 2 {
+				t.Errorf("%s %s: want a Union and two id-keyed GroupAggregates:\n%s", scheme, name, plan)
 			}
 			_, prof, err := e.QueryProfiled("", queries[name])
 			if err != nil {
 				t.Fatal(err)
 			}
-			var batchRows, groups int64
+			var unionRows, groups int64
 			walkProfile(prof.Plan, func(n *ProfileNode) {
-				if n.Batch {
-					batchRows += n.RowsOut
+				if strings.HasPrefix(n.Label, "Union") {
+					unionRows += n.RowsOut
 				}
 				if n.GroupKey == "id" {
 					groups += n.Groups
 				}
 			})
-			if batchRows == 0 || groups == 0 {
-				t.Errorf("%s %s: profile shows %d batch Union rows and %d id-keyed groups", scheme, name, batchRows, groups)
+			if unionRows == 0 || groups == 0 {
+				t.Errorf("%s %s: profile shows %d Union rows and %d id-keyed groups", scheme, name, unionRows, groups)
 			}
 		}
 		for _, name := range lookupClasses {
@@ -86,8 +88,8 @@ func TestBatchTailFiresWhereExpected(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if strings.Contains(plan, "batch") {
-				t.Errorf("%s %s: a lookup class runs a batch Union:\n%s", scheme, name, plan)
+			if strings.Contains(plan, "Union") {
+				t.Errorf("%s %s: a lookup class runs a Union:\n%s", scheme, name, plan)
 			}
 			if notes := groupKeyNote.FindAllString(plan, -1); len(notes) != map[bool]int{true: 1}[name == "EQ11b"] {
 				t.Errorf("%s %s: %d GroupAggregate annotations:\n%s", scheme, name, len(notes), plan)
@@ -117,38 +119,32 @@ func walkProfile(nodes []*ProfileNode, fn func(*ProfileNode)) {
 	}
 }
 
-// TestNestedUnionBatchMarks: a UNION is marked batch only when it runs
-// columnar. A batch-able UNION nested in a row UNION (one branch has an
-// OPTIONAL) runs row by row, so neither EXPLAIN nor the profile marks
-// it; nested in a batch UNION it is marked with its parent.
-func TestNestedUnionBatchMarks(t *testing.T) {
+// actualNote is the per-line annotation EXPLAIN ANALYZE adds to
+// EXPLAIN's plan.
+var actualNote = regexp.MustCompile(`(?m)  \(actual: [^)]*\)$`)
+
+// TestExplainIsAnalyzeWithoutActuals: EXPLAIN and EXPLAIN ANALYZE are
+// one plan description. On every golden shape — nested UNIONs, an
+// OPTIONAL in one branch, sub-selects, paths, weighted counts — the
+// ANALYZE text with its actuals cut is the EXPLAIN text, line for line.
+func TestExplainIsAnalyzeWithoutActuals(t *testing.T) {
 	e := NewEngine(egoNetStore(t, 50, 3))
-	for _, tc := range []struct {
-		q       string
-		batches int
-	}{
-		{`SELECT * WHERE { { { ?a rel:follows ?b } UNION { ?b rel:follows ?a } } UNION { ?a rel:follows ?b OPTIONAL { ?b rel:follows ?c } } }`, 0},
-		{`SELECT * WHERE { { { ?a rel:follows ?b } UNION { ?b rel:follows ?a } } UNION { ?a rel:follows ?c } }`, 2},
-	} {
-		plan, err := e.Explain("", testPrologue+tc.q)
+	e.HashJoinThreshold = 16
+	shapes := append(goldenQueries(),
+		`SELECT * WHERE { { { ?a rel:follows ?b } UNION { ?b rel:follows ?a } } UNION { ?a rel:follows ?b OPTIONAL { ?b rel:follows ?c } } }`,
+		`SELECT * WHERE { { { ?a rel:follows ?b } UNION { ?b rel:follows ?a } } UNION { ?a rel:follows ?c } }`,
+	)
+	for _, q := range shapes {
+		plan, err := e.Explain("", testPrologue+q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := strings.Count(plan, "Union (2 branches, batch):"); got != tc.batches || strings.Count(plan, "Union (2 branches") != 2 {
-			t.Errorf("EXPLAIN marks %d Unions batch, want %d:\n%s", got, tc.batches, plan)
-		}
-		_, prof, err := e.QueryProfiled("", testPrologue+tc.q)
+		txt, err := e.ExplainAnalyze("", testPrologue+q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := 0
-		walkProfile(prof.Plan, func(n *ProfileNode) {
-			if n.Batch {
-				got++
-			}
-		})
-		if got != tc.batches {
-			t.Errorf("profile marks %d Unions batch, want %d\n%s", got, tc.batches, tc.q)
+		if got := actualNote.ReplaceAllString(txt, ""); got != plan {
+			t.Errorf("%s\nEXPLAIN ANALYZE without actuals differs from EXPLAIN:\n%s", q, firstDiff(plan, got))
 		}
 	}
 }

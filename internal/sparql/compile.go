@@ -34,15 +34,9 @@ func (vt *varTable) lookup(name string) (int, bool) {
 }
 
 // binding is one solution mapping: slot -> term ID (NoID = unbound).
-// Bindings passed to yield callbacks are only valid for the duration of
-// the call; operators that retain them must clone.
+// Operators materialize batch rows into bindings (colBatch.materialize)
+// only where they work row by row.
 type binding []store.ID
-
-func (b binding) clone() binding {
-	c := make(binding, len(b))
-	copy(c, b)
-	return c
-}
 
 // varset is a bitmask of bound variable slots (queries here have < 64
 // variables; the compiler rejects more).
@@ -102,14 +96,14 @@ func (qp quadPattern) vars() varset {
 	return v
 }
 
-// op is one operator in a compiled group pipeline. apply transforms an
-// input source of bindings into an output source.
+// op is one operator in a compiled group pipeline. Every operator takes
+// and yields columnar batches (DESIGN.md §15): apply turns the batch
+// source of its input into its own.
 type op interface {
-	apply(ec *execCtx, in source) source
+	apply(ec *execCtx, in batchSource) batchSource
 	// bound returns the variable slots guaranteed bound after this op,
 	// given the slots bound before it.
 	bound(before varset) varset
-	explain(e *explainer)
 	// stageID is the operator's slot in the query profile; 0 means the
 	// plan was never numbered (EXISTS sub-pipelines, non-SELECT forms)
 	// and the operator is skipped by the instrumentation layer.
@@ -124,11 +118,6 @@ func (s *opStage) stageID() int   { return s.sid }
 func (s *opStage) setStage(n int) { s.sid = n }
 
 type stageSetter interface{ setStage(int) }
-
-// source produces bindings, calling yield for each; yield returns false
-// to stop early. A source returns an error only on evaluation failure
-// (not on type errors inside filters, which SPARQL defines as false).
-type source func(yield func(binding) bool) error
 
 // compiled is a fully compiled SELECT query.
 type compiled struct {
@@ -238,7 +227,6 @@ func compileSelect(sel *SelectQuery, seq *int) (*compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	markBatchTail(pipeline)
 	cp := &compiled{
 		vt:       c.vt,
 		pipeline: pipeline,
@@ -358,7 +346,10 @@ func (c *compiler) exprWithAggregates(e Expr, cp *compiled, hintSlot int) (compi
 // group compiles a group graph pattern into a pipeline of operators.
 // Consecutive triple patterns (including those inside GRAPH clauses over
 // only-triples groups) are fused into a single BGP so the optimizer can
-// order them jointly, exactly like the paper's query plans.
+// order them jointly, exactly like the paper's query plans. A FILTER is
+// never an operator of its own: it rides the BGP it is flushed with (a
+// pattern-less one after a non-BGP operator), which places it at the
+// earliest join depth that binds its variables.
 func (c *compiler) group(g *GroupGraphPattern) ([]op, error) {
 	var pipeline []op
 	var bgp []quadPattern
@@ -419,7 +410,7 @@ func (c *compiler) group(g *GroupGraphPattern) ([]op, error) {
 				if err != nil {
 					return err
 				}
-				filters = append(filters, &filterOp{cond: ce, need: exprVars(ce), text: "FILTER"})
+				filters = append(filters, &filterOp{cond: ce, need: exprVars(ce)})
 			case *BindElem:
 				flushBGP()
 				ce, err := c.expr(x.Expr)
@@ -561,11 +552,11 @@ func (c *compiler) lowerPath(s posRef, p Path, o posRef, g graphRef) ([]quadPatt
 		}}
 		return nil, []op{u}, nil
 	case PathStar:
-		return nil, []op{&pathOp{s: s, o: o, g: g, inner: x.Inner, min: 0, c: c}}, nil
+		return nil, []op{&pathOp{s: s, o: o, g: g, inner: x.Inner, min: 0}}, nil
 	case PathPlus:
-		return nil, []op{&pathOp{s: s, o: o, g: g, inner: x.Inner, min: 1, c: c}}, nil
+		return nil, []op{&pathOp{s: s, o: o, g: g, inner: x.Inner, min: 1}}, nil
 	case PathOpt:
-		return nil, []op{&pathOp{s: s, o: o, g: g, inner: x.Inner, min: 0, max: 1, c: c}}, nil
+		return nil, []op{&pathOp{s: s, o: o, g: g, inner: x.Inner, min: 0, max: 1}}, nil
 	default:
 		return nil, nil, fmt.Errorf("sparql: unsupported path %T", p)
 	}

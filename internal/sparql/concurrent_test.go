@@ -195,16 +195,21 @@ func TestUpdateIsAtomicToReaders(t *testing.T) {
 }
 
 // TestConcurrentQueriesShareOneEngine: four goroutines run socialShapes
-// on one engine, so they share its cached compiled plans, and each
-// answers what a lone run does. Per-query executor state (hash tables,
-// BFS frontiers, sort buffers) carries no lock; under the race detector
-// this fails if any of it lives in a shared plan.
+// and two EXISTS shapes on one engine, so they share its cached compiled
+// plans, and each answers what a lone run does. Per-query executor state
+// (hash tables, BFS frontiers, sort buffers, EXISTS pipelines) carries
+// no lock; under the race detector this fails if any of it lives in a
+// shared plan.
 func TestConcurrentQueriesShareOneEngine(t *testing.T) {
 	st := socialStore(t)
 	e := NewEngine(st)
 	e.HashJoinThreshold = 16
-	want := make([]string, len(socialShapes))
-	for i, q := range socialShapes {
+	shapes := append(socialShapes[:len(socialShapes):len(socialShapes)],
+		`SELECT ?a ?c WHERE { ?a rel:follows ?b . ?b rel:follows ?c FILTER NOT EXISTS { ?c rel:follows ?a } } LIMIT 3000`,
+		`SELECT ?a ?c WHERE { ?a rel:follows ?b OPTIONAL { ?b rel:follows ?c FILTER EXISTS { ?c rel:follows ?a } } }`,
+	)
+	want := make([]string, len(shapes))
+	for i, q := range shapes {
 		res, err := e.Query("", testPrologue+q)
 		if err != nil {
 			t.Fatalf("shape %d: %v", i, err)
@@ -217,9 +222,9 @@ func TestConcurrentQueriesShareOneEngine(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			for round := 0; round < 2; round++ {
-				for k := range socialShapes {
-					i := (k + r) % len(socialShapes)
-					res, err := e.Query("", testPrologue+socialShapes[i])
+				for k := range shapes {
+					i := (k + r) % len(shapes)
+					res, err := e.Query("", testPrologue+shapes[i])
 					if err != nil {
 						t.Errorf("reader %d shape %d: %v", r, i, err)
 						return

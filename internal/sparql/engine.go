@@ -380,36 +380,19 @@ func (e *Engine) ask(ctx context.Context, model, query string, q *Query) (found 
 	if q.Form != FormAsk {
 		return false, fmt.Errorf("sparql: Ask expects an ASK query")
 	}
-	c := &compiler{vt: newVarTable(), seq: freshCounter()}
-	pipeline, err := c.group(q.Select.Where)
+	w, err := compileWhere(q.Select.Where)
 	if err != nil {
 		return false, err
 	}
-	markBatchTail(pipeline)
-	if len(c.vt.names) > maxVars {
-		return false, fmt.Errorf("sparql: query uses more than %d variables", maxVars)
-	}
-	ec, err := e.execCtxIn(g, model, c.vt)
+	ec, err := e.whereCtx(g, model, w)
 	if err != nil {
 		return false, err
 	}
-	if bs := vectorTail(ec, pipeline, unitSource(len(c.vt.names))); bs != nil {
-		if err := finishGuard(ec, bs(func(cb *colBatch) bool {
-			found = true
-			return false
-		})); err != nil {
-			return false, err
-		}
-		return found, nil
-	}
-	src := runPipeline(ec, pipeline, unitSource(len(c.vt.names)))
-	if err := finishGuard(ec, src(func(binding) bool {
+	err = w.solutions(ec, func(binding) bool {
 		found = true
 		return false
-	})); err != nil {
-		return false, err
-	}
-	return found, nil
+	})
+	return found, err
 }
 
 // Construct parses and executes a CONSTRUCT query, returning the
@@ -446,28 +429,54 @@ func (e *Engine) construct(ctx context.Context, model, query string, q *Query) (
 	if q.Form != FormConstruct {
 		return nil, fmt.Errorf("sparql: Construct expects a CONSTRUCT query")
 	}
-	c := &compiler{vt: newVarTable(), seq: freshCounter()}
-	pipeline, err := c.group(q.Select.Where)
+	w, err := compileWhere(q.Select.Where)
 	if err != nil {
 		return nil, err
 	}
-	tmpl := compileTemplates(c, q.Template)
-	if len(c.vt.names) > maxVars {
-		return nil, fmt.Errorf("sparql: query uses more than %d variables", maxVars)
-	}
-	ec, err := e.execCtxIn(g, model, c.vt)
+	tmpl := compileTemplates(w.c, q.Template)
+	ec, err := e.whereCtx(g, model, w)
 	if err != nil {
 		return nil, err
 	}
 	seen := make(map[rdf.Quad]struct{})
-	src := runPipeline(ec, pipeline, unitSource(len(c.vt.names)))
-	if err := finishGuard(ec, src(func(b binding) bool {
+	if err := w.solutions(ec, func(b binding) bool {
 		instantiateTemplates(ec, tmpl, b, seen, &out)
 		return ec.guard.CheckRows(len(out))
-	})); err != nil {
+	}); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// where is a WHERE pattern compiled in its own scope for the forms that
+// read its solutions row by row: ASK, CONSTRUCT, DESCRIBE and the update
+// operations. Templates compile against c's variable table.
+type where struct {
+	c        *compiler
+	pipeline []op
+}
+
+func compileWhere(pattern *GroupGraphPattern) (*where, error) {
+	c := &compiler{vt: newVarTable(), seq: freshCounter()}
+	pipeline, err := c.group(pattern)
+	if err != nil {
+		return nil, err
+	}
+	return &where{c: c, pipeline: pipeline}, nil
+}
+
+// whereCtx builds the execution context of w in a request guarded by
+// g, once its templates are compiled: they may add variables.
+func (e *Engine) whereCtx(g *guard.Guard, model string, w *where) (*execCtx, error) {
+	if len(w.c.vt.names) > maxVars {
+		return nil, fmt.Errorf("sparql: query uses more than %d variables", maxVars)
+	}
+	return e.execCtxIn(g, model, w.c.vt)
+}
+
+// solutions runs w under ec and hands fn each solution (eachRow).
+func (w *where) solutions(ec *execCtx, fn func(binding) bool) error {
+	return finishGuard(ec, eachRow(runPipeline(ec, w.pipeline, unitSource(len(ec.vt.names))), fn))
 }
 
 // compiledTemplate is a CONSTRUCT/Modify template entry with variables
@@ -569,15 +578,11 @@ func (e *Engine) describe(ctx context.Context, model, query string, q *Query) (o
 	if q.Form != FormDescribe {
 		return nil, fmt.Errorf("sparql: Describe expects a DESCRIBE query")
 	}
-	c := &compiler{vt: newVarTable(), seq: freshCounter()}
-	pipeline, err := c.group(q.Select.Where)
+	w, err := compileWhere(q.Select.Where)
 	if err != nil {
 		return nil, err
 	}
-	if len(c.vt.names) > maxVars {
-		return nil, fmt.Errorf("sparql: query uses more than %d variables", maxVars)
-	}
-	ec, err := e.execCtxIn(g, model, c.vt)
+	ec, err := e.whereCtx(g, model, w)
 	if err != nil {
 		return nil, err
 	}
@@ -587,7 +592,7 @@ func (e *Engine) describe(ctx context.Context, model, query string, q *Query) (o
 	var varSlots []int
 	for _, tv := range q.Describe {
 		if tv.IsVar {
-			if slot, ok := c.vt.lookup(tv.Var); ok {
+			if slot, ok := w.c.vt.lookup(tv.Var); ok {
 				varSlots = append(varSlots, slot)
 			}
 			continue
@@ -597,15 +602,14 @@ func (e *Engine) describe(ctx context.Context, model, query string, q *Query) (o
 		}
 	}
 	if len(varSlots) > 0 {
-		src := runPipeline(ec, pipeline, unitSource(len(c.vt.names)))
-		if err := finishGuard(ec, src(func(b binding) bool {
+		if err := w.solutions(ec, func(b binding) bool {
 			for _, slot := range varSlots {
 				if b[slot] != store.NoID {
 					resources[b[slot]] = struct{}{}
 				}
 			}
 			return true
-		})); err != nil {
+		}); err != nil {
 			return nil, err
 		}
 	}
@@ -691,7 +695,8 @@ func (e *Engine) Count(model, query string) (int, error) {
 
 // Explain compiles the query and renders the access plan: join order,
 // per-pattern semantic-network index and access method — the information
-// Table 5 of the paper reports.
+// Table 5 of the paper reports. It is EXPLAIN ANALYZE's plan tree
+// (Profile) without the actuals, since nothing runs.
 func (e *Engine) Explain(model, query string) (string, error) {
 	q, err := e.parseOnce(query, nil)
 	if err != nil {
@@ -705,29 +710,8 @@ func (e *Engine) Explain(model, query string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	ex := &explainer{ec: ec}
-	ex.printf("Select (dataset=%s)", datasetName(model))
-	ex.indent++
-	for _, op := range cp.pipeline {
-		op.explain(ex)
-	}
-	explainTail(ex, cp)
-	ex.indent--
-	return ex.b.String(), nil
-}
-
-// explainTail prints a select's tail phases after its pipeline.
-func explainTail(ex *explainer, cp *compiled) {
-	if cp.grouping {
-		kind, _ := groupKeyOf(cp)
-		ex.printf("GroupAggregate (%d keys, %d aggregates) key=%s", len(cp.groupBy), len(cp.aggregates), kind)
-	}
-	if len(cp.orderBy) > 0 {
-		ex.printf("OrderBy (%d keys)", len(cp.orderBy))
-	}
-	if cp.distinct {
-		ex.printf("Distinct")
-	}
+	p := &Profile{Dataset: datasetName(model), Plan: profilePlan(ec, cp)}
+	return p.render(false), nil
 }
 
 func datasetName(model string) string {
@@ -878,28 +862,26 @@ func (e *Engine) UpdateContext(ctx context.Context, model, request string) (res 
 // pattern quads for each, and deletes them from every model of the
 // dataset. The pattern must consist of plain triple patterns (optionally
 // under GRAPH).
-func (e *Engine) deleteWhere(g *guard.Guard, model string, where *GroupGraphPattern) (int, error) {
-	c := &compiler{vt: newVarTable(), seq: freshCounter()}
-	pipeline, err := c.group(where)
+func (e *Engine) deleteWhere(g *guard.Guard, model string, pattern *GroupGraphPattern) (int, error) {
+	w, err := compileWhere(pattern)
 	if err != nil {
 		return 0, err
 	}
 	// Collect the template patterns for instantiation.
 	var templates []quadPattern
-	for _, op := range pipeline {
+	for _, op := range w.pipeline {
 		bgp, ok := op.(*bgpOp)
 		if !ok || len(bgp.filters) > 0 {
 			return 0, fmt.Errorf("sparql: DELETE WHERE supports only plain triple patterns")
 		}
 		templates = append(templates, bgp.patterns...)
 	}
-	ec, err := e.execCtxIn(g, model, c.vt)
+	ec, err := e.whereCtx(g, model, w)
 	if err != nil {
 		return 0, err
 	}
-	src := runPipeline(ec, pipeline, unitSource(len(c.vt.names)))
 	var toDelete []rdf.Quad
-	if err := finishGuard(ec, src(func(b binding) bool {
+	if err := w.solutions(ec, func(b binding) bool {
 		for _, tp := range templates {
 			q, ok := instantiate(ec, tp, b)
 			if ok {
@@ -907,7 +889,7 @@ func (e *Engine) deleteWhere(g *guard.Guard, model string, where *GroupGraphPatt
 			}
 		}
 		return ec.guard.CheckRows(len(toDelete))
-	})); err != nil {
+	}); err != nil {
 		return 0, err
 	}
 	models, err := ec.view.ResolveDataset(model)
@@ -937,29 +919,24 @@ func (e *Engine) deleteWhere(g *guard.Guard, model string, where *GroupGraphPatt
 // are applied (to every model in the dataset), then all inserts (into
 // the named model).
 func (e *Engine) modify(g *guard.Guard, model string, m Modify) (deleted, inserted int, err error) {
-	c := &compiler{vt: newVarTable(), seq: freshCounter()}
-	pipeline, err := c.group(m.Where)
+	w, err := compileWhere(m.Where)
 	if err != nil {
 		return 0, 0, err
 	}
-	delTmpl := compileTemplates(c, m.Delete)
-	insTmpl := compileTemplates(c, m.Insert)
-	if len(c.vt.names) > maxVars {
-		return 0, 0, fmt.Errorf("sparql: update uses more than %d variables", maxVars)
-	}
-	ec, err := e.execCtxIn(g, model, c.vt)
+	delTmpl := compileTemplates(w.c, m.Delete)
+	insTmpl := compileTemplates(w.c, m.Insert)
+	ec, err := e.whereCtx(g, model, w)
 	if err != nil {
 		return 0, 0, err
 	}
 	var toDelete, toInsert []rdf.Quad
 	delSeen := make(map[rdf.Quad]struct{})
 	insSeen := make(map[rdf.Quad]struct{})
-	src := runPipeline(ec, pipeline, unitSource(len(c.vt.names)))
-	if err := finishGuard(ec, src(func(b binding) bool {
+	if err := w.solutions(ec, func(b binding) bool {
 		instantiateTemplates(ec, delTmpl, b, delSeen, &toDelete)
 		instantiateTemplates(ec, insTmpl, b, insSeen, &toInsert)
 		return ec.guard.CheckRows(len(toDelete) + len(toInsert))
-	})); err != nil {
+	}); err != nil {
 		return 0, 0, err
 	}
 	models, err := ec.view.ResolveDataset(model)

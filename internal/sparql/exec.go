@@ -1,7 +1,6 @@
 package sparql
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -39,6 +38,9 @@ type execCtx struct {
 	// All execution hooks are nil-checked so unprofiled queries pay a
 	// predictable branch and zero allocations.
 	prof *queryProfile
+
+	// exists holds the EXISTS pipelines built so far (existsRun).
+	exists map[*exprExistsC]*existsRun
 }
 
 // child derives an execCtx for a nested scope (sub-select), sharing the
@@ -125,43 +127,6 @@ func (ec *execCtx) quadVisible(q store.IDQuad) bool {
 	}
 	_, ok := ec.models[q.M]
 	return ok
-}
-
-// unitSource yields a single empty binding of the scope's width.
-func unitSource(width int) source {
-	return func(yield func(binding) bool) error {
-		b := make(binding, width)
-		yield(b)
-		return nil
-	}
-}
-
-// runPipeline folds a pipeline over an input source. When the context
-// carries a profile, each operator's stream is wrapped with row and
-// wall-time accounting (the BGP additionally keeps its own per-step
-// counters inside apply).
-func runPipeline(ec *execCtx, ops []op, in source) source {
-	src := in
-	for _, o := range ops {
-		src = o.apply(ec, src)
-		if ec.prof != nil {
-			src = ec.prof.instrument(o.stageID(), src)
-		}
-	}
-	return src
-}
-
-// explainer accumulates a textual plan.
-type explainer struct {
-	b      strings.Builder
-	indent int
-	ec     *execCtx
-}
-
-func (e *explainer) printf(format string, args ...any) {
-	e.b.WriteString(strings.Repeat("  ", e.indent))
-	fmt.Fprintf(&e.b, format, args...)
-	e.b.WriteByte('\n')
 }
 
 // ---------------------------------------------------------------------
@@ -603,74 +568,16 @@ func (sh *bgpShared) foldStepStats() {
 	}
 }
 
-// apply is the BGP as a row operator: it runs the batch driver
-// (applyBatch) and hands each batch row downstream in one reused
-// binding, borrowed like every binding a source yields.
-func (o *bgpOp) apply(ec *execCtx, in source) source {
-	bs := o.applyBatch(ec, in)
-	var row binding
-	return func(yield func(binding) bool) error {
-		return bs(func(cb *colBatch) bool {
-			if row == nil {
-				row = make(binding, len(cb.base))
-			}
-			for i := 0; i < cb.n; i++ {
-				cb.materialize(i, row)
-				if !yield(row) {
-					return false
-				}
-			}
-			return true
-		})
-	}
-}
-
-func (o *bgpOp) explain(e *explainer) {
-	e.printf("BGP (%d patterns%s):", len(o.patterns), planNote(o.count, "count=weighted"))
-	e.indent++
-	for i, d := range bgpStepDescs(e.ec, o) {
-		notes := ""
-		if d.collapse != "" {
-			notes = "  collapse=" + d.collapse
-		}
-		if d.intersect {
-			notes += "  join=intersect"
-		}
-		e.printf("%d: %s  [%s bound] index=%s (%s) est=%d%s",
-			i+1, d.text, d.boundCols, d.index, d.access, d.est, notes)
-	}
-	for range o.filters {
-		e.printf("filter (pushed to earliest bound position)")
-	}
-	e.indent--
-}
-
 // ---------------------------------------------------------------------
 // Filter, Bind, Values
 // ---------------------------------------------------------------------
 
+// filterOp is one FILTER of a BGP (compiler.group), evaluated at the
+// earliest join depth where need is bound.
 type filterOp struct {
-	opStage
 	cond compiledExpr
 	need varset
-	text string
 }
-
-func (o *filterOp) bound(before varset) varset { return before }
-
-func (o *filterOp) apply(ec *execCtx, in source) source {
-	return func(yield func(binding) bool) error {
-		return in(func(b binding) bool {
-			v, err := evalBool(ec, o.cond, b)
-			if err != nil || !v {
-				return true
-			}
-			return yield(b)
-		})
-	}
-}
-
-func (o *filterOp) explain(e *explainer) { e.printf("Filter") }
 
 type bindOp struct {
 	opStage
@@ -680,24 +587,15 @@ type bindOp struct {
 
 func (o *bindOp) bound(before varset) varset { return before.with(o.slot) }
 
-func (o *bindOp) apply(ec *execCtx, in source) source {
-	return func(yield func(binding) bool) error {
-		return in(func(b binding) bool {
-			t, err := o.expr.eval(ec, b)
-			if err != nil {
-				// Expression errors leave the variable unbound.
-				return yield(b)
-			}
-			old := b[o.slot]
+func (o *bindOp) apply(ec *execCtx, in batchSource) batchSource {
+	return perRow(in, []int{o.slot}, func(b binding, w *rowWriter) bool {
+		// Expression errors leave the variable unbound.
+		if t, err := o.expr.eval(ec, b); err == nil {
 			b[o.slot] = ec.intern(t)
-			cont := yield(b)
-			b[o.slot] = old
-			return cont
-		})
-	}
+		}
+		return w.write(b)
+	})
 }
-
-func (o *bindOp) explain(e *explainer) { e.printf("Bind ?%s", e.ec.vt.names[o.slot]) }
 
 type valuesOp struct {
 	opStage
@@ -713,54 +611,53 @@ func (o *valuesOp) bound(before varset) varset {
 	return v
 }
 
-func (o *valuesOp) apply(ec *execCtx, in source) source {
-	return func(yield func(binding) bool) error {
-		// Resolve row terms once.
-		ids := make([][]store.ID, len(o.rows))
-		for i, row := range o.rows {
-			ids[i] = make([]store.ID, len(row))
-			for j, t := range row {
-				if t.IsZero() {
-					ids[i][j] = store.NoID // UNDEF
-				} else {
-					ids[i][j] = ec.intern(t)
-				}
+func (o *valuesOp) apply(ec *execCtx, in batchSource) batchSource {
+	// Row terms resolve once per query.
+	ids := make([][]store.ID, len(o.rows))
+	for i, row := range o.rows {
+		ids[i] = make([]store.ID, len(row))
+		for j, t := range row {
+			if !t.IsZero() { // UNDEF stays NoID
+				ids[i][j] = ec.intern(t)
 			}
 		}
-		return in(func(b binding) bool {
-			for _, row := range ids {
-				var undo []int
-				ok := true
-				for j, slot := range o.slots {
-					v := row[j]
-					if v == store.NoID {
-						continue // UNDEF joins with anything
-					}
-					if b[slot] == store.NoID {
-						b[slot] = v
-						undo = append(undo, slot)
-					} else if b[slot] != v {
-						ok = false
-						break
-					}
-				}
-				cont := true
-				if ok {
-					cont = yield(b)
-				}
-				for _, s := range undo {
-					b[s] = store.NoID
-				}
-				if !cont {
-					return false
-				}
-			}
-			return true
-		})
 	}
+	return perRow(in, o.slots, func(b binding, w *rowWriter) bool {
+		return joinRows(b, o.slots, ids, w)
+	})
 }
 
-func (o *valuesOp) explain(e *explainer) { e.printf("Values (%d rows)", len(o.rows)) }
+// joinRows writes b joined with each compatible row of rows, whose
+// cells hold the values of slots (NoID = unbound, which joins with
+// anything) — the join of VALUES and of a sub-select's results.
+func joinRows(b binding, slots []int, rows [][]store.ID, w *rowWriter) bool {
+	var undo [maxVars]int
+	for _, row := range rows {
+		n, ok := 0, true
+		for j, slot := range slots {
+			v := row[j]
+			if v == store.NoID {
+				continue
+			}
+			if b[slot] == store.NoID {
+				b[slot] = v
+				undo[n] = slot
+				n++
+			} else if b[slot] != v {
+				ok = false
+				break
+			}
+		}
+		cont := !ok || w.write(b)
+		for _, s := range undo[:n] {
+			b[s] = store.NoID
+		}
+		if !cont {
+			return false
+		}
+	}
+	return true
+}
 
 // ---------------------------------------------------------------------
 // Union, Optional, Minus
@@ -769,9 +666,6 @@ func (o *valuesOp) explain(e *explainer) { e.printf("Values (%d rows)", len(o.ro
 type unionOp struct {
 	opStage
 	branches [][]op
-	// batch is set by markBatchTail when the union is a pipeline's
-	// batch tail: it then runs as applyBatch, not apply.
-	batch bool
 }
 
 func (o *unionOp) bound(before varset) varset {
@@ -788,65 +682,45 @@ func (o *unionOp) bound(before varset) varset {
 	return before | all
 }
 
-func (o *unionOp) apply(ec *execCtx, in source) source {
-	var row feed
-	branches := make([]func(func(binding) bool) error, len(o.branches))
+func (o *unionOp) apply(ec *execCtx, in batchSource) batchSource {
+	var f feed
+	branches := make([]batchSource, len(o.branches))
 	for i, br := range o.branches {
-		branches[i] = runPipeline(ec, br, row.source)
+		branches[i] = runPipeline(ec, br, f.source)
 	}
-	return unionOf(in, &row, branches)
-}
-
-// unionOf runs, per input binding, each branch to exhaustion in branch
-// order — the emission order of both the row union (T = binding) and
-// the batch union (T = *colBatch). The branches read their input
-// binding from row.
-func unionOf[T any](in source, row *feed, branches []func(func(T) bool) error) func(func(T) bool) error {
-	return func(yield func(T) bool) error {
-		var innerErr error
-		err := in(func(b binding) bool {
-			row.b = b
-			for _, br := range branches {
-				stopped := false
-				if innerErr = br(func(out T) bool {
-					if !yield(out) {
-						stopped = true
-						return false
-					}
-					return true
-				}); innerErr != nil || stopped {
-					return false
-				}
+	// Per input row, each branch runs to exhaustion in branch order; its
+	// batches go downstream as they are. The callbacks are built once: a
+	// union nested in another operator runs once per outer row.
+	var yield func(*colBatch) bool
+	var stopped bool
+	var innerErr error
+	pass := func(out *colBatch) bool {
+		stopped = !yield(out)
+		return !stopped
+	}
+	rows := rowReader(func(b binding) bool {
+		f.cb.base = b
+		for _, br := range branches {
+			if innerErr = br(pass); innerErr != nil || stopped {
+				return false
 			}
-			return true
-		})
-		if innerErr != nil {
-			return innerErr
 		}
-		return err
+		return true
+	})
+	return func(y func(*colBatch) bool) error {
+		yield, stopped, innerErr = y, false, nil
+		err := in(rows)
+		return firstErr(innerErr, err)
 	}
 }
 
-func (o *unionOp) explain(e *explainer) {
-	e.printf("Union (%d branches%s):", len(o.branches), planNote(o.batch, "batch"))
-	e.indent++
-	for _, br := range o.branches {
-		for _, sub := range br {
-			sub.explain(e)
-		}
+// firstErr returns the error of an inner pipeline run from inside an
+// outer one, else the outer one's.
+func firstErr(inner, outer error) error {
+	if inner != nil {
+		return inner
 	}
-	e.indent--
-}
-
-// feed is a one-binding source whose binding is set before each run.
-// UNION, OPTIONAL and MINUS build their inner pipeline once per apply
-// over a feed and rerun it per outer row, so the BGPs in it keep their
-// resolved plan and batch buffers across rows.
-type feed struct{ b binding }
-
-func (f *feed) source(yield func(binding) bool) error {
-	yield(f.b)
-	return nil
+	return outer
 }
 
 type optionalOp struct {
@@ -857,47 +731,48 @@ type optionalOp struct {
 
 func (o *optionalOp) bound(before varset) varset { return before }
 
-func (o *optionalOp) apply(ec *execCtx, in source) source {
-	var row feed
-	inner := runPipeline(ec, o.inner, row.source)
-	return func(yield func(binding) bool) error {
-		var innerErr error
-		err := in(func(b binding) bool {
-			row.b = b
-			matched := false
-			stopped := false
-			if innerErr = inner(func(out binding) bool {
-				matched = true
-				if !yield(out) {
-					stopped = true
-					return false
-				}
-				return true
-			}); innerErr != nil {
-				return false
-			}
-			if stopped {
-				return false
-			}
-			if !matched {
-				return yield(b)
-			}
-			return true
-		})
-		if innerErr != nil {
-			return innerErr
+func (o *optionalOp) apply(ec *execCtx, in batchSource) batchSource {
+	var f feed
+	inner := runPipeline(ec, o.inner, f.source)
+	// Per input row, the inner pipeline's batches go downstream as they
+	// are; a row they do not extend is written through w, which hands
+	// its rows on before any inner batch, keeping row order.
+	w := &rowWriter{}
+	var row binding
+	var yield func(*colBatch) bool
+	var matched, stopped bool
+	var innerErr error
+	pass := func(out *colBatch) bool {
+		if !matched {
+			matched = true
+			stopped = !w.flush()
 		}
-		return err
+		stopped = stopped || !yield(out)
+		return !stopped
 	}
-}
-
-func (o *optionalOp) explain(e *explainer) {
-	e.printf("Optional:")
-	e.indent++
-	for _, sub := range o.inner {
-		sub.explain(e)
+	rows := func(cb *colBatch) bool {
+		if row == nil {
+			row = make(binding, len(cb.base))
+		}
+		w.start(cb)
+		for i := 0; i < cb.n; i++ {
+			cb.materialize(i, row)
+			f.cb.base = row
+			matched = false
+			if innerErr = inner(pass); innerErr != nil || stopped {
+				return false
+			}
+			if !matched && !w.write(row) {
+				return false
+			}
+		}
+		return w.flush()
 	}
-	e.indent--
+	return func(y func(*colBatch) bool) error {
+		yield, w.yield, stopped, innerErr = y, y, false, nil
+		err := in(rows)
+		return firstErr(innerErr, err)
+	}
 }
 
 type minusOp struct {
@@ -908,50 +783,61 @@ type minusOp struct {
 
 func (o *minusOp) bound(before varset) varset { return before }
 
-func (o *minusOp) apply(ec *execCtx, in source) source {
-	var row feed
-	inner := runPipeline(ec, o.inner, row.source)
-	return func(yield func(binding) bool) error {
-		var innerErr error
-		err := in(func(b binding) bool {
-			// MINUS only removes when the domains share a bound var.
-			shared := false
-			for _, slot := range sortedSlots(o.innerVars) {
-				if slot < len(b) && b[slot] != store.NoID {
-					shared = true
-					break
+func (o *minusOp) apply(ec *execCtx, in batchSource) batchSource {
+	var f feed
+	inner := runPipeline(ec, o.inner, f.source)
+	shared := sortedSlots(o.innerVars)
+	// A selection: the rows the inner pipeline matches are compacted out
+	// of the input batch in place.
+	var row binding
+	var yield func(*colBatch) bool
+	var found bool
+	var innerErr error
+	probe := func(*colBatch) bool {
+		found = true
+		return false
+	}
+	rows := func(cb *colBatch) bool {
+		if row == nil {
+			row = make(binding, len(cb.base))
+		}
+		kept := 0
+		for i := 0; i < cb.n; i++ {
+			cb.materialize(i, row)
+			if anyBound(row, shared) {
+				f.cb.base = row
+				found = false
+				if innerErr = inner(probe); innerErr != nil {
+					return false
+				}
+				if found {
+					continue
 				}
 			}
-			if !shared {
-				return yield(b)
+			if kept != i {
+				cb.move(kept, i)
 			}
-			row.b = b
-			found := false
-			if innerErr = inner(func(binding) bool {
-				found = true
-				return false
-			}); innerErr != nil {
-				return false
-			}
-			if found {
-				return true
-			}
-			return yield(b)
-		})
-		if innerErr != nil {
-			return innerErr
+			kept++
 		}
-		return err
+		cb.n = kept
+		return kept == 0 || yield(cb)
+	}
+	return func(y func(*colBatch) bool) error {
+		yield, innerErr = y, nil
+		err := in(rows)
+		return firstErr(innerErr, err)
 	}
 }
 
-func (o *minusOp) explain(e *explainer) {
-	e.printf("Minus:")
-	e.indent++
-	for _, sub := range o.inner {
-		sub.explain(e)
+// anyBound reports whether b binds any of slots: MINUS only removes a
+// row whose domain shares a bound variable with the inner pattern's.
+func anyBound(b binding, slots []int) bool {
+	for _, s := range slots {
+		if b[s] != store.NoID {
+			return true
+		}
 	}
-	e.indent--
+	return false
 }
 
 // ---------------------------------------------------------------------
@@ -972,59 +858,22 @@ func (o *subselectOp) bound(before varset) varset {
 	return v
 }
 
-func (o *subselectOp) apply(ec *execCtx, in source) source {
-	return func(yield func(binding) bool) error {
+func (o *subselectOp) apply(ec *execCtx, in batchSource) batchSource {
+	var rows [][]store.ID
+	join := perRow(in, o.outer, func(b binding, w *rowWriter) bool {
+		return joinRows(b, o.outer, rows, w)
+	})
+	return func(yield func(*colBatch) bool) error {
 		// Evaluate the sub-select once, independently (SPARQL bottom-up
 		// semantics), then join with the input stream. Its rows hold
 		// the IDs it projects: a scope shares the query's dictionary
 		// and scratch overlay, so an ID means the same term outside.
-		rows, err := selectIDs(ec.child(o.plan.vt), o.plan)
-		if err != nil {
+		var err error
+		if rows, err = selectIDs(ec.child(o.plan.vt), o.plan); err != nil {
 			return err
 		}
-		return in(func(b binding) bool {
-			for _, row := range rows {
-				var undo []int
-				ok := true
-				for j, slot := range o.outer {
-					v := row[j]
-					if v == store.NoID {
-						continue
-					}
-					if b[slot] == store.NoID {
-						b[slot] = v
-						undo = append(undo, slot)
-					} else if b[slot] != v {
-						ok = false
-						break
-					}
-				}
-				cont := true
-				if ok {
-					cont = yield(b)
-				}
-				for _, s := range undo {
-					b[s] = store.NoID
-				}
-				if !cont {
-					return false
-				}
-			}
-			return true
-		})
+		return join(yield)
 	}
-}
-
-func (o *subselectOp) explain(e *explainer) {
-	e.printf("SubSelect (join on projected vars):")
-	e.indent++
-	sub := &explainer{ec: e.ec.child(o.plan.vt), indent: e.indent}
-	for _, sop := range o.plan.pipeline {
-		sop.explain(sub)
-	}
-	explainTail(sub, o.plan)
-	e.b.WriteString(sub.b.String())
-	e.indent--
 }
 
 // ---------------------------------------------------------------------
@@ -1069,24 +918,14 @@ func selectRows[T any](ec *execCtx, cp *compiled, cell func(store.ID) T) ([][]T,
 // fold a weighted frontier per hop (DESIGN.md §22).
 func selectSolutions(ec *execCtx, cp *compiled) ([]binding, error) {
 	width := len(cp.vt.names)
-	bs := vectorTail(ec, cp.pipeline, unitSource(width))
-	var src source
-	if bs == nil {
-		src = runPipeline(ec, cp.pipeline, unitSource(width))
-	}
+	bs := runPipeline(ec, cp.pipeline, unitSource(width))
 
 	var solutions []binding
 	if cp.grouping {
 		gst := ec.profStage(cp.groupSid)
 		start := profNow(gst)
 		acc := newGroupAcc(ec, cp)
-		var err error
-		if bs != nil {
-			err = acc.addBatches(bs)
-		} else {
-			err = finishGuard(ec, src(acc.add))
-		}
-		if err != nil {
+		if err := acc.addBatches(bs); err != nil {
 			return nil, err
 		}
 		solutions = acc.finish()
@@ -1101,36 +940,26 @@ func selectSolutions(ec *execCtx, cp *compiled) ([]binding, error) {
 		if cp.limit >= 0 && len(cp.orderBy) == 0 && !cp.distinct && !hasProjExprs(cp) {
 			budget = cp.offset + cp.limit
 		}
-		// Both consumers below materialize each solution and then apply
-		// the same caps: MaxRows bounds what the query may materialize,
-		// before DISTINCT or OFFSET/LIMIT shrink it — a resource cap,
-		// not a result-shaping knob — and budget stops a plain LIMIT
-		// query as soon as enough rows exist (mid-batch included).
-		if bs != nil {
-			err := finishGuard(ec, bs(func(cb *colBatch) bool {
-				for i := 0; i < cb.n; i++ {
-					b := make(binding, width)
-					cb.materialize(i, b)
-					solutions = append(solutions, b)
-					if !ec.guard.CheckRows(len(solutions)) {
-						return false
-					}
-					if budget >= 0 && len(solutions) >= budget {
-						return false
-					}
+		// Each solution is materialized, then capped: MaxRows bounds what
+		// the query may materialize, before DISTINCT or OFFSET/LIMIT
+		// shrink it — a resource cap, not a result-shaping knob — and
+		// budget stops a plain LIMIT query as soon as enough rows exist
+		// (mid-batch included).
+		err := finishGuard(ec, bs(func(cb *colBatch) bool {
+			for i := 0; i < cb.n; i++ {
+				b := make(binding, width)
+				cb.materialize(i, b)
+				solutions = append(solutions, b)
+				if !ec.guard.CheckRows(len(solutions)) {
+					return false
 				}
-				return true
-			}))
-			if err != nil {
-				return nil, err
+				if budget >= 0 && len(solutions) >= budget {
+					return false
+				}
 			}
-		} else if err := finishGuard(ec, src(func(b binding) bool {
-			solutions = append(solutions, b.clone())
-			if !ec.guard.CheckRows(len(solutions)) {
-				return false
-			}
-			return budget < 0 || len(solutions) < budget
-		})); err != nil {
+			return true
+		}))
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -1305,10 +1134,9 @@ func groupKeyOf(cp *compiled) (groupKey, int) {
 	return keyTerm, 0
 }
 
-// groupAcc folds solutions into per-group aggregate states — the
-// accumulator of both the row (add) and the batch (addBatches) grouping
-// paths, so both produce identical groups in identical, first-seen
-// order. Groups live in a slice in creation order; a key finds its
+// groupAcc folds solutions into per-group aggregate states, row by row
+// (add) or, for plain COUNTs, straight from a batch's columns
+// (foldCounts); both create groups in first-seen order. Groups live in a slice in creation order; a key finds its
 // group's index through a map keyed by the group variable's ID (keyID)
 // or by strings (keyTerm). Only keyTerm evaluates expressions or reads
 // a term.
@@ -1331,9 +1159,9 @@ type groupAcc struct {
 	// a few distinct counts, each interned once.
 	counts map[int64]store.ID
 
-	// counted is foldCounts' per-batch record of which COUNTs count,
+	// args is foldCounts' per-batch view of the COUNT arguments,
 	// reused across batches.
-	counted []bool
+	args []countArg
 }
 
 func newGroupAcc(ec *execCtx, cp *compiled) *groupAcc {

@@ -11,10 +11,10 @@ import (
 	"repro/internal/store"
 )
 
-// nestedShapeQueries are the plan shapes whose BGPs run nested inside
-// row operators (the inner pipelines of OPTIONAL, MINUS and UNION, a
-// BGP fed by VALUES or BIND, a BGP after OPTIONAL) or that evaluate a
-// sub-pipeline per row (FILTER EXISTS, sub-select, path closure).
+// nestedShapeQueries are the plan shapes whose BGPs run once per outer
+// row (the inner pipelines of OPTIONAL, MINUS and UNION, a BGP fed by
+// VALUES or BIND, a BGP after OPTIONAL) or that evaluate a sub-pipeline
+// per row (FILTER EXISTS, sub-select, path closure).
 var nestedShapeQueries = []string{
 	`SELECT ?a ?b ?c WHERE { ?a rel:follows ?b OPTIONAL { ?b rel:follows ?c . ?c rel:follows ?a } }`,
 	`SELECT ?a ?b WHERE { ?a rel:follows ?b MINUS { ?b rel:follows ?a } }`,
@@ -28,11 +28,11 @@ var nestedShapeQueries = []string{
 }
 
 // aggregateShapeQueries are the shapes an aggregate query keeps in ID
-// space, and their row-path neighbours: GROUP BY one variable, two, an
+// space, and their row-fold neighbours: GROUP BY one variable, two, an
 // expression, or keys unbound in some rows; HAVING; COUNT(DISTINCT)
-// beside COUNT(*); alternation paths (batch UNIONs); explicit UNIONs
-// whose branches bind different variables or end in OPTIONAL (a row
-// UNION); and sub-selects, nested (EQ9/EQ10) or joined to an outer BGP.
+// beside COUNT(*); alternation paths (lowered to UNIONs); explicit
+// UNIONs whose branches bind different variables or end in OPTIONAL;
+// and sub-selects, nested (EQ9/EQ10) or joined to an outer BGP.
 var aggregateShapeQueries = []string{
 	`SELECT ?b (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b } GROUP BY ?b`,
 	`SELECT ?a ?c (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b . ?b rel:follows ?c } GROUP BY ?a ?c`,

@@ -40,7 +40,7 @@ func TestExplainAllOperators(t *testing.T) {
 	if !strings.Contains(plan, "PathClosure (+") || !strings.Contains(plan, "PathClosure (?") {
 		t.Errorf("closure kinds missing:\n%s", plan)
 	}
-	if !strings.Contains(plan, "Distinct") {
+	if !strings.Contains(plan, "Project (distinct)") {
 		t.Errorf("distinct missing:\n%s", plan)
 	}
 }

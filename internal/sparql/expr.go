@@ -97,17 +97,43 @@ func (e *exprExistsC) visitSlots(f func(int)) {
 }
 
 func (e *exprExistsC) eval(ec *execCtx, b binding) (rdf.Term, error) {
-	found := false
-	// Built per call: concurrent queries share the compiled plan (the
-	// plan cache), so a pipeline kept on it would be shared state.
-	src := runPipeline(ec, e.pipeline, (&feed{b: b}).source)
-	if err := src(func(binding) bool {
-		found = true
-		return false
-	}); err != nil {
+	run := ec.existsRun(e)
+	run.f.cb.base = b
+	run.found = false
+	if err := run.src(run.probe); err != nil {
 		return rdf.Term{}, errTypeError
 	}
-	return rdf.NewBoolean(found != e.negate), nil
+	return rdf.NewBoolean(run.found != e.negate), nil
+}
+
+// existsRun is an EXISTS pattern's pipeline in one query: built over a
+// feed on first use and rerun per row the filter tests, stopping at the
+// first solution (probe).
+type existsRun struct {
+	f     feed
+	src   batchSource
+	found bool
+	probe func(*colBatch) bool
+}
+
+// existsRun returns e's pipeline in this query. It lives on the query's
+// context, not on e: concurrent queries share the compiled plan (the
+// plan cache).
+func (ec *execCtx) existsRun(e *exprExistsC) *existsRun {
+	if run := ec.exists[e]; run != nil {
+		return run
+	}
+	if ec.exists == nil {
+		ec.exists = make(map[*exprExistsC]*existsRun)
+	}
+	run := &existsRun{}
+	run.src = runPipeline(ec, e.pipeline, run.f.source)
+	run.probe = func(*colBatch) bool {
+		run.found = true
+		return false
+	}
+	ec.exists[e] = run
+	return run
 }
 
 type exprBinaryC struct {

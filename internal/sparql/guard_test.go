@@ -393,3 +393,40 @@ func BenchmarkGuardOverhead(b *testing.B) {
 		}
 	})
 }
+
+// TestMaxVarsRejectedByEveryForm: a WHERE pattern over more variables
+// than a varset holds is rejected by every query form and by both
+// update forms that evaluate one, before anything runs or changes.
+func TestMaxVarsRejectedByEveryForm(t *testing.T) {
+	var where strings.Builder
+	for i := 0; i <= maxVars; i++ {
+		fmt.Fprintf(&where, "?s%d <http://p> ?o . ", i)
+	}
+	pattern := "{ " + where.String() + "}"
+	st := store.New()
+	if _, err := st.Load("m", []rdf.Quad{{S: rdf.NewIRI("http://s"), P: rdf.NewIRI("http://p"), O: rdf.NewIRI("http://o")}}); err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(st)
+	for _, q := range []string{
+		"SELECT * WHERE " + pattern,
+		"ASK " + pattern,
+		"CONSTRUCT { ?o <http://p> ?o } WHERE " + pattern,
+		"DESCRIBE ?o WHERE " + pattern,
+	} {
+		if _, err := e.ExecContext(context.Background(), "m", q); err == nil || !strings.Contains(err.Error(), "variables") {
+			t.Errorf("%.30s…: err = %v, want the variable cap", q, err)
+		}
+	}
+	for _, u := range []string{
+		"DELETE WHERE " + pattern,
+		"DELETE { ?o <http://p> ?o } WHERE " + pattern,
+	} {
+		if _, err := e.Update("m", u); err == nil || !strings.Contains(err.Error(), "variables") {
+			t.Errorf("%.30s…: err = %v, want the variable cap", u, err)
+		}
+	}
+	if st.Len() != 1 {
+		t.Errorf("store holds %d quads, want 1", st.Len())
+	}
+}

@@ -307,7 +307,6 @@ rows:
 	// checker passes the group's output through.
 	for j := depth; j < next; j++ {
 		if st := sh.stepStat(j); st != nil {
-			st.intersect = true
 			if j == depth {
 				st.addTicks(ticks)
 				st.addRows(emitted)

@@ -19,7 +19,6 @@ type pathOp struct {
 	inner Path
 	min   int // 0 for *, 1 for +
 	max   int // 0 = unlimited, 1 for ?
-	c     *compiler
 }
 
 func (o *pathOp) bound(before varset) varset {
@@ -33,72 +32,54 @@ func (o *pathOp) bound(before varset) varset {
 	return v
 }
 
-func (o *pathOp) apply(ec *execCtx, in source) source {
-	return func(yield func(binding) bool) error {
-		pst := ec.profStage(o.sid)
-		var evalErr error
-		err := in(func(b binding) bool {
-			if pst != nil {
-				pst.rowsIn++
-			}
-			startID, startBound := o.endpoint(ec, o.s, b)
-			endID, endBound := o.endpoint(ec, o.o, b)
-			switch {
-			case startBound:
-				reached, err := o.closure(ec, b, startID, false)
-				if err != nil {
-					evalErr = err
-					return false
-				}
-				for _, node := range reached {
-					if endBound {
-						if node == endID {
-							if !yield(b) {
-								return false
-							}
-						}
-						continue
-					}
-					old := b[o.o.slot]
-					if old != store.NoID && old != node {
-						continue
-					}
-					b[o.o.slot] = node
-					cont := yield(b)
-					b[o.o.slot] = old
-					if !cont {
-						return false
-					}
-				}
-				return true
-			case endBound:
-				reached, err := o.closure(ec, b, endID, true)
-				if err != nil {
-					evalErr = err
-					return false
-				}
-				for _, node := range reached {
-					old := b[o.s.slot]
-					if old != store.NoID && old != node {
-						continue
-					}
-					b[o.s.slot] = node
-					cont := yield(b)
-					b[o.s.slot] = old
-					if !cont {
-						return false
-					}
-				}
-				return true
-			default:
+func (o *pathOp) apply(ec *execCtx, in batchSource) batchSource {
+	var binds []int
+	for _, r := range []posRef{o.s, o.o} {
+		if r.isVar {
+			binds = append(binds, r.slot)
+		}
+	}
+	pst := ec.profStage(o.sid)
+	var evalErr error
+	rows := perRow(in, binds, func(b binding, w *rowWriter) bool {
+		if pst != nil {
+			pst.rowsIn++
+		}
+		startID, startBound := o.endpoint(ec, o.s, b)
+		endID, endBound := o.endpoint(ec, o.o, b)
+		// The closure runs from a bound endpoint; the other endpoint, if
+		// unbound, takes each node reached.
+		from, free, reverse := startID, o.o, false
+		if !startBound {
+			if !endBound {
 				evalErr = fmt.Errorf("sparql: arbitrary-length path with both endpoints unbound is not supported")
 				return false
 			}
-		})
-		if evalErr != nil {
-			return evalErr
+			from, free, reverse = endID, o.s, true
 		}
-		return err
+		reached, err := o.closure(ec, b, from, reverse)
+		if err != nil {
+			evalErr = err
+			return false
+		}
+		for _, node := range reached {
+			if startBound && endBound {
+				if node == endID && !w.write(b) {
+					return false
+				}
+				continue
+			}
+			b[free.slot] = node // b is this row's copy: no undo
+			if !w.write(b) {
+				return false
+			}
+		}
+		return true
+	})
+	return func(yield func(*colBatch) bool) error {
+		evalErr = nil
+		err := rows(yield)
+		return firstErr(evalErr, err)
 	}
 }
 
@@ -231,7 +212,7 @@ func (o *pathOp) step(ec *execCtx, b binding, p Path, node store.ID, reverse boo
 		inner, min, max := innerOf(x)
 		// The nested closure inherits this operator's stage id so its
 		// scan ticks are attributed to the same profile slot.
-		sub := &pathOp{opStage: o.opStage, s: o.s, o: o.o, g: o.g, inner: inner, min: min, max: max, c: o.c}
+		sub := &pathOp{opStage: o.opStage, s: o.s, o: o.o, g: o.g, inner: inner, min: min, max: max}
 		return sub.closure(ec, b, node, reverse)
 	case PathVar:
 		return nil, fmt.Errorf("sparql: variable predicates are not supported inside path closures")
@@ -267,15 +248,4 @@ func (o *pathOp) applyGraph(ec *execCtx, b binding, pat *store.Pattern) {
 	default:
 		pat.G = store.Any
 	}
-}
-
-func (o *pathOp) explain(e *explainer) {
-	kind := "*"
-	switch {
-	case o.min == 1 && o.max == 0:
-		kind = "+"
-	case o.max == 1:
-		kind = "?"
-	}
-	e.printf("PathClosure (%s, BFS, distinct nodes)", kind)
 }

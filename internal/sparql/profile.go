@@ -16,7 +16,8 @@ package sparql
 // After execution, buildProfile walks the static plan and pairs each
 // operator with its counters, producing the ProfileNode tree that
 // backs Engine.QueryProfiled, EXPLAIN ANALYZE text rendering, and the
-// slow-query log's JSON profile attachment.
+// slow-query log's JSON profile attachment. EXPLAIN renders the same
+// tree without counters: the plan is described in one place.
 
 import (
 	"fmt"
@@ -34,7 +35,6 @@ type profStage struct {
 	groups      int64 // groups a GroupAggregate created
 	collapsed   int64 // rows a step folded into an earlier row (§22)
 	hashJoin    bool  // the step switched from NLJ to hash join
-	intersect   bool  // the step ran fused into a sorted intersection
 }
 
 // queryProfile is the per-query counter array, indexed by stage id
@@ -56,23 +56,24 @@ func (p *queryProfile) stage(sid int) *profStage {
 	return &p.stages[sid]
 }
 
-// instrument wraps an operator's source with row and wall-time
-// accounting. Wall time is inclusive — it covers upstream production
-// and downstream consumption of the stream, like the actual times of a
-// conventional EXPLAIN ANALYZE — and accumulates across invocations
-// (operators nested under UNION/OPTIONAL re-run per outer binding).
-func (p *queryProfile) instrument(sid int, src source) source {
+// instrument wraps an operator's batch source with row and wall-time
+// accounting: rows-out counts rows, not batches. Wall time is inclusive
+// — it covers upstream production and downstream consumption of the
+// stream, like the actual times of a conventional EXPLAIN ANALYZE — and
+// accumulates across invocations (operators nested under
+// UNION/OPTIONAL re-run per outer binding).
+func (p *queryProfile) instrument(sid int, src batchSource) batchSource {
 	st := p.stage(sid)
 	if st == nil {
 		return src
 	}
-	return func(yield func(binding) bool) error {
+	return func(yield func(*colBatch) bool) error {
 		st.invocations++
 		start := time.Now()
 		var rows int64
-		err := src(func(b binding) bool {
-			rows++
-			return yield(b)
+		err := src(func(cb *colBatch) bool {
+			rows += int64(cb.n)
+			return yield(cb)
 		})
 		st.rowsOut += rows
 		st.wall += int64(time.Since(start))
@@ -134,7 +135,8 @@ func profDone(st *profStage, start time.Time, rows int) {
 // Profile is the executed-plan profile of one SELECT query: the static
 // plan annotated with per-operator actuals. It is returned by
 // Engine.QueryProfiled, rendered by Render for EXPLAIN ANALYZE, and
-// attached as JSON to slow-query log records.
+// attached as JSON to slow-query log records. EXPLAIN renders the same
+// tree before anything runs, without the actuals.
 type Profile struct {
 	Dataset   string         `json:"dataset"`
 	WallNanos int64          `json:"wall_ns"`
@@ -143,7 +145,9 @@ type Profile struct {
 }
 
 // ProfileNode is one operator (or BGP join step, or tail phase) of the
-// profile tree.
+// profile tree. Label, Index, Access, Est, Intersect, GroupKey,
+// Weighted and Collapse describe the plan — a BGP's as planned for an
+// input binding none of its variables — and the rest are actuals.
 type ProfileNode struct {
 	Label       string         `json:"label"`
 	Index       string         `json:"index,omitempty"`
@@ -155,8 +159,7 @@ type ProfileNode struct {
 	GuardTicks  int64          `json:"guard_ticks,omitempty"`
 	WallNanos   int64          `json:"wall_ns"`
 	HashJoin    bool           `json:"hash_join,omitempty"`
-	Intersect   bool           `json:"intersect,omitempty"`
-	Batch       bool           `json:"batch,omitempty"`     // a UNION that ran columnar
+	Intersect   bool           `json:"intersect,omitempty"` // a step fused into a sorted intersection
 	GroupKey    string         `json:"group_key,omitempty"` // a GroupAggregate's key kind
 	Groups      int64          `json:"groups,omitempty"`
 	Weighted    bool           `json:"weighted,omitempty"`  // a BGP that counts rather than enumerates
@@ -176,7 +179,6 @@ func (n *ProfileNode) load(st *profStage) *ProfileNode {
 	n.GuardTicks = st.ticks
 	n.WallNanos = st.wall
 	n.HashJoin = st.hashJoin
-	n.Intersect = st.intersect
 	n.Groups = st.groups
 	n.Collapsed = st.collapsed
 	return n
@@ -243,26 +245,21 @@ func profileOps(ec *execCtx, ops []op) []*ProfileNode {
 		switch x := o.(type) {
 		case *bgpOp:
 			n = profileBGP(ec, x)
-		case *filterOp:
-			n = (&ProfileNode{Label: "Filter"}).load(ec.profStage(x.sid))
 		case *bindOp:
-			n = (&ProfileNode{Label: "Bind ?" + ec.vt.names[x.slot]}).load(ec.profStage(x.sid))
+			n = &ProfileNode{Label: "Bind ?" + ec.vt.names[x.slot]}
 		case *valuesOp:
-			n = (&ProfileNode{Label: fmt.Sprintf("Values (%d rows)", len(x.rows))}).load(ec.profStage(x.sid))
+			n = &ProfileNode{Label: fmt.Sprintf("Values (%d rows)", len(x.rows))}
 		case *unionOp:
-			n = (&ProfileNode{Label: fmt.Sprintf("Union (%d branches)", len(x.branches)), Batch: x.batch}).load(ec.profStage(x.sid))
+			n = &ProfileNode{Label: fmt.Sprintf("Union (%d branches)", len(x.branches))}
 			for _, br := range x.branches {
 				n.Children = append(n.Children, profileOps(ec, br)...)
 			}
 		case *optionalOp:
-			n = (&ProfileNode{Label: "Optional"}).load(ec.profStage(x.sid))
-			n.Children = profileOps(ec, x.inner)
+			n = &ProfileNode{Label: "Optional", Children: profileOps(ec, x.inner)}
 		case *minusOp:
-			n = (&ProfileNode{Label: "Minus"}).load(ec.profStage(x.sid))
-			n.Children = profileOps(ec, x.inner)
+			n = &ProfileNode{Label: "Minus", Children: profileOps(ec, x.inner)}
 		case *subselectOp:
-			n = (&ProfileNode{Label: "SubSelect (join on projected vars)"}).load(ec.profStage(x.sid))
-			n.Children = profilePlan(ec.child(x.plan.vt), x.plan)
+			n = &ProfileNode{Label: "SubSelect (join on projected vars)", Children: profilePlan(ec.child(x.plan.vt), x.plan)}
 		case *pathOp:
 			kind := "*"
 			switch {
@@ -271,10 +268,9 @@ func profileOps(ec *execCtx, ops []op) []*ProfileNode {
 			case x.max == 1:
 				kind = "?"
 			}
-			n = (&ProfileNode{Label: fmt.Sprintf("PathClosure (%s, BFS, distinct nodes)", kind)}).load(ec.profStage(x.sid))
-		default:
-			n = (&ProfileNode{Label: fmt.Sprintf("%T", o)}).load(ec.profStage(o.stageID()))
+			n = &ProfileNode{Label: fmt.Sprintf("PathClosure (%s, BFS, distinct nodes)", kind)}
 		}
+		n.load(ec.profStage(o.stageID()))
 		if n.RowsIn == 0 && len(nodes) > 0 {
 			n.RowsIn = nodes[len(nodes)-1].RowsOut
 		}
@@ -284,43 +280,12 @@ func profileOps(ec *execCtx, ops []op) []*ProfileNode {
 }
 
 // profileBGP builds the BGP node with one child per join step, in the
-// deterministic execution order (the same order explain prints).
-func profileBGP(ec *execCtx, o *bgpOp) *ProfileNode {
-	n := (&ProfileNode{Label: fmt.Sprintf("BGP (%d patterns)", len(o.patterns))}).load(ec.profStage(o.sid))
-	n.Weighted = o.count
-	for i, d := range bgpStepDescs(ec, o) {
-		c := (&ProfileNode{
-			Label:    fmt.Sprintf("%d: %s  [%s bound]", i+1, d.text, d.boundCols),
-			Index:    d.index,
-			Access:   d.access,
-			Est:      int64(d.est),
-			Collapse: d.collapse,
-		}).load(ec.profStage(o.sid + 1 + i))
-		n.Children = append(n.Children, c)
-	}
-	for range o.filters {
-		n.Children = append(n.Children, &ProfileNode{Label: "filter (pushed to earliest bound position)"})
-	}
-	return n
-}
-
-// stepDesc is the static description of one BGP join step, shared by
-// the textual explain and the profile tree so the two always agree.
-type stepDesc struct {
-	text      string
-	boundCols string
-	index     string
-	access    string
-	est       int
-	intersect bool   // fused into a sorted intersection (intersect.go)
-	collapse  string // the variables the step's output drops (§22), as "[?a ?b]"
-}
-
-// bgpStepDescs recomputes the deterministic join order, per-step index
-// choice, fused intersection groups and collapsing steps for a BGP,
-// exactly as execution does for an input binding that binds none of its
+// deterministic execution order. It recomputes the join order, per-step
+// index choice, fused intersection groups and collapsing steps exactly
+// as execution does for an input binding that binds none of the BGP's
 // variables.
-func bgpStepDescs(ec *execCtx, o *bgpOp) []stepDesc {
+func profileBGP(ec *execCtx, o *bgpOp) *ProfileNode {
+	n := (&ProfileNode{Label: fmt.Sprintf("BGP (%d patterns)", len(o.patterns)), Weighted: o.count}).load(ec.profStage(o.sid))
 	rps := o.resolve(ec)
 	order := orderPatterns(rps, 0)
 	var plans []*intersectPlan
@@ -329,7 +294,6 @@ func bgpStepDescs(ec *execCtx, o *bgpOp) []stepDesc {
 	}
 	filterAt, final := o.placeFilters(rps, order)
 	live := o.liveSets(rps, order, filterAt, final)
-	out := make([]stepDesc, 0, len(order))
 	bound := varset(0)
 	var group []seekSide // the rest of the current fused group
 	for d, oi := range order {
@@ -363,38 +327,47 @@ func bgpStepDescs(ec *execCtx, o *bgpOp) []stepDesc {
 		if len(boundCols) > 0 {
 			access = "index range scan"
 		}
-		out = append(out, stepDesc{
-			text:      rp.qp.text,
-			boundCols: strings.Join(cols, ","),
-			index:     ix.Perm().String(),
-			access:    access,
-			est:       rp.estConst,
-			intersect: len(group) > 0,
-			collapse:  collapse,
-		})
+		n.Children = append(n.Children, (&ProfileNode{
+			Label:     fmt.Sprintf("%d: %s  [%s bound]", d+1, rp.qp.text, strings.Join(cols, ",")),
+			Index:     ix.Perm().String(),
+			Access:    access,
+			Est:       int64(rp.estConst),
+			Collapse:  collapse,
+			Intersect: len(group) > 0,
+		}).load(ec.profStage(o.sid+1+d)))
 		if len(group) > 0 {
 			group = group[1:]
 		}
 		bound |= rp.qp.vars()
 	}
-	return out
+	for range o.filters {
+		n.Children = append(n.Children, &ProfileNode{Label: "filter (pushed to earliest bound position)"})
+	}
+	return n
 }
 
 // ---------------------------------------------------------------------
 // EXPLAIN ANALYZE text rendering.
 // ---------------------------------------------------------------------
 
-// Render formats the profile as EXPLAIN ANALYZE text: the static plan
-// shape with an "(actual: ...)" annotation per operator.
-func (p *Profile) Render() string {
+// Render formats the profile as EXPLAIN ANALYZE text: the plan EXPLAIN
+// prints, with an "(actual: ...)" annotation per operator.
+func (p *Profile) Render() string { return p.render(true) }
+
+// render formats the plan tree, one line per node: its label and plan
+// annotations, then, when actual is set, its actuals.
+func (p *Profile) render(actual bool) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "Select (dataset=%s)  (actual: rows=%d wall=%s)\n",
-		p.Dataset, p.Rows, time.Duration(p.WallNanos).Round(time.Microsecond))
-	renderNodes(&sb, p.Plan, 1)
+	fmt.Fprintf(&sb, "Select (dataset=%s)", p.Dataset)
+	if actual {
+		fmt.Fprintf(&sb, "  (actual: rows=%d wall=%s)", p.Rows, time.Duration(p.WallNanos).Round(time.Microsecond))
+	}
+	sb.WriteByte('\n')
+	renderNodes(&sb, p.Plan, 1, actual)
 	return sb.String()
 }
 
-func renderNodes(sb *strings.Builder, nodes []*ProfileNode, indent int) {
+func renderNodes(sb *strings.Builder, nodes []*ProfileNode, indent int, actual bool) {
 	for _, n := range nodes {
 		sb.WriteString(strings.Repeat("  ", indent))
 		sb.WriteString(n.Label)
@@ -404,36 +377,41 @@ func renderNodes(sb *strings.Builder, nodes []*ProfileNode, indent int) {
 		if n.Collapse != "" {
 			fmt.Fprintf(sb, " collapse=%s", n.Collapse)
 		}
+		if n.Intersect {
+			sb.WriteString(" join=intersect")
+		}
 		if n.Weighted {
 			sb.WriteString(" count=weighted")
-		}
-		if n.Batch {
-			sb.WriteString(" batch")
 		}
 		if n.GroupKey != "" {
 			fmt.Fprintf(sb, " key=%s", n.GroupKey)
 		}
-		fmt.Fprintf(sb, "  (actual: in=%d", n.RowsIn)
-		if n.Collapsed > 0 {
-			fmt.Fprintf(sb, " collapsed=%d", n.Collapsed)
+		if actual {
+			renderActuals(sb, n)
 		}
-		fmt.Fprintf(sb, " out=%d", n.RowsOut)
-		if n.GuardTicks > 0 {
-			fmt.Fprintf(sb, " ticks=%d", n.GuardTicks)
-		}
-		if n.GroupKey != "" {
-			fmt.Fprintf(sb, " groups=%d", n.Groups)
-		}
-		if n.HashJoin {
-			sb.WriteString(" join=hash")
-		}
-		if n.Intersect {
-			sb.WriteString(" join=intersect")
-		}
-		if n.Invocations > 1 {
-			fmt.Fprintf(sb, " loops=%d", n.Invocations)
-		}
-		fmt.Fprintf(sb, " wall=%s)\n", time.Duration(n.WallNanos).Round(time.Microsecond))
-		renderNodes(sb, n.Children, indent+1)
+		sb.WriteByte('\n')
+		renderNodes(sb, n.Children, indent+1, actual)
 	}
+}
+
+// renderActuals appends a node's "(actual: ...)" annotation.
+func renderActuals(sb *strings.Builder, n *ProfileNode) {
+	fmt.Fprintf(sb, "  (actual: in=%d", n.RowsIn)
+	if n.Collapsed > 0 {
+		fmt.Fprintf(sb, " collapsed=%d", n.Collapsed)
+	}
+	fmt.Fprintf(sb, " out=%d", n.RowsOut)
+	if n.GuardTicks > 0 {
+		fmt.Fprintf(sb, " ticks=%d", n.GuardTicks)
+	}
+	if n.GroupKey != "" {
+		fmt.Fprintf(sb, " groups=%d", n.Groups)
+	}
+	if n.HashJoin {
+		sb.WriteString(" join=hash")
+	}
+	if n.Invocations > 1 {
+		fmt.Fprintf(sb, " loops=%d", n.Invocations)
+	}
+	fmt.Fprintf(sb, " wall=%s)", time.Duration(n.WallNanos).Round(time.Microsecond))
 }

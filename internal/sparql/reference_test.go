@@ -795,13 +795,32 @@ func referenceGraph() *pg.Graph {
 	return g
 }
 
+// unboundColumnQueries are shapes whose batches reach an operator or
+// the COUNT fold with a column that is unbound in some rows: BIND of an
+// expression that fails where OPTIONAL bound nothing, VALUES with
+// UNDEF, BIND over a UNION whose branches bind different variables, and
+// an OPTIONAL whose inner UNION and EXISTS run once per outer row.
+var unboundColumnQueries = []string{
+	`SELECT ?a ?b ?c ?s WHERE { { ?a rel:follows ?b } UNION { ?c rel:follows ?a } BIND(STR(?b) AS ?s) }`,
+	`SELECT (COUNT(?s) AS ?n) (COUNT(*) AS ?all) WHERE { ?a rel:follows ?b OPTIONAL { ?b rel:follows ?c } BIND(STR(?c) AS ?s) }`,
+	`SELECT ?s (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b OPTIONAL { ?b rel:follows ?c } BIND(STR(?c) AS ?s) } GROUP BY ?s`,
+	`SELECT (COUNT(?v) AS ?n) (COUNT(*) AS ?all) WHERE { ?a rel:follows ?b VALUES ?v { <http://pg/v1> UNDEF } }`,
+	`SELECT ?v (COUNT(?b) AS ?n) WHERE { ?a rel:follows ?b VALUES ?v { <http://pg/v1> UNDEF } } GROUP BY ?v`,
+	`SELECT ?a ?b ?c WHERE { ?a rel:follows ?b OPTIONAL { { ?b rel:follows ?c } UNION { ?c rel:follows ?b } FILTER EXISTS { ?c rel:follows ?a } } }`,
+	`SELECT ?a ?v WHERE { VALUES ?v { <http://pg/v1> UNDEF } ?a rel:follows ?b MINUS { ?a rel:follows ?v } }`,
+}
+
 // referenceQueries are the engine shapes checked against the reference
-// on every scheme: the golden file's queries plus EQ1–EQ12, whose
-// scheme-specific a (NG) and b (SP) variants run on their own scheme.
+// on every scheme: the golden file's queries, the unbound-column shapes
+// and EQ1–EQ12, whose scheme-specific a (NG) and b (SP) variants run on
+// their own scheme.
 func referenceQueries(scheme pgrdf.Scheme) map[string]string {
 	m := map[string]string{}
 	for i, q := range goldenQueries() {
 		m[fmt.Sprintf("shape%02d", i)] = testPrologue + q
+	}
+	for i, q := range unboundColumnQueries {
+		m[fmt.Sprintf("unbound%02d", i)] = testPrologue + q
 	}
 	for name, q := range PaperQueries() {
 		variant := !strings.HasPrefix(name, "EQ11") // EQ11a–e are hop counts

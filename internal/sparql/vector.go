@@ -24,20 +24,20 @@ package sparql
 //     place, surviving rows copied down, instead of materializing
 //     per-row bindings.
 //
-// The batch operators are the BGP, the FILTERs after it and a UNION
-// whose branches end that way (a lowered alternation path); the rest
-// of the plan adapts at the boundary. A colBatch carries its input
-// binding (base) plus one ID column per variable slot the BGP touches,
-// so any consumer can materialize rows on demand — selectIDs and
-// grouping consume batches directly (grouping folds COUNTs straight
-// from the key and argument columns, and a BGP whose only consumer is
-// such a fold carries row weights and collapses rows instead of
-// enumerating them, DESIGN.md §22), and bgpOp.apply hands them row by
-// row to the row operators (OPTIONAL, MINUS, BIND, row UNIONs...).
+// Every operator takes and yields batches; only the consumers at the
+// end of a pipeline (projection, CONSTRUCT, DESCRIBE, the update
+// templates) and operators that work row by row inside (BIND, VALUES,
+// a sub-select's join, a path closure, OPTIONAL's unmatched rows)
+// materialize rows, through perRow/rowWriter and eachRow below. A
+// colBatch carries its input binding (base) plus one ID column per
+// variable slot its producer binds, so any consumer can materialize rows
+// on demand — grouping folds COUNTs straight from the key and argument
+// columns, and a BGP whose only consumer is such a fold carries row
+// weights and collapses rows instead of enumerating them (DESIGN.md
+// §22). UNION, OPTIONAL and MINUS rerun their inner pipelines per input
+// row over a feed and pass the inner batches on as they are.
 
 import (
-	"time"
-
 	"repro/internal/store"
 )
 
@@ -55,19 +55,21 @@ const vecRampStart = 64
 
 // colBatch is a columnar batch of bindings derived from one input
 // binding: base holds the input row's values, and each slot in slots
-// has a column of per-row values for the variables bound by the BGP so
-// far — never NoID, since a BGP binds every variable it has a column
-// for. Rows i of all columns together with base form one binding.
-// Batches handed to consumers are only valid during the callback
-// (producers reuse them); consumers may compact a batch in place
-// (shrink n, move rows down) but must not grow it.
+// has a column of per-row values for the variables its producer binds —
+// NoID where an operator left one unbound (BIND's errors, VALUES' UNDEF,
+// OPTIONAL); never in a BGP's columns. Rows i of all columns together
+// with base form one binding. Batches handed to consumers are only
+// valid during the callback (producers reuse them); consumers may
+// compact a batch in place (shrink n, move rows down) but must not grow
+// it.
 type colBatch struct {
 	base  binding
 	slots []int        // slots with a column, in binding order
 	cols  [][]store.ID // indexed by slot; nil = slot not columnar
 	// w is each row's weight — the number of solutions the row stands
-	// for — in a BGP a COUNT fold consumes (DESIGN.md §22); nil while
-	// every row counts once, and kept once a row weighs more.
+	// for — in a BGP a COUNT fold consumes (DESIGN.md §22), which is
+	// always its pipeline's last operator; nil while every row counts
+	// once, and kept once a row weighs more.
 	w []int64
 	n int // rows
 }
@@ -121,6 +123,18 @@ func (cb *colBatch) weight(i int) int64 {
 	return cb.w[i]
 }
 
+// weightSum returns the number of solutions the batch stands for.
+func (cb *colBatch) weightSum() int64 {
+	if cb.w == nil {
+		return int64(cb.n)
+	}
+	var sum int64
+	for _, wt := range cb.w[:cb.n] {
+		sum += wt
+	}
+	return sum
+}
+
 // move copies row src over row dst, weight included: the compaction
 // step of a selection.
 func (cb *colBatch) move(dst, src int) {
@@ -149,27 +163,154 @@ func (cb *colBatch) materialize(i int, dst binding) {
 
 // batchSource produces columnar batches, calling yield for each; yield
 // returns false to stop early. Batches are borrowed: valid only during
-// the call.
+// the call. A source never yields an empty batch, and returns an error
+// only on evaluation failure (not on type errors inside filters, which
+// SPARQL defines as false).
 type batchSource func(yield func(*colBatch) bool) error
 
-// instrumentBatch is the batch counterpart of queryProfile.instrument:
-// rows-out counts rows (not batches), wall time is inclusive.
-func (p *queryProfile) instrumentBatch(sid int, src batchSource) batchSource {
-	st := p.stage(sid)
-	if st == nil {
-		return src
+// ---------------------------------------------------------------------
+// Pipeline plumbing: what every operator's batches flow through.
+// ---------------------------------------------------------------------
+
+// feed is a batch source of one column-less row whose binding is set
+// before each run: the input of a query's pipeline (an all-unbound row,
+// unitSource) and of the inner pipelines that UNION, OPTIONAL, MINUS
+// and EXISTS build once and rerun per outer row, so the BGPs in them
+// keep their resolved plan and batch buffers across rows.
+type feed struct{ cb colBatch }
+
+func (f *feed) source(yield func(*colBatch) bool) error {
+	f.cb.n = 1 // a consumer may have compacted the row away
+	yield(&f.cb)
+	return nil
+}
+
+// unitSource is a scope's pipeline input: one row binding nothing.
+func unitSource(width int) batchSource {
+	return (&feed{cb: colBatch{base: make(binding, width)}}).source
+}
+
+// runPipeline folds a pipeline over an input source. When the context
+// carries a profile, each operator's stream is wrapped with row and
+// wall-time accounting (the BGP additionally keeps its own per-step
+// counters inside apply).
+func runPipeline(ec *execCtx, ops []op, in batchSource) batchSource {
+	src := in
+	for _, o := range ops {
+		src = o.apply(ec, src)
+		if ec.prof != nil {
+			src = ec.prof.instrument(o.stageID(), src)
+		}
+	}
+	return src
+}
+
+// eachRow hands the rows of a batch source to fn one at a time (see
+// rowReader). It is how the row consumers at a pipeline's end —
+// CONSTRUCT, DESCRIBE, the update templates, ASK — read it.
+func eachRow(bs batchSource, fn func(binding) bool) error {
+	return bs(rowReader(fn))
+}
+
+// rowReader returns the batch callback that hands each row of its
+// batches to fn, materialized in a binding fn may read, not write,
+// during the call; fn returns false to stop. A column-less batch's row
+// is its base: a pipeline's unit input and a feed pass through without
+// a copy. Operators build it once and pass it to every run of their
+// input, so a run allocates nothing.
+func rowReader(fn func(binding) bool) func(*colBatch) bool {
+	var row binding
+	return func(cb *colBatch) bool {
+		b := cb.base
+		for i := 0; i < cb.n; i++ {
+			if len(cb.slots) > 0 {
+				if row == nil {
+					row = make(binding, len(cb.base))
+				}
+				cb.materialize(i, row)
+				b = row
+			}
+			if !fn(b) {
+				return false
+			}
+		}
+		return true
+	}
+}
+
+// rowWriter collects the rows an operator writes one at a time into
+// batches over the current input batch's base, with a column for each
+// slot the operator binds and each slot an input batch has had a column
+// for — so inputs whose column sets alternate (a UNION's branches)
+// never rebuild it.
+type rowWriter struct {
+	binds []int
+	out   *colBatch
+	yield func(*colBatch) bool
+}
+
+// start readies the writer for the rows of input batch cb.
+func (w *rowWriter) start(cb *colBatch) {
+	if w.out == nil {
+		w.out = &colBatch{cols: make([][]store.ID, len(cb.base))}
+		w.addColumns(w.binds)
+	}
+	w.out.reset()
+	w.addColumns(cb.slots)
+	w.out.base = cb.base
+}
+
+func (w *rowWriter) addColumns(slots []int) {
+	for _, s := range slots {
+		if w.out.cols[s] == nil {
+			w.out.slots = append(w.out.slots, s)
+			w.out.cols[s] = make([]store.ID, 0, batchRows)
+		}
+	}
+}
+
+// write appends b's values as a row, handing the batch on when it is
+// full; false means the consumer stopped.
+func (w *rowWriter) write(b binding) bool {
+	w.out.appendFrom(b, 1)
+	return w.out.n < batchRows || w.flush()
+}
+
+// flush hands the rows written so far on, if there are any.
+func (w *rowWriter) flush() bool {
+	if w.out == nil || w.out.n == 0 {
+		return true
+	}
+	ok := w.yield(w.out)
+	w.out.reset()
+	return ok
+}
+
+// perRow is the batch source of an operator that works one input row at
+// a time (BIND, VALUES, a sub-select's join, a path closure): fn gets
+// each row materialized in b, may bind slots of binds in it, and writes
+// its output rows to w, returning false to stop. Rows keep their input
+// order: w hands its batch on when full and at the end of each input
+// batch.
+func perRow(in batchSource, binds []int, fn func(b binding, w *rowWriter) bool) batchSource {
+	w := &rowWriter{binds: binds}
+	var row binding
+	rows := func(cb *colBatch) bool {
+		if row == nil {
+			row = make(binding, len(cb.base))
+		}
+		w.start(cb)
+		for i := 0; i < cb.n; i++ {
+			cb.materialize(i, row)
+			if !fn(row, w) {
+				return false
+			}
+		}
+		return w.flush()
 	}
 	return func(yield func(*colBatch) bool) error {
-		st.invocations++
-		start := time.Now()
-		var rows int64
-		err := src(func(cb *colBatch) bool {
-			rows += int64(cb.n)
-			return yield(cb)
-		})
-		st.rowsOut += rows
-		st.wall += int64(time.Since(start))
-		return err
+		w.yield = yield
+		return in(rows)
 	}
 }
 
@@ -654,203 +795,54 @@ func (vx *vecExec) emitBatch(in *colBatch) bool {
 	return vx.emit(in)
 }
 
-// applyBatch is the BGP join: per input binding it drives the join
-// depth by depth, emitting batches. The shared state and the driver's
-// buffers are built once and reused by every run — a BGP nested under
-// OPTIONAL, MINUS or UNION runs once per outer row.
-func (o *bgpOp) applyBatch(ec *execCtx, in source) batchSource {
+// apply is the BGP join: per input row it drives the join depth by
+// depth, emitting batches. The shared state and the driver's buffers are
+// built once and reused by every run — a BGP nested under OPTIONAL,
+// MINUS or UNION runs once per outer row.
+func (o *bgpOp) apply(ec *execCtx, in batchSource) batchSource {
 	sh := o.newShared(ec)
 	var vx *vecExec
-	return func(yield func(*colBatch) bool) error {
+	var yield func(*colBatch) bool
+	rows := rowReader(func(b binding) bool {
+		if sh.bgpStage != nil {
+			sh.bgpStage.rowsIn++
+		}
+		if vx == nil {
+			vx = newVecExec(sh, len(b))
+		}
+		vx.emit = yield
+		return vx.run(b)
+	})
+	return func(y func(*colBatch) bool) error {
 		if sh == nil {
 			return nil // a constant term does not occur: no solutions
 		}
 		sh.reset()
-		err := in(func(b binding) bool {
-			if sh.bgpStage != nil {
-				sh.bgpStage.rowsIn++
-			}
-			if vx == nil {
-				vx = newVecExec(sh, len(b))
-			}
-			vx.emit = yield
-			return vx.run(b)
-		})
+		yield = y
+		err := in(rows)
 		sh.foldStepStats()
-		if err == nil && ec.guard != nil {
-			err = ec.guard.Err()
-		}
-		return err
-	}
-}
-
-// ---------------------------------------------------------------------
-// The row/batch boundary: plan tail detection and batch consumers.
-// ---------------------------------------------------------------------
-
-// filterBatch runs a FILTER as a selection vector over each batch:
-// survivors are compacted down in place, empty batches are dropped.
-func (o *filterOp) filterBatch(ec *execCtx, in batchSource) batchSource {
-	var scratch binding
-	return func(yield func(*colBatch) bool) error {
-		return in(func(cb *colBatch) bool {
-			if scratch == nil {
-				scratch = make(binding, len(cb.base))
-			}
-			copy(scratch, cb.base)
-			w := 0
-			for i := 0; i < cb.n; i++ {
-				cb.writeCols(i, scratch)
-				v, err := evalBool(ec, o.cond, scratch)
-				if err != nil || !v {
-					continue
-				}
-				if w != i {
-					cb.move(w, i)
-				}
-				w++
-			}
-			cb.n = w
-			if cb.n == 0 {
-				return true
-			}
-			return yield(cb)
-		})
-	}
-}
-
-// vectorTail returns the pipeline as a batch source over the input in
-// when its tail is batch-native: a BGP followed only by FILTERs, or a
-// UNION that markBatchTail marked (every branch a batch-native tail).
-// Everything before the tail runs as the row pipeline feeding it. It
-// returns nil otherwise — the caller then consumes the row pipeline,
-// whose BGPs hand their batches out row by row.
-func vectorTail(ec *execCtx, ops []op, in source) batchSource {
-	if n := len(ops); n > 0 {
-		if u, ok := ops[n-1].(*unionOp); ok {
-			if !u.batch {
-				return nil
-			}
-			bs := u.applyBatch(ec, runPipeline(ec, ops[:n-1], in))
-			if ec.prof != nil {
-				bs = ec.prof.instrumentBatch(u.stageID(), bs)
-			}
-			return bs
-		}
-	}
-	idx := bgpTail(ops)
-	if idx < 0 {
-		return nil
-	}
-	bgp := ops[idx].(*bgpOp)
-	bs := bgp.applyBatch(ec, runPipeline(ec, ops[:idx], in))
-	if ec.prof != nil {
-		bs = ec.prof.instrumentBatch(bgp.stageID(), bs)
-	}
-	for _, o := range ops[idx+1:] {
-		f := o.(*filterOp)
-		bs = f.filterBatch(ec, bs)
-		if ec.prof != nil {
-			bs = ec.prof.instrumentBatch(f.stageID(), bs)
-		}
-	}
-	return bs
-}
-
-// bgpTail returns the index of the pipeline's last BGP when only
-// FILTERs follow it, else -1.
-func bgpTail(ops []op) int {
-	for i := len(ops) - 1; i >= 0; i-- {
-		switch ops[i].(type) {
-		case *bgpOp:
-			return i
-		case *filterOp:
-		default:
-			return -1
-		}
-	}
-	return -1
-}
-
-// batchTail reports whether ops ends batch-native: a BGP followed only
-// by FILTERs, or a UNION whose branches all end batch-native.
-func batchTail(ops []op) bool {
-	n := len(ops)
-	if n == 0 {
-		return false
-	}
-	u, ok := ops[n-1].(*unionOp)
-	if !ok {
-		return bgpTail(ops) >= 0
-	}
-	for _, br := range u.branches {
-		if !batchTail(br) {
-			return false
-		}
-	}
-	return true
-}
-
-// markBatchTail marks, once at compile time, the UNIONs vectorTail runs
-// batch-native: the UNION ending a batch-native pipeline and, through
-// its branches, the UNIONs ending those. A UNION nested in a row UNION
-// runs row by row and stays unmarked. The mark is a property of the
-// plan's shape, so EXPLAIN prints it without running anything.
-func markBatchTail(ops []op) {
-	if !batchTail(ops) {
-		return
-	}
-	if u, ok := ops[len(ops)-1].(*unionOp); ok {
-		u.batch = true
-		for _, br := range u.branches {
-			markBatchTail(br)
-		}
+		return finishGuard(ec, err)
 	}
 }
 
 // markCountTail marks, once at compile time, a BGP whose only consumer
-// is a COUNT fold (DESIGN.md §22): the pipeline ends in a BGP plus
-// FILTERs and every aggregate folds from columns (countFold). countLive
-// is what the consumers read: the group key and the trailing FILTERs'
-// variables. A COUNT argument the BGP binds is bound in every row.
+// is a COUNT fold (DESIGN.md §22): the pipeline ends in the BGP and
+// every aggregate folds from columns (countFold). countLive is what the
+// fold reads beyond the COUNT arguments: the group key. A COUNT
+// argument the BGP binds is bound in every row.
 func markCountTail(cp *compiled) {
-	idx := bgpTail(cp.pipeline)
-	if !cp.grouping || idx < 0 || !countFold(cp) {
+	n := len(cp.pipeline)
+	if !cp.grouping || n == 0 || !countFold(cp) {
 		return
 	}
-	bgp := cp.pipeline[idx].(*bgpOp)
+	bgp, ok := cp.pipeline[n-1].(*bgpOp)
+	if !ok {
+		return
+	}
 	bgp.count = true
 	if kind, slot := groupKeyOf(cp); kind == keyID {
 		bgp.countLive = bgp.countLive.with(slot)
 	}
-	for _, o := range cp.pipeline[idx+1:] {
-		bgp.countLive |= o.(*filterOp).need
-	}
-}
-
-// applyBatch is UNION over batches: per input binding it runs branch
-// 1's batch source to exhaustion, then branch 2's, and so on — the row
-// union's emission order (unionOf), so results are identical. Branch
-// batches carry different column sets; consumers read each batch's own
-// slots. The branch sources are built once over a feed and rerun per
-// input binding, like the row union's.
-func (o *unionOp) applyBatch(ec *execCtx, in source) batchSource {
-	var row feed
-	branches := make([]func(func(*colBatch) bool) error, len(o.branches))
-	for i, br := range o.branches {
-		branches[i] = vectorTail(ec, br, row.source)
-	}
-	return unionOf(in, &row, branches)
-}
-
-// planNote is EXPLAIN's annotation text, when on, of an operator's
-// label: ", batch" for a UNION that runs columnar, ", count=weighted"
-// for a BGP that counts (DESIGN.md §21, §22).
-func planNote(on bool, text string) string {
-	if on {
-		return ", " + text
-	}
-	return ""
 }
 
 // addBatches folds a batch source into the groups. When every
@@ -906,35 +898,37 @@ func (cb *colBatch) column(slot int) ([]store.ID, store.ID) {
 	return nil, cb.base[slot]
 }
 
-// foldCounts folds one batch under countFold. Whether a COUNT's
-// argument is bound holds for the whole batch — a column holds only
-// values the BGP bound, any other slot the input binding's value — so
-// each COUNT adds every row's weight, or none, to the row's group.
-// scratch receives a row only when it creates a group.
+// foldCounts folds one batch under countFold: each COUNT adds a row's
+// weight to the row's group when its argument is bound in the row. An
+// argument with no column in the batch is bound in every row or in none
+// (the batch's base decides); a column holds NoID where an operator
+// left the variable unbound. scratch receives a row only when it
+// creates a group.
 func (acc *groupAcc) foldCounts(cb *colBatch, scratch binding) bool {
 	aggs := acc.cp.aggregates
-	if cap(acc.counted) < len(aggs) {
-		acc.counted = make([]bool, len(aggs))
+	if cap(acc.args) < len(aggs) {
+		acc.args = make([]countArg, len(aggs))
 	}
-	counted := acc.counted[:len(aggs)]
+	args := acc.args[:len(aggs)]
 	for j, agg := range aggs {
-		counted[j] = true
+		args[j] = countArg{all: true}
 		if agg.arg != nil {
 			col, v := cb.column(agg.arg.(*exprSlot).slot)
-			counted[j] = col != nil || v != store.NoID
+			args[j] = countArg{col: col, all: col == nil && v != store.NoID}
 		}
 	}
 	if acc.kind == keyNone {
-		rows := int64(cb.n)
-		if cb.w != nil {
-			rows = 0
-			for _, wt := range cb.w[:cb.n] {
-				rows += wt
-			}
-		}
-		for j := range aggs {
-			if counted[j] {
-				acc.groups[0].states[j].count += rows
+		st := acc.groups[0].states
+		for j, a := range args {
+			switch {
+			case a.all:
+				st[j].count += cb.weightSum()
+			case a.col != nil:
+				for i, id := range a.col {
+					if id != store.NoID {
+						st[j].count += cb.weight(i)
+					}
+				}
 			}
 		}
 		return true
@@ -953,11 +947,18 @@ func (acc *groupAcc) foldCounts(cb *colBatch, scratch binding) bool {
 		if gd == nil {
 			return false
 		}
-		for j := range aggs {
-			if counted[j] {
+		for j, a := range args {
+			if a.all || a.col != nil && a.col[i] != store.NoID {
 				gd.states[j].count += cb.weight(i)
 			}
 		}
 	}
 	return true
+}
+
+// countArg is one COUNT's argument in the batch foldCounts folds: all
+// when it is bound in every row, else its column (nil: bound in none).
+type countArg struct {
+	col []store.ID
+	all bool
 }

@@ -13,10 +13,10 @@ import (
 	"repro/internal/store"
 )
 
-// vectorDiffQueries covers the operator shapes the batch tail handles
-// (BGP + trailing filters, grouping, LIMIT/OFFSET, DISTINCT, ORDER BY)
-// and shapes whose BGPs feed row operators (UNION, OPTIONAL, property
-// paths, VALUES feeding a BGP). TestExecutorGolden pins their results.
+// vectorDiffQueries covers a lone BGP's shapes (filters, grouping,
+// LIMIT/OFFSET, DISTINCT, ORDER BY) and shapes whose BGPs feed other
+// operators (UNION, OPTIONAL, property paths, VALUES feeding a BGP).
+// TestExecutorGolden pins their results.
 var vectorDiffQueries = []string{
 	`SELECT ?a ?b WHERE { ?a rel:follows ?b }`,
 	`SELECT ?a ?c WHERE { ?a rel:follows ?b . ?b rel:follows ?c } LIMIT 2000`,
@@ -241,8 +241,8 @@ func TestVectorizedCancellationBetweenBatches(t *testing.T) {
 	}
 }
 
-// TestVectorizedAsk: ASK through the batch tail — found, not-found, and
-// early stop under a tight budget.
+// TestVectorizedAsk: ASK stops at the first batch — found, not-found,
+// and early stop under a tight budget.
 func TestVectorizedAsk(t *testing.T) {
 	st := egoNetStore(t, 300, 5)
 	e := NewEngine(st)
@@ -255,9 +255,10 @@ func TestVectorizedAsk(t *testing.T) {
 	}
 }
 
-// Aggregates over an alternation path: a batch UNION feeding the
-// columnar COUNT fold by an id key, the row fold by a two-variable
-// term key, and (under OPTIONAL) the row path's id key.
+// Aggregates over an alternation path: a UNION feeding the columnar
+// COUNT fold by an id key, the row fold by a two-variable term key, and
+// (under OPTIONAL, whose batches mix matched and unmatched rows) the
+// columnar fold by an id key with unbound keys.
 var groupCapQueries = []string{
 	`SELECT ?b (COUNT(*) AS ?n) WHERE { ?a (rel:follows|^rel:follows) ?b } GROUP BY ?b`,
 	`SELECT ?a ?b (COUNT(?b) AS ?n) WHERE { ?a (rel:follows|^rel:follows) ?b } GROUP BY ?a ?b`,
@@ -265,7 +266,7 @@ var groupCapQueries = []string{
 }
 
 // TestColumnarGroupMaxRows: group creation counts against MaxRows in the
-// columnar fold as in the row path — a cap of exactly the group count
+// columnar fold as in the row fold — a cap of exactly the group count
 // passes with the unlimited answer, one less fails with
 // guard.ErrBudgetExceeded.
 func TestColumnarGroupMaxRows(t *testing.T) {
@@ -284,7 +285,7 @@ func TestColumnarGroupMaxRows(t *testing.T) {
 	}
 }
 
-// TestBatchUnionBudget exhausts MaxBindings in a batch UNION's second
+// TestBatchUnionBudget exhausts MaxBindings in a UNION's second
 // branch — the first branch's scan alone fits the budget — under the
 // columnar fold and under plain projection.
 func TestBatchUnionBudget(t *testing.T) {
@@ -301,7 +302,7 @@ func TestBatchUnionBudget(t *testing.T) {
 	}
 }
 
-// TestBatchUnionCancellation cancels an EQ9-shaped query while its batch
+// TestBatchUnionCancellation cancels an EQ9-shaped query while its
 // UNION scans the second branch — scans stall 1ms per 16 rows, so the
 // query would run for about half a second — and checks that it stops
 // promptly with guard.ErrCanceled, leaking no cursors.
