@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/guard"
+	"repro/internal/guard/guardtest"
 	"repro/internal/pgrdf"
 )
 
@@ -146,37 +146,6 @@ func TestTrianglesBudgetInCountPhase(t *testing.T) {
 	}
 }
 
-// doneAfterCtx is a never-canceled context whose Done channel closes on
-// its limit-th call (0 = never). The guard calls Done once when it
-// starts and once per poll boundary its event counter crosses, so calls
-// counts how far a run got and limit picks where it is canceled.
-type doneAfterCtx struct {
-	context.Context
-	limit int64
-	calls atomic.Int64
-	done  chan struct{}
-}
-
-func newDoneAfterCtx(limit int64) *doneAfterCtx {
-	return &doneAfterCtx{Context: context.Background(), limit: limit, done: make(chan struct{})}
-}
-
-func (c *doneAfterCtx) Done() <-chan struct{} {
-	if c.calls.Add(1) == c.limit {
-		close(c.done)
-	}
-	return c.done
-}
-
-func (c *doneAfterCtx) Err() error {
-	select {
-	case <-c.done:
-		return context.Canceled
-	default:
-		return nil
-	}
-}
-
 // TestTrianglesCancellationMidCount cancels a run at the first poll
 // after the orientation. A run whose budget is exactly the orientation's
 // charge stops at the count phase's first tick, which polls nothing, so
@@ -191,12 +160,12 @@ func TestTrianglesCancellationMidCount(t *testing.T) {
 	orient, _ := triangleCharges(cs)
 	before := runtime.NumGoroutine()
 	for _, par := range []int{1, 4} {
-		probe := newDoneAfterCtx(0)
+		probe := guardtest.NewDoneAfter(context.Background(), 0)
 		_, err := Runner{Parallelism: par, Budget: Budget{MaxWork: orient}}.Triangles(probe, cs)
 		if !errors.Is(err, guard.ErrBudgetExceeded) {
 			t.Fatalf("par %d: orientation-only budget: err = %v", par, err)
 		}
-		ctx := newDoneAfterCtx(probe.calls.Load() + 1)
+		ctx := guardtest.NewDoneAfter(context.Background(), probe.Calls()+1)
 		if _, err := (Runner{Parallelism: par}).Triangles(ctx, cs); !errors.Is(err, guard.ErrCanceled) {
 			t.Fatalf("par %d: err = %v, want guard.ErrCanceled", par, err)
 		}

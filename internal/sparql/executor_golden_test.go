@@ -130,9 +130,10 @@ func executorGolden(t *testing.T) string {
 
 // profileCounters runs q with profiling and renders each plan
 // node's invocations, rows in/out and NLJ→hash switch flag — the
-// counters that must not change with the executor's internals. Guard
-// ticks and wall time are left out: ticks depend on where the hash
-// switch happens, not on whether it happens.
+// counters that must not change with the executor's internals — and a
+// fused binder's rows by intersection kernel. Guard ticks and wall time
+// are left out: ticks depend on where the hash switch happens, not on
+// whether it happens.
 func profileCounters(t *testing.T, st *store.Store, q string) string {
 	t.Helper()
 	e := NewEngine(st)
@@ -145,8 +146,12 @@ func profileCounters(t *testing.T, st *store.Store, q string) string {
 	var walk func(ns []*ProfileNode, depth int)
 	walk = func(ns []*ProfileNode, depth int) {
 		for _, n := range ns {
-			fmt.Fprintf(&sb, "%s%s  loops=%d in=%d out=%d hash=%v\n",
+			fmt.Fprintf(&sb, "%s%s  loops=%d in=%d out=%d hash=%v",
 				strings.Repeat("  ", depth), n.Label, n.Invocations, n.RowsIn, n.RowsOut, n.HashJoin)
+			if n.Walked+n.Galloped > 0 {
+				fmt.Fprintf(&sb, " marked=%d walked=%d galloped=%d", n.Marked, n.Walked, n.Galloped)
+			}
+			sb.WriteByte('\n')
 			walk(n.Children, depth+1)
 		}
 	}

@@ -37,6 +37,48 @@ func egoNetStore(t testing.TB, nodes, degree int) *store.Store {
 	return st
 }
 
+// hubStore is a random follows graph of nodes vertices with degree
+// out-edges each, plus a hub every vertex follows and that follows every
+// vertex. The hub's IRI is interned last, so its edge into a vertex is
+// the last of that vertex's in-edges in the driving scan's order: the
+// row that checks the hub's in-edges (nodes of them) against the
+// vertex's few out-edges comes after a row with the same out-edges.
+// With hubFirst it is interned first instead: the driving scan starts
+// with the hub's in-edges, each of whose rows seeks the hub's out-edges.
+func hubStore(t testing.TB, nodes, degree int, hubFirst bool) *store.Store {
+	t.Helper()
+	st := store.New()
+	follows := rdf.NewIRI("http://pg/r/follows")
+	hub := rdf.NewIRI("http://pg/hub")
+	node := func(i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("http://pg/v%d", i)) }
+	rng := rand.New(rand.NewSource(43))
+	quads := make([]rdf.Quad, 0, nodes*(degree+2))
+	hubEdges := func() {
+		for i := 0; i < nodes; i++ {
+			in, out := rdf.Quad{S: node(i), P: follows, O: hub}, rdf.Quad{S: hub, P: follows, O: node(i)}
+			if hubFirst {
+				in, out = out, in
+			}
+			quads = append(quads, in, out)
+		}
+	}
+	if hubFirst {
+		hubEdges()
+	}
+	for i := 0; i < nodes; i++ {
+		for d := 0; d < degree; d++ {
+			quads = append(quads, rdf.Quad{S: node(i), P: follows, O: node(rng.Intn(nodes))})
+		}
+	}
+	if !hubFirst {
+		hubEdges()
+	}
+	if _, err := st.Load("net", quads); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 // crossJoin is a deliberately unbounded product over disjoint variables.
 const crossJoin = `SELECT * WHERE { ?a ?p ?b . ?c ?q ?d . ?e ?r ?f }`
 

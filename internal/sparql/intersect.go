@@ -19,6 +19,11 @@ package sparql
 // the nested loop's depth-first emission byte for byte — provided the
 // binding step's nested loop would have produced ?z in ascending order,
 // which the planner checks.
+//
+// A side whose range is the previous input row's (EQ12's out(y), the
+// driving scan being sorted by ?y) is marked in a bitmap once, and the
+// rows that reuse it walk the other side probing the bitmap instead of
+// leapfrogging both (walkSide, store.Marks).
 
 import (
 	"repro/internal/store"
@@ -188,12 +193,20 @@ func planIntersections(view *store.View, rps []resolvedPattern, order []int) []*
 
 // seekState is one fused depth's state in one executor: a seeker per
 // side, opened on first use and kept for the query (the pinned view and
-// the constant prefixes never change), and each side's rows for the
-// current input row with the intersection's position in them.
+// the constant prefixes never change), each side's pattern and rows for
+// the current input row with the intersection's position in them, and
+// the marks of a two-sided group: which side's range they hold (-1:
+// none) under which pattern. The view is pinned, so marks stay valid for
+// as long as that side seeks the same pattern.
 type seekState struct {
 	seekers []*store.Seeker
+	pats    []store.Pattern
 	rows    [][]store.IDQuad
 	pos     []int
+
+	marks   store.Marks
+	marked  int
+	markPat store.Pattern
 }
 
 func (vx *vecExec) seekState(depth int, ip *intersectPlan) *seekState {
@@ -201,7 +214,8 @@ func (vx *vecExec) seekState(depth int, ip *intersectPlan) *seekState {
 		return ss
 	}
 	n := len(ip.sides)
-	ss := &seekState{seekers: make([]*store.Seeker, n), rows: make([][]store.IDQuad, n), pos: make([]int, n)}
+	ss := &seekState{seekers: make([]*store.Seeker, n), pats: make([]store.Pattern, n),
+		rows: make([][]store.IDQuad, n), pos: make([]int, n), marked: -1}
 	for i, side := range ip.sides {
 		ss.seekers[i] = vx.sh.ec.view.Seeker(side.ix, side.rp.constPattern())
 	}
@@ -209,15 +223,52 @@ func (vx *vecExec) seekState(depth int, ip *intersectPlan) *seekState {
 	return ss
 }
 
+// walkRatio bounds the walk: an input row probes the marks only while
+// the walked side is shorter than walkRatio times the marked one. A
+// walk reads every row of its side; a gallop reads about a logarithm of
+// the gap per value of the shorter side, so past that ratio galloping
+// reads less (a hub's in-edges against a few out-edges).
+const walkRatio = 32
+
+// walkSide decides how the current input row intersects a two-sided
+// group whose sides are seeked: it returns the side whose range the
+// marks hold — marking it first — so that the other side walks, or -1
+// to gallop. A row walks when the marks hold one side's current range
+// or, failing that, when side repeat (-1: none) sought the previous
+// input row's pattern — the binder, when the driving scan sorts by the
+// variables it is narrowed by — and so likely will again; and only
+// while walkRatio allows. cost is the marking's guard charge — one per
+// value cleared and per row marked — and zero when the marks already
+// held the range.
+func (ss *seekState) walkSide(ip *intersectPlan, repeat int) (side, cost int) {
+	side = repeat
+	if ss.marked >= 0 && ss.pats[ss.marked] == ss.markPat {
+		side = ss.marked
+	}
+	if side < 0 || len(ss.rows) != 2 || len(ss.rows[1-side]) >= walkRatio*len(ss.rows[side]) {
+		return -1, 0
+	}
+	if side != ss.marked || ss.pats[side] != ss.markPat {
+		rows := ss.rows[side]
+		cost = ss.marks.Clear() + len(rows)
+		ss.marks.Mark(rows, ip.cols[side])
+		ss.marked, ss.markPat = side, ss.pats[side]
+	}
+	return side, cost
+}
+
 // intersect runs the fused group whose binder is at depth over one input
-// batch: per input row it seeks every side's range, leapfrogs them to
-// their common values of the group's variable — each side galloping to
-// the largest value any side is at — and, per common value, emits the
-// binding once for every combination of the sides' rows holding it
-// that are visible in the dataset (in count mode once, weighted by their
-// number, DESIGN.md §22), then continues at the depth after the group.
-// Rows seeked, counted and emitted are charged to the guard with TickN,
-// like the scan rows of a nested loop.
+// batch: per input row it seeks every side's range, advances them to
+// their common values of the group's variable and, per common value,
+// emits the binding once for every combination of the sides' rows
+// holding it that are visible in the dataset (in count mode once,
+// weighted by their number, DESIGN.md §22), then continues at the depth
+// after the group. A row of a two-sided group whose one side's range
+// the marks hold walks the other side probing them (store.Marks.Probe);
+// every other row leapfrogs, each side galloping to the largest value
+// any side is at. Rows seeked, marked, walked, counted and emitted,
+// values cleared and gallops are charged to the guard with TickN, like
+// the scan rows of a nested loop.
 func (vx *vecExec) intersect(depth int, in *colBatch, ip *intersectPlan) bool {
 	sh := vx.sh
 	ec := sh.ec
@@ -228,7 +279,7 @@ func (vx *vecExec) intersect(depth int, in *colBatch, ip *intersectPlan) bool {
 	// Filters placed after the binder or a checker need only the
 	// group's variable beyond the input row: one evaluation per value.
 	filters := sh.filterAt[depth+1 : next]
-	var ticks, emitted, collapsed int64
+	var ticks, emitted, collapsed, marked, walked, galloped int64
 	pending := 0
 	settle := func() bool {
 		ticks += int64(pending)
@@ -245,13 +296,36 @@ rows:
 		}
 		in.writeCols(i, scratch)
 		wt := in.weight(i)
+		repeat := -1
 		for s, side := range ip.sides {
-			ss.rows[s], ss.pos[s] = ss.seekers[s].Seek(side.rp.boundPattern(scratch)), 0
+			p := side.rp.boundPattern(scratch)
+			if p == ss.pats[s] && repeat < 0 {
+				repeat = s
+			}
+			ss.pats[s] = p
+			ss.rows[s], ss.pos[s] = ss.seekers[s].Seek(p), 0
 			pending++
 		}
+		side, cost := ss.walkSide(ip, repeat)
+		pending += cost
+		if cost > 0 {
+			marked++
+		}
+		if side >= 0 {
+			walked++
+		} else {
+			galloped++
+		}
 		for {
-			x, seeks, ok := store.Leapfrog(ss.rows, ip.cols, ss.pos)
-			pending += seeks
+			var x store.ID
+			var steps int
+			var ok bool
+			if side >= 0 {
+				x, steps, ok = ss.marks.Probe(ss.rows, ip.cols, ss.pos, side)
+			} else {
+				x, steps, ok = store.Leapfrog(ss.rows, ip.cols, ss.pos)
+			}
+			pending += steps
 			if !ok {
 				continue rows
 			}
@@ -311,6 +385,7 @@ rows:
 				st.addTicks(ticks)
 				st.addRows(emitted)
 				st.addCollapsed(collapsed)
+				st.addKernels(marked, walked, galloped)
 			} else {
 				st.rowsIn += emitted
 				st.rowsOut += emitted

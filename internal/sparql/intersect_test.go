@@ -1,12 +1,16 @@
 package sparql
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/guard"
+	"repro/internal/guard/guardtest"
 	"repro/internal/pgrdf"
 	"repro/internal/rdf"
 	"repro/internal/store"
@@ -101,9 +105,20 @@ func TestIntersectFiresWhereExpected(t *testing.T) {
 // doubled in a second graph and every fifth also in the default graph
 // (so a triangle's rows repeat per combination of parallel edges);
 // "#webseries" / "#news" tags on nodes and on SP-style subproperties of
-// follows; and model m2 with further follows edges, none of them also
-// in m1. It returns the quads of each model.
-func intersectStore(t *testing.T) (m1, m2 []rdf.Quad) {
+// follows; model m2 with further follows edges, none of them also in
+// m1; and the shapes the intersection's kernels turn on:
+//
+//   - in m1, a hub that 130 spokes follow and that follows every eighth
+//     spoke; each spoke follows the next. The hub is interned after the
+//     spokes, so its row into a spoke comes right after the spoke's
+//     other in-edge, whose out-edges (two) the marks then hold — and the
+//     hub's in-edges, 65 times as many, must gallop;
+//   - model m3, ten disjoint follows 3-cycles: every node has one in-
+//     and one out-edge, so no side's range repeats from one input row to
+//     the next and every row gallops.
+//
+// It returns the quads of each model.
+func intersectStore(t *testing.T) (m1, m2, m3 []rdf.Quad) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(23))
 	follows := rdf.NewIRI(rdf.RelNS + "follows")
@@ -148,19 +163,37 @@ func intersectStore(t *testing.T) (m1, m2 []rdf.Quad) {
 	for i := 0; i < 60; i++ {
 		add(&m2, rdf.Quad{S: node(rng.Intn(nodes)), P: follows, O: node(rng.Intn(nodes))})
 	}
-	return m1, m2
+	const spokes = 130
+	hub := rdf.NewIRI("http://pg/hub")
+	spoke := func(i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("http://pg/h%d", i)) }
+	for i := 0; i+1 < spokes; i++ {
+		add(&m1, rdf.Quad{S: spoke(i), P: follows, O: spoke(i + 1)})
+	}
+	for i := 0; i < spokes; i++ {
+		add(&m1, rdf.Quad{S: spoke(i), P: follows, O: hub})
+		if i%8 == 0 {
+			add(&m1, rdf.Quad{S: hub, P: follows, O: spoke(i)})
+		}
+	}
+	cycle := func(i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("http://pg/c%d", i)) }
+	for i := 0; i < 30; i++ {
+		add(&m3, rdf.Quad{S: cycle(i), P: follows, O: cycle(i/3*3 + (i+1)%3)})
+	}
+	return m1, m2, m3
 }
 
 // TestIntersectMatchesNestedLoop is the fused-join differential. On
 // intersectStore — freshly loaded; with unmerged inserts and tombstones
-// inside the follows and hasTag ranges the seekers read; compacted —
-// every intersection shape, over all models and over m1 alone, must
-// return byte for byte (row order included)
+// inside the follows and hasTag ranges the seekers read, so marked
+// ranges come out of a seeker's merge buffer that its next Seek
+// overwrites; compacted — every intersection shape, over all models, m1
+// alone and m3 alone, must return byte for byte (row order included)
 // what the index-nested-loop-only engine returns, and the reference
 // evaluator's multiset of rows; the fusable shapes must fuse and the
-// others must not.
+// others must not. The triangle shape must walk and gallop where
+// intersectStore says: both on m1, only gallop on m3.
 func TestIntersectMatchesNestedLoop(t *testing.T) {
-	m1, m2 := intersectStore(t)
+	m1, m2, m3 := intersectStore(t)
 	// Every 6th m1 quad is held out of the load and inserted later;
 	// every 7th loaded one is deleted.
 	var base, held, deleted []rdf.Quad
@@ -179,11 +212,13 @@ func TestIntersectMatchesNestedLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Load("m1", base); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Load("m2", m2); err != nil {
-		t.Fatal(err)
+	for _, m := range []struct {
+		name  string
+		quads []rdf.Quad
+	}{{"m1", base}, {"m2", m2}, {"m3", m3}} {
+		if _, err := st.Load(m.name, m.quads); err != nil {
+			t.Fatal(err)
+		}
 	}
 	gone := map[rdf.Quad]bool{}
 	for _, q := range deleted {
@@ -224,7 +259,7 @@ func TestIntersectMatchesNestedLoop(t *testing.T) {
 		for _, dataset := range []struct {
 			model string
 			quads []rdf.Quad
-		}{{"", append(append([]rdf.Quad(nil), state.m1...), m2...)}, {"m1", state.m1}} {
+		}{{"", append(append(append([]rdf.Quad(nil), state.m1...), m2...), m3...)}, {"m1", state.m1}, {"m3", m3}} {
 			for i, q := range intersectShapeQueries {
 				q = testPrologue + q
 				want, err := nlj.Query(dataset.model, q)
@@ -236,7 +271,7 @@ func TestIntersectMatchesNestedLoop(t *testing.T) {
 				if fused != (i < len(intersectShapeQueries)-unfusedShapes) {
 					t.Errorf("%s: fused = %v\n%s", label, fused, q)
 				}
-				got, err := e.Query(dataset.model, q)
+				got, prof, err := e.QueryProfiled(dataset.model, q)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -244,10 +279,217 @@ func TestIntersectMatchesNestedLoop(t *testing.T) {
 					t.Fatalf("%s: intersection join differs from nested loops\n%s\n%s", label, q, firstDiff(want.String(), got.String()))
 				}
 				checkAgainstReference(t, e, dataset.model, dataset.quads, label, q)
+				if i == 0 {
+					binder := prof.Plan[0].Children[1]
+					walks := dataset.model != "m3"
+					if binder.Galloped == 0 || (binder.Walked > 0) != walks || binder.Walked+binder.Galloped != binder.RowsIn {
+						t.Errorf("%s: marked=%d walked=%d galloped=%d of %d rows; want walks = %v and gallops",
+							label, binder.Marked, binder.Walked, binder.Galloped, binder.RowsIn, walks)
+					}
+				}
 			}
 		}
 		if ws := st.WriteStats(); state.name == "delta" && (ws.DeltaRows == 0 || ws.Tombstones == 0) {
 			t.Fatalf("delta state has %d delta rows and %d tombstones", ws.DeltaRows, ws.Tombstones)
 		}
+	}
+}
+
+// triangleKernels is what the triangle count's fused group charges
+// MaxWork, and which kernel each of its input rows runs, on a store
+// whose follows edges are distinct and all in one model's default graph,
+// derived from the edge set with each side's values in ID order (the
+// order the indexes sort by):
+//
+//   - the driving scan reads each edge (x, y) once, in (y, x) order;
+//   - per edge the group seeks out(y) and in(x): two units;
+//   - when the marks hold the current out(y) or in(x), or else one of
+//     them is the previous edge's (out(y) first), and the other side is
+//     shorter than walkRatio times that one, the row walks the other
+//     side. If the marks held a different range, marking charges one per
+//     value it clears and one per row it marks. The walk charges each of
+//     its rows and, per common value, two: one row on each side;
+//   - every other row leapfrogs (store.Leapfrog): one per gallop that
+//     does not run off a side's end, and two per common value, one row
+//     on each side;
+//   - each common value is emitted once: one unit.
+func triangleKernels(t *testing.T, st *store.Store) (k kernelCounts) {
+	t.Helper()
+	follows := st.Dict().Lookup(rdf.NewIRI("http://pg/r/follows"))
+	type edge struct{ x, y uint64 }
+	var edges []edge
+	out, in := map[uint64][]uint64{}, map[uint64][]uint64{}
+	p := store.AnyPattern()
+	p.P = follows
+	st.View().Scan(p, func(q store.IDQuad) bool {
+		x, y := uint64(q.S), uint64(q.C)
+		edges = append(edges, edge{x, y})
+		out[x] = append(out[x], y)
+		in[y] = append(in[y], x)
+		return true
+	})
+	for _, m := range []map[uint64][]uint64{out, in} {
+		for _, vs := range m {
+			sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
+		}
+	}
+	sort.Slice(edges, func(i, j int) bool {
+		return edges[i].y < edges[j].y || edges[i].y == edges[j].y && edges[i].x < edges[j].x
+	})
+	k.work = int64(len(edges))
+	type key struct {
+		side int
+		v    uint64
+	}
+	mark, markValues := key{side: -1}, 0
+	var prev edge
+	for i, e := range edges {
+		k.work += 2
+		sides := [2][]uint64{out[e.y], in[e.x]}
+		cur := [2]key{{0, e.y}, {1, e.x}}
+		cand := -1
+		switch {
+		case i > 0 && e.y == prev.y:
+			cand = 0
+		case i > 0 && e.x == prev.x:
+			cand = 1
+		}
+		if mark.side >= 0 && cur[mark.side] == mark {
+			cand = mark.side
+		}
+		prev = e
+		if cand >= 0 && len(sides[1-cand]) < walkRatio*len(sides[cand]) {
+			k.walked++
+			if cur[cand] != mark {
+				k.marked++
+				k.work += int64(markValues + len(sides[cand]))
+				mark, markValues = cur[cand], len(sides[cand])
+			}
+			_, hits := leapfrogSorted(sides[0], sides[1])
+			k.work += int64(len(sides[1-cand])) + 2*hits + hits
+			continue
+		}
+		k.galloped++
+		if cand >= 0 {
+			k.longer++
+		}
+		seeks, hits := leapfrogSorted(sides[0], sides[1])
+		k.work += seeks + 2*hits + hits
+	}
+	return k
+}
+
+// kernelCounts is triangleKernels' answer: the work charged, the input
+// rows that mark, walk and gallop, and the galloping rows one of whose
+// sides the marks hold or repeats — the other being walkRatio times
+// longer.
+type kernelCounts struct {
+	work, marked, walked, galloped, longer int64
+}
+
+// leapfrogSorted replays store.Leapfrog over two ascending lists of
+// distinct values: the gallops that land inside a list, and the values
+// both hold.
+func leapfrogSorted(a, b []uint64) (seeks, hits int64) {
+	sides, pos := [2][]uint64{a, b}, [2]int{}
+	for {
+		if pos[0] == len(a) || pos[1] == len(b) {
+			return seeks, hits
+		}
+		x := max(a[pos[0]], b[pos[1]])
+		for agree := false; !agree; {
+			agree = true
+			for s, vs := range sides {
+				if vs[pos[s]] < x {
+					p := sort.Search(len(vs), func(i int) bool { return vs[i] >= x })
+					if p == len(vs) {
+						return seeks, hits
+					}
+					pos[s] = p
+					seeks++
+				}
+				if y := vs[pos[s]]; y != x {
+					x, agree = y, false
+				}
+			}
+		}
+		hits++
+		pos[0]++
+		pos[1]++
+	}
+}
+
+// TestIntersectCharges pins the triangle count's MaxWork charges and
+// kernel choices to triangleKernels on hubStore, whose rows mark, walk,
+// gallop because a side does not repeat, and gallop because the hub's
+// in-edges outnumber a vertex's out-edges over walkRatio times: the full
+// charge passes and one unit less trips, and EXPLAIN ANALYZE's binder
+// line reports the same ticks and kernel counts.
+func TestIntersectCharges(t *testing.T) {
+	st := hubStore(t, 400, 2, false)
+	k := triangleKernels(t, st)
+	q := testPrologue + denseTriangles
+	_, prof, err := NewEngine(st).QueryProfiled("", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bgp := prof.Plan[0]
+	var ticks int64
+	for _, step := range bgp.Children {
+		ticks += step.GuardTicks
+	}
+	binder := bgp.Children[1]
+	if ticks != k.work || binder.Marked != k.marked || binder.Walked != k.walked || binder.Galloped != k.galloped {
+		t.Fatalf("ticks=%d marked=%d walked=%d galloped=%d, want %+v", ticks, binder.Marked, binder.Walked, binder.Galloped, k)
+	}
+	t.Logf("hubStore(400, 2): %+v", k)
+	if k.marked == 0 || k.walked == 0 || k.longer == 0 || k.galloped == k.longer {
+		t.Fatalf("hubStore does not run every kernel: %+v", k)
+	}
+	for _, tc := range []struct {
+		maxWork int64
+		err     error
+	}{{k.work, nil}, {k.work - 1, guard.ErrBudgetExceeded}} {
+		e := NewEngine(st)
+		e.Limits = guard.Budget{MaxWork: tc.maxWork}
+		if _, err := e.Query("", q); !errors.Is(err, tc.err) {
+			t.Fatalf("MaxWork %d (full charge %d): err = %v, want %v", tc.maxWork, k.work, err, tc.err)
+		}
+	}
+}
+
+// TestIntersectCancellationMidMark cancels a triangle count at the tick
+// that charges a marking. On hubStore(marks, 0, true) — the hub
+// interned first — the second input row marks the hub's out-edges
+// (marks rows) before any other intersection work. The work before that
+// marking is the driving scan's first 64 rows and two input rows' seeks
+// and gallops, far under half the marking's 4 096 rows: a budget of
+// that plus half the marking trips at the tick carrying it, which polls
+// nothing, so the Done calls of that run are the ones before it. One
+// call later the context is canceled: that tick crosses a poll boundary
+// and must stop the query with guard.ErrCanceled.
+func TestIntersectCancellationMidMark(t *testing.T) {
+	const marks = 4096
+	st := hubStore(t, marks, 0, true)
+	q := testPrologue + denseTriangles
+	_, prof, err := NewEngine(st).QueryProfiled("", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := prof.Plan[0].Children[1]; b.Marked == 0 || b.GuardTicks < 2*marks {
+		t.Fatalf("hubStore: marked=%d ticks=%d", b.Marked, b.GuardTicks)
+	}
+	probe := guardtest.NewDoneAfter(context.Background(), 0)
+	e := NewEngine(st)
+	e.Limits = guard.Budget{MaxWork: vecRampStart + marks/2}
+	if _, err := e.QueryContext(probe, "", q); !errors.Is(err, guard.ErrBudgetExceeded) {
+		t.Fatalf("budget before the marking's tick: err = %v", err)
+	}
+	ctx := guardtest.NewDoneAfter(context.Background(), probe.Calls()+1)
+	if _, err := NewEngine(st).QueryContext(ctx, "", q); !errors.Is(err, guard.ErrCanceled) {
+		t.Fatalf("err = %v, want guard.ErrCanceled", err)
+	}
+	if g := st.OpenCursors(); g != 0 {
+		t.Errorf("leaked cursors: %d", g)
 	}
 }

@@ -35,6 +35,11 @@ type profStage struct {
 	groups      int64 // groups a GroupAggregate created
 	collapsed   int64 // rows a step folded into an earlier row (§22)
 	hashJoin    bool  // the step switched from NLJ to hash join
+
+	// A fused binder's input rows by intersection kernel (§20): rows
+	// that marked a side's range, rows that walked the other side
+	// probing the marks, and rows that galloped.
+	marked, walked, galloped int64
 }
 
 // queryProfile is the per-query counter array, indexed by stage id
@@ -102,6 +107,14 @@ func (st *profStage) addCollapsed(n int64) {
 	}
 }
 
+func (st *profStage) addKernels(marked, walked, galloped int64) {
+	if st != nil {
+		st.marked += marked
+		st.walked += walked
+		st.galloped += galloped
+	}
+}
+
 // profStage is a convenience lookup through the context.
 func (ec *execCtx) profStage(sid int) *profStage {
 	if ec.prof == nil {
@@ -165,6 +178,9 @@ type ProfileNode struct {
 	Weighted    bool           `json:"weighted,omitempty"`  // a BGP that counts rather than enumerates
 	Collapse    string         `json:"collapse,omitempty"`  // the variables a step's output drops
 	Collapsed   int64          `json:"collapsed,omitempty"` // rows the step folded into earlier rows
+	Marked      int64          `json:"marked,omitempty"`    // a fused binder's input rows that marked a range
+	Walked      int64          `json:"walked,omitempty"`    // ... that walked a side probing the marks
+	Galloped    int64          `json:"galloped,omitempty"`  // ... that galloped (leapfrog)
 	Children    []*ProfileNode `json:"children,omitempty"`
 }
 
@@ -181,6 +197,9 @@ func (n *ProfileNode) load(st *profStage) *ProfileNode {
 	n.HashJoin = st.hashJoin
 	n.Groups = st.groups
 	n.Collapsed = st.collapsed
+	n.Marked = st.marked
+	n.Walked = st.walked
+	n.Galloped = st.galloped
 	return n
 }
 
@@ -406,6 +425,9 @@ func renderActuals(sb *strings.Builder, n *ProfileNode) {
 	}
 	if n.GroupKey != "" {
 		fmt.Fprintf(sb, " groups=%d", n.Groups)
+	}
+	if n.Walked+n.Galloped > 0 {
+		fmt.Fprintf(sb, " marked=%d walked=%d galloped=%d", n.Marked, n.Walked, n.Galloped)
 	}
 	if n.HashJoin {
 		sb.WriteString(" join=hash")

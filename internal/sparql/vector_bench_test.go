@@ -81,11 +81,51 @@ func BenchmarkNestedLoopKernel(b *testing.B) {
 		func(e *Engine) { e.DisableHashJoin = true })
 }
 
+// scanSPStore is the `scan-sp` serving store: the SP encoding of
+// twitter.PaperConfig().Scale(0.025) (37 615 follows edges) under
+// serve's indexes.
+var scanSPStore *store.Store
+
+func spKernelStore(b *testing.B) *store.Store {
+	if scanSPStore == nil {
+		ds := pgrdf.NewConverter(pgrdf.SP).Convert(twitter.Generate(twitter.PaperConfig().Scale(0.025)))
+		st, err := store.NewWithIndexes(serveIndexes)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := pgrdf.LoadSingle(st, ds, "data"); err != nil {
+			b.Fatal(err)
+		}
+		scanSPStore = st
+	}
+	return scanSPStore
+}
+
+// hubBenchStore is hubStore(3000, 4): a hub every node follows and that
+// follows every node.
+var hubBenchStore *store.Store
+
 // BenchmarkIntersectKernel: the triangle count, whose last two steps
-// fuse into a sorted intersection — seeks, leapfrog and run counting
-// instead of two-paths into a hash probe.
+// fuse into a sorted intersection — seeks, marking, probe walks,
+// leapfrog and run counting instead of two-paths into a hash probe. The
+// legs: the random follows graph; EQ12 on `scan-sp`'s SP store, whose
+// binder range repeats for every in-edge of a node (walks); and a hub
+// graph, whose rows that check the hub's in-edges against a few
+// out-edges must gallop.
 func BenchmarkIntersectKernel(b *testing.B) {
-	runKernel(b, kernelStore(b), `SELECT (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b . ?b rel:follows ?c . ?c rel:follows ?a }`, nil)
+	const triangles = `SELECT (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b . ?b rel:follows ?c . ?c rel:follows ?a }`
+	b.Run("random", func(b *testing.B) {
+		runKernel(b, kernelStore(b), triangles, nil)
+	})
+	b.Run("EQ12-SP", func(b *testing.B) {
+		runKernel(b, spKernelStore(b), `SELECT (COUNT(*) AS ?cnt) WHERE { ?x r:follows ?y . ?y r:follows ?z . ?z r:follows ?x }`, nil)
+	})
+	b.Run("hub", func(b *testing.B) {
+		if hubBenchStore == nil {
+			hubBenchStore = hubStore(b, 3000, 4, false)
+		}
+		runKernel(b, hubBenchStore, triangles, nil)
+	})
 }
 
 // BenchmarkFilterKernel: scan plus a cheap predicate — measures the

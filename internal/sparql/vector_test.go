@@ -168,8 +168,10 @@ const denseTriangles = `SELECT (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b . ?b r
 // TestIntersectBudgetExhaustion exhausts MaxBindings inside a sorted
 // intersection — the driving scan alone stays far under the budget —
 // and the query must surface guard.ErrBudgetExceeded. Counting, the
-// intersection adds each triangle once, weighted 216, so the query
-// touches 1.9 M rows rather than 7.0 M: still ~10× the budget.
+// intersection adds each triangle once per input row, weighted 36; 5 190
+// of its 5 220 input rows walk a side against the marks (DESIGN.md §20),
+// so the query's work is 2.1 M units rather than 7.0 M: still ~10× the
+// budget.
 func TestIntersectBudgetExhaustion(t *testing.T) {
 	st := denseStore(t, 30, 6) // 5 220 quads, 24 360 × 216 triangle rows
 	e := NewEngine(st)

@@ -347,6 +347,57 @@ func TestSeekerReuse(t *testing.T) {
 	}
 }
 
+// TestMarksAcrossSeeks marks the rows of Seeks that merge delta rows
+// into the seeker's buffer, which each next Seek overwrites before the
+// old marks are cleared: after Clear and Mark, a Probe walk of every row
+// of the predicate must hit exactly the values of the latest Seek.
+func TestMarksAcrossSeeks(t *testing.T) {
+	s := synthTestStore(t, 300)
+	for i := 0; i < 40; i++ {
+		if _, err := s.Insert("m", quad(fmt.Sprintf("s%d", i%7), "p", fmt.Sprintf("new%d", i), "")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v := s.View()
+	konst := AnyPattern()
+	konst.P = s.Dict().Lookup(iri("p"))
+	all := append([]IDQuad(nil), v.Seeker(v.SeekIndex([]Col{ColP}, ColC), konst).Seek(konst)...)
+	sk := v.Seeker(v.SeekIndex([]Col{ColP, ColS}, ColC), konst)
+	var m Marks
+	for i, subj := range []string{"s1", "s3", "s1", "nosuch", "s5", "s5"} {
+		p := konst
+		p.S = s.Dict().Lookup(iri(subj))
+		rows := sk.Seek(p)
+		m.Clear()
+		m.Mark(rows, ColC)
+		want := map[ID]bool{}
+		for _, q := range rows {
+			want[q.C] = true
+		}
+		got := map[ID]bool{}
+		sides, pos := [][]IDQuad{rows, all}, []int{0, 0}
+		for {
+			x, _, ok := m.Probe(sides, []Col{ColC, ColC}, pos, 0)
+			if !ok {
+				break
+			}
+			if pos[0] == len(rows) || rows[pos[0]].C != x {
+				t.Fatalf("seek %d (%s): Probe hit %d, which the marked side does not hold", i, subj, x)
+			}
+			got[x] = true
+			pos[1]++
+		}
+		if len(got) != len(want) {
+			t.Fatalf("seek %d (%s): Probe hit %d values, the Seek holds %d", i, subj, len(got), len(want))
+		}
+		for x := range want {
+			if !got[x] {
+				t.Fatalf("seek %d (%s): Probe missed %d", i, subj, x)
+			}
+		}
+	}
+}
+
 // TestScanBatchEarlyStop checks that returning false from the batch
 // callback stops the scan without visiting the delta tail.
 func TestScanBatchEarlyStop(t *testing.T) {

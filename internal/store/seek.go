@@ -1,6 +1,9 @@
 package store
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Seeks: the access path of the engine's sorted intersection joins
 // (DESIGN.md §20). A join step that binds one variable and the steps
@@ -183,6 +186,73 @@ func Leapfrog(rows [][]IDQuad, cols []Col, pos []int) (x ID, seeks int, ok bool)
 			return x, seeks, true
 		}
 	}
+}
+
+// Marks is a set of IDs held as a bitmap indexed by ID: the side of a
+// two-sided intersection whose range repeats across input rows (DESIGN.md
+// §20). Mark sets the values of one range, Probe walks the other side's
+// rows testing each value against the bitmap, and Clear unsets exactly
+// the values Mark set — from its own copy of them, since a Seek's rows
+// may live in a buffer the seeker's next Seek reuses — so no row pays a
+// memclr. The bitmap grows to the largest ID ever marked: at most one
+// bit per dictionary term. The zero Marks is empty and ready to use.
+type Marks struct {
+	bits []uint64
+	ids  []ID // the values set, for Clear
+}
+
+// Mark adds the values of column c of rows, which must be sorted by c,
+// to the set.
+func (m *Marks) Mark(rows []IDQuad, c Col) {
+	prev := NoID
+	for _, q := range rows {
+		id := q.Get(c)
+		if id == prev {
+			continue
+		}
+		prev = id
+		w := int(id >> 6)
+		if w >= len(m.bits) {
+			m.bits = slices.Grow(m.bits, w+1-len(m.bits))[:w+1]
+		}
+		m.bits[w] |= 1 << (id & 63)
+		m.ids = append(m.ids, id)
+	}
+}
+
+// Clear empties the set and returns how many values it unset.
+func (m *Marks) Clear() int {
+	for _, id := range m.ids {
+		m.bits[id>>6] &^= 1 << (id & 63)
+	}
+	n := len(m.ids)
+	m.ids = m.ids[:0]
+	return n
+}
+
+// Probe is Leapfrog for two sides when the marks hold the values of
+// side marked's range: it walks the other side's rows one by one from
+// its position, testing each value against the marks, to the first
+// value both sides hold, then gallops the marked side to its first row
+// holding that value. It returns the value with each side's position at
+// it, and its cost: the rows walked past plus one for the hit; ok is
+// false once the walk runs out. Values come in the walked side's key
+// order, ascending like Leapfrog's.
+func (m *Marks) Probe(rows [][]IDQuad, cols []Col, pos []int, marked int) (x ID, cost int, ok bool) {
+	w := 1 - marked
+	r, c, from := rows[w], cols[w], pos[w]
+	bits := m.bits
+	for p := from; p < len(r); p++ {
+		x = r[p].Get(c)
+		if i := int(x >> 6); i >= len(bits) || bits[i]&(1<<(x&63)) == 0 {
+			continue
+		}
+		pos[w] = p
+		pos[marked] = seekCol(rows[marked], pos[marked], cols[marked], x)
+		return x, p - from + 1, true
+	}
+	pos[w] = len(r)
+	return 0, len(r) - from, false
 }
 
 // seekLinear is how many rows seekCol steps through one by one before it
