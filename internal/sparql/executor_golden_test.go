@@ -149,7 +149,7 @@ func profileCounters(t *testing.T, st *store.Store, q string) string {
 			fmt.Fprintf(&sb, "%s%s  loops=%d in=%d out=%d hash=%v",
 				strings.Repeat("  ", depth), n.Label, n.Invocations, n.RowsIn, n.RowsOut, n.HashJoin)
 			if n.Walked+n.Galloped > 0 {
-				fmt.Fprintf(&sb, " marked=%d walked=%d galloped=%d", n.Marked, n.Walked, n.Galloped)
+				fmt.Fprintf(&sb, " marked=%d walked=%d galloped=%d dir=%d", n.Marked, n.Walked, n.Galloped, n.Dir)
 			}
 			sb.WriteByte('\n')
 			walk(n.Children, depth+1)

@@ -267,8 +267,9 @@ func (ss *seekState) walkSide(ip *intersectPlan, repeat int) (side, cost int) {
 // the marks hold walks the other side probing them (store.Marks.Probe);
 // every other row leapfrogs, each side galloping to the largest value
 // any side is at. Rows seeked, marked, walked, counted and emitted,
-// values cleared and gallops are charged to the guard with TickN, like
-// the scan rows of a nested loop.
+// values cleared, gallops and the rows a seeker's directory build reads
+// are charged to the guard with TickN, like the scan rows of a nested
+// loop.
 func (vx *vecExec) intersect(depth int, in *colBatch, ip *intersectPlan) bool {
 	sh := vx.sh
 	ec := sh.ec
@@ -279,7 +280,7 @@ func (vx *vecExec) intersect(depth int, in *colBatch, ip *intersectPlan) bool {
 	// Filters placed after the binder or a checker need only the
 	// group's variable beyond the input row: one evaluation per value.
 	filters := sh.filterAt[depth+1 : next]
-	var ticks, emitted, collapsed, marked, walked, galloped int64
+	var ticks, emitted, collapsed, marked, walked, galloped, dirs int64
 	pending := 0
 	settle := func() bool {
 		ticks += int64(pending)
@@ -304,7 +305,11 @@ rows:
 			}
 			ss.pats[s] = p
 			ss.rows[s], ss.pos[s] = ss.seekers[s].Seek(p), 0
-			pending++
+			built, dir := ss.seekers[s].LastSeek()
+			pending += 1 + built
+			if dir {
+				dirs++
+			}
 		}
 		side, cost := ss.walkSide(ip, repeat)
 		pending += cost
@@ -385,7 +390,7 @@ rows:
 				st.addTicks(ticks)
 				st.addRows(emitted)
 				st.addCollapsed(collapsed)
-				st.addKernels(marked, walked, galloped)
+				st.addKernels(marked, walked, galloped, dirs)
 			} else {
 				st.rowsIn += emitted
 				st.rowsOut += emitted

@@ -302,7 +302,12 @@ func TestIntersectMatchesNestedLoop(t *testing.T) {
 // order the indexes sort by):
 //
 //   - the driving scan reads each edge (x, y) once, in (y, x) order;
-//   - per edge the group seeks out(y) and in(x): two units;
+//   - per edge the group seeks out(y) and in(x): two units. A seek
+//     whose pattern differs from its side's previous one narrows; the
+//     side's narrow that brings its narrows times store.DirPayback to
+//     the follows rows builds its directory, reading every follows row
+//     (one unit each), and that narrow and every later one are answered
+//     by the directory;
 //   - when the marks hold the current out(y) or in(x), or else one of
 //     them is the previous edge's (out(y) first), and the other side is
 //     shorter than walkRatio times that one, the row walks the other
@@ -343,8 +348,21 @@ func triangleKernels(t *testing.T, st *store.Store) (k kernelCounts) {
 	}
 	mark, markValues := key{side: -1}, 0
 	var prev edge
+	var narrows [2]int
+	buildAt := max(1, (len(edges)+store.DirPayback-1)/store.DirPayback)
 	for i, e := range edges {
 		k.work += 2
+		for s, narrow := range [2]bool{i == 0 || e.y != prev.y, i == 0 || e.x != prev.x} {
+			if !narrow {
+				continue
+			}
+			if narrows[s]++; narrows[s] == buildAt {
+				k.work += int64(len(edges))
+			}
+			if narrows[s] >= buildAt {
+				k.dir++
+			}
+		}
 		sides := [2][]uint64{out[e.y], in[e.x]}
 		cur := [2]key{{0, e.y}, {1, e.x}}
 		cand := -1
@@ -380,11 +398,11 @@ func triangleKernels(t *testing.T, st *store.Store) (k kernelCounts) {
 }
 
 // kernelCounts is triangleKernels' answer: the work charged, the input
-// rows that mark, walk and gallop, and the galloping rows one of whose
+// rows that mark, walk and gallop, the galloping rows one of whose
 // sides the marks hold or repeats — the other being walkRatio times
-// longer.
+// longer — and the seeks a directory answers.
 type kernelCounts struct {
-	work, marked, walked, galloped, longer int64
+	work, marked, walked, galloped, longer, dir int64
 }
 
 // leapfrogSorted replays store.Leapfrog over two ascending lists of
@@ -422,9 +440,10 @@ func leapfrogSorted(a, b []uint64) (seeks, hits int64) {
 // TestIntersectCharges pins the triangle count's MaxWork charges and
 // kernel choices to triangleKernels on hubStore, whose rows mark, walk,
 // gallop because a side does not repeat, and gallop because the hub's
-// in-edges outnumber a vertex's out-edges over walkRatio times: the full
-// charge passes and one unit less trips, and EXPLAIN ANALYZE's binder
-// line reports the same ticks and kernel counts.
+// in-edges outnumber a vertex's out-edges over walkRatio times, and
+// whose seekers build their directories: the full charge passes and one
+// unit less trips, and EXPLAIN ANALYZE's binder line reports the same
+// ticks, kernel counts and directory seeks.
 func TestIntersectCharges(t *testing.T) {
 	st := hubStore(t, 400, 2, false)
 	k := triangleKernels(t, st)
@@ -439,11 +458,15 @@ func TestIntersectCharges(t *testing.T) {
 		ticks += step.GuardTicks
 	}
 	binder := bgp.Children[1]
-	if ticks != k.work || binder.Marked != k.marked || binder.Walked != k.walked || binder.Galloped != k.galloped {
-		t.Fatalf("ticks=%d marked=%d walked=%d galloped=%d, want %+v", ticks, binder.Marked, binder.Walked, binder.Galloped, k)
+	if ticks != k.work || binder.Marked != k.marked || binder.Walked != k.walked || binder.Galloped != k.galloped || binder.Dir != k.dir {
+		t.Fatalf("ticks=%d marked=%d walked=%d galloped=%d dir=%d, want %+v",
+			ticks, binder.Marked, binder.Walked, binder.Galloped, binder.Dir, k)
+	}
+	if line := fmt.Sprintf(" marked=%d walked=%d galloped=%d dir=%d", k.marked, k.walked, k.galloped, k.dir); !strings.Contains(prof.Render(), line) {
+		t.Fatalf("EXPLAIN ANALYZE lacks %q:\n%s", line, prof.Render())
 	}
 	t.Logf("hubStore(400, 2): %+v", k)
-	if k.marked == 0 || k.walked == 0 || k.longer == 0 || k.galloped == k.longer {
+	if k.marked == 0 || k.walked == 0 || k.longer == 0 || k.galloped == k.longer || k.dir == 0 {
 		t.Fatalf("hubStore does not run every kernel: %+v", k)
 	}
 	for _, tc := range []struct {
@@ -459,15 +482,20 @@ func TestIntersectCharges(t *testing.T) {
 }
 
 // TestIntersectCancellationMidMark cancels a triangle count at the tick
-// that charges a marking. On hubStore(marks, 0, true) — the hub
-// interned first — the second input row marks the hub's out-edges
-// (marks rows) before any other intersection work. The work before that
-// marking is the driving scan's first 64 rows and two input rows' seeks
-// and gallops, far under half the marking's 4 096 rows: a budget of
-// that plus half the marking trips at the tick carrying it, which polls
-// nothing, so the Done calls of that run are the ones before it. One
-// call later the context is canceled: that tick crosses a poll boundary
-// and must stop the query with guard.ErrCanceled.
+// that charges a marking, and at the tick that charges a directory
+// build. On hubStore(marks, 0, true) — the hub interned first — the
+// second input row marks the hub's out-edges (marks rows) before any
+// other intersection work. The work before that marking is the driving
+// scan's first 64 rows and two input rows' seeks and gallops, far under
+// half the marking's 4 096 rows. The checker's seeker narrows on every
+// input row, so it builds its directory on row 2×marks/store.DirPayback,
+// reading all 2×marks follows rows; the work before that build is the
+// marking plus under 1 500 units of scan batches, seeks and one-row
+// walks. So a budget of vecRampStart plus half the marking, or plus the
+// marking and half the build, trips at the tick carrying it, which
+// polls nothing, so the Done calls of that run are the ones before it. One call later the context is canceled: that
+// tick crosses a poll boundary and must stop the query with
+// guard.ErrCanceled.
 func TestIntersectCancellationMidMark(t *testing.T) {
 	const marks = 4096
 	st := hubStore(t, marks, 0, true)
@@ -476,20 +504,28 @@ func TestIntersectCancellationMidMark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b := prof.Plan[0].Children[1]; b.Marked == 0 || b.GuardTicks < 2*marks {
-		t.Fatalf("hubStore: marked=%d ticks=%d", b.Marked, b.GuardTicks)
+	if b := prof.Plan[0].Children[1]; b.Marked == 0 || b.Dir == 0 || b.GuardTicks < 4*marks {
+		t.Fatalf("hubStore: marked=%d dir=%d ticks=%d", b.Marked, b.Dir, b.GuardTicks)
 	}
-	probe := guardtest.NewDoneAfter(context.Background(), 0)
-	e := NewEngine(st)
-	e.Limits = guard.Budget{MaxWork: vecRampStart + marks/2}
-	if _, err := e.QueryContext(probe, "", q); !errors.Is(err, guard.ErrBudgetExceeded) {
-		t.Fatalf("budget before the marking's tick: err = %v", err)
-	}
-	ctx := guardtest.NewDoneAfter(context.Background(), probe.Calls()+1)
-	if _, err := NewEngine(st).QueryContext(ctx, "", q); !errors.Is(err, guard.ErrCanceled) {
-		t.Fatalf("err = %v, want guard.ErrCanceled", err)
-	}
-	if g := st.OpenCursors(); g != 0 {
-		t.Errorf("leaked cursors: %d", g)
+	for _, tc := range []struct {
+		tick   string
+		budget int64
+	}{
+		{"marking", vecRampStart + marks/2},
+		{"directory build", vecRampStart + marks + marks},
+	} {
+		probe := guardtest.NewDoneAfter(context.Background(), 0)
+		e := NewEngine(st)
+		e.Limits = guard.Budget{MaxWork: tc.budget}
+		if _, err := e.QueryContext(probe, "", q); !errors.Is(err, guard.ErrBudgetExceeded) {
+			t.Fatalf("budget before the %s's tick: err = %v", tc.tick, err)
+		}
+		ctx := guardtest.NewDoneAfter(context.Background(), probe.Calls()+1)
+		if _, err := NewEngine(st).QueryContext(ctx, "", q); !errors.Is(err, guard.ErrCanceled) {
+			t.Fatalf("%s: err = %v, want guard.ErrCanceled", tc.tick, err)
+		}
+		if g := st.OpenCursors(); g != 0 {
+			t.Errorf("%s: leaked cursors: %d", tc.tick, g)
+		}
 	}
 }

@@ -38,8 +38,9 @@ type profStage struct {
 
 	// A fused binder's input rows by intersection kernel (§20): rows
 	// that marked a side's range, rows that walked the other side
-	// probing the marks, and rows that galloped.
-	marked, walked, galloped int64
+	// probing the marks, and rows that galloped; and the group's seeks
+	// that a seeker's directory located.
+	marked, walked, galloped, dir int64
 }
 
 // queryProfile is the per-query counter array, indexed by stage id
@@ -107,11 +108,12 @@ func (st *profStage) addCollapsed(n int64) {
 	}
 }
 
-func (st *profStage) addKernels(marked, walked, galloped int64) {
+func (st *profStage) addKernels(marked, walked, galloped, dir int64) {
 	if st != nil {
 		st.marked += marked
 		st.walked += walked
 		st.galloped += galloped
+		st.dir += dir
 	}
 }
 
@@ -181,6 +183,7 @@ type ProfileNode struct {
 	Marked      int64          `json:"marked,omitempty"`    // a fused binder's input rows that marked a range
 	Walked      int64          `json:"walked,omitempty"`    // ... that walked a side probing the marks
 	Galloped    int64          `json:"galloped,omitempty"`  // ... that galloped (leapfrog)
+	Dir         int64          `json:"dir,omitempty"`       // the group's seeks a seeker's directory located
 	Children    []*ProfileNode `json:"children,omitempty"`
 }
 
@@ -200,6 +203,7 @@ func (n *ProfileNode) load(st *profStage) *ProfileNode {
 	n.Marked = st.marked
 	n.Walked = st.walked
 	n.Galloped = st.galloped
+	n.Dir = st.dir
 	return n
 }
 
@@ -427,7 +431,7 @@ func renderActuals(sb *strings.Builder, n *ProfileNode) {
 		fmt.Fprintf(sb, " groups=%d", n.Groups)
 	}
 	if n.Walked+n.Galloped > 0 {
-		fmt.Fprintf(sb, " marked=%d walked=%d galloped=%d", n.Marked, n.Walked, n.Galloped)
+		fmt.Fprintf(sb, " marked=%d walked=%d galloped=%d dir=%d", n.Marked, n.Walked, n.Galloped, n.Dir)
 	}
 	if n.HashJoin {
 		sb.WriteString(" join=hash")

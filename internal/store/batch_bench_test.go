@@ -134,29 +134,60 @@ func BenchmarkScanThroughDelta(b *testing.B) {
 }
 
 // BenchmarkSeek times what a sorted intersection join does per input
-// row and side: one Seek narrowing the follows range of PSCGM to a
-// node's out-edges and one seekCol into it, with no delta and with
-// 4 500 unmerged inserts spread over the nodes (so most ranges take the
-// merge path).
+// row and side: one Seek narrowing the follows range of PSCGM (79 712
+// rows) to a node's out-edges, with no delta and with 4 500 unmerged
+// inserts spread over the nodes (so most ranges take the merge path),
+// plus one seekCol into the rows. Those legs run one seeker for all b.N
+// seeks, so it builds its directory early (DirPayback); dir/op is the
+// share of seeks the directory answered. The few and payback legs open
+// a fresh seeker every 8 and every 2 048 seeks: the first never builds
+// a directory, the second builds it at its 1 246th narrow and stops
+// soon after — the most a seeker can lose to the build.
 func BenchmarkSeek(b *testing.B) {
 	for _, inserts := range []int{0, 4500} {
 		s := ngStore(b, inserts, 0)
 		v := s.View()
 		konst := AnyPattern()
 		konst.P = s.Dict().Lookup(iri("follows"))
+		ix := v.SeekIndex([]Col{ColP, ColS}, ColC)
 		nodes := make([]ID, ngNodes)
 		for i := range nodes {
 			nodes[i] = s.Dict().Lookup(iri(fmt.Sprintf("v%d", (i*31)%ngNodes)))
 		}
 		b.Run(fmt.Sprintf("delta=%d", inserts), func(b *testing.B) {
-			sk := v.Seeker(v.SeekIndex([]Col{ColP, ColS}, ColC), konst)
+			sk := v.Seeker(ix, konst)
 			p := konst
+			dirs := 0
 			for i := 0; i < b.N; i++ {
 				p.S = nodes[i%ngNodes]
 				rows := sk.Seek(p)
 				benchSink += seekCol(rows, 0, ColC, nodes[(i*7)%ngNodes])
+				if _, dir := sk.LastSeek(); dir {
+					dirs++
+				}
 			}
+			b.ReportMetric(float64(dirs)/float64(b.N), "dir/op")
 		})
+		if inserts > 0 {
+			continue
+		}
+		for _, leg := range []struct {
+			name  string
+			seeks int
+		}{{"few", 8}, {"payback", 2048}} {
+			b.Run(leg.name, func(b *testing.B) {
+				var sk *Seeker
+				p := konst
+				for i := 0; i < b.N; i++ {
+					if i%leg.seeks == 0 {
+						sk = v.Seeker(ix, konst)
+					}
+					p.S = nodes[i%ngNodes]
+					rows := sk.Seek(p)
+					benchSink += seekCol(rows, 0, ColC, nodes[(i*7)%ngNodes])
+				}
+			})
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/rdf"
@@ -344,6 +345,150 @@ func TestSeekerReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		quadsEqual(t, fmt.Sprintf("seek %d (%s)", i, subj), sk.Seek(p), want)
+	}
+}
+
+// TestSeekerDirectoryMatchesFresh checks the Seeker's directory: once
+// enough one-column narrows have built it, a seeker must Seek,
+// for every ID the dictionary holds and two past it, the same rows as a
+// fresh seeker, which searches the rows — values the range holds,
+// absent ones between them, ones below its first and above its last,
+// values only delta inserts hold and runs whose every row is
+// tombstoned. It runs three seek shapes through the zero-copy and the
+// merge paths, on the loaded store, with delta entries, after Load and
+// Compact, and on every view pinned before those.
+func TestSeekerDirectoryMatchesFresh(t *testing.T) {
+	s := New()
+	// ID 1 is no predicate and no subject or object of p: a value below
+	// every directory's first.
+	if _, err := s.Load("m", []rdf.Quad{quad("zz", "q", "zz2", "")}); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	var quads []rdf.Quad
+	for i := 0; i < 300; i++ {
+		for j := rng.Intn(5); j > 0; j-- {
+			g := ""
+			if rng.Intn(3) == 0 {
+				g = "g"
+			}
+			quads = append(quads, quad(fmt.Sprintf("s%d", i), []string{"p", "q"}[rng.Intn(2)], fmt.Sprintf("o%d", rng.Intn(90)), g))
+		}
+	}
+	if _, err := s.Load("m", quads); err != nil {
+		t.Fatal(err)
+	}
+	p := s.Dict().Lookup(iri("p"))
+	shapes := []struct {
+		bound []Col
+		next  Col
+	}{{[]Col{ColP}, ColS}, {[]Col{ColP}, ColC}, {nil, ColP}}
+	var merged, zeroCopy, deltaOnly, tombstoned, below, above int
+	check := func(label string, v *View) {
+		t.Helper()
+		last := ID(s.Dict().Len() + 2)
+		for _, sh := range shapes {
+			ix := v.SeekIndex(sh.bound, sh.next)
+			konst := AnyPattern()
+			if len(sh.bound) > 0 {
+				konst.P = p
+			}
+			narrow := func(id ID) Pattern {
+				q := konst
+				setCol(&q, sh.next, id)
+				return q
+			}
+			warm := v.Seeker(ix, konst)
+			builtAt := 0
+			for n := 1; builtAt == 0; n++ {
+				warm.Seek(narrow(ID(n)))
+				if built, dir := warm.LastSeek(); built > 0 {
+					if built != len(warm.base) || !dir || len(warm.dirVals) == 0 {
+						t.Fatalf("%s %s: narrow %d built %d of %d rows, dir %v", label, ix.Perm(), n, built, len(warm.base), dir)
+					}
+					builtAt = n
+				} else if dir {
+					t.Fatalf("%s %s: narrow %d used a directory before building it", label, ix.Perm(), n)
+				}
+			}
+			if want := (len(warm.base) + DirPayback - 1) / DirPayback; builtAt != max(1, want) {
+				t.Fatalf("%s %s: built the directory at narrow %d of a %d-row range, want %d", label, ix.Perm(), builtAt, len(warm.base), want)
+			}
+			vals := warm.dirVals
+			for id := ID(1); id <= last; id++ {
+				lbl := fmt.Sprintf("%s %s: %s = %d", label, ix.Perm(), sh.next, id)
+				got := warm.Seek(narrow(id))
+				if built, dir := warm.LastSeek(); built != 0 || !dir {
+					t.Fatalf("%s: built %d, dir %v; want the built directory", lbl, built, dir)
+				}
+				fresh := v.Seeker(ix, konst)
+				quadsEqual(t, lbl, got, fresh.Seek(narrow(id)))
+				if _, dir := fresh.LastSeek(); dir {
+					t.Fatalf("%s: a fresh seeker used a directory", lbl)
+				}
+				held := slices.Contains(vals, id)
+				switch {
+				case len(got) > 0 && len(warm.buf) > 0 && &got[0] == &warm.buf[0]:
+					merged++
+				case len(got) > 0:
+					zeroCopy++
+				}
+				switch {
+				case id < vals[0]:
+					below++
+				case id > vals[len(vals)-1]:
+					above++
+				case held && len(got) == 0:
+					tombstoned++
+				case !held && len(got) > 0:
+					deltaOnly++
+				}
+			}
+		}
+	}
+	var pins []*View
+	state := func(label string) {
+		t.Helper()
+		v := s.View()
+		check(label, v)
+		for i, pv := range pins {
+			check(fmt.Sprintf("view pinned at state %d, after %s", i, label), pv)
+		}
+		pins = append(pins, v)
+	}
+	state("loaded")
+	mutate := func() {
+		t.Helper()
+		for i := 0; i < 60; i++ {
+			// New subjects (delta-only values above the base's last),
+			// objects as subjects (delta-only values between its
+			// values), and rows inside existing runs.
+			subj := []string{fmt.Sprintf("new%d", i), fmt.Sprintf("o%d", rng.Intn(90)), fmt.Sprintf("s%d", rng.Intn(300))}[i%3]
+			if _, err := s.Insert("m", quad(subj, "p", fmt.Sprintf("o%d", rng.Intn(90)), "")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Tombstone every row of a few subjects' runs.
+		for _, q := range quads[:len(quads)/8] {
+			if _, err := s.Delete("m", q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		quads = quads[len(quads)/8:]
+	}
+	mutate()
+	state("delta")
+	if _, err := s.Load("m", []rdf.Quad{quad("s3", "p", "loaded", ""), quad("late", "p", "o1", "g")}); err != nil {
+		t.Fatal(err)
+	}
+	state("load")
+	mutate()
+	state("delta again")
+	s.Compact()
+	state("compacted")
+	if merged == 0 || zeroCopy == 0 || deltaOnly == 0 || tombstoned == 0 || below == 0 || above == 0 {
+		t.Fatalf("seeks: %d merged, %d zero-copy, %d delta-only, %d tombstoned, %d below, %d above; want each",
+			merged, zeroCopy, deltaOnly, tombstoned, below, above)
 	}
 }
 

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"math"
 	"slices"
 	"sort"
 )
@@ -33,7 +34,31 @@ type Seeker struct {
 	last     Pattern
 	lastRows []IDQuad
 	seeked   bool
+
+	// The directory of the constant-prefix base range (DirPayback): the
+	// distinct values of the key column after the constant prefix,
+	// ascending, and where each one's run of rows in base starts, with
+	// len(base) after the last. narrows counts the one-column narrows
+	// until the directory is built, then is -1; built and dirHit report
+	// the last Seek (LastSeek).
+	dirVals   []ID
+	dirStarts []uint32
+	narrows   int
+	built     int
+	dirHit    bool
 }
+
+// DirPayback decides when a Seeker builds its directory: at the
+// one-column narrow that brings the narrows times DirPayback to the
+// rows of its constant-prefix range. The build reads each of those rows
+// once, in order; every narrow after it binary-searches the directory's
+// few kilobytes of values instead of the rows, whose deep levels miss
+// the cache. A narrow that searches the rows costs about as much as
+// reading DirPayback rows in order, so the build costs about what the
+// narrows before it did: a seeker that stops right after it pays at
+// most about twice what searching alone would have, and one that keeps
+// narrowing gains (DESIGN.md §20).
+const DirPayback = 64
 
 // SeekIndex returns the first index whose key starts with the columns
 // of bound, in any order, followed by next: the index a Seeker over
@@ -84,10 +109,15 @@ func (v *View) Seeker(ix *Index, p Pattern) *Seeker {
 // range is merged with its delta entries through the scan kernel into a
 // buffer the next Seek reuses — tombstoned rows are absent, inserted
 // ones present. Either way the slice is valid until the next Seek and
-// must not be mutated. Each Seek counts as one range scan of the index,
-// and an installed FaultInjector observes every row it returns.
+// must not be mutated. A Seek that narrows by the one column after the
+// constant prefix searches the base rows until the seeker has done that
+// often enough (DirPayback), then builds a directory of the range's
+// values and runs and from then on searches that instead (narrow). Each
+// Seek counts as one range scan of the index, and an installed
+// FaultInjector observes every row it returns.
 func (s *Seeker) Seek(p Pattern) []IDQuad {
 	s.r.ix.rangeScans.Add(1)
+	s.built, s.dirHit = 0, false
 	if !s.seeked || p != s.last {
 		s.last, s.lastRows, s.seeked = p, s.narrow(p), true
 	}
@@ -99,10 +129,22 @@ func (s *Seeker) Seek(p Pattern) []IDQuad {
 	return s.lastRows
 }
 
-// narrow resolves p's range inside the constant-prefix base range —
-// binary searches, except that when one column narrows it (the usual
-// case) the end is galloped to, ranges a join seeks being short — and
-// merges it with the delta entries inside it, if any.
+// LastSeek reports what the last Seek did beyond returning its rows:
+// built is how many base rows it read to build the directory (zero
+// unless that Seek built it), and dir whether the directory located its
+// range.
+func (s *Seeker) LastSeek() (built int, dir bool) {
+	return s.built, s.dirHit
+}
+
+// narrow resolves p's range inside the constant-prefix base range and
+// merges it with the delta entries inside it, if any. When more than
+// one column narrows the range, it binary-searches the rows. When one
+// does (the usual case), it takes one of two paths (narrowOne): until
+// DirPayback says the directory pays, a binary search of the rows for
+// the start and a gallop to the (usually near) end; from the narrow that
+// builds the directory on, a binary search of its values, whose entry
+// holds the run's start and whose successor's holds its end.
 func (s *Seeker) narrow(p Pattern) []IDQuad {
 	r := s.r
 	n := r.ix.prefixLen(p)
@@ -110,19 +152,7 @@ func (s *Seeker) narrow(p Pattern) []IDQuad {
 	switch cols := r.ix.perm[s.n0:n]; len(cols) {
 	case 0:
 	case 1:
-		// One column, which sorts the constant-prefix range: binary
-		// search for the start, gallop to the (usually near) end.
-		c, id := cols[0], p.Get(cols[0])
-		lo, hi := 0, len(rows)
-		for lo < hi {
-			if m := int(uint(lo+hi) >> 1); rows[m].Get(c) < id {
-				lo = m + 1
-			} else {
-				hi = m
-			}
-		}
-		rows = rows[lo:]
-		rows = rows[:seekCol(rows, 0, c, id+1)]
+		rows = s.narrowOne(cols[0], p.Get(cols[0]))
 	default:
 		rows = rows[sort.Search(len(rows), func(i int) bool { return compareKey(rows[i], p, cols) >= 0 }):]
 		rows = rows[:sort.Search(len(rows), func(i int) bool { return compareKey(rows[i], p, cols) > 0 })]
@@ -138,6 +168,48 @@ func (s *Seeker) narrow(p Pattern) []IDQuad {
 		}
 	}
 	return rows
+}
+
+// narrowOne returns the base rows whose column c — the one after the
+// constant prefix, which sorts the constant-prefix range — holds id.
+func (s *Seeker) narrowOne(c Col, id ID) []IDQuad {
+	rows := s.base
+	if s.narrows >= 0 {
+		if s.narrows++; s.narrows*DirPayback < len(rows) || len(rows) > math.MaxUint32 {
+			lo, hi := 0, len(rows)
+			for lo < hi {
+				if m := int(uint(lo+hi) >> 1); rows[m].Get(c) < id {
+					lo = m + 1
+				} else {
+					hi = m
+				}
+			}
+			rows = rows[lo:]
+			return rows[:seekCol(rows, 0, c, id+1)]
+		}
+		s.narrows = -1
+		s.buildDir(c)
+	}
+	i, found := slices.BinarySearch(s.dirVals, id)
+	s.dirHit = true
+	start := s.dirStarts[i]
+	if !found {
+		return rows[start:start]
+	}
+	return rows[start:s.dirStarts[i+1]]
+}
+
+// buildDir fills the directory from one pass over the base rows, which
+// are sorted by c.
+func (s *Seeker) buildDir(c Col) {
+	for i, q := range s.base {
+		if v := q.Get(c); i == 0 || v != s.dirVals[len(s.dirVals)-1] {
+			s.dirVals = append(s.dirVals, v)
+			s.dirStarts = append(s.dirStarts, uint32(i))
+		}
+	}
+	s.dirStarts = append(s.dirStarts, uint32(len(s.base)))
+	s.built = len(s.base)
 }
 
 // compareKey compares q's values in the key columns cols with p's: -1,
