@@ -169,8 +169,8 @@ func BenchmarkTable9(b *testing.B) {
 	env := benchEnv(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ng := env.NG.Store.Storage()
-		sp := env.SP.Store.Storage()
+		ng := env.NG.Store.View().Storage()
+		sp := env.SP.Store.View().Storage()
 		if ng.Total == 0 || sp.Total == 0 {
 			b.Fatal("empty storage report")
 		}

@@ -498,18 +498,19 @@ func runSnapshot(args []string) error {
 		defer f.Close()
 		w = f
 	}
+	view := st.View()
 	if *format == "binary" {
 		bw := bufio.NewWriterSize(w, 1<<20)
-		if err := st.SnapshotBinary(bw); err != nil {
+		if err := view.SnapshotBinary(bw); err != nil {
 			return err
 		}
 		if err := bw.Flush(); err != nil {
 			return err
 		}
-	} else if err := st.Snapshot(w); err != nil {
+	} else if err := view.Snapshot(w); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "%s snapshot of %d quads across %d model(s) written\n", *format, st.Len(), len(st.Models()))
+	fmt.Fprintf(os.Stderr, "%s snapshot of %d quads across %d model(s) written\n", *format, view.Len(), len(view.Models()))
 	return nil
 }
 
@@ -598,11 +599,12 @@ func runServe(args []string) error {
 		}
 		defer l.Close()
 		ws := l.Stats()
+		recovered := st.View().Len()
 		fmt.Fprintf(os.Stderr, "pgrdf: recovered %d quads from %s (replayed %d WAL records, dropped %d torn bytes)\n",
-			st.Len(), *dataDir, ws.ReplayedRecords, ws.TornBytesDropped)
+			recovered, *dataDir, ws.ReplayedRecords, ws.TornBytesDropped)
 		// Seed an empty data dir from -data / -restore, then checkpoint
 		// immediately so the seed itself is durable.
-		if st.Len() == 0 && (*data != "" || *restore != "") {
+		if recovered == 0 && (*data != "" || *restore != "") {
 			st, err = openStore(*data, *restore, *indexes)
 			if err != nil {
 				return err
@@ -610,7 +612,7 @@ func runServe(args []string) error {
 			if err := l.Checkpoint(st); err != nil {
 				return err
 			}
-			fmt.Fprintf(os.Stderr, "pgrdf: seeded %s with %d quads\n", *dataDir, st.Len())
+			fmt.Fprintf(os.Stderr, "pgrdf: seeded %s with %d quads\n", *dataDir, st.View().Len())
 		}
 	} else {
 		st, err = openStore(*data, *restore, *indexes)
@@ -711,13 +713,14 @@ func runStats(args []string) error {
 	if err != nil {
 		return err
 	}
-	ds, err := st.Stats()
+	view := st.View()
+	ds, err := view.Stats()
 	if err != nil {
 		return err
 	}
 	fmt.Printf("Quads        %d\nSubjects     %d\nPredicates   %d\nObjects      %d\nNamed Graphs %d\n",
 		ds.Quads, ds.Subjects, ds.Predicates, ds.Objects, ds.NamedGraphs)
-	rep := st.Storage()
+	rep := view.Storage()
 	fmt.Println("\nEstimated storage:")
 	for _, o := range rep.Objects {
 		fmt.Printf("  %-16s %8.2f MB\n", o.Name, float64(o.Bytes)/(1<<20))

@@ -1,12 +1,12 @@
 // Command pgrdfvet is the repository's static-analysis gate: a
 // multichecker running the internal/analysis suite (atomiconly,
 // ctxflow, errsentinel, goroutinelife, guardedby, guardtick, idsafe,
-// iterclose, walerr) over the packages named on the command line.
+// walerr) over the packages named on the command line.
 //
 // Usage:
 //
 //	go run ./cmd/pgrdfvet ./...
-//	go run ./cmd/pgrdfvet -enable idsafe,iterclose ./internal/sparql
+//	go run ./cmd/pgrdfvet -enable idsafe,ctxflow ./internal/sparql
 //	go run ./cmd/pgrdfvet -disable guardedby ./internal/wal
 //	go run ./cmd/pgrdfvet -json ./... > pgrdfvet.json
 //

@@ -62,7 +62,7 @@ func (f Finding) String() string {
 func All() []*Analyzer {
 	return []*Analyzer{
 		Atomiconly, Ctxflow, Errsentinel, Goroutinelife, Guardedby,
-		Guardtick, Idsafe, Iterclose, Walerr,
+		Guardtick, Idsafe, Walerr,
 	}
 }
 

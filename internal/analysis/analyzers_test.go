@@ -42,10 +42,6 @@ func TestIdsafe(t *testing.T) {
 	RunTest(t, Idsafe, "testdata/src/idsafe", "repro/internal/idsafetest")
 }
 
-func TestIterclose(t *testing.T) {
-	RunTest(t, Iterclose, "testdata/src/iterclose", "repro/internal/iterclosetest")
-}
-
 func TestWalerr(t *testing.T) {
 	RunTest(t, Walerr, "testdata/src/walerr", "repro/internal/walerrtest")
 }

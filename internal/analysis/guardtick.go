@@ -14,8 +14,8 @@ import (
 // no cancellation point and MaxWork stops counting them.
 //
 // Rule, scoped to repro/internal/sparql: any call to a raw store row
-// source — Scan / ScanBatch / ScanIndex / Cursor on a pinned
-// *store.View or on the *store.Store shorthand for the current one, or
+// source — Scan / ScanBatch / ScanIndex on a pinned *store.View, the
+// *store.Store.Scan shorthand for the current one, or
 // (*store.Seeker).Seek — must sit in a top-level function that also
 // consults the shared *guard.Guard (a call to its TickN, Poll or
 // CheckRows somewhere in the same function, typically inside the scan
@@ -45,8 +45,8 @@ var Guardtick = &Analyzer{
 // leapfrogs over seeked rows settles them with tickN like a ScanBatch
 // loop.
 var rawScanMethods = map[string]map[string]bool{
-	"Store":  {"Scan": true, "ScanBatch": true, "ScanIndex": true, "Cursor": true},
-	"View":   {"Scan": true, "ScanBatch": true, "ScanIndex": true, "Cursor": true},
+	"Store":  {"Scan": true},
+	"View":   {"Scan": true, "ScanBatch": true, "ScanIndex": true},
 	"Seeker": {"Seek": true},
 }
 

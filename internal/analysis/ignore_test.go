@@ -25,7 +25,7 @@ func TestIgnoreDirectiveWithReason(t *testing.T) {
 //pgrdfvet:ignore idsafe -- hashing keeps equal IDs together
 var a = 1
 
-//pgrdfvet:ignore idsafe, iterclose -- two analyzers, one reason
+//pgrdfvet:ignore idsafe, walerr -- two analyzers, one reason
 var b = 2
 `)
 	if len(bad) != 0 {
@@ -44,7 +44,7 @@ var b = 2
 		t.Error("directive suppressed an analyzer it does not name")
 	}
 	// Multi-analyzer directive covers both names on line 6/7.
-	for _, name := range []string{"idsafe", "iterclose"} {
+	for _, name := range []string{"idsafe", "walerr"} {
 		if !idx.suppressed(name, token.Position{Filename: "x.go", Line: 7}) {
 			t.Errorf("%s not suppressed by the comma-separated directive", name)
 		}

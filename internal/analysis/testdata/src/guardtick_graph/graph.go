@@ -56,19 +56,6 @@ func badWeighted(cs *CSR, v uint32) float64 {
 	return sum
 }
 
-// badDrain drains a snapshot cursor without the tick.
-func badDrain(st *store.Store, p store.Pattern) int {
-	cur := st.Cursor(p) // want "store scan without a budget-guard tick"
-	defer cur.Close()
-	n := 0
-	for {
-		if _, ok := cur.Next(); !ok {
-			return n
-		}
-		n++
-	}
-}
-
 // badViewDrain scans a consistent view — the projection's and the
 // patcher's row source — blind.
 func badViewDrain(v *store.View, p store.Pattern) int {
@@ -104,23 +91,6 @@ func goodGather(g *guard.Guard, cs *CSR, rank []float64, lo, hi int) (float64, b
 		}
 	}
 	return sum, g.TickN(edges)
-}
-
-// goodDrain ticks cursor rows as they are drained, in the same
-// function that opened the cursor.
-func goodDrain(g *guard.Guard, st *store.Store, p store.Pattern) int {
-	cur := st.Cursor(p)
-	defer cur.Close()
-	n := 0
-	for {
-		if _, ok := cur.Next(); !ok {
-			return n
-		}
-		if !g.TickN(1) {
-			return n
-		}
-		n++
-	}
 }
 
 // goodNestedClosure ticks from inside a worker closure; the analyzer

@@ -96,8 +96,8 @@ func TestExperimentLookup(t *testing.T) {
 // totals are within ~25% of each other.
 func TestTable9Shapes(t *testing.T) {
 	env := sharedEnv(t)
-	ng := env.NG.Store.Storage()
-	sp := env.SP.Store.Storage()
+	ng := env.NG.Store.View().Storage()
+	sp := env.SP.Store.View().Storage()
 	if sp.MB("Triples Table") <= ng.MB("Triples Table") {
 		t.Errorf("SP triples table (%f) should exceed NG (%f)", sp.MB("Triples Table"), ng.MB("Triples Table"))
 	}

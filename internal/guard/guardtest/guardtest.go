@@ -4,8 +4,23 @@ package guardtest
 
 import (
 	"context"
+	"runtime"
 	"sync/atomic"
+	"time"
 )
+
+// Goroutines waits up to five seconds for the goroutine count to come
+// back down to before and returns the last count seen. A goroutine that
+// has signalled its WaitGroup, or a handler that has returned, exits a
+// moment later, so a test that checks a run left nothing behind gives
+// the count a bounded while to settle.
+func Goroutines(before int) int {
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	return after
+}
 
 // DoneAfter is a context whose Done channel closes on its limit-th call
 // (0 = never); its parent is never canceled. The guard calls Done once when it

@@ -226,7 +226,7 @@ func (c *csrCache) claim(fk csrFlightKey) (hit *graph.Projection, wait chan stru
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	held := c.proj != nil && c.key == fk.key
-	if held && c.st == fk.st && c.proj.Version == fk.st.Version() {
+	if held && c.st == fk.st && c.proj.Version == fk.st.View().Version {
 		return c.proj, nil, nil, ""
 	}
 	if done := c.flights[fk]; done != nil {

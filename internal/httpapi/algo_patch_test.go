@@ -178,7 +178,7 @@ func TestAlgoConcurrentWriter(t *testing.T) {
 			defer srv.Close()
 			req := map[string]any{"algo": "pagerank", "model": names.All, "scheme": s.String()}
 			algoReply(t, srv.URL, req)
-			coldVersion := st.Version()
+			coldVersion := st.View().Version
 
 			// The writer toggles quads of a fixed pool: the encodings of
 			// edges among old and new vertices, markers, and KVs.
@@ -275,7 +275,7 @@ func TestAlgoConcurrentWriter(t *testing.T) {
 			for _, n := range consumed {
 				total += n
 			}
-			if want := int(st.Version() - coldVersion); total != want {
+			if want := int(st.View().Version - coldVersion); total != want {
 				t.Fatalf("requests consumed %d change-log entries, the store logged %d: a change was lost or applied twice", total, want)
 			}
 			if rb := rebuildCounts(h); !reflect.DeepEqual(rb, map[string]int64{"cold": 1}) {
@@ -289,10 +289,10 @@ func TestAlgoConcurrentWriter(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cached.Version != st.Version() || !reflect.DeepEqual(cached.CSR, fresh) {
+			if cached.Version != st.View().Version || !reflect.DeepEqual(cached.CSR, fresh) {
 				t.Fatalf("cached projection (version %d, V=%d E=%d) differs from a fresh one (version %d, V=%d E=%d)",
 					cached.Version, cached.CSR.NumVertices(), cached.CSR.NumEdges(),
-					st.Version(), fresh.NumVertices(), fresh.NumEdges())
+					st.View().Version, fresh.NumVertices(), fresh.NumEdges())
 			}
 			if h.algo.patches.Load() == 0 {
 				t.Fatal("no patch ran")

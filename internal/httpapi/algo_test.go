@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/guard/guardtest"
 	"repro/internal/pg"
 	"repro/internal/pgrdf"
 	"repro/internal/rdf"
@@ -282,6 +283,7 @@ func TestAlgoBudgetExceeded(t *testing.T) {
 	srv := httptest.NewServer(NewServerWithConfig(st, cfg))
 	defer srv.Close()
 
+	before := runtime.NumGoroutine()
 	resp := postAlgo(t, srv.URL, map[string]any{"algo": "pagerank", "model": names.All})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status = %d, want 400", resp.StatusCode)
@@ -290,8 +292,9 @@ func TestAlgoBudgetExceeded(t *testing.T) {
 		t.Fatalf("kind = %q", je.Kind)
 	}
 	resp.Body.Close()
-	if n := st.OpenCursors(); n != 0 {
-		t.Fatalf("leaked %d cursors", n)
+	http.DefaultClient.CloseIdleConnections()
+	if after := guardtest.Goroutines(before); after > before {
+		t.Fatalf("%d goroutines before the aborted run, %d after", before, after)
 	}
 }
 

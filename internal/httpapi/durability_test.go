@@ -57,7 +57,7 @@ func TestUpdateJournalsAndRecovers(t *testing.T) {
 		t.Fatalf("wal stats after update: %+v", h.wal.Stats())
 	}
 	var want bytes.Buffer
-	if err := st.Snapshot(&want); err != nil {
+	if err := st.View().Snapshot(&want); err != nil {
 		t.Fatal(err)
 	}
 	srv.Close()
@@ -71,7 +71,7 @@ func TestUpdateJournalsAndRecovers(t *testing.T) {
 	}
 	defer l2.Close()
 	var got bytes.Buffer
-	if err := st2.Snapshot(&got); err != nil {
+	if err := st2.View().Snapshot(&got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
@@ -216,8 +216,8 @@ func TestExportSnapshotRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restore of exported snapshot: %v", err)
 	}
-	if r.Len() != 4 || r.LookupModel("social") == store.NoID {
-		t.Fatalf("restored %d quads, models %v", r.Len(), r.Models())
+	if r.Len() != 4 || r.View().LookupModel("social") == store.NoID {
+		t.Fatalf("restored %d quads, models %v", r.Len(), r.View().Models())
 	}
 }
 

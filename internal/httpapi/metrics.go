@@ -158,10 +158,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	// Store gauges.
 	st := eng.Store()
-	m.gauge("pgrdf_quads", "Quads stored across all models.", int64(st.Len()))
+	m.gauge("pgrdf_quads", "Quads stored across all models.", int64(st.View().Len()))
 	m.gauge("pgrdf_dict_terms", "Terms in the shared dictionary.", int64(st.Dict().Len()))
 	m.gauge("pgrdf_dict_lexical_bytes", "Lexical bytes held by the dictionary.", st.Dict().LexicalBytes())
-	m.gauge("pgrdf_open_cursors", "Snapshot cursors not yet closed (leak gauge).", int64(st.OpenCursors()))
 	// What a read merges on top of the base arrays, and what writers have
 	// done about it.
 	wst := st.WriteStats()

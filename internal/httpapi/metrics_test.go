@@ -130,7 +130,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"pgrdf_requests_shed_total",
 		"pgrdf_quads",
 		"pgrdf_dict_terms",
-		"pgrdf_open_cursors",
 	} {
 		if _, ok := samples[want]; !ok {
 			t.Errorf("scrape is missing %s:\n%s", want, body)
@@ -303,7 +302,7 @@ func TestStoreWriteMetrics(t *testing.T) {
 		samples["pgrdf_store_compactions_total"] != 1 || samples["pgrdf_store_versions_published_total"] != published+1 {
 		t.Errorf("after Compact: %v", samples)
 	}
-	if body := fetch(t, srv.URL+"/stats"); !strings.Contains(body, fmt.Sprintf(`"storeVersion":%d,`, st.Version())) || st.Version() != 4 {
-		t.Errorf("store version %d, /stats: %s", st.Version(), body)
+	if body := fetch(t, srv.URL+"/stats"); !strings.Contains(body, fmt.Sprintf(`"storeVersion":%d,`, st.View().Version)) || st.View().Version != 4 {
+		t.Errorf("store version %d, /stats: %s", st.View().Version, body)
 	}
 }

@@ -613,8 +613,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	rep := view.Storage()
 	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, `{"quads":%d,"subjects":%d,"predicates":%d,"objects":%d,"namedGraphs":%d,"storageBytes":%d,"openCursors":%d,"storeVersion":%d,"parallelism":%d`,
-		st.Quads, st.Subjects, st.Predicates, st.Objects, st.NamedGraphs, rep.Total, eng.Store().OpenCursors(), view.Version,
+	fmt.Fprintf(w, `{"quads":%d,"subjects":%d,"predicates":%d,"objects":%d,"namedGraphs":%d,"storageBytes":%d,"storeVersion":%d,"parallelism":%d`,
+		st.Quads, st.Subjects, st.Predicates, st.Objects, st.NamedGraphs, rep.Total, view.Version,
 		s.algoWorkers())
 	var algoRuns, algoErrors int64
 	for i := range algoNames {
@@ -651,11 +651,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "}")
 }
 
-// handleExport streams every quad of one model as N-Quads. It is the
-// production consumer of store.Cursor: the snapshot cursor lets the
-// handler write row by row from one store version however long the
-// client takes, and the deferred Close keeps the OpenCursors gauge
-// honest even when the client disconnects mid-stream.
+// handleExport streams every quad of one model as N-Quads. It writes
+// batch by batch from one pinned View, so the bytes come from one store
+// version however long the client takes, and the handler holds one
+// batch of rows, not the model. It checks the request context once per
+// batch and stops when the client goes away.
 func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeJSONError(w, http.StatusMethodNotAllowed, "method", "method not allowed")
@@ -695,7 +695,8 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusBadRequest, "request", "missing model parameter")
 		return
 	}
-	view := s.engine().Store().View()
+	st := s.engine().Store()
+	view := st.View()
 	m := view.LookupModel(model)
 	if m == store.NoID {
 		writeJSONError(w, http.StatusNotFound, "unknown-model", fmt.Sprintf("unknown model %q", model))
@@ -703,24 +704,20 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 	}
 	p := store.AnyPattern()
 	p.M = m
-	cur := view.Cursor(p)
-	defer cur.Close()
 	w.Header().Set("Content-Type", "application/n-quads")
 	nw := ntriples.NewWriter(w)
 	ctx := r.Context()
-	for {
-		q, ok := cur.NextQuad()
-		if !ok {
-			break
-		}
+	dict := st.Dict()
+	view.ScanBatch(p, 0, func(rows []store.IDQuad) bool {
 		if ctx.Err() != nil {
-			return // client went away mid-stream
+			return false // client went away mid-stream
 		}
-		if err := nw.Write(q); err != nil {
-			return
+		for _, q := range rows {
+			if nw.Write(dict.Quad(q)) != nil {
+				return false
+			}
 		}
-	}
-	if err := nw.Flush(); err != nil {
-		return
-	}
+		return true
+	})
+	nw.Flush()
 }

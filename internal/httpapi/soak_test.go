@@ -7,11 +7,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/guard/guardtest"
 	"repro/internal/rdf"
 	"repro/internal/wal"
 )
@@ -22,13 +24,14 @@ import (
 // on /algo, the background incremental checkpointer, and a poller on
 // /stats that fails the run the moment an answer takes more than 5 s —
 // the symptom of a reader parked behind a writer (ROADMAP item 1). It
-// ends with no failed request, no open cursor and the served store
-// equal to what the data directory restores. Part of `make store-race`;
-// skipped with -short.
+// ends with no failed request, no goroutine left behind once the server
+// and the log are closed, and the served store equal to what the data
+// directory restores. Part of `make store-race`; skipped with -short.
 func TestSoakServingBesideWrites(t *testing.T) {
 	if testing.Short() {
 		t.Skip("30 s soak")
 	}
+	before := runtime.NumGoroutine()
 	indexes := []string{"PCSGM", "PSCGM", "SPCGM", "GSPCM"}
 	dir := t.TempDir()
 	st, l, err := wal.Open(dir, wal.Options{Sync: wal.SyncOff, Indexes: indexes})
@@ -129,9 +132,6 @@ func TestSoakServingBesideWrites(t *testing.T) {
 	if n := failed.Load(); n != 0 {
 		t.Fatalf("%d of %d requests failed", n, n+served.Load())
 	}
-	if n := st.OpenCursors(); n != 0 {
-		t.Fatalf("open cursors = %d", n)
-	}
 	ws := st.WriteStats()
 	if ws.Version == 0 || l.Stats().IncrementalCheckpoints == 0 {
 		t.Fatalf("the soak wrote nothing or never checkpointed: version %d, %+v", ws.Version, l.Stats())
@@ -143,8 +143,12 @@ func TestSoakServingBesideWrites(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
+	client.CloseIdleConnections()
+	if after := guardtest.Goroutines(before); after > before {
+		t.Fatalf("%d goroutines before the soak, %d after the server and the log closed", before, after)
+	}
 	var want, got bytes.Buffer
-	if err := st.Snapshot(&want); err != nil {
+	if err := st.View().Snapshot(&want); err != nil {
 		t.Fatal(err)
 	}
 	st2, l2, err := wal.Open(dir, wal.Options{Sync: wal.SyncOff, Indexes: indexes})
@@ -152,7 +156,7 @@ func TestSoakServingBesideWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if err := st2.Snapshot(&got); err != nil {
+	if err := st2.View().Snapshot(&got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {

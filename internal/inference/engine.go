@@ -168,7 +168,7 @@ func (e *Engine) Run(srcModel, dstModel string, opts Options) (int, error) {
 	if maxInferred == 0 {
 		maxInferred = 10_000_000
 	}
-	srcIDs, err := e.st.ResolveDataset(srcModel)
+	srcIDs, err := e.st.View().ResolveDataset(srcModel)
 	if err != nil {
 		return 0, err
 	}
@@ -181,9 +181,12 @@ func (e *Engine) Run(srcModel, dstModel string, opts Options) (int, error) {
 
 	total := 0
 	for round := 0; round < maxRounds; round++ {
+		// A round matches and checks presence against one version: the
+		// one its predecessor's inserts produced.
+		view := e.st.View()
 		var fresh []rdf.Quad
 		for _, r := range e.rules {
-			matches, err := e.matchRule(r, models)
+			matches, err := e.matchRule(view, r, models)
 			if err != nil {
 				return total, err
 			}
@@ -194,7 +197,7 @@ func (e *Engine) Run(srcModel, dstModel string, opts Options) (int, error) {
 			if total+added >= maxInferred {
 				return total + added, fmt.Errorf("inference: exceeded %d inferred triples", maxInferred)
 			}
-			if e.presentInModels(q, srcIDs) {
+			if e.presentInModels(view, q, srcIDs) {
 				continue // already asserted; Oracle's engine does not duplicate it
 			}
 			ok, err := e.st.Insert(dstModel, q)
@@ -215,8 +218,8 @@ func (e *Engine) Run(srcModel, dstModel string, opts Options) (int, error) {
 }
 
 // presentInModels reports whether the triple is already asserted in any
-// of the source models (in any graph).
-func (e *Engine) presentInModels(q rdf.Quad, models []store.ModelID) bool {
+// of the source models (in any graph) of view.
+func (e *Engine) presentInModels(view *store.View, q rdf.Quad, models []store.ModelID) bool {
 	p := store.AnyPattern()
 	p.S = e.st.Dict().Lookup(q.S)
 	p.P = e.st.Dict().Lookup(q.P)
@@ -225,7 +228,7 @@ func (e *Engine) presentInModels(q rdf.Quad, models []store.ModelID) bool {
 		return false
 	}
 	found := false
-	e.st.Scan(p, func(row store.IDQuad) bool {
+	view.Scan(p, func(row store.IDQuad) bool {
 		for _, m := range models {
 			if row.M == m {
 				found = true
@@ -287,9 +290,10 @@ func orderBody(body []TriplePattern) []TriplePattern {
 	return out
 }
 
-// matchRule evaluates a rule body against the models and returns the
-// instantiated head quads (possibly already present; Insert dedupes).
-func (e *Engine) matchRule(r Rule, models map[store.ModelID]struct{}) ([]rdf.Quad, error) {
+// matchRule evaluates a rule body against the models of view and
+// returns the instantiated head quads (possibly already present; Insert
+// dedupes).
+func (e *Engine) matchRule(view *store.View, r Rule, models map[store.ModelID]struct{}) ([]rdf.Quad, error) {
 	type bindings map[string]store.ID
 	results := []bindings{{}}
 	for _, atom := range orderBody(r.Body) {
@@ -319,7 +323,7 @@ func (e *Engine) matchRule(r Rule, models map[store.ModelID]struct{}) ([]rdf.Qua
 					p.C = id
 				}
 			}
-			e.st.Scan(p, func(q store.IDQuad) bool {
+			view.Scan(p, func(q store.IDQuad) bool {
 				if _, ok := models[q.M]; !ok {
 					return true
 				}

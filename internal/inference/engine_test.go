@@ -23,7 +23,7 @@ func mustLoad(t *testing.T, st *store.Store, model string, quads ...rdf.Quad) {
 }
 
 func contains(st *store.Store, model string, q rdf.Quad) bool {
-	return st.Contains(model, q)
+	return st.View().Contains(model, q)
 }
 
 func TestRuleValidation(t *testing.T) {

@@ -221,7 +221,7 @@ func TestRecommendedIndexes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(st.Indexes()); got != 4 {
+	if got := len(st.View().Indexes()); got != 4 {
 		t.Errorf("NG store indexes = %d", got)
 	}
 }

@@ -15,8 +15,11 @@ import (
 // directly over the PG-as-RDF store, for any scheme.
 
 // Traverser walks topology edges of a PG-as-RDF dataset procedurally.
+// It reads the one store version current when it was built, so a walk
+// never mixes the contents of two versions.
 type Traverser struct {
-	st    *store.Store
+	view  *store.View
+	dict  *store.Dict
 	vocab Vocabulary
 	// models restricts traversal to a dataset (nil = all models).
 	models map[store.ModelID]struct{}
@@ -27,9 +30,9 @@ type Traverser struct {
 // dataset produced by any of the three schemes: traversal uses the
 // asserted -s-p-o / e-s-p-o topology facts, which all schemes share.
 func NewTraverser(st *store.Store, vocab Vocabulary, model string) (*Traverser, error) {
-	t := &Traverser{st: st, vocab: vocab}
+	t := &Traverser{view: st.View(), dict: st.Dict(), vocab: vocab}
 	if model != "" {
-		ids, err := st.ResolveDataset(model)
+		ids, err := t.view.ResolveDataset(model)
 		if err != nil {
 			return nil, err
 		}
@@ -86,7 +89,7 @@ func (t *Traverser) In(node rdf.Term, label string) []Step {
 }
 
 func (t *Traverser) neighbors(node rdf.Term, label string, reverse bool) []Step {
-	id := t.st.Dict().Lookup(node)
+	id := t.dict.Lookup(node)
 	if id == store.NoID {
 		return nil
 	}
@@ -97,7 +100,7 @@ func (t *Traverser) neighbors(node rdf.Term, label string, reverse bool) []Step 
 		p.S = id
 	}
 	if label != "" {
-		pid := t.st.Dict().Lookup(t.vocab.LabelIRI(label))
+		pid := t.dict.Lookup(t.vocab.LabelIRI(label))
 		if pid == store.NoID {
 			return nil
 		}
@@ -105,13 +108,13 @@ func (t *Traverser) neighbors(node rdf.Term, label string, reverse bool) []Step 
 	}
 	relPrefix := t.vocab.RelNS
 	var out []Step
-	t.st.Scan(p, func(q store.IDQuad) bool {
+	t.view.Scan(p, func(q store.IDQuad) bool {
 		if t.models != nil {
 			if _, ok := t.models[q.M]; !ok {
 				return true
 			}
 		}
-		pred := t.st.Dict().Term(q.P)
+		pred := t.dict.Term(q.P)
 		if len(pred.Value) <= len(relPrefix) || pred.Value[:len(relPrefix)] != relPrefix {
 			return true // not a topology predicate (KV triple or scheme anchor)
 		}
@@ -119,7 +122,7 @@ func (t *Traverser) neighbors(node rdf.Term, label string, reverse bool) []Step 
 		if reverse {
 			other = q.S
 		}
-		dest := t.st.Dict().Term(other)
+		dest := t.dict.Term(other)
 		if !dest.IsIRI() {
 			return true
 		}

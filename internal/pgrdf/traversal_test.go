@@ -157,3 +157,46 @@ func TestTraverserUnknownModel(t *testing.T) {
 		t.Error("unknown model accepted")
 	}
 }
+
+// TestTraverserReadsOneVersion inserts the edge v1 -follows-> v4 into
+// the topology after a traverser is built: that traverser reads the
+// version it was built on and does not see the edge; a new one does.
+func TestTraverserReadsOneVersion(t *testing.T) {
+	for _, s := range Schemes {
+		t.Run(s.String(), func(t *testing.T) {
+			st, err := NewStore(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			conv := NewConverter(s)
+			names, err := LoadPartitioned(st, conv.Convert(chainGraph(t)), "pg")
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := NewTraverser(st, conv.Vocab, "pg")
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := pg.NewGraph()
+			mustVertex(t, g, 1, nil)
+			mustVertex(t, g, 4, nil)
+			mustEdge(t, g, 15, 1, 4, "follows", nil)
+			for _, q := range conv.Convert(g).Topology {
+				if _, err := st.Insert(names.Topology, q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			v1 := conv.Vocab.VertexIRI(1)
+			if out := tr.Out(v1, "follows"); len(out) != 1 {
+				t.Errorf("traverser built before the insert: Out(v1, follows) = %v, want only v2", out)
+			}
+			fresh, err := NewTraverser(st, conv.Vocab, "pg")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out := fresh.Out(v1, "follows"); len(out) != 2 {
+				t.Errorf("traverser built after the insert: Out(v1, follows) = %v, want v2 and v4", out)
+			}
+		})
+	}
+}

@@ -189,7 +189,7 @@ func postUpdate(t *testing.T, base, update string) {
 func snapshotBytes(t *testing.T, st *store.Store) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := st.Snapshot(&buf); err != nil {
+	if err := st.View().Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

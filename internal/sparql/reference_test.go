@@ -960,9 +960,6 @@ func TestEngineMatchesReference(t *testing.T) {
 	for i, q := range socialShapes {
 		checkAgainstReference(t, e, "", socialQuads(), fmt.Sprintf("social/shape %d", i), testPrologue+q)
 	}
-	if g := st.OpenCursors(); g != 0 {
-		t.Errorf("leaked cursors: %d", g)
-	}
 }
 
 func mustMutate(t *testing.T, op func(string, rdf.Quad) (bool, error), q rdf.Quad) {

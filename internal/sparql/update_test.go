@@ -107,7 +107,7 @@ func TestModifyInsertIntoNamedGraphTemplate(t *testing.T) {
 	if err != nil || res.Inserted != 1 {
 		t.Fatalf("insert into graph: %+v, %v", res, err)
 	}
-	if !st.Contains("m", rdf.NewQuad(rdf.NewIRI("http://a"), rdf.NewIRI("http://p2"), rdf.NewIRI("http://b"), rdf.NewIRI("http://g"))) {
+	if !st.View().Contains("m", rdf.NewQuad(rdf.NewIRI("http://a"), rdf.NewIRI("http://p2"), rdf.NewIRI("http://b"), rdf.NewIRI("http://g"))) {
 		t.Error("named-graph quad missing")
 	}
 }

@@ -3,7 +3,7 @@ package store
 import "sort"
 
 // The scan kernel: every read of a store version — row callbacks,
-// batches, cursors, snapshots, compaction — is one merge of an index's
+// batches, snapshots, compaction — is one merge of an index's
 // sorted base range with its sorted delta range (DESIGN.md §15, §18).
 // Rows are handed out as contiguous runs: zero-copy subslices of the
 // base array wherever no delta entry intervenes, so the tight per-row

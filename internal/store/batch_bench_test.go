@@ -37,7 +37,7 @@ func BenchmarkScanBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		s.ScanBatch(AnyPattern(), DefaultBatchRows, func(run []IDQuad) bool {
+		s.View().ScanBatch(AnyPattern(), DefaultBatchRows, func(run []IDQuad) bool {
 			n += len(run)
 			return true
 		})
@@ -118,7 +118,7 @@ func BenchmarkScanThroughDelta(b *testing.B) {
 		b.Run(name+"/scan", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p.S = node(i)
-				s.ScanBatch(p, DefaultBatchRows, func(run []IDQuad) bool {
+				s.View().ScanBatch(p, DefaultBatchRows, func(run []IDQuad) bool {
 					benchSink += len(run)
 					return true
 				})
@@ -127,7 +127,7 @@ func BenchmarkScanThroughDelta(b *testing.B) {
 		b.Run(name+"/estimate", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p.S = node(i)
-				benchSink += s.EstimateCount(p)
+				benchSink += s.View().EstimateCount(p)
 			}
 		})
 	}

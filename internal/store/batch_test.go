@@ -23,7 +23,7 @@ func collectScan(s *Store, p Pattern) []IDQuad {
 // are only valid during the callback).
 func collectScanBatch(s *Store, p Pattern, max int) []IDQuad {
 	var out []IDQuad
-	s.ScanBatch(p, max, func(run []IDQuad) bool {
+	s.View().ScanBatch(p, max, func(run []IDQuad) bool {
 		out = append(out, run...)
 		return true
 	})
@@ -247,8 +247,8 @@ func TestScanBatchMatchesScan(t *testing.T) {
 			t.Fatalf("step %d: scan saw %d quads, Len %d, reference has %d", step, len(all), s.Len(), len(ref))
 		}
 		for _, row := range all {
-			if !ref[s.quadTerms(row)] {
-				t.Fatalf("step %d: scan returned %v, not in the reference", step, s.quadTerms(row))
+			if !ref[s.dict.Quad(row)] {
+				t.Fatalf("step %d: scan returned %v, not in the reference", step, s.dict.Quad(row))
 			}
 		}
 
@@ -260,7 +260,7 @@ func TestScanBatchMatchesScan(t *testing.T) {
 			pat.S = s.Dict().Lookup(iri(fmt.Sprintf("s%d", rng.Intn(10))))
 		}
 		want := collectScan(s, pat)
-		ix := s.ChooseIndex(pat)
+		ix := s.View().ChooseIndex(pat)
 		matches := 0
 		for _, row := range all {
 			if pat.Matches(row) {
@@ -284,7 +284,7 @@ func TestScanBatchMatchesScan(t *testing.T) {
 
 		// The estimate is the live size of the prefix range: an upper
 		// bound always, exact when the bound columns are the prefix.
-		est := s.EstimateCount(pat)
+		est := s.View().EstimateCount(pat)
 		if est < matches || (ix.prefixLen(pat) == pat.bound() && est != matches) {
 			t.Fatalf("step %d: EstimateCount = %d for %d matches (prefix %d of %d bound)", step, est, matches, ix.prefixLen(pat), pat.bound())
 		}
@@ -314,9 +314,6 @@ func TestScanBatchMatchesScan(t *testing.T) {
 		seekRows, _ := sc.run(view)
 		pins = append(pins, &pinnedState{step: step, view: view, pat: pat, rows: want, est: est, len: len(ref),
 			seek: sc, seekRows: append([]IDQuad(nil), seekRows...)})
-	}
-	if n := s.OpenCursors(); n != 0 {
-		t.Fatalf("open cursors = %d, want 0", n)
 	}
 	if merged == 0 || zeroCopy == 0 {
 		t.Fatalf("seeks: %d merged with the delta, %d zero-copy; want both paths", merged, zeroCopy)
@@ -552,7 +549,7 @@ func TestScanBatchEarlyStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	calls, rows := 0, 0
-	s.ScanBatch(AnyPattern(), 64, func(run []IDQuad) bool {
+	s.View().ScanBatch(AnyPattern(), 64, func(run []IDQuad) bool {
 		calls++
 		rows += len(run)
 		return calls < 2
@@ -593,7 +590,7 @@ func TestScanBatchUnderFaultInjector(t *testing.T) {
 	}
 	// Early stop through the fault bridge.
 	calls := 0
-	s.ScanBatch(AnyPattern(), 64, func(run []IDQuad) bool {
+	s.View().ScanBatch(AnyPattern(), 64, func(run []IDQuad) bool {
 		calls++
 		return false
 	})

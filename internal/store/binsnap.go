@@ -107,9 +107,6 @@ func (cw *crcWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// SnapshotBinary is View.SnapshotBinary on the current version.
-func (s *Store) SnapshotBinary(w io.Writer) error { return s.View().SnapshotBinary(w) }
-
 // SnapshotBinary writes the whole version in the binary snapshot
 // format. Like Snapshot it is a point in time and blocks no writer.
 func (v *View) SnapshotBinary(w io.Writer) error {

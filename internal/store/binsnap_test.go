@@ -27,7 +27,7 @@ import (
 func binarySnapshotOf(t *testing.T, st *store.Store) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := st.SnapshotBinary(&buf); err != nil {
+	if err := st.View().SnapshotBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -84,15 +84,15 @@ func TestBinarySnapshotDifferential(t *testing.T) {
 				if got := binarySnapshotOf(t, r); !bytes.Equal(got, bin) {
 					t.Fatalf("binary snapshot not a fixed point (%d vs %d bytes)", len(got), len(bin))
 				}
-				if !reflect.DeepEqual(r.Indexes(), st.Indexes()) {
-					t.Fatalf("indexes: %v vs %v", r.Indexes(), st.Indexes())
+				if !reflect.DeepEqual(r.View().Indexes(), st.View().Indexes()) {
+					t.Fatalf("indexes: %v vs %v", r.View().Indexes(), st.View().Indexes())
 				}
 				if r.Len() != st.Len() {
 					t.Fatalf("restored %d of %d quads", r.Len(), st.Len())
 				}
 				for _, vm := range []string{"pg", "pg_topo_nodekv", "pg_topo_edgekv"} {
-					want, err1 := st.ResolveDataset(vm)
-					got, err2 := r.ResolveDataset(vm)
+					want, err1 := st.View().ResolveDataset(vm)
+					got, err2 := r.View().ResolveDataset(vm)
 					if err1 != nil || err2 != nil || !reflect.DeepEqual(want, got) {
 						t.Fatalf("virtual model %s: %v/%v, %v/%v", vm, want, got, err1, err2)
 					}
@@ -198,14 +198,14 @@ func TestSnapshotAtomicUnderConcurrentWriter(t *testing.T) {
 	}{
 		{"text", func() (*store.Store, error) {
 			var buf bytes.Buffer
-			if err := st.Snapshot(&buf); err != nil {
+			if err := st.View().Snapshot(&buf); err != nil {
 				return nil, err
 			}
 			return store.Restore(&buf)
 		}},
 		{"binary", func() (*store.Store, error) {
 			var buf bytes.Buffer
-			if err := st.SnapshotBinary(&buf); err != nil {
+			if err := st.View().SnapshotBinary(&buf); err != nil {
 				return nil, err
 			}
 			return store.RestoreBinary(buf.Bytes())
@@ -222,7 +222,7 @@ func TestSnapshotAtomicUnderConcurrentWriter(t *testing.T) {
 			}
 			var seen []int
 			for _, m := range []string{"A", "B"} {
-				quads, err := r.Export(m)
+				quads, err := r.View().Export(m)
 				if err != nil {
 					t.Fatalf("%s iter %d: export %s: %v", fmtName, iter, m, err)
 				}
@@ -240,7 +240,7 @@ func TestSnapshotAtomicUnderConcurrentWriter(t *testing.T) {
 					t.Fatalf("%s iter %d: snapshot is not a contiguous prefix: %d inserts but gap at %d (writer states from different times)", fmtName, iter, len(seen), i)
 				}
 			}
-			if ids, err := r.ResolveDataset("V"); err != nil || len(ids) != 2 {
+			if ids, err := r.View().ResolveDataset("V"); err != nil || len(ids) != 2 {
 				t.Fatalf("%s iter %d: virtual model: %v %v", fmtName, iter, ids, err)
 			}
 		}
@@ -264,7 +264,7 @@ func TestRestoreHugeLiteral(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Restore with a >16MiB line: %v", err)
 	}
-	quads, err := r.Export("m")
+	quads, err := r.View().Export("m")
 	if err != nil || len(quads) != 1 || quads[0].O.Value != huge {
 		t.Fatalf("huge literal did not round-trip (%d quads, err %v)", len(quads), err)
 	}
@@ -276,7 +276,7 @@ func TestRestoreHugeLiteral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if quads, _ := rb.Export("m"); len(quads) != 1 || quads[0].O.Value != huge {
+	if quads, _ := rb.View().Export("m"); len(quads) != 1 || quads[0].O.Value != huge {
 		t.Fatal("huge literal did not survive the binary round trip")
 	}
 }
@@ -324,14 +324,14 @@ func TestSnapshotAdversarialNames(t *testing.T) {
 	for fmtName, trip := range map[string]func() (*store.Store, error){
 		"text": func() (*store.Store, error) {
 			var buf bytes.Buffer
-			if err := st.Snapshot(&buf); err != nil {
+			if err := st.View().Snapshot(&buf); err != nil {
 				return nil, err
 			}
 			return store.Restore(&buf)
 		},
 		"binary": func() (*store.Store, error) {
 			var buf bytes.Buffer
-			if err := st.SnapshotBinary(&buf); err != nil {
+			if err := st.View().SnapshotBinary(&buf); err != nil {
 				return nil, err
 			}
 			return store.RestoreBinary(buf.Bytes())
@@ -341,16 +341,16 @@ func TestSnapshotAdversarialNames(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", fmtName, err)
 		}
-		if !reflect.DeepEqual(r.Models(), st.Models()) {
-			t.Fatalf("%s: models %q != %q", fmtName, r.Models(), st.Models())
+		if !reflect.DeepEqual(r.View().Models(), st.View().Models()) {
+			t.Fatalf("%s: models %q != %q", fmtName, r.View().Models(), st.View().Models())
 		}
 		for i, name := range adversarialNames {
-			quads, err := r.Export(name)
+			quads, err := r.View().Export(name)
 			if err != nil || len(quads) != 1 || quads[0].O.Value != name {
 				t.Fatalf("%s: model %q did not round-trip: %v %v", fmtName, name, quads, err)
 			}
-			want, err1 := st.ResolveDataset("virt:" + name)
-			got, err2 := r.ResolveDataset("virt:" + name)
+			want, err1 := st.View().ResolveDataset("virt:" + name)
+			got, err2 := r.View().ResolveDataset("virt:" + name)
 			if err1 != nil || err2 != nil || !reflect.DeepEqual(want, got) {
 				t.Fatalf("%s: virtual %q: %v/%v %v/%v", fmtName, "virt:"+adversarialNames[i], want, got, err1, err2)
 			}

@@ -39,6 +39,3 @@ func (v *View) ChangesSince(since uint64) (changes []Change, ok bool) {
 	}
 	return out, true
 }
-
-// ChangesSince is View.ChangesSince on the current version.
-func (s *Store) ChangesSince(since uint64) ([]Change, bool) { return s.View().ChangesSince(since) }

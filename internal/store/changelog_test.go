@@ -17,7 +17,7 @@ func logQuad(i int) rdf.Quad {
 // the quad and the direction; no-op mutations log nothing.
 func TestChangesSinceExact(t *testing.T) {
 	st := New()
-	v0 := st.Version()
+	v0 := st.View().Version
 	must := func(changed bool, err error) {
 		t.Helper()
 		if err != nil || !changed {
@@ -37,9 +37,9 @@ func TestChangesSinceExact(t *testing.T) {
 	must(st.Delete("m", logQuad(2)))
 	must(st.Insert("m", logQuad(2))) // resurrects a tombstoned base row
 
-	changes, ok := st.ChangesSince(v0)
-	if !ok || uint64(len(changes)) != st.Version()-v0 {
-		t.Fatalf("ok=%v, %d changes for %d version bumps", ok, len(changes), st.Version()-v0)
+	changes, ok := st.View().ChangesSince(v0)
+	if !ok || uint64(len(changes)) != st.View().Version-v0 {
+		t.Fatalf("ok=%v, %d changes for %d version bumps", ok, len(changes), st.View().Version-v0)
 	}
 	var got []string
 	for _, c := range changes {
@@ -49,7 +49,7 @@ func TestChangesSinceExact(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("log %v, want %v", got, want)
 	}
-	if tail, ok := st.ChangesSince(v0 + 3); !ok || len(tail) != 2 || !tail[0].Deleted || tail[1].Deleted {
+	if tail, ok := st.View().ChangesSince(v0 + 3); !ok || len(tail) != 2 || !tail[0].Deleted || tail[1].Deleted {
 		t.Fatalf("suffix of the log: ok=%v %v", ok, tail)
 	}
 }
@@ -61,11 +61,11 @@ func TestChangesSinceBoundaries(t *testing.T) {
 	if _, err := st.Load("m", []rdf.Quad{logQuad(-1)}); err != nil {
 		t.Fatal(err)
 	}
-	loaded := st.Version()
-	if _, ok := st.ChangesSince(loaded - 1); ok {
+	loaded := st.View().Version
+	if _, ok := st.View().ChangesSince(loaded - 1); ok {
 		t.Fatal("a range spanning the initial Load must not be itemized")
 	}
-	if c, ok := st.ChangesSince(loaded); !ok || len(c) != 0 {
+	if c, ok := st.View().ChangesSince(loaded); !ok || len(c) != 0 {
 		t.Fatalf("v == version right after a Load: ok=%v len=%d", ok, len(c))
 	}
 
@@ -74,11 +74,11 @@ func TestChangesSinceBoundaries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	v := st.Version()
-	if c, ok := st.ChangesSince(v); !ok || len(c) != 0 {
+	v := st.View().Version
+	if c, ok := st.View().ChangesSince(v); !ok || len(c) != 0 {
 		t.Fatalf("v == version: ok=%v len=%d", ok, len(c))
 	}
-	c, ok := st.ChangesSince(v - ChangeLogSize)
+	c, ok := st.View().ChangesSince(v - ChangeLogSize)
 	if !ok || len(c) != ChangeLogSize {
 		t.Fatalf("v == version-N: ok=%v len=%d, want the whole ring", ok, len(c))
 	}
@@ -89,10 +89,10 @@ func TestChangesSinceBoundaries(t *testing.T) {
 	if got := st.Dict().Term(c[len(c)-1].Quad.C).Value; got != fmt.Sprintf("o%d", ChangeLogSize+9) {
 		t.Fatalf("newest ring entry is %s", got)
 	}
-	if _, ok := st.ChangesSince(v - ChangeLogSize - 1); ok {
+	if _, ok := st.View().ChangesSince(v - ChangeLogSize - 1); ok {
 		t.Fatal("v == version-N-1 must overflow")
 	}
-	if _, ok := st.ChangesSince(v + 1); ok {
+	if _, ok := st.View().ChangesSince(v + 1); ok {
 		t.Fatal("a version the store never reached must not be ok")
 	}
 
@@ -100,21 +100,21 @@ func TestChangesSinceBoundaries(t *testing.T) {
 	if _, err := st.Load("m", []rdf.Quad{logQuad(-2)}); err != nil {
 		t.Fatal(err)
 	}
-	barrier := st.Version()
+	barrier := st.View().Version
 	if _, err := st.Insert("m", logQuad(-3)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := st.ChangesSince(barrier - 1); ok {
+	if _, ok := st.View().ChangesSince(barrier - 1); ok {
 		t.Fatal("a range spanning a Load must not be itemized")
 	}
-	if c, ok := st.ChangesSince(barrier); !ok || len(c) != 1 {
+	if c, ok := st.View().ChangesSince(barrier); !ok || len(c) != 1 {
 		t.Fatalf("from the barrier itself: ok=%v len=%d", ok, len(c))
 	}
 	// A Load that adds nothing is not a version, so not a barrier either.
 	if n, err := st.Load("m", []rdf.Quad{logQuad(-2)}); err != nil || n != 0 {
 		t.Fatalf("duplicate Load: n=%d err=%v", n, err)
 	}
-	if c, ok := st.ChangesSince(barrier); !ok || len(c) != 1 {
+	if c, ok := st.View().ChangesSince(barrier); !ok || len(c) != 1 {
 		t.Fatalf("after a no-op Load: ok=%v len=%d", ok, len(c))
 	}
 }
@@ -179,7 +179,7 @@ func TestPinnedViewChangesSince(t *testing.T) {
 	}
 	// Entry 8 (the change that made version 8) is overwritten by the
 	// writer of version 8+ChangeLogSize.
-	for i := 20; st.Version() < 7+ChangeLogSize; i++ {
+	for i := 20; st.View().Version < 7+ChangeLogSize; i++ {
 		if _, err := st.Insert("m", logQuad(i)); err != nil {
 			t.Fatal(err)
 		}
@@ -268,24 +268,24 @@ func TestApplyAgainstReference(t *testing.T) {
 			t.Fatalf("round %d: Len = %d, reference has %d", round, st.Len(), len(ref))
 		}
 		for q := range ref {
-			if !st.Contains("m", q) {
+			if !st.View().Contains("m", q) {
 				t.Fatalf("round %d: store lost %v", round, q)
 			}
 		}
 		for row, live := range state {
-			if live != ref[st.quadTerms(row)] {
-				t.Fatalf("round %d: replayed log disagrees with the reference on %v", round, st.quadTerms(row))
+			if live != ref[st.dict.Quad(row)] {
+				t.Fatalf("round %d: replayed log disagrees with the reference on %v", round, st.dict.Quad(row))
 			}
 		}
 	}
-	if st.LookupModel("nosuchmodel") != NoID {
+	if st.View().LookupModel("nosuchmodel") != NoID {
 		t.Fatal("a delete created its model")
 	}
 	// An invalid quad fails the whole set, before anything is applied.
-	v := st.Version()
+	v := st.View().Version
 	_, _, err := st.Apply([]Op{{Model: "m", Quad: quad("fresh", "p0", "o0", "")}, {Model: "m", Quad: rdf.Quad{S: rdf.NewLiteral("bad"), P: iri("p"), O: iri("o")}}})
-	if err == nil || st.Version() != v || st.Contains("m", quad("fresh", "p0", "o0", "")) {
-		t.Fatalf("invalid set: err=%v version %d -> %d", err, v, st.Version())
+	if err == nil || st.View().Version != v || st.View().Contains("m", quad("fresh", "p0", "o0", "")) {
+		t.Fatalf("invalid set: err=%v version %d -> %d", err, v, st.View().Version)
 	}
 }
 
@@ -310,7 +310,7 @@ func TestApplyCompactsMidSet(t *testing.T) {
 			t.Fatalf("delta rows %d, compactions %d, len %d; want 1000, 1, %d", ws.DeltaRows, ws.Compactions, st.Len(), len(ops))
 		}
 	}
-	if a, b := one.Storage(), set.Storage(); !reflect.DeepEqual(a, b) {
+	if a, b := one.View().Storage(), set.View().Storage(); !reflect.DeepEqual(a, b) {
 		t.Fatalf("storage differs: %+v vs %+v", a, b)
 	}
 	if got, want := collectScan(set, AnyPattern()), collectScan(one, AnyPattern()); !reflect.DeepEqual(got, want) {

@@ -56,8 +56,8 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 					t.Error("scan found nothing despite seeded data")
 					return
 				}
-				_ = s.EstimateCount(p)
-				_, _ = s.Stats()
+				_ = s.View().EstimateCount(p)
+				_, _ = s.View().Stats()
 			}
 		}()
 	}

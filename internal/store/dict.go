@@ -90,6 +90,16 @@ func (d *Dict) Term(id ID) rdf.Term {
 	return d.terms[id-1]
 }
 
+// Quad materializes a row's IDs back into RDF terms. The dictionary is
+// append-only and self-locking, so this is safe while the store mutates.
+func (d *Dict) Quad(q IDQuad) rdf.Quad {
+	r := rdf.Quad{S: d.Term(q.S), P: d.Term(q.P), O: d.Term(q.C)}
+	if q.G != NoID {
+		r.G = d.Term(q.G)
+	}
+	return r
+}
+
 // snapshotTerms returns a stable view of all interned terms in ID
 // order (index i holds the term for ID i+1). The returned slice is a
 // capped view of the append-only terms table: existing entries are

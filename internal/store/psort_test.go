@@ -89,12 +89,12 @@ func TestParallelLoadEquivalence(t *testing.T) {
 	if serial.Len() != parallel.Len() {
 		t.Fatalf("len: serial %d, parallel %d", serial.Len(), parallel.Len())
 	}
-	for _, spec := range serial.Indexes() {
+	for _, spec := range serial.View().Indexes() {
 		var a, b []IDQuad
-		if err := serial.ScanIndex(spec, AnyPattern(), func(q IDQuad) bool { a = append(a, q); return true }); err != nil {
+		if err := serial.View().ScanIndex(spec, AnyPattern(), func(q IDQuad) bool { a = append(a, q); return true }); err != nil {
 			t.Fatal(err)
 		}
-		if err := parallel.ScanIndex(spec, AnyPattern(), func(q IDQuad) bool { b = append(b, q); return true }); err != nil {
+		if err := parallel.View().ScanIndex(spec, AnyPattern(), func(q IDQuad) bool { b = append(b, q); return true }); err != nil {
 			t.Fatal(err)
 		}
 		if len(a) != len(b) {

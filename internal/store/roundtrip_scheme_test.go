@@ -47,7 +47,7 @@ func trickyQuads() []rdf.Quad {
 func snapshotOf(t *testing.T, st *store.Store) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := st.Snapshot(&buf); err != nil {
+	if err := st.View().Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -81,15 +81,15 @@ func TestSnapshotRoundTripSchemesAndIndexes(t *testing.T) {
 				if !bytes.Equal(first, second) {
 					t.Fatalf("snapshot not a fixed point under Restore (%d vs %d bytes)", len(first), len(second))
 				}
-				if !reflect.DeepEqual(r.Indexes(), st.Indexes()) {
-					t.Fatalf("indexes: %v vs %v", r.Indexes(), st.Indexes())
+				if !reflect.DeepEqual(r.View().Indexes(), st.View().Indexes()) {
+					t.Fatalf("indexes: %v vs %v", r.View().Indexes(), st.View().Indexes())
 				}
 				if r.Len() != st.Len() {
 					t.Fatalf("restored %d of %d quads", r.Len(), st.Len())
 				}
 				for _, vm := range []string{"pg", "pg_topo_nodekv", "pg_topo_edgekv"} {
-					want, err1 := st.ResolveDataset(vm)
-					got, err2 := r.ResolveDataset(vm)
+					want, err1 := st.View().ResolveDataset(vm)
+					got, err2 := r.View().ResolveDataset(vm)
 					if err1 != nil || err2 != nil || len(want) != len(got) {
 						t.Fatalf("virtual model %s: %v/%v, %v/%v", vm, want, got, err1, err2)
 					}

@@ -86,9 +86,6 @@ func (v *View) Snapshot(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Snapshot is View.Snapshot on the current version.
-func (s *Store) Snapshot(w io.Writer) error { return s.View().Snapshot(w) }
-
 // vdef is one virtual-model definition with member names resolved.
 type vdef struct {
 	name    string

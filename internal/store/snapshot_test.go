@@ -38,7 +38,7 @@ func snapshotFixture(t *testing.T) *Store {
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	s := snapshotFixture(t)
 	var buf bytes.Buffer
-	if err := s.Snapshot(&buf); err != nil {
+	if err := s.View().Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(buf.String(), "# pgrdf-snapshot v1\n") {
@@ -49,15 +49,15 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(r.Indexes(), s.Indexes()) {
-		t.Errorf("indexes: %v vs %v", r.Indexes(), s.Indexes())
+	if !reflect.DeepEqual(r.View().Indexes(), s.View().Indexes()) {
+		t.Errorf("indexes: %v vs %v", r.View().Indexes(), s.View().Indexes())
 	}
-	if !reflect.DeepEqual(r.Models(), s.Models()) {
-		t.Errorf("models: %v vs %v", r.Models(), s.Models())
+	if !reflect.DeepEqual(r.View().Models(), s.View().Models()) {
+		t.Errorf("models: %v vs %v", r.View().Models(), s.View().Models())
 	}
-	for _, m := range s.Models() {
-		want, _ := s.Export(m)
-		got, err := r.Export(m)
+	for _, m := range s.View().Models() {
+		want, _ := s.View().Export(m)
+		got, err := r.View().Export(m)
 		if err != nil {
 			t.Fatalf("export %s: %v", m, err)
 		}
@@ -66,7 +66,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		}
 	}
 	// Virtual model survives.
-	ids, err := r.ResolveDataset("all")
+	ids, err := r.View().ResolveDataset("all")
 	if err != nil || len(ids) != 2 {
 		t.Errorf("virtual model: %v, %v", ids, err)
 	}
@@ -82,11 +82,11 @@ func TestRestorePlainNQuads(t *testing.T) {
 	if st.Len() != 2 {
 		t.Fatalf("quads = %d", st.Len())
 	}
-	if st.LookupModel("data") == NoID {
+	if st.View().LookupModel("data") == NoID {
 		t.Error("plain N-Quads should restore into model \"data\"")
 	}
-	if !reflect.DeepEqual(st.Indexes(), DefaultIndexes) {
-		t.Errorf("indexes = %v", st.Indexes())
+	if !reflect.DeepEqual(st.View().Indexes(), DefaultIndexes) {
+		t.Errorf("indexes = %v", st.View().Indexes())
 	}
 }
 
@@ -112,7 +112,7 @@ func TestSnapshotLargeRoundTrip(t *testing.T) {
 	}
 	s.Load("big", quads)
 	var buf bytes.Buffer
-	if err := s.Snapshot(&buf); err != nil {
+	if err := s.View().Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	r, err := Restore(&buf)

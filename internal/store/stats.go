@@ -66,9 +66,6 @@ type IndexStats struct {
 	FullScans  int64
 }
 
-// Stats is View.Stats on the current version.
-func (s *Store) Stats(models ...string) (DatasetStats, error) { return s.View().Stats(models...) }
-
 // IndexStatsSnapshot returns the current per-index counters.
 func (s *Store) IndexStatsSnapshot() []IndexStats {
 	v := s.View()

@@ -71,6 +71,3 @@ func (v *View) Storage() StorageReport {
 	}
 	return rep
 }
-
-// Storage is View.Storage on the current version.
-func (s *Store) Storage() StorageReport { return s.View().Storage() }

@@ -52,9 +52,6 @@ type Store struct {
 	// production. See FaultInjector.
 	fault atomic.Pointer[FaultInjector]
 
-	// openCursors counts Cursors created but not yet closed (leak gauge).
-	openCursors atomic.Int64
-
 	// changeLog is a ring over the last ChangeLogSize single-quad
 	// changes: the Change that produced version v sits at
 	// changeLog[v%ChangeLogSize]. Allocated by the first Apply, so
@@ -101,15 +98,6 @@ func (s *Store) Dict() *Dict { return s.dict }
 
 // View pins the current version of the store.
 func (s *Store) View() *View { return s.cur.Load() }
-
-// Version returns the current View's Version: a counter advanced by
-// one for every quad an Apply (Insert, Delete) actually changed and by
-// one for a Load that added any. Consumers caching data derived from
-// store contents — e.g. the optimizer's cardinality estimates — compare
-// versions to decide whether their cache is still valid;
-// View.ChangesSince tells a consumer that wants to follow the store what
-// happened in between.
-func (s *Store) Version() uint64 { return s.View().Version }
 
 // edit returns a private copy of the current View for a writer to
 // build the next version in. The copy shares every table and array
@@ -501,42 +489,10 @@ func (s *Store) Compact() {
 	s.publish(w)
 }
 
-func (s *Store) quadTerms(q IDQuad) rdf.Quad {
-	r := rdf.Quad{S: s.dict.Term(q.S), P: s.dict.Term(q.P), O: s.dict.Term(q.C)}
-	if q.G != NoID {
-		r.G = s.dict.Term(q.G)
-	}
-	return r
-}
+// Len and Scan are View.Len and View.Scan on the version current at
+// the call. They are the only read shorthands: the benchmark module
+// imports them. Every other read pins a View, so a read that asks the
+// store two things gets both answers from one version.
 
-// The read methods below are View methods on the version current at the
-// call.
-
-func (s *Store) Indexes() []string                    { return s.View().Indexes() }
-func (s *Store) LookupModel(name string) ModelID      { return s.View().LookupModel(name) }
-func (s *Store) ModelName(id ModelID) string          { return s.View().ModelName(id) }
-func (s *Store) Models() []string                     { return s.View().Models() }
 func (s *Store) Len() int                             { return s.View().Len() }
-func (s *Store) ModelLen(model string) int            { return s.View().ModelLen(model) }
-func (s *Store) ChooseIndex(p Pattern) *Index         { return s.View().ChooseIndex(p) }
-func (s *Store) ChooseIndexByBound(c []Col) *Index    { return s.View().ChooseIndexByBound(c) }
-func (s *Store) EstimateCount(p Pattern) int          { return s.View().EstimateCount(p) }
-func (s *Store) Quads(p Pattern) []rdf.Quad           { return s.View().Quads(p) }
-func (s *Store) Cursor(p Pattern) *Cursor             { return s.View().Cursor(p) }
 func (s *Store) Scan(p Pattern, fn func(IDQuad) bool) { s.View().Scan(p, fn) }
-
-func (s *Store) ResolveDataset(name string) ([]ModelID, error) {
-	return s.View().ResolveDataset(name)
-}
-
-func (s *Store) ScanBatch(p Pattern, max int, fn func([]IDQuad) bool) {
-	s.View().ScanBatch(p, max, fn)
-}
-
-func (s *Store) ScanIndex(spec string, p Pattern, fn func(IDQuad) bool) error {
-	return s.View().ScanIndex(spec, p, fn)
-}
-
-func (s *Store) Contains(model string, q rdf.Quad) bool { return s.View().Contains(model, q) }
-
-func (s *Store) Export(model string) ([]rdf.Quad, error) { return s.View().Export(model) }

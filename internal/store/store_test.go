@@ -86,16 +86,16 @@ func TestLoadAndScan(t *testing.T) {
 	p.P = s.Dict().Lookup(iri("follows"))
 	var got []rdf.Quad
 	s.Scan(p, func(q IDQuad) bool {
-		got = append(got, s.quadTerms(q))
+		got = append(got, s.dict.Quad(q))
 		return true
 	})
 	if len(got) != 2 {
 		t.Fatalf("P-scan got %d rows", len(got))
 	}
-	if !s.Contains("m1", quad("v1", "follows", "v2", "e3")) {
+	if !s.View().Contains("m1", quad("v1", "follows", "v2", "e3")) {
 		t.Error("Contains false for loaded quad")
 	}
-	if s.Contains("m1", quad("v1", "follows", "v2", "")) {
+	if s.View().Contains("m1", quad("v1", "follows", "v2", "")) {
 		t.Error("Contains true for same triple in default graph")
 	}
 }
@@ -145,7 +145,7 @@ func TestInsertDelete(t *testing.T) {
 	if s.Len() != 0 {
 		t.Errorf("Len after delete = %d", s.Len())
 	}
-	if s.Contains("m", q) {
+	if s.View().Contains("m", q) {
 		t.Error("deleted quad still present")
 	}
 	// Reinsert after delete (exercises tombstone resurrection).
@@ -153,7 +153,7 @@ func TestInsertDelete(t *testing.T) {
 		t.Error("reinsert after delete failed")
 	}
 	s.Compact()
-	if !s.Contains("m", q) {
+	if !s.View().Contains("m", q) {
 		t.Error("quad lost after compaction")
 	}
 }
@@ -167,11 +167,11 @@ func TestDeleteBaseRowThenCompact(t *testing.T) {
 	if ok, _ := s.Delete("m", quads[0]); !ok {
 		t.Fatal("delete of base row failed")
 	}
-	if s.Contains("m", quads[0]) {
+	if s.View().Contains("m", quads[0]) {
 		t.Error("tombstoned row still visible")
 	}
 	s.Compact()
-	if s.Contains("m", quads[0]) || !s.Contains("m", quads[1]) {
+	if s.View().Contains("m", quads[0]) || !s.View().Contains("m", quads[1]) {
 		t.Error("compaction applied tombstones incorrectly")
 	}
 	if s.Len() != 1 {
@@ -186,7 +186,7 @@ func TestModelsAndVirtualModels(t *testing.T) {
 	if err := s.CreateVirtualModel("all", "topo", "kv"); err != nil {
 		t.Fatal(err)
 	}
-	ids, err := s.ResolveDataset("all")
+	ids, err := s.View().ResolveDataset("all")
 	if err != nil || len(ids) != 2 {
 		t.Fatalf("ResolveDataset(all) = %v, %v", ids, err)
 	}
@@ -194,7 +194,7 @@ func TestModelsAndVirtualModels(t *testing.T) {
 	if err := s.CreateVirtualModel("all2", "all", "topo"); err != nil {
 		t.Fatal(err)
 	}
-	ids, _ = s.ResolveDataset("all2")
+	ids, _ = s.View().ResolveDataset("all2")
 	if len(ids) != 2 {
 		t.Errorf("nested virtual model ids = %v", ids)
 	}
@@ -207,17 +207,17 @@ func TestModelsAndVirtualModels(t *testing.T) {
 	if err := s.CreateVirtualModel("empty"); err == nil {
 		t.Error("empty virtual model accepted")
 	}
-	if _, err := s.ResolveDataset("missing"); err == nil {
+	if _, err := s.View().ResolveDataset("missing"); err == nil {
 		t.Error("unknown dataset resolved")
 	}
-	all, err := s.ResolveDataset("")
+	all, err := s.View().ResolveDataset("")
 	if err != nil || len(all) != 2 {
 		t.Errorf("ResolveDataset(\"\") = %v, %v", all, err)
 	}
-	if s.ModelName(s.LookupModel("topo")) != "topo" {
+	if s.View().ModelName(s.View().LookupModel("topo")) != "topo" {
 		t.Error("ModelName round-trip failed")
 	}
-	if got := s.Models(); len(got) != 2 || got[0] != "topo" {
+	if got := s.View().Models(); len(got) != 2 || got[0] != "topo" {
 		t.Errorf("Models() = %v", got)
 	}
 }
@@ -239,7 +239,7 @@ func TestCreateDropIndex(t *testing.T) {
 	p := AnyPattern()
 	p.G = g
 	n := 0
-	if err := s.ScanIndex("GSPCM", p, func(IDQuad) bool { n++; return true }); err != nil {
+	if err := s.View().ScanIndex("GSPCM", p, func(IDQuad) bool { n++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 1 {
@@ -275,23 +275,23 @@ func TestChooseIndexPrefersLongestPrefix(t *testing.T) {
 	p := AnyPattern()
 	p.P = lookup("p0")
 	p.C = lookup("o0")
-	if got := s.ChooseIndex(p).Perm().String(); got != "PCSGM" {
+	if got := s.View().ChooseIndex(p).Perm().String(); got != "PCSGM" {
 		t.Errorf("P+C bound chose %s, want PCSGM", got)
 	}
 	p = AnyPattern()
 	p.P = lookup("p0")
 	p.S = lookup("s0")
-	if got := s.ChooseIndex(p).Perm().String(); got != "PSCGM" && got != "SPCGM" {
+	if got := s.View().ChooseIndex(p).Perm().String(); got != "PSCGM" && got != "SPCGM" {
 		t.Errorf("P+S bound chose %s", got)
 	}
 	p = AnyPattern()
 	p.G = lookup("g5")
-	if got := s.ChooseIndex(p).Perm().String(); got != "GSPCM" {
+	if got := s.View().ChooseIndex(p).Perm().String(); got != "GSPCM" {
 		t.Errorf("G bound chose %s, want GSPCM", got)
 	}
 	p = AnyPattern()
 	p.S = lookup("s1")
-	if got := s.ChooseIndex(p).Perm().String(); got != "SPCGM" {
+	if got := s.View().ChooseIndex(p).Perm().String(); got != "SPCGM" {
 		t.Errorf("S bound chose %s, want SPCGM", got)
 	}
 }
@@ -328,7 +328,7 @@ func TestStats(t *testing.T) {
 	s.Load("m2", []rdf.Quad{
 		{S: iri("v1"), P: iri("name"), O: rdf.NewLiteral("Amy")},
 	})
-	st, err := s.Stats()
+	st, err := s.View().Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,11 +336,11 @@ func TestStats(t *testing.T) {
 	if st != want {
 		t.Errorf("Stats() = %+v, want %+v", st, want)
 	}
-	st, _ = s.Stats("m2")
+	st, _ = s.View().Stats("m2")
 	if st.Quads != 1 || st.NamedGraphs != 0 {
 		t.Errorf("Stats(m2) = %+v", st)
 	}
-	if _, err := s.Stats("nope"); err == nil {
+	if _, err := s.View().Stats("nope"); err == nil {
 		t.Error("Stats over unknown model succeeded")
 	}
 }
@@ -353,7 +353,7 @@ func TestStorageReport(t *testing.T) {
 	}
 	s.Load("m", quads)
 	s.CreateIndex("GSPCM")
-	rep := s.Storage()
+	rep := s.View().Storage()
 	if rep.Total <= 0 {
 		t.Fatal("empty storage report")
 	}
@@ -390,7 +390,7 @@ func TestExportDeterministic(t *testing.T) {
 		{S: iri("a"), P: iri("name"), O: rdf.NewLiteral("x")},
 	}
 	s.Load("m", in)
-	got, err := s.Export("m")
+	got, err := s.View().Export("m")
 	if err != nil || len(got) != 3 {
 		t.Fatalf("Export = %d quads, %v", len(got), err)
 	}
@@ -399,7 +399,7 @@ func TestExportDeterministic(t *testing.T) {
 			t.Error("export not sorted")
 		}
 	}
-	if _, err := s.Export("missing"); err == nil {
+	if _, err := s.View().Export("missing"); err == nil {
 		t.Error("export of unknown model succeeded")
 	}
 }
@@ -504,8 +504,8 @@ func TestScanMatchesNaive(t *testing.T) {
 		}
 		for _, spec := range specs {
 			var got []rdf.Quad
-			if err := s.ScanIndex(spec, pat, func(q IDQuad) bool {
-				got = append(got, s.quadTerms(q))
+			if err := s.View().ScanIndex(spec, pat, func(q IDQuad) bool {
+				got = append(got, s.dict.Quad(q))
 				return true
 			}); err != nil {
 				t.Fatal(err)
@@ -543,7 +543,7 @@ func TestEstimateCountIsUpperBound(t *testing.T) {
 		p.C = s.Dict().Lookup(iri(fmt.Sprintf("o%d", i)))
 		actual := 0
 		s.Scan(p, func(IDQuad) bool { actual++; return true })
-		if est := s.EstimateCount(p); est < actual {
+		if est := s.View().EstimateCount(p); est < actual {
 			t.Errorf("estimate %d below actual %d", est, actual)
 		}
 	}

@@ -15,8 +15,12 @@ import (
 // the contents at Version; it takes no lock and needs no release
 // (DESIGN.md §18).
 type View struct {
-	// Version counts the quad changes that produced this content; see
-	// Store.Version.
+	// Version is a counter advanced by one for every quad an Apply
+	// (Insert, Delete) actually changed and by one for a Load that added
+	// any. Consumers caching data derived from store contents — e.g. the
+	// optimizer's cardinality estimates — compare versions to decide
+	// whether their cache is still valid; ChangesSince tells a consumer
+	// that wants to follow the store what happened in between.
 	Version uint64
 
 	st   *Store
@@ -220,7 +224,7 @@ func (v *View) Contains(model string, q rdf.Quad) bool {
 func (v *View) Quads(p Pattern) []rdf.Quad {
 	var out []rdf.Quad
 	v.Scan(p, func(q IDQuad) bool {
-		out = append(out, v.st.quadTerms(q))
+		out = append(out, v.st.dict.Quad(q))
 		return true
 	})
 	return out

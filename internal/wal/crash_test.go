@@ -42,7 +42,7 @@ func attach(eng *sparql.Engine, l *wal.Log) {
 func snap(t *testing.T, st *store.Store) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := st.Snapshot(&buf); err != nil {
+	if err := st.View().Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

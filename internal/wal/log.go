@@ -358,7 +358,7 @@ func (l *Log) checkpointLocked(st *store.Store) (int64, error) {
 		return 0, fmt.Errorf("wal: create checkpoint tmp: %w", err)
 	}
 	tee := &crcTee{w: f}
-	if err := st.SnapshotBinary(tee); err != nil {
+	if err := st.View().SnapshotBinary(tee); err != nil {
 		f.Close()
 		os.Remove(tmpPath)
 		return 0, fmt.Errorf("wal: snapshot: %w", err)

@@ -15,7 +15,7 @@ import (
 func snapshotBytes(t *testing.T, st *store.Store) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := st.Snapshot(&buf); err != nil {
+	if err := st.View().Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -186,7 +186,7 @@ func TestReplaySkipsDeleteOnAbsentModel(t *testing.T) {
 	if st2.Len() != 1 {
 		t.Fatalf("recovered %d quads, want 1", st2.Len())
 	}
-	if st2.LookupModel("ghost") != store.NoID {
+	if st2.View().LookupModel("ghost") != store.NoID {
 		t.Fatal("replay materialized a model from a skipped delete")
 	}
 }
