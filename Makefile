@@ -45,18 +45,20 @@ race:
 	$(GO) test -race ./...
 
 ## crash-recovery: the durability gate — the fault-injected WAL suite
-## (crash at every log byte over the binary checkpoint and its delta
-## chain, torn-write corpus, legacy text-checkpoint restore) plus the
-## binary-snapshot codec differential (binary vs text across index
-## configs, corruption at every byte), all under the race detector.
+## (crash at every log byte over the checkpoint and its delta chain,
+## torn-write corpus, refusal of a legacy text-checkpoint directory),
+## the snapshot codec differential (round trip ≡ source across index
+## configs, corruption at every byte) and the store fingerprint those
+## differentials compare by, all under the race detector.
 ## Part of `make check`; see DESIGN.md §12 and §16.
 crash-recovery:
-	$(GO) test -race -count=1 ./internal/wal
+	$(GO) test -race -count=1 ./internal/wal ./internal/store/storetest
 	$(GO) test -race -count=1 -run 'TestBinarySnapshot|TestSnapshotAtomic|TestRestoreHuge|TestSnapshotAdversarial' ./internal/store
 
 ## repl-fault: the replication gate — a follower tailing through a
 ## proxy that drops, delays and truncates mid-frame, plus a leader
-## kill/restart, must converge to a byte-identical store. Part of
+## kill/restart, must converge to a store with the leader's
+## fingerprint, and a bootstrap body cut anywhere must be refused. Part of
 ## `make check`; see DESIGN.md §13.
 repl-fault:
 	$(GO) test -race -count=1 ./internal/repl

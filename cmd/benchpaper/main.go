@@ -41,7 +41,7 @@ func main() {
 	profileOverhead := flag.Bool("profileoverhead", false, "measure EQ1-EQ12 with vs without per-operator profiling and report the aggregate overhead")
 	maxOverhead := flag.Float64("maxoverhead", 0, "fail when -profileoverhead exceeds this percentage (0 = report only)")
 	explainAnalyze := flag.Bool("explainanalyze", false, "print EXPLAIN ANALYZE for every paper query on both schemes")
-	recoveryBench := flag.Bool("recoverybench", false, "measure checkpoint write/restore and log-tail replay on a ~1M-quad durability directory (BENCH_recovery.json)")
+	recoveryBench := flag.Bool("recoverybench", false, "measure checkpoint write/restore, log-tail replay and a follower bootstrap on a ~1M-quad durability directory (BENCH_recovery.json)")
 	recoveryQuads := flag.Int("recoveryquads", 1_000_000, "checkpoint size target in quads for -recoverybench")
 	recoveryTail := flag.Int("recoverytail", 10_000, "log-tail records to replay for -recoverybench")
 	flag.Parse()
@@ -70,10 +70,10 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchpaper:", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "recovery bench done in %s: %d quads, binary checkpoint write %.0fms restore %.0fms (text restore %.0fms, %.1fx), %d-record tail replay %.0fms, incremental fold %.0fms (%d B delta)\n",
+		fmt.Fprintf(os.Stderr, "recovery bench done in %s: %d quads, checkpoint write %.0fms restore %.0fms, %d-record tail replay %.0fms, incremental fold %.0fms (%d B delta), follower bootstrap %.0fms\n",
 			time.Since(start).Round(time.Millisecond), rep.Quads,
-			rep.CheckpointWriteMS, rep.CheckpointRestoreMS, rep.TextRestoreMS, rep.RestoreSpeedup,
-			rep.TailRecords, rep.ReplayMS, rep.IncrCheckpointMS, rep.DeltaBytes)
+			rep.CheckpointWriteMS, rep.CheckpointRestoreMS,
+			rep.TailRecords, rep.ReplayMS, rep.IncrCheckpointMS, rep.DeltaBytes, rep.BootstrapMS)
 		return
 	}
 

@@ -22,7 +22,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -433,19 +432,18 @@ func runAlgo(args []string) error {
 	return nil
 }
 
-// openStore builds a store from -restore (a snapshot, binary or text —
-// auto-detected), -data (an RDF file) or neither (empty with the given
-// indexes), in that precedence — the shared serve/snapshot start-up
-// path.
+// openStore builds a store from -restore (a snapshot written by pgrdf
+// snapshot or /export?format=snapshot), -data (an RDF file) or neither
+// (empty with the given indexes), in that precedence — the shared
+// serve/snapshot start-up path.
 func openStore(data, restore, indexes string) (*store.Store, error) {
 	switch {
 	case restore != "":
-		f, err := os.Open(restore)
+		snap, err := os.ReadFile(restore)
 		if err != nil {
 			return nil, err
 		}
-		defer f.Close()
-		return store.RestoreAny(f)
+		return store.RestoreBinary(snap)
 	case data != "":
 		return loadStore(data, indexes)
 	default:
@@ -464,11 +462,7 @@ func runSnapshot(args []string) error {
 	dataDir := fs.String("data-dir", "", "durability directory to recover (checkpoint + WAL tail)")
 	indexes := fs.String("indexes", "PCSGM,PSCGM,SPCGM,GSPCM", "comma-separated semantic network indexes (ignored with -restore/-data-dir)")
 	out := fs.String("o", "-", "output snapshot file (- = stdout)")
-	format := fs.String("format", "text", "snapshot format: text (N-Quads interchange) or binary (checkpoint codec, fast restore)")
 	fs.Parse(args)
-	if *format != "text" && *format != "binary" {
-		return fmt.Errorf("unknown snapshot format %q; want text or binary", *format)
-	}
 
 	var st *store.Store
 	var err error
@@ -499,18 +493,10 @@ func runSnapshot(args []string) error {
 		w = f
 	}
 	view := st.View()
-	if *format == "binary" {
-		bw := bufio.NewWriterSize(w, 1<<20)
-		if err := view.SnapshotBinary(bw); err != nil {
-			return err
-		}
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-	} else if err := view.Snapshot(w); err != nil {
+	if err := view.SnapshotBinary(w); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "%s snapshot of %d quads across %d model(s) written\n", *format, view.Len(), len(view.Models()))
+	fmt.Fprintf(os.Stderr, "snapshot of %d quads across %d model(s) written\n", view.Len(), len(view.Models()))
 	return nil
 }
 

@@ -1,31 +1,31 @@
 package bench
 
-// Recovery benchmark (ISSUE 5 acceptance): time writing a ~1M-quad
-// checkpoint, restoring it, and replaying a log tail on top — the two
-// halves of wal.Open's crash-recovery path. Emitted as
-// BENCH_recovery.json by `benchpaper -recoverybench`.
+// Recovery benchmark: time writing a ~1M-quad checkpoint, restoring it,
+// and replaying a log tail on top — the two halves of wal.Open's
+// crash-recovery path — then bootstrapping a replication follower from
+// the recovered directory. Emitted as BENCH_recovery.json by
+// `benchpaper -recoverybench`.
 
 import (
-	"bufio"
 	"context"
+	"errors"
 	"fmt"
+	"net"
+	"net/http"
 	"os"
-	"path/filepath"
 	"runtime"
 	"time"
 
+	"repro/internal/httpapi"
 	"repro/internal/pgrdf"
 	"repro/internal/rdf"
+	"repro/internal/repl"
 	"repro/internal/store"
 	"repro/internal/twitter"
 	"repro/internal/wal"
 )
 
-// RecoveryReport is the payload of BENCH_recovery.json. The unprefixed
-// checkpoint columns measure the binary checkpoint through wal.Open;
-// the text_ columns time store.Snapshot and store.Restore of the same
-// store in the sectioned N-Quads format, and RestoreSpeedup is the
-// ratio between the two restore times.
+// RecoveryReport is the payload of BENCH_recovery.json.
 type RecoveryReport struct {
 	// Dataset shape.
 	Quads       int   `json:"quads"`
@@ -35,18 +35,11 @@ type RecoveryReport struct {
 	CheckpointBytes int64 `json:"checkpoint_bytes"`
 	WalBytes        int64 `json:"wal_bytes"`
 
-	// Phase timings (binary checkpoint format).
+	// Phase timings.
 	CheckpointWriteMS   float64 `json:"checkpoint_write_ms"`
 	CheckpointRestoreMS float64 `json:"checkpoint_restore_ms"`
 	TotalRecoveryMS     float64 `json:"total_recovery_ms"`
 	ReplayMS            float64 `json:"replay_ms"`
-
-	// Legacy text format over the same store, and the ratio of text to
-	// binary restore time.
-	TextCheckpointBytes   int64   `json:"text_checkpoint_bytes"`
-	TextCheckpointWriteMS float64 `json:"text_checkpoint_write_ms"`
-	TextRestoreMS         float64 `json:"text_restore_ms"`
-	RestoreSpeedup        float64 `json:"restore_speedup"`
 
 	// Incremental checkpoint of the replayed tail: fold+publish time,
 	// delta size on disk, and a full recovery (base restore + delta
@@ -54,6 +47,12 @@ type RecoveryReport struct {
 	IncrCheckpointMS float64 `json:"incr_checkpoint_ms"`
 	DeltaBytes       int64   `json:"delta_bytes"`
 	IncrRecoveryMS   float64 `json:"incr_recovery_ms"`
+
+	// One replication follower bootstrapped from an in-process leader
+	// serving the recovered directory: snapshot transfer over loopback
+	// HTTP, restore and adoption, from the follower's start to its
+	// first ready store.
+	BootstrapMS float64 `json:"bootstrap_ms"`
 
 	// Derived rates.
 	RestoreQuadsPerSec float64 `json:"restore_quads_per_sec"`
@@ -68,8 +67,9 @@ var recoveryIndexes = []string{"PCSGM", "PSCGM", "GSPCM"}
 // quadTarget quads in a fresh durability directory, checkpoints it,
 // journals tailRecords single-insert commits, then closes and reopens
 // the directory twice — once with an empty log (pure checkpoint
-// restore) and once with the tail (restore + replay) — reporting the
-// timings of each phase.
+// restore) and once with the tail (restore + replay), folds the tail
+// into a delta and recovers once more, and finally bootstraps a
+// follower from the result — reporting the timings of each phase.
 func RecoveryBench(ctx context.Context, quadTarget int, tailRecords int) (*RecoveryReport, error) {
 	if quadTarget < 1 {
 		quadTarget = 1_000_000
@@ -100,10 +100,7 @@ func RecoveryBench(ctx context.Context, quadTarget int, tailRecords int) (*Recov
 	rep := &RecoveryReport{TailRecords: int64(tailRecords)}
 
 	// Load and checkpoint. SyncOff: the bench measures recovery, not
-	// fsync latency, and keeps CI runtime flat across disk types. The
-	// text leg snapshots the same loaded store into a sibling file, so
-	// both formats encode identical data.
-	textPath := filepath.Join(dir, "text-snapshot.nq")
+	// fsync latency, and keeps CI runtime flat across disk types.
 	err = withLog(dir, func(st *store.Store, l *wal.Log) error {
 		if _, err := pgrdf.LoadPartitioned(st, ds, "pg"); err != nil {
 			return err
@@ -115,14 +112,6 @@ func RecoveryBench(ctx context.Context, quadTarget int, tailRecords int) (*Recov
 		}
 		rep.CheckpointWriteMS = msSince(start)
 		rep.CheckpointBytes = l.Stats().LastCheckpointBytes
-
-		start = time.Now()
-		n, err := writeTextSnapshot(textPath, st)
-		if err != nil {
-			return fmt.Errorf("recoverybench: text snapshot: %w", err)
-		}
-		rep.TextCheckpointWriteMS = msSince(start)
-		rep.TextCheckpointBytes = n
 		return nil
 	})
 	if err != nil {
@@ -135,9 +124,8 @@ func RecoveryBench(ctx context.Context, quadTarget int, tailRecords int) (*Recov
 	// Phase 1: reopen with an empty log — pure checkpoint restore —
 	// then journal the tail: single-insert commits into the node-KV
 	// partition, exactly what the serve path writes per update. The GC
-	// runs before every timed open so one leg's garbage (a whole store
-	// image per snapshot or restore) is not collected on another leg's
-	// clock.
+	// runs before every timed leg so one leg's garbage (a whole store
+	// image per restore) is not collected on another leg's clock.
 	runtime.GC()
 	start := time.Now()
 	err = withLog(dir, func(st *store.Store, l *wal.Log) error {
@@ -218,17 +206,10 @@ func RecoveryBench(ctx context.Context, quadTarget int, tailRecords int) (*Recov
 		return nil, err
 	}
 
-	// Text leg last: its restore is an order of magnitude slower than
-	// every binary phase, so it gets the tail of the run.
-	runtime.GC()
-	start = time.Now()
-	textSt, err := readTextSnapshot(textPath)
+	// Phase 4: a follower bootstrap from the recovered directory.
+	rep.BootstrapMS, err = bootstrapMS(ctx, dir, rep.Quads+tailRecords)
 	if err != nil {
-		return nil, fmt.Errorf("recoverybench: text restore: %w", err)
-	}
-	rep.TextRestoreMS = msSince(start)
-	if got := textSt.View().Len(); got != rep.Quads {
-		return nil, fmt.Errorf("recoverybench: text restore got %d quads, want %d", got, rep.Quads)
+		return nil, fmt.Errorf("recoverybench: bootstrap: %w", err)
 	}
 
 	rep.ReplayMS = rep.TotalRecoveryMS - rep.CheckpointRestoreMS
@@ -240,9 +221,6 @@ func RecoveryBench(ctx context.Context, quadTarget int, tailRecords int) (*Recov
 	}
 	if rep.ReplayMS > 0 {
 		rep.ReplayRecsPerSec = float64(tailRecords) / (rep.ReplayMS / 1000)
-	}
-	if rep.CheckpointRestoreMS > 0 {
-		rep.RestoreSpeedup = rep.TextRestoreMS / rep.CheckpointRestoreMS
 	}
 	return rep, nil
 }
@@ -262,39 +240,48 @@ func withLog(dir string, fn func(*store.Store, *wal.Log) error) (err error) {
 	return fn(st, l)
 }
 
-// writeTextSnapshot writes st to path in the text snapshot format — the
-// comparison leg of the bench — and returns the file's size.
-func writeTextSnapshot(path string, st *store.Store) (int64, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	bw := bufio.NewWriterSize(f, 1<<20)
-	if err := st.View().Snapshot(bw); err != nil {
-		return 0, err
-	}
-	if err := bw.Flush(); err != nil {
-		return 0, err
-	}
-	if err := f.Close(); err != nil {
-		return 0, err
-	}
-	fi, err := os.Stat(path)
-	if err != nil {
-		return 0, err
-	}
-	return fi.Size(), nil
-}
+// bootstrapMS serves dir from an in-process leader (httpapi over a
+// loopback listener with the directory's log attached) and times one
+// repl.Follower from its start until its bootstrap has produced a
+// ready store of wantQuads quads.
+func bootstrapMS(ctx context.Context, dir string, wantQuads int) (ms float64, err error) {
+	err = withLog(dir, func(st *store.Store, l *wal.Log) (err error) {
+		h := httpapi.NewServer(st)
+		h.AttachWAL(l)
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return err
+		}
+		srv := &http.Server{Handler: h}
+		served := make(chan error, 1)
+		go func() { served <- srv.Serve(ln) }()
+		defer func() {
+			srv.Close()
+			if serr := <-served; err == nil && !errors.Is(serr, http.ErrServerClosed) {
+				err = serr
+			}
+		}()
 
-// readTextSnapshot restores a store from a text snapshot file.
-func readTextSnapshot(path string) (*store.Store, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return store.Restore(bufio.NewReaderSize(f, 1<<20))
+		fctx, cancel := context.WithTimeout(ctx, 5*time.Minute)
+		defer cancel()
+		f := repl.New(repl.Options{Leader: "http://" + ln.Addr().String()})
+		ran := make(chan error, 1)
+		runtime.GC()
+		start := time.Now()
+		go func() { ran <- f.Run(fctx) }()
+		fst, err := f.WaitReady(fctx)
+		ms = msSince(start)
+		cancel()
+		<-ran
+		if err != nil {
+			return fmt.Errorf("follower not ready: %w", err)
+		}
+		if got := fst.View().Len(); got != wantQuads {
+			return fmt.Errorf("follower bootstrapped %d quads, want %d", got, wantQuads)
+		}
+		return nil
+	})
+	return ms, err
 }
 
 func msSince(t time.Time) float64 { return float64(time.Since(t)) / float64(time.Millisecond) }

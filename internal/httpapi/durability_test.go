@@ -1,7 +1,6 @@
 package httpapi
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -11,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/store"
+	"repro/internal/store/storetest"
 	"repro/internal/wal"
 )
 
@@ -56,10 +56,7 @@ func TestUpdateJournalsAndRecovers(t *testing.T) {
 	if h.wal.Stats().WalRecords != 1 {
 		t.Fatalf("wal stats after update: %+v", h.wal.Stats())
 	}
-	var want bytes.Buffer
-	if err := st.View().Snapshot(&want); err != nil {
-		t.Fatal(err)
-	}
+	want := storetest.Fingerprint(st.View())
 	srv.Close()
 	if err := h.wal.Close(); err != nil {
 		t.Fatal(err)
@@ -70,11 +67,7 @@ func TestUpdateJournalsAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	var got bytes.Buffer
-	if err := st2.View().Snapshot(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+	if storetest.Fingerprint(st2.View()) != want {
 		t.Fatal("recovered store diverges from the served one")
 	}
 }
@@ -191,7 +184,7 @@ func TestCheckpointWithoutWALIs409(t *testing.T) {
 }
 
 // TestExportSnapshotRoundTrips streams /export?format=snapshot into
-// store.Restore and compares exports.
+// store.RestoreBinary and compares the result with the served store.
 func TestExportSnapshotRoundTrips(t *testing.T) {
 	srv := testServer(t)
 	resp, err := http.Get(srv.URL + "/export?format=snapshot")
@@ -202,17 +195,14 @@ func TestExportSnapshotRoundTrips(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/n-quads" {
+	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
 		t.Fatalf("content type %q", ct)
 	}
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(body, []byte("# pgrdf-snapshot v1\n")) {
-		t.Fatalf("missing snapshot header:\n%.80s", body)
-	}
-	r, err := store.Restore(bytes.NewReader(body))
+	r, err := store.RestoreBinary(body)
 	if err != nil {
 		t.Fatalf("restore of exported snapshot: %v", err)
 	}

@@ -156,7 +156,7 @@ func TestWalTailEndpoint(t *testing.T) {
 		t.Fatalf("diverged body: %+v", d)
 	}
 
-	// Snapshot bootstrap responses carry the position and quad count.
+	// Snapshot bootstrap responses carry the position.
 	sr, err := http.Get(srv.URL + "/export?format=snapshot")
 	if err != nil {
 		t.Fatal(err)
@@ -165,9 +165,6 @@ func TestWalTailEndpoint(t *testing.T) {
 	io.Copy(io.Discard, sr.Body)
 	if sr.Header.Get(repl.HeaderID) != d.Position.ID {
 		t.Fatalf("snapshot position ID %q != leader ID %q", sr.Header.Get(repl.HeaderID), d.Position.ID)
-	}
-	if sr.Header.Get(repl.HeaderSnapshotQuads) != "1" {
-		t.Fatalf("snapshot quads header = %q, want 1", sr.Header.Get(repl.HeaderSnapshotQuads))
 	}
 }
 

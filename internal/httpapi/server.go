@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -664,13 +663,14 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "nquads":
 	case "snapshot":
-		// The directive-carrying snapshot format (models, virtual models,
-		// index config): unlike a plain N-Quads export, this round-trips
-		// through store.Restore and pgrdf serve -restore. With a WAL
-		// attached this is also the replication bootstrap: the store
-		// version is pinned under the commit lock, so the position in the
-		// headers corresponds exactly to the bytes on the wire, and the
-		// lock is released before the first byte streams.
+		// The whole store in the binary snapshot codec (models, virtual
+		// models, index config): unlike a plain N-Quads export, this
+		// round-trips through store.RestoreBinary and pgrdf serve
+		// -restore. With a WAL attached this is also the replication
+		// bootstrap: the store version is pinned under the commit lock,
+		// so the position in the headers corresponds exactly to the bytes
+		// on the wire, and the lock is released before the first byte
+		// streams.
 		st := s.engine().Store()
 		view := st.View()
 		if s.wal != nil {
@@ -678,10 +678,9 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 			view = st.View()
 			release()
 			setPositionHeaders(w.Header(), pos)
-			w.Header().Set(repl.HeaderSnapshotQuads, strconv.Itoa(view.Len()))
 		}
-		w.Header().Set("Content-Type", "application/n-quads")
-		if err := view.Snapshot(w); err != nil {
+		w.Header().Set("Content-Type", "application/octet-stream")
+		if err := view.SnapshotBinary(w); err != nil {
 			return // headers already sent; the stream just ends short
 		}
 		return

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/guard/guardtest"
 	"repro/internal/rdf"
+	"repro/internal/store/storetest"
 	"repro/internal/wal"
 )
 
@@ -147,19 +148,13 @@ func TestSoakServingBesideWrites(t *testing.T) {
 	if after := guardtest.Goroutines(before); after > before {
 		t.Fatalf("%d goroutines before the soak, %d after the server and the log closed", before, after)
 	}
-	var want, got bytes.Buffer
-	if err := st.View().Snapshot(&want); err != nil {
-		t.Fatal(err)
-	}
+	want := storetest.Fingerprint(st.View())
 	st2, l2, err := wal.Open(dir, wal.Options{Sync: wal.SyncOff, Indexes: indexes})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if err := st2.View().Snapshot(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+	if storetest.Fingerprint(st2.View()) != want {
 		t.Fatal("the store restored from disk differs from the one that was served")
 	}
 }

@@ -4,17 +4,17 @@ package repl_test
 // a leader through a proxy that drops connections, delays responses,
 // and truncates bodies mid-frame at arbitrary byte offsets — plus a
 // leader kill/restart-from-checkpoint in the middle — must still
-// converge to a store byte-identical to the leader's last durable
-// state.
+// converge to a store equal (storetest.Fingerprint) to the leader's
+// last durable state.
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -23,6 +23,7 @@ import (
 	"repro/internal/httpapi"
 	"repro/internal/repl"
 	"repro/internal/store"
+	"repro/internal/store/storetest"
 	"repro/internal/wal"
 )
 
@@ -41,8 +42,11 @@ type flakyProxy struct {
 	mu      sync.Mutex
 	backend string
 	rng     *rand.Rand
-	healthy atomic.Bool // true = pass everything through
-	faults  atomic.Int64
+	// cutSnapshots is how many of the next snapshot responses to cut
+	// clean whatever healthy says (guarded by mu).
+	cutSnapshots int
+	healthy      atomic.Bool // true = pass everything through
+	faults       atomic.Int64
 }
 
 func (p *flakyProxy) setBackend(u string) {
@@ -53,23 +57,28 @@ func (p *flakyProxy) setBackend(u string) {
 
 // pick chooses the fault mode and any random cut point under the lock
 // so the rng is race-free.
-func (p *flakyProxy) pick(bodyLen int) (mode int, cut int) {
+func (p *flakyProxy) pick(bodyLen int, snapshot bool) (mode int, cut int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.healthy.Load() {
-		return passThrough, 0
-	}
-	switch n := p.rng.Intn(10); {
-	case n < 4:
-		mode = passThrough
-	case n < 6:
-		mode = dropConn
-	case n < 7:
-		mode = delayThenPass
-	case n < 9:
-		mode = truncateDirty
-	default:
+	switch {
+	case snapshot && p.cutSnapshots > 0:
+		p.cutSnapshots--
 		mode = truncateClean
+	case p.healthy.Load():
+		return passThrough, 0
+	default:
+		switch n := p.rng.Intn(10); {
+		case n < 4:
+			mode = passThrough
+		case n < 6:
+			mode = dropConn
+		case n < 7:
+			mode = delayThenPass
+		case n < 9:
+			mode = truncateDirty
+		default:
+			mode = truncateClean
+		}
 	}
 	if bodyLen > 1 {
 		cut = 1 + p.rng.Intn(bodyLen-1)
@@ -79,7 +88,7 @@ func (p *flakyProxy) pick(bodyLen int) (mode int, cut int) {
 
 func (p *flakyProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// Decide connection-level faults before touching the backend.
-	mode, _ := p.pick(0)
+	mode, _ := p.pick(0, false)
 	switch mode {
 	case dropConn:
 		p.faults.Add(1)
@@ -116,8 +125,8 @@ func (p *flakyProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Body-level faults cut at an arbitrary byte offset — including mid
-	// CRC frame and mid snapshot line.
-	mode, cut := p.pick(len(body))
+	// CRC frame and mid snapshot section.
+	mode, cut := p.pick(len(body), r.URL.Path == "/export")
 	for k, vs := range resp.Header {
 		if mode == truncateClean && k == "Content-Length" {
 			continue // re-framed: the short body must look complete
@@ -186,13 +195,20 @@ func postUpdate(t *testing.T, base, update string) {
 	}
 }
 
-func snapshotBytes(t *testing.T, st *store.Store) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := st.View().Snapshot(&buf); err != nil {
-		t.Fatal(err)
+// refusedSnapshots wraps a follower's Logf to count the bootstraps
+// RestoreBinary refused.
+func refusedSnapshots(opts *repl.Options) *atomic.Int64 {
+	var n atomic.Int64
+	logf := opts.Logf
+	opts.Logf = func(format string, args ...any) {
+		line := fmt.Sprintf(format, args...)
+		if strings.Contains(line, "restore snapshot: "+store.ErrBinarySnapshotCorrupt.Error()) ||
+			strings.Contains(line, "restore snapshot: "+store.ErrNotBinarySnapshot.Error()) {
+			n.Add(1)
+		}
+		logf("%s", line)
 	}
-	return buf.Bytes()
+	return &n
 }
 
 // waitConverged polls until the follower's position equals the
@@ -227,7 +243,10 @@ func followerOpts(leaderURL string, t *testing.T) repl.Options {
 
 // TestFaultInjectionDifferential is the convergence differential: a
 // faulty wire and a leader crash must never leave the follower with
-// anything other than a byte-identical copy once the faults clear.
+// anything other than an identical copy once the faults clear. Its
+// first bootstraps arrive cut clean — complete-looking responses
+// holding a prefix of the snapshot — and RestoreBinary must refuse
+// each one.
 func TestFaultInjectionDifferential(t *testing.T) {
 	dir := t.TempDir()
 	ld := startLeader(t, dir)
@@ -238,17 +257,27 @@ func TestFaultInjectionDifferential(t *testing.T) {
 	proxySrv := httptest.NewServer(proxy)
 	defer proxySrv.Close()
 
-	f := repl.New(followerOpts(proxySrv.URL, t))
+	// Let the follower bootstrap over an otherwise healthy wire, then
+	// turn the faults on for the whole write workload.
+	const cutBootstraps = 3
+	proxy.cutSnapshots = cutBootstraps
+	proxy.healthy.Store(true)
+	opts := followerOpts(proxySrv.URL, t)
+	refused := refusedSnapshots(&opts)
+	f := repl.New(opts)
 	ctx := t.Context()
 	done := make(chan struct{})
 	go func() { defer close(done); f.Run(ctx) }()
 
-	// Let the follower bootstrap over a healthy wire, then turn the
-	// faults on for the whole write workload.
-	proxy.healthy.Store(true)
 	postUpdate(t, ld.srv.URL, `INSERT DATA { <http://v/seed> <http://p/v> "seed" }`)
 	if _, err := f.WaitReady(ctx); err != nil {
 		t.Fatal(err)
+	}
+	if got := refused.Load(); got != cutBootstraps {
+		t.Fatalf("RestoreBinary refused %d bootstraps, want the %d cut clean", got, cutBootstraps)
+	}
+	if st := f.Status(); st.Bootstraps != 1 {
+		t.Fatalf("bootstraps = %d after %d refused ones, want 1", st.Bootstraps, cutBootstraps)
 	}
 	proxy.healthy.Store(false)
 
@@ -281,10 +310,10 @@ func TestFaultInjectionDifferential(t *testing.T) {
 	proxy.healthy.Store(true)
 	waitConverged(t, f, ld.log, 30*time.Second)
 
-	want := snapshotBytes(t, ld.st)
-	got := snapshotBytes(t, f.Store())
-	if !bytes.Equal(want, got) {
-		t.Fatalf("follower snapshot differs from leader after convergence:\nleader %d bytes\nfollower %d bytes",
+	want := storetest.Fingerprint(ld.st.View())
+	got := storetest.Fingerprint(f.Store().View())
+	if want != got {
+		t.Fatalf("follower differs from leader after convergence:\nleader %d bytes\nfollower %d bytes",
 			len(want), len(got))
 	}
 	if proxy.faults.Load() == 0 {
@@ -326,7 +355,7 @@ func TestFollowerRebootstrapsOnLeaderIdentityChange(t *testing.T) {
 	proxy.setBackend(ldB.srv.URL)
 
 	waitConverged(t, f, ldB.log, 10*time.Second)
-	if !bytes.Equal(snapshotBytes(t, ldB.st), snapshotBytes(t, f.Store())) {
+	if storetest.Fingerprint(ldB.st.View()) != storetest.Fingerprint(f.Store().View()) {
 		t.Fatal("follower did not adopt the new leader's state")
 	}
 	st := f.Status()

@@ -227,8 +227,7 @@ func (f *Follower) setNeedBootstrap() {
 }
 
 // bootstrap fetches the leader's consistent snapshot, restores it into
-// a fresh store, verifies the transfer was complete, and adopts the
-// position the snapshot corresponds to.
+// a fresh store, and adopts the position the snapshot corresponds to.
 func (f *Follower) bootstrap(ctx context.Context) error {
 	rctx, cancel := context.WithTimeout(ctx, f.opts.SnapshotTimeout)
 	defer cancel()
@@ -251,18 +250,18 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 		return fmt.Errorf("repl: leader %s is not serving a replication snapshot (start it with -data-dir): %w",
 			f.opts.Leader, err)
 	}
-	wantQuads, err := strconv.Atoi(resp.Header.Get(HeaderSnapshotQuads))
+	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return fmt.Errorf("repl: snapshot response missing %s", HeaderSnapshotQuads)
+		return fmt.Errorf("repl: read snapshot: %w", err)
 	}
-	st, err := store.Restore(resp.Body)
+	// The codec's trailer seals the section count and a whole-file CRC,
+	// so a body cut anywhere — even one the wire delivered as complete —
+	// fails here rather than restoring a prefix of the leader's store.
+	st, err := store.RestoreBinary(body)
 	if err != nil {
 		return fmt.Errorf("repl: restore snapshot: %w", err)
 	}
 	quads := st.View().Len()
-	if quads != wantQuads {
-		return fmt.Errorf("repl: snapshot transfer truncated: restored %d quads, leader sent %d", quads, wantQuads)
-	}
 
 	f.mu.Lock()
 	f.pos = followPos{id: pos.ID, epoch: pos.Epoch, offset: pos.Offset, nextSeq: pos.NextSeq}

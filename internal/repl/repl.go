@@ -42,10 +42,6 @@ const (
 	HeaderSeq = "X-Pgrdf-Repl-Seq"
 	// HeaderEpochStartSeq carries wal.Position.EpochStartSeq.
 	HeaderEpochStartSeq = "X-Pgrdf-Repl-Epoch-Start-Seq"
-	// HeaderSnapshotQuads is the quad count of a snapshot stream; the
-	// follower rejects a bootstrap whose restored store disagrees —
-	// the guard against a transfer truncated on a clean line boundary.
-	HeaderSnapshotQuads = "X-Pgrdf-Repl-Snapshot-Quads"
 )
 
 // Diverged is the JSON body of the leader's 409 response to a tail

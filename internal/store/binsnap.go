@@ -8,19 +8,17 @@ import (
 	"hash/crc32"
 	"io"
 	"runtime"
-	"sort"
 	"sync"
 
 	"repro/internal/rdf"
 )
 
-// Binary snapshot format (DESIGN.md §16). The text snapshot spells
-// every term of every quad out lexically, so restoring a million quads
-// re-parses and re-interns five million terms. The binary format dumps
-// the storage representation instead — the value dictionary once, and
-// each semantic-network index's ID rows in index order — so restore is
-// a bulk decode: no parsing, no interning, no sorting, and the index
-// sections decode in parallel.
+// Snapshot format (DESIGN.md §16): the store's one serialized form,
+// written by durability checkpoints, `pgrdf snapshot` and the
+// replication bootstrap. It dumps the storage representation — the
+// value dictionary once, and each semantic-network index's ID rows in
+// index order — so restore is a bulk decode: no parsing, no interning,
+// no sorting, and the index sections decode in parallel.
 //
 //	file    := magic section* trailer
 //	magic   := "PGRDFBC1" (8 bytes)
@@ -72,8 +70,8 @@ const (
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrNotBinarySnapshot reports that the input does not begin with the
-// binary-snapshot magic — it is some other format (likely a text
-// snapshot), not a damaged binary one.
+// binary-snapshot magic — it is some other file (an N-Quads dump, say),
+// not a damaged snapshot.
 var ErrNotBinarySnapshot = errors.New("store: not a binary snapshot")
 
 // ErrBinarySnapshotCorrupt reports a binary snapshot that begins with
@@ -107,8 +105,11 @@ func (cw *crcWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// SnapshotBinary writes the whole version in the binary snapshot
-// format. Like Snapshot it is a point in time and blocks no writer.
+// SnapshotBinary writes the whole version (all models, virtual model
+// definitions and index configuration) in the binary snapshot format. A
+// View is a point in time: the dump can never contain half of a
+// concurrent update or models from different moments, and no writer
+// waits for it.
 func (v *View) SnapshotBinary(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	cw := &crcWriter{w: bw}
@@ -173,13 +174,8 @@ func (v *View) SnapshotBinary(w io.Writer) error {
 	}
 
 	// Virtual-model table, sorted by name for determinism.
-	names := make([]string, 0, len(v.virtual))
-	for name := range v.virtual {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	buf = buf[:0]
-	for _, name := range names {
+	for _, name := range v.VirtualModels() {
 		buf = binary.AppendUvarint(buf, uint64(len(name)))
 		buf = append(buf, name...)
 		ids := v.virtual[name]
@@ -410,22 +406,6 @@ func RestoreBinary(data []byte) (*Store, error) {
 	}
 	st.cur.Store(v)
 	return st, nil
-}
-
-// RestoreAny restores either snapshot format, sniffing the magic: a
-// binary snapshot is read fully and bulk-decoded, anything else
-// streams through the text Restore path.
-func RestoreAny(r io.Reader) (*Store, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	prefix, err := br.Peek(len(binMagic))
-	if err == nil && IsBinarySnapshot(prefix) {
-		data, err := io.ReadAll(br)
-		if err != nil {
-			return nil, err
-		}
-		return RestoreBinary(data)
-	}
-	return Restore(br)
 }
 
 // parseSections walks the section frames, verifying each CRC and the

@@ -1,11 +1,10 @@
 package store_test
 
-// Binary snapshot test suite (ISSUE 9): the binary-vs-text restore
-// differential across every index config × conversion scheme, a
-// corruption matrix over every byte and every truncation point
-// (mirroring the torn-WAL corpus approach), and the satellite
-// regressions — snapshot atomicity under concurrent writers, >16 MiB
-// literals through Restore, and adversarial directive names.
+// Snapshot test suite: the round-trip differential across every index
+// config × conversion scheme, a corruption matrix over every byte and
+// every truncation point (mirroring the torn-WAL corpus approach), and
+// the regressions — snapshot atomicity under concurrent writers, >16 MiB
+// literals, and adversarial model names.
 
 import (
 	"bytes"
@@ -21,8 +20,34 @@ import (
 	"repro/internal/pgrdf"
 	"repro/internal/rdf"
 	"repro/internal/store"
+	"repro/internal/store/storetest"
 	"repro/internal/twitter"
 )
+
+// indexConfigs spans single-index, the Oracle default pair, the
+// NG-scheme config with a graph-leading index, and a full fan of
+// permutation prefixes.
+var indexConfigs = [][]string{
+	{"PCSGM"},
+	{"PCSGM", "PSCGM"},
+	{"PCSGM", "PSCGM", "GSPCM"},
+	{"SPCGM", "GSPCM"},
+	{"PCSGM", "PSCGM", "SPCGM", "GSPCM", "CPSGM"},
+}
+
+// trickyQuads stresses the dictionary section: quotes, newlines,
+// unicode, language tags, typed literals and blank nodes.
+func trickyQuads() []rdf.Quad {
+	s := rdf.NewIRI("http://pg/v1")
+	return []rdf.Quad{
+		{S: s, P: rdf.NewIRI("http://pg/k/bio"), O: rdf.NewLiteral("line1\nline2\t\"quoted\" \\slash")},
+		{S: s, P: rdf.NewIRI("http://pg/k/name"), O: rdf.NewLangLiteral("Amélie", "fr")},
+		{S: s, P: rdf.NewIRI("http://pg/k/age"), O: rdf.NewInt(23)},
+		{S: s, P: rdf.NewIRI("http://pg/k/score"), O: rdf.NewDouble(1.5e-8)},
+		{S: s, P: rdf.NewIRI("http://pg/k/active"), O: rdf.NewBoolean(true)},
+		{S: rdf.NewBlank("b0"), P: rdf.NewIRI("http://pg/k/note"), O: rdf.NewLiteral("from a blank"), G: rdf.NewIRI("http://pg/e99")},
+	}
+}
 
 func binarySnapshotOf(t *testing.T, st *store.Store) []byte {
 	t.Helper()
@@ -33,10 +58,11 @@ func binarySnapshotOf(t *testing.T, st *store.Store) []byte {
 	return buf.Bytes()
 }
 
-// TestBinarySnapshotDifferential is the binary-vs-text differential:
-// for every index config × RF/NG/SP scheme, restoring the binary
-// snapshot must re-produce the text snapshot byte for byte (the crash
-// differential's oracle), and re-encoding must be a binary fixed point.
+// TestBinarySnapshotDifferential is the round-trip differential: for
+// every index config × RF/NG/SP scheme, the store restored from a
+// snapshot must equal its source — same fingerprint (the crash and
+// replication differentials' oracle), same indexes, same virtual
+// models — and re-encoding must be a byte-level fixed point.
 func TestBinarySnapshotDifferential(t *testing.T) {
 	g := twitter.Generate(twitter.PaperConfig().Scale(0.002))
 	for _, scheme := range pgrdf.Schemes {
@@ -69,7 +95,6 @@ func TestBinarySnapshotDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				text := snapshotOf(t, st)
 				bin := binarySnapshotOf(t, st)
 				if !store.IsBinarySnapshot(bin) {
 					t.Fatal("binary snapshot does not carry the magic")
@@ -78,8 +103,8 @@ func TestBinarySnapshotDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := snapshotOf(t, r); !bytes.Equal(got, text) {
-					t.Fatalf("text snapshot after binary round trip diverges (%d vs %d bytes)", len(got), len(text))
+				if got, want := storetest.Fingerprint(r.View()), storetest.Fingerprint(st.View()); got != want {
+					t.Fatalf("fingerprint after the round trip diverges (%d vs %d bytes)", len(got), len(want))
 				}
 				if got := binarySnapshotOf(t, r); !bytes.Equal(got, bin) {
 					t.Fatalf("binary snapshot not a fixed point (%d vs %d bytes)", len(got), len(bin))
@@ -96,15 +121,6 @@ func TestBinarySnapshotDifferential(t *testing.T) {
 					if err1 != nil || err2 != nil || !reflect.DeepEqual(want, got) {
 						t.Fatalf("virtual model %s: %v/%v, %v/%v", vm, want, got, err1, err2)
 					}
-				}
-				// RestoreAny must sniff both formats.
-				ra, err := store.RestoreAny(bytes.NewReader(bin))
-				if err != nil || ra.Len() != st.Len() {
-					t.Fatalf("RestoreAny(binary): %v, %d quads", err, ra.Len())
-				}
-				rt, err := store.RestoreAny(bytes.NewReader(text))
-				if err != nil || rt.Len() != st.Len() {
-					t.Fatalf("RestoreAny(text): %v", err)
 				}
 			})
 		}
@@ -146,14 +162,14 @@ func TestBinarySnapshotCorruptionEveryByte(t *testing.T) {
 	if _, err := store.RestoreBinary(append(append([]byte(nil), bin...), 0x00)); !errors.Is(err, store.ErrBinarySnapshotCorrupt) {
 		t.Fatalf("trailing garbage: err = %v, want ErrBinarySnapshotCorrupt", err)
 	}
-	if _, err := store.RestoreBinary([]byte("# pgrdf-snapshot v1\n")); !errors.Is(err, store.ErrNotBinarySnapshot) {
-		t.Fatalf("text input: err = %v, want ErrNotBinarySnapshot", err)
+	if _, err := store.RestoreBinary([]byte("<http://a> <http://p> <http://o> .\n")); !errors.Is(err, store.ErrNotBinarySnapshot) {
+		t.Fatalf("N-Quads input: err = %v, want ErrNotBinarySnapshot", err)
 	}
 }
 
-// TestSnapshotAtomicUnderConcurrentWriter is the ISSUE 9 atomicity
+// TestSnapshotAtomicUnderConcurrentWriter is the atomicity
 // regression (run under -race): while a writer streams globally
-// sequenced inserts across two models, every Snapshot must capture a
+// sequenced inserts across two models, every snapshot must capture a
 // contiguous global prefix — the old multi-lock dump could interleave
 // models from different moments — and must restore cleanly.
 func TestSnapshotAtomicUnderConcurrentWriter(t *testing.T) {
@@ -192,66 +208,41 @@ func TestSnapshotAtomicUnderConcurrentWriter(t *testing.T) {
 		}
 	}()
 
-	dumps := []struct {
-		name string
-		dump func() (*store.Store, error)
-	}{
-		{"text", func() (*store.Store, error) {
-			var buf bytes.Buffer
-			if err := st.View().Snapshot(&buf); err != nil {
-				return nil, err
-			}
-			return store.Restore(&buf)
-		}},
-		{"binary", func() (*store.Store, error) {
-			var buf bytes.Buffer
-			if err := st.View().SnapshotBinary(&buf); err != nil {
-				return nil, err
-			}
-			return store.RestoreBinary(buf.Bytes())
-		}},
-	}
-	// Formats interleave inside one loop so both race against the live
-	// writer rather than one format getting a drained store.
 	for iter := 0; iter < 20; iter++ {
-		for _, d := range dumps {
-			fmtName, dump := d.name, d.dump
-			r, err := dump()
+		r, err := store.RestoreBinary(binarySnapshotOf(t, st))
+		if err != nil {
+			t.Fatalf("iter %d: %v", iter, err)
+		}
+		var seen []int
+		for _, m := range []string{"A", "B"} {
+			quads, err := r.View().Export(m)
 			if err != nil {
-				t.Fatalf("%s iter %d: %v", fmtName, iter, err)
+				t.Fatalf("iter %d: export %s: %v", iter, m, err)
 			}
-			var seen []int
-			for _, m := range []string{"A", "B"} {
-				quads, err := r.View().Export(m)
+			for _, q := range quads {
+				n, err := strconv.Atoi(q.O.Value)
 				if err != nil {
-					t.Fatalf("%s iter %d: export %s: %v", fmtName, iter, m, err)
+					t.Fatalf("iter %d: bad literal %q", iter, q.O.Value)
 				}
-				for _, q := range quads {
-					n, err := strconv.Atoi(q.O.Value)
-					if err != nil {
-						t.Fatalf("%s iter %d: bad literal %q", fmtName, iter, q.O.Value)
-					}
-					seen = append(seen, n)
-				}
+				seen = append(seen, n)
 			}
-			sort.Ints(seen)
-			for i, n := range seen {
-				if n != i {
-					t.Fatalf("%s iter %d: snapshot is not a contiguous prefix: %d inserts but gap at %d (writer states from different times)", fmtName, iter, len(seen), i)
-				}
+		}
+		sort.Ints(seen)
+		for i, n := range seen {
+			if n != i {
+				t.Fatalf("iter %d: snapshot is not a contiguous prefix: %d inserts but gap at %d (writer states from different times)", iter, len(seen), i)
 			}
-			if ids, err := r.View().ResolveDataset("V"); err != nil || len(ids) != 2 {
-				t.Fatalf("%s iter %d: virtual model: %v %v", fmtName, iter, ids, err)
-			}
+		}
+		if ids, err := r.View().ResolveDataset("V"); err != nil || len(ids) != 2 {
+			t.Fatalf("iter %d: virtual model: %v %v", iter, ids, err)
 		}
 	}
 	close(stop)
 	wg.Wait()
 }
 
-// TestRestoreHugeLiteral is the bufio.ErrTooLong regression: Snapshot
-// happily writes a 17 MiB literal on one line, and Restore must read
-// it back (the old Scanner capped lines at 16 MiB).
+// TestRestoreHugeLiteral: a 17 MiB literal (past the 16 MiB line cap
+// an N-Quads scanner would impose) must survive the round trip.
 func TestRestoreHugeLiteral(t *testing.T) {
 	huge := strings.Repeat("x", 17<<20)
 	st := store.New()
@@ -259,31 +250,23 @@ func TestRestoreHugeLiteral(t *testing.T) {
 	if _, err := st.Insert("m", q); err != nil {
 		t.Fatal(err)
 	}
-	first := snapshotOf(t, st)
-	r, err := store.Restore(bytes.NewReader(first))
+	first := binarySnapshotOf(t, st)
+	r, err := store.RestoreBinary(first)
 	if err != nil {
-		t.Fatalf("Restore with a >16MiB line: %v", err)
+		t.Fatal(err)
 	}
 	quads, err := r.View().Export("m")
 	if err != nil || len(quads) != 1 || quads[0].O.Value != huge {
 		t.Fatalf("huge literal did not round-trip (%d quads, err %v)", len(quads), err)
 	}
-	if second := snapshotOf(t, r); !bytes.Equal(first, second) {
+	if second := binarySnapshotOf(t, r); !bytes.Equal(first, second) {
 		t.Fatal("snapshot not a fixed point with a huge literal")
-	}
-	// The binary path has no line structure at all; verify anyway.
-	rb, err := store.RestoreBinary(binarySnapshotOf(t, st))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if quads, _ := rb.View().Export("m"); len(quads) != 1 || quads[0].O.Value != huge {
-		t.Fatal("huge literal did not survive the binary round trip")
 	}
 }
 
-// adversarialNames are model/virtual names that collide with the text
-// snapshot's directive grammar: separators, comment lead-ins, escapes,
-// whitespace (which Restore trims) and raw newlines.
+// adversarialNames are model/virtual names with separators, comment
+// lead-ins, escapes, surrounding whitespace and raw newlines — bytes a
+// line-oriented format would have to escape.
 var adversarialNames = []string{
 	"plain",
 	"with,comma",
@@ -298,13 +281,12 @@ var adversarialNames = []string{
 	"percent%20literal",
 	"%2C",
 	"unicode-née",
-	" nbsp",
+	"\u00a0nbsp",
 	"comma,and = equals,#hash",
 }
 
-// TestSnapshotAdversarialNames is the directive-escaping regression: a
-// model or virtual name containing the grammar's metacharacters must
-// round-trip exactly instead of silently mis-restoring.
+// TestSnapshotAdversarialNames: a model or virtual name made of any
+// bytes must round-trip exactly.
 func TestSnapshotAdversarialNames(t *testing.T) {
 	st := store.New()
 	p := rdf.NewIRI("http://pg/k/name")
@@ -321,43 +303,25 @@ func TestSnapshotAdversarialNames(t *testing.T) {
 		}
 	}
 
-	for fmtName, trip := range map[string]func() (*store.Store, error){
-		"text": func() (*store.Store, error) {
-			var buf bytes.Buffer
-			if err := st.View().Snapshot(&buf); err != nil {
-				return nil, err
-			}
-			return store.Restore(&buf)
-		},
-		"binary": func() (*store.Store, error) {
-			var buf bytes.Buffer
-			if err := st.View().SnapshotBinary(&buf); err != nil {
-				return nil, err
-			}
-			return store.RestoreBinary(buf.Bytes())
-		},
-	} {
-		r, err := trip()
-		if err != nil {
-			t.Fatalf("%s: %v", fmtName, err)
+	r, err := store.RestoreBinary(binarySnapshotOf(t, st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(r.View().Models(), st.View().Models()) {
+		t.Fatalf("models %q != %q", r.View().Models(), st.View().Models())
+	}
+	for i, name := range adversarialNames {
+		quads, err := r.View().Export(name)
+		if err != nil || len(quads) != 1 || quads[0].O.Value != name {
+			t.Fatalf("model %q did not round-trip: %v %v", name, quads, err)
 		}
-		if !reflect.DeepEqual(r.View().Models(), st.View().Models()) {
-			t.Fatalf("%s: models %q != %q", fmtName, r.View().Models(), st.View().Models())
+		want, err1 := st.View().ResolveDataset("virt:" + name)
+		got, err2 := r.View().ResolveDataset("virt:" + name)
+		if err1 != nil || err2 != nil || !reflect.DeepEqual(want, got) {
+			t.Fatalf("virtual %q: %v/%v %v/%v", "virt:"+adversarialNames[i], want, got, err1, err2)
 		}
-		for i, name := range adversarialNames {
-			quads, err := r.View().Export(name)
-			if err != nil || len(quads) != 1 || quads[0].O.Value != name {
-				t.Fatalf("%s: model %q did not round-trip: %v %v", fmtName, name, quads, err)
-			}
-			want, err1 := st.View().ResolveDataset("virt:" + name)
-			got, err2 := r.View().ResolveDataset("virt:" + name)
-			if err1 != nil || err2 != nil || !reflect.DeepEqual(want, got) {
-				t.Fatalf("%s: virtual %q: %v/%v %v/%v", fmtName, "virt:"+adversarialNames[i], want, got, err1, err2)
-			}
-		}
-		first := snapshotOf(t, st)
-		if second := snapshotOf(t, r); !bytes.Equal(first, second) {
-			t.Fatalf("%s: text snapshot not a fixed point over adversarial names", fmtName)
-		}
+	}
+	if storetest.Fingerprint(r.View()) != storetest.Fingerprint(st.View()) {
+		t.Fatal("fingerprint differs after the round trip over adversarial names")
 	}
 }

@@ -2,7 +2,10 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"reflect"
 	"strings"
 	"testing"
@@ -35,17 +38,19 @@ func snapshotFixture(t *testing.T) *Store {
 	return s
 }
 
-func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	s := snapshotFixture(t)
+func snapshotBinary(t *testing.T, s *Store) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := s.View().Snapshot(&buf); err != nil {
+	if err := s.View().SnapshotBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(buf.String(), "# pgrdf-snapshot v1\n") {
-		t.Errorf("missing header:\n%s", buf.String()[:60])
-	}
+	return buf.Bytes()
+}
 
-	r, err := Restore(&buf)
+func TestSnapshotRestoreRoundTrip(t *testing.T) {
+	s := snapshotFixture(t)
+	bin := snapshotBinary(t, s)
+	r, err := RestoreBinary(bin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,37 +75,12 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err != nil || len(ids) != 2 {
 		t.Errorf("virtual model: %v, %v", ids, err)
 	}
-}
-
-func TestRestorePlainNQuads(t *testing.T) {
-	input := `<http://x/a> <http://x/p> <http://x/b> .
-<http://x/a> <http://x/p> "lit" <http://x/g> .`
-	st, err := Restore(strings.NewReader(input))
-	if err != nil {
+	// The restored store takes writes like any other.
+	if _, err := r.Insert("emptymodel", quad("v9", "follows", "v1", "")); err != nil {
 		t.Fatal(err)
 	}
-	if st.Len() != 2 {
-		t.Fatalf("quads = %d", st.Len())
-	}
-	if st.View().LookupModel("data") == NoID {
-		t.Error("plain N-Quads should restore into model \"data\"")
-	}
-	if !reflect.DeepEqual(st.View().Indexes(), DefaultIndexes) {
-		t.Errorf("indexes = %v", st.View().Indexes())
-	}
-}
-
-func TestRestoreErrors(t *testing.T) {
-	cases := []string{
-		"# model m\nbogus line\n",
-		"# virtual broken\n", // malformed directive
-		"# model m\n<http://a> <http://p> <http://o> .\n# indexes PCSGM\n", // late indexes
-		"# virtual v = missing\n# model m\n<http://a> <http://p> <http://o> .\n",
-	}
-	for _, src := range cases {
-		if _, err := Restore(strings.NewReader(src)); err == nil {
-			t.Errorf("accepted invalid snapshot: %q", src)
-		}
+	if r.Len() != s.Len()+1 {
+		t.Errorf("after insert: %d quads, want %d", r.Len(), s.Len()+1)
 	}
 }
 
@@ -110,16 +90,152 @@ func TestSnapshotLargeRoundTrip(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		quads = append(quads, quad(fmt.Sprintf("s%d", i%100), fmt.Sprintf("p%d", i%7), fmt.Sprintf("o%d", i), fmt.Sprintf("g%d", i%11)))
 	}
-	s.Load("big", quads)
-	var buf bytes.Buffer
-	if err := s.View().Snapshot(&buf); err != nil {
+	if _, err := s.Load("big", quads); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Restore(&buf)
+	r, err := RestoreBinary(snapshotBinary(t, s))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Len() != s.Len() {
 		t.Fatalf("restored %d of %d quads", r.Len(), s.Len())
+	}
+	want, _ := s.View().Export("big")
+	got, _ := r.View().Export("big")
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("restored model differs from its source")
+	}
+}
+
+// reframe re-encodes sections as a snapshot whose every section CRC,
+// section count and whole-file CRC are valid, so RestoreBinary gets past
+// the framing and must catch the damage in the contents.
+func reframe(sections []binSection) []byte {
+	out := []byte(binMagic)
+	frame := func(typ byte, payload []byte) {
+		start := len(out)
+		out = append(out, typ)
+		out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
+		out = append(out, payload...)
+		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(out[start:], crcTable))
+	}
+	for _, sec := range sections {
+		frame(sec.typ, sec.payload)
+	}
+	fileCRC := crc32.Checksum(out, crcTable)
+	trailer := binary.AppendUvarint(nil, uint64(len(sections)))
+	frame(secTrailer, binary.LittleEndian.AppendUint32(trailer, fileCRC))
+	return out
+}
+
+// TestRestoreErrors: a snapshot whose framing and CRCs are intact but
+// whose contents are inconsistent must fail with ErrBinarySnapshotCorrupt.
+// CRC damage never reaches these checks (TestBinarySnapshotCorruptionEveryByte
+// stops at the framing), so each case re-frames edited sections.
+func TestRestoreErrors(t *testing.T) {
+	s := snapshotFixture(t)
+	sections, err := parseSections(snapshotBinary(t, s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RestoreBinary(reframe(sections)); err != nil {
+		t.Fatalf("re-framing an intact snapshot broke it: %v", err)
+	}
+	find := func(secs []binSection, typ byte) int {
+		for i, sec := range secs {
+			if sec.typ == typ {
+				return i
+			}
+		}
+		t.Fatalf("no section of type %d", typ)
+		return -1
+	}
+	header := func(fields ...uint64) []byte {
+		var p []byte
+		for _, f := range fields {
+			p = binary.AppendUvarint(p, f)
+		}
+		return p
+	}
+	hdr, err := decodeHeader(sections[0].payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cases := map[string]struct {
+		edit func(secs []binSection) []binSection
+		want string // in the error message
+	}{
+		"first section not the header": {want: "first section is not the header", edit: func(secs []binSection) []binSection {
+			secs[0], secs[1] = secs[1], secs[0]
+			return secs
+		}},
+		"newer format version": {want: "format version", edit: func(secs []binSection) []binSection {
+			secs[0].payload = header(binVersion+1, hdr.quads, hdr.terms, hdr.models, hdr.virtuals, hdr.indexes)
+			return secs
+		}},
+		"unknown section type": {want: "unknown section type", edit: func(secs []binSection) []binSection {
+			return append(secs, binSection{typ: 9, payload: []byte("x")})
+		}},
+		"missing model section": {want: "missing dict, model or virtual-model section", edit: func(secs []binSection) []binSection {
+			i := find(secs, secModels)
+			return append(secs[:i], secs[i+1:]...)
+		}},
+		"duplicate index section": {want: "duplicate index section", edit: func(secs []binSection) []binSection {
+			secs = append(secs, secs[find(secs, secIndex)])
+			secs[0].payload = header(binVersion, hdr.quads, hdr.terms, hdr.models, hdr.virtuals, hdr.indexes+1)
+			return secs
+		}},
+		"index rows disagree with the header": {want: "rows, header declares", edit: func(secs []binSection) []binSection {
+			secs[0].payload = header(binVersion, hdr.quads+1, hdr.terms, hdr.models, hdr.virtuals, hdr.indexes)
+			return secs
+		}},
+		"index rows out of order": {want: "out of order", edit: func(secs []binSection) []binSection {
+			i := find(secs, secIndex)
+			p := append([]byte(nil), secs[i].payload...)
+			_, n := binary.Uvarint(p[numCols:])
+			rows := p[int(numCols)+n:]
+			// Every ID in the fixture fits one varint byte, so a row is
+			// exactly numCols bytes: swap the first two rows.
+			a := append([]byte(nil), rows[:numCols]...)
+			copy(rows[:numCols], rows[numCols:2*numCols])
+			copy(rows[numCols:2*numCols], a)
+			secs[i].payload = p
+			return secs
+		}},
+		"duplicate model name": {want: "duplicate model name", edit: func(secs []binSection) []binSection {
+			var p []byte
+			for _, name := range []string{"topo", "kv", "topo"} {
+				p = binary.AppendUvarint(p, uint64(len(name)))
+				p = append(p, name...)
+			}
+			secs[find(secs, secModels)].payload = p
+			return secs
+		}},
+		"virtual member out of range": {want: "out of range", edit: func(secs []binSection) []binSection {
+			p := binary.AppendUvarint(nil, uint64(len("all")))
+			p = append(p, "all"...)
+			p = binary.AppendUvarint(p, 1)
+			p = binary.AppendUvarint(p, hdr.models+1)
+			secs[find(secs, secVirtual)].payload = p
+			return secs
+		}},
+		"virtual collides with a model name": {want: "collides with a model name", edit: func(secs []binSection) []binSection {
+			p := binary.AppendUvarint(nil, uint64(len("kv")))
+			p = append(p, "kv"...)
+			p = binary.AppendUvarint(p, 1)
+			p = binary.AppendUvarint(p, 1)
+			secs[find(secs, secVirtual)].payload = p
+			return secs
+		}},
+	}
+	for name, c := range cases {
+		t.Run(name, func(t *testing.T) {
+			secs := c.edit(append([]binSection(nil), sections...))
+			_, err := RestoreBinary(reframe(secs))
+			if !errors.Is(err, ErrBinarySnapshotCorrupt) || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("err = %v, want ErrBinarySnapshotCorrupt about %q", err, c.want)
+			}
+		})
 	}
 }

@@ -88,6 +88,17 @@ func (v *View) ResolveDataset(name string) ([]ModelID, error) {
 	return nil, unknownModel(name)
 }
 
+// VirtualModels returns the names of all virtual models, sorted;
+// ResolveDataset gives each one's members.
+func (v *View) VirtualModels() []string {
+	names := make([]string, 0, len(v.virtual))
+	for name := range v.virtual {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
 // Indexes returns the key specs of all indexes.
 func (v *View) Indexes() []string {
 	specs := make([]string, len(v.runs))

@@ -1,15 +1,15 @@
 package wal_test
 
-// The headline durability property (ISSUE 5): a kill -9-style crash at
-// ANY byte of the write-ahead log recovers to a store whose Snapshot
-// output is byte-identical to the state after the last durably framed
-// commit. The harness runs a scripted SPARQL Update workload once,
-// recording the log boundary and a reference snapshot after every
-// commit; each crash point then materializes checkpoint + log-prefix
-// in a fresh directory, reopens it, and compares snapshots.
+// The headline durability property: a kill -9-style crash at ANY byte
+// of the write-ahead log recovers to a store whose fingerprint
+// (storetest.Fingerprint) equals the state after the last durably
+// framed commit. The harness runs a scripted SPARQL Update workload
+// once, recording the log boundary and a reference fingerprint after
+// every commit; each crash point then materializes checkpoint +
+// log-prefix in a fresh directory, reopens it, and compares
+// fingerprints.
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -19,6 +19,7 @@ import (
 	"repro/internal/pgrdf"
 	"repro/internal/sparql"
 	"repro/internal/store"
+	"repro/internal/store/storetest"
 	"repro/internal/twitter"
 	"repro/internal/wal"
 )
@@ -39,23 +40,14 @@ func attach(eng *sparql.Engine, l *wal.Log) {
 	}
 }
 
-func snap(t *testing.T, st *store.Store) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := st.View().Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 type upd struct {
 	model string
 	req   string
 }
 
 type crashRef struct {
-	boundary int64 // log size after this commit
-	snapshot []byte
+	boundary    int64 // log size after this commit
+	fingerprint string
 }
 
 // readCheckpointFiles captures every published checkpoint artifact in
@@ -102,12 +94,12 @@ func runWorkload(t *testing.T, opts wal.Options, seed func(st *store.Store), upd
 	}
 	eng := sparql.NewEngine(st)
 	attach(eng, l)
-	refs = append(refs, crashRef{boundary: 0, snapshot: snap(t, st)})
+	refs = append(refs, crashRef{boundary: 0, fingerprint: storetest.Fingerprint(st.View())})
 	for i, u := range updates {
 		if _, err := eng.Update(u.model, u.req); err != nil {
 			t.Fatalf("update %d: %v", i, err)
 		}
-		refs = append(refs, crashRef{boundary: l.Stats().WalBytes, snapshot: snap(t, st)})
+		refs = append(refs, crashRef{boundary: l.Stats().WalBytes, fingerprint: storetest.Fingerprint(st.View())})
 	}
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
@@ -147,8 +139,8 @@ func crashAt(t *testing.T, c int64, ckptFiles map[string][]byte, log []byte, ref
 			want = r
 		}
 	}
-	if got := snap(t, st); !bytes.Equal(got, want.snapshot) {
-		t.Fatalf("crash at byte %d: recovered snapshot diverges from the commit at boundary %d", c, want.boundary)
+	if got := storetest.Fingerprint(st.View()); got != want.fingerprint {
+		t.Fatalf("crash at byte %d: recovered state diverges from the commit at boundary %d", c, want.boundary)
 	}
 	if ws := l.Stats(); ws.TornBytesDropped != c-want.boundary {
 		t.Fatalf("crash at byte %d: dropped %d torn bytes, want %d", c, ws.TornBytesDropped, c-want.boundary)
@@ -232,12 +224,12 @@ func TestCrashRecoveryCheckpointPlusTailFig1(t *testing.T) {
 	if err := l.Checkpoint(st); err != nil {
 		t.Fatal(err)
 	}
-	refs := []crashRef{{boundary: 0, snapshot: snap(t, st)}}
+	refs := []crashRef{{boundary: 0, fingerprint: storetest.Fingerprint(st.View())}}
 	for i := half; i < len(updates); i++ {
 		if _, err := eng.Update(updates[i].model, updates[i].req); err != nil {
 			t.Fatal(err)
 		}
-		refs = append(refs, crashRef{boundary: l.Stats().WalBytes, snapshot: snap(t, st)})
+		refs = append(refs, crashRef{boundary: l.Stats().WalBytes, fingerprint: storetest.Fingerprint(st.View())})
 	}
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
@@ -301,7 +293,7 @@ func TestCrashRecoveryIncrementalChain(t *testing.T) {
 	if err := l.CheckpointIncremental(st); err != nil { // delta 2
 		t.Fatal(err)
 	}
-	wantMid := snap(t, st)
+	wantMid := storetest.Fingerprint(st.View())
 	midFiles := readCheckpointFiles(t, dir)
 	if _, ok := midFiles["checkpoint.delta.000002"]; !ok {
 		t.Fatalf("no second delta after two incremental checkpoints: %v", midFiles)
@@ -320,19 +312,19 @@ func TestCrashRecoveryIncrementalChain(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: recovery failed: %v", name, err)
 		}
-		if got := snap(t, st2); !bytes.Equal(got, wantMid) {
-			t.Fatalf("%s: recovered snapshot diverges from the post-fold state", name)
+		if got := storetest.Fingerprint(st2.View()); got != wantMid {
+			t.Fatalf("%s: recovered state diverges from the post-fold state", name)
 		}
 		l2.Close()
 	}
 
 	// Tail commits after the chain, crashed at every byte.
-	refs := []crashRef{{boundary: 0, snapshot: wantMid}}
+	refs := []crashRef{{boundary: 0, fingerprint: wantMid}}
 	for i := 6; i < len(updates); i++ {
 		if _, err := eng.Update(updates[i].model, updates[i].req); err != nil {
 			t.Fatal(err)
 		}
-		refs = append(refs, crashRef{boundary: l.Stats().WalBytes, snapshot: snap(t, st)})
+		refs = append(refs, crashRef{boundary: l.Stats().WalBytes, fingerprint: storetest.Fingerprint(st.View())})
 	}
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)

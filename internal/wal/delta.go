@@ -270,18 +270,16 @@ func loadDeltas(dir string, baseCRC uint32, haveBase bool, apply func(Batch) err
 }
 
 // removeSuperseded deletes the checkpoint artifacts a just-published
-// full checkpoint replaces: a legacy text checkpoint and every delta
-// (their contents are folded into the new full file). Called before
+// full checkpoint replaces: every delta (their contents are folded into
+// the new full file). Called before
 // the log truncation — if any removal fails the checkpoint attempt is
 // aborted and the untruncated log keeps recovery correct.
 func removeSuperseded(dir string) error {
-	victims := []string{checkpointFile}
 	deltas, err := listDeltas(dir)
 	if err != nil {
 		return err
 	}
-	victims = append(victims, deltas...)
-	for _, name := range victims {
+	for _, name := range deltas {
 		if err := os.Remove(filepath.Join(dir, name)); err != nil && !os.IsNotExist(err) {
 			return fmt.Errorf("wal: remove superseded checkpoint file: %w", err)
 		}

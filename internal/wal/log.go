@@ -17,9 +17,13 @@ import (
 
 const (
 	checkpointBinFile = "checkpoint.bin"
-	checkpointFile    = "checkpoint.nq"
 	checkpointTmp     = "checkpoint.tmp"
 	logFile           = "wal.log"
+
+	// legacyTextCheckpoint is where releases before the binary codec
+	// became the only snapshot format kept the checkpoint. Open refuses
+	// a directory that has it and no checkpoint.bin (ErrLegacyCheckpoint).
+	legacyTextCheckpoint = "checkpoint.nq"
 )
 
 // Log is the durability unit for one data directory: a checkpoint
@@ -54,9 +58,9 @@ type Log struct {
 	wake chan struct{}
 
 	// Delta-chain root (DESIGN.md §16): the CRC of the binary full
-	// checkpoint new deltas extend. haveBase is false when there is no
-	// binary base yet (a fresh directory, or a legacy checkpoint.nq) —
-	// incremental requests then promote to a full checkpoint.
+	// checkpoint new deltas extend. haveBase is false in a fresh
+	// directory — incremental requests then promote to a full
+	// checkpoint.
 
 	//pgrdf:guardedby mu
 	baseCRC uint32
@@ -186,12 +190,9 @@ func Open(dir string, opts Options) (*store.Store, *Log, error) {
 }
 
 // openCheckpoint restores the checkpoint, or builds a fresh store when
-// none exists yet. A legacy text checkpoint.nq is restored only when no
-// checkpoint.bin exists (the first full checkpoint removes it, so both
-// only coexist inside a crash window where the binary one is the
-// newer). It also reports the binary file's CRC — the root the delta
-// chain is validated against — and its size (the incremental path's
-// full-vs-chain cost comparison).
+// none exists yet. It also reports the checkpoint's CRC — the root the
+// delta chain is validated against — and its size (the incremental
+// path's full-vs-chain cost comparison).
 func openCheckpoint(dir string, opts Options) (st *store.Store, baseCRC uint32, haveBase bool, fullBytes int64, err error) {
 	data, err := os.ReadFile(filepath.Join(dir, checkpointBinFile))
 	if err == nil {
@@ -208,28 +209,18 @@ func openCheckpoint(dir string, opts Options) (st *store.Store, baseCRC uint32, 
 	if !os.IsNotExist(err) {
 		return nil, 0, false, 0, fmt.Errorf("wal: open checkpoint: %w", err)
 	}
-
-	f, err := os.Open(filepath.Join(dir, checkpointFile))
-	if os.IsNotExist(err) {
-		if len(opts.Indexes) == 0 {
-			return store.New(), 0, false, 0, nil
-		}
-		st, err := store.NewWithIndexes(opts.Indexes)
-		if err != nil {
-			return nil, 0, false, 0, fmt.Errorf("wal: index config: %w", err)
-		}
-		return st, 0, false, 0, nil
+	// The same reasoning holds for a checkpoint in the retired text
+	// format: this build cannot read it, so it must not start empty.
+	legacy := filepath.Join(dir, legacyTextCheckpoint)
+	if _, err := os.Stat(legacy); err == nil {
+		return nil, 0, false, 0, fmt.Errorf("%w: %s", ErrLegacyCheckpoint, legacy)
 	}
-	if err != nil {
-		return nil, 0, false, 0, fmt.Errorf("wal: open checkpoint: %w", err)
+	if len(opts.Indexes) == 0 {
+		return store.New(), 0, false, 0, nil
 	}
-	defer f.Close()
-	// RestoreAny sniffs the magic, so a binary snapshot parked under the
-	// text name (hand-copied backups) still restores; only a named .bin
-	// file can root a delta chain, though.
-	st, err = store.RestoreAny(bufio.NewReaderSize(f, 1<<20))
+	st, err = store.NewWithIndexes(opts.Indexes)
 	if err != nil {
-		return nil, 0, false, 0, fmt.Errorf("%w: restore %s: %v", ErrCheckpointCorrupt, checkpointFile, err)
+		return nil, 0, false, 0, fmt.Errorf("wal: index config: %w", err)
 	}
 	return st, 0, false, 0, nil
 }
@@ -381,7 +372,7 @@ func (l *Log) checkpointLocked(st *store.Store) (int64, error) {
 		return 0, fmt.Errorf("wal: publish checkpoint: %w", err)
 	}
 	syncDir(l.dir) // make the rename itself durable (best effort)
-	// The full file supersedes a legacy text checkpoint and every delta.
+	// The full file supersedes every delta.
 	// This must precede the truncation: if a removal fails, aborting here
 	// leaves the untruncated log, and recovery over the new full file
 	// plus the whole log is idempotent (stale deltas are detected by

@@ -55,6 +55,12 @@ var ErrDiverged = errors.New("wal: replication position diverged from this log's
 // an empty store over unreadable data.
 var ErrCheckpointCorrupt = errors.New("wal: corrupt checkpoint")
 
+// ErrLegacyCheckpoint reports a data directory whose only checkpoint is
+// a checkpoint.nq in the retired text snapshot format. Open names the
+// file and fails rather than start an empty store over it; README says
+// how to convert such a directory.
+var ErrLegacyCheckpoint = errors.New("wal: legacy text checkpoint (convert the directory with an older release's pgrdf snapshot -format binary)")
+
 // Position identifies a point in the replication stream.
 type Position struct {
 	// ID is the log's replication identity token.

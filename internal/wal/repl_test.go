@@ -210,27 +210,10 @@ func TestBeginSnapshotBlocksCommits(t *testing.T) {
 // durable.
 func TestOpenCorruptCheckpoint(t *testing.T) {
 	type corruption struct {
-		text    bool
 		file    string
 		corrupt func(data []byte) []byte
 	}
 	corruptions := map[string]corruption{
-		// Legacy text checkpoint: a quad line damaged mid-file (parse
-		// failure).
-		"text garbled line": {text: true, file: checkpointFile, corrupt: func(data []byte) []byte {
-			i := bytes.Index(data, []byte("\n<"))
-			if i < 0 {
-				panic("no quad line found in checkpoint")
-			}
-			out := append([]byte(nil), data...)
-			copy(out[i+1:], "<<not an n-quad>>")
-			return out
-		}},
-		// Legacy text checkpoint: truncation mid-line (the final
-		// partial line fails to parse).
-		"text truncated mid-line": {text: true, file: checkpointFile, corrupt: func(data []byte) []byte {
-			return data[:len(data)-len("/p> \"x\" .\n")]
-		}},
 		// Binary format: a flipped payload byte fails its section CRC.
 		"binary bit flip": {file: checkpointBinFile, corrupt: func(data []byte) []byte {
 			out := append([]byte(nil), data...)
@@ -271,9 +254,6 @@ func TestOpenCorruptCheckpoint(t *testing.T) {
 				}
 			}
 			l.Close()
-			if c.text {
-				writeLegacyCheckpoint(t, dir, st)
-			}
 
 			path := filepath.Join(dir, c.file)
 			data, err := os.ReadFile(path)

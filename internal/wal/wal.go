@@ -9,9 +9,9 @@
 //	checkpoint.delta.N  — incremental log folds since the full snapshot
 //	wal.log             — framed mutation records appended since the
 //	                      last checkpoint (full or incremental)
-//	checkpoint.nq       — the legacy text snapshot (store.Snapshot),
-//	                      no longer written; restored on open when an
-//	                      old directory has no checkpoint.bin
+//
+// Open refuses a directory whose only checkpoint is a checkpoint.nq,
+// the text snapshot older releases wrote (ErrLegacyCheckpoint).
 //
 // Commits are journaled log-first: the SPARQL engine publishes the quad
 // delta of each Update operation through its CommitHook, the log

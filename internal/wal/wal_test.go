@@ -1,25 +1,18 @@
 package wal
 
 import (
-	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/rdf"
 	"repro/internal/store"
+	"repro/internal/store/storetest"
 )
-
-func snapshotBytes(t *testing.T, st *store.Store) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := st.View().Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
 
 func mustOpen(t *testing.T, dir string, opts Options) (*store.Store, *Log) {
 	t.Helper()
@@ -55,7 +48,7 @@ func TestOpenAppendReopen(t *testing.T) {
 		insertOp("m", "http://b", "http://p", "2"),
 		Op{Kind: OpDelete, Model: "m", Quad: rdf.Quad{
 			S: rdf.NewIRI("http://a"), P: rdf.NewIRI("http://p"), O: rdf.NewLiteral("1")}})
-	want := snapshotBytes(t, st)
+	want := storetest.Fingerprint(st.View())
 	ws := l.Stats()
 	if ws.WalRecords != 2 || ws.WalBytes == 0 {
 		t.Fatalf("stats after 2 commits: %+v", ws)
@@ -65,7 +58,7 @@ func TestOpenAppendReopen(t *testing.T) {
 	}
 
 	st2, l2 := mustOpen(t, dir, Options{Sync: SyncAlways})
-	if got := snapshotBytes(t, st2); !bytes.Equal(got, want) {
+	if got := storetest.Fingerprint(st2.View()); got != want {
 		t.Fatalf("recovered snapshot diverges:\n got: %s\nwant: %s", got, want)
 	}
 	rs := l2.Stats()
@@ -90,11 +83,11 @@ func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 	}
 	// Mutations after the checkpoint land in the fresh log.
 	commit(t, l, st, insertOp("m", "http://b", "http://p", "2"))
-	want := snapshotBytes(t, st)
+	want := storetest.Fingerprint(st.View())
 	l.Close()
 
 	st2, l2 := mustOpen(t, dir, Options{Sync: SyncAlways})
-	if got := snapshotBytes(t, st2); !bytes.Equal(got, want) {
+	if got := storetest.Fingerprint(st2.View()); got != want {
 		t.Fatalf("checkpoint+tail recovery diverges")
 	}
 	if rs := l2.Stats(); rs.ReplayedRecords != 1 {
@@ -102,60 +95,78 @@ func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 	}
 }
 
-// writeLegacyCheckpoint leaves dir as an old directory would be: st as
-// a text checkpoint.nq and no checkpoint.bin.
-func writeLegacyCheckpoint(t *testing.T, dir string, st *store.Store) {
-	t.Helper()
-	if err := os.WriteFile(filepath.Join(dir, checkpointFile), snapshotBytes(t, st), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, checkpointBinFile)); err != nil && !os.IsNotExist(err) {
-		t.Fatal(err)
-	}
-}
-
-// TestOpenRestoresLegacyTextCheckpoint: a directory whose only
-// checkpoint is a legacy checkpoint.nq opens with its data, and the
-// first checkpoint after that is a full binary one that replaces it.
-func TestOpenRestoresLegacyTextCheckpoint(t *testing.T) {
+// TestOpenRefusesLegacyTextCheckpoint: a directory whose only
+// checkpoint is a checkpoint.nq written by a release that still had the
+// text snapshot format fails Open with ErrLegacyCheckpoint naming the
+// file, and leaves the directory as it was — never a fresh empty store
+// over data the operator believes is durable. Once the directory has a
+// checkpoint.bin, that is the checkpoint and the text file is ignored.
+func TestOpenRefusesLegacyTextCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	st, l := mustOpen(t, dir, Options{Sync: SyncAlways})
 	commit(t, l, st, insertOp("m", "http://a", "http://p", "1"), insertOp("m", "http://b", "http://p", "2"))
 	if err := l.Checkpoint(st); err != nil {
 		t.Fatal(err)
 	}
+	want := storetest.Fingerprint(st.View())
 	l.Close()
-	writeLegacyCheckpoint(t, dir, st)
 
-	st2, l2 := mustOpen(t, dir, Options{Sync: SyncAlways})
-	if !bytes.Equal(snapshotBytes(t, st2), snapshotBytes(t, st)) {
-		t.Fatal("legacy text checkpoint did not restore")
-	}
-	commit(t, l2, st2, insertOp("m", "http://c", "http://p", "3"))
-	want := snapshotBytes(t, st2)
-	// No binary base yet, so an incremental request promotes to full.
-	if err := l2.CheckpointIncremental(st2); err != nil {
+	bin := filepath.Join(dir, checkpointBinFile)
+	aside := filepath.Join(t.TempDir(), checkpointBinFile)
+	if err := os.Rename(bin, aside); err != nil {
 		t.Fatal(err)
 	}
-	if ws := l2.Stats(); ws.FullCheckpoints != 1 || ws.IncrementalCheckpoints != 0 {
-		t.Fatalf("checkpoint over a legacy base: %+v", ws)
+	legacy := filepath.Join(dir, legacyTextCheckpoint)
+	text := "# pgrdf-snapshot v1\n# indexes PCSGM,PSCGM\n# model m\n" +
+		"<http://a> <http://p> \"1\" .\n<http://b> <http://p> \"2\" .\n"
+	if err := os.WriteFile(legacy, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, checkpointFile)); !os.IsNotExist(err) {
-		t.Fatalf("legacy checkpoint.nq survived the binary checkpoint: %v", err)
+	before := dirListing(t, dir)
+	st2, l2, err := Open(dir, Options{Sync: SyncAlways})
+	if err == nil {
+		l2.Close()
+		t.Fatalf("Open succeeded over a legacy text checkpoint (%d quads)", st2.Len())
 	}
-	l2.Close()
+	if !errors.Is(err, ErrLegacyCheckpoint) || !strings.Contains(err.Error(), legacy) {
+		t.Fatalf("err = %v, want ErrLegacyCheckpoint naming %s", err, legacy)
+	}
+	if after := dirListing(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatalf("the refused Open changed the directory: %v -> %v", before, after)
+	}
 
-	st3, _ := mustOpen(t, dir, Options{Sync: SyncAlways})
-	if !bytes.Equal(snapshotBytes(t, st3), want) {
-		t.Fatal("recovery after replacing the legacy checkpoint diverges")
+	if err := os.Rename(aside, bin); err != nil {
+		t.Fatal(err)
 	}
+	st3, _ := mustOpen(t, dir, Options{Sync: SyncAlways})
+	if got := storetest.Fingerprint(st3.View()); got != want {
+		t.Fatalf("recovery beside a leftover checkpoint.nq diverges:\n got: %s\nwant: %s", got, want)
+	}
+}
+
+// dirListing maps each file in dir to its size.
+func dirListing(t *testing.T, dir string) map[string]int64 {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]int64, len(entries))
+	for _, e := range entries {
+		fi, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = fi.Size()
+	}
+	return out
 }
 
 func TestOpenRemovesStaleCheckpointTmp(t *testing.T) {
 	dir := t.TempDir()
 	st, l := mustOpen(t, dir, Options{Sync: SyncAlways})
 	commit(t, l, st, insertOp("m", "http://a", "http://p", "1"))
-	want := snapshotBytes(t, st)
+	want := storetest.Fingerprint(st.View())
 	l.Close()
 	// A checkpoint that crashed before its rename leaves a tmp file; it
 	// must be ignored and removed, not restored.
@@ -163,7 +174,7 @@ func TestOpenRemovesStaleCheckpointTmp(t *testing.T) {
 		t.Fatal(err)
 	}
 	st2, _ := mustOpen(t, dir, Options{Sync: SyncAlways})
-	if got := snapshotBytes(t, st2); !bytes.Equal(got, want) {
+	if got := storetest.Fingerprint(st2.View()); got != want {
 		t.Fatal("stale checkpoint tmp changed recovery")
 	}
 	if _, err := os.Stat(filepath.Join(dir, checkpointTmp)); !os.IsNotExist(err) {
@@ -195,7 +206,7 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 	dir := t.TempDir()
 	st, l := mustOpen(t, dir, Options{Sync: SyncAlways})
 	commit(t, l, st, insertOp("m", "http://a", "http://p", "1"))
-	want := snapshotBytes(t, st)
+	want := storetest.Fingerprint(st.View())
 	l.Close()
 	logPath := filepath.Join(dir, logFile)
 	data, err := os.ReadFile(logPath)
@@ -208,7 +219,7 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 	}
 
 	st2, l2 := mustOpen(t, dir, Options{Sync: SyncAlways})
-	if got := snapshotBytes(t, st2); !bytes.Equal(got, want) {
+	if got := storetest.Fingerprint(st2.View()); got != want {
 		t.Fatal("torn tail changed recovery")
 	}
 	rs := l2.Stats()
@@ -222,10 +233,10 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 	}
 	// And appending must still work and replay cleanly.
 	commit(t, l2, st2, insertOp("m", "http://b", "http://p", "2"))
-	want2 := snapshotBytes(t, st2)
+	want2 := storetest.Fingerprint(st2.View())
 	l2.Close()
 	st3, _ := mustOpen(t, dir, Options{Sync: SyncAlways})
-	if got := snapshotBytes(t, st3); !bytes.Equal(got, want2) {
+	if got := storetest.Fingerprint(st3.View()); got != want2 {
 		t.Fatal("append-after-torn-recovery diverges")
 	}
 }
@@ -254,12 +265,12 @@ func TestInjectedCrashIsStickyAndAbortsCommit(t *testing.T) {
 	if err := l.Commit(Batch{Ops: []Op{insertOp("m", "http://c", "http://p", "3")}}, nil); err == nil {
 		t.Fatal("append succeeded on a broken writer")
 	}
-	want := snapshotBytes(t, st)
+	want := storetest.Fingerprint(st.View())
 	l.Close()
 
 	// Recovery drops the 3 torn bytes and lands on the applied state.
 	st2, l2 := mustOpen(t, dir, Options{Sync: SyncAlways})
-	if got := snapshotBytes(t, st2); !bytes.Equal(got, want) {
+	if got := storetest.Fingerprint(st2.View()); got != want {
 		t.Fatal("crash recovery diverges from pre-crash state")
 	}
 	if rs := l2.Stats(); rs.TornBytesDropped != 3 || rs.ReplayedRecords != 1 {
@@ -273,13 +284,13 @@ func TestSyncPolicies(t *testing.T) {
 			dir := t.TempDir()
 			st, l := mustOpen(t, dir, Options{Sync: policy, SyncEvery: 10 * time.Millisecond})
 			commit(t, l, st, insertOp("m", "http://a", "http://p", "1"))
-			want := snapshotBytes(t, st)
+			want := storetest.Fingerprint(st.View())
 			if err := l.Sync(); err != nil { // explicit flush works under every policy
 				t.Fatal(err)
 			}
 			l.Close()
 			st2, _ := mustOpen(t, dir, Options{Sync: policy})
-			if got := snapshotBytes(t, st2); !bytes.Equal(got, want) {
+			if got := storetest.Fingerprint(st2.View()); got != want {
 				t.Fatal("recovery diverges")
 			}
 		})
