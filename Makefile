@@ -85,13 +85,15 @@ algo-diff:
 ## included; Seek ≡ a forced-index scan of the same prefix through the
 ## zero-copy and the delta-merge paths; Apply sets and the pinned change
 ## log against a reference); answers of
-## EQ1–EQ12 on RF/NG/SP unchanged by Compact(); and the 30 s soak of 8
+## EQ1–EQ12 on RF/NG/SP unchanged by Compact(); a bulk load at
+## GOMAXPROCS 1 and 8 (one index build per goroutine) giving the same
+## indexes; and the 30 s soak of 8
 ## readers + writer + /algo + background checkpointer ending with
 ## /stats answering, no open cursor and store ≡ restored-from-disk.
 ## Part of `make check`.
 store-race:
 	$(GO) test -race -count=1 -run 'TestReadersNeverWaitForWriter|TestUpdateIsAtomicToReaders' ./internal/sparql
-	$(GO) test -race -count=1 -run 'TestScanBatchMatchesScan|TestSeekerReuse|TestApply|TestPinnedViewChangesSince|TestViewIsOneState|TestScanBatchUnderFaultInjector' ./internal/store
+	$(GO) test -race -count=1 -run 'TestScanBatchMatchesScan|TestSeekerReuse|TestApply|TestPinnedViewChangesSince|TestViewIsOneState|TestScanBatchUnderFaultInjector|TestParallelLoadEquivalence' ./internal/store
 	$(GO) test -race -count=1 -run 'TestAnswersIgnoreCompaction' ./internal/bench
 	$(GO) test -race -count=1 -run 'TestSoakServingBesideWrites' ./internal/httpapi
 
@@ -135,13 +137,15 @@ bench-algos-smoke:
 ## tombstones (BenchmarkScanThroughDelta: the cost must not grow with the
 ## delta), one seek of an intersection join with no delta and with 4 500
 ## unmerged inserts (BenchmarkSeek), and one write operation of 1, 3 and
-## 300 quads on an empty and a full delta (BenchmarkApply) — plus the
+## 300 quads on an empty and a full delta (BenchmarkApply), and one
+## bulk load of RF/NG/SP at scale 0.05 into serve's four indexes, parse
+## excluded (BenchmarkLoad) — plus the
 ## analytics tier's triangle count on the algo-rf CSR at one and two
 ## workers (BenchmarkTrianglesKernel). Compare against the parent
 ## commit's run.
 bench-micro:
 	$(GO) test -bench 'Kernel' -run '^$$' -benchtime 20x ./internal/sparql/
-	$(GO) test -bench 'BenchmarkScan|BenchmarkApply|BenchmarkSeek' -run '^$$' ./internal/store/
+	$(GO) test -bench 'BenchmarkScan|BenchmarkApply|BenchmarkSeek|BenchmarkLoad' -run '^$$' ./internal/store/
 	$(GO) test -bench 'TrianglesKernel' -run '^$$' -benchtime 20x ./internal/graph/
 
 ## bench-smoke: one-iteration bench at reduced scale (the CI gate).
@@ -177,12 +181,16 @@ bench-pair:
 	$(GO) run ./cmd/benchpair -ref .bench_pair/ref -new . -workload $(WORKLOAD) -pairs $(PAIRS) -seed $(SEED); \
 		status=$$?; git worktree remove --force .bench_pair/ref; exit $$status
 
-## fuzz-smoke: run each parser fuzz target, and the results-encoder
+## fuzz-smoke: run each parser fuzz target (N-Quads reader, its
+## one-statement ParseQuad against the reader, Turtle, SPARQL, the WAL
+## record decoder), and the results-encoder
 ## differential (byte-identical to encoding/json), for FUZZTIME
 ## (default 30s). Regression seeds always run as part of plain
 ## `make test` too.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReader -fuzztime=$(FUZZTIME) ./internal/ntriples
+	$(GO) test -run='^$$' -fuzz=FuzzParseQuad -fuzztime=$(FUZZTIME) ./internal/ntriples
+	$(GO) test -run='^$$' -fuzz=FuzzDecodePayload -fuzztime=$(FUZZTIME) ./internal/wal
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/turtle
 	$(GO) test -run='^$$' -fuzz=FuzzParseAndExec -fuzztime=$(FUZZTIME) ./internal/sparql
 	$(GO) test -run='^$$' -fuzz=FuzzWriteResultsJSON -fuzztime=$(FUZZTIME) ./internal/httpapi

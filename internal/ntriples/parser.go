@@ -62,7 +62,7 @@ func (r *Reader) Read() (rdf.Quad, error) {
 			}
 			continue
 		}
-		return r.parseLine(line)
+		return parseLine(line, r.line)
 	}
 }
 
@@ -81,14 +81,44 @@ func (r *Reader) ReadAll() ([]rdf.Quad, error) {
 	}
 }
 
+// ParseQuad parses one statement held in a string. It accepts exactly
+// the inputs on which ReadAll returns one quad and no error — blank and
+// comment lines around the statement are allowed — without allocating
+// a Reader and its buffer.
+func ParseQuad(s string) (rdf.Quad, error) {
+	var q rdf.Quad
+	found := false
+	for n := 1; s != ""; n++ {
+		raw, rest, _ := strings.Cut(s, "\n")
+		s = rest
+		line := strings.TrimSpace(raw)
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		if found {
+			return rdf.Quad{}, &SyntaxError{Line: n, Col: 1, Msg: "more than one statement"}
+		}
+		var err error
+		if q, err = parseLine(line, n); err != nil {
+			return rdf.Quad{}, err
+		}
+		found = true
+	}
+	if !found {
+		return q, &SyntaxError{Line: 1, Col: 1, Msg: "no statement"}
+	}
+	return q, nil
+}
+
 type lineParser struct {
 	s    string
 	pos  int
 	line int
 }
 
-func (r *Reader) parseLine(line string) (rdf.Quad, error) {
-	p := &lineParser{s: line, line: r.line}
+// parseLine parses the statement on a trimmed, non-comment line n.
+func parseLine(line string, n int) (rdf.Quad, error) {
+	p := &lineParser{s: line, line: n}
 	var q rdf.Quad
 	var err error
 	// N-Triples documents are UTF-8; raw invalid bytes must not leak
@@ -200,19 +230,60 @@ func (p *lineParser) blank() (rdf.Term, error) {
 
 func (p *lineParser) literal() (rdf.Term, error) {
 	p.pos++ // opening quote
+	var lex string
+	if i := strings.IndexAny(p.s[p.pos:], "\"\\"); i >= 0 && p.s[p.pos+i] == '"' {
+		// No escape: the lexical form is a substring of the line.
+		lex = p.s[p.pos : p.pos+i]
+		p.pos += i + 1
+	} else {
+		var err error
+		if lex, err = p.escapedLexical(); err != nil {
+			return rdf.Term{}, err
+		}
+	}
+	// Optional language tag or datatype.
+	switch p.peek() {
+	case '@':
+		p.pos++
+		start := p.pos
+		for p.pos < len(p.s) && (isAlnum(p.s[p.pos]) || p.s[p.pos] == '-') {
+			p.pos++
+		}
+		if p.pos == start {
+			return rdf.Term{}, p.errf("empty language tag")
+		}
+		return rdf.NewLangLiteral(lex, p.s[start:p.pos]), nil
+	case '^':
+		if p.pos+1 >= len(p.s) || p.s[p.pos+1] != '^' {
+			return rdf.Term{}, p.errf("expected '^^' before datatype")
+		}
+		p.pos += 2
+		dt, err := p.iri()
+		if err != nil {
+			return rdf.Term{}, err
+		}
+		return rdf.NewTypedLiteral(lex, dt.Value), nil
+	default:
+		return rdf.NewLiteral(lex), nil
+	}
+}
+
+// escapedLexical reads a literal's lexical form up to and past its
+// closing quote, resolving escapes.
+func (p *lineParser) escapedLexical() (string, error) {
 	var b strings.Builder
 	for {
 		if p.pos >= len(p.s) {
-			return rdf.Term{}, p.errf("unterminated literal")
+			return "", p.errf("unterminated literal")
 		}
 		c := p.s[p.pos]
 		if c == '"' {
 			p.pos++
-			break
+			return b.String(), nil
 		}
 		if c == '\\' {
 			if p.pos+1 >= len(p.s) {
-				return rdf.Term{}, p.errf("dangling escape at end of line")
+				return "", p.errf("dangling escape at end of line")
 			}
 			p.pos++
 			switch e := p.s[p.pos]; e {
@@ -238,48 +309,22 @@ func (p *lineParser) literal() (rdf.Term, error) {
 					n = 8
 				}
 				if p.pos+n >= len(p.s) {
-					return rdf.Term{}, p.errf("truncated \\%c escape", e)
+					return "", p.errf("truncated \\%c escape", e)
 				}
 				r, err := hexRune(p.s[p.pos+1 : p.pos+1+n])
 				if err != nil {
-					return rdf.Term{}, p.errf("bad \\%c escape: %v", e, err)
+					return "", p.errf("bad \\%c escape: %v", e, err)
 				}
 				b.WriteRune(r)
 				p.pos += n
 			default:
-				return rdf.Term{}, p.errf("unknown escape \\%c", e)
+				return "", p.errf("unknown escape \\%c", e)
 			}
 			p.pos++
 			continue
 		}
 		b.WriteByte(c)
 		p.pos++
-	}
-	lex := b.String()
-	// Optional language tag or datatype.
-	switch p.peek() {
-	case '@':
-		p.pos++
-		start := p.pos
-		for p.pos < len(p.s) && (isAlnum(p.s[p.pos]) || p.s[p.pos] == '-') {
-			p.pos++
-		}
-		if p.pos == start {
-			return rdf.Term{}, p.errf("empty language tag")
-		}
-		return rdf.NewLangLiteral(lex, p.s[start:p.pos]), nil
-	case '^':
-		if p.pos+1 >= len(p.s) || p.s[p.pos+1] != '^' {
-			return rdf.Term{}, p.errf("expected '^^' before datatype")
-		}
-		p.pos += 2
-		dt, err := p.iri()
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		return rdf.NewTypedLiteral(lex, dt.Value), nil
-	default:
-		return rdf.NewLiteral(lex), nil
 	}
 }
 

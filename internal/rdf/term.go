@@ -10,6 +10,7 @@ package rdf
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // TermKind discriminates the three kinds of RDF terms.
@@ -138,42 +139,54 @@ func (t Term) String() string {
 		return "<" + t.Value + ">"
 	case KindBlank:
 		return "_:" + t.Value
-	case KindLiteral:
-		var b strings.Builder
-		b.WriteByte('"')
-		escapeLiteral(&b, t.Value)
-		b.WriteByte('"')
-		if t.Lang != "" {
-			b.WriteByte('@')
-			b.WriteString(t.Lang)
-		} else if t.Datatype != "" {
-			b.WriteString("^^<")
-			b.WriteString(t.Datatype)
-			b.WriteByte('>')
-		}
-		return b.String()
 	default:
-		return "<invalid>"
+		var buf [64]byte // most literals render without a second allocation
+		return string(t.AppendTo(buf[:0]))
 	}
 }
 
-func escapeLiteral(b *strings.Builder, s string) {
+// AppendTo appends the bytes of t.String() to dst, so a caller that
+// only looks the rendering up in a map can reuse one buffer.
+func (t Term) AppendTo(dst []byte) []byte {
+	switch t.Kind {
+	case KindIRI:
+		return append(append(append(dst, '<'), t.Value...), '>')
+	case KindBlank:
+		return append(append(dst, "_:"...), t.Value...)
+	case KindLiteral:
+		dst = append(appendEscaped(append(dst, '"'), t.Value), '"')
+		if t.Lang != "" {
+			return append(append(dst, '@'), t.Lang...)
+		}
+		if t.Datatype != "" {
+			return append(append(append(dst, "^^<"...), t.Datatype...), '>')
+		}
+		return dst
+	default:
+		return append(dst, "<invalid>"...)
+	}
+}
+
+// appendEscaped appends s with N-Triples string escapes. It ranges over
+// runes, so an invalid UTF-8 byte renders as U+FFFD.
+func appendEscaped(dst []byte, s string) []byte {
 	for _, r := range s {
 		switch r {
 		case '"':
-			b.WriteString(`\"`)
+			dst = append(dst, `\"`...)
 		case '\\':
-			b.WriteString(`\\`)
+			dst = append(dst, `\\`...)
 		case '\n':
-			b.WriteString(`\n`)
+			dst = append(dst, `\n`...)
 		case '\r':
-			b.WriteString(`\r`)
+			dst = append(dst, `\r`...)
 		case '\t':
-			b.WriteString(`\t`)
+			dst = append(dst, `\t`...)
 		default:
-			b.WriteRune(r)
+			dst = utf8.AppendRune(dst, r)
 		}
 	}
+	return dst
 }
 
 // Equal reports term equality. Two literals are equal iff their lexical

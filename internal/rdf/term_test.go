@@ -38,11 +38,16 @@ func TestTermString(t *testing.T) {
 		{NewBoolean(true), `"true"^^<http://www.w3.org/2001/XMLSchema#boolean>`},
 		{NewLangLiteral("train", "EN-US"), `"train"@en-us`},
 		{NewLiteral("a\"b\\c\nd\te\r"), `"a\"b\\c\nd\te\r"`},
-		{NewTypedLiteral("x", XSDString), `"x"`}, // xsd:string collapses to plain
+		{NewTypedLiteral("x", XSDString), `"x"`},               // xsd:string collapses to plain
+		{NewLiteral("caf\xe9 \u00e9"), "\"caf\uFFFD \u00e9\""}, // invalid UTF-8 renders as U+FFFD
+		{Term{}, "<invalid>"},
 	}
 	for _, c := range cases {
 		if got := c.term.String(); got != c.want {
 			t.Errorf("String(%+v) = %q, want %q", c.term, got, c.want)
+		}
+		if got := string(c.term.AppendTo([]byte("x"))); got != "x"+c.want {
+			t.Errorf("AppendTo(%+v) = %q, want %q", c.term, got, "x"+c.want)
 		}
 	}
 }

@@ -62,11 +62,46 @@ func (d *Dict) Intern(t rdf.Term) ID {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if id, ok = d.byKey[key]; ok {
+	var buf []byte
+	return d.internTo(&buf, t)
+}
+
+// internChunk is how many quads internRows interns per lock hold.
+const internChunk = 4096
+
+// internRows interns the terms of quads in the order Intern would, S,
+// P, O, G quad by quad, and returns their rows in model m. Every key is
+// rendered into one reused buffer, so only a new term allocates.
+func (d *Dict) internRows(m ModelID, quads []rdf.Quad) []IDQuad {
+	rows := make([]IDQuad, len(quads))
+	var buf []byte
+	for lo := 0; lo < len(quads); lo += internChunk {
+		d.mu.Lock()
+		for i := lo; i < min(lo+internChunk, len(quads)); i++ {
+			q := &quads[i]
+			rows[i] = IDQuad{S: d.internTo(&buf, q.S), P: d.internTo(&buf, q.P), C: d.internTo(&buf, q.O), M: m}
+			if !q.G.IsZero() {
+				rows[i].G = d.internTo(&buf, q.G)
+			}
+		}
+		d.mu.Unlock()
+	}
+	return rows
+}
+
+// internTo returns the ID for t, assigning a fresh one on first sight,
+// with t's key rendered into *buf: the lookup by string(*buf) does not
+// allocate, so only a new term copies its key.
+//
+//pgrdf:locks mu
+func (d *Dict) internTo(buf *[]byte, t rdf.Term) ID {
+	*buf = t.AppendTo((*buf)[:0])
+	if id, ok := d.byKey[string(*buf)]; ok {
 		return id
 	}
+	key := string(*buf)
 	d.terms = append(d.terms, t)
-	id = ID(len(d.terms))
+	id := ID(len(d.terms))
 	d.byKey[key] = id
 	d.lexLen += int64(len(key))
 	return id

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -268,16 +269,40 @@ func (r *run) compacted() run {
 	return run{ix: r.ix, base: merged}
 }
 
-// loaded returns the run with rows, none of which it holds, merged into
-// a new base array. The delta must be empty. rows is reordered.
-func (r *run) loaded(rows []IDQuad, workers int) run {
+// loaded returns the run with rows, sorted by h, merged into a new base
+// array. Equal rows sort next to each other, so repeats within rows and
+// rows the base already holds drop out of the sort and the merge. The
+// delta must be empty; rows is only read.
+func (r *run) loaded(rows []IDQuad, h *radixHist) run {
 	if len(rows) == 0 {
 		return *r
 	}
-	sortQuads(rows, r.ix.less, workers)
-	merged := make([]IDQuad, len(r.base)+len(rows))
-	mergeRuns(merged, r.base, rows, r.ix.less)
-	return run{ix: r.ix, base: merged}
+	sorted := slices.Compact(h.sort(rows, r.ix.perm))
+	if len(r.base) == 0 {
+		return run{ix: r.ix, base: sorted}
+	}
+	return run{ix: r.ix, base: mergeRuns(r.base, sorted, r.ix.less)}
+}
+
+// mergeRuns returns the union of the sorted, duplicate-free runs a and b
+// in a new array: a row of b equal to one of a is dropped.
+func mergeRuns(a, b []IDQuad, less func(x, y IDQuad) bool) []IDQuad {
+	out := make([]IDQuad, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case less(b[j], a[i]):
+			out = append(out, b[j])
+			j++
+		case b[j] == a[i]:
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }
 
 // keyCompressedCells estimates the number of stored key cells under

@@ -119,27 +119,21 @@ func (s *Store) publish(w *View) {
 }
 
 // eachRun replaces every run of w by build's result. Bulk operations
-// (Load, Compact, CreateIndex) use runtime.GOMAXPROCS(0) workers: the
-// runs are built concurrently, and build receives the per-index share of
-// the workers for its own sorting.
-func (s *Store) eachRun(w *View, build func(r *run, workers int) run) {
-	par := runtime.GOMAXPROCS(0)
-	if par <= 1 || len(w.runs) == 1 {
+// (Load, Compact) build the runs concurrently, one goroutine per index,
+// when GOMAXPROCS allows.
+func (s *Store) eachRun(w *View, build func(r *run) run) {
+	if runtime.GOMAXPROCS(0) <= 1 || len(w.runs) == 1 {
 		for i := range w.runs {
-			w.runs[i] = build(&w.runs[i], 1)
+			w.runs[i] = build(&w.runs[i])
 		}
 		return
-	}
-	share := par / len(w.runs)
-	if share < 1 {
-		share = 1
 	}
 	var wg sync.WaitGroup
 	for i := range w.runs {
 		wg.Add(1)
 		go func(r *run) {
 			defer wg.Done()
-			*r = build(r, share)
+			*r = build(r)
 		}(&w.runs[i])
 	}
 	wg.Wait()
@@ -151,7 +145,7 @@ func (s *Store) compact(w *View) {
 		return
 	}
 	start := time.Now()
-	s.eachRun(w, func(r *run, _ int) run { return r.compacted() })
+	s.eachRun(w, func(r *run) run { return r.compacted() })
 	w.inserts, w.tombs = 0, 0
 	s.compactions.Add(1)
 	s.compactionNanos.Add(time.Since(start).Nanoseconds())
@@ -175,8 +169,7 @@ func (s *Store) CreateIndex(spec string) error {
 	r := run{ix: &Index{perm: perm}}
 	if len(w.runs) > 0 {
 		from := &w.runs[0]
-		r.base = append([]IDQuad(nil), from.base...)
-		sortQuads(r.base, r.ix.less, runtime.GOMAXPROCS(0))
+		r.base = newRadixHist(from.base).sort(from.base, perm)
 		var entries []dentry
 		for _, c := range from.delta {
 			entries = append(entries, c.e...)
@@ -298,9 +291,9 @@ func (s *Store) internQuad(m ModelID, q rdf.Quad) IDQuad {
 }
 
 // Load bulk-loads quads into the named model, rebuilding all indexes
-// once and publishing once. This is the fast path corresponding to
-// Oracle's N-Quads bulk load; prefer it over repeated Insert calls for
-// large datasets.
+// once and publishing once, and returns how many of the quads were new.
+// This is the fast path corresponding to Oracle's N-Quads bulk load;
+// prefer it over repeated Insert calls for large datasets.
 func (s *Store) Load(model string, quads []rdf.Quad) (int, error) {
 	for i := range quads {
 		if err := quads[i].Validate(); err != nil {
@@ -312,32 +305,17 @@ func (s *Store) Load(model string, quads []rdf.Quad) (int, error) {
 	w := s.edit()
 	m := w.model(model)
 	s.compact(w)
-	rows := make([]IDQuad, len(quads))
-	for i := range quads {
-		rows[i] = s.internQuad(m, quads[i])
-	}
-	// Deduplicate against existing contents and within the batch.
-	fresh := rows[:0]
-	batch := make(map[IDQuad]struct{}, len(rows))
-	for _, row := range rows {
-		if _, dup := batch[row]; dup {
-			continue
-		}
-		if live, _ := w.runs[0].lookup(row); live {
-			continue
-		}
-		batch[row] = struct{}{}
-		fresh = append(fresh, row)
-	}
-	s.eachRun(w, func(r *run, workers int) run {
-		return r.loaded(append([]IDQuad(nil), fresh...), workers)
-	})
-	if len(fresh) > 0 {
+	rows := s.dict.internRows(m, quads)
+	h := newRadixHist(rows)
+	before := len(w.runs[0].base)
+	s.eachRun(w, func(r *run) run { return r.loaded(rows, h) })
+	added := len(w.runs[0].base) - before
+	if added > 0 {
 		w.Version++
 		w.barrier = w.Version
 	}
 	s.publish(w)
-	return len(fresh), nil
+	return added, nil
 }
 
 // Op is one quad-level mutation of an Apply set: assert the quad in the

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"strings"
 
 	"repro/internal/ntriples"
 )
@@ -73,6 +72,10 @@ func decodePayload(payload []byte) (seq uint64, b Batch, err error) {
 	seq = binary.LittleEndian.Uint64(payload)
 	nops := binary.LittleEndian.Uint32(payload[8:])
 	rest := payload[12:]
+	if nops > 0 {
+		// An op takes at least 7 bytes, which bounds a corrupt count.
+		b.Ops = make([]Op, 0, min(int(nops), len(rest)/7))
+	}
 	for i := uint32(0); i < nops; i++ {
 		if len(rest) < 3 {
 			return 0, Batch{}, errTorn
@@ -92,13 +95,12 @@ func decodePayload(payload []byte) (seq uint64, b Batch, err error) {
 		if len(rest) < llen {
 			return 0, Batch{}, errTorn
 		}
-		line := string(rest[:llen])
-		rest = rest[llen:]
-		quads, err := ntriples.NewReader(strings.NewReader(line)).ReadAll()
-		if err != nil || len(quads) != 1 {
+		q, err := ntriples.ParseQuad(string(rest[:llen]))
+		if err != nil {
 			return 0, Batch{}, errTorn
 		}
-		b.Ops = append(b.Ops, Op{Kind: kind, Model: model, Quad: quads[0]})
+		rest = rest[llen:]
+		b.Ops = append(b.Ops, Op{Kind: kind, Model: model, Quad: q})
 	}
 	if len(rest) != 0 {
 		return 0, Batch{}, errTorn

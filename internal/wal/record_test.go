@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -212,4 +213,73 @@ func writeTornCorpus(t *testing.T) {
 	write("rec1-hugelen.bin", huge)
 	garbage := append(append([]byte(nil), log...), bytes.Repeat([]byte{0x00}, 16)...)
 	write("rec3-zerotail.bin", garbage)
+}
+
+// TestDecodePayloadAllocs bounds what decoding a record allocates: per
+// op its model name, its N-Quads line (whose substrings become the
+// terms) and at most two for a literal with escapes, plus the op slice.
+// A Reader per op, as decoding once used, costs a 64 KiB buffer each.
+func TestDecodePayloadAllocs(t *testing.T) {
+	for i, b := range corpusBatches() {
+		frame, err := encodeBatch(uint64(i+1), b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := frame[frameHeaderLen:]
+		got := testing.AllocsPerRun(50, func() {
+			if _, _, err := decodePayload(payload); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if limit := float64(1 + 4*len(b.Ops)); got > limit {
+			t.Errorf("record %d (%d ops): %.0f allocations per decode, want <= %.0f", i, len(b.Ops), got, limit)
+		}
+	}
+}
+
+// FuzzDecodePayload: decoding an arbitrary payload never panics, and a
+// batch it accepts encodes back to a payload that decodes to the same
+// batch and is its own re-encoding. (The decoder, like the bulk-load
+// parser, accepts spacing and comment lines the encoder never writes,
+// so only the encoder's output is a fixed point.) Seeds are the
+// payloads of the canonical corpus and of the torn-write corpus files.
+func FuzzDecodePayload(f *testing.F) {
+	for i, b := range corpusBatches() {
+		frame, err := encodeBatch(uint64(i+1), b)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame[frameHeaderLen:])
+	}
+	seeds, err := filepath.Glob(filepath.Join("testdata", "torn", "*.bin"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, path := range seeds {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if len(data) > frameHeaderLen {
+			f.Add(data[frameHeaderLen:])
+		}
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		seq, b, err := decodePayload(payload)
+		if err != nil {
+			return
+		}
+		frame, err := encodeBatch(seq, b)
+		if err != nil {
+			t.Fatalf("decoded batch does not encode: %v\npayload: %q", err, payload)
+		}
+		seq2, b2, err := decodePayload(frame[frameHeaderLen:])
+		if err != nil || seq2 != seq || !reflect.DeepEqual(b2, b) {
+			t.Fatalf("re-encoded batch decodes to seq %d %+v (err %v), want seq %d %+v", seq2, b2, err, seq, b)
+		}
+		again, err := encodeBatch(seq2, b2)
+		if err != nil || !bytes.Equal(again, frame) {
+			t.Fatalf("encoding is not a fixed point:\n%q\n%q", frame, again)
+		}
+	})
 }
