@@ -127,7 +127,10 @@ bench-algos-smoke:
 	$(GO) run ./cmd/benchpaper -algobench -workers $(BENCH_WORKERS) -iters 1 -scale 0.02 -out BENCH_algos.json
 
 ## bench-micro: executor kernel microbenchmarks — the BGP driver's hot
-## loops (scan, hash probe, nested loop, sorted intersection, filter),
+## loops (scan, hash probe, nested loop, filter, and the sorted
+## intersection's triangle count: EQ12 summing its matches and grouped
+## by ?z emitting per value, a random and a hub graph, each leg checking
+## its count once before timing — BenchmarkIntersectKernel),
 ## the nested shapes that rerun an inner BGP per outer row (OPTIONAL,
 ## MINUS), the aggregate tail (grouping by one and two key columns, a
 ## UNION of two scans) and a 4-hop path count, counted vs enumerated
@@ -183,7 +186,8 @@ bench-pair:
 
 ## fuzz-smoke: run each parser fuzz target (N-Quads reader, its
 ## one-statement ParseQuad against the reader, Turtle, SPARQL, the WAL
-## record decoder), and the results-encoder
+## record decoder, the binary snapshot's section decoders behind their
+## CRCs), and the results-encoder
 ## differential (byte-identical to encoding/json), for FUZZTIME
 ## (default 30s). Regression seeds always run as part of plain
 ## `make test` too.
@@ -191,6 +195,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReader -fuzztime=$(FUZZTIME) ./internal/ntriples
 	$(GO) test -run='^$$' -fuzz=FuzzParseQuad -fuzztime=$(FUZZTIME) ./internal/ntriples
 	$(GO) test -run='^$$' -fuzz=FuzzDecodePayload -fuzztime=$(FUZZTIME) ./internal/wal
+	$(GO) test -run='^$$' -fuzz=FuzzRestoreBinary -fuzztime=$(FUZZTIME) ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/turtle
 	$(GO) test -run='^$$' -fuzz=FuzzParseAndExec -fuzztime=$(FUZZTIME) ./internal/sparql
 	$(GO) test -run='^$$' -fuzz=FuzzWriteResultsJSON -fuzztime=$(FUZZTIME) ./internal/httpapi

@@ -26,14 +26,29 @@ func enumerating(q string) string {
 	return q[:i] + " { SELECT * WHERE {" + q[i:j] + "} } " + q[j:]
 }
 
-// countCollapses is how many steps of each countShapeQueries plan drop a
-// column (EXPLAIN's collapse=), and -1 where the BGP must run unweighted:
-// EQ11a–e collapse from their third hop on, EQ12 and the unanchored 2-hop
-// only before their last step, the VALUES shape — planned for an
-// unbound ?v — after its first two, the GROUP BY ?a shape only once ?b
-// is dead, the FILTER shape only before ?b's filter runs, the 4-cycle
-// only after its first step.
-var countCollapses = []int{0, 0, 1, 2, 3, 0, 1, 2, 2, 1, 1, 1, -1, -1}
+// sumShapeQueries are the triangle count's variants around a fused
+// group that sums (DESIGN.md §22): grouped by a variable the group
+// does not bind (sums), grouped by the one it binds (must not: the key
+// is live), and filtered inside the group (must not).
+var sumShapeQueries = []string{
+	`SELECT ?x (COUNT(*) AS ?n) WHERE { ?x rel:follows ?y . ?y rel:follows ?z . ?z rel:follows ?x } GROUP BY ?x`,
+	`SELECT ?z (COUNT(*) AS ?n) WHERE { ?x rel:follows ?y . ?y rel:follows ?z . ?z rel:follows ?x } GROUP BY ?z`,
+	`SELECT (COUNT(*) AS ?n) WHERE { ?x rel:follows ?y . ?y rel:follows ?z . ?z rel:follows ?x FILTER (?z != ?x) }`,
+}
+
+// countCollapses is how many steps of each countShapeQueries and
+// sumShapeQueries plan drop a column (EXPLAIN's collapse=), and -1 where
+// the BGP must run unweighted: EQ11a–e collapse from their third hop
+// on, EQ12 and the unanchored 2-hop only before their last step, the
+// VALUES shape — planned for an unbound ?v — after its first two, the
+// GROUP BY ?a shape only once ?b is dead, the FILTER shape only before
+// ?b's filter runs, the 4-cycle only after its first step; no triangle
+// variant collapses.
+var countCollapses = []int{0, 0, 1, 2, 3, 0, 1, 2, 2, 1, 1, 1, -1, -1, 0, 0, 0}
+
+// countSums are the shapes, indexed as countCollapses, whose fused group
+// sums: EQ12, the 4-cycle, and the triangles grouped by ?x.
+var countSums = map[int]bool{5: true, 11: true, 14: true}
 
 // countStore builds the counting differential's dataset: 2 000 random
 // follows edges over 1 000 nodes in model m1, each in its own named
@@ -71,16 +86,60 @@ func countStore(t *testing.T) (m1, m2 []rdf.Quad) {
 	return newRefEval(t, m1).quads, newRefEval(t, m2).quads
 }
 
+// nonSimpleMarks builds two triangle gadgets whose marked ranges are
+// not simple (store.Marks) when m1 alone is queried. Each has two
+// edges x → y and x' → y, so the second driving row repeats out(y),
+// marks it and walks in(x'):
+//
+//   - in gadget a, out(y) holds z on two rows in two named graphs of m1
+//     plus a row in m2, and so does the walked in(x'): a hit stands for
+//     two visible marked rows, not one;
+//   - in gadget b, out(y) holds each value once, but its edge to z is
+//     in m2 only, so the visible in(x') hits z where no marked row is
+//     visible.
+func nonSimpleMarks() (m1, m2 []rdf.Quad) {
+	follows := rdf.NewIRI(rdf.RelNS + "follows")
+	node := func(g string, i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("http://pg/%s%d", g, i)) }
+	edge := func(s, o rdf.Term, g string) rdf.Quad {
+		if g == "" {
+			return rdf.Quad{S: s, P: follows, O: o}
+		}
+		return rdf.NewQuad(s, follows, o, rdf.NewIRI("http://pg/"+g))
+	}
+	x, y, z, x2 := node("a", 0), node("a", 1), node("a", 2), node("a", 3)
+	m1 = append(m1, edge(x, y, ""), edge(x2, y, ""))
+	for _, g := range []string{"ga1", "ga2"} {
+		m1 = append(m1, edge(y, z, g), edge(z, x, g), edge(z, x2, g))
+	}
+	m2 = append(m2, edge(y, z, ""), edge(z, x, ""), edge(z, x2, ""))
+	x, y, z, x2 = node("b", 0), node("b", 1), node("b", 2), node("b", 3)
+	m1 = append(m1, edge(x, y, ""), edge(x2, y, ""), edge(y, node("b", 4), ""), edge(z, x, ""), edge(z, x2, ""))
+	m2 = append(m2, edge(y, z, ""))
+	return m1, m2
+}
+
+// summing reports whether a profile's plan has a fused group that
+// summed its matches.
+func summing(ns []*ProfileNode) bool {
+	for _, n := range ns {
+		if n.Summed > 0 || summing(n.Children) {
+			return true
+		}
+	}
+	return false
+}
+
 // TestCountingMatchesEnumerating is the counting differential: every
-// countShapeQueries shape must answer exactly what its enumerating form
-// answers, on countStore freshly loaded, with delta rows and tombstones
-// in the follows ranges, and compacted; over all models and over m1.
-// The weighted shapes must plan weighted with the collapses
-// countCollapses names, the others unweighted.
+// countShapeQueries and sumShapeQueries shape must answer exactly what
+// its enumerating form answers, on countStore plus nonSimpleMarks
+// freshly loaded, with delta rows and tombstones in the follows ranges,
+// and compacted; over all models and over m1. The weighted shapes must
+// plan weighted with the collapses countCollapses names, the others
+// unweighted, and exactly the countSums shapes must sum.
 func TestCountingMatchesEnumerating(t *testing.T) {
 	m1, m2 := countStore(t)
 	// Every 6th m1 quad is held out of the load and inserted later;
-	// every 7th loaded one is deleted.
+	// every 7th loaded one is deleted. The gadgets stay as built.
 	var base, held, deleted []rdf.Quad
 	for i, q := range m1 {
 		switch {
@@ -93,6 +152,8 @@ func TestCountingMatchesEnumerating(t *testing.T) {
 			base = append(base, q)
 		}
 	}
+	g1, g2 := nonSimpleMarks()
+	base, m2 = append(base, g1...), append(m2, g2...)
 	st, err := store.NewWithIndexes(serveIndexes)
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +182,7 @@ func TestCountingMatchesEnumerating(t *testing.T) {
 		}},
 		{"compacted", st.Compact},
 	}
-	shapes := countShapeQueries()
+	shapes := append(countShapeQueries(), sumShapeQueries...)
 	if len(shapes) != len(countCollapses) {
 		t.Fatalf("%d shapes, %d expected collapse counts", len(shapes), len(countCollapses))
 	}
@@ -141,9 +202,12 @@ func TestCountingMatchesEnumerating(t *testing.T) {
 				if collapses := strings.Count(plan, "collapse="); weighted != (countCollapses[i] >= 0) || weighted && collapses != countCollapses[i] {
 					t.Errorf("%s: weighted=%v with %d collapsing steps, want %d\n%s", label, weighted, collapses, countCollapses[i], plan)
 				}
-				got, err := e.Query(model, q)
+				got, prof, err := e.QueryProfiled(model, q)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
+				}
+				if summing(prof.Plan) != countSums[i] {
+					t.Errorf("%s: sums = %v, want %v\n%s", label, !countSums[i], countSums[i], prof.Render())
 				}
 				want, err := e.Query(model, enumerating(q))
 				if err != nil {

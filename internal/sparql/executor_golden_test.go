@@ -128,9 +128,9 @@ func executorGolden(t *testing.T) string {
 // profileCounters runs q with profiling and renders each plan
 // node's invocations, rows in/out and NLJ→hash switch flag — the
 // counters that must not change with the executor's internals — and a
-// fused binder's rows by intersection kernel. Guard ticks and wall time
-// are left out: ticks depend on where the hash switch happens, not on
-// whether it happens.
+// fused binder's rows by intersection kernel and the rows it summed.
+// Guard ticks and wall time are left out: ticks depend on where the
+// hash switch happens, not on whether it happens.
 func profileCounters(t *testing.T, st *store.Store, q string) string {
 	t.Helper()
 	e := NewEngine(st)
@@ -147,6 +147,9 @@ func profileCounters(t *testing.T, st *store.Store, q string) string {
 				strings.Repeat("  ", depth), n.Label, n.Invocations, n.RowsIn, n.RowsOut, n.HashJoin)
 			if n.Walked+n.Galloped > 0 {
 				fmt.Fprintf(&sb, " marked=%d walked=%d galloped=%d dir=%d", n.Marked, n.Walked, n.Galloped, n.Dir)
+			}
+			if n.Summed > 0 {
+				fmt.Fprintf(&sb, " summed=%d", n.Summed)
 			}
 			sb.WriteByte('\n')
 			walk(n.Children, depth+1)

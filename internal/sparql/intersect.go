@@ -197,12 +197,14 @@ func planIntersections(view *store.View, rps []resolvedPattern, order []int) []*
 // the current input row with the intersection's position in them, and
 // the marks of a two-sided group: which side's range they hold (-1:
 // none) under which pattern. The view is pinned, so marks stay valid for
-// as long as that side seeks the same pattern.
+// as long as that side seeks the same pattern. visible is the dataset's
+// row filter, nil when it sees every row.
 type seekState struct {
 	seekers []*store.Seeker
 	pats    []store.Pattern
 	rows    [][]store.IDQuad
 	pos     []int
+	visible func(store.IDQuad) bool
 
 	marks   store.Marks
 	marked  int
@@ -214,10 +216,14 @@ func (vx *vecExec) seekState(depth int, ip *intersectPlan) *seekState {
 		return ss
 	}
 	n := len(ip.sides)
+	ec := vx.sh.ec
 	ss := &seekState{seekers: make([]*store.Seeker, n), pats: make([]store.Pattern, n),
 		rows: make([][]store.IDQuad, n), pos: make([]int, n), marked: -1}
+	if ec.models != nil {
+		ss.visible = ec.quadVisible
+	}
 	for i, side := range ip.sides {
-		ss.seekers[i] = vx.sh.ec.view.Seeker(side.ix, side.rp.constPattern())
+		ss.seekers[i] = ec.view.Seeker(side.ix, side.rp.constPattern())
 	}
 	vx.seeks[depth] = ss
 	return ss
@@ -251,25 +257,48 @@ func (ss *seekState) walkSide(ip *intersectPlan, repeat int) (side, cost int) {
 	if side != ss.marked || ss.pats[side] != ss.markPat {
 		rows := ss.rows[side]
 		cost = ss.marks.Clear() + len(rows)
-		ss.marks.Mark(rows, ip.cols[side])
+		ss.marks.Mark(rows, ip.cols[side], ss.visible)
 		ss.marked, ss.markPat = side, ss.pats[side]
 	}
 	return side, cost
 }
 
+// common counts, once every side is at value x, each side's rows
+// holding x that are visible in the dataset — a side's GRAPH variable,
+// if any, is bound and so in its key prefix: only the dataset's models
+// still filter rows — and moves each side past them. It returns the
+// product of the counts and the rows it read.
+func (ss *seekState) common(ec *execCtx, ip *intersectPlan, x store.ID) (mult int64, cost int) {
+	mult = 1
+	for s, r := range ss.rows {
+		p, n := ss.pos[s], int64(0)
+		for ; p < len(r) && r[p].Get(ip.cols[s]) == x; p++ {
+			if ec.quadVisible(r[p]) {
+				n++
+			}
+		}
+		cost += p - ss.pos[s]
+		ss.pos[s] = p
+		mult *= n
+	}
+	return mult, cost
+}
+
 // intersect runs the fused group whose binder is at depth over one input
-// batch: per input row it seeks every side's range, advances them to
-// their common values of the group's variable and, per common value,
+// batch: per input row it seeks every side's range and advances them to
+// their common values of the group's variable. Per common value it
 // emits the binding once for every combination of the sides' rows
-// holding it that are visible in the dataset (in count mode once,
-// weighted by their number, DESIGN.md §22), then continues at the depth
-// after the group. A row of a two-sided group whose one side's range
-// the marks hold walks the other side probing them (store.Marks.Probe);
-// every other row leapfrogs, each side galloping to the largest value
-// any side is at. Rows seeked, marked, walked, counted and emitted,
-// values cleared, gallops and the rows a seeker's directory build reads
-// are charged to the guard with TickN, like the scan rows of a nested
-// loop.
+// holding it that are visible in the dataset — in count mode once,
+// weighted by their number, DESIGN.md §22 — or, when the group sums, it
+// adds those numbers up over the row's values and emits one row
+// weighted by the sum, binding the variable to the last value matched.
+// Then it continues at the depth after the group. A row of a two-sided
+// group whose one side's range the marks hold walks the other side
+// probing them (store.Marks.Probe, or Marks.Sum when summing); every
+// other row leapfrogs, each side galloping to the largest value any
+// side is at. Rows seeked, marked, walked, counted and emitted, values
+// cleared, gallops and the rows a seeker's directory build reads are
+// charged to the guard with TickN, like the scan rows of a nested loop.
 func (vx *vecExec) intersect(depth int, in *colBatch, ip *intersectPlan) bool {
 	sh := vx.sh
 	ec := sh.ec
@@ -280,13 +309,38 @@ func (vx *vecExec) intersect(depth int, in *colBatch, ip *intersectPlan) bool {
 	// Filters placed after the binder or a checker need only the
 	// group's variable beyond the input row: one evaluation per value.
 	filters := sh.filterAt[depth+1 : next]
-	var ticks, emitted, collapsed, marked, walked, galloped, dirs int64
+	// In count mode, when nothing after the group reads its variable and
+	// no filter sits inside it, every value an input row matches leads
+	// to the same subtree: the group sums (DESIGN.md §22).
+	sum := sh.live != nil && !sh.live[next].has(ip.slot)
+	for _, f := range filters {
+		sum = sum && len(f) == 0
+	}
+	var ticks, emitted, collapsed, marked, walked, galloped, summed, dirs int64
 	pending := 0
 	settle := func() bool {
 		ticks += int64(pending)
 		ok := ec.guard.TickN(pending)
 		pending = 0
 		return ok
+	}
+	// emit appends scratch weighted each, descending once the output
+	// batch is full; false means stop.
+	emit := func(each int64) bool {
+		if c == nil || !c.merge(out, scratch, each) {
+			out.appendFrom(scratch, each)
+			emitted++
+		} else {
+			collapsed++
+		}
+		pending++
+		if out.n >= vx.limit(c) {
+			if !settle() || !vx.descend(depth, next) {
+				return false
+			}
+			vx.grow()
+		}
+		return true
 	}
 	stopped := false
 rows:
@@ -321,7 +375,18 @@ rows:
 		} else {
 			galloped++
 		}
-		for {
+		if sum {
+			summed++
+		}
+		// A summing row adds up its matches in total, the last at last.
+		var total int64
+		var last store.ID
+		walkSum := sum && side >= 0
+		if walkSum {
+			total, last, cost = ss.marks.Sum(ss.rows, ip.cols, ss.pos, side, ss.visible)
+			pending += cost
+		}
+		for !walkSum {
 			var x store.ID
 			var steps int
 			var ok bool
@@ -332,22 +397,15 @@ rows:
 			}
 			pending += steps
 			if !ok {
-				continue rows
+				break
 			}
-			// Every side is at x: count each side's rows holding it. A
-			// side's GRAPH variable, if any, is bound and so in its key
-			// prefix: only the dataset's models still filter rows.
-			mult := 1
-			for s := range ip.sides {
-				r, p, n := ss.rows[s], ss.pos[s], 0
-				for ; p < len(r) && r[p].Get(ip.cols[s]) == x; p++ {
-					if ec.quadVisible(r[p]) {
-						n++
-					}
+			mult, cost := ss.common(ec, ip, x)
+			pending += cost
+			if sum {
+				if mult > 0 {
+					total, last = total+mult, x
 				}
-				pending += p - ss.pos[s]
-				ss.pos[s] = p
-				mult *= n
+				continue
 			}
 			scratch[ip.slot] = x
 			for _, f := range filters {
@@ -357,23 +415,21 @@ rows:
 			}
 			reps, each := mult, wt
 			if sh.live != nil {
-				reps, each = min(mult, 1), wt*int64(mult)
+				reps, each = min(mult, 1), wt*mult
 			}
 			for ; reps > 0; reps-- {
-				if c == nil || !c.merge(out, scratch, each) {
-					out.appendFrom(scratch, each)
-					emitted++
-				} else {
-					collapsed++
+				if !emit(each) {
+					stopped = true
+					break rows
 				}
-				pending++
-				if out.n >= vx.limit(c) {
-					if !settle() || !vx.descend(depth, next) {
-						stopped = true
-						break rows
-					}
-					vx.grow()
-				}
+			}
+			scratch[ip.slot] = store.NoID
+		}
+		if total > 0 {
+			scratch[ip.slot] = last
+			if !emit(wt * total) {
+				stopped = true
+				break
 			}
 			scratch[ip.slot] = store.NoID
 		}
@@ -390,7 +446,7 @@ rows:
 				st.addTicks(ticks)
 				st.addRows(emitted)
 				st.addCollapsed(collapsed)
-				st.addKernels(marked, walked, galloped, dirs)
+				st.addKernels(marked, walked, galloped, summed, dirs)
 			} else {
 				st.rowsIn += emitted
 				st.rowsOut += emitted

@@ -297,27 +297,30 @@ func TestIntersectMatchesNestedLoop(t *testing.T) {
 
 // triangleKernels is what the triangle count's fused group charges
 // MaxWork, and which kernel each of its input rows runs, on a store
-// whose follows edges are distinct and all in one model's default graph,
-// derived from the edge set with each side's values in ID order (the
-// order the indexes sort by):
+// whose follows rows are all in one model — an edge may repeat in
+// several graphs — derived from the rows with each side's values in ID
+// order (the order the indexes sort by). The count reads nothing of
+// the group's variable, so every input row sums its matches:
 //
-//   - the driving scan reads each edge (x, y) once, in (y, x) order;
-//   - per edge the group seeks out(y) and in(x): two units. A seek
+//   - the driving scan reads each row (x, y) once, in (y, x) order;
+//   - per row the group seeks out(y) and in(x): two units. A seek
 //     whose pattern differs from its side's previous one narrows; the
 //     side's narrow that brings its narrows times store.DirPayback to
 //     the follows rows builds its directory, reading every follows row
 //     (one unit each), and that narrow and every later one are answered
 //     by the directory;
 //   - when the marks hold the current out(y) or in(x), or else one of
-//     them is the previous edge's (out(y) first), and the other side is
+//     them is the previous row's (out(y) first), and the other side is
 //     shorter than walkRatio times that one, the row walks the other
 //     side. If the marks held a different range, marking charges one per
 //     value it clears and one per row it marks. The walk charges each of
-//     its rows and, per common value, two: one row on each side;
+//     its rows; when the marked range is not simple (a value on two
+//     rows) it also charges, per common value, the marked side's rows
+//     holding it;
 //   - every other row leapfrogs (store.Leapfrog): one per gallop that
-//     does not run off a side's end, and two per common value, one row
-//     on each side;
-//   - each common value is emitted once: one unit.
+//     does not run off a side's end, and per common value the rows on
+//     each side holding it;
+//   - a row with a common value emits one row: one unit.
 func triangleKernels(t *testing.T, st *store.Store) (k kernelCounts) {
 	t.Helper()
 	follows := st.Dict().Lookup(rdf.NewIRI("http://pg/r/follows"))
@@ -376,23 +379,29 @@ func triangleKernels(t *testing.T, st *store.Store) (k kernelCounts) {
 			cand = mark.side
 		}
 		prev = e
+		lf := leapfrogSorted(sides[0], sides[1])
+		if lf.hits > 0 {
+			k.work++
+		}
 		if cand >= 0 && len(sides[1-cand]) < walkRatio*len(sides[cand]) {
 			k.walked++
 			if cur[cand] != mark {
 				k.marked++
 				k.work += int64(markValues + len(sides[cand]))
-				mark, markValues = cur[cand], len(sides[cand])
+				mark, markValues = cur[cand], distinct(sides[cand])
 			}
-			_, hits := leapfrogSorted(sides[0], sides[1])
-			k.work += int64(len(sides[1-cand])) + 2*hits + hits
+			k.work += int64(len(sides[1-cand]))
+			if distinct(sides[cand]) < len(sides[cand]) {
+				k.nonSimple++
+				k.work += lf.runs[cand]
+			}
 			continue
 		}
 		k.galloped++
 		if cand >= 0 {
 			k.longer++
 		}
-		seeks, hits := leapfrogSorted(sides[0], sides[1])
-		k.work += seeks + 2*hits + hits
+		k.work += lf.seeks + lf.runs[0] + lf.runs[1]
 	}
 	return k
 }
@@ -400,19 +409,38 @@ func triangleKernels(t *testing.T, st *store.Store) (k kernelCounts) {
 // kernelCounts is triangleKernels' answer: the work charged, the input
 // rows that mark, walk and gallop, the galloping rows one of whose
 // sides the marks hold or repeats — the other being walkRatio times
-// longer — and the seeks a directory answers.
+// longer — the walking rows whose marks are not simple, and the seeks a
+// directory answers.
 type kernelCounts struct {
-	work, marked, walked, galloped, longer, dir int64
+	work, marked, walked, galloped, longer, nonSimple, dir int64
 }
 
-// leapfrogSorted replays store.Leapfrog over two ascending lists of
-// distinct values: the gallops that land inside a list, and the values
-// both hold.
-func leapfrogSorted(a, b []uint64) (seeks, hits int64) {
+// distinct is the number of distinct values of an ascending list.
+func distinct(vs []uint64) int {
+	n := 0
+	for i, v := range vs {
+		if i == 0 || v != vs[i-1] {
+			n++
+		}
+	}
+	return n
+}
+
+// leapfrogCounts is leapfrogSorted's answer: the gallops that land
+// inside a list, the values both lists hold, and per list its entries
+// holding one of them.
+type leapfrogCounts struct {
+	seeks, hits int64
+	runs        [2]int64
+}
+
+// leapfrogSorted replays store.Leapfrog over two ascending lists, each
+// common value's run of entries counted and passed on each side.
+func leapfrogSorted(a, b []uint64) (lf leapfrogCounts) {
 	sides, pos := [2][]uint64{a, b}, [2]int{}
 	for {
 		if pos[0] == len(a) || pos[1] == len(b) {
-			return seeks, hits
+			return lf
 		}
 		x := max(a[pos[0]], b[pos[1]])
 		for agree := false; !agree; {
@@ -421,31 +449,58 @@ func leapfrogSorted(a, b []uint64) (seeks, hits int64) {
 				if vs[pos[s]] < x {
 					p := sort.Search(len(vs), func(i int) bool { return vs[i] >= x })
 					if p == len(vs) {
-						return seeks, hits
+						return lf
 					}
 					pos[s] = p
-					seeks++
+					lf.seeks++
 				}
 				if y := vs[pos[s]]; y != x {
 					x, agree = y, false
 				}
 			}
 		}
-		hits++
-		pos[0]++
-		pos[1]++
+		lf.hits++
+		for s, vs := range sides {
+			for ; pos[s] < len(vs) && vs[pos[s]] == x; pos[s]++ {
+				lf.runs[s]++
+			}
+		}
+	}
+}
+
+// withParallelEdges copies every fifth follows row of st's model net
+// into a named graph, so the ranges holding them — marked or walked —
+// hold a value on two rows.
+func withParallelEdges(t *testing.T, st *store.Store) {
+	t.Helper()
+	p := store.AnyPattern()
+	p.P = st.Dict().Lookup(rdf.NewIRI("http://pg/r/follows"))
+	var extra []rdf.Quad
+	i := 0
+	st.View().Scan(p, func(q store.IDQuad) bool {
+		if i++; i%5 == 0 {
+			d := st.Dict()
+			extra = append(extra, rdf.NewQuad(d.Term(q.S), d.Term(q.P), d.Term(q.C), rdf.NewIRI("http://pg/g1")))
+		}
+		return true
+	})
+	if _, err := st.Load("net", extra); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestIntersectCharges pins the triangle count's MaxWork charges and
-// kernel choices to triangleKernels on hubStore, whose rows mark, walk,
-// gallop because a side does not repeat, and gallop because the hub's
-// in-edges outnumber a vertex's out-edges over walkRatio times, and
-// whose seekers build their directories: the full charge passes and one
-// unit less trips, and EXPLAIN ANALYZE's binder line reports the same
-// ticks, kernel counts and directory seeks.
+// kernel choices to triangleKernels on hubStore with parallel edges
+// (withParallelEdges), whose rows mark, sum by walking — over simple
+// marks and marks that are not — sum by galloping because a side does
+// not repeat, and gallop because the hub's in-edges outnumber a
+// vertex's out-edges over walkRatio times, and whose seekers build
+// their directories: the full charge passes and one unit less trips,
+// and EXPLAIN ANALYZE's binder line reports the same ticks, kernel
+// counts, directory seeks and summed rows.
 func TestIntersectCharges(t *testing.T) {
 	st := hubStore(t, 400, 2, false)
+	withParallelEdges(t, st)
 	k := triangleKernels(t, st)
 	q := testPrologue + denseTriangles
 	_, prof, err := NewEngine(st).QueryProfiled("", q)
@@ -458,15 +513,16 @@ func TestIntersectCharges(t *testing.T) {
 		ticks += step.GuardTicks
 	}
 	binder := bgp.Children[1]
-	if ticks != k.work || binder.Marked != k.marked || binder.Walked != k.walked || binder.Galloped != k.galloped || binder.Dir != k.dir {
-		t.Fatalf("ticks=%d marked=%d walked=%d galloped=%d dir=%d, want %+v",
-			ticks, binder.Marked, binder.Walked, binder.Galloped, binder.Dir, k)
+	if ticks != k.work || binder.Marked != k.marked || binder.Walked != k.walked || binder.Galloped != k.galloped ||
+		binder.Dir != k.dir || binder.Summed != binder.RowsIn {
+		t.Fatalf("ticks=%d marked=%d walked=%d galloped=%d dir=%d summed=%d of %d rows, want %+v",
+			ticks, binder.Marked, binder.Walked, binder.Galloped, binder.Dir, binder.Summed, binder.RowsIn, k)
 	}
-	if line := fmt.Sprintf(" marked=%d walked=%d galloped=%d dir=%d", k.marked, k.walked, k.galloped, k.dir); !strings.Contains(prof.Render(), line) {
+	if line := fmt.Sprintf(" marked=%d walked=%d galloped=%d dir=%d summed=%d", k.marked, k.walked, k.galloped, k.dir, binder.RowsIn); !strings.Contains(prof.Render(), line) {
 		t.Fatalf("EXPLAIN ANALYZE lacks %q:\n%s", line, prof.Render())
 	}
-	t.Logf("hubStore(400, 2): %+v", k)
-	if k.marked == 0 || k.walked == 0 || k.longer == 0 || k.galloped == k.longer || k.dir == 0 {
+	t.Logf("hubStore(400, 2) with parallel edges: %+v", k)
+	if k.marked == 0 || k.walked == k.nonSimple || k.nonSimple == 0 || k.longer == 0 || k.galloped == k.longer || k.dir == 0 {
 		t.Fatalf("hubStore does not run every kernel: %+v", k)
 	}
 	for _, tc := range []struct {

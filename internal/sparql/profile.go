@@ -39,8 +39,9 @@ type profStage struct {
 	// A fused binder's input rows by intersection kernel (§20): rows
 	// that marked a side's range, rows that walked the other side
 	// probing the marks, and rows that galloped; and the group's seeks
-	// that a seeker's directory located.
-	marked, walked, galloped, dir int64
+	// that a seeker's directory located. summed counts the input rows
+	// that added up their matches instead of emitting them (§22).
+	marked, walked, galloped, summed, dir int64
 }
 
 // queryProfile is the per-query counter array, indexed by stage id
@@ -108,11 +109,12 @@ func (st *profStage) addCollapsed(n int64) {
 	}
 }
 
-func (st *profStage) addKernels(marked, walked, galloped, dir int64) {
+func (st *profStage) addKernels(marked, walked, galloped, summed, dir int64) {
 	if st != nil {
 		st.marked += marked
 		st.walked += walked
 		st.galloped += galloped
+		st.summed += summed
 		st.dir += dir
 	}
 }
@@ -183,6 +185,7 @@ type ProfileNode struct {
 	Marked      int64          `json:"marked,omitempty"`    // a fused binder's input rows that marked a range
 	Walked      int64          `json:"walked,omitempty"`    // ... that walked a side probing the marks
 	Galloped    int64          `json:"galloped,omitempty"`  // ... that galloped (leapfrog)
+	Summed      int64          `json:"summed,omitempty"`    // ... that summed their matches (count mode)
 	Dir         int64          `json:"dir,omitempty"`       // the group's seeks a seeker's directory located
 	Children    []*ProfileNode `json:"children,omitempty"`
 }
@@ -203,6 +206,7 @@ func (n *ProfileNode) load(st *profStage) *ProfileNode {
 	n.Marked = st.marked
 	n.Walked = st.walked
 	n.Galloped = st.galloped
+	n.Summed = st.summed
 	n.Dir = st.dir
 	return n
 }
@@ -432,6 +436,9 @@ func renderActuals(sb *strings.Builder, n *ProfileNode) {
 	}
 	if n.Walked+n.Galloped > 0 {
 		fmt.Fprintf(sb, " marked=%d walked=%d galloped=%d dir=%d", n.Marked, n.Walked, n.Galloped, n.Dir)
+		if n.Summed > 0 {
+			fmt.Fprintf(sb, " summed=%d", n.Summed)
+		}
 	}
 	if n.HashJoin {
 		sb.WriteString(" join=hash")

@@ -1,9 +1,11 @@
 package sparql
 
 import (
+	"strconv"
 	"testing"
 
 	"repro/internal/pgrdf"
+	"repro/internal/rdf"
 	"repro/internal/store"
 	"repro/internal/twitter"
 )
@@ -105,27 +107,87 @@ func spKernelStore(b *testing.B) *store.Store {
 // follows every node.
 var hubBenchStore *store.Store
 
+// eq12SPTriangles is EQ12's answer on the `scan-sp` store.
+const eq12SPTriangles = 89613
+
 // BenchmarkIntersectKernel: the triangle count, whose last two steps
-// fuse into a sorted intersection — seeks, marking, probe walks,
-// leapfrog and run counting instead of two-paths into a hash probe. The
-// legs: the random follows graph; EQ12 on `scan-sp`'s SP store, whose
-// binder range repeats for every in-edge of a node (walks); and a hub
-// graph, whose rows that check the hub's in-edges against a few
-// out-edges must gallop.
+// fuse into a sorted intersection — seeks, marking, walks and leapfrog
+// summing their matches (nothing reads ?c) instead of two-paths into a
+// hash probe. The legs: the random follows graph; EQ12 on `scan-sp`'s
+// SP store, whose binder range repeats for every in-edge of a node
+// (walks); the same count grouped by ?z, whose group must emit per value
+// of ?z; and a hub graph, whose rows that check the hub's in-edges
+// against a few out-edges must gallop. Each leg checks its count once
+// before timing: EQ12 against its known answer, the others against
+// triangles counted over an adjacency map.
 func BenchmarkIntersectKernel(b *testing.B) {
 	const triangles = `SELECT (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b . ?b rel:follows ?c . ?c rel:follows ?a }`
+	const eq12 = `SELECT (COUNT(*) AS ?cnt) WHERE { ?x r:follows ?y . ?y r:follows ?z . ?z r:follows ?x }`
 	b.Run("random", func(b *testing.B) {
-		runKernel(b, kernelStore(b), triangles, nil)
+		st := kernelStore(b)
+		checkCount(b, st, triangles, adjacencyTriangles(st))
+		runKernel(b, st, triangles, nil)
 	})
 	b.Run("EQ12-SP", func(b *testing.B) {
-		runKernel(b, spKernelStore(b), `SELECT (COUNT(*) AS ?cnt) WHERE { ?x r:follows ?y . ?y r:follows ?z . ?z r:follows ?x }`, nil)
+		checkCount(b, spKernelStore(b), eq12, eq12SPTriangles)
+		runKernel(b, spKernelStore(b), eq12, nil)
+	})
+	b.Run("EQ12-SP-by-z", func(b *testing.B) {
+		q := `SELECT ?z (COUNT(*) AS ?cnt) WHERE { ?x r:follows ?y . ?y r:follows ?z . ?z r:follows ?x } GROUP BY ?z`
+		checkCount(b, spKernelStore(b), q, eq12SPTriangles)
+		runKernel(b, spKernelStore(b), q, nil)
 	})
 	b.Run("hub", func(b *testing.B) {
 		if hubBenchStore == nil {
 			hubBenchStore = hubStore(b, 3000, 4, false)
 		}
+		checkCount(b, hubBenchStore, triangles, adjacencyTriangles(hubBenchStore))
 		runKernel(b, hubBenchStore, triangles, nil)
 	})
+}
+
+// checkCount fails b unless q's counts, summed over its rows, are want.
+func checkCount(b *testing.B, st *store.Store, q string, want int64) {
+	b.Helper()
+	res, err := NewEngine(st).Query("", testPrologue+q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var got int64
+	for _, row := range res.Rows {
+		n, err := strconv.ParseInt(row[len(row)-1].Value, 10, 64)
+		if err != nil {
+			b.Fatal(err)
+		}
+		got += n
+	}
+	if got != want {
+		b.Fatalf("%s: counted %d, want %d", q, got, want)
+	}
+}
+
+// adjacencyTriangles counts the follows triangles (a, b, c) of st —
+// ordered, one per combination of rows — over an adjacency map.
+func adjacencyTriangles(st *store.Store) int64 {
+	p := store.AnyPattern()
+	p.P = st.Dict().Lookup(rdf.NewIRI(rdf.RelNS + "follows"))
+	out := map[store.ID]map[store.ID]int64{}
+	st.View().Scan(p, func(q store.IDQuad) bool {
+		if out[q.S] == nil {
+			out[q.S] = map[store.ID]int64{}
+		}
+		out[q.S][q.C]++
+		return true
+	})
+	var n int64
+	for a, bs := range out {
+		for b, ab := range bs {
+			for c, bc := range out[b] {
+				n += ab * bc * out[c][a]
+			}
+		}
+	}
+	return n
 }
 
 // BenchmarkFilterKernel: scan plus a cheap predicate — measures the

@@ -511,7 +511,7 @@ func TestMarksAcrossSeeks(t *testing.T) {
 		p.S = s.Dict().Lookup(iri(subj))
 		rows := sk.Seek(p)
 		m.Clear()
-		m.Mark(rows, ColC)
+		m.Mark(rows, ColC, nil)
 		want := map[ID]bool{}
 		for _, q := range rows {
 			want[q.C] = true
@@ -537,6 +537,106 @@ func TestMarksAcrossSeeks(t *testing.T) {
 				t.Fatalf("seek %d (%s): Probe missed %d", i, subj, x)
 			}
 		}
+	}
+}
+
+// TestMarksSum checks Sum against counting both sides row by row: for
+// random sorted sides — values on one row each or on several, every row
+// visible or a third of them hidden — walked by S, C and G, Sum must
+// return the sum over common values of the product of each side's
+// visible rows holding it, the last value whose product is nonzero, and
+// a cost of the rows walked plus, for marks that are not simple, the
+// marked rows of the common values.
+func TestMarksSum(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	side := func(c Col, n int, repeat bool) []IDQuad {
+		rows := make([]IDQuad, n)
+		for i := range rows {
+			setQuadCol(&rows[i], c, ID(rng.Intn(3*n+1)+1))
+			rows[i].M = ID(rng.Intn(3))
+			if !repeat {
+				setQuadCol(&rows[i], c, ID(3*i+rng.Intn(3)+1))
+			}
+		}
+		slices.SortFunc(rows, func(a, b IDQuad) int { return int(a.Get(c)) - int(b.Get(c)) })
+		return rows
+	}
+	var m Marks
+	kinds := map[bool]int{}
+	for trial := 0; trial < 400; trial++ {
+		cols := []Col{ColS, ColC, ColG}
+		mc, wc := cols[rng.Intn(3)], cols[trial%3]
+		var visible func(IDQuad) bool
+		if trial%2 == 1 {
+			visible = func(q IDQuad) bool { return q.M != 0 }
+		}
+		marked := side(mc, rng.Intn(40), trial%4 >= 2)
+		walked := side(wc, rng.Intn(200), rng.Intn(2) == 0)
+		count := func(rows []IDQuad, c Col, x ID) (n, vis int64) {
+			for _, q := range rows {
+				if q.Get(c) == x {
+					n++
+					if visible == nil || visible(q) {
+						vis++
+					}
+				}
+			}
+			return n, vis
+		}
+		var want int64
+		wantLast, wantCost := NoID, len(walked)
+		simple := true
+		for i, q := range marked {
+			simple = simple && (visible == nil || visible(q)) && (i == 0 || q.Get(mc) != marked[i-1].Get(mc))
+		}
+		for i, q := range walked {
+			x := q.Get(wc)
+			if i > 0 && walked[i-1].Get(wc) == x {
+				continue
+			}
+			mn, mv := count(marked, mc, x)
+			_, wv := count(walked, wc, x)
+			if mn == 0 {
+				continue
+			}
+			if !simple && wv > 0 {
+				wantCost += int(mn)
+			}
+			if mv*wv > 0 {
+				want, wantLast = want+mv*wv, x
+			}
+		}
+		m.Clear()
+		m.Mark(marked, mc, visible)
+		kinds[simple]++
+		mi := 1 // the marked side's index
+		if trial%5 == 0 {
+			mi = 0
+		}
+		rows, c, pos := make([][]IDQuad, 2), make([]Col, 2), []int{0, 0}
+		rows[mi], c[mi], rows[1-mi], c[1-mi] = marked, mc, walked, wc
+		got, last, cost := m.Sum(rows, c, pos, mi, visible)
+		if got != want || last != wantLast || cost != wantCost || pos[1-mi] != len(walked) {
+			t.Fatalf("trial %d (simple %v): Sum = %d last %d cost %d, walked to %d; want %d last %d cost %d, walked to %d",
+				trial, simple, got, last, cost, pos[1-mi], want, wantLast, wantCost, len(walked))
+		}
+	}
+	if kinds[true] == 0 || kinds[false] == 0 {
+		t.Fatalf("marks simple/not simple: %v", kinds)
+	}
+}
+
+// setQuadCol sets column c of q.
+func setQuadCol(q *IDQuad, c Col, v ID) {
+	switch c {
+	case ColS:
+		q.S = v
+	case ColP:
+		q.P = v
+	case ColC:
+		q.C = v
+	case ColG:
+		q.G = v
 	}
 }
 

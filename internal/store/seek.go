@@ -263,23 +263,33 @@ func Leapfrog(rows [][]IDQuad, cols []Col, pos []int) (x ID, seeks int, ok bool)
 // Marks is a set of IDs held as a bitmap indexed by ID: the side of a
 // two-sided intersection whose range repeats across input rows (DESIGN.md
 // §20). Mark sets the values of one range, Probe walks the other side's
-// rows testing each value against the bitmap, and Clear unsets exactly
-// the values Mark set — from its own copy of them, since a Seek's rows
-// may live in a buffer the seeker's next Seek reuses — so no row pays a
-// memclr. The bitmap grows to the largest ID ever marked: at most one
-// bit per dictionary term. The zero Marks is empty and ready to use.
+// rows testing each value against the bitmap, Sum adds up what such a
+// walk would hit (DESIGN.md §22), and Clear unsets exactly the values
+// Mark set — from its own copy of them, since a Seek's rows may live in
+// a buffer the seeker's next Seek reuses — so no row pays a memclr. The
+// bitmap grows to the largest ID ever marked: at most one bit per
+// dictionary term. The zero Marks is empty and ready to use.
 type Marks struct {
 	bits []uint64
 	ids  []ID // the values set, for Clear
+	// simple says each value set is held by one marked row and every
+	// marked row is visible: a hit then stands for exactly one row.
+	simple bool
 }
 
 // Mark adds the values of column c of rows, which must be sorted by c,
-// to the set.
-func (m *Marks) Mark(rows []IDQuad, c Col) {
+// to the set. visible reports which rows the reader sees (nil: every
+// row); it decides only whether the marks are simple.
+func (m *Marks) Mark(rows []IDQuad, c Col, visible func(IDQuad) bool) {
 	prev := NoID
+	m.simple = len(m.ids) == 0
 	for _, q := range rows {
+		if visible != nil && !visible(q) {
+			m.simple = false
+		}
 		id := q.Get(c)
 		if id == prev {
+			m.simple = false
 			continue
 		}
 		prev = id
@@ -302,6 +312,12 @@ func (m *Marks) Clear() int {
 	return n
 }
 
+// has reports whether bits holds x.
+func has(bits []uint64, x ID) bool {
+	i := x >> 6
+	return i < ID(len(bits)) && bits[i]&(1<<(x&63)) != 0
+}
+
 // Probe is Leapfrog for two sides when the marks hold the values of
 // side marked's range: it walks the other side's rows one by one from
 // its position, testing each value against the marks, to the first
@@ -315,8 +331,7 @@ func (m *Marks) Probe(rows [][]IDQuad, cols []Col, pos []int, marked int) (x ID,
 	r, c, from := rows[w], cols[w], pos[w]
 	bits := m.bits
 	for p := from; p < len(r); p++ {
-		x = r[p].Get(c)
-		if i := int(x >> 6); i >= len(bits) || bits[i]&(1<<(x&63)) == 0 {
+		if x = r[p].Get(c); !has(bits, x) {
 			continue
 		}
 		pos[w] = p
@@ -325,6 +340,71 @@ func (m *Marks) Probe(rows [][]IDQuad, cols []Col, pos []int, marked int) (x ID,
 	}
 	pos[w] = len(r)
 	return 0, len(r) - from, false
+}
+
+// Sum is every remaining Probe of a walk added up, when the marks hold
+// the values of side marked's range: over the values both sides hold,
+// it sums the product of the two sides' numbers of rows holding the
+// value that visible accepts (nil: every row), and returns that sum and
+// the last value whose product is nonzero. When the marks are simple a
+// hit is one visible marked row, so the walk never looks at the marked
+// side: per walked row it tests the bitmap and, on a hit, the row's
+// visibility. Otherwise each value hit gallops the marked side to its
+// run and counts it. cost is the rows walked plus the marked rows
+// counted. Both sides end at their ends.
+func (m *Marks) Sum(rows [][]IDQuad, cols []Col, pos []int, marked int, visible func(IDQuad) bool) (sum int64, last ID, cost int) {
+	w := 1 - marked
+	r := rows[w][pos[w]:]
+	pos[w] = len(rows[w])
+	cost = len(r)
+	bits := m.bits
+	if !m.simple {
+		mr, mc, mp := rows[marked], cols[marked], pos[marked]
+		prev, mult := NoID, int64(0)
+		for _, q := range r {
+			x := q.Get(cols[w])
+			if !has(bits, x) || visible != nil && !visible(q) {
+				continue
+			}
+			if x != prev {
+				prev, mult, mp = x, 0, seekCol(mr, mp, mc, x)
+				for ; mp < len(mr) && mr[mp].Get(mc) == x; mp++ {
+					cost++
+					if visible == nil || visible(mr[mp]) {
+						mult++
+					}
+				}
+			}
+			if mult > 0 {
+				sum, last = sum+mult, x
+			}
+		}
+		pos[marked] = mp
+		return sum, last, cost
+	}
+	// The walk loop specialised for the column EQ12's walk reads:
+	// IDQuad.Get's switch per row costs about as much as the bitmap test.
+	hit := func(q IDQuad, x ID) {
+		if visible == nil || visible(q) {
+			sum, last = sum+1, x
+		}
+	}
+	switch cols[w] {
+	case ColS:
+		for i := range r {
+			if x := r[i].S; has(bits, x) {
+				hit(r[i], x)
+			}
+		}
+	default:
+		for _, q := range r {
+			if x := q.Get(cols[w]); has(bits, x) {
+				hit(q, x)
+			}
+		}
+	}
+	pos[marked] = len(rows[marked])
+	return sum, last, cost
 }
 
 // seekLinear is how many rows seekCol steps through one by one before it

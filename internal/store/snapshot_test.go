@@ -13,7 +13,7 @@ import (
 	"repro/internal/rdf"
 )
 
-func snapshotFixture(t *testing.T) *Store {
+func snapshotFixture(t testing.TB) *Store {
 	t.Helper()
 	s, err := NewWithIndexes([]string{"PCSGM", "PSCGM", "GSPCM"})
 	if err != nil {
@@ -38,7 +38,7 @@ func snapshotFixture(t *testing.T) *Store {
 	return s
 }
 
-func snapshotBinary(t *testing.T, s *Store) []byte {
+func snapshotBinary(t testing.TB, s *Store) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := s.View().SnapshotBinary(&buf); err != nil {
@@ -128,19 +128,19 @@ func reframe(sections []binSection) []byte {
 	return out
 }
 
-// TestRestoreErrors: a snapshot whose framing and CRCs are intact but
-// whose contents are inconsistent must fail with ErrBinarySnapshotCorrupt.
-// CRC damage never reaches these checks (TestBinarySnapshotCorruptionEveryByte
-// stops at the framing), so each case re-frames edited sections.
-func TestRestoreErrors(t *testing.T) {
-	s := snapshotFixture(t)
-	sections, err := parseSections(snapshotBinary(t, s))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RestoreBinary(reframe(sections)); err != nil {
-		t.Fatalf("re-framing an intact snapshot broke it: %v", err)
-	}
+// restoreEdit is one edit of a snapshot's sections that leaves its
+// framing intact but its contents inconsistent: RestoreBinary must fail
+// with ErrBinarySnapshotCorrupt about want.
+type restoreEdit struct {
+	name string
+	want string // in the error message
+	edit func(secs []binSection) []binSection
+}
+
+// restoreEdits returns TestRestoreErrors' edits of snapshotFixture's
+// sections, whose header is hdr. An edit may change the slice it is
+// given, not the payloads it shares.
+func restoreEdits(t testing.TB, hdr binHeader) []restoreEdit {
 	find := func(secs []binSection, typ byte) int {
 		for i, sec := range secs {
 			if sec.typ == typ {
@@ -157,40 +157,32 @@ func TestRestoreErrors(t *testing.T) {
 		}
 		return p
 	}
-	hdr, err := decodeHeader(sections[0].payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cases := map[string]struct {
-		edit func(secs []binSection) []binSection
-		want string // in the error message
-	}{
-		"first section not the header": {want: "first section is not the header", edit: func(secs []binSection) []binSection {
+	return []restoreEdit{
+		{name: "first section not the header", want: "first section is not the header", edit: func(secs []binSection) []binSection {
 			secs[0], secs[1] = secs[1], secs[0]
 			return secs
 		}},
-		"newer format version": {want: "format version", edit: func(secs []binSection) []binSection {
+		{name: "newer format version", want: "format version", edit: func(secs []binSection) []binSection {
 			secs[0].payload = header(binVersion+1, hdr.quads, hdr.terms, hdr.models, hdr.virtuals, hdr.indexes)
 			return secs
 		}},
-		"unknown section type": {want: "unknown section type", edit: func(secs []binSection) []binSection {
+		{name: "unknown section type", want: "unknown section type", edit: func(secs []binSection) []binSection {
 			return append(secs, binSection{typ: 9, payload: []byte("x")})
 		}},
-		"missing model section": {want: "missing dict, model or virtual-model section", edit: func(secs []binSection) []binSection {
+		{name: "missing model section", want: "missing dict, model or virtual-model section", edit: func(secs []binSection) []binSection {
 			i := find(secs, secModels)
 			return append(secs[:i], secs[i+1:]...)
 		}},
-		"duplicate index section": {want: "duplicate index section", edit: func(secs []binSection) []binSection {
+		{name: "duplicate index section", want: "duplicate index section", edit: func(secs []binSection) []binSection {
 			secs = append(secs, secs[find(secs, secIndex)])
 			secs[0].payload = header(binVersion, hdr.quads, hdr.terms, hdr.models, hdr.virtuals, hdr.indexes+1)
 			return secs
 		}},
-		"index rows disagree with the header": {want: "rows, header declares", edit: func(secs []binSection) []binSection {
+		{name: "index rows disagree with the header", want: "rows, header declares", edit: func(secs []binSection) []binSection {
 			secs[0].payload = header(binVersion, hdr.quads+1, hdr.terms, hdr.models, hdr.virtuals, hdr.indexes)
 			return secs
 		}},
-		"index rows out of order": {want: "out of order", edit: func(secs []binSection) []binSection {
+		{name: "index rows out of order", want: "out of order", edit: func(secs []binSection) []binSection {
 			i := find(secs, secIndex)
 			p := append([]byte(nil), secs[i].payload...)
 			_, n := binary.Uvarint(p[numCols:])
@@ -203,7 +195,7 @@ func TestRestoreErrors(t *testing.T) {
 			secs[i].payload = p
 			return secs
 		}},
-		"duplicate model name": {want: "duplicate model name", edit: func(secs []binSection) []binSection {
+		{name: "duplicate model name", want: "duplicate model name", edit: func(secs []binSection) []binSection {
 			var p []byte
 			for _, name := range []string{"topo", "kv", "topo"} {
 				p = binary.AppendUvarint(p, uint64(len(name)))
@@ -212,7 +204,7 @@ func TestRestoreErrors(t *testing.T) {
 			secs[find(secs, secModels)].payload = p
 			return secs
 		}},
-		"virtual member out of range": {want: "out of range", edit: func(secs []binSection) []binSection {
+		{name: "virtual member out of range", want: "out of range", edit: func(secs []binSection) []binSection {
 			p := binary.AppendUvarint(nil, uint64(len("all")))
 			p = append(p, "all"...)
 			p = binary.AppendUvarint(p, 1)
@@ -220,7 +212,7 @@ func TestRestoreErrors(t *testing.T) {
 			secs[find(secs, secVirtual)].payload = p
 			return secs
 		}},
-		"virtual collides with a model name": {want: "collides with a model name", edit: func(secs []binSection) []binSection {
+		{name: "virtual collides with a model name", want: "collides with a model name", edit: func(secs []binSection) []binSection {
 			p := binary.AppendUvarint(nil, uint64(len("kv")))
 			p = append(p, "kv"...)
 			p = binary.AppendUvarint(p, 1)
@@ -229,8 +221,34 @@ func TestRestoreErrors(t *testing.T) {
 			return secs
 		}},
 	}
-	for name, c := range cases {
-		t.Run(name, func(t *testing.T) {
+}
+
+// fixtureSections returns snapshotFixture's snapshot as sections, and
+// its header.
+func fixtureSections(t testing.TB) ([]binSection, binHeader) {
+	t.Helper()
+	sections, err := parseSections(snapshotBinary(t, snapshotFixture(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, err := decodeHeader(sections[0].payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sections, hdr
+}
+
+// TestRestoreErrors: a snapshot whose framing and CRCs are intact but
+// whose contents are inconsistent must fail with ErrBinarySnapshotCorrupt.
+// CRC damage never reaches these checks (TestBinarySnapshotCorruptionEveryByte
+// stops at the framing), so each case re-frames edited sections.
+func TestRestoreErrors(t *testing.T) {
+	sections, hdr := fixtureSections(t)
+	if _, err := RestoreBinary(reframe(sections)); err != nil {
+		t.Fatalf("re-framing an intact snapshot broke it: %v", err)
+	}
+	for _, c := range restoreEdits(t, hdr) {
+		t.Run(c.name, func(t *testing.T) {
 			secs := c.edit(append([]binSection(nil), sections...))
 			_, err := RestoreBinary(reframe(secs))
 			if !errors.Is(err, ErrBinarySnapshotCorrupt) || !strings.Contains(err.Error(), c.want) {
@@ -238,4 +256,48 @@ func TestRestoreErrors(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzRestoreBinary feeds the section decoders behind the CRC gate
+// hostile contents: the input picks one of restoreEdits' edits of
+// snapshotFixture's sections (or none) and a section whose payload it
+// replaces, and the sections are re-framed with valid CRCs (reframe).
+// Whatever the bytes, RestoreBinary must return a typed error or a
+// store whose snapshot restores to a store with the same snapshot —
+// and never panic. The seeds are the fixture's sections and the ten
+// edited snapshots, each section payload as it is.
+func FuzzRestoreBinary(f *testing.F) {
+	sections, hdr := fixtureSections(f)
+	edits := restoreEdits(f, hdr)
+	edited := func(e uint8) []binSection {
+		secs := append([]binSection(nil), sections...)
+		if i := int(e) % (len(edits) + 1); i < len(edits) {
+			secs = edits[i].edit(secs)
+		}
+		return secs
+	}
+	for e := range len(edits) + 1 {
+		for at, sec := range edited(uint8(e)) {
+			f.Add(uint8(e), uint8(at), sec.payload)
+		}
+	}
+	f.Fuzz(func(t *testing.T, e, at uint8, payload []byte) {
+		secs := edited(e)
+		secs[int(at)%len(secs)].payload = payload
+		st, err := RestoreBinary(reframe(secs))
+		if err != nil {
+			if !errors.Is(err, ErrBinarySnapshotCorrupt) && !errors.Is(err, ErrNotBinarySnapshot) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		snap := snapshotBinary(t, st)
+		again, err := RestoreBinary(snap)
+		if err != nil {
+			t.Fatalf("restoring a restored store's snapshot: %v", err)
+		}
+		if got := snapshotBinary(t, again); !bytes.Equal(got, snap) {
+			t.Fatalf("restore → snapshot is not a fixed point (%d vs %d bytes)", len(got), len(snap))
+		}
+	})
 }
