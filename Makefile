@@ -14,7 +14,7 @@ BENCH_SCALE ?= 0.05
 BENCH_MAX_OVERHEAD ?= 5
 OVERHEAD_ITERS ?= 5
 
-.PHONY: check vet lint lint-json build test race crash-recovery repl-fault algo-diff store-race bench bench-algos bench-algos-smoke bench-micro bench-smoke benchmark-smoke bench-pair fuzz-smoke
+.PHONY: check vet lint build test race crash-recovery repl-fault algo-diff store-race bench bench-algos bench-algos-smoke bench-micro bench-smoke benchmark-smoke bench-pair fuzz-smoke
 
 ## check: the full gate — vet, build, the pgrdfvet analyzers, the
 ## race-enabled test suite, the crash-recovery differential, the
@@ -29,11 +29,6 @@ vet:
 ## "Static analysis gate" and §14). Exit code 1 means findings.
 lint:
 	$(GO) run ./cmd/pgrdfvet ./...
-
-## lint-json: same gate, but write a machine-readable findings report
-## to pgrdfvet.json (uploaded as a CI artifact). Exit code matches lint.
-lint-json:
-	$(GO) run ./cmd/pgrdfvet -json ./... > pgrdfvet.json
 
 build:
 	$(GO) build ./...

@@ -61,8 +61,8 @@ func (f Finding) String() string {
 // All returns the pgrdfvet analyzer suite.
 func All() []*Analyzer {
 	return []*Analyzer{
-		Atomiconly, Ctxflow, Errsentinel, Goroutinelife, Guardedby,
-		Guardtick, Idsafe, Walerr,
+		Ctxflow, Errsentinel, Goroutinelife, Guardedby, Guardtick,
+		Idsafe, Walerr,
 	}
 }
 
@@ -183,9 +183,9 @@ func (idx *ignoreIndex) suppressed(analyzer string, pos token.Position) bool {
 }
 
 // unusedFindings reports directives that suppressed nothing during a
-// run. Only analyzers that actually ran are considered, so a partial
-// -only invocation never flags a directive for an analyzer it skipped;
-// an "all" directive is checked only when the full suite ran.
+// run. Only analyzers that actually ran are considered, so a run of one
+// analyzer (a fixture test) never flags a directive for another; an
+// "all" directive is checked only when the full suite ran.
 func (idx *ignoreIndex) unusedFindings(active map[string]bool) []Finding {
 	fullSuite := true
 	for name := range knownAnalyzerNames() {

@@ -6,10 +6,6 @@ import "testing"
 // failing patterns (annotated with // want), fixed counterparts, and a
 // justified suppression.
 
-func TestAtomiconly(t *testing.T) {
-	RunTest(t, Atomiconly, "testdata/src/atomiconly", "repro/internal/atomiconlytest")
-}
-
 func TestCtxflow(t *testing.T) {
 	RunTest(t, Ctxflow, "testdata/src/ctxflow", "repro/internal/ctxflowtest")
 }
@@ -30,12 +26,6 @@ func TestGuardtick(t *testing.T) {
 	// guardtick only patrols the engine package, so the testdata poses
 	// as repro/internal/sparql.
 	RunTest(t, Guardtick, "testdata/src/guardtick", "repro/internal/sparql")
-}
-
-func TestGuardtickGraph(t *testing.T) {
-	// The analytics scope: the same testdata trick, posing as
-	// repro/internal/graph, where CSR adjacency reads are row sources.
-	RunTest(t, Guardtick, "testdata/src/guardtick_graph", "repro/internal/graph")
 }
 
 func TestIdsafe(t *testing.T) {

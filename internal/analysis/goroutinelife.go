@@ -10,9 +10,10 @@ import (
 // Goroutinelife requires every `go` statement in non-test code to be
 // tied to a join mechanism visible in the enclosing function. A
 // goroutine nobody can wait for or cancel outlives shutdown, leaks
-// under error paths, and races teardown — the WAL checkpointer, morsel
-// workers, and follower tail loop all carry explicit lifetimes, and
-// this analyzer keeps it that way.
+// under error paths, and races teardown — the WAL checkpointer and
+// sync loop, the index-build and snapshot-decode workers, and the
+// server's listener all carry explicit lifetimes, and this analyzer
+// keeps it that way.
 //
 // Accepted evidence, checked in order:
 //
@@ -29,11 +30,6 @@ import (
 // For `go x.method()` the analyzer inspects the same-package callee's
 // body. Example programs under repro/examples/ are exempt — they run
 // to process exit.
-//
-// Independently, a goroutine closure that captures an enclosing loop
-// variable is flagged: Go ≥ 1.22 makes the capture per-iteration-safe,
-// but the gate still requires passing it as an argument so the data
-// flow into the goroutine is explicit.
 var Goroutinelife = &Analyzer{
 	Name: "goroutinelife",
 	Doc:  "every go statement must have a visible join: WaitGroup, context, stop channel, or channel handshake",
@@ -74,12 +70,6 @@ func packageFuncDecls(pass *Pass) map[*types.Func]*ast.FuncDecl {
 
 func checkGoStmt(pass *Pass, file *ast.File, g *ast.GoStmt, decls map[*types.Func]*ast.FuncDecl) {
 	enclosing := outermostFunc(file, g.Pos())
-
-	// Loop-variable capture is reported independently of join evidence.
-	if fl, ok := g.Call.Fun.(*ast.FuncLit); ok && enclosing != nil {
-		reportLoopCaptures(pass, enclosing, g, fl)
-	}
-
 	if hasContextArg(pass, g.Call) {
 		return
 	}
@@ -303,57 +293,4 @@ func isChan(t types.Type) bool {
 	}
 	_, ok := t.Underlying().(*types.Chan)
 	return ok
-}
-
-// reportLoopCaptures flags uses of enclosing loop variables inside the
-// goroutine closure.
-func reportLoopCaptures(pass *Pass, enclosing *ast.FuncDecl, g *ast.GoStmt, fl *ast.FuncLit) {
-	loopVars := make(map[types.Object]string)
-	ast.Inspect(enclosing, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.RangeStmt:
-			if n.Pos() <= g.Pos() && g.End() <= n.End() && n.Tok == token.DEFINE {
-				for _, e := range []ast.Expr{n.Key, n.Value} {
-					if id, ok := e.(*ast.Ident); ok && id != nil {
-						if obj := pass.Info.Defs[id]; obj != nil {
-							loopVars[obj] = id.Name
-						}
-					}
-				}
-			}
-		case *ast.ForStmt:
-			if n.Pos() <= g.Pos() && g.End() <= n.End() {
-				if init, ok := n.Init.(*ast.AssignStmt); ok && init.Tok == token.DEFINE {
-					for _, l := range init.Lhs {
-						if id, ok := l.(*ast.Ident); ok {
-							if obj := pass.Info.Defs[id]; obj != nil {
-								loopVars[obj] = id.Name
-							}
-						}
-					}
-				}
-			}
-		}
-		return true
-	})
-	if len(loopVars) == 0 {
-		return
-	}
-	reported := make(map[types.Object]bool)
-	ast.Inspect(fl.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := pass.Info.Uses[id]
-		if obj == nil || reported[obj] {
-			return true
-		}
-		if name, isLoopVar := loopVars[obj]; isLoopVar {
-			reported[obj] = true
-			pass.Reportf(g.Pos(),
-				"goroutine captures loop variable %s; pass it as an argument to the closure instead", name)
-		}
-		return true
-	})
 }

@@ -32,25 +32,6 @@ import (
 // function on the same lock). This is exactly the repo's *Locked
 // naming convention, machine-checked.
 //
-// A method that invokes caller-supplied code while it holds its own lock
-// is a deadlock offer: the callback need only call back into the same
-// object, and with an RWMutex a writer queued between the outer and the
-// inner RLock parks both for ever (the Store.ScanBatch / vecExec.step
-// deadlock of ROADMAP item 1). So invoking a func-typed parameter —
-// directly, from a function literal defined under the lock, or by
-// handing it to a method that is itself annotated — while the
-// receiver's lock is held is a finding unless the method owns up to it:
-//
-//	//pgrdf:callback-under mu   // fn runs with the receiver's mu held
-//
-// In exchange every call site in the package is checked: a function
-// literal passed to an annotated method must not reach, through any
-// chain of this package's functions, code that acquires that lock of
-// that receiver type again. (Types, not instances: two stores locking
-// each other is flagged too, and can carry a justified suppression.)
-// Like the rest of the analyzer the check is per package; call sites
-// in other packages are not seen.
-//
 // Two deliberate holes keep the check lexical and tractable:
 //
 //   - A local variable freshly built from a composite literal (or
@@ -74,8 +55,8 @@ var Guardedby = &Analyzer{
 // gbAnnotationRE matches well-formed annotations; gbPrefixRE catches
 // malformed ones so a typo cannot silently disable a contract.
 var (
-	gbAnnotationRE = regexp.MustCompile(`^//pgrdf:(guardedby|locks|callback-under)\s+([A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)?)\s*$`)
-	gbPrefixRE     = regexp.MustCompile(`^//pgrdf:(guardedby|locks|callback-under)(\s|$)`)
+	gbAnnotationRE = regexp.MustCompile(`^//pgrdf:(guardedby|locks)\s+([A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)?)\s*$`)
+	gbPrefixRE     = regexp.MustCompile(`^//pgrdf:(guardedby|locks)(\s|$)`)
 )
 
 // guardInfo is one field's contract: the sibling lock field guarding it.
@@ -93,21 +74,9 @@ type locksReq struct {
 	lock      string
 }
 
-// lockID names a lock by the type that holds it: field lock of owner.
-type lockID struct {
-	owner *types.TypeName
-	lock  string
-}
-
 type gbFacts struct {
 	guarded map[*types.Var]guardInfo
 	locks   map[*types.Func][]locksReq
-	// callbackUnder lists, per method, the receiver locks it declares
-	// (//pgrdf:callback-under) to hold while it runs a func argument.
-	callbackUnder map[*types.Func][]string
-	// acquires is, per function of the package, every lock it may take
-	// itself or through the package functions it calls.
-	acquires map[*types.Func]map[lockID]bool
 }
 
 // Lock-hold modes, ordered so "stronger" compares greater.
@@ -158,7 +127,7 @@ func runGuardedby(pass *Pass) error {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			c := &gbChecker{pass: pass, facts: facts, fresh: make(map[types.Object]bool), fd: fd}
+			c := &gbChecker{pass: pass, facts: facts, fresh: make(map[types.Object]bool)}
 			c.stmts(fd.Body.List, c.entryState(fd))
 		}
 	}
@@ -197,9 +166,8 @@ func receiverName(fd *ast.FuncDecl) string {
 
 func collectGuardedbyFacts(pass *Pass) *gbFacts {
 	facts := &gbFacts{
-		guarded:       make(map[*types.Var]guardInfo),
-		locks:         make(map[*types.Func][]locksReq),
-		callbackUnder: make(map[*types.Func][]string),
+		guarded: make(map[*types.Var]guardInfo),
+		locks:   make(map[*types.Func][]locksReq),
 	}
 	for _, file := range pass.Files {
 		// Malformed //pgrdf: annotations are findings: a typo must not
@@ -208,7 +176,7 @@ func collectGuardedbyFacts(pass *Pass) *gbFacts {
 			for _, cmt := range cg.List {
 				if gbPrefixRE.MatchString(cmt.Text) && gbAnnotationRE.FindStringSubmatch(cmt.Text) == nil {
 					pass.Reportf(cmt.Pos(),
-						"malformed pgrdf annotation (want //pgrdf:guardedby <mutexField>, //pgrdf:locks [<param>.]<mutexField> or //pgrdf:callback-under <mutexField>)")
+						"malformed pgrdf annotation (want //pgrdf:guardedby <mutexField> or //pgrdf:locks [<param>.]<mutexField>)")
 				}
 			}
 		}
@@ -223,9 +191,6 @@ func collectGuardedbyFacts(pass *Pass) *gbFacts {
 				collectLocksAnnotations(pass, fd, facts)
 			}
 		}
-	}
-	if len(facts.callbackUnder) > 0 {
-		facts.acquires = collectAcquires(pass)
 	}
 	return facts
 }
@@ -333,14 +298,6 @@ func collectLocksAnnotations(pass *Pass, fd *ast.FuncDecl, facts *gbFacts) {
 			continue
 		}
 		spec := m[2]
-		if m[1] == "callback-under" {
-			if req, errMsg := resolveLocksSpec(pass, fd, spec); errMsg != "" || req.param >= 0 {
-				pass.Reportf(cmt.Pos(), "//pgrdf:callback-under %s: want a mutex field of the receiver", spec)
-			} else {
-				facts.callbackUnder[fn] = append(facts.callbackUnder[fn], req.lock)
-			}
-			continue
-		}
 		req, errMsg := resolveLocksSpec(pass, fd, spec)
 		if errMsg != "" {
 			pass.Reportf(cmt.Pos(), "//pgrdf:locks %s: %s", spec, errMsg)
@@ -425,8 +382,6 @@ type gbChecker struct {
 	// fresh holds locals built from composite literals / new / zero
 	// values in this function: exclusively owned, exempt from checks.
 	fresh map[types.Object]bool
-	// fd is the function under analysis.
-	fd *ast.FuncDecl
 }
 
 func (c *gbChecker) stmts(list []ast.Stmt, st gbState) (gbState, bool) {
@@ -727,7 +682,6 @@ func (c *gbChecker) expr(e ast.Expr, st gbState) {
 			}
 		}
 		c.checkAnnotatedCall(e, st)
-		c.checkCallbackCall(e, st)
 		c.expr(e.Fun, st)
 		for _, a := range e.Args {
 			c.expr(a, st)
@@ -859,176 +813,6 @@ func (c *gbChecker) checkAnnotatedCall(call *ast.CallExpr, st gbState) {
 			c.pass.Reportf(call.Pos(),
 				"call to %s requires %s held (//pgrdf:locks on the callee); acquire it or annotate the caller",
 				fn.Name(), key)
-		}
-	}
-}
-
-// --- callbacks under a lock ------------------------------------------
-
-// collectAcquires computes, for every function declared in the package,
-// the locks it may acquire: those it locks in its own body (function
-// literals included) plus, to a fixed point, those of the package
-// functions it calls.
-func collectAcquires(pass *Pass) map[*types.Func]map[lockID]bool {
-	acq := make(map[*types.Func]map[lockID]bool)
-	calls := make(map[*types.Func][]*types.Func)
-	c := &gbChecker{pass: pass}
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, _ := pass.Info.Defs[fd.Name].(*types.Func)
-			if fn == nil {
-				continue
-			}
-			acq[fn] = make(map[lockID]bool)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if id, ok := c.acquiredLock(call); ok {
-					acq[fn][id] = true
-				} else if callee := calleeFunc(pass.Info, call); callee != nil && callee.Pkg() == pass.Pkg {
-					calls[fn] = append(calls[fn], callee)
-				}
-				return true
-			})
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for fn, callees := range calls {
-			for _, callee := range callees {
-				for id := range acq[callee] {
-					if !acq[fn][id] {
-						acq[fn][id] = true
-						changed = true
-					}
-				}
-			}
-		}
-	}
-	return acq
-}
-
-// acquiredLock recognizes x.lock.Lock() / x.lock.RLock() and names the
-// lock by x's type.
-func (c *gbChecker) acquiredLock(call *ast.CallExpr) (lockID, bool) {
-	_, op, ok := c.lockOp(call)
-	if !ok || (op != opLock && op != opRLock) {
-		return lockID{}, false
-	}
-	field, ok := call.Fun.(*ast.SelectorExpr).X.(*ast.SelectorExpr)
-	if !ok {
-		return lockID{}, false
-	}
-	owner := namedTypeOf(c.pass.TypeOf(field.X))
-	return lockID{owner: owner, lock: field.Sel.Name}, owner != nil
-}
-
-func namedTypeOf(t types.Type) *types.TypeName {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	if named, ok := t.(*types.Named); ok {
-		return named.Obj()
-	}
-	return nil
-}
-
-// funcParam resolves e to a func-typed parameter of the function under
-// analysis, or nil.
-func (c *gbChecker) funcParam(e ast.Expr) *types.Var {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok || c.fd == nil {
-		return nil
-	}
-	v, ok := c.pass.Info.Uses[id].(*types.Var)
-	if !ok {
-		return nil
-	}
-	if _, isFunc := v.Type().Underlying().(*types.Signature); !isFunc {
-		return nil
-	}
-	for _, f := range c.fd.Type.Params.List {
-		for _, name := range f.Names {
-			if c.pass.Info.Defs[name] == v {
-				return v
-			}
-		}
-	}
-	return nil
-}
-
-// checkCallbackCall enforces both sides of //pgrdf:callback-under at one
-// call: a func-typed parameter run (or handed to an annotated method of
-// the receiver) while the receiver's lock is held needs the annotation
-// on the function under analysis, and a function literal handed to an
-// annotated method must not take that method's lock again.
-func (c *gbChecker) checkCallbackCall(call *ast.CallExpr, st gbState) {
-	recv := receiverName(c.fd)
-	if p := c.funcParam(call.Fun); p != nil && recv != "" {
-		var held []string
-		for key, mode := range st {
-			if lock, ok := strings.CutPrefix(key, recv+"."); ok && mode != gbNotHeld && !strings.Contains(lock, ".") {
-				held = append(held, lock)
-			}
-		}
-		c.checkParamUnderLock(call, p, held)
-	}
-	callee := calleeFunc(c.pass.Info, call)
-	under := c.facts.callbackUnder[callee]
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if len(under) == 0 || !ok {
-		return
-	}
-	owner := namedTypeOf(c.pass.TypeOf(sel.X))
-	for _, arg := range call.Args {
-		if p := c.funcParam(arg); p != nil && recv != "" && types.ExprString(sel.X) == recv {
-			c.checkParamUnderLock(call, p, under)
-		}
-		lit, ok := ast.Unparen(arg).(*ast.FuncLit)
-		if !ok {
-			continue
-		}
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			inner, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			got, direct := c.acquiredLock(inner)
-			f := calleeFunc(c.pass.Info, inner)
-			for _, lock := range under {
-				id := lockID{owner: owner, lock: lock}
-				if (direct && got == id) || (f != nil && c.facts.acquires[f][id]) {
-					c.pass.Reportf(inner.Pos(),
-						"callback passed to %s runs with %s.%s held and this call acquires it again; a writer queued in between deadlocks both",
-						callee.Name(), owner.Name(), lock)
-				}
-			}
-			return true
-		})
-	}
-}
-
-// checkParamUnderLock reports running the func-typed parameter p while
-// the receiver's locks named in held are held, unless the function
-// declares it.
-func (c *gbChecker) checkParamUnderLock(call *ast.CallExpr, p *types.Var, held []string) {
-	recv := receiverName(c.fd)
-	fn, _ := c.pass.Info.Defs[c.fd.Name].(*types.Func)
-	for _, lock := range held {
-		declared := false
-		for _, l := range c.facts.callbackUnder[fn] {
-			declared = declared || l == lock
-		}
-		if !declared {
-			c.pass.Reportf(call.Pos(),
-				"%s runs with %s.%s held: caller-supplied code that calls back into %s deadlocks; run it after unlocking, or declare //pgrdf:callback-under %s so call sites are checked",
-				p.Name(), recv, lock, recv, lock)
 		}
 	}
 }

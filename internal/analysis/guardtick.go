@@ -25,18 +25,9 @@ import (
 // executor accumulates a pending count over a batch's rows and settles
 // it with one TickN per emitted batch (DESIGN.md §15), which is
 // budget-equivalent to per-row ticking.
-//
-// The same rule patrols repro/internal/graph, which ticks the same
-// guard. There the row sources are the view scans the projection and
-// the patcher drain plus the CSR adjacency accessors (Neighbors /
-// InNeighbors and their weight twins) — the algorithm hot loops. An
-// algorithm phase that walks adjacency without ticking would run a full
-// iteration blind to cancellation, deadlines and MaxWork; the morsel
-// runner only polls between morsels, so the per-morsel edge work must
-// settle through TickN inside the same top-level function.
 var Guardtick = &Analyzer{
 	Name: "guardtick",
-	Doc:  "store scans and CSR hot loops must tick the budget guard",
+	Doc:  "store scans in the query engine must tick the budget guard",
 	Run:  runGuardtick,
 }
 
@@ -50,17 +41,7 @@ var rawScanMethods = map[string]map[string]bool{
 	"Seeker": {"Seek": true},
 }
 
-// csrRowMethods are internal/graph's hot-loop row sources: every CSR
-// adjacency read inside an algorithm phase stands in for a store scan.
-var csrRowMethods = map[string]bool{
-	"Neighbors": true, "NeighborWeights": true,
-	"InNeighbors": true, "InNeighborWeights": true,
-}
-
-const (
-	graphPkg = "repro/internal/graph"
-	guardPkg = "repro/internal/guard"
-)
+const guardPkg = "repro/internal/guard"
 
 // guardMethods are the *guard.Guard calls that count as "the guard is
 // consulted". TickN(n) accounts for n rows at once, so a worker loop
@@ -68,7 +49,7 @@ const (
 var guardMethods = map[string]bool{"TickN": true, "Poll": true, "CheckRows": true}
 
 func runGuardtick(pass *Pass) error {
-	if pass.Path != sparqlPkg && pass.Path != graphPkg {
+	if pass.Path != sparqlPkg {
 		return nil
 	}
 	for _, file := range pass.Files {
@@ -78,7 +59,7 @@ func runGuardtick(pass *Pass) error {
 				return true
 			}
 			recv, name, ok := methodCall(pass.Info, call)
-			if !ok || !isRawScan(pass.Path, recv, name) {
+			if !ok || !isRawScan(recv, name) {
 				return true
 			}
 			fd := outermostFunc(file, call.Pos())
@@ -92,15 +73,13 @@ func runGuardtick(pass *Pass) error {
 	return nil
 }
 
-func isRawScan(path string, recv types.Type, name string) bool {
+func isRawScan(recv types.Type, name string) bool {
 	for typeName, methods := range rawScanMethods {
 		if methods[name] && isNamedType(recv, storePkg, typeName) {
 			return true
 		}
 	}
-	// Only internal/graph's own hot loops must tick on adjacency reads;
-	// consumers elsewhere (tests, reporting) read CSR rows freely.
-	return path == graphPkg && csrRowMethods[name] && isNamedType(recv, graphPkg, "CSR")
+	return false
 }
 
 // ticksGuard reports whether fd contains a call to one of the guard

@@ -129,7 +129,7 @@ var a = 1
 	})
 
 	t.Run("inactive analyzer is not flagged", func(t *testing.T) {
-		// A partial -only run must not call suppressions for the
+		// A run of one analyzer must not call suppressions for the
 		// analyzers it skipped stale.
 		_, idx, _ := buildFromSrc(t, `package p
 

@@ -17,6 +17,20 @@ func fireAndForget() {
 	go work() // want "no visible join mechanism"
 }
 
+// droppedHandshake is cmd/pgrdf's serve loop with the send removed:
+// the spawner still waits on errc, but the goroutine no longer reports
+// to it, so a failed listener is never seen.
+func droppedHandshake(ctx context.Context) error {
+	errc := make(chan error, 1)
+	go func() { doWork() }() // want "no visible join mechanism"
+	select {
+	case err := <-errc:
+		return err
+	case <-ctx.Done():
+		return nil
+	}
+}
+
 func fireAndForgetClosure(items []int) {
 	go func() { // want "no visible join mechanism"
 		for _, it := range items {
@@ -102,32 +116,6 @@ func channelHandshake() error {
 }
 
 func doWork() error { return nil }
-
-// --- loop-variable capture -------------------------------------------
-
-func loopCapture(items []int) {
-	var wg sync.WaitGroup
-	for i := range items {
-		wg.Add(1)
-		go func() { // want "captures loop variable i"
-			defer wg.Done()
-			sink(i)
-		}()
-	}
-	wg.Wait()
-}
-
-func loopFixed(items []int) {
-	var wg sync.WaitGroup
-	for i := range items {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sink(i)
-		}(i)
-	}
-	wg.Wait()
-}
 
 // --- justified suppression -------------------------------------------
 

@@ -102,6 +102,15 @@ func unlockedDelete(t *table, k string) {
 	delete(t.m, k) // want "t.m is written without t.mu write-held"
 }
 
+// readBeforeRLock is Engine.PlanCacheStats with its read hoisted above
+// the RLock: a metrics scrape racing a plan compile.
+func readBeforeRLock(t *table) int {
+	n := len(t.m) // want "t.m is read without t.mu held"
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return n
+}
+
 // --- //pgrdf:locks: callee declares, callers are checked -------------
 
 //pgrdf:locks mu
@@ -116,6 +125,14 @@ func callerHolds(t *table) {
 }
 
 func callerForgets(t *table) {
+	t.growLocked() // want "call to growLocked requires t.mu held"
+}
+
+// callAfterUnlock is Dict.internRows with its Unlock hoisted above the
+// loop: the helper runs after the lock is released.
+func callAfterUnlock(t *table) {
+	t.mu.Lock()
+	t.mu.Unlock()
 	t.growLocked() // want "call to growLocked requires t.mu held"
 }
 
@@ -181,116 +198,3 @@ type badAnno struct {
 type unannotated struct{ y int }
 
 func useFields(b *badAnno, u *unannotated) int { return b.x + u.y }
-
-// --- callbacks under a lock ------------------------------------------
-
-// rows is ROADMAP item 1 reduced: a store whose batch scan holds its
-// read lock across the callback, and an executor whose callback scans
-// the same store again. A writer queued between the two RLocks parks
-// both for ever.
-type rows struct {
-	mu sync.RWMutex
-	//pgrdf:guardedby mu
-	data []int
-}
-
-func (s *rows) badScan(fn func(int) bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, v := range s.data {
-		if !fn(v) { // want "fn runs with s.mu held"
-			return
-		}
-	}
-}
-
-// badScanVia hides the call one level down; the annotated helper makes
-// the pass-through visible.
-func (s *rows) badScanVia(fn func(int) bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	s.scanLocked(fn) // want "fn runs with s.mu held"
-}
-
-//pgrdf:locks mu
-//pgrdf:callback-under mu
-func (s *rows) scanLocked(fn func(int) bool) {
-	for _, v := range s.data {
-		if !fn(v) {
-			return
-		}
-	}
-}
-
-// ScanBatch owns up to it, so its call sites are checked.
-//
-//pgrdf:callback-under mu
-func (s *rows) ScanBatch(fn func(int) bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	s.scanLocked(fn)
-}
-
-func (s *rows) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.data)
-}
-
-type exec struct{ st *rows }
-
-// step is vecExec.step: each level's callback runs the next level,
-// which scans again.
-func (e *exec) step(depth int) {
-	if depth == 0 {
-		return
-	}
-	e.st.ScanBatch(func(int) bool {
-		e.step(depth - 1) // want "callback passed to ScanBatch runs with rows.mu held and this call acquires it again"
-		return true
-	})
-}
-
-func badDirectReentry(s *rows) int {
-	n := 0
-	s.ScanBatch(func(int) bool {
-		n += s.Len() // want "callback passed to ScanBatch runs with rows.mu held"
-		return true
-	})
-	return n
-}
-
-// --- fixed counterparts ----------------------------------------------
-
-// goodScan copies under the lock and runs the callback after it.
-func (s *rows) goodScan(fn func(int) bool) {
-	s.mu.RLock()
-	snapshot := append([]int(nil), s.data...)
-	s.mu.RUnlock()
-	for _, v := range snapshot {
-		if !fn(v) {
-			return
-		}
-	}
-}
-
-func goodCallback(s *rows) int {
-	n := 0
-	s.ScanBatch(func(v int) bool {
-		n += v
-		return true
-	})
-	return n + s.Len()
-}
-
-// --- suppressed ------------------------------------------------------
-
-func suppressedReentry(a, b *rows) int {
-	n := 0
-	a.ScanBatch(func(int) bool {
-		//pgrdfvet:ignore guardedby -- b is a different store: its lock is not the one the callback runs under
-		n += b.Len()
-		return true
-	})
-	return n
-}

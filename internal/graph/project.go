@@ -201,8 +201,7 @@ type reader struct {
 // column is left open), batch-at-a-time straight from the index runs,
 // ticking the guard one work unit per drained quad — the only way
 // internal/graph reads the store, so every scan is a cancellation point
-// by construction (the guardtick analyzer enforces this). It reports
-// false when the guard tripped.
+// by construction. It reports false when the guard tripped.
 func (r *reader) drain(pat store.Pattern, fn func(store.IDQuad)) bool {
 	pat.M = store.Any
 	ok := true
@@ -481,7 +480,6 @@ func DetectScheme(st *store.Store, model string, vocab pgrdf.Vocabulary) (pgrdf.
 		found := false
 		for _, m := range models {
 			pat.M = store.ID(m)
-			//pgrdfvet:ignore guardtick -- first-match probe over one predicate's postings; stops at the first accepted quad and has no request budget to tick
 			view.Scan(pat, func(q store.IDQuad) bool {
 				if accept == nil || accept(q) {
 					found = true

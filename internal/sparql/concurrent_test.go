@@ -244,3 +244,65 @@ func TestConcurrentQueriesShareOneEngine(t *testing.T) {
 	}()
 	watchdog(t, done)
 }
+
+// TestConcurrentQueriesKeepOwnScratchTerms: each query interns its
+// computed terms (BIND, VALUES) into an overlay of its own, which takes
+// no lock. Four goroutines run queries whose computed strings differ by
+// reader, so readers that shared an overlay would see each other's
+// scratch IDs (and race under the race detector); each must answer
+// what a lone run does, and none may grow the store's dictionary.
+func TestConcurrentQueriesKeepOwnScratchTerms(t *testing.T) {
+	st := socialStore(t)
+	e := NewEngine(st)
+	query := func(r int) string {
+		return testPrologue + fmt.Sprintf(`SELECT ?a ?tag ?l WHERE {
+			VALUES ?tag { "reader%d-x" "reader%d-y" }
+			?a rel:follows ?b
+			BIND(CONCAT(?tag, "/", STR(?b)) AS ?l)
+		} ORDER BY ?a ?tag ?l`, r, r)
+	}
+	const readers = 4
+	want := make([]string, readers)
+	for r := range want {
+		res, err := e.Query("", query(r))
+		if err != nil {
+			t.Fatalf("reader %d: %v", r, err)
+		}
+		if len(res.Rows) == 0 {
+			t.Fatalf("reader %d: no rows", r)
+		}
+		want[r] = res.String()
+	}
+	// A fresh engine, so the concurrent runs intern their computed
+	// terms for the first time: only then would a shared overlay be
+	// written to by several readers at once.
+	e = NewEngine(st)
+	dictLen := st.Dict().Len()
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				res, err := e.Query("", query(r))
+				if err != nil {
+					t.Errorf("reader %d: %v", r, err)
+					return
+				}
+				if got := res.String(); got != want[r] {
+					t.Errorf("reader %d round %d: results differ from a lone run", r, round)
+					return
+				}
+			}
+		}(r)
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	watchdog(t, done)
+	if got := st.Dict().Len(); got != dictLen {
+		t.Errorf("read-only queries grew the dictionary: %d -> %d", dictLen, got)
+	}
+}

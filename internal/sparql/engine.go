@@ -54,10 +54,6 @@ type Engine struct {
 	// concurrently.
 	CommitHook CommitHook
 
-	// estc caches cardinality estimates for the greedy join-order
-	// optimizer, invalidated by the store's mutation version.
-	estc estCache
-
 	// slowMu serializes writes to SlowQueryLog.
 	slowMu sync.Mutex
 
@@ -749,7 +745,6 @@ func (e *Engine) execCtx(model string, vt *varTable) (*execCtx, error) {
 	ec := &execCtx{
 		st:         e.st,
 		view:       view,
-		estc:       &e.estc,
 		vt:         vt,
 		noHashJoin: e.DisableHashJoin,
 		hashMin:    e.hashJoinMin(),

@@ -20,7 +20,6 @@ type execCtx struct {
 	// of the store whatever writers do meanwhile, and a scan callback
 	// may scan again: no read takes a lock.
 	view        *store.View
-	estc        *estCache                  // nil = uncached estimates
 	models      map[store.ModelID]struct{} // nil = all models
 	singleModel store.ModelID              // set when the dataset is one model
 	vt          *varTable
@@ -52,32 +51,13 @@ func (ec *execCtx) child(vt *varTable) *execCtx {
 	return &c
 }
 
-// estimate returns the store's cardinality estimate for p, through the
-// engine's versioned cache when one is attached.
-func (ec *execCtx) estimate(p store.Pattern) int {
-	if ec.estc != nil {
-		return ec.estc.estimate(ec.view, p)
-	}
-	return ec.view.EstimateCount(p)
-}
-
-// term resolves an ID from the shared dictionary or, when the query
-// carries a scratch overlay, from either range.
-func (ec *execCtx) term(id store.ID) rdf.Term {
-	if ec.scratch != nil {
-		return ec.scratch.Term(id)
-	}
-	return ec.st.Dict().Term(id)
-}
+// term resolves an ID from the shared dictionary or the query's
+// scratch overlay.
+func (ec *execCtx) term(id store.ID) rdf.Term { return ec.scratch.Term(id) }
 
 // intern maps a computed term to an ID without growing the shared
-// dictionary when a scratch overlay is present (read-only queries).
-func (ec *execCtx) intern(t rdf.Term) store.ID {
-	if ec.scratch != nil {
-		return ec.scratch.Intern(t)
-	}
-	return ec.st.Dict().Intern(t)
-}
+// dictionary: terms the dictionary lacks get scratch IDs.
+func (ec *execCtx) intern(t rdf.Term) store.ID { return ec.scratch.Intern(t) }
 
 // scan runs a store scan restricted to the dataset's models. Every row
 // produced ticks the query guard, making scans the chokepoint where a
@@ -185,7 +165,7 @@ func (o *bgpOp) resolve(ec *execCtx) []resolvedPattern {
 			rp.ids[3] = id
 		}
 		if !rp.missing {
-			rp.estConst = ec.estimate(rp.constPattern())
+			rp.estConst = ec.view.EstimateCount(rp.constPattern())
 		}
 		rps[i] = rp
 	}

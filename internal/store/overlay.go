@@ -1,10 +1,6 @@
 package store
 
-import (
-	"sync"
-
-	"repro/internal/rdf"
-)
+import "repro/internal/rdf"
 
 // scratchBase is the first ID of the range reserved for per-query
 // scratch terms. The dictionary assigns dense IDs from 1 upward and
@@ -27,13 +23,11 @@ const scratchBase ID = 1 << 62
 // scratch-identified term matches nothing in the store, which is the
 // correct semantics for a term the store does not contain.
 //
-// The overlay is safe for concurrent use.
+// An overlay belongs to one query, which one goroutine runs: it takes
+// no lock and must not be shared between goroutines.
 type TermOverlay struct {
-	dict *Dict
-	mu   sync.RWMutex
-	//pgrdf:guardedby mu
+	dict  *Dict
 	byKey map[string]ID
-	//pgrdf:guardedby mu
 	terms []rdf.Term
 }
 
@@ -51,22 +45,14 @@ func (o *TermOverlay) Intern(t rdf.Term) ID {
 		return id
 	}
 	key := t.String()
-	o.mu.RLock()
-	id, ok := o.byKey[key]
-	o.mu.RUnlock()
-	if ok {
-		return id
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if id, ok = o.byKey[key]; ok {
+	if id, ok := o.byKey[key]; ok {
 		return id
 	}
 	if o.byKey == nil {
 		o.byKey = make(map[string]ID)
 	}
 	o.terms = append(o.terms, t)
-	id = scratchBase + ID(len(o.terms)-1)
+	id := scratchBase + ID(len(o.terms)-1)
 	o.byKey[key] = id
 	return id
 }
@@ -77,8 +63,6 @@ func (o *TermOverlay) Term(id ID) rdf.Term {
 	if id < scratchBase {
 		return o.dict.Term(id)
 	}
-	o.mu.RLock()
-	defer o.mu.RUnlock()
 	i := int(id - scratchBase)
 	if i >= len(o.terms) {
 		panic("store: Term called with invalid scratch ID")
@@ -87,8 +71,4 @@ func (o *TermOverlay) Term(id ID) rdf.Term {
 }
 
 // Len returns the number of scratch terms this overlay holds.
-func (o *TermOverlay) Len() int {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return len(o.terms)
-}
+func (o *TermOverlay) Len() int { return len(o.terms) }

@@ -1,8 +1,6 @@
 package store
 
 import (
-	"fmt"
-	"sync"
 	"testing"
 
 	"repro/internal/rdf"
@@ -61,40 +59,68 @@ func TestOverlayTermPanicsOnBogusScratchID(t *testing.T) {
 	o.Term(scratchBase + 99)
 }
 
-func TestOverlayConcurrent(t *testing.T) {
+// TestOverlaysAreIndependent: each query owns its overlay, so two
+// overlays over one dictionary number their scratch terms apart, never
+// see each other's terms, and leave the dictionary as it was.
+func TestOverlaysAreIndependent(t *testing.T) {
 	d := NewDict()
-	o := NewTermOverlay(d)
-	const workers = 8
-	var wg sync.WaitGroup
-	ids := make([][]ID, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				term := rdf.NewLiteral(fmt.Sprintf("scratch-%d", i))
-				id := o.Intern(term)
-				ids[w] = append(ids[w], id)
-				if got := o.Term(id); got.Value != term.Value {
-					t.Errorf("Term(%d) = %v, want %v", id, got, term)
-					return
-				}
-			}
-		}(w)
+	d.Intern(rdf.NewLiteral("known"))
+	before := d.Len()
+
+	a, b := NewTermOverlay(d), NewTermOverlay(d)
+	onlyA := rdf.NewLiteral("only-a")
+	shared := rdf.NewLiteral("shared")
+	aOnly := a.Intern(onlyA)
+	aShared := a.Intern(shared)
+	bShared := b.Intern(shared)
+
+	if bShared != scratchBase {
+		t.Errorf("b's first scratch term got %d, want %d: b saw a's terms", bShared, scratchBase)
 	}
-	wg.Wait()
-	// Every worker interned the same 100 terms; IDs must agree.
-	for w := 1; w < workers; w++ {
-		for i := range ids[0] {
-			if ids[w][i] != ids[0][i] {
-				t.Fatalf("worker %d got ID %d for term %d, worker 0 got %d", w, ids[w][i], i, ids[0][i])
-			}
+	if got := b.Term(bShared); got.String() != shared.String() {
+		t.Errorf("b.Term(%d) = %v, want %v", bShared, got, shared)
+	}
+	if got := a.Term(aShared); got.String() != shared.String() {
+		t.Errorf("a.Term(%d) = %v, want %v", aShared, got, shared)
+	}
+	if a.Len() != 2 || b.Len() != 1 {
+		t.Errorf("overlay lens = %d, %d, want 2, 1", a.Len(), b.Len())
+	}
+	if d.Lookup(onlyA) != NoID || d.Lookup(shared) != NoID {
+		t.Error("an overlay term reached the dictionary")
+	}
+	if d.Len() != before {
+		t.Errorf("overlays grew the dictionary: %d -> %d", before, d.Len())
+	}
+	if aOnly == aShared {
+		t.Errorf("two distinct terms share scratch ID %d", aOnly)
+	}
+}
+
+// TestOverlayScratchIDsAreDense: scratch IDs run from scratchBase up in
+// first-intern order, known terms take none of them, and a term the
+// dictionary learns after an overlay was made reads through from then on.
+func TestOverlayScratchIDsAreDense(t *testing.T) {
+	d := NewDict()
+	known := d.Intern(rdf.NewIRI("http://x/known"))
+	o := NewTermOverlay(d)
+	for i := 0; i < 5; i++ {
+		if got := o.Intern(rdf.NewIRI("http://x/known")); got != known {
+			t.Fatalf("known term got %d, want %d", got, known)
+		}
+		if got, want := o.Intern(rdf.NewInt(int32(i))), scratchBase+ID(i); got != want {
+			t.Fatalf("scratch term %d got ID %d, want %d", i, got, want)
 		}
 	}
-	if o.Len() != 100 {
-		t.Errorf("overlay len = %d, want 100", o.Len())
+	if o.Len() != 5 {
+		t.Errorf("overlay len = %d, want 5", o.Len())
 	}
-	if d.Len() != 0 {
-		t.Errorf("dictionary grew to %d", d.Len())
+	late := rdf.NewLiteral("late")
+	lid := d.Intern(late)
+	if got := o.Intern(late); got != lid {
+		t.Errorf("term interned into the dictionary later got %d, want %d", got, lid)
+	}
+	if o.Len() != 5 {
+		t.Errorf("read-through term took a scratch ID: len = %d", o.Len())
 	}
 }

@@ -259,8 +259,6 @@ func (r *replayer) flush() error {
 // truncate out of the log. An append failure aborts the commit: apply
 // does not run, and the caller reports the update failed. apply must not
 // call back into the Log.
-//
-//pgrdf:callback-under mu
 func (l *Log) Commit(b Batch, apply func() error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
