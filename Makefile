@@ -64,11 +64,17 @@ repl-fault:
 ## weight filters, the named edge cases, ring overflow and Load
 ## barriers), the change log must be exact at the ring boundaries, and
 ## /algo under a concurrent writer must end with patched ≡ from-scratch
-## and no change applied twice or lost — all under the race detector.
-## Part of `make check`; see DESIGN.md §17.
+## and no change applied twice or lost; and the one scheme definition the
+## projector and patcher decode by must hold as the paper's equivalence —
+## seeded generated graphs round-trip, project to one CSR and answer the
+## query builder's queries alike under RF, NG and SP, Convert is pinned
+## byte for byte, lossy datasets are refused, and DetectScheme names each
+## scheme — all under the race detector. Part of `make check`; see
+## DESIGN.md §5 and §17.
 algo-diff:
 	$(GO) test -race -count=1 -run 'TestChangesSince|TestViewIsOneState' ./internal/store
-	$(GO) test -race -count=1 -run 'TestPatch|TestProjectionIgnoresCompaction' ./internal/graph
+	$(GO) test -race -count=1 -run 'TestSchemesEquivalent|TestRoundTripAllSchemes|TestConvertPinned|TestFromRDFRefusesLossyDataset|TestMigrateAllPairs' ./internal/pgrdf
+	$(GO) test -race -count=1 -run 'TestPatch|TestProjectionIgnoresCompaction|TestDetectScheme' ./internal/graph
 	$(GO) test -race -count=1 -run 'TestAlgo' ./internal/httpapi
 
 ## store-race: the concurrency gate of the versioned store (DESIGN.md

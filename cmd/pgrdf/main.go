@@ -86,19 +86,6 @@ run "pgrdf <subcommand> -h" for flags`)
 	os.Exit(2)
 }
 
-func parseScheme(s string) (pgrdf.Scheme, error) {
-	switch strings.ToUpper(s) {
-	case "RF":
-		return pgrdf.RF, nil
-	case "NG":
-		return pgrdf.NG, nil
-	case "SP":
-		return pgrdf.SP, nil
-	default:
-		return 0, fmt.Errorf("unknown scheme %q (want RF, NG or SP)", s)
-	}
-}
-
 func runConvert(args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
 	scheme := fs.String("scheme", "NG", "PG-as-RDF scheme: RF, NG or SP")
@@ -108,7 +95,7 @@ func runConvert(args []string) error {
 	prefix := fs.String("vertex-prefix", "v", "vertex IRI prefix (the paper's Twitter data uses n)")
 	fs.Parse(args)
 
-	s, err := parseScheme(*scheme)
+	s, err := pgrdf.ParseScheme(*scheme)
 	if err != nil {
 		return err
 	}
@@ -370,7 +357,7 @@ func runAlgo(args []string) error {
 		if scheme, err = graph.DetectScheme(st, *model, pgrdf.Vocabulary{}); err != nil {
 			return err
 		}
-	} else if scheme, err = parseScheme(*schemeName); err != nil {
+	} else if scheme, err = pgrdf.ParseScheme(*schemeName); err != nil {
 		return err
 	}
 

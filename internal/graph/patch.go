@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/guard"
-	"repro/internal/pgrdf"
 	"repro/internal/rdf"
 	"repro/internal/store"
 )
@@ -106,12 +105,6 @@ type patcher struct {
 	marked map[store.ID]bool
 }
 
-func (pt *patcher) rows(pat store.Pattern) []store.IDQuad {
-	var out []store.IDQuad
-	pt.drain(pat, func(q store.IDQuad) { out = append(out, q) })
-	return out
-}
-
 // undo returns the before-state of rows — a probe's result at the view's
 // version — given the logged changes (indexes into pt.changes, oldest
 // first) that touched exactly the quads the probe matches.
@@ -134,16 +127,25 @@ func (pt *patcher) undo(rows []store.IDQuad, idxs []int) []store.IDQuad {
 	return out
 }
 
-// leastC is the decoders' one-value rule over a probe's rows: the least
-// object, or NoID when there is no row.
-func (pt *patcher) leastC(rows []store.IDQuad) store.ID {
+// leastAt is the decoders' one-value rule over a probe's rows: the least
+// value in column col, or NoID when there is no row.
+func (pt *patcher) leastAt(rows []store.IDQuad, col store.Col) store.ID {
 	out := store.NoID
 	for _, r := range rows {
-		if out == store.NoID {
-			out = r.C
-		} else {
-			out = pt.least(out, r.C)
-		}
+		out = pt.least(out, r.Get(col))
+	}
+	return out
+}
+
+// probe returns the rows of template c with id as role k.
+func (pt *patcher) probe(c *tmpl, k int, id store.ID) []store.IDQuad {
+	var out []store.IDQuad
+	if !c.dead {
+		pt.drain(c.pattern(k, id), func(q store.IDQuad) {
+			if c.matches(q) {
+				out = append(out, q)
+			}
+		})
 	}
 	return out
 }
@@ -165,7 +167,8 @@ func (pt *patcher) add(src, dst store.ID, n int) {
 }
 
 // classify reads the change log since the old projection's version and
-// translates it, per scheme, into occurrence deltas and marker changes.
+// translates it, by the decoder's one rule, into occurrence deltas and
+// marker changes.
 // Everything it learns from the store it learns from the pinned view.
 func (pt *patcher) classify() (info PatchInfo) {
 	since := pt.old.Version
@@ -188,48 +191,42 @@ func (pt *patcher) classify() (info PatchInfo) {
 	}
 
 	weighted := pt.old.opts.WeightKey != ""
-	// Log entries of the RF components and SP anchors of each touched
-	// edge resource, and of the default-graph triples per predicate (SP's
-	// s-e-o candidates), as indexes into changes.
-	rf := map[store.ID][]int{}
-	anchors := map[store.ID][]int{}
-	triples := map[store.ID][]int{}
+	// Log indexes per touched edge resource: per functional template,
+	// then the carrier's.
+	touched := map[store.ID][][]int{}
+	note := func(e store.ID, k, i int) {
+		if touched[e] == nil {
+			touched[e] = make([][]int, len(pt.functional)+1)
+		}
+		touched[e][k] = append(touched[e][k], i)
+	}
 	for i, ch := range changes {
 		q := ch.Quad
 		if !pt.models.has(q.M) {
 			continue
 		}
-		n := sign(ch)
 		if weighted && q.P == pt.weightID {
 			info.Rebuild = RebuildUnclassified
 			return info
 		}
-		if pt.marker(q) {
-			pt.markers = append(pt.markers, q.S)
+		if pt.marker.matches(q) {
+			pt.markers = append(pt.markers, pt.marker.at(&q, rNode))
 		}
-		if pt.plainEdge(q) {
-			pt.add(q.S, q.C, n)
+		if plain := &pt.rows[0]; plain.matches(q) {
+			pt.addOccurrence(vals{}, plain, &q, sign(ch))
 		}
-		switch pt.scheme {
-		case pgrdf.NG:
-			if pt.namedEdge(q) {
-				pt.add(q.S, q.C, n)
+		for k := range pt.functional {
+			if f := &pt.functional[k]; f.matches(q) {
+				note(f.at(&q, rEdge), k, i)
 			}
-		case pgrdf.RF:
-			if q.P == pt.subjID || q.P == pt.predID || q.P == pt.objID {
-				rf[q.S] = append(rf[q.S], i)
-			}
-		case pgrdf.SP:
-			if q.P == pt.spoID {
-				anchors[q.S] = append(anchors[q.S], i)
-			}
-			if q.G == store.NoID {
-				triples[q.P] = append(triples[q.P], i)
-			}
+		}
+		if c := pt.carrier; c != nil && c.matches(q) {
+			note(c.at(&q, rEdge), len(pt.functional), i)
 		}
 	}
-	pt.classifyRF(rf)
-	pt.classifySP(anchors, triples)
+	for e, l := range touched {
+		pt.rederive(e, l)
+	}
 	if weighted && pt.edgeTouched {
 		info.Rebuild = RebuildUnclassified
 		return info
@@ -250,89 +247,52 @@ func (pt *patcher) classify() (info PatchInfo) {
 	return info
 }
 
-// classifyRF re-derives each touched statement resource: its edge now is
-// three point probes, its edge before is the same with the resource's
-// log entries undone.
-func (pt *patcher) classifyRF(touched map[store.ID][]int) {
-	for e, idxs := range touched {
-		var before, after [3]store.ID
-		for k, pid := range [3]store.ID{pt.subjID, pt.predID, pt.objID} {
-			if pid == store.NoID {
-				continue
-			}
-			var mine []int
-			for _, i := range idxs {
-				if pt.changes[i].Quad.P == pid {
-					mine = append(mine, i)
-				}
-			}
-			now := pt.rows(store.Pattern{S: e, P: pid, C: store.Any, G: store.Any})
-			after[k] = pt.leastC(now)
-			before[k] = pt.leastC(pt.undo(now, mine))
+// rederive translates the logged changes of edge resource e into
+// occurrence deltas. Its functional values now are point probes; before,
+// the same probes with e's log entries undone. While they stay put, each
+// logged carrier row counts ±1 (always so in NG). When they move, every
+// carrier row of e, or the one edge, goes out and comes back under them.
+func (pt *patcher) rederive(e store.ID, logs [][]int) {
+	var before, after vals
+	for k := range pt.functional {
+		f := &pt.functional[k]
+		now := pt.probe(f, rEdge, e)
+		col := store.Col(f.col[f.val])
+		after[f.val] = pt.leastAt(now, col)
+		before[f.val] = pt.leastAt(pt.undo(now, logs[k]), col)
+	}
+	c, carried := pt.carrier, logs[len(pt.functional)]
+	if before == after {
+		for _, i := range carried {
+			ch := pt.changes[i]
+			pt.addOccurrence(after, c, &ch.Quad, sign(ch))
 		}
-		if before == after {
-			continue
-		}
-		if pt.rfEdge(before[0], before[1], before[2]) {
-			pt.add(before[0], before[2], -1)
-		}
-		if pt.rfEdge(after[0], after[1], after[2]) {
-			pt.add(after[0], after[2], +1)
-		}
+		return
+	}
+	rows := []store.IDQuad{{}} // without a carrier: the one edge
+	if c != nil {
+		rows = pt.probe(c, rEdge, e)
+	}
+	for _, r := range pt.undo(rows, carried) {
+		pt.addOccurrence(before, c, &r, -1)
+	}
+	for _, r := range rows {
+		pt.addOccurrence(after, c, &r, +1)
 	}
 }
 
-// classifySP handles the two ways an SP edge changes: an anchor toggles
-// every s-e-o triple of its predicate, and a triple comes or goes under
-// a stable anchor.
-func (pt *patcher) classifySP(anchors, triples map[store.ID][]int) {
-	if pt.spoID == store.NoID {
-		return // no anchor was ever stored
-	}
-	anchorsOf := func(e store.ID) []store.IDQuad {
-		return pt.rows(store.Pattern{S: e, P: pt.spoID, C: store.Any, G: store.Any})
-	}
-	for e, idxs := range anchors {
-		now := anchorsOf(e)
-		after, before := pt.leastC(now), pt.leastC(pt.undo(now, idxs))
-		wasEdge := before != store.NoID && pt.matchLabel(before)
-		isEdge := after != store.NoID && pt.matchLabel(after)
-		if !wasEdge && !isEdge {
-			continue
-		}
-		rows := pt.rows(store.Pattern{S: store.Any, P: e, C: store.Any, G: store.NoID})
-		if wasEdge {
-			for _, r := range pt.undo(rows, triples[e]) {
-				pt.add(r.S, r.C, -1)
-			}
-		}
-		if isEdge {
-			for _, r := range rows {
-				pt.add(r.S, r.C, +1)
-			}
-		}
-	}
-	for e, idxs := range triples {
-		if _, toggled := anchors[e]; toggled {
-			continue
-		}
-		if lbl := pt.leastC(anchorsOf(e)); lbl == store.NoID || !pt.matchLabel(lbl) {
-			continue
-		}
-		for _, i := range idxs {
-			ch := pt.changes[i]
-			pt.add(ch.Quad.S, ch.Quad.C, sign(ch))
-		}
+// addOccurrence counts n for the occurrence v and row q of c decode to,
+// if they decode to one.
+func (pt *patcher) addOccurrence(v vals, c *tmpl, q *store.IDQuad, n int) {
+	if v, ok := pt.occurrence(v, c, q); ok {
+		pt.add(v[0], v[1], n)
 	}
 }
 
 func (pt *patcher) probeMarked(v store.ID) {
-	if _, done := pt.marked[v]; done || pt.typeID == store.NoID || pt.resourceID == store.NoID {
-		return
+	if _, done := pt.marked[v]; !done {
+		pt.marked[v] = len(pt.probe(&pt.marker, rNode, v)) > 0
 	}
-	found := false
-	pt.drain(store.Pattern{S: v, P: pt.typeID, C: pt.resourceID, G: store.Any}, func(store.IDQuad) { found = true })
-	pt.marked[v] = found
 }
 
 // edgeUpdate sets the occurrence count of an existing forward-adjacency

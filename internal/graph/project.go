@@ -3,6 +3,7 @@ package graph
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -58,44 +59,134 @@ type Projection struct {
 	occ    []uint32       // occurrences per edge, parallel to CSR.dst
 }
 
-// decoder is what Project and Patch both test quads against: the
-// dictionary IDs of the scheme vocabulary and the label filter. An ID is
-// NoID while the dictionary has never seen the term, in which case no
-// stored quad can carry it.
+// tmpl is a pgrdf.Template over store IDs. pat holds its S, P, O and G
+// slots in columns S, P, C and G: constants bound, the default graph as
+// NoID, roles open; col says where each of roles sits, -1 if nowhere.
+type tmpl struct {
+	pat         [4]store.ID
+	col         [len(roles)]int
+	dead, named bool // a constant the dictionary never saw; a role in the graph slot
+	val         int  // the role whose least value a functional template keeps
+}
+
+// roles are the template roles the decoders read. The first three are
+// an edge's ends, which vals holds.
+var roles = [...]pgrdf.Slot{pgrdf.Src, pgrdf.Dst, pgrdf.Label, pgrdf.Edge, pgrdf.Node, pgrdf.Key, pgrdf.Value}
+
+const (
+	rLabel = iota + 2
+	rEdge
+	rNode
+	rKey
+	rValue
+)
+
+// vals is what an edge decodes to: its source, destination and label,
+// NoID while missing.
+type vals [3]store.ID
+
+func compile(dict *store.Dict, t pgrdf.Template) tmpl {
+	c := tmpl{col: [len(roles)]int{-1, -1, -1, -1, -1, -1, -1}}
+	for i, s := range t.Slots() {
+		c.pat[i] = store.Any
+		switch {
+		case s == pgrdf.Default: // a default graph, or else an absent template
+			c.pat[i], c.dead = store.NoID, c.dead || i != int(store.ColG)
+		case !s.IsRole():
+			c.pat[i] = dict.Lookup(rdf.NewIRI(string(s)))
+			c.dead = c.dead || c.pat[i] == store.NoID
+		default:
+			c.named = c.named || i == int(store.ColG)
+			if k := slices.Index(roles[:], s); k >= 0 && c.col[k] < 0 {
+				c.col[k] = i
+				if k <= rLabel || k == rValue {
+					c.val = k
+				}
+			}
+		}
+	}
+	return c
+}
+
+// pattern returns the template's pattern, with role k bound to id if k >= 0.
+func (c *tmpl) pattern(k int, id store.ID) store.Pattern {
+	p := c.pat
+	if k >= 0 {
+		p[c.col[k]] = id
+	}
+	return store.Pattern{S: p[0], P: p[1], C: p[2], G: p[3], M: store.Any}
+}
+
+func (c *tmpl) matches(q store.IDQuad) bool {
+	return !c.dead && c.pattern(-1, 0).Matches(q) && (!c.named || q.G != store.NoID)
+}
+
+// at returns the term ID that q holds for role k.
+func (c *tmpl) at(q *store.IDQuad, k int) store.ID { return q.Get(store.Col(c.col[k])) }
+
+// decoder is what Project, Patch and DetectScheme test quads against: the
+// scheme's templates (pgrdf.Encoding) compiled to dictionary IDs, and the
+// label filter. Every identified edge decodes by one rule:
+//
+//   - a template with a constant predicate is functional: per edge
+//     resource, the value of its rdf.Compare-least row wins;
+//   - the template with a variable predicate, if any, is the carrier:
+//     each of its rows is one occurrence;
+//   - an edge resource yields one occurrence per carrier row — exactly
+//     one when there is no carrier (RF) — when its source, destination
+//     and label are all present and the label passes the filter.
+//
+// Each row of the plain -s-p-o template is an occurrence too; the CSR
+// collapses it with its identified twin.
 type decoder struct {
-	dict   *store.Dict
-	scheme pgrdf.Scheme
-	relNS  string
+	dict  *store.Dict
+	relNS string
 	// byLabel: the projection is restricted to labelID's edges.
-	byLabel bool
-	labelID, typeID, resourceID,
-	subjID, predID, objID,
-	spoID, weightID store.ID
+	byLabel           bool
+	labelID, weightID store.ID
+
+	marker, weight tmpl
+	functional     []tmpl
+	rows           []tmpl // the plain template, then the carrier
+	carrier        *tmpl  // nil without one
 
 	isRel map[store.ID]bool // predicate ID -> is a rel: IRI
 }
 
 func newDecoder(dict *store.Dict, opts ProjectOptions) *decoder {
-	lookup := func(iri string) store.ID { return dict.Lookup(rdf.NewIRI(iri)) }
+	enc := opts.Scheme.Encoding()
 	d := &decoder{
-		dict:       dict,
-		scheme:     opts.Scheme,
-		relNS:      opts.Vocab.RelNS,
-		byLabel:    opts.Label != "",
-		typeID:     lookup(rdf.RDFType),
-		resourceID: lookup(rdf.RDFSResource),
-		subjID:     lookup(rdf.RDFSubject),
-		predID:     lookup(rdf.RDFPredicate),
-		objID:      lookup(rdf.RDFObject),
-		spoID:      lookup(rdf.RDFSSubPropertyOf),
-		isRel:      make(map[store.ID]bool),
+		dict:    dict,
+		relNS:   opts.Vocab.RelNS,
+		byLabel: opts.Label != "",
+		marker:  compile(dict, enc.Marker),
+		weight:  compile(dict, enc.EdgeKV),
+		rows:    []tmpl{compile(dict, enc.Plain)},
+		isRel:   make(map[store.ID]bool),
+	}
+	for _, t := range enc.Edge {
+		if t.P.IsRole() {
+			d.rows = append(d.rows, compile(dict, t))
+			d.carrier = &d.rows[1]
+		} else {
+			d.functional = append(d.functional, compile(dict, t))
+		}
 	}
 	if d.byLabel {
+		// The label narrows the row scans; not a functional one, whose
+		// least value is taken before the filter.
 		d.labelID = dict.Lookup(opts.Vocab.LabelIRI(opts.Label))
+		for i := range d.rows {
+			if c := &d.rows[i]; c.col[rLabel] >= 0 {
+				c.pat[c.col[rLabel]] = d.labelID
+			}
+		}
 	}
 	if opts.WeightKey != "" {
 		d.weightID = dict.Lookup(opts.Vocab.KeyIRI(opts.WeightKey))
 	}
+	d.weight.pat[d.weight.col[rKey]] = d.weightID
+	d.weight.dead = d.weightID == store.NoID
 	return d
 }
 
@@ -119,52 +210,29 @@ func (d *decoder) matchLabel(lbl store.ID) bool {
 	return d.relPred(lbl)
 }
 
-// plainEdge reports whether q is a plain s-p-o relationship triple in
-// the default graph: the ExplicitSPO triples of RF/SP and the
-// SingleTripleWhenNoKVs optimization of every scheme. Deduplication
-// collapses them with their identified counterparts, so accepting them
-// under every scheme keeps the projection correct across every Options
-// combination.
-func (d *decoder) plainEdge(q store.IDQuad) bool {
-	return q.G == store.NoID && q.P != d.spoID && d.matchLabel(q.P)
+// occurrence completes v with the ends that row q of template c holds (c
+// nil: none) and reports whether the result is an edge passing the label
+// filter.
+func (d *decoder) occurrence(v vals, c *tmpl, q *store.IDQuad) (vals, bool) {
+	for k := range v {
+		if c != nil && c.col[k] >= 0 {
+			v[k] = c.at(q, k)
+		}
+	}
+	return v, v[0] != store.NoID && v[1] != store.NoID && v[rLabel] != store.NoID && d.matchLabel(v[rLabel])
 }
 
-// namedEdge reports whether q is an NG edge quad: a relationship triple
-// in a named graph, whose graph term is the edge resource (§2.3 NG).
-func (d *decoder) namedEdge(q store.IDQuad) bool {
-	return q.G != store.NoID && d.matchLabel(q.P)
-}
-
-// marker reports whether q is a -v-rdf:type-rdfs:Resource quad, which
-// every scheme emits for a vertex with no KVs and no incident edges.
-func (d *decoder) marker(q store.IDQuad) bool {
-	return q.P == d.typeID && q.C == d.resourceID && d.typeID != store.NoID && d.resourceID != store.NoID
-}
-
-// least picks the rdf.Compare-least of two term IDs. Wherever the
-// encodings allow several values but the decoders need one (an edge
-// resource with two rdf:subject quads, two subPropertyOf anchors, two
-// weight literals) the least one wins, so a projection is a function of
-// the store's contents and not of its scan order.
+// least picks the rdf.Compare-least of two term IDs, NoID standing for
+// none. Wherever the encodings allow several values but the decoders
+// need one (an edge resource with two rdf:subject quads, two
+// subPropertyOf anchors, two weight literals) the least one wins, so a
+// projection is a function of the store's contents and not of its scan
+// order.
 func (d *decoder) least(a, b store.ID) store.ID {
-	if a == b || rdf.Compare(d.dict.Term(a), d.dict.Term(b)) <= 0 {
+	if a == b || b == store.NoID || a != store.NoID && rdf.Compare(d.dict.Term(a), d.dict.Term(b)) <= 0 {
 		return a
 	}
 	return b
-}
-
-// keepLeast records v under k unless a smaller value is already there.
-func (d *decoder) keepLeast(into map[store.ID]store.ID, k, v store.ID) {
-	if old, ok := into[k]; ok {
-		v = d.least(old, v)
-	}
-	into[k] = v
-}
-
-// rfEdge decodes one reified statement from its three components
-// (NoID = missing).
-func (d *decoder) rfEdge(subj, pred, obj store.ID) bool {
-	return subj != store.NoID && pred != store.NoID && obj != store.NoID && d.matchLabel(pred)
 }
 
 // dataset is the set of models a projection reads; nil is every model.
@@ -220,9 +288,9 @@ func (r *reader) drain(pat store.Pattern, fn func(store.IDQuad)) bool {
 	return ok
 }
 
-// projector carries the per-run state of one projection: the scheme
-// decoders' intermediate maps and the accumulating vertex/edge sets (all
-// in store-ID space until the final canonical renumbering).
+// projector carries the per-run state of one projection: the functional
+// templates' values and the accumulating vertex/edge sets (all in
+// store-ID space until the final canonical renumbering).
 type projector struct {
 	*decoder
 	reader
@@ -231,12 +299,10 @@ type projector struct {
 	vertices map[store.ID]struct{}
 	edges    []idEdge
 
-	// RF join state: reified statement resource -> components.
-	rfSubj, rfObj, rfPred map[store.ID]store.ID
-	// SP state: edge predicate -> label predicate.
-	spLabel map[store.ID]store.ID
-	// Weight state: edge resource/predicate ID -> its weight literal.
-	weights map[store.ID]weightVal
+	// fn holds, per functional template, each edge resource's least value.
+	fn []map[store.ID]store.ID
+	// weights: edge resource ID -> its least weight literal.
+	weights map[store.ID]store.ID
 }
 
 // idEdge is an edge occurrence in store-ID space. edge is the edge
@@ -244,12 +310,6 @@ type projector struct {
 // predicate) used for weight lookup; NoID for plain triples.
 type idEdge struct {
 	src, dst, edge store.ID
-}
-
-// weightVal is a numeric weight literal and its parsed value.
-type weightVal struct {
-	lit store.ID
-	w   float64
 }
 
 // Project extracts the edge relation selected by opts from one
@@ -281,11 +341,10 @@ func NewProjection(ctx context.Context, st *store.Store, opts ProjectOptions, b 
 		reader:   reader{guard: g},
 		opts:     opts,
 		vertices: make(map[store.ID]struct{}),
-		rfSubj:   make(map[store.ID]store.ID),
-		rfObj:    make(map[store.ID]store.ID),
-		rfPred:   make(map[store.ID]store.ID),
-		spLabel:  make(map[store.ID]store.ID),
-		weights:  make(map[store.ID]weightVal),
+		weights:  make(map[store.ID]store.ID),
+	}
+	for range p.functional {
+		p.fn = append(p.fn, make(map[store.ID]store.ID))
 	}
 	p.view = st.View()
 	pr = &Projection{st: st, opts: opts, Version: p.view.Version}
@@ -310,137 +369,102 @@ func (p *projector) scan() bool {
 	if p.byLabel && p.labelID == store.NoID {
 		return p.scanIsolated()
 	}
-	return p.collectJoinKeys() && p.decodeEdges() && p.scanWeights() && p.scanIsolated() &&
-		(p.scheme != pgrdf.RF || p.joinRF())
-}
-
-// collectJoinKeys gathers, per edge resource, the e-rdf:subject-s /
-// e-rdf:predicate-p / e-rdf:object-o components of the reification
-// scheme (§2.3 RF) or the e-rdfs:subPropertyOf-p anchors (§2.3 SP): the
-// build sides of the joins, over the whole dataset before any probe.
-func (p *projector) collectJoinKeys() bool {
-	collect := func(pred store.ID, into map[store.ID]store.ID) bool {
-		if pred == store.NoID {
-			return true
+	for k := range p.functional {
+		if !p.collect(&p.functional[k], p.fn[k]) {
+			return false
 		}
-		pat := store.Pattern{S: store.Any, P: pred, C: store.Any, G: store.Any}
-		return p.drain(pat, func(q store.IDQuad) { p.keepLeast(into, q.S, q.C) })
 	}
-	switch p.scheme {
-	case pgrdf.RF:
-		return collect(p.subjID, p.rfSubj) && collect(p.predID, p.rfPred) && collect(p.objID, p.rfObj)
-	case pgrdf.SP:
-		return collect(p.spoID, p.spLabel)
-	}
-	return true
+	return p.collect(&p.weight, p.weights) && p.decodeRows() && p.scanIsolated()
 }
 
-// decodeEdges runs the plain-triple decoder and the scan side of the
-// scheme-specific decoder.
-func (p *projector) decodeEdges() bool {
-	defaultGraph := store.Pattern{S: store.Any, P: store.Any, C: store.Any, G: store.NoID}
-	plain := defaultGraph
-	if p.byLabel {
-		plain.P = p.labelID
-	}
-	ok := p.drain(plain, func(q store.IDQuad) {
-		if p.plainEdge(q) {
-			p.addEdge(q.S, q.C, store.NoID)
+// collect gathers template f's least value per edge resource: the build
+// sides of the joins (RF's components, SP's anchors), or the weights.
+func (p *projector) collect(f *tmpl, into map[store.ID]store.ID) bool {
+	return f.dead || p.drain(f.pattern(-1, 0), func(q store.IDQuad) {
+		if f.matches(q) {
+			into[f.at(&q, rEdge)] = p.least(into[f.at(&q, rEdge)], f.at(&q, f.val))
 		}
 	})
-	if !ok {
-		return false
-	}
-	switch p.scheme {
-	case pgrdf.NG:
-		pat := store.Pattern{S: store.Any, P: store.Any, C: store.Any, G: store.Any}
-		if p.byLabel {
-			pat.P = p.labelID
-		}
-		return p.drain(pat, func(q store.IDQuad) {
-			if p.namedEdge(q) {
-				p.addEdge(q.S, q.C, q.G)
-			}
-		})
-	case pgrdf.SP:
-		// s-e-o triples whose predicate is an anchored edge predicate.
-		if len(p.spLabel) == 0 {
-			return true
-		}
-		return p.drain(defaultGraph, func(q store.IDQuad) {
-			if lbl, isEdge := p.spLabel[q.P]; isEdge && p.matchLabel(lbl) {
-				p.addEdge(q.S, q.C, q.P)
-			}
-		})
-	}
-	return true
 }
 
-// joinRF emits one edge per statement resource whose three components
-// are all present.
-func (p *projector) joinRF() bool {
-	for e, s := range p.rfSubj {
-		if p.rfEdge(s, p.rfPred[e], p.rfObj[e]) {
-			p.addEdge(s, p.rfObj[e], e)
+// valsOf returns what edge resource e's functional templates decoded to.
+func (p *projector) valsOf(e store.ID) (v vals) {
+	for k := range p.functional {
+		v[p.functional[k].val] = p.fn[k][e]
+	}
+	return v
+}
+
+// decodeRows drains the plain and the carrier template; without a
+// carrier, it joins the functional values.
+func (p *projector) decodeRows() bool {
+	// With a functional template that has no rows, no carrier row is an edge.
+	incomplete := slices.ContainsFunc(p.fn, func(m map[store.ID]store.ID) bool { return len(m) == 0 })
+	for i := range p.rows {
+		c := &p.rows[i]
+		if c.dead || c == p.carrier && incomplete {
+			continue
+		}
+		if !p.drain(c.pattern(-1, 0), func(q store.IDQuad) {
+			if !c.matches(q) {
+				return
+			}
+			var v vals
+			e := store.NoID
+			if c == p.carrier {
+				e = c.at(&q, rEdge)
+				v = p.valsOf(e)
+			}
+			if v, ok := p.occurrence(v, c, &q); ok {
+				p.addEdge(v, e)
+			}
+		}) {
+			return false
 		}
 	}
-	return p.guard.TickN(len(p.rfSubj))
+	if p.carrier != nil || len(p.fn) == 0 {
+		return true
+	}
+	for e := range p.fn[0] {
+		if v, ok := p.occurrence(p.valsOf(e), nil, nil); ok {
+			p.addEdge(v, e)
+		}
+	}
+	return p.guard.TickN(len(p.fn[0]))
 }
 
 // scanIsolated adds the marker vertices.
 func (p *projector) scanIsolated() bool {
-	if p.typeID == store.NoID || p.resourceID == store.NoID {
-		return true
-	}
-	pat := store.Pattern{S: store.Any, P: p.typeID, C: p.resourceID, G: store.Any}
-	return p.drain(pat, func(q store.IDQuad) { p.vertices[q.S] = struct{}{} })
-}
-
-// scanWeights collects -e-key-V literals for the weight key. The edge
-// resource is the subject in every scheme (in SP the same resource is
-// the edge predicate of the anchor triple).
-func (p *projector) scanWeights() bool {
-	if p.weightID == store.NoID {
-		return true
-	}
-	pat := store.Pattern{S: store.Any, P: p.weightID, C: store.Any, G: store.Any}
-	return p.drain(pat, func(q store.IDQuad) {
-		if old, seen := p.weights[q.S]; seen && p.least(old.lit, q.C) == old.lit {
-			return
-		}
-		if val, ok := rdf.LiteralValue(p.dict.Term(q.C)); ok && val.IsNumeric() {
-			p.weights[q.S] = weightVal{lit: q.C, w: val.Float()}
+	m := &p.marker
+	return m.dead || p.drain(m.pattern(-1, 0), func(q store.IDQuad) {
+		if m.matches(q) {
+			p.vertices[m.at(&q, rNode)] = struct{}{}
 		}
 	})
 }
 
-func (p *projector) addEdge(src, dst, edge store.ID) {
-	p.vertices[src] = struct{}{}
-	p.vertices[dst] = struct{}{}
-	p.edges = append(p.edges, idEdge{src: src, dst: dst, edge: edge})
+func (p *projector) addEdge(v vals, edge store.ID) {
+	p.vertices[v[0]] = struct{}{}
+	p.vertices[v[1]] = struct{}{}
+	p.edges = append(p.edges, idEdge{src: v[0], dst: v[1], edge: edge})
 }
 
 // assemble renumbers the vertex set into canonical term order and
 // builds the CSR and its per-edge occurrence counts.
 func (p *projector) assemble() (*CSR, []uint32) {
-	terms := make([]rdf.Term, 0, len(p.vertices))
-	ids := make([]store.ID, 0, len(p.vertices))
+	type vertex struct {
+		id   store.ID
+		term rdf.Term
+	}
+	vs := make([]vertex, 0, len(p.vertices))
 	for id := range p.vertices {
-		ids = append(ids, id)
-		terms = append(terms, p.dict.Term(id))
+		vs = append(vs, vertex{id, p.dict.Term(id)})
 	}
-	// Sort ids by their terms' canonical order, then derive the ID ->
-	// vertex-index map from the sorted positions.
-	idx := make([]int, len(ids))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(i, j int) bool { return rdf.Compare(terms[idx[i]], terms[idx[j]]) < 0 })
-	sorted := make([]rdf.Term, len(ids))
-	vertexOf := make(map[store.ID]uint32, len(ids))
-	for v, i := range idx {
-		sorted[v] = terms[i]
-		vertexOf[ids[i]] = uint32(v)
+	sort.Slice(vs, func(i, j int) bool { return rdf.Compare(vs[i].term, vs[j].term) < 0 })
+	sorted := make([]rdf.Term, len(vs))
+	vertexOf := make(map[store.ID]uint32, len(vs))
+	for i, v := range vs {
+		sorted[i], vertexOf[v.id] = v.term, uint32(i)
 	}
 
 	weighted := p.opts.WeightKey != ""
@@ -450,10 +474,11 @@ func (p *projector) assemble() (*CSR, []uint32) {
 		if e.edge != store.NoID {
 			re.identified = true
 			if weighted {
-				if w, ok := p.weights[e.edge]; ok {
-					re.w = w.w
-				} else {
-					re.w = 1
+				re.w = 1
+				if lit, ok := p.weights[e.edge]; ok {
+					if val, ok := rdf.LiteralValue(p.dict.Term(lit)); ok && val.IsNumeric() {
+						re.w = val.Float()
+					}
 				}
 			}
 		}
@@ -463,51 +488,32 @@ func (p *projector) assemble() (*CSR, []uint32) {
 }
 
 // DetectScheme sniffs which PG-as-RDF scheme a model was transformed
-// under by probing for each scheme's signature quads: rdf:subject
-// reification triples (RF), rdfs:subPropertyOf edge anchors (SP), and
-// relationship quads in named graphs (NG). Datasets holding only plain
-// s-p-o relationship triples (the SingleTripleWhenNoKVs degenerate
-// case) decode identically under every scheme; NG is reported.
+// under by probing for a row of each scheme's first functional template
+// (see decoder): an rdf:subject triple (RF), an rdfs:subPropertyOf anchor
+// on a relationship IRI (SP). Without either it reports the scheme that
+// has none (NG), also for plain s-p-o triples only, which decode alike
+// under every scheme.
 func DetectScheme(st *store.Store, model string, vocab pgrdf.Vocabulary) (pgrdf.Scheme, error) {
 	view := st.View()
 	models, err := view.ResolveDataset(model)
 	if err != nil {
-		return pgrdf.NG, fmt.Errorf("graph: detect scheme: %w", err)
+		return 0, fmt.Errorf("graph: detect scheme: %w", err)
 	}
-	vocab = vocabOrDefault(vocab)
-	dict := st.Dict()
-	probe := func(pat store.Pattern, accept func(store.IDQuad) bool) bool {
-		found := false
-		for _, m := range models {
-			pat.M = store.ID(m)
-			view.Scan(pat, func(q store.IDQuad) bool {
-				if accept == nil || accept(q) {
-					found = true
-					return false
-				}
-				return true
-			})
-			if found {
-				break
-			}
+	var fallback pgrdf.Scheme
+	for _, s := range pgrdf.Schemes {
+		d := newDecoder(st.Dict(), ProjectOptions{Scheme: s, Vocab: vocabOrDefault(vocab)})
+		if len(d.functional) == 0 {
+			fallback = s
+			continue
 		}
-		return found
-	}
-	if id := dict.Lookup(rdf.NewIRI(rdf.RDFSubject)); id != store.NoID {
-		pat := store.Pattern{S: store.Any, P: id, C: store.Any, G: store.Any}
-		if probe(pat, nil) {
-			return pgrdf.RF, nil
+		f, hit := &d.functional[0], false
+		view.Scan(f.pattern(-1, 0), func(q store.IDQuad) bool {
+			hit = dataset(models).has(q.M) && f.matches(q) && (f.val != rLabel || d.relPred(f.at(&q, rLabel)))
+			return !hit
+		})
+		if hit {
+			return s, nil
 		}
 	}
-	if id := dict.Lookup(rdf.NewIRI(rdf.RDFSSubPropertyOf)); id != store.NoID {
-		pat := store.Pattern{S: store.Any, P: id, C: store.Any, G: store.Any}
-		relNS := vocab.RelNS
-		if probe(pat, func(q store.IDQuad) bool {
-			t := dict.Term(q.C)
-			return t.IsIRI() && strings.HasPrefix(t.Value, relNS)
-		}) {
-			return pgrdf.SP, nil
-		}
-	}
-	return pgrdf.NG, nil
+	return fallback, nil
 }

@@ -403,21 +403,11 @@ func (s *Server) handleAlgo(w http.ResponseWriter, r *http.Request) {
 // resolveScheme parses the request's scheme name, sniffing the dataset
 // for "" / "auto".
 func resolveScheme(st *store.Store, model, name string) (pgrdf.Scheme, error) {
-	switch strings.ToUpper(strings.TrimSpace(name)) {
-	case "", "AUTO":
+	if n := strings.TrimSpace(name); n == "" || strings.EqualFold(n, "auto") {
 		return graph.DetectScheme(st, model, pgrdf.Vocabulary{})
-	case "RF":
-		return pgrdf.RF, nil
-	case "NG":
-		return pgrdf.NG, nil
-	case "SP":
-		return pgrdf.SP, nil
-	default:
-		return pgrdf.NG, errUnknownScheme
 	}
+	return pgrdf.ParseScheme(name)
 }
-
-var errUnknownScheme = errors.New("unknown scheme (want RF, NG, SP or auto)")
 
 // algoError maps a graph-layer error onto an HTTP status + JSON body;
 // the guard kinds map exactly as on the query path.
@@ -428,7 +418,7 @@ func algoError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, store.ErrUnknownModel):
 		writeJSONError(w, http.StatusNotFound, "unknown-model", err.Error())
-	case errors.Is(err, errUnknownScheme):
+	case errors.Is(err, pgrdf.ErrUnknownScheme):
 		writeJSONError(w, http.StatusBadRequest, "request", err.Error())
 	default:
 		writeJSONError(w, http.StatusInternalServerError, "internal", err.Error())

@@ -1,56 +1,56 @@
 package pgrdf
 
 import (
+	"strings"
+
 	"repro/internal/pg"
 	"repro/internal/rdf"
 )
 
-// Cardinalities mirrors Table 2: the predicted characteristics of the
-// RDF dataset generated from a property graph under one PG-as-RDF model.
+// Cardinalities mirrors Table 2: the characteristics of the RDF dataset
+// generated from a property graph under one PG-as-RDF model — named
+// graphs, object-property quads (those encoding topology), data-property
+// triples (KVs), and distinct subjects, object properties and data
+// properties.
 type Cardinalities struct {
-	// NamedGraphs is the number of distinct named graphs (E for NG, 0
-	// otherwise).
-	NamedGraphs int
-	// ObjPropQuads is the count of object-property triples/quads that
-	// encode topology edges: 4*E (RF), E (NG), 3*E (SP).
-	ObjPropQuads int
-	// DataPropTriples is eKV + nKV in every model.
-	DataPropTriples int
-	// DistinctSubjects is the distinct subject count: V' + E for RF and
-	// SP (every edge IRI occurs as a subject), V' + E1 for NG (only
-	// edges with at least one KV), where V' counts vertices that occur
-	// as subjects.
-	DistinctSubjects int
-	// DistinctObjProps is the distinct object-property count: eL+3
-	// (RF adds rdf:subject/predicate/object), eL (NG), eL+E+1 (SP adds
-	// one property per edge plus rdfs:subPropertyOf).
-	DistinctObjProps int
-	// DistinctDataProps is distinct(eK UNION nK) in every model.
-	DistinctDataProps int
+	NamedGraphs, ObjPropQuads, DataPropTriples            int
+	DistinctSubjects, DistinctObjProps, DistinctDataProps int
 }
 
 // PredictCardinalities evaluates the Table 2 formulas on a property
-// graph's statistics. The formulas assume the paper's default options
-// (explicit -s-p-o, no single-triple optimization).
+// graph's statistics by counting the scheme's templates under the
+// default options: one object-property quad per edge and template, and
+// a distinct predicate, subject or graph per value of the role there —
+// e.g. V' + E subjects when an edge template has the edge resource as
+// subject (RF, SP), else V' + E1, the edges with KVs (NG).
 func PredictCardinalities(st pg.Stats, scheme Scheme) Cardinalities {
+	enc := &encodings[scheme]
 	c := Cardinalities{
 		DataPropTriples:   st.EdgeKVs + st.NodeKVs,
 		DistinctDataProps: st.Keys,
+		// Edge resources are subjects of their KVs, if of nothing else.
+		DistinctSubjects: st.SubjectVertices + st.EdgesWithKVs,
 	}
-	switch scheme {
-	case RF:
-		c.ObjPropQuads = 4 * st.Edges
-		c.DistinctSubjects = st.SubjectVertices + st.Edges
-		c.DistinctObjProps = st.EdgeLabels + 3
-	case NG:
-		c.NamedGraphs = st.Edges
-		c.ObjPropQuads = st.Edges
-		c.DistinctSubjects = st.SubjectVertices + st.EdgesWithKVs
-		c.DistinctObjProps = st.EdgeLabels
-	case SP:
-		c.ObjPropQuads = 3 * st.Edges
-		c.DistinctSubjects = st.SubjectVertices + st.Edges
-		c.DistinctObjProps = st.EdgeLabels + st.Edges + 1
+	objProps := enc.Edge
+	if enc.explicitPlain(DefaultOptions()) {
+		objProps = append(objProps[:len(objProps):len(objProps)], enc.Plain)
+	}
+	c.ObjPropQuads = len(objProps) * st.Edges
+	for _, t := range objProps {
+		switch {
+		case t.P == Label:
+			c.DistinctObjProps += st.EdgeLabels
+		case t.P == Edge:
+			c.DistinctObjProps += st.Edges
+		case !t.P.IsRole():
+			c.DistinctObjProps++
+		}
+		if t.S == Edge {
+			c.DistinctSubjects = st.SubjectVertices + st.Edges
+		}
+		if t.G == Edge {
+			c.NamedGraphs = st.Edges
+		}
 	}
 	return c
 }
@@ -99,23 +99,15 @@ type TripleCounts struct {
 // converter's vocabulary to recognize label and key predicates.
 func CountTriples(ds *Dataset, vocab Vocabulary) TripleCounts {
 	tc := TripleCounts{ByLabel: make(map[string]int), ByKey: make(map[string]int), Total: ds.Len()}
-	count := func(q rdf.Quad) {
-		p := q.P.Value
-		if len(p) > len(vocab.RelNS) && p[:len(vocab.RelNS)] == vocab.RelNS && q.O.IsResource() {
-			tc.ByLabel[p[len(vocab.RelNS):]]++
+	for _, part := range [][]rdf.Quad{ds.Topology, ds.NodeKV, ds.EdgeKV} {
+		for _, q := range part {
+			if label, ok := strings.CutPrefix(q.P.Value, vocab.RelNS); ok && label != "" && q.O.IsResource() {
+				tc.ByLabel[label]++
+			}
+			if key, ok := strings.CutPrefix(q.P.Value, vocab.KeyNS); ok && key != "" {
+				tc.ByKey[key]++
+			}
 		}
-		if len(p) > len(vocab.KeyNS) && p[:len(vocab.KeyNS)] == vocab.KeyNS {
-			tc.ByKey[p[len(vocab.KeyNS):]]++
-		}
-	}
-	for _, q := range ds.Topology {
-		count(q)
-	}
-	for _, q := range ds.NodeKV {
-		count(q)
-	}
-	for _, q := range ds.EdgeKV {
-		count(q)
 	}
 	return tc
 }

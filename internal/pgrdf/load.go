@@ -71,12 +71,13 @@ func LoadSingle(st *store.Store, ds *Dataset, model string) error {
 }
 
 // RecommendedIndexes returns the semantic-network indexes §4.4 creates
-// for a scheme: PCSGM, PSCGM, SPCGM always; GPSCM only for NG (the SP
-// scheme stores no named graphs, which is why Table 9's totals come out
-// similar despite SP's extra triples).
+// for a scheme: PCSGM, PSCGM, SPCGM always, and GPSCM when an edge
+// template puts the edge resource in the graph slot (NG; SP stores no
+// named graphs, which is why Table 9's totals come out similar despite
+// SP's extra triples).
 func RecommendedIndexes(s Scheme) []string {
 	base := []string{"PCSGM", "PSCGM", "SPCGM"}
-	if s == NG {
+	if encodings[s].edgeHas(func(t Template) bool { return t.G == Edge }) {
 		return append(base, "GPSCM")
 	}
 	return base

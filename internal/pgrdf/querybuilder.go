@@ -3,18 +3,16 @@ package pgrdf
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/rdf"
 )
 
 // QueryBuilder formulates SPARQL graph patterns for property graph
-// queries under a PG-as-RDF model, implementing the rules of §2.3:
-//
-//  1. edge access without edge-KVs uses the plain -s-p-o / e-s-p-o
-//     pattern (identical across models);
-//  2. edge access WITH edge-KVs uses the model-specific pattern group
-//     to reach the edge resource first;
-//  3. node-KV access with an unbound key excludes topology edges with
-//     FILTER isLiteral; unbound-label edge access excludes KVs with
-//     FILTER isIRI.
+// queries under a PG-as-RDF model, per the rules of §2.3: edge access
+// without edge KVs uses the plain -s-p-o pattern, identical in all models
+// (the asserted -s-p-o, or NG's e-s-p-o); edge access with edge KVs goes
+// through the model's identified-edge templates to reach the edge
+// resource first.
 type QueryBuilder struct {
 	Scheme Scheme
 	Vocab  Vocabulary
@@ -28,88 +26,63 @@ func NewQueryBuilder(s Scheme) *QueryBuilder {
 
 // Prologue returns the PREFIX declarations for the builder's vocabulary.
 func (qb *QueryBuilder) Prologue() string {
-	return fmt.Sprintf(`PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
-PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#>
+	return fmt.Sprintf(`PREFIX rdf: <%s>
+PREFIX rdfs: <%s>
 PREFIX rel: <%s>
 PREFIX key: <%s>
-`, qb.Vocab.RelNS, qb.Vocab.KeyNS)
+`, rdf.RDFNS, rdf.RDFSNS, qb.Vocab.RelNS, qb.Vocab.KeyNS)
 }
 
 // EdgePattern returns a pattern matching an edge with the given label
-// between ?src and ?dst (rule 1a: no edge-KV access — identical in all
-// models thanks to the asserted -s-p-o / e-s-p-o).
+// between ?src and ?dst, without edge-KV access.
 func (qb *QueryBuilder) EdgePattern(src, dst, label string) string {
 	return fmt.Sprintf("?%s rel:%s ?%s .", src, label, dst)
 }
 
-// AnyEdgePattern returns a pattern matching any topology edge,
-// excluding KV triples with FILTER isIRI (rule 1b).
-func (qb *QueryBuilder) AnyEdgePattern(src, pred, dst string) string {
-	return fmt.Sprintf("?%s ?%s ?%s FILTER (isIRI(?%s)) .", src, pred, dst, dst)
-}
-
 // EdgeKVPattern returns the model-specific pattern group that matches an
 // edge with the given label between ?src and ?dst and binds the edge
-// resource to ?edge together with its key/value pairs ?key/?val
-// (rule 2; the Q2 patterns of Table 3).
+// resource to ?edge together with its key/value pairs ?key/?val (the Q2
+// patterns of Table 3).
 func (qb *QueryBuilder) EdgeKVPattern(src, dst, edge, label, key, val string) string {
-	switch qb.Scheme {
-	case RF:
-		return fmt.Sprintf(
-			"?%[3]s rdf:subject ?%[1]s ; rdf:predicate rel:%[4]s ; rdf:object ?%[2]s . ?%[3]s ?%[5]s ?%[6]s FILTER (isLiteral(?%[6]s)) .",
-			src, dst, edge, label, key, val)
-	case NG:
-		return fmt.Sprintf(
-			"GRAPH ?%[3]s { ?%[1]s rel:%[4]s ?%[2]s . ?%[3]s ?%[5]s ?%[6]s FILTER (isLiteral(?%[6]s)) }",
-			src, dst, edge, label, key, val)
-	default: // SP
-		return fmt.Sprintf(
-			"?%[1]s ?%[3]s ?%[2]s . ?%[3]s rdfs:subPropertyOf rel:%[4]s . ?%[3]s ?%[5]s ?%[6]s FILTER (isLiteral(?%[6]s)) .",
-			src, dst, edge, label, key, val)
-	}
+	return qb.edgePattern(src, dst, edge, label, "?"+key, val) + " FILTER (isLiteral(?" + val + ")) ."
 }
 
 // EdgeBoundKVPattern is like EdgeKVPattern but for a single bound key:
 // it binds only ?val for the given key (e.g. "who follows whom since
 // when" from §2.1).
 func (qb *QueryBuilder) EdgeBoundKVPattern(src, dst, edge, label, key, val string) string {
-	switch qb.Scheme {
-	case RF:
-		return fmt.Sprintf(
-			"?%[3]s rdf:subject ?%[1]s ; rdf:predicate rel:%[4]s ; rdf:object ?%[2]s . ?%[3]s key:%[5]s ?%[6]s .",
-			src, dst, edge, label, key, val)
-	case NG:
-		return fmt.Sprintf(
-			"GRAPH ?%[3]s { ?%[1]s rel:%[4]s ?%[2]s . ?%[3]s key:%[5]s ?%[6]s }",
-			src, dst, edge, label, key, val)
-	default: // SP
-		return fmt.Sprintf(
-			"?%[1]s ?%[3]s ?%[2]s . ?%[3]s rdfs:subPropertyOf rel:%[4]s . ?%[3]s key:%[5]s ?%[6]s .",
-			src, dst, edge, label, key, val)
+	return qb.edgePattern(src, dst, edge, label, "key:"+key, val)
+}
+
+// edgePattern substitutes the arguments into the scheme's identified-edge
+// templates and its edge-KV template, one triple pattern each.
+func (qb *QueryBuilder) edgePattern(src, dst, edge, label, key, val string) string {
+	enc := &encodings[qb.Scheme]
+	terms := map[Slot]string{Src: "?" + src, Dst: "?" + dst, Edge: "?" + edge, Label: "rel:" + label, Key: key, Value: "?" + val}
+	term := func(s Slot) string {
+		if t, ok := terms[s]; ok {
+			return t
+		}
+		if short := strings.NewReplacer(rdf.RDFNS, "rdf:", rdf.RDFSNS, "rdfs:").Replace(string(s)); short != string(s) {
+			return short
+		}
+		return "<" + string(s) + ">"
 	}
+	var out []string
+	for _, t := range append(enc.Edge[:len(enc.Edge):len(enc.Edge)], enc.EdgeKV) {
+		triple := term(t.S) + " " + term(t.P) + " " + term(t.O) + " ."
+		if t.G != Default {
+			triple = "GRAPH " + term(t.G) + " { " + triple + " }"
+		}
+		out = append(out, triple)
+	}
+	return strings.Join(out, " ")
 }
 
 // NodeKVPattern returns a pattern matching ?node having the given key
 // bound to ?val (rule 3a).
 func (qb *QueryBuilder) NodeKVPattern(node, key, val string) string {
 	return fmt.Sprintf("?%s key:%s ?%s .", node, key, val)
-}
-
-// NodeBoundKVPattern matches ?node having key = the given literal value
-// (e.g. name = "Amy").
-func (qb *QueryBuilder) NodeBoundKVPattern(node, key, lit string) string {
-	return fmt.Sprintf("?%s key:%s %s .", node, key, lit)
-}
-
-// AllNodeKVsPattern matches every KV of ?node, excluding outbound
-// topology edges with FILTER isLiteral (rule 3b; Q3 of Table 3).
-func (qb *QueryBuilder) AllNodeKVsPattern(node, key, val string) string {
-	return fmt.Sprintf("?%s ?%s ?%s FILTER (isLiteral(?%s)) .", node, key, val, val)
-}
-
-// TrianglePattern returns the Q1 triangle pattern (three-edge cycles).
-func (qb *QueryBuilder) TrianglePattern(label string) string {
-	return fmt.Sprintf("?x rel:%[1]s ?y . ?y rel:%[1]s ?z . ?z rel:%[1]s ?x .", label)
 }
 
 // Select assembles a full SELECT query from projection variables and
@@ -123,9 +96,8 @@ func (qb *QueryBuilder) Select(vars []string, patterns ...string) string {
 		" WHERE { " + strings.Join(patterns, " ") + " }"
 }
 
-// TargetPartitions names the partitions (as virtual/semantic model
-// names under the given prefix) a query of each Table 4 type should be
-// posed against.
+// QueryType is a Table 4 query type, which TargetModel maps to the
+// partitions it should be posed against.
 type QueryType int
 
 // The Table 4 query types.
@@ -146,11 +118,11 @@ func (qb *QueryBuilder) TargetModel(prefix string, qt QueryType) string {
 	case EdgeTraversal:
 		return names.Topology
 	case EdgeWithKV:
-		if qb.Scheme == NG {
-			// NG needs e-s-p-o (topology) plus e-e-K-V (edge KVs).
+		// The partitions of the identified-edge templates: NG's e-s-p-o
+		// is topology, RF and SP keep theirs with the edge KVs (§3.2).
+		if encodings[qb.Scheme].edgeHas(func(t Template) bool { return t.part == topology }) {
 			return names.TopoEdgeKV
 		}
-		// SP and RF keep the anchors with the edge KVs (§3.2).
 		return names.EdgeKV
 	default:
 		return names.NodeKV

@@ -2,23 +2,18 @@
 // property graphs into RDF so that an RDF store can serve as a property
 // graph backend, queryable with standard SPARQL.
 //
-// Three PG-as-RDF models are implemented (§2, Table 1):
-//
-//   - RF: (extended) reification — each edge b-i-r-d becomes the triples
-//     -e-rdf:subject-s, -e-rdf:predicate-p, -e-rdf:object-o plus the
-//     explicitly asserted -s-p-o;
-//   - NG: named graphs — each edge becomes a single quad e-s-p-o, and
-//     the edge's KV triples are clustered into the named graph e;
-//   - SP: subproperties — each edge becomes -s-e-o plus
-//     -e-rdfs:subPropertyOf-p plus the asserted -s-p-o.
-//
-// Node KVs are -n-K-V triples in all models; edge KVs are -e-K-V
-// triples (quads e-e-K-V in NG). A vertex with no KVs and no incident
-// edges is represented as -v-rdf:type-rdf:Resource in every model.
+// The three PG-as-RDF models of §2.3 (Table 1) — RF (reification), NG
+// (named graphs) and SP (subproperties) — are each stated once, as quad
+// templates per property-graph element in the encodings table
+// (encoding.go). Convert, FromRDF, the query builder, the cardinality
+// predictions, RecommendedIndexes and internal/graph's CSR projector and
+// patcher are all derived from it.
 package pgrdf
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 
 	"repro/internal/pg"
 	"repro/internal/rdf"
@@ -35,16 +30,23 @@ const (
 )
 
 func (s Scheme) String() string {
-	switch s {
-	case RF:
-		return "RF"
-	case NG:
-		return "NG"
-	case SP:
-		return "SP"
-	default:
-		return fmt.Sprintf("Scheme(%d)", int(s))
+	if s >= 0 && int(s) < len(encodings) {
+		return encodings[s].name
 	}
+	return fmt.Sprintf("Scheme(%d)", int(s))
+}
+
+// ErrUnknownScheme is wrapped by ParseScheme's errors.
+var ErrUnknownScheme = errors.New("unknown scheme (want RF, NG or SP)")
+
+// ParseScheme maps a scheme name (any case) to its Scheme.
+func ParseScheme(name string) (Scheme, error) {
+	for _, s := range Schemes {
+		if strings.EqualFold(strings.TrimSpace(name), s.String()) {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("%q: %w", name, ErrUnknownScheme)
 }
 
 // Schemes lists all three models.
@@ -130,22 +132,53 @@ type Options struct {
 func DefaultOptions() Options { return Options{ExplicitSPO: true} }
 
 // Dataset is the transformed RDF, split into the three partitions of
-// §3.2: topology, node-KV triples and edge-KV triples (the SP model's
-// -s-e-o and -e-sPO-p anchors live in the edge-KV partition, per §3.2).
+// §3.2: topology, node-KV triples and edge-KV triples. Every template
+// names the partition its quads go to.
 type Dataset struct {
 	Scheme   Scheme
+	Opts     Options // what Convert was run with
 	Topology []rdf.Quad
 	NodeKV   []rdf.Quad
 	EdgeKV   []rdf.Quad
 }
 
+// emit instantiates template t into its partition.
+func (d *Dataset) emit(t Template, b *binding) {
+	if t.P != Default { // else an absent template
+		part := [...]*[]rdf.Quad{topology: &d.Topology, nodeKVs: &d.NodeKV, edgeKVs: &d.EdgeKV}[t.part]
+		*part = append(*part, rdf.Quad{S: b.term(t.S), P: b.term(t.P), O: b.term(t.O), G: b.term(t.G)})
+	}
+}
+
+// binding holds the terms of the element being encoded, by role.
+type binding struct{ src, dst, label, edge, node, key, value rdf.Term }
+
+func (b *binding) term(s Slot) rdf.Term {
+	switch s {
+	case Default:
+		return rdf.Term{}
+	case Src:
+		return b.src
+	case Dst:
+		return b.dst
+	case Label:
+		return b.label
+	case Edge:
+		return b.edge
+	case Node:
+		return b.node
+	case Key:
+		return b.key
+	case Value:
+		return b.value
+	}
+	return rdf.NewIRI(string(s))
+}
+
 // All returns every quad of the dataset (topology first).
 func (d *Dataset) All() []rdf.Quad {
-	out := make([]rdf.Quad, 0, len(d.Topology)+len(d.NodeKV)+len(d.EdgeKV))
-	out = append(out, d.Topology...)
-	out = append(out, d.NodeKV...)
-	out = append(out, d.EdgeKV...)
-	return out
+	out := make([]rdf.Quad, 0, d.Len())
+	return append(append(append(out, d.Topology...), d.NodeKV...), d.EdgeKV...)
 }
 
 // Len returns the total number of quads.
@@ -163,70 +196,47 @@ func NewConverter(s Scheme) *Converter {
 	return &Converter{Scheme: s, Vocab: DefaultVocabulary(), Opts: DefaultOptions()}
 }
 
-// Convert transforms the graph. The emitted quads follow Table 1
-// exactly; see the package comment for the per-scheme shapes.
+// Convert transforms the graph by instantiating the scheme's templates:
+// per edge its identified-edge templates, the plain triple when the
+// options ask for it, and one edge-KV quad per key/value pair; per vertex
+// one node-KV quad per pair, and the marker when it is isolated.
 func (c *Converter) Convert(g *pg.Graph) *Dataset {
-	ds := &Dataset{Scheme: c.Scheme}
-	rdfType := rdf.NewIRI(rdf.RDFType)
-	rdfResource := rdf.NewIRI(rdf.RDFSResource)
+	enc := &encodings[c.Scheme]
+	ds := &Dataset{Scheme: c.Scheme, Opts: c.Opts}
+	explicit := enc.explicitPlain(c.Opts)
+	var b binding
+	kvs := func(t Template, keys []string, values func(string) []pg.Value) {
+		for _, key := range keys {
+			b.key = c.Vocab.KeyIRI(key)
+			for _, val := range values(key) {
+				b.value = ValueLiteral(val)
+				ds.emit(t, &b)
+			}
+		}
+	}
 
 	g.Edges(func(e *pg.Edge) bool {
-		s := c.Vocab.VertexIRI(e.Src)
-		o := c.Vocab.VertexIRI(e.Dst)
-		p := c.Vocab.LabelIRI(e.Label)
-		eIRI := c.Vocab.EdgeIRI(e.ID)
-		noKVs := e.NumProperties() == 0
-
-		if c.Opts.SingleTripleWhenNoKVs && noKVs {
-			ds.Topology = append(ds.Topology, rdf.Quad{S: s, P: p, O: o})
+		b.src, b.dst = c.Vocab.VertexIRI(e.Src), c.Vocab.VertexIRI(e.Dst)
+		b.label, b.edge = c.Vocab.LabelIRI(e.Label), c.Vocab.EdgeIRI(e.ID)
+		if c.Opts.SingleTripleWhenNoKVs && e.NumProperties() == 0 {
+			ds.emit(enc.Plain, &b)
 			return true
 		}
-
-		switch c.Scheme {
-		case RF:
-			ds.EdgeKV = append(ds.EdgeKV,
-				rdf.Quad{S: eIRI, P: rdf.NewIRI(rdf.RDFSubject), O: s},
-				rdf.Quad{S: eIRI, P: rdf.NewIRI(rdf.RDFPredicate), O: p},
-				rdf.Quad{S: eIRI, P: rdf.NewIRI(rdf.RDFObject), O: o},
-			)
-			if c.Opts.ExplicitSPO {
-				ds.Topology = append(ds.Topology, rdf.Quad{S: s, P: p, O: o})
-			}
-		case NG:
-			ds.Topology = append(ds.Topology, rdf.NewQuad(s, p, o, eIRI))
-		case SP:
-			ds.EdgeKV = append(ds.EdgeKV,
-				rdf.Quad{S: s, P: eIRI, O: o},
-				rdf.Quad{S: eIRI, P: rdf.NewIRI(rdf.RDFSSubPropertyOf), O: p},
-			)
-			if c.Opts.ExplicitSPO {
-				ds.Topology = append(ds.Topology, rdf.Quad{S: s, P: p, O: o})
-			}
+		for _, t := range enc.Edge {
+			ds.emit(t, &b)
 		}
-
-		for _, key := range e.Keys() {
-			for _, val := range e.Values(key) {
-				kv := rdf.Quad{S: eIRI, P: c.Vocab.KeyIRI(key), O: ValueLiteral(val)}
-				if c.Scheme == NG {
-					// Cluster edge KVs into the edge's named graph (§2).
-					kv.G = eIRI
-				}
-				ds.EdgeKV = append(ds.EdgeKV, kv)
-			}
+		if explicit {
+			ds.emit(enc.Plain, &b)
 		}
+		kvs(enc.EdgeKV, e.Keys(), e.Values)
 		return true
 	})
 
 	g.Vertices(func(v *pg.Vertex) bool {
-		n := c.Vocab.VertexIRI(v.ID)
-		for _, key := range v.Keys() {
-			for _, val := range v.Values(key) {
-				ds.NodeKV = append(ds.NodeKV, rdf.Quad{S: n, P: c.Vocab.KeyIRI(key), O: ValueLiteral(val)})
-			}
-		}
-		// Special case (§2.3): isolated vertex with no KVs.
+		b.node = c.Vocab.VertexIRI(v.ID)
+		kvs(enc.NodeKV, v.Keys(), v.Values)
 		if v.NumProperties() == 0 && len(g.OutEdges(v.ID)) == 0 && len(g.InEdges(v.ID)) == 0 {
-			ds.Topology = append(ds.Topology, rdf.Quad{S: n, P: rdfType, O: rdfResource})
+			ds.emit(enc.Marker, &b)
 		}
 		return true
 	})
