@@ -53,10 +53,13 @@ crash-recovery:
 ## repl-fault: the replication gate — a follower tailing through a
 ## proxy that drops, delays and truncates mid-frame, plus a leader
 ## kill/restart, must converge to a store with the leader's
-## fingerprint, and a bootstrap body cut anywhere must be refused. Part of
-## `make check`; see DESIGN.md §13.
+## fingerprint, a bootstrap body cut anywhere must be refused, a second
+## concurrent Run must be refused, and a follower's /algo must patch its
+## cached CSR from the records it applies to one equal to a fresh
+## projection. Part of `make check`; see DESIGN.md §13.
 repl-fault:
 	$(GO) test -race -count=1 ./internal/repl
+	$(GO) test -race -count=1 -run 'TestFollowerAlgoPatches' ./internal/httpapi
 
 ## algo-diff: the analytics gate — a CSR patched forward from the store
 ## change log must equal one projected from scratch after every update
@@ -69,12 +72,13 @@ repl-fault:
 ## seeded generated graphs round-trip, project to one CSR and answer the
 ## query builder's queries alike under RF, NG and SP, Convert is pinned
 ## byte for byte, lossy datasets are refused, and DetectScheme names each
-## scheme — all under the race detector. Part of `make check`; see
-## DESIGN.md §5 and §17.
+## scheme; and walks and shortest paths over the projection must equal a
+## native traversal of the property graph on every scheme — all under
+## the race detector. Part of `make check`; see DESIGN.md §5 and §17.
 algo-diff:
 	$(GO) test -race -count=1 -run 'TestChangesSince|TestViewIsOneState' ./internal/store
 	$(GO) test -race -count=1 -run 'TestSchemesEquivalent|TestRoundTripAllSchemes|TestConvertPinned|TestFromRDFRefusesLossyDataset|TestMigrateAllPairs' ./internal/pgrdf
-	$(GO) test -race -count=1 -run 'TestPatch|TestProjectionIgnoresCompaction|TestDetectScheme' ./internal/graph
+	$(GO) test -race -count=1 -run 'TestPatch|TestProjectionIgnoresCompaction|TestDetectScheme|TestTraversalMatchesPropertyGraph|TestWalkBounds' ./internal/graph
 	$(GO) test -race -count=1 -run 'TestAlgo' ./internal/httpapi
 
 ## store-race: the concurrency gate of the versioned store (DESIGN.md
@@ -187,8 +191,8 @@ bench-pair:
 
 ## fuzz-smoke: run each parser fuzz target (N-Quads reader, its
 ## one-statement ParseQuad against the reader, Turtle, SPARQL, the WAL
-## record decoder, the binary snapshot's section decoders behind their
-## CRCs), and the results-encoder
+## record decoder, the delta-chain decoder behind Open, the binary
+## snapshot's section decoders behind their CRCs), and the results-encoder
 ## differential (byte-identical to encoding/json), for FUZZTIME
 ## (default 30s). Regression seeds always run as part of plain
 ## `make test` too.
@@ -196,6 +200,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReader -fuzztime=$(FUZZTIME) ./internal/ntriples
 	$(GO) test -run='^$$' -fuzz=FuzzParseQuad -fuzztime=$(FUZZTIME) ./internal/ntriples
 	$(GO) test -run='^$$' -fuzz=FuzzDecodePayload -fuzztime=$(FUZZTIME) ./internal/wal
+	$(GO) test -run='^$$' -fuzz=FuzzLoadDeltas -fuzztime=$(FUZZTIME) ./internal/wal
 	$(GO) test -run='^$$' -fuzz=FuzzRestoreBinary -fuzztime=$(FUZZTIME) ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/turtle
 	$(GO) test -run='^$$' -fuzz=FuzzParseAndExec -fuzztime=$(FUZZTIME) ./internal/sparql

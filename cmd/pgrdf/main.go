@@ -6,6 +6,8 @@
 //	           query against it
 //	explain  — like query, but print the index access plan instead
 //	stats    — load data and print dataset + storage statistics
+//	traverse — enumerate bounded paths, or a shortest path, over the
+//	           graph algo projects
 //	algo     — project the graph into a CSR and run a parallel graph
 //	           algorithm: pagerank, wcc or triangles
 //	snapshot — write a restorable store snapshot without a server
@@ -271,7 +273,13 @@ func runQuery(args []string, explain bool) error {
 // runTraverse exposes the Gremlin-style procedural traversal (§6 of the
 // paper) from the command line: bounded-length path enumeration and
 // shortest paths, which SPARQL 1.1 property paths cannot express (§5.1).
+// It walks the graph pgrdf algo and /algo project, decoded under the
+// detected scheme: a path is a sequence of vertices, so parallel edges,
+// and under -label "" edges of different labels between one pair, are
+// one step.
 func runTraverse(args []string) error {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
 	fs := flag.NewFlagSet("traverse", flag.ExitOnError)
 	data := fs.String("data", "", "N-Quads data file (a converted PG-as-RDF dataset)")
 	indexes := fs.String("indexes", "PCSGM,PSCGM,SPCGM,GSPCM", "semantic network indexes")
@@ -281,34 +289,51 @@ func runTraverse(args []string) error {
 	minLen := fs.Int("min", 1, "minimum path length")
 	maxLen := fs.Int("max", 3, "maximum path length")
 	limit := fs.Int("print", 50, "max paths to print")
-	prefix := fs.String("vertex-prefix", "v", "vertex IRI prefix used at conversion time")
 	fs.Parse(args)
 	if *data == "" || *from == "" {
 		return fmt.Errorf("traverse requires -data and -from")
 	}
-	st, err := loadStore(*data, *indexes)
+	cs, err := projectFile(ctx, *data, *indexes, "auto", graph.ProjectOptions{Model: "data", Label: *label})
 	if err != nil {
 		return err
 	}
-	vocab := pgrdf.DefaultVocabulary()
-	vocab.VertexPrefix = *prefix
-	tr, err := pgrdf.NewTraverser(st, vocab, "")
-	if err != nil {
-		return err
-	}
-	start := rdf.NewIRI(*from)
-	if *to != "" {
-		path, ok := tr.ShortestPath(start, rdf.NewIRI(*to), *label)
+	vertex := func(iri string) (uint32, error) {
+		v, ok := cs.Index(rdf.NewIRI(iri))
 		if !ok {
-			fmt.Println("unreachable")
-			return nil
+			return 0, fmt.Errorf("%s is not a vertex of the projected graph (label %q)", iri, *label)
 		}
-		fmt.Printf("%s (length %d)\n", path, path.Len())
+		return v, nil
+	}
+	start, err := vertex(*from)
+	if err != nil {
+		return err
+	}
+	arrow := " -" + *label + "-> "
+	if *label == "" {
+		arrow = " -> "
+	}
+	render := func(path []uint32) string {
+		parts := make([]string, len(path))
+		for i, v := range path {
+			parts[i] = cs.Term(v).String()
+		}
+		return strings.Join(parts, arrow)
+	}
+	if *to != "" {
+		end, err := vertex(*to)
+		if err != nil {
+			return err
+		}
+		if path := cs.ShortestPath(start, end); path != nil {
+			fmt.Printf("%s (length %d)\n", render(path), len(path)-1)
+		} else {
+			fmt.Println("unreachable")
+		}
 		return nil
 	}
 	n := 0
-	err = tr.Walk(start, *label, *minLen, *maxLen, func(p pgrdf.Path) bool {
-		fmt.Println(p)
+	err = cs.Walk(start, *minLen, *maxLen, func(path []uint32) bool {
+		fmt.Println(render(path))
 		n++
 		return n < *limit
 	})
@@ -317,6 +342,32 @@ func runTraverse(args []string) error {
 	}
 	fmt.Fprintf(os.Stderr, "%d path(s) printed (limit %d)\n", n, *limit)
 	return nil
+}
+
+// projectFile loads an RDF file and projects opts.Model into a CSR under
+// schemeName ("auto" sniffs the dataset) — the graph pgrdf algo and
+// pgrdf traverse both run on, decoded as /algo decodes it.
+func projectFile(ctx context.Context, data, indexes, schemeName string, opts graph.ProjectOptions) (*graph.CSR, error) {
+	st, err := loadStore(data, indexes)
+	if err != nil {
+		return nil, err
+	}
+	if strings.EqualFold(strings.TrimSpace(schemeName), "auto") {
+		opts.Scheme, err = graph.DetectScheme(st, opts.Model, pgrdf.Vocabulary{})
+	} else {
+		opts.Scheme, err = pgrdf.ParseScheme(schemeName)
+	}
+	if err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	cs, err := graph.Project(ctx, st, opts, graph.Budget{})
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(os.Stderr, "projected model %q (%s): %d vertices, %d edges in %.1f ms\n",
+		opts.Model, opts.Scheme, cs.NumVertices(), cs.NumEdges(), float64(time.Since(start).Microseconds())/1000)
+	return cs, nil
 }
 
 // runAlgo projects a loaded dataset into a CSR (decoding edges under
@@ -347,36 +398,18 @@ func runAlgo(args []string) error {
 	if *data == "" {
 		return fmt.Errorf("algo requires -data")
 	}
-
-	st, err := loadStore(*data, *indexes)
-	if err != nil {
-		return err
-	}
-	var scheme pgrdf.Scheme
-	if strings.EqualFold(strings.TrimSpace(*schemeName), "auto") {
-		if scheme, err = graph.DetectScheme(st, *model, pgrdf.Vocabulary{}); err != nil {
-			return err
-		}
-	} else if scheme, err = pgrdf.ParseScheme(*schemeName); err != nil {
-		return err
-	}
-
-	start := time.Now()
-	cs, err := graph.Project(ctx, st, graph.ProjectOptions{
+	cs, err := projectFile(ctx, *data, *indexes, *schemeName, graph.ProjectOptions{
 		Model:     *model,
-		Scheme:    scheme,
 		Label:     *label,
 		WeightKey: *weightKey,
 		Reverse:   true,
-	}, graph.Budget{})
+	})
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "projected model %q (%s): %d vertices, %d edges in %.1f ms\n",
-		*model, scheme, cs.NumVertices(), cs.NumEdges(), float64(time.Since(start).Microseconds())/1000)
 
 	runner := graph.Runner{Parallelism: *par}
-	start = time.Now()
+	start := time.Now()
 	switch name {
 	case "pagerank":
 		res, err := runner.PageRank(ctx, cs, graph.PageRankOptions{

@@ -44,27 +44,32 @@ func DMLExtension(env *Env, sampleSize int) *Table {
 	for _, se := range env.SchemeEnvs() {
 		conv := &pgrdf.Converter{Scheme: se.Scheme, Vocab: Vocab(), Opts: pgrdf.DefaultOptions()}
 		// Build the per-edge quad groups using a single-edge graph each,
-		// so the emitted shapes match exactly what was loaded.
-		perEdge := make([][]rdf.Quad, 0, len(sample))
+		// so the emitted shapes match exactly what was loaded. Each quad
+		// is placed in the model of the partition Convert put it in.
+		type placed struct {
+			model string
+			q     rdf.Quad
+		}
+		perEdge := make([][]placed, 0, len(sample))
 		totalQuads := 0
 		for _, e := range sample {
-			quads := edgeQuads(conv, env.Graph, e)
+			ds := edgeDataset(conv, e)
+			var quads []placed
+			for _, q := range ds.Topology {
+				quads = append(quads, placed{se.Names.Topology, q})
+			}
+			for _, q := range ds.EdgeKV {
+				quads = append(quads, placed{se.Names.EdgeKV, q})
+			}
 			perEdge = append(perEdge, quads)
 			totalQuads += len(quads)
 		}
 
-		// Deletes must target the model each quad actually lives in.
-		topo, edgekv := se.Names.Topology, se.Names.EdgeKV
-
 		start := time.Now()
 		deleted := 0
 		for _, quads := range perEdge {
-			for _, q := range quads {
-				model := edgekv
-				if isTopologyQuad(se.Scheme, q) {
-					model = topo
-				}
-				ok, err := se.Store.Delete(model, q)
+			for _, p := range quads {
+				ok, err := se.Store.Delete(p.model, p.q)
 				if err != nil {
 					t.AddNote("%s delete error: %v", se.Scheme, err)
 					return t
@@ -78,12 +83,8 @@ func DMLExtension(env *Env, sampleSize int) *Table {
 
 		start = time.Now()
 		for _, quads := range perEdge {
-			for _, q := range quads {
-				model := edgekv
-				if isTopologyQuad(se.Scheme, q) {
-					model = topo
-				}
-				if _, err := se.Store.Insert(model, q); err != nil {
+			for _, p := range quads {
+				if _, err := se.Store.Insert(p.model, p.q); err != nil {
 					t.AddNote("%s insert error: %v", se.Scheme, err)
 					return t
 				}
@@ -103,9 +104,10 @@ func DMLExtension(env *Env, sampleSize int) *Table {
 	return t
 }
 
-// edgeQuads emits the RDF quads one edge contributes, by converting a
-// graph holding just that edge (and its endpoints, without their KVs).
-func edgeQuads(conv *pgrdf.Converter, g *pg.Graph, e *pg.Edge) []rdf.Quad {
+// edgeDataset converts a graph holding just edge e and its endpoints,
+// without their KVs: its Topology and EdgeKV partitions are the quads e
+// contributes (endpoints with an edge get no isolated-vertex marker).
+func edgeDataset(conv *pgrdf.Converter, e *pg.Edge) *pgrdf.Dataset {
 	tmp := pg.NewGraph()
 	mustAdd := func(id pg.ID) {
 		if tmp.Vertex(id) == nil {
@@ -125,20 +127,5 @@ func edgeQuads(conv *pgrdf.Converter, g *pg.Graph, e *pg.Edge) []rdf.Quad {
 			ne.AddProperty(k, v)
 		}
 	}
-	ds := conv.Convert(tmp)
-	// Topology + edge KVs only; endpoint vertices contribute no KVs in
-	// the temp graph, but guard against the isolated-vertex special case
-	// (endpoints have an edge here, so none is emitted).
-	return append(append([]rdf.Quad{}, ds.Topology...), ds.EdgeKV...)
-}
-
-// isTopologyQuad classifies a quad into the topology partition the way
-// the converter does.
-func isTopologyQuad(s pgrdf.Scheme, q rdf.Quad) bool {
-	switch s {
-	case pgrdf.NG:
-		return !q.G.IsZero() && q.O.IsResource() && q.S.Value != q.G.Value
-	default: // RF, SP: the asserted -s-p-o triple with a rel: predicate
-		return q.O.IsResource() && len(q.P.Value) > len(rdf.RelNS) && q.P.Value[:len(rdf.RelNS)] == rdf.RelNS
-	}
+	return conv.Convert(tmp)
 }

@@ -330,11 +330,10 @@ func (pt *patcher) apply() (cs *CSR, occ []uint32, ok bool) {
 		if _, done := index[id]; done {
 			return true
 		}
-		term := pt.dict.Term(id)
-		i := sort.Search(int(n), func(i int) bool { return rdf.Compare(old.terms[i], term) >= 0 })
+		i, found := old.Index(pt.dict.Term(id))
 		switch {
-		case i < int(n) && rdf.Compare(old.terms[i], term) == 0:
-			index[id] = uint32(i)
+		case found:
+			index[id] = i
 		case joins:
 			index[id] = n // placeholder until the new vertices are ranked
 			added = append(added, id)

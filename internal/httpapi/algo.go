@@ -39,12 +39,6 @@ type algoRequest struct {
 	MaxIterations int     `json:"maxIterations"`
 	Tolerance     float64 `json:"tolerance"`
 	Weighted      bool    `json:"weighted"`
-
-	// Parallelism overrides the server's worker count for this run; 0
-	// uses the configured default, <0 runs serially, and a count above
-	// the graph's morsel count is capped to it. Results are identical
-	// either way.
-	Parallelism int `json:"parallelism"`
 }
 
 // algoWorkers is the configured /algo worker count (Config.Parallelism
@@ -350,11 +344,7 @@ func (s *Server) handleAlgo(w http.ResponseWriter, r *http.Request) {
 	resp.Vertices = cs.NumVertices()
 	resp.Edges = cs.NumEdges()
 
-	par := req.Parallelism
-	if par == 0 {
-		par = s.algoWorkers()
-	}
-	runner := graph.Runner{Parallelism: max(par, 1), Budget: budget}
+	runner := graph.Runner{Parallelism: s.algoWorkers(), Budget: budget}
 	start := time.Now()
 	switch req.Algo {
 	case "pagerank":

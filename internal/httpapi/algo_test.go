@@ -23,6 +23,20 @@ import (
 // algoTestStore loads a small chain + hub graph under one scheme.
 func algoTestStore(t *testing.T, s pgrdf.Scheme) (*store.Store, pgrdf.ModelNames) {
 	t.Helper()
+	st, err := pgrdf.NewStore(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, err := pgrdf.LoadPartitioned(st, pgrdf.NewConverter(s).Convert(algoTestGraph(t)), "pg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st, names
+}
+
+// algoTestGraph is algoTestStore's property graph.
+func algoTestGraph(t *testing.T) *pg.Graph {
+	t.Helper()
 	g := pg.NewGraph()
 	for i := 1; i <= 10; i++ {
 		if _, err := g.AddVertexWithID(pg.ID(i)); err != nil {
@@ -44,15 +58,7 @@ func algoTestStore(t *testing.T, s pgrdf.Scheme) (*store.Store, pgrdf.ModelNames
 	}
 	mustEdge(1, 2, "knows")
 	mustEdge(2, 3, "knows")
-	st, err := pgrdf.NewStore(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	names, err := pgrdf.LoadPartitioned(st, pgrdf.NewConverter(s).Convert(g), "pg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st, names
+	return g
 }
 
 func postAlgo(t *testing.T, url string, body map[string]any) *http.Response {
@@ -188,17 +194,20 @@ func figureQuad() rdf.Quad {
 	}
 }
 
-// TestAlgoHugeParallelism: a client-chosen worker count far above the
+// TestAlgoHugeParallelism: a configured worker count far above the
 // graph's size is capped, not allocated — the run answers 200 with the
 // count a single worker finds — and /stats reports the configured
-// worker count, GOMAXPROCS by default.
+// worker count.
 func TestAlgoHugeParallelism(t *testing.T) {
 	st, names := algoTestStore(t, pgrdf.NG)
-	srv := httptest.NewServer(NewServer(st))
-	defer srv.Close()
-	triangles := func(par int64) int64 {
+	triangles := func(par int) int64 {
 		t.Helper()
-		resp := postAlgo(t, srv.URL, map[string]any{"algo": "triangles", "model": names.All, "parallelism": par})
+		srv := httptest.NewServer(NewServerWithConfig(st, Config{Parallelism: par}))
+		defer srv.Close()
+		if stats := fetch(t, srv.URL+"/stats"); !strings.Contains(stats, fmt.Sprintf(`"parallelism":%d,`, par)) {
+			t.Fatalf("stats do not report %d /algo workers: %s", par, stats)
+		}
+		resp := postAlgo(t, srv.URL, map[string]any{"algo": "triangles", "model": names.All})
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("parallelism %d: status = %d", par, resp.StatusCode)
@@ -214,9 +223,6 @@ func TestAlgoHugeParallelism(t *testing.T) {
 	}
 	if p1, huge := triangles(1), triangles(1<<40); p1 != 1 || huge != p1 {
 		t.Fatalf("triangles at parallelism 1<<40 = %d, at 1 = %d; want both 1", huge, p1)
-	}
-	if stats := fetch(t, srv.URL+"/stats"); !strings.Contains(stats, fmt.Sprintf(`"parallelism":%d,`, runtime.GOMAXPROCS(0))) {
-		t.Fatalf("stats do not report GOMAXPROCS=%d as the /algo worker count: %s", runtime.GOMAXPROCS(0), stats)
 	}
 }
 

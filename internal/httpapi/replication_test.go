@@ -1,15 +1,21 @@
 package httpapi
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/graph"
+	"repro/internal/pg"
+	"repro/internal/pgrdf"
 	"repro/internal/repl"
 	"repro/internal/store"
 	"repro/internal/wal"
@@ -216,4 +222,138 @@ func TestWalTailLongPoll(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("long poll did not wake on commit")
 	}
+}
+
+// TestFollowerAlgoPatches: a follower's /algo cache follows the records
+// the follower applies from the leader's log the way a leader's follows
+// its own updates — by patch, consuming exactly the effective changes,
+// to a CSR equal to a fresh projection of the follower's store.
+func TestFollowerAlgoPatches(t *testing.T) {
+	for _, s := range pgrdf.Schemes {
+		t.Run(s.String(), func(t *testing.T) {
+			lst, l, err := wal.Open(t.TempDir(), wal.Options{Sync: wal.SyncOff})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			names, err := pgrdf.LoadPartitioned(lst, pgrdf.NewConverter(s).Convert(algoTestGraph(t)), "pg")
+			if err != nil {
+				t.Fatal(err)
+			}
+			lh := NewServer(lst)
+			lh.AttachWAL(l)
+			leader := httptest.NewServer(lh)
+			defer leader.Close()
+
+			f := repl.New(repl.Options{Leader: leader.URL, PollWait: 50 * time.Millisecond,
+				BackoffBase: 5 * time.Millisecond, BackoffMax: 50 * time.Millisecond, Logf: t.Logf})
+			fh := NewServer(store.New())
+			fh.AttachFollower(f)
+			follower := httptest.NewServer(fh)
+			defer follower.Close()
+			ctx, cancel := context.WithCancel(t.Context())
+			done := make(chan error, 1)
+			go func() { done <- f.Run(ctx) }()
+			defer func() { cancel(); <-done }()
+			fst, err := f.WaitReady(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			req := map[string]any{"algo": "pagerank", "model": names.All, "k": 20}
+			if cold := algoReply(t, follower.URL, req); cold.CSRCached {
+				t.Fatal("the follower's first /algo found a cached CSR")
+			}
+			before := fst.View().Version
+
+			// The leader inserts edges among old and new vertices, then
+			// deletes one of them again.
+			effective := 0
+			topology := func(op string, edges ...[2]pg.ID) {
+				t.Helper()
+				g := pg.NewGraph()
+				for i, e := range edges {
+					for _, v := range e {
+						if g.Vertex(v) == nil {
+							if _, err := g.AddVertexWithID(v); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					if _, err := g.AddEdgeWithID(pg.ID(9000+i), e[0], e[1], "knows"); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var data strings.Builder
+				for _, q := range pgrdf.NewConverter(s).Convert(g).Topology {
+					if q.InDefaultGraph() {
+						fmt.Fprintf(&data, "%s . ", q.Triple())
+					} else {
+						fmt.Fprintf(&data, "GRAPH %s { %s } . ", q.G, q.Triple())
+					}
+					effective++
+				}
+				postLeaderUpdate(t, leader.URL, names.Topology, op+" DATA { "+data.String()+"}")
+			}
+			topology("INSERT", [2]pg.ID{3, 5}, [2]pg.ID{1, 11}, [2]pg.ID{11, 12}, [2]pg.ID{12, 1})
+			topology("DELETE", [2]pg.ID{3, 5})
+			waitCaughtUp(t, f, l)
+			if got := int(fst.View().Version - before); got != effective {
+				t.Fatalf("the follower applied %d changes, want %d", got, effective)
+			}
+
+			got := algoReply(t, follower.URL, req)
+			if !got.CSRCached || !got.CSRPatched || got.CSRChanges != effective {
+				t.Fatalf("follower /algo after the leader's updates: cached=%v patched=%v changes=%d, want a patch of %d changes",
+					got.CSRCached, got.CSRPatched, got.CSRChanges, effective)
+			}
+			fh.algoCSR.mu.Lock()
+			cached := fh.algoCSR.proj
+			fh.algoCSR.mu.Unlock()
+			fresh, err := graph.Project(t.Context(), fst, graph.ProjectOptions{
+				Model: names.All, Scheme: s, Reverse: true}, graph.Budget{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cached.Version != fst.View().Version || !reflect.DeepEqual(cached.CSR, fresh) {
+				t.Fatalf("patched projection (version %d, V=%d E=%d) differs from a fresh one (version %d, V=%d E=%d)",
+					cached.Version, cached.CSR.NumVertices(), cached.CSR.NumEdges(),
+					fst.View().Version, fresh.NumVertices(), fresh.NumEdges())
+			}
+			res, err := graph.Runner{}.PageRank(t.Context(), fresh, graph.PageRankOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := graph.TopScores(fresh, res.Scores, 20); got.Vertices != fresh.NumVertices() ||
+				got.Edges != fresh.NumEdges() || !reflect.DeepEqual(got.Top, want) {
+				t.Fatalf("follower reply V=%d E=%d top %v, fresh projection V=%d E=%d top %v",
+					got.Vertices, got.Edges, got.Top, fresh.NumVertices(), fresh.NumEdges(), want)
+			}
+		})
+	}
+}
+
+func postLeaderUpdate(t *testing.T, base, model, update string) {
+	t.Helper()
+	resp, err := http.PostForm(base+"/update", url.Values{"update": {update}, "model": {model}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if body, _ := io.ReadAll(resp.Body); resp.StatusCode != http.StatusOK {
+		t.Fatalf("update returned %s: %s", resp.Status, body)
+	}
+}
+
+// waitCaughtUp waits until the follower's Status reports the leader's
+// end of log as applied.
+func waitCaughtUp(t *testing.T, f *repl.Follower, l *wal.Log) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		pos, fs := l.Position(), f.Status()
+		if fs.LeaderID == pos.ID && fs.Epoch == pos.Epoch && fs.Offset == pos.Offset && fs.NextSeq == pos.NextSeq {
+			return
+		}
+	}
+	t.Fatalf("follower did not catch up: follower %+v, leader %+v", f.Status(), l.Position())
 }

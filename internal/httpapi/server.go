@@ -51,8 +51,8 @@ type Config struct {
 	// <0 disables.
 	MaxRows     int
 	MaxBindings int
-	// Parallelism is the default worker count of a POST /algo run (see
-	// graph.Runner); a request's own "parallelism" overrides it. 0 uses
+	// Parallelism is the worker count of a POST /algo run (see
+	// graph.Runner), capped at the graph's morsel count. 0 uses
 	// GOMAXPROCS; <0 runs serially. SPARQL queries always run on the
 	// goroutine that serves them.
 	Parallelism int

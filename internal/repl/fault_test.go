@@ -8,6 +8,8 @@ package repl_test
 // last durable state.
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -379,5 +381,44 @@ func TestStaleness(t *testing.T) {
 	st := f.Status()
 	if !st.Degraded || st.LastContactMS != -1 {
 		t.Fatalf("never-contacted follower must report degraded: %+v", st)
+	}
+}
+
+// TestSecondRunRefused: Run owns the follower's position, so a second
+// Run while one is running returns an error at once and leaves the
+// first one replicating; once the first returns, Run may start again.
+func TestSecondRunRefused(t *testing.T) {
+	ld := startLeader(t, t.TempDir())
+	defer ld.stop()
+	postUpdate(t, ld.srv.URL, `INSERT DATA { <http://v/a> <http://p/v> "1" }`)
+
+	f := repl.New(followerOpts(ld.srv.URL, t))
+	ctx, cancel := context.WithCancel(t.Context())
+	done := make(chan error, 1)
+	go func() { done <- f.Run(ctx) }()
+	if _, err := f.WaitReady(ctx); err != nil {
+		t.Fatal(err)
+	}
+	second := make(chan error, 1)
+	go func() { second <- f.Run(t.Context()) }()
+	select {
+	case err := <-second:
+		if err == nil {
+			t.Fatal("a second concurrent Run returned nil")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a second concurrent Run did not return at once")
+	}
+	postUpdate(t, ld.srv.URL, `INSERT DATA { <http://v/b> <http://p/v> "2" }`)
+	waitConverged(t, f, ld.log, 10*time.Second)
+
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("first Run returned %v, want context.Canceled", err)
+	}
+	ctx2, cancel2 := context.WithCancel(t.Context())
+	cancel2()
+	if err := f.Run(ctx2); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run after the first returned: %v, want context.Canceled", err)
 	}
 }

@@ -116,13 +116,15 @@ type Follower struct {
 
 	st atomic.Pointer[store.Store]
 
-	mu sync.Mutex
-	//pgrdf:guardedby mu
-	pos followPos
-	//pgrdf:guardedby mu
+	// running admits one Run at a time. The three fields after it are
+	// Run's own (and New's, before Run starts); Run publishes pos to
+	// other goroutines only through applied, one immutable copy at a
+	// time, so Status never sees an epoch without its offset.
+	running       atomic.Bool
+	pos           followPos
 	needBootstrap bool
-	//pgrdf:guardedby mu
-	zeroProgress int
+	zeroProgress  int
+	applied       atomic.Pointer[followPos]
 
 	ready     chan struct{}
 	readyOnce sync.Once
@@ -147,11 +149,9 @@ func New(opts Options) *Follower {
 	if cl == nil {
 		cl = &http.Client{}
 	}
-	f := &Follower{opts: opts, client: cl, ready: make(chan struct{})}
+	f := &Follower{opts: opts, client: cl, ready: make(chan struct{}), needBootstrap: true}
 	f.state.Store(int32(StateBootstrapping))
-	f.mu.Lock()
-	f.needBootstrap = true
-	f.mu.Unlock()
+	f.applied.Store(&followPos{})
 	return f
 }
 
@@ -175,14 +175,19 @@ func (f *Follower) WaitReady(ctx context.Context) (*store.Store, error) {
 // Run drives the replication loop — bootstrap, tail, retry with
 // backoff, re-bootstrap on divergence — until ctx is canceled. It
 // returns ctx's error; every other failure is retried forever (the
-// follower keeps serving stale reads while the leader is away).
+// follower keeps serving stale reads while the leader is away). A Run
+// started while another is running returns an error at once.
 func (f *Follower) Run(ctx context.Context) error {
+	if !f.running.CompareAndSwap(false, true) {
+		return errors.New("repl: the follower is already running")
+	}
+	defer f.running.Store(false)
 	attempt := 0
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if f.bootstrapNeeded() {
+		if f.needBootstrap || f.st.Load() == nil {
 			f.state.Store(int32(StateBootstrapping))
 			if err := f.bootstrap(ctx); err != nil {
 				if ctx.Err() != nil {
@@ -204,7 +209,7 @@ func (f *Follower) Run(ctx context.Context) error {
 			return ctx.Err()
 		case errors.Is(err, errResync):
 			f.divergences.Add(1)
-			f.setNeedBootstrap()
+			f.needBootstrap = true
 			f.logf("divergence detected (%v); re-bootstrapping from %s", err, f.opts.Leader)
 			f.sleep(ctx, f.backoff(&attempt))
 		default:
@@ -212,18 +217,6 @@ func (f *Follower) Run(ctx context.Context) error {
 			f.sleep(ctx, f.backoff(&attempt))
 		}
 	}
-}
-
-func (f *Follower) bootstrapNeeded() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.needBootstrap || f.st.Load() == nil
-}
-
-func (f *Follower) setNeedBootstrap() {
-	f.mu.Lock()
-	f.needBootstrap = true
-	f.mu.Unlock()
 }
 
 // bootstrap fetches the leader's consistent snapshot, restores it into
@@ -263,11 +256,10 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 	}
 	quads := st.View().Len()
 
-	f.mu.Lock()
 	f.pos = followPos{id: pos.ID, epoch: pos.Epoch, offset: pos.Offset, nextSeq: pos.NextSeq}
 	f.needBootstrap = false
 	f.zeroProgress = 0
-	f.mu.Unlock()
+	f.publish()
 	f.st.Store(st)
 	f.bootstraps.Add(1)
 	f.noteContact(pos)
@@ -284,9 +276,7 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 // complete frames arrive. A nil return means contact succeeded (even
 // if no new records were available).
 func (f *Follower) tailOnce(ctx context.Context) error {
-	f.mu.Lock()
 	pos := f.pos
-	f.mu.Unlock()
 
 	q := url.Values{}
 	q.Set("from", strconv.FormatInt(pos.offset, 10))
@@ -330,19 +320,16 @@ func (f *Follower) tailOnce(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	f.mu.Lock()
 	if consumed == 0 && len(body) > 0 {
 		f.zeroProgress++
 		if f.zeroProgress >= zeroProgressLimit {
 			f.zeroProgress = 0
-			f.mu.Unlock()
 			return fmt.Errorf("%w: %d consecutive reads at epoch %d offset %d yielded no decodable frame",
 				errResync, zeroProgressLimit, pos.epoch, pos.offset)
 		}
 	} else {
 		f.zeroProgress = 0
 	}
-	f.mu.Unlock()
 	return nil
 }
 
@@ -360,9 +347,7 @@ const frameSlack = 1 << 16
 // follower from the leader (enforced by the walerr analyzer).
 func (f *Follower) applyFrames(data []byte) (consumed int64, err error) {
 	st := f.st.Load()
-	f.mu.Lock()
 	expect := f.pos.nextSeq
-	f.mu.Unlock()
 	applied := int64(0)
 	consumed, _, err = wal.DecodeFrames(data, func(seq uint64, b wal.Batch) error {
 		if seq != expect {
@@ -387,11 +372,16 @@ func (f *Follower) applyFrames(data []byte) (consumed int64, err error) {
 // that were fully applied, making the progress visible to Status and
 // to the next tail request.
 func (f *Follower) ackApplied(consumed int64, nextSeq uint64, records int64) {
-	f.mu.Lock()
 	f.pos.offset += consumed
 	f.pos.nextSeq = nextSeq
-	f.mu.Unlock()
+	f.publish()
 	f.appliedRecords.Add(records)
+}
+
+// publish makes a copy of Run's position the one Status reads.
+func (f *Follower) publish() {
+	p := f.pos
+	f.applied.Store(&p)
 }
 
 // handleConflict interprets the leader's 409: adopt the new epoch when
@@ -402,19 +392,16 @@ func (f *Follower) handleConflict(resp *http.Response) error {
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&d); err != nil {
 		return fmt.Errorf("%w: undecodable divergence response: %v", errResync, err)
 	}
-	f.mu.Lock()
 	pos := f.pos
-	f.mu.Unlock()
 	lp := d.Position
 	if lp.ID == pos.id && lp.Epoch > pos.epoch && lp.EpochStartSeq == pos.nextSeq {
 		// The leader checkpointed while we were caught up: every record
 		// the truncation removed is already applied here. Adopt the new
 		// epoch at offset zero and keep tailing.
-		f.mu.Lock()
 		f.pos.epoch = lp.Epoch
 		f.pos.offset = 0
 		f.zeroProgress = 0
-		f.mu.Unlock()
+		f.publish()
 		f.epochAdoptions.Add(1)
 		f.noteContact(lp)
 		f.logf("adopted leader epoch %d at offset 0 (seq %d)", lp.Epoch, lp.EpochStartSeq)

@@ -57,9 +57,7 @@ type Status struct {
 
 // Status reports the follower's current replication state and lag.
 func (f *Follower) Status() Status {
-	f.mu.Lock()
-	pos := f.pos
-	f.mu.Unlock()
+	pos := f.applied.Load()
 	s := Status{
 		Leader:         f.opts.Leader,
 		State:          State(f.state.Load()).String(),

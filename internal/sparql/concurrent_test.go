@@ -203,7 +203,7 @@ func TestUpdateIsAtomicToReaders(t *testing.T) {
 func TestConcurrentQueriesShareOneEngine(t *testing.T) {
 	st := socialStore(t)
 	e := NewEngine(st)
-	e.HashJoinThreshold = 16
+	e.hashJoinThreshold = 16
 	shapes := append(socialShapes[:len(socialShapes):len(socialShapes)],
 		`SELECT ?a ?c WHERE { ?a rel:follows ?b . ?b rel:follows ?c FILTER NOT EXISTS { ?c rel:follows ?a } } LIMIT 3000`,
 		`SELECT ?a ?c WHERE { ?a rel:follows ?b OPTIONAL { ?b rel:follows ?c FILTER EXISTS { ?c rel:follows ?a } } }`,

@@ -190,7 +190,7 @@ func TestCountingMatchesEnumerating(t *testing.T) {
 		state.mutate()
 		for _, model := range []string{"", "m1"} {
 			e := NewEngine(st)
-			e.HashJoinThreshold = 16
+			e.hashJoinThreshold = 16
 			for i, q := range shapes {
 				q = testPrologue + q
 				label := fmt.Sprintf("%s/%q/shape %d", state.name, model, i)

@@ -30,12 +30,12 @@ type Engine struct {
 	// before serving queries; it is read concurrently.
 	Limits guard.Budget
 
-	// HashJoinThreshold is the number of input bindings that must
+	// hashJoinThreshold is the number of input bindings that must
 	// stream through a BGP join step before the executor considers
 	// switching from index nested-loop join to a hash join over a full
-	// scan — the Tables 5–9 crossover. 0 means the default of 1024.
-	// Set it once before serving queries; it is read concurrently.
-	HashJoinThreshold int
+	// scan — the Tables 5–9 crossover. 0 means the default of 1024;
+	// tests lower it to reach the hash join on small stores.
+	hashJoinThreshold int
 
 	// SlowQueryThreshold is the wall-time at or above which a query is
 	// appended to SlowQueryLog. Zero logs every query (useful when
@@ -208,8 +208,8 @@ func (e *Engine) Store() *store.Store { return e.st }
 
 // hashJoinMin returns the effective NLJ -> hash-join input threshold.
 func (e *Engine) hashJoinMin() int {
-	if e.HashJoinThreshold > 0 {
-		return e.HashJoinThreshold
+	if e.hashJoinThreshold > 0 {
+		return e.hashJoinThreshold
 	}
 	return defaultHashJoinMinInput
 }

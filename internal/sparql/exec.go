@@ -332,7 +332,7 @@ func orderPatterns(rps []resolvedPattern, initial varset) []int {
 // scan. This mirrors the paper's plans: selective node/edge queries
 // stay on NLJ, while multi-hop traversals and triangle counting switch
 // to hash joins with full scans. Tunable per engine via
-// Engine.HashJoinThreshold for the Tables 5–9 crossover ablation.
+// Engine.hashJoinThreshold for the Tables 5–9 crossover ablation.
 const defaultHashJoinMinInput = 1024
 
 // hashState is the lazily built hash table of one BGP join step. Input

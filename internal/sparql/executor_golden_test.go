@@ -102,7 +102,7 @@ func executorGolden(t *testing.T) string {
 	t.Helper()
 	st := egoNetStore(t, 900, 5)
 	e := NewEngine(st)
-	e.HashJoinThreshold = 16
+	e.hashJoinThreshold = 16
 	var sb strings.Builder
 	sb.WriteString("# Executor golden: results on egoNetStore(900, 5), HashJoinThreshold 16.\n")
 	sb.WriteString("# Regenerate only with\n")
@@ -134,7 +134,7 @@ func executorGolden(t *testing.T) string {
 func profileCounters(t *testing.T, st *store.Store, q string) string {
 	t.Helper()
 	e := NewEngine(st)
-	e.HashJoinThreshold = 16
+	e.hashJoinThreshold = 16
 	_, prof, err := e.QueryProfiled("", testPrologue+q)
 	if err != nil {
 		t.Fatalf("profile: %v\n%s", err, q)

@@ -243,7 +243,7 @@ func TestCanceledContextFailsFast(t *testing.T) {
 func TestBudgetTripMidHashJoin(t *testing.T) {
 	st := socialStore(t)
 	e := NewEngine(st)
-	e.HashJoinThreshold = 16
+	e.hashJoinThreshold = 16
 	e.Limits = guard.Budget{MaxWork: 3000}
 	q := testPrologue + `SELECT ?a ?c WHERE { ?a rel:follows ?b . ?b rel:follows ?c }`
 	if _, err := e.QueryContext(context.Background(), "", q); !errors.Is(err, guard.ErrBudgetExceeded) {
@@ -256,7 +256,7 @@ func TestBudgetTripMidHashJoin(t *testing.T) {
 func TestCanceledTriangleCount(t *testing.T) {
 	st := socialStore(t)
 	e := NewEngine(st)
-	e.HashJoinThreshold = 16
+	e.hashJoinThreshold = 16
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	q := testPrologue + `SELECT ?a ?c WHERE { ?a rel:follows ?b . ?b rel:follows ?c . ?c rel:follows ?a }`
@@ -312,7 +312,7 @@ func (c *callerCtx) Done() <-chan struct{} {
 func TestQueriesRunOnCallingGoroutine(t *testing.T) {
 	st := socialStore(t)
 	e := NewEngine(st)
-	e.HashJoinThreshold = 16
+	e.hashJoinThreshold = 16
 	me := goroutineID()
 	for i, q := range socialShapes {
 		ctx := &callerCtx{Context: context.Background(), done: make(chan struct{}), calls: map[string]int{}}

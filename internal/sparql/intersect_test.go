@@ -255,7 +255,7 @@ func TestIntersectMatchesNestedLoop(t *testing.T) {
 		nlj := NewEngine(st)
 		nlj.DisableHashJoin = true
 		e := NewEngine(st)
-		e.HashJoinThreshold = 16
+		e.hashJoinThreshold = 16
 		for _, dataset := range []struct {
 			model string
 			quads []rdf.Quad

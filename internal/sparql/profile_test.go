@@ -393,7 +393,7 @@ func TestProfileNestedBGPInvocations(t *testing.T) {
 		t.Errorf("profile counters differ from the golden parent run:\n--- golden ---\n%s\n--- got ---\n%s", want, got)
 	}
 	e := NewEngine(st)
-	e.HashJoinThreshold = 16
+	e.hashJoinThreshold = 16
 	_, prof, err := e.QueryProfiled("", testPrologue+q)
 	if err != nil {
 		t.Fatal(err)

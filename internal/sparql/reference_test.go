@@ -947,7 +947,7 @@ func TestEngineMatchesReference(t *testing.T) {
 		for _, state := range states {
 			state.mutate()
 			e := NewEngine(st)
-			e.HashJoinThreshold = 16
+			e.hashJoinThreshold = 16
 			for _, name := range names {
 				label := fmt.Sprintf("%s/%s/%s", scheme, state.name, name)
 				checkAgainstReference(t, e, "", state.quads, label, queries[name])
@@ -956,7 +956,7 @@ func TestEngineMatchesReference(t *testing.T) {
 	}
 	st := socialStore(t)
 	e := NewEngine(st)
-	e.HashJoinThreshold = 16
+	e.hashJoinThreshold = 16
 	for i, q := range socialShapes {
 		checkAgainstReference(t, e, "", socialQuads(), fmt.Sprintf("social/shape %d", i), testPrologue+q)
 	}

@@ -73,7 +73,7 @@ func BenchmarkScanKernel(b *testing.B) {
 // early, so the inner loop is hash probes rather than index scans.
 func BenchmarkHashProbeKernel(b *testing.B) {
 	runKernel(b, kernelStore(b), `SELECT (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b . ?b rel:follows ?c }`,
-		func(e *Engine) { e.HashJoinThreshold = 16 })
+		func(e *Engine) { e.hashJoinThreshold = 16 })
 }
 
 // BenchmarkNestedLoopKernel: the same two-hop join with hash joins

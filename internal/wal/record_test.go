@@ -37,7 +37,7 @@ func corpusBatches() []Batch {
 	}
 }
 
-func encodeCorpus(t *testing.T) ([]byte, []int) {
+func encodeCorpus(t testing.TB) ([]byte, []int) {
 	t.Helper()
 	var log []byte
 	var ends []int
