@@ -14,7 +14,7 @@ BENCH_SCALE ?= 0.05
 BENCH_MAX_OVERHEAD ?= 5
 OVERHEAD_ITERS ?= 5
 
-.PHONY: check vet lint build test race crash-recovery repl-fault algo-diff store-race bench bench-algos bench-algos-smoke bench-micro bench-smoke benchmark-smoke bench-pair fuzz-smoke
+.PHONY: check vet lint build test race crash-recovery repl-fault algo-diff store-race bench bench-paper bench-algos bench-algos-smoke bench-micro bench-smoke benchmark-smoke bench-pair fuzz-smoke
 
 ## check: the full gate — vet, build, the pgrdfvet analyzers, the
 ## race-enabled test suite, the crash-recovery differential, the
@@ -114,6 +114,15 @@ bench:
 bench-overhead:
 	$(GO) run ./cmd/benchpaper -profileoverhead -maxoverhead $(BENCH_MAX_OVERHEAD) -iters $(OVERHEAD_ITERS) -scale $(BENCH_SCALE) -out BENCH_profile_overhead.json
 
+## bench-paper: check every shape claim of EXPERIMENTS.md — exact-count
+## predicates over cardinalities, store statistics, the storage model,
+## answers and executed-plan rows, ticks and indexes (internal/bench,
+## claims.go) — at scale 0.1 and write the values each read to
+## BENCH_paper.json. Fails when a claim does not hold. Two runs write
+## the same bytes.
+bench-paper:
+	$(GO) run ./cmd/benchpaper -scale 0.1 -out BENCH_paper.json
+
 ## bench-algos: the graph-analytics comparison — CSR projection plus
 ## PageRank / WCC / triangle counting, serial vs parallel, on all three
 ## schemes, and the update-then-algo leg (patch_ms next to
@@ -191,8 +200,9 @@ bench-pair:
 
 ## fuzz-smoke: run each parser fuzz target (N-Quads reader, its
 ## one-statement ParseQuad against the reader, Turtle, SPARQL, the WAL
-## record decoder, the delta-chain decoder behind Open, the binary
-## snapshot's section decoders behind their CRCs), and the results-encoder
+## record decoder, the delta-chain decoder behind Open, the /wal tail
+## body a follower applies, the binary snapshot's section decoders
+## behind their CRCs), and the results-encoder
 ## differential (byte-identical to encoding/json), for FUZZTIME
 ## (default 30s). Regression seeds always run as part of plain
 ## `make test` too.
@@ -201,6 +211,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseQuad -fuzztime=$(FUZZTIME) ./internal/ntriples
 	$(GO) test -run='^$$' -fuzz=FuzzDecodePayload -fuzztime=$(FUZZTIME) ./internal/wal
 	$(GO) test -run='^$$' -fuzz=FuzzLoadDeltas -fuzztime=$(FUZZTIME) ./internal/wal
+	$(GO) test -run='^$$' -fuzz=FuzzApplyFrames -fuzztime=$(FUZZTIME) ./internal/repl
 	$(GO) test -run='^$$' -fuzz=FuzzRestoreBinary -fuzztime=$(FUZZTIME) ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/turtle
 	$(GO) test -run='^$$' -fuzz=FuzzParseAndExec -fuzztime=$(FUZZTIME) ./internal/sparql

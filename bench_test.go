@@ -1,9 +1,11 @@
 package repro
 
-// One testing.B benchmark per table and figure of the paper, plus the
-// ablation benches DESIGN.md calls out. Run with:
+// One testing.B benchmark per query figure of the paper (Figures 5–9),
+// plus the ablation benches DESIGN.md calls out. The paper's shape
+// claims are exact-count predicates (internal/bench, BENCH_paper.json);
+// these benches time the queries behind them. Run with:
 //
-//	go test -bench=. -benchmem
+//	go test -bench=Figure -benchmem
 //
 // The dataset scale defaults to 2% of the paper's (fast enough for CI);
 // override with REPRO_BENCH_SCALE, e.g.
@@ -17,7 +19,6 @@ import (
 	"fmt"
 	"os"
 	"strconv"
-	"strings"
 	"sync"
 	"testing"
 
@@ -88,131 +89,7 @@ func queryBenchPair(b *testing.B, names ...string) {
 	}
 }
 
-// ---- Tables ----------------------------------------------------------
-
-// BenchmarkTable1 measures the Figure-1 transformation under all schemes
-// (the Table 1 content generator).
-func BenchmarkTable1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if tab := bench.Table1(); len(tab.Rows) == 0 {
-			b.Fatal("empty table")
-		}
-	}
-}
-
-// BenchmarkTable2 measures cardinality prediction + measurement.
-func BenchmarkTable2(b *testing.B) {
-	env := benchEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if tab := bench.Table2(env); len(tab.Rows) == 0 {
-			b.Fatal("empty table")
-		}
-	}
-}
-
-// BenchmarkTable5 measures plan explanation for the Table 5 queries.
-func BenchmarkTable5(b *testing.B) {
-	env := benchEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if tab := bench.Table5(env); len(tab.Rows) == 0 {
-			b.Fatal("empty table")
-		}
-	}
-}
-
-// BenchmarkTable6 measures dataset generation at bench scale (the
-// Table 6 input); this is the data-production cost.
-func BenchmarkTable6(b *testing.B) {
-	cfg := twitter.PaperConfig().Scale(benchScale())
-	for i := 0; i < b.N; i++ {
-		g := twitter.Generate(cfg)
-		if g.NumEdges() == 0 {
-			b.Fatal("empty graph")
-		}
-	}
-}
-
-// BenchmarkTable7 measures the NG and SP conversions (the Table 7
-// triple-count source).
-func BenchmarkTable7(b *testing.B) {
-	env := benchEnv(b)
-	for _, scheme := range []pgrdf.Scheme{pgrdf.NG, pgrdf.SP} {
-		scheme := scheme
-		b.Run(scheme.String(), func(b *testing.B) {
-			conv := &pgrdf.Converter{Scheme: scheme, Vocab: bench.Vocab(), Opts: pgrdf.DefaultOptions()}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ds := conv.Convert(env.Graph)
-				if ds.Len() == 0 {
-					b.Fatal("empty dataset")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTable8 measures dataset statistics computation.
-func BenchmarkTable8(b *testing.B) {
-	env := benchEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if tab := bench.Table8(env); len(tab.Rows) == 0 {
-			b.Fatal("empty table")
-		}
-	}
-}
-
-// BenchmarkTable9 measures the storage accounting of both stores.
-func BenchmarkTable9(b *testing.B) {
-	env := benchEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ng := env.NG.Store.View().Storage()
-		sp := env.SP.Store.View().Storage()
-		if ng.Total == 0 || sp.Total == 0 {
-			b.Fatal("empty storage report")
-		}
-	}
-}
-
-// BenchmarkLoad measures bulk load into partitioned stores (the paper's
-// "loading the quads and triples took 5m16s / 6m01s").
-func BenchmarkLoad(b *testing.B) {
-	env := benchEnv(b)
-	for _, scheme := range []pgrdf.Scheme{pgrdf.NG, pgrdf.SP} {
-		scheme := scheme
-		b.Run(scheme.String(), func(b *testing.B) {
-			conv := &pgrdf.Converter{Scheme: scheme, Vocab: bench.Vocab(), Opts: pgrdf.DefaultOptions()}
-			ds := conv.Convert(env.Graph)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				st, err := pgrdf.NewStore(scheme)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := pgrdf.LoadPartitioned(st, ds, "pg"); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // ---- Figures ---------------------------------------------------------
-
-// BenchmarkFigure4 measures degree-distribution computation.
-func BenchmarkFigure4(b *testing.B) {
-	env := benchEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, in := env.Graph.DegreeDistribution()
-		if len(out) == 0 || len(in) == 0 {
-			b.Fatal("empty distribution")
-		}
-	}
-}
 
 // BenchmarkFigure5 benchmarks the node-centric queries EQ1–EQ4 on both
 // schemes.
@@ -251,9 +128,7 @@ func BenchmarkFigure8EQ11e(b *testing.B) {
 func BenchmarkFigure8Enumerating(b *testing.B) {
 	env := benchEnv(b)
 	for _, name := range []string{"EQ11a", "EQ11b", "EQ11c", "EQ11d"} {
-		q := env.Queries()[name]
-		i := strings.Index(q, "WHERE {") + len("WHERE {")
-		q = q[:i] + " { SELECT * WHERE {" + q[i:len(q)-1] + "} } }"
+		q := bench.Enumerating(env.Queries()[name])
 		for _, se := range env.SchemeEnvs() {
 			se := se
 			b.Run(fmt.Sprintf("%s/%s", name, se.Scheme), func(b *testing.B) {
@@ -269,19 +144,6 @@ func BenchmarkFigure9(b *testing.B) {
 }
 
 // ---- Ablations (DESIGN.md §4) ----------------------------------------
-
-// BenchmarkDML measures the paper's deferred DML study: delete+reinsert
-// round trips for sampled edges, NG vs SP.
-func BenchmarkDML(b *testing.B) {
-	env := benchEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tab := bench.DMLExtension(env, 100)
-		if len(tab.Rows) != 2 {
-			b.Fatalf("DML table rows = %d", len(tab.Rows))
-		}
-	}
-}
 
 // BenchmarkAblationJoinStrategy compares the adaptive NLJ/hash executor
 // against forced pure NLJ on the triangle query — the paper's
@@ -390,42 +252,19 @@ func BenchmarkAblationExplicitSPO(b *testing.B) {
 // why: one extra join per edge access.
 func BenchmarkAblationRF(b *testing.B) {
 	env := benchEnv(b)
-	vocab := bench.Vocab()
-	conv := &pgrdf.Converter{Scheme: pgrdf.RF, Vocab: vocab, Opts: pgrdf.DefaultOptions()}
-	ds := conv.Convert(env.Graph)
-	st, err := pgrdf.NewStore(pgrdf.RF)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := pgrdf.LoadPartitioned(st, ds, "pg"); err != nil {
-		b.Fatal(err)
-	}
-	engines := map[string]struct {
-		eng   *sparql.Engine
-		model string
-		query string
-	}{
-		"RF": {sparql.NewEngine(st), "pg", mustBuild(pgrdf.RF, vocab)},
-		"NG": {env.NG.Engine, env.NG.Names.TopoEdgeKV, mustBuild(pgrdf.NG, vocab)},
-		"SP": {env.SP.Engine, env.SP.Names.TopoEdgeKV, mustBuild(pgrdf.SP, vocab)},
-	}
-	for _, name := range []string{"RF", "NG", "SP"} {
-		e := engines[name]
-		b.Run(name, func(b *testing.B) {
-			if _, err := e.eng.Query(e.model, e.query); err != nil {
+	for _, se := range env.AllSchemes() {
+		se := se
+		b.Run(se.Scheme.String(), func(b *testing.B) {
+			model, q := se.Names.TopoEdgeKV, bench.EdgeKVQuery(se.Scheme)
+			if _, err := se.Engine.Query(model, q); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := e.eng.Query(e.model, e.query); err != nil {
+				if _, err := se.Engine.Query(model, q); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
-}
-
-func mustBuild(s pgrdf.Scheme, vocab pgrdf.Vocabulary) string {
-	qb := &pgrdf.QueryBuilder{Scheme: s, Vocab: vocab}
-	return qb.Select([]string{"x", "y", "k", "v"}, qb.EdgeKVPattern("x", "y", "e", "follows", "k", "v"))
 }

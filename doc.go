@@ -21,9 +21,11 @@
 //     cardinality formulas, partitioned loading, query formulation
 //   - internal/inference  — RDFS/OWL-subset forward chaining (§5.2)
 //   - internal/twitter    — synthetic ego-network dataset generator
-//   - internal/bench      — harness regenerating every table and figure
+//   - internal/bench      — harness checking the paper's shape claims
+//     as exact-count predicates (claims.go, BENCH_paper.json)
 //
 // See README.md for a tour, DESIGN.md for the architecture and
 // EXPERIMENTS.md for paper-vs-measured results. The root-level
-// bench_test.go exposes one testing.B benchmark per table/figure.
+// bench_test.go exposes one testing.B benchmark per query figure
+// (Figures 5–9) plus the ablations.
 package repro

@@ -13,7 +13,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/pg"
 	"repro/internal/pgrdf"
-	"repro/internal/rdf"
 )
 
 // algoBenchNames orders the graph algorithms in BENCH_algos.json.
@@ -80,16 +79,12 @@ func AlgoBench(ctx context.Context, env *Env, workers, iters int) (*AlgoReport, 
 	if iters < 1 {
 		iters = 1
 	}
-	rf, err := env.RFEnv()
-	if err != nil {
-		return nil, fmt.Errorf("algobench: loading RF scheme: %w", err)
-	}
 	rep := &AlgoReport{Workers: workers, GOMAXPROCS: runtime.GOMAXPROCS(0), Iters: iters}
 	// Cross-scheme acceptance: the same algorithm over the same property
 	// graph must fingerprint identically no matter which scheme encoded
 	// it or how many workers ran it.
 	crossFP := map[string]string{}
-	for _, se := range append(env.SchemeEnvs(), rf) {
+	for _, se := range append(env.SchemeEnvs(), env.RF) {
 		opts := graph.ProjectOptions{Model: se.Names.All, Scheme: se.Scheme, Reverse: true}
 		var proj *graph.Projection
 		build, err := medianOf(iters, func() error {
@@ -110,39 +105,31 @@ func AlgoBench(ctx context.Context, env *Env, workers, iters int) (*AlgoReport, 
 			rep.Patches = append(rep.Patches, pr)
 		}
 		for _, algo := range algoBenchNames {
-			serial := graph.Runner{Parallelism: 1}
-			par := graph.Runner{Parallelism: workers}
-			sRun, err := runAlgoOnce(ctx, serial, cs, algo)
-			if err != nil {
-				return nil, fmt.Errorf("algobench %s/%s (serial): %w", se.Scheme, algo, err)
+			// Each runner's first run fingerprints the result (and warms
+			// the leg); the timed runs follow.
+			var runs [2]algoRun
+			var meds [2]time.Duration
+			for i, r := range []graph.Runner{{Parallelism: 1}, {Parallelism: workers}} {
+				if runs[i], err = runAlgoOnce(ctx, r, cs, algo); err == nil {
+					meds[i], err = medianOf(iters, func() error {
+						_, e := runAlgoOnce(ctx, r, cs, algo)
+						return e
+					})
+				}
+				if err != nil {
+					return nil, fmt.Errorf("algobench %s/%s (%d workers): %w", se.Scheme, algo, r.Parallelism, err)
+				}
 			}
-			pRun, err := runAlgoOnce(ctx, par, cs, algo)
-			if err != nil {
-				return nil, fmt.Errorf("algobench %s/%s (parallel): %w", se.Scheme, algo, err)
-			}
-			if sRun.fp != pRun.fp {
+			sRun, sMed, pMed := runs[0], meds[0], meds[1]
+			if sRun.fp != runs[1].fp {
 				return nil, fmt.Errorf("algobench %s/%s: serial fingerprint %s != parallel %s (determinism violation)",
-					se.Scheme, algo, sRun.fp, pRun.fp)
+					se.Scheme, algo, sRun.fp, runs[1].fp)
 			}
 			if want, ok := crossFP[algo]; !ok {
 				crossFP[algo] = sRun.fp
 			} else if want != sRun.fp {
 				return nil, fmt.Errorf("algobench %s/%s: fingerprint %s differs from other schemes' %s (projection divergence)",
 					se.Scheme, algo, sRun.fp, want)
-			}
-			sMed, err := medianOf(iters, func() error {
-				_, e := runAlgoOnce(ctx, serial, cs, algo)
-				return e
-			})
-			if err != nil {
-				return nil, fmt.Errorf("algobench %s/%s (serial timing): %w", se.Scheme, algo, err)
-			}
-			pMed, err := medianOf(iters, func() error {
-				_, e := runAlgoOnce(ctx, par, cs, algo)
-				return e
-			})
-			if err != nil {
-				return nil, fmt.Errorf("algobench %s/%s (parallel timing): %w", se.Scheme, algo, err)
 			}
 			rep.Results = append(rep.Results, AlgoResult{
 				Algo:        algo,
@@ -201,20 +188,8 @@ func patchLeg(ctx context.Context, env *Env, se *SchemeEnv, opts graph.ProjectOp
 	conv := &pgrdf.Converter{Scheme: se.Scheme, Vocab: Vocab(), Opts: pgrdf.DefaultOptions()}
 	ds := conv.Convert(g)
 	apply := func(insert bool) error {
-		for model, quads := range map[string][]rdf.Quad{se.Names.Topology: ds.Topology, se.Names.EdgeKV: ds.EdgeKV} {
-			for _, q := range quads {
-				var err error
-				if insert {
-					_, err = se.Store.Insert(model, q)
-				} else {
-					_, err = se.Store.Delete(model, q)
-				}
-				if err != nil {
-					return err
-				}
-			}
-		}
-		return nil
+		_, _, err := se.Store.Apply(edgeOps(se, ds, !insert))
+		return err
 	}
 	patch := func(from *graph.Projection) (*graph.Projection, graph.PatchInfo, error) {
 		next, info, err := from.Patch(ctx, graph.Budget{})

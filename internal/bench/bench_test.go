@@ -55,96 +55,54 @@ func TestQueriesSubstituted(t *testing.T) {
 	}
 }
 
+// TestPaperClaims holds every shape claim of claims.go on the small
+// dataset, one subtest per claim; benchpaper checks the same table at
+// scale 0.1 into BENCH_paper.json.
+func TestPaperClaims(t *testing.T) {
+	env := sharedEnv(t)
+	for _, c := range Claims {
+		t.Run(c.Name, func(t *testing.T) {
+			r := c.Eval(context.Background(), env)
+			t.Logf("%s: %v", r.Row, r.Values)
+			if !r.Holds {
+				t.Fatal(r.Failure)
+			}
+		})
+	}
+}
+
+// TestCrossSchemeCheck runs every paper query on NG and on SP, each on
+// its Table 4 target, and requires the same answer from both.
 func TestCrossSchemeCheck(t *testing.T) {
-	if err := CrossSchemeCheck(context.Background(), sharedEnv(t)); err != nil {
+	p := &probe{ctx: context.Background(), env: sharedEnv(t)}
+	for _, q := range []string{"EQ5", "EQ6", "EQ7", "EQ8"} {
+		p.pair(q+"a", q+"b")
+	}
+	for _, name := range []string{"EQ1", "EQ2", "EQ3", "EQ4", "EQ9", "EQ10", "EQ11a", "EQ11b", "EQ11c", "EQ11d", "EQ12"} {
+		p.pair(name, name)
+	}
+	if err := p.done(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestAllExperimentsRun(t *testing.T) {
+// TestEQ9MatchesInMemoryDegrees cross-validates the EQ9 in-degree
+// distribution row count against a direct computation.
+func TestEQ9MatchesInMemoryDegrees(t *testing.T) {
 	env := sharedEnv(t)
-	tables := AllExperiments(context.Background(), env)
-	if len(tables) != 15 {
-		t.Fatalf("experiments = %d, want 15", len(tables))
-	}
-	for _, tab := range tables {
-		out := tab.String()
-		if strings.Contains(out, "ERROR") {
-			t.Errorf("%s contains an error:\n%s", tab.ID, out)
-		}
-		if len(tab.Rows) == 0 {
-			t.Errorf("%s is empty", tab.ID)
-		}
-	}
-}
-
-func TestExperimentLookup(t *testing.T) {
-	env := sharedEnv(t)
-	for _, id := range []string{"table1", "table2", "table5", "table6", "table7", "table8", "table9",
-		"fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "dml"} {
-		if _, err := Experiment(context.Background(), env, id); err != nil {
-			t.Errorf("Experiment(%q): %v", id, err)
-		}
-	}
-	if _, err := Experiment(context.Background(), env, "table3"); err == nil {
-		t.Error("unknown experiment id accepted")
-	}
-}
-
-// TestTable9Shapes verifies the paper's storage findings hold in the
-// estimates: SP's triples table is larger, SP lacks a G index, and the
-// totals are within ~25% of each other.
-func TestTable9Shapes(t *testing.T) {
-	env := sharedEnv(t)
-	ng := env.NG.Store.View().Storage()
-	sp := env.SP.Store.View().Storage()
-	if sp.MB("Triples Table") <= ng.MB("Triples Table") {
-		t.Errorf("SP triples table (%f) should exceed NG (%f)", sp.MB("Triples Table"), ng.MB("Triples Table"))
-	}
-	if sp.MB("GPSCM Index") != 0 {
-		t.Error("SP should have no GPSCM index")
-	}
-	if ng.MB("GPSCM Index") == 0 {
-		t.Error("NG should have a GPSCM index")
-	}
-	ratio := sp.TotalMB() / ng.TotalMB()
-	if ratio < 0.8 || ratio > 1.4 {
-		t.Errorf("total storage ratio SP/NG = %.2f, expected near parity (paper: 1794/1625 = 1.10)", ratio)
-	}
-}
-
-// TestFigure6Shape verifies the headline performance result: NG beats SP
-// on the 3-hop edge-KV query EQ7 (most joins saved).
-func TestFigure6Shape(t *testing.T) {
-	env := sharedEnv(t)
-	queries := env.Queries()
-	durNG, nNG, err := RunTimed(context.Background(), env.NG.Engine, TargetModelFor(env.NG, "EQ7a"), queries["EQ7a"])
-	if err != nil {
+	p := &probe{ctx: context.Background(), env: env}
+	rows := p.eq(env.NG, "EQ9").count
+	if err := p.done(); err != nil {
 		t.Fatal(err)
 	}
-	durSP, nSP, err := RunTimed(context.Background(), env.SP.Engine, TargetModelFor(env.SP, "EQ7b"), queries["EQ7b"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nNG != nSP {
-		t.Fatalf("EQ7 results disagree: %d vs %d", nNG, nSP)
-	}
-	t.Logf("EQ7: NG=%s SP=%s (%d rows)", durNG, durSP, nNG)
-	// Timing on tiny data is noisy; assert only that NG is not
-	// dramatically slower (the paper's claim is NG <= SP here).
-	if durNG > 3*durSP && durSP > 0 {
-		t.Errorf("NG (%s) dramatically slower than SP (%s) on EQ7 — contradicts the paper", durNG, durSP)
-	}
-}
-
-func TestTableRendering(t *testing.T) {
-	tab := &Table{ID: "X", Title: "t", Head: []string{"a", "bb"}}
-	tab.AddRow("1", "2")
-	tab.AddNote("hello %d", 7)
-	out := tab.String()
-	for _, want := range []string{"== X: t ==", "a", "bb", "note: hello 7"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("rendering lacks %q:\n%s", want, out)
+	_, in := env.Graph.DegreeDistribution()
+	distinct := 0
+	for deg := range in {
+		if deg > 0 {
+			distinct++
 		}
+	}
+	if rows != distinct {
+		t.Fatalf("EQ9 rows = %d but distinct positive in-degrees = %d", rows, distinct)
 	}
 }

@@ -1,19 +1,13 @@
-// Package bench is the experiment harness: it regenerates every table
-// and figure of the paper's evaluation (Tables 1–9, Figures 4–9,
-// queries EQ1–EQ12) against the synthetic Twitter dataset, loaded under
-// both the NG and SP schemes (plus RF for ablations).
-//
-// The harness follows the paper's methodology (§4.4): each query is run
-// once to warm the store, then run again for the reported time.
+// Package bench is the experiment harness. It loads the synthetic
+// Twitter dataset under the NG and SP schemes (plus RF for ablations),
+// checks the paper's shape claims on it as predicates over exact counts
+// (claims.go, BENCH_paper.json), and measures what only a timing can
+// show: profiling overhead, recovery, and serial vs parallel analytics.
 package bench
 
 import (
-	"context"
-	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"time"
 
 	"repro/internal/pg"
 	"repro/internal/pgrdf"
@@ -30,7 +24,6 @@ type SchemeEnv struct {
 	Engine  *sparql.Engine
 	Names   pgrdf.ModelNames
 	Dataset *pgrdf.Dataset
-	LoadDur time.Duration
 }
 
 // Env is a fully prepared experiment environment.
@@ -38,7 +31,9 @@ type Env struct {
 	Config     twitter.Config
 	Graph      *pg.Graph
 	GraphStats pg.Stats
-	NG, SP     *SchemeEnv
+	// RF is the ablation scheme, outside SchemeEnvs: the query benches
+	// and differentials run NG and SP, the claims and AlgoBench all three.
+	RF, NG, SP *SchemeEnv
 
 	// Tag is the generated analogue of the paper's "#webseries": a tag
 	// chosen so its node count scales like 251/76,245.
@@ -49,11 +44,6 @@ type Env struct {
 	// StartNode is the IRI of the EQ11 start node, chosen with
 	// follows-out-degree close to the paper's 21.
 	StartNode string
-
-	// rf is the lazily loaded RF scheme (see RFEnv).
-	rf     *SchemeEnv
-	rfErr  error
-	rfOnce sync.Once
 }
 
 // Vocab is the vocabulary used by the harness: Twitter nodes use the
@@ -64,13 +54,16 @@ func Vocab() pgrdf.Vocabulary {
 	return v
 }
 
-// Setup generates the dataset and loads it under NG and SP.
+// Setup generates the dataset and loads it under RF, NG and SP.
 func Setup(cfg twitter.Config) (*Env, error) {
 	g := twitter.Generate(cfg)
 	env := &Env{Config: cfg, Graph: g, GraphStats: g.ComputeStats()}
 	env.pickTag()
 	env.pickStartNode()
 	var err error
+	if env.RF, err = loadScheme(g, pgrdf.RF); err != nil {
+		return nil, err
+	}
 	if env.NG, err = loadScheme(g, pgrdf.NG); err != nil {
 		return nil, err
 	}
@@ -94,7 +87,6 @@ func loadScheme(g *pg.Graph, s pgrdf.Scheme) (*SchemeEnv, error) {
 	}
 	conv := &pgrdf.Converter{Scheme: s, Vocab: Vocab(), Opts: pgrdf.DefaultOptions()}
 	ds := conv.Convert(g)
-	start := time.Now()
 	names, err := pgrdf.LoadPartitioned(st, ds, "pg")
 	if err != nil {
 		return nil, err
@@ -105,8 +97,20 @@ func loadScheme(g *pg.Graph, s pgrdf.Scheme) (*SchemeEnv, error) {
 		Engine:  sparql.NewEngine(st),
 		Names:   names,
 		Dataset: ds,
-		LoadDur: time.Since(start),
 	}, nil
+}
+
+// edgeOps returns the ops that insert (or, with del, delete) ds's
+// topology and edge-KV quads in se's partitions.
+func edgeOps(se *SchemeEnv, ds *pgrdf.Dataset, del bool) []store.Op {
+	var ops []store.Op
+	for _, q := range ds.Topology {
+		ops = append(ops, store.Op{Delete: del, Model: se.Names.Topology, Quad: q})
+	}
+	for _, q := range ds.EdgeKV {
+		ops = append(ops, store.Op{Delete: del, Model: se.Names.EdgeKV, Quad: q})
+	}
+	return ops
 }
 
 // pickTag selects the "#webseries" analogue: the tag whose node count is
@@ -164,17 +168,8 @@ func (env *Env) pickStartNode() {
 // SchemeEnvs returns the NG and SP environments.
 func (env *Env) SchemeEnvs() []*SchemeEnv { return []*SchemeEnv{env.NG, env.SP} }
 
-// RFEnv lazily loads the RF (reification) scheme. RF is an ablation
-// scheme: it is deliberately not part of SchemeEnvs(), so the timing
-// benchmarks stay NG/SP-only, but the executor differentials cover it
-// because reified edges stress join shapes the other schemes do not
-// (4 triples per edge, shared anchor subjects).
-func (env *Env) RFEnv() (*SchemeEnv, error) {
-	env.rfOnce.Do(func() {
-		env.rf, env.rfErr = loadScheme(env.Graph, pgrdf.RF)
-	})
-	return env.rf, env.rfErr
-}
+// AllSchemes returns the RF, NG and SP environments.
+func (env *Env) AllSchemes() []*SchemeEnv { return []*SchemeEnv{env.RF, env.NG, env.SP} }
 
 // Queries returns the Table 10 queries rewritten for the generated
 // dataset (its tag and start node).
@@ -188,38 +183,10 @@ func (env *Env) Queries() map[string]string {
 	return m
 }
 
-// RunTimed runs a query with the paper's methodology (warm-up run, then
-// timed runs; we take the median of three timed runs since our queries
-// are orders of magnitude shorter than Oracle's and noisier). The
-// returned count matches Table 10's "Number of Results" convention: for
-// a single-row single-column COUNT query it is the counted value
+// resultCount follows Table 10's "Number of Results" convention: for a
+// single-row single-column COUNT query it is the counted value
 // (EQ11/EQ12 report path/triangle counts); otherwise it is the number
 // of solution rows.
-func RunTimed(ctx context.Context, e *sparql.Engine, model, query string) (time.Duration, int, error) {
-	res, err := e.QueryContext(ctx, model, query) // warm-up
-	if err != nil {
-		return 0, 0, err
-	}
-	runs := 3
-	if first := timeOnce(ctx, e, model, query); first > 2*time.Second {
-		// Long queries: a single timed run, like the paper.
-		return first, resultCount(res), nil
-	} else {
-		durs := []time.Duration{first}
-		for i := 1; i < runs; i++ {
-			durs = append(durs, timeOnce(ctx, e, model, query))
-		}
-		sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-		return durs[len(durs)/2], resultCount(res), nil
-	}
-}
-
-func timeOnce(ctx context.Context, e *sparql.Engine, model, query string) time.Duration {
-	start := time.Now()
-	_, _ = e.QueryContext(ctx, model, query)
-	return time.Since(start)
-}
-
 func resultCount(res *sparql.Results) int {
 	if len(res.Rows) == 1 && len(res.Rows[0]) == 1 {
 		if v, ok := rdf.LiteralValue(res.Rows[0][0]); ok && v.Kind == rdf.ValueInteger {
@@ -259,9 +226,4 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// fmtDur renders a duration in milliseconds with 2 decimals.
-func fmtDur(d time.Duration) string {
-	return fmt.Sprintf("%.2fms", float64(d.Microseconds())/1000)
 }

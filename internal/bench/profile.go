@@ -92,36 +92,23 @@ func ProfileOverhead(ctx context.Context, env *Env, iters int) (*OverheadReport,
 // GC settle before each iteration keeps one side from paying for the
 // other's garbage.
 func interleavedBestOf(iters int, a, b func() error) (bestA, bestB time.Duration, err error) {
-	timeOne := func(run func() error) (time.Duration, error) {
-		start := time.Now()
-		if err := run(); err != nil {
-			return 0, err
-		}
-		return time.Since(start), nil
-	}
 	for i := 0; i < iters; i++ {
 		runtime.GC()
-		first, second := a, b
+		legs := [2]struct {
+			run  func() error
+			best *time.Duration
+		}{{a, &bestA}, {b, &bestB}}
 		if i%2 == 1 {
-			first, second = b, a
+			legs[0], legs[1] = legs[1], legs[0]
 		}
-		d1, err := timeOne(first)
-		if err != nil {
-			return 0, 0, err
-		}
-		d2, err := timeOne(second)
-		if err != nil {
-			return 0, 0, err
-		}
-		da, db := d1, d2
-		if i%2 == 1 {
-			da, db = d2, d1
-		}
-		if bestA == 0 || da < bestA {
-			bestA = da
-		}
-		if bestB == 0 || db < bestB {
-			bestB = db
+		for _, leg := range legs {
+			start := time.Now()
+			if err := leg.run(); err != nil {
+				return 0, 0, err
+			}
+			if d := time.Since(start); *leg.best == 0 || d < *leg.best {
+				*leg.best = d
+			}
 		}
 	}
 	return bestA, bestB, nil
