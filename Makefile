@@ -14,7 +14,7 @@ BENCH_SCALE ?= 0.05
 BENCH_MAX_OVERHEAD ?= 5
 OVERHEAD_ITERS ?= 5
 
-.PHONY: check vet lint build test race crash-recovery repl-fault algo-diff store-race bench bench-paper bench-algos bench-algos-smoke bench-micro bench-smoke benchmark-smoke bench-pair fuzz-smoke
+.PHONY: check vet lint build test race crash-recovery repl-fault algo-diff store-race bench bench-paper bench-algos bench-algos-smoke bench-micro bench-smoke benchmark-smoke bench-pair bench-kernel fuzz-smoke
 
 ## check: the full gate — vet, build, the pgrdfvet analyzers, the
 ## race-enabled test suite, the crash-recovery differential, the
@@ -144,7 +144,9 @@ bench-algos-smoke:
 ## loops (scan, hash probe, nested loop, filter, and the sorted
 ## intersection's triangle count: EQ12 summing its matches and grouped
 ## by ?z emitting per value, a random and a hub graph, each leg checking
-## its count once before timing — BenchmarkIntersectKernel),
+## its count once before timing — BenchmarkIntersectKernel — and the
+## 4-cycle count on the same SP store, whose marks belong on the
+## checker: BenchmarkFourCycleKernel),
 ## the nested shapes that rerun an inner BGP per outer row (OPTIONAL,
 ## MINUS), the aggregate tail (grouping by one and two key columns, a
 ## UNION of two scans) and a 4-hop path count, counted vs enumerated
@@ -153,13 +155,16 @@ bench-algos-smoke:
 ## and an estimate through 0–8 000 unmerged inserts and 0–4 000
 ## tombstones (BenchmarkScanThroughDelta: the cost must not grow with the
 ## delta), one seek of an intersection join with no delta and with 4 500
-## unmerged inserts (BenchmarkSeek), and one write operation of 1, 3 and
+## unmerged inserts, from seekers that stop after 8 and 2 048 seeks, and
+## through a range whose values span three IDs per row, so its seeker
+## declines to build a directory (BenchmarkSeek's sparse leg),
+## and one write operation of 1, 3 and
 ## 300 quads on an empty and a full delta (BenchmarkApply), and one
 ## bulk load of RF/NG/SP at scale 0.05 into serve's four indexes, parse
 ## excluded (BenchmarkLoad) — plus the
 ## analytics tier's triangle count on the algo-rf CSR at one and two
 ## workers (BenchmarkTrianglesKernel). Compare against the parent
-## commit's run.
+## commit's run (bench-kernel does that for BenchmarkIntersectKernel).
 bench-micro:
 	$(GO) test -bench 'Kernel' -run '^$$' -benchtime 20x ./internal/sparql/
 	$(GO) test -bench 'BenchmarkScan|BenchmarkApply|BenchmarkSeek|BenchmarkLoad' -run '^$$' ./internal/store/
@@ -197,6 +202,48 @@ bench-pair:
 	rm -rf .bench_pair/ref/benchmark && cp -r benchmark .bench_pair/ref/benchmark && rm -rf .bench_pair/ref/benchmark/out
 	$(GO) run ./cmd/benchpair -ref .bench_pair/ref -new . -workload $(WORKLOAD) -pairs $(PAIRS) -seed $(SEED); \
 		status=$$?; git worktree remove --force .bench_pair/ref; exit $$status
+
+## bench-kernel: the kernel A/B of an intersection change: check REF out
+## into a git worktree, build internal/sparql's test binary there and
+## here, run BenchmarkIntersectKernel on both alternately RUNS times, and
+## print per leg the median ns/op of each tree and the change. Each tree
+## runs its own benchmark code; a run that fails (a leg's count check)
+## stops the target with its output, and a leg only one tree has is
+## printed as missing on the other.
+##   make bench-kernel REF=HEAD~1 [RUNS=7]
+RUNS ?= 7
+# Per leg: the median of each side's ns/op and the change in percent.
+define KERNEL_MEDIANS
+function med(side, leg,   m, i, j, t, a) {
+	m = n[side, leg]
+	for (i = 1; i <= m; i++) a[i] = v[side, leg, i]
+	for (i = 2; i <= m; i++) for (j = i; j > 1 && a[j-1] > a[j]; j--) { t = a[j]; a[j] = a[j-1]; a[j-1] = t }
+	return m % 2 ? a[(m+1)/2] : (a[m/2] + a[m/2+1]) / 2
+}
+{ leg = $$2; sub(/-[0-9]+$$/, "", leg); for (i = 3; i < NF; i++) if ($$(i+1) == "ns/op") { v[$$1, leg, ++n[$$1, leg]] = $$i; legs[leg] = 1 } }
+END {
+	printf "%-44s %14s %14s %9s\n", "leg (median ns/op)", "ref", "new", "change"
+	for (leg in legs) if (n["ref", leg] && n["new", leg]) {
+		r = med("ref", leg); c = med("new", leg)
+		printf "%-44s %14.0f %14.0f %+8.1f%%\n", leg, r, c, 100 * (c - r) / r
+	} else if (n["ref", leg]) printf "%-44s %14.0f %14s\n", leg, med("ref", leg), "missing"
+	else printf "%-44s %14s %14.0f\n", leg, "missing", med("new", leg)
+}
+endef
+export KERNEL_MEDIANS
+bench-kernel:
+	@test -n "$(REF)" || { echo "usage: make bench-kernel REF=<commit> [RUNS=7]"; exit 2; }
+	rm -rf .bench_kernel && git worktree prune
+	git worktree add --detach .bench_kernel/ref $(REF)
+	$(GO) test -c -o .bench_kernel/new.test ./internal/sparql && \
+	(cd .bench_kernel/ref && $(GO) test -c -o ../ref.test ./internal/sparql) && \
+	(for i in $$(seq $(RUNS)); do for side in ref new; do \
+		./.bench_kernel/$$side.test -test.run '^$$' -test.bench IntersectKernel -test.benchtime 20x > .bench_kernel/run.txt || \
+			{ cat .bench_kernel/run.txt; echo "bench-kernel: $$side run $$i failed"; exit 1; } >&2; \
+		sed -n "s/^Benchmark/$$side Benchmark/p" .bench_kernel/run.txt; \
+	done; done) > .bench_kernel/runs.txt && \
+	awk "$$KERNEL_MEDIANS" .bench_kernel/runs.txt; \
+		status=$$?; git worktree remove --force .bench_kernel/ref; exit $$status
 
 ## fuzz-smoke: run each parser fuzz target (N-Quads reader, its
 ## one-statement ParseQuad against the reader, Turtle, SPARQL, the WAL

@@ -20,10 +20,14 @@ package sparql
 // binding step's nested loop would have produced ?z in ascending order,
 // which the planner checks.
 //
-// A side whose range is the previous input row's (EQ12's out(y), the
-// driving scan being sorted by ?y) is marked in a bitmap once, and the
-// rows that reuse it walk the other side probing the bitmap instead of
-// leapfrogging both (walkSide, store.Marks).
+// Consecutive input rows that give a side the same inputs form a run of
+// that side, whose range is sought once. EQ12's driving scan is sorted
+// by ?y, so every in-edge of y is one run of the binder: out(y) is
+// sought and, in a two-sided group, marked in a bitmap once, and each
+// row of the run walks its other side (in(x)) probing the bitmap
+// instead of leapfrogging both (store.Marks). When the rows run on the
+// checking side instead (a 4-cycle's closing group, fed in ?a order),
+// that side is the one marked.
 
 import (
 	"repro/internal/store"
@@ -38,16 +42,24 @@ type intersectPlan struct {
 	cols  []store.Col // per side, the column the variable occupies
 }
 
-// seekSide is one step of a fused group: its pattern and the index its
+// seekSide is one step of a fused group: its pattern, the index its
 // seeker reads, whose key is the step's bound columns followed by the
-// group variable's column.
+// group variable's column, and its inputs: its other variables.
 type seekSide struct {
-	rp *resolvedPattern
-	ix *store.Index
+	rp   *resolvedPattern
+	ix   *store.Index
+	keys []int
 }
 
 func (ip *intersectPlan) add(rp *resolvedPattern, ix *store.Index, col store.Col) {
-	ip.sides = append(ip.sides, seekSide{rp: rp, ix: ix})
+	side := seekSide{rp: rp, ix: ix}
+	pos, n := rp.varPositions()
+	for _, p := range pos[:n] {
+		if p.slot != ip.slot {
+			side.keys = append(side.keys, p.slot)
+		}
+	}
+	ip.sides = append(ip.sides, side)
 	ip.cols = append(ip.cols, col)
 }
 
@@ -193,22 +205,25 @@ func planIntersections(view *store.View, rps []resolvedPattern, order []int) []*
 
 // seekState is one fused depth's state in one executor: a seeker per
 // side, opened on first use and kept for the query (the pinned view and
-// the constant prefixes never change), each side's pattern and rows for
-// the current input row with the intersection's position in them, and
-// the marks of a two-sided group: which side's range they hold (-1:
-// none) under which pattern. The view is pinned, so marks stay valid for
-// as long as that side seeks the same pattern. visible is the dataset's
-// row filter, nil when it sees every row.
+// the constant prefixes never change), each side's rows for the current
+// input row with the intersection's position in them, the inputs each
+// side's rows were sought for (valid once inRun), whether the previous
+// row started a run of the binder, and the side whose rows the marks
+// hold, -1 for none. The view is pinned, so a side's rows
+// and the marks stay valid for as long as its inputs do, across input
+// batches. visible is the dataset's row filter, nil when it sees every
+// row.
 type seekState struct {
 	seekers []*store.Seeker
-	pats    []store.Pattern
 	rows    [][]store.IDQuad
 	pos     []int
 	visible func(store.IDQuad) bool
 
-	marks   store.Marks
-	marked  int
-	markPat store.Pattern
+	key    [][]store.ID
+	inRun  bool
+	short  bool
+	marks  store.Marks
+	marked int
 }
 
 func (vx *vecExec) seekState(depth int, ip *intersectPlan) *seekState {
@@ -217,51 +232,39 @@ func (vx *vecExec) seekState(depth int, ip *intersectPlan) *seekState {
 	}
 	n := len(ip.sides)
 	ec := vx.sh.ec
-	ss := &seekState{seekers: make([]*store.Seeker, n), pats: make([]store.Pattern, n),
-		rows: make([][]store.IDQuad, n), pos: make([]int, n), marked: -1}
+	ss := &seekState{seekers: make([]*store.Seeker, n), rows: make([][]store.IDQuad, n), pos: make([]int, n),
+		key: make([][]store.ID, n), marked: -1}
 	if ec.models != nil {
 		ss.visible = ec.quadVisible
 	}
 	for i, side := range ip.sides {
 		ss.seekers[i] = ec.view.Seeker(side.ix, side.rp.constPattern())
+		ss.key[i] = make([]store.ID, len(side.keys))
 	}
 	vx.seeks[depth] = ss
 	return ss
 }
 
-// walkRatio bounds the walk: an input row probes the marks only while
-// the walked side is shorter than walkRatio times the marked one. A
-// walk reads every row of its side; a gallop reads about a logarithm of
-// the gap per value of the shorter side, so past that ratio galloping
-// reads less (a hub's in-edges against a few out-edges).
-const walkRatio = 32
-
-// walkSide decides how the current input row intersects a two-sided
-// group whose sides are seeked: it returns the side whose range the
-// marks hold — marking it first — so that the other side walks, or -1
-// to gallop. A row walks when the marks hold one side's current range
-// or, failing that, when side repeat (-1: none) sought the previous
-// input row's pattern — the binder, when the driving scan sorts by the
-// variables it is narrowed by — and so likely will again; and only
-// while walkRatio allows. cost is the marking's guard charge — one per
-// value cleared and per row marked — and zero when the marks already
-// held the range.
-func (ss *seekState) walkSide(ip *intersectPlan, repeat int) (side, cost int) {
-	side = repeat
-	if ss.marked >= 0 && ss.pats[ss.marked] == ss.markPat {
-		side = ss.marked
+// newRun reports whether the input row b starts a run of side s:
+// whether it is the first row or gives the side other inputs than the
+// ones its rows were sought for. It records b's inputs.
+func (ss *seekState) newRun(s int, keys []int, b binding) bool {
+	fresh := !ss.inRun
+	for k, slot := range keys {
+		if v := b[slot]; v != ss.key[s][k] {
+			ss.key[s][k], fresh = v, true
+		}
 	}
-	if side < 0 || len(ss.rows) != 2 || len(ss.rows[1-side]) >= walkRatio*len(ss.rows[side]) {
-		return -1, 0
-	}
-	if side != ss.marked || ss.pats[side] != ss.markPat {
-		rows := ss.rows[side]
-		cost = ss.marks.Clear() + len(rows)
-		ss.marks.Mark(rows, ip.cols[side], ss.visible)
-		ss.marked, ss.markPat = side, ss.pats[side]
-	}
-	return side, cost
+	return fresh
 }
+
+// walkRatio bounds the walk: an input row of a two-sided group probes
+// the marks of one side's range only while the other side is shorter
+// than walkRatio times that range. A walk reads every row of its side;
+// a gallop reads about a logarithm of the gap per value of the shorter
+// side, so past that ratio galloping reads less (a hub's in-edges
+// against a few out-edges).
+const walkRatio = 32
 
 // common counts, once every side is at value x, each side's rows
 // holding x that are visible in the dataset — a side's GRAPH variable,
@@ -285,20 +288,25 @@ func (ss *seekState) common(ec *execCtx, ip *intersectPlan, x store.ID) (mult in
 }
 
 // intersect runs the fused group whose binder is at depth over one input
-// batch: per input row it seeks every side's range and advances them to
-// their common values of the group's variable. Per common value it
-// emits the binding once for every combination of the sides' rows
-// holding it that are visible in the dataset — in count mode once,
-// weighted by their number, DESIGN.md §22 — or, when the group sums, it
-// adds those numbers up over the row's values and emits one row
-// weighted by the sum, binding the variable to the last value matched.
-// Then it continues at the depth after the group. A row of a two-sided
-// group whose one side's range the marks hold walks the other side
-// probing them (store.Marks.Probe, or Marks.Sum when summing); every
-// other row leapfrogs, each side galloping to the largest value any
-// side is at. Rows seeked, marked, walked, counted and emitted, values
-// cleared, gallops and the rows a seeker's directory build reads are
-// charged to the guard with TickN, like the scan rows of a nested loop.
+// batch: each side's range is sought by the first row of each of its
+// runs, and every row advances the sides to their common values of the
+// group's variable. Per common value it emits the binding once for
+// every combination of the sides' rows holding it that are visible in
+// the dataset — in count mode once, weighted by their number, DESIGN.md
+// §22 — or, when the group sums, it adds those numbers up over the
+// row's values and emits one row weighted by the sum, binding the
+// variable to the last value matched. Then it continues at the depth
+// after the group. A row of a two-sided group walks one side probing
+// the marks of the other's range (store.Marks.Probe, or Marks.Sum when
+// summing) unless walkRatio says gallop. The marks hold a side's range
+// until its run ends; a row that finds them stale marks the binder's
+// range, or the checker's when the binder's runs are one row long — its
+// last run was, and this row starts another — while the checker's run
+// goes on from the previous row. Every other row leapfrogs, each side
+// galloping to the largest value any side is at. Rows seeked, marked,
+// walked, counted and emitted, values cleared, gallops and the rows a
+// seeker's directory build reads are charged to the guard with TickN,
+// like the scan rows of a nested loop.
 func (vx *vecExec) intersect(depth int, in *colBatch, ip *intersectPlan) bool {
 	sh := vx.sh
 	ec := sh.ec
@@ -342,6 +350,15 @@ func (vx *vecExec) intersect(depth int, in *colBatch, ip *intersectPlan) bool {
 		}
 		return true
 	}
+	// seek reads side s's range for the current input row.
+	seek := func(s int) {
+		ss.rows[s] = ss.seekers[s].Seek(ip.sides[s].rp.boundPattern(scratch))
+		built, dir := ss.seekers[s].LastSeek()
+		pending += 1 + built
+		if dir {
+			dirs++
+		}
+	}
 	stopped := false
 rows:
 	for i := 0; i < in.n; i++ {
@@ -351,26 +368,37 @@ rows:
 		}
 		in.writeCols(i, scratch)
 		wt := in.weight(i)
-		repeat := -1
+		var fresh [2]bool
 		for s, side := range ip.sides {
-			p := side.rp.boundPattern(scratch)
-			if p == ss.pats[s] && repeat < 0 {
-				repeat = s
-			}
-			ss.pats[s] = p
-			ss.rows[s], ss.pos[s] = ss.seekers[s].Seek(p), 0
-			built, dir := ss.seekers[s].LastSeek()
-			pending += 1 + built
-			if dir {
-				dirs++
+			if ss.newRun(s, side.keys, scratch) {
+				seek(s)
+				if ss.marked == s {
+					ss.marked = -1
+				}
+				if s < len(fresh) {
+					fresh[s] = true
+				}
 			}
 		}
-		side, cost := ss.walkSide(ip, repeat)
-		pending += cost
-		if cost > 0 {
+		ss.inRun = true
+		clear(ss.pos)
+		// m is the side the marks hold or are to hold.
+		m := ss.marked
+		if m < 0 {
+			m = 0
+			if fresh[0] && ss.short && !fresh[1] {
+				m = 1
+			}
+		}
+		ss.short = fresh[0]
+		walk := len(ss.rows) == 2 && len(ss.rows[1-m]) < walkRatio*len(ss.rows[m])
+		if walk && ss.marked != m {
+			pending += ss.marks.Clear() + len(ss.rows[m])
+			ss.marks.Mark(ss.rows[m], ip.cols[m], ss.visible)
+			ss.marked = m
 			marked++
 		}
-		if side >= 0 {
+		if walk {
 			walked++
 		} else {
 			galloped++
@@ -381,17 +409,18 @@ rows:
 		// A summing row adds up its matches in total, the last at last.
 		var total int64
 		var last store.ID
-		walkSum := sum && side >= 0
+		walkSum := sum && walk
 		if walkSum {
-			total, last, cost = ss.marks.Sum(ss.rows, ip.cols, ss.pos, side, ss.visible)
+			var cost int
+			total, last, cost = ss.marks.Sum(ss.rows, ip.cols, ss.pos, m, ss.visible)
 			pending += cost
 		}
 		for !walkSum {
 			var x store.ID
 			var steps int
 			var ok bool
-			if side >= 0 {
-				x, steps, ok = ss.marks.Probe(ss.rows, ip.cols, ss.pos, side)
+			if walk {
+				x, steps, ok = ss.marks.Probe(ss.rows, ip.cols, ss.pos, m)
 			} else {
 				x, steps, ok = store.Leapfrog(ss.rows, ip.cols, ss.pos)
 			}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -114,11 +115,21 @@ func TestIntersectFiresWhereExpected(t *testing.T) {
 //     other in-edge, whose out-edges (two) the marks then hold — and the
 //     hub's in-edges, 65 times as many, must gallop;
 //   - model m3, ten disjoint follows 3-cycles: every node has one in-
-//     and one out-edge, so no side's range repeats from one input row to
-//     the next and every row gallops.
+//     and one out-edge, so every input row is a run of its own and
+//     marks;
+//   - model m4, the runs: a node w that 2 000 sources follow — its run
+//     of input rows is longer than an input batch, so it crosses batches
+//     — and that follows one node, t0, which follows every source, so
+//     each row of the run closes a triangle and an enumerating group
+//     fills its output batch and descends inside the run. The source
+//     halfway through also has 100 in-edges of its own, over walkRatio
+//     times w's one out-edge: the run walks, gallops on that row — the
+//     only row of m4 with a nonempty binder range that gallops — and
+//     walks again. t0's rows into the sources each start a one-row run
+//     of the binder with the same x, so they mark in(t0) and walk.
 //
 // It returns the quads of each model.
-func intersectStore(t *testing.T) (m1, m2, m3 []rdf.Quad) {
+func intersectStore(t *testing.T) (m1, m2, m3, m4 []rdf.Quad) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(23))
 	follows := rdf.NewIRI(rdf.RelNS + "follows")
@@ -179,25 +190,39 @@ func intersectStore(t *testing.T) (m1, m2, m3 []rdf.Quad) {
 	for i := 0; i < 30; i++ {
 		add(&m3, rdf.Quad{S: cycle(i), P: follows, O: cycle(i/3*3 + (i+1)%3)})
 	}
-	return m1, m2, m3
+	const sources = 2000
+	w, t0 := rdf.NewIRI("http://pg/w"), rdf.NewIRI("http://pg/t0")
+	source := func(i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("http://pg/s%d", i)) }
+	add(&m4, rdf.Quad{S: w, P: follows, O: t0})
+	for i := 0; i < sources; i++ {
+		add(&m4, rdf.Quad{S: source(i), P: follows, O: w})
+		add(&m4, rdf.Quad{S: t0, P: follows, O: source(i)})
+		if i == sources/2 {
+			for j := 0; j < 100; j++ {
+				add(&m4, rdf.Quad{S: rdf.NewIRI(fmt.Sprintf("http://pg/r%d", j)), P: follows, O: source(i)})
+			}
+		}
+	}
+	return m1, m2, m3, m4
 }
 
-// TestIntersectMatchesNestedLoop is the fused-join differential. On
-// intersectStore — freshly loaded; with unmerged inserts and tombstones
-// inside the follows and hasTag ranges the seekers read, so marked
-// ranges come out of a seeker's merge buffer that its next Seek
-// overwrites; compacted — every intersection shape, over all models, m1
-// alone and m3 alone, must return byte for byte (row order included)
-// what the index-nested-loop-only engine returns, and the reference
-// evaluator's multiset of rows; the fusable shapes must fuse and the
-// others must not. The triangle shape must walk and gallop where
-// intersectStore says: both on m1, only gallop on m3.
-func TestIntersectMatchesNestedLoop(t *testing.T) {
-	m1, m2, m3 := intersectStore(t)
-	// Every 6th m1 quad is held out of the load and inserted later;
-	// every 7th loaded one is deleted.
+// intersectModel is one model of a differential store.
+type intersectModel struct {
+	name  string
+	quads []rdf.Quad
+}
+
+// intersectStates loads models into a store with serve's indexes and
+// calls check in three states: freshly loaded, except that every 6th
+// quad of the first model is held out; with the held quads inserted and
+// every 7th loaded one of that model deleted, unmerged — inserts and
+// tombstones inside the ranges the seekers read, so marked ranges come
+// out of a seeker's merge buffer that its next Seek overwrites; and
+// compacted. check gets the quads each model holds in that state.
+func intersectStates(t *testing.T, models []intersectModel, check func(state string, st *store.Store, quads map[string][]rdf.Quad)) {
+	t.Helper()
 	var base, held, deleted []rdf.Quad
-	for i, q := range m1 {
+	for i, q := range models[0].quads {
 		switch {
 		case i%6 == 2:
 			held = append(held, q)
@@ -212,16 +237,28 @@ func TestIntersectMatchesNestedLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []struct {
-		name  string
-		quads []rdf.Quad
-	}{{"m1", base}, {"m2", m2}, {"m3", m3}} {
+	quads := map[string][]rdf.Quad{}
+	for i, m := range models {
+		if i == 0 {
+			m.quads = base
+		}
 		if _, err := st.Load(m.name, m.quads); err != nil {
 			t.Fatal(err)
+		}
+		quads[m.name] = m.quads
+	}
+	check("loaded", st, quads)
+	first := models[0].name
+	for _, q := range held {
+		if ok, err := st.Insert(first, q); err != nil || !ok {
+			t.Fatalf("insert %s: %v %v", q, ok, err)
 		}
 	}
 	gone := map[rdf.Quad]bool{}
 	for _, q := range deleted {
+		if ok, err := st.Delete(first, q); err != nil || !ok {
+			t.Fatalf("delete %s: %v %v", q, ok, err)
+		}
 		gone[q] = true
 	}
 	var live []rdf.Quad
@@ -230,69 +267,95 @@ func TestIntersectMatchesNestedLoop(t *testing.T) {
 			live = append(live, q)
 		}
 	}
-	states := []struct {
-		name   string
-		mutate func()
-		m1     []rdf.Quad
-	}{
-		{"loaded", func() {}, base},
-		{"delta", func() {
-			for _, q := range held {
-				if ok, err := st.Insert("m1", q); err != nil || !ok {
-					t.Fatalf("insert %s: %v %v", q, ok, err)
-				}
-			}
-			for _, q := range deleted {
-				if ok, err := st.Delete("m1", q); err != nil || !ok {
-					t.Fatalf("delete %s: %v %v", q, ok, err)
-				}
-			}
-		}, live},
-		{"compacted", st.Compact, live},
+	quads[first] = live
+	if ws := st.WriteStats(); ws.DeltaRows == 0 || ws.Tombstones == 0 {
+		t.Fatalf("delta state has %d delta rows and %d tombstones", ws.DeltaRows, ws.Tombstones)
 	}
-	for _, state := range states {
-		state.mutate()
-		nlj := NewEngine(st)
+	check("delta", st, quads)
+	st.Compact()
+	check("compacted", st, quads)
+}
+
+// TestIntersectMatchesNestedLoop is the fused-join differential. In
+// each of intersectStates' states of intersectStore's m1, m2 and m3,
+// every intersection shape, over all models, m1 alone and m3 alone, must
+// return byte for byte (row order included) what the
+// index-nested-loop-only engine returns, and the reference evaluator's
+// multiset of rows; the fusable shapes must fuse and the others must
+// not. The triangle shape must walk and gallop where intersectStore
+// says: both on m1, only walk on m3. On a store of m4 alone, in the same
+// three states, the triangles (whose group fills its output batch inside
+// w's run) and their count grouped by ?c (a group that emits per value
+// in count mode, EQ12-SP-by-z's shape) must return what the nested
+// loops return, and mark, walk and gallop on the rows triangleKernels
+// says: w's run, which crosses input batches, marks once and walks but
+// for its hub row, the only row that gallops against a nonempty marked
+// range, and t0's rows into the sources mark in(t0). The reference
+// evaluator, which scans every quad per solution,
+// is too slow for m4's 4 000 rows.
+func TestIntersectMatchesNestedLoop(t *testing.T) {
+	m1, m2, m3, m4 := intersectStore(t)
+	engines := func(st *store.Store) (nlj, e *Engine) {
+		nlj = NewEngine(st)
 		nlj.DisableHashJoin = true
-		e := NewEngine(st)
+		e = NewEngine(st)
 		e.hashJoinThreshold = 16
+		return nlj, e
+	}
+	// compare checks q against the nested loops and whether it fuses,
+	// and returns the profile of the step the triangles' group binds at.
+	compare := func(label string, nlj, e *Engine, model, q string, fuses bool) *ProfileNode {
+		t.Helper()
+		q = testPrologue + q
+		want, err := nlj.Query(model, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fused := fusedSteps(t, e, model, q) != ""; fused != fuses {
+			t.Errorf("%s: fused = %v\n%s", label, fused, q)
+		}
+		got, prof, err := e.QueryProfiled(model, q)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if got.String() != want.String() {
+			t.Fatalf("%s: intersection join differs from nested loops\n%s\n%s", label, q, firstDiff(want.String(), got.String()))
+		}
+		return prof.Plan[0].Children[1]
+	}
+	intersectStates(t, []intersectModel{{"m1", m1}, {"m2", m2}, {"m3", m3}}, func(state string, st *store.Store, quads map[string][]rdf.Quad) {
+		nlj, e := engines(st)
 		for _, dataset := range []struct {
 			model string
 			quads []rdf.Quad
-		}{{"", append(append(append([]rdf.Quad(nil), state.m1...), m2...), m3...)}, {"m1", state.m1}, {"m3", m3}} {
+		}{{"", append(append(append([]rdf.Quad(nil), quads["m1"]...), m2...), m3...)}, {"m1", quads["m1"]}, {"m3", m3}} {
 			for i, q := range intersectShapeQueries {
-				q = testPrologue + q
-				want, err := nlj.Query(dataset.model, q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				label := fmt.Sprintf("%s/%q/shape %d", state.name, dataset.model, i)
-				fused := fusedSteps(t, e, dataset.model, q) != ""
-				if fused != (i < len(intersectShapeQueries)-unfusedShapes) {
-					t.Errorf("%s: fused = %v\n%s", label, fused, q)
-				}
-				got, prof, err := e.QueryProfiled(dataset.model, q)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				if got.String() != want.String() {
-					t.Fatalf("%s: intersection join differs from nested loops\n%s\n%s", label, q, firstDiff(want.String(), got.String()))
-				}
-				checkAgainstReference(t, e, dataset.model, dataset.quads, label, q)
-				if i == 0 {
-					binder := prof.Plan[0].Children[1]
-					walks := dataset.model != "m3"
-					if binder.Galloped == 0 || (binder.Walked > 0) != walks || binder.Walked+binder.Galloped != binder.RowsIn {
-						t.Errorf("%s: marked=%d walked=%d galloped=%d of %d rows; want walks = %v and gallops",
-							label, binder.Marked, binder.Walked, binder.Galloped, binder.RowsIn, walks)
-					}
+				label := fmt.Sprintf("%s/%q/shape %d", state, dataset.model, i)
+				binder := compare(label, nlj, e, dataset.model, q, i < len(intersectShapeQueries)-unfusedShapes)
+				checkAgainstReference(t, e, dataset.model, dataset.quads, label, testPrologue+q)
+				if gallops := dataset.model != "m3"; i == 0 && (binder.Walked == 0 || (binder.Galloped > 0) != gallops || binder.Walked+binder.Galloped != binder.RowsIn) {
+					t.Errorf("%s: marked=%d walked=%d galloped=%d of %d rows; want walks and gallops = %v",
+						label, binder.Marked, binder.Walked, binder.Galloped, binder.RowsIn, gallops)
 				}
 			}
 		}
-		if ws := st.WriteStats(); state.name == "delta" && (ws.DeltaRows == 0 || ws.Tombstones == 0) {
-			t.Fatalf("delta state has %d delta rows and %d tombstones", ws.DeltaRows, ws.Tombstones)
+	})
+	byC := `SELECT ?c (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b . ?b rel:follows ?c . ?c rel:follows ?a } GROUP BY ?c`
+	intersectStates(t, []intersectModel{{"m4", m4}}, func(state string, st *store.Store, quads map[string][]rdf.Quad) {
+		nlj, e := engines(st)
+		k := triangleKernels(t, st)
+		if k.longer != 1 || k.marked >= k.walked || k.markedIn == 0 {
+			t.Fatalf("%s: m4 does not walk, gallop on the hub's row alone, walk again and mark in(x): %+v", state, k)
 		}
-	}
+		for i, q := range []string{intersectShapeQueries[0], byC} {
+			label := fmt.Sprintf("%s/m4/query %d", state, i)
+			binder := compare(label, nlj, e, "m4", q, true)
+			if binder.Marked != k.marked || binder.Walked != k.walked || binder.Galloped != k.galloped {
+				t.Errorf("%s: marked=%d walked=%d galloped=%d of %d rows; want %+v",
+					label, binder.Marked, binder.Walked, binder.Galloped, binder.RowsIn, k)
+			}
+		}
+	})
 }
 
 // triangleKernels is what the triangle count's fused group charges
@@ -302,24 +365,26 @@ func TestIntersectMatchesNestedLoop(t *testing.T) {
 // order (the order the indexes sort by). The count reads nothing of
 // the group's variable, so every input row sums its matches:
 //
-//   - the driving scan reads each row (x, y) once, in (y, x) order;
-//   - per row the group seeks out(y) and in(x): two units. A seek
-//     whose pattern differs from its side's previous one narrows; the
-//     side's narrow that brings its narrows times store.DirPayback to
-//     the follows rows builds its directory, reading every follows row
-//     (one unit each), and that narrow and every later one are answered
-//     by the directory;
-//   - when the marks hold the current out(y) or in(x), or else one of
-//     them is the previous row's (out(y) first), and the other side is
-//     shorter than walkRatio times that one, the row walks the other
-//     side. If the marks held a different range, marking charges one per
-//     value it clears and one per row it marks. The walk charges each of
-//     its rows; when the marked range is not simple (a value on two
-//     rows) it also charges, per common value, the marked side's rows
-//     holding it;
-//   - every other row leapfrogs (store.Leapfrog): one per gallop that
-//     does not run off a side's end, and per common value the rows on
-//     each side holding it;
+//   - the driving scan reads each row (x, y) once, in (y, x) order; the
+//     rows of one y are a run of out(y), consecutive rows of one x
+//     (an edge in several graphs, or the last row of one y and the
+//     first of the next) a run of in(x);
+//   - the first row of a run seeks its side: one unit. A side's seeker
+//     counts its narrows, and the narrow that brings them times
+//     store.DirPayback to the follows rows builds its directory,
+//     reading every follows row (one unit each), when the values the
+//     side narrows by (the rows' subjects for out(y), their objects for
+//     in(x)) span at most store.DirSpan IDs per row; that narrow and
+//     every later one are answered by the directory;
+//   - the marked side is the one the marks hold, while its run lasts;
+//     failing that, in(x) when out(y)'s run starts at the row and
+//     in(x)'s does not, else out(y). A row whose other side is shorter
+//     than walkRatio times the marked side walks the other side,
+//     marking first unless the marks hold it: one unit per value it
+//     clears (the previous marking's) and one per row it marks. The
+//     walk charges each of its rows; when the marked side is not
+//     simple (a value on two rows) it also charges, per common value,
+//     the marked side's rows holding it;
 //   - a row with a common value emits one row: one unit.
 func triangleKernels(t *testing.T, st *store.Store) (k kernelCounts) {
 	t.Helper()
@@ -344,61 +409,69 @@ func triangleKernels(t *testing.T, st *store.Store) (k kernelCounts) {
 	sort.Slice(edges, func(i, j int) bool {
 		return edges[i].y < edges[j].y || edges[i].y == edges[j].y && edges[i].x < edges[j].x
 	})
-	k.work = int64(len(edges))
-	type key struct {
-		side int
-		v    uint64
+	// span[s] is how many IDs the values side s narrows by span.
+	var span [2]uint64
+	for s, m := range []map[uint64][]uint64{out, in} {
+		lo, hi := uint64(math.MaxUint64), uint64(0)
+		for v := range m {
+			lo, hi = min(lo, v), max(hi, v)
+		}
+		span[s] = hi - lo + 1
 	}
-	mark, markValues := key{side: -1}, 0
-	var prev edge
+	k.work = int64(len(edges))
+	markValues, marked, short := 0, -1, false
 	var narrows [2]int
 	buildAt := max(1, (len(edges)+store.DirPayback-1)/store.DirPayback)
 	for i, e := range edges {
-		k.work += 2
-		for s, narrow := range [2]bool{i == 0 || e.y != prev.y, i == 0 || e.x != prev.x} {
+		fresh := [2]bool{i == 0 || e.y != edges[i-1].y, i == 0 || e.x != edges[i-1].x}
+		for s, narrow := range fresh {
 			if !narrow {
 				continue
 			}
-			if narrows[s]++; narrows[s] == buildAt {
+			if marked == s {
+				marked = -1
+			}
+			k.work++
+			dense := span[s] <= store.DirSpan*uint64(len(edges))
+			if narrows[s]++; narrows[s] == buildAt && dense {
 				k.work += int64(len(edges))
 			}
-			if narrows[s] >= buildAt {
+			if narrows[s] >= buildAt && dense {
 				k.dir++
 			}
 		}
 		sides := [2][]uint64{out[e.y], in[e.x]}
-		cur := [2]key{{0, e.y}, {1, e.x}}
-		cand := -1
-		switch {
-		case i > 0 && e.y == prev.y:
-			cand = 0
-		case i > 0 && e.x == prev.x:
-			cand = 1
-		}
-		if mark.side >= 0 && cur[mark.side] == mark {
-			cand = mark.side
-		}
-		prev = e
 		lf := leapfrogSorted(sides[0], sides[1])
 		if lf.hits > 0 {
 			k.work++
 		}
-		if cand >= 0 && len(sides[1-cand]) < walkRatio*len(sides[cand]) {
-			k.walked++
-			if cur[cand] != mark {
-				k.marked++
-				k.work += int64(markValues + len(sides[cand]))
-				mark, markValues = cur[cand], distinct(sides[cand])
+		m := marked
+		if m < 0 {
+			m = 0
+			if fresh[0] && short && !fresh[1] {
+				m = 1
 			}
-			k.work += int64(len(sides[1-cand]))
-			if distinct(sides[cand]) < len(sides[cand]) {
+		}
+		short = fresh[0]
+		if len(sides[1-m]) < walkRatio*len(sides[m]) {
+			k.walked++
+			if marked != m {
+				k.marked++
+				k.work += int64(markValues + len(sides[m]))
+				markValues, marked = distinct(sides[m]), m
+			}
+			if m == 1 {
+				k.markedIn++
+			}
+			k.work += int64(len(sides[1-m]))
+			if distinct(sides[m]) < len(sides[m]) {
 				k.nonSimple++
-				k.work += lf.runs[cand]
+				k.work += lf.runs[m]
 			}
 			continue
 		}
 		k.galloped++
-		if cand >= 0 {
+		if len(sides[m]) > 0 {
 			k.longer++
 		}
 		k.work += lf.seeks + lf.runs[0] + lf.runs[1]
@@ -407,12 +480,12 @@ func triangleKernels(t *testing.T, st *store.Store) (k kernelCounts) {
 }
 
 // kernelCounts is triangleKernels' answer: the work charged, the input
-// rows that mark, walk and gallop, the galloping rows one of whose
-// sides the marks hold or repeats — the other being walkRatio times
-// longer — the walking rows whose marks are not simple, and the seeks a
-// directory answers.
+// rows that mark, walk and gallop, the galloping rows whose other side
+// is walkRatio times longer than a nonempty marked side, the walking
+// rows whose marks hold in(x) and whose marks are not simple, and the
+// seeks a directory answers.
 type kernelCounts struct {
-	work, marked, walked, galloped, longer, nonSimple, dir int64
+	work, marked, walked, galloped, longer, markedIn, nonSimple, dir int64
 }
 
 // distinct is the number of distinct values of an ascending list.
@@ -491,9 +564,9 @@ func withParallelEdges(t *testing.T, st *store.Store) {
 
 // TestIntersectCharges pins the triangle count's MaxWork charges and
 // kernel choices to triangleKernels on hubStore with parallel edges
-// (withParallelEdges), whose rows mark, sum by walking — over simple
-// marks and marks that are not — sum by galloping because a side does
-// not repeat, and gallop because the hub's in-edges outnumber a
+// (withParallelEdges), whose runs mark once and then walk row after
+// row, some of whose rows mark in(x), whose rows sum by walking — over simple marks and marks that are
+// not — and by galloping because the hub's in-edges outnumber a
 // vertex's out-edges over walkRatio times, and whose seekers build
 // their directories: the full charge passes and one unit less trips,
 // and EXPLAIN ANALYZE's binder line reports the same ticks, kernel
@@ -522,7 +595,7 @@ func TestIntersectCharges(t *testing.T) {
 		t.Fatalf("EXPLAIN ANALYZE lacks %q:\n%s", line, prof.Render())
 	}
 	t.Logf("hubStore(400, 2) with parallel edges: %+v", k)
-	if k.marked == 0 || k.walked == k.nonSimple || k.nonSimple == 0 || k.longer == 0 || k.galloped == k.longer || k.dir == 0 {
+	if k.marked == 0 || k.marked >= k.walked || k.walked == k.nonSimple || k.nonSimple == 0 || k.longer == 0 || k.markedIn == 0 || k.dir == 0 {
 		t.Fatalf("hubStore does not run every kernel: %+v", k)
 	}
 	for _, tc := range []struct {
@@ -540,14 +613,14 @@ func TestIntersectCharges(t *testing.T) {
 // TestIntersectCancellationMidMark cancels a triangle count at the tick
 // that charges a marking, and at the tick that charges a directory
 // build. On hubStore(marks, 0, true) — the hub interned first — the
-// second input row marks the hub's out-edges (marks rows) before any
-// other intersection work. The work before that marking is the driving
-// scan's first 64 rows and two input rows' seeks and gallops, far under
-// half the marking's 4 096 rows. The checker's seeker narrows on every
-// input row, so it builds its directory on row 2×marks/store.DirPayback,
-// reading all 2×marks follows rows; the work before that build is the
-// marking plus under 1 500 units of scan batches, seeks and one-row
-// walks. So a budget of vecRampStart plus half the marking, or plus the
+// first input row starts the hub's run and marks its out-edges (marks
+// rows) before any other intersection work. The work before that
+// marking is the driving scan's first 64 rows and the row's two seeks,
+// far under half the marking's 4 096 rows. The checker's seeker narrows
+// on every input row, so it builds its directory on row
+// 2×marks/store.DirPayback, reading all 2×marks follows rows (whose
+// objects span marks+1 IDs); the work before that build is the marking
+// plus under 1 500 units of scan batches, seeks and one-row walks. So a budget of vecRampStart plus half the marking, or plus the
 // marking and half the build, trips at the tick carrying it, which
 // polls nothing, so the Done calls of that run are the ones before it. One call later the context is canceled: that
 // tick crosses a poll boundary and must stop the query with

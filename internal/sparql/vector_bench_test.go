@@ -146,6 +146,20 @@ func BenchmarkIntersectKernel(b *testing.B) {
 	})
 }
 
+// spFourCycles is the 4-cycle count on the `scan-sp` store.
+const spFourCycles = 2610360
+
+// BenchmarkFourCycleKernel: the directed 4-cycle count on `scan-sp`'s SP
+// store. Its fused group closes the cycle: it binds ?d from ?c, which
+// changes on every input row, and checks ?d against in(?a), which
+// repeats for every row of one ?a — the shape whose marks belong on the
+// checker (DESIGN.md §20). The count is checked once before timing.
+func BenchmarkFourCycleKernel(b *testing.B) {
+	const q = `SELECT (COUNT(*) AS ?n) WHERE { ?a r:follows ?b . ?b r:follows ?c . ?c r:follows ?d . ?d r:follows ?a }`
+	checkCount(b, spKernelStore(b), q, spFourCycles)
+	runKernel(b, spKernelStore(b), q, nil)
+}
+
 // checkCount fails b unless q's counts, summed over its rows, are want.
 func checkCount(b *testing.B, st *store.Store, q string, want int64) {
 	b.Helper()

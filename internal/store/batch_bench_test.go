@@ -133,6 +133,31 @@ func BenchmarkScanThroughDelta(b *testing.B) {
 	}
 }
 
+// sparseStore holds ngEdges rows of predicate p, each of whose subjects
+// is interned after two subjects of predicate q, so that p's subjects
+// span three IDs per row. It returns them in row order too.
+func sparseStore(b *testing.B) (*Store, []ID) {
+	b.Helper()
+	s, err := NewWithIndexes([]string{"PCSGM", "PSCGM", "SPCGM", "GSPCM"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	quads := make([]rdf.Quad, 0, 3*ngEdges)
+	for i := 0; i < ngEdges; i++ {
+		for _, sp := range [][2]string{{"f", "q"}, {"g", "q"}, {"s", "p"}} {
+			quads = append(quads, rdf.Quad{S: iri(fmt.Sprintf("%s%d", sp[0], i)), P: iri(sp[1]), O: iri("o")})
+		}
+	}
+	if _, err := s.Load("data", quads); err != nil {
+		b.Fatal(err)
+	}
+	subjects := make([]ID, ngEdges)
+	for i := range subjects {
+		subjects[i] = s.Dict().Lookup(iri(fmt.Sprintf("s%d", i)))
+	}
+	return s, subjects
+}
+
 // BenchmarkSeek times what a sorted intersection join does per input
 // row and side: one Seek narrowing the follows range of PSCGM (79 712
 // rows) to a node's out-edges, with no delta and with 4 500 unmerged
@@ -142,7 +167,10 @@ func BenchmarkScanThroughDelta(b *testing.B) {
 // share of seeks the directory answered. The few and payback legs open
 // a fresh seeker every 8 and every 2 048 seeks: the first never builds
 // a directory, the second builds it at its 1 246th narrow and stops
-// soon after — the most a seeker can lose to the build.
+// soon after — the most a seeker can lose to the build. The sparse leg
+// narrows a 79 712-row range of sparseStore's, whose values span three
+// IDs per row, more than DirSpan: its seeker declines to build and every
+// narrow searches the rows.
 func BenchmarkSeek(b *testing.B) {
 	for _, inserts := range []int{0, 4500} {
 		s := ngStore(b, inserts, 0)
@@ -171,6 +199,23 @@ func BenchmarkSeek(b *testing.B) {
 		if inserts > 0 {
 			continue
 		}
+		sparse, subjects := sparseStore(b)
+		b.Run("sparse", func(b *testing.B) {
+			v := sparse.View()
+			konst := AnyPattern()
+			konst.P = sparse.Dict().Lookup(iri("p"))
+			o := sparse.Dict().Lookup(iri("o"))
+			sk := v.Seeker(v.SeekIndex([]Col{ColP}, ColS), konst)
+			p := konst
+			for i := 0; i < b.N; i++ {
+				p.S = subjects[(i*31)%len(subjects)]
+				rows := sk.Seek(p)
+				benchSink += seekCol(rows, 0, ColC, o)
+				if _, dir := sk.LastSeek(); dir {
+					b.Fatal("a range spanning three IDs per row built a directory")
+				}
+			}
+		})
 		for _, leg := range []struct {
 			name  string
 			seeks int

@@ -345,15 +345,19 @@ func TestSeekerReuse(t *testing.T) {
 	}
 }
 
-// TestSeekerDirectoryMatchesFresh checks the Seeker's directory: once
-// enough one-column narrows have built it, a seeker must Seek,
-// for every ID the dictionary holds and two past it, the same rows as a
-// fresh seeker, which searches the rows — values the range holds,
-// absent ones between them, ones below its first and above its last,
-// values only delta inserts hold and runs whose every row is
-// tombstoned. It runs three seek shapes through the zero-copy and the
-// merge paths, on the loaded store, with delta entries, after Load and
-// Compact, and on every view pinned before those.
+// TestSeekerDirectoryMatchesFresh checks the Seeker's directory: at
+// the narrow DirPayback names, a seeker must build it — reading every
+// row of its range — when the range's values span at most DirSpan IDs
+// per row, and build nothing otherwise; from then on it must
+// Seek, for every ID the dictionary holds and two past it, the same
+// rows as a fresh seeker, which searches the rows — values the range
+// holds, absent ones in the gaps between them, ones below its first and
+// above its last, values only delta inserts hold and runs whose every
+// row is tombstoned. It runs four seek shapes, one of them (r's two
+// rows, the first and the last subject) spanning far more than DirSpan
+// IDs per row, through the zero-copy and the merge paths, on the loaded
+// store, with delta entries, after Load and Compact, and on every view
+// pinned before those.
 func TestSeekerDirectoryMatchesFresh(t *testing.T) {
 	s := New()
 	// ID 1 is no predicate and no subject or object of p: a value below
@@ -372,58 +376,67 @@ func TestSeekerDirectoryMatchesFresh(t *testing.T) {
 			quads = append(quads, quad(fmt.Sprintf("s%d", i), []string{"p", "q"}[rng.Intn(2)], fmt.Sprintf("o%d", rng.Intn(90)), g))
 		}
 	}
-	if _, err := s.Load("m", quads); err != nil {
+	if _, err := s.Load("m", append(quads, quad("s0", "r", "o0", ""), quad("s299", "r", "o1", ""))); err != nil {
 		t.Fatal(err)
 	}
-	p := s.Dict().Lookup(iri("p"))
 	shapes := []struct {
-		bound []Col
-		next  Col
-	}{{[]Col{ColP}, ColS}, {[]Col{ColP}, ColC}, {nil, ColP}}
-	var merged, zeroCopy, deltaOnly, tombstoned, below, above int
+		pred string // the constant predicate; "" for none
+		next Col
+	}{{"p", ColS}, {"p", ColC}, {"", ColP}, {"r", ColS}}
+	var merged, zeroCopy, deltaOnly, tombstoned, below, above, gaps, built, declined int
 	check := func(label string, v *View) {
 		t.Helper()
 		last := ID(s.Dict().Len() + 2)
 		for _, sh := range shapes {
-			ix := v.SeekIndex(sh.bound, sh.next)
+			var bound []Col
 			konst := AnyPattern()
-			if len(sh.bound) > 0 {
-				konst.P = p
+			if sh.pred != "" {
+				bound, konst.P = []Col{ColP}, s.Dict().Lookup(iri(sh.pred))
 			}
+			ix := v.SeekIndex(bound, sh.next)
 			narrow := func(id ID) Pattern {
 				q := konst
 				setCol(&q, sh.next, id)
 				return q
 			}
 			warm := v.Seeker(ix, konst)
-			builtAt := 0
-			for n := 1; builtAt == 0; n++ {
+			rows := warm.base
+			held := map[ID]bool{}
+			for _, q := range rows {
+				held[q.Get(sh.next)] = true
+			}
+			first, end := rows[0].Get(sh.next), rows[len(rows)-1].Get(sh.next)
+			dense := end-first < DirSpan*ID(len(rows))
+			buildAt := max(1, (len(rows)+DirPayback-1)/DirPayback)
+			lbl := fmt.Sprintf("%s %s (%d rows, values %d..%d)", label, ix.Perm(), len(rows), first, end)
+			for n := 1; n <= buildAt; n++ {
 				warm.Seek(narrow(ID(n)))
-				if built, dir := warm.LastSeek(); built > 0 {
-					if built != len(warm.base) || !dir || len(warm.dirVals) == 0 {
-						t.Fatalf("%s %s: narrow %d built %d of %d rows, dir %v", label, ix.Perm(), n, built, len(warm.base), dir)
-					}
-					builtAt = n
-				} else if dir {
-					t.Fatalf("%s %s: narrow %d used a directory before building it", label, ix.Perm(), n)
+				b, dir := warm.LastSeek()
+				switch {
+				case n < buildAt && (b > 0 || dir):
+					t.Fatalf("%s: narrow %d of %d built %d rows, dir %v", lbl, n, buildAt, b, dir)
+				case n == buildAt && dense && (b != len(rows) || !dir):
+					t.Fatalf("%s: narrow %d built %d rows, dir %v; want the directory", lbl, n, b, dir)
+				case n == buildAt && !dense && (b > 0 || dir || warm.starts != nil):
+					t.Fatalf("%s: narrow %d built %d rows, dir %v over a span of more than DirSpan IDs per row", lbl, n, b, dir)
 				}
 			}
-			if want := (len(warm.base) + DirPayback - 1) / DirPayback; builtAt != max(1, want) {
-				t.Fatalf("%s %s: built the directory at narrow %d of a %d-row range, want %d", label, ix.Perm(), builtAt, len(warm.base), want)
+			if dense {
+				built++
+			} else {
+				declined++
 			}
-			vals := warm.dirVals
 			for id := ID(1); id <= last; id++ {
-				lbl := fmt.Sprintf("%s %s: %s = %d", label, ix.Perm(), sh.next, id)
+				lbl := fmt.Sprintf("%s: %s = %d", lbl, sh.next, id)
 				got := warm.Seek(narrow(id))
-				if built, dir := warm.LastSeek(); built != 0 || !dir {
-					t.Fatalf("%s: built %d, dir %v; want the built directory", lbl, built, dir)
+				if b, dir := warm.LastSeek(); b != 0 || dir != dense {
+					t.Fatalf("%s: built %d, dir %v; want dir %v", lbl, b, dir, dense)
 				}
 				fresh := v.Seeker(ix, konst)
 				quadsEqual(t, lbl, got, fresh.Seek(narrow(id)))
 				if _, dir := fresh.LastSeek(); dir {
 					t.Fatalf("%s: a fresh seeker used a directory", lbl)
 				}
-				held := slices.Contains(vals, id)
 				switch {
 				case len(got) > 0 && len(warm.buf) > 0 && &got[0] == &warm.buf[0]:
 					merged++
@@ -431,13 +444,17 @@ func TestSeekerDirectoryMatchesFresh(t *testing.T) {
 					zeroCopy++
 				}
 				switch {
-				case id < vals[0]:
+				case id < first:
 					below++
-				case id > vals[len(vals)-1]:
+				case id > end:
 					above++
-				case held && len(got) == 0:
+				case !held[id]:
+					gaps++
+				}
+				switch {
+				case held[id] && len(got) == 0:
 					tombstoned++
-				case !held && len(got) > 0:
+				case !held[id] && len(got) > 0:
 					deltaOnly++
 				}
 			}
@@ -483,9 +500,9 @@ func TestSeekerDirectoryMatchesFresh(t *testing.T) {
 	state("delta again")
 	s.Compact()
 	state("compacted")
-	if merged == 0 || zeroCopy == 0 || deltaOnly == 0 || tombstoned == 0 || below == 0 || above == 0 {
-		t.Fatalf("seeks: %d merged, %d zero-copy, %d delta-only, %d tombstoned, %d below, %d above; want each",
-			merged, zeroCopy, deltaOnly, tombstoned, below, above)
+	if merged == 0 || zeroCopy == 0 || deltaOnly == 0 || tombstoned == 0 || below == 0 || above == 0 || gaps == 0 || built == 0 || declined == 0 {
+		t.Fatalf("seeks: %d merged, %d zero-copy, %d delta-only, %d tombstoned, %d below, %d above, %d in gaps; %d directories built, %d declined; want each",
+			merged, zeroCopy, deltaOnly, tombstoned, below, above, gaps, built, declined)
 	}
 }
 

@@ -28,37 +28,40 @@ type Seeker struct {
 	from, to dpos     // delta entries under the constant prefix
 	buf      []IDQuad // merged rows of the last Seek that met the delta
 
-	// The last Seek's pattern and rows: a join's input rows often repeat
-	// the values a side is narrowed by (EQ12's second step sees each
-	// ?y once per in-edge, consecutively).
-	last     Pattern
-	lastRows []IDQuad
-	seeked   bool
-
-	// The directory of the constant-prefix base range (DirPayback): the
-	// distinct values of the key column after the constant prefix,
-	// ascending, and where each one's run of rows in base starts, with
-	// len(base) after the last. narrows counts the one-column narrows
-	// until the directory is built, then is -1; built and dirHit report
-	// the last Seek (LastSeek).
-	dirVals   []ID
-	dirStarts []uint32
-	narrows   int
-	built     int
-	dirHit    bool
+	// The directory of the constant-prefix base range (DirPayback): a
+	// direct-address table over the values of the key column after the
+	// constant prefix. starts[id-lo] is where id's run of rows in base
+	// starts — the next value's start when base holds no id — and the
+	// last entry is len(base). narrows counts the one-column narrows
+	// until the directory is built or declined, then is -1; built and
+	// dirHit report the last Seek (LastSeek).
+	lo      ID
+	starts  []uint32
+	narrows int
+	built   int
+	dirHit  bool
 }
 
 // DirPayback decides when a Seeker builds its directory: at the
 // one-column narrow that brings the narrows times DirPayback to the
 // rows of its constant-prefix range. The build reads each of those rows
-// once, in order; every narrow after it binary-searches the directory's
-// few kilobytes of values instead of the rows, whose deep levels miss
-// the cache. A narrow that searches the rows costs about as much as
-// reading DirPayback rows in order, so the build costs about what the
-// narrows before it did: a seeker that stops right after it pays at
-// most about twice what searching alone would have, and one that keeps
-// narrowing gains (DESIGN.md §20).
+// once, in order (DirSpan keeps the table it writes smaller than they
+// are); every narrow after it reads its run's bounds from two adjacent
+// entries instead of searching the rows, whose deep levels miss the
+// cache. A narrow that searches the rows costs about as much as reading
+// DirPayback rows in order, so the build costs about what the narrows
+// before it did: a seeker that stops right after it pays at most about
+// twice what searching alone would have, and one that keeps narrowing
+// gains (DESIGN.md §20).
 const DirPayback = 64
+
+// DirSpan bounds the directory: a range builds one only when its values
+// span at most DirSpan IDs per row, so the table's 4-byte entries add at
+// most a fifth to the 40-byte rows the build reads. A range whose values
+// span more keeps searching rows. On NG data the follows range's nodes
+// span 1.08 IDs per row, interleaved with the edges' graph IDs; on SP
+// data they span 0.04.
+const DirSpan = 2
 
 // SeekIndex returns the first index whose key starts with the columns
 // of bound, in any order, followed by next: the index a Seeker over
@@ -112,21 +115,19 @@ func (v *View) Seeker(ix *Index, p Pattern) *Seeker {
 // must not be mutated. A Seek that narrows by the one column after the
 // constant prefix searches the base rows until the seeker has done that
 // often enough (DirPayback), then builds a directory of the range's
-// values and runs and from then on searches that instead (narrow). Each
-// Seek counts as one range scan of the index, and an installed
-// FaultInjector observes every row it returns.
+// runs and from then on looks the run up in it (narrowOne). Each Seek
+// counts as one range scan of the index, and an installed FaultInjector
+// observes every row it returns.
 func (s *Seeker) Seek(p Pattern) []IDQuad {
 	s.r.ix.rangeScans.Add(1)
 	s.built, s.dirHit = 0, false
-	if !s.seeked || p != s.last {
-		s.last, s.lastRows, s.seeked = p, s.narrow(p), true
-	}
+	rows := s.narrow(p)
 	if f := s.st.fault.Load(); f != nil {
-		for range s.lastRows {
+		for range rows {
 			f.observeRow()
 		}
 	}
-	return s.lastRows
+	return rows
 }
 
 // LastSeek reports what the last Seek did beyond returning its rows:
@@ -139,12 +140,8 @@ func (s *Seeker) LastSeek() (built int, dir bool) {
 
 // narrow resolves p's range inside the constant-prefix base range and
 // merges it with the delta entries inside it, if any. When more than
-// one column narrows the range, it binary-searches the rows. When one
-// does (the usual case), it takes one of two paths (narrowOne): until
-// DirPayback says the directory pays, a binary search of the rows for
-// the start and a gallop to the (usually near) end; from the narrow that
-// builds the directory on, a binary search of its values, whose entry
-// holds the run's start and whose successor's holds its end.
+// one column narrows the range, it binary-searches the rows; when one
+// does (the usual case), narrowOne finds the run.
 func (s *Seeker) narrow(p Pattern) []IDQuad {
 	r := s.r
 	n := r.ix.prefixLen(p)
@@ -171,45 +168,59 @@ func (s *Seeker) narrow(p Pattern) []IDQuad {
 }
 
 // narrowOne returns the base rows whose column c — the one after the
-// constant prefix, which sorts the constant-prefix range — holds id.
+// constant prefix, which sorts the constant-prefix range — holds id:
+// from the directory once it is built (an id outside its span has no
+// entry and no rows), else by a binary search of the rows for the start
+// and a gallop to the (usually near) end.
 func (s *Seeker) narrowOne(c Col, id ID) []IDQuad {
 	rows := s.base
 	if s.narrows >= 0 {
-		if s.narrows++; s.narrows*DirPayback < len(rows) || len(rows) > math.MaxUint32 {
-			lo, hi := 0, len(rows)
-			for lo < hi {
-				if m := int(uint(lo+hi) >> 1); rows[m].Get(c) < id {
-					lo = m + 1
-				} else {
-					hi = m
-				}
-			}
-			rows = rows[lo:]
-			return rows[:seekCol(rows, 0, c, id+1)]
+		if s.narrows++; s.narrows*DirPayback >= len(rows) {
+			s.narrows = -1
+			s.buildDir(c)
 		}
-		s.narrows = -1
-		s.buildDir(c)
 	}
-	i, found := slices.BinarySearch(s.dirVals, id)
-	s.dirHit = true
-	start := s.dirStarts[i]
-	if !found {
-		return rows[start:start]
+	if s.starts != nil {
+		s.dirHit = true
+		// Below lo the difference wraps past every entry.
+		if i := id - s.lo; i < ID(len(s.starts)-1) {
+			return rows[s.starts[i]:s.starts[i+1]]
+		}
+		return rows[:0]
 	}
-	return rows[start:s.dirStarts[i+1]]
+	lo, hi := 0, len(rows)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); rows[m].Get(c) < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	rows = rows[lo:]
+	return rows[:seekCol(rows, 0, c, id+1)]
 }
 
 // buildDir fills the directory from one pass over the base rows, which
-// are sorted by c.
+// are sorted by c, when their values of c span at most DirSpan IDs per
+// row (and the starts fit 32 bits); otherwise it builds nothing.
 func (s *Seeker) buildDir(c Col) {
-	for i, q := range s.base {
-		if v := q.Get(c); i == 0 || v != s.dirVals[len(s.dirVals)-1] {
-			s.dirVals = append(s.dirVals, v)
-			s.dirStarts = append(s.dirStarts, uint32(i))
+	rows := s.base
+	if len(rows) == 0 || len(rows) > math.MaxUint32 {
+		return
+	}
+	lo, hi := rows[0].Get(c), rows[len(rows)-1].Get(c)
+	if hi-lo >= DirSpan*ID(len(rows)) {
+		return
+	}
+	starts := make([]uint32, hi-lo+2)
+	next := lo // the smallest value whose start is not set yet
+	for i, q := range rows {
+		for v := q.Get(c); next <= v; next++ {
+			starts[next-lo] = uint32(i)
 		}
 	}
-	s.dirStarts = append(s.dirStarts, uint32(len(s.base)))
-	s.built = len(s.base)
+	starts[len(starts)-1] = uint32(len(rows))
+	s.lo, s.starts, s.built = lo, starts, len(rows)
 }
 
 // compareKey compares q's values in the key columns cols with p's: -1,
