@@ -163,7 +163,10 @@ bench-algos-smoke:
 ## bulk load of RF/NG/SP at scale 0.05 into serve's four indexes, parse
 ## excluded (BenchmarkLoad) — plus the
 ## analytics tier's triangle count on the algo-rf CSR at one and two
-## workers (BenchmarkTrianglesKernel). Compare against the parent
+## workers and on the scan-sp store's CSR at one
+## (BenchmarkTrianglesKernel; that leg and the intersection's EQ12-SP
+## leg report their edges, for the two per-edge costs on one host).
+## Compare against the parent
 ## commit's run (bench-kernel does that for BenchmarkIntersectKernel).
 bench-micro:
 	$(GO) test -bench 'Kernel' -run '^$$' -benchtime 20x ./internal/sparql/

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"repro/internal/pgrdf"
@@ -29,23 +28,34 @@ func twitterCSR(tb testing.TB, s pgrdf.Scheme, cfg twitter.Config) *CSR {
 	return cs
 }
 
-// BenchmarkTrianglesKernel times Runner.Triangles alone on the CSR the
-// serving benchmark's algo-rf workload counts: the twitter graph at
+// BenchmarkTrianglesKernel times Runner.Triangles alone: on the CSR the
+// serving benchmark's algo-rf workload counts — the twitter graph at
 // scale 0.05 under RF (3 765 vertices, 79 678 edges, 272 001
-// triangles), at one and two workers. Run via `make bench-micro`.
+// triangles) — at one and two workers, and at one worker on the CSR of
+// the scan-sp workload's store — the twitter graph at scale 0.025
+// under SP, the data of sparql's BenchmarkIntersectKernel/EQ12-SP leg
+// (40 781 edges). Each leg reports its CSR's edges, and EQ12-SP its
+// follows edges, so one `make bench-micro` gives both per-edge costs
+// on one host.
 func BenchmarkTrianglesKernel(b *testing.B) {
-	cs := twitterCSR(b, pgrdf.RF, twitter.PaperConfig().Scale(0.05))
-	for _, par := range []int{1, 2} {
-		b.Run(fmt.Sprintf("p%d", par), func(b *testing.B) {
-			r := Runner{Parallelism: par}
+	rf := twitterCSR(b, pgrdf.RF, twitter.PaperConfig().Scale(0.05))
+	sp := twitterCSR(b, pgrdf.SP, twitter.PaperConfig().Scale(0.025))
+	for _, leg := range []struct {
+		name string
+		par  int
+		cs   *CSR
+	}{{"p1", 1, rf}, {"p2", 2, rf}, {"scan-sp", 1, sp}} {
+		b.Run(leg.name, func(b *testing.B) {
+			r := Runner{Parallelism: leg.par}
 			var res *TrianglesResult
 			for i := 0; i < b.N; i++ {
 				var err error
-				if res, err = r.Triangles(context.Background(), cs); err != nil {
+				if res, err = r.Triangles(context.Background(), leg.cs); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportMetric(float64(res.Count), "triangles")
+			b.ReportMetric(float64(leg.cs.NumEdges()), "edges")
 		})
 	}
 }

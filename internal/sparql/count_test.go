@@ -36,19 +36,48 @@ var sumShapeQueries = []string{
 	`SELECT (COUNT(*) AS ?n) WHERE { ?x rel:follows ?y . ?y rel:follows ?z . ?z rel:follows ?x FILTER (?z != ?x) }`,
 }
 
-// countCollapses is how many steps of each countShapeQueries and
-// sumShapeQueries plan drop a column (EXPLAIN's collapse=), and -1 where
-// the BGP must run unweighted: EQ11a–e collapse from their third hop
-// on, EQ12 and the unanchored 2-hop only before their last step, the
-// VALUES shape — planned for an unbound ?v — after its first two, the
-// GROUP BY ?a shape only once ?b is dead, the FILTER shape only before
-// ?b's filter runs, the 4-cycle only after its first step; no triangle
-// variant collapses.
-var countCollapses = []int{0, 0, 1, 2, 3, 0, 1, 2, 2, 1, 1, 1, -1, -1, 0, 0, 0}
+// rotationShapeQueries are count shapes around the rotation rule
+// (DESIGN.md §22, "Counting one rotation") beyond the EQ12 form and
+// the triangles grouped by ?x or ?z or filtered: the triangle count
+// counting a variable, the 4-cycle count (does not rotate: no 3-cycle
+// of its variables maps it onto itself), a triangle whose predicate is
+// a variable the cycle keeps, the same fed that variable by VALUES — so
+// no group fuses and the rule runs row by row, on the hash join's
+// probes too — and the triangle count fed ?x by VALUES, whose rule
+// applies to the UNDEF row alone.
+var rotationShapeQueries = []string{
+	`SELECT (COUNT(?b) AS ?n) WHERE { ?a rel:follows ?b . ?b rel:follows ?c . ?c rel:follows ?a }`,
+	`SELECT (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b . ?b rel:follows ?c . ?c rel:follows ?d . ?d rel:follows ?a }`,
+	`SELECT (COUNT(*) AS ?n) WHERE { ?x ?p ?y . ?y ?p ?z . ?z ?p ?x }`,
+	`SELECT (COUNT(*) AS ?n) WHERE { VALUES ?p { rel:follows } ?x ?p ?y . ?y ?p ?z . ?z ?p ?x }`,
+	`SELECT (COUNT(*) AS ?n) WHERE { VALUES ?x { <http://pg/q1> UNDEF <http://pg/q3> } ?x rel:follows ?y . ?y rel:follows ?z . ?z rel:follows ?x }`,
+}
+
+// countCollapses is how many steps of each countShapeQueries,
+// sumShapeQueries and rotationShapeQueries plan drop a column (EXPLAIN's
+// collapse=, where groups fuse), and -1 where the BGP must run
+// unweighted: EQ11a–e collapse from their third hop on, EQ12 and the
+// unanchored 2-hop only before their last step, the VALUES shape —
+// planned for an unbound ?v — after its first two, the GROUP BY ?a
+// shape only once ?b is dead, the FILTER shape only before ?b's filter
+// runs, the 3-cycle with a tail and the 4-cycle only after their first
+// step; no triangle variant collapses.
+var countCollapses = []int{0, 0, 1, 2, 3, 0, 1, 2, 2, 1, 1, 1, -1, -1, 0, 0, 0, 0, 1, 0, 0, 0}
 
 // countSums are the shapes, indexed as countCollapses, whose fused group
-// sums: EQ12, the 4-cycle, and the triangles grouped by ?x.
-var countSums = map[int]bool{5: true, 11: true, 14: true}
+// sums: EQ12, the 3-cycle with a tail, the triangles grouped by ?x, the
+// triangle count counting ?b, the 4-cycle, the triangles over a
+// predicate variable, and the triangle count fed ?x by VALUES (its
+// UNDEF row).
+var countSums = map[int]bool{5: true, 11: true, 14: true, 17: true, 18: true, 19: true, 21: true}
+
+// countRotates are the shapes, indexed as countCollapses, that plan the
+// rotation rule: the EQ12 form, the triangle count counting ?b, the
+// triangles over a predicate variable, with and without VALUES, and
+// the triangle count fed ?x by VALUES (the rule still runs for UNDEF).
+// Grouped by ?x or ?z, filtered on ?z and ?x, the 4-cycle and the
+// 3-cycle with a tail do not.
+var countRotates = map[int]bool{5: true, 17: true, 19: true, 20: true, 21: true}
 
 // countStore builds the counting differential's dataset: 2 000 random
 // follows edges over 1 000 nodes in model m1, each in its own named
@@ -129,17 +158,58 @@ func summing(ns []*ProfileNode) bool {
 	return false
 }
 
+// rotationGadgets builds the shapes the rotation rule's ties and
+// weights turn on, in m1 (DESIGN.md §22): a self-loop in two named
+// graphs (x = y = z, twice on each side of the group); a self-loop on a
+// node of a 2-cycle (x = y < z and x = z < y); a 3-cycle with every
+// edge in two graphs (marks that are not simple); and a hub, interned
+// before its 80 spokes, that they all follow and that follows every
+// eighth: each spoke follows the next, and the hub's in-edges, all past
+// it, gallop against a spoke's out-edges. del is one of the 3-cycle's
+// rows, which the delta state deletes, and ins a second self-loop on
+// the 2-cycle, which it inserts.
+func rotationGadgets() (m1 []rdf.Quad, del, ins rdf.Quad) {
+	follows := rdf.NewIRI(rdf.RelNS + "follows")
+	q := func(i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("http://pg/q%d", i)) }
+	in := func(s, o rdf.Term, g string) rdf.Quad {
+		if g == "" {
+			return rdf.Quad{S: s, P: follows, O: o}
+		}
+		return rdf.NewQuad(s, follows, o, rdf.NewIRI("http://pg/"+g))
+	}
+	m1 = append(m1, in(q(0), q(0), "g1"), in(q(0), q(0), "g2"))
+	m1 = append(m1, in(q(1), q(1), ""), in(q(1), q(2), ""), in(q(2), q(1), ""))
+	for _, g := range []string{"g1", "g2"} {
+		m1 = append(m1, in(q(3), q(4), g), in(q(4), q(5), g), in(q(5), q(3), g))
+	}
+	hub := rdf.NewIRI("http://pg/qhub")
+	spoke := func(i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("http://pg/qs%d", i)) }
+	m1 = append(m1, in(hub, spoke(0), ""))
+	for i := 0; i < 80; i++ {
+		m1 = append(m1, in(spoke(i), hub, ""), in(spoke(i), spoke(i+1), ""))
+		if i%8 == 0 && i > 0 {
+			m1 = append(m1, in(hub, spoke(i), ""))
+		}
+	}
+	return m1, in(q(3), q(4), "g1"), in(q(2), q(2), "")
+}
+
 // TestCountingMatchesEnumerating is the counting differential: every
-// countShapeQueries and sumShapeQueries shape must answer exactly what
-// its enumerating form answers, on countStore plus nonSimpleMarks
-// freshly loaded, with delta rows and tombstones in the follows ranges,
-// and compacted; over all models and over m1. The weighted shapes must
-// plan weighted with the collapses countCollapses names, the others
-// unweighted, and exactly the countSums shapes must sum.
+// countShapeQueries, sumShapeQueries and rotationShapeQueries shape must
+// answer exactly what its enumerating form answers, on countStore plus
+// nonSimpleMarks and rotationGadgets freshly loaded, with delta rows and
+// tombstones in the follows ranges, and compacted; over all models and
+// over m1; under the default settings, a hash threshold of 16, and hash
+// joins off. The weighted shapes must plan weighted with the collapses
+// countCollapses names (the planned intersections' plans), the others
+// unweighted; exactly the countSums shapes must sum where groups fuse;
+// exactly the countRotates shapes must plan the rotation rule, and the
+// rotating triangle count must gallop where groups fuse.
 func TestCountingMatchesEnumerating(t *testing.T) {
 	m1, m2 := countStore(t)
 	// Every 6th m1 quad is held out of the load and inserted later;
-	// every 7th loaded one is deleted. The gadgets stay as built.
+	// every 7th loaded one is deleted. The gadgets stay as built but for
+	// rotationGadgets' del and ins.
 	var base, held, deleted []rdf.Quad
 	for i, q := range m1 {
 		switch {
@@ -153,7 +223,9 @@ func TestCountingMatchesEnumerating(t *testing.T) {
 		}
 	}
 	g1, g2 := nonSimpleMarks()
-	base, m2 = append(base, g1...), append(m2, g2...)
+	r1, del, ins := rotationGadgets()
+	base, m2 = append(append(base, g1...), r1...), append(m2, g2...)
+	held, deleted = append(held, ins), append(deleted, del)
 	st, err := store.NewWithIndexes(serveIndexes)
 	if err != nil {
 		t.Fatal(err)
@@ -182,39 +254,56 @@ func TestCountingMatchesEnumerating(t *testing.T) {
 		}},
 		{"compacted", st.Compact},
 	}
-	shapes := append(countShapeQueries(), sumShapeQueries...)
+	shapes := append(append(countShapeQueries(), sumShapeQueries...), rotationShapeQueries...)
 	if len(shapes) != len(countCollapses) {
 		t.Fatalf("%d shapes, %d expected collapse counts", len(shapes), len(countCollapses))
+	}
+	engines := []struct {
+		name string
+		set  func(*Engine)
+	}{
+		{"default", func(*Engine) {}},
+		{"hash16", func(e *Engine) { e.hashJoinThreshold = 16 }},
+		{"nlj", func(e *Engine) { e.DisableHashJoin = true }},
 	}
 	for _, state := range states {
 		state.mutate()
 		for _, model := range []string{"", "m1"} {
-			e := NewEngine(st)
-			e.hashJoinThreshold = 16
 			for i, q := range shapes {
 				q = testPrologue + q
-				label := fmt.Sprintf("%s/%q/shape %d", state.name, model, i)
-				plan, err := e.Explain(model, q)
+				want, err := NewEngine(st).Query(model, enumerating(q))
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("%s/%q/shape %d: enumerating: %v", state.name, model, i, err)
 				}
-				weighted := strings.Contains(plan, "count=weighted")
-				if collapses := strings.Count(plan, "collapse="); weighted != (countCollapses[i] >= 0) || weighted && collapses != countCollapses[i] {
-					t.Errorf("%s: weighted=%v with %d collapsing steps, want %d\n%s", label, weighted, collapses, countCollapses[i], plan)
-				}
-				got, prof, err := e.QueryProfiled(model, q)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				if summing(prof.Plan) != countSums[i] {
-					t.Errorf("%s: sums = %v, want %v\n%s", label, !countSums[i], countSums[i], prof.Render())
-				}
-				want, err := e.Query(model, enumerating(q))
-				if err != nil {
-					t.Fatalf("%s: enumerating: %v", label, err)
-				}
-				if got.String() != want.String() {
-					t.Fatalf("%s: counting differs from enumerating\n%s\n%s", label, q, firstDiff(want.String(), got.String()))
+				for _, eng := range engines {
+					e := NewEngine(st)
+					eng.set(e)
+					fused := !e.DisableHashJoin
+					label := fmt.Sprintf("%s/%q/%s/shape %d", state.name, model, eng.name, i)
+					plan, err := e.Explain(model, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					weighted := strings.Contains(plan, "count=weighted")
+					if collapses := strings.Count(plan, "collapse="); weighted != (countCollapses[i] >= 0) || fused && weighted && collapses != countCollapses[i] {
+						t.Errorf("%s: weighted=%v with %d collapsing steps, want %d\n%s", label, weighted, collapses, countCollapses[i], plan)
+					}
+					if rotates := strings.Contains(plan, "count=weighted rotation=3"); rotates != countRotates[i] {
+						t.Errorf("%s: rotates = %v, want %v\n%s", label, rotates, countRotates[i], plan)
+					}
+					got, prof, err := e.QueryProfiled(model, q)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if fused && summing(prof.Plan) != countSums[i] {
+						t.Errorf("%s: sums = %v, want %v\n%s", label, !countSums[i], countSums[i], prof.Render())
+					}
+					if fused && i == 5 && prof.Plan[0].Children[1].Galloped == 0 {
+						t.Errorf("%s: the rotating triangle count does not gallop\n%s", label, prof.Render())
+					}
+					if got.String() != want.String() {
+						t.Fatalf("%s: counting differs from enumerating\n%s\n%s", label, q, firstDiff(want.String(), got.String()))
+					}
 				}
 			}
 		}

@@ -119,9 +119,13 @@ type bgpOp struct {
 	patterns []quadPattern
 	filters  []*filterOp
 	// count is set by markCountTail when a COUNT fold is the BGP's only
-	// consumer; countLive are the variables that consumer reads.
+	// consumer; countLive are the variables that consumer reads. When
+	// rotates is set too, renaming the variables of cycle each to the
+	// next maps the patterns onto themselves (rotationCycle).
 	count     bool
 	countLive varset
+	rotates   bool
+	cycle     [3]int
 }
 
 func (o *bgpOp) bound(before varset) varset {
@@ -379,9 +383,12 @@ type bgpShared struct {
 	vars      varset
 
 	// live[k] are the variables read at or after depth k — by its and
-	// later steps and filters, or by the COUNT fold — in count mode;
-	// nil otherwise (DESIGN.md §22).
+	// later steps and filters, the rotation's rule, or the COUNT fold —
+	// in count mode; nil otherwise (DESIGN.md §22). rot is the rule
+	// that counts one rotation of each solution, nil when it does not
+	// apply.
 	live []varset
+	rot  *rotation
 
 	// Profiling slots, resolved once per apply: bgpStage is
 	// the operator's own slot, stepStats[depth] the slot of the join
@@ -456,11 +463,12 @@ func (o *bgpOp) newShared(ec *execCtx) *bgpShared {
 		hashes:       make([]hashState, len(order)),
 		inputSeen:    make([]int64, len(order)),
 		vars:         o.bound(0),
-		live:         o.liveSets(rps, order, filterAt, finalFilters),
 	}
 	if !ec.noHashJoin {
 		sh.intersect = planIntersections(ec.view, rps, order)
 	}
+	sh.rot = o.rotation(rps, order, sh.intersect)
+	sh.live = o.liveSets(rps, order, filterAt, finalFilters, sh.rot)
 	if ec.prof != nil && o.sid > 0 {
 		// Join step i runs under stage id sid+1+i (execution order,
 		// matching explain and the profile tree).
@@ -498,8 +506,9 @@ func (o *bgpOp) placeFilters(rps []resolvedPattern, order []int) (filterAt [][]*
 }
 
 // liveSets returns, for a BGP in count mode, the variables read at or
-// after each depth of order (bgpShared.live); nil otherwise.
-func (o *bgpOp) liveSets(rps []resolvedPattern, order []int, filterAt [][]*filterOp, final []*filterOp) []varset {
+// after each depth of order (bgpShared.live); nil otherwise. The
+// rotation's rule reads its three variables at its last depth.
+func (o *bgpOp) liveSets(rps []resolvedPattern, order []int, filterAt [][]*filterOp, final []*filterOp, rot *rotation) []varset {
 	if !o.count {
 		return nil
 	}
@@ -511,6 +520,9 @@ func (o *bgpOp) liveSets(rps []resolvedPattern, order []int, filterAt [][]*filte
 	for k := len(order); k >= 0; k-- {
 		for _, f := range filterAt[k] {
 			l |= f.need
+		}
+		if rot != nil && k == rot.last {
+			l |= rot.vars
 		}
 		live[k] = l
 		if k > 0 {

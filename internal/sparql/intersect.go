@@ -212,7 +212,9 @@ func planIntersections(view *store.View, rps []resolvedPattern, order []int) []*
 // hold, -1 for none. The view is pinned, so a side's rows
 // and the marks stay valid for as long as its inputs do, across input
 // batches. visible is the dataset's row filter, nil when it sees every
-// row.
+// row. In a rotating group, start[s] is where the last row started
+// side s, at its first value at or past that row's x; valid until the
+// side is sought again.
 type seekState struct {
 	seekers []*store.Seeker
 	rows    [][]store.IDQuad
@@ -224,6 +226,8 @@ type seekState struct {
 	short  bool
 	marks  store.Marks
 	marked int
+
+	start []int
 }
 
 func (vx *vecExec) seekState(depth int, ip *intersectPlan) *seekState {
@@ -233,7 +237,7 @@ func (vx *vecExec) seekState(depth int, ip *intersectPlan) *seekState {
 	n := len(ip.sides)
 	ec := vx.sh.ec
 	ss := &seekState{seekers: make([]*store.Seeker, n), rows: make([][]store.IDQuad, n), pos: make([]int, n),
-		key: make([][]store.ID, n), marked: -1}
+		key: make([][]store.ID, n), marked: -1, start: make([]int, n)}
 	if ec.models != nil {
 		ss.visible = ec.quadVisible
 	}
@@ -259,11 +263,12 @@ func (ss *seekState) newRun(s int, keys []int, b binding) bool {
 }
 
 // walkRatio bounds the walk: an input row of a two-sided group probes
-// the marks of one side's range only while the other side is shorter
-// than walkRatio times that range. A walk reads every row of its side;
-// a gallop reads about a logarithm of the gap per value of the shorter
-// side, so past that ratio galloping reads less (a hub's in-edges
-// against a few out-edges).
+// the marks of one side's range only while what remains of the other
+// side is shorter than walkRatio times what remains of that range. A
+// walk reads every remaining row of its side; a gallop reads about a
+// logarithm of the gap per value of the shorter side, so past that
+// ratio galloping reads less (a hub's in-edges against a few
+// out-edges).
 const walkRatio = 32
 
 // common counts, once every side is at value x, each side's rows
@@ -287,6 +292,30 @@ func (ss *seekState) common(ec *execCtx, ip *intersectPlan, x store.ID) (mult in
 	return mult, cost
 }
 
+// past starts each side at its first row past x, the rotation's x
+// (DESIGN.md §22) — when tie is set (x = y), at x, whose combinations
+// it counts first, as common does, returning them with the rows it
+// read, when every side holds x. A side still on the rows it was
+// sought for searches on from where the last row started it: the
+// driving rows of one run of out(y) come in ascending x.
+func (ss *seekState) past(ec *execCtx, ip *intersectPlan, x store.ID, tie bool) (mult int64, cost int) {
+	at := tie
+	for s, r := range ss.rows {
+		p := store.SeekColNear(r, ss.start[s], ip.cols[s], x)
+		ss.start[s], ss.pos[s] = p, p
+		at = at && p < len(r) && r[p].Get(ip.cols[s]) == x
+	}
+	if at {
+		mult, cost = ss.common(ec, ip, x)
+	}
+	for s, r := range ss.rows {
+		for ss.pos[s] < len(r) && r[ss.pos[s]].Get(ip.cols[s]) == x {
+			ss.pos[s]++
+		}
+	}
+	return mult, cost
+}
+
 // intersect runs the fused group whose binder is at depth over one input
 // batch: each side's range is sought by the first row of each of its
 // runs, and every row advances the sides to their common values of the
@@ -295,18 +324,21 @@ func (ss *seekState) common(ec *execCtx, ip *intersectPlan, x store.ID) (mult in
 // the dataset — in count mode once, weighted by their number, DESIGN.md
 // §22 — or, when the group sums, it adds those numbers up over the
 // row's values and emits one row weighted by the sum, binding the
-// variable to the last value matched. Then it continues at the depth
-// after the group. A row of a two-sided group walks one side probing
-// the marks of the other's range (store.Marks.Probe, or Marks.Sum when
-// summing) unless walkRatio says gallop. The marks hold a side's range
-// until its run ends; a row that finds them stale marks the binder's
-// range, or the checker's when the binder's runs are one row long — its
-// last run was, and this row starts another — while the checker's run
-// goes on from the previous row. Every other row leapfrogs, each side
-// galloping to the largest value any side is at. Rows seeked, marked,
-// walked, counted and emitted, values cleared, gallops and the rows a
-// seeker's directory build reads are charged to the guard with TickN,
-// like the scan rows of a nested loop.
+// variable to the last value matched. Where the BGP's rotation rule
+// binds its z here, the sides start past the row's x, each value
+// weighs three — and x itself once, when x = y (DESIGN.md §22). Then
+// it continues at the depth after the group. A row of a two-sided
+// group walks one side probing the marks of the other's range
+// (store.Marks.Probe, or Marks.Sum when summing) unless walkRatio says
+// gallop. The marks hold a side's range until its run ends; a row that
+// finds them stale marks the binder's range, or the checker's when the
+// binder's runs are one row long — its last run was, and this row
+// starts another — while the checker's run goes on from the previous
+// row. Every other row leapfrogs, each side galloping to the largest
+// value any side is at. Rows seeked, marked, walked, counted and
+// emitted, values cleared, gallops and the rows a seeker's directory
+// build reads are charged to the guard with TickN, like the scan rows
+// of a nested loop.
 func (vx *vecExec) intersect(depth int, in *colBatch, ip *intersectPlan) bool {
 	sh := vx.sh
 	ec := sh.ec
@@ -324,6 +356,7 @@ func (vx *vecExec) intersect(depth int, in *colBatch, ip *intersectPlan) bool {
 	for _, f := range filters {
 		sum = sum && len(f) == 0
 	}
+	rot := vx.rotate && sh.rot.last == depth
 	var ticks, emitted, collapsed, marked, walked, galloped, summed, dirs int64
 	pending := 0
 	settle := func() bool {
@@ -353,11 +386,44 @@ func (vx *vecExec) intersect(depth int, in *colBatch, ip *intersectPlan) bool {
 	// seek reads side s's range for the current input row.
 	seek := func(s int) {
 		ss.rows[s] = ss.seekers[s].Seek(ip.sides[s].rp.boundPattern(scratch))
+		ss.start[s] = 0
 		built, dir := ss.seekers[s].LastSeek()
 		pending += 1 + built
 		if dir {
 			dirs++
 		}
+	}
+	// The current row's weight and, when summing, its matches so far
+	// and the last value matched.
+	var wt, total int64
+	var last store.ID
+	// match takes value x of the current row, held by mult combinations
+	// of visible rows: a summing row adds them up, any other emits the
+	// binding; false means stop.
+	match := func(x store.ID, mult int64) bool {
+		if sum {
+			if mult > 0 {
+				total, last = total+mult, x
+			}
+			return true
+		}
+		scratch[ip.slot] = x
+		for _, f := range filters {
+			if mult > 0 && !passFilters(ec, f, scratch) {
+				mult = 0
+			}
+		}
+		reps, each := mult, wt
+		if sh.live != nil {
+			reps, each = min(mult, 1), wt*mult
+		}
+		for ; reps > 0; reps-- {
+			if !emit(each) {
+				return false
+			}
+		}
+		scratch[ip.slot] = store.NoID
+		return true
 	}
 	stopped := false
 rows:
@@ -367,7 +433,7 @@ rows:
 			break
 		}
 		in.writeCols(i, scratch)
-		wt := in.weight(i)
+		wt, total = in.weight(i), 0
 		var fresh [2]bool
 		for s, side := range ip.sides {
 			if ss.newRun(s, side.keys, scratch) {
@@ -381,7 +447,20 @@ rows:
 			}
 		}
 		ss.inRun = true
-		clear(ss.pos)
+		// orbit is what each value past the start weighs.
+		orbit := int64(1)
+		if rot {
+			x := scratch[sh.rot.x]
+			mult, cost := ss.past(ec, ip, x, x == scratch[sh.rot.y])
+			pending += cost
+			if mult > 0 && !match(x, mult) {
+				stopped = true
+				break
+			}
+			orbit = 3
+		} else {
+			clear(ss.pos)
+		}
 		// m is the side the marks hold or are to hold.
 		m := ss.marked
 		if m < 0 {
@@ -391,7 +470,7 @@ rows:
 			}
 		}
 		ss.short = fresh[0]
-		walk := len(ss.rows) == 2 && len(ss.rows[1-m]) < walkRatio*len(ss.rows[m])
+		walk := len(ss.rows) == 2 && len(ss.rows[1-m])-ss.pos[1-m] < walkRatio*(len(ss.rows[m])-ss.pos[m])
 		if walk && ss.marked != m {
 			pending += ss.marks.Clear() + len(ss.rows[m])
 			ss.marks.Mark(ss.rows[m], ip.cols[m], ss.visible)
@@ -406,16 +485,12 @@ rows:
 		if sum {
 			summed++
 		}
-		// A summing row adds up its matches in total, the last at last.
-		var total int64
-		var last store.ID
-		walkSum := sum && walk
-		if walkSum {
-			var cost int
-			total, last, cost = ss.marks.Sum(ss.rows, ip.cols, ss.pos, m, ss.visible)
+		if sum && walk {
+			n, l, cost := ss.marks.Sum(ss.rows, ip.cols, ss.pos, m, ss.visible)
 			pending += cost
+			match(l, orbit*n)
 		}
-		for !walkSum {
+		for !(sum && walk) {
 			var x store.ID
 			var steps int
 			var ok bool
@@ -430,29 +505,10 @@ rows:
 			}
 			mult, cost := ss.common(ec, ip, x)
 			pending += cost
-			if sum {
-				if mult > 0 {
-					total, last = total+mult, x
-				}
-				continue
+			if !match(x, orbit*mult) {
+				stopped = true
+				break rows
 			}
-			scratch[ip.slot] = x
-			for _, f := range filters {
-				if mult > 0 && !passFilters(ec, f, scratch) {
-					mult = 0
-				}
-			}
-			reps, each := mult, wt
-			if sh.live != nil {
-				reps, each = min(mult, 1), wt*mult
-			}
-			for ; reps > 0; reps-- {
-				if !emit(each) {
-					stopped = true
-					break rows
-				}
-			}
-			scratch[ip.slot] = store.NoID
 		}
 		if total > 0 {
 			scratch[ip.slot] = last

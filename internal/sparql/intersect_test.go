@@ -343,7 +343,7 @@ func TestIntersectMatchesNestedLoop(t *testing.T) {
 	byC := `SELECT ?c (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b . ?b rel:follows ?c . ?c rel:follows ?a } GROUP BY ?c`
 	intersectStates(t, []intersectModel{{"m4", m4}}, func(state string, st *store.Store, quads map[string][]rdf.Quad) {
 		nlj, e := engines(st)
-		k := triangleKernels(t, st)
+		k := triangleKernels(t, st, false)
 		if k.longer != 1 || k.marked >= k.walked || k.markedIn == 0 {
 			t.Fatalf("%s: m4 does not walk, gallop on the hub's row alone, walk again and mark in(x): %+v", state, k)
 		}
@@ -363,12 +363,15 @@ func TestIntersectMatchesNestedLoop(t *testing.T) {
 // whose follows rows are all in one model — an edge may repeat in
 // several graphs — derived from the rows with each side's values in ID
 // order (the order the indexes sort by). The count reads nothing of
-// the group's variable, so every input row sums its matches:
+// the group's variable, so every input row sums its matches. rotated
+// says the count runs the rotation rule (COUNT(*) with no key; a count
+// grouped by a variable does not):
 //
 //   - the driving scan reads each row (x, y) once, in (y, x) order; the
 //     rows of one y are a run of out(y), consecutive rows of one x
 //     (an edge in several graphs, or the last row of one y and the
-//     first of the next) a run of in(x);
+//     first of the next) a run of in(x). Rotated, only the rows with
+//     x ≤ y go on to the group, and runs are of those rows;
 //   - the first row of a run seeks its side: one unit. A side's seeker
 //     counts its narrows, and the narrow that brings them times
 //     store.DirPayback to the follows rows builds its directory,
@@ -376,17 +379,22 @@ func TestIntersectMatchesNestedLoop(t *testing.T) {
 //     side narrows by (the rows' subjects for out(y), their objects for
 //     in(x)) span at most store.DirSpan IDs per row; that narrow and
 //     every later one are answered by the directory;
+//   - rotated, each side starts past x: when x = y and both sides hold
+//     x (a self-loop), counting x's rows first charges them, one unit
+//     each. What follows reads only the values past x: the remaining
+//     sides;
 //   - the marked side is the one the marks hold, while its run lasts;
 //     failing that, in(x) when out(y)'s run starts at the row and
-//     in(x)'s does not, else out(y). A row whose other side is shorter
-//     than walkRatio times the marked side walks the other side,
-//     marking first unless the marks hold it: one unit per value it
-//     clears (the previous marking's) and one per row it marks. The
-//     walk charges each of its rows; when the marked side is not
-//     simple (a value on two rows) it also charges, per common value,
-//     the marked side's rows holding it;
-//   - a row with a common value emits one row: one unit.
-func triangleKernels(t *testing.T, st *store.Store) (k kernelCounts) {
+//     in(x)'s does not, else out(y). A row whose other remaining side
+//     is shorter than walkRatio times the marked remaining side walks
+//     the other side, marking first unless the marks hold it: one unit
+//     per value it clears (the previous marking's) and one per row of
+//     the whole side it marks. The walk charges each of its rows; when
+//     the marked side is not simple (a value on two rows) it also
+//     charges, per common value, the marked side's rows holding it;
+//   - a row with a common value, or a counted x, emits one row: one
+//     unit.
+func triangleKernels(t *testing.T, st *store.Store, rotated bool) (k kernelCounts) {
 	t.Helper()
 	follows := st.Dict().Lookup(rdf.NewIRI("http://pg/r/follows"))
 	type edge struct{ x, y uint64 }
@@ -419,11 +427,17 @@ func triangleKernels(t *testing.T, st *store.Store) (k kernelCounts) {
 		span[s] = hi - lo + 1
 	}
 	k.work = int64(len(edges))
+	var rows []edge
+	for _, e := range edges {
+		if !rotated || e.x <= e.y {
+			rows = append(rows, e)
+		}
+	}
 	markValues, marked, short := 0, -1, false
 	var narrows [2]int
 	buildAt := max(1, (len(edges)+store.DirPayback-1)/store.DirPayback)
-	for i, e := range edges {
-		fresh := [2]bool{i == 0 || e.y != edges[i-1].y, i == 0 || e.x != edges[i-1].x}
+	for i, e := range rows {
+		fresh := [2]bool{i == 0 || e.y != rows[i-1].y, i == 0 || e.x != rows[i-1].x}
 		for s, narrow := range fresh {
 			if !narrow {
 				continue
@@ -440,9 +454,27 @@ func triangleKernels(t *testing.T, st *store.Store) (k kernelCounts) {
 				k.dir++
 			}
 		}
-		sides := [2][]uint64{out[e.y], in[e.x]}
+		full := [2][]uint64{out[e.y], in[e.x]}
+		var sides [2][]uint64
+		var ties [2]int64
+		for s, vs := range full {
+			sides[s] = vs
+			if !rotated {
+				continue
+			}
+			sides[s] = vs[sort.Search(len(vs), func(i int) bool { return vs[i] >= e.x }):]
+			for len(sides[s]) > 0 && sides[s][0] == e.x {
+				sides[s] = sides[s][1:]
+				ties[s]++
+			}
+		}
+		tie := e.x == e.y && ties[0] > 0 && ties[1] > 0
+		if tie {
+			k.work += ties[0] + ties[1]
+			k.ties++
+		}
 		lf := leapfrogSorted(sides[0], sides[1])
-		if lf.hits > 0 {
+		if lf.hits > 0 || tie {
 			k.work++
 		}
 		m := marked
@@ -457,14 +489,14 @@ func triangleKernels(t *testing.T, st *store.Store) (k kernelCounts) {
 			k.walked++
 			if marked != m {
 				k.marked++
-				k.work += int64(markValues + len(sides[m]))
-				markValues, marked = distinct(sides[m]), m
+				k.work += int64(markValues + len(full[m]))
+				markValues, marked = distinct(full[m]), m
 			}
 			if m == 1 {
 				k.markedIn++
 			}
 			k.work += int64(len(sides[1-m]))
-			if distinct(sides[m]) < len(sides[m]) {
+			if distinct(full[m]) < len(full[m]) {
 				k.nonSimple++
 				k.work += lf.runs[m]
 			}
@@ -482,10 +514,10 @@ func triangleKernels(t *testing.T, st *store.Store) (k kernelCounts) {
 // kernelCounts is triangleKernels' answer: the work charged, the input
 // rows that mark, walk and gallop, the galloping rows whose other side
 // is walkRatio times longer than a nonempty marked side, the walking
-// rows whose marks hold in(x) and whose marks are not simple, and the
-// seeks a directory answers.
+// rows whose marks hold in(x) and whose marks are not simple, the
+// seeks a directory answers, and the rows that count x (rotated).
 type kernelCounts struct {
-	work, marked, walked, galloped, longer, markedIn, nonSimple, dir int64
+	work, marked, walked, galloped, longer, markedIn, nonSimple, dir, ties int64
 }
 
 // distinct is the number of distinct values of an ascending list.
@@ -563,18 +595,20 @@ func withParallelEdges(t *testing.T, st *store.Store) {
 }
 
 // TestIntersectCharges pins the triangle count's MaxWork charges and
-// kernel choices to triangleKernels on hubStore with parallel edges
-// (withParallelEdges), whose runs mark once and then walk row after
-// row, some of whose rows mark in(x), whose rows sum by walking — over simple marks and marks that are
-// not — and by galloping because the hub's in-edges outnumber a
-// vertex's out-edges over walkRatio times, and whose seekers build
+// kernel choices to triangleKernels, rotated, on hubStore with the hub
+// interned first and parallel edges (withParallelEdges), whose runs
+// mark once and then walk row after row, some of whose rows mark
+// in(x), whose rows sum by walking — over simple marks and marks that
+// are not — and by galloping because the hub's in-edges, all past the
+// hub, outnumber a vertex's out-edges past it over walkRatio times,
+// some of whose rows count a self-loop's x, and whose seekers build
 // their directories: the full charge passes and one unit less trips,
 // and EXPLAIN ANALYZE's binder line reports the same ticks, kernel
 // counts, directory seeks and summed rows.
 func TestIntersectCharges(t *testing.T) {
-	st := hubStore(t, 400, 2, false)
+	st := hubStore(t, 400, 2, true)
 	withParallelEdges(t, st)
-	k := triangleKernels(t, st)
+	k := triangleKernels(t, st, true)
 	q := testPrologue + denseTriangles
 	_, prof, err := NewEngine(st).QueryProfiled("", q)
 	if err != nil {
@@ -595,7 +629,7 @@ func TestIntersectCharges(t *testing.T) {
 		t.Fatalf("EXPLAIN ANALYZE lacks %q:\n%s", line, prof.Render())
 	}
 	t.Logf("hubStore(400, 2) with parallel edges: %+v", k)
-	if k.marked == 0 || k.marked >= k.walked || k.walked == k.nonSimple || k.nonSimple == 0 || k.longer == 0 || k.markedIn == 0 || k.dir == 0 {
+	if k.marked == 0 || k.marked >= k.walked || k.walked == k.nonSimple || k.nonSimple == 0 || k.longer == 0 || k.markedIn == 0 || k.dir == 0 || k.ties == 0 {
 		t.Fatalf("hubStore does not run every kernel: %+v", k)
 	}
 	for _, tc := range []struct {
@@ -613,18 +647,23 @@ func TestIntersectCharges(t *testing.T) {
 // TestIntersectCancellationMidMark cancels a triangle count at the tick
 // that charges a marking, and at the tick that charges a directory
 // build. On hubStore(marks, 0, true) — the hub interned first — the
-// first input row starts the hub's run and marks its out-edges (marks
-// rows) before any other intersection work. The work before that
-// marking is the driving scan's first 64 rows and the row's two seeks,
-// far under half the marking's 4 096 rows. The checker's seeker narrows
-// on every input row, so it builds its directory on row
-// 2×marks/store.DirPayback, reading all 2×marks follows rows (whose
-// objects span marks+1 IDs); the work before that build is the marking
-// plus under 1 500 units of scan batches, seeks and one-row walks. So a budget of vecRampStart plus half the marking, or plus the
-// marking and half the build, trips at the tick carrying it, which
-// polls nothing, so the Done calls of that run are the ones before it. One call later the context is canceled: that
-// tick crosses a poll boundary and must stop the query with
-// guard.ErrCanceled.
+// driving scan reads the hub's marks in-edges first (its rows sort by
+// object) and the count's rotation rule drops them all (x > y); each
+// row it keeps is an out-edge of the hub, a run of the binder's out(y)
+// of its own while the checker's in(hub) run goes on, so the second
+// such row marks in(hub) (marks rows) before any other intersection
+// work but three seeks. The work before that marking is the scan's
+// marks dropped rows and its first 64 kept rows, and the seeks, far
+// under half the marking. The binder's seeker narrows on every input
+// row, so it builds its directory on row 2×marks/store.DirPayback,
+// reading all 2×marks follows rows (whose subjects span marks+1 IDs);
+// the work before that build is the dropped rows, the marking and
+// under 1 500 units of scan batches and seeks. So a budget of marks
+// plus vecRampStart plus half the marking, or plus the marking and half
+// the build, trips at the tick carrying it, which polls nothing, so the
+// Done calls of that run are the ones before it. One call later the
+// context is canceled: that tick crosses a poll boundary and must stop
+// the query with guard.ErrCanceled.
 func TestIntersectCancellationMidMark(t *testing.T) {
 	const marks = 4096
 	st := hubStore(t, marks, 0, true)
@@ -640,8 +679,8 @@ func TestIntersectCancellationMidMark(t *testing.T) {
 		tick   string
 		budget int64
 	}{
-		{"marking", vecRampStart + marks/2},
-		{"directory build", vecRampStart + marks + marks},
+		{"marking", marks + vecRampStart + marks/2},
+		{"directory build", marks + vecRampStart + marks + marks},
 	} {
 		probe := guardtest.NewDoneAfter(context.Background(), 0)
 		e := NewEngine(st)

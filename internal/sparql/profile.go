@@ -163,8 +163,9 @@ type Profile struct {
 
 // ProfileNode is one operator (or BGP join step, or tail phase) of the
 // profile tree. Label, Index, Access, Est, Intersect, GroupKey,
-// Weighted and Collapse describe the plan — a BGP's as planned for an
-// input binding none of its variables — and the rest are actuals.
+// Weighted, Rotation and Collapse describe the plan — a BGP's as
+// planned for an input binding none of its variables — and the rest
+// are actuals.
 type ProfileNode struct {
 	Label       string         `json:"label"`
 	Index       string         `json:"index,omitempty"`
@@ -180,6 +181,7 @@ type ProfileNode struct {
 	GroupKey    string         `json:"group_key,omitempty"` // a GroupAggregate's key kind
 	Groups      int64          `json:"groups,omitempty"`
 	Weighted    bool           `json:"weighted,omitempty"`  // a BGP that counts rather than enumerates
+	Rotation    int            `json:"rotation,omitempty"`  // ... one rotation of each solution's orbit of this size
 	Collapse    string         `json:"collapse,omitempty"`  // the variables a step's output drops
 	Collapsed   int64          `json:"collapsed,omitempty"` // rows the step folded into earlier rows
 	Marked      int64          `json:"marked,omitempty"`    // a fused binder's input rows that marked a range
@@ -319,8 +321,12 @@ func profileBGP(ec *execCtx, o *bgpOp) *ProfileNode {
 	if !ec.noHashJoin {
 		plans = planIntersections(ec.view, rps, order)
 	}
+	rot := o.rotation(rps, order, plans)
+	if rot != nil {
+		n.Rotation = 3
+	}
 	filterAt, final := o.placeFilters(rps, order)
-	live := o.liveSets(rps, order, filterAt, final)
+	live := o.liveSets(rps, order, filterAt, final, rot)
 	bound := varset(0)
 	var group []seekSide // the rest of the current fused group
 	for d, oi := range order {
@@ -409,6 +415,9 @@ func renderNodes(sb *strings.Builder, nodes []*ProfileNode, indent int, actual b
 		}
 		if n.Weighted {
 			sb.WriteString(" count=weighted")
+		}
+		if n.Rotation > 0 {
+			fmt.Fprintf(sb, " rotation=%d", n.Rotation)
 		}
 		if n.GroupKey != "" {
 			fmt.Fprintf(sb, " key=%s", n.GroupKey)

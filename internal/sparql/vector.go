@@ -363,6 +363,10 @@ type vecExec struct {
 	fuse  bool
 	seeks []*seekState
 
+	// rotate says the BGP's rotation rule (bgpShared.rot) applies to the
+	// current input binding: it binds none of the rule's variables.
+	rotate bool
+
 	// cap is the adaptive output-batch flush threshold (vecRampStart up
 	// to batchRows), shared across depths and reset per input binding.
 	cap int
@@ -393,6 +397,7 @@ func (vx *vecExec) prepare(b binding) {
 	if !vx.ready || mask != vx.mask {
 		vx.ready, vx.mask = true, mask
 		vx.fuse = vx.sh.intersect != nil && mask&vx.sh.vars == 0
+		vx.rotate = vx.sh.rot != nil && mask&vx.sh.rot.vars == 0
 		bound := mask
 		vx.colSlots = make([][]int, nd+1)
 		for d, oi := range vx.sh.order {
@@ -623,6 +628,12 @@ func (vx *vecExec) step(depth int, in *colBatch) bool {
 	out, c := vx.out[depth], vx.collapse[depth]
 	sh.inputSeen[depth] += int64(in.n)
 	seen := sh.inputSeen[depth]
+	// Where the rotation's rule applies, each row the step binds is
+	// weighed by its orbit.
+	var rot *rotation
+	if vx.rotate && (depth == sh.rot.pair || depth == sh.rot.last) {
+		rot = sh.rot
+	}
 
 	// The adaptive NLJ→hash switch, decided once per input batch. Both
 	// access paths emit rows in identical order, so where the switch
@@ -644,7 +655,7 @@ func (vx *vecExec) step(depth int, in *colBatch) bool {
 			}
 		}
 		if usable {
-			return vx.probeBatch(depth, in, rp, hs, pst)
+			return vx.probeBatch(depth, in, rp, hs, pst, rot)
 		}
 	}
 
@@ -673,8 +684,15 @@ func (vx *vecExec) step(depth int, in *colBatch) bool {
 				if !rp.bindQuad(scratch, q, &vx.undo[depth]) {
 					continue
 				}
-				if c == nil || !c.merge(out, scratch, wt) {
-					out.appendFrom(scratch, wt)
+				w := wt
+				if rot != nil {
+					if w *= rot.orbit(depth, scratch); w == 0 {
+						vx.undo[depth].revert(scratch)
+						continue
+					}
+				}
+				if c == nil || !c.merge(out, scratch, w) {
+					out.appendFrom(scratch, w)
 					emitted++
 				} else {
 					collapsed++
@@ -717,8 +735,9 @@ func (vx *vecExec) step(depth int, in *colBatch) bool {
 	return true
 }
 
-// probeBatch joins one input batch against a built hash table.
-func (vx *vecExec) probeBatch(depth int, in *colBatch, rp *resolvedPattern, hs *hashState, pst *profStage) bool {
+// probeBatch joins one input batch against a built hash table, each
+// hit weighed by rot's orbit when rot is non-nil.
+func (vx *vecExec) probeBatch(depth int, in *colBatch, rp *resolvedPattern, hs *hashState, pst *profStage, rot *rotation) bool {
 	ec := vx.sh.ec
 	scratch := vx.scratch[depth]
 	out, c := vx.out[depth], vx.collapse[depth]
@@ -737,9 +756,16 @@ func (vx *vecExec) probeBatch(depth int, in *colBatch, rp *resolvedPattern, hs *
 			if !rp.bindQuad(scratch, q, &vx.undo[depth]) {
 				continue
 			}
+			w := wt
+			if rot != nil {
+				if w *= rot.orbit(depth, scratch); w == 0 {
+					vx.undo[depth].revert(scratch)
+					continue
+				}
+			}
 			pending++
-			if c == nil || !c.merge(out, scratch, wt) {
-				out.appendFrom(scratch, wt)
+			if c == nil || !c.merge(out, scratch, w) {
+				out.appendFrom(scratch, w)
 				emitted++
 			} else {
 				collapsed++
@@ -843,6 +869,139 @@ func markCountTail(cp *compiled) {
 	if kind, slot := groupKeyOf(cp); kind == keyID {
 		bgp.countLive = bgp.countLive.with(slot)
 	}
+	bgp.cycle, bgp.rotates = bgp.rotationCycle()
+}
+
+// maxRotationVars bounds the variables rotationCycle tries 3-cycles of.
+const maxRotationVars = 8
+
+// rotationCycle finds, for a counted BGP, a 3-cycle of its variables —
+// x → y → z → x — that maps its patterns onto themselves as a multiset
+// (DESIGN.md §22, "Counting one rotation"): then every rotation of a
+// solution is a solution, whose rows are the same rows in another
+// order. It tries only variables the count never reads — no group key,
+// no filter's — and declines a BGP with a GRAPH variable.
+func (o *bgpOp) rotationCycle() (cyc [3]int, ok bool) {
+	var free varset
+	for _, qp := range o.patterns {
+		if qp.g.kind == GraphVar {
+			return cyc, false
+		}
+		free |= qp.vars()
+	}
+	free &^= o.countLive
+	for _, f := range o.filters {
+		free &^= f.need
+	}
+	vs := sortedSlots(free)
+	if len(vs) > maxRotationVars {
+		return cyc, false
+	}
+	for i, a := range vs {
+		for j, b := range vs[i+1:] {
+			for _, c := range vs[i+j+2:] {
+				for _, cyc := range [2][3]int{{a, b, c}, {a, c, b}} {
+					if o.mapsOnto(cyc) {
+						return cyc, true
+					}
+				}
+			}
+		}
+	}
+	return cyc, false
+}
+
+// mapsOnto reports whether renaming each variable of cyc to the next,
+// cyclically, maps the BGP's patterns onto themselves as a multiset.
+func (o *bgpOp) mapsOnto(cyc [3]int) bool {
+	used := make([]bool, len(o.patterns))
+next:
+	for _, qp := range o.patterns {
+		img := qp
+		for _, r := range []*posRef{&img.s, &img.p, &img.o} {
+			for i, s := range cyc {
+				if r.isVar && r.slot == s {
+					r.slot = cyc[(i+1)%3]
+					break
+				}
+			}
+		}
+		for j, q := range o.patterns {
+			if !used[j] && img.s == q.s && img.p == q.p && img.o == q.o && img.g == q.g {
+				used[j] = true
+				continue next
+			}
+		}
+		return false
+	}
+	return true
+}
+
+// rotation is the rule that counts one rotation of each solution of a
+// BGP whose cycle maps it onto itself (DESIGN.md §22): a solution counts
+// only when (x, y, z) is the least of its three rotations in ID order,
+// and then for all three — once when x = y = z, its only rotation. It
+// runs on rows whose input binding binds none of vars. pair is the
+// depth that binds the later of x and y and last the depth that binds
+// z: rows with x > y drop at pair, and at last each row is weighed by
+// orbit or, where a fused group binds z, the group's sides start past x
+// (intersect).
+type rotation struct {
+	x, y, z    int
+	vars       varset
+	pair, last int
+}
+
+// rotation orients the BGP's cycle for a join order: z is the variable
+// bound last and x, of the other two, the subject of the step that
+// binds the later of them, when it is one — the cycle read backwards
+// is a cycle of the BGP too. It returns nil when the BGP does not
+// rotate, or when a fused group binds x or y: only a group that binds z
+// applies the rule.
+func (o *bgpOp) rotation(rps []resolvedPattern, order []int, plans []*intersectPlan) *rotation {
+	if !o.rotates {
+		return nil
+	}
+	var at [3]int // the depth binding each variable of the cycle
+	bound := varset(0)
+	for d, oi := range order {
+		vars := rps[oi].qp.vars()
+		for i, s := range o.cycle {
+			if vars.has(s) && !bound.has(s) {
+				at[i] = d
+			}
+		}
+		bound |= vars
+	}
+	k := 0
+	for i := range at {
+		if at[i] > at[k] {
+			k = i
+		}
+	}
+	r := &rotation{x: o.cycle[(k+1)%3], y: o.cycle[(k+2)%3], z: o.cycle[k], last: at[k]}
+	r.pair = max(at[(k+1)%3], at[(k+2)%3])
+	r.vars = varset(0).with(r.x).with(r.y).with(r.z)
+	if s := rps[order[r.pair]].qp.s; s.isVar && s.slot == r.y {
+		r.x, r.y = r.y, r.x
+	}
+	if plans != nil && (r.pair < r.last && plans[r.pair] != nil || plans[r.last] != nil && plans[r.last].slot != r.z) {
+		return nil
+	}
+	return r
+}
+
+// orbit is how many solutions a row bound at depth d — pair or last —
+// stands for under the rule, given the row's own (store.Orbit): before
+// z is bound, one while x ≤ y, else none.
+func (r *rotation) orbit(d int, b binding) int64 {
+	switch {
+	case d == r.last:
+		return store.Orbit(b[r.x], b[r.y], b[r.z])
+	case store.OrbitLead(b[r.x], b[r.y]):
+		return 1
+	}
+	return 0
 }
 
 // addBatches folds a batch source into the groups. When every

@@ -119,7 +119,9 @@ const eq12SPTriangles = 89613
 // of ?z; and a hub graph, whose rows that check the hub's in-edges
 // against a few out-edges must gallop. Each leg checks its count once
 // before timing: EQ12 against its known answer, the others against
-// triangles counted over an adjacency map.
+// triangles counted over an adjacency map. EQ12-SP reports the follows
+// edges it counts over, for the per-edge cost next to graph's
+// BenchmarkTrianglesKernel/scan-sp.
 func BenchmarkIntersectKernel(b *testing.B) {
 	const triangles = `SELECT (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b . ?b rel:follows ?c . ?c rel:follows ?a }`
 	const eq12 = `SELECT (COUNT(*) AS ?cnt) WHERE { ?x r:follows ?y . ?y r:follows ?z . ?z r:follows ?x }`
@@ -131,6 +133,7 @@ func BenchmarkIntersectKernel(b *testing.B) {
 	b.Run("EQ12-SP", func(b *testing.B) {
 		checkCount(b, spKernelStore(b), eq12, eq12SPTriangles)
 		runKernel(b, spKernelStore(b), eq12, nil)
+		b.ReportMetric(float64(followsEdges(spKernelStore(b))), "edges")
 	})
 	b.Run("EQ12-SP-by-z", func(b *testing.B) {
 		q := `SELECT ?z (COUNT(*) AS ?cnt) WHERE { ?x r:follows ?y . ?y r:follows ?z . ?z r:follows ?x } GROUP BY ?z`
@@ -178,6 +181,18 @@ func checkCount(b *testing.B, st *store.Store, q string, want int64) {
 	if got != want {
 		b.Fatalf("%s: counted %d, want %d", q, got, want)
 	}
+}
+
+// followsEdges counts st's follows rows.
+func followsEdges(st *store.Store) int {
+	p := store.AnyPattern()
+	p.P = st.Dict().Lookup(rdf.NewIRI(rdf.RelNS + "follows"))
+	n := 0
+	st.View().Scan(p, func(store.IDQuad) bool {
+		n++
+		return true
+	})
+	return n
 }
 
 // adjacencyTriangles counts the follows triangles (a, b, c) of st —

@@ -162,7 +162,7 @@ func sparseStore(b *testing.B) (*Store, []ID) {
 // row and side: one Seek narrowing the follows range of PSCGM (79 712
 // rows) to a node's out-edges, with no delta and with 4 500 unmerged
 // inserts spread over the nodes (so most ranges take the merge path),
-// plus one seekCol into the rows. Those legs run one seeker for all b.N
+// plus one SeekCol into the rows. Those legs run one seeker for all b.N
 // seeks, so it builds its directory early (DirPayback); dir/op is the
 // share of seeks the directory answered. The few and payback legs open
 // a fresh seeker every 8 and every 2 048 seeks: the first never builds
@@ -189,7 +189,7 @@ func BenchmarkSeek(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p.S = nodes[i%ngNodes]
 				rows := sk.Seek(p)
-				benchSink += seekCol(rows, 0, ColC, nodes[(i*7)%ngNodes])
+				benchSink += SeekCol(rows, 0, ColC, nodes[(i*7)%ngNodes])
 				if _, dir := sk.LastSeek(); dir {
 					dirs++
 				}
@@ -210,7 +210,7 @@ func BenchmarkSeek(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p.S = subjects[(i*31)%len(subjects)]
 				rows := sk.Seek(p)
-				benchSink += seekCol(rows, 0, ColC, o)
+				benchSink += SeekCol(rows, 0, ColC, o)
 				if _, dir := sk.LastSeek(); dir {
 					b.Fatal("a range spanning three IDs per row built a directory")
 				}
@@ -229,7 +229,7 @@ func BenchmarkSeek(b *testing.B) {
 					}
 					p.S = nodes[i%ngNodes]
 					rows := sk.Seek(p)
-					benchSink += seekCol(rows, 0, ColC, nodes[(i*7)%ngNodes])
+					benchSink += SeekCol(rows, 0, ColC, nodes[(i*7)%ngNodes])
 				}
 			})
 		}

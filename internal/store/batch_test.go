@@ -108,7 +108,7 @@ func setCol(p *Pattern, c Col, v ID) {
 }
 
 // checkSeek checks one Seek against ScanIndex on the same index (key
-// order, same prefix), seekCol against the rows' next key column, and
+// order, same prefix), SeekCol against the rows' next key column, and
 // the rows of one value of that column against ScanIndex with it bound
 // too. It reports whether the rows came from the delta merge.
 func checkSeek(t *testing.T, label string, v *View, c seekCase, rng *rand.Rand) bool {
@@ -132,11 +132,11 @@ func checkSeek(t *testing.T, label string, v *View, c seekCase, rng *rand.Rand) 
 			from = 0
 		}
 	}
-	lo := seekCol(got, from, col, id)
-	hi := seekCol(got, lo, col, id+1)
+	lo := SeekCol(got, from, col, id)
+	hi := SeekCol(got, lo, col, id+1)
 	for i, q := range got {
 		if (i >= from && i < lo) && q.Get(col) >= id || i >= lo && q.Get(col) < id {
-			t.Fatalf("%s: seekCol(from %d, %s >= %d) = %d, row %d has %d", label, from, col, id, lo, i, q.Get(col))
+			t.Fatalf("%s: SeekCol(from %d, %s >= %d) = %d, row %d has %d", label, from, col, id, lo, i, q.Get(col))
 		}
 	}
 	one := c.narrow
@@ -176,7 +176,7 @@ func (ps *pinnedState) check(t *testing.T) {
 // layout; ScanBatch must visit exactly the rows Scan visits, in the
 // same order, for random patterns and batch sizes; a prefix estimate
 // must be the exact count; a Seek on every index must return what a
-// forced-index scan of the same prefix does, and the rows seekCol
+// forced-index scan of the same prefix does, and the rows SeekCol
 // delimits for one value of the next key column what a scan with that
 // value bound too does — through the zero-copy path and through the
 // delta merge, both of which must occur; and every View pinned at an
@@ -353,9 +353,11 @@ func TestSeekerReuse(t *testing.T) {
 // rows as a fresh seeker, which searches the rows — values the range
 // holds, absent ones in the gaps between them, ones below its first and
 // above its last, values only delta inserts hold and runs whose every
-// row is tombstoned. It runs four seek shapes, one of them (r's two
+// row is tombstoned. It runs six seek shapes, one of them (r's two
 // rows, the first and the last subject) spanning far more than DirSpan
-// IDs per row, through the zero-copy and the merge paths, on the loaded
+// IDs per row and two at DirSpan's boundary — b1's range spans
+// DirSpan·rows − 1 IDs and must build, b2's DirSpan·rows and must not —
+// through the zero-copy and the merge paths, on the loaded
 // store, with delta entries, after Load and Compact, and on every view
 // pinned before those.
 func TestSeekerDirectoryMatchesFresh(t *testing.T) {
@@ -379,10 +381,32 @@ func TestSeekerDirectoryMatchesFresh(t *testing.T) {
 	if _, err := s.Load("m", append(quads, quad("s0", "r", "o0", ""), quad("s299", "r", "o1", ""))); err != nil {
 		t.Fatal(err)
 	}
+	// DirSpan's boundary: b1's 100 objects span DirSpan·100 − 1 IDs, the
+	// most a range of 100 rows builds a directory over; b2's span one
+	// more, so it declines. Both are over DirPayback rows, so a fresh
+	// seeker searches them.
+	if _, err := s.Load("m", []rdf.Quad{quad("b", "q", "b1", ""), quad("b", "q", "b2", "")}); err != nil {
+		t.Fatal(err)
+	}
+	const lo, n = ID(5), 100
+	var edge []rdf.Quad
+	for pred, span := range map[string]ID{"b1": DirSpan*n - 1, "b2": DirSpan * n} {
+		for i := ID(0); i < n; i++ {
+			id := lo + i
+			if i == n-1 {
+				id = lo + span
+			}
+			edge = append(edge, rdf.Quad{S: iri("b"), P: iri(pred), O: s.Dict().Term(id)})
+		}
+	}
+	if _, err := s.Load("m", edge); err != nil {
+		t.Fatal(err)
+	}
 	shapes := []struct {
-		pred string // the constant predicate; "" for none
-		next Col
-	}{{"p", ColS}, {"p", ColC}, {"", ColP}, {"r", ColS}}
+		pred  string // the constant predicate; "" for none
+		next  Col
+		dense int // +1: the range must build a directory, -1: must not; 0: either
+	}{{"p", ColS, 0}, {"p", ColC, 0}, {"", ColP, 0}, {"r", ColS, 0}, {"b1", ColC, +1}, {"b2", ColC, -1}}
 	var merged, zeroCopy, deltaOnly, tombstoned, below, above, gaps, built, declined int
 	check := func(label string, v *View) {
 		t.Helper()
@@ -409,6 +433,9 @@ func TestSeekerDirectoryMatchesFresh(t *testing.T) {
 			dense := end-first < DirSpan*ID(len(rows))
 			buildAt := max(1, (len(rows)+DirPayback-1)/DirPayback)
 			lbl := fmt.Sprintf("%s %s (%d rows, values %d..%d)", label, ix.Perm(), len(rows), first, end)
+			if edge := DirSpan*ID(len(rows)) - 1 + ID(max(0, -sh.dense)); sh.dense != 0 && end-first != edge {
+				t.Fatalf("%s: the values span %d IDs, want %d", lbl, end-first, edge)
+			}
 			for n := 1; n <= buildAt; n++ {
 				warm.Seek(narrow(ID(n)))
 				b, dir := warm.LastSeek()
@@ -713,5 +740,56 @@ func TestScanBatchUnderFaultInjector(t *testing.T) {
 	})
 	if calls != 1 {
 		t.Fatalf("callback ran %d times after stop, want 1", calls)
+	}
+}
+
+// TestOrbit checks the least-rotation rule over every triple of IDs
+// 1–3: Orbit must be the number of distinct rotations of (x, y, z) when
+// it is the least of them, lexicographically, and 0 otherwise; OrbitLead
+// must hold for x ≤ y whenever Orbit is nonzero.
+func TestOrbit(t *testing.T) {
+	for x := ID(1); x <= 3; x++ {
+		for y := ID(1); y <= 3; y++ {
+			for z := ID(1); z <= 3; z++ {
+				rots := [][]ID{{x, y, z}, {y, z, x}, {z, x, y}}
+				least, distinct := true, map[[3]ID]bool{}
+				for _, r := range rots {
+					least = least && slices.Compare(rots[0], r) <= 0
+					distinct[[3]ID(r)] = true
+				}
+				want := int64(0)
+				if least {
+					want = int64(len(distinct))
+				}
+				if got := Orbit(x, y, z); got != want {
+					t.Errorf("Orbit(%d, %d, %d) = %d, want %d", x, y, z, got, want)
+				}
+				if OrbitLead(x, y) != (x <= y) || want > 0 && !OrbitLead(x, y) {
+					t.Errorf("OrbitLead(%d, %d) = %v", x, y, OrbitLead(x, y))
+				}
+			}
+		}
+	}
+}
+
+// TestSeekColNear checks that SeekColNear answers what SeekCol from the
+// first row does, for every hint an earlier search of an ID at most
+// id's could have left — including past the rows' end — and for hints
+// past the answer, which it must not trust.
+func TestSeekColNear(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	rows := make([]IDQuad, 200)
+	v := ID(1)
+	for i := range rows {
+		v += ID(rng.Intn(3))
+		rows[i].S = v
+	}
+	for id := ID(0); id <= v+2; id++ {
+		want := SeekCol(rows, 0, ColS, id)
+		for hint := 0; hint <= len(rows)+1; hint++ {
+			if got := SeekColNear(rows, hint, ColS, id); got != want {
+				t.Fatalf("SeekColNear(hint %d, %d) = %d, want %d", hint, id, got, want)
+			}
+		}
 	}
 }

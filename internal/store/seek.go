@@ -197,7 +197,7 @@ func (s *Seeker) narrowOne(c Col, id ID) []IDQuad {
 		}
 	}
 	rows = rows[lo:]
-	return rows[:seekCol(rows, 0, c, id+1)]
+	return rows[:SeekCol(rows, 0, c, id+1)]
 }
 
 // buildDir fills the directory from one pass over the base rows, which
@@ -255,7 +255,7 @@ func Leapfrog(rows [][]IDQuad, cols []Col, pos []int) (x ID, seeks int, ok bool)
 		for i, r := range rows {
 			p, c := pos[i], cols[i]
 			if r[p].Get(c) < x {
-				if p = seekCol(r, p, c, x); p == len(r) {
+				if p = SeekCol(r, p, c, x); p == len(r) {
 					return 0, seeks, false
 				}
 				pos[i] = p
@@ -346,7 +346,7 @@ func (m *Marks) Probe(rows [][]IDQuad, cols []Col, pos []int, marked int) (x ID,
 			continue
 		}
 		pos[w] = p
-		pos[marked] = seekCol(rows[marked], pos[marked], cols[marked], x)
+		pos[marked] = SeekCol(rows[marked], pos[marked], cols[marked], x)
 		return x, p - from + 1, true
 	}
 	pos[w] = len(r)
@@ -378,7 +378,7 @@ func (m *Marks) Sum(rows [][]IDQuad, cols []Col, pos []int, marked int, visible 
 				continue
 			}
 			if x != prev {
-				prev, mult, mp = x, 0, seekCol(mr, mp, mc, x)
+				prev, mult, mp = x, 0, SeekCol(mr, mp, mc, x)
 				for ; mp < len(mr) && mr[mp].Get(mc) == x; mp++ {
 					cost++
 					if visible == nil || visible(mr[mp]) {
@@ -418,17 +418,51 @@ func (m *Marks) Sum(rows [][]IDQuad, cols []Col, pos []int, marked int, visible 
 	return sum, last, cost
 }
 
-// seekLinear is how many rows seekCol steps through one by one before it
+// Orbit is the rule by which a count over a pattern that rotating three
+// of its variables (x → y → z → x) maps onto itself counts each orbit
+// of solutions once (DESIGN.md §22): every rotation of a solution is a
+// solution, so the count takes the one whose (x, y, z) is the least of
+// its rotations in the order the indexes sort IDs by and weighs it by
+// the rotations it stands for. Orbit returns that weight for (x, y, z):
+// 3, or 1 when x = y = z, its only rotation; 0 when it is not the
+// least — x > y, z < x, or x = z < y, whose rotation (x, x, y) is less.
+func Orbit(x, y, z ID) int64 {
+	switch {
+	case x > y || z < x:
+		return 0
+	case z > x:
+		return 3
+	case x == y:
+		return 1
+	}
+	return 0
+}
+
+// OrbitLead reports whether a solution binding x and y can be the least
+// of its rotations whatever z is: x ≤ y.
+func OrbitLead(x, y ID) bool { return x <= y }
+
+// SeekColNear is SeekCol over all of rows searching on from hint, the
+// answer of an earlier search of the same rows for an ID at most id,
+// when the answer lies there; otherwise from the first row.
+func SeekColNear(rows []IDQuad, hint int, c Col, id ID) int {
+	if hint > len(rows) || hint > 0 && rows[hint-1].Get(c) >= id {
+		hint = 0
+	}
+	return SeekCol(rows, hint, c, id)
+}
+
+// seekLinear is how many rows SeekCol steps through one by one before it
 // gallops.
 const seekLinear = 8
 
-// seekCol returns the index of the first of rows[from:] whose column c
+// SeekCol returns the index of the first of rows[from:] whose column c
 // is at least id, or len(rows). Those rows must be sorted by c, as a
 // Seek's rows are by the first column its pattern leaves unbound. The
 // answer is usually near from — an intersection advances through a
 // range — so it probes at doubling distances, then binary-searches the
 // last gap.
-func seekCol(rows []IDQuad, from int, c Col, id ID) int {
+func SeekCol(rows []IDQuad, from int, c Col, id ID) int {
 	// Most moves are short: step through the next few rows (adjacent in
 	// memory) before galloping.
 	for end := min(from+seekLinear, len(rows)); from < end; from++ {
