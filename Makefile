@@ -1,11 +1,5 @@
 GO ?= go
 FUZZTIME ?= 30s
-# Algo-bench worker budget: default to the machine's cores so the
-# published BENCH_algos.json is measured on real parallelism. The
-# bench-algos target passes -require-cores, so asking for more workers
-# than GOMAXPROCS fails instead of publishing scheduler noise.
-BENCH_WORKERS ?= $(shell nproc 2>/dev/null || echo 8)
-BENCH_ITERS ?= 3
 BENCH_SCALE ?= 0.05
 # Profiling-overhead gate: fail when running EQ1-EQ12 with per-operator
 # profiling on is more than this percent slower than with it off.
@@ -14,7 +8,7 @@ BENCH_SCALE ?= 0.05
 BENCH_MAX_OVERHEAD ?= 5
 OVERHEAD_ITERS ?= 5
 
-.PHONY: check vet lint build test race crash-recovery repl-fault algo-diff store-race bench bench-paper bench-algos bench-algos-smoke bench-micro bench-smoke benchmark-smoke bench-pair bench-kernel fuzz-smoke
+.PHONY: check vet lint build test race crash-recovery repl-fault algo-diff store-race bench bench-paper bench-micro bench-smoke benchmark-smoke bench-pair bench-kernel fuzz-smoke
 
 ## check: the full gate — vet, build, the pgrdfvet analyzers, the
 ## race-enabled test suite, the crash-recovery differential, the
@@ -73,12 +67,14 @@ repl-fault:
 ## query builder's queries alike under RF, NG and SP, Convert is pinned
 ## byte for byte, lossy datasets are refused, and DetectScheme names each
 ## scheme; and walks and shortest paths over the projection must equal a
-## native traversal of the property graph on every scheme — all under
-## the race detector. Part of `make check`; see DESIGN.md §5 and §17.
+## native traversal of the property graph on every scheme; and PageRank,
+## WCC and triangles must give byte-identical results at every worker
+## count, and one CSR and one triangle count from the twitter graph
+## under RF, NG and SP — all under the race detector. Part of `make check`; see DESIGN.md §5 and §17.
 algo-diff:
 	$(GO) test -race -count=1 -run 'TestChangesSince|TestViewIsOneState' ./internal/store
 	$(GO) test -race -count=1 -run 'TestSchemesEquivalent|TestRoundTripAllSchemes|TestConvertPinned|TestFromRDFRefusesLossyDataset|TestMigrateAllPairs' ./internal/pgrdf
-	$(GO) test -race -count=1 -run 'TestPatch|TestProjectionIgnoresCompaction|TestDetectScheme|TestTraversalMatchesPropertyGraph|TestWalkBounds' ./internal/graph
+	$(GO) test -race -count=1 -run 'TestPatch|TestProjectionIgnoresCompaction|TestDetectScheme|TestTraversalMatchesPropertyGraph|TestWalkBounds|TestParallelismByteIdentical|TestProjectCrossSchemeIdentity|TestTrianglesTwitterSchemes' ./internal/graph
 	$(GO) test -race -count=1 -run 'TestAlgo' ./internal/httpapi
 
 ## store-race: the concurrency gate of the versioned store (DESIGN.md
@@ -103,7 +99,7 @@ store-race:
 	$(GO) test -race -count=1 -run 'TestSoakServingBesideWrites' ./internal/httpapi
 
 ## bench: Go micro-benchmarks plus the profiling-overhead gate. Tune
-## with BENCH_ITERS / BENCH_SCALE.
+## with BENCH_SCALE / OVERHEAD_ITERS.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 	$(MAKE) bench-overhead
@@ -122,23 +118,6 @@ bench-overhead:
 ## the same bytes.
 bench-paper:
 	$(GO) run ./cmd/benchpaper -scale 0.1 -out BENCH_paper.json
-
-## bench-algos: the graph-analytics comparison — CSR projection plus
-## PageRank / WCC / triangle counting, serial vs parallel, on all three
-## schemes, and the update-then-algo leg (patch_ms next to
-## csr_build_ms for a one-edge and a 100-edge update) — written to
-## BENCH_algos.json. -require-cores refuses to
-## publish speedup numbers measured with fewer cores than workers; the
-## embedded fingerprints prove serial/parallel and cross-scheme results
-## were identical.
-bench-algos:
-	$(GO) run ./cmd/benchpaper -algobench -require-cores -workers $(BENCH_WORKERS) -iters $(BENCH_ITERS) -scale $(BENCH_SCALE) -out BENCH_algos.json
-
-## bench-algos-smoke: one-iteration algo bench at reduced scale (the CI
-## gate). No -require-cores: CI hosts publish whatever parallelism they
-## have, recorded in the report's gomaxprocs field.
-bench-algos-smoke:
-	$(GO) run ./cmd/benchpaper -algobench -workers $(BENCH_WORKERS) -iters 1 -scale 0.02 -out BENCH_algos.json
 
 ## bench-micro: executor kernel microbenchmarks — the BGP driver's hot
 ## loops (scan, hash probe, nested loop, filter, and the sorted
@@ -165,19 +144,21 @@ bench-algos-smoke:
 ## analytics tier's triangle count on the algo-rf CSR at one and two
 ## workers and on the scan-sp store's CSR at one
 ## (BenchmarkTrianglesKernel; that leg and the intersection's EQ12-SP
-## leg report their edges, for the two per-edge costs on one host).
+## leg report their edges, for the two per-edge costs on one host), and
+## PageRank and WCC on the algo-rf CSR at one and two workers
+## (BenchmarkPageRankKernel, BenchmarkWCCKernel: the parallel speedup).
 ## Compare against the parent
 ## commit's run (bench-kernel does that for BenchmarkIntersectKernel).
 bench-micro:
 	$(GO) test -bench 'Kernel' -run '^$$' -benchtime 20x ./internal/sparql/
 	$(GO) test -bench 'BenchmarkScan|BenchmarkApply|BenchmarkSeek|BenchmarkLoad' -run '^$$' ./internal/store/
-	$(GO) test -bench 'TrianglesKernel' -run '^$$' -benchtime 20x ./internal/graph/
+	$(GO) test -bench 'Kernel' -run '^$$' -benchtime 20x ./internal/graph/
 
-## bench-smoke: one-iteration bench at reduced scale (the CI gate).
+## bench-smoke: one-iteration micro-benchmarks at reduced scale (the CI gate).
 ## The overhead differential keeps best-of-$(OVERHEAD_ITERS) even here:
 ## best-of-1 at smoke scale is all scheduler jitter.
 bench-smoke:
-	$(MAKE) bench BENCH_ITERS=1 BENCH_SCALE=0.02
+	$(MAKE) bench BENCH_SCALE=0.02
 
 ## benchmark-smoke: the serving benchmark's own gate (BENCHMARK.json,
 ## benchmark/ — a separate module the root's ./... does not reach): its

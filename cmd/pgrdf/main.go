@@ -49,6 +49,10 @@ import (
 	"repro/internal/wal"
 )
 
+// defaultIndexes is the -indexes default of every subcommand that
+// builds a store.
+const defaultIndexes = "PCSGM,PSCGM,SPCGM,GSPCM"
+
 func main() {
 	if len(os.Args) < 2 {
 		usage()
@@ -213,7 +217,7 @@ func runQuery(args []string, explain bool) error {
 	fs := flag.NewFlagSet("query", flag.ExitOnError)
 	data := fs.String("data", "", "N-Quads data file")
 	queryText := fs.String("q", "", "SPARQL query text (@file to read from a file)")
-	indexes := fs.String("indexes", "PCSGM,PSCGM,SPCGM,GSPCM", "comma-separated semantic network indexes")
+	indexes := fs.String("indexes", defaultIndexes, "comma-separated semantic network indexes")
 	limit := fs.Int("print", 100, "max rows to print")
 	analyze := fs.Bool("analyze", false, "execute the query and annotate the plan with per-operator actuals (explain only)")
 	fs.Parse(args)
@@ -282,7 +286,7 @@ func runTraverse(args []string) error {
 	defer stop()
 	fs := flag.NewFlagSet("traverse", flag.ExitOnError)
 	data := fs.String("data", "", "N-Quads data file (a converted PG-as-RDF dataset)")
-	indexes := fs.String("indexes", "PCSGM,PSCGM,SPCGM,GSPCM", "semantic network indexes")
+	indexes := fs.String("indexes", defaultIndexes, "semantic network indexes")
 	from := fs.String("from", "", "start vertex IRI")
 	to := fs.String("to", "", "destination vertex IRI (shortest-path mode)")
 	label := fs.String("label", "follows", "edge label to follow (empty = any)")
@@ -383,7 +387,7 @@ func runAlgo(args []string) error {
 	name := args[0]
 	fs := flag.NewFlagSet("algo", flag.ExitOnError)
 	data := fs.String("data", "", "N-Quads data file (a converted PG-as-RDF dataset)")
-	indexes := fs.String("indexes", "PCSGM,PSCGM,SPCGM,GSPCM", "comma-separated semantic network indexes")
+	indexes := fs.String("indexes", defaultIndexes, "comma-separated semantic network indexes")
 	model := fs.String("model", "data", "model to project (loadStore loads files as \"data\")")
 	schemeName := fs.String("scheme", "auto", "projection scheme: RF, NG, SP or auto (sniff the dataset)")
 	label := fs.String("label", "", "edge-label filter (empty = all relationship edges)")
@@ -480,7 +484,7 @@ func runSnapshot(args []string) error {
 	data := fs.String("data", "", "N-Quads data file to load")
 	restore := fs.String("restore", "", "existing snapshot to load")
 	dataDir := fs.String("data-dir", "", "durability directory to recover (checkpoint + WAL tail)")
-	indexes := fs.String("indexes", "PCSGM,PSCGM,SPCGM,GSPCM", "comma-separated semantic network indexes (ignored with -restore/-data-dir)")
+	indexes := fs.String("indexes", defaultIndexes, "comma-separated semantic network indexes (ignored with -restore/-data-dir)")
 	out := fs.String("o", "-", "output snapshot file (- = stdout)")
 	fs.Parse(args)
 
@@ -557,7 +561,7 @@ func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	data := fs.String("data", "", "N-Quads data file to load (optional: start empty)")
 	restore := fs.String("restore", "", "store snapshot to restore (preserves models, virtual models and indexes)")
-	indexes := fs.String("indexes", "PCSGM,PSCGM,SPCGM,GSPCM", "semantic network indexes")
+	indexes := fs.String("indexes", defaultIndexes, "semantic network indexes")
 	addr := fs.String("addr", "localhost:3030", "listen address")
 	readOnly := fs.Bool("readonly", false, "disable the /update endpoint")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-query wall-clock deadline (negative = unlimited)")
@@ -710,7 +714,7 @@ func runServe(args []string) error {
 func runStats(args []string) error {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
 	data := fs.String("data", "", "N-Quads data file")
-	indexes := fs.String("indexes", "PCSGM,PSCGM,SPCGM,GSPCM", "comma-separated semantic network indexes")
+	indexes := fs.String("indexes", defaultIndexes, "comma-separated semantic network indexes")
 	fs.Parse(args)
 	if *data == "" {
 		return fmt.Errorf("stats requires -data")

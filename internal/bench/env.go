@@ -32,7 +32,7 @@ type Env struct {
 	Graph      *pg.Graph
 	GraphStats pg.Stats
 	// RF is the ablation scheme, outside SchemeEnvs: the query benches
-	// and differentials run NG and SP, the claims and AlgoBench all three.
+	// and differentials run NG and SP, the claims all three.
 	RF, NG, SP *SchemeEnv
 
 	// Tag is the generated analogue of the paper's "#webseries": a tag

@@ -114,6 +114,8 @@ func interleavedBestOf(iters int, a, b func() error) (bestA, bestB time.Duration
 	return bestA, bestB, nil
 }
 
+func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+
 // ExplainAnalyzeAll renders EXPLAIN ANALYZE for every paper query on
 // every scheme, verifying that each profile reports actuals. Used by
 // the benchpaper -explainanalyze mode and the acceptance tests.

@@ -387,6 +387,48 @@ func TestPatchScenarios(t *testing.T) {
 				t.Fatalf("vertices %d, want %d after the new vertices lost their last edge", got, before)
 			}
 
+			// A hundred edges in one update, every fourth to a vertex the
+			// graph has never seen, is one patch; so is the update that
+			// takes them all out again. A label of their own keeps their
+			// plain triples apart from the loaded edges'.
+			batch := pg.NewGraph()
+			for i := 0; i < 100; i++ {
+				src, dst := pg.ID(i%10+1), pg.ID((i/10+i)%10+1)
+				if i%4 == 3 {
+					dst = pg.ID(1000 + i)
+				}
+				for _, id := range []pg.ID{src, dst} {
+					if batch.Vertex(id) == nil {
+						if _, err := batch.AddVertexWithID(id); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if _, err := batch.AddEdgeWithID(pg.ID(20000+i), src, dst, "likes"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var ins, del []store.Op
+			for _, p := range place(conv.Convert(batch), names) {
+				ins = append(ins, store.Op{Model: p.model, Quad: p.q})
+				del = append(del, store.Op{Delete: true, Model: p.model, Quad: p.q})
+			}
+			for _, u := range []struct {
+				step     string
+				ops      []store.Op
+				vertices int
+			}{{"hundred edges in", ins, before + 25}, {"hundred edges out", del, before}} {
+				if n, m, err := st.Apply(u.ops); err != nil || n+m != len(u.ops) {
+					t.Fatalf("%s: %d inserted, %d deleted of %d ops: %v", u.step, n, m, len(u.ops), err)
+				}
+				if info := f.catchUp(u.step); info.Rebuild != "" || !info.Copied || info.Changes != len(u.ops) {
+					t.Fatalf("%s: %+v", u.step, info)
+				}
+				if got := f.pr.CSR.NumVertices(); got != u.vertices {
+					t.Fatalf("%s: vertices %d, want %d", u.step, got, u.vertices)
+				}
+			}
+
 			// A marker holds a vertex that has no edge; an edge holds one
 			// whose marker goes.
 			m := markerQuad(names, 777)

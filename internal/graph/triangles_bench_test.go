@@ -2,6 +2,7 @@ package graph
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/pgrdf"
@@ -56,6 +57,40 @@ func BenchmarkTrianglesKernel(b *testing.B) {
 			}
 			b.ReportMetric(float64(res.Count), "triangles")
 			b.ReportMetric(float64(leg.cs.NumEdges()), "edges")
+		})
+	}
+}
+
+// BenchmarkPageRankKernel times Runner.PageRank alone on
+// BenchmarkTrianglesKernel's algo-rf CSR at one and two workers: p1
+// over p2 is the parallel speedup on the serving benchmark's graph.
+func BenchmarkPageRankKernel(b *testing.B) {
+	benchmarkWorkers(b, func(r Runner, cs *CSR) error {
+		_, err := r.PageRank(context.Background(), cs, PageRankOptions{})
+		return err
+	})
+}
+
+// BenchmarkWCCKernel is BenchmarkPageRankKernel for Runner.WCC.
+func BenchmarkWCCKernel(b *testing.B) {
+	benchmarkWorkers(b, func(r Runner, cs *CSR) error {
+		_, err := r.WCC(context.Background(), cs)
+		return err
+	})
+}
+
+// benchmarkWorkers times run on the algo-rf CSR at one and two workers.
+func benchmarkWorkers(b *testing.B, run func(Runner, *CSR) error) {
+	rf := twitterCSR(b, pgrdf.RF, twitter.PaperConfig().Scale(0.05))
+	for _, par := range []int{1, 2} {
+		b.Run(fmt.Sprintf("p%d", par), func(b *testing.B) {
+			r := Runner{Parallelism: par}
+			for i := 0; i < b.N; i++ {
+				if err := run(r, rf); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(rf.NumEdges()), "edges")
 		})
 	}
 }

@@ -661,9 +661,13 @@ func TestIntersectCharges(t *testing.T) {
 // under 1 500 units of scan batches and seeks. So a budget of marks
 // plus vecRampStart plus half the marking, or plus the marking and half
 // the build, trips at the tick carrying it, which polls nothing, so the
-// Done calls of that run are the ones before it. One call later the
-// context is canceled: that tick crosses a poll boundary and must stop
-// the query with guard.ErrCanceled.
+// Done calls of that run are the ones before it. The profile an aborted
+// query returns says so: the scan stayed under the budget, the binder
+// has marked (and, at the second budget, built its directory, which
+// located that seek: dir=1), and the ticks charged before the failing
+// TickN — all but the stage's charge, which that TickN carries — are
+// within the budget. One call later the context is canceled: that tick
+// crosses a poll boundary and must stop the query with guard.ErrCanceled.
 func TestIntersectCancellationMidMark(t *testing.T) {
 	const marks = 4096
 	st := hubStore(t, marks, 0, true)
@@ -678,15 +682,25 @@ func TestIntersectCancellationMidMark(t *testing.T) {
 	for _, tc := range []struct {
 		tick   string
 		budget int64
+		charge int64 // what the stage adds to the failing TickN
+		dir    int64 // the binder's seeks the directory located
 	}{
-		{"marking", marks + vecRampStart + marks/2},
-		{"directory build", marks + vecRampStart + marks + marks},
+		{"marking", marks + vecRampStart + marks/2, marks, 0},
+		{"directory build", marks + vecRampStart + marks + marks, 2 * marks, 1},
 	} {
 		probe := guardtest.NewDoneAfter(context.Background(), 0)
 		e := NewEngine(st)
 		e.Limits = guard.Budget{MaxWork: tc.budget}
-		if _, err := e.QueryContext(probe, "", q); !errors.Is(err, guard.ErrBudgetExceeded) {
+		_, prof, err := e.QueryProfiledContext(probe, "", q)
+		if !errors.Is(err, guard.ErrBudgetExceeded) {
 			t.Fatalf("budget before the %s's tick: err = %v", tc.tick, err)
+		}
+		scan, b := prof.Plan[0].Children[0], prof.Plan[0].Children[1]
+		ticks := scan.GuardTicks + b.GuardTicks
+		if scan.GuardTicks >= tc.budget || b.Marked != 1 || b.Dir != tc.dir ||
+			ticks <= tc.budget || ticks-tc.charge > tc.budget {
+			t.Fatalf("%s: the budget of %d tripped elsewhere: scan ticks=%d, binder ticks=%d marked=%d dir=%d",
+				tc.tick, tc.budget, scan.GuardTicks, b.GuardTicks, b.Marked, b.Dir)
 		}
 		ctx := guardtest.NewDoneAfter(context.Background(), probe.Calls()+1)
 		if _, err := NewEngine(st).QueryContext(ctx, "", q); !errors.Is(err, guard.ErrCanceled) {
