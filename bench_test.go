@@ -59,12 +59,12 @@ func runQueryBench(b *testing.B, se *bench.SchemeEnv, name, query string) {
 	b.Helper()
 	model := bench.TargetModelFor(se, name)
 	// Warm once (paper methodology) and sanity-check the query.
-	if _, err := se.Engine.Query(model, query); err != nil {
+	if _, err := se.Engine.QueryContext(b.Context(), model, query); err != nil {
 		b.Fatalf("%s: %v", name, err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := se.Engine.Query(model, query); err != nil {
+		if _, err := se.Engine.QueryContext(b.Context(), model, query); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -160,12 +160,12 @@ func BenchmarkAblationJoinStrategy(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			eng := sparql.NewEngine(env.NG.Store)
 			eng.DisableHashJoin = mode.disable
-			if _, err := eng.Query(model, q); err != nil {
+			if _, err := eng.QueryContext(b.Context(), model, q); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Query(model, q); err != nil {
+				if _, err := eng.QueryContext(b.Context(), model, q); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -185,12 +185,12 @@ func BenchmarkAblationPartitioning(b *testing.B) {
 	} {
 		target := target
 		b.Run(target.name, func(b *testing.B) {
-			if _, err := env.NG.Engine.Query(target.model, q); err != nil {
+			if _, err := env.NG.Engine.QueryContext(b.Context(), target.model, q); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := env.NG.Engine.Query(target.model, q); err != nil {
+				if _, err := env.NG.Engine.QueryContext(b.Context(), target.model, q); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -224,23 +224,23 @@ func BenchmarkAblationExplicitSPO(b *testing.B) {
 
 	b.Run("with-explicit-spo", func(b *testing.B) {
 		model := env.SP.Names.Topology
-		if _, err := env.SP.Engine.Query(model, plain); err != nil {
+		if _, err := env.SP.Engine.QueryContext(b.Context(), model, plain); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := env.SP.Engine.Query(model, plain); err != nil {
+			if _, err := env.SP.Engine.QueryContext(b.Context(), model, plain); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("via-subPropertyOf", func(b *testing.B) {
-		if _, err := noSPO.Query("pg", viaSub); err != nil {
+		if _, err := noSPO.QueryContext(b.Context(), "pg", viaSub); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := noSPO.Query("pg", viaSub); err != nil {
+			if _, err := noSPO.QueryContext(b.Context(), "pg", viaSub); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -256,12 +256,12 @@ func BenchmarkAblationRF(b *testing.B) {
 		se := se
 		b.Run(se.Scheme.String(), func(b *testing.B) {
 			model, q := se.Names.TopoEdgeKV, bench.EdgeKVQuery(se.Scheme)
-			if _, err := se.Engine.Query(model, q); err != nil {
+			if _, err := se.Engine.QueryContext(b.Context(), model, q); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := se.Engine.Query(model, q); err != nil {
+				if _, err := se.Engine.QueryContext(b.Context(), model, q); err != nil {
 					b.Fatal(err)
 				}
 			}

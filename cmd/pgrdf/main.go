@@ -240,7 +240,10 @@ func runQuery(args []string, explain bool) error {
 	if explain {
 		var plan string
 		if *analyze {
-			plan, err = eng.ExplainAnalyzeContext(ctx, "data", q)
+			var prof *sparql.Profile
+			if _, prof, err = eng.QueryProfiledContext(ctx, "data", q); err == nil {
+				plan = prof.Render()
+			}
 		} else {
 			plan, err = eng.Explain("data", q)
 		}

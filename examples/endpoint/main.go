@@ -74,7 +74,8 @@ SELECT ?n (COUNT(?t) AS ?tags) WHERE { ?n k:hasTag ?t } GROUP BY ?n ORDER BY DES
 	check(err)
 	fmt.Printf("\nmutual follows exist (ASK via HTTP): %v\n", mutualFollows)
 
-	// 3c. Update over the wire, then read it back.
+	// 3c. Update over the wire, then read it back. INSERT DATA runs as
+	// INSERT { … } WHERE {} and must name a concrete model.
 	resp, err = http.PostForm(base+"/update", url.Values{
 		"update": {`INSERT DATA { <http://pg/n999999> <http://pg/k/name> "wire-inserted" }`},
 		"model":  {env.NG.Names.NodeKV},
@@ -94,7 +95,7 @@ SELECT ?n (COUNT(?t) AS ?tags) WHERE { ?n k:hasTag ?t } GROUP BY ?n ORDER BY DES
 	handler.Config() // effective limits, if you want to inspect them
 	eng := sparql.NewEngine(env.NG.Store)
 	eng.Limits = guard.Budget{Timeout: 100 * time.Millisecond}
-	_, err = eng.Query("", `SELECT * WHERE { ?a ?p ?b . ?c ?q ?d . ?e ?r ?f }`)
+	_, err = eng.QueryContext(context.Background(), "", `SELECT * WHERE { ?a ?p ?b . ?c ?q ?d . ?e ?r ?f }`)
 	fmt.Printf("unbounded cross join with 100ms budget: %v (timeout=%v)\n",
 		err, errors.Is(err, guard.ErrTimeout))
 

@@ -20,6 +20,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -132,7 +133,7 @@ func factbookFragment() []rdf.Quad {
 }
 
 func queryAndPrint(eng *sparql.Engine, model, what, q string) error {
-	res, err := eng.Query(model, q)
+	res, err := eng.QueryContext(context.Background(), model, q)
 	if err != nil {
 		return err
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -67,7 +68,7 @@ func main() {
 		fmt.Println("\nSPARQL:")
 		fmt.Println(query)
 
-		res, err := sparql.NewEngine(st).Query(names.All, query)
+		res, err := sparql.NewEngine(st).QueryContext(context.Background(), names.All, query)
 		check(err)
 		for _, row := range res.Rows {
 			fmt.Printf("-> %s follows %s since %s\n", row[0].Value, row[1].Value, row[2].Value)

@@ -111,7 +111,7 @@ func runBoth(env *bench.Env, queries map[string]string, name, what string) {
 func runOne(se *bench.SchemeEnv, queries map[string]string, name, what string) {
 	model := bench.TargetModelFor(se, name)
 	start := time.Now()
-	res, err := se.Engine.Query(model, queries[name])
+	res, err := se.Engine.QueryContext(context.Background(), model, queries[name])
 	if err != nil {
 		log.Fatalf("%s: %v", name, err)
 	}

@@ -5,61 +5,31 @@ import (
 	"strings"
 )
 
-// Ctxflow enforces the context-threading discipline the PR-1 guardrails
+// Ctxflow enforces the context-threading discipline the query guardrails
 // depend on: a query that never sees the caller's context can neither
 // be canceled nor observe its deadline, so the admission/timeout story
 // silently degrades to "runs forever".
 //
-// Two rules:
-//
-//  1. Outside the engine package itself (and examples/ and tests), the
-//     ctx-less convenience wrappers on *sparql.Engine — Query, Ask,
-//     Construct, Describe, Update — are forbidden; call the *Context
-//     form and pass the context you were given.
-//  2. Inside library packages (repro/internal/...), minting a fresh
-//     context with context.Background or context.TODO is forbidden:
-//     library code receives its context from the caller. Binaries
-//     under cmd/ create the root context, so they are exempt from
-//     this rule (but not from rule 1).
+// Inside library packages (repro/internal/...), minting a fresh context
+// with context.Background or context.TODO is forbidden: library code
+// receives its context from the caller. Binaries under cmd/ create the
+// root context, so they are exempt. (*sparql.Engine has no context-free
+// request methods, so a call that drops the caller's context must mint
+// one — which is what this rule catches.)
 var Ctxflow = &Analyzer{
 	Name: "ctxflow",
-	Doc:  "library/server code must call *Context engine entry points and thread the caller's context",
+	Doc:  "library code must thread the caller's context, not mint a new one",
 	Run:  runCtxflow,
 }
 
-// ctxlessEngineMethods are the context.Background wrappers on
-// *sparql.Engine, mapped to the entry point to call instead.
-var ctxlessEngineMethods = map[string]string{
-	"Query":     "QueryContext",
-	"Ask":       "AskContext",
-	"Construct": "ConstructContext",
-	"Describe":  "DescribeContext",
-	"Update":    "UpdateContext",
-}
-
-const sparqlPkg = "repro/internal/sparql"
-
 func runCtxflow(pass *Pass) error {
-	path := pass.Path
-	if path == sparqlPkg || strings.HasPrefix(path, "repro/examples/") {
+	if !strings.HasPrefix(pass.Path, "repro/internal/") {
 		return nil
 	}
-	libraryPkg := strings.HasPrefix(path, "repro/internal/")
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
-				return true
-			}
-			if recv, name, ok := methodCall(pass.Info, call); ok {
-				if want, banned := ctxlessEngineMethods[name]; banned && isNamedType(recv, sparqlPkg, "Engine") {
-					pass.Reportf(call.Pos(),
-						"(*sparql.Engine).%s pins context.Background; call %s and thread the caller's context",
-						name, want)
-				}
-				return true
-			}
-			if !libraryPkg {
 				return true
 			}
 			if fn := calleeFunc(pass.Info, call); fn != nil && fn.Pkg() != nil &&

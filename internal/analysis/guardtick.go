@@ -41,7 +41,10 @@ var rawScanMethods = map[string]map[string]bool{
 	"Seeker": {"Seek": true},
 }
 
-const guardPkg = "repro/internal/guard"
+const (
+	guardPkg  = "repro/internal/guard"
+	sparqlPkg = "repro/internal/sparql"
+)
 
 // guardMethods are the *guard.Guard calls that count as "the guard is
 // consulted". TickN(n) accounts for n rows at once, so a worker loop

@@ -1,6 +1,6 @@
 // Package ctxflowtest exercises the ctxflow analyzer. It is analyzed
 // under the import path repro/internal/ctxflowtest, i.e. as library
-// code, where both rules apply.
+// code, where the rule applies.
 package ctxflowtest
 
 import (
@@ -12,18 +12,10 @@ import (
 
 const q = "SELECT * WHERE { ?s ?p ?o }"
 
-func badWrappers(e *sparql.Engine) {
-	_, _ = e.Query("m", q)        // want "Query pins context.Background; call QueryContext"
-	_, _ = e.Ask("m", "ASK {}")   // want "Ask pins context.Background; call AskContext"
-	_, _ = e.Construct("m", q)    // want "Construct pins context.Background; call ConstructContext"
-	_, _ = e.Describe("m", q)     // want "Describe pins context.Background; call DescribeContext"
-	_, _ = e.Update("m", "CLEAR") // want "Update pins context.Background; call UpdateContext"
-}
-
 func badMintedContext(e *sparql.Engine) {
 	ctx := context.Background() // want "must accept a context from its caller, not mint context.Background"
 	_, _ = e.QueryContext(ctx, "m", q)
-	_, _ = e.AskContext(context.TODO(), "m", "ASK {}") // want "must accept a context from its caller, not mint context.TODO"
+	_, _ = e.ExecContext(context.TODO(), "m", "ASK {}") // want "must accept a context from its caller, not mint context.TODO"
 }
 
 func good(ctx context.Context, e *sparql.Engine) error {
@@ -33,8 +25,7 @@ func good(ctx context.Context, e *sparql.Engine) error {
 	if _, err := e.UpdateContext(ctx, "m", "CLEAR ALL"); err != nil {
 		return err
 	}
-	// Explain and Count-free helpers that take no context are out of
-	// scope for rule 1.
+	// Explain runs nothing, so it takes no context.
 	_, err := e.Explain("m", q)
 	return err
 }
@@ -84,5 +75,5 @@ func badWorkerMintsContext(e *sparql.Engine) {
 
 func suppressed(e *sparql.Engine) {
 	//pgrdfvet:ignore ctxflow -- warm-up helper is deliberately uncancellable
-	_, _ = e.Query("m", q)
+	_, _ = e.QueryContext(context.Background(), "m", q)
 }

@@ -126,10 +126,11 @@ func ExplainAnalyzeAll(ctx context.Context, env *Env) (string, error) {
 		eng := sparql.NewEngine(se.Store)
 		for _, name := range sortedKeys(queries) {
 			model := TargetModelFor(se, name)
-			txt, err := eng.ExplainAnalyzeContext(ctx, model, queries[name])
+			_, prof, err := eng.QueryProfiledContext(ctx, model, queries[name])
 			if err != nil {
 				return "", fmt.Errorf("explain analyze %s/%s: %w", se.Scheme, name, err)
 			}
+			txt := prof.Render()
 			if !strings.Contains(txt, "(actual:") {
 				return "", fmt.Errorf("explain analyze %s/%s: no actuals in output:\n%s", se.Scheme, name, txt)
 			}

@@ -253,7 +253,7 @@ func TestStatsEndpoint(t *testing.T) {
 func TestJSONUnboundVariables(t *testing.T) {
 	st := store.New()
 	st.Load("m", []rdf.Quad{{S: rdf.NewIRI("http://a"), P: rdf.NewIRI("http://p"), O: rdf.NewIRI("http://b")}})
-	res, err := sparql.NewEngine(st).Query("", `SELECT ?s ?missing WHERE { ?s <http://p> ?o OPTIONAL { ?s <http://q> ?missing } }`)
+	res, err := sparql.NewEngine(st).QueryContext(t.Context(), "", `SELECT ?s ?missing WHERE { ?s <http://p> ?o OPTIONAL { ?s <http://q> ?missing } }`)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -220,7 +220,7 @@ func queryRows(t *testing.T, st *store.Store, model string, s pgrdf.Scheme, spo 
 	}
 	var out []string
 	for _, q := range queries {
-		res, err := sparql.NewEngine(st).Query(model, q)
+		res, err := sparql.NewEngine(st).QueryContext(t.Context(), model, q)
 		if err != nil {
 			t.Fatalf("%s: %v\n%s", s, err, q)
 		}

@@ -1,6 +1,7 @@
 package pgrdf_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -58,7 +59,7 @@ func ExampleLoadPartitioned() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := sparql.NewEngine(st).Query(names.All, `
+	res, err := sparql.NewEngine(st).QueryContext(context.Background(), names.All, `
 		PREFIX rel: <http://pg/r/>
 		PREFIX key: <http://pg/k/>
 		SELECT ?who WHERE { ?x rel:follows ?y . ?y key:name ?who }`)

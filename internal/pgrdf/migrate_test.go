@@ -58,7 +58,7 @@ func TestMigratedStoreAnswersQueries(t *testing.T) {
 	}
 	qb := NewQueryBuilder(NG)
 	q := qb.Select([]string{"x", "yr"}, qb.EdgeBoundKVPattern("x", "y", "e", "follows", "since", "yr"))
-	res, err := sparql.NewEngine(st).Query("pg", q)
+	res, err := sparql.NewEngine(st).QueryContext(t.Context(), "pg", q)
 	if err != nil {
 		t.Fatal(err)
 	}

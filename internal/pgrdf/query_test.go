@@ -34,7 +34,7 @@ func loadScheme(t *testing.T, g *pg.Graph, s Scheme) (*sparql.Engine, string) {
 
 func sortedRows(t *testing.T, e *sparql.Engine, model, q string) []string {
 	t.Helper()
-	res, err := e.Query(model, q)
+	res, err := e.QueryContext(t.Context(), model, q)
 	if err != nil {
 		t.Fatalf("query: %v\n%s", err, q)
 	}

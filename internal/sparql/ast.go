@@ -3,7 +3,8 @@
 // §2.1: SELECT queries with basic graph patterns, GRAPH, FILTER,
 // OPTIONAL, UNION, VALUES, BIND, sub-SELECT, aggregates with GROUP BY,
 // ORDER BY / LIMIT / OFFSET / DISTINCT, property paths, and the
-// INSERT DATA / DELETE DATA / DELETE WHERE update forms.
+// INSERT DATA / DELETE DATA / DELETE WHERE / DELETE-INSERT-WHERE update
+// forms, which all run as one DELETE/INSERT operation.
 //
 // The engine compiles queries against the ID-based quad store in
 // internal/store, choosing per-pattern semantic-network indexes and
@@ -269,35 +270,20 @@ func (ExprUnary) expr()     {}
 func (ExprAggregate) expr() {}
 func (ExprExists) expr()    {}
 
-// Update is a parsed SPARQL Update request (subset: INSERT DATA, DELETE
-// DATA, DELETE WHERE).
+// Update is a parsed SPARQL Update request: its operations in order,
+// each one Modify. INSERT DATA, DELETE DATA and DELETE WHERE parse into
+// the DELETE/INSERT form SPARQL 1.1 Update defines them by.
 type Update struct {
 	Prefixes rdf.PrefixMap
-	Ops      []UpdateOp
+	Ops      []Modify
 }
-
-// UpdateOp is one update operation.
-type UpdateOp interface{ updateOp() }
-
-// InsertData inserts ground quads.
-type InsertData struct{ Quads []rdf.Quad }
-
-// DeleteData deletes ground quads.
-type DeleteData struct{ Quads []rdf.Quad }
-
-// DeleteWhere deletes all quads matching the pattern group.
-type DeleteWhere struct{ Where *GroupGraphPattern }
 
 // Modify is the template update form:
 // DELETE { tmpl } INSERT { tmpl } WHERE { pattern } — either template
-// may be absent (giving DELETE..WHERE or INSERT..WHERE).
+// may be empty. INSERT DATA and DELETE DATA are a ground template with
+// an empty WHERE; DELETE WHERE P is DELETE P WHERE P.
 type Modify struct {
 	Delete []TemplateQuad
 	Insert []TemplateQuad
 	Where  *GroupGraphPattern
 }
-
-func (InsertData) updateOp()  {}
-func (DeleteData) updateOp()  {}
-func (DeleteWhere) updateOp() {}
-func (Modify) updateOp()      {}

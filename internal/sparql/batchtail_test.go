@@ -66,7 +66,7 @@ func TestBatchTailFiresWhereExpected(t *testing.T) {
 			if !strings.Contains(plan, "Union (2 branches)") || strings.Count(plan, "key=id") != 2 {
 				t.Errorf("%s %s: want a Union and two id-keyed GroupAggregates:\n%s", scheme, name, plan)
 			}
-			_, prof, err := e.QueryProfiled("", queries[name])
+			_, prof, err := e.QueryProfiledContext(t.Context(), "", queries[name])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,11 +139,11 @@ func TestExplainIsAnalyzeWithoutActuals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		txt, err := e.ExplainAnalyze("", testPrologue+q)
+		_, prof, err := e.QueryProfiledContext(t.Context(), "", testPrologue+q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := actualNote.ReplaceAllString(txt, ""); got != plan {
+		if got := actualNote.ReplaceAllString(prof.Render(), ""); got != plan {
 			t.Errorf("%s\nEXPLAIN ANALYZE without actuals differs from EXPLAIN:\n%s", q, firstDiff(plan, got))
 		}
 	}

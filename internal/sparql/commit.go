@@ -26,7 +26,7 @@ type Mutation struct {
 // engine pre-validates every quad and resolves every model before
 // calling the hook, so apply itself cannot fail on malformed input.
 //
-// The hook serializes calls as needed (Engine.Update operations may
+// The hook serializes calls as needed (Engine.UpdateContext operations may
 // run concurrently); the engine imposes no ordering of its own.
 type CommitHook func(muts []Mutation, apply func() error) error
 

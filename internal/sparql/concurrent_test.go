@@ -56,7 +56,7 @@ func watchdog(t *testing.T, done <-chan struct{}) {
 
 // TestReadersNeverWaitForWriter is the deadlock reproducer: two readers
 // on a multi-pattern NG lookup — whose batch DFS scans the store again
-// from inside a scan callback — one writer looping Engine.Update, and a
+// from inside a scan callback — one writer looping Engine.UpdateContext, and a
 // poller on Store.Len. With scans under a read lock, a writer queued
 // between a reader's outer and inner RLock parks reader, writer, every
 // later reader and the poller for ever.
@@ -73,7 +73,7 @@ func TestReadersNeverWaitForWriter(t *testing.T) {
 		go func(r int) {
 			defer readers.Done()
 			for i := 0; i < 150; i++ {
-				res, err := e.Query("data", fmt.Sprintf(lookup, (r+i)%8))
+				res, err := e.QueryContext(t.Context(), "data", fmt.Sprintf(lookup, (r+i)%8))
 				if err != nil || res.Len() == 0 {
 					failed.Add(1)
 				}
@@ -96,7 +96,7 @@ func TestReadersNeverWaitForWriter(t *testing.T) {
 				verb = "DELETE"
 			}
 			quad := fmt.Sprintf(`<http://pg/w%d> <http://pg/r/follows> <http://pg/v1> .`, i/2%50)
-			if _, err := e.Update("data", verb+" DATA { "+quad+" }"); err != nil {
+			if _, err := e.UpdateContext(t.Context(), "data", verb+" DATA { "+quad+" }"); err != nil {
 				failed.Add(1)
 			}
 		}
@@ -157,7 +157,7 @@ func TestUpdateIsAtomicToReaders(t *testing.T) {
 			if i%2 == 1 {
 				verb = "DELETE"
 			}
-			if res, err := e.Update("data", verb+" DATA { "+three+" }"); err != nil || res.Inserted+res.Deleted != 3 {
+			if res, err := e.UpdateContext(t.Context(), "data", verb+" DATA { "+three+" }"); err != nil || res.Inserted+res.Deleted != 3 {
 				t.Errorf("%s: %+v %v", verb, res, err)
 				return
 			}
@@ -170,7 +170,7 @@ func TestUpdateIsAtomicToReaders(t *testing.T) {
 			go func(q string, want []int) {
 				defer readers.Done()
 				for i := 0; i < 1500; i++ {
-					res, err := e.Query("data", q)
+					res, err := e.QueryContext(t.Context(), "data", q)
 					if err != nil || res.Len() != 1 {
 						t.Errorf("query: %v", err)
 						return
@@ -210,7 +210,7 @@ func TestConcurrentQueriesShareOneEngine(t *testing.T) {
 	)
 	want := make([]string, len(shapes))
 	for i, q := range shapes {
-		res, err := e.Query("", testPrologue+q)
+		res, err := e.QueryContext(t.Context(), "", testPrologue+q)
 		if err != nil {
 			t.Fatalf("shape %d: %v", i, err)
 		}
@@ -224,7 +224,7 @@ func TestConcurrentQueriesShareOneEngine(t *testing.T) {
 			for round := 0; round < 2; round++ {
 				for k := range shapes {
 					i := (k + r) % len(shapes)
-					res, err := e.Query("", testPrologue+shapes[i])
+					res, err := e.QueryContext(t.Context(), "", testPrologue+shapes[i])
 					if err != nil {
 						t.Errorf("reader %d shape %d: %v", r, i, err)
 						return
@@ -264,7 +264,7 @@ func TestConcurrentQueriesKeepOwnScratchTerms(t *testing.T) {
 	const readers = 4
 	want := make([]string, readers)
 	for r := range want {
-		res, err := e.Query("", query(r))
+		res, err := e.QueryContext(t.Context(), "", query(r))
 		if err != nil {
 			t.Fatalf("reader %d: %v", r, err)
 		}
@@ -284,7 +284,7 @@ func TestConcurrentQueriesKeepOwnScratchTerms(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			for round := 0; round < 3; round++ {
-				res, err := e.Query("", query(r))
+				res, err := e.QueryContext(t.Context(), "", query(r))
 				if err != nil {
 					t.Errorf("reader %d: %v", r, err)
 					return

@@ -7,32 +7,61 @@ import (
 	"repro/internal/rdf"
 )
 
+// execForm runs q on the all-models dataset through ExecContext and
+// fails the test when the answer is not tagged with the form want.
+func execForm(t *testing.T, e *Engine, want QueryForm, q string) (Answer, error) {
+	t.Helper()
+	ans, err := e.ExecContext(t.Context(), "", q)
+	if err == nil && ans.Form != want {
+		t.Fatalf("answer form = %v, want %v", ans.Form, want)
+	}
+	return ans, err
+}
+
+func askQuery(t *testing.T, e *Engine, q string) (bool, error) {
+	t.Helper()
+	ans, err := execForm(t, e, FormAsk, q)
+	return ans.Boolean, err
+}
+
+func constructQuery(t *testing.T, e *Engine, q string) ([]rdf.Quad, error) {
+	t.Helper()
+	ans, err := execForm(t, e, FormConstruct, q)
+	return ans.Quads, err
+}
+
+func describeQuery(t *testing.T, e *Engine, q string) ([]rdf.Quad, error) {
+	t.Helper()
+	ans, err := execForm(t, e, FormDescribe, q)
+	return ans.Quads, err
+}
+
 func TestAskQuery(t *testing.T) {
 	st := fig1Store(t)
 	e := NewEngine(st)
-	yes, err := e.Ask("", testPrologue+`ASK { ?x rel:follows ?y }`)
+	yes, err := askQuery(t, e, testPrologue+`ASK { ?x rel:follows ?y }`)
 	if err != nil || !yes {
 		t.Fatalf("ask follows = %v, %v", yes, err)
 	}
-	no, err := e.Ask("", testPrologue+`ASK WHERE { ?x rel:blocks ?y }`)
+	no, err := askQuery(t, e, testPrologue+`ASK WHERE { ?x rel:blocks ?y }`)
 	if err != nil || no {
 		t.Fatalf("ask blocks = %v, %v", no, err)
 	}
 	// All-constant pattern (no variables at all).
-	yes, err = e.Ask("", testPrologue+`ASK { <http://pg/v1> rel:follows <http://pg/v2> }`)
+	yes, err = askQuery(t, e, testPrologue+`ASK { <http://pg/v1> rel:follows <http://pg/v2> }`)
 	if err != nil || !yes {
 		t.Fatalf("constant ask = %v, %v", yes, err)
 	}
 	// Ask with a filter.
-	yes, err = e.Ask("", testPrologue+`ASK { ?x key:age ?a FILTER (?a > 100) }`)
+	yes, err = askQuery(t, e, testPrologue+`ASK { ?x key:age ?a FILTER (?a > 100) }`)
 	if err != nil || yes {
 		t.Fatalf("filtered ask = %v, %v", yes, err)
 	}
-	// Wrong form through Ask.
-	if _, err := e.Ask("", `SELECT ?x WHERE { ?x ?p ?y }`); err == nil {
-		t.Error("Ask accepted a SELECT query")
+	// ExecContext runs a text by the form it parses as.
+	if ans, err := e.ExecContext(t.Context(), "", `SELECT ?x WHERE { ?x ?p ?y }`); err != nil || ans.Form != FormSelect || ans.Results == nil {
+		t.Errorf("SELECT through ExecContext = %+v, %v", ans, err)
 	}
-	if _, err := e.Query("", testPrologue+`ASK { ?x ?p ?y }`); err == nil {
+	if _, err := e.QueryContext(t.Context(), "", testPrologue+`ASK { ?x ?p ?y }`); err == nil {
 		t.Error("Query accepted an ASK query")
 	}
 }
@@ -40,7 +69,7 @@ func TestAskQuery(t *testing.T) {
 func TestConstructQuery(t *testing.T) {
 	st := fig1Store(t)
 	e := NewEngine(st)
-	quads, err := e.Construct("", testPrologue+`
+	quads, err := constructQuery(t, e, testPrologue+`
 		CONSTRUCT { ?y <http://x/followedBy> ?x . ?x <http://x/active> true }
 		WHERE { ?x rel:follows ?y }`)
 	if err != nil {
@@ -61,7 +90,7 @@ func TestConstructQuery(t *testing.T) {
 func TestConstructWithGraphTemplate(t *testing.T) {
 	st := fig1Store(t)
 	e := NewEngine(st)
-	quads, err := e.Construct("", testPrologue+`
+	quads, err := constructQuery(t, e, testPrologue+`
 		CONSTRUCT { GRAPH ?g { ?x <http://x/inEdgeGraph> ?y } }
 		WHERE { GRAPH ?g { ?x rel:follows ?y } }`)
 	if err != nil {
@@ -77,7 +106,7 @@ func TestConstructSkipsInvalidAndUnbound(t *testing.T) {
 	e := NewEngine(st)
 	// ?v is a literal: binding it into subject position is invalid and
 	// must be skipped; ?unbound is never bound.
-	quads, err := e.Construct("", testPrologue+`
+	quads, err := constructQuery(t, e, testPrologue+`
 		CONSTRUCT { ?v <http://x/p> ?x . ?x <http://x/q> ?unbound . ?x <http://x/ok> ?v }
 		WHERE { ?x key:name ?v }`)
 	if err != nil {
@@ -97,7 +126,7 @@ func TestConstructDeduplicates(t *testing.T) {
 	st := fig1Store(t)
 	e := NewEngine(st)
 	// Two solutions (follows + knows) produce the same template quad.
-	quads, err := e.Construct("", testPrologue+`
+	quads, err := constructQuery(t, e, testPrologue+`
 		CONSTRUCT { ?x <http://x/connected> ?y } WHERE { ?x ?p ?y FILTER (isIRI(?y)) }`)
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +141,7 @@ func TestConstructDeduplicates(t *testing.T) {
 func TestConstructRoundTripsNGtoSP(t *testing.T) {
 	st := fig1Store(t)
 	e := NewEngine(st)
-	quads, err := e.Construct("", testPrologue+`
+	quads, err := constructQuery(t, e, testPrologue+`
 		CONSTRUCT {
 			?x ?g ?y .
 			?g rdfs:subPropertyOf rel:follows .

@@ -271,7 +271,7 @@ func TestCountingMatchesEnumerating(t *testing.T) {
 		for _, model := range []string{"", "m1"} {
 			for i, q := range shapes {
 				q = testPrologue + q
-				want, err := NewEngine(st).Query(model, enumerating(q))
+				want, err := NewEngine(st).QueryContext(t.Context(), model, enumerating(q))
 				if err != nil {
 					t.Fatalf("%s/%q/shape %d: enumerating: %v", state.name, model, i, err)
 				}
@@ -291,7 +291,7 @@ func TestCountingMatchesEnumerating(t *testing.T) {
 					if rotates := strings.Contains(plan, "count=weighted rotation=3"); rotates != countRotates[i] {
 						t.Errorf("%s: rotates = %v, want %v\n%s", label, rotates, countRotates[i], plan)
 					}
-					got, prof, err := e.QueryProfiled(model, q)
+					got, prof, err := e.QueryProfiledContext(t.Context(), model, q)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -325,7 +325,7 @@ func TestCountExplain(t *testing.T) {
 			t.Errorf("EXPLAIN lacks %q:\n%s", want, plan)
 		}
 	}
-	_, prof, err := e.QueryProfiled("", q)
+	_, prof, err := e.QueryProfiledContext(t.Context(), "", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,16 +357,16 @@ func TestCountExplain(t *testing.T) {
 func TestCountBudgetChargesWork(t *testing.T) {
 	st := egoNetStore(t, 900, 5)
 	q := testPrologue + countShapeQueries()[7]
-	want, err := NewEngine(st).Query("", q)
+	want, err := NewEngine(st).QueryContext(t.Context(), "", q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := NewEngine(st)
 	e.Limits = guard.Budget{MaxWork: 50_000}
-	if got, err := e.Query("", q); err != nil || got.String() != want.String() {
+	if got, err := e.QueryContext(t.Context(), "", q); err != nil || got.String() != want.String() {
 		t.Fatalf("counting under MaxWork 50 000: %v, err %v; want %v", got, err, want)
 	}
-	if _, err := e.Query("", enumerating(q)); !errors.Is(err, guard.ErrBudgetExceeded) {
+	if _, err := e.QueryContext(t.Context(), "", enumerating(q)); !errors.Is(err, guard.ErrBudgetExceeded) {
 		t.Fatalf("enumerating under MaxWork 50 000: err = %v, want guard.ErrBudgetExceeded", err)
 	}
 }

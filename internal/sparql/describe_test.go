@@ -7,7 +7,7 @@ import (
 func TestDescribeConstant(t *testing.T) {
 	st := fig1Store(t)
 	e := NewEngine(st)
-	quads, err := e.Describe("", `DESCRIBE <http://pg/v1>`)
+	quads, err := describeQuery(t, e, `DESCRIBE <http://pg/v1>`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestDescribeConstant(t *testing.T) {
 func TestDescribeVariable(t *testing.T) {
 	st := fig1Store(t)
 	e := NewEngine(st)
-	quads, err := e.Describe("", testPrologue+`DESCRIBE ?x WHERE { ?x key:name "Mira" }`)
+	quads, err := describeQuery(t, e, testPrologue+`DESCRIBE ?x WHERE { ?x key:name "Mira" }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestDescribeVariable(t *testing.T) {
 func TestDescribeMultipleAndUnknown(t *testing.T) {
 	st := fig1Store(t)
 	e := NewEngine(st)
-	quads, err := e.Describe("", `DESCRIBE <http://pg/v1> <http://never/seen>`)
+	quads, err := describeQuery(t, e, `DESCRIBE <http://pg/v1> <http://never/seen>`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,23 +56,19 @@ func TestDescribeMultipleAndUnknown(t *testing.T) {
 		t.Fatalf("described %d quads", len(quads))
 	}
 	// No targets at all is a parse error.
-	if _, err := e.Describe("", `DESCRIBE WHERE { ?x ?p ?y }`); err == nil {
+	if _, err := describeQuery(t, e, `DESCRIBE WHERE { ?x ?p ?y }`); err == nil {
 		t.Error("DESCRIBE without targets accepted")
-	}
-	// Wrong form.
-	if _, err := e.Describe("", `SELECT ?x WHERE { ?x ?p ?y }`); err == nil {
-		t.Error("Describe accepted a SELECT")
 	}
 }
 
 func TestDescribeDeterministicOrder(t *testing.T) {
 	st := fig1Store(t)
 	e := NewEngine(st)
-	a, err := e.Describe("", `DESCRIBE <http://pg/v1> <http://pg/v2>`)
+	a, err := describeQuery(t, e, `DESCRIBE <http://pg/v1> <http://pg/v2>`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := e.Describe("", `DESCRIBE <http://pg/v2> <http://pg/v1>`)
+	b, _ := describeQuery(t, e, `DESCRIBE <http://pg/v2> <http://pg/v1>`)
 	if len(a) != len(b) {
 		t.Fatalf("order-dependent result size: %d vs %d", len(a), len(b))
 	}

@@ -170,7 +170,7 @@ func (e *Engine) compileSelectText(query string, q *Query) (*compiled, error) {
 		return nil, err
 	}
 	if q.Form != FormSelect {
-		return nil, fmt.Errorf("sparql: Query expects a SELECT query; use Ask, Construct or Describe")
+		return nil, fmt.Errorf("sparql: QueryContext expects a SELECT query; run other forms through ExecContext")
 	}
 	cp, err := compileSelect(q.Select, freshCounter())
 	if err != nil {
@@ -255,52 +255,104 @@ func (r *Results) String() string {
 	return sb.String()
 }
 
-// Query parses and executes a SELECT query against the dataset named by
-// model (a semantic model, a virtual model, or "" for the union of all
-// models). It is the uncancellable convenience form of QueryContext.
-func (e *Engine) Query(model, query string) (*Results, error) {
-	return e.QueryContext(context.Background(), model, query)
-}
-
-// QueryContext is Query with cooperative cancellation and the engine's
-// resource budget: execution stops promptly — returning a *guard.Error
-// with kind guard.ErrTimeout, ErrCanceled or ErrBudgetExceeded — when
-// ctx fires or Limits are exhausted. Internal panics are recovered into
-// a *guard.Error with kind guard.ErrInternal.
+// QueryContext parses and executes a SELECT query against the dataset
+// named by model (a semantic model, a virtual model, or "" for the union
+// of all models) with cooperative cancellation and the engine's resource
+// budget: execution stops promptly — returning a *guard.Error with kind
+// guard.ErrTimeout, ErrCanceled or ErrBudgetExceeded — when ctx fires or
+// Limits are exhausted. Internal panics are recovered into a *guard.Error
+// with kind guard.ErrInternal. ExecContext runs the other query forms.
 func (e *Engine) QueryContext(ctx context.Context, model, query string) (*Results, error) {
-	res, _, err := e.queryInternal(ctx, model, query, nil, false)
-	return res, err
+	ans, _, err := e.exec(ctx, model, query, nil, false)
+	return ans.Results, err
 }
 
-// QueryProfiled executes a SELECT query with per-operator profiling
-// and returns the results together with the executed-plan profile
-// (EXPLAIN ANALYZE's data; see Profile).
-func (e *Engine) QueryProfiled(model, query string) (*Results, *Profile, error) {
-	return e.QueryProfiledContext(context.Background(), model, query)
-}
-
-// QueryProfiledContext is QueryProfiled with cooperative cancellation
-// and the engine's resource budget (see QueryContext).
+// QueryProfiledContext is QueryContext with per-operator profiling: it
+// returns the results together with the executed-plan profile, whose
+// Render is EXPLAIN ANALYZE (see Profile).
 func (e *Engine) QueryProfiledContext(ctx context.Context, model, query string) (*Results, *Profile, error) {
-	return e.queryInternal(ctx, model, query, nil, true)
+	ans, prof, err := e.exec(ctx, model, query, nil, true)
+	return ans.Results, prof, err
 }
 
-// queryInternal backs QueryContext, QueryProfiledContext and the SELECT
-// arm of ExecContext; q is the text's parse when the caller has one (see
-// compileCached). Profiling is enabled when the caller wants a profile
+// Answer is ExecContext's reply, tagged with the query's form: Results
+// is set for SELECT, Boolean for ASK, Quads for CONSTRUCT and DESCRIBE.
+type Answer struct {
+	Form    QueryForm
+	Results *Results
+	Boolean bool
+	Quads   []rdf.Quad
+}
+
+// ParseError is the error ExecContext returns for a query text that does
+// not parse; its message is the parser's.
+type ParseError struct{ Err error }
+
+func (e *ParseError) Error() string { return e.Err.Error() }
+func (e *ParseError) Unwrap() error { return e.Err }
+
+// ExecContext runs a query of any form, under the guarantees of
+// QueryContext, and parses its text at most once: a SELECT whose plan is
+// cached parses nothing, and any other text is parsed once and run by
+// its form. A text that does not parse returns a *ParseError and is not
+// counted as a query.
+func (e *Engine) ExecContext(ctx context.Context, model, query string) (Answer, error) {
+	var q *Query // nil on a plan-cache hit, which is always a SELECT
+	if !e.planCached(query) {
+		var err error
+		if q, err = e.parseOnce(query, nil); err != nil {
+			return Answer{}, &ParseError{Err: err}
+		}
+	}
+	ans, _, err := e.exec(ctx, model, query, q, false)
+	return ans, err
+}
+
+// exec is the request path of every query form: it counts the query in
+// the per-form metrics and the slow-query log, recovers executor panics
+// and runs the form under one guard. q is the text's parse when the
+// caller has one; nil means a SELECT that compileCached parses only on a
+// plan-cache miss. Profiling is enabled when the caller wants a profile
 // or a slow-query log is installed (so over-threshold queries log with
 // actuals attached).
-func (e *Engine) queryInternal(ctx context.Context, model, query string, q *Query, wantProfile bool) (res *Results, prof *Profile, err error) {
+func (e *Engine) exec(ctx context.Context, model, query string, q *Query, wantProfile bool) (ans Answer, prof *Profile, err error) {
+	if q != nil {
+		ans.Form = q.Form
+	}
 	start := time.Now()
 	rows := 0
 	var logProf *Profile // also attached to the slow-query log line
-	defer e.recordQuery(int(FormSelect), model, query, start, &err, &rows, &logProf)
+	defer e.recordQuery(int(ans.Form), model, query, start, &err, &rows, &logProf)
 	defer guard.Recover(&err)
 	g, cancel, err := guard.Start(ctx, e.Limits)
 	if err != nil {
-		return nil, nil, err
+		return ans, nil, err
 	}
 	defer cancel()
+	switch ans.Form {
+	case FormAsk:
+		ans.Boolean, err = e.ask(g, model, q)
+	case FormConstruct:
+		ans.Quads, err = e.construct(g, model, q)
+		rows = len(ans.Quads)
+	case FormDescribe:
+		ans.Quads, err = e.describe(g, model, q)
+		rows = len(ans.Quads)
+	default:
+		ans.Results, logProf, err = e.selectQuery(g, model, query, q, wantProfile || e.slowLogWantsProfile(), start)
+		if wantProfile {
+			prof = logProf
+		}
+		if ans.Results != nil {
+			rows = ans.Results.Len()
+		}
+	}
+	return ans, prof, err
+}
+
+// selectQuery runs a SELECT under g, with per-operator profiling when
+// profile is set; the profile is built even when execution fails.
+func (e *Engine) selectQuery(g *guard.Guard, model, query string, q *Query, profile bool, start time.Time) (*Results, *Profile, error) {
 	cp, err := e.compileCached(query, q)
 	if err != nil {
 		return nil, nil, err
@@ -309,73 +361,27 @@ func (e *Engine) queryInternal(ctx context.Context, model, query string, q *Quer
 	if err != nil {
 		return nil, nil, err
 	}
-	if wantProfile || e.slowLogWantsProfile() {
+	if profile {
 		ec.prof = newQueryProfile(cp.nstages)
 	}
 	out, err := evalSelect(ec, cp)
+	var prof *Profile
 	if ec.prof != nil {
-		logProf = buildProfile(ec, cp, model, time.Since(start), len(out))
-		if wantProfile {
-			prof = logProf
-		}
+		prof = buildProfile(ec, cp, model, time.Since(start), len(out))
 	}
 	if err != nil {
 		return nil, prof, err
 	}
-	rows = len(out)
-	res = &Results{Rows: out}
+	res := &Results{Rows: out}
 	for _, pr := range cp.projection {
 		res.Vars = append(res.Vars, pr.name)
 	}
 	return res, prof, nil
 }
 
-// ExplainAnalyze executes the query and renders the plan annotated
-// with per-operator actuals: rows in/out, guard ticks, index and
-// access method, NLJ→hash switches and wall time.
-func (e *Engine) ExplainAnalyze(model, query string) (string, error) {
-	return e.ExplainAnalyzeContext(context.Background(), model, query)
-}
-
-// ExplainAnalyzeContext is ExplainAnalyze with cooperative
-// cancellation and the engine's resource budget.
-func (e *Engine) ExplainAnalyzeContext(ctx context.Context, model, query string) (string, error) {
-	_, prof, err := e.queryInternal(ctx, model, query, nil, true)
-	if err != nil {
-		return "", err
-	}
-	return prof.Render(), nil
-}
-
-// Ask parses and executes an ASK query: does the pattern have at least
-// one solution in the dataset?
-func (e *Engine) Ask(model, query string) (bool, error) {
-	return e.AskContext(context.Background(), model, query)
-}
-
-// AskContext is Ask with cooperative cancellation and the engine's
-// resource budget (see QueryContext).
-func (e *Engine) AskContext(ctx context.Context, model, query string) (bool, error) {
-	return e.ask(ctx, model, query, nil)
-}
-
-// ask backs AskContext and the ASK arm of ExecContext; q is the text's
-// parse when the caller has one.
-func (e *Engine) ask(ctx context.Context, model, query string, q *Query) (found bool, err error) {
-	defer e.recordQuery(int(FormAsk), model, query, time.Now(), &err, nil, nil)
-	defer guard.Recover(&err)
-	g, cancel, err := guard.Start(ctx, e.Limits)
-	if err != nil {
-		return false, err
-	}
-	defer cancel()
-	q, err = e.parseOnce(query, q)
-	if err != nil {
-		return false, err
-	}
-	if q.Form != FormAsk {
-		return false, fmt.Errorf("sparql: Ask expects an ASK query")
-	}
+// ask reports whether an ASK pattern has at least one solution in the
+// dataset.
+func (e *Engine) ask(g *guard.Guard, model string, q *Query) (found bool, err error) {
 	w, err := compileWhere(q.Select.Where)
 	if err != nil {
 		return false, err
@@ -391,40 +397,11 @@ func (e *Engine) ask(ctx context.Context, model, query string, q *Query) (found 
 	return found, err
 }
 
-// Construct parses and executes a CONSTRUCT query, returning the
-// distinct quads built by instantiating the template for each solution
-// (template entries with an unbound variable are skipped for that
-// solution, per the SPARQL semantics).
-func (e *Engine) Construct(model, query string) ([]rdf.Quad, error) {
-	return e.ConstructContext(context.Background(), model, query)
-}
-
-// ConstructContext is Construct with cooperative cancellation and the
-// engine's resource budget (see QueryContext). MaxRows caps the number
-// of constructed quads.
-func (e *Engine) ConstructContext(ctx context.Context, model, query string) ([]rdf.Quad, error) {
-	return e.construct(ctx, model, query, nil)
-}
-
-// construct backs ConstructContext and the CONSTRUCT arm of
-// ExecContext; q is the text's parse when the caller has one.
-func (e *Engine) construct(ctx context.Context, model, query string, q *Query) (out []rdf.Quad, err error) {
-	rows := 0
-	defer e.recordQuery(int(FormConstruct), model, query, time.Now(), &err, &rows, nil)
-	defer func() { rows = len(out) }()
-	defer guard.Recover(&err)
-	g, cancel, err := guard.Start(ctx, e.Limits)
-	if err != nil {
-		return nil, err
-	}
-	defer cancel()
-	q, err = e.parseOnce(query, q)
-	if err != nil {
-		return nil, err
-	}
-	if q.Form != FormConstruct {
-		return nil, fmt.Errorf("sparql: Construct expects a CONSTRUCT query")
-	}
+// construct returns the distinct quads built by instantiating a
+// CONSTRUCT template for each solution (template entries with an unbound
+// variable are skipped for that solution, per the SPARQL semantics).
+// MaxRows caps the number of constructed quads.
+func (e *Engine) construct(g *guard.Guard, model string, q *Query) (out []rdf.Quad, err error) {
 	w, err := compileWhere(q.Select.Where)
 	if err != nil {
 		return nil, err
@@ -504,6 +481,7 @@ func compileTemplates(c *compiler, tmpl []TemplateQuad) []compiledTemplate {
 // instantiateTemplates appends the valid, novel quads produced by the
 // templates under one solution. Entries with an unbound variable or an
 // invalid instantiation (e.g. literal subject) are skipped, per SPARQL.
+// It polls the guard per entry, so a large data block stops promptly.
 func instantiateTemplates(ec *execCtx, tmpl []compiledTemplate, b binding, seen map[rdf.Quad]struct{}, out *[]rdf.Quad) {
 	resolve := func(r posRef) (rdf.Term, bool) {
 		if !r.isVar {
@@ -515,6 +493,9 @@ func instantiateTemplates(ec *execCtx, tmpl []compiledTemplate, b binding, seen 
 		return ec.term(b[r.slot]), true
 	}
 	for _, tr := range tmpl {
+		if !ec.guard.Poll() {
+			return
+		}
 		s, ok1 := resolve(tr.s)
 		p, ok2 := resolve(tr.p)
 		o, ok3 := resolve(tr.o)
@@ -540,40 +521,11 @@ func instantiateTemplates(ec *execCtx, tmpl []compiledTemplate, b binding, seen 
 	}
 }
 
-// Describe parses and executes a DESCRIBE query, returning every quad
-// in which each described resource occurs as subject or object (the
-// common "symmetric concise bounded description" choice — the SPARQL
-// spec leaves DESCRIBE semantics to the implementation).
-func (e *Engine) Describe(model, query string) ([]rdf.Quad, error) {
-	return e.DescribeContext(context.Background(), model, query)
-}
-
-// DescribeContext is Describe with cooperative cancellation and the
-// engine's resource budget (see QueryContext). MaxRows caps the number
-// of description quads.
-func (e *Engine) DescribeContext(ctx context.Context, model, query string) ([]rdf.Quad, error) {
-	return e.describe(ctx, model, query, nil)
-}
-
-// describe backs DescribeContext and the DESCRIBE arm of ExecContext; q
-// is the text's parse when the caller has one.
-func (e *Engine) describe(ctx context.Context, model, query string, q *Query) (out []rdf.Quad, err error) {
-	rows := 0
-	defer e.recordQuery(int(FormDescribe), model, query, time.Now(), &err, &rows, nil)
-	defer func() { rows = len(out) }()
-	defer guard.Recover(&err)
-	g, cancel, err := guard.Start(ctx, e.Limits)
-	if err != nil {
-		return nil, err
-	}
-	defer cancel()
-	q, err = e.parseOnce(query, q)
-	if err != nil {
-		return nil, err
-	}
-	if q.Form != FormDescribe {
-		return nil, fmt.Errorf("sparql: Describe expects a DESCRIBE query")
-	}
+// describe returns every quad in which each described resource occurs
+// as subject or object (the common "symmetric concise bounded
+// description" choice — the SPARQL spec leaves DESCRIBE semantics to the
+// implementation). MaxRows caps the number of description quads.
+func (e *Engine) describe(g *guard.Guard, model string, q *Query) (out []rdf.Quad, err error) {
 	w, err := compileWhere(q.Select.Where)
 	if err != nil {
 		return nil, err
@@ -635,58 +587,6 @@ func (e *Engine) describe(ctx context.Context, model, query string, q *Query) (o
 	}
 	sort.Slice(out, func(i, j int) bool { return rdf.CompareQuads(out[i], out[j]) < 0 })
 	return out, nil
-}
-
-// Answer is ExecContext's reply, tagged with the query's form: Results
-// is set for SELECT, Boolean for ASK, Quads for CONSTRUCT and DESCRIBE.
-type Answer struct {
-	Form    QueryForm
-	Results *Results
-	Boolean bool
-	Quads   []rdf.Quad
-}
-
-// ParseError is the error ExecContext returns for a query text that does
-// not parse; its message is the parser's.
-type ParseError struct{ Err error }
-
-func (e *ParseError) Error() string { return e.Err.Error() }
-func (e *ParseError) Unwrap() error { return e.Err }
-
-// ExecContext runs a query of any form and parses its text at most
-// once: a SELECT whose plan is cached parses nothing, and any other text
-// is parsed once and dispatched on its form to the SELECT, ASK,
-// CONSTRUCT or DESCRIBE execution behind the *Context methods. A text
-// that does not parse returns a *ParseError and is not counted as a
-// query.
-func (e *Engine) ExecContext(ctx context.Context, model, query string) (ans Answer, err error) {
-	var q *Query // nil on a plan-cache hit, which is always a SELECT
-	if !e.planCached(query) {
-		if q, err = e.parseOnce(query, nil); err != nil {
-			return Answer{}, &ParseError{Err: err}
-		}
-		ans.Form = q.Form
-	}
-	switch ans.Form {
-	case FormAsk:
-		ans.Boolean, err = e.ask(ctx, model, query, q)
-	case FormConstruct:
-		ans.Quads, err = e.construct(ctx, model, query, q)
-	case FormDescribe:
-		ans.Quads, err = e.describe(ctx, model, query, q)
-	default:
-		ans.Results, _, err = e.queryInternal(ctx, model, query, q, false)
-	}
-	return ans, err
-}
-
-// Count executes the query and returns only the number of solutions.
-func (e *Engine) Count(model, query string) (int, error) {
-	res, err := e.Query(model, query)
-	if err != nil {
-		return 0, err
-	}
-	return res.Len(), nil
 }
 
 // Explain compiles the query and renders the access plan: join order,
@@ -773,19 +673,14 @@ type UpdateResult struct {
 	Deleted  int
 }
 
-// Update parses and executes a SPARQL Update request. Inserts go into
-// the named model (which must be a concrete semantic model); deletes
-// remove matching quads from every model in the dataset.
-func (e *Engine) Update(model, request string) (UpdateResult, error) {
-	return e.UpdateContext(context.Background(), model, request)
-}
-
-// UpdateContext is Update with cooperative cancellation and the
-// engine's resource budget: one guard covers the request, so the WHERE
-// evaluations of DELETE WHERE and DELETE/INSERT templates share its
-// budget, and bulk data blocks poll it between quads. An update aborted
-// mid-request leaves the already-applied operations in place (no
-// rollback), mirroring the per-operation semantics of SPARQL Update.
+// UpdateContext parses and executes a SPARQL Update request with
+// cooperative cancellation and the engine's resource budget: one guard
+// covers the request, so the WHERE evaluations of its operations share
+// its budget, and large data blocks poll it between quads. Every
+// operation runs as the DELETE/INSERT form it parses into (see modify).
+// An update aborted mid-request leaves the already-applied operations in
+// place (no rollback), mirroring the per-operation semantics of SPARQL
+// Update.
 func (e *Engine) UpdateContext(ctx context.Context, model, request string) (res UpdateResult, err error) {
 	rows := 0
 	defer e.recordQuery(formUpdate, model, request, time.Now(), &err, &rows, nil)
@@ -801,128 +696,41 @@ func (e *Engine) UpdateContext(ctx context.Context, model, request string) (res 
 		return UpdateResult{}, err
 	}
 	for _, op := range u.Ops {
-		switch x := op.(type) {
-		case InsertData:
-			muts := make([]Mutation, 0, len(x.Quads))
-			for _, q := range x.Quads {
-				if !g.Poll() {
-					return res, g.Err()
-				}
-				if err := q.Validate(); err != nil {
-					return res, err
-				}
-				muts = append(muts, Mutation{Insert: true, Model: model, Quad: q})
-			}
-			if err := e.applyMutations(muts, &res); err != nil {
-				return res, err
-			}
-		case DeleteData:
-			if e.st.View().LookupModel(model) == store.NoID {
-				return res, fmt.Errorf("%w %q", store.ErrUnknownModel, model)
-			}
-			muts := make([]Mutation, 0, len(x.Quads))
-			for _, q := range x.Quads {
-				if !g.Poll() {
-					return res, g.Err()
-				}
-				if err := q.Validate(); err != nil {
-					return res, err
-				}
-				muts = append(muts, Mutation{Model: model, Quad: q})
-			}
-			if err := e.applyMutations(muts, &res); err != nil {
-				return res, err
-			}
-		case DeleteWhere:
-			n, err := e.deleteWhere(g, model, x.Where)
-			if err != nil {
-				return res, err
-			}
-			res.Deleted += n
-		case Modify:
-			del, ins, err := e.modify(g, model, x)
-			if err != nil {
-				return res, err
-			}
-			res.Deleted += del
-			res.Inserted += ins
-		default:
-			return res, fmt.Errorf("sparql: unsupported update op %T", op)
+		if err := e.modify(g, model, op, &res); err != nil {
+			return res, err
 		}
 	}
 	return res, nil
 }
 
-// deleteWhere finds all solutions of the pattern, instantiates the
-// pattern quads for each, and deletes them from every model of the
-// dataset. The pattern must consist of plain triple patterns (optionally
-// under GRAPH).
-func (e *Engine) deleteWhere(g *guard.Guard, model string, pattern *GroupGraphPattern) (int, error) {
-	w, err := compileWhere(pattern)
-	if err != nil {
-		return 0, err
+// modify runs one update operation the way SPARQL 1.1 Update defines
+// DELETE/INSERT: the WHERE pattern is evaluated against the pre-update
+// state, each solution instantiates both templates, every delete is
+// expanded to each member model of the dataset, every insert goes into
+// model itself — which must be a concrete model — and the operation's
+// deduplicated delta is committed as one Mutation set, deletes first.
+func (e *Engine) modify(g *guard.Guard, model string, m Modify, res *UpdateResult) error {
+	// An operation that reads and deletes nothing (INSERT DATA) needs no
+	// dataset, so its model may be one that does not exist yet: the
+	// insert creates it.
+	dataset := model
+	if len(m.Delete) == 0 && len(m.Where.Elems) == 0 {
+		dataset = ""
 	}
-	// Collect the template patterns for instantiation.
-	var templates []quadPattern
-	for _, op := range w.pipeline {
-		bgp, ok := op.(*bgpOp)
-		if !ok || len(bgp.filters) > 0 {
-			return 0, fmt.Errorf("sparql: DELETE WHERE supports only plain triple patterns")
-		}
-		templates = append(templates, bgp.patterns...)
-	}
-	ec, err := e.whereCtx(g, model, w)
-	if err != nil {
-		return 0, err
-	}
-	var toDelete []rdf.Quad
-	if err := w.solutions(ec, func(b binding) bool {
-		for _, tp := range templates {
-			q, ok := instantiate(ec, tp, b)
-			if ok {
-				toDelete = append(toDelete, q)
-			}
-		}
-		return ec.guard.CheckRows(len(toDelete))
-	}); err != nil {
-		return 0, err
-	}
-	models, err := ec.view.ResolveDataset(model)
-	if err != nil {
-		return 0, err
-	}
-	// Expand the delta to concrete models and validate every quad before
-	// committing, so the hook never journals an op whose apply can fail.
-	muts := make([]Mutation, 0, len(toDelete)*len(models))
-	for _, q := range toDelete {
-		if err := q.Validate(); err != nil {
-			return 0, err
-		}
-		for _, m := range models {
-			muts = append(muts, Mutation{Model: ec.view.ModelName(m), Quad: q})
-		}
-	}
-	var res UpdateResult
-	if err := e.applyMutations(muts, &res); err != nil {
-		return res.Deleted, err
-	}
-	return res.Deleted, nil
-}
-
-// modify executes the DELETE/INSERT..WHERE template form: the WHERE
-// pattern is evaluated against the pre-update state, then all deletes
-// are applied (to every model in the dataset), then all inserts (into
-// the named model).
-func (e *Engine) modify(g *guard.Guard, model string, m Modify) (deleted, inserted int, err error) {
 	w, err := compileWhere(m.Where)
 	if err != nil {
-		return 0, 0, err
+		return err
 	}
 	delTmpl := compileTemplates(w.c, m.Delete)
 	insTmpl := compileTemplates(w.c, m.Insert)
-	ec, err := e.whereCtx(g, model, w)
+	ec, err := e.whereCtx(g, dataset, w)
 	if err != nil {
-		return 0, 0, err
+		return err
+	}
+	// A virtual model or the all-models dataset names no model to file
+	// an insert in; a name the store does not know is a new model.
+	if len(insTmpl) > 0 && (model == "" || ec.view.LookupModel(model) == store.NoID && isDataset(ec.view, model)) {
+		return fmt.Errorf("sparql: cannot insert into %s: inserts need a concrete model", datasetName(model))
 	}
 	var toDelete, toInsert []rdf.Quad
 	delSeen := make(map[rdf.Quad]struct{})
@@ -932,62 +740,28 @@ func (e *Engine) modify(g *guard.Guard, model string, m Modify) (deleted, insert
 		instantiateTemplates(ec, insTmpl, b, insSeen, &toInsert)
 		return ec.guard.CheckRows(len(toDelete) + len(toInsert))
 	}); err != nil {
-		return 0, 0, err
+		return err
 	}
-	models, err := ec.view.ResolveDataset(model)
+	members, err := ec.view.ResolveDataset(dataset)
 	if err != nil {
-		return 0, 0, err
+		return err
 	}
-	// One delta for the whole operation, deletes first then inserts —
-	// the order the loop below (and a replaying journal) applies them.
-	// instantiateTemplates already dropped invalid quads.
-	muts := make([]Mutation, 0, len(toDelete)*len(models)+len(toInsert))
+	// instantiateTemplates already dropped invalid quads, so the hook
+	// never journals an op whose apply can fail.
+	muts := make([]Mutation, 0, len(toDelete)*len(members)+len(toInsert))
 	for _, q := range toDelete {
-		for _, mid := range models {
+		for _, mid := range members {
 			muts = append(muts, Mutation{Model: ec.view.ModelName(mid), Quad: q})
 		}
 	}
 	for _, q := range toInsert {
 		muts = append(muts, Mutation{Insert: true, Model: model, Quad: q})
 	}
-	var res UpdateResult
-	if err := e.applyMutations(muts, &res); err != nil {
-		return res.Deleted, res.Inserted, err
-	}
-	return res.Deleted, res.Inserted, nil
+	return e.applyMutations(muts, res)
 }
 
-func instantiate(ec *execCtx, tp quadPattern, b binding) (rdf.Quad, bool) {
-	resolve := func(r posRef) (rdf.Term, bool) {
-		if !r.isVar {
-			return r.term, true
-		}
-		if b[r.slot] == store.NoID {
-			return rdf.Term{}, false
-		}
-		return ec.term(b[r.slot]), true
-	}
-	s, ok := resolve(tp.s)
-	if !ok {
-		return rdf.Quad{}, false
-	}
-	p, ok := resolve(tp.p)
-	if !ok {
-		return rdf.Quad{}, false
-	}
-	o, ok := resolve(tp.o)
-	if !ok {
-		return rdf.Quad{}, false
-	}
-	q := rdf.Quad{S: s, P: p, O: o}
-	switch tp.g.kind {
-	case GraphTerm:
-		q.G = tp.g.term
-	case GraphVar:
-		if b[tp.g.slot] == store.NoID {
-			return rdf.Quad{}, false
-		}
-		q.G = ec.term(b[tp.g.slot])
-	}
-	return q, true
+// isDataset reports whether name resolves to a dataset in v.
+func isDataset(v *store.View, name string) bool {
+	_, err := v.ResolveDataset(name)
+	return err == nil
 }

@@ -51,11 +51,22 @@ func fig1Store(t *testing.T) *store.Store {
 
 func query(t *testing.T, st *store.Store, q string) *Results {
 	t.Helper()
-	res, err := NewEngine(st).Query("", testPrologue+q)
+	res, err := NewEngine(st).QueryContext(t.Context(), "", testPrologue+q)
 	if err != nil {
 		t.Fatalf("query failed: %v\n%s", err, q)
 	}
 	return res
+}
+
+// countRows runs a SELECT on e's model and returns its number of
+// solutions.
+func countRows(t *testing.T, e *Engine, model, q string) int {
+	t.Helper()
+	res, err := e.QueryContext(t.Context(), model, q)
+	if err != nil {
+		t.Fatalf("query failed: %v\n%s", err, q)
+	}
+	return res.Len()
 }
 
 func rowStrings(res *Results) []string {
@@ -389,7 +400,7 @@ func TestPropertyPathClosures(t *testing.T) {
 		t.Fatalf("inverse res = %s", res)
 	}
 	// Unanchored closure is rejected.
-	if _, err := NewEngine(st).Query("", testPrologue+`SELECT ?x WHERE { ?x r:follows+ ?y }`); err == nil {
+	if _, err := NewEngine(st).QueryContext(t.Context(), "", testPrologue+`SELECT ?x WHERE { ?x r:follows+ ?y }`); err == nil {
 		t.Error("unanchored closure should fail")
 	}
 }
@@ -401,7 +412,7 @@ func TestDatasetRestriction(t *testing.T) {
 	st.CreateVirtualModel("both", "m1", "m2")
 	e := NewEngine(st)
 	for model, want := range map[string]int{"m1": 1, "m2": 1, "both": 2, "": 2} {
-		res, err := e.Query(model, `SELECT ?x WHERE { ?x <http://p> ?y }`)
+		res, err := e.QueryContext(t.Context(), model, `SELECT ?x WHERE { ?x <http://p> ?y }`)
 		if err != nil {
 			t.Fatalf("model %q: %v", model, err)
 		}
@@ -409,7 +420,7 @@ func TestDatasetRestriction(t *testing.T) {
 			t.Errorf("model %q: rows = %d want %d", model, res.Len(), want)
 		}
 	}
-	if _, err := e.Query("missing", `SELECT ?x WHERE { ?x <http://p> ?y }`); err == nil {
+	if _, err := e.QueryContext(t.Context(), "missing", `SELECT ?x WHERE { ?x <http://p> ?y }`); err == nil {
 		t.Error("unknown dataset accepted")
 	}
 }
@@ -417,21 +428,21 @@ func TestDatasetRestriction(t *testing.T) {
 func TestUpdateInsertDelete(t *testing.T) {
 	st := store.New()
 	e := NewEngine(st)
-	res, err := e.Update("m", testPrologue+`INSERT DATA {
+	res, err := e.UpdateContext(t.Context(), "m", testPrologue+`INSERT DATA {
 		<http://pg/v1> rel:follows <http://pg/v2> .
 		GRAPH <http://pg/e1> { <http://pg/v1> rel:knows <http://pg/v2> } }`)
 	if err != nil || res.Inserted != 2 {
 		t.Fatalf("insert: %+v, %v", res, err)
 	}
-	res, err = e.Update("m", testPrologue+`DELETE DATA { <http://pg/v1> rel:follows <http://pg/v2> }`)
+	res, err = e.UpdateContext(t.Context(), "m", testPrologue+`DELETE DATA { <http://pg/v1> rel:follows <http://pg/v2> }`)
 	if err != nil || res.Deleted != 1 {
 		t.Fatalf("delete: %+v, %v", res, err)
 	}
-	if n, _ := e.Count("m", testPrologue+`SELECT ?x WHERE { ?x ?p ?y }`); n != 1 {
+	if n := countRows(t, e, "m", testPrologue+`SELECT ?x WHERE { ?x ?p ?y }`); n != 1 {
 		t.Fatalf("remaining = %d", n)
 	}
 	// DELETE WHERE with a GRAPH template.
-	res, err = e.Update("m", testPrologue+`DELETE WHERE { GRAPH ?g { ?x rel:knows ?y } }`)
+	res, err = e.UpdateContext(t.Context(), "m", testPrologue+`DELETE WHERE { GRAPH ?g { ?x rel:knows ?y } }`)
 	if err != nil || res.Deleted != 1 {
 		t.Fatalf("delete where: %+v, %v", res, err)
 	}

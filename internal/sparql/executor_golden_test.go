@@ -108,7 +108,7 @@ func executorGolden(t *testing.T) string {
 	sb.WriteString("# Regenerate only with\n")
 	sb.WriteString("# UPDATE_EXECUTOR_GOLDEN=1 go test -run TestExecutorGolden ./internal/sparql\n")
 	for _, q := range goldenQueries() {
-		res, err := e.Query("", testPrologue+q)
+		res, err := e.QueryContext(t.Context(), "", testPrologue+q)
 		if err != nil {
 			t.Fatalf("%v\n%s", err, q)
 		}
@@ -135,7 +135,7 @@ func profileCounters(t *testing.T, st *store.Store, q string) string {
 	t.Helper()
 	e := NewEngine(st)
 	e.hashJoinThreshold = 16
-	_, prof, err := e.QueryProfiled("", testPrologue+q)
+	_, prof, err := e.QueryProfiledContext(t.Context(), "", testPrologue+q)
 	if err != nil {
 		t.Fatalf("profile: %v\n%s", err, q)
 	}

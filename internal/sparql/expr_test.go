@@ -37,7 +37,7 @@ func exprStore(t *testing.T) *store.Store {
 func evalFilter(t *testing.T, st *store.Store, prop, filter string) bool {
 	t.Helper()
 	q := `SELECT ?o WHERE { <http://x/s> <http://x/` + prop + `> ?o FILTER (` + filter + `) }`
-	res, err := NewEngine(st).Query("", q)
+	res, err := NewEngine(st).QueryContext(t.Context(), "", q)
 	if err != nil {
 		t.Fatalf("query %s: %v", filter, err)
 	}
@@ -182,7 +182,7 @@ func TestHavingClause(t *testing.T) {
 	}
 	quads = append(quads, rdf.Quad{S: rdf.NewIRI("http://x/b"), P: p, O: rdf.NewInteger(9)})
 	st.Load("m", quads)
-	res, err := NewEngine(st).Query("", `
+	res, err := NewEngine(st).QueryContext(t.Context(), "", `
 		SELECT ?s (COUNT(*) AS ?n) WHERE { ?s <http://x/p> ?o }
 		GROUP BY ?s HAVING (COUNT(*) > 2)`)
 	if err != nil {
@@ -201,7 +201,7 @@ func TestGroupConcatAndSample(t *testing.T) {
 		{S: s, P: p, O: rdf.NewLiteral("x")},
 		{S: s, P: p, O: rdf.NewLiteral("y")},
 	})
-	res, err := NewEngine(st).Query("", `
+	res, err := NewEngine(st).QueryContext(t.Context(), "", `
 		SELECT (GROUP_CONCAT(?o) AS ?all) (SAMPLE(?o) AS ?one) WHERE { ?s <http://x/p> ?o }`)
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +218,7 @@ func TestGroupConcatAndSample(t *testing.T) {
 
 func TestSumAvgOverEmptyAndMixed(t *testing.T) {
 	st := exprStore(t)
-	res, err := NewEngine(st).Query("", `
+	res, err := NewEngine(st).QueryContext(t.Context(), "", `
 		SELECT (SUM(?o) AS ?s) (AVG(?o) AS ?a) WHERE { ?x <http://never> ?o }`)
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +227,7 @@ func TestSumAvgOverEmptyAndMixed(t *testing.T) {
 		t.Errorf("empty SUM/AVG = %v", res.Rows[0])
 	}
 	// SUM skips non-numeric values.
-	res, err = NewEngine(st).Query("", `
+	res, err = NewEngine(st).QueryContext(t.Context(), "", `
 		SELECT (SUM(?o) AS ?s) WHERE { <http://x/s> ?p ?o }`)
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +240,7 @@ func TestSumAvgOverEmptyAndMixed(t *testing.T) {
 
 func TestMinMaxOverMixedTerms(t *testing.T) {
 	st := exprStore(t)
-	res, err := NewEngine(st).Query("", `
+	res, err := NewEngine(st).QueryContext(t.Context(), "", `
 		SELECT (MIN(?o) AS ?lo) (MAX(?o) AS ?hi) WHERE { <http://x/s> <http://x/int> ?o }`)
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +252,7 @@ func TestMinMaxOverMixedTerms(t *testing.T) {
 
 func TestOptionalWithFilterInside(t *testing.T) {
 	st := exprStore(t)
-	res, err := NewEngine(st).Query("", `
+	res, err := NewEngine(st).QueryContext(t.Context(), "", `
 		SELECT ?o WHERE {
 			<http://x/s> <http://x/int> ?v
 			OPTIONAL { <http://x/s> <http://x/str> ?o FILTER (?v > 100) }
@@ -267,7 +267,7 @@ func TestOptionalWithFilterInside(t *testing.T) {
 
 func TestNestedOptional(t *testing.T) {
 	st := exprStore(t)
-	res, err := NewEngine(st).Query("", `
+	res, err := NewEngine(st).QueryContext(t.Context(), "", `
 		SELECT ?a ?b WHERE {
 			<http://x/s> <http://x/int> ?v
 			OPTIONAL { <http://x/s> <http://x/str> ?a
@@ -283,7 +283,7 @@ func TestNestedOptional(t *testing.T) {
 
 func TestValuesWithUndef(t *testing.T) {
 	st := exprStore(t)
-	res, err := NewEngine(st).Query("", `
+	res, err := NewEngine(st).QueryContext(t.Context(), "", `
 		SELECT ?p ?o WHERE {
 			VALUES (?p ?o) { (<http://x/int> UNDEF) (UNDEF "hello") }
 			<http://x/s> ?p ?o
@@ -298,7 +298,7 @@ func TestValuesWithUndef(t *testing.T) {
 
 func TestOffsetPastEnd(t *testing.T) {
 	st := exprStore(t)
-	res, err := NewEngine(st).Query("", `SELECT ?o WHERE { <http://x/s> <http://x/int> ?o } OFFSET 10`)
+	res, err := NewEngine(st).QueryContext(t.Context(), "", `SELECT ?o WHERE { <http://x/s> <http://x/int> ?o } OFFSET 10`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestOffsetPastEnd(t *testing.T) {
 
 func TestSelectStar(t *testing.T) {
 	st := exprStore(t)
-	res, err := NewEngine(st).Query("", `SELECT * WHERE { <http://x/s> <http://x/int> ?o }`)
+	res, err := NewEngine(st).QueryContext(t.Context(), "", `SELECT * WHERE { <http://x/s> <http://x/int> ?o }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestSelectStar(t *testing.T) {
 
 func TestResultsHelpers(t *testing.T) {
 	st := exprStore(t)
-	res, err := NewEngine(st).Query("", `SELECT ?o WHERE { <http://x/s> <http://x/int> ?o }`)
+	res, err := NewEngine(st).QueryContext(t.Context(), "", `SELECT ?o WHERE { <http://x/s> <http://x/int> ?o }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestResultsHelpers(t *testing.T) {
 
 func TestBindErrorLeavesUnbound(t *testing.T) {
 	st := exprStore(t)
-	res, err := NewEngine(st).Query("", `
+	res, err := NewEngine(st).QueryContext(t.Context(), "", `
 		SELECT ?bad WHERE { <http://x/s> <http://x/str> ?o BIND (?o * 2 AS ?bad) }`)
 	if err != nil {
 		t.Fatal(err)

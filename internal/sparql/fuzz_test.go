@@ -3,7 +3,6 @@ package sparql
 import (
 	"context"
 	"errors"
-	"strings"
 	"testing"
 	"time"
 
@@ -32,13 +31,15 @@ func fuzzStore() *store.Store {
 	return st
 }
 
-// FuzzParseAndExec drives the SPARQL parser (and, for accepted
-// queries, the guarded executor) with arbitrary input. Properties:
+// FuzzParseAndExec drives the SPARQL parsers and, for accepted texts,
+// the guarded engine with arbitrary input. Properties:
 //
 //  1. Parse and ParseUpdate never panic;
-//  2. executing an accepted query under a strict budget never returns
-//     guard.ErrInternal — the kind reserved for recovered executor panics,
-//     so any occurrence is a real crash the recover() masked.
+//  2. executing an accepted query of any form through ExecContext, or an
+//     accepted update through UpdateContext on a fresh store, under a
+//     strict budget never returns guard.ErrInternal — the kind reserved
+//     for recovered executor panics, so any occurrence is a real crash
+//     the recover() masked.
 //
 // Seeds are the paper's EQ1–EQ12 plus grammar corner cases.
 func FuzzParseAndExec(f *testing.F) {
@@ -58,7 +59,9 @@ func FuzzParseAndExec(f *testing.F) {
 		"SELECT ?s WHERE { { ?s ?p ?o } UNION { ?o ?p ?s } MINUS { ?s <http://pg/age> ?a } }",
 		"SELECT (1+2*3 AS ?x) (IF(true, \"a\", \"b\") AS ?y) WHERE {}",
 		"INSERT DATA { <http://pg/x> <http://pg/p> \"v\" }",
+		"DELETE DATA { <http://pg/a> <http://pg/follows> <http://pg/b> . GRAPH <http://pg/g1> { <http://pg/a> <http://pg/knows> <http://pg/c> } }",
 		"DELETE WHERE { ?s <http://pg/gone> ?o }",
+		"DELETE { ?x <http://pg/follows> ?y } INSERT { GRAPH <http://pg/g2> { ?y <http://pg/followedBy> ?x } } WHERE { ?x <http://pg/follows> ?y OPTIONAL { ?y <http://pg/name> ?n } }",
 		"PREFIX : <http://pg/>\nSELECT ?v WHERE { :a :name ?v }",
 		"SELECT * WHERE { ?s ?p \"unterminated",
 		"SELECT ( WHERE {",
@@ -70,25 +73,28 @@ func FuzzParseAndExec(f *testing.F) {
 	for _, s := range regressionInputs {
 		f.Add(s)
 	}
-	st := fuzzStore()
-	eng := NewEngine(st)
-	eng.Limits = guard.Budget{Timeout: 200 * time.Millisecond, MaxRows: 256, MaxWork: 4096}
+	budget := guard.Budget{Timeout: 200 * time.Millisecond, MaxRows: 256, MaxWork: 4096}
+	eng := NewEngine(fuzzStore())
+	eng.Limits = budget
 	f.Fuzz(func(t *testing.T, src string) {
-		q, err := Parse(src)
-		if err == nil && q != nil {
-			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-			_, execErr := eng.QueryContext(ctx, "m", src)
+		if _, err := Parse(src); err == nil {
+			ctx, cancel := context.WithTimeout(t.Context(), time.Second)
+			_, execErr := eng.ExecContext(ctx, "m", src)
 			cancel()
 			if errors.Is(execErr, guard.ErrInternal) {
 				t.Fatalf("executor panicked (recovered as guard.ErrInternal): %v\nquery: %q", execErr, src)
 			}
 		}
-		// The update grammar is a separate entry point with its own
-		// recursive-descent paths; parse it too (no execution: updates
-		// mutate the shared store).
-		if _, err := ParseUpdate(src); err != nil {
-			_ = err
+		// Updates mutate their store, so each runs on a fresh one.
+		if _, err := ParseUpdate(src); err == nil {
+			ue := NewEngine(fuzzStore())
+			ue.Limits = budget
+			ctx, cancel := context.WithTimeout(t.Context(), time.Second)
+			_, execErr := ue.UpdateContext(ctx, "m", src)
+			cancel()
+			if errors.Is(execErr, guard.ErrInternal) {
+				t.Fatalf("update panicked (recovered as guard.ErrInternal): %v\nupdate: %q", execErr, src)
+			}
 		}
-		_ = strings.TrimSpace(src)
 	})
 }

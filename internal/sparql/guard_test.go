@@ -169,7 +169,7 @@ func TestMaxBindingsBudget(t *testing.T) {
 	st := egoNetStore(t, 200, 5)
 	e := NewEngine(st)
 	e.Limits = guard.Budget{MaxWork: 10_000}
-	_, err := e.Query("", crossJoin)
+	_, err := e.QueryContext(t.Context(), "", crossJoin)
 	if !errors.Is(err, guard.ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want guard.ErrBudgetExceeded", err)
 	}
@@ -180,13 +180,13 @@ func TestMaxRowsBudget(t *testing.T) {
 	st := egoNetStore(t, 100, 4)
 	e := NewEngine(st)
 	e.Limits = guard.Budget{MaxRows: 50}
-	_, err := e.Query("", `SELECT ?a ?b WHERE { ?a ?p ?b }`)
+	_, err := e.QueryContext(t.Context(), "", `SELECT ?a ?b WHERE { ?a ?p ?b }`)
 	if !errors.Is(err, guard.ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want guard.ErrBudgetExceeded", err)
 	}
 	// Under the cap, the query succeeds unchanged.
 	e.Limits = guard.Budget{MaxRows: 50}
-	res, err := e.Query("", `SELECT ?a ?b WHERE { ?a ?p ?b } LIMIT 10`)
+	res, err := e.QueryContext(t.Context(), "", `SELECT ?a ?b WHERE { ?a ?p ?b } LIMIT 10`)
 	if err != nil || res.Len() != 10 {
 		t.Fatalf("LIMIT 10 under budget: res=%v err=%v", res, err)
 	}
@@ -197,7 +197,7 @@ func TestMaxRowsBudgetGroups(t *testing.T) {
 	st := egoNetStore(t, 300, 3)
 	e := NewEngine(st)
 	e.Limits = guard.Budget{MaxRows: 20}
-	_, err := e.Query("", `SELECT ?a (COUNT(?b) AS ?n) WHERE { ?a ?p ?b } GROUP BY ?a`)
+	_, err := e.QueryContext(t.Context(), "", `SELECT ?a (COUNT(?b) AS ?n) WHERE { ?a ?p ?b } GROUP BY ?a`)
 	if !errors.Is(err, guard.ErrBudgetExceeded) {
 		t.Fatalf("grouped err = %v, want guard.ErrBudgetExceeded", err)
 	}
@@ -210,18 +210,18 @@ func TestBudgetAppliesToAskConstructDescribeUpdate(t *testing.T) {
 	e := NewEngine(st)
 	e.Limits = guard.Budget{MaxWork: 500}
 
-	if _, err := e.Construct("", `CONSTRUCT { ?a <http://x> ?d } WHERE { ?a ?p ?b . ?c ?q ?d }`); !errors.Is(err, guard.ErrBudgetExceeded) {
+	if _, err := e.ExecContext(t.Context(), "", `CONSTRUCT { ?a <http://x> ?d } WHERE { ?a ?p ?b . ?c ?q ?d }`); !errors.Is(err, guard.ErrBudgetExceeded) {
 		t.Errorf("Construct err = %v, want guard.ErrBudgetExceeded", err)
 	}
-	if _, err := e.Describe("", `DESCRIBE ?a WHERE { ?a ?p ?b . ?c ?q ?d }`); !errors.Is(err, guard.ErrBudgetExceeded) {
+	if _, err := e.ExecContext(t.Context(), "", `DESCRIBE ?a WHERE { ?a ?p ?b . ?c ?q ?d }`); !errors.Is(err, guard.ErrBudgetExceeded) {
 		t.Errorf("Describe err = %v, want guard.ErrBudgetExceeded", err)
 	}
-	if _, err := e.Update("net", `DELETE { ?a <http://x> ?d } INSERT { ?a <http://y> ?d } WHERE { ?a ?p ?b . ?c ?q ?d }`); !errors.Is(err, guard.ErrBudgetExceeded) {
+	if _, err := e.UpdateContext(t.Context(), "net", `DELETE { ?a <http://x> ?d } INSERT { ?a <http://y> ?d } WHERE { ?a ?p ?b . ?c ?q ?d }`); !errors.Is(err, guard.ErrBudgetExceeded) {
 		t.Errorf("Update err = %v, want guard.ErrBudgetExceeded", err)
 	}
 	// ASK finds its first row long before the budget and succeeds.
-	if ok, err := e.Ask("", `ASK { ?a ?p ?b }`); err != nil || !ok {
-		t.Errorf("Ask = %v, %v", ok, err)
+	if ans, err := e.ExecContext(t.Context(), "", `ASK { ?a ?p ?b }`); err != nil || !ans.Boolean {
+		t.Errorf("Ask = %v, %v", ans.Boolean, err)
 	}
 }
 
@@ -269,7 +269,7 @@ func TestCanceledTriangleCount(t *testing.T) {
 // scan still yields exactly the limit's rows.
 func TestEarlyStopByLimit(t *testing.T) {
 	st := socialStore(t)
-	res, err := NewEngine(st).Query("", testPrologue+`SELECT ?a ?b WHERE { ?a rel:follows ?b } LIMIT 3`)
+	res, err := NewEngine(st).QueryContext(t.Context(), "", testPrologue+`SELECT ?a ?b WHERE { ?a rel:follows ?b } LIMIT 3`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestPanicRecovery(t *testing.T) {
 	fi := store.NewFaultInjector()
 	fi.FailScansAfter(50)
 	st.SetFaultInjector(fi)
-	_, err := e.Query("", `SELECT ?a WHERE { ?a ?p ?b }`)
+	_, err := e.QueryContext(t.Context(), "", `SELECT ?a WHERE { ?a ?p ?b }`)
 	if !errors.Is(err, guard.ErrInternal) {
 		t.Fatalf("err = %v, want guard.ErrInternal", err)
 	}
@@ -349,7 +349,7 @@ func TestPanicRecovery(t *testing.T) {
 	}
 	// Clearing the fault restores normal service.
 	st.SetFaultInjector(nil)
-	if _, err := e.Query("", `SELECT ?a WHERE { ?a ?p ?b } LIMIT 1`); err != nil {
+	if _, err := e.QueryContext(t.Context(), "", `SELECT ?a WHERE { ?a ?p ?b } LIMIT 1`); err != nil {
 		t.Fatalf("engine unusable after recovered panic: %v", err)
 	}
 }
@@ -384,7 +384,7 @@ func TestMaxPatternsRejected(t *testing.T) {
 	}
 	sb = append(sb, '}')
 	st := store.New()
-	if _, err := NewEngine(st).Query("", string(sb)); err == nil {
+	if _, err := NewEngine(st).QueryContext(t.Context(), "", string(sb)); err == nil {
 		t.Fatal("query with too many patterns should be rejected")
 	}
 }
@@ -410,7 +410,7 @@ func BenchmarkGuardOverhead(b *testing.B) {
 	b.Run("unguarded", func(b *testing.B) {
 		e := NewEngine(st)
 		for i := 0; i < b.N; i++ {
-			if _, err := e.Query("", q); err != nil {
+			if _, err := e.QueryContext(b.Context(), "", q); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -419,7 +419,7 @@ func BenchmarkGuardOverhead(b *testing.B) {
 		e := NewEngine(st)
 		e.Limits = guard.Budget{Timeout: time.Hour, MaxWork: 1 << 40}
 		for i := 0; i < b.N; i++ {
-			if _, err := e.Query("", q); err != nil {
+			if _, err := e.QueryContext(b.Context(), "", q); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -454,7 +454,7 @@ func TestMaxVarsRejectedByEveryForm(t *testing.T) {
 		"DELETE WHERE " + pattern,
 		"DELETE { ?o <http://p> ?o } WHERE " + pattern,
 	} {
-		if _, err := e.Update("m", u); err == nil || !strings.Contains(err.Error(), "variables") {
+		if _, err := e.UpdateContext(t.Context(), "m", u); err == nil || !strings.Contains(err.Error(), "variables") {
 			t.Errorf("%.30s…: err = %v, want the variable cap", u, err)
 		}
 	}

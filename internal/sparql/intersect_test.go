@@ -307,14 +307,14 @@ func TestIntersectMatchesNestedLoop(t *testing.T) {
 	compare := func(label string, nlj, e *Engine, model, q string, fuses bool) *ProfileNode {
 		t.Helper()
 		q = testPrologue + q
-		want, err := nlj.Query(model, q)
+		want, err := nlj.QueryContext(t.Context(), model, q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if fused := fusedSteps(t, e, model, q) != ""; fused != fuses {
 			t.Errorf("%s: fused = %v\n%s", label, fused, q)
 		}
-		got, prof, err := e.QueryProfiled(model, q)
+		got, prof, err := e.QueryProfiledContext(t.Context(), model, q)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -610,7 +610,7 @@ func TestIntersectCharges(t *testing.T) {
 	withParallelEdges(t, st)
 	k := triangleKernels(t, st, true)
 	q := testPrologue + denseTriangles
-	_, prof, err := NewEngine(st).QueryProfiled("", q)
+	_, prof, err := NewEngine(st).QueryProfiledContext(t.Context(), "", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -638,7 +638,7 @@ func TestIntersectCharges(t *testing.T) {
 	}{{k.work, nil}, {k.work - 1, guard.ErrBudgetExceeded}} {
 		e := NewEngine(st)
 		e.Limits = guard.Budget{MaxWork: tc.maxWork}
-		if _, err := e.Query("", q); !errors.Is(err, tc.err) {
+		if _, err := e.QueryContext(t.Context(), "", q); !errors.Is(err, tc.err) {
 			t.Fatalf("MaxWork %d (full charge %d): err = %v, want %v", tc.maxWork, k.work, err, tc.err)
 		}
 	}
@@ -672,7 +672,7 @@ func TestIntersectCancellationMidMark(t *testing.T) {
 	const marks = 4096
 	st := hubStore(t, marks, 0, true)
 	q := testPrologue + denseTriangles
-	_, prof, err := NewEngine(st).QueryProfiled("", q)
+	_, prof, err := NewEngine(st).QueryProfiledContext(t.Context(), "", q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,11 +44,11 @@ func TestHashJoinMatchesNLJ(t *testing.T) {
 	nljOnly := NewEngine(st)
 	nljOnly.DisableHashJoin = true
 	for _, q := range queries {
-		a, err := adaptive.Query("", q)
+		a, err := adaptive.QueryContext(t.Context(), "", q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := nljOnly.Query("", q)
+		b, err := nljOnly.QueryContext(t.Context(), "", q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,11 +69,11 @@ func TestHashJoinMatchesNLJRows(t *testing.T) {
 	adaptive := NewEngine(st)
 	nljOnly := NewEngine(st)
 	nljOnly.DisableHashJoin = true
-	a, err := adaptive.Query("", q)
+	a, err := adaptive.QueryContext(t.Context(), "", q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := nljOnly.Query("", q)
+	b, err := nljOnly.QueryContext(t.Context(), "", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,11 +120,11 @@ func TestHashJoinWithGraphContext(t *testing.T) {
 	adaptive := NewEngine(st)
 	nljOnly := NewEngine(st)
 	nljOnly.DisableHashJoin = true
-	a, err := adaptive.Query("", q)
+	a, err := adaptive.QueryContext(t.Context(), "", q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := nljOnly.Query("", q)
+	b, err := nljOnly.QueryContext(t.Context(), "", q)
 	if err != nil {
 		t.Fatal(err)
 	}

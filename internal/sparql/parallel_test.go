@@ -28,7 +28,7 @@ func TestParallelQueries(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				q := queries[i%len(queries)]
-				res, err := e.Query("", q)
+				res, err := e.QueryContext(t.Context(), "", q)
 				if err != nil {
 					errs <- err
 					return
@@ -59,7 +59,7 @@ func TestParallelQueriesWithUpdates(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
-				_, err := e.Update("scratch", fmt.Sprintf(
+				_, err := e.UpdateContext(t.Context(), "scratch", fmt.Sprintf(
 					`INSERT DATA { <http://pg/w%d-%d> <http://pg/k/name> "tmp" }`, w, i))
 				if err != nil {
 					errs <- err
@@ -71,7 +71,7 @@ func TestParallelQueriesWithUpdates(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
-				if _, err := e.Query("", testPrologue+`SELECT ?x WHERE { ?x key:name ?n }`); err != nil {
+				if _, err := e.QueryContext(t.Context(), "", testPrologue+`SELECT ?x WHERE { ?x key:name ?n }`); err != nil {
 					errs <- err
 					return
 				}
@@ -83,8 +83,7 @@ func TestParallelQueriesWithUpdates(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	n, err := e.Count("scratch", `SELECT ?x WHERE { ?x <http://pg/k/name> "tmp" }`)
-	if err != nil || n != 120 {
-		t.Fatalf("inserted rows = %d, %v", n, err)
+	if n := countRows(t, e, "scratch", `SELECT ?x WHERE { ?x <http://pg/k/name> "tmp" }`); n != 120 {
+		t.Fatalf("inserted rows = %d", n)
 	}
 }

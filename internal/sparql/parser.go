@@ -24,8 +24,9 @@ func Parse(src string) (*Query, error) {
 	return q, nil
 }
 
-// ParseUpdate parses a SPARQL Update request (INSERT DATA / DELETE DATA /
-// DELETE WHERE, separated by semicolons).
+// ParseUpdate parses a SPARQL Update request (INSERT DATA, DELETE DATA,
+// DELETE WHERE and DELETE/INSERT … WHERE operations, separated by
+// semicolons) into one Modify per operation.
 func ParseUpdate(src string) (*Update, error) {
 	toks, err := lex(src)
 	if err != nil {
@@ -167,7 +168,8 @@ func (p *parser) query() (*Query, error) {
 }
 
 // constructTemplate parses { triples (GRAPH varOrTerm { triples })* },
-// allowing variables anywhere.
+// allowing variables anywhere: a CONSTRUCT or update template, and the
+// quad pattern of DELETE WHERE and quad data of INSERT/DELETE DATA.
 func (p *parser) constructTemplate() ([]TemplateQuad, error) {
 	if err := p.expectPunct("{"); err != nil {
 		return nil, err
@@ -177,7 +179,7 @@ func (p *parser) constructTemplate() ([]TemplateQuad, error) {
 		for _, e := range group.Elems {
 			tp, ok := e.(*TriplePattern)
 			if !ok {
-				return p.errf("only triples are allowed in a CONSTRUCT template")
+				return p.errf("only triples are allowed in a quad template")
 			}
 			var pPos TermOrVar
 			switch path := tp.P.(type) {
@@ -186,7 +188,7 @@ func (p *parser) constructTemplate() ([]TemplateQuad, error) {
 			case PathVar:
 				pPos = Variable(path.Name)
 			default:
-				return p.errf("property paths are not allowed in a CONSTRUCT template")
+				return p.errf("property paths are not allowed in a quad template")
 			}
 			out = append(out, TemplateQuad{S: tp.S, P: pPos, O: tp.O, G: g})
 		}
@@ -1212,7 +1214,7 @@ func (p *parser) update() (*Update, error) {
 				if err != nil {
 					return nil, err
 				}
-				u.Ops = append(u.Ops, InsertData{Quads: quads})
+				u.Ops = append(u.Ops, Modify{Insert: quads, Where: &GroupGraphPattern{}})
 				break
 			}
 			// INSERT { tmpl } WHERE { pattern }
@@ -1234,13 +1236,15 @@ func (p *parser) update() (*Update, error) {
 				if err != nil {
 					return nil, err
 				}
-				u.Ops = append(u.Ops, DeleteData{Quads: quads})
+				u.Ops = append(u.Ops, Modify{Delete: quads, Where: &GroupGraphPattern{}})
 			} else if p.keyword("WHERE") {
-				g, err := p.groupGraphPattern()
+				// DELETE WHERE P is DELETE P WHERE P, so P is a quad
+				// template: plain triples, optionally under GRAPH.
+				tmpl, err := p.constructTemplate()
 				if err != nil {
 					return nil, err
 				}
-				u.Ops = append(u.Ops, DeleteWhere{Where: g})
+				u.Ops = append(u.Ops, Modify{Delete: tmpl, Where: templatePattern(tmpl)})
 			} else if p.peek().kind == tokPunct && p.peek().text == "{" {
 				// DELETE { tmpl } [INSERT { tmpl }] WHERE { pattern }
 				del, err := p.constructTemplate()
@@ -1279,80 +1283,39 @@ func (p *parser) update() (*Update, error) {
 	}
 }
 
-// quadData parses { triples (GRAPH term { triples })* } with ground terms.
-func (p *parser) quadData() ([]rdf.Quad, error) {
-	if err := p.expectPunct("{"); err != nil {
+// quadData parses the quads of INSERT DATA or DELETE DATA as a ground
+// template: no variables, and every quad valid RDF (no literal subject
+// or graph).
+func (p *parser) quadData() ([]TemplateQuad, error) {
+	tmpl, err := p.constructTemplate()
+	if err != nil {
 		return nil, err
 	}
-	var quads []rdf.Quad
-	for {
-		if p.punct("}") {
-			return quads, nil
+	for _, tq := range tmpl {
+		if tq.S.IsVar || tq.P.IsVar || tq.O.IsVar || tq.G.IsVar {
+			return nil, p.errf("variables not allowed in ground quad data")
 		}
-		if p.keyword("GRAPH") {
-			gt, err := p.varOrTerm()
-			if err != nil {
-				return nil, err
-			}
-			if gt.IsVar {
-				return nil, p.errf("variables not allowed in ground quad data")
-			}
-			inner, err := p.groundTriples()
-			if err != nil {
-				return nil, err
-			}
-			for _, t := range inner {
-				quads = append(quads, rdf.NewQuad(t.S, t.P, t.O, gt.Term))
-			}
-		} else {
-			group := &GroupGraphPattern{}
-			if err := p.triplesBlock(group, GraphCtx{}); err != nil {
-				return nil, err
-			}
-			for _, e := range group.Elems {
-				tp := e.(*TriplePattern)
-				t, err := groundTriple(tp)
-				if err != nil {
-					return nil, p.errf("%v", err)
-				}
-				quads = append(quads, rdf.TripleQuad(t))
-			}
+		if err := rdf.NewQuad(tq.S.Term, tq.P.Term, tq.O.Term, tq.G.Term).Validate(); err != nil {
+			return nil, p.errf("%v", err)
 		}
-		p.punct(".")
 	}
+	return tmpl, nil
 }
 
-func (p *parser) groundTriples() ([]rdf.Triple, error) {
-	if err := p.expectPunct("{"); err != nil {
-		return nil, err
-	}
-	var triples []rdf.Triple
-	for {
-		if p.punct("}") {
-			return triples, nil
+// templatePattern is the group a DELETE WHERE template matches: each
+// quad as a triple pattern, under GRAPH when it names a graph.
+func templatePattern(tmpl []TemplateQuad) *GroupGraphPattern {
+	g := &GroupGraphPattern{}
+	for _, tq := range tmpl {
+		var path Path = PathIRI{IRI: tq.P.Term}
+		if tq.P.IsVar {
+			path = PathVar{Name: tq.P.Var}
 		}
-		group := &GroupGraphPattern{}
-		if err := p.triplesBlock(group, GraphCtx{}); err != nil {
-			return nil, err
+		var elem PatternElem = &TriplePattern{S: tq.S, P: path, O: tq.O}
+		if tq.G.IsVar || !tq.G.Term.IsZero() {
+			elem = &GraphPattern{Graph: tq.G, Group: &GroupGraphPattern{Elems: []PatternElem{elem}}}
 		}
-		for _, e := range group.Elems {
-			t, err := groundTriple(e.(*TriplePattern))
-			if err != nil {
-				return nil, p.errf("%v", err)
-			}
-			triples = append(triples, t)
-		}
-		p.punct(".")
+		g.Elems = append(g.Elems, elem)
 	}
-}
-
-func groundTriple(tp *TriplePattern) (rdf.Triple, error) {
-	iriPath, ok := tp.P.(PathIRI)
-	if !ok {
-		return rdf.Triple{}, fmt.Errorf("ground data requires plain predicates")
-	}
-	if tp.S.IsVar || tp.O.IsVar {
-		return rdf.Triple{}, fmt.Errorf("variables not allowed in ground data")
-	}
-	return rdf.NewTriple(tp.S.Term, iriPath.IRI, tp.O.Term), nil
+	return g
 }

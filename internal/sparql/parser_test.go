@@ -239,26 +239,37 @@ func TestParseUpdateForms(t *testing.T) {
 	if len(u.Ops) != 3 {
 		t.Fatalf("ops = %d", len(u.Ops))
 	}
-	ins := u.Ops[0].(InsertData)
-	if len(ins.Quads) != 2 {
-		t.Fatalf("insert quads = %d", len(ins.Quads))
+	// Every form is a Modify: the data forms a ground template with an
+	// empty WHERE, DELETE WHERE P the template P matched by P.
+	ins := u.Ops[0]
+	if len(ins.Insert) != 2 || len(ins.Delete) != 0 || len(ins.Where.Elems) != 0 {
+		t.Fatalf("INSERT DATA = %+v", ins)
 	}
-	if ins.Quads[1].G.Value != "http://pg/e3" {
-		t.Errorf("graph quad = %v", ins.Quads[1])
+	if ins.Insert[1].G.Term.Value != "http://pg/e3" {
+		t.Errorf("graph quad = %v", ins.Insert[1])
 	}
-	if _, ok := u.Ops[1].(DeleteData); !ok {
-		t.Error("second op should be DELETE DATA")
+	if del := u.Ops[1]; len(del.Delete) != 1 || len(del.Insert) != 0 || len(del.Where.Elems) != 0 {
+		t.Errorf("DELETE DATA = %+v", del)
 	}
-	if _, ok := u.Ops[2].(DeleteWhere); !ok {
-		t.Error("third op should be DELETE WHERE")
+	dw := u.Ops[2]
+	if len(dw.Delete) != 1 || !dw.Delete[0].S.IsVar || len(dw.Where.Elems) != 1 {
+		t.Fatalf("DELETE WHERE = %+v", dw)
+	}
+	if tp, ok := dw.Where.Elems[0].(*TriplePattern); !ok || tp.S != dw.Delete[0].S || tp.O != dw.Delete[0].O {
+		t.Errorf("DELETE WHERE pattern = %+v, template %+v", dw.Where.Elems[0], dw.Delete[0])
 	}
 }
 
 func TestParseUpdateErrors(t *testing.T) {
 	bad := []string{
-		`INSERT { ?x ?p ?y }`,                      // no DATA
-		`DELETE FROM x`,                            // unsupported form
-		`INSERT DATA { ?x <http://p> <http://o> }`, // var in ground data
+		`INSERT { ?x ?p ?y }`,                                            // no DATA
+		`DELETE FROM x`,                                                  // unsupported form
+		`INSERT DATA { ?x <http://p> <http://o> }`,                       // var in ground data
+		`INSERT DATA { "s" <http://p> <http://o> }`,                      // literal subject
+		`DELETE DATA { GRAPH "g" { <http://s> <http://p> <http://o> } }`, // literal graph
+		`DELETE WHERE { ?s <http://p> ?o FILTER(?o != 1) }`,              // not a quad pattern
+		`DELETE WHERE { ?s <http://p>/<http://q> ?o }`,                   // property path
+		`DELETE WHERE { ?s <http://p> ?o OPTIONAL { ?o <http://q> ?x } }`,
 		``, // empty
 	}
 	for _, s := range bad {
@@ -340,7 +351,7 @@ func TestParseConflictingProjections(t *testing.T) {
 	if strings.Join(got, " ") != "s o" {
 		t.Errorf("repeated variable projection = %v, want [s o]", got)
 	}
-	res, err := NewEngine(fig1Store(t)).Query("", testPrologue+`SELECT ?x ?x ?n WHERE { ?x key:name ?n }`)
+	res, err := NewEngine(fig1Store(t)).QueryContext(t.Context(), "", testPrologue+`SELECT ?x ?x ?n WHERE { ?x key:name ?n }`)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func TestPlanReordersAfterBulkInsert(t *testing.T) {
 		fmt.Fprintf(&ins, "<http://pg/bulk%d> <http://pg/k/rare> \"b%d\" .\n", i, i)
 	}
 	ins.WriteString("}")
-	if res, err := e.Update("m", ins.String()); err != nil || res.Inserted != 100 {
+	if res, err := e.UpdateContext(t.Context(), "m", ins.String()); err != nil || res.Inserted != 100 {
 		t.Fatalf("bulk insert: %+v, %v", res, err)
 	}
 

@@ -15,7 +15,7 @@ package sparql
 //
 // After execution, buildProfile walks the static plan and pairs each
 // operator with its counters, producing the ProfileNode tree that
-// backs Engine.QueryProfiled, EXPLAIN ANALYZE text rendering, and the
+// backs Engine.QueryProfiledContext, EXPLAIN ANALYZE text rendering, and the
 // slow-query log's JSON profile attachment. EXPLAIN renders the same
 // tree without counters: the plan is described in one place.
 
@@ -151,7 +151,7 @@ func profDone(st *profStage, start time.Time, rows int) {
 
 // Profile is the executed-plan profile of one SELECT query: the static
 // plan annotated with per-operator actuals. It is returned by
-// Engine.QueryProfiled, rendered by Render for EXPLAIN ANALYZE, and
+// Engine.QueryProfiledContext, rendered by Render for EXPLAIN ANALYZE, and
 // attached as JSON to slow-query log records. EXPLAIN renders the same
 // tree before anything runs, without the actuals.
 type Profile struct {

@@ -23,7 +23,7 @@ import (
 func TestQueryProfiledActuals(t *testing.T) {
 	st := fig1Store(t)
 	e := NewEngine(st)
-	res, prof, err := e.QueryProfiled("", testPrologue+
+	res, prof, err := e.QueryProfiledContext(t.Context(), "", testPrologue+
 		`SELECT ?x ?n WHERE { ?x rel:follows ?y . ?x key:name ?n }`)
 	if err != nil {
 		t.Fatal(err)
@@ -73,11 +73,12 @@ func TestQueryProfiledActuals(t *testing.T) {
 func TestExplainAnalyzeRendersActuals(t *testing.T) {
 	st := fig1Store(t)
 	e := NewEngine(st)
-	txt, err := e.ExplainAnalyze("", testPrologue+
+	_, prof, err := e.QueryProfiledContext(t.Context(), "", testPrologue+
 		`SELECT ?n WHERE { ?x key:name ?n } ORDER BY ?n LIMIT 1`)
 	if err != nil {
 		t.Fatal(err)
 	}
+	txt := prof.Render()
 	for _, want := range []string{"(actual:", "rows=1", "OrderBy", "Project", "wall="} {
 		if !strings.Contains(txt, want) {
 			t.Errorf("EXPLAIN ANALYZE output missing %q:\n%s", want, txt)
@@ -88,7 +89,7 @@ func TestExplainAnalyzeRendersActuals(t *testing.T) {
 func TestProfileJSONRoundTrip(t *testing.T) {
 	st := fig1Store(t)
 	e := NewEngine(st)
-	_, prof, err := e.QueryProfiled("", testPrologue+`SELECT ?x WHERE { ?x key:age ?a }`)
+	_, prof, err := e.QueryProfiledContext(t.Context(), "", testPrologue+`SELECT ?x WHERE { ?x key:age ?a }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestDictStableUnderComputedValues(t *testing.T) {
 	}
 	before := st.Dict().Len()
 	for _, q := range queries {
-		if _, err := e.Query("", testPrologue+q); err != nil {
+		if _, err := e.QueryContext(t.Context(), "", testPrologue+q); err != nil {
 			t.Fatalf("query failed: %v\n%s", err, q)
 		}
 	}
@@ -167,7 +168,7 @@ func TestLimitZero(t *testing.T) {
 func TestLimitZeroProfiled(t *testing.T) {
 	st := fig1Store(t)
 	e := NewEngine(st)
-	res, _, err := e.QueryProfiled("", testPrologue+`SELECT ?x WHERE { ?x key:name ?n } LIMIT 0`)
+	res, _, err := e.QueryProfiledContext(t.Context(), "", testPrologue+`SELECT ?x WHERE { ?x key:name ?n } LIMIT 0`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestPlanCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := e.Query("", q); err != nil {
+			if _, err := e.QueryContext(t.Context(), "", q); err != nil {
 				errs <- err
 			}
 		}()
@@ -218,7 +219,7 @@ func TestPlanCacheEvictsOneEntry(t *testing.T) {
 	e := NewEngine(st)
 	for i := 0; i < planCacheLimit+3; i++ {
 		q := fmt.Sprintf("%sSELECT ?x WHERE { ?x key:name ?n } OFFSET %d", testPrologue, i)
-		if _, err := e.Query("", q); err != nil {
+		if _, err := e.QueryContext(t.Context(), "", q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -239,7 +240,7 @@ func TestPlanCacheMissOnParseErrorNotCached(t *testing.T) {
 	e := NewEngine(st)
 	bad := `SELECT WHERE {` // malformed
 	for i := 0; i < 2; i++ {
-		if _, err := e.Query("", bad); err == nil {
+		if _, err := e.QueryContext(t.Context(), "", bad); err == nil {
 			t.Fatal("malformed query did not error")
 		}
 	}
@@ -257,10 +258,10 @@ func TestSlowQueryLog(t *testing.T) {
 	e.SlowQueryLog = &buf
 	e.SlowQueryThreshold = 0 // log everything
 
-	if _, err := e.Query("", testPrologue+`SELECT ?x WHERE { ?x key:name ?n }`); err != nil {
+	if _, err := e.QueryContext(t.Context(), "", testPrologue+`SELECT ?x WHERE { ?x key:name ?n }`); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Ask("", testPrologue+`ASK { ?x rel:follows ?y }`); err != nil {
+	if _, err := e.ExecContext(t.Context(), "", testPrologue+`ASK { ?x rel:follows ?y }`); err != nil {
 		t.Fatal(err)
 	}
 
@@ -302,7 +303,7 @@ func TestSlowQueryLogThreshold(t *testing.T) {
 	var buf bytes.Buffer
 	e.SlowQueryLog = &buf
 	e.SlowQueryThreshold = time.Hour
-	if _, err := e.Query("", testPrologue+`SELECT ?x WHERE { ?x key:name ?n }`); err != nil {
+	if _, err := e.QueryContext(t.Context(), "", testPrologue+`SELECT ?x WHERE { ?x key:name ?n }`); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() != 0 {
@@ -316,13 +317,13 @@ func TestSlowQueryLogThreshold(t *testing.T) {
 func TestMetricsSnapshotCounts(t *testing.T) {
 	st := fig1Store(t)
 	e := NewEngine(st)
-	if _, err := e.Query("", testPrologue+`SELECT ?x WHERE { ?x key:name ?n }`); err != nil {
+	if _, err := e.QueryContext(t.Context(), "", testPrologue+`SELECT ?x WHERE { ?x key:name ?n }`); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Query("", `SELECT WHERE {`); err == nil {
+	if _, err := e.QueryContext(t.Context(), "", `SELECT WHERE {`); err == nil {
 		t.Fatal("malformed query did not error")
 	}
-	if _, err := e.Ask("", testPrologue+`ASK { ?x rel:follows ?y }`); err != nil {
+	if _, err := e.ExecContext(t.Context(), "", testPrologue+`ASK { ?x rel:follows ?y }`); err != nil {
 		t.Fatal(err)
 	}
 	snap := e.MetricsSnapshot()
@@ -357,13 +358,13 @@ func TestMetricsSnapshotCounts(t *testing.T) {
 func TestProfilingOffHasNoProfile(t *testing.T) {
 	st := fig1Store(t)
 	e := NewEngine(st)
-	res, prof, err := e.queryInternal(context.Background(), "",
+	ans, prof, err := e.exec(t.Context(), "",
 		testPrologue+`SELECT ?x WHERE { ?x key:name ?n }`, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Len() != 2 {
-		t.Fatalf("rows = %d", res.Len())
+	if ans.Results.Len() != 2 {
+		t.Fatalf("rows = %d", ans.Results.Len())
 	}
 	if prof != nil {
 		t.Fatal("plain query returned a profile")
@@ -394,7 +395,7 @@ func TestProfileNestedBGPInvocations(t *testing.T) {
 	}
 	e := NewEngine(st)
 	e.hashJoinThreshold = 16
-	_, prof, err := e.QueryProfiled("", testPrologue+q)
+	_, prof, err := e.QueryProfiledContext(t.Context(), "", testPrologue+q)
 	if err != nil {
 		t.Fatal(err)
 	}

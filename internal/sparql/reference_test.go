@@ -717,7 +717,7 @@ func checkAgainstReference(t *testing.T, e *Engine, model string, quads []rdf.Qu
 	if err != nil {
 		t.Fatalf("%s: parse: %v\n%s", label, err, q)
 	}
-	res, err := e.Query(model, q)
+	res, err := e.QueryContext(t.Context(), model, q)
 	if err != nil {
 		t.Fatalf("%s: engine: %v\n%s", label, err, q)
 	}

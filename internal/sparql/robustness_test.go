@@ -105,7 +105,7 @@ func TestExecutionNeverPanicsOnValidQueries(t *testing.T) {
 					t.Fatalf("execution panicked on %q: %v", q, p)
 				}
 			}()
-			res, err := e.Query("", q)
+			res, err := e.QueryContext(t.Context(), "", q)
 			if err == nil && res == nil {
 				t.Fatalf("nil results without error for %q", q)
 			}
@@ -124,7 +124,7 @@ func TestWideBindings(t *testing.T) {
 		sb.WriteString("?a <http://p> ?a . ")
 	}
 	sb.WriteString("}")
-	if _, err := NewEngine(st).Query("", sb.String()); err != nil {
+	if _, err := NewEngine(st).QueryContext(t.Context(), "", sb.String()); err != nil {
 		t.Fatalf("60-pattern query failed: %v", err)
 	}
 
@@ -137,7 +137,7 @@ func TestWideBindings(t *testing.T) {
 		sb.WriteString(" <http://p> ?o . ")
 	}
 	sb.WriteString("}")
-	if _, err := NewEngine(st).Query("", sb.String()); err == nil {
+	if _, err := NewEngine(st).QueryContext(t.Context(), "", sb.String()); err == nil {
 		t.Error("query with > 64 variables should be rejected")
 	}
 }

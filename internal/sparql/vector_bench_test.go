@@ -57,7 +57,7 @@ func runKernel(b *testing.B, st *store.Store, q string, tune func(*Engine)) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Query("", testPrologue+q); err != nil {
+		if _, err := e.QueryContext(b.Context(), "", testPrologue+q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -166,7 +166,7 @@ func BenchmarkFourCycleKernel(b *testing.B) {
 // checkCount fails b unless q's counts, summed over its rows, are want.
 func checkCount(b *testing.B, st *store.Store, q string, want int64) {
 	b.Helper()
-	res, err := NewEngine(st).Query("", testPrologue+q)
+	res, err := NewEngine(st).QueryContext(b.Context(), "", testPrologue+q)
 	if err != nil {
 		b.Fatal(err)
 	}

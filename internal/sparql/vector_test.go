@@ -39,7 +39,7 @@ var vectorDiffQueries = []string{
 // without the header), failing the test on error.
 func resultRows(t *testing.T, e *Engine, q string) []string {
 	t.Helper()
-	res, err := e.Query("", testPrologue+q)
+	res, err := e.QueryContext(t.Context(), "", testPrologue+q)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, q)
 	}
@@ -126,7 +126,7 @@ func TestVectorizedBudgetExhaustionMidBatch(t *testing.T) {
 	} {
 		e := NewEngine(st)
 		e.Limits = guard.Budget{MaxWork: 3000}
-		if _, err := e.Query("", testPrologue+q); !errors.Is(err, guard.ErrBudgetExceeded) {
+		if _, err := e.QueryContext(t.Context(), "", testPrologue+q); !errors.Is(err, guard.ErrBudgetExceeded) {
 			t.Fatalf("err = %v, want guard.ErrBudgetExceeded\n%s", err, q)
 		}
 	}
@@ -134,7 +134,7 @@ func TestVectorizedBudgetExhaustionMidBatch(t *testing.T) {
 	// ramp bounds scan-ahead below the budget.
 	e := NewEngine(st)
 	e.Limits = guard.Budget{MaxWork: 500}
-	res, err := e.Query("", testPrologue+`SELECT ?a ?b WHERE { ?a rel:follows ?b } LIMIT 3`)
+	res, err := e.QueryContext(t.Context(), "", testPrologue+`SELECT ?a ?b WHERE { ?a rel:follows ?b } LIMIT 3`)
 	if err != nil || res.Len() != 3 {
 		t.Fatalf("LIMIT 3 under budget: rows=%v err=%v", res.Len(), err)
 	}
@@ -179,7 +179,7 @@ func TestIntersectBudgetExhaustion(t *testing.T) {
 	if got := fusedSteps(t, e, "", testPrologue+denseTriangles); got != "2 3" {
 		t.Fatalf("fused steps %q, want \"2 3\"", got)
 	}
-	if _, err := e.Query("", testPrologue+denseTriangles); !errors.Is(err, guard.ErrBudgetExceeded) {
+	if _, err := e.QueryContext(t.Context(), "", testPrologue+denseTriangles); !errors.Is(err, guard.ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want guard.ErrBudgetExceeded", err)
 	}
 }
@@ -240,11 +240,11 @@ func TestVectorizedAsk(t *testing.T) {
 	st := egoNetStore(t, 300, 5)
 	e := NewEngine(st)
 	e.Limits = guard.Budget{MaxWork: 500}
-	if ok, err := e.Ask("", testPrologue+`ASK { ?a rel:follows ?b }`); err != nil || !ok {
-		t.Fatalf("Ask = %v, %v, want true", ok, err)
+	if ans, err := e.ExecContext(t.Context(), "", testPrologue+`ASK { ?a rel:follows ?b }`); err != nil || !ans.Boolean {
+		t.Fatalf("Ask = %v, %v, want true", ans.Boolean, err)
 	}
-	if ok, err := e.Ask("", testPrologue+`ASK { ?a key:name ?b }`); err != nil || ok {
-		t.Fatalf("Ask = %v, %v, want false", ok, err)
+	if ans, err := e.ExecContext(t.Context(), "", testPrologue+`ASK { ?a key:name ?b }`); err != nil || ans.Boolean {
+		t.Fatalf("Ask = %v, %v, want false", ans.Boolean, err)
 	}
 }
 
@@ -272,7 +272,7 @@ func TestColumnarGroupMaxRows(t *testing.T) {
 			t.Fatalf("MaxRows %d: %d rows differ from the unlimited %d\n%s", len(want), len(got), len(want), q)
 		}
 		e.Limits = guard.Budget{MaxRows: len(want) - 1}
-		if _, err := e.Query("", testPrologue+q); !errors.Is(err, guard.ErrBudgetExceeded) {
+		if _, err := e.QueryContext(t.Context(), "", testPrologue+q); !errors.Is(err, guard.ErrBudgetExceeded) {
 			t.Fatalf("MaxRows %d: err = %v, want guard.ErrBudgetExceeded\n%s", len(want)-1, err, q)
 		}
 	}
@@ -289,7 +289,7 @@ func TestBatchUnionBudget(t *testing.T) {
 	} {
 		e := NewEngine(st)
 		e.Limits = guard.Budget{MaxWork: 6000}
-		if _, err := e.Query("", testPrologue+q); !errors.Is(err, guard.ErrBudgetExceeded) {
+		if _, err := e.QueryContext(t.Context(), "", testPrologue+q); !errors.Is(err, guard.ErrBudgetExceeded) {
 			t.Fatalf("err = %v, want guard.ErrBudgetExceeded\n%s", err, q)
 		}
 	}

@@ -96,7 +96,7 @@ func runWorkload(t *testing.T, opts wal.Options, seed func(st *store.Store), upd
 	attach(eng, l)
 	refs = append(refs, crashRef{boundary: 0, fingerprint: storetest.Fingerprint(st.View())})
 	for i, u := range updates {
-		if _, err := eng.Update(u.model, u.req); err != nil {
+		if _, err := eng.UpdateContext(t.Context(), u.model, u.req); err != nil {
 			t.Fatalf("update %d: %v", i, err)
 		}
 		refs = append(refs, crashRef{boundary: l.Stats().WalBytes, fingerprint: storetest.Fingerprint(st.View())})
@@ -217,7 +217,7 @@ func TestCrashRecoveryCheckpointPlusTailFig1(t *testing.T) {
 	eng := sparql.NewEngine(st)
 	attach(eng, l)
 	for i := 0; i < half; i++ {
-		if _, err := eng.Update(updates[i].model, updates[i].req); err != nil {
+		if _, err := eng.UpdateContext(t.Context(), updates[i].model, updates[i].req); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -226,7 +226,7 @@ func TestCrashRecoveryCheckpointPlusTailFig1(t *testing.T) {
 	}
 	refs := []crashRef{{boundary: 0, fingerprint: storetest.Fingerprint(st.View())}}
 	for i := half; i < len(updates); i++ {
-		if _, err := eng.Update(updates[i].model, updates[i].req); err != nil {
+		if _, err := eng.UpdateContext(t.Context(), updates[i].model, updates[i].req); err != nil {
 			t.Fatal(err)
 		}
 		refs = append(refs, crashRef{boundary: l.Stats().WalBytes, fingerprint: storetest.Fingerprint(st.View())})
@@ -267,7 +267,7 @@ func TestCrashRecoveryIncrementalChain(t *testing.T) {
 	run := func(from, to int) {
 		t.Helper()
 		for i := from; i < to; i++ {
-			if _, err := eng.Update(updates[i].model, updates[i].req); err != nil {
+			if _, err := eng.UpdateContext(t.Context(), updates[i].model, updates[i].req); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -321,7 +321,7 @@ func TestCrashRecoveryIncrementalChain(t *testing.T) {
 	// Tail commits after the chain, crashed at every byte.
 	refs := []crashRef{{boundary: 0, fingerprint: wantMid}}
 	for i := 6; i < len(updates); i++ {
-		if _, err := eng.Update(updates[i].model, updates[i].req); err != nil {
+		if _, err := eng.UpdateContext(t.Context(), updates[i].model, updates[i].req); err != nil {
 			t.Fatal(err)
 		}
 		refs = append(refs, crashRef{boundary: l.Stats().WalBytes, fingerprint: storetest.Fingerprint(st.View())})
@@ -401,12 +401,12 @@ func TestReadOnlyQueriesBypassWAL(t *testing.T) {
 	defer l.Close()
 	eng := sparql.NewEngine(st)
 	attach(eng, l)
-	if _, err := eng.Update("m", `INSERT DATA { <http://a> <http://p> "1" }`); err != nil {
+	if _, err := eng.UpdateContext(t.Context(), "m", `INSERT DATA { <http://a> <http://p> "1" }`); err != nil {
 		t.Fatal(err)
 	}
 	before := l.Stats()
 	for i := 0; i < 10; i++ {
-		if _, err := eng.Query("m", `SELECT ?s WHERE { ?s ?p ?o }`); err != nil {
+		if _, err := eng.QueryContext(t.Context(), "m", `SELECT ?s WHERE { ?s ?p ?o }`); err != nil {
 			t.Fatal(err)
 		}
 	}
