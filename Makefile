@@ -34,8 +34,9 @@ race:
 	$(GO) test -race ./...
 
 ## crash-recovery: the durability gate — the fault-injected WAL suite
-## (crash at every log byte over the checkpoint and its delta chain,
-## torn-write corpus, refusal of a legacy text-checkpoint directory),
+## (crash at every log byte over the checkpoint, also across a not-due
+## incremental request, torn-write corpus, refusal of a directory with
+## a legacy text checkpoint or a delta checkpoint),
 ## the snapshot codec differential (round trip ≡ source across index
 ## configs, corruption at every byte) and the store fingerprint those
 ## differentials compare by, all under the race detector.
@@ -231,17 +232,15 @@ bench-kernel:
 
 ## fuzz-smoke: run each parser fuzz target (N-Quads reader, its
 ## one-statement ParseQuad against the reader, Turtle, SPARQL, the WAL
-## record decoder, the delta-chain decoder behind Open, the /wal tail
-## body a follower applies, the binary snapshot's section decoders
-## behind their CRCs), and the results-encoder
-## differential (byte-identical to encoding/json), for FUZZTIME
-## (default 30s). Regression seeds always run as part of plain
+## record decoder, the /wal tail body a follower applies, the binary
+## snapshot's section decoders behind their CRCs), and the
+## results-encoder differential (byte-identical to encoding/json), for
+## FUZZTIME (default 30s). Regression seeds always run as part of plain
 ## `make test` too.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReader -fuzztime=$(FUZZTIME) ./internal/ntriples
 	$(GO) test -run='^$$' -fuzz=FuzzParseQuad -fuzztime=$(FUZZTIME) ./internal/ntriples
 	$(GO) test -run='^$$' -fuzz=FuzzDecodePayload -fuzztime=$(FUZZTIME) ./internal/wal
-	$(GO) test -run='^$$' -fuzz=FuzzLoadDeltas -fuzztime=$(FUZZTIME) ./internal/wal
 	$(GO) test -run='^$$' -fuzz=FuzzApplyFrames -fuzztime=$(FUZZTIME) ./internal/repl
 	$(GO) test -run='^$$' -fuzz=FuzzRestoreBinary -fuzztime=$(FUZZTIME) ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/turtle

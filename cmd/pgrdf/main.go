@@ -529,13 +529,14 @@ func runSnapshot(args []string) error {
 
 // runCheckpoint asks a running pgrdf serve -data-dir instance to
 // checkpoint now (POST /checkpoint): snapshot the store and truncate
-// the write-ahead log. With -incremental the server folds the log into
-// a small delta file instead of rewriting the full snapshot.
+// the write-ahead log. With -incremental the server checkpoints only
+// when the log is due (wal.Log.CheckpointIncremental) and otherwise
+// fsyncs it.
 func runCheckpoint(args []string) error {
 	fs := flag.NewFlagSet("checkpoint", flag.ExitOnError)
 	addr := fs.String("addr", "localhost:3030", "address of the running pgrdf serve instance")
 	timeout := fs.Duration("timeout", 10*time.Minute, "how long to wait for the checkpoint to complete")
-	incremental := fs.Bool("incremental", false, "fold the log into a delta file instead of a full snapshot")
+	incremental := fs.Bool("incremental", false, "checkpoint only when the log is due (no checkpoint yet, or a log past 1 MiB and half the checkpoint); otherwise fsync it")
 	fs.Parse(args)
 
 	target := "http://" + *addr + "/checkpoint"
@@ -580,7 +581,7 @@ func runServe(args []string) error {
 	dataDir := fs.String("data-dir", "", "durability directory: recover on start, journal every update, checkpoint on demand (empty = in-memory only)")
 	fsync := fs.String("fsync", "always", "WAL fsync policy: always, interval or off")
 	fsyncInterval := fs.Duration("fsync-interval", 100*time.Millisecond, "fsync period under -fsync interval")
-	checkpointEvery := fs.Duration("checkpoint-every", 0, "background incremental checkpoint period (0 = only POST /checkpoint)")
+	checkpointEvery := fs.Duration("checkpoint-every", 0, "background checkpoint period: a tick checkpoints when the WAL is due and fsyncs it otherwise (0 = only POST /checkpoint)")
 	follow := fs.String("follow", "", "replicate from a leader URL (e.g. http://leader:3030); the endpoint serves read-only queries")
 	maxStaleness := fs.Duration("max-staleness", 0, "with -follow: fail reads with 503 once the leader has been unreachable this long (0 = serve stale reads forever)")
 	degradedAfter := fs.Duration("degraded-after", 15*time.Second, "with -follow: leader-contact age at which /stats reports degraded")

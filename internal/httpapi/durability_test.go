@@ -111,52 +111,52 @@ func TestCheckpointEndpoint(t *testing.T) {
 	}
 }
 
-// TestCheckpointIncrementalEndpoint drives ?mode=incremental: after a
-// full binary checkpoint, an incremental request folds the log into a
-// delta file instead of rewriting the snapshot.
+// TestCheckpointIncrementalEndpoint drives ?mode=incremental: with no
+// checkpoint.bin yet the request writes one, and beside it a small log
+// is not due — the request keeps the log and counts no checkpoint.
 func TestCheckpointIncrementalEndpoint(t *testing.T) {
 	srv, h, _, _ := walServer(t)
-	postUpdate(t, srv, "m", `INSERT DATA { <http://pg/v1> <http://pg/k/name> "Amy" }`)
-
-	resp, err := http.Post(srv.URL+"/checkpoint", "", nil)
-	if err != nil {
-		t.Fatal(err)
+	type reply struct {
+		CheckpointBytes int64 `json:"checkpointBytes"`
+		WalBytes        int64 `json:"walBytes"`
+		WalRecords      int64 `json:"walRecords"`
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("full checkpoint status %d", resp.StatusCode)
+	incremental := func() reply {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/checkpoint?mode=incremental", "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("incremental checkpoint status %d", resp.StatusCode)
+		}
+		var out reply
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+
+	postUpdate(t, srv, "m", `INSERT DATA { <http://pg/v1> <http://pg/k/name> "Amy" }`)
+	if out := incremental(); out.CheckpointBytes == 0 || out.WalBytes != 0 || out.WalRecords != 0 {
+		t.Fatalf("first incremental request (no checkpoint.bin) replied %+v, want a full checkpoint", out)
+	}
+	if ws := h.wal.Stats(); ws.Checkpoints != 1 {
+		t.Fatalf("wal stats after the first incremental request: %+v", ws)
 	}
 
 	postUpdate(t, srv, "m", `INSERT DATA { <http://pg/v2> <http://pg/k/name> "Bob" }`)
-	resp, err = http.Post(srv.URL+"/checkpoint?mode=incremental", "", nil)
-	if err != nil {
-		t.Fatal(err)
+	epoch := h.wal.Position().Epoch
+	if out := incremental(); out.WalBytes == 0 || out.WalRecords != 1 {
+		t.Fatalf("not-due incremental request replied %+v, want the log kept", out)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("incremental checkpoint status %d", resp.StatusCode)
-	}
-	var out struct {
-		WalRecords             int64 `json:"walRecords"`
-		FullCheckpoints        int64 `json:"fullCheckpoints"`
-		IncrementalCheckpoints int64 `json:"incrementalCheckpoints"`
-		DeltaChainLen          int64 `json:"deltaChainLen"`
-		DeltaChainBytes        int64 `json:"deltaChainBytes"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if out.WalRecords != 0 ||
-		out.FullCheckpoints != 1 || out.IncrementalCheckpoints != 1 ||
-		out.DeltaChainLen != 1 || out.DeltaChainBytes == 0 {
-		t.Fatalf("incremental checkpoint response: %+v", out)
-	}
-	if ws := h.wal.Stats(); ws.Checkpoints != 2 || ws.IncrementalCheckpoints != 1 {
-		t.Fatalf("wal stats after incremental checkpoint: %+v", ws)
+	if ws := h.wal.Stats(); ws.Checkpoints != 1 || h.wal.Position().Epoch != epoch {
+		t.Fatalf("a not-due incremental request checkpointed: %+v", ws)
 	}
 
 	// An unknown mode is a 400, not a checkpoint.
-	resp, err = http.Post(srv.URL+"/checkpoint?mode=sideways", "", nil)
+	resp, err := http.Post(srv.URL+"/checkpoint?mode=sideways", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,8 +240,8 @@ func TestStatsAndMetricsExposeWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []string{"walBytes", "walRecords", "walSeq", "checkpoints", "replayedRecords", "tornBytesDropped",
-		"fullCheckpoints", "incrementalCheckpoints", "deltaChainLen", "deltaChainBytes"} {
+	for _, k := range []string{"walBytes", "walRecords", "walSeq", "checkpoints", "checkpointErrors",
+		"lastCheckpointBytes", "lastCheckpointSeconds", "replayedRecords", "tornBytesDropped"} {
 		if _, ok := stats[k]; !ok {
 			t.Errorf("/stats lacks %q: %v", k, stats)
 		}
@@ -258,9 +258,7 @@ func TestStatsAndMetricsExposeWAL(t *testing.T) {
 	resp.Body.Close()
 	for _, want := range []string{
 		"pgrdf_wal_bytes ", "pgrdf_wal_records 1", "pgrdf_checkpoint_total 0",
-		"pgrdf_checkpoint_full_total 0", "pgrdf_checkpoint_incremental_total 0",
 		"pgrdf_checkpoint_errors_total 0", "pgrdf_checkpoint_last_bytes 0",
-		"pgrdf_checkpoint_delta_chain_len 0", "pgrdf_checkpoint_delta_chain_bytes 0",
 		"pgrdf_checkpoint_last_duration_seconds 0",
 	} {
 		if !strings.Contains(string(body), want) {

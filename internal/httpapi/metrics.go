@@ -178,11 +178,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		m.gauge("pgrdf_wal_bytes", "Write-ahead log size since the last checkpoint.", ws.WalBytes)
 		m.gauge("pgrdf_wal_records", "Write-ahead log records since the last checkpoint.", ws.WalRecords)
 		m.counter("pgrdf_checkpoint_total", "Checkpoints completed.", ws.Checkpoints)
-		m.counter("pgrdf_checkpoint_full_total", "Full (whole-store) checkpoints completed.", ws.FullCheckpoints)
-		m.counter("pgrdf_checkpoint_incremental_total", "Incremental (delta) checkpoints completed.", ws.IncrementalCheckpoints)
 		m.counter("pgrdf_checkpoint_errors_total", "Checkpoint attempts that failed.", ws.CheckpointErrors)
-		m.gauge("pgrdf_checkpoint_delta_chain_len", "Delta files in the live incremental chain.", ws.DeltaChainLen)
-		m.gauge("pgrdf_checkpoint_delta_chain_bytes", "Total bytes across the live delta chain.", ws.DeltaChainBytes)
 		m.gauge("pgrdf_checkpoint_last_bytes", "Size of the most recent checkpoint snapshot.", ws.LastCheckpointBytes)
 		m.family("pgrdf_checkpoint_last_duration_seconds", "Wall time of the most recent checkpoint.", "gauge")
 		m.sample("pgrdf_checkpoint_last_duration_seconds", fmt.Sprintf("%g", ws.LastCheckpointDuration.Seconds()))

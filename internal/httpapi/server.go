@@ -632,11 +632,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if s.wal != nil {
 		ws := s.wal.Stats()
 		fmt.Fprintf(w, `,"walBytes":%d,"walRecords":%d,"walSeq":%d,"checkpoints":%d,"checkpointErrors":%d,`+
-			`"lastCheckpointBytes":%d,"lastCheckpointSeconds":%g,"replayedRecords":%d,"tornBytesDropped":%d,`+
-			`"fullCheckpoints":%d,"incrementalCheckpoints":%d,"deltaChainLen":%d,"deltaChainBytes":%d`,
+			`"lastCheckpointBytes":%d,"lastCheckpointSeconds":%g,"replayedRecords":%d,"tornBytesDropped":%d`,
 			ws.WalBytes, ws.WalRecords, ws.Seq, ws.Checkpoints, ws.CheckpointErrors,
-			ws.LastCheckpointBytes, ws.LastCheckpointDuration.Seconds(), ws.ReplayedRecords, ws.TornBytesDropped,
-			ws.FullCheckpoints, ws.IncrementalCheckpoints, ws.DeltaChainLen, ws.DeltaChainBytes)
+			ws.LastCheckpointBytes, ws.LastCheckpointDuration.Seconds(), ws.ReplayedRecords, ws.TornBytesDropped)
 	}
 	if s.follower != nil {
 		fs := s.follower.Status()

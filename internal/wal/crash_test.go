@@ -50,9 +50,9 @@ type crashRef struct {
 	fingerprint string
 }
 
-// readCheckpointFiles captures every published checkpoint artifact in
-// dir — full checkpoint and incremental deltas — so a
-// crash point can be materialized byte-for-byte in a fresh directory.
+// readCheckpointFiles captures every published checkpoint file in dir
+// (the unpublished .tmp aside) so a crash point can be materialized
+// byte-for-byte in a fresh directory.
 func readCheckpointFiles(t *testing.T, dir string) map[string][]byte {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
@@ -247,12 +247,11 @@ func TestCrashRecoveryCheckpointPlusTailFig1(t *testing.T) {
 	}
 }
 
-// TestCrashRecoveryIncrementalChain builds a delta chain mid-workload
-// (full checkpoint, then two incremental folds with commits between),
-// then crashes at every byte of the remaining log — recovery replays
-// base + delta 1 + delta 2 + tail. It also pins the publish-without-
-// truncate crash window: a delta plus the very log it folded replays
-// idempotently to the same state.
+// TestCrashRecoveryIncrementalChain crashes at every byte of a log
+// tail that spans a not-due incremental request: after a full
+// checkpoint the request fsyncs the log and keeps it whole, so the
+// commits before and after it are one tail that recovery replays over
+// checkpoint.bin.
 func TestCrashRecoveryIncrementalChain(t *testing.T) {
 	updates := fig1Updates()
 
@@ -264,80 +263,43 @@ func TestCrashRecoveryIncrementalChain(t *testing.T) {
 	defer l.Close()
 	eng := sparql.NewEngine(st)
 	attach(eng, l)
+	var refs []crashRef
 	run := func(from, to int) {
 		t.Helper()
 		for i := from; i < to; i++ {
 			if _, err := eng.UpdateContext(t.Context(), updates[i].model, updates[i].req); err != nil {
 				t.Fatal(err)
 			}
+			refs = append(refs, crashRef{boundary: l.Stats().WalBytes, fingerprint: storetest.Fingerprint(st.View())})
 		}
 	}
 	run(0, 2)
-	if err := l.Checkpoint(st); err != nil { // the full binary base
+	if err := l.Checkpoint(st); err != nil {
 		t.Fatal(err)
 	}
-	run(2, 4)
-	if err := l.CheckpointIncremental(st); err != nil { // delta 1
+	refs = []crashRef{{boundary: 0, fingerprint: storetest.Fingerprint(st.View())}}
+	run(2, 5)
+	before, epoch := l.Stats(), l.Position().Epoch
+	if err := l.CheckpointIncremental(st); err != nil {
 		t.Fatal(err)
 	}
-
-	// The publish-without-truncate window: capture the log that delta 2
-	// will fold, then the post-fold checkpoint files, and replay both
-	// together — the on-disk state of a crash between the delta rename
-	// and the log truncation.
-	run(4, 6)
-	foldedLog, err := os.ReadFile(filepath.Join(dir, "wal.log"))
-	if err != nil {
-		t.Fatal(err)
+	if ws := l.Stats(); ws.Checkpoints != before.Checkpoints || ws.WalBytes != before.WalBytes || l.Position().Epoch != epoch {
+		t.Fatalf("a not-due incremental request checkpointed: %+v, epoch %d -> %d", ws, epoch, l.Position().Epoch)
 	}
-	if err := l.CheckpointIncremental(st); err != nil { // delta 2
-		t.Fatal(err)
-	}
-	wantMid := storetest.Fingerprint(st.View())
-	midFiles := readCheckpointFiles(t, dir)
-	if _, ok := midFiles["checkpoint.delta.000002"]; !ok {
-		t.Fatalf("no second delta after two incremental checkpoints: %v", midFiles)
-	}
-	for name, logBytes := range map[string][]byte{"clean": nil, "unfolded log": foldedLog} {
-		dir2 := t.TempDir()
-		for fname, b := range midFiles {
-			if err := os.WriteFile(filepath.Join(dir2, fname), b, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := os.WriteFile(filepath.Join(dir2, "wal.log"), logBytes, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		st2, l2, err := wal.Open(dir2, wal.Options{Sync: wal.SyncOff})
-		if err != nil {
-			t.Fatalf("%s: recovery failed: %v", name, err)
-		}
-		if got := storetest.Fingerprint(st2.View()); got != wantMid {
-			t.Fatalf("%s: recovered state diverges from the post-fold state", name)
-		}
-		l2.Close()
-	}
-
-	// Tail commits after the chain, crashed at every byte.
-	refs := []crashRef{{boundary: 0, fingerprint: wantMid}}
-	for i := 6; i < len(updates); i++ {
-		if _, err := eng.UpdateContext(t.Context(), updates[i].model, updates[i].req); err != nil {
-			t.Fatal(err)
-		}
-		refs = append(refs, crashRef{boundary: l.Stats().WalBytes, fingerprint: storetest.Fingerprint(st.View())})
-	}
+	run(5, len(updates))
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
+	}
+	ckptFiles := readCheckpointFiles(t, dir)
+	if _, ok := ckptFiles["checkpoint.bin"]; !ok || len(ckptFiles) != 1 {
+		t.Fatalf("checkpoint files = %v, want exactly checkpoint.bin", ckptFiles)
 	}
 	log, err := os.ReadFile(filepath.Join(dir, "wal.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for c := int64(0); c <= int64(len(log)); c++ {
-		crashAt(t, c, midFiles, log, refs)
-	}
-	if ws := l.Stats(); ws.IncrementalCheckpoints != 2 || ws.FullCheckpoints != 1 || ws.DeltaChainLen != 2 {
-		t.Fatalf("chain stats: %+v", ws)
+		crashAt(t, c, ckptFiles, log, refs)
 	}
 }
 

@@ -1,23 +1,18 @@
 package wal
 
 import (
-	"bytes"
-	"errors"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/store"
-	"repro/internal/store/storetest"
 )
 
-// FuzzLoadDeltas: a delta file with a valid header for the real base
-// checkpoint, followed by arbitrary bytes as its frames, either fails
-// Open with ErrCheckpointCorrupt or recovers the base with every frame
-// applied — never a panic, and never a store holding only some of the
-// frames. Seeds are the record corpus, the same corpus with each of its
-// bytes flipped, and the torn-write corpus files.
+// FuzzLoadDeltas: no delta file is ever loaded. Whatever bytes a
+// checkpoint.delta.000001 holds beside a real checkpoint and log, Open
+// refuses the directory with ErrDeltaCheckpoint naming the file, returns
+// no store and leaves the directory as it was — so the refusal never
+// depends on parsing the file. Seeds are the record corpus, the same
+// corpus with each of its bytes flipped, and the torn-write corpus
+// files.
 func FuzzLoadDeltas(f *testing.F) {
 	baseDir := f.TempDir()
 	st, l, err := Open(baseDir, Options{Sync: SyncOff})
@@ -28,17 +23,18 @@ func FuzzLoadDeltas(f *testing.F) {
 	if err = l.Commit(b, func() error { return ApplyBatch(st, b) }); err == nil {
 		err = l.Checkpoint(st)
 	}
+	if err == nil {
+		err = l.Commit(b, nil)
+	}
 	l.Close()
 	if err != nil {
 		f.Fatal(err)
 	}
-	base, err := os.ReadFile(filepath.Join(baseDir, checkpointBinFile))
-	if err != nil {
-		f.Fatal(err)
-	}
-	header, err := encodeDelta(crc32.ChecksumIEEE(base), 1, nil, 1)
-	if err != nil {
-		f.Fatal(err)
+	files := make(map[string][]byte)
+	for _, name := range []string{checkpointBinFile, logFile, replMetaFile} {
+		if files[name], err = os.ReadFile(filepath.Join(baseDir, name)); err != nil {
+			f.Fatal(err)
+		}
 	}
 
 	log, _ := encodeCorpus(f)
@@ -60,41 +56,13 @@ func FuzzLoadDeltas(f *testing.F) {
 		f.Add(data)
 	}
 
-	f.Fuzz(func(t *testing.T, frames []byte) {
-		// The store a recovery applying every decodable frame reaches.
-		want, err := store.RestoreBinary(base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		good, _, err := readRecords(bytes.NewReader(frames), func(_ uint64, b Batch) error { return ApplyBatch(want, b) })
-		if err != nil {
-			t.Fatalf("a decoded frame does not apply: %v", err)
-		}
-
+	f.Fuzz(func(t *testing.T, delta []byte) {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, checkpointBinFile), base, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, deltaName(1)), append(append([]byte(nil), header...), frames...), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		got, l, err := Open(dir, Options{Sync: SyncOff})
-		if good != int64(len(frames)) {
-			if err == nil {
-				l.Close()
-				t.Fatalf("Open accepted a delta whose frames decode only to byte %d of %d", good, len(frames))
+		for name, data := range files {
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
 			}
-			if !errors.Is(err, ErrCheckpointCorrupt) {
-				t.Fatalf("Open failed with %v, want ErrCheckpointCorrupt", err)
-			}
-			return
 		}
-		if err != nil {
-			t.Fatalf("Open refused a delta of whole frames: %v", err)
-		}
-		defer l.Close()
-		if storetest.Fingerprint(got.View()) != storetest.Fingerprint(want.View()) {
-			t.Fatal("recovered store differs from the base with every frame applied")
-		}
+		requireDeltaRefused(t, dir, delta)
 	})
 }

@@ -2,12 +2,11 @@ package wal
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,6 +23,16 @@ const (
 	// became the only snapshot format kept the checkpoint. Open refuses
 	// a directory that has it and no checkpoint.bin (ErrLegacyCheckpoint).
 	legacyTextCheckpoint = "checkpoint.nq"
+	// deltaPrefix names the incremental delta files older releases
+	// chained onto checkpoint.bin. Open refuses a directory holding one
+	// (ErrDeltaCheckpoint).
+	deltaPrefix = "checkpoint.delta."
+
+	// dueLogBytes keeps a log under this size from being due for a
+	// checkpoint even when it exceeds half the full checkpoint: against
+	// a small checkpoint the ratio trips at once, yet replaying a
+	// sub-megabyte log costs nothing at recovery.
+	dueLogBytes = 1 << 20
 )
 
 // Log is the durability unit for one data directory: a checkpoint
@@ -57,25 +66,16 @@ type Log struct {
 	//pgrdf:guardedby mu
 	wake chan struct{}
 
-	// Delta-chain root (DESIGN.md §16): the CRC of the binary full
-	// checkpoint new deltas extend. haveBase is false in a fresh
-	// directory — incremental requests then promote to a full
-	// checkpoint.
+	// fullBytes is the size of checkpoint.bin, 0 while the directory
+	// has none: what CheckpointIncremental weighs the log against.
 
 	//pgrdf:guardedby mu
-	baseCRC uint32
-	//pgrdf:guardedby mu
-	haveBase bool
+	fullBytes int64
 
 	checkpoints      atomic.Int64
 	checkpointErrors atomic.Int64
-	fullCkpts        atomic.Int64
-	incrCkpts        atomic.Int64
 	lastCkptBytes    atomic.Int64
 	lastCkptNanos    atomic.Int64
-	lastFullBytes    atomic.Int64
-	chainLen         atomic.Int64
-	chainBytes       atomic.Int64
 	replayed         int64 // fixed at Open
 	tornDropped      int64 // fixed at Open
 
@@ -95,20 +95,16 @@ func Open(dir string, opts Options) (*store.Store, *Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: create data dir: %w", err)
 	}
+	if err := refuseDeltas(dir); err != nil {
+		return nil, nil, err
+	}
 	// A stale tmp file is a checkpoint that crashed before its rename;
 	// the previous checkpoint (if any) is still the authoritative one.
 	if err := os.Remove(filepath.Join(dir, checkpointTmp)); err != nil && !os.IsNotExist(err) {
 		return nil, nil, fmt.Errorf("wal: remove stale checkpoint tmp: %w", err)
 	}
 
-	st, baseCRC, haveBase, fullBytes, err := openCheckpoint(dir, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Replay the incremental delta chain (if any) over the base before
-	// the log tail: base → delta 1..N → wal.log is commit order.
-	rp := replayer{st: st}
-	chainLen, chainBytes, err := loadDeltas(dir, baseCRC, haveBase, rp.add)
+	st, fullBytes, err := openCheckpoint(dir, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -122,10 +118,8 @@ func Open(dir string, opts Options) (*store.Store, *Log, error) {
 		return nil, nil, fmt.Errorf("wal: open log: %w", err)
 	}
 	l := &Log{dir: dir, opts: opts, done: make(chan struct{}),
-		replID: meta.ID, epoch: meta.Epoch, baseCRC: baseCRC, haveBase: haveBase}
-	l.lastFullBytes.Store(fullBytes)
-	l.chainLen.Store(int64(chainLen))
-	l.chainBytes.Store(chainBytes)
+		replID: meta.ID, epoch: meta.Epoch, fullBytes: fullBytes}
+	rp := replayer{st: st}
 	records := int64(0)
 	firstSeq := uint64(0)
 	good, lastSeq, err := readRecords(bufio.NewReaderSize(f, 1<<20), func(seq uint64, b Batch) error {
@@ -189,11 +183,27 @@ func Open(dir string, opts Options) (*store.Store, *Log, error) {
 	return st, l, nil
 }
 
+// refuseDeltas fails with ErrDeltaCheckpoint naming the first
+// checkpoint.delta.* file in dir. Such a file holds commits an older
+// release folded out of wal.log; recovering without it would silently
+// lose them.
+func refuseDeltas(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("wal: list data dir: %w", err)
+	}
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), deltaPrefix) {
+			return fmt.Errorf("%w: %s", ErrDeltaCheckpoint, filepath.Join(dir, e.Name()))
+		}
+	}
+	return nil
+}
+
 // openCheckpoint restores the checkpoint, or builds a fresh store when
-// none exists yet. It also reports the checkpoint's CRC — the root the
-// delta chain is validated against — and its size (the incremental
-// path's full-vs-chain cost comparison).
-func openCheckpoint(dir string, opts Options) (st *store.Store, baseCRC uint32, haveBase bool, fullBytes int64, err error) {
+// none exists yet. It also reports the checkpoint's size, 0 without one
+// (CheckpointIncremental's due rule).
+func openCheckpoint(dir string, opts Options) (st *store.Store, fullBytes int64, err error) {
 	data, err := os.ReadFile(filepath.Join(dir, checkpointBinFile))
 	if err == nil {
 		st, rerr := store.RestoreBinary(data)
@@ -202,27 +212,27 @@ func openCheckpoint(dir string, opts Options) (st *store.Store, baseCRC uint32, 
 			// is the only safe answer: opening a fresh store here would
 			// serve (and eventually re-checkpoint) an empty dataset over
 			// data the operator believes is durable.
-			return nil, 0, false, 0, fmt.Errorf("%w: restore %s: %v", ErrCheckpointCorrupt, checkpointBinFile, rerr)
+			return nil, 0, fmt.Errorf("%w: restore %s: %v", ErrCheckpointCorrupt, checkpointBinFile, rerr)
 		}
-		return st, crc32.ChecksumIEEE(data), true, int64(len(data)), nil
+		return st, int64(len(data)), nil
 	}
 	if !os.IsNotExist(err) {
-		return nil, 0, false, 0, fmt.Errorf("wal: open checkpoint: %w", err)
+		return nil, 0, fmt.Errorf("wal: open checkpoint: %w", err)
 	}
 	// The same reasoning holds for a checkpoint in the retired text
 	// format: this build cannot read it, so it must not start empty.
 	legacy := filepath.Join(dir, legacyTextCheckpoint)
 	if _, err := os.Stat(legacy); err == nil {
-		return nil, 0, false, 0, fmt.Errorf("%w: %s", ErrLegacyCheckpoint, legacy)
+		return nil, 0, fmt.Errorf("%w: %s", ErrLegacyCheckpoint, legacy)
 	}
 	if len(opts.Indexes) == 0 {
-		return store.New(), 0, false, 0, nil
+		return store.New(), 0, nil
 	}
 	st, err = store.NewWithIndexes(opts.Indexes)
 	if err != nil {
-		return nil, 0, false, 0, fmt.Errorf("wal: index config: %w", err)
+		return nil, 0, fmt.Errorf("wal: index config: %w", err)
 	}
-	return st, 0, false, 0, nil
+	return st, 0, nil
 }
 
 // replayGroupOps is how many journaled operations recovery hands the
@@ -286,59 +296,56 @@ func (l *Log) SetFaultInjector(fi *FaultInjector) { l.w.SetFaultInjector(fi) }
 // Checkpoint atomically snapshots st into the binary checkpoint file
 // and truncates the log. Commits block for the duration; the background
 // checkpointer trades that pause for bounded recovery time. On any
-// failure the previous checkpoint chain and the full log remain
+// failure the previous checkpoint and the full log remain
 // authoritative.
 func (l *Log) Checkpoint(st *store.Store) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.runCheckpointLocked(st, false)
+	return l.runCheckpointLocked(st)
 }
 
-// CheckpointIncremental folds the live log into one delta file of the
-// current checkpoint chain instead of rewriting the full store, and
-// truncates the log — the background checkpointer's default. It
-// promotes itself to a full Checkpoint when a delta cannot extend the
-// chain (no binary base yet, chain at its length cap, or chain bytes
-// past half the base — recovery replay cost has caught up with a
-// rewrite). An empty log is a no-op: the chain already covers every
-// commit.
+// CheckpointIncremental checkpoints only when the log is due — the
+// background checkpointer's tick. The log is due when the directory has
+// no checkpoint.bin yet, or when it is at least dueLogBytes and larger
+// than half the last checkpoint (replaying it then costs about what
+// restoring a rewrite saves). A log that is not due is fsynced and left
+// whole: every commit before the call is durable under any sync policy,
+// and recovery replays it over the existing checkpoint. No checkpoint is
+// counted then, and the replication epoch stays.
 func (l *Log) CheckpointIncremental(st *store.Store) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.w.Records() == 0 {
-		return nil
+	if n := l.w.Bytes(); l.fullBytes == 0 || (n >= dueLogBytes && 2*n > l.fullBytes) {
+		return l.runCheckpointLocked(st)
 	}
-	chainOK := l.chainBytes.Load()*2 <= l.lastFullBytes.Load() ||
-		l.chainBytes.Load() < minDeltaChainBytes
-	incremental := l.haveBase && l.chainLen.Load() < maxDeltaChain && chainOK
-	return l.runCheckpointLocked(st, incremental)
+	if err := l.w.Sync(); err != nil {
+		l.checkpointErrors.Add(1)
+		return err
+	}
+	return nil
 }
 
+// runCheckpointLocked writes the checkpoint and keeps the counters: a
+// success or an error, the size and the wall time.
+//
 //pgrdf:locks mu
-func (l *Log) runCheckpointLocked(st *store.Store, incremental bool) error {
+func (l *Log) runCheckpointLocked(st *store.Store) error {
 	start := time.Now()
-	var bytes int64
-	var err error
-	if incremental {
-		bytes, err = l.deltaCheckpointLocked()
-	} else {
-		bytes, err = l.checkpointLocked(st)
-	}
+	size, err := l.checkpointLocked(st)
 	if err != nil {
 		l.checkpointErrors.Add(1)
 		return err
 	}
+	l.fullBytes = size
 	l.checkpoints.Add(1)
-	if incremental {
-		l.incrCkpts.Add(1)
-	} else {
-		l.fullCkpts.Add(1)
-	}
-	l.lastCkptBytes.Store(bytes)
+	l.lastCkptBytes.Store(size)
 	l.lastCkptNanos.Store(time.Since(start).Nanoseconds())
 	return nil
 }
 
+// checkpointLocked publishes the snapshot by tmp+fsync+rename, then
+// persists the epoch bump and truncates the log.
+//
 //pgrdf:locks mu
 func (l *Log) checkpointLocked(st *store.Store) (int64, error) {
 	tmpPath := filepath.Join(l.dir, checkpointTmp)
@@ -346,8 +353,7 @@ func (l *Log) checkpointLocked(st *store.Store) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("wal: create checkpoint tmp: %w", err)
 	}
-	tee := &crcTee{w: f}
-	if err := st.View().SnapshotBinary(tee); err != nil {
+	if err := st.View().SnapshotBinary(f); err != nil {
 		f.Close()
 		os.Remove(tmpPath)
 		return 0, fmt.Errorf("wal: snapshot: %w", err)
@@ -370,97 +376,7 @@ func (l *Log) checkpointLocked(st *store.Store) (int64, error) {
 		return 0, fmt.Errorf("wal: publish checkpoint: %w", err)
 	}
 	syncDir(l.dir) // make the rename itself durable (best effort)
-	// The full file supersedes every delta.
-	// This must precede the truncation: if a removal fails, aborting here
-	// leaves the untruncated log, and recovery over the new full file
-	// plus the whole log is idempotent (stale deltas are detected by
-	// their base CRC and removed on open).
-	if err := removeSuperseded(l.dir); err != nil {
-		return 0, err
-	}
-	if err := l.advanceEpochAndTruncateLocked(); err != nil {
-		return 0, err
-	}
-	l.haveBase = true
-	l.baseCRC = tee.crc
-	l.lastFullBytes.Store(size)
-	l.chainLen.Store(0)
-	l.chainBytes.Store(0)
-	return size, nil
-}
 
-// deltaCheckpointLocked folds the live log into the next delta file of
-// the current chain and truncates the log.
-//
-//pgrdf:locks mu
-func (l *Log) deltaCheckpointLocked() (int64, error) {
-	raw, err := l.w.readAll()
-	if err != nil {
-		return 0, fmt.Errorf("wal: read log for fold: %w", err)
-	}
-	var batches []Batch
-	firstSeq := uint64(0)
-	good, _, err := readRecords(bytes.NewReader(raw), func(seq uint64, b Batch) error {
-		if len(batches) == 0 {
-			firstSeq = seq
-		}
-		batches = append(batches, b)
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	if good != int64(len(raw)) {
-		// The live log only ever holds fully framed records (torn tails
-		// exist only after a crash, and Open truncated those).
-		return 0, fmt.Errorf("wal: log tail undecodable at offset %d during fold", good)
-	}
-	index := uint32(l.chainLen.Load()) + 1
-	data, err := encodeDelta(l.baseCRC, index, foldOps(batches), firstSeq)
-	if err != nil {
-		return 0, err
-	}
-	tmpPath := filepath.Join(l.dir, checkpointTmp)
-	f, err := os.OpenFile(tmpPath, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return 0, fmt.Errorf("wal: create delta tmp: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmpPath)
-		return 0, fmt.Errorf("wal: write delta: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmpPath)
-		return 0, fmt.Errorf("wal: sync delta: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmpPath)
-		return 0, fmt.Errorf("wal: close delta tmp: %w", err)
-	}
-	if err := os.Rename(tmpPath, filepath.Join(l.dir, deltaName(index))); err != nil {
-		os.Remove(tmpPath)
-		return 0, fmt.Errorf("wal: publish delta: %w", err)
-	}
-	syncDir(l.dir)
-	// Crash window: the delta is published but the log not yet
-	// truncated. Recovery then replays both — idempotent, because the
-	// fold is last-op-wins per (model, quad) and re-applying the same
-	// tail converges to the same state.
-	if err := l.advanceEpochAndTruncateLocked(); err != nil {
-		return 0, err
-	}
-	l.chainLen.Add(1)
-	l.chainBytes.Add(int64(len(data)))
-	return int64(len(data)), nil
-}
-
-// advanceEpochAndTruncateLocked is the shared tail of every checkpoint
-// flavor: persist the epoch bump, then drop the log.
-//
-//pgrdf:locks mu
-func (l *Log) advanceEpochAndTruncateLocked() error {
 	// Advance the replication epoch before truncating: a follower must
 	// never read post-truncation bytes under a pre-truncation epoch.
 	// If the meta write fails the checkpoint is still valid (replaying
@@ -468,18 +384,18 @@ func (l *Log) advanceEpochAndTruncateLocked() error {
 	// aborts the truncation.
 	nextSeq := l.w.Seq()
 	if err := writeReplMeta(l.dir, replMeta{ID: l.replID, Epoch: l.epoch + 1, NextSeq: nextSeq}); err != nil {
-		return err
+		return 0, err
 	}
 	l.epoch++
 	l.epochStartSeq = nextSeq
-	// The checkpoint chain now covers every logged commit; drop the log.
+	// The checkpoint now covers every logged commit; drop the log.
 	if err := l.w.reset(); err != nil {
-		return fmt.Errorf("wal: truncate log after checkpoint: %w", err)
+		return 0, fmt.Errorf("wal: truncate log after checkpoint: %w", err)
 	}
 	// Wake tailers so they observe the epoch change promptly instead of
 	// at their next poll timeout.
 	l.wakeLocked()
-	return nil
+	return size, nil
 }
 
 // syncDir fsyncs a directory so a just-renamed file survives a crash.
@@ -494,10 +410,9 @@ func syncDir(dir string) {
 	d.Close()
 }
 
-// StartCheckpointer checkpoints st every interval until Close. Ticks
-// take the incremental path, so a mostly-idle store pays a few
-// kilobytes of delta per cycle instead of a full rewrite; the chain
-// caps promote a tick to a full checkpoint when it grows too long.
+// StartCheckpointer runs CheckpointIncremental every interval until
+// Close: a tick rewrites checkpoint.bin only when the log is due, so a
+// mostly idle store pays an fsync per cycle instead of a full rewrite.
 func (l *Log) StartCheckpointer(st *store.Store, every time.Duration) {
 	if every <= 0 {
 		return
@@ -546,10 +461,6 @@ func (l *Log) Stats() Stats {
 		LastCheckpointDuration: time.Duration(l.lastCkptNanos.Load()),
 		ReplayedRecords:        l.replayed,
 		TornBytesDropped:       l.tornDropped,
-		FullCheckpoints:        l.fullCkpts.Load(),
-		IncrementalCheckpoints: l.incrCkpts.Load(),
-		DeltaChainLen:          l.chainLen.Load(),
-		DeltaChainBytes:        l.chainBytes.Load(),
 	}
 }
 

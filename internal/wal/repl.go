@@ -13,8 +13,9 @@ package wal
 //     opens and persisted in repl.meta. Two directories with different
 //     IDs share no history: a follower must never apply records across
 //     an ID change.
-//   - Epoch counts log truncations. Every checkpoint folds the log into
-//     the snapshot and truncates it, so byte offsets restart from zero;
+//   - Epoch counts log truncations. Every checkpoint writes the whole
+//     store into the snapshot and truncates the log, so byte offsets
+//     restart from zero;
 //     the epoch disambiguates "offset 4096 before the checkpoint" from
 //     "offset 4096 after". A follower holding an older epoch cannot
 //     tail the current log (the bytes it needs are gone) — unless it
@@ -60,6 +61,13 @@ var ErrCheckpointCorrupt = errors.New("wal: corrupt checkpoint")
 // file and fails rather than start an empty store over it; README says
 // how to convert such a directory.
 var ErrLegacyCheckpoint = errors.New("wal: legacy text checkpoint (convert the directory with an older release's pgrdf snapshot -format binary)")
+
+// ErrDeltaCheckpoint reports a data directory holding a
+// checkpoint.delta.N file, an incremental fold of the log that older
+// releases chained onto checkpoint.bin. The commits it holds are no
+// longer in wal.log, so Open names the file and fails rather than
+// recover without them; README says how to convert such a directory.
+var ErrDeltaCheckpoint = errors.New("wal: incremental delta checkpoint (open the directory with an older release and take a full checkpoint)")
 
 // Position identifies a point in the replication stream.
 type Position struct {

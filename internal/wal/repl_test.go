@@ -207,7 +207,8 @@ func TestBeginSnapshotBlocksCommits(t *testing.T) {
 // TestOpenCorruptCheckpoint is the loud-failure guard: a checkpoint
 // that exists but cannot be parsed must fail Open with a typed error —
 // never recover into an empty store over data the operator believes is
-// durable.
+// durable. A damaged delta checkpoint left by an older release is
+// refused like an intact one (ErrDeltaCheckpoint), before any parse.
 func TestOpenCorruptCheckpoint(t *testing.T) {
 	type corruption struct {
 		file    string
@@ -224,16 +225,14 @@ func TestOpenCorruptCheckpoint(t *testing.T) {
 		"binary truncated": {file: checkpointBinFile, corrupt: func(data []byte) []byte {
 			return data[:len(data)-7]
 		}},
-		// Binary format: corrupt incremental delta header.
-		"delta header damage": {file: "checkpoint.delta.000001", corrupt: func(data []byte) []byte {
+		// Delta format: corrupt incremental delta header.
+		"delta header damage": {file: deltaPrefix + "000001", corrupt: func(data []byte) []byte {
 			out := append([]byte(nil), data...)
 			out[10] ^= 0x01
 			return out
 		}},
-		// Binary format: torn frame inside a published delta. Deltas are
-		// published atomically, so a short frame is damage, not a crash
-		// artifact.
-		"delta torn frame": {file: "checkpoint.delta.000001", corrupt: func(data []byte) []byte {
+		// Delta format: torn frame inside a published delta.
+		"delta torn frame": {file: deltaPrefix + "000001", corrupt: func(data []byte) []byte {
 			return data[:len(data)-3]
 		}},
 	}
@@ -247,13 +246,11 @@ func TestOpenCorruptCheckpoint(t *testing.T) {
 			if err := l.Checkpoint(st); err != nil {
 				t.Fatal(err)
 			}
-			if strings.HasPrefix(c.file, "checkpoint.delta.") {
-				commit(t, l, st, insertOp("m", "http://c", "http://p", "x"))
-				if err := l.CheckpointIncremental(st); err != nil {
-					t.Fatal(err)
-				}
-			}
 			l.Close()
+			if strings.HasPrefix(c.file, deltaPrefix) {
+				requireDeltaRefused(t, dir, c.corrupt(legacyDelta(t)))
+				return
+			}
 
 			path := filepath.Join(dir, c.file)
 			data, err := os.ReadFile(path)

@@ -5,13 +5,14 @@
 //
 // The durability directory holds:
 //
-//	checkpoint.bin      — a full store snapshot (store.SnapshotBinary)
-//	checkpoint.delta.N  — incremental log folds since the full snapshot
-//	wal.log             — framed mutation records appended since the
-//	                      last checkpoint (full or incremental)
+//	checkpoint.bin  — a full store snapshot (store.SnapshotBinary)
+//	wal.log         — framed mutation records appended since the last
+//	                  checkpoint
 //
 // Open refuses a directory whose only checkpoint is a checkpoint.nq,
-// the text snapshot older releases wrote (ErrLegacyCheckpoint).
+// the text snapshot older releases wrote (ErrLegacyCheckpoint), and one
+// that holds a checkpoint.delta.N, an incremental fold of the log older
+// releases chained onto checkpoint.bin (ErrDeltaCheckpoint).
 //
 // Commits are journaled log-first: the SPARQL engine publishes the quad
 // delta of each Update operation through its CommitHook, the log
@@ -133,14 +134,4 @@ type Stats struct {
 	// bytes discarded as a torn or corrupt final record.
 	ReplayedRecords  int64
 	TornBytesDropped int64
-	// FullCheckpoints and IncrementalCheckpoints split Checkpoints by
-	// flavor: full store rewrites vs delta folds of the log.
-	FullCheckpoints        int64
-	IncrementalCheckpoints int64
-	// DeltaChainLen and DeltaChainBytes describe the live incremental
-	// chain: how many delta files extend the full checkpoint, and their
-	// total size. Recovery replays the whole chain, so these bound the
-	// extra restart cost an incremental checkpoint saves at write time.
-	DeltaChainLen   int64
-	DeltaChainBytes int64
 }

@@ -1,7 +1,9 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -141,6 +143,60 @@ func TestOpenRefusesLegacyTextCheckpoint(t *testing.T) {
 	st3, _ := mustOpen(t, dir, Options{Sync: SyncAlways})
 	if got := storetest.Fingerprint(st3.View()); got != want {
 		t.Fatalf("recovery beside a leftover checkpoint.nq diverges:\n got: %s\nwant: %s", got, want)
+	}
+}
+
+// TestOpenRefusesDeltaCheckpoint: a directory that still holds a
+// checkpoint.delta.N from a release with incremental delta checkpoints
+// — whose commits are no longer in wal.log — fails Open with
+// ErrDeltaCheckpoint naming the file, returns no store and is left as
+// it was.
+func TestOpenRefusesDeltaCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	st, l := mustOpen(t, dir, Options{Sync: SyncAlways})
+	commit(t, l, st, insertOp("m", "http://a", "http://p", "1"))
+	if err := l.Checkpoint(st); err != nil {
+		t.Fatal(err)
+	}
+	commit(t, l, st, insertOp("m", "http://b", "http://p", "2"))
+	l.Close()
+	requireDeltaRefused(t, dir, legacyDelta(t))
+}
+
+// legacyDelta returns bytes shaped like an older release's delta
+// checkpoint: its magic, a zeroed header and one frame.
+func legacyDelta(t *testing.T) []byte {
+	t.Helper()
+	frame, err := encodeBatch(2, Batch{Ops: []Op{insertOp("m", "http://c", "http://p", "3")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(append([]byte("PGRDFDL1"), make([]byte, 12)...), frame...)
+}
+
+// requireDeltaRefused writes delta as dir's checkpoint.delta.000001 and
+// requires Open to refuse the directory: ErrDeltaCheckpoint naming the
+// file, no store, no log, and every file as it was.
+func requireDeltaRefused(t *testing.T, dir string, delta []byte) {
+	t.Helper()
+	path := filepath.Join(dir, deltaPrefix+"000001")
+	if err := os.WriteFile(path, delta, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirListing(t, dir)
+	st, l, err := Open(dir, Options{Sync: SyncOff})
+	if err == nil {
+		l.Close()
+		t.Fatalf("Open succeeded beside a delta checkpoint (%d quads)", st.Len())
+	}
+	if st != nil || l != nil {
+		t.Fatalf("the refused Open returned a store or a log: %v", err)
+	}
+	if !errors.Is(err, ErrDeltaCheckpoint) || !strings.Contains(err.Error(), path) {
+		t.Fatalf("err = %v, want ErrDeltaCheckpoint naming %s", err, path)
+	}
+	if after := dirListing(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatalf("the refused Open changed the directory: %v -> %v", before, after)
 	}
 }
 
@@ -327,5 +383,122 @@ func TestBackgroundCheckpointer(t *testing.T) {
 	st2, _ := mustOpen(t, dir, Options{Sync: SyncAlways})
 	if st2.Len() != st.Len() {
 		t.Fatalf("recovered %d quads, want %d", st2.Len(), st.Len())
+	}
+}
+
+// TestCheckpointIncrementalDue: an incremental request runs a full
+// checkpoint — the log truncated, the epoch up by one — when the
+// directory has no checkpoint.bin, or when the log is at least
+// dueLogBytes and larger than half the checkpoint. Otherwise it counts
+// no checkpoint, keeps wal.log byte for byte with its records and the
+// replication position, and leaves the SyncOff writer with nothing
+// unsynced. Either way the directory recovers the store.
+func TestCheckpointIncrementalDue(t *testing.T) {
+	// One distinct 64 KiB literal a quad: 17 of them pass dueLogBytes,
+	// 15 do not.
+	cases := []struct {
+		name         string
+		base, logged int // 64 KiB quads in checkpoint.bin (-1: none) and in the log
+		due          bool
+	}{
+		{"no checkpoint", -1, 1, true},
+		{"log under dueLogBytes", 1, 15, false},
+		{"log past dueLogBytes and half the checkpoint", 1, 17, true},
+		{"log past dueLogBytes, under half the checkpoint", 40, 17, false},
+		{"log past dueLogBytes and half a larger checkpoint", 40, 25, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, l := mustOpen(t, dir, Options{Sync: SyncOff})
+			big := func(i int) Op {
+				return insertOp("m", "http://big", "http://p", fmt.Sprintf("%d", i)+strings.Repeat("x", 64<<10))
+			}
+			for i := 0; i < c.base; i++ {
+				commit(t, l, st, big(i))
+			}
+			if c.base >= 0 {
+				if err := l.Checkpoint(st); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < c.logged; i++ {
+				commit(t, l, st, big(1000+i))
+			}
+			logPath := filepath.Join(dir, logFile)
+			logBefore, err := os.ReadFile(logPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ws, pos := l.Stats(), l.Position()
+			if !writerDirty(l) {
+				t.Fatal("the SyncOff commits left nothing unsynced")
+			}
+			if err := l.CheckpointIncremental(st); err != nil {
+				t.Fatal(err)
+			}
+			got, gotPos := l.Stats(), l.Position()
+			if c.due {
+				if got.Checkpoints != ws.Checkpoints+1 || got.WalBytes != 0 || gotPos.Epoch != pos.Epoch+1 {
+					t.Fatalf("due log (%d bytes) not checkpointed: %+v, epoch %d -> %d", ws.WalBytes, got, pos.Epoch, gotPos.Epoch)
+				}
+			} else {
+				logAfter, err := os.ReadFile(logPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Checkpoints != ws.Checkpoints || got.WalRecords != ws.WalRecords || gotPos != pos || !bytes.Equal(logAfter, logBefore) {
+					t.Fatalf("log of %d bytes checkpointed or changed: %+v, position %+v -> %+v", ws.WalBytes, got, pos, gotPos)
+				}
+				if writerDirty(l) {
+					t.Fatal("the request left unsynced bytes under SyncOff")
+				}
+			}
+			want := storetest.Fingerprint(st.View())
+			l.Close()
+			st2, _ := mustOpen(t, dir, Options{Sync: SyncOff})
+			if storetest.Fingerprint(st2.View()) != want {
+				t.Fatal("recovery diverges")
+			}
+		})
+	}
+}
+
+// writerDirty reports whether the log's writer holds bytes written
+// since its last fsync.
+func writerDirty(l *Log) bool {
+	l.w.mu.Lock()
+	defer l.w.mu.Unlock()
+	return l.w.dirty
+}
+
+// TestCheckpointIncrementalBrokenWriter: once an append has failed, an
+// incremental request returns the writer's error whether or not the
+// log is due, and counts it in CheckpointErrors.
+func TestCheckpointIncrementalBrokenWriter(t *testing.T) {
+	for name, base := range map[string]bool{"due": false, "not due": true} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, l := mustOpen(t, dir, Options{Sync: SyncOff})
+			commit(t, l, st, insertOp("m", "http://a", "http://p", "1"))
+			if base {
+				if err := l.Checkpoint(st); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fi := NewFaultInjector()
+			l.SetFaultInjector(fi)
+			fi.FailAfterBytes(3)
+			if err := l.Commit(Batch{Ops: []Op{insertOp("m", "http://b", "http://p", "2")}}, nil); !errors.Is(err, ErrInjectedCrash) {
+				t.Fatalf("commit err = %v, want ErrInjectedCrash", err)
+			}
+			before := l.Stats()
+			if err := l.CheckpointIncremental(st); !errors.Is(err, ErrInjectedCrash) {
+				t.Fatalf("err = %v, want the writer's ErrInjectedCrash", err)
+			}
+			if got := l.Stats(); got.CheckpointErrors != before.CheckpointErrors+1 || got.Checkpoints != before.Checkpoints {
+				t.Fatalf("stats %+v -> %+v", before, got)
+			}
+		})
 	}
 }

@@ -204,22 +204,6 @@ func (w *Writer) readAt(p []byte, off int64) (int, error) {
 	return w.f.ReadAt(p, off)
 }
 
-// readAll returns a copy of every fully framed record byte in the log
-// — the incremental checkpoint's fold input. Like readAt it holds w.mu,
-// so the copy never overlaps an in-flight append or truncation.
-func (w *Writer) readAll() ([]byte, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	buf := make([]byte, w.off)
-	if w.off == 0 {
-		return buf, nil
-	}
-	if _, err := w.f.ReadAt(buf, 0); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
 // Bytes returns the log size in fully framed record bytes.
 func (w *Writer) Bytes() int64 {
 	w.mu.Lock()
