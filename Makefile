@@ -121,7 +121,7 @@ bench-paper:
 	$(GO) run ./cmd/benchpaper -scale 0.1 -out BENCH_paper.json
 
 ## bench-micro: executor kernel microbenchmarks — the BGP driver's hot
-## loops (scan, hash probe, nested loop, filter, and the sorted
+## loops (scan, nested loop, filter, and the sorted
 ## intersection's triangle count: EQ12 summing its matches and grouped
 ## by ?z emitting per value, a random and a hub graph, each leg checking
 ## its count once before timing — BenchmarkIntersectKernel — and the

@@ -145,21 +145,22 @@ func BenchmarkFigure9(b *testing.B) {
 
 // ---- Ablations (DESIGN.md §4) ----------------------------------------
 
-// BenchmarkAblationJoinStrategy compares the adaptive NLJ/hash executor
-// against forced pure NLJ on the triangle query — the paper's
-// Experiment 5 hinges on the optimizer choosing hash joins here.
+// BenchmarkAblationJoinStrategy compares the default executor, which
+// fuses the triangle query's closing steps into a sorted intersection
+// (DESIGN.md §20), against index nested loops only on that query — the
+// join-strategy choice of the paper's Experiment 5.
 func BenchmarkAblationJoinStrategy(b *testing.B) {
 	env := benchEnv(b)
 	q := env.Queries()["EQ12"]
 	model := bench.TargetModelFor(env.NG, "EQ12")
 	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"adaptive", false}, {"nlj-only", true}} {
+		name        string
+		nestedLoops bool
+	}{{"default", false}, {"nested-loops", true}} {
 		mode := mode
 		b.Run(mode.name, func(b *testing.B) {
 			eng := sparql.NewEngine(env.NG.Store)
-			eng.DisableHashJoin = mode.disable
+			eng.NestedLoopsOnly = mode.nestedLoops
 			if _, err := eng.QueryContext(b.Context(), model, q); err != nil {
 				b.Fatal(err)
 			}

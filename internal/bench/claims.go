@@ -356,7 +356,7 @@ func claimFigure9(p *probe, v Values) error {
 	// Rows, not guard ticks: the fused intersection ticks per seek, so
 	// ticks rank the default plan above index NLJ.
 	nlj := sparql.NewEngine(p.env.NG.Store)
-	nlj.DisableHashJoin = true
+	nlj.NestedLoopsOnly = true
 	def, only := p.eq(p.env.NG, "EQ12"), p.run(nlj, TargetModelFor(p.env.NG, "EQ12"), p.env.Queries()["EQ12"])
 	follows, out, cycles := edgePairs(p.env.Graph, "follows"), map[pg.ID][]pg.ID{}, 0
 	for e := range follows {

@@ -8,8 +8,9 @@
 //
 // The engine compiles queries against the ID-based quad store in
 // internal/store, choosing per-pattern semantic-network indexes and
-// switching between index nested-loop joins and hash joins the way the
-// paper's Oracle plans do.
+// running each join step as an index nested loop or, for the cyclic
+// steps where the paper's Oracle plans switch to hash joins over full
+// scans, as a sorted intersection of index ranges.
 //
 // Dataset semantics: a triple pattern outside a GRAPH clause matches
 // quads in ANY graph (default or named), mirroring Oracle SEM_MATCH; a

@@ -129,7 +129,6 @@ var actualNote = regexp.MustCompile(`(?m)  \(actual: [^)]*\)$`)
 // ANALYZE text with its actuals cut is the EXPLAIN text, line for line.
 func TestExplainIsAnalyzeWithoutActuals(t *testing.T) {
 	e := NewEngine(egoNetStore(t, 50, 3))
-	e.hashJoinThreshold = 16
 	shapes := append(goldenQueries(),
 		`SELECT * WHERE { { { ?a rel:follows ?b } UNION { ?b rel:follows ?a } } UNION { ?a rel:follows ?b OPTIONAL { ?b rel:follows ?c } } }`,
 		`SELECT * WHERE { { { ?a rel:follows ?b } UNION { ?b rel:follows ?a } } UNION { ?a rel:follows ?c } }`,

@@ -197,13 +197,12 @@ func TestUpdateIsAtomicToReaders(t *testing.T) {
 // TestConcurrentQueriesShareOneEngine: four goroutines run socialShapes
 // and two EXISTS shapes on one engine, so they share its cached compiled
 // plans, and each answers what a lone run does. Per-query executor state
-// (hash tables, BFS frontiers, sort buffers, EXISTS pipelines) carries
+// (seek states, BFS frontiers, sort buffers, EXISTS pipelines) carries
 // no lock; under the race detector this fails if any of it lives in a
 // shared plan.
 func TestConcurrentQueriesShareOneEngine(t *testing.T) {
 	st := socialStore(t)
 	e := NewEngine(st)
-	e.hashJoinThreshold = 16
 	shapes := append(socialShapes[:len(socialShapes):len(socialShapes)],
 		`SELECT ?a ?c WHERE { ?a rel:follows ?b . ?b rel:follows ?c FILTER NOT EXISTS { ?c rel:follows ?a } } LIMIT 3000`,
 		`SELECT ?a ?c WHERE { ?a rel:follows ?b OPTIONAL { ?b rel:follows ?c FILTER EXISTS { ?c rel:follows ?a } } }`,

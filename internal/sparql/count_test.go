@@ -42,8 +42,8 @@ var sumShapeQueries = []string{
 // counting a variable, the 4-cycle count (does not rotate: no 3-cycle
 // of its variables maps it onto itself), a triangle whose predicate is
 // a variable the cycle keeps, the same fed that variable by VALUES — so
-// no group fuses and the rule runs row by row, on the hash join's
-// probes too — and the triangle count fed ?x by VALUES, whose rule
+// no group fuses and the rule runs row by row on the nested loops' scans
+// — and the triangle count fed ?x by VALUES, whose rule
 // applies to the UNDEF row alone.
 var rotationShapeQueries = []string{
 	`SELECT (COUNT(?b) AS ?n) WHERE { ?a rel:follows ?b . ?b rel:follows ?c . ?c rel:follows ?a }`,
@@ -199,8 +199,8 @@ func rotationGadgets() (m1 []rdf.Quad, del, ins rdf.Quad) {
 // answer exactly what its enumerating form answers, on countStore plus
 // nonSimpleMarks and rotationGadgets freshly loaded, with delta rows and
 // tombstones in the follows ranges, and compacted; over all models and
-// over m1; under the default settings, a hash threshold of 16, and hash
-// joins off. The weighted shapes must plan weighted with the collapses
+// over m1; under the default settings and with index nested loops only.
+// The weighted shapes must plan weighted with the collapses
 // countCollapses names (the planned intersections' plans), the others
 // unweighted; exactly the countSums shapes must sum where groups fuse;
 // exactly the countRotates shapes must plan the rotation rule, and the
@@ -263,8 +263,7 @@ func TestCountingMatchesEnumerating(t *testing.T) {
 		set  func(*Engine)
 	}{
 		{"default", func(*Engine) {}},
-		{"hash16", func(e *Engine) { e.hashJoinThreshold = 16 }},
-		{"nlj", func(e *Engine) { e.DisableHashJoin = true }},
+		{"nlj", func(e *Engine) { e.NestedLoopsOnly = true }},
 	}
 	for _, state := range states {
 		state.mutate()
@@ -278,7 +277,7 @@ func TestCountingMatchesEnumerating(t *testing.T) {
 				for _, eng := range engines {
 					e := NewEngine(st)
 					eng.set(e)
-					fused := !e.DisableHashJoin
+					fused := !e.NestedLoopsOnly
 					label := fmt.Sprintf("%s/%q/%s/shape %d", state.name, model, eng.name, i)
 					plan, err := e.Explain(model, q)
 					if err != nil {

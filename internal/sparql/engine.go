@@ -18,24 +18,16 @@ import (
 // Engine executes SPARQL queries and updates against a store.
 type Engine struct {
 	st *store.Store
-	// DisableHashJoin forces index nested-loop joins for every pattern:
-	// no adaptive switch to hash joins over full scans and no fusing of
-	// join steps into sorted intersections (DESIGN.md §20). It exists for
-	// the join-strategy ablation benchmarks and as the differential tests'
-	// order oracle; leave it false for normal use.
-	DisableHashJoin bool
+	// NestedLoopsOnly runs every join step as an index nested loop: no
+	// fusing of join steps into sorted intersections (DESIGN.md §20). It
+	// exists for the join-strategy ablation benchmarks and as the
+	// differential tests' order oracle; leave it false for normal use.
+	NestedLoopsOnly bool
 
 	// Limits is the per-query resource budget applied by the *Context
 	// execution methods. The zero value imposes no limits. Set it once
 	// before serving queries; it is read concurrently.
 	Limits guard.Budget
-
-	// hashJoinThreshold is the number of input bindings that must
-	// stream through a BGP join step before the executor considers
-	// switching from index nested-loop join to a hash join over a full
-	// scan — the Tables 5–9 crossover. 0 means the default of 1024;
-	// tests lower it to reach the hash join on small stores.
-	hashJoinThreshold int
 
 	// SlowQueryThreshold is the wall-time at or above which a query is
 	// appended to SlowQueryLog. Zero logs every query (useful when
@@ -205,14 +197,6 @@ func (e *Engine) PlanCacheStats() PlanCacheStats {
 
 // Store returns the underlying store.
 func (e *Engine) Store() *store.Store { return e.st }
-
-// hashJoinMin returns the effective NLJ -> hash-join input threshold.
-func (e *Engine) hashJoinMin() int {
-	if e.hashJoinThreshold > 0 {
-		return e.hashJoinThreshold
-	}
-	return defaultHashJoinMinInput
-}
 
 // Results is a materialized solution sequence. A zero Term in a row
 // means the variable is unbound in that solution.
@@ -643,11 +627,10 @@ func (e *Engine) execCtx(model string, vt *varTable) (*execCtx, error) {
 		return nil, err
 	}
 	ec := &execCtx{
-		st:         e.st,
-		view:       view,
-		vt:         vt,
-		noHashJoin: e.DisableHashJoin,
-		hashMin:    e.hashJoinMin(),
+		st:          e.st,
+		view:        view,
+		vt:          vt,
+		nestedLoops: e.NestedLoopsOnly,
 		// Computed terms (BIND, VALUES, extended projection, aggregate
 		// results) intern into a per-query overlay so read paths never
 		// grow the shared dictionary; updates resolve overlay IDs back

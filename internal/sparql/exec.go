@@ -16,15 +16,14 @@ type execCtx struct {
 	st *store.Store
 	// view is the store version pinned when the query started. Every
 	// scan, estimate and dataset lookup of the query — batch driver,
-	// hash builds, path search — reads it, so the query sees one state
-	// of the store whatever writers do meanwhile, and a scan callback
-	// may scan again: no read takes a lock.
+	// sorted intersections, path search — reads it, so the query sees
+	// one state of the store whatever writers do meanwhile, and a scan
+	// callback may scan again: no read takes a lock.
 	view        *store.View
 	models      map[store.ModelID]struct{} // nil = all models
 	singleModel store.ModelID              // set when the dataset is one model
 	vt          *varTable
-	noHashJoin  bool         // force NLJ everywhere (join-strategy ablation)
-	hashMin     int          // NLJ -> hash-join input threshold
+	nestedLoops bool         // index nested loops only: no fusion (join-strategy ablation)
 	guard       *guard.Guard // nil = no cancellation or budget enforcement
 
 	// scratch holds terms computed while answering this query (BIND,
@@ -111,7 +110,7 @@ func (ec *execCtx) quadVisible(q store.IDQuad) bool {
 
 // ---------------------------------------------------------------------
 // BGP operator: ordered quad patterns with interleaved filters, executed
-// with adaptive index nested-loop / hash joins.
+// as index nested loops or fused sorted intersections.
 // ---------------------------------------------------------------------
 
 type bgpOp struct {
@@ -277,7 +276,7 @@ func (rp *resolvedPattern) bindQuad(b binding, q store.IDQuad, undo *undoList) b
 }
 
 // matchesGraphCtx checks the graph-context constraint for quads coming
-// from a hash-table or scan where G was left unbound.
+// from a scan where G was left unbound.
 func (rp *resolvedPattern) matchesGraphCtx(q store.IDQuad) bool {
 	if rp.qp.g.kind == GraphVar && q.G == store.NoID {
 		return false
@@ -330,50 +329,17 @@ func orderPatterns(rps []resolvedPattern, initial varset) []int {
 	return order
 }
 
-// defaultHashJoinMinInput is the default number of input bindings that
-// must stream through a pattern before the executor considers switching
-// from index nested-loop join to a hash join built from a full pattern
-// scan. This mirrors the paper's plans: selective node/edge queries
-// stay on NLJ, while multi-hop traversals and triangle counting switch
-// to hash joins with full scans. Tunable per engine via
-// Engine.hashJoinThreshold for the Tables 5–9 crossover ablation.
-const defaultHashJoinMinInput = 1024
-
-// hashState is the lazily built hash table of one BGP join step. Input
-// batches before the switch use the index NLJ, those after it probe the
-// table; the two access paths emit rows in the same order for the
-// store's index geometry, so the switch point is invisible in the
-// output (DESIGN.md §10). Steps fused into a sorted intersection (the
-// third access path, intersect.go) never build one.
-type hashState struct {
-	built    bool
-	keySlots []int // var slots in the outer binding forming the join key
-	keyPos   []int // 0=S,1=P,2=O,3=G
-	table    map[[4]store.ID][]store.IDQuad
-}
-
-// keyOf projects a quad onto the join key chosen at build time.
-func (hs *hashState) keyOf(q store.IDQuad) [4]store.ID {
-	var key [4]store.ID
-	vals := [4]store.ID{q.S, q.P, q.C, q.G}
-	for i, pos := range hs.keyPos {
-		key[i] = vals[pos]
-	}
-	return key
-}
-
 // bgpShared is the state of one BGP evaluation: resolved patterns, join
-// order, filter placement, the lazily built hash tables, and the
-// per-step input counters that drive the adaptive NLJ/hash switch. A
-// BGP nested under OPTIONAL, MINUS or UNION runs once per outer row and
-// keeps its bgpShared across runs; reset clears the per-run part.
+// order, filter placement, the fused groups and the per-step input
+// counters the profile reads. A BGP nested under OPTIONAL, MINUS or
+// UNION runs once per outer row and keeps its bgpShared across runs;
+// reset clears the per-run part.
 type bgpShared struct {
 	ec           *execCtx
 	rps          []resolvedPattern
 	order        []int
 	filterAt     [][]*filterOp
 	finalFilters []*filterOp
-	hashes       []hashState
 	inputSeen    []int64
 
 	// intersect[d] is the fused group whose binder runs at depth d
@@ -406,42 +372,9 @@ func (sh *bgpShared) stepStat(depth int) *profStage {
 	return sh.stepStats[depth]
 }
 
-// buildHash populates the hash table for one join step, keyed by the
-// pattern's variables that b binds.
-func (sh *bgpShared) buildHash(depth int, rp *resolvedPattern, b binding) {
-	hs := &sh.hashes[depth]
-	ec := sh.ec
-	// Join key: pattern var positions currently bound in b.
-	addKey := func(pos int, r posRef) {
-		if r.isVar && b[r.slot] != store.NoID {
-			hs.keySlots = append(hs.keySlots, r.slot)
-			hs.keyPos = append(hs.keyPos, pos)
-		}
-	}
-	addKey(0, rp.qp.s)
-	addKey(1, rp.qp.p)
-	addKey(2, rp.qp.o)
-	if rp.qp.g.kind == GraphVar {
-		addKey(3, posRef{isVar: true, slot: rp.qp.g.slot})
-	}
-	hs.table = make(map[[4]store.ID][]store.IDQuad)
-	var scanned int64 // build-side scan rows are guard-charged too
-	ec.scan(rp.constPattern(), func(q store.IDQuad) bool {
-		scanned++
-		if !rp.matchesGraphCtx(q) {
-			return true
-		}
-		key := hs.keyOf(q)
-		hs.table[key] = append(hs.table[key], q)
-		return true
-	})
-	sh.stepStat(depth).addTicks(scanned)
-	hs.built = true
-}
-
 // newShared builds the shared state of a BGP: resolved patterns, join
 // order, filter placement, the steps that fuse into sorted
-// intersections (unless DisableHashJoin asks for index nested loops
+// intersections (unless NestedLoopsOnly asks for index nested loops
 // only) and profiling slots. It returns nil when a
 // constant term does not occur in the dictionary (the BGP can have no
 // solutions).
@@ -460,11 +393,10 @@ func (o *bgpOp) newShared(ec *execCtx) *bgpShared {
 		order:        order,
 		filterAt:     filterAt,
 		finalFilters: finalFilters,
-		hashes:       make([]hashState, len(order)),
 		inputSeen:    make([]int64, len(order)),
 		vars:         o.bound(0),
 	}
-	if !ec.noHashJoin {
+	if !ec.nestedLoops {
 		sh.intersect = planIntersections(ec.view, rps, order)
 	}
 	sh.rot = o.rotation(rps, order, sh.intersect)
@@ -532,20 +464,13 @@ func (o *bgpOp) liveSets(rps []resolvedPattern, order []int, filterAt [][]*filte
 	return live
 }
 
-// reset readies the state for a run: the NLJ→hash switch is decided
-// afresh per run, from zeroed input counters and no hash tables.
+// reset readies the state for a run: it zeroes the input counters.
 func (sh *bgpShared) reset() {
-	for i := range sh.hashes {
-		sh.inputSeen[i] = 0
-		if hs := &sh.hashes[i]; hs.built {
-			hs.keySlots, hs.keyPos, hs.table = hs.keySlots[:0], hs.keyPos[:0], nil
-			hs.built = false
-		}
-	}
+	clear(sh.inputSeen)
 }
 
-// foldStepStats folds the per-step input counters and the NLJ→hash
-// switch flags into the profile once per run.
+// foldStepStats folds the per-step input counters into the profile
+// once per run.
 func (sh *bgpShared) foldStepStats() {
 	if sh.stepStats == nil {
 		return
@@ -553,9 +478,6 @@ func (sh *bgpShared) foldStepStats() {
 	for i := range sh.order {
 		if st := sh.stepStats[i]; st != nil {
 			st.rowsIn += sh.inputSeen[i]
-			if sh.hashes[i].built {
-				st.hashJoin = true
-			}
 		}
 	}
 }

@@ -102,9 +102,8 @@ func executorGolden(t *testing.T) string {
 	t.Helper()
 	st := egoNetStore(t, 900, 5)
 	e := NewEngine(st)
-	e.hashJoinThreshold = 16
 	var sb strings.Builder
-	sb.WriteString("# Executor golden: results on egoNetStore(900, 5), HashJoinThreshold 16.\n")
+	sb.WriteString("# Executor golden: results on egoNetStore(900, 5).\n")
 	sb.WriteString("# Regenerate only with\n")
 	sb.WriteString("# UPDATE_EXECUTOR_GOLDEN=1 go test -run TestExecutorGolden ./internal/sparql\n")
 	for _, q := range goldenQueries() {
@@ -126,15 +125,13 @@ func executorGolden(t *testing.T) string {
 }
 
 // profileCounters runs q with profiling and renders each plan
-// node's invocations, rows in/out and NLJ→hash switch flag — the
-// counters that must not change with the executor's internals — and a
-// fused binder's rows by intersection kernel and the rows it summed.
-// Guard ticks and wall time are left out: ticks depend on where the
-// hash switch happens, not on whether it happens.
+// node's invocations, rows in/out and guard ticks — the counters that
+// must not change with the executor's internals — and a fused binder's
+// rows by intersection kernel and the rows it summed. Wall time is left
+// out.
 func profileCounters(t *testing.T, st *store.Store, q string) string {
 	t.Helper()
 	e := NewEngine(st)
-	e.hashJoinThreshold = 16
 	_, prof, err := e.QueryProfiledContext(t.Context(), "", testPrologue+q)
 	if err != nil {
 		t.Fatalf("profile: %v\n%s", err, q)
@@ -143,8 +140,8 @@ func profileCounters(t *testing.T, st *store.Store, q string) string {
 	var walk func(ns []*ProfileNode, depth int)
 	walk = func(ns []*ProfileNode, depth int) {
 		for _, n := range ns {
-			fmt.Fprintf(&sb, "%s%s  loops=%d in=%d out=%d hash=%v",
-				strings.Repeat("  ", depth), n.Label, n.Invocations, n.RowsIn, n.RowsOut, n.HashJoin)
+			fmt.Fprintf(&sb, "%s%s  loops=%d in=%d out=%d ticks=%d",
+				strings.Repeat("  ", depth), n.Label, n.Invocations, n.RowsIn, n.RowsOut, n.GuardTicks)
 			if n.Walked+n.Galloped > 0 {
 				fmt.Fprintf(&sb, " marked=%d walked=%d galloped=%d dir=%d", n.Marked, n.Walked, n.Galloped, n.Dir)
 			}

@@ -103,11 +103,11 @@ func TestDeadlineStopsCrossJoin(t *testing.T) {
 	}
 }
 
-// TestCancellationMidHashJoin cancels a running query after the join has
-// switched to hash-join mode (input cardinality beyond hashJoinMinInput)
-// and checks it stops promptly with guard.ErrCanceled.
-func TestCancellationMidHashJoin(t *testing.T) {
-	st := egoNetStore(t, 2000, 4) // 8000 quads per scan, >> hashJoinMinInput
+// TestCancellationMidCrossJoin cancels a running nested-loop cross join
+// (one full scan per outer row) and checks it stops promptly with
+// guard.ErrCanceled.
+func TestCancellationMidCrossJoin(t *testing.T) {
+	st := egoNetStore(t, 2000, 4) // 8000 quads per scan
 	e := NewEngine(st)
 	ctx, cancel := context.WithCancel(context.Background())
 	fi := store.NewFaultInjector()
@@ -238,12 +238,12 @@ func TestCanceledContextFailsFast(t *testing.T) {
 	}
 }
 
-// TestBudgetTripMidHashJoin trips MaxWork in the middle of a join that
-// has switched to a hash join: the error latches and the query unwinds.
-func TestBudgetTripMidHashJoin(t *testing.T) {
+// TestBudgetTripMidNestedLoopJoin trips MaxWork in the middle of a
+// two-hop index nested-loop join: the error latches and the query
+// unwinds.
+func TestBudgetTripMidNestedLoopJoin(t *testing.T) {
 	st := socialStore(t)
 	e := NewEngine(st)
-	e.hashJoinThreshold = 16
 	e.Limits = guard.Budget{MaxWork: 3000}
 	q := testPrologue + `SELECT ?a ?c WHERE { ?a rel:follows ?b . ?b rel:follows ?c }`
 	if _, err := e.QueryContext(context.Background(), "", q); !errors.Is(err, guard.ErrBudgetExceeded) {
@@ -256,7 +256,6 @@ func TestBudgetTripMidHashJoin(t *testing.T) {
 func TestCanceledTriangleCount(t *testing.T) {
 	st := socialStore(t)
 	e := NewEngine(st)
-	e.hashJoinThreshold = 16
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	q := testPrologue + `SELECT ?a ?c WHERE { ?a rel:follows ?b . ?b rel:follows ?c . ?c rel:follows ?a }`
@@ -306,13 +305,12 @@ func (c *callerCtx) Done() <-chan struct{} {
 }
 
 // TestQueriesRunOnCallingGoroutine: a query runs on the goroutine that
-// called it. Every guard poll of socialShapes — a hash join, a triangle
+// called it. Every guard poll of socialShapes — a two-hop join, a triangle
 // count, a path BFS, ORDER BY and GROUP BY — comes from the test's own
 // goroutine, and each shape polls at least once after it starts.
 func TestQueriesRunOnCallingGoroutine(t *testing.T) {
 	st := socialStore(t)
 	e := NewEngine(st)
-	e.hashJoinThreshold = 16
 	me := goroutineID()
 	for i, q := range socialShapes {
 		ctx := &callerCtx{Context: context.Background(), done: make(chan struct{}), calls: map[string]int{}}

@@ -83,7 +83,7 @@ func TestIntersectFiresWhereExpected(t *testing.T) {
 		}
 		e := NewEngine(st)
 		nlj := NewEngine(st)
-		nlj.DisableHashJoin = true
+		nlj.NestedLoopsOnly = true
 		queries := PaperQueries()
 		names := make([]string, 0, len(queries))
 		for name := range queries {
@@ -95,7 +95,7 @@ func TestIntersectFiresWhereExpected(t *testing.T) {
 				t.Errorf("%s %s: fused steps %q, want %q", scheme, name, got, want[name])
 			}
 			if got := fusedSteps(t, nlj, "", queries[name]); got != "" {
-				t.Errorf("%s %s: DisableHashJoin fused steps %q", scheme, name, got)
+				t.Errorf("%s %s: NestedLoopsOnly fused steps %q", scheme, name, got)
 			}
 		}
 	}
@@ -297,9 +297,8 @@ func TestIntersectMatchesNestedLoop(t *testing.T) {
 	m1, m2, m3, m4 := intersectStore(t)
 	engines := func(st *store.Store) (nlj, e *Engine) {
 		nlj = NewEngine(st)
-		nlj.DisableHashJoin = true
+		nlj.NestedLoopsOnly = true
 		e = NewEngine(st)
-		e.hashJoinThreshold = 16
 		return nlj, e
 	}
 	// compare checks q against the nested loops and whether it fuses,

@@ -3,16 +3,14 @@ package sparql
 import (
 	"fmt"
 	"math/rand"
-	"sort"
-	"strings"
 	"testing"
 
 	"repro/internal/rdf"
 	"repro/internal/store"
 )
 
-// bigChainStore builds a graph large enough to push intermediate
-// cardinalities past the hash-join switch threshold.
+// bigChainStore builds a random follows graph whose multi-hop joins
+// run to tens of thousands of intermediate rows.
 func bigChainStore(t testing.TB) *store.Store {
 	t.Helper()
 	st := store.New()
@@ -30,9 +28,26 @@ func bigChainStore(t testing.TB) *store.Store {
 	return st
 }
 
-// TestHashJoinMatchesNLJ verifies the adaptive executor's hash-join
-// switch is invisible: large multi-hop queries return the same answers
-// with hash joins enabled and with forced pure NLJ.
+// defaultAndNestedLoops runs q on the default engine and on one with
+// index nested loops only, and returns both answers.
+func defaultAndNestedLoops(t *testing.T, st *store.Store, q string) (def, nlj *Results) {
+	t.Helper()
+	only := NewEngine(st)
+	only.NestedLoopsOnly = true
+	def, err := NewEngine(st).QueryContext(t.Context(), "", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nlj, err = only.QueryContext(t.Context(), "", q); err != nil {
+		t.Fatal(err)
+	}
+	return def, nlj
+}
+
+// TestHashJoinMatchesNLJ is a default ≡ NestedLoopsOnly differential on
+// large multi-hop counts — a 2-hop chain, the triangle, whose closing
+// steps the default engine fuses into a sorted intersection, and a
+// 3-hop chain: both engines count the same, and not zero.
 func TestHashJoinMatchesNLJ(t *testing.T) {
 	st := bigChainStore(t)
 	queries := []string{
@@ -40,64 +55,41 @@ func TestHashJoinMatchesNLJ(t *testing.T) {
 		`PREFIX r: <http://pg/r/> SELECT (COUNT(*) AS ?c) WHERE { ?x r:follows ?y . ?y r:follows ?z . ?z r:follows ?x }`,
 		`PREFIX r: <http://pg/r/> SELECT (COUNT(?w) AS ?c) WHERE { ?x r:follows ?y . ?y r:follows ?z . ?z r:follows ?w }`,
 	}
-	adaptive := NewEngine(st)
-	nljOnly := NewEngine(st)
-	nljOnly.DisableHashJoin = true
 	for _, q := range queries {
-		a, err := adaptive.QueryContext(t.Context(), "", q)
-		if err != nil {
-			t.Fatal(err)
+		def, nlj := defaultAndNestedLoops(t, st, q)
+		if def.Rows[0][0].Value != nlj.Rows[0][0].Value {
+			t.Errorf("default %s != nested loops %s for %s", def.Rows[0][0].Value, nlj.Rows[0][0].Value, q)
 		}
-		b, err := nljOnly.QueryContext(t.Context(), "", q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Rows[0][0].Value != b.Rows[0][0].Value {
-			t.Errorf("adaptive %s != nlj %s for %s", a.Rows[0][0].Value, b.Rows[0][0].Value, q)
-		}
-		if a.Rows[0][0].Value == "0" {
+		if def.Rows[0][0].Value == "0" {
 			t.Errorf("degenerate zero count for %s", q)
 		}
 	}
 }
 
-// TestHashJoinMatchesNLJRows compares full row sets (not just counts)
-// on a projection query that crosses the switch threshold.
+// TestHashJoinMatchesNLJRows is a default ≡ NestedLoopsOnly
+// differential on full rows, order included: a 2-hop projection under
+// DISTINCT and the triangle rows, which the default engine fuses.
 func TestHashJoinMatchesNLJRows(t *testing.T) {
 	st := bigChainStore(t)
-	q := `PREFIX r: <http://pg/r/> SELECT DISTINCT ?x ?z WHERE { ?x r:follows ?y . ?y r:follows ?z }`
-	adaptive := NewEngine(st)
-	nljOnly := NewEngine(st)
-	nljOnly.DisableHashJoin = true
-	a, err := adaptive.QueryContext(t.Context(), "", q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := nljOnly.QueryContext(t.Context(), "", q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra, rb := rowSet(a), rowSet(b)
-	if ra != rb {
-		t.Errorf("row sets differ: %d vs %d distinct rows", a.Len(), b.Len())
-	}
-}
-
-func rowSet(r *Results) string {
-	var rows []string
-	for _, row := range r.Rows {
-		parts := make([]string, len(row))
-		for i, t := range row {
-			parts[i] = t.String()
+	for _, q := range []string{
+		`PREFIX r: <http://pg/r/> SELECT DISTINCT ?x ?z WHERE { ?x r:follows ?y . ?y r:follows ?z }`,
+		`PREFIX r: <http://pg/r/> SELECT * WHERE { ?x r:follows ?y . ?y r:follows ?z . ?z r:follows ?x }`,
+	} {
+		def, nlj := defaultAndNestedLoops(t, st, q)
+		if def.Len() == 0 {
+			t.Errorf("no rows for %s", q)
 		}
-		rows = append(rows, strings.Join(parts, "|"))
+		if def.String() != nlj.String() {
+			t.Errorf("rows differ: %d vs %d rows for %s\n%s", def.Len(), nlj.Len(), q, firstDiff(nlj.String(), def.String()))
+		}
 	}
-	sort.Strings(rows)
-	return strings.Join(rows, "\n")
 }
 
-// TestHashJoinWithGraphContext crosses the threshold inside a GRAPH
-// clause, checking quads with named graphs survive the hash path.
+// TestHashJoinWithGraphContext is a default ≡ NestedLoopsOnly
+// differential inside GRAPH clauses: a 2-hop count whose steps bind
+// named-graph quads (every edge has its own graph) and the transitive
+// triangle x→y→z, x→z over them, both of which must keep the
+// graph-context constraint.
 func TestHashJoinWithGraphContext(t *testing.T) {
 	st := store.New()
 	follows := rdf.NewIRI(rdf.RelNS + "follows")
@@ -115,21 +107,18 @@ func TestHashJoinWithGraphContext(t *testing.T) {
 	if _, err := st.Load("m", quads); err != nil {
 		t.Fatal(err)
 	}
-	q := `PREFIX r: <http://pg/r/> SELECT (COUNT(*) AS ?c) WHERE {
-		GRAPH ?g1 { ?x r:follows ?y } GRAPH ?g2 { ?y r:follows ?z } }`
-	adaptive := NewEngine(st)
-	nljOnly := NewEngine(st)
-	nljOnly.DisableHashJoin = true
-	a, err := adaptive.QueryContext(t.Context(), "", q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := nljOnly.QueryContext(t.Context(), "", q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fmt.Sprint(nodes * 20 * 20)
-	if a.Rows[0][0].Value != want || b.Rows[0][0].Value != want {
-		t.Errorf("counts: adaptive=%s nlj=%s want %s", a.Rows[0][0].Value, b.Rows[0][0].Value, want)
+	for _, c := range []struct {
+		q    string
+		want int
+	}{
+		{`PREFIX r: <http://pg/r/> SELECT (COUNT(*) AS ?c) WHERE {
+		GRAPH ?g1 { ?x r:follows ?y } GRAPH ?g2 { ?y r:follows ?z } }`, nodes * 20 * 20},
+		{`PREFIX r: <http://pg/r/> SELECT (COUNT(*) AS ?c) WHERE {
+		GRAPH ?g1 { ?x r:follows ?y } GRAPH ?g2 { ?y r:follows ?z } GRAPH ?g3 { ?x r:follows ?z } }`, nodes * 190},
+	} {
+		def, nlj := defaultAndNestedLoops(t, st, c.q)
+		if want := fmt.Sprint(c.want); def.Rows[0][0].Value != want || nlj.Rows[0][0].Value != want {
+			t.Errorf("counts: default=%s nested loops=%s want %s\n%s", def.Rows[0][0].Value, nlj.Rows[0][0].Value, want, c.q)
+		}
 	}
 }

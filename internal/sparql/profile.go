@@ -8,7 +8,7 @@ package sparql
 // per query: when execCtx.prof is nil the executor pays a single
 // predictable branch per site and allocates nothing, so the bench
 // numbers are unaffected. When enabled, the counters record actual
-// rows in/out, guard ticks (rows produced by scans and hash probes —
+// rows in/out, guard ticks (rows produced by scans and intersections —
 // exactly the events the query guard charges against Budget.MaxWork)
 // and inclusive wall time. A query runs on one goroutine, so the
 // counters are plain fields.
@@ -30,11 +30,10 @@ type profStage struct {
 	invocations int64 // times the operator's source was driven
 	rowsIn      int64 // bindings entering the operator / step
 	rowsOut     int64 // bindings emitted downstream
-	ticks       int64 // guard ticks (scanned + hash-probed rows)
+	ticks       int64 // guard ticks (scanned rows)
 	wall        int64 // inclusive nanoseconds across invocations
 	groups      int64 // groups a GroupAggregate created
 	collapsed   int64 // rows a step folded into an earlier row (§22)
-	hashJoin    bool  // the step switched from NLJ to hash join
 
 	// A fused binder's input rows by intersection kernel (§20): rows
 	// that marked a side's range, rows that walked the other side
@@ -176,7 +175,6 @@ type ProfileNode struct {
 	RowsOut     int64          `json:"rows_out"`
 	GuardTicks  int64          `json:"guard_ticks,omitempty"`
 	WallNanos   int64          `json:"wall_ns"`
-	HashJoin    bool           `json:"hash_join,omitempty"`
 	Intersect   bool           `json:"intersect,omitempty"` // a step fused into a sorted intersection
 	GroupKey    string         `json:"group_key,omitempty"` // a GroupAggregate's key kind
 	Groups      int64          `json:"groups,omitempty"`
@@ -202,7 +200,6 @@ func (n *ProfileNode) load(st *profStage) *ProfileNode {
 	n.RowsOut = st.rowsOut
 	n.GuardTicks = st.ticks
 	n.WallNanos = st.wall
-	n.HashJoin = st.hashJoin
 	n.Groups = st.groups
 	n.Collapsed = st.collapsed
 	n.Marked = st.marked
@@ -318,7 +315,7 @@ func profileBGP(ec *execCtx, o *bgpOp) *ProfileNode {
 	rps := o.resolve(ec)
 	order := orderPatterns(rps, 0)
 	var plans []*intersectPlan
-	if !ec.noHashJoin {
+	if !ec.nestedLoops {
 		plans = planIntersections(ec.view, rps, order)
 	}
 	rot := o.rotation(rps, order, plans)
@@ -448,9 +445,6 @@ func renderActuals(sb *strings.Builder, n *ProfileNode) {
 		if n.Summed > 0 {
 			fmt.Fprintf(sb, " summed=%d", n.Summed)
 		}
-	}
-	if n.HashJoin {
-		sb.WriteString(" join=hash")
 	}
 	if n.Invocations > 1 {
 		fmt.Fprintf(sb, " loops=%d", n.Invocations)

@@ -374,9 +374,8 @@ func TestProfilingOffHasNoProfile(t *testing.T) {
 // TestProfileNestedBGPInvocations: an OPTIONAL's inner BGP is built once
 // per query and rerun per outer row. EXPLAIN ANALYZE must still count
 // one invocation per outer row, and the per-run counters (rows in and
-// out per join step, the NLJ→hash switch) must equal the golden parent
-// run's, which built the BGP afresh for every row — reuse may neither
-// double-count nor carry a switch decision over to the next row.
+// out and guard ticks per join step) must equal the golden parent run's,
+// which built the BGP afresh for every row — reuse may not double-count.
 func TestProfileNestedBGPInvocations(t *testing.T) {
 	st := egoNetStore(t, 900, 5)
 	q := nestedShapeQueries[0] // ?a rel:follows ?b OPTIONAL { 2-pattern BGP }
@@ -394,7 +393,6 @@ func TestProfileNestedBGPInvocations(t *testing.T) {
 		t.Errorf("profile counters differ from the golden parent run:\n--- golden ---\n%s\n--- got ---\n%s", want, got)
 	}
 	e := NewEngine(st)
-	e.hashJoinThreshold = 16
 	_, prof, err := e.QueryProfiledContext(t.Context(), "", testPrologue+q)
 	if err != nil {
 		t.Fatal(err)

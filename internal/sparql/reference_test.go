@@ -837,8 +837,7 @@ func referenceQueries(scheme pgrdf.Scheme) map[string]string {
 
 // socialQuads is a synthetic social graph: 303 nodes, each following
 // five others at fixed offsets and carrying a name, so multi-hop joins
-// cross a hash-join threshold of 16 on their first batches; the offset
-// 101 closes 303 triangle rows.
+// fill several batches; the offset 101 closes 303 triangle rows.
 func socialQuads() []rdf.Quad {
 	const n = 303
 	follows := rdf.NewIRI(rdf.RelNS + "follows")
@@ -865,8 +864,7 @@ func socialStore(t *testing.T) *store.Store {
 }
 
 // socialShapes are the expensive plan shapes of the paper's Tables 5–9
-// on socialStore: a multi-hop join that switches to a hash join, a
-// triangle count, a property-path BFS, an ordered projection and an
+// on socialStore: a multi-hop join, a triangle count, a property-path BFS, an ordered projection and an
 // ordered grouping.
 var socialShapes = []string{
 	`SELECT ?a ?c WHERE { ?a rel:follows ?b . ?b rel:follows ?c } LIMIT 2000`,
@@ -947,7 +945,6 @@ func TestEngineMatchesReference(t *testing.T) {
 		for _, state := range states {
 			state.mutate()
 			e := NewEngine(st)
-			e.hashJoinThreshold = 16
 			for _, name := range names {
 				label := fmt.Sprintf("%s/%s/%s", scheme, state.name, name)
 				checkAgainstReference(t, e, "", state.quads, label, queries[name])
@@ -956,7 +953,6 @@ func TestEngineMatchesReference(t *testing.T) {
 	}
 	st := socialStore(t)
 	e := NewEngine(st)
-	e.hashJoinThreshold = 16
 	for i, q := range socialShapes {
 		checkAgainstReference(t, e, "", socialQuads(), fmt.Sprintf("social/shape %d", i), testPrologue+q)
 	}

@@ -14,7 +14,7 @@ package sparql
 //     loops; the guard is charged once per run via TickN, and profile
 //     counters accumulate in locals flushed once per scan.
 //   - Joins advance depth-by-depth over batches: all rows of a batch
-//     are probed (or scanned) at one join step before the output batch
+//     are scanned (or intersected) at one join step before the output batch
 //     recurses, and an output batch recurses as soon as it fills. This
 //     keeps the depth-first emission order of a tuple-at-a-time nested
 //     loop: outputs are appended in input-row order at every depth and
@@ -352,10 +352,7 @@ type vecExec struct {
 
 	// collapse[d] folds out[d] on its live columns in count mode
 	// (DESIGN.md §22); nil where depth d's output drops no column.
-	// distinct[d] says a collapse feeds depth d rows that differ in the
-	// variables its step joins on, so a hash table would save no scan.
 	collapse []*collapser
-	distinct []bool
 
 	// fuse says the BGP's fused groups (bgpShared.intersect) apply to
 	// the current input binding: it binds none of the BGP's variables.
@@ -419,7 +416,6 @@ func (vx *vecExec) prepare(b binding) {
 		}
 		vx.out = make([]*colBatch, nd)
 		vx.collapse = make([]*collapser, nd)
-		vx.distinct = make([]bool, nd)
 		for d := range vx.out {
 			vx.out[d] = newColBatch(vx.width, vx.colSlots[d+1])
 			next := d + 1
@@ -428,10 +424,6 @@ func (vx *vecExec) prepare(b binding) {
 			}
 			if keys, dropped := collapseKeys(vx.sh.live, vx.colSlots[d+1], d, next); dropped != 0 {
 				vx.collapse[d] = newCollapser(keys)
-				vx.distinct[next] = true
-				for _, s := range keys {
-					vx.distinct[next] = vx.distinct[next] && vx.sh.rps[vx.sh.order[next]].qp.vars().has(s)
-				}
 			}
 		}
 		vx.scratch = make([]binding, nd+1)
@@ -602,7 +594,7 @@ func (vx *vecExec) step(depth int, in *colBatch) bool {
 	sh := vx.sh
 	ec := sh.ec
 	// Cooperative cancellation, amortized to once per batch; the scan
-	// and probe loops below poll again per run via TickN.
+	// loop below polls again per run via TickN.
 	if !ec.guard.Poll() {
 		return false
 	}
@@ -622,41 +614,15 @@ func (vx *vecExec) step(depth int, in *colBatch) bool {
 		return vx.intersect(depth, in, sh.intersect[depth])
 	}
 	rp := &sh.rps[sh.order[depth]]
-	hs := &sh.hashes[depth]
 	pst := sh.stepStat(depth)
 	scratch := vx.scratch[depth]
 	out, c := vx.out[depth], vx.collapse[depth]
 	sh.inputSeen[depth] += int64(in.n)
-	seen := sh.inputSeen[depth]
 	// Where the rotation's rule applies, each row the step binds is
 	// weighed by its orbit.
 	var rot *rotation
 	if vx.rotate && (depth == sh.rot.pair || depth == sh.rot.last) {
 		rot = sh.rot
-	}
-
-	// The adaptive NLJ→hash switch, decided once per input batch. Both
-	// access paths emit rows in identical order, so where the switch
-	// falls does not change the output (DESIGN.md §10). Rows that differ
-	// in the step's join variables scan each range once: no switch.
-	if !hs.built && !ec.noHashJoin && !vx.distinct[depth] && seen > int64(ec.hashMin) &&
-		rp.estConst < 64*int(seen) {
-		in.writeCols(0, scratch)
-		sh.buildHash(depth, rp, scratch)
-	}
-
-	if hs.built {
-		in.writeCols(0, scratch)
-		usable := true
-		for _, slot := range hs.keySlots {
-			if scratch[slot] == store.NoID {
-				usable = false // heterogeneous boundness: NLJ fallback
-				break
-			}
-		}
-		if usable {
-			return vx.probeBatch(depth, in, rp, hs, pst, rot)
-		}
 	}
 
 	// Index nested-loop join over the batched scan: one range scan per
@@ -724,77 +690,6 @@ func (vx *vecExec) step(depth int, in *colBatch) bool {
 		}
 	}
 	pst.addTicks(scanned)
-	pst.addRows(emitted)
-	pst.addCollapsed(collapsed)
-	if stopped {
-		return false
-	}
-	if out.n > 0 {
-		return vx.descend(depth, depth+1)
-	}
-	return true
-}
-
-// probeBatch joins one input batch against a built hash table, each
-// hit weighed by rot's orbit when rot is non-nil.
-func (vx *vecExec) probeBatch(depth int, in *colBatch, rp *resolvedPattern, hs *hashState, pst *profStage, rot *rotation) bool {
-	ec := vx.sh.ec
-	scratch := vx.scratch[depth]
-	out, c := vx.out[depth], vx.collapse[depth]
-	var emitted, collapsed int64 // flushed once per input batch
-	pending := 0
-	stopped := false
-	for i := 0; i < in.n; i++ {
-		in.writeCols(i, scratch)
-		wt := in.weight(i)
-		var key [4]store.ID
-		for k, slot := range hs.keySlots {
-			key[k] = scratch[slot]
-		}
-		for _, q := range hs.table[key] {
-			// Non-key bound positions are validated by bindQuad.
-			if !rp.bindQuad(scratch, q, &vx.undo[depth]) {
-				continue
-			}
-			w := wt
-			if rot != nil {
-				if w *= rot.orbit(depth, scratch); w == 0 {
-					vx.undo[depth].revert(scratch)
-					continue
-				}
-			}
-			pending++
-			if c == nil || !c.merge(out, scratch, w) {
-				out.appendFrom(scratch, w)
-				emitted++
-			} else {
-				collapsed++
-			}
-			vx.undo[depth].revert(scratch)
-			if out.n >= vx.limit(c) {
-				// Probed rows bypass the scan guard, so charge them
-				// here — batched, like the scan path.
-				if !ec.guard.TickN(pending) {
-					pending, stopped = 0, true
-					break
-				}
-				pending = 0
-				if !vx.descend(depth, depth+1) {
-					stopped = true
-					break
-				}
-				vx.grow()
-			}
-		}
-		if stopped {
-			break
-		}
-	}
-	if !stopped && !ec.guard.TickN(pending) {
-		stopped = true
-	}
-	// Probe hits are guard ticks and, but for the collapsed, rows out.
-	pst.addTicks(emitted + collapsed)
 	pst.addRows(emitted)
 	pst.addCollapsed(collapsed)
 	if stopped {

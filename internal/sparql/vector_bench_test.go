@@ -11,12 +11,12 @@ import (
 )
 
 // Microbenchmark kernels of the BGP driver's hot loops — raw pattern
-// scan, hash-table probe, index nested-loop rescan, filter evaluation —
+// scan, index nested-loop rescan, filter evaluation —
 // of the nested shapes that run an inner pipeline per outer row
 // (OPTIONAL, MINUS), and of the aggregate tail: grouping by one and two
 // key columns, a UNION of two scans. Run via `make bench-micro`.
 //
-// The scan/probe/filter kernels are COUNT queries, so the measured work
+// The scan/join/filter kernels are COUNT queries, so the measured work
 // is operator execution, not result materialization.
 
 // benchStore is built once and shared across kernels: a random
@@ -69,18 +69,11 @@ func BenchmarkScanKernel(b *testing.B) {
 	runKernel(b, kernelStore(b), `SELECT (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b }`, nil)
 }
 
-// BenchmarkHashProbeKernel: two-hop join with the hash build forced on
-// early, so the inner loop is hash probes rather than index scans.
-func BenchmarkHashProbeKernel(b *testing.B) {
-	runKernel(b, kernelStore(b), `SELECT (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b . ?b rel:follows ?c }`,
-		func(e *Engine) { e.hashJoinThreshold = 16 })
-}
-
-// BenchmarkNestedLoopKernel: the same two-hop join with hash joins
-// disabled — measures the batched bound-pattern rescan path.
+// BenchmarkNestedLoopKernel: a two-hop join on index nested loops only
+// — measures the batched bound-pattern rescan path.
 func BenchmarkNestedLoopKernel(b *testing.B) {
 	runKernel(b, kernelStore(b), `SELECT (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b . ?b rel:follows ?c }`,
-		func(e *Engine) { e.DisableHashJoin = true })
+		func(e *Engine) { e.NestedLoopsOnly = true })
 }
 
 // scanSPStore is the `scan-sp` serving store: the SP encoding of
@@ -112,8 +105,8 @@ const eq12SPTriangles = 89613
 
 // BenchmarkIntersectKernel: the triangle count, whose last two steps
 // fuse into a sorted intersection — seeks, marking, walks and leapfrog
-// summing their matches (nothing reads ?c) instead of two-paths into a
-// hash probe. The legs: the random follows graph; EQ12 on `scan-sp`'s
+// summing their matches (nothing reads ?c) instead of scanning a range
+// per two-path. The legs: the random follows graph; EQ12 on `scan-sp`'s
 // SP store, whose binder range repeats for every in-edge of a node
 // (walks); the same count grouped by ?z, whose group must emit per value
 // of ?z; and a hub graph, whose rows that check the hub's in-edges

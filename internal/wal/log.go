@@ -381,7 +381,11 @@ func (l *Log) checkpointLocked(st *store.Store) (int64, error) {
 	// never read post-truncation bytes under a pre-truncation epoch.
 	// If the meta write fails the checkpoint is still valid (replaying
 	// the untruncated log over it is idempotent), so the error only
-	// aborts the truncation.
+	// aborts the truncation. A broken writer cannot truncate (reset
+	// fails on its sticky error), so it aborts before the epoch moves.
+	if err := l.w.err(); err != nil {
+		return 0, fmt.Errorf("wal: truncate log after checkpoint: %w", err)
+	}
 	nextSeq := l.w.Seq()
 	if err := writeReplMeta(l.dir, replMeta{ID: l.replID, Epoch: l.epoch + 1, NextSeq: nextSeq}); err != nil {
 		return 0, err

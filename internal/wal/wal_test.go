@@ -334,6 +334,53 @@ func TestInjectedCrashIsStickyAndAbortsCommit(t *testing.T) {
 	}
 }
 
+// TestCheckpointOnBrokenWriterKeepsEpoch: once an injected crash has
+// broken the writer, the log cannot be truncated, so a Checkpoint and a
+// due CheckpointIncremental must fail without moving the replication
+// epoch: the in-memory position and repl.meta stay where the log is. A
+// follower that adopted an advanced epoch at offset zero would read
+// the old epoch's records.
+func TestCheckpointOnBrokenWriterKeepsEpoch(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		checkpoint func(*Log, *store.Store) error
+	}{
+		{"Checkpoint", (*Log).Checkpoint},
+		{"CheckpointIncremental", (*Log).CheckpointIncremental},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, l := mustOpen(t, dir, Options{Sync: SyncAlways})
+			commit(t, l, st, insertOp("m", "http://a", "http://p", "1"))
+			fi := NewFaultInjector()
+			l.SetFaultInjector(fi)
+			fi.FailAfterBytes(3)
+			if err := l.Commit(Batch{Ops: []Op{insertOp("m", "http://b", "http://p", "2")}}, nil); !errors.Is(err, ErrInjectedCrash) {
+				t.Fatalf("commit err = %v, want ErrInjectedCrash", err)
+			}
+			before := l.Position()
+			metaBefore, err := loadOrCreateReplMeta(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// No checkpoint.bin yet, so the incremental request is due.
+			if err := c.checkpoint(l, st); !errors.Is(err, ErrInjectedCrash) {
+				t.Fatalf("%s err = %v, want the writer's ErrInjectedCrash", c.name, err)
+			}
+			if after := l.Position(); after != before {
+				t.Errorf("position moved on a failed %s: %+v, was %+v", c.name, after, before)
+			}
+			metaAfter, err := loadOrCreateReplMeta(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if metaAfter != metaBefore {
+				t.Errorf("repl.meta moved on a failed %s: %+v, was %+v", c.name, metaAfter, metaBefore)
+			}
+		})
+	}
+}
+
 func TestSyncPolicies(t *testing.T) {
 	for _, policy := range []SyncPolicy{SyncAlways, SyncInterval, SyncOff} {
 		t.Run(policy.String(), func(t *testing.T) {

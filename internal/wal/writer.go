@@ -204,6 +204,13 @@ func (w *Writer) readAt(p []byte, off int64) (int, error) {
 	return w.f.ReadAt(p, off)
 }
 
+// err returns the writer's sticky failure, nil while it is healthy.
+func (w *Writer) err() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.broken
+}
+
 // Bytes returns the log size in fully framed record bytes.
 func (w *Writer) Bytes() int64 {
 	w.mu.Lock()
