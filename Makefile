@@ -10,11 +10,12 @@ OVERHEAD_ITERS ?= 5
 
 .PHONY: check vet lint build test race crash-recovery repl-fault algo-diff store-race bench bench-paper bench-micro bench-smoke benchmark-smoke bench-pair bench-kernel fuzz-smoke
 
-## check: the full gate — vet, build, the pgrdfvet analyzers, the
-## race-enabled test suite, the crash-recovery differential, the
-## replication fault-injection differential, the incremental-CSR
-## differential, and the readers-beside-a-writer gate.
-check: vet build lint race crash-recovery repl-fault algo-diff store-race
+## check: the full gate — vet, build, the pgrdfvet analyzers and the
+## whole test suite once under the race detector. That pass runs every
+## test of the crash-recovery, repl-fault, algo-diff and store-race
+## gates below, so check does not run them again; each stays a target
+## of its own, and CI runs each one.
+check: vet build lint race
 
 vet:
 	$(GO) vet ./...
@@ -31,7 +32,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -count=1 ./...
 
 ## crash-recovery: the durability gate — the fault-injected WAL suite
 ## (crash at every log byte over the checkpoint, also across a not-due
@@ -40,7 +41,7 @@ race:
 ## the snapshot codec differential (round trip ≡ source across index
 ## configs, corruption at every byte) and the store fingerprint those
 ## differentials compare by, all under the race detector.
-## Part of `make check`; see DESIGN.md §12 and §16.
+## `make check`'s race pass runs these tests too; see DESIGN.md §12 and §16.
 crash-recovery:
 	$(GO) test -race -count=1 ./internal/wal ./internal/store/storetest
 	$(GO) test -race -count=1 -run 'TestBinarySnapshot|TestSnapshotAtomic|TestRestoreHuge|TestSnapshotAdversarial' ./internal/store
@@ -51,7 +52,8 @@ crash-recovery:
 ## fingerprint, a bootstrap body cut anywhere must be refused, a second
 ## concurrent Run must be refused, and a follower's /algo must patch its
 ## cached CSR from the records it applies to one equal to a fresh
-## projection. Part of `make check`; see DESIGN.md §13.
+## projection. `make check`'s race pass runs these tests too; see
+## DESIGN.md §13.
 repl-fault:
 	$(GO) test -race -count=1 ./internal/repl
 	$(GO) test -race -count=1 -run 'TestFollowerAlgoPatches' ./internal/httpapi
@@ -71,7 +73,8 @@ repl-fault:
 ## native traversal of the property graph on every scheme; and PageRank,
 ## WCC and triangles must give byte-identical results at every worker
 ## count, and one CSR and one triangle count from the twitter graph
-## under RF, NG and SP — all under the race detector. Part of `make check`; see DESIGN.md §5 and §17.
+## under RF, NG and SP — all under the race detector. `make check`'s
+## race pass runs these tests too; see DESIGN.md §5 and §17.
 algo-diff:
 	$(GO) test -race -count=1 -run 'TestChangesSince|TestViewIsOneState' ./internal/store
 	$(GO) test -race -count=1 -run 'TestSchemesEquivalent|TestRoundTripAllSchemes|TestConvertPinned|TestFromRDFRefusesLossyDataset|TestMigrateAllPairs' ./internal/pgrdf
@@ -92,7 +95,7 @@ algo-diff:
 ## indexes; and the 30 s soak of 8
 ## readers + writer + /algo + background checkpointer ending with
 ## /stats answering, no open cursor and store ≡ restored-from-disk.
-## Part of `make check`.
+## `make check`'s race pass runs these tests too.
 store-race:
 	$(GO) test -race -count=1 -run 'TestReadersNeverWaitForWriter|TestUpdateIsAtomicToReaders' ./internal/sparql
 	$(GO) test -race -count=1 -run 'TestScanBatchMatchesScan|TestSeekerReuse|TestApply|TestPinnedViewChangesSince|TestViewIsOneState|TestScanBatchUnderFaultInjector|TestParallelLoadEquivalence' ./internal/store

@@ -352,19 +352,14 @@ func runTraverse(args []string) error {
 }
 
 // projectFile loads an RDF file and projects opts.Model into a CSR under
-// schemeName ("auto" sniffs the dataset) — the graph pgrdf algo and
+// schemeName ("" or "auto" sniffs the dataset) — the graph pgrdf algo and
 // pgrdf traverse both run on, decoded as /algo decodes it.
 func projectFile(ctx context.Context, data, indexes, schemeName string, opts graph.ProjectOptions) (*graph.CSR, error) {
 	st, err := loadStore(data, indexes)
 	if err != nil {
 		return nil, err
 	}
-	if strings.EqualFold(strings.TrimSpace(schemeName), "auto") {
-		opts.Scheme, err = graph.DetectScheme(st, opts.Model, pgrdf.Vocabulary{})
-	} else {
-		opts.Scheme, err = pgrdf.ParseScheme(schemeName)
-	}
-	if err != nil {
+	if opts.Scheme, err = graph.ResolveScheme(st, opts.Model, schemeName); err != nil {
 		return nil, err
 	}
 	start := time.Now()
@@ -579,8 +574,7 @@ func runServe(args []string) error {
 	slowThreshold := fs.Duration("slow-threshold", time.Second, "wall time at or over which a query is slow-logged (0 = log every query)")
 	enablePprof := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	dataDir := fs.String("data-dir", "", "durability directory: recover on start, journal every update, checkpoint on demand (empty = in-memory only)")
-	fsync := fs.String("fsync", "always", "WAL fsync policy: always, interval or off")
-	fsyncInterval := fs.Duration("fsync-interval", 100*time.Millisecond, "fsync period under -fsync interval")
+	fsync := fs.String("fsync", "always", "WAL fsync policy: always or off (with -checkpoint-every D, off fsyncs the log every D)")
 	checkpointEvery := fs.Duration("checkpoint-every", 0, "background checkpoint period: a tick checkpoints when the WAL is due and fsyncs it otherwise (0 = only POST /checkpoint)")
 	follow := fs.String("follow", "", "replicate from a leader URL (e.g. http://leader:3030); the endpoint serves read-only queries")
 	maxStaleness := fs.Duration("max-staleness", 0, "with -follow: fail reads with 503 once the leader has been unreachable this long (0 = serve stale reads forever)")
@@ -603,11 +597,7 @@ func runServe(args []string) error {
 		if perr != nil {
 			return perr
 		}
-		st, l, err = wal.Open(*dataDir, wal.Options{
-			Sync:      policy,
-			SyncEvery: *fsyncInterval,
-			Indexes:   strings.Split(*indexes, ","),
-		})
+		st, l, err = wal.Open(*dataDir, wal.Options{Sync: policy, Indexes: strings.Split(*indexes, ",")})
 		if err != nil {
 			return err
 		}
@@ -706,8 +696,7 @@ func runServe(args []string) error {
 	}
 	if l != nil {
 		// All updates have drained; make their tail of the log durable
-		// before the process exits (the deferred Close re-syncs, but by
-		// then errors could only be logged, not returned).
+		// before the process exits (the deferred Close does not fsync).
 		if err := l.Sync(); err != nil {
 			fmt.Fprintln(os.Stderr, "pgrdf: final WAL sync failed:", err)
 		}

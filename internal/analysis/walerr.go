@@ -8,10 +8,9 @@ import (
 // Walerr keeps the durability and replication chains honest. The
 // WAL's whole guarantee — crash at any byte, recover to the last
 // durable commit — rests on the caller noticing when a journal write
-// fails: an ignored (*wal.Log).Commit or (*wal.Writer).Append error
-// means a mutation is applied (or reported as applied) without being
-// on disk, which is a silent durability hole no test will catch until
-// a crash. The same goes for Checkpoint (a failed snapshot must not
+// fails: an ignored (*wal.Log).Commit error means a mutation is
+// applied (or reported as applied) without being on disk, which is a
+// silent durability hole no test will catch until a crash. The same goes for Checkpoint (a failed snapshot must not
 // be treated as a truncation point) and Sync (the shutdown flush).
 //
 // The replication apply/ack chain gets the same treatment: a dropped
@@ -35,8 +34,7 @@ var Walerr = &Analyzer{
 // repl package itself — exactly where the apply/ack chain lives.
 var walerrMethods = map[string]map[string]map[string]bool{
 	walPkg: {
-		"Log":    {"Commit": true, "Checkpoint": true, "CheckpointIncremental": true, "Sync": true},
-		"Writer": {"Append": true, "Sync": true},
+		"Log": {"Commit": true, "Checkpoint": true, "CheckpointIncremental": true, "Sync": true},
 	},
 	replPkg: {
 		"Follower": {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -247,6 +248,22 @@ func TestDetectScheme(t *testing.T) {
 		if got != s {
 			t.Fatalf("DetectScheme = %v, want %v", got, s)
 		}
+	}
+}
+
+// TestResolveScheme: /algo and pgrdf algo read a scheme name alike —
+// "" and "auto" in any case and spacing sniff the model (SP here), any
+// other name is parsed, and an unknown one is refused.
+func TestResolveScheme(t *testing.T) {
+	st, names := loadScheme(t, randomGraph(t, 7, 30, 80), pgrdf.SP)
+	for name, want := range map[string]pgrdf.Scheme{"": pgrdf.SP, "auto": pgrdf.SP, " AUTO ": pgrdf.SP, "ng": pgrdf.NG} {
+		got, err := ResolveScheme(st, names.All, name)
+		if err != nil || got != want {
+			t.Errorf("ResolveScheme(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := ResolveScheme(st, names.All, "bogus"); !errors.Is(err, pgrdf.ErrUnknownScheme) {
+		t.Errorf("ResolveScheme(\"bogus\") err = %v, want ErrUnknownScheme", err)
 	}
 }
 

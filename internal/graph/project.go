@@ -487,6 +487,17 @@ func (p *projector) assemble() (*CSR, []uint32) {
 	return buildCSR(sorted, raw, weighted, p.opts.Reverse)
 }
 
+// ResolveScheme maps a scheme name onto a scheme the way /algo and
+// pgrdf algo read one: "" and "auto" (any case and spacing) sniff the
+// model with DetectScheme under the default vocabulary, and anything
+// else goes to pgrdf.ParseScheme.
+func ResolveScheme(st *store.Store, model, name string) (pgrdf.Scheme, error) {
+	if n := strings.TrimSpace(name); n == "" || strings.EqualFold(n, "auto") {
+		return DetectScheme(st, model, pgrdf.Vocabulary{})
+	}
+	return pgrdf.ParseScheme(name)
+}
+
 // DetectScheme sniffs which PG-as-RDF scheme a model was transformed
 // under by probing for a row of each scheme's first functional template
 // (see decoder): an rdf:subject triple (RF), an rdfs:subPropertyOf anchor

@@ -314,7 +314,7 @@ func (s *Server) handleAlgo(w http.ResponseWriter, r *http.Request) {
 	// total work units (quads drained + vertex/edge touches).
 	eng := s.engine()
 	st, budget := eng.Store(), eng.Limits
-	scheme, err := resolveScheme(st, req.Model, req.Scheme)
+	scheme, err := graph.ResolveScheme(st, req.Model, req.Scheme)
 	if err != nil {
 		s.algo.errors[ai].Add(1)
 		algoError(w, err)
@@ -388,15 +388,6 @@ func (s *Server) handleAlgo(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
-}
-
-// resolveScheme parses the request's scheme name, sniffing the dataset
-// for "" / "auto".
-func resolveScheme(st *store.Store, model, name string) (pgrdf.Scheme, error) {
-	if n := strings.TrimSpace(name); n == "" || strings.EqualFold(n, "auto") {
-		return graph.DetectScheme(st, model, pgrdf.Vocabulary{})
-	}
-	return pgrdf.ParseScheme(name)
 }
 
 // algoError maps a graph-layer error onto an HTTP status + JSON body;

@@ -41,15 +41,38 @@ const (
 type Log struct {
 	dir  string
 	opts Options
-	w    *Writer
 
-	// mu serializes commits against checkpoints: while a checkpoint
-	// holds it, no record can land between the snapshot read and the
-	// log truncation, and every logged record is applied to the store
-	// before the snapshot reads it. Replication readers (ReadLogAt,
-	// BeginSnapshot) take it too, so a tail read never races a
-	// truncation.
+	// mu is the log's one lock. It serializes commits against
+	// checkpoints: while a checkpoint holds it, no record can land
+	// between the snapshot read and the log truncation, and every
+	// logged record is applied to the store before the snapshot reads
+	// it. Replication readers (ReadLogAt, BeginSnapshot) take it too, so
+	// a tail read never races an append or a truncation. It also guards
+	// the log file and its write state below.
 	mu sync.Mutex
+
+	// The log file, positioned at its end. Each record is framed
+	// (length prefix + CRC32) and written with one unbuffered write.
+
+	//pgrdf:guardedby mu
+	f *os.File
+	// dirty reports bytes written since the last fsync.
+	//pgrdf:guardedby mu
+	dirty bool
+	// broken is the sticky write or fsync failure: the file may hold a
+	// torn record, so appending more would bury corruption mid-log
+	// where recovery treats it as the end.
+	//pgrdf:guardedby mu
+	broken error
+	fault  atomic.Pointer[FaultInjector]
+
+	// off is the end offset of the last fully framed record, records
+	// the number of records in the live log and seq the sequence number
+	// the next append uses. They are written under mu; Stats reads them
+	// without it.
+	off     atomic.Int64
+	records atomic.Int64
+	seq     atomic.Uint64
 
 	// Replication identity (DESIGN.md §13), guarded by mu. replID is
 	// fixed for the directory's lifetime; epoch increments on every
@@ -117,8 +140,6 @@ func Open(dir string, opts Options) (*store.Store, *Log, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: open log: %w", err)
 	}
-	l := &Log{dir: dir, opts: opts, done: make(chan struct{}),
-		replID: meta.ID, epoch: meta.Epoch, fullBytes: fullBytes}
 	rp := replayer{st: st}
 	records := int64(0)
 	firstSeq := uint64(0)
@@ -155,8 +176,6 @@ func Open(dir string, opts Options) (*store.Store, *Log, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("wal: seek log end: %w", err)
 	}
-	l.replayed = records
-	l.tornDropped = size - good
 	// Sequence numbers must stay monotonic across restarts even when a
 	// checkpoint left the log empty: repl.meta carries the next
 	// sequence as of the last truncation, and the log tail (appended
@@ -165,21 +184,16 @@ func Open(dir string, opts Options) (*store.Store, *Log, error) {
 	if meta.NextSeq > seq {
 		seq = meta.NextSeq
 	}
+	epochStartSeq := seq
 	if records > 0 {
-		l.epochStartSeq = firstSeq
-	} else {
-		l.epochStartSeq = seq
+		epochStartSeq = firstSeq
 	}
-	l.w = newWriter(f, good, records, seq, opts.Sync)
-
-	if opts.Sync == SyncInterval {
-		every := opts.SyncEvery
-		if every <= 0 {
-			every = 100 * time.Millisecond
-		}
-		l.wg.Add(1)
-		go l.syncLoop(every)
-	}
+	l := &Log{dir: dir, opts: opts, f: f, done: make(chan struct{}),
+		replID: meta.ID, epoch: meta.Epoch, epochStartSeq: epochStartSeq, fullBytes: fullBytes,
+		replayed: records, tornDropped: size - good}
+	l.off.Store(good)
+	l.records.Store(records)
+	l.seq.Store(seq)
 	return st, l, nil
 }
 
@@ -273,7 +287,7 @@ func (l *Log) Commit(b Batch, apply func() error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if len(b.Ops) > 0 {
-		if err := l.w.Append(b); err != nil {
+		if err := l.appendLocked(b); err != nil {
 			return err
 		}
 		// The record is durably framed; wake long-poll tailers. Waking
@@ -287,11 +301,85 @@ func (l *Log) Commit(b Batch, apply func() error) error {
 	return apply()
 }
 
-// Sync flushes the log to stable storage regardless of policy.
-func (l *Log) Sync() error { return l.w.Sync() }
+// appendLocked frames the batch as one record and writes it, fsyncing
+// under SyncAlways. The record is either fully framed on disk (and
+// will replay) or torn (and will be dropped by recovery); the error
+// says which. A failed write breaks the log.
+//
+//pgrdf:locks mu
+func (l *Log) appendLocked(b Batch) error {
+	if l.broken != nil {
+		return l.broken
+	}
+	frame, err := encodeBatch(l.seq.Load(), b)
+	if err != nil {
+		return err // nothing written; the log stays healthy
+	}
+	if err := l.writeLocked(frame); err != nil {
+		l.broken = err
+		return err
+	}
+	l.off.Add(int64(len(frame)))
+	l.records.Add(1)
+	l.seq.Add(1)
+	l.dirty = true
+	if l.opts.Sync == SyncAlways {
+		return l.syncLocked()
+	}
+	return nil
+}
 
-// SetFaultInjector installs a fault injector on the underlying writer.
-func (l *Log) SetFaultInjector(fi *FaultInjector) { l.w.SetFaultInjector(fi) }
+// writeLocked sends p through the fault injector (when installed) to
+// the file.
+//
+//pgrdf:locks mu
+func (l *Log) writeLocked(p []byte) error {
+	if fi := l.fault.Load(); fi != nil {
+		allowed, crash := fi.cut(len(p))
+		if crash {
+			if allowed > 0 {
+				l.f.Write(p[:allowed]) //nolint — the crash error supersedes
+			}
+			return fmt.Errorf("%w after %d of %d bytes", ErrInjectedCrash, allowed, len(p))
+		}
+	}
+	_, err := l.f.Write(p)
+	return err
+}
+
+// syncLocked fsyncs unsynced records, or returns the sticky failure of
+// a broken log.
+//
+//pgrdf:locks mu
+func (l *Log) syncLocked() error {
+	if l.broken != nil {
+		return l.broken
+	}
+	if !l.dirty {
+		return nil
+	}
+	if err := l.f.Sync(); err != nil {
+		// After a failed fsync the kernel may have dropped the dirty
+		// pages, so retrying cannot make the data durable; breaking the
+		// log is the only safe answer.
+		l.broken = err
+		return err
+	}
+	l.dirty = false
+	return nil
+}
+
+// Sync flushes the log to stable storage regardless of policy. It waits
+// for a running checkpoint, which leaves the log durable anyway.
+func (l *Log) Sync() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.syncLocked()
+}
+
+// SetFaultInjector installs (or, with nil, removes) the log's fault
+// injector. Safe to call concurrently with commits.
+func (l *Log) SetFaultInjector(fi *FaultInjector) { l.fault.Store(fi) }
 
 // Checkpoint atomically snapshots st into the binary checkpoint file
 // and truncates the log. Commits block for the duration; the background
@@ -315,10 +403,10 @@ func (l *Log) Checkpoint(st *store.Store) error {
 func (l *Log) CheckpointIncremental(st *store.Store) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if n := l.w.Bytes(); l.fullBytes == 0 || (n >= dueLogBytes && 2*n > l.fullBytes) {
+	if n := l.off.Load(); l.fullBytes == 0 || (n >= dueLogBytes && 2*n > l.fullBytes) {
 		return l.runCheckpointLocked(st)
 	}
-	if err := l.w.Sync(); err != nil {
+	if err := l.syncLocked(); err != nil {
 		l.checkpointErrors.Add(1)
 		return err
 	}
@@ -381,25 +469,46 @@ func (l *Log) checkpointLocked(st *store.Store) (int64, error) {
 	// never read post-truncation bytes under a pre-truncation epoch.
 	// If the meta write fails the checkpoint is still valid (replaying
 	// the untruncated log over it is idempotent), so the error only
-	// aborts the truncation. A broken writer cannot truncate (reset
-	// fails on its sticky error), so it aborts before the epoch moves.
-	if err := l.w.err(); err != nil {
-		return 0, fmt.Errorf("wal: truncate log after checkpoint: %w", err)
+	// aborts the truncation. A broken log cannot truncate, so it aborts
+	// before the epoch moves.
+	if l.broken != nil {
+		return 0, fmt.Errorf("wal: truncate log after checkpoint: %w", l.broken)
 	}
-	nextSeq := l.w.Seq()
+	nextSeq := l.seq.Load()
 	if err := writeReplMeta(l.dir, replMeta{ID: l.replID, Epoch: l.epoch + 1, NextSeq: nextSeq}); err != nil {
 		return 0, err
 	}
 	l.epoch++
 	l.epochStartSeq = nextSeq
-	// The checkpoint now covers every logged commit; drop the log.
-	if err := l.w.reset(); err != nil {
+	// The checkpoint now covers every logged commit; drop the log. The
+	// sequence number keeps counting: record seqs stay monotonic across
+	// truncations.
+	if err := l.truncateLocked(); err != nil {
 		return 0, fmt.Errorf("wal: truncate log after checkpoint: %w", err)
 	}
 	// Wake tailers so they observe the epoch change promptly instead of
 	// at their next poll timeout.
 	l.wakeLocked()
 	return size, nil
+}
+
+// truncateLocked empties the log file and fsyncs the truncation.
+//
+//pgrdf:locks mu
+func (l *Log) truncateLocked() error {
+	if err := l.f.Truncate(0); err != nil {
+		return err
+	}
+	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
+		return err
+	}
+	if err := l.f.Sync(); err != nil {
+		return err
+	}
+	l.off.Store(0)
+	l.records.Store(0)
+	l.dirty = false
+	return nil
 }
 
 // syncDir fsyncs a directory so a just-renamed file survives a crash.
@@ -438,27 +547,12 @@ func (l *Log) StartCheckpointer(st *store.Store, every time.Duration) {
 	}()
 }
 
-func (l *Log) syncLoop(every time.Duration) {
-	defer l.wg.Done()
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-l.done:
-			return
-		case <-t.C:
-			//pgrdfvet:ignore walerr -- a failed fsync breaks the writer, so the next Commit surfaces it
-			l.w.Sync()
-		}
-	}
-}
-
 // Stats returns a point-in-time view of the log.
 func (l *Log) Stats() Stats {
 	return Stats{
-		WalBytes:               l.w.Bytes(),
-		WalRecords:             l.w.Records(),
-		Seq:                    l.w.Seq(),
+		WalBytes:               l.off.Load(),
+		WalRecords:             l.records.Load(),
+		Seq:                    l.seq.Load(),
 		Checkpoints:            l.checkpoints.Load(),
 		CheckpointErrors:       l.checkpointErrors.Load(),
 		LastCheckpointBytes:    l.lastCkptBytes.Load(),
@@ -468,13 +562,17 @@ func (l *Log) Stats() Stats {
 	}
 }
 
-// Close stops the background goroutines, flushes the log (unless the
-// policy is SyncOff) and closes the file. Safe to call more than once.
+// Close stops the background checkpointer and closes the file. It
+// waits for a running commit or checkpoint; under SyncAlways every
+// acknowledged commit is already fsynced, and under SyncOff the OS
+// decides. Safe to call more than once.
 func (l *Log) Close() error {
 	l.closeOnce.Do(func() {
 		close(l.done)
 		l.wg.Wait()
-		l.closeErr = l.w.close()
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		l.closeErr = l.f.Close()
 	})
 	return l.closeErr
 }

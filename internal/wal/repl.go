@@ -96,7 +96,7 @@ type replMeta struct {
 	// Epoch is incremented (and persisted) on every log truncation.
 	Epoch uint64 `json:"epoch"`
 	// NextSeq is the sequence number the first post-truncation append
-	// will carry; on recovery it floors the writer's sequence counter
+	// will carry; on recovery it floors the log's sequence counter
 	// so sequences stay monotonic even when the log is empty.
 	NextSeq uint64 `json:"nextSeq"`
 }
@@ -157,8 +157,8 @@ func (l *Log) positionLocked() Position {
 	return Position{
 		ID:            l.replID,
 		Epoch:         l.epoch,
-		Offset:        l.w.Bytes(),
-		NextSeq:       l.w.Seq(),
+		Offset:        l.off.Load(),
+		NextSeq:       l.seq.Load(),
 		EpochStartSeq: l.epochStartSeq,
 	}
 }
@@ -204,7 +204,7 @@ func (l *Log) ReadLogAt(epoch uint64, from int64, max int) ([]byte, Position, er
 		n = int64(max)
 	}
 	buf := make([]byte, n)
-	if _, err := l.w.readAt(buf, from); err != nil {
+	if _, err := l.f.ReadAt(buf, from); err != nil {
 		return nil, pos, fmt.Errorf("wal: read log at offset %d: %w", from, err)
 	}
 	return buf, pos, nil

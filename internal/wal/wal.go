@@ -33,16 +33,14 @@ import (
 type SyncPolicy int
 
 const (
-	// SyncAlways fsyncs after every Append: a record is durable before
+	// SyncAlways fsyncs after every append: a record is durable before
 	// the mutation is applied. The safest and slowest policy.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs from a background ticker every SyncEvery. A
-	// crash loses at most the last interval of commits, but recovery is
-	// still torn-record safe.
-	SyncInterval
-	// SyncOff never fsyncs explicitly; the OS decides. Records are
-	// still written (unbuffered) per Append, so only an OS/power crash
-	// loses data — a process kill does not.
+	// SyncOff never fsyncs per commit; the OS decides. Records are
+	// still written (unbuffered) per append, so only an OS/power crash
+	// loses data — a process kill does not. The background
+	// checkpointer's tick (StartCheckpointer) fsyncs the log, which
+	// bounds that loss to one period.
 	SyncOff
 )
 
@@ -50,8 +48,6 @@ func (p SyncPolicy) String() string {
 	switch p {
 	case SyncAlways:
 		return "always"
-	case SyncInterval:
-		return "interval"
 	case SyncOff:
 		return "off"
 	}
@@ -63,20 +59,18 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch s {
 	case "always":
 		return SyncAlways, nil
-	case "interval":
-		return SyncInterval, nil
 	case "off":
 		return SyncOff, nil
+	case "interval":
+		return 0, errors.New(`wal: the "interval" fsync policy is retired: -fsync off -checkpoint-every D fsyncs the log every D (and checkpoints it when due)`)
 	}
-	return 0, errors.New(`wal: unknown fsync policy (want "always", "interval" or "off")`)
+	return 0, errors.New(`wal: unknown fsync policy (want "always" or "off")`)
 }
 
 // Options configures Open.
 type Options struct {
 	// Sync is the fsync policy for appended records.
 	Sync SyncPolicy
-	// SyncEvery is the SyncInterval ticker period; 0 means 100ms.
-	SyncEvery time.Duration
 	// Indexes configures the semantic-network indexes of a store
 	// created for an empty directory (no checkpoint yet). Ignored when
 	// a checkpoint exists — the snapshot carries the index config.

@@ -316,10 +316,10 @@ func TestInjectedCrashIsStickyAndAbortsCommit(t *testing.T) {
 	if applied {
 		t.Fatal("apply ran after a failed append — the mutation would exist in memory but not on disk")
 	}
-	// The writer is now broken: further commits must fail, not bury the
+	// The log is now broken: further commits must fail, not bury the
 	// torn record.
 	if err := l.Commit(Batch{Ops: []Op{insertOp("m", "http://c", "http://p", "3")}}, nil); err == nil {
-		t.Fatal("append succeeded on a broken writer")
+		t.Fatal("append succeeded on a broken log")
 	}
 	want := storetest.Fingerprint(st.View())
 	l.Close()
@@ -335,7 +335,7 @@ func TestInjectedCrashIsStickyAndAbortsCommit(t *testing.T) {
 }
 
 // TestCheckpointOnBrokenWriterKeepsEpoch: once an injected crash has
-// broken the writer, the log cannot be truncated, so a Checkpoint and a
+// broken the log, it cannot be truncated, so a Checkpoint and a
 // due CheckpointIncremental must fail without moving the replication
 // epoch: the in-memory position and repl.meta stay where the log is. A
 // follower that adopted an advanced epoch at offset zero would read
@@ -365,7 +365,7 @@ func TestCheckpointOnBrokenWriterKeepsEpoch(t *testing.T) {
 			}
 			// No checkpoint.bin yet, so the incremental request is due.
 			if err := c.checkpoint(l, st); !errors.Is(err, ErrInjectedCrash) {
-				t.Fatalf("%s err = %v, want the writer's ErrInjectedCrash", c.name, err)
+				t.Fatalf("%s err = %v, want the log's ErrInjectedCrash", c.name, err)
 			}
 			if after := l.Position(); after != before {
 				t.Errorf("position moved on a failed %s: %+v, was %+v", c.name, after, before)
@@ -381,18 +381,54 @@ func TestCheckpointOnBrokenWriterKeepsEpoch(t *testing.T) {
 	}
 }
 
+// TestSyncPolicies: a commit recovers under either policy. Under
+// SyncOff with the background checkpointer — what -fsync off
+// -checkpoint-every D runs — a tick fsyncs a log that is not due, so it
+// holds no unsynced bytes afterwards without a checkpoint.
 func TestSyncPolicies(t *testing.T) {
-	for _, policy := range []SyncPolicy{SyncAlways, SyncInterval, SyncOff} {
-		t.Run(policy.String(), func(t *testing.T) {
+	cases := []struct {
+		name   string
+		policy SyncPolicy
+		tick   time.Duration // StartCheckpointer's period; 0 = an explicit Sync
+	}{
+		{"always", SyncAlways, 0},
+		{"off", SyncOff, 0},
+		{"off-checkpointer", SyncOff, 10 * time.Millisecond},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
-			st, l := mustOpen(t, dir, Options{Sync: policy, SyncEvery: 10 * time.Millisecond})
+			st, l := mustOpen(t, dir, Options{Sync: c.policy})
+			if c.tick > 0 {
+				// Beside a checkpoint.bin a one-record log is not due.
+				if err := l.Checkpoint(st); err != nil {
+					t.Fatal(err)
+				}
+			}
 			commit(t, l, st, insertOp("m", "http://a", "http://p", "1"))
 			want := storetest.Fingerprint(st.View())
-			if err := l.Sync(); err != nil { // explicit flush works under every policy
-				t.Fatal(err)
+			if c.tick == 0 {
+				if err := l.Sync(); err != nil { // explicit flush works under every policy
+					t.Fatal(err)
+				}
+			} else {
+				if !logDirty(l) {
+					t.Fatal("the SyncOff commit left nothing unsynced")
+				}
+				l.StartCheckpointer(st, c.tick)
+				deadline := time.Now().Add(5 * time.Second)
+				for logDirty(l) {
+					if time.Now().After(deadline) {
+						t.Fatal("no tick fsynced the log within 5s")
+					}
+					time.Sleep(time.Millisecond)
+				}
+				if got := l.Stats(); got.Checkpoints != 1 || got.WalRecords != 1 {
+					t.Fatalf("a tick checkpointed a log that is not due: %+v", got)
+				}
 			}
 			l.Close()
-			st2, _ := mustOpen(t, dir, Options{Sync: policy})
+			st2, _ := mustOpen(t, dir, Options{Sync: c.policy})
 			if got := storetest.Fingerprint(st2.View()); got != want {
 				t.Fatal("recovery diverges")
 			}
@@ -401,7 +437,7 @@ func TestSyncPolicies(t *testing.T) {
 }
 
 func TestParseSyncPolicy(t *testing.T) {
-	for s, want := range map[string]SyncPolicy{"always": SyncAlways, "interval": SyncInterval, "off": SyncOff} {
+	for s, want := range map[string]SyncPolicy{"always": SyncAlways, "off": SyncOff} {
 		got, err := ParseSyncPolicy(s)
 		if err != nil || got != want {
 			t.Errorf("ParseSyncPolicy(%q) = %v, %v", s, got, err)
@@ -409,6 +445,31 @@ func TestParseSyncPolicy(t *testing.T) {
 	}
 	if _, err := ParseSyncPolicy("sometimes"); err == nil {
 		t.Error("ParseSyncPolicy accepted an unknown policy")
+	}
+	// The retired policy names its replacement.
+	if _, err := ParseSyncPolicy("interval"); err == nil || !strings.Contains(err.Error(), "-fsync off -checkpoint-every") {
+		t.Errorf("ParseSyncPolicy(\"interval\") err = %v, want one naming -fsync off -checkpoint-every", err)
+	}
+}
+
+// TestStatsBesideSnapshot: Stats reads no lock, so it returns while
+// another goroutine holds the log's lock through BeginSnapshot — the
+// state a checkpoint's encode is in — and /stats and /metrics do not
+// stall behind a checkpoint.
+func TestStatsBesideSnapshot(t *testing.T) {
+	st, l := mustOpen(t, t.TempDir(), Options{Sync: SyncOff})
+	commit(t, l, st, insertOp("m", "http://a", "http://p", "1"))
+	pos, release := l.BeginSnapshot()
+	defer release()
+	got := make(chan Stats, 1)
+	go func() { got <- l.Stats() }()
+	select {
+	case s := <-got:
+		if s.WalBytes != pos.Offset || s.Seq != pos.NextSeq || s.WalRecords != 1 {
+			t.Fatalf("stats %+v disagree with the snapshot position %+v", s, pos)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stats blocked behind BeginSnapshot")
 	}
 }
 
@@ -438,7 +499,7 @@ func TestBackgroundCheckpointer(t *testing.T) {
 // directory has no checkpoint.bin, or when the log is at least
 // dueLogBytes and larger than half the checkpoint. Otherwise it counts
 // no checkpoint, keeps wal.log byte for byte with its records and the
-// replication position, and leaves the SyncOff writer with nothing
+// replication position, and leaves the SyncOff log with nothing
 // unsynced. Either way the directory recovers the store.
 func TestCheckpointIncrementalDue(t *testing.T) {
 	// One distinct 64 KiB literal a quad: 17 of them pass dueLogBytes,
@@ -478,7 +539,7 @@ func TestCheckpointIncrementalDue(t *testing.T) {
 				t.Fatal(err)
 			}
 			ws, pos := l.Stats(), l.Position()
-			if !writerDirty(l) {
+			if !logDirty(l) {
 				t.Fatal("the SyncOff commits left nothing unsynced")
 			}
 			if err := l.CheckpointIncremental(st); err != nil {
@@ -497,7 +558,7 @@ func TestCheckpointIncrementalDue(t *testing.T) {
 				if got.Checkpoints != ws.Checkpoints || got.WalRecords != ws.WalRecords || gotPos != pos || !bytes.Equal(logAfter, logBefore) {
 					t.Fatalf("log of %d bytes checkpointed or changed: %+v, position %+v -> %+v", ws.WalBytes, got, pos, gotPos)
 				}
-				if writerDirty(l) {
+				if logDirty(l) {
 					t.Fatal("the request left unsynced bytes under SyncOff")
 				}
 			}
@@ -511,16 +572,16 @@ func TestCheckpointIncrementalDue(t *testing.T) {
 	}
 }
 
-// writerDirty reports whether the log's writer holds bytes written
-// since its last fsync.
-func writerDirty(l *Log) bool {
-	l.w.mu.Lock()
-	defer l.w.mu.Unlock()
-	return l.w.dirty
+// logDirty reports whether the log holds bytes written since its
+// last fsync.
+func logDirty(l *Log) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.dirty
 }
 
 // TestCheckpointIncrementalBrokenWriter: once an append has failed, an
-// incremental request returns the writer's error whether or not the
+// incremental request returns the log's error whether or not the
 // log is due, and counts it in CheckpointErrors.
 func TestCheckpointIncrementalBrokenWriter(t *testing.T) {
 	for name, base := range map[string]bool{"due": false, "not due": true} {
@@ -541,7 +602,7 @@ func TestCheckpointIncrementalBrokenWriter(t *testing.T) {
 			}
 			before := l.Stats()
 			if err := l.CheckpointIncremental(st); !errors.Is(err, ErrInjectedCrash) {
-				t.Fatalf("err = %v, want the writer's ErrInjectedCrash", err)
+				t.Fatalf("err = %v, want the log's ErrInjectedCrash", err)
 			}
 			if got := l.Stats(); got.CheckpointErrors != before.CheckpointErrors+1 || got.Checkpoints != before.Checkpoints {
 				t.Fatalf("stats %+v -> %+v", before, got)
