@@ -141,6 +141,9 @@ bench-paper:
 ## unmerged inserts, from seekers that stop after 8 and 2 048 seeks, and
 ## through a range whose values span three IDs per row, so its seeker
 ## declines to build a directory (BenchmarkSeek's sparse leg),
+## locating a one- and a two-column key range of a 200 000-row run
+## through its first-column directory and by binary search
+## (BenchmarkRangeLocate: the A/B of the range kernel),
 ## and one write operation of 1, 3 and
 ## 300 quads on an empty and a full delta (BenchmarkApply), and one
 ## bulk load of RF/NG/SP at scale 0.05 into serve's four indexes, parse
@@ -155,7 +158,7 @@ bench-paper:
 ## commit's run (bench-kernel does that for BenchmarkIntersectKernel).
 bench-micro:
 	$(GO) test -bench 'Kernel' -run '^$$' -benchtime 20x ./internal/sparql/
-	$(GO) test -bench 'BenchmarkScan|BenchmarkApply|BenchmarkSeek|BenchmarkLoad' -run '^$$' ./internal/store/
+	$(GO) test -bench 'BenchmarkScan|BenchmarkApply|BenchmarkSeek|BenchmarkLoad|BenchmarkRangeLocate' -run '^$$' ./internal/store/
 	$(GO) test -bench 'Kernel' -run '^$$' -benchtime 20x ./internal/graph/
 
 ## bench-smoke: one-iteration micro-benchmarks at reduced scale (the CI gate).

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -304,4 +305,101 @@ func TestConcurrentQueriesKeepOwnScratchTerms(t *testing.T) {
 	if got := st.Dict().Len(); got != dictLen {
 		t.Errorf("read-only queries grew the dictionary: %d -> %d", dictLen, got)
 	}
+}
+
+// TestTermInternedAfterPinDecodes: a query's overlay pins the values
+// table when the query pins its View, and a term the dictionary learns
+// after that — here bound through VALUES, whose lookup finds the new
+// dictionary ID — is decoded through the dictionary, not the pinned
+// table, when the query projects it.
+func TestTermInternedAfterPinDecodes(t *testing.T) {
+	st := exprStore(t)
+	e := NewEngine(st)
+	cp, err := e.compileCached(`SELECT ?v ?o WHERE { VALUES ?v { "late" } <http://x/s> <http://x/str> ?o }`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ec, err := e.execCtx("", cp.vt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := st.Dict().Len()
+	late := rdf.NewLiteral("late")
+	if id := st.Dict().Intern(late); int(id) <= pinned {
+		t.Fatalf("late term got ID %d, inside the %d pinned terms", id, pinned)
+	}
+	rows, err := evalSelect(ec, cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1 || !rows[0][0].Equal(late) || !rows[0][1].Equal(rdf.NewLiteral("hello")) {
+		t.Fatalf("rows = %v, want one row (%v, \"hello\")", rows, late)
+	}
+	if n := ec.scratch.Len(); n != 0 {
+		t.Fatalf("VALUES made %d scratch terms; want the dictionary's ID for a term it holds", n)
+	}
+}
+
+// TestQueriesBesideInternAndApply runs lookups that decode every cell
+// they bind while a writer interns fresh terms and applies inserts of
+// them: under -race this is the check that a query's pinned values table
+// is read safely beside the dictionary's appends. Each answer must be
+// one of the writer's versions: the base edges and a prefix of the
+// inserted ones, every term decoded to its own text.
+func TestQueriesBesideInternAndApply(t *testing.T) {
+	st := ngLookupStore(t, 40, 3)
+	e := NewEngine(st)
+	const query = `SELECT ?o WHERE { <http://pg/v0> <http://pg/r/follows> ?o }`
+	res, err := e.QueryContext(t.Context(), "", query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := len(res.Rows)
+	const inserts = 200
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < inserts; i++ {
+			st.Dict().Intern(rdf.NewLiteral(fmt.Sprintf("loose%d", i)))
+			q := rdf.Quad{S: rdf.NewIRI("http://pg/v0"), P: rdf.NewIRI("http://pg/r/follows"),
+				O: rdf.NewIRI(fmt.Sprintf("http://pg/w%d", i)), G: rdf.NewIRI(fmt.Sprintf("http://pg/ew%d", i))}
+			if _, _, err := st.Apply([]store.Op{{Model: "data", Quad: q}}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			prev := base
+			for i := 0; i < 100; i++ {
+				res, err := e.QueryContext(t.Context(), "", query)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				n := len(res.Rows)
+				if n < prev || n > base+inserts {
+					t.Errorf("%d rows after %d: not a version of the writer's", n, prev)
+					return
+				}
+				prev = n
+				for _, row := range res.Rows {
+					if v := row[0].Value; !row[0].IsIRI() || !strings.HasPrefix(v, "http://pg/v") && !strings.HasPrefix(v, "http://pg/w") {
+						t.Errorf("row decodes to %v", row[0])
+						return
+					}
+				}
+			}
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	watchdog(t, done)
 }

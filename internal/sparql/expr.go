@@ -372,6 +372,21 @@ func (e *exprCallC) eval(ec *execCtx, b binding) (rdf.Term, error) {
 			return e.args[1].eval(ec, b)
 		}
 		return e.args[2].eval(ec, b)
+	case "ISLITERAL", "ISIRI", "ISURI", "ISBLANK":
+		// The kind tests read their one argument directly: they run on
+		// every row of a FILTER, where the args slice below would be
+		// allocated per row.
+		t, err := e.args[0].eval(ec, b)
+		if err != nil {
+			return rdf.Term{}, err
+		}
+		switch e.name {
+		case "ISLITERAL":
+			return rdf.NewBoolean(t.IsLiteral()), nil
+		case "ISBLANK":
+			return rdf.NewBoolean(t.IsBlank()), nil
+		}
+		return rdf.NewBoolean(t.IsIRI()), nil
 	}
 
 	args := make([]rdf.Term, len(e.args))
@@ -383,12 +398,6 @@ func (e *exprCallC) eval(ec *execCtx, b binding) (rdf.Term, error) {
 		args[i] = t
 	}
 	switch e.name {
-	case "ISLITERAL":
-		return rdf.NewBoolean(args[0].IsLiteral()), nil
-	case "ISIRI", "ISURI":
-		return rdf.NewBoolean(args[0].IsIRI()), nil
-	case "ISBLANK":
-		return rdf.NewBoolean(args[0].IsBlank()), nil
 	case "ISNUMERIC":
 		v, ok := rdf.LiteralValue(args[0])
 		return rdf.NewBoolean(ok && v.IsNumeric()), nil

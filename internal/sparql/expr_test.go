@@ -67,6 +67,46 @@ func TestExprTypePredicates(t *testing.T) {
 	}
 }
 
+// TestKindTestsAllocateNothing: isLiteral, isIRI, isURI and isBlank on
+// a bound variable read their one argument without an argument slice,
+// so a FILTER running them per row allocates nothing per row.
+func TestKindTestsAllocateNothing(t *testing.T) {
+	st := exprStore(t)
+	e := NewEngine(st)
+	for _, c := range []struct {
+		name string
+		obj  rdf.Term
+		want bool
+	}{
+		{"ISLITERAL", rdf.NewLiteral("hello"), true},
+		{"ISLITERAL", rdf.NewIRI("http://x/other"), false},
+		{"ISIRI", rdf.NewIRI("http://x/other"), true},
+		{"ISURI", rdf.NewLiteral("hello"), false},
+		{"ISBLANK", rdf.NewBlank("b1"), true},
+	} {
+		comp := &compiler{vt: newVarTable(), seq: freshCounter()}
+		expr, err := comp.expr(ExprCall{Name: c.name, Args: []Expr{ExprVar{Name: "v"}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ec, err := e.execCtx("", comp.vt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := make(binding, len(comp.vt.names))
+		b[comp.vt.slot("v")] = st.Dict().Lookup(c.obj)
+		var got bool
+		allocs := testing.AllocsPerRun(100, func() {
+			if got, err = evalBool(ec, expr, b); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != c.want || allocs != 0 {
+			t.Errorf("%s(%v) = %v with %.1f allocations, want %v with 0", c.name, c.obj, got, allocs, c.want)
+		}
+	}
+}
+
 func TestExprAccessors(t *testing.T) {
 	st := exprStore(t)
 	cases := []struct {

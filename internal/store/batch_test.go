@@ -444,7 +444,7 @@ func TestSeekerDirectoryMatchesFresh(t *testing.T) {
 					t.Fatalf("%s: narrow %d of %d built %d rows, dir %v", lbl, n, buildAt, b, dir)
 				case n == buildAt && dense && (b != len(rows) || !dir):
 					t.Fatalf("%s: narrow %d built %d rows, dir %v; want the directory", lbl, n, b, dir)
-				case n == buildAt && !dense && (b > 0 || dir || warm.starts != nil):
+				case n == buildAt && !dense && (b > 0 || dir || warm.dir.starts != nil):
 					t.Fatalf("%s: narrow %d built %d rows, dir %v over a span of more than DirSpan IDs per row", lbl, n, b, dir)
 				}
 			}

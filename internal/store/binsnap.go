@@ -667,5 +667,5 @@ func decodeIndex(p []byte, hdr binHeader) (run, error) {
 	if off != len(p) {
 		return run{}, corruptf("index %s has %d trailing bytes", perm.String(), len(p)-off)
 	}
-	return run{ix: ix, base: rows}, nil
+	return newRun(ix, rows), nil
 }

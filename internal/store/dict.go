@@ -6,7 +6,8 @@
 //     C (canonical object), G (named graph) and M (semantic model),
 //   - semantic-network indexes over any permutation of those columns
 //     (PCSGM, PSCGM, GSPCM, GPCSM, SPCGM, SCPGM, ...), served by
-//     binary-search range scans,
+//     range scans that locate the first key column's range in a
+//     direct-address directory and binary-search any column after it,
 //   - semantic models acting as partitions (the M column) and virtual
 //     models defined as unions of models.
 //
@@ -138,7 +139,8 @@ func (d *Dict) Quad(q IDQuad) rdf.Quad {
 // snapshotTerms returns a stable view of all interned terms in ID
 // order (index i holds the term for ID i+1). The returned slice is a
 // capped view of the append-only terms table: existing entries are
-// never mutated, so the view stays valid after the lock is released.
+// never mutated, so the view stays valid, and is read without the
+// lock, after the lock is released (binary snapshots, TermOverlay).
 func (d *Dict) snapshotTerms() []rdf.Term {
 	d.mu.RLock()
 	defer d.mu.RUnlock()

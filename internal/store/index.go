@@ -196,24 +196,41 @@ func (ix *Index) greaterPrefix(q IDQuad, p Pattern, n int) bool {
 
 // run is one index's rows in one store version: the base array sorted
 // by the index key, shared between versions and replaced only by
-// compaction and bulk load, plus the delta accumulated since. The live
-// rows are the base rows without a tombstone plus the delta's inserts.
+// compaction, bulk load, index creation and binary restore, plus the
+// delta accumulated since. The live rows are the base rows without a
+// tombstone plus the delta's inserts. dir is the directory over the
+// base array's first key column, built with the array (newRun).
 type run struct {
 	ix    *Index
 	base  []IDQuad
+	dir   colDir
 	delta deltaRun
 }
 
+// newRun returns ix's run over the sorted base rows, with an empty
+// delta and the directory of the rows' first key column.
+func newRun(ix *Index, base []IDQuad) run {
+	return run{ix: ix, base: base, dir: newColDir(base, ix.perm[0])}
+}
+
 // baseRange returns the half-open range of base rows whose first n key
-// columns equal the pattern's values.
+// columns equal the pattern's values. The directory locates the first
+// column's range; the columns after it, if any, are searched inside
+// that range. A run without a directory searches all its rows.
 func (r *run) baseRange(p Pattern, n int) (lo, hi int) {
-	lo = sort.Search(len(r.base), func(i int) bool {
-		return !r.ix.lessPrefix(r.base[i], p, n)
-	})
-	hi = lo + sort.Search(len(r.base)-lo, func(i int) bool {
-		return r.ix.greaterPrefix(r.base[lo+i], p, n)
-	})
-	return lo, hi
+	if n == 0 {
+		return 0, len(r.base)
+	}
+	rows, cols := r.base, r.ix.perm[:n]
+	if r.dir.starts != nil {
+		if lo, hi = r.dir.locate(p.Get(cols[0])); n == 1 {
+			return lo, hi
+		}
+		rows, cols = r.base[lo:hi], cols[1:]
+	}
+	from := sort.Search(len(rows), func(i int) bool { return compareKey(rows[i], p, cols) >= 0 })
+	to := from + sort.Search(len(rows)-from, func(i int) bool { return compareKey(rows[from+i], p, cols) > 0 })
+	return lo + from, lo + to
 }
 
 // deltaRange is baseRange over the delta entries.
@@ -266,7 +283,7 @@ func (r *run) compacted() run {
 		merged = append(merged, rows...)
 		return true
 	})
-	return run{ix: r.ix, base: merged}
+	return newRun(r.ix, merged)
 }
 
 // loaded returns the run with rows, sorted by h, merged into a new base
@@ -279,9 +296,9 @@ func (r *run) loaded(rows []IDQuad, h *radixHist) run {
 	}
 	sorted := slices.Compact(h.sort(rows, r.ix.perm))
 	if len(r.base) == 0 {
-		return run{ix: r.ix, base: sorted}
+		return newRun(r.ix, sorted)
 	}
-	return run{ix: r.ix, base: mergeRuns(r.base, sorted, r.ix.less)}
+	return newRun(r.ix, mergeRuns(r.base, sorted, r.ix.less))
 }
 
 // mergeRuns returns the union of the sorted, duplicate-free runs a and b

@@ -23,18 +23,28 @@ const scratchBase ID = 1 << 62
 // scratch-identified term matches nothing in the store, which is the
 // correct semantics for a term the store does not contain.
 //
+// The overlay pins the dictionary's values table when it is made: the
+// table is append-only, so the terms interned by then never change and
+// Term decodes their IDs from the pinned table without the dictionary's
+// lock. A query makes its overlay right after it pins its store View,
+// so every ID a scan of that View yields is in the pinned table; only
+// an ID interned after the pin — one a concurrent writer added and the
+// query met through Intern's lookup — is read through Dict.Term.
+//
 // An overlay belongs to one query, which one goroutine runs: it takes
-// no lock and must not be shared between goroutines.
+// no lock of its own and must not be shared between goroutines.
 type TermOverlay struct {
-	dict  *Dict
-	byKey map[string]ID
-	terms []rdf.Term
+	dict   *Dict
+	pinned []rdf.Term // the values table at NewTermOverlay: ID i+1 at i
+	byKey  map[string]ID
+	terms  []rdf.Term
 }
 
-// NewTermOverlay returns an empty overlay over d. It allocates nothing
-// beyond the struct until the first scratch term is interned.
+// NewTermOverlay returns an empty overlay over d, pinning d's values
+// table. It allocates nothing beyond the struct until the first scratch
+// term is interned.
 func NewTermOverlay(d *Dict) *TermOverlay {
-	return &TermOverlay{dict: d}
+	return &TermOverlay{dict: d, pinned: d.snapshotTerms()}
 }
 
 // Intern returns the dictionary ID for t when the term is already
@@ -57,9 +67,14 @@ func (o *TermOverlay) Intern(t rdf.Term) ID {
 	return id
 }
 
-// Term resolves an ID from either range. It panics on an ID never
-// issued, matching Dict.Term.
+// Term resolves an ID from either range: from the pinned values table
+// without a lock, else from the dictionary or the scratch terms. It
+// panics on an ID never issued, matching Dict.Term.
 func (o *TermOverlay) Term(id ID) rdf.Term {
+	// NoID wraps past every pinned term.
+	if i := id - 1; i < ID(len(o.pinned)) {
+		return o.pinned[i]
+	}
 	if id < scratchBase {
 		return o.dict.Term(id)
 	}

@@ -28,15 +28,12 @@ type Seeker struct {
 	from, to dpos     // delta entries under the constant prefix
 	buf      []IDQuad // merged rows of the last Seek that met the delta
 
-	// The directory of the constant-prefix base range (DirPayback): a
-	// direct-address table over the values of the key column after the
-	// constant prefix. starts[id-lo] is where id's run of rows in base
-	// starts — the next value's start when base holds no id — and the
-	// last entry is len(base). narrows counts the one-column narrows
-	// until the directory is built or declined, then is -1; built and
-	// dirHit report the last Seek (LastSeek).
-	lo      ID
-	starts  []uint32
+	// The directory of the constant-prefix base range (DirPayback) over
+	// the values of the key column after the constant prefix. narrows
+	// counts the one-column narrows until the directory is built or
+	// declined, then is -1; built and dirHit report the last Seek
+	// (LastSeek).
+	dir     colDir
 	narrows int
 	built   int
 	dirHit  bool
@@ -55,13 +52,63 @@ type Seeker struct {
 // gains (DESIGN.md §20).
 const DirPayback = 64
 
-// DirSpan bounds the directory: a range builds one only when its values
-// span at most DirSpan IDs per row, so the table's 4-byte entries add at
-// most a fifth to the 40-byte rows the build reads. A range whose values
-// span more keeps searching rows. On NG data the follows range's nodes
-// span 1.08 IDs per row, interleaved with the edges' graph IDs; on SP
-// data they span 0.04.
+// DirSpan bounds a directory, a Seeker's or an index run's (colDir): a
+// range of rows gets one only when its values span at most DirSpan IDs
+// per row, so the table's 4-byte entries add at most a fifth to the
+// 40-byte rows the build reads. A range whose values span more keeps
+// searching rows. On NG data the follows range's nodes span 1.08 IDs
+// per row, interleaved with the edges' graph IDs; on SP data they span
+// 0.04. A whole run's first column spans at most the dictionary, which
+// at NG scale 0.05 is 0.39 IDs per row.
 const DirSpan = 2
+
+// colDir is a direct-address directory over one key column of sorted
+// rows (DESIGN.md §20): starts[id-lo] is where id's run of rows starts
+// — the next value's start when the rows hold no id — and the last
+// entry is len(rows). Locating a value's run reads two adjacent entries
+// instead of searching the rows. The zero colDir has no table.
+type colDir struct {
+	lo     ID
+	starts []uint32
+}
+
+// newColDir builds the directory of rows, which must be sorted by c, in
+// one pass, when their values of c span at most DirSpan IDs per row and
+// the starts fit 32 bits; otherwise it returns the zero colDir.
+func newColDir(rows []IDQuad, c Col) colDir {
+	if len(rows) == 0 || len(rows) > math.MaxUint32 {
+		return colDir{}
+	}
+	lo, hi := rows[0].Get(c), rows[len(rows)-1].Get(c)
+	if hi-lo >= DirSpan*ID(len(rows)) {
+		return colDir{}
+	}
+	starts := make([]uint32, hi-lo+2)
+	next := lo // the smallest value whose start is not set yet
+	for i, q := range rows {
+		for v := q.Get(c); next <= v; next++ {
+			starts[next-lo] = uint32(i)
+		}
+	}
+	starts[len(starts)-1] = uint32(len(rows))
+	return colDir{lo: lo, starts: starts}
+}
+
+// locate returns the half-open range of the rows whose column holds id.
+// An id outside the directory's span has no rows: its empty range is
+// where a search would put it, before the first row or after the last.
+// The directory must have a table.
+func (d colDir) locate(id ID) (from, to int) {
+	// Below lo the difference wraps past every entry.
+	if i := id - d.lo; i < ID(len(d.starts)-1) {
+		return int(d.starts[i]), int(d.starts[i+1])
+	}
+	if id < d.lo {
+		return 0, 0
+	}
+	n := int(d.starts[len(d.starts)-1])
+	return n, n
+}
 
 // SeekIndex returns the first index whose key starts with the columns
 // of bound, in any order, followed by next: the index a Seeker over
@@ -180,13 +227,10 @@ func (s *Seeker) narrowOne(c Col, id ID) []IDQuad {
 			s.buildDir(c)
 		}
 	}
-	if s.starts != nil {
+	if s.dir.starts != nil {
 		s.dirHit = true
-		// Below lo the difference wraps past every entry.
-		if i := id - s.lo; i < ID(len(s.starts)-1) {
-			return rows[s.starts[i]:s.starts[i+1]]
-		}
-		return rows[:0]
+		from, to := s.dir.locate(id)
+		return rows[from:to]
 	}
 	lo, hi := 0, len(rows)
 	for lo < hi {
@@ -200,27 +244,13 @@ func (s *Seeker) narrowOne(c Col, id ID) []IDQuad {
 	return rows[:SeekCol(rows, 0, c, id+1)]
 }
 
-// buildDir fills the directory from one pass over the base rows, which
-// are sorted by c, when their values of c span at most DirSpan IDs per
-// row (and the starts fit 32 bits); otherwise it builds nothing.
+// buildDir builds the directory of the constant-prefix base range,
+// which is sorted by c, when its values span at most DirSpan IDs per
+// row (newColDir); otherwise it builds nothing.
 func (s *Seeker) buildDir(c Col) {
-	rows := s.base
-	if len(rows) == 0 || len(rows) > math.MaxUint32 {
-		return
+	if s.dir = newColDir(s.base, c); s.dir.starts != nil {
+		s.built = len(s.base)
 	}
-	lo, hi := rows[0].Get(c), rows[len(rows)-1].Get(c)
-	if hi-lo >= DirSpan*ID(len(rows)) {
-		return
-	}
-	starts := make([]uint32, hi-lo+2)
-	next := lo // the smallest value whose start is not set yet
-	for i, q := range rows {
-		for v := q.Get(c); next <= v; next++ {
-			starts[next-lo] = uint32(i)
-		}
-	}
-	starts[len(starts)-1] = uint32(len(rows))
-	s.lo, s.starts, s.built = lo, starts, len(rows)
 }
 
 // compareKey compares q's values in the key columns cols with p's: -1,

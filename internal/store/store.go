@@ -169,7 +169,7 @@ func (s *Store) CreateIndex(spec string) error {
 	r := run{ix: &Index{perm: perm}}
 	if len(w.runs) > 0 {
 		from := &w.runs[0]
-		r.base = newRadixHist(from.base).sort(from.base, perm)
+		r = newRun(r.ix, newRadixHist(from.base).sort(from.base, perm))
 		var entries []dentry
 		for _, c := range from.delta {
 			entries = append(entries, c.e...)

@@ -125,10 +125,12 @@ func (v *View) chooseRun(p Pattern) *run {
 			continue
 		}
 		// Tie-break by estimated range size only for single-column
-		// prefixes: two indexes with the same prefix LENGTH >= 2 cover
-		// the same bound-column set in practice (the range size depends
-		// only on the set, not the order), so the extra binary searches
-		// would be pure overhead on the per-probe NLJ path.
+		// prefixes, whose ranges each run's first-column directory
+		// locates without a search: two indexes with the same prefix
+		// LENGTH >= 2 cover the same bound-column set in practice (the
+		// range size depends only on the set, not the order), so
+		// searching for their ranges would be pure overhead on the
+		// per-probe NLJ path.
 		if n == bestPrefix && n == 1 && r.estimate(p) < best.estimate(p) {
 			best = r
 		}
@@ -199,7 +201,8 @@ func (v *View) ScanIndex(spec string, p Pattern, fn func(IDQuad) bool) error {
 
 // EstimateCount returns the number of live quads in the range the best
 // index's bound key prefix addresses: an upper bound on the quads
-// matching the pattern, in O(log n).
+// matching the pattern, in O(log n) — O(1) in the base rows for a
+// one-column prefix.
 func (v *View) EstimateCount(p Pattern) int { return v.chooseRun(p).estimate(p) }
 
 // lookupRow resolves a quad to its ID row in model m without interning;
