@@ -8,7 +8,7 @@ BENCH_SCALE ?= 0.05
 BENCH_MAX_OVERHEAD ?= 5
 OVERHEAD_ITERS ?= 5
 
-.PHONY: check vet lint build test race crash-recovery repl-fault algo-diff store-race bench bench-paper bench-micro bench-smoke benchmark-smoke bench-pair bench-kernel fuzz-smoke
+.PHONY: check vet lint build test race crash-recovery repl-fault algo-diff store-race bench bench-paper bench-micro bench-smoke benchmark-smoke bench-pair bench-kernel fuzz-smoke examples
 
 ## check: the full gate — vet, build, the pgrdfvet analyzers and the
 ## whole test suite once under the race detector. That pass runs every
@@ -33,6 +33,13 @@ test:
 
 race:
 	$(GO) test -race -count=1 ./...
+
+## examples: run every program under examples/ and fail when one exits
+## non-zero. The build compiles them; this runs them, so an API change
+## that breaks one at run time (examples/linkeddata is the one caller
+## that runs inference over a store with several models) fails here.
+examples:
+	for d in examples/*/; do $(GO) run ./$$d >/dev/null || exit 1; done
 
 ## crash-recovery: the durability gate — the fault-injected WAL suite
 ## (crash at every log byte over the checkpoint, also across a not-due

@@ -99,7 +99,7 @@ SELECT ?n ?y WHERE {
 			{S: "?n", P: "<http://pg/k/hasTagR>", O: "?other"},
 		},
 	}))
-	n, err := inf.Run("", "inferred", inference.Options{})
+	n, err := inf.Run(context.Background(), "", "inferred", inference.Options{})
 	check(err)
 	fmt.Printf("inference: %d new triples\n\n", n)
 

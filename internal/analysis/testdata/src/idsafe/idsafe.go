@@ -22,6 +22,17 @@ func badOrder(a, b store.ID) bool {
 	return a >= b // want "ordering store.IDs with >="
 }
 
+// badReach has the shape of the recorded catch (DESIGN.md §9): a path's
+// end test that orders IDs instead of comparing them.
+func badReach(reached []store.ID, end store.ID, write func() bool) bool {
+	for _, node := range reached {
+		if node <= end && !write() { // want "ordering store.IDs with <="
+			return false
+		}
+	}
+	return true
+}
+
 func badMutate(a store.ID) store.ID {
 	a += 2 // want "compound arithmetic assignment \\(\\+=\\) on a store.ID"
 	a++    // want "\\+\\+ on a store.ID"

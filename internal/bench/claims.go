@@ -433,7 +433,7 @@ func claimInference(p *probe, v Values) error {
 		err = errors.Join(err, eng.AddRule(r))
 	}
 	if err == nil {
-		inferred, err = eng.Run("asserted", "inferred", inference.Options{})
+		inferred, err = eng.Run(p.ctx, "", "inferred", inference.Options{})
 	}
 	p.err = err
 	// The default dataset is every model: asserted and inferred.

@@ -13,21 +13,31 @@
 // Entailment is pre-computed into a separate "inferred" semantic model,
 // mirroring Oracle's native inference engine, and queried through a
 // virtual model that unions asserted and inferred data.
+//
+// The engine has no matcher of its own: each head atom of a rule runs as
+// a SPARQL CONSTRUCT query through the sparql package's executor, and
+// each round's new triples are asserted with one store.Apply, so a
+// reader sees a round entirely or not at all.
 package inference
 
 import (
-	"errors"
+	"context"
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/rdf"
+	"repro/internal/sparql"
 	"repro/internal/store"
 )
 
-// TriplePattern is a rule atom: each position holds either a constant
-// term or a variable name (prefixed with '?').
+// TriplePattern is a rule atom: each position holds a SPARQL term — an
+// IRI (<iri>), a literal ("literal") or a variable (?name).
 type TriplePattern struct {
 	S, P, O string
 }
+
+func (a TriplePattern) text() string { return a.S + " " + a.P + " " + a.O }
 
 // Rule is a user-defined rule: when every body atom matches, the head
 // atoms are instantiated and asserted.
@@ -37,25 +47,26 @@ type Rule struct {
 	Head []TriplePattern
 }
 
-// Validate checks that head variables appear in the body.
+// Validate checks that the rule has a body and a head, that head
+// variables appear in the body and that no atom is a blank node: in a
+// SPARQL pattern a blank node acts as a variable, and in a template it
+// is a fresh node per match, never the constant a rule would mean.
 func (r Rule) Validate() error {
-	bound := map[string]bool{}
-	for _, a := range r.Body {
-		for _, pos := range []string{a.S, a.P, a.O} {
-			if isVar(pos) {
-				bound[pos] = true
-			}
-		}
+	if len(r.Body) == 0 || len(r.Head) == 0 {
+		return fmt.Errorf("inference: rule %q must have a body and a head", r.Name)
 	}
-	for _, a := range r.Head {
+	bound := map[string]bool{}
+	for i, a := range append(slices.Clone(r.Body), r.Head...) {
 		for _, pos := range []string{a.S, a.P, a.O} {
-			if isVar(pos) && !bound[pos] {
+			switch {
+			case strings.HasPrefix(pos, "_:"):
+				return fmt.Errorf("inference: rule %q: blank node atom %s (use <iri>, \"literal\" or ?var)", r.Name, pos)
+			case i < len(r.Body):
+				bound[pos] = true
+			case isVar(pos) && !bound[pos]:
 				return fmt.Errorf("inference: rule %q: head variable %s not bound in body", r.Name, pos)
 			}
 		}
-	}
-	if len(r.Body) == 0 || len(r.Head) == 0 {
-		return fmt.Errorf("inference: rule %q must have a body and a head", r.Name)
 	}
 	return nil
 }
@@ -64,19 +75,38 @@ func isVar(s string) bool { return len(s) > 1 && s[0] == '?' }
 
 // Engine runs forward chaining over a dataset.
 type Engine struct {
-	st    *store.Store
-	rules []Rule
+	st      *store.Store
+	sparql  *sparql.Engine
+	queries []string // one CONSTRUCT per head atom of each rule
 }
 
 // New returns an engine over the store.
-func New(st *store.Store) *Engine { return &Engine{st: st} }
+func New(st *store.Store) *Engine { return &Engine{st: st, sparql: sparql.NewEngine(st)} }
 
-// AddRule registers a user-defined rule.
+// AddRule registers a user-defined rule, compiling each head atom h into
+// CONSTRUCT { h } WHERE { body FILTER NOT EXISTS { h } }: a match whose
+// triple the dataset already holds, in any graph, asserts nothing. An
+// atom that is not one SPARQL term fails here, as a parse error.
 func (e *Engine) AddRule(r Rule) error {
 	if err := r.Validate(); err != nil {
 		return err
 	}
-	e.rules = append(e.rules, r)
+	body := ""
+	for _, a := range r.Body {
+		body += a.text() + " . "
+	}
+	queries := make([]string, len(r.Head))
+	for i, h := range r.Head {
+		queries[i] = "CONSTRUCT { " + h.text() + " } WHERE { " + body + "FILTER NOT EXISTS { " + h.text() + " } }"
+		q, err := sparql.Parse(queries[i])
+		if err != nil {
+			return fmt.Errorf("inference: rule %q: %w", r.Name, err)
+		}
+		if len(q.Template) != 1 || len(q.Select.Where.Elems) != len(r.Body)+1 {
+			return fmt.Errorf("inference: rule %q: an atom position holds more than one term", r.Name)
+		}
+	}
+	e.queries = append(e.queries, queries...)
 	return nil
 }
 
@@ -154,12 +184,14 @@ type Options struct {
 	MaxInferred int
 }
 
-// Run computes the fixpoint of the registered rules over the dataset
-// named by srcModel (a model or virtual model; "" = all), asserting new
-// triples into dstModel. It returns the number of triples inferred.
-//
-// Inferred triples always go to the default graph of dstModel.
-func (e *Engine) Run(srcModel, dstModel string, opts Options) (int, error) {
+// Run computes the fixpoint of the registered rules over dataset (a
+// model or virtual model; "" = every model), asserting new triples into
+// the default graph of model dst. It returns the number of triples
+// inferred. The dataset must include dst, so that rules chain: Run
+// refuses one that does not. A round runs every rule's queries, then
+// asserts the union of their triples with one store.Apply; a round that
+// adds nothing ends the run. ctx cancels it between and within queries.
+func (e *Engine) Run(ctx context.Context, dataset, dst string, opts Options) (int, error) {
 	maxRounds := opts.MaxRounds
 	if maxRounds == 0 {
 		maxRounds = 64
@@ -168,292 +200,42 @@ func (e *Engine) Run(srcModel, dstModel string, opts Options) (int, error) {
 	if maxInferred == 0 {
 		maxInferred = 10_000_000
 	}
-	srcIDs, err := e.st.View().ResolveDataset(srcModel)
+	view := e.st.View()
+	ids, err := view.ResolveDataset(dataset)
 	if err != nil {
 		return 0, err
 	}
-	models := make(map[store.ModelID]struct{}, len(srcIDs)+1)
-	for _, id := range srcIDs {
-		models[id] = struct{}{}
+	if dataset != "" && !slices.Contains(ids, view.LookupModel(dst)) {
+		return 0, fmt.Errorf("inference: dataset %q does not include destination model %q", dataset, dst)
 	}
-	// The destination participates in matching so rules chain.
-	models[e.st.Model(dstModel)] = struct{}{}
 
 	total := 0
 	for round := 0; round < maxRounds; round++ {
-		// A round matches and checks presence against one version: the
-		// one its predecessor's inserts produced.
-		view := e.st.View()
-		var fresh []rdf.Quad
-		for _, r := range e.rules {
-			matches, err := e.matchRule(view, r, models)
+		var ops []store.Op
+		seen := make(map[rdf.Quad]struct{})
+		for _, query := range e.queries {
+			ans, err := e.sparql.ExecContext(ctx, dataset, query)
 			if err != nil {
 				return total, err
 			}
-			fresh = append(fresh, matches...)
-		}
-		added := 0
-		for _, q := range fresh {
-			if total+added >= maxInferred {
-				return total + added, fmt.Errorf("inference: exceeded %d inferred triples", maxInferred)
-			}
-			if e.presentInModels(view, q, srcIDs) {
-				continue // already asserted; Oracle's engine does not duplicate it
-			}
-			ok, err := e.st.Insert(dstModel, q)
-			if err != nil {
-				return total + added, err
-			}
-			if ok {
-				added++
+			for _, q := range ans.Quads {
+				if _, dup := seen[q]; !dup {
+					seen[q] = struct{}{}
+					ops = append(ops, store.Op{Model: dst, Quad: q})
+				}
 			}
 		}
-		e.st.Compact()
-		total += added
-		if added == 0 {
+		if len(ops) == 0 {
 			return total, nil
+		}
+		if total+len(ops) > maxInferred {
+			return total, fmt.Errorf("inference: exceeded %d inferred triples", maxInferred)
+		}
+		added, _, err := e.st.Apply(ops)
+		total += added
+		if err != nil {
+			return total, err
 		}
 	}
 	return total, fmt.Errorf("inference: no fixpoint after %d rounds", maxRounds)
-}
-
-// presentInModels reports whether the triple is already asserted in any
-// of the source models (in any graph) of view.
-func (e *Engine) presentInModels(view *store.View, q rdf.Quad, models []store.ModelID) bool {
-	p := store.AnyPattern()
-	p.S = e.st.Dict().Lookup(q.S)
-	p.P = e.st.Dict().Lookup(q.P)
-	p.C = e.st.Dict().Lookup(q.O)
-	if p.S == store.NoID || p.P == store.NoID || p.C == store.NoID {
-		return false
-	}
-	found := false
-	view.Scan(p, func(row store.IDQuad) bool {
-		for _, m := range models {
-			if row.M == m {
-				found = true
-				return false
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// orderBody greedily orders rule body atoms: atoms with more constants
-// first, then atoms sharing a variable with the already-bound set —
-// keeping, e.g., the RDFS subPropertyOf-usage rule from opening with a
-// full scan of `?s ?p ?o` when the tiny `?p rdfs:subPropertyOf ?q` atom
-// can bind ?p first.
-func orderBody(body []TriplePattern) []TriplePattern {
-	n := len(body)
-	used := make([]bool, n)
-	bound := map[string]bool{}
-	out := make([]TriplePattern, 0, n)
-	varsOf := func(a TriplePattern) []string {
-		var vs []string
-		for _, pos := range []string{a.S, a.P, a.O} {
-			if isVar(pos) {
-				vs = append(vs, pos)
-			}
-		}
-		return vs
-	}
-	for len(out) < n {
-		best, bestScore := -1, -1
-		for i := 0; i < n; i++ {
-			if used[i] {
-				continue
-			}
-			consts := 3 - len(varsOf(body[i]))
-			joined := 0
-			for _, v := range varsOf(body[i]) {
-				if bound[v] {
-					joined = 1
-					break
-				}
-			}
-			score := consts*4 + joined*2
-			if len(out) == 0 {
-				score = consts // nothing bound yet
-			}
-			if score > bestScore {
-				best, bestScore = i, score
-			}
-		}
-		used[best] = true
-		out = append(out, body[best])
-		for _, v := range varsOf(body[best]) {
-			bound[v] = true
-		}
-	}
-	return out
-}
-
-// matchRule evaluates a rule body against the models of view and
-// returns the instantiated head quads (possibly already present; Insert
-// dedupes).
-func (e *Engine) matchRule(view *store.View, r Rule, models map[store.ModelID]struct{}) ([]rdf.Quad, error) {
-	type bindings map[string]store.ID
-	results := []bindings{{}}
-	for _, atom := range orderBody(r.Body) {
-		var next []bindings
-		pat, vars, err := e.compileAtom(atom)
-		if err != nil {
-			return nil, err
-		}
-		if pat == nil {
-			return nil, nil // a constant term is absent: no matches
-		}
-		for _, b := range results {
-			p := *pat
-			// Substitute bound vars.
-			if vars.s != "" {
-				if id, ok := b[vars.s]; ok {
-					p.S = id
-				}
-			}
-			if vars.p != "" {
-				if id, ok := b[vars.p]; ok {
-					p.P = id
-				}
-			}
-			if vars.o != "" {
-				if id, ok := b[vars.o]; ok {
-					p.C = id
-				}
-			}
-			view.Scan(p, func(q store.IDQuad) bool {
-				if _, ok := models[q.M]; !ok {
-					return true
-				}
-				nb := bindings{}
-				for k, v := range b {
-					nb[k] = v
-				}
-				ok := true
-				bind := func(name string, v store.ID) {
-					if name == "" || !ok {
-						return
-					}
-					if prev, bound := nb[name]; bound {
-						ok = prev == v
-					} else {
-						nb[name] = v
-					}
-				}
-				bind(vars.s, q.S)
-				bind(vars.p, q.P)
-				bind(vars.o, q.C)
-				if ok {
-					next = append(next, nb)
-				}
-				return true
-			})
-		}
-		results = next
-		if len(results) == 0 {
-			return nil, nil
-		}
-	}
-
-	var out []rdf.Quad
-	for _, b := range results {
-		for _, h := range r.Head {
-			q, err := e.instantiateHead(h, b)
-			if err != nil {
-				return nil, err
-			}
-			if q.Validate() == nil {
-				out = append(out, q)
-			}
-		}
-	}
-	return out, nil
-}
-
-type atomVars struct{ s, p, o string }
-
-// compileAtom resolves an atom's constants; nil pattern means a constant
-// is unknown to the dictionary (no matches possible).
-func (e *Engine) compileAtom(a TriplePattern) (*store.Pattern, atomVars, error) {
-	p := store.AnyPattern()
-	var vars atomVars
-	resolve := func(s string, set func(store.ID), varSlot *string) error {
-		if isVar(s) {
-			*varSlot = s
-			return nil
-		}
-		t, err := parseTerm(s)
-		if err != nil {
-			return err
-		}
-		id := e.st.Dict().Lookup(t)
-		if id == store.NoID {
-			return errAbsent
-		}
-		set(id)
-		return nil
-	}
-	if err := resolve(a.S, func(id store.ID) { p.S = id }, &vars.s); err != nil {
-		if errors.Is(err, errAbsent) {
-			return nil, vars, nil
-		}
-		return nil, vars, err
-	}
-	if err := resolve(a.P, func(id store.ID) { p.P = id }, &vars.p); err != nil {
-		if errors.Is(err, errAbsent) {
-			return nil, vars, nil
-		}
-		return nil, vars, err
-	}
-	if err := resolve(a.O, func(id store.ID) { p.C = id }, &vars.o); err != nil {
-		if errors.Is(err, errAbsent) {
-			return nil, vars, nil
-		}
-		return nil, vars, err
-	}
-	return &p, vars, nil
-}
-
-var errAbsent = fmt.Errorf("inference: term absent")
-
-func (e *Engine) instantiateHead(h TriplePattern, b map[string]store.ID) (rdf.Quad, error) {
-	resolve := func(s string) (rdf.Term, error) {
-		if isVar(s) {
-			id, ok := b[s]
-			if !ok {
-				return rdf.Term{}, fmt.Errorf("inference: unbound head variable %s", s)
-			}
-			return e.st.Dict().Term(id), nil
-		}
-		return parseTerm(s)
-	}
-	s, err := resolve(h.S)
-	if err != nil {
-		return rdf.Quad{}, err
-	}
-	p, err := resolve(h.P)
-	if err != nil {
-		return rdf.Quad{}, err
-	}
-	o, err := resolve(h.O)
-	if err != nil {
-		return rdf.Quad{}, err
-	}
-	return rdf.Quad{S: s, P: p, O: o}, nil
-}
-
-// parseTerm parses a constant: <iri>, "literal", or _:blank.
-func parseTerm(s string) (rdf.Term, error) {
-	switch {
-	case len(s) > 2 && s[0] == '<' && s[len(s)-1] == '>':
-		return rdf.NewIRI(s[1 : len(s)-1]), nil
-	case len(s) >= 2 && s[0] == '"' && s[len(s)-1] == '"':
-		return rdf.NewLiteral(s[1 : len(s)-1]), nil
-	case len(s) > 2 && s[0] == '_' && s[1] == ':':
-		return rdf.NewBlank(s[2:]), nil
-	default:
-		return rdf.Term{}, fmt.Errorf("inference: cannot parse term %q (use <iri>, \"literal\" or _:label)", s)
-	}
 }

@@ -1,10 +1,17 @@
 package inference
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"maps"
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/guard"
 	"repro/internal/rdf"
 	"repro/internal/store"
 )
@@ -24,6 +31,22 @@ func mustLoad(t *testing.T, st *store.Store, model string, quads ...rdf.Quad) {
 
 func contains(st *store.Store, model string, q rdf.Quad) bool {
 	return st.View().Contains(model, q)
+}
+
+// modelQuads returns the quads of one model, sorted by their N-Quads text.
+func modelQuads(t *testing.T, st *store.Store, model string) []string {
+	t.Helper()
+	view := st.View()
+	p := store.AnyPattern()
+	if p.M = view.LookupModel(model); p.M == store.NoID {
+		return nil
+	}
+	var out []string
+	for _, q := range view.Quads(p) {
+		out = append(out, q.String())
+	}
+	sort.Strings(out)
+	return out
 }
 
 func TestRuleValidation(t *testing.T) {
@@ -61,7 +84,7 @@ func TestSubPropertyEntailment(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n, err := e.Run("data", "inf", Options{})
+	n, err := e.Run(t.Context(), "", "inf", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +115,7 @@ func TestClassDomainRangeEntailment(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := e.Run("data", "inf", Options{}); err != nil {
+	if _, err := e.Run(t.Context(), "", "inf", Options{}); err != nil {
 		t.Fatal(err)
 	}
 	typ := rdf.NewIRI(rdf.RDFType)
@@ -121,7 +144,7 @@ func TestSameAsAndEquivalentProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := e.Run("data", "inf", Options{}); err != nil {
+	if _, err := e.Run(t.Context(), "", "inf", Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if !contains(st, "inf", rdf.Quad{S: iri("wn_train"), P: rdf.NewIRI(rdf.OWLSameAs), O: iri("kw_train")}) {
@@ -161,7 +184,7 @@ func TestUserDefinedPropertyChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := e.Run("data", "inf", Options{})
+	n, err := e.Run(t.Context(), "", "inf", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +211,7 @@ func TestInverseAndTransitive(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := e.Run("data", "inf", Options{}); err != nil {
+	if _, err := e.Run(t.Context(), "", "inf", Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if !contains(st, "inf", triple("a", "partOf", "c")) {
@@ -215,7 +238,7 @@ func TestFixpointTerminatesOnCycles(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n, err := e.Run("data", "inf", Options{})
+	n, err := e.Run(t.Context(), "", "inf", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,21 +261,41 @@ func TestMaxInferredGuard(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, err := e.Run("data", "inf", Options{MaxInferred: 10})
+	_, err := e.Run(t.Context(), "", "inf", Options{MaxInferred: 10})
 	if err == nil || !strings.Contains(err.Error(), "exceeded") {
 		t.Errorf("guard did not trip: %v", err)
 	}
+	if n := len(modelQuads(t, st, "inf")); n > 10 {
+		t.Errorf("destination holds %d triples, want at most MaxInferred = 10", n)
+	}
 }
 
+// TestParseTermErrors: rule atoms are SPARQL terms, so AddRule refuses
+// a bare word (a parse error) and a blank node, and accepts a literal,
+// which matches the plain literal it spells.
 func TestParseTermErrors(t *testing.T) {
-	if _, err := parseTerm("plainword"); err == nil {
+	rule := func(o string) Rule {
+		return Rule{Name: "r",
+			Body: []TriplePattern{{"?x", "<http://x/p>", o}},
+			Head: []TriplePattern{{"?x", "<http://x/q>", "?x"}}}
+	}
+	st := store.New()
+	mustLoad(t, st, "data", rdf.Quad{S: iri("a"), P: iri("p"), O: rdf.NewLiteral("lit")})
+	e := New(st)
+	if err := e.AddRule(rule("plainword")); err == nil {
 		t.Error("bare word accepted as term")
 	}
-	if term, err := parseTerm(`"lit"`); err != nil || !term.Equal(rdf.NewLiteral("lit")) {
-		t.Errorf("literal: %v %v", term, err)
+	if err := e.AddRule(rule("_:b1")); err == nil {
+		t.Error("blank node accepted as term")
 	}
-	if term, err := parseTerm("_:b1"); err != nil || !term.Equal(rdf.NewBlank("b1")) {
-		t.Errorf("blank: %v %v", term, err)
+	if err := e.AddRule(rule("?y . ?y <http://x/p> ?z")); err == nil {
+		t.Error("atom holding two triples accepted")
+	}
+	if err := e.AddRule(rule(`"lit"`)); err != nil {
+		t.Fatalf("literal refused: %v", err)
+	}
+	if n, err := e.Run(t.Context(), "", "inf", Options{}); err != nil || n != 1 || !contains(st, "inf", triple("a", "q", "a")) {
+		t.Errorf("literal atom: n=%d err=%v, want a q a inferred", n, err)
 	}
 }
 
@@ -265,8 +308,204 @@ func TestAbsentConstantIsNoMatch(t *testing.T) {
 		Head: []TriplePattern{{"?y", "<http://x/q>", "?x"}}}); err != nil {
 		t.Fatal(err)
 	}
-	n, err := e.Run("data", "inf", Options{})
+	n, err := e.Run(t.Context(), "", "inf", Options{})
 	if err != nil || n != 0 {
 		t.Errorf("n=%d err=%v", n, err)
+	}
+}
+
+func TestRunCanceled(t *testing.T) {
+	st := store.New()
+	mustLoad(t, st, "data", triple("a", "p", "b"),
+		rdf.Quad{S: iri("p"), P: rdf.NewIRI(rdf.RDFSSubPropertyOf), O: iri("q")})
+	e := New(st)
+	for _, r := range RDFSRules() {
+		if err := e.AddRule(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithCancel(t.Context())
+	cancel()
+	if _, err := e.Run(ctx, "", "inf", Options{}); !errors.Is(err, guard.ErrCanceled) {
+		t.Errorf("err = %v, want guard.ErrCanceled", err)
+	}
+	if got := modelQuads(t, st, "inf"); len(got) != 0 {
+		t.Errorf("a canceled run asserted %v", got)
+	}
+}
+
+func TestRunRefusesDatasetWithoutDestination(t *testing.T) {
+	st := store.New()
+	mustLoad(t, st, "data", triple("a", "p", "b"),
+		rdf.Quad{S: iri("p"), P: rdf.NewIRI(rdf.RDFSSubPropertyOf), O: iri("q")})
+	e := New(st)
+	for _, r := range RDFSRules() {
+		if err := e.AddRule(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := e.Run(t.Context(), "data", "inf", Options{})
+	if err == nil || !strings.Contains(err.Error(), `"data"`) || !strings.Contains(err.Error(), `"inf"`) {
+		t.Fatalf("err = %v, want a refusal naming both models", err)
+	}
+	// A virtual model over the source and the destination is accepted.
+	st.Model("inf")
+	if err := st.CreateVirtualModel("both", "data", "inf"); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := e.Run(t.Context(), "both", "inf", Options{}); err != nil || n != 1 {
+		t.Errorf("n=%d err=%v, want 1 inferred", n, err)
+	}
+}
+
+// TestRunMatchesNaiveClosure compares Run with naiveClosure, a
+// nested-loop fixpoint over a quad slice, on seeded small graphs that
+// hold sameAs cycles, subPropertyOf chains, inverse and transitive
+// properties, literal objects, named graphs, and a model outside the
+// dataset whose quads must neither match nor block a rule.
+func TestRunMatchesNaiveClosure(t *testing.T) {
+	rules := append(RDFSRules(), OWLRules()...)
+	for seed := int64(1); seed <= 12; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			data, other := closureFixture(seed)
+			st := store.New()
+			mustLoad(t, st, "data", data...)
+			mustLoad(t, st, "other", other...)
+			st.Model("inf")
+			if err := st.CreateVirtualModel("vm", "data", "inf"); err != nil {
+				t.Fatal(err)
+			}
+			e := New(st)
+			for _, r := range rules {
+				if err := e.AddRule(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			n, err := e.Run(t.Context(), "vm", "inf", Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []string
+			for _, q := range naiveClosure(data, rules) {
+				want = append(want, q.String())
+			}
+			sort.Strings(want)
+			if got := modelQuads(t, st, "inf"); !slices.Equal(got, want) {
+				t.Errorf("inferred model differs from the naive closure\ngot  %d: %v\nwant %d: %v", len(got), got, len(want), want)
+			}
+			if n != len(want) {
+				t.Errorf("Run reported %d inferred, naive closure has %d", n, len(want))
+			}
+		})
+	}
+}
+
+// closureFixture returns a seeded graph for the "data" model and one
+// for a model outside the dataset.
+func closureFixture(seed int64) (data, other []rdf.Quad) {
+	rng := rand.New(rand.NewSource(seed))
+	node := func() rdf.Term { return iri(fmt.Sprintf("n%d", rng.Intn(6))) }
+	pred := func() rdf.Term { return iri(fmt.Sprintf("p%d", rng.Intn(4))) }
+	q := func(s, p, o rdf.Term) rdf.Quad { return rdf.Quad{S: s, P: p, O: o} }
+	sameAs, sub, inv := rdf.NewIRI(rdf.OWLSameAs), rdf.NewIRI(rdf.RDFSSubPropertyOf), rdf.NewIRI(rdf.OWLInverseOf)
+	typ := rdf.NewIRI(rdf.RDFType)
+	data = []rdf.Quad{
+		q(iri("n0"), sameAs, iri("n1")), q(iri("n1"), sameAs, iri("n0")), // a 2-cycle
+		q(iri("p0"), sub, iri("p1")), q(iri("p1"), sub, iri("p2")), // a chain
+		q(iri("p3"), inv, iri("p1")),
+		q(iri("p2"), typ, rdf.NewIRI(rdf.OWLTransitiveProperty)),
+		q(iri("p3"), rdf.NewIRI(rdf.RDFSRange), iri("C")),
+		q(iri("C"), rdf.NewIRI(rdf.RDFSSubClassOf), iri("D")),
+		q(node(), iri("label"), rdf.NewLiteral(fmt.Sprint("lit", seed))),
+		q(node(), sameAs, rdf.NewLiteral("same")),               // symmetry yields a literal subject: dropped
+		q(iri("label"), rdf.NewIRI(rdf.RDFSRange), iri("Text")), // a literal typed: dropped
+	}
+	for i := 0; i < 8; i++ {
+		e := q(node(), pred(), node())
+		if i%3 == 0 {
+			e.G = iri(fmt.Sprintf("g%d", i))
+		}
+		data = append(data, e)
+	}
+	if seed%2 == 0 {
+		data = append(data, q(iri("n2"), sameAs, iri("n3")), q(iri("n3"), sameAs, iri("n2")))
+	}
+	for i := 0; i < 4; i++ {
+		other = append(other, q(node(), pred(), node()))
+	}
+	other = append(other, q(iri("p0"), sub, iri("p3")), q(iri("n4"), sameAs, iri("n5")))
+	return data, other
+}
+
+// naiveClosure is the reference for Run: it matches each rule body by
+// nested loops over every triple derived so far, in any graph, and
+// repeats until a round derives nothing. It returns the triples not
+// already in quads, in the default graph. Rule atoms are read as IRIs
+// or variables, the only atoms RDFSRules and OWLRules use.
+func naiveClosure(quads []rdf.Quad, rules []Rule) []rdf.Quad {
+	var facts []rdf.Quad
+	known := map[rdf.Quad]bool{}
+	add := func(q rdf.Quad) bool {
+		q.G = rdf.Term{}
+		if known[q] || q.Validate() != nil {
+			return false
+		}
+		known[q] = true
+		facts = append(facts, q)
+		return true
+	}
+	for _, q := range quads {
+		add(q)
+	}
+	asserted := len(facts)
+	term := func(a string, b map[string]rdf.Term) rdf.Term {
+		if isVar(a) {
+			return b[a]
+		}
+		return rdf.NewIRI(strings.TrimSuffix(strings.TrimPrefix(a, "<"), ">"))
+	}
+	var match func(body []TriplePattern, b map[string]rdf.Term, emit func(map[string]rdf.Term))
+	match = func(body []TriplePattern, b map[string]rdf.Term, emit func(map[string]rdf.Term)) {
+		if len(body) == 0 {
+			emit(b)
+			return
+		}
+		a := body[0]
+		for _, f := range facts {
+			nb := maps.Clone(b)
+			ok := true
+			for _, pos := range [3]struct {
+				atom string
+				val  rdf.Term
+			}{{a.S, f.S}, {a.P, f.P}, {a.O, f.O}} {
+				if !isVar(pos.atom) {
+					ok = ok && term(pos.atom, nil) == pos.val
+				} else if prev, bound := nb[pos.atom]; bound {
+					ok = ok && prev == pos.val
+				} else {
+					nb[pos.atom] = pos.val
+				}
+			}
+			if ok {
+				match(body[1:], nb, emit)
+			}
+		}
+	}
+	for {
+		var derived []rdf.Quad
+		for _, r := range rules {
+			match(r.Body, map[string]rdf.Term{}, func(b map[string]rdf.Term) {
+				for _, h := range r.Head {
+					derived = append(derived, rdf.Quad{S: term(h.S, b), P: term(h.P, b), O: term(h.O, b)})
+				}
+			})
+		}
+		grew := false
+		for _, q := range derived {
+			grew = add(q) || grew
+		}
+		if !grew {
+			return facts[asserted:]
+		}
 	}
 }

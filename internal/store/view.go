@@ -56,19 +56,6 @@ func (v *View) ModelName(id ModelID) string {
 	return v.modelNames[id-1]
 }
 
-// ModelLen returns the number of live quads in one model.
-func (v *View) ModelLen(model string) int {
-	m, ok := v.modelIDs[model]
-	if !ok {
-		return 0
-	}
-	n := 0
-	p := AnyPattern()
-	p.M = m
-	v.ScanBatch(p, 0, func(rows []IDQuad) bool { n += len(rows); return true })
-	return n
-}
-
 // ResolveDataset maps a model or virtual-model name to the set of model
 // IDs it denotes. An empty name denotes all models.
 func (v *View) ResolveDataset(name string) ([]ModelID, error) {

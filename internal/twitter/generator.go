@@ -88,11 +88,6 @@ func (c Config) Scale(f float64) Config {
 	return c
 }
 
-// DefaultBenchConfig is the scale used by the repository's benchmarks:
-// 1/10 of the paper's egos, which fits comfortably in memory while
-// preserving per-ego structure.
-func DefaultBenchConfig() Config { return PaperConfig().Scale(0.1) }
-
 // TestConfig is a small config for unit tests.
 func TestConfig() Config { return PaperConfig().Scale(0.01) }
 

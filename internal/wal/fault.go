@@ -39,9 +39,6 @@ func (f *FaultInjector) FailAfterBytes(n int64) {
 	f.failAfter.Store(n)
 }
 
-// Written reports how many bytes the injector has observed.
-func (f *FaultInjector) Written() int64 { return f.written.Load() }
-
 // cut returns how many of the next len(p) bytes may be written, and
 // whether the write must fail after them.
 func (f *FaultInjector) cut(n int) (allowed int, crash bool) {
