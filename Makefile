@@ -153,8 +153,9 @@ bench-paper:
 ## (BenchmarkRangeLocate: the A/B of the range kernel),
 ## and one write operation of 1, 3 and
 ## 300 quads on an empty and a full delta (BenchmarkApply), and one
-## bulk load of RF/NG/SP at scale 0.05 into serve's four indexes, parse
-## excluded (BenchmarkLoad) — plus the
+## bulk load of RF/NG/SP at scale 0.05 as `pgrdf serve -data` builds
+## it — the two default indexes, then the rest of the scheme's
+## recommended set in one CreateIndex — parse excluded (BenchmarkLoad) — plus the
 ## analytics tier's triangle count on the algo-rf CSR at one and two
 ## workers and on the scan-sp store's CSR at one
 ## (BenchmarkTrianglesKernel; that leg and the intersection's EQ12-SP

@@ -30,6 +30,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -48,10 +49,6 @@ import (
 	"repro/internal/turtle"
 	"repro/internal/wal"
 )
-
-// defaultIndexes is the -indexes default of every subcommand that
-// builds a store.
-const defaultIndexes = "PCSGM,PSCGM,SPCGM,GSPCM"
 
 func main() {
 	if len(os.Args) < 2 {
@@ -175,16 +172,9 @@ func loadRelational(edgesPath, kvsPath string) (*pg.Graph, error) {
 }
 
 // loadStore loads an RDF file (N-Quads/N-Triples by default, Turtle for
-// .ttl files) into a fresh store under the model name "data".
-func loadStore(dataPath, indexes string) (*store.Store, error) {
-	specs := store.DefaultIndexes
-	if indexes != "" {
-		specs = strings.Split(indexes, ",")
-	}
-	st, err := store.NewWithIndexes(specs)
-	if err != nil {
-		return nil, err
-	}
+// .ttl files) into a fresh store under the model name "data", indexed
+// for its scheme by indexScheme.
+func loadStore(dataPath string) (*store.Store, error) {
 	f, err := os.Open(dataPath)
 	if err != nil {
 		return nil, err
@@ -205,10 +195,35 @@ func loadStore(dataPath, indexes string) (*store.Store, error) {
 			return nil, err
 		}
 	}
+	st := store.New()
 	if _, err := st.Load("data", quads); err != nil {
 		return nil, err
 	}
-	return st, nil
+	return indexScheme(st)
+}
+
+// indexScheme adds to st, built with store.DefaultIndexes (a subset of
+// every scheme's set), the rest of pgrdf.RecommendedIndexes for the
+// scheme graph.DetectScheme reports for its data (NG for none).
+func indexScheme(st *store.Store) (*store.Store, error) {
+	scheme, err := graph.DetectScheme(st, "", pgrdf.Vocabulary{})
+	if err != nil {
+		return nil, err
+	}
+	have := st.View().Indexes()
+	rest := slices.DeleteFunc(pgrdf.RecommendedIndexes(scheme), func(spec string) bool { return slices.Contains(have, spec) })
+	return st, st.CreateIndex(rest...)
+}
+
+// openDataDir recovers the durability directory dir. A checkpoint keeps
+// the indexes it was written with; until the first one, every open
+// gives the store the indexes of an empty store.
+func openDataDir(dir string, sync wal.SyncPolicy) (*store.Store, *wal.Log, error) {
+	empty, err := indexScheme(store.New())
+	if err != nil {
+		return nil, nil, err
+	}
+	return wal.Open(dir, wal.Options{Sync: sync, Indexes: empty.View().Indexes()})
 }
 
 func runQuery(args []string, explain bool) error {
@@ -217,7 +232,6 @@ func runQuery(args []string, explain bool) error {
 	fs := flag.NewFlagSet("query", flag.ExitOnError)
 	data := fs.String("data", "", "N-Quads data file")
 	queryText := fs.String("q", "", "SPARQL query text (@file to read from a file)")
-	indexes := fs.String("indexes", defaultIndexes, "comma-separated semantic network indexes")
 	limit := fs.Int("print", 100, "max rows to print")
 	analyze := fs.Bool("analyze", false, "execute the query and annotate the plan with per-operator actuals (explain only)")
 	fs.Parse(args)
@@ -232,7 +246,7 @@ func runQuery(args []string, explain bool) error {
 		}
 		q = string(b)
 	}
-	st, err := loadStore(*data, *indexes)
+	st, err := loadStore(*data)
 	if err != nil {
 		return err
 	}
@@ -289,7 +303,6 @@ func runTraverse(args []string) error {
 	defer stop()
 	fs := flag.NewFlagSet("traverse", flag.ExitOnError)
 	data := fs.String("data", "", "N-Quads data file (a converted PG-as-RDF dataset)")
-	indexes := fs.String("indexes", defaultIndexes, "semantic network indexes")
 	from := fs.String("from", "", "start vertex IRI")
 	to := fs.String("to", "", "destination vertex IRI (shortest-path mode)")
 	label := fs.String("label", "follows", "edge label to follow (empty = any)")
@@ -300,7 +313,7 @@ func runTraverse(args []string) error {
 	if *data == "" || *from == "" {
 		return fmt.Errorf("traverse requires -data and -from")
 	}
-	cs, err := projectFile(ctx, *data, *indexes, "auto", graph.ProjectOptions{Model: "data", Label: *label})
+	cs, err := projectFile(ctx, *data, "auto", graph.ProjectOptions{Model: "data", Label: *label})
 	if err != nil {
 		return err
 	}
@@ -354,8 +367,8 @@ func runTraverse(args []string) error {
 // projectFile loads an RDF file and projects opts.Model into a CSR under
 // schemeName ("" or "auto" sniffs the dataset) — the graph pgrdf algo and
 // pgrdf traverse both run on, decoded as /algo decodes it.
-func projectFile(ctx context.Context, data, indexes, schemeName string, opts graph.ProjectOptions) (*graph.CSR, error) {
-	st, err := loadStore(data, indexes)
+func projectFile(ctx context.Context, data, schemeName string, opts graph.ProjectOptions) (*graph.CSR, error) {
+	st, err := loadStore(data)
 	if err != nil {
 		return nil, err
 	}
@@ -385,7 +398,6 @@ func runAlgo(args []string) error {
 	name := args[0]
 	fs := flag.NewFlagSet("algo", flag.ExitOnError)
 	data := fs.String("data", "", "N-Quads data file (a converted PG-as-RDF dataset)")
-	indexes := fs.String("indexes", defaultIndexes, "comma-separated semantic network indexes")
 	model := fs.String("model", "data", "model to project (loadStore loads files as \"data\")")
 	schemeName := fs.String("scheme", "auto", "projection scheme: RF, NG, SP or auto (sniff the dataset)")
 	label := fs.String("label", "", "edge-label filter (empty = all relationship edges)")
@@ -400,7 +412,7 @@ func runAlgo(args []string) error {
 	if *data == "" {
 		return fmt.Errorf("algo requires -data")
 	}
-	cs, err := projectFile(ctx, *data, *indexes, *schemeName, graph.ProjectOptions{
+	cs, err := projectFile(ctx, *data, *schemeName, graph.ProjectOptions{
 		Model:     *model,
 		Label:     *label,
 		WeightKey: *weightKey,
@@ -455,10 +467,10 @@ func runAlgo(args []string) error {
 }
 
 // openStore builds a store from -restore (a snapshot written by pgrdf
-// snapshot or /export?format=snapshot), -data (an RDF file) or neither
-// (empty with the given indexes), in that precedence — the shared
+// snapshot or /export?format=snapshot; it keeps its indexes), -data (an
+// RDF file) or neither (empty), in that precedence — the shared
 // serve/snapshot start-up path.
-func openStore(data, restore, indexes string) (*store.Store, error) {
+func openStore(data, restore string) (*store.Store, error) {
 	switch {
 	case restore != "":
 		snap, err := os.ReadFile(restore)
@@ -467,9 +479,9 @@ func openStore(data, restore, indexes string) (*store.Store, error) {
 		}
 		return store.RestoreBinary(snap)
 	case data != "":
-		return loadStore(data, indexes)
+		return loadStore(data)
 	default:
-		return store.NewWithIndexes(strings.Split(indexes, ","))
+		return indexScheme(store.New())
 	}
 }
 
@@ -482,7 +494,6 @@ func runSnapshot(args []string) error {
 	data := fs.String("data", "", "N-Quads data file to load")
 	restore := fs.String("restore", "", "existing snapshot to load")
 	dataDir := fs.String("data-dir", "", "durability directory to recover (checkpoint + WAL tail)")
-	indexes := fs.String("indexes", defaultIndexes, "comma-separated semantic network indexes (ignored with -restore/-data-dir)")
 	out := fs.String("o", "-", "output snapshot file (- = stdout)")
 	fs.Parse(args)
 
@@ -490,7 +501,7 @@ func runSnapshot(args []string) error {
 	var err error
 	if *dataDir != "" {
 		var l *wal.Log
-		st, l, err = wal.Open(*dataDir, wal.Options{Sync: wal.SyncOff})
+		st, l, err = openDataDir(*dataDir, wal.SyncOff)
 		if err != nil {
 			return err
 		}
@@ -499,7 +510,7 @@ func runSnapshot(args []string) error {
 		if *data == "" && *restore == "" {
 			return fmt.Errorf("snapshot requires -data, -restore or -data-dir")
 		}
-		st, err = openStore(*data, *restore, *indexes)
+		st, err = openStore(*data, *restore)
 		if err != nil {
 			return err
 		}
@@ -560,7 +571,6 @@ func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	data := fs.String("data", "", "N-Quads data file to load (optional: start empty)")
 	restore := fs.String("restore", "", "store snapshot to restore (preserves models, virtual models and indexes)")
-	indexes := fs.String("indexes", defaultIndexes, "semantic network indexes")
 	addr := fs.String("addr", "localhost:3030", "listen address")
 	readOnly := fs.Bool("readonly", false, "disable the /update endpoint")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-query wall-clock deadline (negative = unlimited)")
@@ -597,7 +607,7 @@ func runServe(args []string) error {
 		if perr != nil {
 			return perr
 		}
-		st, l, err = wal.Open(*dataDir, wal.Options{Sync: policy, Indexes: strings.Split(*indexes, ",")})
+		st, l, err = openDataDir(*dataDir, policy)
 		if err != nil {
 			return err
 		}
@@ -609,7 +619,7 @@ func runServe(args []string) error {
 		// Seed an empty data dir from -data / -restore, then checkpoint
 		// immediately so the seed itself is durable.
 		if recovered == 0 && (*data != "" || *restore != "") {
-			st, err = openStore(*data, *restore, *indexes)
+			st, err = openStore(*data, *restore)
 			if err != nil {
 				return err
 			}
@@ -619,7 +629,7 @@ func runServe(args []string) error {
 			fmt.Fprintf(os.Stderr, "pgrdf: seeded %s with %d quads\n", *dataDir, st.View().Len())
 		}
 	} else {
-		st, err = openStore(*data, *restore, *indexes)
+		st, err = openStore(*data, *restore)
 		if err != nil {
 			return err
 		}
@@ -707,12 +717,11 @@ func runServe(args []string) error {
 func runStats(args []string) error {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
 	data := fs.String("data", "", "N-Quads data file")
-	indexes := fs.String("indexes", defaultIndexes, "comma-separated semantic network indexes")
 	fs.Parse(args)
 	if *data == "" {
 		return fmt.Errorf("stats requires -data")
 	}
-	st, err := loadStore(*data, *indexes)
+	st, err := loadStore(*data)
 	if err != nil {
 		return err
 	}

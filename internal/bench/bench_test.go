@@ -2,10 +2,14 @@ package bench
 
 import (
 	"context"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/pgrdf"
+	"repro/internal/sparql"
 	"repro/internal/twitter"
 )
 
@@ -104,5 +108,52 @@ func TestEQ9MatchesInMemoryDegrees(t *testing.T) {
 	}
 	if rows != distinct {
 		t.Fatalf("EQ9 rows = %d but distinct positive in-degrees = %d", rows, distinct)
+	}
+}
+
+// TestRecommendedIndexesServeTheirPlans: on NG and SP stores built with
+// pgrdf.RecommendedIndexes alone, EQ1–EQ12 (NG's a forms and SP's b
+// forms, as the claims pick them) answer as the paper env does, and the
+// indexes their profiled plans use are the scheme's set exactly.
+func TestRecommendedIndexesServeTheirPlans(t *testing.T) {
+	env := sharedEnv(t)
+	for _, paper := range env.SchemeEnvs() {
+		t.Run(paper.Scheme.String(), func(t *testing.T) {
+			st, err := pgrdf.NewStore(paper.Scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			names, err := pgrdf.LoadPartitioned(st, paper.Dataset, "pg")
+			if err != nil {
+				t.Fatal(err)
+			}
+			se := &SchemeEnv{Scheme: paper.Scheme, Store: st, Engine: sparql.NewEngine(st), Names: names, Dataset: paper.Dataset}
+			form := map[pgrdf.Scheme]string{pgrdf.NG: "a", pgrdf.SP: "b"}[paper.Scheme]
+			p := &probe{ctx: context.Background(), env: env}
+			var used []string
+			for _, name := range sortedKeys(env.Queries()) {
+				if strings.ContainsAny(name[2:3], "5678") && !strings.HasSuffix(name, form) {
+					continue
+				}
+				got, want := p.eq(se, name), p.eq(paper, name)
+				if err := p.done(); err != nil {
+					t.Fatal(err)
+				}
+				if got.answer != want.answer {
+					t.Errorf("%s: %d results, the paper env's %d", name, got.count, want.count)
+				}
+				walkProfile(got.prof.Plan, func(n *sparql.ProfileNode) {
+					if n.Index != "" && !slices.Contains(used, n.Index) {
+						used = append(used, n.Index)
+					}
+				})
+			}
+			want := pgrdf.RecommendedIndexes(paper.Scheme)
+			sort.Strings(used)
+			sort.Strings(want)
+			if !slices.Equal(used, want) {
+				t.Errorf("plans use %v, want the recommended %v", used, want)
+			}
+		})
 	}
 }

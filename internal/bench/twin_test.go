@@ -17,7 +17,7 @@ import (
 	"repro/internal/twitter"
 )
 
-// twinIndexes are the indexes `pgrdf serve` creates, under which the
+// twinIndexes are the indexes benchmark/run.go builds, under which the
 // serving benchmark loads its graph and its twin.
 var twinIndexes = []string{"PCSGM", "PSCGM", "SPCGM", "GSPCM"}
 

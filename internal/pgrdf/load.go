@@ -74,7 +74,8 @@ func LoadSingle(st *store.Store, ds *Dataset, model string) error {
 // for a scheme: PCSGM, PSCGM, SPCGM always, and GPSCM when an edge
 // template puts the edge resource in the graph slot (NG; SP stores no
 // named graphs, which is why Table 9's totals come out similar despite
-// SP's extra triples).
+// SP's extra triples). EQ1–EQ12's NG and SP plans use exactly this set,
+// which `pgrdf` builds for the scheme it detects in a file it loads.
 func RecommendedIndexes(s Scheme) []string {
 	base := []string{"PCSGM", "PSCGM", "SPCGM"}
 	if encodings[s].edgeHas(func(t Template) bool { return t.G == Edge }) {

@@ -32,7 +32,7 @@ const lookupPlansPath = "testdata/lookup_plans.txt"
 var groupKeyNote = regexp.MustCompile(`(?m)^(\s*GroupAggregate .*) key=(none|id|term)$`)
 
 // paperStore loads the test-scale Twitter graph under scheme into a
-// store with serve's indexes.
+// store with serveIndexes.
 func paperStore(t *testing.T, scheme pgrdf.Scheme) *store.Store {
 	t.Helper()
 	st, err := store.NewWithIndexes(serveIndexes)
@@ -47,7 +47,7 @@ func paperStore(t *testing.T, scheme pgrdf.Scheme) *store.Store {
 }
 
 // TestBatchTailFiresWhereExpected pins where aggregates stay in ID
-// space, on NG and SP data under serve's indexes. EQ9 and EQ10 union
+// space, on NG and SP data under serveIndexes. EQ9 and EQ10 union
 // their alternation's branches and group by ID — in EXPLAIN and, by the
 // profile, at run time. The lookup classes keep the parent's plans
 // exactly — join order, indexes, access paths — but for the key

@@ -38,7 +38,9 @@ var intersectShapeQueries = []string{
 // step that binds a GRAPH variable.
 const unfusedShapes = 2
 
-// serveIndexes are the indexes `pgrdf serve` creates by default.
+// serveIndexes are the four indexes of benchmark/run.go's oracle and of
+// the data dir it prepares for mixed-rw-ng, whose server recovers them.
+// `pgrdf serve -data` builds its scheme's pgrdf.RecommendedIndexes.
 var serveIndexes = []string{"PCSGM", "PSCGM", "SPCGM", "GSPCM"}
 
 // fusedSteps returns the join steps EXPLAIN marks join=intersect, as
@@ -60,7 +62,7 @@ func fusedSteps(t *testing.T, e *Engine, model, q string) string {
 }
 
 // TestIntersectFiresWhereExpected pins which steps of EQ1–EQ12 fuse
-// into sorted intersections on NG and SP data under serve's indexes:
+// into sorted intersections on NG and SP data under serveIndexes:
 // EQ12's closing pair and EQ3's three tag/follows pairs do; so does the
 // subproperty lookup of the SP "b" variants; none of the lookup
 // classes (EQ1, EQ2, EQ4, EQ5a, EQ6a, EQ8a, EQ11b — the lookup-ng and
@@ -212,7 +214,7 @@ type intersectModel struct {
 	quads []rdf.Quad
 }
 
-// intersectStates loads models into a store with serve's indexes and
+// intersectStates loads models into a store with serveIndexes and
 // calls check in three states: freshly loaded, except that every 6th
 // quad of the first model is held out; with the held quads inserted and
 // every 7th loaded one of that model deleted, unmerged — inserts and

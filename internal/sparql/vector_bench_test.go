@@ -77,14 +77,14 @@ func BenchmarkNestedLoopKernel(b *testing.B) {
 }
 
 // scanSPStore is the `scan-sp` serving store: the SP encoding of
-// twitter.PaperConfig().Scale(0.025) (37 615 follows edges) under
-// serve's indexes.
+// twitter.PaperConfig().Scale(0.025) (37 615 follows edges) under SP's
+// pgrdf.RecommendedIndexes, the set `pgrdf serve -data` builds for it.
 var scanSPStore *store.Store
 
 func spKernelStore(b *testing.B) *store.Store {
 	if scanSPStore == nil {
 		ds := pgrdf.NewConverter(pgrdf.SP).Convert(twitter.Generate(twitter.PaperConfig().Scale(0.025)))
-		st, err := store.NewWithIndexes(serveIndexes)
+		st, err := pgrdf.NewStore(pgrdf.SP)
 		if err != nil {
 			b.Fatal(err)
 		}

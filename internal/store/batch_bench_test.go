@@ -47,10 +47,11 @@ func BenchmarkScanBatch(b *testing.B) {
 	}
 }
 
-// The serving benchmark's lookup-ng store in outline: 3 765 nodes,
-// 79 712 edges, each edge a follows quad in its own named graph plus an
-// edge KV, node KVs making up the rest of 219 084 quads, under the four
-// indexes `pgrdf serve` creates.
+// The serving benchmark's NG store in outline: 3 765 nodes, 79 712
+// edges, each edge a follows quad in its own named graph plus an edge
+// KV, node KVs making up the rest of 219 084 quads, under the four
+// indexes of the data dir benchmark/run.go prepares, which mixed-rw-ng's
+// server recovers.
 const (
 	ngNodes = 3765
 	ngEdges = 79712

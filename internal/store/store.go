@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -85,10 +86,8 @@ func NewWithIndexes(specs []string) (*Store, error) {
 	}
 	s := &Store{dict: NewDict()}
 	s.cur.Store(&View{st: s})
-	for _, spec := range specs {
-		if err := s.CreateIndex(spec); err != nil {
-			return nil, err
-		}
+	if err := s.CreateIndex(specs...); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -118,23 +117,23 @@ func (s *Store) publish(w *View) {
 	s.published.Add(1)
 }
 
-// eachRun replaces every run of w by build's result. Bulk operations
-// (Load, Compact) build the runs concurrently, one goroutine per index,
-// when GOMAXPROCS allows.
-func (s *Store) eachRun(w *View, build func(r *run) run) {
-	if runtime.GOMAXPROCS(0) <= 1 || len(w.runs) == 1 {
-		for i := range w.runs {
-			w.runs[i] = build(&w.runs[i])
+// eachRun replaces each of runs by build's result. Bulk operations
+// (Load, Compact, CreateIndex) build the runs concurrently, one
+// goroutine per index, when GOMAXPROCS allows.
+func eachRun(runs []run, build func(r *run) run) {
+	if runtime.GOMAXPROCS(0) <= 1 || len(runs) == 1 {
+		for i := range runs {
+			runs[i] = build(&runs[i])
 		}
 		return
 	}
 	var wg sync.WaitGroup
-	for i := range w.runs {
+	for i := range runs {
 		wg.Add(1)
 		go func(r *run) {
 			defer wg.Done()
 			*r = build(r)
-		}(&w.runs[i])
+		}(&runs[i])
 	}
 	wg.Wait()
 }
@@ -145,64 +144,48 @@ func (s *Store) compact(w *View) {
 		return
 	}
 	start := time.Now()
-	s.eachRun(w, func(r *run) run { return r.compacted() })
+	eachRun(w.runs, func(r *run) run { return r.compacted() })
 	w.inserts, w.tombs = 0, 0
 	s.compactions.Add(1)
 	s.compactionNanos.Add(time.Since(start).Nanoseconds())
 }
 
-// CreateIndex adds a semantic-network index with the given key spec
-// (e.g. "GSPCM"), populating it from the current contents.
-func (s *Store) CreateIndex(spec string) error {
-	perm, err := ParsePermutation(spec)
-	if err != nil {
-		return err
-	}
+// CreateIndex adds semantic-network indexes with the given key specs
+// (e.g. "GSPCM"), populated from the current contents. It builds them
+// concurrently, as Load builds its runs, and publishes them together;
+// a bad spec, or one the store or the list already has, refuses them
+// all.
+func (s *Store) CreateIndex(specs ...string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	w := s.edit()
-	for i := range w.runs {
-		if w.runs[i].ix.perm == perm {
+	have := len(w.runs)
+	for _, spec := range specs {
+		perm, err := ParsePermutation(spec)
+		if err != nil {
+			return err
+		}
+		if slices.ContainsFunc(w.runs, func(r run) bool { return r.ix.perm == perm }) {
 			return fmt.Errorf("store: index %s already exists", spec)
 		}
+		w.runs = append(w.runs, run{ix: &Index{perm: perm}})
 	}
-	r := run{ix: &Index{perm: perm}}
-	if len(w.runs) > 0 {
+	if have > 0 {
 		from := &w.runs[0]
-		r = newRun(r.ix, newRadixHist(from.base).sort(from.base, perm))
-		var entries []dentry
-		for _, c := range from.delta {
-			entries = append(entries, c.e...)
-		}
-		sort.Slice(entries, func(i, j int) bool { return r.ix.less(entries[i].q, entries[j].q) })
-		r.delta = appendChunks(nil, entries)
+		h := newRadixHist(from.base)
+		eachRun(w.runs[have:], func(r *run) run {
+			built := newRun(r.ix, h.sort(from.base, r.ix.perm))
+			var entries []dentry
+			for _, c := range from.delta {
+				entries = append(entries, c.e...)
+			}
+			sort.Slice(entries, func(i, j int) bool { return r.ix.less(entries[i].q, entries[j].q) })
+			built.delta = appendChunks(nil, entries)
+			return built
+		})
 	}
-	w.runs = append(w.runs, r)
 	s.publish(w)
 	return nil
-}
-
-// DropIndex removes the index with the given key spec. The last index
-// cannot be dropped.
-func (s *Store) DropIndex(spec string) error {
-	perm, err := ParsePermutation(spec)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	w := s.edit()
-	for i := range w.runs {
-		if w.runs[i].ix.perm == perm {
-			if len(w.runs) == 1 {
-				return fmt.Errorf("store: cannot drop the last index")
-			}
-			w.runs = append(w.runs[:i], w.runs[i+1:]...)
-			s.publish(w)
-			return nil
-		}
-	}
-	return fmt.Errorf("store: no index %s", spec)
 }
 
 // Model returns the ID for a semantic model, creating it if necessary.
@@ -308,7 +291,7 @@ func (s *Store) Load(model string, quads []rdf.Quad) (int, error) {
 	rows := s.dict.internRows(m, quads)
 	h := newRadixHist(rows)
 	before := len(w.runs[0].base)
-	s.eachRun(w, func(r *run) run { return r.loaded(rows, h) })
+	eachRun(w.runs, func(r *run) run { return r.loaded(rows, h) })
 	added := len(w.runs[0].base) - before
 	if added > 0 {
 		w.Version++

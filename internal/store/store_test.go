@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/rdf"
@@ -245,17 +246,49 @@ func TestCreateDropIndex(t *testing.T) {
 	if n != 1 {
 		t.Errorf("GSPCM scan found %d rows, want 1", n)
 	}
-	if err := s.DropIndex("GSPCM"); err != nil {
+
+	// Several specs land in one published version, each over the rows
+	// already loaded and those still in the delta.
+	if _, err := s.Insert("m", quad("e", "p", "f", "g")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.DropIndex("GSPCM"); err == nil {
-		t.Error("dropping missing index succeeded")
-	}
-	if err := s.DropIndex("PCSGM"); err != nil {
+	before, published := s.View(), s.published.Load()
+	if err := s.CreateIndex("SPCGM", "GPSCM"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.DropIndex("PSCGM"); err == nil {
-		t.Error("dropped the last index")
+	if got := s.published.Load() - published; got != 1 {
+		t.Errorf("CreateIndex of two specs published %d versions, want 1", got)
+	}
+	if got, want := s.View().Indexes(), []string{"PCSGM", "PSCGM", "GSPCM", "SPCGM", "GPSCM"}; !slices.Equal(got, want) {
+		t.Errorf("indexes %v, want %v", got, want)
+	}
+	if got := before.Indexes(); len(got) != 3 {
+		t.Errorf("a pinned view sees indexes %v after CreateIndex", got)
+	}
+	for _, spec := range []string{"SPCGM", "GPSCM"} {
+		n := 0
+		if err := s.View().ScanIndex(spec, p, func(IDQuad) bool { n++; return true }); err != nil {
+			t.Fatal(err)
+		}
+		if n != 2 {
+			t.Errorf("%s scan of graph g found %d rows, want 2", spec, n)
+		}
+	}
+
+	// A duplicate or bad spec among several refuses them all.
+	for _, specs := range [][]string{
+		{"CSPGM", "GSPCM"},
+		{"CSPGM", "CSPGM"},
+		{"CSPGM", "XXXXX"},
+		{"XXXXX", "CSPGM"},
+	} {
+		published := s.published.Load()
+		if err := s.CreateIndex(specs...); err == nil {
+			t.Errorf("CreateIndex%v accepted", specs)
+		}
+		if got := s.View().Indexes(); len(got) != 5 || s.published.Load() != published {
+			t.Errorf("refused CreateIndex%v left indexes %v", specs, got)
+		}
 	}
 }
 

@@ -72,9 +72,9 @@ type Options struct {
 	// Sync is the fsync policy for appended records.
 	Sync SyncPolicy
 	// Indexes configures the semantic-network indexes of a store
-	// created for an empty directory (no checkpoint yet). Ignored when
-	// a checkpoint exists — the snapshot carries the index config.
-	// Empty means store.DefaultIndexes.
+	// created for a directory with no checkpoint yet, on every open
+	// until the first one. Ignored when a checkpoint exists — the
+	// snapshot carries its indexes. Empty means store.DefaultIndexes.
 	Indexes []string
 }
 
